@@ -30,7 +30,6 @@ from repro.featurize.batch import (
     merge_encoded,
 )
 from repro.featurize.graph import CardinalitySource, ZeroShotFeaturizer
-from repro.models import TrainerConfig, ZeroShotConfig, ZeroShotCostModel
 from repro.nn import BatchIterator, Tensor, no_grad
 from repro.optimizer import Planner
 from repro.runtime import RuntimeSimulator
@@ -240,14 +239,14 @@ def test_one_pass_featurization_epoch_speedup(context, corpus_graphs):
     prebuilt-batch training is ≥3× cheaper than the
     re-featurize-per-batch baseline at ``ExperimentScale.default()``.
 
-    Each arm does exactly the featurization work its ``fit`` path
-    repeats per epoch — the model step is identical in both modes (and
-    provably so: losses are bit-identical, see
-    ``test_prebuilt_training_is_bit_identical``):
+    Each arm does exactly the featurization work a training epoch
+    repeats — the model step is identical in both (the merged batches
+    are bit-identical, see
+    ``tests/featurize/test_graph_encoding.py``):
 
-    * baseline (``prebuild=False``): ``batch_graphs`` over every
-      shuffled mini-batch plus the re-batched validation set;
-    * one-pass (``prebuild=True``): ``merge_encoded`` per mini-batch,
+    * baseline: ``batch_graphs`` over every shuffled mini-batch plus
+      the re-batched validation set;
+    * one-pass (what ``fit`` does): ``merge_encoded`` per mini-batch,
       with the one-time ``encode_graphs`` + prebuilt validation batch
       amortized over the scale's configured epoch count.
 
@@ -296,26 +295,6 @@ def test_one_pass_featurization_epoch_speedup(context, corpus_graphs):
         f"({baseline_seconds * 1e3:.1f} ms vs "
         f"{one_pass_seconds * 1e3:.1f} ms per epoch)"
     )
-
-
-def test_prebuilt_training_is_bit_identical(context, corpus_graphs):
-    """End-to-end ``fit``: the prebuilt path must reproduce the legacy
-    re-featurize-per-batch losses bit for bit at default scale.  (The
-    shared model step dominates total fit wall-clock; the dedicated gate
-    above measures the pipeline this PR changed.)"""
-    trainer = TrainerConfig(
-        epochs=3,
-        batch_size=context.scale.zero_shot_trainer.batch_size,
-        early_stopping_patience=10,
-    )
-    prebuilt_model = ZeroShotCostModel(context.scale.zero_shot_config)
-    prebuilt = prebuilt_model.fit(corpus_graphs, trainer, prebuild=True)
-    legacy_model = ZeroShotCostModel(context.scale.zero_shot_config)
-    legacy = legacy_model.fit(corpus_graphs, trainer, prebuild=False)
-
-    assert prebuilt.train_losses == legacy.train_losses
-    assert prebuilt.validation_losses == legacy.validation_losses
-    assert prebuilt.best_epoch == legacy.best_epoch
 
 
 def test_merge_encoded_batch(benchmark, context, corpus_graphs):

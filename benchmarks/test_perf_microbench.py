@@ -318,7 +318,7 @@ def test_fragment_dedup_node_forward_reduction(five_way_setup):
         legacy.joined_rows(query, aliases)
     finally:
         del core.predict_cardinalities_from_encoded
-    legacy_fragments = dict(legacy._cache[id(query)][1])
+    legacy_fragments = dict(legacy._cache.get(id(query))[1])
 
     dedup, dedup_counted, core = _counting_estimator(
         database, estimator, dedup_fragments=True)
@@ -326,7 +326,7 @@ def test_fragment_dedup_node_forward_reduction(five_way_setup):
         dedup.joined_rows(query, aliases)
     finally:
         del core.predict_cardinalities_from_encoded
-    dedup_fragments = dict(dedup._cache[id(query)][1])
+    dedup_fragments = dict(dedup._cache.get(id(query))[1])
 
     assert legacy_fragments == dedup_fragments
     assert len(dedup_fragments) > 5  # scans + joined fragments primed

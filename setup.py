@@ -9,7 +9,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy", "scipy", "networkx"],
+    install_requires=["numpy"],
     entry_points={
         "console_scripts": [
             "repro-cache = repro.experiments.cache:main",

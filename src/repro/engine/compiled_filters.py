@@ -43,7 +43,6 @@ residual-filter path (intermediate relations) can share them.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
@@ -51,6 +50,7 @@ import numpy as np
 
 from repro.errors import ExecutionError
 from repro.sql.ast import ComparisonOperator, Predicate
+from repro.util import LRUCache
 
 __all__ = [
     "CompiledFilter",
@@ -283,7 +283,7 @@ def compile_filter(filters: tuple[Predicate, ...]) -> CompiledFilter:
     return CompiledFilter(filters)
 
 
-class CompiledFilterCache:
+class CompiledFilterCache(LRUCache):
     """LRU of compiled filters, keyed by the scan that owns them.
 
     The executor keys entries by ``(alias, filters, projection)`` — the
@@ -299,29 +299,12 @@ class CompiledFilterCache:
         if max_entries <= 0:
             raise ExecutionError(
                 f"max_entries must be positive, got {max_entries}")
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self._entries: OrderedDict[tuple, CompiledFilter] = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
+        super().__init__(max_entries)
 
     def get_or_compile(self, key: tuple,
                        filters: tuple[Predicate, ...]) -> CompiledFilter:
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return entry
-        self.misses += 1
-        entry = CompiledFilter(filters)
-        self._entries[key] = entry
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
+        entry = self.get(key)
+        if entry is None:
+            entry = CompiledFilter(filters)
+            self.put(key, entry)
         return entry
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0

@@ -21,7 +21,6 @@ table), the batched-collection fast path the workload runner uses.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field, fields as dataclass_fields
 from typing import Callable
 
@@ -51,6 +50,7 @@ from repro.plans.operators import (
 )
 from repro.plans.plan import PhysicalPlan
 from repro.sql.ast import AggregateFunction, AggregateSpec, ColumnRef, Predicate
+from repro.util import LRUCache, Registry
 
 __all__ = [
     "BuildSideCache",
@@ -188,7 +188,7 @@ class _BuildEntry:
         return entry
 
 
-class BuildSideCache:
+class BuildSideCache(LRUCache):
     """LRU memo of executed hash-join build sides, shared across queries.
 
     Keyed by the build subtree's structural signature, each entry holds
@@ -206,11 +206,8 @@ class BuildSideCache:
         if max_entries <= 0:
             raise ValueError(
                 f"max_entries must be positive, got {max_entries}")
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
+        super().__init__(max_entries)
         self.database: Database | None = None
-        self._entries: OrderedDict[tuple, _BuildEntry] = OrderedDict()
 
     def check_database(self, database: Database) -> None:
         """Bind to ``database`` on first use; reject every other one."""
@@ -227,28 +224,8 @@ class BuildSideCache:
                 f"use one cache per database"
             )
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, signature: tuple) -> _BuildEntry | None:
-        entry = self._entries.get(signature)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(signature)
-        self.hits += 1
-        return entry
-
-    def put(self, signature: tuple, entry: _BuildEntry) -> None:
-        self._entries[signature] = entry
-        self._entries.move_to_end(signature)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-
     def clear(self) -> None:
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
+        super().clear()
         self.database = None
 
 
@@ -282,8 +259,7 @@ class Executor:
     """
 
     #: operator class → bound handler; populated after the class body.
-    _HANDLERS: dict[type[PlanNode], Callable[["Executor", PlanNode],
-                                             "Relation"]] = {}
+    _HANDLERS: Registry
 
     def __init__(self, database: Database,
                  build_cache: BuildSideCache | None = None,
@@ -310,14 +286,7 @@ class Executor:
     # Dispatch
     # ------------------------------------------------------------------
     def _execute_node(self, node: PlanNode) -> Relation:
-        handler = None
-        for klass in type(node).__mro__:
-            handler = self._HANDLERS.get(klass)
-            if handler is not None:
-                break
-        if handler is None:
-            raise ExecutionError(f"unknown plan operator {type(node).__name__}")
-        relation = handler(self, node)
+        relation = self._HANDLERS.get(type(node))(self, node)
         node.actual_rows = relation.num_rows
         return relation
 
@@ -559,17 +528,18 @@ class Executor:
         return Relation(columns=columns)
 
 
-Executor._HANDLERS = {
-    SeqScan: Executor._seq_scan,
-    IndexScan: Executor._index_scan,
-    HashBuild: Executor._hash_build,
-    HashJoin: Executor._hash_join,
-    MergeJoin: Executor._merge_join,
-    NestedLoopJoin: Executor._nested_loop,
-    Sort: Executor._sort,
-    HashAggregate: Executor._hash_aggregate,
-    PlainAggregate: Executor._plain_aggregate,
-}
+Executor._HANDLERS = Registry(
+    "operator handler", ExecutionError, key_base=PlanNode, defaults={
+        SeqScan: Executor._seq_scan,
+        IndexScan: Executor._index_scan,
+        HashBuild: Executor._hash_build,
+        HashJoin: Executor._hash_join,
+        MergeJoin: Executor._merge_join,
+        NestedLoopJoin: Executor._nested_loop,
+        Sort: Executor._sort,
+        HashAggregate: Executor._hash_aggregate,
+        PlainAggregate: Executor._plain_aggregate,
+    })
 
 
 def register_operator_handler(
@@ -585,21 +555,7 @@ def register_operator_handler(
     ``handler=None`` removes the class's own entry (MRO lookup then
     falls back to a parent's handler).
     """
-    if not (isinstance(op_class, type) and issubclass(op_class, PlanNode)):
-        raise ExecutionError(
-            f"operator handlers must be registered for PlanNode subclasses, "
-            f"got {op_class!r}"
-        )
-    if handler is None:
-        return Executor._HANDLERS.pop(op_class, None)
-    if not callable(handler):
-        raise ExecutionError(
-            f"operator handler for {op_class.__name__} must be callable, "
-            f"got {handler!r}"
-        )
-    previous = Executor._HANDLERS.get(op_class)
-    Executor._HANDLERS[op_class] = handler
-    return previous
+    return Executor._HANDLERS.register(op_class, handler)
 
 
 def _orient_condition(condition, left: Relation,

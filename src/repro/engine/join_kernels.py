@@ -54,6 +54,7 @@ from repro.plans.operators import (
     NestedLoopJoin,
     PlanNode,
 )
+from repro.util import Registry
 
 __all__ = [
     "JoinHashTable",
@@ -316,13 +317,12 @@ def block_nested_loop_match(outer_keys: np.ndarray,
 # ----------------------------------------------------------------------
 # Operator → kernel registry
 # ----------------------------------------------------------------------
-_DEFAULT_KERNELS: dict[type[PlanNode], JoinKernel] = {
-    HashJoin: hash_join_match,
-    MergeJoin: merge_join_match,
-    NestedLoopJoin: block_nested_loop_match,
-}
-
-_JOIN_KERNELS: dict[type[PlanNode], JoinKernel] = dict(_DEFAULT_KERNELS)
+_JOIN_KERNELS = Registry("join kernel", ExecutionError, key_base=PlanNode,
+                         defaults={
+                             HashJoin: hash_join_match,
+                             MergeJoin: merge_join_match,
+                             NestedLoopJoin: block_nested_loop_match,
+                         })
 
 
 def register_join_kernel(op_class: type[PlanNode],
@@ -336,38 +336,19 @@ def register_join_kernel(op_class: type[PlanNode],
     Subclasses of registered operators inherit their parent's kernel
     unless registered explicitly.
     """
-    if not (isinstance(op_class, type) and issubclass(op_class, PlanNode)):
-        raise ExecutionError(
-            f"join kernels must be registered for PlanNode subclasses, "
-            f"got {op_class!r}"
-        )
-    if kernel is None:
-        return _JOIN_KERNELS.pop(op_class, None)
-    if not callable(kernel):
-        raise ExecutionError(f"join kernel for {op_class.__name__} must be "
-                             f"callable, got {kernel!r}")
-    previous = _JOIN_KERNELS.get(op_class)
-    _JOIN_KERNELS[op_class] = kernel
-    return previous
+    return _JOIN_KERNELS.register(op_class, kernel)
 
 
 def join_kernel_for(op_class: type[PlanNode]) -> JoinKernel:
     """The kernel registered for an operator class (walking the MRO)."""
-    for klass in op_class.__mro__:
-        kernel = _JOIN_KERNELS.get(klass)
-        if kernel is not None:
-            return kernel
-    raise ExecutionError(
-        f"no join kernel registered for {op_class.__name__}"
-    )
+    return _JOIN_KERNELS.get(op_class)
 
 
 def registered_join_kernels() -> dict[type[PlanNode], JoinKernel]:
     """A snapshot of the current operator→kernel table."""
-    return dict(_JOIN_KERNELS)
+    return _JOIN_KERNELS.snapshot()
 
 
 def reset_join_kernels() -> None:
     """Restore the default kernel table (undo all registrations)."""
-    _JOIN_KERNELS.clear()
-    _JOIN_KERNELS.update(_DEFAULT_KERNELS)
+    _JOIN_KERNELS.reset()

@@ -23,8 +23,6 @@ entry point (used at inference time, where every batch is new anyway).
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +36,7 @@ from repro.featurize.graph import (
     PlanGraph,
 )
 from repro.featurize.scalers import StandardScaler
+from repro.util import LRUCache
 
 __all__ = [
     "LevelSpec",
@@ -354,7 +353,7 @@ def build_level_plan(encoded: list[EncodedGraph]) -> LevelPlan:
     )
 
 
-class LevelPlanCache:
+class LevelPlanCache(LRUCache):
     """LRU of :class:`LevelPlan` objects keyed by graph-set identity.
 
     The key is the ordered tuple of ``id()``s of the encoded graphs —
@@ -363,45 +362,25 @@ class LevelPlanCache:
     objects themselves, so a cached key's ids cannot be recycled while
     the entry lives (the same idiom as the learned-cardinality
     estimator's per-query cache); eviction releases plan and pins
-    together.  A lock makes lookups safe from concurrent serving
-    threads sharing one model.
+    together.  The shared :class:`~repro.util.LRUCache` lock makes
+    lookups safe from concurrent serving threads sharing one model.
     """
 
     def __init__(self, max_entries: int = 64):
         if max_entries <= 0:
             raise FeaturizationError(
                 f"max_entries must be positive, got {max_entries}")
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self._lock = threading.Lock()
-        self._entries: "OrderedDict[tuple[int, ...], tuple[tuple[EncodedGraph, ...], LevelPlan]]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
+        super().__init__(max_entries)
 
     def level_plan(self, encoded: list[EncodedGraph]) -> LevelPlan:
         """The level plan for ``encoded``, derived at most once."""
         key = tuple(id(graph) for graph in encoded)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return entry[1]
-            self.misses += 1
+        entry = self.get(key)
+        if entry is not None:
+            return entry[1]
         plan = build_level_plan(encoded)
-        with self._lock:
-            self._entries[key] = (tuple(encoded), plan)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
+        self.put(key, (tuple(encoded), plan))
         return plan
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
 
 
 def merge_encoded(encoded: list[EncodedGraph],

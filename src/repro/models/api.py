@@ -23,9 +23,8 @@ bespoke adapters.  Every estimator
 * raises the same :class:`~repro.errors.ModelError` when used before
   ``fit`` (or ``load``), and persists itself with ``save``/``load``.
 
-Estimators register under a short name in a process-global registry —
-the same extension mechanism as the join-kernel and operator-handler
-registries in :mod:`repro.engine`::
+Estimators register under a short name in a process-global
+:class:`~repro.util.Registry`::
 
     from repro.models.api import available_estimators, get_estimator
 
@@ -50,6 +49,7 @@ from repro.db.database import Database
 from repro.errors import ModelError
 from repro.plans.plan import PhysicalPlan
 from repro.sql.ast import Query
+from repro.util import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.models.trainer import TrainerConfig, TrainingHistory
@@ -267,10 +267,9 @@ class CostEstimator(abc.ABC):
 
 
 # ----------------------------------------------------------------------
-# The registry (mirrors the repro.engine operator registries)
+# The registry (a repro.util.Registry keyed by estimator name)
 # ----------------------------------------------------------------------
-_DEFAULT_ESTIMATORS: dict[str, Callable[..., CostEstimator]] = {}
-_ESTIMATORS: dict[str, Callable[..., CostEstimator]] = {}
+_ESTIMATORS = Registry("estimator", ModelError)
 
 
 def register_estimator(name: str,
@@ -284,18 +283,7 @@ def register_estimator(name: str,
     binding as part of the built-in set restored by
     :func:`reset_estimators` (used by the library's own registrations).
     """
-    if not name:
-        raise ModelError("estimator name must be non-empty")
-    previous = _ESTIMATORS.get(name)
-    if factory is None:
-        _ESTIMATORS.pop(name, None)
-        return previous
-    if not callable(factory):
-        raise ModelError(f"estimator factory for {name!r} is not callable")
-    _ESTIMATORS[name] = factory
-    if default:
-        _DEFAULT_ESTIMATORS[name] = factory
-    return previous
+    return _ESTIMATORS.register(name, factory, default)
 
 
 def get_estimator(name: str, **kwargs) -> CostEstimator:
@@ -304,24 +292,17 @@ def get_estimator(name: str, **kwargs) -> CostEstimator:
     Keyword arguments are forwarded to the factory (e.g.
     ``get_estimator("zero-shot", source=CardinalitySource.ACTUAL)``).
     """
-    factory = _ESTIMATORS.get(name)
-    if factory is None:
-        raise ModelError(
-            f"unknown estimator {name!r}; available: "
-            f"{', '.join(available_estimators())}"
-        )
-    return factory(**kwargs)
+    return _ESTIMATORS.get(name)(**kwargs)
 
 
 def available_estimators() -> tuple[str, ...]:
     """Names of all registered estimators, sorted."""
-    return tuple(sorted(_ESTIMATORS))
+    return tuple(sorted(_ESTIMATORS.available()))
 
 
 def reset_estimators() -> None:
     """Restore the built-in registry (for tests that register customs)."""
-    _ESTIMATORS.clear()
-    _ESTIMATORS.update(_DEFAULT_ESTIMATORS)
+    _ESTIMATORS.reset()
 
 
 def peek_manifest(directory: str | os.PathLike) -> dict:
@@ -337,7 +318,7 @@ def peek_manifest(directory: str | os.PathLike) -> dict:
     """
     payload = CostEstimator._read_manifest(directory)
     name = payload.get("name")
-    factory = _ESTIMATORS.get(name)
+    factory = _ESTIMATORS.snapshot().get(name)
     if getattr(factory, "load", None) is None:
         raise ModelError(
             f"manifest in {os.fspath(directory)!r} names estimator "
@@ -354,10 +335,5 @@ def load_estimator(directory: str | os.PathLike,
     The inverse of :meth:`CostEstimator.save` without having to know
     which model was saved — the serving layer's deployment path.
     """
-    payload = CostEstimator._read_manifest(directory)
-    name = payload.get("name")
-    factory = _ESTIMATORS.get(name)
-    loader = getattr(factory, "load", None)
-    if loader is None:
-        raise ModelError(f"no registered estimator can load {name!r}")
-    return loader(directory, database)
+    name = peek_manifest(directory)["name"]
+    return _ESTIMATORS.get(name).load(directory, database)

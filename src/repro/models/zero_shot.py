@@ -27,7 +27,6 @@ from repro.featurize.batch import (
     EncodedGraph,
     GraphBatch,
     LevelPlanCache,
-    batch_graphs,
     encode_graphs,
     fit_scalers,
     merge_encoded,
@@ -252,19 +251,14 @@ class ZeroShotCostModel:
         return self.scalers is not None
 
     def fit(self, graphs: list[PlanGraph],
-            trainer: TrainerConfig | None = None,
-            prebuild: bool = True) -> TrainingHistory:
+            trainer: TrainerConfig | None = None) -> TrainingHistory:
         """Train on labelled graphs (from *multiple* training databases).
 
-        With ``prebuild=True`` (the default) every graph is featurized
-        **once** into an :class:`~repro.featurize.batch.EncodedGraph`
-        (scaled feature matrices, level arrays, type codes) and each
-        mini-batch is assembled by the cheap vectorized merge; the
-        validation batch is built a single time.  ``prebuild=False``
-        keeps the historical re-featurize-per-batch path — same
-        shuffling, same batches, bit-identical losses — and exists as
-        the measurable baseline for the one-pass pipeline (see
-        ``benchmarks/test_microbench.py``).
+        Every graph is featurized **once** into an
+        :class:`~repro.featurize.batch.EncodedGraph` (scaled feature
+        matrices, level arrays, type codes) and each mini-batch is
+        assembled by the cheap vectorized merge; the validation batch
+        is built a single time.
         """
         if not graphs:
             raise ModelError("zero-shot training needs at least one graph")
@@ -285,19 +279,14 @@ class ZeroShotCostModel:
             )
         # Validate BEFORE mutating state: a rejected multi-task fit must
         # not leave the model half-fitted (scalers set => is_fitted).
-        if self.config.cardinality_head:
-            if not prebuild:
-                raise ModelError(
-                    "cardinality-head training requires the prebuilt "
-                    "featurization path (fit(prebuild=True))"
-                )
-            if any(g.target_log_cardinalities is None for g in graphs):
-                raise ModelError(
-                    "cardinality-head training needs per-operator "
-                    "cardinality labels on every graph (featurize with "
-                    "operator cardinalities / corpus.featurize("
-                    "with_cardinalities=True))"
-                )
+        if self.config.cardinality_head and any(
+                g.target_log_cardinalities is None for g in graphs):
+            raise ModelError(
+                "cardinality-head training needs per-operator "
+                "cardinality labels on every graph (featurize with "
+                "operator cardinalities / corpus.featurize("
+                "with_cardinalities=True))"
+            )
         self.scalers = fit_scalers(graphs)
         trainer = trainer or TrainerConfig()
         all_targets = np.asarray([g.target_log_runtime for g in graphs])
@@ -307,34 +296,20 @@ class ZeroShotCostModel:
         if self.config.cardinality_head:
             return self._fit_multi_task(graphs, trainer)
 
-        if prebuild:
-            encoded = encode_graphs(graphs, self.scalers)
+        encoded = encode_graphs(graphs, self.scalers)
 
-            def forward(batch: GraphBatch) -> Tensor:
-                return self.net(batch)
+        def forward(batch: GraphBatch) -> Tensor:
+            return self.net(batch)
 
-            def targets(batch: GraphBatch) -> Tensor:
-                return Tensor((batch.targets - self.target_mean)
-                              / self.target_std)
+        def targets(batch: GraphBatch) -> Tensor:
+            return Tensor((batch.targets - self.target_mean)
+                          / self.target_std)
 
-            self.history = train_model(
-                self.net, encoded, forward, targets, trainer,
-                collate=lambda items: merge_encoded(
-                    items, require_targets=True,
-                    level_cache=self.level_cache),
-            )
-        else:
-            def forward(batch_items: list[PlanGraph]) -> Tensor:
-                batch = batch_graphs(batch_items, self.scalers)
-                return self.net(batch)
-
-            def targets(batch_items: list[PlanGraph]) -> Tensor:
-                raw = np.asarray([g.target_log_runtime
-                                  for g in batch_items])
-                return Tensor((raw - self.target_mean) / self.target_std)
-
-            self.history = train_model(self.net, graphs, forward, targets,
-                                       trainer)
+        self.history = train_model(
+            self.net, encoded, forward, targets, trainer,
+            collate=lambda items: merge_encoded(
+                items, require_targets=True, level_cache=self.level_cache),
+        )
         return self.history
 
     def multi_task_closures(self):
@@ -379,8 +354,8 @@ class ZeroShotCostModel:
         head spends its capacity exactly where the paper says the
         heuristics drift — on correlated data.
 
-        Inputs were validated by :meth:`fit` (card labels present,
-        prebuild path) before any state mutation.
+        Inputs were validated by :meth:`fit` (card labels present)
+        before any state mutation.
         """
         all_deltas = np.concatenate([
             g.target_log_cardinalities -

@@ -34,8 +34,6 @@ Predictions and fallbacks are counted (``learned_fragments`` /
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 from repro.db.database import Database
 from repro.errors import (
     FeaturizationError,
@@ -48,6 +46,7 @@ from repro.optimizer.cardinality import CardinalityEstimator
 from repro.plans.operators import HashBuild, HashJoin, PlanNode, SeqScan
 from repro.plans.plan import PhysicalPlan
 from repro.sql.ast import JoinCondition, Query, TableRef
+from repro.util import LRUCache
 
 __all__ = ["LearnedCardinalityEstimator"]
 
@@ -123,8 +122,7 @@ class LearnedCardinalityEstimator(CardinalityEstimator):
         #: ``id(query)``, unambiguous because the entry also pins the
         #: query object itself (its ``id`` cannot be recycled while
         #: cached); eviction releases fragments and pin together.
-        self._cache: OrderedDict[
-            int, tuple[Query, dict[frozenset[str], float]]] = OrderedDict()
+        self._cache = LRUCache(cached_queries)
 
     @staticmethod
     def _resolve_predictor(model):
@@ -196,13 +194,9 @@ class LearnedCardinalityEstimator(CardinalityEstimator):
         entry = self._cache.get(id(query))
         if entry is None:
             entry = (query, {})
-            self._cache[id(query)] = entry
-            while len(self._cache) > self.cached_queries:
-                self._cache.popitem(last=False)
+            self._cache.put(id(query), entry)
             if not self.fallback_only:
                 self._prime_query(query, entry[1])
-        else:
-            self._cache.move_to_end(id(query))
         cached = entry[1].get(aliases)
         if cached is not None:
             return cached

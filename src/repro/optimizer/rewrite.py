@@ -19,10 +19,9 @@ Pieces
   :func:`lower_logical_plan`.
 * The :class:`RewriteRule` protocol and :class:`RuleRegistry`, plus the
   module-level registry functions (:func:`register_rewrite_rule`,
-  :func:`available_rewrite_rules`, :func:`reset_rewrite_rules`)
-  following the ``register_join_kernel`` / ``register_estimator``
-  idiom: duplicate registration and unknown names fail eagerly with
-  the available-rule list.
+  :func:`available_rewrite_rules`, :func:`reset_rewrite_rules`) over
+  one :class:`~repro.util.Registry`: duplicate registration and
+  unknown names fail eagerly with the available-rule list.
 * Four built-in rules: predicate pushdown, filter merge, transitive
   join-condition inference and projection pruning.
 * :class:`RewritePlanner`: fixpoint application with a hard cap and a
@@ -58,6 +57,7 @@ from repro.sql.ast import (
     Query,
     join_column_classes,
 )
+from repro.util import Registry
 
 __all__ = [
     "LogicalNode",
@@ -377,72 +377,52 @@ class RewriteResult:
     logical_plan: LogicalNode
 
 
-class RuleRegistry:
+class RuleRegistry(Registry):
     """Ordered name -> rule table.
 
-    Mirrors the join-kernel / estimator registries: registration order
-    is application order, duplicates are rejected eagerly, and unknown
-    names raise with the available-rule list.
+    A :class:`~repro.util.Registry` keyed by ``rule.name``:
+    registration order is application order, unknown names raise with
+    the available-rule list, and — unlike the other registries —
+    re-registering a bound name is rejected unless ``replace=True``.
     """
 
     def __init__(self):
-        self._rules: dict[str, RewriteRule] = {}
+        super().__init__(
+            "rewrite rule", PlannerError,
+            accepts=lambda rule: callable(getattr(rule, "apply", None)),
+            expects="an object with an apply() method")
 
     def register(self, rule: RewriteRule, *, replace: bool = False
                  ) -> RewriteRule | None:
         """Register ``rule`` under ``rule.name``; returns the previous
         binding (always ``None`` unless ``replace=True``)."""
         name = getattr(rule, "name", None)
-        if not isinstance(name, str) or not name:
-            raise PlannerError(
-                f"rewrite rule {rule!r} has no usable .name attribute"
-            )
-        if not callable(getattr(rule, "apply", None)):
-            raise PlannerError(f"rewrite rule {name!r} has no apply() method")
-        if name in self._rules and not replace:
+        if not replace and name in self.available():
             raise PlannerError(
                 f"rewrite rule {name!r} is already registered "
-                f"(available: {', '.join(self.names()) or 'none'}); "
+                f"(available: {', '.join(self.available())}); "
                 "unregister it first or pass replace=True"
             )
-        previous = self._rules.get(name)
-        self._rules[name] = rule
-        return previous
+        return super().register(name, rule)
 
     def unregister(self, name: str) -> RewriteRule | None:
-        return self._rules.pop(name, None)
-
-    def get(self, name: str) -> RewriteRule:
-        try:
-            return self._rules[name]
-        except KeyError:
-            raise PlannerError(
-                f"unknown rewrite rule {name!r}; "
-                f"available: {', '.join(self.names()) or 'none'}"
-            ) from None
-
-    def names(self) -> tuple[str, ...]:
-        """Registered rule names in application order."""
-        return tuple(self._rules)
+        return super().register(name, None)
 
     def rules(self, disabled: tuple[str, ...] = ()) -> tuple[RewriteRule, ...]:
         """Enabled rules in application order.  Unknown names in
         ``disabled`` raise eagerly with the available-rule list."""
         self.validate_names(disabled)
-        return tuple(rule for name, rule in self._rules.items()
+        return tuple(rule for name, rule in self.snapshot().items()
                      if name not in disabled)
 
     def validate_names(self, names) -> None:
         for name in names:
-            if name not in self._rules:
-                raise PlannerError(
-                    f"unknown rewrite rule {name!r} in disabled_rules; "
-                    f"available: {', '.join(self.names()) or 'none'}"
-                )
+            self.get(name)
 
     def copy(self) -> "RuleRegistry":
         clone = RuleRegistry()
-        clone._rules = dict(self._rules)
+        for rule in self.rules():
+            clone.register(rule)
         return clone
 
 
@@ -763,8 +743,6 @@ def _builtin_rules() -> tuple[RewriteRule, ...]:
 
 
 _REGISTRY = RuleRegistry()
-for _rule in _builtin_rules():
-    _REGISTRY.register(_rule)
 
 
 def default_rule_registry() -> RuleRegistry:
@@ -785,14 +763,17 @@ def unregister_rewrite_rule(name: str) -> RewriteRule | None:
 
 def available_rewrite_rules() -> tuple[str, ...]:
     """Registered rule names in application order."""
-    return _REGISTRY.names()
+    return _REGISTRY.available()
 
 
 def reset_rewrite_rules() -> None:
     """Restore the built-in rule set (drops custom registrations)."""
-    _REGISTRY._rules.clear()
+    _REGISTRY.reset()
     for rule in _builtin_rules():
         _REGISTRY.register(rule)
+
+
+reset_rewrite_rules()
 
 
 # ----------------------------------------------------------------------

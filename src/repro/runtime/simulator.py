@@ -17,9 +17,9 @@ actually runs (see :mod:`repro.engine.join_kernels`): hash joins pay a
 per-probe bucket lookup that degrades with build-side size (CPU-cache
 thrashing), merge joins pay one linear pass over their pre-sorted
 inputs, nested loops pay the full blockwise comparison matrix.  The
-models are dispatched through an operator→model table mirroring the
-executor's kernel registry; :func:`register_cost_model` extends it for
-custom operators.
+models are dispatched through an operator→model
+:class:`~repro.util.Registry`; :func:`register_cost_model` extends it
+for custom operators.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from repro.plans.operators import (
 )
 from repro.plans.plan import PhysicalPlan, walk_plan
 from repro.runtime.system import SystemParameters
+from repro.util import Registry
 
 __all__ = ["QueryRuntime", "RuntimeSimulator", "register_cost_model"]
 
@@ -83,8 +84,7 @@ class RuntimeSimulator:
     """
 
     #: operator class → cost model; populated after the class body.
-    _MODELS: dict[type[PlanNode], Callable[["RuntimeSimulator", PlanNode],
-                                           float]] = {}
+    _MODELS: Registry
 
     def __init__(self, database: Database,
                  system: SystemParameters | None = None,
@@ -125,11 +125,7 @@ class RuntimeSimulator:
     # Dispatch
     # ------------------------------------------------------------------
     def _node_seconds(self, node: PlanNode) -> float:
-        for klass in type(node).__mro__:
-            model = self._MODELS.get(klass)
-            if model is not None:
-                return model(self, node)
-        raise ExecutionError(f"no runtime model for {type(node).__name__}")
+        return self._MODELS.get(type(node))(self, node)
 
     # ------------------------------------------------------------------
     # Resource accounting (§4.3: predict resource consumption too)
@@ -323,17 +319,18 @@ class RuntimeSimulator:
         return self._aggregate(node, grouped=False)
 
 
-RuntimeSimulator._MODELS = {
-    SeqScan: RuntimeSimulator._seq_scan,
-    IndexScan: RuntimeSimulator._index_scan,
-    HashBuild: RuntimeSimulator._hash_build,
-    HashJoin: RuntimeSimulator._hash_join,
-    MergeJoin: RuntimeSimulator._merge_join,
-    NestedLoopJoin: RuntimeSimulator._nested_loop,
-    Sort: RuntimeSimulator._sort,
-    HashAggregate: RuntimeSimulator._hash_aggregate_model,
-    PlainAggregate: RuntimeSimulator._plain_aggregate_model,
-}
+RuntimeSimulator._MODELS = Registry(
+    "cost model", ExecutionError, key_base=PlanNode, defaults={
+        SeqScan: RuntimeSimulator._seq_scan,
+        IndexScan: RuntimeSimulator._index_scan,
+        HashBuild: RuntimeSimulator._hash_build,
+        HashJoin: RuntimeSimulator._hash_join,
+        MergeJoin: RuntimeSimulator._merge_join,
+        NestedLoopJoin: RuntimeSimulator._nested_loop,
+        Sort: RuntimeSimulator._sort,
+        HashAggregate: RuntimeSimulator._hash_aggregate_model,
+        PlainAggregate: RuntimeSimulator._plain_aggregate_model,
+    })
 
 
 def register_cost_model(
@@ -349,18 +346,4 @@ def register_cost_model(
     overrides can be restored by passing it back — ``model=None``
     removes the class's own entry.
     """
-    if not (isinstance(op_class, type) and issubclass(op_class, PlanNode)):
-        raise ExecutionError(
-            f"cost models must be registered for PlanNode subclasses, "
-            f"got {op_class!r}"
-        )
-    if model is None:
-        return RuntimeSimulator._MODELS.pop(op_class, None)
-    if not callable(model):
-        raise ExecutionError(
-            f"cost model for {op_class.__name__} must be callable, "
-            f"got {model!r}"
-        )
-    previous = RuntimeSimulator._MODELS.get(op_class)
-    RuntimeSimulator._MODELS[op_class] = model
-    return previous
+    return RuntimeSimulator._MODELS.register(op_class, model)

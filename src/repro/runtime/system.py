@@ -10,8 +10,7 @@ machines (the paper's Section 4.3 idea of predicting runtimes on
 unseen hardware).
 
 Machines are named: the module keeps a **system-configuration
-registry** (the same idiom as the kernel/estimator/rewrite-rule
-registries) so fleet specs, experiment drivers and the hardware what-if
+registry** (a :class:`~repro.util.Registry`) so fleet specs, experiment drivers and the hardware what-if
 advisor can refer to configurations by name — ``"default"``,
 ``"faster-cpu"``, ``"slow-disk"``, … — and user code can register its
 own.  Configurations serialize to plain JSON dicts
@@ -27,6 +26,7 @@ import os
 from dataclasses import asdict, dataclass, fields
 
 from repro.errors import ExecutionError
+from repro.util import Registry
 
 __all__ = [
     "SystemParameters",
@@ -165,11 +165,21 @@ class SystemParameters:
 
 
 # ----------------------------------------------------------------------
-# The system-configuration registry (mirrors the kernel / estimator /
-# rewrite-rule registries: eager validation, explicit reset).
+# The system-configuration registry (a repro.util.Registry, like the
+# kernel / estimator / rewrite-rule registries).
 # ----------------------------------------------------------------------
-_DEFAULT_CONFIGS: dict[str, SystemParameters] = {}
-_CONFIGS: dict[str, SystemParameters] = {}
+_CONFIGS = Registry(
+    "system config", ExecutionError,
+    accepts=lambda system: isinstance(system, SystemParameters),
+    expects="a SystemParameters instance",
+    defaults={
+        "default": SystemParameters(),
+        "faster-cpu": SystemParameters.faster_cpu(),
+        "slow-disk": SystemParameters.slow_disk(),
+        "fast-disk": SystemParameters.fast_disk(),
+        "big-memory": SystemParameters.big_memory(),
+        "mid-range": SystemParameters.mid_range(),
+    })
 
 
 def register_system_config(name: str, system: SystemParameters | None,
@@ -179,46 +189,24 @@ def register_system_config(name: str, system: SystemParameters | None,
 
     ``system=None`` removes the binding.  ``default=True`` additionally
     records it in the built-in set restored by
-    :func:`reset_system_configs` (used by the library's own
-    registrations below).
+    :func:`reset_system_configs`.
     """
-    if not name:
-        raise ExecutionError("system config name must be non-empty")
-    previous = _CONFIGS.get(name)
-    if system is None:
-        _CONFIGS.pop(name, None)
-        return previous
-    if not isinstance(system, SystemParameters):
-        raise ExecutionError(
-            f"system config {name!r} must be a SystemParameters instance, "
-            f"got {system!r}"
-        )
-    _CONFIGS[name] = system
-    if default:
-        _DEFAULT_CONFIGS[name] = system
-    return previous
+    return _CONFIGS.register(name, system, default)
 
 
 def get_system_config(name: str) -> SystemParameters:
     """Look up a machine by name (fleet specs accept these names)."""
-    system = _CONFIGS.get(name)
-    if system is None:
-        raise ExecutionError(
-            f"unknown system config {name!r}; available: "
-            f"{', '.join(available_system_configs())}"
-        )
-    return system
+    return _CONFIGS.get(name)
 
 
 def available_system_configs() -> tuple[str, ...]:
     """Names of all registered machine configurations, sorted."""
-    return tuple(sorted(_CONFIGS))
+    return tuple(sorted(_CONFIGS.available()))
 
 
 def reset_system_configs() -> None:
     """Restore the built-in registry (for tests that register customs)."""
-    _CONFIGS.clear()
-    _CONFIGS.update(_DEFAULT_CONFIGS)
+    _CONFIGS.reset()
 
 
 def save_system_config(system: SystemParameters,
@@ -243,14 +231,3 @@ def load_system_config(path: str | os.PathLike) -> SystemParameters:
         )
     return SystemParameters.from_dict(payload)
 
-
-for _name, _system in (
-    ("default", SystemParameters()),
-    ("faster-cpu", SystemParameters.faster_cpu()),
-    ("slow-disk", SystemParameters.slow_disk()),
-    ("fast-disk", SystemParameters.fast_disk()),
-    ("big-memory", SystemParameters.big_memory()),
-    ("mid-range", SystemParameters.mid_range()),
-):
-    register_system_config(_name, _system, default=True)
-del _name, _system

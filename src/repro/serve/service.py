@@ -28,7 +28,7 @@ bit-identity and a ≥3× throughput win over per-plan prediction.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -38,6 +38,7 @@ from repro.db.database import Database
 from repro.errors import ModelError
 from repro.models.api import CostEstimator, resolve_plans
 from repro.plans.plan import PhysicalPlan
+from repro.util import LRUCache
 
 __all__ = ["CostModelService", "ServiceStats"]
 
@@ -162,7 +163,7 @@ class CostModelService:
         self.max_batch_size = max_batch_size
         self.cache_entries = cache_entries
         self.stats = ServiceStats()
-        self._cache: OrderedDict[Any, _CacheEntry] = OrderedDict()
+        self._cache = LRUCache(cache_entries)
 
     # ------------------------------------------------------------------
     def _encoded_chunks(self, items: Sequence["PhysicalPlan | str | Any"]):
@@ -241,7 +242,6 @@ class CostModelService:
         key = self._key_of(item)
         entry = self._cache.get(key)
         if entry is not None:
-            self._cache.move_to_end(key)
             self.stats.add(cache_hits=1)
             return entry.encoded
         self.stats.add(cache_misses=1)
@@ -250,9 +250,8 @@ class CostModelService:
         plan = item if isinstance(item, PhysicalPlan) \
             else resolve_plans([item], self.database)[0]
         encoded = self.estimator.encode_plans([plan], self.database)[0]
-        if self.cache_entries:
-            self._cache[key] = _CacheEntry(encoded=encoded, source=item)
-            while len(self._cache) > self.cache_entries:
-                self._cache.popitem(last=False)
-                self.stats.add(cache_evictions=1)
+        evicted = self._cache.put(key, _CacheEntry(encoded=encoded,
+                                                   source=item))
+        if evicted:
+            self.stats.add(cache_evictions=evicted)
         return encoded

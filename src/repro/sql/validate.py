@@ -8,8 +8,6 @@ types match column types.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.db.schema import Schema
 from repro.db.types import DataType
 from repro.errors import QueryError
@@ -63,11 +61,19 @@ def validate_query(schema: Schema, query: Query) -> None:
 
     # Join-graph shape: connected and acyclic over the query's tables.
     if len(query.tables) > 1:
-        graph = nx.Graph()
-        graph.add_nodes_from(query.table_names)
+        neighbours: dict[str, set[str]] = {
+            name: set() for name in query.table_names}
         for join in query.joins:
-            graph.add_edge(join.left.table, join.right.table)
-        if not nx.is_connected(graph):
+            neighbours[join.left.table].add(join.right.table)
+            neighbours[join.right.table].add(join.left.table)
+        reached: set[str] = set()
+        frontier = [query.table_names[0]]
+        while frontier:
+            alias = frontier.pop()
+            if alias not in reached:
+                reached.add(alias)
+                frontier.extend(neighbours[alias] - reached)
+        if len(reached) < len(neighbours):
             raise QueryError("query join graph is not connected (cross product)")
         if len(query.joins) != len(query.tables) - 1:
             raise QueryError(

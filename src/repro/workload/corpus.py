@@ -56,7 +56,8 @@ __all__ = [
 #: v3: records carry per-operator ``operator_cardinalities`` labels
 #: (see :data:`repro.workload.runner.RECORD_SCHEMA_VERSION`); older
 #: corpora lack them and must be re-collected, not silently loaded.
-_CORPUS_FORMAT = 3
+#: v4: every shard file carries its ``"system"`` (the hardware axis).
+_CORPUS_FORMAT = 4
 _MANIFEST_NAME = "manifest.json"
 _SHARDS_DIR = "shards"
 
@@ -74,13 +75,8 @@ class TrainingCorpus:
     systems: dict[str, SystemParameters] = field(default_factory=dict)
 
     def system_for(self, name: str) -> SystemParameters:
-        """The machine ``name``'s records were executed on.
-
-        ``getattr`` fallback: corpora unpickled from before the hardware
-        axis lack the ``systems`` attribute entirely, and all of them
-        ran on the stock machine.
-        """
-        return getattr(self, "systems", {}).get(name) or SystemParameters()
+        """The machine ``name``'s records were executed on."""
+        return self.systems.get(name) or SystemParameters()
 
     @property
     def num_queries(self) -> int:
@@ -215,9 +211,7 @@ operator_cardinalities` as per-node labels, the supervision of the
             raise WorkloadError(
                 f"corpus shard {path!s} does not contain database {name!r}"
             )
-        # ``.get``: shard files from before the hardware axis have no
-        # "system" key — they all ran on the stock machine.
-        return payload["database"], payload["records"], payload.get("system")
+        return payload["database"], payload["records"], payload["system"]
 
     @classmethod
     def load_shard(cls, path: str | os.PathLike, name: str
@@ -234,21 +228,8 @@ operator_cardinalities` as per-node labels, the supervision of the
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "TrainingCorpus":
-        """Load a corpus saved by :meth:`save`.
-
-        Single-file pickles written by older versions of the library
-        are still understood.
-        """
+        """Load a corpus saved by :meth:`save`."""
         root = Path(path)
-        if root.is_file():  # legacy one-file layout
-            with open(root, "rb") as handle:
-                corpus = pickle.load(handle)
-            if not isinstance(corpus, cls):
-                raise WorkloadError(
-                    f"{os.fspath(path)!r} does not contain a TrainingCorpus "
-                    f"(got {type(corpus).__name__})"
-                )
-            return corpus
         manifest = cls._read_manifest(root)
         corpus = cls()
         for entry in manifest["shards"]:

@@ -265,13 +265,6 @@ class TestCompiledFilterCache:
         b_again = cache.get_or_compile(("b", filters), filters)
         assert b_again is not a  # recompiled after eviction
 
-    def test_clear_resets_counters(self):
-        cache = CompiledFilterCache()
-        filters = (pred("x", ComparisonOperator.EQ, 1.0),)
-        cache.get_or_compile(("t", filters), filters)
-        cache.clear()
-        assert (len(cache), cache.hits, cache.misses) == (0, 0, 0)
-
     def test_non_positive_capacity_rejected(self):
         with pytest.raises(ExecutionError, match="positive"):
             CompiledFilterCache(max_entries=0)

@@ -194,12 +194,6 @@ class TestRegistry:
         finally:
             register_join_kernel(NestedLoopJoin, previous)
 
-    def test_invalid_registration_rejected(self):
-        with pytest.raises(ExecutionError):
-            register_join_kernel(int, sort_merge_match)
-        with pytest.raises(ExecutionError):
-            register_join_kernel(HashJoin, "not callable")
-
     def test_new_operator_registration_restorable(self):
         """Passing back a None previous must remove the entry again."""
         class BrandNewJoin(HashJoin):
@@ -299,13 +293,6 @@ class TestBuildSideCache:
         other = Executor(tiny_imdb, build_cache=cache)
         with pytest.raises(ExecutionError):
             other._cached_build(SeqScan(table=TableRef("title")))
-
-    def test_lru_eviction(self):
-        cache = BuildSideCache(max_entries=1)
-        cache.put(("a",), object())
-        cache.put(("b",), object())
-        assert len(cache) == 1
-        assert cache.get(("a",)) is None
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):

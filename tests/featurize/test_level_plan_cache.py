@@ -137,12 +137,6 @@ class TestCacheMechanics:
         ((pinned, _),) = cache._entries.values()
         assert pinned == tuple(encoded_graphs[:2])
 
-    def test_clear(self, encoded_graphs):
-        cache = LevelPlanCache()
-        cache.level_plan(encoded_graphs[:2])
-        cache.clear()
-        assert (len(cache), cache.hits, cache.misses) == (0, 0, 0)
-
     def test_non_positive_capacity_rejected(self):
         with pytest.raises(FeaturizationError, match="positive"):
             LevelPlanCache(max_entries=0)

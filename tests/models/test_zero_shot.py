@@ -22,29 +22,6 @@ def quick_trainer(epochs=30, seed=0):
                          early_stopping_patience=epochs)
 
 
-class TestOnePassFeaturization:
-    """The prebuilt-batch path must be a pure optimization: same random
-    stream, same batches, bit-identical numbers as the historical
-    re-featurize-per-batch path."""
-
-    def test_prebuilt_training_is_bit_identical(self, labelled_graphs):
-        trainer = quick_trainer(epochs=6)
-        prebuilt = ZeroShotCostModel(ZeroShotConfig(hidden_dim=32, seed=3))
-        history_prebuilt = prebuilt.fit(labelled_graphs, trainer,
-                                        prebuild=True)
-        legacy = ZeroShotCostModel(ZeroShotConfig(hidden_dim=32, seed=3))
-        history_legacy = legacy.fit(labelled_graphs, trainer, prebuild=False)
-
-        assert history_prebuilt.train_losses == history_legacy.train_losses
-        assert history_prebuilt.validation_losses == \
-            history_legacy.validation_losses
-        assert history_prebuilt.best_epoch == history_legacy.best_epoch
-        np.testing.assert_array_equal(
-            prebuilt.predict_log_runtime(labelled_graphs[:25]),
-            legacy.predict_log_runtime(labelled_graphs[:25]),
-        )
-
-
 class TestTraining:
     def test_fit_reduces_loss(self, labelled_graphs):
         model = ZeroShotCostModel(ZeroShotConfig(hidden_dim=32, seed=1))

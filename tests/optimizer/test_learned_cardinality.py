@@ -69,8 +69,9 @@ class TestDropIn:
             learned.joined_rows(query, frozenset(query.table_names))
         assert len(learned._cache) == 2
         # The most recent queries survive; the oldest were evicted.
-        assert [entry[0] for entry in learned._cache.values()] == \
-            queries[-2:]
+        survivors = [learned._cache.get(id(query)) for query in queries]
+        assert survivors[:2] == [None, None]
+        assert [entry[0] for entry in survivors[2:]] == queries[-2:]
         with pytest.raises(ModelError, match="positive"):
             LearnedCardinalityEstimator(database, estimator,
                                         cached_queries=0)

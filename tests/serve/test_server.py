@@ -8,6 +8,7 @@ run; all randomized interleavings are seeded.  Run with
 ``pytest -m concurrency`` (CI adds a hard wall-clock timeout on top).
 """
 
+import sys
 import threading
 import time
 
@@ -180,6 +181,53 @@ class TestConcurrencyBitIdentity:
         assert stats.requests == threads * per_thread
         assert stats.batches == 2 * threads * per_thread
         assert stats.observed_latencies == LATENCY_WINDOW
+
+    def test_clear_cache_races_a_warm_predictor(self, tiny_imdb,
+                                                serve_plans):
+        """One thread predicts on a warm service while another loops
+        ``clear_cache()``.  The encode cache's lookup and move-to-front
+        are one locked step, so a clear landing between them cannot
+        raise ``KeyError`` on the predicting thread (it used to, and
+        failed that batch)."""
+        service = make_service(tiny_imdb, cache_entries=64)
+        plans = list(serve_plans)
+        reference = service.predict_runtime(plans)  # also warms
+        errors = []
+        done = threading.Event()
+
+        def predictor():
+            try:
+                deadline = time.monotonic() + 1.5
+                while time.monotonic() < deadline:
+                    np.testing.assert_array_equal(
+                        service.predict_runtime(plans), reference)
+            except BaseException as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+            finally:
+                done.set()
+
+        def clearer():
+            try:
+                while not done.is_set():
+                    service.clear_cache()
+            except BaseException as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=predictor),
+                       threading.Thread(target=clearer)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(WAIT)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert errors == []
+        stats = service.stats
+        assert stats.cache_hits + stats.cache_misses == stats.requests
 
     def test_latency_quantiles(self):
         stats = ServiceStats()

@@ -209,7 +209,36 @@ class TestValidation:
     def test_disconnected_join_graph(self, tiny_imdb):
         query = Query(tables=(TableRef("title", "t"),
                               TableRef("cast_info", "ci")))
-        with pytest.raises(QueryError):
+        with pytest.raises(QueryError, match="not connected"):
+            validate_query(tiny_imdb.schema, query)
+
+    def test_cyclic_join_graph(self, tiny_imdb):
+        """Connected, but three joins over three tables is not a tree."""
+        query = Query(
+            tables=(TableRef("title", "t"), TableRef("cast_info", "ci"),
+                    TableRef("movie_info", "mi")),
+            joins=(JoinCondition(ColumnRef("t", "id"),
+                                 ColumnRef("ci", "movie_id")),
+                   JoinCondition(ColumnRef("t", "id"),
+                                 ColumnRef("mi", "movie_id")),
+                   JoinCondition(ColumnRef("ci", "movie_id"),
+                                 ColumnRef("mi", "movie_id"))),
+        )
+        with pytest.raises(QueryError, match="must be a tree"):
+            validate_query(tiny_imdb.schema, query)
+
+    def test_tree_with_a_disconnected_table(self, tiny_imdb):
+        """Two joins over three tables, yet one table is unreachable
+        (a parallel edge uses up the join count)."""
+        query = Query(
+            tables=(TableRef("title", "t"), TableRef("cast_info", "ci"),
+                    TableRef("movie_info", "mi")),
+            joins=(JoinCondition(ColumnRef("t", "id"),
+                                 ColumnRef("ci", "movie_id")),
+                   JoinCondition(ColumnRef("ci", "movie_id"),
+                                 ColumnRef("t", "id"))),
+        )
+        with pytest.raises(QueryError, match="not connected"):
             validate_query(tiny_imdb.schema, query)
 
     def test_join_type_mismatch(self, tiny_imdb):

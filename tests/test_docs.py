@@ -10,6 +10,7 @@ docs/TESTING.md / PAPER.md from rotting:
   asserted by name.
 """
 
+import configparser
 import importlib
 import re
 from pathlib import Path
@@ -86,6 +87,20 @@ class TestDocsExist:
         for name in subpackages:
             assert f"`repro.{name}`" in readme, \
                 f"README repo map does not mention repro.{name}"
+
+
+class TestMarkerTable:
+    def test_testing_doc_lists_exactly_the_registered_markers(self):
+        """docs/TESTING.md's marker table and pytest.ini must agree."""
+        config = configparser.ConfigParser()
+        config.read(REPO_ROOT / "pytest.ini", encoding="utf-8")
+        registered = {line.split(":")[0].strip()
+                      for line in config["pytest"]["markers"].splitlines()
+                      if line.strip()}
+        testing = (REPO_ROOT / "docs/TESTING.md").read_text(encoding="utf-8")
+        documented = set(re.findall(
+            r"^\| `(\w+)` \|.*`-m \"not \1\"` \|$", testing, re.MULTILINE))
+        assert documented == registered
 
 
 class TestReferencesResolve:

@@ -89,7 +89,7 @@ class TestCorpusFeaturize:
         corpus.save(tmp_path / "corpus")
         manifest = (tmp_path / "corpus" / "manifest.json")
         manifest.write_text(
-            manifest.read_text().replace('"format": 3', '"format": 2'))
+            manifest.read_text().replace('"format": 4', '"format": 3'))
         with pytest.raises(WorkloadError, match="unsupported corpus format"):
             TrainingCorpus.load(tmp_path / "corpus")
 

@@ -117,11 +117,3 @@ class TestCorpusSystems:
         loaded = TrainingCorpus.load(tmp_path / "corpus")
         for name in corpus.records_by_database:
             assert loaded.system_for(name) == SystemParameters.faster_cpu()
-
-    def test_legacy_corpus_without_systems_attribute(self, tiny_specs):
-        """Corpora unpickled from before the hardware axis have no
-        ``systems`` attribute at all; ``system_for`` must not crash."""
-        corpus = collect_training_corpus_from_specs(tiny_specs[:1], 5, seed=1)
-        del corpus.systems  # what an old pickle looks like
-        name = tiny_specs[0].name
-        assert corpus.system_for(name) == SystemParameters()
