@@ -41,7 +41,7 @@ def main() -> None:
     queries = [parse_query(text) for text in TARGET_WORKLOAD]
 
     print("\nRecommending indexes for the unseen IMDB workload ...")
-    advisor = IndexAdvisor(imdb, model, service=True)
+    advisor = IndexAdvisor(imdb, model)
     recommendation = advisor.recommend(queries, max_indexes=2)
 
     print(f"  predicted workload time without new indexes: "

@@ -30,10 +30,8 @@ def main() -> None:
 
     imdb = make_imdb_database(scale=0.4, seed=42)
     queries = make_benchmark_workload(imdb, "scale", 20, seed=13)
-    # service=True: candidate plans are priced through the batching
-    # CostModelService (identical choices — inference is batch-size
-    # invariant).
-    selector = ZeroShotPlanSelector(imdb, model, service=True)
+    # All candidate plans of a query are priced in one batched call.
+    selector = ZeroShotPlanSelector(imdb, model)
     executor = Executor(imdb)
     simulator = RuntimeSimulator(imdb, noise_sigma=0.0)
 

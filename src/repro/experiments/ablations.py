@@ -17,7 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.experiments.setup import ExperimentContext, ExperimentScale, build_context
+from repro.experiments.setup import (
+    ExperimentContext,
+    ExperimentScale,
+    build_context,
+    experiment_main,
+)
 from repro.featurize.graph import (
     CARDINALITY_FEATURE_INDEX,
     CardinalitySource,
@@ -119,14 +124,7 @@ def format_ablations(result: AblationResult) -> str:
 
 
 def main() -> None:  # pragma: no cover - CLI entry
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", choices=("quick", "default", "paper"),
-                        default="default")
-    arguments = parser.parse_args()
-    scale = getattr(ExperimentScale, arguments.scale)()
-    print(format_ablations(run_ablations(scale)))
+    experiment_main(run_ablations, format_ablations, __doc__)
 
 
 if __name__ == "__main__":  # pragma: no cover

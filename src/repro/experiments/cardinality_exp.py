@@ -27,6 +27,7 @@ from repro.experiments.setup import (
     ExperimentContext,
     ExperimentScale,
     build_context,
+    experiment_main,
 )
 from repro.models import TrainerConfig, clamp_predictions, q_error_stats
 from repro.models.cardinality import (
@@ -235,14 +236,7 @@ def format_cardinality(result: CardinalityResult) -> str:
 
 
 def main() -> None:  # pragma: no cover - CLI entry
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", choices=("quick", "default", "paper"),
-                        default="default")
-    arguments = parser.parse_args()
-    scale = getattr(ExperimentScale, arguments.scale)()
-    print(format_cardinality(run_cardinality(scale)))
+    experiment_main(run_cardinality, format_cardinality, __doc__)
 
 
 if __name__ == "__main__":  # pragma: no cover

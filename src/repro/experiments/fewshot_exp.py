@@ -11,7 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ExperimentError
-from repro.experiments.setup import ExperimentContext, ExperimentScale, build_context
+from repro.experiments.setup import (
+    ExperimentContext,
+    ExperimentScale,
+    build_context,
+    experiment_main,
+)
 from repro.featurize.graph import CardinalitySource
 from repro.models import (
     TrainerConfig,
@@ -85,16 +90,9 @@ def run_fewshot(scale: ExperimentScale | None = None,
 
 
 def main() -> None:  # pragma: no cover - CLI entry
-    import argparse
-
     from repro.experiments.report import format_fewshot
 
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", choices=("quick", "default", "paper"),
-                        default="default")
-    arguments = parser.parse_args()
-    scale = getattr(ExperimentScale, arguments.scale)()
-    print(format_fewshot(run_fewshot(scale)))
+    experiment_main(run_fewshot, format_fewshot, __doc__)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -17,7 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ExperimentError
-from repro.experiments.setup import ExperimentContext, ExperimentScale, build_context
+from repro.experiments.setup import (
+    ExperimentContext,
+    ExperimentScale,
+    build_context,
+    experiment_main,
+)
 from repro.featurize.graph import CardinalitySource
 from repro.models import (
     CostEstimator,
@@ -147,16 +152,9 @@ def run_figure3(scale: ExperimentScale | None = None,
 
 
 def main() -> None:  # pragma: no cover - CLI entry
-    import argparse
-
     from repro.experiments.report import format_figure3
 
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", choices=("quick", "default", "paper"),
-                        default="default")
-    arguments = parser.parse_args()
-    scale = getattr(ExperimentScale, arguments.scale)()
-    print(format_figure3(run_figure3(scale)))
+    experiment_main(run_figure3, format_figure3, __doc__)
 
 
 if __name__ == "__main__":  # pragma: no cover

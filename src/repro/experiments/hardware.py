@@ -29,7 +29,7 @@ import numpy as np
 from repro.db import make_imdb_database
 from repro.db.generator import generate_training_database_specs
 from repro.errors import ExperimentError
-from repro.experiments.setup import ExperimentScale
+from repro.experiments.setup import ExperimentScale, scale_parser
 from repro.featurize.graph import CardinalitySource
 from repro.models import ZeroShotEstimator, clamp_predictions, q_error_stats
 from repro.models.metrics import QErrorStats
@@ -227,11 +227,7 @@ def format_hardware(result: HardwareResult) -> str:
 
 
 def main() -> None:  # pragma: no cover - CLI entry
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", choices=("quick", "default", "paper"),
-                        default="default")
+    parser = scale_parser(__doc__)
     parser.add_argument("--source", choices=("estimated", "actual"),
                         default="actual")
     parser.add_argument("--holdout", default=DEFAULT_HOLDOUT_CONFIG,

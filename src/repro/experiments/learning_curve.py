@@ -25,7 +25,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ExperimentError
-from repro.experiments.setup import ExperimentContext, ExperimentScale, build_context
+from repro.experiments.setup import (
+    ExperimentContext,
+    ExperimentScale,
+    build_context,
+    experiment_main,
+)
 from repro.featurize.graph import CardinalitySource
 from repro.models import ZeroShotEstimator, clamp_predictions, q_error_stats
 
@@ -101,16 +106,9 @@ def run_learning_curve(scale: ExperimentScale | None = None,
 
 
 def main() -> None:  # pragma: no cover - CLI entry
-    import argparse
-
     from repro.experiments.report import format_learning_curve
 
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", choices=("quick", "default", "paper"),
-                        default="default")
-    arguments = parser.parse_args()
-    scale = getattr(ExperimentScale, arguments.scale)()
-    print(format_learning_curve(run_learning_curve(scale)))
+    experiment_main(run_learning_curve, format_learning_curve, __doc__)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -15,7 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.experiments.setup import ExperimentContext, ExperimentScale, build_context
+from repro.experiments.setup import (
+    ExperimentContext,
+    ExperimentScale,
+    build_context,
+    experiment_main,
+)
 from repro.featurize.graph import CardinalitySource
 from repro.models import ZeroShotEstimator, clamp_predictions, q_error_stats
 from repro.models.metrics import QErrorStats
@@ -89,14 +94,7 @@ def format_resources(result: ResourceResult) -> str:
 
 
 def main() -> None:  # pragma: no cover - CLI entry
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", choices=("quick", "default", "paper"),
-                        default="default")
-    arguments = parser.parse_args()
-    scale = getattr(ExperimentScale, arguments.scale)()
-    print(format_resources(run_resources(scale)))
+    experiment_main(run_resources, format_resources, __doc__)
 
 
 if __name__ == "__main__":  # pragma: no cover

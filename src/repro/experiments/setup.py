@@ -20,7 +20,9 @@ repro.experiments.cache --stat/--clear``.
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -47,7 +49,8 @@ from repro.workload.backends import ExecutionBackend
 from repro.workload.corpus import TrainingCorpus
 from repro.workload.runner import ExecutedQueryRecord
 
-__all__ = ["ExperimentScale", "ExperimentContext", "build_context"]
+__all__ = ["ExperimentScale", "ExperimentContext", "build_context",
+           "experiment_main", "scale_parser"]
 
 
 @dataclass(frozen=True)
@@ -163,6 +166,24 @@ class ExperimentScale:
             baseline_trainer=TrainerConfig(epochs=100, batch_size=64,
                                            early_stopping_patience=15),
         )
+
+
+def scale_parser(doc: str | None) -> argparse.ArgumentParser:
+    """The parser every experiment CLI starts from: ``--scale`` naming
+    one of the :class:`ExperimentScale` presets."""
+    parser = argparse.ArgumentParser(description=doc)
+    parser.add_argument("--scale", choices=("quick", "default", "paper"),
+                        default="default")
+    return parser
+
+
+def experiment_main(run: Callable[[ExperimentScale], object],
+                    format: Callable[[object], str],
+                    doc: str | None) -> None:  # pragma: no cover - CLI entry
+    """The whole CLI of a driver that takes only ``--scale``: parse it,
+    run the experiment at that scale, print the formatted result."""
+    arguments = scale_parser(doc).parse_args()
+    print(format(run(getattr(ExperimentScale, arguments.scale)())))
 
 
 @dataclass

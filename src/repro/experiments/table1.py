@@ -19,7 +19,12 @@ import numpy as np
 
 from repro.errors import ExperimentError
 from repro.experiments.figure3 import evaluate_zero_shot
-from repro.experiments.setup import ExperimentContext, ExperimentScale, build_context
+from repro.experiments.setup import (
+    ExperimentContext,
+    ExperimentScale,
+    build_context,
+    experiment_main,
+)
 from repro.featurize.graph import CardinalitySource
 from repro.models import clamp_predictions, q_error_stats
 from repro.models.metrics import QErrorStats
@@ -121,16 +126,9 @@ def run_table1(scale: ExperimentScale | None = None,
 
 
 def main() -> None:  # pragma: no cover - CLI entry
-    import argparse
-
     from repro.experiments.report import format_table1
 
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", choices=("quick", "default", "paper"),
-                        default="default")
-    arguments = parser.parse_args()
-    scale = getattr(ExperimentScale, arguments.scale)()
-    print(format_table1(run_table1(scale)))
+    experiment_main(run_table1, format_table1, __doc__)
 
 
 if __name__ == "__main__":  # pragma: no cover

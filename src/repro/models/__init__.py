@@ -15,12 +15,16 @@
   per-operator cardinality estimation via a residual readout head
   trained multi-task with the runtime head.
 
-All of them are reachable through the **unified estimator API**
-(:mod:`repro.models.api`): ``get_estimator(name)`` returns a
+The four learned core models share one base
+(:class:`~repro.models.trainer.CoreCostModel`: target statistics, the
+single fit / predict / restore path).  All of them are reachable
+through the **unified estimator API** (:mod:`repro.models.api`):
+``get_estimator(name)`` returns a
 :class:`~repro.models.api.CostEstimator` that featurizes physical plans
 (or SQL) into the model's native sample type internally — the contract
 the experiment drivers, the tuning stack and :mod:`repro.serve` build
-on.
+on; :func:`~repro.models.cardinality.as_estimator` lifts a raw
+zero-shot core model onto it.
 """
 
 from repro.models.api import (
@@ -32,7 +36,7 @@ from repro.models.api import (
     register_estimator,
     resolve_plans,
 )
-from repro.models.cardinality import ZeroShotCardinalityEstimator
+from repro.models.cardinality import ZeroShotCardinalityEstimator, as_estimator
 from repro.models.e2e import E2ECostModel
 from repro.models.estimators import (
     E2EEstimator,
@@ -73,6 +77,7 @@ __all__ = [
     "ZeroShotConfig",
     "ZeroShotCostModel",
     "ZeroShotEstimator",
+    "as_estimator",
     "available_estimators",
     "clamp_predictions",
     "fine_tune",

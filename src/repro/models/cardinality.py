@@ -34,23 +34,25 @@ which injects these predictions into the DP join enumerator.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
 from repro.db.database import Database
 from repro.errors import ModelError
 from repro.featurize.graph import CardinalitySource
-from repro.models.api import register_estimator, resolve_plans
+from repro.models.api import CostEstimator, register_estimator, resolve_plans
 from repro.models.estimators import ZeroShotEstimator
-from repro.models.trainer import TrainerConfig
 from repro.models.zero_shot import ZeroShotConfig, ZeroShotCostModel
 from repro.plans.plan import PhysicalPlan, walk_plan
 from repro.runtime import SystemParameters
 from repro.sql.ast import Query
-from repro.workload.runner import ExecutedQueryRecord
 
-__all__ = ["ZeroShotCardinalityEstimator", "record_cardinalities"]
+if TYPE_CHECKING:  # pragma: no cover - typing only (workload imports optimizer)
+    from repro.workload.runner import ExecutedQueryRecord
+
+__all__ = ["ZeroShotCardinalityEstimator", "as_estimator",
+           "record_cardinalities"]
 
 
 def record_cardinalities(record: ExecutedQueryRecord) -> tuple[float, ...]:
@@ -103,37 +105,11 @@ class ZeroShotCardinalityEstimator(ZeroShotEstimator):
                          system=system)
 
     # -- training ------------------------------------------------------
-    def fit(self, records, databases, trainer: TrainerConfig | None = None
-            ) -> "ZeroShotCardinalityEstimator":
-        from repro.models.api import _database_map
-        mapping = _database_map(records, databases, self.name)
-        graphs = [
-            self.featurizer.featurize(
-                r.plan, mapping[r.database_name], r.runtime_seconds,
-                operator_cardinalities=record_cardinalities(r),
-            )
-            for r in records
-        ]
-        self.model.fit(graphs, trainer)
-        return self
-
-    def fine_tune(self, records, database: Database,
-                  trainer: TrainerConfig | None = None
-                  ) -> "ZeroShotCardinalityEstimator":
-        """Few-shot adaptation, multi-task: the tuned copy's trunk is
-        updated under the same joint runtime + cardinality loss as
-        ``fit``, so both readouts stay calibrated (a runtime-only
-        update would silently decalibrate ``predict_cardinalities``)."""
-        from repro.models.fewshot import fine_tune
-        graphs = [
-            self.featurizer.featurize(
-                r.plan, database, r.runtime_seconds,
-                operator_cardinalities=record_cardinalities(r),
-            )
-            for r in records
-        ]
-        return type(self)(model=fine_tune(self.model, graphs, trainer),
-                          source=self.source, system=self.system)
+    def _extra_labels(self, record) -> dict:
+        """Per-operator cardinality labels, so both ``fit`` and
+        ``fine_tune`` train the joint loss (a runtime-only update would
+        silently decalibrate ``predict_cardinalities``)."""
+        return {"operator_cardinalities": record_cardinalities(record)}
 
     # -- cardinality surface -------------------------------------------
     def predict_cardinalities_encoded(self, encoded: Sequence[Any]
@@ -166,3 +142,23 @@ class ZeroShotCardinalityEstimator(ZeroShotEstimator):
 
 register_estimator(ZeroShotCardinalityEstimator.name,
                    ZeroShotCardinalityEstimator, default=True)
+
+
+def as_estimator(model: "CostEstimator | ZeroShotCostModel",
+                 source: CardinalitySource = CardinalitySource.ESTIMATED,
+                 system: SystemParameters | None = None) -> CostEstimator:
+    """Normalize "an estimator or a raw zero-shot core model" to an
+    estimator — the one place consumers (plan selection, the what-if
+    and hardware advisors, learned cardinalities) resolve that choice.
+
+    A :class:`~repro.models.zero_shot.ZeroShotCostModel` is wrapped
+    (with its cardinality surface when it carries the head), featurizing
+    with ``source`` — by default estimated cardinalities, the only
+    source that exists for plans that were never executed — for the
+    machine ``system``.  Anything else is returned as is.
+    """
+    if not isinstance(model, ZeroShotCostModel):
+        return model
+    wrapper = ZeroShotCardinalityEstimator if model.config.cardinality_head \
+        else ZeroShotEstimator
+    return wrapper(model=model, source=source, system=system)

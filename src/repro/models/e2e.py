@@ -14,13 +14,8 @@ import numpy as np
 
 from repro.errors import ModelError
 from repro.featurize.e2e import E2EFeaturizer, E2ETreeSample
-from repro.models.trainer import (
-    TrainerConfig,
-    TrainingHistory,
-    collate_targets,
-    train_model,
-)
-from repro.nn import MLP, Module, Tensor, no_grad
+from repro.models.trainer import CoreCostModel, collate_targets
+from repro.nn import MLP, Module, Tensor
 
 __all__ = ["E2EConfig", "E2ENet", "E2ECostModel"]
 
@@ -94,9 +89,7 @@ class E2ENet(Module):
         self.readout = MLP(hidden, list(config.readout_hidden), 1, rng,
                            activation=config.activation)
 
-    def forward(self, batch: "_TreeBatch | list[E2ETreeSample]") -> Tensor:
-        if not isinstance(batch, _TreeBatch):
-            batch = _batch_trees(batch)
+    def forward(self, batch: _TreeBatch) -> Tensor:
         hidden = self.encoder(Tensor(batch.features))
         for parent_ids, child_ids, parent_slots in batch.levels:
             child_sum = hidden.index_select(child_ids).scatter_add(
@@ -111,8 +104,11 @@ class E2ENet(Module):
         return self.readout(hidden.index_select(batch.roots)).reshape(-1)
 
 
-class E2ECostModel:
+class E2ECostModel(CoreCostModel):
     """Wrapper pairing the tree net with its per-database featurizer."""
+
+    kind = "E2E"
+    collate = staticmethod(_batch_trees)
 
     def __init__(self, featurizer: E2EFeaturizer,
                  config: E2EConfig | None = None):
@@ -121,45 +117,4 @@ class E2ECostModel:
                              "constructing the model")
         self.featurizer = featurizer
         self.config = config or E2EConfig()
-        self.net = E2ENet(featurizer.node_dim, self.config)
-        self.history: TrainingHistory | None = None
-        self.target_mean = 0.0
-        self.target_std = 1.0
-        self._fitted = False
-
-    @property
-    def is_fitted(self) -> bool:
-        return self._fitted
-
-    def fit(self, samples: list[E2ETreeSample],
-            trainer: TrainerConfig | None = None) -> TrainingHistory:
-        if not samples:
-            raise ModelError("E2E training needs at least one sample")
-        if any(s.target_log_runtime is None for s in samples):
-            raise ModelError("all E2E training samples need labels")
-        trainer = trainer or TrainerConfig()
-        raw = np.asarray([s.target_log_runtime for s in samples])
-        self.target_mean = float(raw.mean())
-        self.target_std = float(max(raw.std(), 1e-6))
-
-        def targets(batch: _TreeBatch) -> Tensor:
-            return Tensor((batch.targets - self.target_mean)
-                          / self.target_std)
-
-        self.history = train_model(self.net, samples, self.net.forward,
-                                   targets, trainer, collate=_batch_trees)
-        self._fitted = True
-        return self.history
-
-    def predict_log_runtime(self, samples: list[E2ETreeSample]) -> np.ndarray:
-        if not self.is_fitted:
-            raise ModelError("model must be fitted (or loaded) before predict")
-        if not samples:
-            return np.zeros(0)
-        self.net.eval()
-        with no_grad():
-            normalized = self.net(samples).numpy().copy()
-        return normalized * self.target_std + self.target_mean
-
-    def predict_runtime(self, samples: list[E2ETreeSample]) -> np.ndarray:
-        return np.exp(self.predict_log_runtime(samples))
+        super().__init__(E2ENet(featurizer.node_dim, self.config))

@@ -28,31 +28,31 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict
-from typing import Any, Mapping, Sequence
+from typing import Any, ClassVar, Sequence
 
 import numpy as np
 
 from repro.db.database import Database
 from repro.errors import FeaturizationError, ModelError
-from repro.featurize.batch import encode_graphs
 from repro.featurize.e2e import E2EFeaturizer
 from repro.featurize.graph import CardinalitySource, PlanGraph, ZeroShotFeaturizer
 from repro.featurize.mscn import MSCNFeaturizer, MSCNVocabulary
-from repro.featurize.plan_features import flat_plan_features
 from repro.featurize.scalers import StandardScaler
 from repro.models.api import (
     OUT_OF_VOCABULARY,
     CostEstimator,
+    _database_map,
     register_estimator,
     single_database,
 )
 from repro.models.e2e import E2EConfig, E2ECostModel
+from repro.models.fewshot import fine_tune
 from repro.models.flat import FlatVectorCostModel
 from repro.models.mscn import MSCNConfig, MSCNCostModel
 from repro.models.optimizer_cost import ScaledOptimizerCost
 from repro.models.trainer import TrainerConfig, TrainingHistory
 from repro.models.zero_shot import ZeroShotConfig, ZeroShotCostModel
-from repro.nn.serialize import load_state, save_state
+from repro.nn.serialize import save_state
 from repro.plans.plan import PhysicalPlan
 from repro.runtime import SystemParameters
 
@@ -67,14 +67,49 @@ __all__ = [
 _WEIGHTS_FILE = "weights.npz"
 
 
-def _median_log_runtime(records) -> float:
-    return float(np.log(np.median([r.runtime_seconds for r in records])))
-
-
 # ----------------------------------------------------------------------
 # Transferable estimators (fit across the multi-database fleet)
 # ----------------------------------------------------------------------
-class ZeroShotEstimator(CostEstimator):
+class _GraphEstimator(CostEstimator):
+    """Shared plumbing of the estimators over transferable plan graphs:
+    ``self.featurizer`` turns plans into graphs, ``self.model`` (a
+    :class:`~repro.models.trainer.CoreCostModel`) consumes them."""
+
+    @property
+    def is_fitted(self) -> bool:
+        return self.model.is_fitted
+
+    @property
+    def history(self) -> TrainingHistory | None:
+        return self.model.history
+
+    def _extra_labels(self, record) -> dict:
+        """Featurizer keyword labels beyond the runtime (none here)."""
+        return {}
+
+    def _labelled_graphs(self, records, databases) -> list[PlanGraph]:
+        """Executed records → labelled training graphs (the one
+        record-featurize loop behind ``fit`` and ``fine_tune``)."""
+        mapping = _database_map(records, databases, self.name)
+        return [self.featurizer.featurize(r.plan, mapping[r.database_name],
+                                          r.runtime_seconds,
+                                          **self._extra_labels(r))
+                for r in records]
+
+    def fit(self, records, databases, trainer: TrainerConfig | None = None):
+        self.model.fit(self._labelled_graphs(records, databases), trainer)
+        return self
+
+    def encode_plans(self, plans, database) -> list[Any]:
+        self._require_fitted()
+        return self.model.encode(
+            [self.featurizer.featurize(p, database) for p in plans])
+
+    def predict_encoded(self, encoded) -> np.ndarray:
+        return self.model.predict_log_from_encoded(list(encoded))
+
+
+class ZeroShotEstimator(_GraphEstimator):
     """The paper's zero-shot model behind the unified contract.
 
     ``system`` names the machine the estimator prices plans *for* — it
@@ -108,14 +143,6 @@ class ZeroShotEstimator(CostEstimator):
         experiment context or the artifact store)."""
         return cls(model=model, source=source, system=system)
 
-    @property
-    def is_fitted(self) -> bool:
-        return self.model.is_fitted
-
-    @property
-    def history(self) -> TrainingHistory | None:
-        return self.model.history
-
     # -- featurization adapter ----------------------------------------
     def featurize(self, plans: Sequence[PhysicalPlan], database: Database,
                   runtimes: Sequence[float] | None = None
@@ -131,17 +158,6 @@ class ZeroShotEstimator(CostEstimator):
                 for p, r in zip(plans, runtimes)]
 
     # -- contract ------------------------------------------------------
-    def fit(self, records, databases, trainer: TrainerConfig | None = None
-            ) -> "ZeroShotEstimator":
-        from repro.models.api import _database_map
-        mapping = _database_map(records, databases, self.name)
-        graphs = [self.featurizer.featurize(r.plan,
-                                            mapping[r.database_name],
-                                            r.runtime_seconds)
-                  for r in records]
-        self.model.fit(graphs, trainer)
-        return self
-
     def fit_graphs(self, graphs: list[PlanGraph],
                    trainer: TrainerConfig | None = None
                    ) -> "ZeroShotEstimator":
@@ -160,19 +176,9 @@ class ZeroShotEstimator(CostEstimator):
         cardinality head) keep their full surface and save under their
         own manifest name.
         """
-        from repro.models.fewshot import fine_tune
-        graphs = self.featurize([r.plan for r in records], database,
-                                [r.runtime_seconds for r in records])
+        graphs = self._labelled_graphs(records, database)
         return type(self)(model=fine_tune(self.model, graphs, trainer),
                           source=self.source, system=self.system)
-
-    def encode_plans(self, plans, database) -> list[Any]:
-        self._require_fitted()
-        return encode_graphs(self.featurize(plans, database),
-                             self.model.scalers)
-
-    def predict_encoded(self, encoded) -> np.ndarray:
-        return self.model.predict_log_from_encoded(list(encoded))
 
     # -- persistence ---------------------------------------------------
     def save(self, directory) -> None:
@@ -194,7 +200,7 @@ class ZeroShotEstimator(CostEstimator):
                    else SystemParameters.from_dict(saved_system))
 
 
-class FlatVectorEstimator(CostEstimator):
+class FlatVectorEstimator(_GraphEstimator):
     """The structure-free ablation model behind the unified contract."""
 
     name = "flat"
@@ -206,34 +212,6 @@ class FlatVectorEstimator(CostEstimator):
         self.model = model if model is not None \
             else FlatVectorCostModel(hidden, seed)
         self.featurizer = ZeroShotFeaturizer(source)
-
-    @property
-    def is_fitted(self) -> bool:
-        return self.model.is_fitted
-
-    @property
-    def history(self) -> TrainingHistory | None:
-        return self.model.history
-
-    def fit(self, records, databases, trainer: TrainerConfig | None = None
-            ) -> "FlatVectorEstimator":
-        from repro.models.api import _database_map
-        mapping = _database_map(records, databases, self.name)
-        graphs = [self.featurizer.featurize(r.plan,
-                                            mapping[r.database_name],
-                                            r.runtime_seconds)
-                  for r in records]
-        self.model.fit(graphs, trainer)
-        return self
-
-    def encode_plans(self, plans, database) -> list[Any]:
-        self._require_fitted()
-        graphs = [self.featurizer.featurize(p, database) for p in plans]
-        matrix = np.stack([flat_plan_features(g) for g in graphs])
-        return list(self.model.scaler.transform(matrix))
-
-    def predict_encoded(self, encoded) -> np.ndarray:
-        return self.model.predict_log_from_vectors(np.stack(list(encoded)))
 
     def save(self, directory) -> None:
         self._require_fitted()
@@ -251,7 +229,7 @@ class FlatVectorEstimator(CostEstimator):
              ) -> "FlatVectorEstimator":
         payload = cls._read_manifest(directory)
         model = FlatVectorCostModel(tuple(payload["hidden"]), payload["seed"])
-        load_state(model.net, os.path.join(directory, _WEIGHTS_FILE))
+        model.restore(os.path.join(directory, _WEIGHTS_FILE))
         model.scaler = StandardScaler.from_dict(payload["scaler"])
         return cls(source=CardinalitySource(payload["source"]), model=model)
 
@@ -261,9 +239,19 @@ class FlatVectorEstimator(CostEstimator):
 # ----------------------------------------------------------------------
 class _WorkloadDrivenEstimator(CostEstimator):
     """Shared plumbing for the one-hot baselines: single training
-    database, out-of-vocabulary fallback, fallback bookkeeping."""
+    database, out-of-vocabulary fallback, fallback bookkeeping and
+    persistence.  A subclass names its config / featurizer / core-model
+    classes and the record field its featurizer reads, and supplies
+    ``_encode_one`` plus the two featurizer-state hooks."""
 
-    def __init__(self):
+    config_class: ClassVar[type]
+    featurizer_class: ClassVar[type]
+    model_class: ClassVar[type]
+    #: Which :class:`ExecutedQueryRecord` field the featurizer consumes.
+    record_field: ClassVar[str]
+
+    def __init__(self, config=None):
+        self.config = config or self.config_class()
         self.model = None
         self.featurizer = None
         self.fallback_log_runtime: float | None = None
@@ -290,6 +278,26 @@ class _WorkloadDrivenEstimator(CostEstimator):
     def _encode_one(self, plan: PhysicalPlan):
         raise NotImplementedError
 
+    def _featurizer_state(self) -> dict:
+        """The fitted featurizer's vocabulary, as manifest entries."""
+        raise NotImplementedError
+
+    def _restore_featurizer(self, payload: dict) -> None:
+        """Inverse of :meth:`_featurizer_state` onto ``self.featurizer``."""
+        raise NotImplementedError
+
+    def fit(self, records, databases, trainer: TrainerConfig | None = None):
+        database = single_database(records, databases, self.name)
+        inputs = [getattr(r, self.record_field) for r in records]
+        self.featurizer = self.featurizer_class(database).fit(inputs)
+        self.model = self.model_class(self.featurizer, self.config)
+        self.model.fit([self.featurizer.featurize(x, r.runtime_seconds)
+                        for x, r in zip(inputs, records)], trainer)
+        self.fallback_log_runtime = float(
+            np.log(np.median([r.runtime_seconds for r in records])))
+        self.database_name = database.name
+        return self
+
     def encode_plans(self, plans, database) -> list[Any]:
         self._require_fitted()
         self._check_database(database)
@@ -312,42 +320,13 @@ class _WorkloadDrivenEstimator(CostEstimator):
                 [encoded[i] for i in known])
         return out
 
-
-class MSCNEstimator(_WorkloadDrivenEstimator):
-    """MSCN (set-based, Kipf et al.) behind the unified contract."""
-
-    name = "mscn"
-
-    def __init__(self, config: MSCNConfig | None = None):
-        super().__init__()
-        self.config = config or MSCNConfig()
-
-    def fit(self, records, databases, trainer: TrainerConfig | None = None
-            ) -> "MSCNEstimator":
-        database = single_database(records, databases, self.name)
-        self.featurizer = MSCNFeaturizer(database).fit(
-            [r.query for r in records])
-        samples = [self.featurizer.featurize(r.query, r.runtime_seconds)
-                   for r in records]
-        self.model = MSCNCostModel(self.featurizer, self.config)
-        self.model.fit(samples, trainer)
-        self.fallback_log_runtime = _median_log_runtime(records)
-        self.database_name = database.name
-        return self
-
-    def _encode_one(self, plan: PhysicalPlan):
-        return self.featurizer.featurize(plan.query)
-
     def save(self, directory) -> None:
         self._require_fitted()
         os.makedirs(directory, exist_ok=True)
         save_state(self.model.net, os.path.join(directory, _WEIGHTS_FILE))
-        vocabulary = self.featurizer.vocabulary
         self._write_manifest(directory, {
             "config": asdict(self.config),
-            "vocabulary": {"tables": vocabulary.tables,
-                           "joins": vocabulary.joins,
-                           "columns": vocabulary.columns},
+            **self._featurizer_state(),
             "target_mean": self.model.target_mean,
             "target_std": self.model.target_std,
             "fallback_log_runtime": self.fallback_log_runtime,
@@ -355,8 +334,7 @@ class MSCNEstimator(_WorkloadDrivenEstimator):
         })
 
     @classmethod
-    def load(cls, directory, database: Database | None = None
-             ) -> "MSCNEstimator":
+    def load(cls, directory, database: Database | None = None):
         payload = cls._read_manifest(directory)
         if database is None:
             raise ModelError(
@@ -368,93 +346,60 @@ class MSCNEstimator(_WorkloadDrivenEstimator):
                 f"saved {cls.name} estimator belongs to "
                 f"{payload['database_name']!r}, got {database.name!r}"
             )
-        config_dict = dict(payload["config"])
-        for key in ("set_hidden", "final_hidden"):
-            config_dict[key] = tuple(config_dict[key])
-        estimator = cls(MSCNConfig(**config_dict))
-        estimator.featurizer = MSCNFeaturizer(database)
-        estimator.featurizer.vocabulary = MSCNVocabulary(
-            **payload["vocabulary"])
-        estimator.model = MSCNCostModel(estimator.featurizer,
-                                        estimator.config)
-        load_state(estimator.model.net,
-                   os.path.join(directory, _WEIGHTS_FILE))
-        estimator.model.target_mean = float(payload["target_mean"])
-        estimator.model.target_std = float(payload["target_std"])
-        estimator.model._fitted = True
+        # JSON has no tuples: the hidden-layer fields come back as lists.
+        estimator = cls(cls.config_class(**{
+            key: tuple(value) if isinstance(value, list) else value
+            for key, value in payload["config"].items()}))
+        estimator.featurizer = cls.featurizer_class(database)
+        estimator._restore_featurizer(payload)
+        estimator.model = cls.model_class(estimator.featurizer,
+                                          estimator.config)
+        estimator.model.restore(os.path.join(directory, _WEIGHTS_FILE),
+                                payload["target_mean"], payload["target_std"])
         estimator.fallback_log_runtime = payload["fallback_log_runtime"]
         estimator.database_name = payload["database_name"]
         return estimator
+
+
+class MSCNEstimator(_WorkloadDrivenEstimator):
+    """MSCN (set-based, Kipf et al.) behind the unified contract."""
+
+    name = "mscn"
+    config_class = MSCNConfig
+    featurizer_class = MSCNFeaturizer
+    model_class = MSCNCostModel
+    record_field = "query"
+
+    def _encode_one(self, plan: PhysicalPlan):
+        return self.featurizer.featurize(plan.query)
+
+    def _featurizer_state(self) -> dict:
+        vocabulary = self.featurizer.vocabulary
+        return {"vocabulary": {"tables": vocabulary.tables,
+                               "joins": vocabulary.joins,
+                               "columns": vocabulary.columns}}
+
+    def _restore_featurizer(self, payload: dict) -> None:
+        self.featurizer.vocabulary = MSCNVocabulary(**payload["vocabulary"])
 
 
 class E2EEstimator(_WorkloadDrivenEstimator):
     """E2E (plan-tree, Sun & Li) behind the unified contract."""
 
     name = "e2e"
-
-    def __init__(self, config: E2EConfig | None = None):
-        super().__init__()
-        self.config = config or E2EConfig()
-
-    def fit(self, records, databases, trainer: TrainerConfig | None = None
-            ) -> "E2EEstimator":
-        database = single_database(records, databases, self.name)
-        self.featurizer = E2EFeaturizer(database).fit(
-            [r.plan for r in records])
-        samples = [self.featurizer.featurize(r.plan, r.runtime_seconds)
-                   for r in records]
-        self.model = E2ECostModel(self.featurizer, self.config)
-        self.model.fit(samples, trainer)
-        self.fallback_log_runtime = _median_log_runtime(records)
-        self.database_name = database.name
-        return self
+    config_class = E2EConfig
+    featurizer_class = E2EFeaturizer
+    model_class = E2ECostModel
+    record_field = "plan"
 
     def _encode_one(self, plan: PhysicalPlan):
         return self.featurizer.featurize(plan)
 
-    def save(self, directory) -> None:
-        self._require_fitted()
-        os.makedirs(directory, exist_ok=True)
-        save_state(self.model.net, os.path.join(directory, _WEIGHTS_FILE))
-        self._write_manifest(directory, {
-            "config": asdict(self.config),
-            "columns": self.featurizer.columns,
-            "target_mean": self.model.target_mean,
-            "target_std": self.model.target_std,
-            "fallback_log_runtime": self.fallback_log_runtime,
-            "database_name": self.database_name,
-        })
+    def _featurizer_state(self) -> dict:
+        return {"columns": self.featurizer.columns}
 
-    @classmethod
-    def load(cls, directory, database: Database | None = None
-             ) -> "E2EEstimator":
-        payload = cls._read_manifest(directory)
-        if database is None:
-            raise ModelError(
-                f"loading a {cls.name} estimator needs the database it was "
-                f"trained on (its featurizer reads live statistics)"
-            )
-        if database.name != payload["database_name"]:
-            raise ModelError(
-                f"saved {cls.name} estimator belongs to "
-                f"{payload['database_name']!r}, got {database.name!r}"
-            )
-        config_dict = dict(payload["config"])
-        for key in ("encoder_hidden", "combine_hidden", "readout_hidden"):
-            config_dict[key] = tuple(config_dict[key])
-        estimator = cls(E2EConfig(**config_dict))
-        estimator.featurizer = E2EFeaturizer(database)
-        estimator.featurizer.columns = dict(payload["columns"])
-        estimator.model = E2ECostModel(estimator.featurizer,
-                                       estimator.config)
-        load_state(estimator.model.net,
-                   os.path.join(directory, _WEIGHTS_FILE))
-        estimator.model.target_mean = float(payload["target_mean"])
-        estimator.model.target_std = float(payload["target_std"])
-        estimator.model._fitted = True
-        estimator.fallback_log_runtime = payload["fallback_log_runtime"]
-        estimator.database_name = payload["database_name"]
-        return estimator
+    def _restore_featurizer(self, payload: dict) -> None:
+        self.featurizer.columns = dict(payload["columns"])
 
 
 # ----------------------------------------------------------------------

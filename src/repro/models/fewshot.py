@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from repro.errors import ModelError
 from repro.featurize.graph import PlanGraph
-from repro.models.trainer import TrainerConfig, train_model
+from repro.models.trainer import TrainerConfig
 from repro.models.zero_shot import ZeroShotCostModel
-from repro.nn import Tensor
 
 __all__ = ["fine_tune"]
 
@@ -21,52 +20,21 @@ def fine_tune(model: ZeroShotCostModel, graphs: list[PlanGraph],
               trainer: TrainerConfig | None = None) -> ZeroShotCostModel:
     """Return a fine-tuned *copy* of ``model`` (the original is untouched).
 
-    ``graphs`` are labelled plans from the target database.  The copy
-    keeps the zero-shot model's feature scalers (fitted on the training
-    fleet) so features stay on the scale the weights expect.
+    ``graphs`` are labelled plans from the target database, held to the
+    same contract as ``fit``'s (runtime labels, system nodes iff the
+    model is hardware-aware, cardinality labels iff it has the head).
+    The copy keeps the zero-shot model's calibration — feature scalers
+    and target statistics fitted on the training fleet — so features
+    stay on the scale the weights expect, and trains under the same
+    loss closures as ``fit`` (multi-task models fine-tune multi-task,
+    so the trunk keeps serving both readouts).
     """
     if not model.is_fitted:
         raise ModelError("fine_tune requires a fitted zero-shot model")
-    if not graphs:
-        raise ModelError("fine_tune needs at least one labelled graph")
-    if any(g.target_log_runtime is None for g in graphs):
-        raise ModelError("all fine-tuning graphs need runtime labels")
-    if model.config.cardinality_head and \
-            any(g.target_log_cardinalities is None for g in graphs):
-        raise ModelError(
-            "fine-tuning a cardinality-head model needs per-operator "
-            "cardinality labels on every graph — a runtime-only update "
-            "would silently decalibrate the shared trunk against the "
-            "frozen cardinality readout"
-        )
-
+    model.check_training_samples(graphs)
     tuned = model.clone()
-    trainer = trainer or TrainerConfig(
+    tuned.fit_weights(graphs, trainer or TrainerConfig(
         epochs=30, learning_rate=2e-4, batch_size=min(16, len(graphs)),
         validation_fraction=0.0, early_stopping_patience=30,
-    )
-
-    from repro.featurize.batch import GraphBatch, encode_graphs, merge_encoded
-
-    # One-pass featurization: encode once with the zero-shot scalers,
-    # merge cheaply per mini-batch (see repro.featurize.batch).
-    encoded = encode_graphs(graphs, tuned.scalers)
-
-    if tuned.config.cardinality_head:
-        # Multi-task models fine-tune multi-task: the same joint loss as
-        # fit (with the *existing* calibration), so the trunk keeps
-        # serving both readouts.
-        forward, targets = tuned.multi_task_closures()
-    else:
-        def forward(batch: GraphBatch) -> Tensor:
-            return tuned.net(batch)
-
-        def targets(batch: GraphBatch) -> Tensor:
-            return Tensor((batch.targets - tuned.target_mean)
-                          / tuned.target_std)
-
-    tuned.history = train_model(
-        tuned.net, encoded, forward, targets, trainer,
-        collate=lambda items: merge_encoded(items, require_targets=True),
-    )
+    ))
     return tuned

@@ -11,83 +11,65 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ModelError
 from repro.featurize.graph import PlanGraph
 from repro.featurize.plan_features import FLAT_DIM, flat_plan_features
 from repro.featurize.scalers import StandardScaler
-from repro.models.trainer import TrainerConfig, TrainingHistory, train_model
-from repro.nn import MLP, Tensor, no_grad
+from repro.models.trainer import CoreCostModel, collate_targets
+from repro.nn import MLP, Tensor
 
 __all__ = ["FlatVectorCostModel"]
 
 
 @dataclass
 class _FlatSample:
+    """One plan's scaled pooled feature vector (and label, if any)."""
+
     vector: np.ndarray
-    target_log_runtime: float
+    target_log_runtime: float | None
 
 
-class FlatVectorCostModel:
-    """MLP on pooled plan features (no structure)."""
+@dataclass
+class _FlatBatch:
+    vectors: np.ndarray
+    targets: np.ndarray | None
+
+
+class FlatVectorCostModel(CoreCostModel):
+    """MLP on pooled plan features (no structure).
+
+    Targets are *not* standardized (the statistics stay at their
+    identity defaults), as the ablation always trained on raw
+    log-runtimes.
+    """
+
+    kind = "flat"
 
     def __init__(self, hidden: tuple[int, ...] = (128, 64), seed: int = 0):
-        rng = np.random.default_rng(seed)
         self.hidden = tuple(hidden)
         self.seed = seed
-        self.net = MLP(FLAT_DIM, list(hidden), 1, rng)
         self.scaler: StandardScaler | None = None
-        self.history: TrainingHistory | None = None
+        super().__init__(MLP(FLAT_DIM, list(hidden), 1,
+                             np.random.default_rng(seed)))
 
-    @property
-    def is_fitted(self) -> bool:
-        return self.scaler is not None
-
-    def _vectorize(self, graphs: list[PlanGraph]) -> np.ndarray:
+    @staticmethod
+    def _vectorize(graphs: list[PlanGraph]) -> np.ndarray:
         return np.stack([flat_plan_features(g) for g in graphs])
 
-    def fit(self, graphs: list[PlanGraph],
-            trainer: TrainerConfig | None = None) -> TrainingHistory:
+    def _calibrate(self, graphs: list[PlanGraph]) -> None:
+        self.scaler = StandardScaler().fit(self._vectorize(graphs))
+
+    def _encode(self, graphs: list[PlanGraph]) -> list[_FlatSample]:
         if not graphs:
-            raise ModelError("cannot fit on zero graphs")
-        if any(g.target_log_runtime is None for g in graphs):
-            raise ModelError("all training graphs need labels")
-        matrix = self._vectorize(graphs)
-        self.scaler = StandardScaler().fit(matrix)
-        samples = [
-            _FlatSample(vector=row, target_log_runtime=g.target_log_runtime)
-            for row, g in zip(self.scaler.transform(matrix), graphs)
-        ]
+            return []
+        rows = self.scaler.transform(self._vectorize(graphs))
+        return [_FlatSample(row, g.target_log_runtime)
+                for row, g in zip(rows, graphs)]
 
-        def forward(batch: list[_FlatSample]) -> Tensor:
-            return self.net(Tensor(np.stack([s.vector for s in batch]))) \
-                .reshape(-1)
+    @staticmethod
+    def collate(samples: list[_FlatSample]) -> _FlatBatch:
+        return _FlatBatch(
+            np.stack([s.vector for s in samples]),
+            collate_targets([s.target_log_runtime for s in samples], "flat"))
 
-        def targets(batch: list[_FlatSample]) -> Tensor:
-            return Tensor(np.asarray([s.target_log_runtime for s in batch]))
-
-        self.history = train_model(self.net, samples, forward, targets,
-                                   trainer or TrainerConfig())
-        return self.history
-
-    def predict_log_runtime(self, graphs: list[PlanGraph]) -> np.ndarray:
-        if not self.is_fitted:
-            raise ModelError("model used before fit()")
-        if not graphs:
-            return np.zeros(0)
-        matrix = self.scaler.transform(self._vectorize(graphs))
-        return self.predict_log_from_vectors(matrix)
-
-    def predict_log_from_vectors(self, matrix: np.ndarray) -> np.ndarray:
-        """Predicted log-runtimes for already-scaled flat vectors (the
-        per-plan precompute the serving layer caches)."""
-        if not self.is_fitted:
-            raise ModelError("model used before fit()")
-        if not len(matrix):
-            return np.zeros(0)
-        self.net.eval()
-        with no_grad():
-            return self.net(Tensor(np.asarray(matrix))) \
-                .reshape(-1).numpy().copy()
-
-    def predict_runtime(self, graphs: list[PlanGraph]) -> np.ndarray:
-        return np.exp(self.predict_log_runtime(graphs))
+    def _forward(self, batch: _FlatBatch) -> Tensor:
+        return self.net(Tensor(batch.vectors)).reshape(-1)

@@ -14,13 +14,8 @@ import numpy as np
 
 from repro.errors import ModelError
 from repro.featurize.mscn import MSCNFeaturizer, MSCNSample
-from repro.models.trainer import (
-    TrainerConfig,
-    TrainingHistory,
-    collate_targets,
-    train_model,
-)
-from repro.nn import MLP, Module, Tensor, no_grad
+from repro.models.trainer import CoreCostModel, collate_targets
+from repro.nn import MLP, Module, Tensor
 
 __all__ = ["MSCNConfig", "MSCNNet", "MSCNBatch", "collate_mscn",
            "MSCNCostModel"]
@@ -90,10 +85,8 @@ class MSCNNet(Module):
         summed = encoded.scatter_add(sample_ids, len(counts))
         return summed * Tensor((1.0 / np.maximum(counts, 1.0))[:, None])
 
-    def forward(self, batch: "MSCNBatch | list[MSCNSample]") -> Tensor:
-        """Predicted log-runtimes for a (collated) batch of samples."""
-        if not isinstance(batch, MSCNBatch):
-            batch = collate_mscn(batch)
+    def forward(self, batch: MSCNBatch) -> Tensor:
+        """Predicted log-runtimes for a collated batch of samples."""
         pooled = []
         for attribute, mlp in (
             ("table_features", self.table_mlp),
@@ -106,8 +99,11 @@ class MSCNNet(Module):
         return self.output(Tensor.concat(pooled, axis=1)).reshape(-1)
 
 
-class MSCNCostModel:
+class MSCNCostModel(CoreCostModel):
     """Wrapper pairing the net with its per-database featurizer."""
+
+    kind = "MSCN"
+    collate = staticmethod(collate_mscn)
 
     def __init__(self, featurizer: MSCNFeaturizer,
                  config: MSCNConfig | None = None):
@@ -116,46 +112,5 @@ class MSCNCostModel:
                              "constructing the model")
         self.featurizer = featurizer
         self.config = config or MSCNConfig()
-        self.net = MSCNNet(featurizer.table_dim, featurizer.join_dim,
-                           featurizer.predicate_dim, self.config)
-        self.history: TrainingHistory | None = None
-        self.target_mean = 0.0
-        self.target_std = 1.0
-        self._fitted = False
-
-    @property
-    def is_fitted(self) -> bool:
-        return self._fitted
-
-    def fit(self, samples: list[MSCNSample],
-            trainer: TrainerConfig | None = None) -> TrainingHistory:
-        if not samples:
-            raise ModelError("MSCN training needs at least one sample")
-        if any(s.target_log_runtime is None for s in samples):
-            raise ModelError("all MSCN training samples need labels")
-        trainer = trainer or TrainerConfig()
-        raw = np.asarray([s.target_log_runtime for s in samples])
-        self.target_mean = float(raw.mean())
-        self.target_std = float(max(raw.std(), 1e-6))
-
-        def targets(batch: MSCNBatch) -> Tensor:
-            return Tensor((batch.targets - self.target_mean)
-                          / self.target_std)
-
-        self.history = train_model(self.net, samples, self.net.forward,
-                                   targets, trainer, collate=collate_mscn)
-        self._fitted = True
-        return self.history
-
-    def predict_log_runtime(self, samples: list[MSCNSample]) -> np.ndarray:
-        if not self.is_fitted:
-            raise ModelError("model must be fitted (or loaded) before predict")
-        if not samples:
-            return np.zeros(0)
-        self.net.eval()
-        with no_grad():
-            normalized = self.net(samples).numpy().copy()
-        return normalized * self.target_std + self.target_mean
-
-    def predict_runtime(self, samples: list[MSCNSample]) -> np.ndarray:
-        return np.exp(self.predict_log_runtime(samples))
+        super().__init__(MSCNNet(featurizer.table_dim, featurizer.join_dim,
+                                 featurizer.predicate_dim, self.config))

@@ -10,30 +10,42 @@ clipping, validation and early stopping.  Losses operate on
 log-runtimes; the absolute-log-difference ("q") loss directly optimizes
 the median Q-error the paper reports.
 
-Without a ``collate`` function, ``forward``/``targets`` receive the raw
-list of samples each step (the historical behaviour).  With ``collate``,
-every mini-batch is collated into one prebuilt batch object before the
-closures see it — and the validation set is collated **once**, so the
-fixed validation batch is never rebuilt across epochs.  Models that
-precompute their featurization (e.g. the zero-shot model's
-:class:`~repro.featurize.batch.EncodedGraph`) pass the cheap vectorized
-merge as ``collate`` and featurize exactly once per fit.
+Every mini-batch is merged by the model's ``collate`` into one prebuilt
+batch object before the closures see it — and the validation set is
+collated **once**, so the fixed validation batch is never rebuilt
+across epochs.  Models that precompute their featurization (e.g. the
+zero-shot model's :class:`~repro.featurize.batch.EncodedGraph`) pass
+the cheap vectorized merge as ``collate`` and featurize exactly once
+per fit.
+
+:class:`CoreCostModel` is the base the four learned core models share:
+it owns the target statistics and the single ``fit`` / ``predict`` /
+``restore`` path over that loop, so a concrete model is a constructor
+plus a collate function.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, ClassVar, Sequence
 
 import numpy as np
 
 from repro.errors import ModelError
-from repro.nn import Adam, BatchIterator, Tensor, clip_grad_norm, train_validation_split
+from repro.nn import (
+    Adam,
+    BatchIterator,
+    Tensor,
+    clip_grad_norm,
+    no_grad,
+    train_validation_split,
+)
 from repro.nn import functional as F
 from repro.nn.module import Module
+from repro.nn.serialize import load_state
 
-__all__ = ["TrainerConfig", "TrainingHistory", "collate_targets",
-           "train_model"]
+__all__ = ["CoreCostModel", "TrainerConfig", "TrainingHistory",
+           "collate_targets", "standardization", "train_model"]
 
 
 def collate_targets(labels: list, kind: str) -> np.ndarray | None:
@@ -118,16 +130,12 @@ def train_model(model: Module, samples: Sequence,
                 forward: Callable[[Any], Tensor],
                 targets: Callable[[Any], Tensor],
                 config: TrainerConfig,
-                collate: Callable[[list], Any] | None = None
-                ) -> TrainingHistory:
+                collate: Callable[[list], Any]) -> TrainingHistory:
     """Train ``model`` on ``samples``; restores the best-validation weights.
 
-    ``collate`` (optional) merges a list of samples into one batch
-    object.  When given, ``forward``/``targets`` receive collated
-    batches, and the validation batch is built once up front instead of
-    being re-collated every epoch.  Shuffling, splitting and batch
-    membership are identical with and without ``collate``, so the two
-    modes produce bit-identical losses for deterministic models.
+    ``collate`` merges a list of samples into the batch object
+    ``forward``/``targets`` receive; the validation batch is built once
+    up front instead of being re-collated every epoch.
     """
     if not samples:
         raise ModelError("cannot train on an empty sample list")
@@ -141,10 +149,7 @@ def train_model(model: Module, samples: Sequence,
     else:
         train_set, validation_set = list(samples), []
 
-    validation_batch: Any = None
-    if validation_set:
-        validation_batch = (collate(validation_set) if collate is not None
-                            else validation_set)
+    validation_batch = collate(validation_set) if validation_set else None
 
     optimizer = Adam(model.parameters(), lr=config.learning_rate,
                      weight_decay=config.weight_decay)
@@ -159,8 +164,7 @@ def train_model(model: Module, samples: Sequence,
         iterator = BatchIterator(train_set, config.batch_size, rng=rng)
         epoch_losses = []
         for batch in iterator:
-            if collate is not None:
-                batch = collate(batch)
+            batch = collate(batch)
             optimizer.zero_grad()
             predictions = forward(batch)
             labels = targets(batch)
@@ -193,3 +197,148 @@ def train_model(model: Module, samples: Sequence,
     model.load_state_dict(best_state)
     model.eval()
     return history
+
+
+def standardization(values: np.ndarray) -> tuple[float, float]:
+    """``(mean, std)`` of training targets, the std floored so constant
+    targets standardize to zero instead of dividing by zero."""
+    return float(values.mean()), float(max(values.std(), 1e-6))
+
+
+class CoreCostModel:
+    """What the learned core models share: one fit, one predict, one restore.
+
+    A core model wraps a net over its own sample type.  Samples pass
+    through :meth:`encode` (the per-sample precompute estimators cache;
+    the identity unless a model scales features first) and lists of
+    encoded samples through :meth:`collate` into the batch the net
+    consumes.  This base supplies the rest: the log-runtime target
+    statistics shipped with the weights, the single :meth:`fit` body
+    over :func:`train_model`, prediction under ``no_grad`` with
+    de-standardization, and :meth:`restore`, which every ``load`` uses.
+    A subclass is a constructor plus ``collate`` (and the hooks it
+    genuinely differs in).
+    """
+
+    #: Noun for error messages ("MSCN", "zero-shot", ...).
+    kind: ClassVar[str] = "cost-model"
+
+    def __init__(self, net: Module):
+        self.net = net
+        self.history: TrainingHistory | None = None
+        #: Log-runtime targets are standardized for training; the
+        #: statistics are shipped with the model.
+        self.target_mean = 0.0
+        self.target_std = 1.0
+        self._fitted = False
+
+    @property
+    def is_fitted(self) -> bool:
+        return self._fitted
+
+    def _require_fitted(self) -> None:
+        if not self.is_fitted:
+            raise ModelError("model must be fitted (or loaded) before predict")
+
+    # -- hooks ---------------------------------------------------------
+    def _encode(self, samples: list) -> list:
+        """Samples → encoded samples (what :meth:`collate` consumes)."""
+        return samples
+
+    def collate(self, encoded: list) -> Any:
+        """Merge encoded samples into one batch with a ``targets`` field."""
+        raise NotImplementedError
+
+    def _forward(self, batch: Any) -> Tensor:
+        """Standardized log-runtime predictions for a collated batch."""
+        return self.net(batch)
+
+    def check_training_samples(self, samples: list) -> None:
+        """Reject inputs no training run (fit or fine-tune) can use."""
+        if not samples:
+            raise ModelError(
+                f"{self.kind} training needs at least one sample")
+        if any(s.target_log_runtime is None for s in samples):
+            raise ModelError(
+                f"all {self.kind} training samples need runtime labels")
+
+    def _calibrate(self, samples: list) -> None:
+        """Fit everything shipped beside the weights (target statistics,
+        feature scalers) on the training samples."""
+        self.target_mean, self.target_std = standardization(
+            np.asarray([s.target_log_runtime for s in samples]))
+
+    def training_closures(self):
+        """``(forward, targets)`` closures of the training loss, using
+        the model's *current* calibration — shared by :meth:`fit` and
+        few-shot fine-tuning, so the two can never drift apart."""
+        def targets(batch: Any) -> Tensor:
+            return Tensor((batch.targets - self.target_mean)
+                          / self.target_std)
+
+        return self._forward, targets
+
+    # -- training ------------------------------------------------------
+    def fit(self, samples: list,
+            trainer: TrainerConfig | None = None) -> TrainingHistory:
+        """Train on labelled samples.
+
+        Inputs are validated before any state changes; every sample is
+        encoded **once** and each mini-batch (and the one validation
+        batch) assembled by :meth:`collate`.
+        """
+        self.check_training_samples(samples)
+        self._calibrate(samples)
+        return self.fit_weights(samples, trainer)
+
+    def fit_weights(self, samples: list,
+                    trainer: TrainerConfig | None = None) -> TrainingHistory:
+        """Run the training loop under the *current* calibration: the
+        second half of :meth:`fit`, and all of a fine-tuning run."""
+        forward, targets = self.training_closures()
+        self.history = train_model(self.net, self._encode(samples), forward,
+                                   targets, trainer or TrainerConfig(),
+                                   self.collate)
+        self._fitted = True
+        return self.history
+
+    # -- prediction ----------------------------------------------------
+    def encode(self, samples: list) -> list:
+        """The per-sample precompute of prediction, with this model's
+        calibration (feature scalers); needs a fitted model."""
+        self._require_fitted()
+        return self._encode(samples)
+
+    def predict_log_from_encoded(self, encoded: list) -> np.ndarray:
+        """Predicted log-runtimes for samples encoded ahead of time.
+
+        :meth:`encode` is the expensive per-sample step; callers that
+        hold plans for repeated prediction — notably
+        :class:`repro.serve.CostModelService` — cache it and pay only
+        the cheap collate + forward here.
+        """
+        self._require_fitted()
+        if not len(encoded):
+            return np.zeros(0)
+        self.net.eval()
+        with no_grad():
+            normalized = self._forward(self.collate(encoded)).numpy().copy()
+        return normalized * self.target_std + self.target_mean
+
+    def predict_log_runtime(self, samples: list) -> np.ndarray:
+        """Predicted log-runtimes."""
+        return self.predict_log_from_encoded(self.encode(samples))
+
+    def predict_runtime(self, samples: list) -> np.ndarray:
+        """Predicted runtimes in seconds."""
+        return np.exp(self.predict_log_runtime(samples))
+
+    # -- persistence ---------------------------------------------------
+    def restore(self, weights_path, target_mean: float = 0.0,
+                target_std: float = 1.0) -> None:
+        """Load saved weights and target statistics (the inverse of
+        saving them); the model is fitted afterwards."""
+        load_state(self.net, weights_path)
+        self.target_mean = float(target_mean)
+        self.target_std = float(target_std)
+        self._fitted = True

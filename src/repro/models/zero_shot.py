@@ -39,8 +39,8 @@ from repro.featurize.graph import (
 )
 from repro.featurize.scalers import StandardScaler
 from repro.nn import MLP, Module, Tensor, no_grad
-from repro.nn.serialize import load_state, save_state
-from repro.models.trainer import TrainerConfig, TrainingHistory, train_model
+from repro.nn.serialize import save_state
+from repro.models.trainer import CoreCostModel, standardization
 
 __all__ = ["ZeroShotConfig", "ZeroShotNet", "ZeroShotCostModel"]
 
@@ -214,19 +214,24 @@ class ZeroShotNet(Module):
         return runtime, cardinalities
 
 
-class ZeroShotCostModel:
+class ZeroShotCostModel(CoreCostModel):
     """User-facing wrapper: scaling + training + prediction + persistence.
 
     The model consumes :class:`~repro.featurize.graph.PlanGraph` objects
     (raw features); feature scalers are fitted on the training corpus and
     shipped with the weights, so unseen databases are encoded identically.
+    Every graph is featurized **once** into an
+    :class:`~repro.featurize.batch.EncodedGraph` (scaled feature
+    matrices, level arrays, type codes) and batches are assembled by the
+    cheap vectorized merge.
     """
+
+    kind = "zero-shot"
 
     def __init__(self, config: ZeroShotConfig | None = None):
         self.config = config or ZeroShotConfig()
-        self.net = ZeroShotNet(self.config)
+        super().__init__(ZeroShotNet(self.config))
         self.scalers: dict[str, StandardScaler] | None = None
-        self.history: TrainingHistory | None = None
         #: Encode-once discipline, level up: the structural half of a
         #: merged batch (level grouping, edge slots) depends only on
         #: the graph list, so fixed train/validation batches and
@@ -234,10 +239,6 @@ class ZeroShotCostModel:
         #: re-deriving it each step.  Cache hits are bit-identical to
         #: fresh derivation (see ``featurize/batch.py``).
         self.level_cache = LevelPlanCache()
-        #: Log-runtime targets are standardized for training; the
-        #: statistics are shipped with the model.
-        self.target_mean: float = 0.0
-        self.target_std: float = 1.0
         #: Standardization of the per-operator log-cardinality *residual*
         #: targets — the head predicts the correction
         #: ``log1p(actual) - log1p(estimate)`` over the optimizer's
@@ -246,24 +247,18 @@ class ZeroShotCostModel:
         self.card_std: float = 1.0
 
     # ------------------------------------------------------------------
-    @property
-    def is_fitted(self) -> bool:
-        return self.scalers is not None
+    def _encode(self, graphs: list[PlanGraph]) -> list[EncodedGraph]:
+        return encode_graphs(graphs, self.scalers)
 
-    def fit(self, graphs: list[PlanGraph],
-            trainer: TrainerConfig | None = None) -> TrainingHistory:
-        """Train on labelled graphs (from *multiple* training databases).
+    def collate(self, encoded: list[EncodedGraph]) -> GraphBatch:
+        return merge_encoded(encoded, level_cache=self.level_cache)
 
-        Every graph is featurized **once** into an
-        :class:`~repro.featurize.batch.EncodedGraph` (scaled feature
-        matrices, level arrays, type codes) and each mini-batch is
-        assembled by the cheap vectorized merge; the validation batch
-        is built a single time.
-        """
-        if not graphs:
-            raise ModelError("zero-shot training needs at least one graph")
-        if any(g.target_log_runtime is None for g in graphs):
-            raise ModelError("all training graphs need runtime labels")
+    def check_training_samples(self, graphs: list[PlanGraph]) -> None:
+        """Labels plus both directions of the system-node contract and,
+        for the cardinality head, per-operator labels — enforced alike
+        for :meth:`fit` and :func:`repro.models.fewshot.fine_tune`,
+        before either mutates any state."""
+        super().check_training_samples(graphs)
         with_system = sum(bool(len(g.features["system"])) for g in graphs)
         if self.config.system_features and with_system < len(graphs):
             raise ModelError(
@@ -277,53 +272,44 @@ class ZeroShotCostModel:
                 "training graphs carry system nodes but this model was "
                 "built without ZeroShotConfig(system_features=True)"
             )
-        # Validate BEFORE mutating state: a rejected multi-task fit must
-        # not leave the model half-fitted (scalers set => is_fitted).
         if self.config.cardinality_head and any(
                 g.target_log_cardinalities is None for g in graphs):
             raise ModelError(
-                "cardinality-head training needs per-operator "
+                "training a cardinality-head model needs per-operator "
                 "cardinality labels on every graph (featurize with "
                 "operator cardinalities / corpus.featurize("
-                "with_cardinalities=True))"
+                "with_cardinalities=True)) — a runtime-only update would "
+                "silently decalibrate the shared trunk against the "
+                "cardinality readout"
             )
+
+    def _calibrate(self, graphs: list[PlanGraph]) -> None:
+        super()._calibrate(graphs)
         self.scalers = fit_scalers(graphs)
-        trainer = trainer or TrainerConfig()
-        all_targets = np.asarray([g.target_log_runtime for g in graphs])
-        self.target_mean = float(all_targets.mean())
-        self.target_std = float(max(all_targets.std(), 1e-6))
-
         if self.config.cardinality_head:
-            return self._fit_multi_task(graphs, trainer)
+            # The head is residual: its target is the log-space
+            # correction over the optimizer's own estimate (already a
+            # plan_op feature), zero wherever the heuristics are exact.
+            self.card_mean, self.card_std = standardization(np.concatenate([
+                g.target_log_cardinalities -
+                g.feature_matrix("plan_op")[:, CARDINALITY_FEATURE_INDEX]
+                for g in graphs
+            ]))
 
-        encoded = encode_graphs(graphs, self.scalers)
+    def training_closures(self):
+        """``(forward, targets)`` of the runtime loss or, with the
+        cardinality head, of the joint loss.
 
-        def forward(batch: GraphBatch) -> Tensor:
-            return self.net(batch)
-
-        def targets(batch: GraphBatch) -> Tensor:
-            return Tensor((batch.targets - self.target_mean)
-                          / self.target_std)
-
-        self.history = train_model(
-            self.net, encoded, forward, targets, trainer,
-            collate=lambda items: merge_encoded(
-                items, require_targets=True, level_cache=self.level_cache),
-        )
-        return self.history
-
-    def multi_task_closures(self):
-        """``(forward, targets)`` closures of the joint loss, using the
-        model's *current* calibration (target/card statistics).
-
-        Shared by :meth:`fit` and few-shot fine-tuning
-        (:func:`repro.models.fewshot.fine_tune`), so the two training
-        paths can never drift apart.  Both closures scale the
-        cardinality terms by ``config.cardinality_loss_weight`` — the
-        weighting is exact for the default absolute-log (``"q"``) loss;
-        under ``"mse"`` the effective relative weight is its square.
+        Both heads share the message-passing trunk; the joint loss is
+        the trainer's log-space loss over the concatenation of
+        per-graph runtime terms and per-operator cardinality terms.
+        Both closures scale the cardinality terms by
+        ``config.cardinality_loss_weight`` — the weighting is exact for
+        the default absolute-log (``"q"``) loss; under ``"mse"`` the
+        effective relative weight is its square.
         """
-        self._require_cardinality_head()
+        if not self.config.cardinality_head:
+            return super().training_closures()
         weight = self.config.cardinality_loss_weight
 
         def forward(batch: GraphBatch) -> Tensor:
@@ -338,162 +324,48 @@ class ZeroShotCostModel:
 
         return forward, targets
 
-    def _fit_multi_task(self, graphs: list[PlanGraph],
-                        trainer: TrainerConfig) -> TrainingHistory:
-        """Joint runtime + per-operator log-cardinality training.
-
-        Both heads share the message-passing trunk; the loss is the
-        trainer's log-space loss over the concatenation of per-graph
-        runtime terms and per-operator cardinality terms, the latter
-        scaled by ``config.cardinality_loss_weight``.
-
-        The cardinality head is **residual**: its target is the log-space
-        correction ``log1p(actual) - log1p(estimate)`` over the
-        optimizer's own estimate (already a plan_op feature).  Where the
-        histogram heuristics are exact the correction is zero, so the
-        head spends its capacity exactly where the paper says the
-        heuristics drift — on correlated data.
-
-        Inputs were validated by :meth:`fit` (card labels present)
-        before any state mutation.
-        """
-        all_deltas = np.concatenate([
-            g.target_log_cardinalities -
-            g.feature_matrix("plan_op")[:, CARDINALITY_FEATURE_INDEX]
-            for g in graphs
-        ])
-        self.card_mean = float(all_deltas.mean())
-        self.card_std = float(max(all_deltas.std(), 1e-6))
-        encoded = encode_graphs(graphs, self.scalers)
-        forward, targets = self.multi_task_closures()
-
-        self.history = train_model(
-            self.net, encoded, forward, targets, trainer,
-            collate=lambda items: merge_encoded(
-                items, require_targets=True, level_cache=self.level_cache),
-        )
-        return self.history
-
-    def predict_log_runtime(self, graphs: list[PlanGraph]) -> np.ndarray:
-        if not self.is_fitted:
-            raise ModelError("model must be fitted (or loaded) before predict")
-        if not graphs:
-            return np.zeros(0)
-        return self.predict_log_from_encoded(encode_graphs(graphs,
-                                                           self.scalers))
-
-    def predict_log_from_encoded(self, encoded: list[EncodedGraph]
-                                 ) -> np.ndarray:
-        """Predicted log-runtimes for graphs encoded ahead of time.
-
-        The per-graph :func:`~repro.featurize.batch.encode_graph`
-        precompute (with this model's scalers) is the expensive step;
-        callers that hold plans for repeated prediction — notably
-        :class:`repro.serve.CostModelService` — cache it and pay only
-        the cheap merge + forward here.
-        """
-        if not self.is_fitted:
-            raise ModelError("model must be fitted (or loaded) before predict")
-        if not encoded:
-            return np.zeros(0)
-        self.net.eval()
-        with no_grad():
-            batch = merge_encoded(encoded, level_cache=self.level_cache)
-            normalized = self.net(batch).numpy().copy()
-        return normalized * self.target_std + self.target_mean
-
-    def predict_runtime(self, graphs: list[PlanGraph]) -> np.ndarray:
-        """Predicted runtimes in seconds."""
-        return np.exp(self.predict_log_runtime(graphs))
-
     # ------------------------------------------------------------------
     # Cardinality head
     # ------------------------------------------------------------------
-    def _require_cardinality_head(self) -> None:
+    def predict_cardinalities_from_encoded(self, encoded: list[EncodedGraph]
+                                           ) -> list[np.ndarray]:
+        """Predicted per-operator output cardinalities (rows, >= 0), one
+        array per plan in pre-order (the order
+        :func:`repro.plans.plan.walk_plan` yields).
+
+        The head predicts a residual; corrections inside the dead-zone
+        are snapped to zero and return the optimizer's row estimate
+        *bit-for-bit*, material corrections go through log space.
+        """
         if not self.config.cardinality_head:
             raise ModelError(
                 "this model has no cardinality head; build it with "
                 "ZeroShotConfig(cardinality_head=True)"
             )
-
-    def _require_cardinality_predict(self) -> None:
-        self._require_cardinality_head()
-        if not self.is_fitted:
-            raise ModelError("model must be fitted (or loaded) before predict")
-
-    def _predicted_deltas(self, encoded: list[EncodedGraph]
-                          ) -> tuple[GraphBatch, np.ndarray]:
-        """Shared forward pass of the residual head: the merged batch
-        plus the de-normalized, dead-zone-snapped per-operator
-        corrections (every prediction surface derives from these)."""
+        self._require_fitted()
+        if not encoded:
+            return []
         self.net.eval()
         with no_grad():
-            batch = merge_encoded(encoded, level_cache=self.level_cache)
+            batch = self.collate(encoded)
             _, cards = self.net.forward_with_cardinalities(batch)
             normalized = cards.numpy().copy()
         deltas = normalized * self.card_std + self.card_mean
         margin = self.config.cardinality_correction_margin
         if margin > 0:
             deltas = np.where(np.abs(deltas) < margin, 0.0, deltas)
-        return batch, deltas
-
-    @staticmethod
-    def _split_per_plan(values: np.ndarray,
-                        batch: GraphBatch) -> list[np.ndarray]:
-        offsets = np.cumsum([0] + batch.plan_op_counts)
-        return [values[start:stop]
-                for start, stop in zip(offsets[:-1], offsets[1:])]
-
-    def predict_log_cardinalities_from_encoded(
-            self, encoded: list[EncodedGraph]) -> list[np.ndarray]:
-        """Per-plan arrays of predicted log1p operator cardinalities.
-
-        Each array aligns with the plan's operators in pre-order (the
-        order :func:`repro.plans.plan.walk_plan` yields).  The head's
-        output is a residual correction; the returned values are the
-        corrected absolute log-cardinalities (estimate + correction).
-        """
-        self._require_cardinality_predict()
-        if not encoded:
-            return []
-        batch, deltas = self._predicted_deltas(encoded)
-        return self._split_per_plan(batch.plan_op_log_rows + deltas, batch)
-
-    def predict_log_cardinalities(self, graphs: list[PlanGraph]
-                                  ) -> list[np.ndarray]:
-        self._require_cardinality_predict()
-        if not graphs:
-            return []
-        return self.predict_log_cardinalities_from_encoded(
-            encode_graphs(graphs, self.scalers))
-
-    def predict_cardinalities_from_encoded(self, encoded: list[EncodedGraph]
-                                           ) -> list[np.ndarray]:
-        """Predicted per-operator output cardinalities (rows, >= 0).
-
-        Zero residual corrections (inside the dead-zone) return the
-        optimizer's row estimate *bit-for-bit*; material corrections go
-        through log space.
-        """
-        self._require_cardinality_predict()
-        if not encoded:
-            return []
-        batch, deltas = self._predicted_deltas(encoded)
         rows = np.where(
             deltas == 0.0,
             batch.plan_op_rows,
             np.expm1(batch.plan_op_log_rows + deltas),
         )
-        return self._split_per_plan(np.maximum(rows, 0.0), batch)
+        return np.split(np.maximum(rows, 0.0),
+                        np.cumsum(batch.plan_op_counts)[:-1])
 
     def predict_cardinalities(self, graphs: list[PlanGraph]
                               ) -> list[np.ndarray]:
         """Predicted per-operator output cardinalities (rows, >= 0)."""
-        self._require_cardinality_predict()
-        if not graphs:
-            return []
-        return self.predict_cardinalities_from_encoded(
-            encode_graphs(graphs, self.scalers))
+        return self.predict_cardinalities_from_encoded(self.encode(graphs))
 
     # ------------------------------------------------------------------
     def clone(self) -> "ZeroShotCostModel":
@@ -504,6 +376,7 @@ class ZeroShotCostModel:
         other.target_std = self.target_std
         other.card_mean = self.card_mean
         other.card_std = self.card_std
+        other._fitted = self._fitted
         if self.scalers is not None:
             other.scalers = {
                 t: StandardScaler.from_dict(s.to_dict())
@@ -537,13 +410,13 @@ class ZeroShotCostModel:
         for key in ("encoder_hidden", "combine_hidden", "readout_hidden"):
             config_dict[key] = tuple(config_dict[key])
         model = cls(ZeroShotConfig(**config_dict))
-        load_state(model.net, os.path.join(directory, "weights.npz"))
+        model.restore(os.path.join(directory, "weights.npz"),
+                      payload.get("target_mean", 0.0),
+                      payload.get("target_std", 1.0))
         model.scalers = {
             t: StandardScaler.from_dict(s)
             for t, s in payload["scalers"].items()
         }
-        model.target_mean = float(payload.get("target_mean", 0.0))
-        model.target_std = float(payload.get("target_std", 1.0))
         model.card_mean = float(payload.get("card_mean", 0.0))
         model.card_std = float(payload.get("card_std", 1.0))
         return model

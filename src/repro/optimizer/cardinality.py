@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.db.database import Database
-from repro.errors import OptimizerError
+from repro.errors import CatalogError, OptimizerError
 from repro.sql.ast import JoinCondition, Predicate, Query
 
 __all__ = ["CardinalityEstimator"]
@@ -38,7 +38,7 @@ class CardinalityEstimator:
         stats = self.database.table_statistics(table_name)
         try:
             column_stats = stats.column(predicate.column.column)
-        except Exception:  # missing column statistics -> defaults
+        except CatalogError:  # missing column statistics -> defaults
             column_stats = None
         return estimate_predicate_selectivity(column_stats, predicate)
 

@@ -42,6 +42,7 @@ from repro.errors import (
     PlanError,
     QueryError,
 )
+from repro.models.cardinality import as_estimator
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.plans.operators import HashBuild, HashJoin, PlanNode, SeqScan
 from repro.plans.plan import PhysicalPlan
@@ -126,29 +127,18 @@ class LearnedCardinalityEstimator(CardinalityEstimator):
 
     @staticmethod
     def _resolve_predictor(model):
-        """Normalize the model to ``plans, database -> [cards...]``."""
-        predictor = getattr(model, "predict_cardinalities", None)
+        """The model's ``plans, database -> [cards...]`` surface (a raw
+        core model is wrapped with estimated cardinalities — fragments
+        are never executed)."""
+        predictor = getattr(as_estimator(model), "predict_cardinalities",
+                            None)
         if predictor is None:
             raise ModelError(
                 "LearnedCardinalityEstimator needs a model with "
                 "predict_cardinalities (a cardinality-head estimator or "
                 "core model)"
             )
-        if hasattr(model, "predict_cardinalities_encoded"):
-            return predictor  # estimator surface: (plans, database)
-
-        def core_model(plans, database):
-            # Raw ZeroShotCostModel: featurize here, estimated source
-            # (fragments are never executed).
-            from repro.featurize.graph import (
-                CardinalitySource,
-                ZeroShotFeaturizer,
-            )
-            featurizer = ZeroShotFeaturizer(CardinalitySource.ESTIMATED)
-            graphs = [featurizer.featurize(plan, database) for plan in plans]
-            return model.predict_cardinalities(graphs)
-
-        return core_model
+        return predictor
 
     @staticmethod
     def _resolve_graph_predictor(model):

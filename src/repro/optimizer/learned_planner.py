@@ -19,9 +19,8 @@ import numpy as np
 
 from repro.db.database import Database
 from repro.errors import ModelError, OptimizerError
-from repro.featurize.graph import CardinalitySource
 from repro.models.api import CostEstimator
-from repro.models.estimators import ZeroShotEstimator
+from repro.models.cardinality import as_estimator
 from repro.models.zero_shot import ZeroShotCostModel
 from repro.optimizer.planner import Planner, PlannerOptions
 from repro.plans.plan import PhysicalPlan
@@ -119,23 +118,16 @@ class ZeroShotPlanSelector:
     ``model`` accepts a fitted :class:`~repro.models.api.CostEstimator`
     or a raw :class:`~repro.models.zero_shot.ZeroShotCostModel` (wrapped
     with estimated cardinalities — candidates are never executed, so
-    actual cardinalities do not exist).  With ``service=True``
-    predictions go through a micro-batching
-    :class:`~repro.serve.CostModelService`; batch-size-invariant
-    inference keeps every choice identical either way.
+    actual cardinalities do not exist).  All candidates of a query are
+    priced in one batched estimator call.
     """
 
     def __init__(self, database: Database,
                  model: "CostEstimator | ZeroShotCostModel",
                  options: PlannerOptions | None = None,
                  switch_margin: float = 0.3,
-                 service: bool = False,
                  cardinality_estimator=None):
-        if isinstance(model, CostEstimator):
-            self.estimator = model
-        else:
-            self.estimator = ZeroShotEstimator.from_model(
-                model, CardinalitySource.ESTIMATED)
+        self.estimator = as_estimator(model)
         if not self.estimator.is_fitted:
             raise ModelError("plan selection needs a fitted cost model")
         if not 0.0 <= switch_margin < 1.0:
@@ -150,26 +142,14 @@ class ZeroShotPlanSelector:
         #: exceeds this relative margin — prediction error within the
         #: margin should not flip plans.
         self.switch_margin = switch_margin
-        if service:
-            from repro.serve import CostModelService
-            # cache_entries=0: candidate plans are regenerated for every
-            # choose() call, so an identity-keyed encode cache would
-            # never hit — only micro-batching applies here.
-            self._service = CostModelService(self.estimator, self.database,
-                                             cache_entries=0)
-        else:
-            self._service = None
 
     def choose(self, query: Query) -> PlanChoice:
         """Return the plan the zero-shot model prefers for ``query``."""
         candidates = candidate_plans(
             self.database, query, self.options,
             cardinality_estimator=self.cardinality_estimator)
-        if self._service is not None:
-            predictions = self._service.predict_runtime(candidates)
-        else:
-            predictions = self.estimator.predict_runtime(candidates,
-                                                         self.database)
+        predictions = self.estimator.predict_runtime(candidates,
+                                                     self.database)
         best = int(np.argmin(predictions))
         classical_prediction = predictions[0]  # hint set {} = classical plan
         if predictions[best] >= classical_prediction * (1.0 - self.switch_margin):

@@ -42,11 +42,9 @@ class IndexAdvisor:
     """Greedy what-if index selection for a given workload."""
 
     def __init__(self, database: Database,
-                 model: "CostEstimator | ZeroShotCostModel",
-                 service: bool = False):
+                 model: "CostEstimator | ZeroShotCostModel"):
         self.database = database
-        self.estimator = ZeroShotWhatIfEstimator(database, model,
-                                                 service=service)
+        self.estimator = ZeroShotWhatIfEstimator(database, model)
 
     # ------------------------------------------------------------------
     def candidate_indexes(self, queries: list[Query]) -> list[IndexSpec]:

@@ -23,8 +23,7 @@ import numpy as np
 
 from repro.db.database import Database
 from repro.errors import ModelError
-from repro.featurize.graph import CardinalitySource
-from repro.models.estimators import ZeroShotEstimator
+from repro.models.cardinality import as_estimator
 from repro.models.zero_shot import ZeroShotCostModel
 from repro.optimizer.whatif import WhatIfPlanner
 from repro.runtime import (
@@ -95,13 +94,15 @@ class HardwareAdvisor:
 
     def __init__(self, database: Database, model: ZeroShotCostModel,
                  baseline: "SystemParameters | str" = "default"):
-        if isinstance(model, ZeroShotEstimator):
-            model = model.model
-        if not isinstance(model, ZeroShotCostModel):
+        # An estimator is unwrapped: the advisor re-wraps its core model
+        # once per candidate machine.
+        core = getattr(as_estimator(model), "model", None)
+        if not isinstance(core, ZeroShotCostModel):
             raise ModelError(
                 f"hardware advisor needs a ZeroShotCostModel, got "
                 f"{type(model).__name__}"
             )
+        model = core
         if not model.config.system_features:
             raise ModelError(
                 "hardware advisor needs a hardware-aware model: train "
@@ -145,8 +146,7 @@ class HardwareAdvisor:
         return resolved
 
     def _price(self, plans, system: SystemParameters) -> float:
-        estimator = ZeroShotEstimator.from_model(
-            self.model, CardinalitySource.ESTIMATED, system=system)
+        estimator = as_estimator(self.model, system=system)
         return float(np.sum(estimator.predict_runtime(plans, self.database)))
 
     def recommend(self, queries: list[Query],

@@ -7,12 +7,9 @@ cannot be executed, so features must come from the optimizer's
 *estimated* cardinalities — the deployable configuration of the paper.
 
 Workload estimates are **batched**: all queries are re-planned under the
-hypothetical design, then priced in one estimator call (optionally
-through a :class:`~repro.serve.CostModelService` for micro-batching;
-the service's encode cache is disabled here because every estimate
-re-plans its queries into fresh plan objects, which an identity-keyed
-cache can never hit).  Because inference is batch-size invariant,
-batching does not change a single prediction bit.
+hypothetical design, then priced in one estimator call.  Because
+inference is batch-size invariant, batching does not change a single
+prediction bit.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from repro.db.database import Database
 from repro.errors import ModelError
 from repro.featurize.graph import CardinalitySource
 from repro.models.api import CostEstimator
-from repro.models.estimators import ZeroShotEstimator
+from repro.models.cardinality import as_estimator
 from repro.models.zero_shot import ZeroShotCostModel
 from repro.optimizer.whatif import IndexSpec, WhatIfPlanner
 from repro.plans.plan import PhysicalPlan
@@ -42,20 +39,14 @@ class ZeroShotWhatIfEstimator:
     :class:`~repro.models.api.CostEstimator` or a raw
     :class:`~repro.models.zero_shot.ZeroShotCostModel` (wrapped with
     estimated cardinalities, the only source valid for never-executed
-    hypothetical plans).  Pass ``service=True`` to route predictions
-    through a micro-batching :class:`~repro.serve.CostModelService`.
+    hypothetical plans).
     """
 
     database: Database
     model: "CostEstimator | ZeroShotCostModel"
-    service: bool = False
 
     def __post_init__(self):
-        if isinstance(self.model, CostEstimator):
-            self.estimator = self.model
-        else:
-            self.estimator = ZeroShotEstimator.from_model(
-                self.model, CardinalitySource.ESTIMATED)
+        self.estimator = as_estimator(self.model)
         if not self.estimator.is_fitted:
             raise ModelError("what-if estimation needs a fitted cost model")
         source = getattr(self.estimator, "source", None)
@@ -66,20 +57,9 @@ class ZeroShotWhatIfEstimator:
                 "cardinalities do not exist"
             )
         self._planner = WhatIfPlanner(self.database)
-        if self.service:
-            from repro.serve import CostModelService
-            # cache_entries=0: what-if plans are freshly built per
-            # estimate, so an identity-keyed encode cache would only
-            # pin dead plans and churn its LRU without ever hitting.
-            self._predictor = CostModelService(self.estimator, self.database,
-                                               cache_entries=0)
-        else:
-            self._predictor = None
 
     # ------------------------------------------------------------------
     def _predict(self, plans: list[PhysicalPlan]) -> np.ndarray:
-        if self._predictor is not None:
-            return self._predictor.predict_runtime(plans)
         return self.estimator.predict_runtime(plans, self.database)
 
     def estimate_runtime(self, query: Query,

@@ -88,14 +88,6 @@ class TestMSCNModel:
         with pytest.raises(ModelError):
             MSCNCostModel(MSCNFeaturizer(tiny_imdb_module))
 
-    def test_unlabelled_samples_rejected(self, tiny_imdb_module, imdb_workload):
-        queries = [q for q, _, _ in imdb_workload]
-        featurizer = MSCNFeaturizer(tiny_imdb_module).fit(queries)
-        samples = [featurizer.featurize(queries[0])]
-        model = MSCNCostModel(featurizer)
-        with pytest.raises(ModelError):
-            model.fit(samples)
-
     def test_partially_labelled_batch_rejected(self, tiny_imdb_module,
                                                imdb_workload):
         from repro.models.mscn import collate_mscn
@@ -165,12 +157,6 @@ class TestFlatAblation:
         predictions = model.predict_runtime(graphs)
         truths = np.array([r for _, _, r in imdb_workload])
         assert q_error_stats(predictions, truths).median < 3.0
-
-    def test_validation(self):
-        with pytest.raises(ModelError):
-            FlatVectorCostModel().fit([])
-        with pytest.raises(ModelError):
-            FlatVectorCostModel().predict_runtime([])
 
 
 class TestMetrics:

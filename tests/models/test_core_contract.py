@@ -1,0 +1,132 @@
+"""One contract for the four learned core models.
+
+``ZeroShotCostModel``, ``FlatVectorCostModel``, ``MSCNCostModel`` and
+``E2ECostModel`` share :class:`repro.models.trainer.CoreCostModel`;
+whatever that base promises is asserted here once, parametrized over
+the four, instead of per model.
+"""
+
+import numpy as np
+import pytest
+
+from repro.errors import ModelError
+from repro.featurize import (
+    CardinalitySource,
+    E2EFeaturizer,
+    MSCNFeaturizer,
+    ZeroShotFeaturizer,
+)
+from repro.models import (
+    E2ECostModel,
+    FlatVectorCostModel,
+    MSCNCostModel,
+    TrainerConfig,
+    ZeroShotConfig,
+    ZeroShotCostModel,
+)
+from repro.nn.serialize import save_state
+from repro.workload import WorkloadRunner, make_benchmark_workload
+
+CORE_MODELS = ("zero-shot", "flat", "mscn", "e2e")
+
+
+@pytest.fixture(scope="module")
+def records(tiny_imdb):
+    return WorkloadRunner(tiny_imdb, seed=5).run(
+        make_benchmark_workload(tiny_imdb, "scale", 24, seed=5))
+
+
+@pytest.fixture(scope="module")
+def cases(tiny_imdb, records):
+    """``name -> (factory, labelled samples, unlabelled samples)``."""
+    graphs = ZeroShotFeaturizer(CardinalitySource.ESTIMATED)
+    mscn = MSCNFeaturizer(tiny_imdb).fit([r.query for r in records])
+    e2e = E2EFeaturizer(tiny_imdb).fit([r.plan for r in records])
+
+    def both(featurize):
+        return ([featurize(r, r.runtime_seconds) for r in records],
+                [featurize(r, None) for r in records])
+
+    graph_samples = both(lambda r, label: graphs.featurize(
+        r.plan, tiny_imdb, label))
+    return {
+        "zero-shot": (lambda: ZeroShotCostModel(
+            ZeroShotConfig(hidden_dim=16, seed=0)), *graph_samples),
+        "flat": (lambda: FlatVectorCostModel(hidden=(16,), seed=0),
+                 *graph_samples),
+        "mscn": (lambda: MSCNCostModel(mscn),
+                 *both(lambda r, label: mscn.featurize(r.query, label))),
+        "e2e": (lambda: E2ECostModel(e2e),
+                *both(lambda r, label: e2e.featurize(r.plan, label))),
+    }
+
+
+@pytest.fixture(scope="module")
+def fitted(cases):
+    trainer = TrainerConfig(epochs=3, batch_size=8, seed=0)
+    models = {}
+    for name, (factory, labelled, _) in cases.items():
+        models[name] = factory()
+        models[name].fit(labelled, trainer)
+    return models
+
+
+@pytest.mark.parametrize("name", CORE_MODELS)
+class TestCoreModelContract:
+    def test_unfitted_use_raises_model_error(self, name, cases):
+        factory, _, unlabelled = cases[name]
+        model = factory()
+        assert not model.is_fitted
+        for predict in (model.predict_runtime, model.predict_log_runtime,
+                        model.encode, model.predict_log_from_encoded):
+            with pytest.raises(ModelError, match="fitted"):
+                predict(unlabelled[:1])
+        # The guard comes before the empty-input shortcut.
+        with pytest.raises(ModelError, match="fitted"):
+            model.predict_runtime([])
+
+    def test_unusable_training_input_rejected_before_any_state_change(
+            self, name, cases):
+        factory, labelled, unlabelled = cases[name]
+        model = factory()
+        with pytest.raises(ModelError, match="at least one"):
+            model.fit([])
+        with pytest.raises(ModelError, match="labels"):
+            model.fit(labelled[:3] + unlabelled[:1])
+        assert not model.is_fitted
+        assert model.history is None
+
+    def test_fit_records_history_and_fits(self, name, fitted):
+        model = fitted[name]
+        assert model.is_fitted
+        assert model.history.num_epochs == 3
+
+    def test_empty_input_yields_empty_vector(self, name, fitted):
+        assert fitted[name].predict_runtime([]).shape == (0,)
+        assert fitted[name].predict_log_from_encoded([]).shape == (0,)
+
+    def test_prediction_is_batch_size_invariant(self, name, fitted, cases):
+        model, samples = fitted[name], cases[name][2][:6]
+        batched = model.predict_log_runtime(samples)
+        single = np.concatenate([model.predict_log_runtime([sample])
+                                 for sample in samples])
+        assert np.array_equal(batched, single)
+        assert np.array_equal(
+            model.predict_log_from_encoded(model.encode(samples)), batched)
+        assert np.array_equal(model.predict_runtime(samples),
+                              np.exp(batched))
+
+    def test_restore_reproduces_predictions(self, name, fitted, cases,
+                                            tmp_path):
+        model, samples = fitted[name], cases[name][2][:6]
+        save_state(model.net, tmp_path / "weights.npz")
+        twin = cases[name][0]()
+        # Calibration beyond the target statistics travels separately.
+        for attribute in ("scalers", "scaler"):
+            if hasattr(model, attribute):
+                setattr(twin, attribute, getattr(model, attribute))
+        twin.restore(tmp_path / "weights.npz", model.target_mean,
+                     model.target_std)
+        assert twin.is_fitted
+        assert np.array_equal(twin.predict_log_runtime(samples),
+                              model.predict_log_runtime(samples))

@@ -13,6 +13,7 @@ from repro.models import (
     ZeroShotConfig,
     ZeroShotCostModel,
     ZeroShotEstimator,
+    fine_tune,
 )
 from repro.optimizer import plan_query
 from repro.runtime import RuntimeSimulator, SystemParameters
@@ -105,6 +106,21 @@ class TestEagerValidation:
         model = ZeroShotCostModel(ZeroShotConfig(hidden_dim=32))
         with pytest.raises(ModelError, match="system_features=True"):
             model.fit(aware_graphs, quick_trainer(epochs=1))
+
+    def test_fine_tune_enforces_the_same_system_node_contract(
+            self, aware_graphs, blind_graphs):
+        """Fine-tuning a hardware-aware model on graphs without a system
+        node used to pass silently (the system encoder saw zero rows and
+        the trunk drifted hardware-blind); it is held to fit's check."""
+        aware = ZeroShotCostModel(ZeroShotConfig(hidden_dim=16,
+                                                 system_features=True))
+        aware.fit(aware_graphs[:20], quick_trainer(epochs=1))
+        with pytest.raises(ModelError, match="no[\\s]+system node"):
+            fine_tune(aware, blind_graphs[:5], quick_trainer(epochs=1))
+        blind = ZeroShotCostModel(ZeroShotConfig(hidden_dim=16))
+        blind.fit(blind_graphs[:20], quick_trainer(epochs=1))
+        with pytest.raises(ModelError, match="system_features=True"):
+            fine_tune(blind, aware_graphs[:5], quick_trainer(epochs=1))
 
 
 class TestHardwareAwareTraining:

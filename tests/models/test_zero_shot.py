@@ -53,29 +53,6 @@ class TestTraining:
         stats = q_error_stats(predictions, truths)
         assert stats.median < 2.0
 
-    def test_empty_fit_rejected(self):
-        with pytest.raises(ModelError):
-            ZeroShotCostModel().fit([])
-
-    def test_unlabelled_graphs_rejected(self, labelled_graphs):
-        graph = labelled_graphs[0]
-        unlabelled = type(graph)(
-            features=graph.features, node_type_of=graph.node_type_of,
-            type_row_of=graph.type_row_of, edges=graph.edges,
-            root=graph.root, target_log_runtime=None,
-        )
-        with pytest.raises(ModelError):
-            ZeroShotCostModel().fit([unlabelled])
-
-    def test_predict_before_fit_rejected(self, labelled_graphs):
-        with pytest.raises(ModelError):
-            ZeroShotCostModel().predict_runtime(labelled_graphs[:1])
-
-    def test_predict_empty_list(self, labelled_graphs):
-        model = ZeroShotCostModel(ZeroShotConfig(hidden_dim=16, seed=0))
-        model.fit(labelled_graphs[:10], quick_trainer(epochs=2))
-        assert model.predict_runtime([]).shape == (0,)
-
     def test_deterministic_given_seed(self, labelled_graphs):
         results = []
         for _ in range(2):

@@ -119,8 +119,7 @@ class TestFallback:
         database, records, estimator = setup
 
         class Exploding:
-            # Core-model surface: predict_cardinalities(graphs).
-            def predict_cardinalities(self, graphs):
+            def predict_cardinalities(self, plans, database):
                 raise ModelError("no predictions today")
 
         broken = LearnedCardinalityEstimator(database, Exploding())

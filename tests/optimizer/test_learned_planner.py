@@ -80,22 +80,6 @@ class TestSelector:
         assert via_model.agrees_with_classical == \
             via_estimator.agrees_with_classical
 
-    def test_service_backed_choice_identical(self, tiny_imdb, model):
-        """service=True routes predictions through CostModelService;
-        batch-size-invariant inference keeps choices bit-identical."""
-        query = parse_query(JOIN_QUERY)
-        plain = ZeroShotPlanSelector(tiny_imdb, model).choose(query)
-        served_selector = ZeroShotPlanSelector(tiny_imdb, model,
-                                               service=True)
-        served = served_selector.choose(query)
-        assert served.predictions == plain.predictions
-        assert served.predicted_seconds == plain.predicted_seconds
-        # Candidate plans are regenerated per call, so the selector's
-        # service runs with its encode cache disabled.
-        assert served_selector._service.cached_plans == 0
-        assert served_selector._service.stats.requests == \
-            served.num_candidates
-
 
 class TestSwitchMargin:
     """The switch-margin fallback: predicted wins inside the margin

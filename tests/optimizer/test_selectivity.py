@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.db import Column, DataType, Table, TableData, analyze_table
+from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.selectivity import (
     DEFAULT_EQ_SELECTIVITY,
     DEFAULT_RANGE_SELECTIVITY,
     estimate_predicate_selectivity,
 )
+from repro.sql import parse_query
 from repro.sql.ast import ColumnRef, ComparisonOperator, Predicate
 
 
@@ -102,6 +104,25 @@ class TestDefaults:
                           (ComparisonOperator.IN, tuple(float(i) for i in range(10)))]:
             sel = estimate_predicate_selectivity(stats, pred(op, value))
             assert 0.0 < sel <= 1.0
+
+    def test_only_missing_statistics_fall_back_to_defaults(
+            self, two_table_db, monkeypatch):
+        """The estimator treats a ``CatalogError`` (column never
+        analyzed) as "no statistics"; any other failure is a bug and
+        must surface instead of being priced with a default."""
+        query = parse_query("SELECT COUNT(*) FROM parent p WHERE p.value = 3")
+        estimator = CardinalityEstimator(two_table_db)
+        statistics = two_table_db.table_statistics("parent")
+        del statistics.columns["value"]
+        assert estimator.predicate_selectivity(
+            query, query.predicates[0]) == DEFAULT_EQ_SELECTIVITY
+
+        def broken(self, name):
+            raise RuntimeError("statistics backend exploded")
+
+        monkeypatch.setattr(type(statistics), "column", broken)
+        with pytest.raises(RuntimeError, match="exploded"):
+            estimator.predicate_selectivity(query, query.predicates[0])
 
 
 @settings(max_examples=30, deadline=None)

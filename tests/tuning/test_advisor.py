@@ -84,7 +84,7 @@ class TestWhatIfEstimator:
 
 class TestWhatIfThroughUnifiedAPI:
     """The what-if estimator speaks the CostEstimator contract:
-    estimator input, service-backed prediction, batched workloads."""
+    estimator input, batched workloads."""
 
     def test_estimator_input_equals_model_input(self, target_db,
                                                 whatif_model):
@@ -97,18 +97,6 @@ class TestWhatIfThroughUnifiedAPI:
             query = parse_query(text)
             assert via_model.estimate_runtime(query) == \
                 via_estimator.estimate_runtime(query)
-
-    def test_service_backed_estimates_identical(self, target_db,
-                                                whatif_model):
-        plain = ZeroShotWhatIfEstimator(target_db, whatif_model)
-        served = ZeroShotWhatIfEstimator(target_db, whatif_model,
-                                         service=True)
-        queries = [parse_query(t) for t in WORKLOAD]
-        specs = [IndexSpec("title", "votes")]
-        assert plain.estimate_workload(queries) == \
-            served.estimate_workload(queries)
-        assert plain.estimate_workload(queries, specs) == \
-            served.estimate_workload(queries, specs)
 
     def test_workload_estimate_is_batched_sum(self, target_db,
                                               whatif_model):
@@ -129,18 +117,17 @@ class TestWhatIfThroughUnifiedAPI:
         with pytest.raises(ModelError, match="estimated cardinalities"):
             ZeroShotWhatIfEstimator(target_db, actual)
 
-    def test_advisor_accepts_estimator_and_service(self, target_db,
-                                                   whatif_model):
+    def test_advisor_accepts_estimator(self, target_db, whatif_model):
         from repro.models import ZeroShotEstimator
         estimator = ZeroShotEstimator.from_model(
             whatif_model, CardinalitySource.ESTIMATED)
         queries = [parse_query(t) for t in WORKLOAD]
-        plain = IndexAdvisor(target_db, whatif_model) \
+        via_model = IndexAdvisor(target_db, whatif_model) \
             .recommend(queries, max_indexes=2)
-        served = IndexAdvisor(target_db, estimator, service=True) \
+        via_estimator = IndexAdvisor(target_db, estimator) \
             .recommend(queries, max_indexes=2)
-        assert plain.indexes == served.indexes
-        assert plain.predicted_seconds == served.predicted_seconds
+        assert via_model.indexes == via_estimator.indexes
+        assert via_model.predicted_seconds == via_estimator.predicted_seconds
 
 
 class TestAdvisor:
