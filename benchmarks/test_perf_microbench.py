@@ -1,6 +1,6 @@
 """Acceptance gates for the compiled-filter / encode-once hot-loop pass.
 
-Three gates, each measuring one optimized loop against the retained
+Four gates, each measuring one optimized loop against the retained
 reference path and asserting the outputs stay bit-identical:
 
 1. fused compiled filters vs the interpreted ``predicate_mask`` walk on
@@ -8,13 +8,18 @@ reference path and asserting the outputs stay bit-identical:
 2. an epoch's batch-merge loop with cached level plans vs per-step
    re-derivation (>=1.5x);
 3. fragment priming with shared-subgraph dedup vs per-fragment encoding
-   on a 5-way join (>=2x fewer encoder node-forwards).
+   on a 5-way join (>=2x fewer encoder node-forwards);
+4. the b64 inference forward on the rank-round row primitives vs the
+   test-only reference forward (``tests/models/reference_forward.py``:
+   ``np.add.at`` scatters, full-width adds) (>=2x).
 
 Rounds are interleaved (same idiom as the join-kernel gate) so a load
 spike hits both arms alike.
 """
 
+import importlib.util
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +43,8 @@ from repro.featurize import (
     merge_encoded,
 )
 from repro.models import TrainerConfig, ZeroShotConfig, get_estimator
+from repro.models.zero_shot import ZeroShotNet
+from repro.nn import no_grad
 from repro.optimizer import LearnedCardinalityEstimator, plan_query
 from repro.plans import PhysicalPlan, SeqScan
 from repro.sql.ast import (
@@ -337,4 +344,57 @@ def test_fragment_dedup_node_forward_reduction(five_way_setup):
         f"subgraph dedup only cut node-forwards {reduction:.2f}x "
         f"({legacy_counted['nodes']} vs {dedup_counted['nodes']} nodes "
         f"for {len(dedup_fragments)} fragments)"
+    )
+
+
+# ----------------------------------------------------------------------
+# Gate 4: rank-round forward >=2x the np.add.at reference forward (b64)
+# ----------------------------------------------------------------------
+def _reference_forward():
+    """``reference_forward`` of the model tests' oracle module (test
+    directories are not packages, so it is loaded by path)."""
+    path = (Path(__file__).resolve().parents[1] / "tests" / "models"
+            / "reference_forward.py")
+    spec = importlib.util.spec_from_file_location("reference_forward", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.reference_forward
+
+
+def test_rank_round_forward_speedup(epoch_batches):
+    """Acceptance gate: one b64 inference forward of ``ZeroShotNet`` is
+    >=2x the reference forward it replaced, bit-identical."""
+    reference_forward = _reference_forward()
+    encoded = [graph for batch in epoch_batches for graph in batch][:64]
+    assert len(encoded) == 64
+    batch = merge_encoded(encoded)
+    net = ZeroShotNet(ZeroShotConfig(hidden_dim=64))
+    net.eval()
+
+    def reference_arm():
+        with no_grad():
+            return reference_forward(net, batch).numpy()
+
+    def forward_arm():
+        with no_grad():
+            return net(batch).numpy()
+
+    expected = reference_arm()
+    assert np.array_equal(forward_arm(), expected)
+    assert np.abs(expected).sum() > 0
+
+    # One forward per sample: a load spike spoils one sample of one arm,
+    # not the best of either.
+    best = {reference_arm: float("inf"), forward_arm: float("inf")}
+    for _ in range(60):
+        for arm in (reference_arm, forward_arm):
+            start = time.perf_counter()
+            arm()
+            best[arm] = min(best[arm], time.perf_counter() - start)
+
+    speedup = best[reference_arm] / best[forward_arm]
+    assert speedup >= 2.0, (
+        f"rank-round forward only {speedup:.2f}x the reference forward "
+        f"({best[reference_arm] * 1e3:.2f} ms vs "
+        f"{best[forward_arm] * 1e3:.2f} ms)"
     )

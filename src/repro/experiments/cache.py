@@ -79,6 +79,10 @@ __all__ = ["ArtifactStore", "cache_enabled", "context_key", "main",
 CACHE_FORMAT_VERSION = "v3"
 
 _COMPLETE_MARKER = "COMPLETE"
+#: What reading an entry raises when it was deleted under the reader
+#: (a racing ``--clear``) or one of its pickles is truncated (a full
+#: disk, a copy cut short): both read as a miss, never as a crash.
+_UNREADABLE = (OSError, EOFError, pickle.UnpicklingError)
 _SHARDS_DIR_NAME = "shards"
 _MODEL_DIRS = {
     CardinalitySource.ESTIMATED: "estimated",
@@ -189,6 +193,16 @@ class ArtifactStore:
             shutil.rmtree(staging, ignore_errors=True)
         return entry
 
+    @staticmethod
+    def _demote(entry: Path) -> None:
+        """Take the ``COMPLETE`` marker off an unreadable entry, so the
+        re-executed result replaces it (:meth:`_publish` keeps a marked
+        entry) instead of every later run missing on it again."""
+        try:
+            (entry / _COMPLETE_MARKER).unlink(missing_ok=True)
+        except OSError:
+            pass
+
     def save_context(self, context: "ExperimentContext",
                      with_imdb_pool: bool = True) -> Path:
         """Persist a freshly built context; returns its entry directory.
@@ -231,7 +245,8 @@ class ArtifactStore:
 
     def load_context(self, scale: "ExperimentScale",
                      with_imdb_pool: bool = True) -> "ExperimentContext | None":
-        """Load a stored context, or ``None`` on a cold/incomplete entry."""
+        """Load a stored context, or ``None`` on a cold, incomplete or
+        unreadable (deleted under the reader, truncated) entry."""
         from repro.experiments.setup import ExperimentContext
 
         entry = self.entry_dir(scale, with_imdb_pool)
@@ -241,8 +256,8 @@ class ArtifactStore:
             corpus = TrainingCorpus.load(entry / "corpus")
             with open(entry / "context.pkl", "rb") as handle:
                 payload = pickle.load(handle)
-        except (OSError, WorkloadError):
-            # Entry deleted under us (racing --clear): treat as a miss.
+        except (*_UNREADABLE, WorkloadError):
+            self._demote(entry)
             return None
         models: dict[CardinalitySource, ZeroShotCostModel] = {}
         for source, name in _MODEL_DIRS.items():
@@ -308,8 +323,9 @@ class ArtifactStore:
     def load_shard(self, shard: CorpusShard) -> ShardExecution | None:
         """Load one shard's execution, or ``None`` on a cold entry.
 
-        A concurrently deleted entry (e.g. a racing ``--clear``) reads
-        as a miss, not a crash — the caller re-executes the shard.
+        A concurrently deleted entry (e.g. a racing ``--clear``) or a
+        truncated payload reads as a miss, not a crash — the caller
+        re-executes the shard.
         """
         entry = self.shard_dir(shard)
         if not (entry / _COMPLETE_MARKER).is_file():
@@ -317,7 +333,8 @@ class ArtifactStore:
         try:
             with open(entry / "payload.pkl", "rb") as handle:
                 execution = pickle.load(handle)
-        except OSError:
+        except _UNREADABLE:
+            self._demote(entry)
             return None
         if not isinstance(execution, ShardExecution):
             raise ExperimentError(

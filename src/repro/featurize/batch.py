@@ -15,7 +15,16 @@ exactly once:
   :class:`EncodedGraph`;
 * :func:`merge_encoded` — the cheap per-mini-batch merge: pure numpy
   concatenation plus ``argsort``/``searchsorted`` grouping by level and
-  node type, no per-node Python loops.
+  node type, no per-node (and no per-graph) Python loops.
+
+Child aggregation runs in **rank rounds** (see
+:class:`repro.nn.tensor.RowSums`): round ``k`` of a level adds the
+``k``-th child of every parent that has one, so a round touches each
+parent once (a gather and an add, not ``ufunc.at``) while every parent
+still adds its children left to right in edge order.  An edge's rank
+within its parent is graph-local, so :class:`EncodedGraph` records it
+once per graph and :func:`build_level_plan` gets every level's rounds
+from the one sort that groups the edges by level anyway.
 
 :func:`batch_graphs` composes the two and stays the convenient one-shot
 entry point (used at inference time, where every batch is new anyway).
@@ -36,6 +45,7 @@ from repro.featurize.graph import (
     PlanGraph,
 )
 from repro.featurize.scalers import StandardScaler
+from repro.nn.tensor import RowSums, occurrence_ranks, rank_rounds
 from repro.util import LRUCache
 
 __all__ = [
@@ -63,16 +73,38 @@ class LevelSpec:
         Batch-global ids of the nodes updated at this level.
     edge_child_ids / edge_parent_slots:
         For every incoming edge of this level: the child's global id and
-        the parent's slot (index into ``parent_ids``).
+        the parent's slot (index into ``parent_ids``).  Edges are listed
+        rank-major — every parent's first child, then every second
+        child, ... — so each parent's children keep their edge order.
     type_slots:
         For each node type, the slots (into ``parent_ids``) of parents
         of that type — the per-type combine MLP is applied group-wise.
+    child_sums:
+        The rank rounds of the child sum (``Tensor.gather_sum``): child
+        ids summed into parent slots, consecutive slices of the edge
+        arrays.
+    grad_sums:
+        The rounds of its backward pass: parent slots summed into child
+        ids.  A child shared by several parents of the level sums their
+        gradients in batch edge order; one round when none is shared.
+
+    Both are derived from the edge arrays when left out.
     """
 
     parent_ids: np.ndarray
     edge_child_ids: np.ndarray
     edge_parent_slots: np.ndarray
     type_slots: dict[str, np.ndarray]
+    child_sums: RowSums | None = None
+    grad_sums: RowSums | None = None
+
+    def __post_init__(self):
+        if self.child_sums is None:
+            self.child_sums = rank_rounds(self.edge_child_ids,
+                                          self.edge_parent_slots)
+        if self.grad_sums is None:
+            self.grad_sums = rank_rounds(self.edge_parent_slots,
+                                         self.edge_child_ids)
 
 
 @dataclass
@@ -136,6 +168,23 @@ class EncodedGraph:
     #: Raw row estimates per ``plan_op`` node (linear space): a zero
     #: correction returns these bit-for-bit.
     plan_op_rows: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    #: Per edge, its rank among the edges into the same parent (the
+    #: round of the child sum it is added in).  Graph-local, so it is
+    #: derived here once and merely concatenated per batch.
+    edge_parent_ranks: np.ndarray = field(init=False, repr=False)
+    #: Per edge, its rank among the edges out of the same child into
+    #: parents of the same level (the round of the backward pass).
+    edge_child_ranks: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.edge_parent_ranks = occurrence_ranks(self.edges_parent)
+        if len(self.edges_parent):
+            parent_levels = np.asarray(self.levels)[self.edges_parent]
+            self.edge_child_ranks = occurrence_ranks(
+                self.edges_child * (int(parent_levels.max()) + 1)
+                + parent_levels)
+        else:
+            self.edge_child_ranks = np.zeros(0, dtype=np.int64)
 
 
 def fit_scalers(graphs: list[PlanGraph]) -> dict[str, StandardScaler]:
@@ -269,78 +318,116 @@ class LevelPlan:
 def build_level_plan(encoded: list[EncodedGraph]) -> LevelPlan:
     """Derive the structural merge of ``encoded`` (order-sensitive).
 
-    Pure numpy: stable ``argsort``/``searchsorted`` grouping of nodes
-    by level and, within a level, of parents by node type.
+    Pure numpy over the concatenated graphs: three ``argsort``s group
+    the nodes by type, the nodes by level and the edges by (parent
+    level, rank within the parent); every level's arrays and child-sum
+    rounds are then slices of those orders.  Only a level that mixes
+    node types (its parents by type) or shares a child among its
+    parents (the backward rounds) sorts again.
     """
     if not encoded:
         raise FeaturizationError("cannot batch zero graphs")
 
-    offsets = np.cumsum([0] + [g.num_nodes for g in encoded])
-    num_nodes = int(offsets[-1])
-    graph_offsets = offsets[:-1]
-
-    type_positions: dict[str, np.ndarray] = {}
-    for node_type in NODE_TYPES:
-        positions = [g.type_positions[node_type] + offset
-                     for g, offset in zip(encoded, graph_offsets)
-                     if len(g.type_positions[node_type])]
-        type_positions[node_type] = (np.concatenate(positions) if positions
-                                     else np.zeros(0, dtype=np.int64))
+    sizes = np.fromiter((g.num_nodes for g in encoded), dtype=np.int64,
+                        count=len(encoded))
+    graph_offsets = np.cumsum(sizes) - sizes
+    num_nodes = int(sizes.sum())
+    edge_offsets = np.repeat(graph_offsets,
+                             [len(g.edges_child) for g in encoded])
 
     type_codes = np.concatenate([g.type_codes for g in encoded])
     level_arr = np.concatenate([g.levels for g in encoded])
-    edges_child_arr = np.concatenate(
-        [g.edges_child + offset for g, offset in zip(encoded, graph_offsets)]
-    )
-    edges_parent_arr = np.concatenate(
-        [g.edges_parent + offset for g, offset in zip(encoded, graph_offsets)]
-    )
-    roots = np.asarray([g.root + offset
-                        for g, offset in zip(encoded, graph_offsets)],
-                       dtype=np.int64)
+    edges_child = np.concatenate([g.edges_child for g in encoded])
+    edges_child += edge_offsets
+    edges_parent = np.concatenate([g.edges_parent for g in encoded])
+    edges_parent += edge_offsets
+    parent_ranks = np.concatenate([g.edge_parent_ranks for g in encoded])
+    child_ranks = np.concatenate([g.edge_child_ranks for g in encoded])
+    roots = np.fromiter((g.root for g in encoded), dtype=np.int64,
+                        count=len(encoded)) + graph_offsets
 
-    max_level = int(level_arr.max()) if num_nodes else 0
+    # Stable sorts keep ascending-id order within a group.
+    num_types = len(NODE_TYPES)
+    by_type = np.argsort(type_codes, kind="stable")
+    type_starts = np.searchsorted(type_codes[by_type],
+                                  np.arange(num_types + 1)).tolist()
+    type_positions = {
+        node_type: by_type[type_starts[code]:type_starts[code + 1]]
+        for code, node_type in enumerate(NODE_TYPES)
+    }
 
-    # Nodes grouped by level, edges grouped by their parent's level.
-    # Stable sorts keep ascending-id order within a group, matching the
-    # historical per-level boolean-mask scan.
+    num_levels = int(level_arr.max()) + 1 if num_nodes else 1
     node_order = np.argsort(level_arr, kind="stable")
-    node_group_starts = np.searchsorted(level_arr[node_order],
-                                        np.arange(max_level + 2))
-    parent_levels = (level_arr[edges_parent_arr] if len(edges_parent_arr)
-                     else np.zeros(0, dtype=np.int64))
-    edge_order = np.argsort(parent_levels, kind="stable")
-    edge_group_starts = np.searchsorted(parent_levels[edge_order],
-                                        np.arange(max_level + 2))
-    slot_of_node = np.zeros(num_nodes, dtype=np.int64)
+    ordered_levels = level_arr[node_order]
+    node_starts = np.searchsorted(ordered_levels, np.arange(num_levels + 1))
+    ordered_codes = type_codes[node_order]
+    # Parents per (level, type): tells a single-type level (its slots are
+    # 0..n-1, no sort) from a mixed one without touching its nodes.
+    type_counts = np.bincount(
+        ordered_levels * num_types + ordered_codes,
+        minlength=num_levels * num_types,
+    ).reshape(num_levels, num_types).tolist()
+    slot_of_node = np.empty(num_nodes, dtype=np.int64)
+    slot_of_node[node_order] = (np.arange(num_nodes)
+                                - node_starts[ordered_levels])
+    node_starts = node_starts.tolist()
+
+    # Edges by (parent level, rank within the parent), and within a
+    # round by (children of the parent, descending; parent id): one
+    # level's edges are contiguous, so is every rank round within them,
+    # and the parents a round still reaches are a prefix of the parents
+    # of the round before (``RowSums``).  Keys are unique per edge.
+    fan_in = np.bincount(edges_parent, minlength=num_nodes)[edges_parent]
+    num_ranks = int(parent_ranks.max()) + 1 if len(parent_ranks) else 1
+    round_keys = level_arr[edges_parent] * num_ranks + parent_ranks
+    edge_order = np.argsort(
+        (round_keys * (num_ranks + 1) - fan_in) * num_nodes + edges_parent)
+    round_starts = np.searchsorted(
+        round_keys[edge_order], np.arange(num_levels * num_ranks + 1)).tolist()
+    ordered_children = edges_child[edge_order]
+    ordered_slots = slot_of_node[edges_parent[edge_order]]
+    ordered_child_ranks = child_ranks[edge_order]
 
     level_specs: list[LevelSpec] = []
-    for level in range(1, max_level + 1):
-        parent_ids = node_order[node_group_starts[level]:
-                                node_group_starts[level + 1]]
-        if len(parent_ids) == 0:
+    for level in range(1, num_levels):
+        first, last = node_starts[level], node_starts[level + 1]
+        if first == last:
             continue
-        parent_ids = parent_ids.astype(np.int64, copy=False)
-        slot_of_node[parent_ids] = np.arange(len(parent_ids), dtype=np.int64)
-        level_edges = edge_order[edge_group_starts[level]:
-                                 edge_group_starts[level + 1]]
-        edge_children = edges_child_arr[level_edges]
-        edge_slots = slot_of_node[edges_parent_arr[level_edges]]
+        parent_ids = node_order[first:last]
 
-        codes = type_codes[parent_ids]
-        slot_order = np.argsort(codes, kind="stable")
-        code_starts = np.searchsorted(codes[slot_order],
-                                      np.arange(len(NODE_TYPES) + 1))
+        bounds = round_starts[level * num_ranks:(level + 1) * num_ranks + 1]
+        edge_children = ordered_children[bounds[0]:bounds[-1]]
+        edge_slots = ordered_slots[bounds[0]:bounds[-1]]
+        child_sums = RowSums(
+            ordered_slots[bounds[0]:bounds[1]],
+            tuple(ordered_children[start:stop]
+                  for start, stop in zip(bounds[:-1], bounds[1:])
+                  if stop > start))
+        ranks = ordered_child_ranks[bounds[0]:bounds[-1]]
+        if ranks.any():  # a child shared among this level's parents
+            grad_sums = rank_rounds(edge_slots, edge_children, ranks)
+        else:
+            grad_sums = RowSums(edge_children, (edge_slots,))
+
+        counts = type_counts[level]
         type_slots: dict[str, np.ndarray] = {}
-        for code, node_type in enumerate(NODE_TYPES):
-            slots = slot_order[code_starts[code]:code_starts[code + 1]]
-            if len(slots):
-                type_slots[node_type] = slots.astype(np.int64, copy=False)
+        if max(counts) == last - first:
+            type_slots[NODE_TYPES[counts.index(last - first)]] = \
+                np.arange(last - first)
+        else:
+            slot_order = np.argsort(ordered_codes[first:last], kind="stable")
+            start = 0
+            for node_type, count in zip(NODE_TYPES, counts):
+                if count:
+                    type_slots[node_type] = slot_order[start:start + count]
+                    start += count
         level_specs.append(LevelSpec(
             parent_ids=parent_ids,
             edge_child_ids=edge_children,
             edge_parent_slots=edge_slots,
             type_slots=type_slots,
+            child_sums=child_sums,
+            grad_sums=grad_sums,
         ))
 
     return LevelPlan(
@@ -348,7 +435,7 @@ def build_level_plan(encoded: list[EncodedGraph]) -> LevelPlan:
         type_positions=type_positions,
         levels=level_specs,
         roots=roots,
-        graph_sizes=tuple(g.num_nodes for g in encoded),
+        graph_sizes=tuple(sizes.tolist()),
         plan_op_counts=tuple(len(g.features["plan_op"]) for g in encoded),
     )
 

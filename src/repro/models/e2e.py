@@ -15,7 +15,7 @@ import numpy as np
 from repro.errors import ModelError
 from repro.featurize.e2e import E2EFeaturizer, E2ETreeSample
 from repro.models.trainer import CoreCostModel, collate_targets
-from repro.nn import MLP, Module, Tensor
+from repro.nn import MLP, Module, RowSums, Tensor, rank_rounds
 
 __all__ = ["E2EConfig", "E2ENet", "E2ECostModel"]
 
@@ -34,7 +34,10 @@ class E2EConfig:
 class _TreeBatch:
     num_nodes: int
     features: np.ndarray
-    levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    #: Per level: the parents' node ids, the rank rounds of their child
+    #: sum (child ids into parent slots) and those of its backward pass
+    #: (parent slots into child ids).
+    levels: list[tuple[np.ndarray, RowSums, RowSums]]
     roots: np.ndarray
     targets: np.ndarray | None = None
 
@@ -68,7 +71,8 @@ def _batch_trees(samples: list[E2ETreeSample]) -> _TreeBatch:
         child_ids = edges_child[mask]
         parent_slots = np.asarray([slot_of[int(p)] for p in edges_parent[mask]],
                                   dtype=np.int64)
-        levels.append((parent_ids, child_ids, parent_slots))
+        levels.append((parent_ids, rank_rounds(child_ids, parent_slots),
+                       rank_rounds(parent_slots, child_ids)))
     targets = collate_targets([s.target_log_runtime for s in samples],
                               "E2E")
     return _TreeBatch(num_nodes=int(offsets[-1]), features=features,
@@ -91,16 +95,15 @@ class E2ENet(Module):
 
     def forward(self, batch: _TreeBatch) -> Tensor:
         hidden = self.encoder(Tensor(batch.features))
-        for parent_ids, child_ids, parent_slots in batch.levels:
-            child_sum = hidden.index_select(child_ids).scatter_add(
-                parent_slots, len(parent_ids)
-            )
+        for parent_ids, child_sums, grad_sums in batch.levels:
+            child_sum = hidden.gather_sum(child_sums, len(parent_ids),
+                                          grad_sums)
             parent_hidden = hidden.index_select(parent_ids)
             combined = self.combine(
                 Tensor.concat([parent_hidden, child_sum], axis=1)
             )
-            delta = combined - parent_hidden
-            hidden = hidden + delta.scatter_add(parent_ids, batch.num_nodes)
+            # h + (c - h), not c: the two round differently.
+            hidden = hidden.add_rows(parent_ids, combined - parent_hidden)
         return self.readout(hidden.index_select(batch.roots)).reshape(-1)
 
 

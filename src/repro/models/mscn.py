@@ -15,7 +15,7 @@ import numpy as np
 from repro.errors import ModelError
 from repro.featurize.mscn import MSCNFeaturizer, MSCNSample
 from repro.models.trainer import CoreCostModel, collate_targets
-from repro.nn import MLP, Module, Tensor
+from repro.nn import MLP, Module, RowSums, Tensor, rank_rounds
 
 __all__ = ["MSCNConfig", "MSCNNet", "MSCNBatch", "collate_mscn",
            "MSCNCostModel"]
@@ -36,12 +36,15 @@ class MSCNConfig:
 class MSCNBatch:
     """Pre-stacked set matrices for one mini-batch (built once).
 
-    Per set kind: ``(stacked_features, sample_ids, counts)`` — the
-    arrays the net's pooling needs, so training never re-stacks a batch
-    it has already seen.
+    Per set kind: ``(stacked_features, pool_sums, unpool_sums,
+    counts)`` — what the net's pooling needs, so training never
+    re-stacks (or re-ranks) a batch it has already seen.  The pool
+    rounds sum element rows into their sample's row, the ``k``-th
+    element of every sample in round ``k``; the single unpool round
+    hands a sample's gradient back to each of its elements.
     """
 
-    sets: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]
+    sets: dict[str, tuple[np.ndarray, RowSums, RowSums, np.ndarray]]
     targets: np.ndarray | None
     num_samples: int
 
@@ -55,7 +58,9 @@ def collate_mscn(samples: list[MSCNSample]) -> MSCNBatch:
         stacked = np.concatenate(matrices, axis=0)
         sample_ids = np.repeat(np.arange(len(samples)),
                                counts.astype(np.int64))
-        sets[attribute] = (stacked, sample_ids, counts)
+        element_ids = np.arange(len(stacked))
+        sets[attribute] = (stacked, rank_rounds(element_ids, sample_ids),
+                           rank_rounds(sample_ids, element_ids), counts)
     targets = collate_targets([s.target_log_runtime for s in samples],
                               "MSCN")
     return MSCNBatch(sets=sets, targets=targets, num_samples=len(samples))
@@ -80,9 +85,9 @@ class MSCNNet(Module):
                           activation=config.activation)
 
     @staticmethod
-    def _pool(encoded: Tensor, sample_ids: np.ndarray,
+    def _pool(encoded: Tensor, pool_sums: RowSums, unpool_sums: RowSums,
               counts: np.ndarray) -> Tensor:
-        summed = encoded.scatter_add(sample_ids, len(counts))
+        summed = encoded.gather_sum(pool_sums, len(counts), unpool_sums)
         return summed * Tensor((1.0 / np.maximum(counts, 1.0))[:, None])
 
     def forward(self, batch: MSCNBatch) -> Tensor:
@@ -93,9 +98,10 @@ class MSCNNet(Module):
             ("join_features", self.join_mlp),
             ("predicate_features", self.predicate_mlp),
         ):
-            stacked, sample_ids, counts = batch.sets[attribute]
+            stacked, pool_sums, unpool_sums, counts = batch.sets[attribute]
             encoded = mlp(Tensor(stacked))
-            pooled.append(self._pool(encoded, sample_ids, counts))
+            pooled.append(self._pool(encoded, pool_sums, unpool_sums,
+                                     counts))
         return self.output(Tensor.concat(pooled, axis=1)).reshape(-1)
 
 

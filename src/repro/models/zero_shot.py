@@ -148,10 +148,8 @@ class ZeroShotNet(Module):
 
     def hidden_states(self, batch: GraphBatch) -> Tensor:
         """Final hidden state of every node after bottom-up passing."""
-        hidden_dim = self.config.hidden_dim
-
-        # 1. Initial hidden states, scattered into one [N, hidden] matrix.
-        hidden = Tensor(np.zeros((batch.num_nodes, hidden_dim)))
+        # 1. Initial hidden states, placed into one [N, hidden] matrix.
+        encoded, positions = [], []
         for node_type in NODE_TYPES:
             features = batch.features[node_type]
             if len(features) == 0:
@@ -163,31 +161,30 @@ class ZeroShotNet(Module):
                     f"system_features=True) enables the hardware axis)"
                 )
             encoder = self._modules[f"encode_{node_type}"]
-            encoded = encoder(Tensor(features))
-            hidden = hidden + encoded.scatter_add(
-                batch.type_positions[node_type], batch.num_nodes
-            )
+            encoded.append(encoder(Tensor(features)))
+            positions.append(batch.type_positions[node_type])
+        hidden = Tensor.scatter_rows(encoded, positions, batch.num_nodes)
 
         # 2. Level-by-level bottom-up combine.
         for level in batch.levels:
             num_parents = len(level.parent_ids)
-            child_hidden = hidden.index_select(level.edge_child_ids)
-            child_sum = child_hidden.scatter_add(level.edge_parent_slots,
-                                                 num_parents)
+            child_sum = hidden.gather_sum(level.child_sums, num_parents,
+                                          level.grad_sums)
             parent_hidden = hidden.index_select(level.parent_ids)
-            combined = Tensor(np.zeros((num_parents, hidden_dim)))
-            for node_type, slots in level.type_slots.items():
-                combine = self._modules[f"combine_{node_type}"]
-                stacked = Tensor.concat(
-                    [parent_hidden.index_select(slots),
-                     child_sum.index_select(slots)], axis=1
-                )
-                combined = combined + combine(stacked).scatter_add(
-                    slots, num_parents
-                )
-            delta = combined - parent_hidden
-            hidden = hidden + delta.scatter_add(level.parent_ids,
-                                                batch.num_nodes)
+            stacked = Tensor.concat([parent_hidden, child_sum], axis=1)
+            if len(level.type_slots) == 1:
+                # One type owns every slot, in slot order.
+                (node_type,) = level.type_slots
+                combined = self._modules[f"combine_{node_type}"](stacked)
+            else:
+                combined = Tensor.scatter_rows(
+                    [self._modules[f"combine_{node_type}"](
+                        stacked.index_select(slots))
+                     for node_type, slots in level.type_slots.items()],
+                    list(level.type_slots.values()), num_parents)
+            # h + (c - h), not c: the two round differently.
+            hidden = hidden.add_rows(level.parent_ids,
+                                     combined - parent_hidden)
         return hidden
 
     def forward(self, batch: GraphBatch) -> Tensor:

@@ -4,7 +4,9 @@ The paper's prototype uses PyTorch (Geometric); this environment is
 offline, so ``repro.nn`` provides the pieces the zero-shot models need:
 
 * :class:`~repro.nn.tensor.Tensor` — reverse-mode autograd over numpy
-  arrays (broadcasting-aware).
+  arrays (broadcasting-aware), tape-optional per op, with the row
+  primitives of DAG message passing (``scatter_rows``, ``gather_sum``
+  over :func:`~repro.nn.tensor.rank_rounds`, ``add_rows``).
 * :mod:`~repro.nn.layers` — ``Linear``, ``MLP``, ``LayerNorm``,
   ``Dropout``, ``Sequential``.
 * :mod:`~repro.nn.optim` — ``SGD`` and ``Adam`` with gradient clipping.
@@ -22,7 +24,7 @@ from repro.nn.module import Module, Parameter
 from repro.nn.optim import SGD, Adam, clip_grad_norm
 from repro.nn.schedules import ConstantSchedule, CosineSchedule, StepSchedule
 from repro.nn.serialize import load_state, save_state
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.tensor import RowSums, Tensor, no_grad, rank_rounds
 
 __all__ = [
     "Adam",
@@ -36,6 +38,7 @@ __all__ = [
     "Module",
     "Parameter",
     "ReLU",
+    "RowSums",
     "SGD",
     "Sequential",
     "StepSchedule",
@@ -45,6 +48,7 @@ __all__ = [
     "kaiming_uniform",
     "load_state",
     "no_grad",
+    "rank_rounds",
     "save_state",
     "train_validation_split",
     "xavier_uniform",

@@ -8,16 +8,38 @@ applies the closures in reverse order.
 Only the operations needed by the cost models are implemented, but they
 are implemented fully (broadcasting-aware, with correct gradient
 reduction), so the library behaves like a small subset of PyTorch.
+
+Recording is optional per operation: an op computes its result with a
+raw-ndarray kernel and only then, if some operand is on a tape, builds
+its backward closure and links its parents.  Under :func:`no_grad` (or
+with no operand requiring grad) nothing but the result is allocated, so
+inference and training run the very same kernels.
+
+Row movement — the message passing of the DAG models — goes through
+three structure-aware primitives instead of ``ufunc.at``, which is an
+order of magnitude slower than fancy-index assignment:
+
+* :meth:`Tensor.scatter_rows` places rows at *distinct* positions (a
+  plain assignment);
+* :meth:`Tensor.gather_sum` sums gathered rows in precomputed *rank
+  rounds* (:class:`RowSums`, :func:`rank_rounds`): round ``k`` adds
+  every target's ``k``-th source, so a round touches each target once
+  while every target still adds its sources left to right — bit for
+  bit what the unbuffered ``ufunc.at`` add computes, which a sorted
+  ``np.add.reduceat`` is not;
+* :meth:`Tensor.add_rows` returns the state with some distinct rows
+  updated, without a full-width add.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled"]
+__all__ = ["Tensor", "no_grad", "is_grad_enabled", "RowSums",
+           "occurrence_ranks", "rank_rounds"]
 
 _GRAD_ENABLED = True
 
@@ -95,6 +117,155 @@ def _stable_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
+# ----------------------------------------------------------------------
+# Row kernels (raw ndarrays; shared by the taped and the tape-free mode)
+# ----------------------------------------------------------------------
+class RowSums(NamedTuple):
+    """Which rows are summed into which, as rank rounds.
+
+    ``rounds[k][i]`` is the ``k``-th source row of ``targets[i]``.  The
+    targets are distinct and listed by descending number of sources, so
+    the targets that still have a ``k``-th source are the first
+    ``len(rounds[k])``: a round is one gather plus an add onto a prefix
+    of the accumulator, never a scatter.
+    """
+
+    targets: np.ndarray
+    rounds: tuple[np.ndarray, ...]
+
+
+def occurrence_ranks(keys: np.ndarray) -> np.ndarray:
+    """For every element, how many earlier elements carry the same key.
+
+    ``occurrence_ranks([7, 3, 7, 7, 3]) == [0, 0, 1, 2, 1]``: the rank
+    of an edge within its parent when ``keys`` are the parents of an
+    edge list.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    count = len(keys)
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    positions = np.arange(count)
+    # Start of each run of equal keys, carried forward over the run.
+    new_run = np.ones(count, dtype=bool)
+    new_run[1:] = ordered[1:] != ordered[:-1]
+    run_starts = np.where(new_run, positions, 0)
+    ranks = np.empty(count, dtype=np.int64)
+    ranks[order] = positions - np.maximum.accumulate(run_starts)
+    return ranks
+
+
+def rank_rounds(sources: np.ndarray, targets: np.ndarray,
+                ranks: np.ndarray | None = None) -> RowSums:
+    """The :class:`RowSums` of the edge list ``sources[i] -> targets[i]``.
+
+    Every target adds its sources in edge order — or, with ``ranks``
+    (see :func:`occurrence_ranks`), in the order the caller ranked them
+    in before it reordered the edges.
+    """
+    sources = np.asarray(sources, dtype=np.int64)
+    targets = np.asarray(targets, dtype=np.int64)
+    if sources.shape != targets.shape or sources.ndim != 1:
+        raise ValueError(
+            f"sources {sources.shape} and targets {targets.shape} must be "
+            f"1-d index arrays of one length")
+    if len(targets) == 0:
+        return RowSums(targets, ())
+    if ranks is None:
+        ranks = occurrence_ranks(targets)
+    if not ranks.any():
+        return RowSums(targets, (sources,))
+    fan_in = np.bincount(targets)[targets]
+    order = np.lexsort((targets, -fan_in, ranks))
+    bounds = np.searchsorted(ranks[order], np.arange(ranks.max() + 2))
+    sources, targets = sources[order], targets[order]
+    return RowSums(targets[:bounds[1]],
+                   tuple(sources[start:stop]
+                         for start, stop in zip(bounds[:-1], bounds[1:])))
+
+
+def _distinct(index_sets: Sequence[np.ndarray], num_rows: int) -> bool:
+    """Whether all indices of all sets name pairwise distinct rows."""
+    seen = np.zeros(num_rows, dtype=bool)
+    total = 0
+    for indices in index_sets:
+        seen[indices] = True
+        total += len(indices)
+    return int(np.count_nonzero(seen)) == total
+
+
+def _require_distinct(index_sets: Sequence[np.ndarray], num_rows: int,
+                      what: str) -> None:
+    if not _distinct(index_sets, num_rows):
+        raise ValueError(
+            f"{what} needs pairwise distinct row indices; duplicates would "
+            f"silently drop contributions (use scatter_add / gather_sum "
+            f"to accumulate)")
+
+
+def _row_shape(num_rows: int, like: np.ndarray) -> tuple[int, ...]:
+    return (num_rows,) + like.shape[1:]
+
+
+def _scatter_rows(pieces: Sequence[np.ndarray],
+                  index_sets: Sequence[np.ndarray],
+                  num_rows: int) -> np.ndarray:
+    """Zeros with ``pieces[i]`` assigned to rows ``index_sets[i]``."""
+    _require_distinct(index_sets, num_rows, "scatter_rows")
+    out = np.zeros(_row_shape(num_rows, pieces[0]))
+    for piece, indices in zip(pieces, index_sets):
+        out[indices] = piece
+    return out
+
+
+def _sum_rounds(data: np.ndarray, sums: RowSums,
+                num_rows: int) -> np.ndarray:
+    """``out[t] = data[s1] + data[s2] + ...`` for every target ``t``
+    and its sources in round order; zero rows elsewhere."""
+    targets, rounds = sums
+    out = np.zeros(_row_shape(num_rows, data))
+    if rounds:
+        _require_distinct((targets,), num_rows, "gather_sum")
+        summed = data.take(rounds[0], axis=0)
+        for sources in rounds[1:]:
+            summed[:len(sources)] += data.take(sources, axis=0)
+        out[targets] = summed
+    return out
+
+
+def _scatter_add(values: np.ndarray, indices: np.ndarray,
+                 num_rows: int) -> np.ndarray:
+    """Zeros with ``values[i]`` added to row ``indices[i]``, repeats
+    included and in order (the unbuffered ``ufunc.at`` add)."""
+    if _distinct((indices,), num_rows):
+        out = np.zeros(_row_shape(num_rows, values))
+        out[indices] = values
+        return out
+    indices = np.where(indices < 0, indices + num_rows, indices)
+    return _sum_rounds(
+        values, rank_rounds(np.arange(len(indices)), indices), num_rows)
+
+
+def _add_rows(state: np.ndarray, indices: np.ndarray,
+              delta: np.ndarray) -> np.ndarray:
+    """A copy of ``state`` with ``delta`` added to rows ``indices``."""
+    _require_distinct((indices,), len(state), "add_rows")
+    out = state.copy()
+    updated = state.take(indices, axis=0)
+    updated += delta
+    out[indices] = updated
+    return out
+
+
+def _on_tape(*tensors: "Tensor") -> bool:
+    """Whether an op over ``tensors`` has to record its backward."""
+    if _GRAD_ENABLED:
+        for tensor in tensors:
+            if tensor.requires_grad:
+                return True
+    return False
+
+
 class Tensor:
     """A numpy array with reverse-mode autograd.
 
@@ -156,14 +327,17 @@ class Tensor:
     def _lift(value) -> "Tensor":
         return value if isinstance(value, Tensor) else Tensor(value)
 
-    def _make(self, data: np.ndarray, parents: Sequence["Tensor"],
-              backward: Callable[[np.ndarray], None]) -> "Tensor":
-        out = Tensor(data)
-        if _GRAD_ENABLED and any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = tuple(parents)
-            out._backward = backward
-        return out
+    def _record(self, parents: Sequence["Tensor"],
+                backward: Callable[[np.ndarray], None]) -> None:
+        """Put this freshly computed result on the tape.
+
+        Ops call it only when :func:`_on_tape` says so, and build the
+        ``backward`` closure inside that branch: a tape-free op
+        allocates its result and nothing else.
+        """
+        self.requires_grad = True
+        self._parents = tuple(parents)
+        self._backward = backward
 
     def _accumulate(self, grad: np.ndarray) -> None:
         grad = _unbroadcast(grad, self.data.shape)
@@ -177,58 +351,72 @@ class Tensor:
     # ------------------------------------------------------------------
     def __add__(self, other) -> "Tensor":
         other = Tensor._lift(other)
-        data = self.data + other.data
+        out = Tensor(self.data + other.data)
+        if _on_tape(self, other):
+            def backward(grad: np.ndarray) -> None:
+                if self.requires_grad:
+                    self._accumulate(grad)
+                if other.requires_grad:
+                    other._accumulate(grad)
 
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad)
-            if other.requires_grad:
-                other._accumulate(grad)
-
-        return self._make(data, (self, other), backward)
+            out._record((self, other), backward)
+        return out
 
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
-        data = -self.data
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
+        out = Tensor(-self.data)
+        if _on_tape(self):
+            def backward(grad: np.ndarray) -> None:
                 self._accumulate(-grad)
 
-        return self._make(data, (self,), backward)
+            out._record((self,), backward)
+        return out
 
     def __sub__(self, other) -> "Tensor":
-        return self + (-Tensor._lift(other))
+        other = Tensor._lift(other)
+        out = Tensor(self.data - other.data)
+        if _on_tape(self, other):
+            def backward(grad: np.ndarray) -> None:
+                if self.requires_grad:
+                    self._accumulate(grad)
+                if other.requires_grad:
+                    other._accumulate(-grad)
+
+            out._record((self, other), backward)
+        return out
 
     def __rsub__(self, other) -> "Tensor":
-        return Tensor._lift(other) + (-self)
+        return Tensor._lift(other) - self
 
     def __mul__(self, other) -> "Tensor":
         other = Tensor._lift(other)
-        data = self.data * other.data
+        out = Tensor(self.data * other.data)
+        if _on_tape(self, other):
+            def backward(grad: np.ndarray) -> None:
+                if self.requires_grad:
+                    self._accumulate(grad * other.data)
+                if other.requires_grad:
+                    other._accumulate(grad * self.data)
 
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * other.data)
-            if other.requires_grad:
-                other._accumulate(grad * self.data)
-
-        return self._make(data, (self, other), backward)
+            out._record((self, other), backward)
+        return out
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
         other = Tensor._lift(other)
-        data = self.data / other.data
+        out = Tensor(self.data / other.data)
+        if _on_tape(self, other):
+            def backward(grad: np.ndarray) -> None:
+                if self.requires_grad:
+                    self._accumulate(grad / other.data)
+                if other.requires_grad:
+                    other._accumulate(
+                        -grad * self.data / (other.data ** 2))
 
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad / other.data)
-            if other.requires_grad:
-                other._accumulate(-grad * self.data / (other.data ** 2))
-
-        return self._make(data, (self, other), backward)
+            out._record((self, other), backward)
+        return out
 
     def __rtruediv__(self, other) -> "Tensor":
         return Tensor._lift(other) / self
@@ -236,131 +424,144 @@ class Tensor:
     def __pow__(self, exponent: float) -> "Tensor":
         if not isinstance(exponent, (int, float)):
             raise TypeError("only scalar exponents are supported")
-        data = self.data ** exponent
+        out = Tensor(self.data ** exponent)
+        if _on_tape(self):
+            def backward(grad: np.ndarray) -> None:
+                self._accumulate(
+                    grad * exponent * self.data ** (exponent - 1))
 
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * exponent * self.data ** (exponent - 1))
-
-        return self._make(data, (self,), backward)
+            out._record((self,), backward)
+        return out
 
     def __matmul__(self, other) -> "Tensor":
         other = Tensor._lift(other)
-        data = _stable_matmul(self.data, other.data)
+        out = Tensor(_stable_matmul(self.data, other.data))
+        if _on_tape(self, other):
+            def backward(grad: np.ndarray) -> None:
+                if self.requires_grad:
+                    self._accumulate(
+                        _stable_matmul(grad, other.data.swapaxes(-1, -2)))
+                if other.requires_grad:
+                    other._accumulate(
+                        _stable_matmul(self.data.swapaxes(-1, -2), grad))
 
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(
-                    _stable_matmul(grad, other.data.swapaxes(-1, -2)))
-            if other.requires_grad:
-                other._accumulate(
-                    _stable_matmul(self.data.swapaxes(-1, -2), grad))
-
-        return self._make(data, (self, other), backward)
+            out._record((self, other), backward)
+        return out
 
     # ------------------------------------------------------------------
     # Elementwise functions
     # ------------------------------------------------------------------
     def exp(self) -> "Tensor":
         data = np.exp(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
+        out = Tensor(data)
+        if _on_tape(self):
+            def backward(grad: np.ndarray) -> None:
                 self._accumulate(grad * data)
 
-        return self._make(data, (self,), backward)
+            out._record((self,), backward)
+        return out
 
     def log(self) -> "Tensor":
-        data = np.log(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
+        out = Tensor(np.log(self.data))
+        if _on_tape(self):
+            def backward(grad: np.ndarray) -> None:
                 self._accumulate(grad / self.data)
 
-        return self._make(data, (self,), backward)
+            out._record((self,), backward)
+        return out
 
     def sqrt(self) -> "Tensor":
         return self ** 0.5
 
     def abs(self) -> "Tensor":
-        data = np.abs(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
+        out = Tensor(np.abs(self.data))
+        if _on_tape(self):
+            def backward(grad: np.ndarray) -> None:
                 self._accumulate(grad * np.sign(self.data))
 
-        return self._make(data, (self,), backward)
+            out._record((self,), backward)
+        return out
 
     def relu(self) -> "Tensor":
         mask = self.data > 0
-        data = self.data * mask
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
+        out = Tensor(self.data * mask)
+        if _on_tape(self):
+            def backward(grad: np.ndarray) -> None:
                 self._accumulate(grad * mask)
 
-        return self._make(data, (self,), backward)
+            out._record((self,), backward)
+        return out
 
     def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
-        factor = np.where(self.data > 0, 1.0, negative_slope)
-        data = self.data * factor
+        scaled = self.data * negative_slope
+        if 0.0 < negative_slope <= 1.0:
+            # x > 0 -> x > slope * x and x < 0 -> slope * x > x, so the
+            # larger of the two *is* ``x * (1 or slope)``, bit for bit,
+            # without the mask-and-select of the general case.
+            data = np.maximum(self.data, scaled)
+        else:
+            data = np.where(self.data > 0, self.data, scaled)
+        out = Tensor(data)
+        if _on_tape(self):
+            def backward(grad: np.ndarray) -> None:
+                self._accumulate(
+                    grad * np.where(self.data > 0, 1.0, negative_slope))
 
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * factor)
-
-        return self._make(data, (self,), backward)
+            out._record((self,), backward)
+        return out
 
     def sigmoid(self) -> "Tensor":
         data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
+        out = Tensor(data)
+        if _on_tape(self):
+            def backward(grad: np.ndarray) -> None:
                 self._accumulate(grad * data * (1.0 - data))
 
-        return self._make(data, (self,), backward)
+            out._record((self,), backward)
+        return out
 
     def tanh(self) -> "Tensor":
         data = np.tanh(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
+        out = Tensor(data)
+        if _on_tape(self):
+            def backward(grad: np.ndarray) -> None:
                 self._accumulate(grad * (1.0 - data ** 2))
 
-        return self._make(data, (self,), backward)
+            out._record((self,), backward)
+        return out
 
     def clip(self, low: float | None, high: float | None) -> "Tensor":
-        data = np.clip(self.data, low, high)
-        mask = np.ones_like(self.data)
-        if low is not None:
-            mask = mask * (self.data >= low)
-        if high is not None:
-            mask = mask * (self.data <= high)
+        out = Tensor(np.clip(self.data, low, high))
+        if _on_tape(self):
+            mask = np.ones_like(self.data)
+            if low is not None:
+                mask = mask * (self.data >= low)
+            if high is not None:
+                mask = mask * (self.data <= high)
 
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
+            def backward(grad: np.ndarray) -> None:
                 self._accumulate(grad * mask)
 
-        return self._make(data, (self,), backward)
+            out._record((self,), backward)
+        return out
 
     # ------------------------------------------------------------------
     # Reductions
     # ------------------------------------------------------------------
     def sum(self, axis: int | tuple[int, ...] | None = None,
             keepdims: bool = False) -> "Tensor":
-        data = self.data.sum(axis=axis, keepdims=keepdims)
+        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims))
+        if _on_tape(self):
+            def backward(grad: np.ndarray) -> None:
+                expanded = grad
+                if axis is not None and not keepdims:
+                    axes = (axis,) if isinstance(axis, int) else axis
+                    for ax in sorted(a % self.data.ndim for a in axes):
+                        expanded = np.expand_dims(expanded, ax)
+                self._accumulate(np.broadcast_to(expanded, self.data.shape))
 
-        def backward(grad: np.ndarray) -> None:
-            if not self.requires_grad:
-                return
-            expanded = grad
-            if axis is not None and not keepdims:
-                axes = (axis,) if isinstance(axis, int) else axis
-                for ax in sorted(a % self.data.ndim for a in axes):
-                    expanded = np.expand_dims(expanded, ax)
-            self._accumulate(np.broadcast_to(expanded, self.data.shape))
-
-        return self._make(data, (self,), backward)
+            out._record((self,), backward)
+        return out
 
     def mean(self, axis: int | tuple[int, ...] | None = None,
              keepdims: bool = False) -> "Tensor":
@@ -373,22 +574,24 @@ class Tensor:
 
     def max(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
         data = self.data.max(axis=axis, keepdims=keepdims)
+        out = Tensor(data)
+        if _on_tape(self):
+            def backward(grad: np.ndarray) -> None:
+                expanded = grad
+                maxima = data
+                if axis is not None and not keepdims:
+                    expanded = np.expand_dims(expanded, axis)
+                    maxima = np.expand_dims(maxima, axis)
+                mask = (self.data == maxima).astype(np.float64)
+                # Split the gradient equally between ties (matches numpy
+                # semantics closely enough for optimization purposes).
+                denom = (mask.sum(axis=axis, keepdims=True)
+                         if axis is not None else mask.sum())
+                self._accumulate(
+                    np.broadcast_to(expanded, self.data.shape) * mask / denom)
 
-        def backward(grad: np.ndarray) -> None:
-            if not self.requires_grad:
-                return
-            expanded = grad
-            maxima = data
-            if axis is not None and not keepdims:
-                expanded = np.expand_dims(expanded, axis)
-                maxima = np.expand_dims(maxima, axis)
-            mask = (self.data == maxima).astype(np.float64)
-            # Split the gradient equally between ties (matches numpy semantics
-            # closely enough for optimization purposes).
-            denom = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-            self._accumulate(np.broadcast_to(expanded, self.data.shape) * mask / denom)
-
-        return self._make(data, (self,), backward)
+            out._record((self,), backward)
+        return out
 
     # ------------------------------------------------------------------
     # Shape manipulation
@@ -396,108 +599,191 @@ class Tensor:
     def reshape(self, *shape: int) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        data = self.data.reshape(shape)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
+        out = Tensor(self.data.reshape(shape))
+        if _on_tape(self):
+            def backward(grad: np.ndarray) -> None:
                 self._accumulate(grad.reshape(self.data.shape))
 
-        return self._make(data, (self,), backward)
+            out._record((self,), backward)
+        return out
 
     def transpose(self) -> "Tensor":
-        data = self.data.T
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
+        out = Tensor(self.data.T)
+        if _on_tape(self):
+            def backward(grad: np.ndarray) -> None:
                 self._accumulate(grad.T)
 
-        return self._make(data, (self,), backward)
+            out._record((self,), backward)
+        return out
 
     @property
     def T(self) -> "Tensor":
         return self.transpose()
 
     def __getitem__(self, key) -> "Tensor":
-        data = self.data[key]
+        out = Tensor(self.data[key])
+        if _on_tape(self):
+            def backward(grad: np.ndarray) -> None:
+                # Flat positions of the selected elements: one scatter
+                # covers slices, masks and index arrays with repeats.
+                positions = np.arange(self.data.size).reshape(
+                    self.data.shape)[key]
+                self._accumulate(_scatter_add(
+                    grad.ravel(), positions.ravel(), self.data.size,
+                ).reshape(self.data.shape))
 
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                full = np.zeros_like(self.data)
-                np.add.at(full, key, grad)
-                self._accumulate(full)
+            out._record((self,), backward)
+        return out
 
-        return self._make(data, (self,), backward)
-
+    # ------------------------------------------------------------------
+    # Row movement (see the module docstring)
+    # ------------------------------------------------------------------
     def index_select(self, indices: np.ndarray) -> "Tensor":
         """Select rows by an integer index array (duplicates allowed)."""
         indices = np.asarray(indices, dtype=np.int64)
-        data = self.data[indices]
+        out = Tensor(self.data.take(indices, axis=0))
+        if _on_tape(self):
+            def backward(grad: np.ndarray) -> None:
+                self._accumulate(
+                    _scatter_add(grad, indices, len(self.data)))
 
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                full = np.zeros_like(self.data)
-                np.add.at(full, indices, grad)
-                self._accumulate(full)
-
-        return self._make(data, (self,), backward)
-
-    # ------------------------------------------------------------------
-    # Static combinators
-    # ------------------------------------------------------------------
-    @staticmethod
-    def concat(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
-        tensors = [Tensor._lift(t) for t in tensors]
-        data = np.concatenate([t.data for t in tensors], axis=axis)
-        sizes = [t.data.shape[axis] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
-
-        def backward(grad: np.ndarray) -> None:
-            for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-                if tensor.requires_grad:
-                    slicer = [slice(None)] * grad.ndim
-                    slicer[axis] = slice(start, stop)
-                    tensor._accumulate(grad[tuple(slicer)])
-
-        out = tensors[0]._make(data, tensors, backward)
+            out._record((self,), backward)
         return out
-
-    @staticmethod
-    def stack(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
-        tensors = [Tensor._lift(t) for t in tensors]
-        data = np.stack([t.data for t in tensors], axis=axis)
-
-        def backward(grad: np.ndarray) -> None:
-            pieces = np.moveaxis(grad, axis, 0)
-            for tensor, piece in zip(tensors, pieces):
-                if tensor.requires_grad:
-                    tensor._accumulate(piece)
-
-        return tensors[0]._make(data, tensors, backward)
-
-    @staticmethod
-    def zeros(shape: tuple[int, ...], requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.zeros(shape), requires_grad=requires_grad)
 
     def scatter_add(self, indices: np.ndarray, num_rows: int) -> "Tensor":
         """Sum rows of ``self`` into ``num_rows`` buckets given by ``indices``.
 
-        This is the core primitive for DeepSets-style child aggregation in
-        the DAG message-passing network: children hidden states (rows of
-        ``self``) are summed into their parents (buckets).
+        The general form (any ``indices``, rounds derived per call);
+        the message-passing loops pass precomputed rounds to
+        :meth:`gather_sum` instead.
         """
         indices = np.asarray(indices, dtype=np.int64)
         if indices.shape[0] != self.data.shape[0]:
             raise ValueError(
                 f"indices length {indices.shape[0]} != rows {self.data.shape[0]}"
             )
-        data = np.zeros((num_rows,) + self.data.shape[1:], dtype=np.float64)
-        np.add.at(data, indices, self.data)
+        out = Tensor(_scatter_add(self.data, indices, num_rows))
+        if _on_tape(self):
+            def backward(grad: np.ndarray) -> None:
+                self._accumulate(grad.take(indices, axis=0))
 
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad[indices])
+            out._record((self,), backward)
+        return out
 
-        return self._make(data, (self,), backward)
+    def gather_sum(self, sums: RowSums, num_rows: int,
+                   reverse: RowSums) -> "Tensor":
+        """Row ``t`` of the ``[num_rows, ...]`` result sums the rows of
+        ``self`` that ``sums`` routes to ``t`` — DeepSets child
+        aggregation, with ``self`` the node states and ``t`` the
+        parents of one level.
+
+        ``sums`` are the :func:`rank_rounds` of the edge list (child
+        row, parent row): each parent adds its children left to right.
+        ``reverse`` are those of the reversed edges (parent row, child
+        row); the backward pass runs the same kernel over them, so a
+        child of several parents sums their gradients in edge order.
+        Both are precomputed by whoever knows the structure
+        (``repro.featurize.batch`` derives them with the level plan,
+        the collate functions once per batch): no call sorts anything.
+        """
+        out = Tensor(_sum_rounds(self.data, sums, num_rows))
+        if _on_tape(self):
+            def backward(grad: np.ndarray) -> None:
+                self._accumulate(
+                    _sum_rounds(grad, reverse, len(self.data)))
+
+            out._record((self,), backward)
+        return out
+
+    def add_rows(self, indices: np.ndarray, delta: "Tensor") -> "Tensor":
+        """``self`` with ``delta`` added to the *distinct* rows
+        ``indices`` — what ``self + delta.scatter_add(indices, n)``
+        computes, for one state copy plus a row update instead of a
+        scatter into zeros plus a full-width add."""
+        indices = np.asarray(indices, dtype=np.int64)
+        out = Tensor(_add_rows(self.data, indices, delta.data))
+        if _on_tape(self, delta):
+            def backward(grad: np.ndarray) -> None:
+                if self.requires_grad:
+                    self._accumulate(grad)
+                if delta.requires_grad:
+                    delta._accumulate(grad.take(indices, axis=0))
+
+            out._record((self, delta), backward)
+        return out
+
+    # ------------------------------------------------------------------
+    # Static combinators
+    # ------------------------------------------------------------------
+    @staticmethod
+    def scatter_rows(pieces: Sequence["Tensor"],
+                     index_sets: Sequence[np.ndarray],
+                     num_rows: int) -> "Tensor":
+        """A ``[num_rows, ...]`` matrix of zeros with the rows of
+        ``pieces[i]`` placed at ``index_sets[i]``.
+
+        All indices must be pairwise distinct (within and across sets;
+        node-type positions and type slots are): the rows are assigned,
+        where ``sum(piece.scatter_add(...))`` would add each to zero.
+        """
+        if not pieces or len(pieces) != len(index_sets):
+            raise ValueError(
+                f"scatter_rows needs one index set per piece and at least "
+                f"one piece, got {len(pieces)} and {len(index_sets)}")
+        index_sets = [np.asarray(indices, dtype=np.int64)
+                      for indices in index_sets]
+        for piece, indices in zip(pieces, index_sets):
+            if indices.shape != piece.data.shape[:1]:
+                raise ValueError(
+                    f"indices shape {indices.shape} != rows "
+                    f"{piece.data.shape[:1]}")
+        out = Tensor(_scatter_rows([p.data for p in pieces], index_sets,
+                                   num_rows))
+        if _on_tape(*pieces):
+            def backward(grad: np.ndarray) -> None:
+                for piece, indices in zip(pieces, index_sets):
+                    if piece.requires_grad:
+                        piece._accumulate(grad.take(indices, axis=0))
+
+            out._record(pieces, backward)
+        return out
+
+    @staticmethod
+    def concat(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
+        tensors = [Tensor._lift(t) for t in tensors]
+        out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
+        if _on_tape(*tensors):
+            sizes = [t.data.shape[axis] for t in tensors]
+            offsets = np.cumsum([0] + sizes)
+
+            def backward(grad: np.ndarray) -> None:
+                for tensor, start, stop in zip(tensors, offsets[:-1],
+                                               offsets[1:]):
+                    if tensor.requires_grad:
+                        slicer = [slice(None)] * grad.ndim
+                        slicer[axis] = slice(start, stop)
+                        tensor._accumulate(grad[tuple(slicer)])
+
+            out._record(tensors, backward)
+        return out
+
+    @staticmethod
+    def stack(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
+        tensors = [Tensor._lift(t) for t in tensors]
+        out = Tensor(np.stack([t.data for t in tensors], axis=axis))
+        if _on_tape(*tensors):
+            def backward(grad: np.ndarray) -> None:
+                pieces = np.moveaxis(grad, axis, 0)
+                for tensor, piece in zip(tensors, pieces):
+                    if tensor.requires_grad:
+                        tensor._accumulate(piece)
+
+            out._record(tensors, backward)
+        return out
+
+    @staticmethod
+    def zeros(shape: tuple[int, ...], requires_grad: bool = False) -> "Tensor":
+        return Tensor(np.zeros(shape), requires_grad=requires_grad)
 
     # ------------------------------------------------------------------
     # Backward pass

@@ -373,10 +373,10 @@ class PredictionServer:
                 pending._fail(error)
             return
         now = time.perf_counter()
+        latencies = [now - pending._enqueued_at for pending in batch]
         self.stats.add(batches=1, requests=len(batch))
-        for pending, runtime in zip(batch, runtimes):
-            latency = now - pending._enqueued_at
-            self.stats.observe_latency(latency)
+        self.stats.observe_latencies(latencies)
+        for pending, runtime, latency in zip(batch, runtimes, latencies):
             pending._resolve(PredictionResponse(
                 runtime=float(runtime), model_version=version,
                 batch_index=index, latency_seconds=latency,

@@ -27,10 +27,11 @@ bit-identity and a ≥3× throughput win over per-plan prediction.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -52,8 +53,9 @@ LATENCY_WINDOW = 8192
 class ServiceStats:
     """Operational counters of one service or server instance.
 
-    All mutation goes through :meth:`add` / :meth:`observe_latency`,
-    which are **thread-safe**: the concurrent front end
+    All mutation goes through :meth:`add` / :meth:`observe_latency` /
+    :meth:`observe_latencies`, which are **thread-safe**: the concurrent
+    front end
     (:class:`~repro.serve.server.PredictionServer`) increments counters
     from its batcher thread while any number of client threads read
     them, and a bare ``+=`` on a shared int is a read-modify-write race
@@ -85,6 +87,11 @@ class ServiceStats:
         """Record one request's submit→response latency."""
         with self._mutex:
             self._latencies.append(seconds)
+
+    def observe_latencies(self, seconds: Iterable[float]) -> None:
+        """Record one batch's latencies under a single lock take."""
+        with self._mutex:
+            self._latencies.extend(seconds)
 
     @property
     def observed_latencies(self) -> int:
@@ -170,8 +177,9 @@ class CostModelService:
         """Encode (through the cache) and yield micro-batches, keeping
         the request/batch accounting in one place for every prediction
         surface."""
-        encoded = [self._encode(item) for item in items]
-        self.stats.add(requests=len(encoded))
+        with self._counting() as counts:
+            encoded = [self._encode(item, counts) for item in items]
+            counts["requests"] = len(encoded)
         for start in range(0, len(encoded), self.max_batch_size):
             self.stats.add(batches=1)
             yield encoded[start:start + self.max_batch_size]
@@ -217,10 +225,10 @@ class CostModelService:
     def warm(self, items: Sequence["PhysicalPlan | str | Any"]) -> int:
         """Pre-populate the encode cache (featurization cost only, no
         model forwards); returns the number of fresh encodes."""
-        before = self.stats.cache_misses
-        for item in items:
-            self._encode(item)
-        return self.stats.cache_misses - before
+        with self._counting() as counts:
+            for item in items:
+                self._encode(item, counts)
+        return counts["cache_misses"]
 
     def clear_cache(self) -> None:
         self._cache.clear()
@@ -238,20 +246,31 @@ class CostModelService:
             return ("sql", item)
         return ("plan", id(item))
 
-    def _encode(self, item):
+    @contextlib.contextmanager
+    def _counting(self):
+        """Cache counters of one call, kept locally and applied in one
+        :meth:`ServiceStats.add` (one lock take per call, not one per
+        item) — also when an item fails to encode, so the stats read
+        what per-item increments would have left."""
+        counts = dict.fromkeys(
+            ("cache_hits", "cache_misses", "cache_evictions"), 0)
+        try:
+            yield counts
+        finally:
+            self.stats.add(**counts)
+
+    def _encode(self, item, counts: dict[str, int]):
         key = self._key_of(item)
         entry = self._cache.get(key)
         if entry is not None:
-            self.stats.add(cache_hits=1)
+            counts["cache_hits"] += 1
             return entry.encoded
-        self.stats.add(cache_misses=1)
+        counts["cache_misses"] += 1
         # A cache hit skips this entirely: SQL requests save the parse +
         # plan + featurize, plan requests save the featurize.
         plan = item if isinstance(item, PhysicalPlan) \
             else resolve_plans([item], self.database)[0]
         encoded = self.estimator.encode_plans([plan], self.database)[0]
-        evicted = self._cache.put(key, _CacheEntry(encoded=encoded,
-                                                   source=item))
-        if evicted:
-            self.stats.add(cache_evictions=evicted)
+        counts["cache_evictions"] += self._cache.put(
+            key, _CacheEntry(encoded=encoded, source=item))
         return encoded

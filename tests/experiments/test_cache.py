@@ -180,6 +180,62 @@ class TestKeying:
         assert reloaded.corpus.num_queries == context.corpus.num_queries
 
 
+def _truncate(path, keep=0.6):
+    """Cut a file short, as a full disk or an interrupted copy does."""
+    data = path.read_bytes()
+    assert len(data) > 16
+    path.write_bytes(data[:int(len(data) * keep)])
+
+
+class TestTruncatedEntries:
+    """A truncated pickle under a ``COMPLETE`` marker (a full disk, a
+    copy cut short) used to raise ``EOFError`` / ``UnpicklingError``
+    out of ``build_context``; it is a miss that re-executes — and the
+    re-executed entry replaces the broken one."""
+
+    @pytest.mark.parametrize("victim", ["context.pkl", "corpus-shard"])
+    def test_truncated_context_is_a_miss_and_heals(self, warm_store,
+                                                   tmp_path, victim):
+        _, context = warm_store
+        store = ArtifactStore(tmp_path)
+        scale = tiny_scale()
+        entry = store.save_context(context, with_imdb_pool=False)
+        assert store.load_context(scale, with_imdb_pool=False) is not None
+        if victim == "corpus-shard":
+            shard_files = sorted((entry / "corpus").rglob("*.pkl"))
+            assert shard_files, "corpus layout changed: no shard pickles"
+            _truncate(shard_files[0])
+        else:
+            _truncate(entry / victim)
+        assert store.has_context(scale, with_imdb_pool=False)
+
+        assert store.load_context(scale, with_imdb_pool=False) is None
+        # Demoted, so the rebuilt context is published over it.
+        assert not store.has_context(scale, with_imdb_pool=False)
+        store.save_context(context, with_imdb_pool=False)
+        reloaded = store.load_context(scale, with_imdb_pool=False)
+        assert reloaded is not None
+        assert reloaded.corpus.num_queries == context.corpus.num_queries
+
+    @pytest.mark.parametrize("keep", [0.0, 0.6])
+    def test_truncated_shard_is_a_miss_and_heals(self, tmp_path, keep):
+        specs = generate_training_database_specs(
+            1, base_seed=43, min_rows=200, max_rows=600)
+        (shard,) = make_corpus_shards(specs, 6, seed=43,
+                                      random_indexes_per_database=0)
+        executed = execute_shard(shard)
+        store = ArtifactStore(tmp_path)
+        entry = store.save_shard(executed)
+        _truncate(entry / "payload.pkl", keep)
+        assert store.has_shard(shard)
+
+        assert store.load_shard(shard) is None
+        assert not store.has_shard(shard)
+        store.save_shard(executed)
+        assert [r.runtime_seconds for r in store.load_shard(shard).records] \
+            == [r.runtime_seconds for r in executed.records]
+
+
 class TestShardStore:
     """Per-shard artifacts: the incremental half of the store."""
 

@@ -1,0 +1,97 @@
+"""Test-only reference forwards: the message passing as it was written
+before the rank-round row primitives, kept as the oracle they are
+tested (and, in ``benchmarks/test_perf_microbench.py``, timed) against.
+
+``reference_hidden_states`` is ``ZeroShotNet.hidden_states`` of the
+parent commit and ``reference_e2e_forward`` its copy in
+``E2ENet.forward``, verbatim but for two things: ``self`` is the
+network passed in, and ``x.scatter_add(indices, n)`` is spelled
+``_scatter_add(x, indices, n)`` — the literal ``np.zeros`` +
+``np.add.at`` that method used to be.  Run them under ``no_grad``; not
+a second forward of the library: nothing under ``src/`` imports this.
+"""
+
+import numpy as np
+
+from repro.featurize.graph import NODE_TYPES
+from repro.nn import Tensor
+
+
+def _scatter_add(rows: Tensor, indices: np.ndarray, num_rows: int) -> Tensor:
+    data = np.zeros((num_rows,) + rows.data.shape[1:], dtype=np.float64)
+    np.add.at(data, indices, rows.data)
+    return Tensor(data)
+
+
+def reference_hidden_states(net, batch) -> Tensor:
+    hidden_dim = net.config.hidden_dim
+
+    # 1. Initial hidden states, scattered into one [N, hidden] matrix.
+    hidden = Tensor(np.zeros((batch.num_nodes, hidden_dim)))
+    for node_type in NODE_TYPES:
+        features = batch.features[node_type]
+        if len(features) == 0:
+            continue
+        encoder = net._modules[f"encode_{node_type}"]
+        encoded = encoder(Tensor(features))
+        hidden = hidden + _scatter_add(
+            encoded, batch.type_positions[node_type], batch.num_nodes
+        )
+
+    # 2. Level-by-level bottom-up combine.
+    for level in batch.levels:
+        num_parents = len(level.parent_ids)
+        child_hidden = hidden.index_select(level.edge_child_ids)
+        child_sum = _scatter_add(child_hidden, level.edge_parent_slots,
+                                 num_parents)
+        parent_hidden = hidden.index_select(level.parent_ids)
+        combined = Tensor(np.zeros((num_parents, hidden_dim)))
+        for node_type, slots in level.type_slots.items():
+            combine = net._modules[f"combine_{node_type}"]
+            stacked = Tensor.concat(
+                [parent_hidden.index_select(slots),
+                 child_sum.index_select(slots)], axis=1
+            )
+            combined = combined + _scatter_add(
+                combine(stacked), slots, num_parents
+            )
+        delta = combined - parent_hidden
+        hidden = hidden + _scatter_add(delta, level.parent_ids,
+                                       batch.num_nodes)
+    return hidden
+
+
+def reference_forward(net, batch) -> Tensor:
+    roots = reference_hidden_states(net, batch).index_select(batch.roots)
+    return net.readout(roots).reshape(-1)
+
+
+def reference_forward_with_cardinalities(net, batch
+                                         ) -> tuple[Tensor, Tensor]:
+    hidden = reference_hidden_states(net, batch)
+    runtime = net.readout(hidden.index_select(batch.roots)).reshape(-1)
+    ops = hidden.index_select(batch.type_positions["plan_op"])
+    cardinalities = net.card_readout(ops).reshape(-1)
+    return runtime, cardinalities
+
+
+def reference_e2e_forward(net, batch) -> Tensor:
+    hidden = net.encoder(Tensor(batch.features))
+    for parent_ids, child_sums, _ in batch.levels:
+        # The batch lists a level's edges as rank rounds; listed round
+        # after round, every parent's children keep their edge order,
+        # which is all np.add.at depends on.
+        child_ids = np.concatenate(child_sums.rounds)
+        parent_slots = np.concatenate(
+            [child_sums.targets[:len(sources)]
+             for sources in child_sums.rounds])
+        child_sum = _scatter_add(
+            hidden.index_select(child_ids), parent_slots, len(parent_ids)
+        )
+        parent_hidden = hidden.index_select(parent_ids)
+        combined = net.combine(
+            Tensor.concat([parent_hidden, child_sum], axis=1)
+        )
+        delta = combined - parent_hidden
+        hidden = hidden + _scatter_add(delta, parent_ids, batch.num_nodes)
+    return net.readout(hidden.index_select(batch.roots)).reshape(-1)

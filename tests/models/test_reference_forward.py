@@ -1,0 +1,107 @@
+"""The message-passing forwards against their test-only references.
+
+``reference_forward.py`` keeps the parent commit's ``hidden_states`` /
+``E2ENet.forward`` (every scatter an ``np.zeros`` + ``np.add.at``, every
+state update a full-width add).  The forwards in ``repro.models`` are
+written on the rank-round row primitives instead and must produce the
+same arrays **exactly**, on random batches of the frozen plan set the
+featurize goldens are taken from.
+"""
+
+import numpy as np
+import pytest
+from reference_forward import (
+    reference_e2e_forward,
+    reference_forward,
+    reference_forward_with_cardinalities,
+)
+
+from repro.db import make_imdb_database
+from repro.engine import execute_plan
+from repro.featurize import CardinalitySource, ZeroShotFeaturizer
+from repro.featurize.batch import encode_graphs, fit_scalers, merge_encoded
+from repro.featurize.e2e import E2EFeaturizer
+from repro.models.e2e import E2EConfig, E2ENet, _batch_trees
+from repro.models.zero_shot import ZeroShotConfig, ZeroShotNet
+from repro.nn import no_grad
+from repro.optimizer import plan_query
+from repro.workload import make_benchmark_workload
+
+BATCH_SIZES = (1, 16, 64)
+
+
+@pytest.fixture(scope="module")
+def golden_plans():
+    """The plan set of ``tests/featurize/test_goldens.py``."""
+    database = make_imdb_database(scale=0.04, seed=7)
+    queries = (make_benchmark_workload(database, "scale", 4, seed=13) +
+               make_benchmark_workload(database, "job-light", 4, seed=13))
+    plans = [plan_query(database, query) for query in queries]
+    for plan in plans:
+        execute_plan(database, plan)
+    return database, plans
+
+
+def _random_batches(samples, seed):
+    """b1 / b16 / b64 draws (with repeats) from ``samples``."""
+    rng = np.random.default_rng(seed)
+    for size in BATCH_SIZES:
+        for _ in range(4):
+            yield [samples[i] for i in rng.integers(0, len(samples), size)]
+
+
+def _randomized(net, seed):
+    """Biases start at zero; give every parameter a value of its own so
+    no term of the forward is silently absent."""
+    rng = np.random.default_rng(seed)
+    for parameter in net.parameters():
+        parameter.data += rng.normal(scale=0.1, size=parameter.data.shape)
+    net.eval()
+    return net
+
+
+@pytest.mark.parametrize("system_features", [False, True],
+                         ids=["plain", "system"])
+def test_zero_shot_forwards_equal_the_reference(golden_plans,
+                                                system_features):
+    database, plans = golden_plans
+    featurizer = ZeroShotFeaturizer(CardinalitySource.ESTIMATED,
+                                    system_features=system_features)
+    graphs = [featurizer.featurize(plan, database) for plan in plans]
+    encoded = encode_graphs(graphs, fit_scalers(graphs))
+    net = _randomized(ZeroShotNet(ZeroShotConfig(
+        hidden_dim=32, cardinality_head=True,
+        system_features=system_features)), seed=1)
+
+    mixed_levels = 0
+    with no_grad():
+        for chunk in _random_batches(encoded, seed=2):
+            batch = merge_encoded(chunk)
+            mixed_levels += sum(len(level.type_slots) > 1
+                                for level in batch.levels)
+            expected = reference_forward(net, batch).numpy()
+            assert np.array_equal(net(batch).numpy(), expected)
+            runtime, cards = net.forward_with_cardinalities(batch)
+            ref_runtime, ref_cards = \
+                reference_forward_with_cardinalities(net, batch)
+            assert np.array_equal(runtime.numpy(), ref_runtime.numpy())
+            assert np.array_equal(runtime.numpy(), expected)
+            assert np.array_equal(cards.numpy(), ref_cards.numpy())
+            assert np.abs(expected).sum() > 0
+    # Both branches of the per-type combine were exercised.
+    assert mixed_levels > 0
+
+
+def test_e2e_forward_equals_the_reference(golden_plans):
+    database, plans = golden_plans
+    featurizer = E2EFeaturizer(database).fit(plans)
+    samples = [featurizer.featurize(plan) for plan in plans]
+    net = _randomized(E2ENet(featurizer.node_dim, E2EConfig(hidden_dim=32)),
+                      seed=3)
+    with no_grad():
+        for chunk in _random_batches(samples, seed=4):
+            batch = _batch_trees(chunk)
+            assert batch.levels, "plans without a join or filter level"
+            expected = reference_e2e_forward(net, batch).numpy()
+            assert np.array_equal(net(batch).numpy(), expected)
+            assert np.abs(expected).sum() > 0

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.tensor import (
+    RowSums,
+    Tensor,
+    no_grad,
+    occurrence_ranks,
+    rank_rounds,
+)
 
 
 def numerical_gradient(fn, array, eps=1e-6):
@@ -244,3 +250,261 @@ def test_scatter_add_preserves_total(n, buckets, seed):
     idx = rng.integers(0, buckets, size=n)
     out = Tensor(x).scatter_add(idx, buckets)
     np.testing.assert_allclose(out.data.sum(axis=0), x.sum(axis=0), atol=1e-9)
+
+
+# ----------------------------------------------------------------------
+# Row primitives: every scatter against the literal np.zeros + np.add.at
+# ----------------------------------------------------------------------
+def add_at(rows, indices, num_rows):
+    """The reference every row primitive replaced."""
+    out = np.zeros((num_rows,) + rows.shape[1:])
+    np.add.at(out, indices, rows)
+    return out
+
+
+#: Index sets the primitives must agree with ``add_at`` on; each is
+#: (indices, num_rows).
+INDEX_SETS = {
+    "duplicates": (np.array([2, 0, 2, 2, 5, 0, 2]), 7),
+    "one_bucket": (np.array([3, 3, 3, 3]), 4),
+    "empty": (np.zeros(0, dtype=np.int64), 3),
+    "single_row": (np.array([1]), 2),
+    "unsorted_distinct": (np.array([4, 0, 3, 1]), 6),
+    "negative": (np.array([-1, 0, -1, 2]), 4),
+}
+
+
+def _rows(count, seed=0, width=3):
+    return np.random.default_rng(seed).normal(size=(count, width))
+
+
+class TestRowPrimitives:
+    def test_occurrence_ranks(self):
+        np.testing.assert_array_equal(
+            occurrence_ranks(np.array([7, 3, 7, 7, 3])), [0, 0, 1, 2, 1])
+        assert occurrence_ranks(np.zeros(0, dtype=np.int64)).shape == (0,)
+
+    @pytest.mark.parametrize("name", sorted(INDEX_SETS))
+    def test_scatter_add_equals_add_at(self, name):
+        indices, num_rows = INDEX_SETS[name]
+        rows = _rows(len(indices))
+        out = Tensor(rows).scatter_add(indices, num_rows)
+        assert np.array_equal(out.data, add_at(rows, indices, num_rows))
+
+    @pytest.mark.parametrize("name", sorted(INDEX_SETS))
+    def test_index_select_backward_equals_add_at(self, name):
+        indices, num_rows = INDEX_SETS[name]
+        source = Tensor(_rows(num_rows), requires_grad=True)
+        upstream = _rows(len(indices), seed=1)
+        source.index_select(indices).backward(upstream)
+        assert np.array_equal(source.grad,
+                              add_at(upstream, indices, num_rows))
+
+    @pytest.mark.parametrize("key", [
+        slice(1, 4), 2, (slice(None), 1), np.array([0, 0, 3]),
+        np.array([True, False, True, True, False]),
+        (np.array([0, 0, 2]), np.array([1, 1, 0])),
+    ], ids=["slice", "int", "column", "repeats", "mask", "pairs"])
+    def test_getitem_backward_equals_add_at(self, key):
+        source = Tensor(_rows(5), requires_grad=True)
+        selected = source[key]
+        upstream = np.random.default_rng(2).normal(size=selected.shape)
+        selected.backward(upstream)
+        expected = np.zeros((5, 3))
+        np.add.at(expected, key, upstream)
+        assert np.array_equal(source.grad, expected)
+
+    @pytest.mark.parametrize("name", sorted(INDEX_SETS))
+    def test_gather_sum_equals_add_at(self, name):
+        """Child rows summed into parent rows, forward and backward."""
+        parents, num_parents = INDEX_SETS[name]
+        parents = parents % num_parents
+        rng = np.random.default_rng(3)
+        children = rng.integers(0, 5, size=len(parents))
+        states = Tensor(_rows(5), requires_grad=True)
+        sums = rank_rounds(children, parents)
+        reverse = rank_rounds(parents, children)
+        out = states.gather_sum(sums, num_parents, reverse)
+        assert np.array_equal(
+            out.data, add_at(states.data[children], parents, num_parents))
+        upstream = _rows(num_parents, seed=4)
+        out.backward(upstream)
+        assert np.array_equal(
+            states.grad, add_at(upstream[parents], children, 5))
+
+    def test_rank_rounds_shape(self):
+        """Round k is the k-th source of a prefix of the targets."""
+        sums = rank_rounds(np.arange(7), np.array([2, 0, 2, 2, 5, 0, 2]))
+        assert isinstance(sums, RowSums)
+        np.testing.assert_array_equal(sums.targets, [2, 0, 5])
+        assert [r.tolist() for r in sums.rounds] == \
+            [[0, 1, 4], [2, 5], [3], [6]]
+
+    def test_rank_rounds_keeps_the_callers_order(self):
+        """Explicit ranks override the order the edges arrive in."""
+        sources = np.array([10, 11, 12])
+        targets = np.array([4, 4, 4])
+        sums = rank_rounds(sources, targets, ranks=np.array([2, 0, 1]))
+        assert [r.tolist() for r in sums.rounds] == [[11], [12], [10]]
+
+    def test_rank_rounds_rejects_mismatched_edges(self):
+        with pytest.raises(ValueError, match="one length"):
+            rank_rounds(np.arange(3), np.arange(4))
+
+    def test_gather_sum_rejects_repeated_targets(self):
+        bad = RowSums(np.array([1, 1]), (np.array([0, 2]),))
+        with pytest.raises(ValueError, match="distinct"):
+            Tensor(_rows(3)).gather_sum(bad, 2, bad)
+
+    @pytest.mark.parametrize("name", ["empty", "single_row",
+                                      "unsorted_distinct"])
+    def test_scatter_rows_equals_add_at(self, name):
+        indices, num_rows = INDEX_SETS[name]
+        rows = _rows(len(indices))
+        out = Tensor.scatter_rows([Tensor(rows)], [indices], num_rows)
+        assert np.array_equal(out.data, add_at(rows, indices, num_rows))
+
+    def test_scatter_rows_places_several_pieces(self):
+        first, second = _rows(2), _rows(3, seed=1)
+        out = Tensor.scatter_rows(
+            [Tensor(first), Tensor(second)],
+            [np.array([5, 1]), np.array([0, 4, 2])], 7)
+        expected = (add_at(first, np.array([5, 1]), 7)
+                    + add_at(second, np.array([0, 4, 2]), 7))
+        assert np.array_equal(out.data, expected)
+
+    @pytest.mark.parametrize("index_sets", [
+        [np.array([0, 2, 2])],                    # within a set
+        [np.array([0, 1]), np.array([3, 1])],     # across sets
+        [np.array([1, -3])],                      # -3 is row 1 of 4
+    ], ids=["within", "across", "negative_alias"])
+    def test_scatter_rows_rejects_repeated_rows(self, index_sets):
+        pieces = [Tensor(_rows(len(indices))) for indices in index_sets]
+        with pytest.raises(ValueError, match="distinct"):
+            Tensor.scatter_rows(pieces, index_sets, 4)
+
+    def test_scatter_rows_rejects_malformed_input(self):
+        with pytest.raises(ValueError, match="at least one piece"):
+            Tensor.scatter_rows([], [], 3)
+        with pytest.raises(ValueError, match="indices shape"):
+            Tensor.scatter_rows([Tensor(_rows(2))], [np.array([0])], 3)
+
+    @pytest.mark.parametrize("name", ["empty", "single_row",
+                                      "unsorted_distinct"])
+    def test_add_rows_equals_state_plus_add_at(self, name):
+        indices, num_rows = INDEX_SETS[name]
+        state, delta = _rows(num_rows), _rows(len(indices), seed=1)
+        out = Tensor(state).add_rows(indices, Tensor(delta))
+        assert np.array_equal(out.data,
+                              state + add_at(delta, indices, num_rows))
+        assert out.data is not state  # the input state is left alone
+
+    def test_add_rows_rejects_repeated_rows(self):
+        with pytest.raises(ValueError, match="distinct"):
+            Tensor(_rows(4)).add_rows(np.array([1, 1]), Tensor(_rows(2)))
+
+    def test_leaky_relu_equals_the_factor_form(self):
+        """``max(x, slope * x)`` is the historical ``x * (1 or slope)``
+        bit for bit, also at zeros, infinities and odd slopes."""
+        values = np.concatenate([
+            np.random.default_rng(5).normal(size=200),
+            [0.0, -0.0, np.inf, -np.inf, 1e-320, -1e-320],
+        ])
+        for slope in (0.01, 0.2, 1.0, 0.0, 1.5, -0.5):
+            with np.errstate(invalid="ignore"):
+                expected = values * np.where(values > 0, 1.0, slope)
+                actual = Tensor(values).leaky_relu(slope).data
+            np.testing.assert_array_equal(actual, expected)
+            if slope != 0.0:  # -inf * 0 is nan either way
+                assert np.array_equal(np.signbit(actual),
+                                      np.signbit(expected))
+
+    def test_row_primitive_gradients(self):
+        """check_gradient over each primitive, repeated rows included."""
+        children = np.array([0, 1, 1, 3, 0, 1])
+        parents = np.array([2, 0, 2, 1, 2, 0])
+        sums = rank_rounds(children, parents)
+        reverse = rank_rounds(parents, children)
+        check_gradient(
+            lambda ts: (ts[0].gather_sum(sums, 3, reverse) ** 2).sum(),
+            [_rows(4)])
+        check_gradient(
+            lambda ts: (Tensor.scatter_rows(
+                [ts[0], ts[1]], [np.array([3, 0]), np.array([1])], 5,
+            ) ** 2).sum(),
+            [_rows(2), _rows(1, seed=1)])
+        check_gradient(
+            lambda ts: (ts[0].add_rows(np.array([2, 0]), ts[1]) ** 2).sum(),
+            [_rows(3), _rows(2, seed=1)])
+        check_gradient(lambda ts: (ts[0] - ts[1] * 2.0).abs().sum(),
+                       [_rows(3), _rows(3, seed=1)])
+        check_gradient(lambda ts: ts[0].leaky_relu(0.2).sum(), [_rows(3)])
+        check_gradient(
+            lambda ts: (ts[0][np.array([0, 0, 2])] ** 2).sum(), [_rows(3)])
+
+
+class TestTapeFree:
+    """Under ``no_grad`` an op leaves nothing behind but its result."""
+
+    @staticmethod
+    def _forward(weights, states):
+        children = np.array([0, 1, 1, 3])
+        parents = np.array([1, 0, 1, 1])
+        sums = rank_rounds(children, parents)
+        reverse = rank_rounds(parents, children)
+        hidden = (states @ weights).leaky_relu()
+        child_sum = hidden.gather_sum(sums, 2, reverse)
+        placed = Tensor.scatter_rows([child_sum], [np.array([2, 0])], 4)
+        updated = hidden.add_rows(np.array([3, 1]),
+                                  child_sum - hidden.index_select([3, 1]))
+        stacked = Tensor.concat([placed, updated], axis=1)
+        return [hidden, child_sum, placed, updated, stacked,
+                stacked.reshape(-1)[2:5], stacked.sum()]
+
+    def test_nothing_is_recorded_and_a_taped_forward_still_learns(self):
+        weights = Tensor(_rows(3), requires_grad=True)
+        states = Tensor(_rows(4))
+        with no_grad():
+            results = self._forward(weights, states)
+        for result in results:
+            assert result._parents == ()
+            assert result._backward is None
+            assert result.requires_grad is False
+        # Operands that need no grad leave nothing behind either.
+        for result in self._forward(Tensor(_rows(3)), states):
+            assert result._parents == () and result._backward is None
+
+        taped = self._forward(weights, states)
+        assert all(result.requires_grad for result in taped)
+        taped[-1].backward()
+        assert weights.grad is not None and np.abs(weights.grad).sum() > 0
+        for tape_free, recorded in zip(results, taped):
+            assert np.array_equal(tape_free.data, recorded.data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    edges=st.integers(min_value=0, max_value=40),
+    num_children=st.integers(min_value=1, max_value=6),
+    num_parents=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_gather_sum_matches_add_at(edges, num_children, num_parents, seed):
+    """Property: rank rounds add bit for bit what np.add.at adds, in
+    both directions, whatever the edge multiset."""
+    rng = np.random.default_rng(seed)
+    children = rng.integers(0, num_children, size=edges)
+    parents = rng.integers(0, num_parents, size=edges)
+    states = Tensor(rng.normal(size=(num_children, 4)), requires_grad=True)
+    out = states.gather_sum(rank_rounds(children, parents), num_parents,
+                            rank_rounds(parents, children))
+    assert np.array_equal(
+        out.data, add_at(states.data[children], parents, num_parents))
+    upstream = rng.normal(size=(num_parents, 4))
+    out.backward(upstream)
+    assert np.array_equal(
+        states.grad, add_at(upstream[parents], children, num_children))
+    # The general scatter (rounds derived per call) agrees as well.
+    rows = rng.normal(size=(edges, 4))
+    assert np.array_equal(Tensor(rows).scatter_add(parents, num_parents).data,
+                          add_at(rows, parents, num_parents))

@@ -172,6 +172,7 @@ class TestConcurrencyBitIdentity:
             for _ in range(per_thread):
                 stats.add(requests=1, batches=2)
                 stats.observe_latency(0.001)
+                stats.observe_latencies((0.002, 0.003))
 
         workers = [threading.Thread(target=hammer) for _ in range(threads)]
         for worker in workers:
@@ -181,6 +182,17 @@ class TestConcurrencyBitIdentity:
         assert stats.requests == threads * per_thread
         assert stats.batches == 2 * threads * per_thread
         assert stats.observed_latencies == LATENCY_WINDOW
+
+    def test_batch_latencies_are_observed_exactly(self):
+        """``observe_latencies`` is ``observe_latency`` per element:
+        nothing lost below the window, the oldest dropped beyond it."""
+        stats = ServiceStats()
+        stats.observe_latencies(value / 1000.0 for value in range(1, 101))
+        assert stats.observed_latencies == 100
+        assert stats.latency_p50 == pytest.approx(0.0505)
+        stats.observe_latencies([1.0] * LATENCY_WINDOW)
+        assert stats.observed_latencies == LATENCY_WINDOW
+        assert stats.latency_quantile(0.0) == 1.0
 
     def test_clear_cache_races_a_warm_predictor(self, tiny_imdb,
                                                 serve_plans):

@@ -191,6 +191,52 @@ class TestCacheRegressions:
         assert service.stats.cache_hits == 10
         assert service.stats.requests == 5
 
+    def test_counters_are_exact_when_an_item_fails_to_encode(
+            self, tiny_imdb, serve_plans):
+        """The counters are kept per call and applied once; a request
+        that fails midway must still leave what per-item increments
+        left: lookups up to and including the failing one counted, no
+        request, no batch."""
+        service = CostModelService(LinearCostStub(), tiny_imdb,
+                                   cache_entries=2)
+        a, b, c = serve_plans[:3]
+        service.warm([a])
+        with pytest.raises(Exception):
+            service.predict_runtime([a, b, "SELECT nonsense FROM", c])
+        stats = service.stats
+        assert (stats.cache_hits, stats.cache_misses) == (1, 3)
+        assert (stats.requests, stats.batches) == (0, 0)
+        assert stats.cache_evictions == 0
+        with pytest.raises(Exception):
+            service.warm([c, "SELECT nonsense FROM"])
+        assert (stats.cache_hits, stats.cache_misses) == (1, 5)
+        assert stats.cache_evictions == 1   # c pushed a out
+        assert stats.requests == 0
+
+    def test_one_stats_update_per_call_not_per_item(self, tiny_imdb,
+                                                    serve_plans):
+        """One lock take for a call's cache counters plus one per
+        forward — not one per request (64 of them in a full batch)."""
+        service = CostModelService(LinearCostStub(), tiny_imdb,
+                                   max_batch_size=4, cache_entries=3)
+        updates = []
+        original = service.stats.add
+
+        def counting_add(**deltas):
+            updates.append(deltas)
+            original(**deltas)
+
+        service.stats.add = counting_add
+        plans = list(serve_plans[:6])
+        service.predict_runtime(plans)        # 6 misses, 3 evictions
+        assert len(updates) == 1 + 2          # the call, two forwards
+        service.warm(plans[-3:])              # 3 hits
+        assert len(updates) == 4
+        stats = service.stats
+        assert (stats.requests, stats.batches) == (6, 2)
+        assert (stats.cache_hits, stats.cache_misses,
+                stats.cache_evictions) == (3, 6, 3)
+
     def test_cache_entry_source_pins_plan_identity(self, tiny_imdb):
         """A cached plan freed by its caller must stay alive while its
         encoding is cached: identity keys (``("plan", id)``) would

@@ -32,3 +32,43 @@ def test_source_imports_only_stdlib_numpy_and_repro():
         if (foreign := _top_level_imports(path) - ALLOWED)
     }
     assert not offenders, f"third-party imports in src/repro: {offenders}"
+
+
+def _ufunc_at_uses(path: Path) -> list[str]:
+    """``np.<ufunc>.at`` attribute accesses (``np.add.at`` and friends),
+    under whatever name the module imported numpy."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    numpy_names = {
+        alias.asname or alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names if alias.name == "numpy"
+    }
+    return [
+        f"{node.value.value.id}.{node.value.attr}.at:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "at"
+        and isinstance(node.value, ast.Attribute)
+        and isinstance(node.value.value, ast.Name)
+        and node.value.value.id in numpy_names
+    ]
+
+
+def test_source_never_scatters_through_ufunc_at():
+    """``ufunc.at`` is ~25x slower than the fancy-index assignment the
+    row primitives of ``repro.nn.tensor`` use (``scatter_rows``,
+    ``gather_sum``, ``add_rows``); a new op must build on those, not
+    bring the slow scatter back."""
+    offenders = {
+        str(path.relative_to(PACKAGE_ROOT)): uses
+        for path in sorted(PACKAGE_ROOT.rglob("*.py"))
+        if (uses := _ufunc_at_uses(path))
+    }
+    assert not offenders, f"ufunc.at under src/repro: {offenders}"
+
+
+def test_ufunc_at_guard_sees_what_it_guards(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("import numpy as np\nimport numpy\n"
+                      "np.add.at(a, i, v)\nnumpy.maximum.at(a, i, v)\n"
+                      "frame.at[0]\n")
+    assert _ufunc_at_uses(sample) == ["np.add.at:3", "numpy.maximum.at:4"]
