@@ -325,7 +325,7 @@ def test_fragment_dedup_node_forward_reduction(five_way_setup):
         legacy.joined_rows(query, aliases)
     finally:
         del core.predict_cardinalities_from_encoded
-    legacy_fragments = dict(legacy._cache.get(id(query))[1])
+    legacy_fragments = dict(legacy._cache.get(query))
 
     dedup, dedup_counted, core = _counting_estimator(
         database, estimator, dedup_fragments=True)
@@ -333,7 +333,7 @@ def test_fragment_dedup_node_forward_reduction(five_way_setup):
         dedup.joined_rows(query, aliases)
     finally:
         del core.predict_cardinalities_from_encoded
-    dedup_fragments = dict(dedup._cache.get(id(query))[1])
+    dedup_fragments = dict(dedup._cache.get(query))
 
     assert legacy_fragments == dedup_fragments
     assert len(dedup_fragments) > 5  # scans + joined fragments primed

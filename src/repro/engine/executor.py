@@ -21,7 +21,7 @@ table), the batched-collection fast path the workload runner uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -48,7 +48,7 @@ from repro.plans.operators import (
     SeqScan,
     Sort,
 )
-from repro.plans.plan import PhysicalPlan
+from repro.plans.plan import PhysicalPlan, plan_signature
 from repro.sql.ast import AggregateFunction, AggregateSpec, ColumnRef, Predicate
 from repro.util import LRUCache, Registry
 
@@ -121,24 +121,6 @@ class ExecutionResult:
         if not keys:
             raise ExecutionError("result has no columns")
         return float(self.relation.columns[keys[index]][0])
-
-
-def _subtree_signature(node: PlanNode) -> tuple:
-    """A structural fingerprint of an executable subtree.
-
-    Two subtrees with equal signatures produce identical relations when
-    executed against the same (unmodified) database, which is what makes
-    build-side memoization sound.  Estimates and actuals are excluded;
-    everything semantically relevant (operator types, tables, filters,
-    keys, index names) is captured via the operators' dataclass fields.
-    """
-    skip = {"children", "est_rows", "est_width", "est_cost", "actual_rows"}
-    params = tuple(
-        (f.name, repr(getattr(node, f.name)))
-        for f in dataclass_fields(node) if f.name not in skip
-    )
-    return (type(node).__name__, params,
-            tuple(_subtree_signature(child) for child in node.children))
 
 
 def _collect_actuals(node: PlanNode) -> tuple[int | None, ...]:
@@ -443,7 +425,7 @@ class Executor:
     def _cached_build(self, build_node: PlanNode) -> _BuildEntry:
         """Fetch (or execute and memoize) a hash-join build side."""
         self.build_cache.check_database(self.database)
-        signature = _subtree_signature(build_node)
+        signature = plan_signature(build_node)
         entry = self.build_cache.get(signature)
         if entry is None:
             relation = self._execute_node(build_node)

@@ -447,10 +447,11 @@ class LevelPlanCache(LRUCache):
     a batch's level plan is valid only for exactly that list of graph
     objects in exactly that order.  Every entry **pins** the graph
     objects themselves, so a cached key's ids cannot be recycled while
-    the entry lives (the same idiom as the learned-cardinality
-    estimator's per-query cache); eviction releases plan and pins
-    together.  The shared :class:`~repro.util.LRUCache` lock makes
-    lookups safe from concurrent serving threads sharing one model.
+    the entry lives (the same idiom as the serving tier's encode
+    cache, whose entries pin the request object); eviction releases
+    plan and pins together.  The shared :class:`~repro.util.LRUCache`
+    lock makes lookups safe from concurrent serving threads sharing one
+    model.
     """
 
     def __init__(self, max_entries: int = 64):

@@ -71,7 +71,7 @@ def _proper_submasks(mask: int) -> Iterator[int]:
 def enumerate_join_orders(
     query: Query,
     leaf_factory: Callable[[str], object],
-    combine: Callable[[object, object, frozenset[str], frozenset[str]], object | None],
+    combine: Callable[[object, object], object | None],
     better: Callable[[object, object], bool],
 ) -> object:
     """Run the DP enumeration.
@@ -81,8 +81,8 @@ def enumerate_join_orders(
     leaf_factory:
         ``alias -> subplan`` for single tables.
     combine:
-        ``(left_subplan, right_subplan, left_aliases, right_aliases) ->
-        subplan | None``; None means the split is not joinable.
+        ``(left_subplan, right_subplan) -> subplan | None``; None means
+        the split is not joinable.
     better:
         ``(a, b) -> bool``, True if ``a`` is preferable to ``b``.
 
@@ -90,20 +90,12 @@ def enumerate_join_orders(
     """
     bits = _alias_bits(query)
     neighbours = _adjacency(query, bits)
-    aliases = query.table_names
-    mask_to_aliases = {
-        bit: alias for alias, bit in bits.items()
-    }
-
-    def aliases_of(mask: int) -> frozenset[str]:
-        return frozenset(mask_to_aliases[1 << i]
-                         for i in range(len(aliases)) if mask & (1 << i))
 
     table: dict[int, object] = {}
     for alias, bit in bits.items():
         table[bit] = leaf_factory(alias)
 
-    full = (1 << len(aliases)) - 1
+    full = (1 << len(bits)) - 1
     order = sorted(
         (mask for mask in range(1, full + 1)
          if _is_connected(mask, neighbours)),
@@ -119,8 +111,7 @@ def enumerate_join_orders(
                 continue  # handle each unordered split once; combine tries both
             if left_mask not in table or right_mask not in table:
                 continue
-            candidate = combine(table[left_mask], table[right_mask],
-                                aliases_of(left_mask), aliases_of(right_mask))
+            candidate = combine(table[left_mask], table[right_mask])
             if candidate is not None and (best is None or better(candidate, best)):
                 best = candidate
         if best is not None:

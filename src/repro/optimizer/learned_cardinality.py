@@ -77,8 +77,7 @@ class LearnedCardinalityEstimator(CardinalityEstimator):
         LRU bound on the number of *queries* whose fragment estimates
         are cached (each query's DP search prices O(2^k) fragments; a
         long-lived estimator behind a workload runner must not grow
-        without bound).  Evicting a query drops all its fragments and
-        releases the query object.
+        without bound).  Evicting a query drops all its fragments.
     dedup_fragments:
         Share subplans across a query's canonical fragment plans when
         priming (default on).  The O(2^k) left-deep fragment plans of
@@ -119,10 +118,10 @@ class LearnedCardinalityEstimator(CardinalityEstimator):
         #: legacy per-fragment path encodes inside the model, where the
         #: microbench counts nodes at the prediction surface instead).
         self.primed_graph_nodes = 0
-        #: Per-query fragment caches, LRU over queries.  Keys are
-        #: ``id(query)``, unambiguous because the entry also pins the
-        #: query object itself (its ``id`` cannot be recycled while
-        #: cached); eviction releases fragments and pin together.
+        #: Per-query fragment caches, LRU over queries, keyed by the
+        #: query *value* (a frozen dataclass): equal queries share
+        #: their estimates, which are a function of (query, database,
+        #: model).
         self._cache = LRUCache(cached_queries)
 
     @staticmethod
@@ -181,20 +180,20 @@ class LearnedCardinalityEstimator(CardinalityEstimator):
         return self._heuristic.joined_rows(query, aliases)
 
     def _fragment_rows(self, query: Query, aliases: frozenset[str]) -> float:
-        entry = self._cache.get(id(query))
-        if entry is None:
-            entry = (query, {})
-            self._cache.put(id(query), entry)
+        fragments = self._cache.get(query)
+        if fragments is None:
+            fragments = {}
+            self._cache.put(query, fragments)
             if not self.fallback_only:
-                self._prime_query(query, entry[1])
-        cached = entry[1].get(aliases)
+                self._prime_query(query, fragments)
+        cached = fragments.get(aliases)
         if cached is not None:
             return cached
         # Outside the primed set (disconnected pair, failed fragment,
         # fallback-only mode): classical heuristic, cached per fragment.
         rows = self._heuristic_rows(query, aliases)
         self.fallback_fragments += 1
-        entry[1][aliases] = rows
+        fragments[aliases] = rows
         return rows
 
     def _prime_query(self, query: Query,

@@ -13,7 +13,7 @@ zero-shot model pick the plan with the lowest *predicted runtime*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from repro.models.api import CostEstimator
 from repro.models.cardinality import as_estimator
 from repro.models.zero_shot import ZeroShotCostModel
 from repro.optimizer.planner import Planner, PlannerOptions
-from repro.plans.plan import PhysicalPlan
+from repro.plans.plan import PhysicalPlan, plan_signature
 from repro.sql.ast import Query
 
 __all__ = ["PlanChoice", "ZeroShotPlanSelector", "candidate_plans"]
@@ -59,26 +59,17 @@ def candidate_plans(database: Database, query: Query,
     """
     base = base_options or PlannerOptions()
     plans: list[PhysicalPlan] = []
-    seen: set[str] = set()
+    seen: set[tuple] = set()
     for hints in _HINT_SETS:
-        options = PlannerOptions(
-            enable_seqscan=base.enable_seqscan,
-            enable_indexscan=hints.get("enable_indexscan",
-                                       base.enable_indexscan),
-            enable_hashjoin=hints.get("enable_hashjoin", base.enable_hashjoin),
-            enable_mergejoin=hints.get("enable_mergejoin",
-                                       base.enable_mergejoin),
-            enable_nestloop=hints.get("enable_nestloop", base.enable_nestloop),
-            use_hypothetical_indexes=base.use_hypothetical_indexes,
-            cost_parameters=base.cost_parameters,
-        )
+        # replace() carries every other option of ``base`` (rewrite
+        # toggles, cost parameters) into each hint-set run.
+        planner = Planner(database, replace(base, **hints),
+                          cardinality_estimator=cardinality_estimator)
         try:
-            plan = Planner(database, options,
-                           cardinality_estimator=cardinality_estimator
-                           ).plan(query)
+            plan = planner.plan(query)
         except OptimizerError:
             continue  # this hint set admits no plan (e.g. scans disabled)
-        signature = _plan_signature(plan)
+        signature = plan_signature(plan.root)
         if signature not in seen:
             seen.add(signature)
             plans.append(plan)
@@ -87,14 +78,6 @@ def candidate_plans(database: Database, query: Query,
     cost_ceiling = plans[0].total_cost * max_cost_ratio
     bounded = [plans[0]] + [p for p in plans[1:] if p.total_cost <= cost_ceiling]
     return bounded
-
-
-def _plan_signature(plan: PhysicalPlan) -> str:
-    """Structural fingerprint used to de-duplicate candidates."""
-    parts = []
-    for node in plan.nodes():
-        parts.append(node.label())
-    return "|".join(parts)
 
 
 @dataclass
@@ -109,7 +92,8 @@ class PlanChoice:
 
     @property
     def agrees_with_classical(self) -> bool:
-        return _plan_signature(self.plan) == _plan_signature(self.classical_plan)
+        return plan_signature(self.plan.root) == \
+            plan_signature(self.classical_plan.root)
 
 
 class ZeroShotPlanSelector:

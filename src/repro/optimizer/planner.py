@@ -12,7 +12,6 @@ annotating every node with estimated rows, width and cumulative cost.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field, replace
 
 from repro.db.database import Database
@@ -140,7 +139,7 @@ class Planner:
             best = enumerate_join_orders(
                 query,
                 leaf_factory=lambda alias: self._best_scan(query, alias),
-                combine=lambda l, r, la, ra: self._best_join(query, l, r),
+                combine=lambda l, r: self._best_join(query, l, r),
                 better=lambda a, b: a.cost < b.cost,
             )
         root = self._add_aggregation(query, best)
@@ -258,14 +257,14 @@ class Planner:
             for probe, build in ((left, right), (right, left)):
                 build_node = HashBuild(
                     key=condition.side_for(self._owning_side(condition, build)),
-                    children=[copy.deepcopy(build.node)],
+                    children=[build.node],
                 )
                 build_node.est_rows = build.rows
                 build_node.est_width = build.width
                 build_node.est_cost = (build.cost +
                                        self.cost_model.hash_build_cost(build.rows))
                 node = HashJoin(condition=condition,
-                                children=[copy.deepcopy(probe.node), build_node])
+                                children=[probe.node, build_node])
                 increment = self.cost_model.hash_join_cost(
                     build.rows, probe.rows, out_rows
                 )
@@ -295,8 +294,7 @@ class Planner:
             # Plain nested loop (materialized inner).
             for outer, inner in ((left, right), (right, left)):
                 node = NestedLoopJoin(condition=condition,
-                                      children=[copy.deepcopy(outer.node),
-                                                copy.deepcopy(inner.node)])
+                                      children=[outer.node, inner.node])
                 increment = self.cost_model.nested_loop_cost(
                     outer.rows, inner.rows, inner.cost, out_rows
                 )
@@ -351,7 +349,7 @@ class Planner:
                 )
                 node = NestedLoopJoin(
                     condition=condition,
-                    children=[copy.deepcopy(outer.node), inner_scan],
+                    children=[outer.node, inner_scan],
                 )
                 total = outer.cost + inner_scan.est_cost + \
                     out_rows * self.cost_model.parameters.cpu_tuple_cost
@@ -365,7 +363,7 @@ class Planner:
         key = condition.side_for(self._owning_side(condition, sub))
         if sub.sorted_on == key:
             return sub
-        sort = Sort(key=key, children=[copy.deepcopy(sub.node)])
+        sort = Sort(key=key, children=[sub.node])
         sort_cost = self.cost_model.sort_cost(sub.rows)
         sort.est_rows = sub.rows
         sort.est_width = sub.width

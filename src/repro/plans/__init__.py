@@ -21,7 +21,7 @@ from repro.plans.operators import (
     SeqScan,
     Sort,
 )
-from repro.plans.plan import PhysicalPlan, walk_plan
+from repro.plans.plan import PhysicalPlan, plan_signature, walk_plan
 
 __all__ = [
     "HashAggregate",
@@ -36,5 +36,6 @@ __all__ = [
     "SeqScan",
     "Sort",
     "explain_plan",
+    "plan_signature",
     "walk_plan",
 ]

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields as dataclass_fields
 from typing import Iterator
 
 from repro.errors import PlanError
 from repro.plans.operators import PlanNode
 from repro.sql.ast import Query
 
-__all__ = ["PhysicalPlan", "walk_plan"]
+__all__ = ["PhysicalPlan", "plan_signature", "walk_plan"]
 
 
 def walk_plan(root: PlanNode) -> Iterator[PlanNode]:
@@ -21,9 +21,34 @@ def walk_plan(root: PlanNode) -> Iterator[PlanNode]:
         stack.extend(reversed(node.children))
 
 
+def plan_signature(node: PlanNode) -> tuple:
+    """A structural fingerprint of an executable subtree.
+
+    Two subtrees with equal signatures produce identical relations when
+    executed against the same (unmodified) database, which is what makes
+    build-side memoization sound and what candidate de-duplication and
+    plan agreement compare.  Estimates and actuals are excluded;
+    everything semantically relevant (operator types, tables, filters,
+    keys, index names) is captured via the operators' dataclass fields.
+    """
+    skip = {"children", "est_rows", "est_width", "est_cost", "actual_rows"}
+    params = tuple(
+        (f.name, repr(getattr(node, f.name)))
+        for f in dataclass_fields(node) if f.name not in skip
+    )
+    return (type(node).__name__, params,
+            tuple(plan_signature(child) for child in node.children))
+
+
 @dataclass
 class PhysicalPlan:
     """A physical plan for a query on a specific database.
+
+    A plan is a *tree*: every node object sits in exactly one place of
+    exactly one plan (construction raises :class:`PlanError` on a
+    repeat).  The executor annotates nodes in place and the simulator
+    and featurizers key per-call maps on ``id(node)``, so a node that
+    occurred twice would have one slot for two positions.
 
     Attributes
     ----------
@@ -43,6 +68,14 @@ class PhysicalPlan:
 
     def __post_init__(self):
         self.root.validate()
+        seen: set[int] = set()
+        for node in walk_plan(self.root):
+            if id(node) in seen:
+                raise PlanError(
+                    f"{node.operator_name} node occurs twice in the plan; "
+                    "a plan is a tree, build a second node instead"
+                )
+            seen.add(id(node))
 
     def nodes(self) -> list[PlanNode]:
         return list(walk_plan(self.root))

@@ -41,7 +41,7 @@ def fragment_caches(learned, queries):
     out = {}
     for query in queries:
         learned.joined_rows(query, frozenset(query.table_names))
-        out[id(query)] = dict(learned._cache.get(id(query))[1])
+        out[query] = dict(learned._cache.get(query))
     return out
 
 

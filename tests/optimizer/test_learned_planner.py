@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.errors import ModelError
+from repro.errors import ModelError, PlannerError
 from repro.featurize import CardinalitySource
 from repro.models import TrainerConfig, ZeroShotConfig, ZeroShotCostModel
 from repro.optimizer.learned_planner import (
     ZeroShotPlanSelector,
     candidate_plans,
 )
+from repro.optimizer.planner import PlannerOptions
 from repro.sql import parse_query
 
 from tests.models.conftest import build_labelled_graphs
@@ -37,6 +38,19 @@ class TestCandidateGeneration:
             tiny_imdb, parse_query("SELECT COUNT(*) FROM title t "
                                    "WHERE t.id < 100"))
         assert len(plans) >= 1
+
+    def test_rewrite_options_reach_every_hint_set(self, tiny_imdb):
+        """Each arm overrides only its own toggles; every other base
+        option — the rewrite phase included — applies to all of them."""
+        plans = candidate_plans(tiny_imdb, parse_query(JOIN_QUERY),
+                                PlannerOptions(enable_rewrites=True))
+        assert len(plans) >= 2
+        assert all("rewrite_trace" in plan.metadata for plan in plans)
+
+    def test_unknown_disabled_rule_rejected(self, tiny_imdb):
+        with pytest.raises(PlannerError, match="unknown rewrite rule 'nope'"):
+            candidate_plans(tiny_imdb, parse_query(JOIN_QUERY),
+                            PlannerOptions(disabled_rules=("nope",)))
 
 
 class TestSelector:

@@ -3,12 +3,14 @@
 import pytest
 
 from repro.engine import execute_plan
-from repro.errors import OptimizerError, QueryError
+from repro.errors import OptimizerError, PlanError, QueryError
 from repro.optimizer import CardinalityEstimator, plan_query
 from repro.optimizer.join_order import connected_subsets, enumerate_join_orders
+from repro.optimizer.learned_planner import candidate_plans
 from repro.optimizer.planner import Planner, PlannerOptions
 from repro.optimizer.whatif import IndexSpec, WhatIfPlanner
 from repro.plans import (
+    HashBuild,
     HashJoin,
     IndexScan,
     MergeJoin,
@@ -16,9 +18,11 @@ from repro.plans import (
     PhysicalPlan,
     PlainAggregate,
     SeqScan,
+    plan_signature,
     walk_plan,
 )
 from repro.sql import parse_query
+from repro.sql.ast import ColumnRef, JoinCondition, TableRef
 
 
 def q(text):
@@ -143,7 +147,7 @@ class TestJoinEnumeration:
         best = enumerate_join_orders(
             query,
             leaf_factory=lambda alias: (frozenset({alias}), 0.0),
-            combine=lambda l, r, la, ra: (l[0] | r[0], l[1] + r[1] + 1.0),
+            combine=lambda l, r: (l[0] | r[0], l[1] + r[1] + 1.0),
             better=lambda a, b: a[1] < b[1],
         )
         assert best[0] == frozenset({"t", "mc"})
@@ -218,3 +222,44 @@ class TestPlanStructure:
             assert all(node is not None for node in walk_plan(plan.root))
             execute_plan(tiny_imdb, plan)
             assert plan.is_executed
+
+    def test_repeated_node_object_rejected(self):
+        """A plan is a tree: the executor's ``actual_rows`` and the
+        simulator's ``node_seconds[id(node)]`` have one slot per node
+        object, so one object in two places must not construct."""
+        scan = SeqScan(table=TableRef("title", "t"))
+        key = ColumnRef("t", "id")
+        join = HashJoin(condition=JoinCondition(key, key),
+                        children=[scan, HashBuild(key=key, children=[scan])])
+        with pytest.raises(PlanError, match="occurs twice"):
+            PhysicalPlan(root=join, query=q("SELECT COUNT(*) FROM title t"),
+                         database_name="imdb")
+
+    def test_plans_share_no_node_object(self, tiny_imdb):
+        """DP entries are shared between *candidates*, never between
+        finished plans: executing one plan must not annotate another."""
+        query = q("SELECT COUNT(*) FROM title t, movie_keyword mk, "
+                  "cast_info ci WHERE t.id = mk.movie_id "
+                  "AND t.id = ci.movie_id AND t.production_year > 2000")
+        planner = Planner(tiny_imdb)
+        portfolio = candidate_plans(tiny_imdb, query)
+        assert len(portfolio) >= 2
+        plans = [planner.plan(query), planner.plan(query), *portfolio]
+        node_ids = [id(node) for plan in plans for node in plan.nodes()]
+        assert len(set(node_ids)) == len(node_ids)
+        execute_plan(tiny_imdb, plans[0])
+        assert all(node.actual_rows is None
+                   for plan in plans[1:] for node in plan.nodes())
+
+    def test_signature_is_structure_not_annotation(self, tiny_imdb):
+        text = "SELECT COUNT(*) FROM title t WHERE t.production_year > {}"
+        plan, same, other = (plan_query(tiny_imdb, q(text.format(year)))
+                             for year in (2000, 2000, 2001))
+        execute_plan(tiny_imdb, same)
+        for node in same.nodes():
+            node.est_rows, node.est_width, node.est_cost = 7.0, 7.0, 7.0
+        assert plan_signature(plan.root) == plan_signature(same.root)
+        # Same operators, same filter *count*: only the literal differs.
+        assert [n.label() for n in plan.nodes()] == \
+            [n.label() for n in other.nodes()]
+        assert plan_signature(plan.root) != plan_signature(other.root)

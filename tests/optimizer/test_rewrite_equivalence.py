@@ -22,8 +22,9 @@ import pytest
 
 from repro.db import SyntheticDatabaseSpec, generate_database
 from repro.engine import execute_plan
-from repro.engine.executor import Executor, _subtree_signature
+from repro.engine.executor import Executor
 from repro.optimizer import Planner, PlannerOptions, available_rewrite_rules
+from repro.plans import plan_signature
 from repro.plans.explain import explain_plan
 from repro.plans.operators import HashAggregate, PlainAggregate
 from repro.sql.ast import (
@@ -266,8 +267,8 @@ class TestRulesOffBitIdentity:
         for query in queries:
             plan_default = default_planner.plan(query)
             plan_off = off_planner.plan(query)
-            assert _subtree_signature(plan_default.root) == \
-                _subtree_signature(plan_off.root)
+            assert plan_signature(plan_default.root) == \
+                plan_signature(plan_off.root)
             assert explain_plan(plan_default) == explain_plan(plan_off)
             assert plan_default.total_cost == plan_off.total_cost
             assert "rewrite_trace" not in plan_off.metadata

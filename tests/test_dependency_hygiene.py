@@ -72,3 +72,49 @@ def test_ufunc_at_guard_sees_what_it_guards(tmp_path):
                       "np.add.at(a, i, v)\nnumpy.maximum.at(a, i, v)\n"
                       "frame.at[0]\n")
     assert _ufunc_at_uses(sample) == ["np.add.at:3", "numpy.maximum.at:4"]
+
+
+def _deepcopy_uses(path: Path) -> list[str]:
+    """``copy.deepcopy`` calls and ``from copy import deepcopy``,
+    under whatever name the module imported ``copy``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    copy_names = {
+        alias.asname or alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names if alias.name == "copy"
+    }
+    return [
+        f"{node.value.id}.deepcopy:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "deepcopy"
+        and isinstance(node.value, ast.Name) and node.value.id in copy_names
+    ] + [
+        f"from copy import deepcopy:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "copy"
+        and any(alias.name == "deepcopy" for alias in node.names)
+    ]
+
+
+def test_planner_and_plans_never_deepcopy():
+    """Plan nodes are shared by the DP's candidates and a finished plan
+    is a tree (``PhysicalPlan`` checks it); copying a subtree per
+    candidate was 88 % of planning time.  A new join strategy must
+    reference its inputs, not clone them."""
+    offenders = {
+        str(path.relative_to(PACKAGE_ROOT)): uses
+        for package in ("optimizer", "plans")
+        for path in sorted((PACKAGE_ROOT / package).rglob("*.py"))
+        if (uses := _deepcopy_uses(path))
+    }
+    assert not offenders, f"deepcopy in the planner: {offenders}"
+
+
+def test_deepcopy_guard_sees_what_it_guards(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("import copy\nimport copy as cp\n"
+                      "from copy import deepcopy\n"
+                      "copy.deepcopy(node)\ncp.deepcopy(node)\n"
+                      "copy.copy(node)\nnode.deepcopy()\n")
+    assert _deepcopy_uses(sample) == [
+        "copy.deepcopy:4", "cp.deepcopy:5", "from copy import deepcopy:3"]
