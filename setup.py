@@ -21,7 +21,6 @@ setup(
             "repro-ablations = repro.experiments.ablations:main",
             "repro-resources = repro.experiments.resources:main",
             "repro-hardware = repro.experiments.hardware:main",
-            "repro-profile = repro.experiments.profile:main",
         ],
     },
 )

@@ -63,8 +63,16 @@ class Index:
             )
         column = data.table.column(self.column_name)
         values = data.column_values(self.column_name)
-        self._sorted_order = np.argsort(values, kind="stable")
-        self._sorted_values = values[self._sorted_order]
+        order = np.argsort(values, kind="stable")
+        null_mask = data.null_masks.get(self.column_name)
+        if null_mask is not None:
+            # A NULL satisfies no comparison, so it is no key: its stored
+            # placeholder value must not be found by a lookup.
+            order = order[~null_mask[order]]
+        self._sorted_order = order
+        self._sorted_values = values[order]
+        # Sized by table rows (not keys): height, leaf pages and every
+        # index cost are the same for a real and a hypothetical index.
         self.num_rows = data.num_rows
         self.key_width_bytes = column.width_bytes
         self.hypothetical = False

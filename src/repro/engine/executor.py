@@ -49,7 +49,13 @@ from repro.plans.operators import (
     Sort,
 )
 from repro.plans.plan import PhysicalPlan, plan_signature
-from repro.sql.ast import AggregateFunction, AggregateSpec, ColumnRef, Predicate
+from repro.sql.ast import (
+    AggregateFunction,
+    AggregateSpec,
+    ColumnRef,
+    Interval,
+    Predicate,
+)
 from repro.util import LRUCache, Registry
 
 __all__ = [
@@ -376,8 +382,10 @@ class Executor:
                                            projection=node.projection)
             relation = self._tag_outer(relation, outer_indices)
         else:
-            low, high, low_inc, high_inc = _index_range(node.index_predicates)
-            row_indices = index.range_lookup(low, high, low_inc, high_inc)
+            key_range = _index_interval(node.index_predicates)
+            row_indices = index.range_lookup(
+                key_range.low, key_range.high,
+                key_range.low_inclusive, key_range.high_inclusive)
             relation = self._base_relation(data, node.table.name, row_indices,
                                            projection=node.projection)
 
@@ -552,37 +560,16 @@ def _orient_condition(condition, left: Relation,
     )
 
 
-def _index_range(predicates: tuple[Predicate, ...]
-                 ) -> tuple[float | None, float | None, bool, bool]:
-    """Combine index predicates into one key range."""
-    from repro.sql.ast import ComparisonOperator as Op
-
-    low: float | None = None
-    high: float | None = None
-    low_inc = True
-    high_inc = True
+def _index_interval(predicates: tuple[Predicate, ...]) -> Interval:
+    """The one key range a conjunction of index predicates admits."""
+    key_range = Interval()
     for predicate in predicates:
-        op = predicate.operator
-        if op is Op.EQ:
-            low = high = float(predicate.value)
-            low_inc = high_inc = True
-        elif op is Op.BETWEEN:
-            lo, hi = predicate.value
-            low = lo if low is None else max(low, lo)
-            high = hi if high is None else min(high, hi)
-        elif op in (Op.GT, Op.GEQ):
-            value = float(predicate.value)
-            if low is None or value >= low:
-                low = value
-                low_inc = op is Op.GEQ
-        elif op in (Op.LT, Op.LEQ):
-            value = float(predicate.value)
-            if high is None or value <= high:
-                high = value
-                high_inc = op is Op.LEQ
-        else:
-            raise ExecutionError(f"operator {op} cannot be served by an index")
-    return low, high, low_inc, high_inc
+        bounds = predicate.interval()
+        if bounds is None:
+            raise ExecutionError(
+                f"operator {predicate.operator} cannot be served by an index")
+        key_range = key_range.intersect(bounds)
+    return key_range
 
 
 def _non_null(relation: Relation, ref: ColumnRef) -> np.ndarray:

@@ -76,7 +76,9 @@ __all__ = ["ArtifactStore", "cache_enabled", "context_key", "main",
 #: v3: executed records carry per-operator cardinality labels
 #: (:data:`repro.workload.runner.RECORD_SCHEMA_VERSION` 2) — contexts
 #: and shards pickled from v1-schema records must never be reused.
-CACHE_FORMAT_VERSION = "v3"
+#: v4: an index holds no NULL keys, so index scans over nullable
+#: columns record different cardinalities than v3-era shards did.
+CACHE_FORMAT_VERSION = "v4"
 
 _COMPLETE_MARKER = "COMPLETE"
 #: What reading an entry raises when it was deleted under the reader

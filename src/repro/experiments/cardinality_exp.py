@@ -29,6 +29,7 @@ from repro.experiments.setup import (
     build_context,
     experiment_main,
 )
+from repro.featurize.vocabulary import scan_predicates
 from repro.models import TrainerConfig, clamp_predictions, q_error_stats
 from repro.models.cardinality import (
     ZeroShotCardinalityEstimator,
@@ -41,7 +42,6 @@ from repro.plans.operators import (
     IndexScan,
     MergeJoin,
     NestedLoopJoin,
-    SeqScan,
 )
 from repro.plans.plan import walk_plan
 from repro.workload import BENCHMARK_NAMES, WorkloadRunner
@@ -122,13 +122,10 @@ def _relevant_mask(plan) -> np.ndarray:
     for node in walk_plan(plan.root):
         if isinstance(node, (HashJoin, MergeJoin, NestedLoopJoin)):
             mask.append(True)
-        elif isinstance(node, SeqScan):
-            mask.append(bool(node.filters))
-        elif isinstance(node, IndexScan):
-            mask.append(bool(node.index_predicates or node.residual_filters
-                             or node.lookup_column is not None))
+        elif isinstance(node, IndexScan) and node.lookup_column is not None:
+            mask.append(True)
         else:
-            mask.append(False)
+            mask.append(bool(scan_predicates(node)))
     return np.asarray(mask, dtype=bool)
 
 

@@ -12,6 +12,9 @@
   baseline).
 * :mod:`~repro.featurize.plan_features` — a flat vector featurization
   used by ablations.
+* :mod:`~repro.featurize.vocabulary` — what the three featurizers read
+  a plan with: operator kinds and comparison operators in one-hot
+  order, a scan's predicates, column keys, literal normalization.
 """
 
 from repro.featurize.batch import (

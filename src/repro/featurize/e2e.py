@@ -15,29 +15,19 @@ import numpy as np
 
 from repro.db.database import Database
 from repro.errors import FeaturizationError
-from repro.plans.operators import (
-    HashAggregate,
-    HashBuild,
-    HashJoin,
-    IndexScan,
-    MergeJoin,
-    NestedLoopJoin,
-    PlainAggregate,
-    PlanNode,
-    SeqScan,
-    Sort,
+from repro.featurize.vocabulary import (
+    COMPARISON_INDEX,
+    OPERATOR_INDEX,
+    OPERATOR_KINDS,
+    check_runtime_label,
+    column_key,
+    normalized_literal,
+    scan_predicates,
 )
+from repro.plans.operators import PlanNode
 from repro.plans.plan import PhysicalPlan
-from repro.sql.ast import ComparisonOperator, Predicate
 
 __all__ = ["E2EFeaturizer", "E2ETreeSample"]
-
-_OPERATOR_KINDS = (
-    SeqScan, IndexScan, HashBuild, HashJoin, MergeJoin, NestedLoopJoin,
-    Sort, HashAggregate, PlainAggregate,
-)
-_OPERATOR_INDEX = {cls.__name__: i for i, cls in enumerate(_OPERATOR_KINDS)}
-_COMPARISON_INDEX = {op: i for i, op in enumerate(ComparisonOperator)}
 
 
 @dataclass
@@ -53,25 +43,6 @@ class E2ETreeSample:
     def num_nodes(self) -> int:
         return len(self.features)
 
-    def levels(self) -> list[int]:
-        level = [0] * self.num_nodes
-        children: dict[int, list[int]] = {}
-        for child, parent in self.edges:
-            children.setdefault(parent, []).append(child)
-        changed = True
-        guard = 0
-        while changed:
-            changed = False
-            guard += 1
-            if guard > self.num_nodes + 2:
-                raise FeaturizationError("cycle in E2E tree")
-            for parent, kids in children.items():
-                wanted = 1 + max(level[k] for k in kids)
-                if level[parent] < wanted:
-                    level[parent] = wanted
-                    changed = True
-        return level
-
 
 class E2EFeaturizer:
     """Builds E2E tree samples for one database."""
@@ -85,9 +56,9 @@ class E2EFeaturizer:
         """Collect the column vocabulary from training plans."""
         for plan in plans:
             for node in plan.nodes():
-                for predicate in self._node_predicates(node):
+                for predicate in scan_predicates(node):
                     self.columns.setdefault(
-                        self._column_key(plan, predicate),
+                        column_key(plan.query, predicate),
                         len(self.columns),
                     )
         return self
@@ -98,8 +69,8 @@ class E2EFeaturizer:
 
     @property
     def node_dim(self) -> int:
-        return (len(_OPERATOR_KINDS) + 2 +                 # op + rows + width
-                len(self.columns) + len(_COMPARISON_INDEX) + 1)
+        return (len(OPERATOR_KINDS) + 2 +                 # op + rows + width
+                len(self.columns) + len(COMPARISON_INDEX) + 1)
 
     # ------------------------------------------------------------------
     def featurize(self, plan: PhysicalPlan,
@@ -111,8 +82,7 @@ class E2EFeaturizer:
         root = self._encode(plan.root, plan, features, edges)
         target = None
         if target_runtime_seconds is not None:
-            if target_runtime_seconds <= 0:
-                raise FeaturizationError("runtime label must be positive")
+            check_runtime_label(target_runtime_seconds)
             target = float(np.log(target_runtime_seconds))
         return E2ETreeSample(features=np.stack(features), edges=edges,
                              root=root, target_log_runtime=target)
@@ -121,13 +91,13 @@ class E2EFeaturizer:
                 features: list[np.ndarray],
                 edges: list[tuple[int, int]]) -> int:
         vector = np.zeros(self.node_dim)
-        vector[_OPERATOR_INDEX[node.operator_name]] = 1.0
-        base = len(_OPERATOR_KINDS)
+        vector[OPERATOR_INDEX[node.operator_name]] = 1.0
+        base = len(OPERATOR_KINDS)
         vector[base] = np.log1p(max(node.est_rows, 0.0))
         vector[base + 1] = np.log1p(max(node.est_width, 0.0))
         predicate_base = base + 2
-        for predicate in self._node_predicates(node):
-            key = self._column_key(plan, predicate)
+        for predicate in scan_predicates(node):
+            key = column_key(plan.query, predicate)
             if key not in self.columns:
                 raise FeaturizationError(
                     f"column {key!r} is not in the E2E vocabulary "
@@ -135,39 +105,12 @@ class E2EFeaturizer:
                 )
             vector[predicate_base + self.columns[key]] += 1.0
             op_base = predicate_base + len(self.columns)
-            vector[op_base + _COMPARISON_INDEX[predicate.operator]] += 1.0
-            vector[-1] += self._normalized_literal(plan, predicate)
+            vector[op_base + COMPARISON_INDEX[predicate.operator]] += 1.0
+            vector[-1] += normalized_literal(self.database, plan.query,
+                                             predicate)
         node_id = len(features)
         features.append(vector)
         for child in node.children:
             child_id = self._encode(child, plan, features, edges)
             edges.append((child_id, node_id))
         return node_id
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _node_predicates(node: PlanNode) -> tuple[Predicate, ...]:
-        if isinstance(node, SeqScan):
-            return node.filters
-        if isinstance(node, IndexScan):
-            return node.index_predicates + node.residual_filters
-        return ()
-
-    def _column_key(self, plan: PhysicalPlan, predicate: Predicate) -> str:
-        table_name = plan.query.table_ref(predicate.column.table).table_name
-        return f"{table_name}.{predicate.column.column}"
-
-    def _normalized_literal(self, plan: PhysicalPlan,
-                            predicate: Predicate) -> float:
-        table_name = plan.query.table_ref(predicate.column.table).table_name
-        stats = self.database.table_statistics(table_name) \
-            .column(predicate.column.column)
-        if isinstance(predicate.value, tuple):
-            raw = float(np.mean(predicate.value))
-        else:
-            raw = float(predicate.value)
-        low = stats.min_value if stats.min_value is not None else 0.0
-        high = stats.max_value if stats.max_value is not None else 1.0
-        if high <= low:
-            return 0.5
-        return float(np.clip((raw - low) / (high - low), 0.0, 1.0))

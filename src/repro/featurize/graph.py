@@ -39,9 +39,15 @@ import numpy as np
 from repro.db.database import Database
 from repro.db.types import DataType
 from repro.errors import FeaturizationError
+from repro.featurize.vocabulary import (
+    COMPARISON_INDEX,
+    OPERATOR_INDEX,
+    OPERATOR_KINDS,
+    check_runtime_label,
+    scan_predicates,
+)
 from repro.plans.operators import (
     HashAggregate,
-    HashBuild,
     HashJoin,
     IndexScan,
     MergeJoin,
@@ -57,7 +63,7 @@ from repro.sql.ast import AggregateFunction, ColumnRef, ComparisonOperator
 
 __all__ = ["CARDINALITY_FEATURE_INDEX", "CardinalitySource", "PlanGraph",
            "ZeroShotFeaturizer", "NODE_TYPES", "FEATURE_DIMS",
-           "SYSTEM_FEATURE_FIELDS", "TYPE_CODE_OF"]
+           "SYSTEM_FEATURE_FIELDS", "TYPE_CODE_OF", "node_levels"]
 
 
 class CardinalitySource(enum.Enum):
@@ -72,13 +78,6 @@ class CardinalitySource(enum.Enum):
     ACTUAL = "actual"
 
 
-_OPERATOR_KINDS = (
-    SeqScan, IndexScan, HashBuild, HashJoin, MergeJoin, NestedLoopJoin,
-    Sort, HashAggregate, PlainAggregate,
-)
-_OPERATOR_INDEX = {cls.__name__: i for i, cls in enumerate(_OPERATOR_KINDS)}
-
-_COMPARISON_INDEX = {op: i for i, op in enumerate(ComparisonOperator)}
 _DATATYPE_INDEX = {dt: i for i, dt in enumerate(DataType)}
 _AGGREGATE_INDEX = {fn: i for i, fn in enumerate(AggregateFunction)}
 
@@ -106,10 +105,10 @@ SYSTEM_FEATURE_FIELDS = (
 TYPE_CODE_OF = {t: i for i, t in enumerate(NODE_TYPES)}
 
 FEATURE_DIMS = {
-    "plan_op": len(_OPERATOR_KINDS) + 3,   # one-hot + inl flag + rows + width
+    "plan_op": len(OPERATOR_KINDS) + 3,   # one-hot + inl flag + rows + width
     "table": 3,
     "column": len(_DATATYPE_INDEX) + 3,
-    "predicate": len(_COMPARISON_INDEX) + 1,
+    "predicate": len(COMPARISON_INDEX) + 1,
     "aggregate": len(_AGGREGATE_INDEX) + 1,
     "index": 3,
     "system": len(SYSTEM_FEATURE_FIELDS),
@@ -119,11 +118,36 @@ FEATURE_DIMS = {
 #: the cardinality head predicts a *correction* relative to this value
 #: (residual learning over the optimizer's estimate), and the ablations
 #: zero it out to measure its contribution.
-CARDINALITY_FEATURE_INDEX = len(_OPERATOR_KINDS) + 1
+CARDINALITY_FEATURE_INDEX = len(OPERATOR_KINDS) + 1
 
 
 def _log(value: float) -> float:
     return math.log1p(max(float(value), 0.0))
+
+
+def node_levels(num_nodes: int, edges: list[tuple[int, int]]) -> list[int]:
+    """Level per node of a DAG given as ``(child, parent)`` edges:
+    leaves 0, parents 1 + max(children).  The one levelling every
+    batched bottom-up pass (zero-shot graphs, E2E trees) is built on."""
+    level = [0] * num_nodes
+    children: dict[int, list[int]] = {}
+    for child, parent in edges:
+        children.setdefault(parent, []).append(child)
+    # Nodes were added children-first except plan ops; iterate until
+    # fixpoint (graphs are tiny, this is simplest and safe for DAGs).
+    changed = True
+    iterations = 0
+    while changed:
+        changed = False
+        iterations += 1
+        if iterations > num_nodes + 2:
+            raise FeaturizationError("cycle detected in plan graph")
+        for parent, kids in children.items():
+            wanted = 1 + max(level[k] for k in kids)
+            if level[parent] < wanted:
+                level[parent] = wanted
+                changed = True
+    return level
 
 
 @dataclass
@@ -181,25 +205,7 @@ class PlanGraph:
 
     def levels(self) -> list[int]:
         """Level per node: leaves 0, parents 1 + max(children)."""
-        level = [0] * self.num_nodes
-        children: dict[int, list[int]] = {}
-        for child, parent in self.edges:
-            children.setdefault(parent, []).append(child)
-        # Nodes were added children-first except plan ops; iterate until
-        # fixpoint (graphs are tiny, this is simplest and safe for DAGs).
-        changed = True
-        iterations = 0
-        while changed:
-            changed = False
-            iterations += 1
-            if iterations > self.num_nodes + 2:
-                raise FeaturizationError("cycle detected in plan graph")
-            for parent, kids in children.items():
-                wanted = 1 + max(level[k] for k in kids)
-                if level[parent] < wanted:
-                    level[parent] = wanted
-                    changed = True
-        return level
+        return node_levels(self.num_nodes, self.edges)
 
 
 class ZeroShotFeaturizer:
@@ -261,10 +267,7 @@ class ZeroShotFeaturizer:
             self._attach_system(system or self.system or SystemParameters(),
                                 graph)
         if target_runtime_seconds is not None:
-            if target_runtime_seconds <= 0:
-                raise FeaturizationError(
-                    f"runtime label must be positive, got {target_runtime_seconds}"
-                )
+            check_runtime_label(target_runtime_seconds)
             graph.target_log_runtime = math.log(target_runtime_seconds)
         if operator_cardinalities is not None:
             cards = np.asarray(operator_cardinalities, dtype=np.float64)
@@ -335,11 +338,11 @@ class ZeroShotFeaturizer:
             if cached is not None:
                 return cached
         features = np.zeros(FEATURE_DIMS["plan_op"])
-        features[_OPERATOR_INDEX[node.operator_name]] = 1.0
+        features[OPERATOR_INDEX[node.operator_name]] = 1.0
         is_inl = isinstance(node, NestedLoopJoin) and node.is_index_nested_loop
-        features[len(_OPERATOR_KINDS)] = 1.0 if is_inl else 0.0
-        features[len(_OPERATOR_KINDS) + 1] = _log(self._rows(node))
-        features[len(_OPERATOR_KINDS) + 2] = _log(node.est_width)
+        features[len(OPERATOR_KINDS)] = 1.0 if is_inl else 0.0
+        features[len(OPERATOR_KINDS) + 1] = _log(self._rows(node))
+        features[len(OPERATOR_KINDS) + 2] = _log(node.est_width)
         op_id = graph.add_node("plan_op", features)
         graph.plan_op_rows.append(max(float(self._rows(node)), 0.0))
 
@@ -350,13 +353,13 @@ class ZeroShotFeaturizer:
 
         if isinstance(node, SeqScan):
             self._attach_table(node.table.table_name, database, graph, op_id)
-            for predicate in node.filters:
+            for predicate in scan_predicates(node):
                 self._attach_predicate(predicate, query, database, graph,
                                        op_id, column_cache)
         elif isinstance(node, IndexScan):
             self._attach_table(node.table.table_name, database, graph, op_id)
             self._attach_index(node, database, graph, op_id)
-            for predicate in node.index_predicates + node.residual_filters:
+            for predicate in scan_predicates(node):
                 self._attach_predicate(predicate, query, database, graph,
                                        op_id, column_cache)
             if node.lookup_column is not None:
@@ -456,7 +459,7 @@ class ZeroShotFeaturizer:
                           graph: PlanGraph, parent: int,
                           column_cache: dict[str, int]) -> None:
         features = np.zeros(FEATURE_DIMS["predicate"])
-        features[_COMPARISON_INDEX[predicate.operator]] = 1.0
+        features[COMPARISON_INDEX[predicate.operator]] = 1.0
         if predicate.operator is ComparisonOperator.IN:
             features[-1] = _log(len(predicate.value))
         predicate_id = graph.add_node("predicate", features)

@@ -16,11 +16,15 @@ import numpy as np
 
 from repro.db.database import Database
 from repro.errors import FeaturizationError
-from repro.sql.ast import ComparisonOperator, Predicate, Query
+from repro.featurize.vocabulary import (
+    COMPARISON_INDEX,
+    check_runtime_label,
+    column_key,
+    normalized_literal,
+)
+from repro.sql.ast import Query
 
 __all__ = ["MSCNVocabulary", "MSCNSample", "MSCNFeaturizer"]
-
-_OPERATOR_INDEX = {op: i for i, op in enumerate(ComparisonOperator)}
 
 
 @dataclass
@@ -69,14 +73,10 @@ class MSCNFeaturizer:
                 self.vocabulary.joins.setdefault(_canonical_join(join),
                                                  len(self.vocabulary.joins))
             for predicate in query.predicates:
-                key = self._column_key(query, predicate)
+                key = column_key(query, predicate)
                 self.vocabulary.columns.setdefault(key,
                                                    len(self.vocabulary.columns))
         return self
-
-    def _column_key(self, query: Query, predicate: Predicate) -> str:
-        table_name = query.table_ref(predicate.column.table).table_name
-        return f"{table_name}.{predicate.column.column}"
 
     # ------------------------------------------------------------------
     @property
@@ -89,7 +89,7 @@ class MSCNFeaturizer:
 
     @property
     def predicate_dim(self) -> int:
-        return len(self.vocabulary.columns) + len(_OPERATOR_INDEX) + 1
+        return len(self.vocabulary.columns) + len(COMPARISON_INDEX) + 1
 
     # ------------------------------------------------------------------
     def featurize(self, query: Query,
@@ -125,7 +125,7 @@ class MSCNFeaturizer:
 
         predicate_rows = []
         for predicate in query.predicates:
-            key = self._column_key(query, predicate)
+            key = column_key(query, predicate)
             if key not in self.vocabulary.columns:
                 raise FeaturizationError(
                     f"column {key!r} is not in the MSCN vocabulary"
@@ -133,16 +133,15 @@ class MSCNFeaturizer:
             vector = np.zeros(self.predicate_dim)
             vector[self.vocabulary.columns[key]] = 1.0
             offset = len(self.vocabulary.columns)
-            vector[offset + _OPERATOR_INDEX[predicate.operator]] = 1.0
-            vector[-1] = self._normalized_literal(query, predicate)
+            vector[offset + COMPARISON_INDEX[predicate.operator]] = 1.0
+            vector[-1] = normalized_literal(self.database, query, predicate)
             predicate_rows.append(vector)
         if not predicate_rows:
             predicate_rows.append(np.zeros(self.predicate_dim))
 
         target = None
         if target_runtime_seconds is not None:
-            if target_runtime_seconds <= 0:
-                raise FeaturizationError("runtime label must be positive")
+            check_runtime_label(target_runtime_seconds)
             target = float(np.log(target_runtime_seconds))
         return MSCNSample(
             table_features=np.stack(table_rows),
@@ -150,18 +149,3 @@ class MSCNFeaturizer:
             predicate_features=np.stack(predicate_rows),
             target_log_runtime=target,
         )
-
-    def _normalized_literal(self, query: Query, predicate: Predicate) -> float:
-        """Min-max normalize the literal (mean of bounds for BETWEEN/IN)."""
-        table_name = query.table_ref(predicate.column.table).table_name
-        stats = self.database.table_statistics(table_name) \
-            .column(predicate.column.column)
-        if isinstance(predicate.value, tuple):
-            raw = float(np.mean(predicate.value))
-        else:
-            raw = float(predicate.value)
-        low = stats.min_value if stats.min_value is not None else 0.0
-        high = stats.max_value if stats.max_value is not None else 1.0
-        if high <= low:
-            return 0.5
-        return float(np.clip((raw - low) / (high - low), 0.0, 1.0))

@@ -3,7 +3,9 @@
 Same tree-recursive shape as the zero-shot model — encoder, bottom-up
 combine, readout — but over the *database-specific* featurization of
 :mod:`repro.featurize.e2e` (one-hot columns, normalized literals), and
-with a single homogeneous node type.
+with a single homogeneous node type: a tree is batched as a one-type
+graph by :func:`repro.featurize.batch.merge_encoded` and combined by
+:func:`repro.models.zero_shot.bottom_up_pass` with one MLP.
 """
 
 from __future__ import annotations
@@ -13,9 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ModelError
+from repro.featurize.batch import EncodedGraph, GraphBatch, merge_encoded
 from repro.featurize.e2e import E2EFeaturizer, E2ETreeSample
-from repro.models.trainer import CoreCostModel, collate_targets
-from repro.nn import MLP, Module, RowSums, Tensor, rank_rounds
+from repro.featurize.graph import FEATURE_DIMS, NODE_TYPES, node_levels
+from repro.models.trainer import CoreCostModel
+from repro.models.zero_shot import bottom_up_pass
+from repro.nn import MLP, Module, Tensor
 
 __all__ = ["E2EConfig", "E2ENet", "E2ECostModel"]
 
@@ -30,54 +35,27 @@ class E2EConfig:
     seed: int = 0
 
 
-@dataclass
-class _TreeBatch:
-    num_nodes: int
-    features: np.ndarray
-    #: Per level: the parents' node ids, the rank rounds of their child
-    #: sum (child ids into parent slots) and those of its backward pass
-    #: (parent slots into child ids).
-    levels: list[tuple[np.ndarray, RowSums, RowSums]]
-    roots: np.ndarray
-    targets: np.ndarray | None = None
+#: A tree has nodes of one type only; the other types' (read-only)
+#: feature matrices are empty, shared by every encoded tree.
+_NO_NODES = {t: np.zeros((0, FEATURE_DIMS[t])) for t in NODE_TYPES}
 
 
-def _batch_trees(samples: list[E2ETreeSample]) -> _TreeBatch:
-    """Collate samples into one batch (used once per mini-batch)."""
-    offsets = np.cumsum([0] + [s.num_nodes for s in samples])
-    features = np.concatenate([s.features for s in samples], axis=0)
-    level_of = np.concatenate([np.asarray(s.levels()) for s in samples])
-    edges_child = []
-    edges_parent = []
-    roots = []
-    for sample, offset in zip(samples, offsets[:-1]):
-        for child, parent in sample.edges:
-            edges_child.append(child + offset)
-            edges_parent.append(parent + offset)
-        roots.append(sample.root + offset)
-    edges_child = np.asarray(edges_child, dtype=np.int64)
-    edges_parent = np.asarray(edges_parent, dtype=np.int64)
-
-    levels = []
-    max_level = int(level_of.max()) if len(level_of) else 0
-    parent_levels = level_of[edges_parent] if len(edges_parent) else \
-        np.zeros(0, dtype=np.int64)
-    for level in range(1, max_level + 1):
-        parent_ids = np.flatnonzero(level_of == level)
-        if not len(parent_ids):
-            continue
-        slot_of = {int(p): i for i, p in enumerate(parent_ids)}
-        mask = parent_levels == level
-        child_ids = edges_child[mask]
-        parent_slots = np.asarray([slot_of[int(p)] for p in edges_parent[mask]],
-                                  dtype=np.int64)
-        levels.append((parent_ids, rank_rounds(child_ids, parent_slots),
-                       rank_rounds(parent_slots, child_ids)))
-    targets = collate_targets([s.target_log_runtime for s in samples],
-                              "E2E")
-    return _TreeBatch(num_nodes=int(offsets[-1]), features=features,
-                      levels=levels, roots=np.asarray(roots, dtype=np.int64),
-                      targets=targets)
+def _encode_tree(sample: E2ETreeSample) -> EncodedGraph:
+    """A plan tree as a one-type graph — every node a ``plan_op`` — so
+    the level batcher of the zero-shot graphs batches E2E trees too."""
+    edges = np.asarray(sample.edges, dtype=np.int64).reshape(-1, 2)
+    return EncodedGraph(
+        num_nodes=sample.num_nodes,
+        features={**_NO_NODES, "plan_op": sample.features},
+        type_positions={"plan_op": np.arange(sample.num_nodes)},
+        type_codes=np.zeros(sample.num_nodes, dtype=np.int64),
+        levels=np.asarray(node_levels(sample.num_nodes, sample.edges),
+                          dtype=np.int64),
+        edges_child=edges[:, 0],
+        edges_parent=edges[:, 1],
+        root=sample.root,
+        target_log_runtime=sample.target_log_runtime,
+    )
 
 
 class E2ENet(Module):
@@ -93,17 +71,10 @@ class E2ENet(Module):
         self.readout = MLP(hidden, list(config.readout_hidden), 1, rng,
                            activation=config.activation)
 
-    def forward(self, batch: _TreeBatch) -> Tensor:
-        hidden = self.encoder(Tensor(batch.features))
-        for parent_ids, child_sums, grad_sums in batch.levels:
-            child_sum = hidden.gather_sum(child_sums, len(parent_ids),
-                                          grad_sums)
-            parent_hidden = hidden.index_select(parent_ids)
-            combined = self.combine(
-                Tensor.concat([parent_hidden, child_sum], axis=1)
-            )
-            # h + (c - h), not c: the two round differently.
-            hidden = hidden.add_rows(parent_ids, combined - parent_hidden)
+    def forward(self, batch: GraphBatch) -> Tensor:
+        hidden = self.encoder(Tensor(batch.features["plan_op"]))
+        hidden = bottom_up_pass(hidden, batch.levels,
+                                lambda _node_type: self.combine)
         return self.readout(hidden.index_select(batch.roots)).reshape(-1)
 
 
@@ -111,7 +82,7 @@ class E2ECostModel(CoreCostModel):
     """Wrapper pairing the tree net with its per-database featurizer."""
 
     kind = "E2E"
-    collate = staticmethod(_batch_trees)
+    collate = staticmethod(merge_encoded)
 
     def __init__(self, featurizer: E2EFeaturizer,
                  config: E2EConfig | None = None):
@@ -121,3 +92,6 @@ class E2ECostModel(CoreCostModel):
         self.featurizer = featurizer
         self.config = config or E2EConfig()
         super().__init__(E2ENet(featurizer.node_dim, self.config))
+
+    def _encode(self, samples: list[E2ETreeSample]) -> list[EncodedGraph]:
+        return [_encode_tree(sample) for sample in samples]

@@ -304,7 +304,7 @@ class _WorkloadDrivenEstimator(CostEstimator):
         encoded: list[Any] = []
         for plan in plans:
             try:
-                encoded.append(self._encode_one(plan))
+                encoded.extend(self.model.encode([self._encode_one(plan)]))
             except FeaturizationError:
                 encoded.append(OUT_OF_VOCABULARY)
         return encoded
@@ -316,7 +316,7 @@ class _WorkloadDrivenEstimator(CostEstimator):
         known = [i for i, sample in enumerate(encoded)
                  if sample is not OUT_OF_VOCABULARY]
         if known:
-            out[known] = self.model.predict_log_runtime(
+            out[known] = self.model.predict_log_from_encoded(
                 [encoded[i] for i in known])
         return out
 

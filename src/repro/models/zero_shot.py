@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from repro.featurize.batch import (
     EncodedGraph,
     GraphBatch,
     LevelPlanCache,
+    LevelSpec,
     encode_graphs,
     fit_scalers,
     merge_encoded,
@@ -42,7 +44,8 @@ from repro.nn import MLP, Module, Tensor, no_grad
 from repro.nn.serialize import save_state
 from repro.models.trainer import CoreCostModel, standardization
 
-__all__ = ["ZeroShotConfig", "ZeroShotNet", "ZeroShotCostModel"]
+__all__ = ["ZeroShotConfig", "ZeroShotNet", "ZeroShotCostModel",
+           "bottom_up_pass"]
 
 
 @dataclass(frozen=True)
@@ -90,6 +93,35 @@ class ZeroShotConfig:
         if self.cardinality_correction_margin < 0:
             raise ModelError(
                 "cardinality_correction_margin must be non-negative")
+
+
+def bottom_up_pass(hidden: Tensor, levels: list[LevelSpec],
+                   combine_of: Callable[[str], Module]) -> Tensor:
+    """Final hidden states after the level-by-level bottom-up combine.
+
+    At each level every parent's children are summed (DeepSets) and
+    combined with the parent's own state by ``combine_of(node_type)``.
+    The one message-passing loop of the library: the zero-shot net
+    hands in its per-type combine MLPs, the E2E tree net its single one.
+    """
+    for level in levels:
+        num_parents = len(level.parent_ids)
+        child_sum = hidden.gather_sum(level.child_sums, num_parents,
+                                      level.grad_sums)
+        parent_hidden = hidden.index_select(level.parent_ids)
+        stacked = Tensor.concat([parent_hidden, child_sum], axis=1)
+        if len(level.type_slots) == 1:
+            # One type owns every slot, in slot order.
+            (node_type,) = level.type_slots
+            combined = combine_of(node_type)(stacked)
+        else:
+            combined = Tensor.scatter_rows(
+                [combine_of(node_type)(stacked.index_select(slots))
+                 for node_type, slots in level.type_slots.items()],
+                list(level.type_slots.values()), num_parents)
+        # h + (c - h), not c: the two round differently.
+        hidden = hidden.add_rows(level.parent_ids, combined - parent_hidden)
+    return hidden
 
 
 class ZeroShotNet(Module):
@@ -165,27 +197,10 @@ class ZeroShotNet(Module):
             positions.append(batch.type_positions[node_type])
         hidden = Tensor.scatter_rows(encoded, positions, batch.num_nodes)
 
-        # 2. Level-by-level bottom-up combine.
-        for level in batch.levels:
-            num_parents = len(level.parent_ids)
-            child_sum = hidden.gather_sum(level.child_sums, num_parents,
-                                          level.grad_sums)
-            parent_hidden = hidden.index_select(level.parent_ids)
-            stacked = Tensor.concat([parent_hidden, child_sum], axis=1)
-            if len(level.type_slots) == 1:
-                # One type owns every slot, in slot order.
-                (node_type,) = level.type_slots
-                combined = self._modules[f"combine_{node_type}"](stacked)
-            else:
-                combined = Tensor.scatter_rows(
-                    [self._modules[f"combine_{node_type}"](
-                        stacked.index_select(slots))
-                     for node_type, slots in level.type_slots.items()],
-                    list(level.type_slots.values()), num_parents)
-            # h + (c - h), not c: the two round differently.
-            hidden = hidden.add_rows(level.parent_ids,
-                                     combined - parent_hidden)
-        return hidden
+        # 2. Level-by-level bottom-up combine, one MLP per node type.
+        return bottom_up_pass(
+            hidden, batch.levels,
+            lambda node_type: self._modules[f"combine_{node_type}"])
 
     def forward(self, batch: GraphBatch) -> Tensor:
         """Predicted log-runtimes, one per graph in the batch."""

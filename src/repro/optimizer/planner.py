@@ -34,15 +34,10 @@ from repro.plans.operators import (
     Sort,
 )
 from repro.plans.plan import PhysicalPlan
-from repro.sql.ast import ColumnRef, ComparisonOperator, Predicate, Query, TableRef
+from repro.sql.ast import ColumnRef, Predicate, Query, TableRef
 from repro.sql.validate import validate_query
 
 __all__ = ["PlannerOptions", "Planner", "plan_query"]
-
-#: Predicate operators a B-tree can serve directly.
-_INDEXABLE_OPS = (ComparisonOperator.EQ, ComparisonOperator.LT,
-                  ComparisonOperator.LEQ, ComparisonOperator.GT,
-                  ComparisonOperator.GEQ, ComparisonOperator.BETWEEN)
 
 
 @dataclass(frozen=True)
@@ -222,7 +217,7 @@ class Planner:
             on_column = tuple(
                 p for p in predicates
                 if p.column.column == index.column_name
-                and p.operator in _INDEXABLE_OPS
+                and p.interval() is not None  # a B-tree serves key ranges
             )
             if not on_column:
                 continue

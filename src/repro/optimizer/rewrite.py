@@ -45,6 +45,7 @@ spanning forest so redundant derived edges are not double counted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from typing import Iterator, Protocol, runtime_checkable
 
 from repro.db.schema import Schema
@@ -52,6 +53,7 @@ from repro.errors import PlannerError
 from repro.sql.ast import (
     ColumnRef,
     ComparisonOperator,
+    Interval,
     JoinCondition,
     Predicate,
     Query,
@@ -477,56 +479,6 @@ class PredicatePushdownRule:
         return replace(node, children=tuple(new_children))
 
 
-def _range_bounds(predicates):
-    """Fold range predicates into (low, low_inclusive, high, high_inclusive)."""
-    low = high = None
-    low_inc = high_inc = True
-    for predicate in predicates:
-        op, value = predicate.operator, predicate.value
-        if op is ComparisonOperator.BETWEEN:
-            bounds = [(value[0], True, "low"), (value[1], True, "high")]
-        elif op in (ComparisonOperator.GT, ComparisonOperator.GEQ):
-            bounds = [(value, op is ComparisonOperator.GEQ, "low")]
-        else:  # LT / LEQ
-            bounds = [(value, op is ComparisonOperator.LEQ, "high")]
-        for bound, inclusive, side in bounds:
-            if side == "low":
-                if low is None or bound > low:
-                    low, low_inc = bound, inclusive
-                elif bound == low:
-                    low_inc = low_inc and inclusive
-            else:
-                if high is None or bound < high:
-                    high, high_inc = bound, inclusive
-                elif bound == high:
-                    high_inc = high_inc and inclusive
-    return low, low_inc, high, high_inc
-
-
-def _satisfies_interval(value, low, low_inc, high, high_inc) -> bool:
-    if low is not None and (value < low or (value == low and not low_inc)):
-        return False
-    if high is not None and (value > high or (value == high and not high_inc)):
-        return False
-    return True
-
-
-def _emit_interval(column, low, low_inc, high, high_inc) -> list[Predicate]:
-    if low is not None and high is not None:
-        if low == high and low_inc and high_inc:
-            return [Predicate(column, ComparisonOperator.EQ, low)]
-        if low <= high and low_inc and high_inc:
-            return [Predicate(column, ComparisonOperator.BETWEEN, (low, high))]
-    out = []
-    if low is not None:
-        op = ComparisonOperator.GEQ if low_inc else ComparisonOperator.GT
-        out.append(Predicate(column, op, low))
-    if high is not None:
-        op = ComparisonOperator.LEQ if high_inc else ComparisonOperator.LT
-        out.append(Predicate(column, op, high))
-    return out
-
-
 def merge_conjunction(predicates: tuple[Predicate, ...]
                       ) -> tuple[Predicate, ...] | None:
     """Exact conjunction compression.  Returns the merged tuple, or
@@ -575,14 +527,15 @@ def _merge_column(column: ColumnRef,
     others = [p for p in predicates
               if p not in eqs and p not in ins and p not in ranges]
 
-    low, low_inc, high, high_inc = _range_bounds(ranges)
+    interval = reduce(Interval.intersect,
+                      (p.interval() for p in ranges), Interval())
 
     if eqs:
         values = {p.value for p in eqs}
         if len(values) > 1:
             return predicates  # contradictory EQs: keep as written
         value = eqs[0].value
-        if not _satisfies_interval(value, low, low_inc, high, high_inc):
+        if not interval.contains(value):
             return predicates
         if any(value not in p.value for p in ins):
             return predicates
@@ -592,8 +545,7 @@ def _merge_column(column: ColumnRef,
         members = set(ins[0].value)
         for predicate in ins[1:]:
             members &= set(predicate.value)
-        members = {v for v in members
-                   if _satisfies_interval(v, low, low_inc, high, high_inc)}
+        members = {v for v in members if interval.contains(v)}
         if not members:
             return predicates  # empty intersection: keep as written
         if len(members) == 1:
@@ -605,11 +557,9 @@ def _merge_column(column: ColumnRef,
         return merged + others
 
     if ranges:
-        if (low is not None and high is not None
-                and (low > high or (low == high
-                                    and not (low_inc and high_inc)))):
+        if interval.is_empty:
             return predicates  # empty interval: keep as written
-        return _emit_interval(column, low, low_inc, high, high_inc) + others
+        return list(interval.predicates(column)) + others
 
     return others
 

@@ -11,7 +11,7 @@ on being realistic.
 from __future__ import annotations
 
 from repro.db.statistics import ColumnStatistics
-from repro.sql.ast import ComparisonOperator, Predicate
+from repro.sql.ast import ComparisonOperator, Interval, Predicate
 
 __all__ = ["estimate_predicate_selectivity", "DEFAULT_EQ_SELECTIVITY",
            "DEFAULT_RANGE_SELECTIVITY"]
@@ -39,13 +39,13 @@ def _equality_selectivity(stats: ColumnStatistics, value: float) -> float:
     return max(remainder, 0.0) / remaining_distinct
 
 
-def _range_selectivity(stats: ColumnStatistics, low: float | None,
-                       high: float | None, low_inclusive: bool,
-                       high_inclusive: bool) -> float:
+def _range_selectivity(stats: ColumnStatistics, interval: Interval) -> float:
     if stats.histogram is None:
         return DEFAULT_RANGE_SELECTIVITY
     fraction = stats.histogram.selectivity_range(
-        low, high, low_inclusive=low_inclusive, high_inclusive=high_inclusive
+        interval.low, interval.high,
+        low_inclusive=interval.low_inclusive,
+        high_inclusive=interval.high_inclusive,
     )
     return fraction * (1.0 - stats.null_fraction)
 
@@ -75,20 +75,4 @@ def estimate_predicate_selectivity(stats: ColumnStatistics | None,
                     for value in predicate.value)
         return _clamp(total)
 
-    if operator is ComparisonOperator.BETWEEN:
-        low, high = predicate.value
-        return _clamp(_range_selectivity(stats, low, high, True, True))
-
-    if operator is ComparisonOperator.LT:
-        return _clamp(_range_selectivity(stats, None, predicate.value,
-                                         True, False))
-    if operator is ComparisonOperator.LEQ:
-        return _clamp(_range_selectivity(stats, None, predicate.value,
-                                         True, True))
-    if operator is ComparisonOperator.GT:
-        return _clamp(_range_selectivity(stats, predicate.value, None,
-                                         False, True))
-    if operator is ComparisonOperator.GEQ:
-        return _clamp(_range_selectivity(stats, predicate.value, None,
-                                         True, True))
-    raise ValueError(f"unsupported operator {operator}")  # pragma: no cover
+    return _clamp(_range_selectivity(stats, predicate.interval()))

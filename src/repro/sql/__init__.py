@@ -11,6 +11,7 @@ from repro.sql.ast import (
     AggregateSpec,
     ColumnRef,
     ComparisonOperator,
+    Interval,
     JoinCondition,
     Predicate,
     Query,
@@ -27,6 +28,7 @@ __all__ = [
     "AggregateSpec",
     "ColumnRef",
     "ComparisonOperator",
+    "Interval",
     "JoinCondition",
     "Predicate",
     "Query",

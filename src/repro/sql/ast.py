@@ -17,6 +17,7 @@ __all__ = [
     "AggregateFunction",
     "TableRef",
     "ColumnRef",
+    "Interval",
     "Predicate",
     "JoinCondition",
     "AggregateSpec",
@@ -116,6 +117,22 @@ class Predicate:
                 f"operator {self.operator} takes a scalar, got {self.value!r}"
             )
 
+    def interval(self) -> "Interval | None":
+        """The one key range this predicate admits (EQ, LT, LEQ, GT,
+        GEQ, BETWEEN); ``None`` for NEQ and IN, which are not a range."""
+        operator, value = self.operator, self.value
+        if operator is ComparisonOperator.EQ:
+            return Interval(value, True, value, True)
+        if operator is ComparisonOperator.BETWEEN:
+            return Interval(value[0], True, value[1], True)
+        if operator in (ComparisonOperator.GT, ComparisonOperator.GEQ):
+            return Interval(low=value,
+                            low_inclusive=operator is ComparisonOperator.GEQ)
+        if operator in (ComparisonOperator.LT, ComparisonOperator.LEQ):
+            return Interval(high=value,
+                            high_inclusive=operator is ComparisonOperator.LEQ)
+        return None
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         if self.operator is ComparisonOperator.BETWEEN:
             return f"{self.column} BETWEEN {self.value[0]} AND {self.value[1]}"
@@ -123,6 +140,82 @@ class Predicate:
             inner = ", ".join(str(v) for v in self.value)
             return f"{self.column} IN ({inner})"
         return f"{self.column} {self.operator.value} {self.value}"
+
+
+@dataclass(frozen=True)
+class Interval:
+    """The values a conjunction of range predicates admits on one column.
+
+    Every bound anybody derives from predicates — the rewriter's merged
+    conjunction, the executor's index range, the optimizer's histogram
+    range — is a fold of :meth:`Predicate.interval` values with
+    :meth:`intersect`.  ``None`` is an absent bound; its inclusive flag
+    stays ``True`` so equal intervals compare equal.
+    """
+
+    low: float | None = None
+    low_inclusive: bool = True
+    high: float | None = None
+    high_inclusive: bool = True
+
+    def intersect(self, other: "Interval") -> "Interval":
+        """The interval both admit: the tighter bound per side, and at
+        equal bounds inclusive only when both are."""
+        low, low_inclusive = self.low, self.low_inclusive
+        if other.low is not None:
+            if low is None or other.low > low:
+                low, low_inclusive = other.low, other.low_inclusive
+            elif other.low == low:
+                low_inclusive = low_inclusive and other.low_inclusive
+        high, high_inclusive = self.high, self.high_inclusive
+        if other.high is not None:
+            if high is None or other.high < high:
+                high, high_inclusive = other.high, other.high_inclusive
+            elif other.high == high:
+                high_inclusive = high_inclusive and other.high_inclusive
+        return Interval(low, low_inclusive, high, high_inclusive)
+
+    def contains(self, value: float) -> bool:
+        if self.low is not None and (
+                value < self.low
+                or (value == self.low and not self.low_inclusive)):
+            return False
+        if self.high is not None and (
+                value > self.high
+                or (value == self.high and not self.high_inclusive)):
+            return False
+        return True
+
+    @property
+    def is_empty(self) -> bool:
+        """True when no value can satisfy both bounds."""
+        if self.low is None or self.high is None:
+            return False
+        return self.low > self.high or (
+            self.low == self.high
+            and not (self.low_inclusive and self.high_inclusive))
+
+    def predicates(self, column: ColumnRef) -> tuple[Predicate, ...]:
+        """The fewest predicates on ``column`` that admit exactly this
+        interval: EQ for a point, BETWEEN for a closed range, else one
+        comparison per present bound (low first)."""
+        if (self.low is not None and self.high is not None
+                and self.low_inclusive and self.high_inclusive):
+            if self.low == self.high:
+                return (Predicate(column, ComparisonOperator.EQ, self.low),)
+            if self.low < self.high:
+                return (Predicate(column, ComparisonOperator.BETWEEN,
+                                  (self.low, self.high)),)
+        out = []
+        if self.low is not None:
+            operator = ComparisonOperator.GEQ if self.low_inclusive \
+                else ComparisonOperator.GT
+            out.append(Predicate(column, operator, self.low))
+        if self.high is not None:
+            operator = ComparisonOperator.LEQ if self.high_inclusive \
+                else ComparisonOperator.LT
+            out.append(Predicate(column, operator, self.high))
+        return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import pytest
 from repro.engine import execute_plan
 from repro.errors import FeaturizationError
 from repro.featurize import E2EFeaturizer, MSCNFeaturizer
+from repro.featurize.graph import node_levels
 from repro.optimizer import plan_query
 from repro.sql import parse_query
 
@@ -84,7 +85,7 @@ class TestE2E:
         sample = featurizer.featurize(plans[1], target_runtime_seconds=0.1)
         assert sample.num_nodes == plans[1].num_nodes
         assert len(sample.edges) == sample.num_nodes - 1  # tree
-        levels = sample.levels()
+        levels = node_levels(sample.num_nodes, sample.edges)
         assert levels[sample.root] == max(levels)
 
     def test_unknown_column_fails(self, tiny_imdb):

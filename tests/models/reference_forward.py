@@ -76,22 +76,20 @@ def reference_forward_with_cardinalities(net, batch
 
 
 def reference_e2e_forward(net, batch) -> Tensor:
-    hidden = net.encoder(Tensor(batch.features))
-    for parent_ids, child_sums, _ in batch.levels:
+    hidden = net.encoder(Tensor(batch.features["plan_op"]))
+    for level in batch.levels:
         # The batch lists a level's edges as rank rounds; listed round
         # after round, every parent's children keep their edge order,
         # which is all np.add.at depends on.
-        child_ids = np.concatenate(child_sums.rounds)
-        parent_slots = np.concatenate(
-            [child_sums.targets[:len(sources)]
-             for sources in child_sums.rounds])
         child_sum = _scatter_add(
-            hidden.index_select(child_ids), parent_slots, len(parent_ids)
+            hidden.index_select(level.edge_child_ids),
+            level.edge_parent_slots, len(level.parent_ids)
         )
-        parent_hidden = hidden.index_select(parent_ids)
+        parent_hidden = hidden.index_select(level.parent_ids)
         combined = net.combine(
             Tensor.concat([parent_hidden, child_sum], axis=1)
         )
         delta = combined - parent_hidden
-        hidden = hidden + _scatter_add(delta, parent_ids, batch.num_nodes)
+        hidden = hidden + _scatter_add(delta, level.parent_ids,
+                                       batch.num_nodes)
     return net.readout(hidden.index_select(batch.roots)).reshape(-1)

@@ -21,7 +21,7 @@ from repro.engine import execute_plan
 from repro.featurize import CardinalitySource, ZeroShotFeaturizer
 from repro.featurize.batch import encode_graphs, fit_scalers, merge_encoded
 from repro.featurize.e2e import E2EFeaturizer
-from repro.models.e2e import E2EConfig, E2ENet, _batch_trees
+from repro.models.e2e import E2EConfig, E2ECostModel, E2ENet
 from repro.models.zero_shot import ZeroShotConfig, ZeroShotNet
 from repro.nn import no_grad
 from repro.optimizer import plan_query
@@ -95,12 +95,13 @@ def test_zero_shot_forwards_equal_the_reference(golden_plans,
 def test_e2e_forward_equals_the_reference(golden_plans):
     database, plans = golden_plans
     featurizer = E2EFeaturizer(database).fit(plans)
-    samples = [featurizer.featurize(plan) for plan in plans]
+    model = E2ECostModel(featurizer, E2EConfig(hidden_dim=32))
+    samples = model._encode([featurizer.featurize(plan) for plan in plans])
     net = _randomized(E2ENet(featurizer.node_dim, E2EConfig(hidden_dim=32)),
                       seed=3)
     with no_grad():
         for chunk in _random_batches(samples, seed=4):
-            batch = _batch_trees(chunk)
+            batch = model.collate(chunk)
             assert batch.levels, "plans without a join or filter level"
             expected = reference_e2e_forward(net, batch).numpy()
             assert np.array_equal(net(batch).numpy(), expected)

@@ -118,3 +118,45 @@ def test_deepcopy_guard_sees_what_it_guards(tmp_path):
                       "copy.copy(node)\nnode.deepcopy()\n")
     assert _deepcopy_uses(sample) == [
         "copy.deepcopy:4", "cp.deepcopy:5", "from copy import deepcopy:3"]
+
+
+#: Functions every featurizer and batcher must share, not re-define.
+SINGLE_DEFINITIONS = ({"levels"}, {"normalized_literal", "_normalized_literal"})
+
+
+def _function_definitions(path: Path, names: set[str]) -> list[str]:
+    """Functions and methods in ``path`` named one of ``names``."""
+    return [
+        f"{node.name}:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name in names
+    ]
+
+
+def test_levelling_and_literal_normalization_are_defined_once():
+    """E2E once carried its own copy of ``PlanGraph.levels`` and both
+    baselines their own ``_normalized_literal``; the next baseline
+    imports ``repro.featurize.graph.node_levels`` and
+    ``repro.featurize.vocabulary`` instead of bringing a third."""
+    for names in SINGLE_DEFINITIONS:
+        found = {
+            str(path.relative_to(PACKAGE_ROOT)): definitions
+            for path in sorted(PACKAGE_ROOT.rglob("*.py"))
+            if (definitions := _function_definitions(path, names))
+        }
+        count = sum(len(definitions) for definitions in found.values())
+        assert count <= 1, f"{sorted(names)} defined {count} times: {found}"
+
+
+def test_single_definition_guard_sees_what_it_guards(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("def levels(n, edges): ...\n"
+                      "class Graph:\n"
+                      "    def levels(self): ...\n"
+                      "    def _normalized_literal(self): ...\n"
+                      "levels = None\nnode_levels = levels\n")
+    assert _function_definitions(sample, {"levels"}) == \
+        ["levels:1", "levels:3"]
+    assert _function_definitions(
+        sample, {"normalized_literal", "_normalized_literal"}) == \
+        ["_normalized_literal:4"]

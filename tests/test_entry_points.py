@@ -27,7 +27,6 @@ EXPECTED_SCRIPTS = {
     "repro-ablations": "repro.experiments.ablations",
     "repro-resources": "repro.experiments.resources",
     "repro-hardware": "repro.experiments.hardware",
-    "repro-profile": "repro.experiments.profile",
 }
 
 

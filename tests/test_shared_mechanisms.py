@@ -3,12 +3,15 @@
 Every cache in the library is a :class:`repro.util.LRUCache` and every
 ``register_*`` function delegates to a :class:`repro.util.Registry`, so
 the behaviour each owner promises is checked once, parametrized over
-the owners, instead of once per owner in its own words.
+the owners, instead of once per owner in its own words.  The same goes
+for levelling a plan: zero-shot graphs and E2E trees are levelled by
+one function.
 """
 
 from dataclasses import dataclass
 from typing import Any, Callable
 
+import numpy as np
 import pytest
 
 from repro.engine import (
@@ -27,12 +30,18 @@ from repro.errors import (
     ModelError,
     PlannerError,
 )
+import repro.featurize.graph
+import repro.models.e2e
 from repro.featurize import (
     CardinalitySource,
+    E2ETreeSample,
     LevelPlanCache,
+    PlanGraph,
     ZeroShotFeaturizer,
+    encode_graph,
     encode_graphs,
 )
+from repro.featurize.graph import FEATURE_DIMS
 from repro.models.api import (
     available_estimators,
     get_estimator,
@@ -365,3 +374,51 @@ class TestLRUClass:
     def test_negative_bound_rejected(self):
         with pytest.raises(ValueError):
             LRUCache(-1)
+
+
+# ----------------------------------------------------------------------
+# Levels: zero-shot graphs and E2E trees
+# ----------------------------------------------------------------------
+#: shape -> (edges as (child, parent), level per node)
+LEVEL_SHAPES = {
+    "chain": ([(0, 1), (1, 2), (2, 3)], [0, 1, 2, 3]),
+    "bushy tree": ([(1, 0), (2, 0), (3, 1), (4, 1), (5, 2), (6, 2)],
+                   [2, 1, 1, 0, 0, 0, 0]),
+    "dag with a shared child": ([(0, 1), (0, 2), (1, 3), (2, 3), (0, 3)],
+                                [0, 1, 1, 2]),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(LEVEL_SHAPES))
+def test_graphs_and_trees_are_levelled_by_one_function(shape):
+    edges, expected = LEVEL_SHAPES[shape]
+    assert repro.models.e2e.node_levels is repro.featurize.graph.node_levels
+
+    graph = PlanGraph()
+    for _ in expected:
+        graph.add_node("plan_op", np.zeros(FEATURE_DIMS["plan_op"]))
+    for child, parent in edges:
+        graph.add_edge(child, parent)
+    graph.root = expected.index(max(expected))
+    assert graph.levels() == expected
+    assert encode_graph(graph).levels.tolist() == expected
+
+    tree = E2ETreeSample(features=np.zeros((len(expected), 3)), edges=edges,
+                         root=graph.root)
+    encoded = repro.models.e2e._encode_tree(tree)
+    assert encoded.levels.tolist() == expected
+    assert encoded.edge_parent_ranks.tolist() == \
+        encode_graph(graph).edge_parent_ranks.tolist()
+
+
+def test_a_cycle_is_rejected_wherever_levels_are_taken():
+    edges = [(0, 1), (1, 2), (2, 0)]
+    graph = PlanGraph()
+    for _ in range(3):
+        graph.add_node("plan_op", np.zeros(FEATURE_DIMS["plan_op"]))
+    graph.edges.extend(edges)
+    tree = E2ETreeSample(features=np.zeros((3, 3)), edges=edges)
+    with pytest.raises(FeaturizationError, match="cycle"):
+        graph.levels()
+    with pytest.raises(FeaturizationError, match="cycle"):
+        repro.models.e2e._encode_tree(tree)
