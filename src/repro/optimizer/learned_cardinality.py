@@ -7,8 +7,9 @@ estimation as the next zero-shot task.  This module closes the loop:
 :class:`~repro.optimizer.cardinality.CardinalityEstimator` — the DP
 join enumerator, the planner and
 :class:`~repro.optimizer.learned_planner.ZeroShotPlanSelector` consume
-it through the exact same ``scan_rows`` / ``joined_rows`` surface, so
-two estimators that return the same numbers produce identical plans.
+it through the exact same ``bind(query)`` → ``scan_rows`` /
+``joined_rows`` surface, so two estimators that return the same numbers
+produce identical plans.
 
 On the first fragment request for a query, the estimator **primes** its
 per-query cache in one batched model call:
@@ -43,7 +44,10 @@ from repro.errors import (
     QueryError,
 )
 from repro.models.cardinality import as_estimator
-from repro.optimizer.cardinality import CardinalityEstimator
+from repro.optimizer.cardinality import (
+    BoundCardinalities,
+    CardinalityEstimator,
+)
 from repro.plans.operators import HashBuild, HashJoin, PlanNode, SeqScan
 from repro.plans.plan import PhysicalPlan
 from repro.sql.ast import JoinCondition, Query, TableRef
@@ -54,6 +58,29 @@ __all__ = ["LearnedCardinalityEstimator"]
 #: Exceptions that route a fragment to the heuristic fallback.
 _FALLBACK_ERRORS = (FeaturizationError, ModelError, OptimizerError,
                     PlanError, QueryError)
+
+
+class _LearnedCardinalities(BoundCardinalities):
+    """A query bound to a :class:`LearnedCardinalityEstimator`: fragment
+    rows come from the estimator's per-query cache, everything else
+    (selectivities, group counts) stays classical."""
+
+    def __init__(self, estimator: "LearnedCardinalityEstimator",
+                 query: Query):
+        super().__init__(estimator.database, query)
+        self._estimator = estimator
+        #: The purely classical estimates, for fallbacks and
+        #: fragment-plan annotations.  A second binding, not ``super()``:
+        #: the classical ``joined_rows`` calls ``scan_rows``, and dynamic
+        #: dispatch would route that back into the learned override.
+        self.heuristic = BoundCardinalities(estimator.database, query)
+
+    def scan_rows(self, alias: str) -> float:
+        return self._estimator._fragment_rows(self, frozenset({alias}))
+
+    def joined_rows(self, aliases: frozenset[str]) -> float:
+        self.check_aliases(aliases)
+        return self._estimator._fragment_rows(self, frozenset(aliases))
 
 
 class LearnedCardinalityEstimator(CardinalityEstimator):
@@ -102,12 +129,6 @@ class LearnedCardinalityEstimator(CardinalityEstimator):
         if cached_queries < 1:
             raise ModelError("cached_queries must be positive")
         self.cached_queries = cached_queries
-        #: A plain heuristic estimator for fallbacks and fragment-plan
-        #: annotations.  Composition, not ``super()``: the heuristic's
-        #: ``joined_rows`` internally calls ``scan_rows``, and dynamic
-        #: dispatch would route that back into the learned override —
-        #: fallback estimates must be purely heuristic.
-        self._heuristic = CardinalityEstimator(database)
         self._predict = self._resolve_predictor(model)
         self._predict_graphs = self._resolve_graph_predictor(model)
         #: Fragments priced by the model / by the heuristic fallback.
@@ -162,44 +183,38 @@ class LearnedCardinalityEstimator(CardinalityEstimator):
     # ------------------------------------------------------------------
     # The drop-in surface the planner reads
     # ------------------------------------------------------------------
-    def scan_rows(self, query: Query, alias: str) -> float:
-        return self._fragment_rows(query, frozenset({alias}))
-
-    def joined_rows(self, query: Query, aliases: frozenset[str]) -> float:
-        missing = aliases - set(query.table_names)
-        if missing:
-            raise OptimizerError(
-                f"unknown aliases in join set: {sorted(missing)}"
-            )
-        return self._fragment_rows(query, frozenset(aliases))
+    def bind(self, query: Query) -> _LearnedCardinalities:
+        """``scan_rows`` / ``joined_rows`` (inherited, like the planner,
+        they read through the binding) answer from the fragment cache."""
+        return _LearnedCardinalities(self, query)
 
     # ------------------------------------------------------------------
-    def _heuristic_rows(self, query: Query, aliases: frozenset[str]) -> float:
-        if len(aliases) == 1:
-            return self._heuristic.scan_rows(query, next(iter(aliases)))
-        return self._heuristic.joined_rows(query, aliases)
-
-    def _fragment_rows(self, query: Query, aliases: frozenset[str]) -> float:
-        fragments = self._cache.get(query)
+    def _fragment_rows(self, bound: _LearnedCardinalities,
+                       aliases: frozenset[str]) -> float:
+        fragments = self._cache.get(bound.query)
         if fragments is None:
             fragments = {}
-            self._cache.put(query, fragments)
+            self._cache.put(bound.query, fragments)
             if not self.fallback_only:
-                self._prime_query(query, fragments)
+                self._prime_query(bound.heuristic, fragments)
         cached = fragments.get(aliases)
         if cached is not None:
             return cached
         # Outside the primed set (disconnected pair, failed fragment,
         # fallback-only mode): classical heuristic, cached per fragment.
-        rows = self._heuristic_rows(query, aliases)
+        if len(aliases) == 1:
+            rows = bound.heuristic.scan_rows(next(iter(aliases)))
+        else:
+            rows = bound.heuristic.joined_rows(aliases)
         self.fallback_fragments += 1
         fragments[aliases] = rows
         return rows
 
-    def _prime_query(self, query: Query,
+    def _prime_query(self, heuristic: BoundCardinalities,
                      fragments: dict[frozenset[str], float]) -> None:
-        """Price every connected fragment of ``query`` in ONE batched
-        model call (the DP enumerator will request exactly these).
+        """Price every connected fragment of ``heuristic.query`` in ONE
+        batched model call (the DP enumerator will request exactly
+        these); ``heuristic`` annotates the fragment plans.
 
         The workload space caps join width at a handful of tables, so
         the connected-subset enumeration is tiny; batching collapses
@@ -214,17 +229,19 @@ class LearnedCardinalityEstimator(CardinalityEstimator):
         # here and threaded through every fragment-plan construction,
         # instead of re-scanning query.joins_between per candidate
         # alias per fragment (O(joins * n^2) per fragment before).
+        query = heuristic.query
         adjacency = self._join_adjacency(query)
         subsets = connected_subsets(query)
         if self.dedup_fragments and self._predict_graphs is not None:
-            if self._prime_query_deduped(query, fragments, subsets,
+            if self._prime_query_deduped(heuristic, fragments, subsets,
                                          adjacency):
                 return
         plans: list[PhysicalPlan] = []
         keys: list[frozenset[str]] = []
         for aliases in subsets:
             try:
-                plans.append(self._fragment_plan(query, aliases, adjacency))
+                plans.append(self._fragment_plan(query, aliases, adjacency,
+                                                 heuristic))
                 keys.append(aliases)
             except _FALLBACK_ERRORS:
                 continue  # this fragment will be priced heuristically
@@ -239,7 +256,7 @@ class LearnedCardinalityEstimator(CardinalityEstimator):
             fragments[aliases] = max(float(cards[0]), 1.0)
             self.learned_fragments += 1
 
-    def _prime_query_deduped(self, query: Query,
+    def _prime_query_deduped(self, heuristic: BoundCardinalities,
                              fragments: dict[frozenset[str], float],
                              subsets: list[frozenset[str]],
                              adjacency: dict) -> bool:
@@ -280,7 +297,7 @@ class LearnedCardinalityEstimator(CardinalityEstimator):
         for aliases in sorted(subsets, key=len):
             try:
                 root_nodes.append(
-                    self._shared_fragment_root(query, aliases, adjacency,
+                    self._shared_fragment_root(heuristic, aliases, adjacency,
                                                scans, builds, roots))
                 keys.append(aliases)
             except _FALLBACK_ERRORS:
@@ -289,7 +306,7 @@ class LearnedCardinalityEstimator(CardinalityEstimator):
             return True  # nothing to prime; same outcome as legacy
         try:
             graph, root_ids = featurizer.featurize_shared(
-                root_nodes, query, self.database)
+                root_nodes, heuristic.query, self.database)
             predictions = self._predict_graphs([graph])
         except _FALLBACK_ERRORS:
             return False  # let the legacy path try per-fragment
@@ -304,14 +321,15 @@ class LearnedCardinalityEstimator(CardinalityEstimator):
     # ------------------------------------------------------------------
     # Canonical fragment plans
     # ------------------------------------------------------------------
-    def _scan_node(self, query: Query, alias: str) -> PlanNode:
-        table_name = query.table_ref(alias).table_name
+    def _scan_node(self, heuristic: BoundCardinalities,
+                   alias: str) -> PlanNode:
+        table_name = heuristic.table_ref(alias).table_name
         node = SeqScan(
             table=TableRef(table_name,
                            alias if alias != table_name else None),
-            filters=query.predicates_on(alias),
+            filters=heuristic.predicates_on(alias),
         )
-        node.est_rows = self._heuristic.scan_rows(query, alias)
+        node.est_rows = heuristic.scan_rows(alias)
         node.est_width = float(
             self.database.schema.table(table_name).tuple_width_bytes)
         return node
@@ -378,7 +396,9 @@ class LearnedCardinalityEstimator(CardinalityEstimator):
         return sequence
 
     def _fragment_plan(self, query: Query, aliases: frozenset[str],
-                       adjacency: dict | None = None) -> PhysicalPlan:
+                       adjacency: dict | None = None,
+                       heuristic: BoundCardinalities | None = None
+                       ) -> PhysicalPlan:
         """Deterministic left-deep hash-join plan over ``aliases``.
 
         The shape is canonical (sorted aliases, greedy connection), so
@@ -398,25 +418,27 @@ class LearnedCardinalityEstimator(CardinalityEstimator):
         """
         if adjacency is None:
             adjacency = self._join_adjacency(query)
+        if heuristic is None:
+            heuristic = BoundCardinalities(self.database, query)
         sequence = self._greedy_sequence(aliases, adjacency)
-        current = self._scan_node(query, sequence[0][0])
+        current = self._scan_node(heuristic, sequence[0][0])
         joined: set[str] = {sequence[0][0]}
         for next_alias, condition in sequence[1:]:
-            build_input = self._scan_node(query, next_alias)
+            build_input = self._scan_node(heuristic, next_alias)
             build = HashBuild(key=condition.side_for(next_alias),
                               children=[build_input])
             build.est_rows = build_input.est_rows
             build.est_width = build_input.est_width
             node = HashJoin(condition=condition, children=[current, build])
             joined.add(next_alias)
-            node.est_rows = self._heuristic.joined_rows(query,
-                                                        frozenset(joined))
+            node.est_rows = heuristic.joined_rows(frozenset(joined))
             node.est_width = current.est_width + build_input.est_width
             current = node
         return PhysicalPlan(root=current, query=query,
                             database_name=self.database.name)
 
-    def _shared_fragment_root(self, query: Query, aliases: frozenset[str],
+    def _shared_fragment_root(self, heuristic: BoundCardinalities,
+                              aliases: frozenset[str],
                               adjacency: dict,
                               scans: dict[str, PlanNode],
                               builds: dict[tuple[str, str], PlanNode],
@@ -446,7 +468,7 @@ class LearnedCardinalityEstimator(CardinalityEstimator):
         def scan_of(alias: str) -> PlanNode:
             node = scans.get(alias)
             if node is None:
-                node = self._scan_node(query, alias)
+                node = self._scan_node(heuristic, alias)
                 scans[alias] = node
                 roots.setdefault(frozenset({alias}), node)
             return node
@@ -471,7 +493,7 @@ class LearnedCardinalityEstimator(CardinalityEstimator):
                 build.est_width = build_input.est_width
                 builds[build_key] = build
             node = HashJoin(condition=condition, children=[current, build])
-            node.est_rows = self._heuristic.joined_rows(query, prefix)
+            node.est_rows = heuristic.joined_rows(prefix)
             node.est_width = current.est_width + build.est_width
             current = node
             roots[prefix] = node

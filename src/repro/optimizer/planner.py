@@ -8,11 +8,15 @@ Pipeline:
 3. aggregation on top,
 
 annotating every node with estimated rows, width and cumulative cost.
+One :meth:`Planner.plan` call binds its query once (``_PlanSearch``) and
+drops the binding when it returns; the candidates for a join are priced
+as floats and only the cheapest is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from operator import itemgetter
 
 from repro.db.database import Database
 from repro.db.index import Index
@@ -34,7 +38,13 @@ from repro.plans.operators import (
     Sort,
 )
 from repro.plans.plan import PhysicalPlan
-from repro.sql.ast import ColumnRef, Predicate, Query, TableRef
+from repro.sql.ast import (
+    ColumnRef,
+    JoinCondition,
+    Predicate,
+    Query,
+    TableRef,
+)
 from repro.sql.validate import validate_query
 
 __all__ = ["PlannerOptions", "Planner", "plan_query"]
@@ -90,12 +100,9 @@ class Planner:
         self.cost_model = CostModel(database, self.options.cost_parameters)
         #: Trace of the rewrite phase for the most recent :meth:`plan`
         #: call (also stored in ``plan.metadata["rewrite_trace"]``);
-        #: ``None`` when rewrites are disabled.
+        #: ``None`` when rewrites are disabled.  The only thing a call
+        #: leaves behind on the planner.
         self.last_rewrite_trace: RewriteTrace | None = None
-        #: alias -> kept columns from projection pruning, consumed by
-        #: :meth:`_table_width` and the scan builders.  Empty when
-        #: rewrites are off, so the legacy path is untouched.
-        self._scan_columns: dict[str, tuple[str, ...]] = {}
         # Constructed even when enable_rewrites is False so a typo'd
         # disabled_rules entry fails eagerly, mirroring resolve_backend.
         self._rewriter: RewritePlanner | None = None
@@ -105,9 +112,6 @@ class Planner:
                 disabled_rules=self.options.disabled_rules,
             )
 
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
     def plan(self, query: Query) -> PhysicalPlan:
         """Produce the cheapest physical plan for ``query``.
 
@@ -120,50 +124,82 @@ class Planner:
         validate_query(self.database.schema, query)
 
         trace = None
-        self._scan_columns = {}
+        scan_columns: dict[str, tuple[str, ...]] = {}
         if self.options.enable_rewrites and self._rewriter is not None:
             result = self._rewriter.rewrite(query)
             query = result.query
             trace = result.trace
-            self._scan_columns = result.scan_columns
+            scan_columns = result.scan_columns
         self.last_rewrite_trace = trace
 
-        if len(query.tables) == 1:
-            best = self._best_scan(query, query.tables[0].name)
-        else:
-            best = enumerate_join_orders(
-                query,
-                leaf_factory=lambda alias: self._best_scan(query, alias),
-                combine=lambda l, r: self._best_join(query, l, r),
-                better=lambda a, b: a.cost < b.cost,
-            )
-        root = self._add_aggregation(query, best)
+        root = _PlanSearch(self, query, scan_columns).run()
         plan = PhysicalPlan(root=root.node, query=query,
                             database_name=self.database.name)
         if trace is not None:
             plan.metadata["rewrite_trace"] = trace
         return plan
 
+
+class _PlanSearch:
+    """The state of one :meth:`Planner.plan` call.
+
+    The (rewritten) query is bound here, after the rewrite phase, and
+    nothing the search learns about it — cardinalities, usable indexes,
+    pruned projections — outlives the call: ``WhatIfPlanner`` adds and
+    drops hypothetical indexes between plans and statistics can be
+    re-analysed.
+    """
+
+    def __init__(self, planner: Planner, query: Query,
+                 scan_columns: dict[str, tuple[str, ...]]):
+        self.database = planner.database
+        self.options = planner.options
+        self.cost_model = planner.cost_model
+        self.query = query
+        self.cards = planner.estimator.bind(query)
+        #: alias -> kept columns from projection pruning.  Empty when
+        #: rewrites are off, so the legacy path is untouched.
+        self.scan_columns = scan_columns
+        self._indexes: dict[str, list[Index]] = {}
+        self._joined_rows: dict[frozenset[str], float] = {}
+
+    def run(self) -> _SubPlan:
+        if len(self.query.tables) == 1:
+            best = self._best_scan(self.query.tables[0].name)
+        else:
+            best = enumerate_join_orders(
+                self.query,
+                leaf_factory=self._best_scan,
+                combine=self._best_join,
+                better=lambda a, b: a.cost < b.cost,
+            )
+        return self._add_aggregation(best)
+
     # ------------------------------------------------------------------
     # Scans
     # ------------------------------------------------------------------
-    def _table_width(self, query: Query, alias: str) -> float:
-        table = self.database.schema.table(query.table_ref(alias).table_name)
-        kept = self._scan_columns.get(alias)
+    def _scanned_table(self, alias: str) -> TableRef:
+        table_name = self.cards.table_ref(alias).table_name
+        return TableRef(table_name, alias if alias != table_name else None)
+
+    def _table_width(self, alias: str) -> float:
+        table = self.database.schema.table(
+            self.cards.table_ref(alias).table_name)
+        kept = self.scan_columns.get(alias)
         if kept is None:
             return float(table.tuple_width_bytes)
         return float(sum(table.column(name).width_bytes for name in kept))
 
-    def _scan_candidates(self, query: Query, alias: str) -> list[_SubPlan]:
-        table_name = query.table_ref(alias).table_name
-        table_ref = TableRef(table_name, alias if alias != table_name else None)
-        predicates = query.predicates_on(alias)
-        width = self._table_width(query, alias)
-        out_rows = self.estimator.scan_rows(query, alias)
-        projection = self._scan_columns.get(alias)
+    def _scan_candidates(self, alias: str) -> list[_SubPlan]:
+        table_ref = self._scanned_table(alias)
+        table_name = table_ref.table_name
+        predicates = self.cards.predicates_on(alias)
+        width = self._table_width(alias)
+        out_rows = self.cards.scan_rows(alias)
+        projection = self.scan_columns.get(alias)
         candidates: list[_SubPlan] = []
 
-        if self.options.enable_seqscan or not self._usable_indexes(query, alias):
+        if self.options.enable_seqscan or not self._usable_indexes(alias):
             node = SeqScan(table=table_ref, filters=predicates,
                            projection=projection)
             node.est_rows = out_rows
@@ -176,8 +212,8 @@ class Planner:
 
         if self.options.enable_indexscan:
             for index, index_preds, residual in self._index_options(
-                    query, alias, predicates):
-                matched = self._index_matched_rows(query, alias, index_preds)
+                    alias, predicates):
+                matched = self._index_matched_rows(alias, index_preds)
                 node = IndexScan(
                     table=table_ref,
                     index_name=index.name,
@@ -203,17 +239,18 @@ class Planner:
             )
         return candidates
 
-    def _usable_indexes(self, query: Query, alias: str) -> list[Index]:
-        table_name = query.table_ref(alias).table_name
-        return self.database.indexes_on(
-            table_name,
-            include_hypothetical=self.options.use_hypothetical_indexes,
-        )
+    def _usable_indexes(self, alias: str) -> list[Index]:
+        indexes = self._indexes.get(alias)
+        if indexes is None:
+            indexes = self._indexes[alias] = self.database.indexes_on(
+                self.cards.table_ref(alias).table_name,
+                include_hypothetical=self.options.use_hypothetical_indexes,
+            )
+        return indexes
 
-    def _index_options(self, query: Query, alias: str,
-                       predicates: tuple[Predicate, ...]):
+    def _index_options(self, alias: str, predicates: tuple[Predicate, ...]):
         """(index, index_predicates, residual) combinations for a table."""
-        for index in self._usable_indexes(query, alias):
+        for index in self._usable_indexes(alias):
             on_column = tuple(
                 p for p in predicates
                 if p.column.column == index.column_name
@@ -224,149 +261,181 @@ class Planner:
             residual = tuple(p for p in predicates if p not in on_column)
             yield index, on_column, residual
 
-    def _index_matched_rows(self, query: Query, alias: str,
+    def _index_matched_rows(self, alias: str,
                             index_preds: tuple[Predicate, ...]) -> float:
         selectivity = 1.0
         for predicate in index_preds:
-            selectivity *= self.estimator.predicate_selectivity(query, predicate)
-        return max(self.estimator.table_rows(alias, query) * selectivity, 1.0)
+            selectivity *= self.cards.predicate_selectivity(predicate)
+        return max(self.cards.table_rows(alias) * selectivity, 1.0)
 
-    def _best_scan(self, query: Query, alias: str) -> _SubPlan:
-        return min(self._scan_candidates(query, alias), key=lambda s: s.cost)
+    def _best_scan(self, alias: str) -> _SubPlan:
+        return min(self._scan_candidates(alias), key=lambda s: s.cost)
 
     # ------------------------------------------------------------------
     # Joins
     # ------------------------------------------------------------------
-    def _best_join(self, query: Query, left: _SubPlan,
-                   right: _SubPlan) -> _SubPlan | None:
-        joins = query.joins_between(left.aliases, right.aliases)
-        if not joins:
-            return None  # avoid cross products
-        condition = joins[0]
+    def _connecting_join(self, left: _SubPlan,
+                         right: _SubPlan) -> JoinCondition | None:
+        """The first condition, in ``query.joins`` order, with one side
+        in each input (``query.joins_between(...)[0]``)."""
+        for join in self.query.joins:
+            a, b = join.left.table, join.right.table
+            if (a in left.aliases and b in right.aliases) or \
+                    (a in right.aliases and b in left.aliases):
+                return join
+        return None
+
+    def _best_join(self, left: _SubPlan, right: _SubPlan) -> _SubPlan | None:
+        """The cheapest join of two DP entries, or None for a cross
+        product.
+
+        Candidates are priced first, as ``(total cost, order it leaves,
+        node builder, arguments)`` in a fixed sequence — hash l/r, hash
+        r/l, merge, index nested loop per side per index, nested loop
+        l/r, r/l — and ``min`` keeps the first of equal totals; only
+        that candidate's nodes are constructed.
+        """
+        condition = self._connecting_join(left, right)
+        if condition is None:
+            return None
         out_aliases = left.aliases | right.aliases
-        out_rows = self.estimator.joined_rows(query, out_aliases)
-        out_width = left.width + right.width
-        candidates: list[_SubPlan] = []
+        # The cardinality depends on the alias set alone: every split
+        # of one DP mask shares it.
+        out_rows = self._joined_rows.get(out_aliases)
+        if out_rows is None:
+            out_rows = self._joined_rows[out_aliases] = \
+                self.cards.joined_rows(out_aliases)
+        cost_model = self.cost_model
+        candidates: list[tuple] = []
 
         if self.options.enable_hashjoin:
             for probe, build in ((left, right), (right, left)):
-                build_node = HashBuild(
-                    key=condition.side_for(self._owning_side(condition, build)),
-                    children=[build.node],
-                )
-                build_node.est_rows = build.rows
-                build_node.est_width = build.width
-                build_node.est_cost = (build.cost +
-                                       self.cost_model.hash_build_cost(build.rows))
-                node = HashJoin(condition=condition,
-                                children=[probe.node, build_node])
-                increment = self.cost_model.hash_join_cost(
-                    build.rows, probe.rows, out_rows
-                )
-                self._annotate_join(node, out_rows, out_width,
-                                    probe.cost + build_node.est_cost + increment)
-                candidates.append(_SubPlan(node, out_rows, out_width,
-                                           node.est_cost, out_aliases))
+                build_cost = build.cost + \
+                    cost_model.hash_build_cost(build.rows)
+                increment = cost_model.hash_join_cost(
+                    build.rows, probe.rows, out_rows)
+                candidates.append((probe.cost + build_cost + increment, None,
+                                   self._hash_join,
+                                   (probe, build, build_cost)))
 
         if self.options.enable_mergejoin:
-            left_sorted = self._sorted_input(left, condition)
-            right_sorted = self._sorted_input(right, condition)
-            node = MergeJoin(condition=condition,
-                             children=[left_sorted.node, right_sorted.node])
-            increment = self.cost_model.merge_join_cost(
-                left.rows, right.rows, out_rows
-            )
-            total = left_sorted.cost + right_sorted.cost + increment
-            self._annotate_join(node, out_rows, out_width, total)
-            candidates.append(_SubPlan(node, out_rows, out_width, total,
-                                       out_aliases,
-                                       sorted_on=left_sorted.sorted_on))
+            left_key, left_cost = self._sorted_cost(left, condition)
+            right_key, right_cost = self._sorted_cost(right, condition)
+            increment = cost_model.merge_join_cost(
+                left.rows, right.rows, out_rows)
+            candidates.append((left_cost + right_cost + increment, left_key,
+                               self._merge_join,
+                               ((left, left_key, left_cost),
+                                (right, right_key, right_cost))))
 
         if self.options.enable_nestloop:
-            inl = self._index_nested_loop(query, left, right, condition,
-                                          out_rows, out_width, out_aliases)
-            candidates.extend(inl)
+            emit = out_rows * cost_model.parameters.cpu_tuple_cost
+            for outer, inner in ((left, right), (right, left)):
+                if len(inner.aliases) != 1:
+                    continue  # an INL inner is one indexed table
+                for index, lookup_cost in self._index_lookups(
+                        outer, inner, condition, out_rows):
+                    candidates.append((outer.cost + lookup_cost + emit, None,
+                                       self._index_nested_loop,
+                                       (outer, inner, index, lookup_cost,
+                                        out_rows)))
             # Plain nested loop (materialized inner).
             for outer, inner in ((left, right), (right, left)):
-                node = NestedLoopJoin(condition=condition,
-                                      children=[outer.node, inner.node])
-                increment = self.cost_model.nested_loop_cost(
-                    outer.rows, inner.rows, inner.cost, out_rows
-                )
-                total = outer.cost + increment
-                self._annotate_join(node, out_rows, out_width, total)
-                candidates.append(_SubPlan(node, out_rows, out_width, total,
-                                           out_aliases))
+                increment = cost_model.nested_loop_cost(
+                    outer.rows, inner.rows, inner.cost, out_rows)
+                candidates.append((outer.cost + increment, None,
+                                   self._nested_loop, (outer, inner)))
 
         if not candidates:
             raise OptimizerError("all join strategies are disabled")
-        return min(candidates, key=lambda s: s.cost)
+        total, sorted_on, build_node, arguments = min(candidates,
+                                                      key=itemgetter(0))
+        node = build_node(condition, *arguments)
+        node.est_rows = out_rows
+        node.est_width = left.width + right.width
+        node.est_cost = total
+        return _SubPlan(node, out_rows, node.est_width, total, out_aliases,
+                        sorted_on=sorted_on)
 
-    def _index_nested_loop(self, query: Query, left: _SubPlan, right: _SubPlan,
-                           condition, out_rows: float, out_width: float,
-                           out_aliases: frozenset[str]) -> list[_SubPlan]:
-        """INL join candidates: inner side must be a single indexed table."""
-        candidates = []
-        for outer, inner in ((left, right), (right, left)):
-            if len(inner.aliases) != 1:
-                continue
-            inner_alias = next(iter(inner.aliases))
-            inner_key = condition.side_for(inner_alias)
-            outer_key = condition.other_side(inner_alias)
-            table_name = query.table_ref(inner_alias).table_name
-            indexes = self.database.indexes_on(
-                table_name, inner_key.column,
-                include_hypothetical=self.options.use_hypothetical_indexes,
-            )
-            for index in indexes:
-                inner_scan = IndexScan(
-                    table=TableRef(table_name,
-                                   inner_alias if inner_alias != table_name
-                                   else None),
-                    index_name=index.name,
-                    index_column=index.column_name,
-                    residual_filters=query.predicates_on(inner_alias),
-                    lookup_column=outer_key,
-                    projection=self._scan_columns.get(inner_alias),
-                )
-                # Total matched rows across all outer loops equals the
-                # join cardinality before the inner residual filters; we
-                # approximate with the post-filter join cardinality
-                # divided by the residual selectivity.
-                residual_sel = max(
-                    self.estimator.scan_selectivity(query, inner_alias), 1e-7
-                )
-                matched = out_rows / residual_sel
-                inner_scan.est_rows = out_rows
-                inner_scan.est_width = self._table_width(query, inner_alias)
-                inner_scan.est_cost = self.cost_model.index_nested_loop_cost(
-                    outer.rows, index, matched, table_name
-                )
-                node = NestedLoopJoin(
-                    condition=condition,
-                    children=[outer.node, inner_scan],
-                )
-                total = outer.cost + inner_scan.est_cost + \
-                    out_rows * self.cost_model.parameters.cpu_tuple_cost
-                self._annotate_join(node, out_rows, out_width, total)
-                candidates.append(_SubPlan(node, out_rows, out_width, total,
-                                           out_aliases))
-        return candidates
+    def _hash_join(self, condition: JoinCondition, probe: _SubPlan,
+                   build: _SubPlan, build_cost: float) -> HashJoin:
+        build_node = HashBuild(
+            key=condition.side_for(self._owning_side(condition, build)),
+            children=[build.node],
+        )
+        build_node.est_rows = build.rows
+        build_node.est_width = build.width
+        build_node.est_cost = build_cost
+        return HashJoin(condition=condition,
+                        children=[probe.node, build_node])
 
-    def _sorted_input(self, sub: _SubPlan, condition) -> _SubPlan:
-        """Wrap a subplan in a Sort on its join key (reuse existing order)."""
+    def _sorted_cost(self, sub: _SubPlan, condition: JoinCondition
+                     ) -> tuple[ColumnRef, float]:
+        """The join key of ``sub`` and its cost once ordered on it (a
+        Sort on top unless the existing order is reused)."""
         key = condition.side_for(self._owning_side(condition, sub))
         if sub.sorted_on == key:
-            return sub
-        sort = Sort(key=key, children=[sub.node])
-        sort_cost = self.cost_model.sort_cost(sub.rows)
-        sort.est_rows = sub.rows
-        sort.est_width = sub.width
-        sort.est_cost = sub.cost + sort_cost
-        return replace(sub, node=sort, cost=sort.est_cost, sorted_on=key)
+            return key, sub.cost
+        return key, sub.cost + self.cost_model.sort_cost(sub.rows)
 
     @staticmethod
-    def _owning_side(condition, sub: _SubPlan) -> str:
+    def _merge_join(condition: JoinCondition, *inputs) -> MergeJoin:
+        children = []
+        for sub, key, sorted_cost in inputs:
+            node = sub.node
+            if sub.sorted_on != key:
+                node = Sort(key=key, children=[sub.node])
+                node.est_rows = sub.rows
+                node.est_width = sub.width
+                node.est_cost = sorted_cost
+            children.append(node)
+        return MergeJoin(condition=condition, children=children)
+
+    def _index_lookups(self, outer: _SubPlan, inner: _SubPlan,
+                       condition: JoinCondition, out_rows: float):
+        """``(index, cost of the parameterized inner scans)`` per index
+        on the join column of the single-table ``inner``."""
+        inner_alias = next(iter(inner.aliases))
+        inner_column = condition.side_for(inner_alias).column
+        table_name = self.cards.table_ref(inner_alias).table_name
+        for index in self._usable_indexes(inner_alias):
+            if index.column_name != inner_column:
+                continue
+            # Total matched rows across all outer loops equals the
+            # join cardinality before the inner residual filters; we
+            # approximate with the post-filter join cardinality
+            # divided by the residual selectivity.
+            residual_sel = max(self.cards.scan_selectivity(inner_alias), 1e-7)
+            yield index, self.cost_model.index_nested_loop_cost(
+                outer.rows, index, out_rows / residual_sel, table_name)
+
+    def _index_nested_loop(self, condition: JoinCondition, outer: _SubPlan,
+                           inner: _SubPlan, index: Index, lookup_cost: float,
+                           out_rows: float) -> NestedLoopJoin:
+        inner_alias = next(iter(inner.aliases))
+        # A new scan, not ``inner.node``: the DP entry stays untouched.
+        inner_scan = IndexScan(
+            table=self._scanned_table(inner_alias),
+            index_name=index.name,
+            index_column=index.column_name,
+            residual_filters=self.cards.predicates_on(inner_alias),
+            lookup_column=condition.other_side(inner_alias),
+            projection=self.scan_columns.get(inner_alias),
+        )
+        inner_scan.est_rows = out_rows
+        inner_scan.est_width = self._table_width(inner_alias)
+        inner_scan.est_cost = lookup_cost
+        return NestedLoopJoin(condition=condition,
+                              children=[outer.node, inner_scan])
+
+    @staticmethod
+    def _nested_loop(condition: JoinCondition, outer: _SubPlan,
+                     inner: _SubPlan) -> NestedLoopJoin:
+        return NestedLoopJoin(condition=condition,
+                              children=[outer.node, inner.node])
+
+    @staticmethod
+    def _owning_side(condition: JoinCondition, sub: _SubPlan) -> str:
         if condition.left.table in sub.aliases:
             return condition.left.table
         if condition.right.table in sub.aliases:
@@ -375,19 +444,13 @@ class Planner:
             f"join condition {condition} does not touch subplan {sub.aliases}"
         )
 
-    @staticmethod
-    def _annotate_join(node: PlanNode, rows: float, width: float,
-                       cost: float) -> None:
-        node.est_rows = rows
-        node.est_width = width
-        node.est_cost = cost
-
     # ------------------------------------------------------------------
     # Aggregation
     # ------------------------------------------------------------------
-    def _add_aggregation(self, query: Query, input_plan: _SubPlan) -> _SubPlan:
+    def _add_aggregation(self, input_plan: _SubPlan) -> _SubPlan:
+        query = self.query
         if query.group_by:
-            groups = self.estimator.group_count(query, input_plan.rows)
+            groups = self.cards.group_count(input_plan.rows)
             node = HashAggregate(group_by=query.group_by,
                                  aggregates=query.aggregates,
                                  children=[input_plan.node])

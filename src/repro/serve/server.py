@@ -25,9 +25,15 @@ refresh a fine-tuned estimator without dropping requests.
   lock it pops requests with, so **every batch is served by exactly one
   model version, every response is tagged with that version, and no
   request is dropped** during a swap;
-* **fault isolation** — an estimator error poisons only the batch it
-  occurred in: those requests fail with the original exception, the
-  batcher thread survives, and subsequent batches are served normally.
+* **fault isolation** — an estimator error (or an answer of the wrong
+  length) poisons only the batch it occurred in: those requests fail
+  with the original exception, the batcher thread survives, and
+  subsequent batches are served normally;
+* **fail-stop** — anything that escapes the batcher loop stops the
+  server instead of leaving it accepting requests nobody will answer:
+  every in-flight and queued request fails with a
+  :class:`~repro.errors.ServeError` carrying the cause, and
+  :meth:`PredictionServer.submit` raises from then on.
 
 Why threads and not asyncio?  The hot path is numpy/BLAS work that
 releases the GIL, so a batcher thread genuinely overlaps model forwards
@@ -193,6 +199,8 @@ class PredictionServer:
         self._queue: deque[PendingPrediction] = deque()
         self._cond = threading.Condition()
         self._running = True
+        #: What stopped the batcher, if anything did (see :meth:`_run`).
+        self._fatal: ServeError | None = None
         self._batcher = threading.Thread(target=self._run,
                                          name="repro-serve-batcher",
                                          daemon=True)
@@ -235,7 +243,8 @@ class PredictionServer:
         pending = PendingPrediction(item, tenant)
         with self._cond:
             if not self._running:
-                raise ServeError("server is closed; no new requests")
+                raise ServeError(
+                    "server is closed; no new requests") from self._fatal
             if len(self._queue) >= self.max_queue_depth:
                 self.stats.add(rejected=1)
                 raise Overloaded(
@@ -324,11 +333,32 @@ class PredictionServer:
 
     # -- batcher thread ------------------------------------------------
     def _run(self) -> None:
-        while True:
-            batch = self._next_batch()
-            if batch is None:
-                return
-            self._execute(*batch)
+        in_flight: list[PendingPrediction] = []
+        try:
+            while True:
+                batch = self._next_batch()
+                if batch is None:
+                    return
+                in_flight = batch[0]
+                self._execute(*batch)
+        except Exception as error:
+            self._stop_failed(error, in_flight)
+
+    def _stop_failed(self, cause: Exception,
+                     in_flight: list[PendingPrediction]) -> None:
+        """Fail-stop: the batcher is about to die, so nobody would ever
+        answer what is queued or accepted from here on."""
+        fatal = ServeError(f"batcher stopped by {cause!r}; server closed")
+        fatal.__cause__ = cause
+        with self._cond:
+            self._running = False
+            self._fatal = fatal
+            stranded = [p for p in in_flight if not p.done()]
+            stranded.extend(self._queue)
+            self._queue.clear()
+        self.stats.add(batcher_crashes=1, failures=len(stranded))
+        for pending in stranded:
+            pending._fail(fatal)
 
     def _next_batch(self):
         """Pop the next coalesced batch, pinning the model version.
@@ -364,6 +394,12 @@ class PredictionServer:
                  index: int) -> None:
         try:
             runtimes = service.predict_runtime([p.item for p in batch])
+            if len(runtimes) != len(batch):
+                # zip() below would answer the first few and strand
+                # the rest until their own timeouts.
+                raise ModelError(
+                    f"estimator returned {len(runtimes)} predictions "
+                    f"for a batch of {len(batch)} requests")
         except Exception as error:
             # Poisoned batch: fail exactly these requests with the
             # original error; the batcher survives and the next batch

@@ -70,6 +70,7 @@ class ServiceStats:
     rejected: int = 0        #: requests shed by admission control
     failures: int = 0        #: requests failed by an estimator error
     swaps: int = 0           #: hot model swaps installed
+    batcher_crashes: int = 0  #: errors that escaped and stopped a server
 
     def __post_init__(self):
         self._mutex = threading.Lock()

@@ -15,7 +15,8 @@ same SQL text runs through
 
 all of which must return ``sqlite3``'s ``COUNT(*)``, ``SUM`` and
 ``MIN``.  First slice of the differential-testing item in ROADMAP.md:
-scans only; joins and grouped aggregates are still open.
+scans only; joins and grouped aggregates are
+``tests/optimizer/test_join_oracle.py``.
 """
 
 import itertools
@@ -27,6 +28,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sqlite_oracle import load_table
 
 from repro.db import SyntheticDatabaseSpec, generate_database
 from repro.engine import Executor
@@ -87,21 +89,6 @@ class Subject:
                 f"FROM {self.table} {self.alias} WHERE {where}")
 
 
-def _load(connection: sqlite3.Connection, database, table_name: str) -> None:
-    data = database.table_data(table_name)
-    names = data.table.column_names
-    connection.execute(f"CREATE TABLE {table_name} ({', '.join(names)})")
-    columns = []
-    for name in names:
-        values = data.column_values(name).tolist()
-        for position in np.flatnonzero(data.null_mask(name)):
-            values[position] = None
-        columns.append(values)
-    connection.executemany(
-        f"INSERT INTO {table_name} VALUES ({', '.join('?' * len(names))})",
-        zip(*columns))
-
-
 @pytest.fixture(scope="module")
 def subjects(tiny_imdb):
     generated = generate_database(SyntheticDatabaseSpec(
@@ -113,8 +100,8 @@ def subjects(tiny_imdb):
         "the generated subject lost its NULLs or its duplicate keys"
 
     connection = sqlite3.connect(":memory:")
-    _load(connection, generated, "t0")
-    _load(connection, tiny_imdb, "title")
+    load_table(connection, generated, "t0")
+    load_table(connection, tiny_imdb, "title")
     yield {"t0": Subject(generated, "t0", "t0", "c0"),
            "title": Subject(tiny_imdb, "title", "t", "id")}, connection
     connection.close()

@@ -1,10 +1,14 @@
 """Planner: plan validity, operator selection, estimates, what-if."""
 
+from collections import Counter
+from dataclasses import dataclass, field, replace
+
 import pytest
 
 from repro.engine import execute_plan
 from repro.errors import OptimizerError, PlanError, QueryError
-from repro.optimizer import CardinalityEstimator, plan_query
+from repro.optimizer import CardinalityEstimator, plan_query, selectivity
+from repro.optimizer.cardinality import BoundCardinalities
 from repro.optimizer.join_order import connected_subsets, enumerate_join_orders
 from repro.optimizer.learned_planner import candidate_plans
 from repro.optimizer.planner import Planner, PlannerOptions
@@ -23,6 +27,7 @@ from repro.plans import (
 )
 from repro.sql import parse_query
 from repro.sql.ast import ColumnRef, JoinCondition, TableRef
+from repro.workload.generator import WorkloadSpec, generate_workload
 
 
 def q(text):
@@ -263,3 +268,127 @@ class TestPlanStructure:
         assert [n.label() for n in plan.nodes()] == \
             [n.label() for n in other.nodes()]
         assert plan_signature(plan.root) != plan_signature(other.root)
+
+
+# ----------------------------------------------------------------------
+# The planner's work, counted (not timed)
+# ----------------------------------------------------------------------
+class _CountingCardinalities(BoundCardinalities):
+    def __init__(self, database, query, asked):
+        super().__init__(database, query)
+        self._asked = asked
+
+    def joined_rows(self, aliases):
+        self._asked.append(aliases)
+        return super().joined_rows(aliases)
+
+
+@dataclass
+class CountingEstimator(CardinalityEstimator):
+    """Records every alias set a plan search asks ``joined_rows`` for."""
+
+    asked: list = field(default_factory=list)
+
+    def bind(self, query):
+        return _CountingCardinalities(self.database, query, self.asked)
+
+
+def _plan_facts(plan):
+    return (plan_signature(plan.root),
+            [(n.est_rows, n.est_cost, n.est_width) for n in plan.nodes()])
+
+
+class TestPlannerWork:
+    """One ``plan()`` computes each fact about its query once, and
+    keeps none of them: the guard behind the ``serve_cold`` numbers."""
+
+    @pytest.fixture(scope="class")
+    def five_table_queries(self, tiny_imdb):
+        generated = generate_workload(tiny_imdb, WorkloadSpec(
+            num_queries=80, max_tables=5, seed=19))
+        queries = [query for query in generated
+                   if len(query.tables) == 5 and query.predicates]
+        assert len(queries) >= 5
+        return queries
+
+    @pytest.fixture()
+    def priced(self, monkeypatch):
+        """Every predicate handed to ``estimate_predicate_selectivity``."""
+        priced = []
+        original = selectivity.estimate_predicate_selectivity
+
+        def counting(stats, predicate):
+            priced.append(predicate)
+            return original(stats, predicate)
+
+        monkeypatch.setattr(selectivity, "estimate_predicate_selectivity",
+                            counting)
+        return priced
+
+    def test_each_fact_computed_once_per_plan_call(
+            self, tiny_imdb, five_table_queries, priced):
+        estimator = CountingEstimator(tiny_imdb)
+        planner = Planner(tiny_imdb, cardinality_estimator=estimator)
+        for query in five_table_queries:
+            counts = []
+            for _ in range(2):
+                priced.clear()
+                estimator.asked.clear()
+                planner.plan(query)
+                assert max(Counter(priced).values()) == 1, \
+                    "a predicate's selectivity was computed twice"
+                assert set(priced) <= set(query.predicates)
+                joins = [aliases for aliases in connected_subsets(query)
+                         if len(aliases) >= 2]
+                # Once per DP mask, not once per split of it.
+                assert sorted(map(sorted, estimator.asked)) == \
+                    sorted(map(sorted, joins))
+                counts.append((len(priced), len(estimator.asked)))
+            # Nothing outlives the call: the second one starts over.
+            assert counts[0] == counts[1] and counts[0][0] > 0
+
+    def test_planner_keeps_no_query_state(self, tiny_imdb,
+                                          five_table_queries):
+        for rewrites in (False, True):
+            planner = Planner(tiny_imdb,
+                              PlannerOptions(enable_rewrites=rewrites))
+            before = dict(vars(planner))
+            for query in five_table_queries[:3]:
+                planner.plan(query)
+            after = dict(vars(planner))
+            assert (after.pop("last_rewrite_trace") is not None) == rewrites
+            del before["last_rewrite_trace"]
+            assert after.keys() == before.keys()
+            assert all(after[name] is before[name] for name in before)
+
+    def test_hypothetical_index_between_calls_is_seen(self, tiny_imdb):
+        """What-if planning creates and drops indexes between ``plan()``
+        calls; one long-lived planner must follow exactly as fresh ones
+        do."""
+        query = q("SELECT COUNT(*) FROM title t, movie_keyword mk "
+                  "WHERE t.id = mk.movie_id AND t.votes > 2000000")
+        planner = Planner(tiny_imdb)
+        without = _plan_facts(planner.plan(query))
+        assert without == _plan_facts(Planner(tiny_imdb).plan(query))
+        tiny_imdb.create_hypothetical_index("hypo_votes", "title", "votes")
+        try:
+            with_index = _plan_facts(planner.plan(query))
+            assert with_index == _plan_facts(Planner(tiny_imdb).plan(query))
+        finally:
+            tiny_imdb.drop_index("hypo_votes")
+        assert with_index != without
+        assert _plan_facts(planner.plan(query)) == without
+
+    def test_rewrites_on_then_off_leaves_no_projection(self, tiny_imdb):
+        query = q("SELECT COUNT(*) FROM title t, movie_keyword mk "
+                  "WHERE t.id = mk.movie_id AND t.production_year > 2000")
+        planner = Planner(tiny_imdb, PlannerOptions(enable_rewrites=True))
+        pruned = planner.plan(query)
+        assert any(getattr(node, "projection", None) is not None
+                   for node in pruned.nodes())
+        planner.options = replace(planner.options, enable_rewrites=False)
+        plain = planner.plan(query)
+        assert all(getattr(node, "projection", None) is None
+                   for node in plain.nodes())
+        assert _plan_facts(plain) == _plan_facts(Planner(tiny_imdb).plan(query))
+        assert planner.last_rewrite_trace is None

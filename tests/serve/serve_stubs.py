@@ -92,3 +92,30 @@ class PoisonStub(LinearCostStub):
         if any(cost in self.poisoned for cost in costs):
             raise ModelError("injected mid-batch estimator failure")
         return super().predict_encoded(costs)
+
+
+class ShortAnswerStub(LinearCostStub):
+    """A stub that drops the last ``missing`` predictions of a chunk —
+    an estimator whose answer does not line up with the batch."""
+
+    name = "short-answer-cost-stub"
+
+    def __init__(self, scale: float = 1.0, missing: int = 1):
+        super().__init__(scale)
+        self.missing = missing
+
+    def predict_encoded(self, encoded):
+        answers = super().predict_encoded(encoded)
+        return answers[:len(answers) - self.missing]
+
+
+class WideAnswerStub(GatedStub):
+    """A gated stub that answers two values per request, which the
+    server cannot turn into one runtime: the error surfaces on the
+    batcher thread *outside* the estimator call."""
+
+    name = "wide-answer-cost-stub"
+
+    def predict_encoded(self, encoded):
+        answers = super().predict_encoded(encoded)
+        return np.stack([answers, answers], axis=1)

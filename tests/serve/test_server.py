@@ -14,7 +14,14 @@ import time
 
 import numpy as np
 import pytest
-from serve_stubs import WAIT, GatedStub, LinearCostStub, PoisonStub
+from serve_stubs import (
+    WAIT,
+    GatedStub,
+    LinearCostStub,
+    PoisonStub,
+    ShortAnswerStub,
+    WideAnswerStub,
+)
 
 from repro.errors import ModelError, Overloaded, ServeError
 from repro.models.api import register_estimator
@@ -345,6 +352,72 @@ class TestFaultInjection:
                 assert response.runtime > 0
             assert server.stats.requests == 3
             assert server.stats.failures >= 1
+
+    def test_short_answer_fails_the_whole_batch(self, tiny_imdb,
+                                                serve_plans):
+        """An estimator that returns fewer predictions than requests
+        fails every member of that batch at once (``zip`` used to answer
+        the first three and strand the fourth until its own timeout,
+        counted nowhere); the next batch is served normally."""
+        stub = ShortAnswerStub(missing=1)
+        service = CostModelService(stub, tiny_imdb, max_batch_size=4)
+        with PredictionServer(service, max_batch_size=4,
+                              max_wait_ms=2_000.0) as server:
+            victims = [server.submit(plan) for plan in serve_plans[:4]]
+            for pending in victims:
+                with pytest.raises(ModelError,
+                                   match="3 predictions .* 4 requests"):
+                    pending.result(WAIT)
+            assert server.stats.failures == 4
+            assert server.stats.requests == 0
+            assert server.is_running
+
+            stub.missing = 0
+            survivors = [server.submit(plan) for plan in serve_plans[4:8]]
+            served = np.asarray([p.result(WAIT).runtime for p in survivors])
+            np.testing.assert_array_equal(
+                served, make_service(tiny_imdb).predict_runtime(
+                    serve_plans[4:8]))
+            assert server.stats.batcher_crashes == 0
+
+    def test_error_outside_the_estimator_call_stops_the_server(
+            self, tiny_imdb, serve_plans):
+        """An error that escapes the batcher loop (here: an answer no
+        ``float()`` accepts) used to kill the thread silently while
+        ``submit`` kept accepting requests nobody would answer.  Now the
+        server fail-stops: in-flight and queued requests fail with a
+        ``ServeError`` carrying the cause, and ``submit`` raises."""
+        stub = WideAnswerStub()
+        service = CostModelService(stub, tiny_imdb, max_batch_size=2)
+        server = PredictionServer(service, max_batch_size=2,
+                                  max_wait_ms=2_000.0)
+        try:
+            in_flight = [server.submit(plan) for plan in serve_plans[:2]]
+            assert stub.entered.wait(WAIT)  # batcher blocked mid-batch
+            queued = [server.submit(plan) for plan in serve_plans[2:5]]
+            stub.release.set()
+
+            errors = []
+            for pending in in_flight + queued:
+                with pytest.raises(ServeError,
+                                   match="batcher stopped") as excinfo:
+                    pending.result(WAIT)
+                errors.append(excinfo.value)
+            assert all(isinstance(error.__cause__, TypeError)
+                       for error in errors)
+
+            server._batcher.join(WAIT)
+            assert not server._batcher.is_alive()
+            assert not server.is_running
+            assert server.pending == 0
+            with pytest.raises(ServeError, match="closed") as excinfo:
+                server.submit(serve_plans[5])
+            assert excinfo.value.__cause__ is errors[0]
+            assert server.stats.batcher_crashes == 1
+            assert server.stats.failures == 5
+        finally:
+            stub.release.set()
+            server.close()
 
 
 # ----------------------------------------------------------------------
