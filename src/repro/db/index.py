@@ -132,5 +132,26 @@ class Index:
             stop = int(np.searchsorted(values, high, side=side))
         return self._sorted_order[start:stop]
 
+    def lookup_many(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Batched equality lookup: ``(key_positions, row_ids)``.
+
+        One pair per (key, row holding that key), ordered by key
+        position and, within a key, in index order — what concatenating
+        ``equality_lookup(key)`` over ``keys`` would give.
+        """
+        if not self.is_built:
+            raise SchemaError(f"index {self.name!r} is hypothetical; cannot look up")
+        values = self._sorted_values
+        starts = np.searchsorted(values, keys, side="left")
+        counts = np.searchsorted(values, keys, side="right") - starts
+        # Entry j of key i's run sits at starts[i] + j; numbering all
+        # matches 0..total-1, j is the match number minus the number of
+        # matches of the keys before i.
+        matches_before = np.cumsum(counts) - counts
+        entries = np.repeat(starts - matches_before, counts)
+        entries += np.arange(len(entries))
+        key_positions = np.repeat(np.arange(len(keys)), counts)
+        return key_positions, self._sorted_order[entries]
+
     def equality_lookup(self, value: float) -> np.ndarray:
         return self.range_lookup(value, value)

@@ -32,13 +32,14 @@ three-valued logic independently (a NULL satisfies nothing) and AND is
 commutative; the property suite in
 ``tests/engine/test_compiled_filters.py`` pins the equivalence across
 operators, dtypes, NULL masks, empty relations and contradictions.
-The executor keeps the interpreted path behind ``compile_filters=False``
-as the reference oracle.
+The executor keeps the interpreted evaluator behind
+``compile_filters=False`` as the reference oracle.
 
 No import of :mod:`repro.engine.executor` here (it imports the engine
 package's expression helpers): compiled filters work on raw column
-accessors, so both the executor's fused scan path (table data) and its
-residual-filter path (intermediate relations) can share them.
+accessors, which the executor's one scan path points at the base
+arrays — whole for a sequential scan, behind row ids for an index
+scan's residual filters.
 """
 
 from __future__ import annotations
@@ -236,8 +237,8 @@ class CompiledFilter:
         """Ascending positions of the rows satisfying every predicate.
 
         ``values_of`` / ``null_mask_of`` map an *unqualified* column
-        name to the full column array / its NULL mask (or None) —
-        either raw table data or an intermediate relation's columns.
+        name to the column's ``num_rows`` candidate values / their NULL
+        mask (or None).
         """
         positions: np.ndarray | None = None
         dense: np.ndarray | None = None
@@ -286,8 +287,9 @@ def compile_filter(filters: tuple[Predicate, ...]) -> CompiledFilter:
 class CompiledFilterCache(LRUCache):
     """LRU of compiled filters, keyed by the scan that owns them.
 
-    The executor keys entries by ``(alias, filters, projection)`` — the
-    plan-node identity under which :class:`CompiledFilter` is valid —
+    The executor keys entries by ``(alias, filters, projection)`` (a
+    sequential scan) or ``(alias, residual_filters)`` (an index scan) —
+    the plan-node identity under which :class:`CompiledFilter` is valid —
     so the workload runner's repeated executions of one plan (and
     structurally identical scans across plans of the same query) reuse
     a single compiled object.  Predicates are immutable (frozen

@@ -5,6 +5,15 @@ intermediate :class:`Relation` per node and annotating each node's
 ``actual_rows`` — exactly the information ``EXPLAIN ANALYZE`` yields in
 the paper's training-data collection.
 
+An intermediate holds **row ids, not columns**: one row-id vector per
+table alias over the immutable base :class:`~repro.db.TableData`.  A
+filter reads its predicate columns, a join its key column, a sort its
+key, an aggregate the columns it names — each gathered from the base
+arrays at the moment it is read; everything else only ever has its row
+ids composed (late materialisation).  ``Relation.columns`` /
+``.null_masks`` gather the full result on demand, for whoever looks at
+a root.
+
 Operators are dispatched through a class-level operator→handler table
 (see ``Executor._HANDLERS`` and :func:`register_operator_handler`), and
 each join operator runs the *algorithm its name promises* via the
@@ -15,18 +24,19 @@ results; they differ in speed, which is what the runtime simulator's
 per-operator cost models mirror.
 
 A :class:`BuildSideCache` can be shared by many queries against the
-same database to memoize hash-join build sides (relation + built hash
+same database to memoize hash-join build sides (row ids + built hash
 table), the batched-collection fast path the workload runner uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from repro.db.database import Database
+from repro.db.index import Index
 from repro.db.table_data import TableData
 from repro.engine.compiled_filters import CompiledFilterCache
 from repro.engine.expressions import conjunction_mask, predicate_mask
@@ -55,6 +65,7 @@ from repro.sql.ast import (
     ColumnRef,
     Interval,
     Predicate,
+    TableRef,
 )
 from repro.util import LRUCache, Registry
 
@@ -68,50 +79,157 @@ __all__ = [
 ]
 
 
-@dataclass
+class _Part(NamedTuple):
+    """One table alias inside an intermediate: which base rows, in which
+    order, and which columns the scan exposes."""
+
+    data: TableData
+    rows: np.ndarray | None     # None = every row, in storage order
+    names: tuple[str, ...]
+
+    def values(self, name: str) -> np.ndarray:
+        values = self.data.column_values(name)
+        return values if self.rows is None else values[self.rows]
+
+    def nulls(self, name: str) -> np.ndarray | None:
+        mask = self.data.null_masks.get(name)
+        if mask is None or self.rows is None:
+            return mask
+        return mask[self.rows]
+
+    def take(self, indices: np.ndarray) -> "_Part":
+        rows = indices if self.rows is None else self.rows[indices]
+        return _Part(self.data, rows, self.names)
+
+
+def _split(ref: ColumnRef | str) -> tuple[str, str]:
+    if isinstance(ref, ColumnRef):
+        return ref.table, ref.column
+    alias, _, name = ref.partition(".")
+    return alias, name
+
+
 class Relation:
-    """An intermediate result: named columns + optional NULL masks.
+    """An intermediate result: row ids per table alias + owned columns.
+
+    A scan contributes its alias with a row-id vector over the base
+    table and the column names it exposes (``projection``); joins,
+    filters and sorts only compose row ids.  ``column`` / ``null_mask``
+    gather one column from the base arrays when an operator reads it.
+    Aggregates emit *owned* columns (``agg0``, group keys), which have
+    no base table behind them.
 
     Column keys are qualified, e.g. ``"t.production_year"``.
+    ``columns`` / ``null_masks`` are the fully gathered view, built on
+    first access — for roots and tests, not for operators.  Base arrays
+    are shared, never copied: neither they nor the arrays handed out
+    here may be written to while a relation lives.
     """
 
-    columns: dict[str, np.ndarray]
-    null_masks: dict[str, np.ndarray] = field(default_factory=dict)
+    __slots__ = ("num_rows", "_parts", "_owned", "_gathered")
 
-    @property
-    def num_rows(self) -> int:
-        if not self.columns:
-            return 0
-        return len(next(iter(self.columns.values())))
+    def __init__(self, num_rows: int, parts: dict[str, _Part],
+                 owned: dict[str, np.ndarray]):
+        self.num_rows = num_rows
+        self._parts = parts
+        self._owned = owned
+        self._gathered: tuple[dict, dict] | None = None
+
+    @classmethod
+    def scan(cls, alias: str, data: TableData,
+             rows: np.ndarray | None = None,
+             projection: tuple[str, ...] | None = None) -> "Relation":
+        """Rows ``rows`` (None = all) of a base table under ``alias``,
+        exposing ``projection`` (None = every column)."""
+        names = data.table.column_names if projection is None else projection
+        num_rows = data.num_rows if rows is None else len(rows)
+        return cls(num_rows, {alias: _Part(data, rows, names)}, {})
+
+    @classmethod
+    def of_columns(cls, columns: dict[str, np.ndarray],
+                   num_rows: int) -> "Relation":
+        """Computed columns that no base table holds."""
+        return cls(num_rows, {}, columns)
+
+    # -- what an operator reads ----------------------------------------
+    def _find(self, ref: ColumnRef | str
+              ) -> tuple[_Part | None, str] | None:
+        """``(part, column name)`` for a base column, ``(None, key)`` for
+        an owned one, None for a column this relation does not expose."""
+        alias, name = _split(ref)
+        part = self._parts.get(alias)
+        if part is not None and name in part.names:
+            return part, name
+        key = str(ref)
+        return (None, key) if key in self._owned else None
+
+    def _found(self, ref: ColumnRef | str) -> tuple[_Part | None, str]:
+        found = self._find(ref)
+        if found is None:
+            raise ExecutionError(
+                f"intermediate relation has no column {str(ref)!r}; "
+                f"available: {sorted(self._keys())}"
+            )
+        return found
+
+    def exposes(self, ref: ColumnRef | str) -> bool:
+        return self._find(ref) is not None
 
     def column(self, ref: ColumnRef | str) -> np.ndarray:
-        key = str(ref)
-        try:
-            return self.columns[key]
-        except KeyError:
-            raise ExecutionError(
-                f"intermediate relation has no column {key!r}; "
-                f"available: {sorted(self.columns)}"
-            ) from None
+        part, name = self._found(ref)
+        return self._owned[name] if part is None else part.values(name)
 
     def null_mask(self, ref: ColumnRef | str) -> np.ndarray | None:
-        return self.null_masks.get(str(ref))
+        part, name = self._found(ref)
+        return None if part is None else part.nulls(name)
 
+    # -- row-id composition --------------------------------------------
     def take(self, indices: np.ndarray) -> "Relation":
         return Relation(
-            columns={k: v[indices] for k, v in self.columns.items()},
-            null_masks={k: v[indices] for k, v in self.null_masks.items()},
+            len(indices),
+            {alias: part.take(indices)
+             for alias, part in self._parts.items()},
+            {key: values[indices] for key, values in self._owned.items()},
         )
 
     def merge(self, other: "Relation") -> "Relation":
-        overlap = set(self.columns) & set(other.columns)
-        if overlap:
-            raise ExecutionError(f"column name clash on join: {sorted(overlap)}")
-        columns = dict(self.columns)
-        columns.update(other.columns)
-        null_masks = dict(self.null_masks)
-        null_masks.update(other.null_masks)
-        return Relation(columns=columns, null_masks=null_masks)
+        clash = (self._parts.keys() & other._parts.keys()) \
+            | (self._owned.keys() & other._owned.keys())
+        if clash:
+            raise ExecutionError(
+                f"column name clash on join: {sorted(clash)}")
+        return Relation(self.num_rows, {**self._parts, **other._parts},
+                        {**self._owned, **other._owned})
+
+    # -- the gathered view ---------------------------------------------
+    def _keys(self) -> list[str]:
+        keys = [f"{alias}.{name}" for alias, part in self._parts.items()
+                for name in part.names]
+        keys.extend(self._owned)
+        return keys
+
+    def _gather(self) -> tuple[dict, dict]:
+        if self._gathered is None:
+            columns: dict[str, np.ndarray] = {}
+            null_masks: dict[str, np.ndarray] = {}
+            for alias, part in self._parts.items():
+                for name in part.names:
+                    key = f"{alias}.{name}"
+                    columns[key] = part.values(name)
+                    mask = part.nulls(name)
+                    if mask is not None:
+                        null_masks[key] = mask
+            columns.update(self._owned)
+            self._gathered = (columns, null_masks)
+        return self._gathered
+
+    @property
+    def columns(self) -> dict[str, np.ndarray]:
+        return self._gather()[0]
+
+    @property
+    def null_masks(self) -> dict[str, np.ndarray]:
+        return self._gather()[1]
 
 
 @dataclass
@@ -156,7 +274,7 @@ def _restore_actuals(node: PlanNode, values: tuple[int | None, ...]) -> None:
 
 @dataclass
 class _BuildEntry:
-    """One memoized hash-join build side."""
+    """One memoized hash-join build side: row ids, never column copies."""
 
     relation: Relation
     actuals: tuple[int | None, ...]
@@ -165,7 +283,7 @@ class _BuildEntry:
 
     def prepared_for(self, key: ColumnRef
                      ) -> tuple[Relation, JoinHashTable | None]:
-        """Null-dropped relation + hash table for one build key column."""
+        """Null-dropped row ids + hash table for one build key column."""
         cache_key = str(key)
         entry = self.prepared.get(cache_key)
         if entry is None:
@@ -180,14 +298,16 @@ class BuildSideCache(LRUCache):
     """LRU memo of executed hash-join build sides, shared across queries.
 
     Keyed by the build subtree's structural signature, each entry holds
-    the materialized build relation, the per-key-column hash tables and
-    the subtree's actual cardinalities (replayed onto cache-hitting
-    plans so the runtime simulator still sees an executed subtree).
+    the build relation (row ids per alias over the base tables), the
+    per-key-column hash tables and the subtree's actual cardinalities
+    (replayed onto cache-hitting plans so the runtime simulator still
+    sees an executed subtree).
 
     The cache binds to the first database it serves and refuses any
     other (structurally identical subtrees on different databases yield
-    different rows).  It also assumes the underlying table data does
-    not change between queries; discard it after any data modification.
+    different rows).  Its entries point into the base table data, so
+    that data must not change between queries; discard the cache after
+    any data modification.
     """
 
     def __init__(self, max_entries: int = 64):
@@ -233,17 +353,17 @@ class Executor:
     :mod:`repro.engine.join_kernels`.
 
     An optional :class:`BuildSideCache` memoizes hash-join build sides
-    (relation + hash table) across queries — sound as long as the
+    (row ids + hash table) across queries — sound as long as the
     database's table data is not modified while the cache lives.
 
     With ``compile_filters=True`` (the default) scan predicates run
-    through :mod:`repro.engine.compiled_filters`: each scan's
-    ``(alias, filters, projection)`` tuple is compiled once into a
-    fused kernel, cached on the executor, and sequential scans
-    materialize only the surviving rows (filter before materialize
-    instead of materialize-then-filter).  ``compile_filters=False``
-    keeps the interpreted ``predicate_mask`` path as the bit-identical
-    reference oracle.
+    through :mod:`repro.engine.compiled_filters`: each scan's filter
+    conjunction is compiled once into a fused kernel and cached on the
+    executor.  ``compile_filters=False`` evaluates the same predicates
+    with the interpreted ``predicate_mask`` — the bit-identical
+    reference oracle.  Either way a filter reads its predicate columns
+    from the base arrays and yields surviving row ids; the two differ
+    in the evaluator alone.
     """
 
     #: operator class → bound handler; populated after the class body.
@@ -284,71 +404,42 @@ class Executor:
     # ------------------------------------------------------------------
     # Scans
     # ------------------------------------------------------------------
-    def _base_relation(self, data: TableData, alias: str,
-                       row_indices: np.ndarray | None = None,
-                       projection: tuple[str, ...] | None = None) -> Relation:
-        """Materialize a base table (optionally a row subset).
+    def _scan(self, table: TableRef, rows: np.ndarray | None,
+              projection: tuple[str, ...] | None,
+              filters: tuple[Predicate, ...], cache_key: tuple
+              ) -> tuple[Relation, np.ndarray | None]:
+        """Rows ``rows`` (None = all) of a base table that pass ``filters``.
 
-        ``projection`` restricts the materialized columns — the rewrite
-        phase's pruning rule guarantees it covers every column the plan
-        above reads.  ``None`` materializes all columns.
+        Only the predicate columns are read, from the base arrays.  Also
+        returns the surviving positions into ``rows`` (None when there
+        was nothing to check) for a caller that has to narrow something
+        else in step.
         """
-        columns = {}
-        null_masks = {}
-        names = data.table.column_names if projection is None else projection
-        for name in names:
-            values = data.column_values(name)
-            key = f"{alias}.{name}"
-            columns[key] = values if row_indices is None else values[row_indices]
-            mask = data.null_masks.get(name)
-            if mask is not None:
-                null_masks[key] = mask if row_indices is None else mask[row_indices]
-        return Relation(columns=columns, null_masks=null_masks)
-
-    def _apply_filters(self, relation: Relation, alias: str,
-                       filters: tuple[Predicate, ...]) -> Relation:
-        if not filters:
-            return relation
-        if self.filter_cache is not None:
-            compiled = self.filter_cache.get_or_compile((alias, filters),
-                                                        filters)
-            keep = compiled.keep_positions(
-                lambda name: relation.columns[f"{alias}.{name}"],
-                lambda name: relation.null_masks.get(f"{alias}.{name}"),
-                relation.num_rows,
-            )
-            return relation.take(keep)
-        masks = []
-        for predicate in filters:
-            key = f"{alias}.{predicate.column.column}"
-            masks.append(predicate_mask(relation.columns[key],
-                                        relation.null_masks.get(key), predicate))
-        keep = conjunction_mask(relation.num_rows, masks)
-        return relation.take(np.flatnonzero(keep))
+        data = self.database.table_data(table.table_name)
+        keep = None
+        if filters:
+            candidates = _Part(data, rows, ())
+            num_rows = data.num_rows if rows is None else len(rows)
+            if self.filter_cache is not None:
+                compiled = self.filter_cache.get_or_compile(cache_key,
+                                                            filters)
+                keep = compiled.keep_positions(candidates.values,
+                                               candidates.nulls, num_rows)
+            else:
+                masks = [predicate_mask(
+                    candidates.values(predicate.column.column),
+                    candidates.nulls(predicate.column.column), predicate)
+                    for predicate in filters]
+                keep = np.flatnonzero(conjunction_mask(num_rows, masks))
+            rows = keep if rows is None else rows[keep]
+        return Relation.scan(table.name, data, rows, projection), keep
 
     def _seq_scan(self, node: SeqScan) -> Relation:
-        data = self.database.table_data(node.table.table_name)
-        alias = node.table.name
-        if self.filter_cache is not None and node.filters:
-            # Fused path: compute surviving row positions on the raw
-            # table columns, then materialize (and copy) only those
-            # rows — the interpreted path materializes every projected
-            # column first and filters afterwards.  Filter columns are
-            # always part of the projection (the rewrite phase's
-            # pruning rule keeps every column the plan reads), so both
-            # paths see the same inputs and produce identical rows.
-            compiled = self.filter_cache.get_or_compile(
-                (alias, node.filters, node.projection), node.filters)
-            keep = compiled.keep_positions(data.column_values,
-                                           data.null_masks.get,
-                                           data.num_rows)
-            return self._base_relation(data, alias, keep, node.projection)
-        relation = self._base_relation(data, alias,
-                                       projection=node.projection)
-        return self._apply_filters(relation, alias, node.filters)
+        return self._scan(
+            node.table, None, node.projection, node.filters,
+            (node.table.name, node.filters, node.projection))[0]
 
-    def _index_scan(self, node: IndexScan, outer_keys: np.ndarray | None = None
-                    ) -> Relation:
+    def _built_index(self, node: IndexScan) -> Index:
         index = self.database.indexes.get(node.index_name)
         if index is None:
             raise ExecutionError(f"no index named {node.index_name!r}")
@@ -356,48 +447,36 @@ class Executor:
             raise ExecutionError(
                 f"index {node.index_name!r} is hypothetical and cannot be executed"
             )
-        data = self.database.table_data(node.table.table_name)
+        return index
 
+    def _fetch(self, node: IndexScan, row_ids: np.ndarray
+               ) -> tuple[Relation, np.ndarray | None]:
+        """The rows an index found, narrowed by the residual filters."""
+        return self._scan(
+            node.table, row_ids, node.projection, node.residual_filters,
+            (node.table.name, node.residual_filters))
+
+    def _index_scan(self, node: IndexScan) -> Relation:
         if node.lookup_column is not None:
-            if outer_keys is None:
-                raise ExecutionError(
-                    "parameterized index scan executed outside a nested loop"
-                )
-            # Match outer keys against the index (vectorized inner lookups).
-            sorted_values = index._sorted_values
-            starts = np.searchsorted(sorted_values, outer_keys, side="left")
-            stops = np.searchsorted(sorted_values, outer_keys, side="right")
-            counts = stops - starts
-            total = int(counts.sum())
-            if total == 0:
-                row_indices = np.empty(0, dtype=np.int64)
-                outer_indices = np.empty(0, dtype=np.int64)
-            else:
-                offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-                within = np.arange(total) - np.repeat(offsets, counts)
-                positions = np.repeat(starts, counts) + within
-                row_indices = index._sorted_order[positions]
-                outer_indices = np.repeat(np.arange(len(outer_keys)), counts)
-            relation = self._base_relation(data, node.table.name, row_indices,
-                                           projection=node.projection)
-            relation = self._tag_outer(relation, outer_indices)
-        else:
-            key_range = _index_interval(node.index_predicates)
-            row_indices = index.range_lookup(
-                key_range.low, key_range.high,
-                key_range.low_inclusive, key_range.high_inclusive)
-            relation = self._base_relation(data, node.table.name, row_indices,
-                                           projection=node.projection)
+            raise ExecutionError(
+                "parameterized index scan executed outside a nested loop"
+            )
+        key_range = _index_interval(node.index_predicates)
+        row_ids = self._built_index(node).range_lookup(
+            key_range.low, key_range.high,
+            key_range.low_inclusive, key_range.high_inclusive)
+        return self._fetch(node, row_ids)[0]
 
-        return self._apply_filters(relation, node.table.name,
-                                   node.residual_filters)
-
-    @staticmethod
-    def _tag_outer(relation: Relation, outer_indices: np.ndarray) -> Relation:
-        tagged = Relation(columns=dict(relation.columns),
-                          null_masks=dict(relation.null_masks))
-        tagged.columns["__outer__"] = outer_indices
-        return tagged
+    def _index_lookup(self, node: IndexScan, outer_keys: np.ndarray
+                      ) -> tuple[np.ndarray, Relation]:
+        """The inner side of an index nested loop: every inner row whose
+        key equals an outer key, beside the outer position it matched."""
+        outer_positions, row_ids = self._built_index(node).lookup_many(
+            outer_keys)
+        inner, keep = self._fetch(node, row_ids)
+        if keep is not None:
+            outer_positions = outer_positions[keep]
+        return outer_positions, inner
 
     # ------------------------------------------------------------------
     # Joins
@@ -420,14 +499,16 @@ class Executor:
             if table is not None and table.accepts(probe_keys.dtype):
                 probe_idx, build_idx = table.probe(probe_keys)
                 return probe.take(probe_idx).merge(build.take(build_idx))
+            build_keys = build.column(build_ref)
         else:
             build = self._execute_node(build_node)
             probe_ref, build_ref = _orient_condition(node.condition, probe,
                                                      build)
             probe = _drop_null_keys(probe, probe_ref)
             build = _drop_null_keys(build, build_ref)
-        probe_idx, build_idx = kernel(probe.column(probe_ref),
-                                      build.column(build_ref))
+            probe_keys = probe.column(probe_ref)
+            build_keys = build.column(build_ref)
+        probe_idx, build_idx = kernel(probe_keys, build_keys)
         return probe.take(probe_idx).merge(build.take(build_idx))
 
     def _cached_build(self, build_node: PlanNode) -> _BuildEntry:
@@ -465,10 +546,10 @@ class Executor:
             inner_scan: IndexScan = inner_node  # type: ignore[assignment]
             outer_ref = condition.other_side(inner_scan.table.name)
             outer = _drop_null_keys(outer, outer_ref)
-            inner = self._index_scan(inner_scan, outer.column(outer_ref))
+            outer_positions, inner = self._index_lookup(
+                inner_scan, outer.column(outer_ref))
             inner_node.actual_rows = inner.num_rows
-            outer_indices = inner.columns.pop("__outer__")
-            return outer.take(outer_indices).merge(inner)
+            return outer.take(outer_positions).merge(inner)
         inner = self._execute_node(inner_node)
         left_ref, right_ref = _orient_condition(condition, outer, inner)
         outer = _drop_null_keys(outer, left_ref)
@@ -492,20 +573,17 @@ class Executor:
             columns = {str(c): np.empty(0) for c in node.group_by}
             for index, agg in enumerate(node.aggregates):
                 columns[f"agg{index}"] = np.empty(0)
-            return Relation(columns=columns)
+            return Relation.of_columns(columns, 0)
         key_arrays = [relation.column(c) for c in node.group_by]
-        stacked = np.rec.fromarrays(key_arrays)
-        unique_keys, first_indices, group_ids = np.unique(
-            stacked, return_index=True, return_inverse=True
-        )
-        num_groups = len(unique_keys)
+        first_indices, group_ids = _group_rows(key_arrays)
+        num_groups = len(first_indices)
         columns: dict[str, np.ndarray] = {}
         for ref, array in zip(node.group_by, key_arrays):
             columns[str(ref)] = array[first_indices]
         for index, agg in enumerate(node.aggregates):
             columns[f"agg{index}"] = _grouped_aggregate(relation, agg,
                                                         group_ids, num_groups)
-        return Relation(columns=columns)
+        return Relation.of_columns(columns, num_groups)
 
     def _plain_aggregate(self, node: PlainAggregate) -> Relation:
         relation = self._execute_node(node.children[0])
@@ -515,7 +593,7 @@ class Executor:
             columns[f"agg{index}"] = np.array(
                 [_scalar_aggregate(relation, agg)]
             )
-        return Relation(columns=columns)
+        return Relation.of_columns(columns, 1)
 
 
 Executor._HANDLERS = Registry(
@@ -539,8 +617,12 @@ def register_operator_handler(
     """Register an execution handler for a (possibly new) operator class.
 
     The handler receives ``(executor, node)`` and returns the node's
-    output :class:`Relation`; ``actual_rows`` annotation happens in the
-    dispatch loop.  Returns the previously registered handler so
+    output :class:`Relation` — ``Relation.scan`` for rows of a base
+    table, ``take`` / ``merge`` of its inputs' relations to reorder,
+    narrow or join them, ``Relation.of_columns`` for computed columns —
+    reading input columns through ``column`` / ``null_mask`` and writing
+    to none of the arrays it is handed; ``actual_rows`` (the relation's
+    ``num_rows``) is annotated by the dispatch loop.  Returns the previously registered handler so
     temporary overrides can be restored by passing it back —
     ``handler=None`` removes the class's own entry (MRO lookup then
     falls back to a parent's handler).
@@ -551,9 +633,9 @@ def register_operator_handler(
 def _orient_condition(condition, left: Relation,
                       right: Relation) -> tuple[ColumnRef, ColumnRef]:
     """Figure out which side of an equi-join condition each input holds."""
-    if str(condition.left) in left.columns and str(condition.right) in right.columns:
+    if left.exposes(condition.left) and right.exposes(condition.right):
         return condition.left, condition.right
-    if str(condition.right) in left.columns and str(condition.left) in right.columns:
+    if left.exposes(condition.right) and right.exposes(condition.left):
         return condition.right, condition.left
     raise ExecutionError(
         f"join condition {condition} does not match the join inputs"
@@ -570,6 +652,28 @@ def _index_interval(predicates: tuple[Predicate, ...]) -> Interval:
                 f"operator {predicate.operator} cannot be served by an index")
         key_range = key_range.intersect(bounds)
     return key_range
+
+
+def _group_rows(key_arrays: list[np.ndarray]
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Group rows by their key tuple: ``(first_indices, group_ids)``.
+
+    Groups are numbered in ascending lexicographic key order and
+    ``first_indices[g]`` is the first row of group ``g`` — what
+    ``np.unique`` over a record array of the keys yields, without its
+    comparison sort of a structured dtype: each key is ranked on its
+    own and folded into the running group id, which is re-densified
+    after every key so ``group_ids * distinct + rank`` stays below
+    ``num_rows ** 2`` and cannot overflow ``int64``.
+    """
+    _, first_indices, group_ids = np.unique(
+        key_arrays[0], return_index=True, return_inverse=True)
+    for keys in key_arrays[1:]:
+        distinct, ranks = np.unique(keys, return_inverse=True)
+        _, first_indices, group_ids = np.unique(
+            group_ids * len(distinct) + ranks,
+            return_index=True, return_inverse=True)
+    return first_indices, group_ids
 
 
 def _non_null(relation: Relation, ref: ColumnRef) -> np.ndarray:

@@ -668,9 +668,11 @@ class ProjectionPruningRule:
         new_root = root
         for scan in find_logical_nodes(root, LogicalScan):
             kept = required.get(scan.alias)
-            # COUNT(*)-only scans keep all columns: the executor derives
-            # row counts from materialized columns, and pruning to zero
-            # columns would leave nothing to count.
+            # COUNT(*)-only scans keep all columns.  The executor counts
+            # row ids and would run a scan of no columns, but the kept
+            # columns are the scan's ``est_width`` (``Planner.
+            # _table_width``), which costs, features and labels are
+            # built on: a zero-width scan would move all three.
             columns = tuple(sorted(kept)) if kept else None
             if columns != scan.columns:
                 new_root = replace_logical_node(

@@ -94,8 +94,9 @@ class PlanNode:
 class SeqScan(PlanNode):
     """Full table scan with optional pushed-down filters.
 
-    ``projection`` restricts the materialized output columns
-    (``None`` means all columns) — set by the rewrite phase's
+    ``projection`` restricts the columns the scan exposes to the
+    operators above it (``None`` means all columns) and is what its
+    ``est_width`` counts — set by the rewrite phase's
     projection-pruning rule to narrow intermediates.
     """
 

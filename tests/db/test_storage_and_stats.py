@@ -232,6 +232,24 @@ class TestIndex:
         index.estimate_for_rows(1000)
         with pytest.raises(SchemaError):
             index.range_lookup(0, 1)
+        with pytest.raises(SchemaError):
+            index.lookup_many(np.array([0, 1]))
+
+    def test_lookup_many_is_equality_lookup_per_key(self):
+        data = int_table([5, 3, 8, 1, 9, 3, 5, 5])
+        index = Index("idx", "t", "v").build(data)
+        keys = np.array([3, 7, 5, 3, 9])
+        key_positions, row_ids = index.lookup_many(keys)
+        # By key position, then in index order; a key nobody holds (7)
+        # contributes nothing.
+        assert key_positions.tolist() == [0, 0, 2, 2, 2, 3, 3, 4]
+        assert row_ids.tolist() == [1, 5, 0, 6, 7, 1, 5, 4]
+        assert row_ids.tolist() == np.concatenate(
+            [index.equality_lookup(key) for key in keys]).tolist()
+        for keys in (np.array([7, 2]), np.empty(0, dtype=np.int64)):
+            key_positions, row_ids = index.lookup_many(keys)
+            assert key_positions.tolist() == row_ids.tolist() == []
+            assert key_positions.dtype == row_ids.dtype == np.int64
 
     def test_height_grows_with_rows(self):
         small = Index("a", "t", "v", hypothetical=True)

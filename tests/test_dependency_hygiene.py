@@ -160,3 +160,69 @@ def test_single_definition_guard_sees_what_it_guards(tmp_path):
     assert _function_definitions(
         sample, {"normalized_literal", "_normalized_literal"}) == \
         ["_normalized_literal:4"]
+
+
+def _foreign_private_reads(path: Path) -> list[str]:
+    """Reads of an underscore-prefixed attribute the module does not
+    itself define — as a function, method or class, a class-body field,
+    a ``__slots__`` entry or an attribute it assigns somewhere."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            for statement in node.body:
+                targets = (statement.targets
+                           if isinstance(statement, ast.Assign)
+                           else [statement.target]
+                           if isinstance(statement, ast.AnnAssign) else [])
+                defined.update(target.id for target in targets
+                               if isinstance(target, ast.Name))
+                if any(isinstance(target, ast.Name)
+                       and target.id == "__slots__" for target in targets):
+                    defined.update(ast.literal_eval(statement.value))
+        elif isinstance(node, ast.Attribute) \
+                and isinstance(node.ctx, ast.Store):
+            defined.add(node.attr)
+    reads = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and node.attr.startswith("_") and not node.attr.startswith("__")
+        and node.attr not in defined
+    ]
+    reads.sort(key=lambda node: (node.lineno, node.col_offset))
+    return [f"{node.attr}:{node.lineno}" for node in reads]
+
+
+def test_engine_reads_no_private_attribute_of_another_layer():
+    """The executor once read ``Index._sorted_values`` /
+    ``._sorted_order`` to spell out a batched lookup itself; what the
+    engine needs of ``repro.db`` (or of numpy) it asks for by a public
+    name — here ``Index.lookup_many`` — so the owner can change how it
+    stores things."""
+    offenders = {
+        str(path.relative_to(PACKAGE_ROOT)): reads
+        for path in sorted((PACKAGE_ROOT / "engine").rglob("*.py"))
+        if (reads := _foreign_private_reads(path))
+    }
+    assert not offenders, f"foreign private attributes read: {offenders}"
+
+
+def test_private_read_guard_sees_what_it_guards(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("class Mine:\n"
+                      "    __slots__ = ('_slot',)\n"
+                      "    _field: int\n"
+                      "    _table = {}\n"
+                      "    def __init__(self):\n"
+                      "        self._made = 1\n"
+                      "    def _helper(self, other, index):\n"
+                      "        self._made + other._field + other._slot\n"
+                      "        Mine._table, self._helper, self.__dict__\n"
+                      "        return index._sorted_values[index._order]\n"
+                      "_module_level = 1\n"
+                      "def use(thing):\n"
+                      "    return thing._module_level\n")
+    assert _foreign_private_reads(sample) == [
+        "_sorted_values:10", "_order:10", "_module_level:13"]
