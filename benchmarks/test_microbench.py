@@ -114,6 +114,16 @@ def test_hash_table_reuse(benchmark, join_keys):
     assert len(left) == len(probe)
 
 
+def test_hash_table_tiny_build_side(benchmark):
+    """A 46-key table under 80 000 probe keys: nearly every probe row
+    finds an empty bucket or another key, 46 of them match."""
+    rng = np.random.default_rng(46)
+    probe = rng.permutation(80_000).astype(np.int64)
+    table = JoinHashTable.build(probe[:46].copy())
+    left, _ = benchmark(table.probe, probe)
+    assert len(left) == 46
+
+
 def test_hash_join_kernel_speedup(join_keys):
     """Acceptance gate: hash kernel ≥3× the sort kernel, same results."""
     probe, build = join_keys

@@ -21,10 +21,28 @@ from repro.db.table_data import TableData
 from repro.db.types import PAGE_USABLE_BYTES
 from repro.errors import SchemaError
 
-__all__ = ["Index"]
+__all__ = ["Index", "expand_runs"]
 
 #: Per index entry: key bytes + 8-byte tuple pointer + item header.
 _INDEX_ENTRY_OVERHEAD = 16
+
+
+def expand_runs(starts: np.ndarray, counts: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Expand runs ``[starts[i], starts[i] + counts[i])`` entry by entry.
+
+    Returns ``(owner_positions, entry_positions)``, one pair per entry,
+    run after run: the position ``i`` of the run that owns the entry and
+    the position of the entry itself.  The one run expansion behind
+    :meth:`Index.lookup_many` and every join kernel.
+    """
+    # Entry j of run i sits at starts[i] + j; numbering all entries
+    # 0..total-1, j is the entry number minus the number of entries in
+    # the runs before i.
+    entries_before = np.cumsum(counts) - counts
+    entries = np.repeat(starts - entries_before, counts)
+    entries += np.arange(len(entries))
+    return np.repeat(np.arange(len(counts)), counts), entries
 
 
 @dataclass
@@ -144,13 +162,7 @@ class Index:
         values = self._sorted_values
         starts = np.searchsorted(values, keys, side="left")
         counts = np.searchsorted(values, keys, side="right") - starts
-        # Entry j of key i's run sits at starts[i] + j; numbering all
-        # matches 0..total-1, j is the match number minus the number of
-        # matches of the keys before i.
-        matches_before = np.cumsum(counts) - counts
-        entries = np.repeat(starts - matches_before, counts)
-        entries += np.arange(len(entries))
-        key_positions = np.repeat(np.arange(len(keys)), counts)
+        key_positions, entries = expand_runs(starts, counts)
         return key_positions, self._sorted_order[entries]
 
     def equality_lookup(self, value: float) -> np.ndarray:

@@ -9,12 +9,19 @@ whose output is row-identical to the others.
 
 Three algorithms are provided, matching the physical operators:
 
-* :func:`hash_join_match` — true build/probe hashing.  Build keys are
-  mapped to buckets with a multiplicative (Fibonacci) hash, bucket
-  membership is grouped with numpy's O(n) radix sort on the small
-  integer bucket ids, and probes expand per-bucket candidate runs that
-  are then verified by key equality.  No Python-level row loops, and no
-  comparison sort of the key values.
+* :func:`hash_join_match` — true build/probe hashing over the
+  *distinct* build keys (multiplicative Fibonacci hash, power-of-two
+  table at load factor <= 0.5).  Build: if no bucket holds two rows,
+  every key is distinct and the table is one scatter, no sort at all.
+  Otherwise one stable sort of the build keys groups the rows by key (a
+  comparison sort; free on keys that arrive sorted), the distinct keys
+  are bucketed, and only if some of *them* still share a bucket are they
+  made adjacent by a stable sort of their bucket ids (numpy's O(n) radix
+  sort when the ids fit 16 bits, a comparison sort otherwise).  Probe,
+  per row: one hash, one bucket read, one key comparison; a row goes
+  another round, on the next slot, only if it missed *and* its bucket
+  holds a further key.  Then the matched rows, and only they, are
+  expanded into their runs of build rows.  No Python-level row loops.
 * :func:`merge_join_match` — exploits *already sorted* inputs (the
   planner places ``Sort`` nodes or order-preserving subplans under a
   ``MergeJoin``): a pair of ``searchsorted`` sweeps over the sorted
@@ -47,6 +54,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.db.index import expand_runs
 from repro.errors import ExecutionError
 from repro.plans.operators import (
     HashJoin,
@@ -102,68 +110,101 @@ def _canonical_int_view(keys: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _segment_expand(counts: np.ndarray,
-                    total: int) -> tuple[np.ndarray, np.ndarray]:
-    """Expand per-row match counts into (row_indices, within_offsets)."""
-    row_indices = np.repeat(np.arange(len(counts)), counts)
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    within = np.arange(total) - np.repeat(offsets, counts)
-    return row_indices, within
-
-
 @dataclass
 class JoinHashTable:
     """A built (and reusable) hash table over one build-side key column.
 
-    The table is immutable once built; a single build can serve many
-    probes — the executor's build-side cache reuses it across queries
-    that share the same build subtree.
+    The table is over the *distinct* build keys.  Each has a slot; a
+    bucket names the slot of its first key, the distinct keys that share
+    a bucket sit in adjacent slots, and a slot names the run of build
+    rows holding its key (in their original order).  The table is
+    immutable once built; a single build can serve many probes — the
+    executor's build-side cache reuses it across queries that share the
+    same build subtree.
     """
 
     num_rows: int
     key_dtype: np.dtype         # dtype the build keys had (probe contract)
-    _keys: np.ndarray           # canonical int64 view of the build keys
-    _bucket_counts: np.ndarray  # rows per bucket
-    _bucket_starts: np.ndarray  # exclusive prefix sum of the counts
-    _grouped_rows: np.ndarray   # build row ids grouped by bucket (stable)
     _bucket_bits: int
-    _unique_buckets: bool       # every bucket holds at most one row
+    _first_slot: np.ndarray     # bucket -> slot of its first key, -1 = empty
+    _distinct: np.ndarray       # slot -> canonical int64 key
+    #: slot -> whether the next slot holds a further key of the same
+    #: bucket; ``None`` when no bucket holds two keys.
+    _shares_next: np.ndarray | None
+    #: Build rows grouped by key; ``None`` when slot i is build row i.
+    _rows: np.ndarray | None
+    #: slot -> its run in ``_rows``; ``None`` when every run has length
+    #: one (all build keys distinct) and slot i is ``_rows[i]``.
+    _run_starts: np.ndarray | None
+    _run_counts: np.ndarray | None
 
     @classmethod
     def build(cls, keys: np.ndarray) -> "JoinHashTable | None":
-        """Build the bucket arrays; ``None`` if the dtype is unhashable."""
+        """Build the table; ``None`` if the dtype is unhashable."""
         canonical = _canonical_int_view(keys)
         if canonical is None:
             return None
         n = len(canonical)
-        if n == 0:
-            return cls(0, keys.dtype, canonical,
-                       np.zeros(1, dtype=np.int64),
-                       np.zeros(1, dtype=np.int64),
-                       np.empty(0, dtype=np.int64), 0, True)
-        # Power-of-two table with load factor <= 0.5.
-        bits = max(1, int(2 * n - 1).bit_length())
-        buckets = cls._bucket_ids(canonical, bits)
-        counts = np.bincount(buckets, minlength=1 << bits)
-        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        unique = bool(counts.max() <= 1)
-        if unique:
-            # One row per bucket (the usual PK build side — the
-            # Fibonacci hash is collision-free on dense id ranges):
-            # the grouping is a plain scatter, no sort needed.
-            grouped = np.empty(n, dtype=np.int64)
-            grouped[starts[buckets]] = np.arange(n)
-        else:
-            # Stable argsort on small ints uses numpy's O(n) radix sort;
-            # within a bucket, rows keep their original order.
-            grouped = np.argsort(buckets, kind="stable")
-        return cls(n, keys.dtype, canonical, counts, starts, grouped, bits,
-                   unique)
+        distinct, rows, starts, counts = canonical, None, None, None
+        # If no bucket collides (the usual PK build side — the Fibonacci
+        # hash is collision-free on dense id ranges) every key is
+        # distinct and every row its own slot: a scatter, no sort.
+        bits, buckets, first_slot = cls._scatter(distinct)
+        if first_slot is None:
+            # Group the build rows by key; stable, because a key's rows
+            # come out of a probe in their original order.
+            order = np.argsort(canonical, kind="stable")
+            grouped = canonical[order]
+            starts_run = np.ones(n, dtype=bool)
+            np.not_equal(grouped[1:], grouped[:-1], out=starts_run[1:])
+            starts = np.flatnonzero(starts_run)
+            if len(starts) == n:
+                starts = None   # all distinct after all: drop the sort
+            else:
+                distinct, rows = grouped[starts], order
+                counts = np.diff(starts, append=n)
+                bits, buckets, first_slot = cls._scatter(distinct)
+        shares_next = None
+        if first_slot is None:
+            # Distinct keys share buckets: give bucket-mates adjacent
+            # slots, so a probe that misses walks on to the next slot.
+            # numpy's stable sort is an O(n) radix sort for integers of
+            # at most 16 bits, so bucket ids that fit are narrowed.
+            by_bucket = np.argsort(
+                buckets.astype(np.uint16) if bits <= 16 else buckets,
+                kind="stable")
+            buckets, distinct = buckets[by_bucket], distinct[by_bucket]
+            if starts is None:
+                rows = by_bucket
+            else:
+                starts, counts = starts[by_bucket], counts[by_bucket]
+            first_slot = np.full(1 << bits, -1, dtype=np.int64)
+            # A repeated index keeps its last write: the lowest slot.
+            first_slot[buckets[::-1]] = np.arange(len(buckets))[::-1]
+            shares_next = np.zeros(len(buckets), dtype=bool)
+            np.equal(buckets[1:], buckets[:-1], out=shares_next[:-1])
+        return cls(n, keys.dtype, bits, first_slot, distinct, shares_next,
+                   rows, starts, counts)
+
+    @classmethod
+    def _scatter(cls, distinct: np.ndarray
+                 ) -> tuple[int, np.ndarray, np.ndarray | None]:
+        """Bucket keys at load factor <= 0.5: ``(bits, bucket ids,
+        bucket -> position)``, the last ``None`` if two share a bucket."""
+        bits = max(1, int(2 * len(distinct) - 1).bit_length())
+        buckets = cls._bucket_ids(distinct, bits)
+        positions = np.arange(len(distinct))
+        first_slot = np.full(1 << bits, -1, dtype=np.int64)
+        first_slot[buckets] = positions
+        if not np.array_equal(first_slot[buckets], positions):
+            first_slot = None
+        return bits, buckets, first_slot
 
     @staticmethod
     def _bucket_ids(canonical: np.ndarray, bits: int) -> np.ndarray:
         hashed = canonical.view(np.uint64) * _HASH_MULTIPLIER
-        return (hashed >> np.uint64(64 - bits)).astype(np.int64)
+        hashed >>= np.uint64(64 - bits)
+        return hashed.view(np.int64)    # at most 63 bits after the shift
 
     def accepts(self, dtype: np.dtype) -> bool:
         """Whether probe keys of ``dtype`` can use this table losslessly."""
@@ -192,25 +233,33 @@ class JoinHashTable:
             raise ExecutionError(
                 f"probe keys of dtype {keys.dtype} cannot be hashed"
             )
-        buckets = self._bucket_ids(canonical, self._bucket_bits)
-        counts = self._bucket_counts[buckets]
-        if self._unique_buckets:
-            # At most one candidate per probe: a flat gather replaces
-            # the run-expansion machinery below.
-            probe_rows = np.flatnonzero(counts)
-            candidates = self._grouped_rows[
-                self._bucket_starts[buckets[probe_rows]]]
-            matched = self._keys[candidates] == canonical[probe_rows]
-            return probe_rows[matched], candidates[matched]
-        total = int(counts.sum())
-        if total == 0:
-            return _empty_pairs()
-        probe_rows, within = _segment_expand(counts, total)
-        candidate_pos = np.repeat(self._bucket_starts[buckets], counts) + within
-        candidates = self._grouped_rows[candidate_pos]
-        # Buckets may mix distinct keys: verify actual key equality.
-        matched = self._keys[candidates] == canonical[probe_rows]
-        return probe_rows[matched], candidates[matched]
+        # Verify: slots[r] is the one slot probe row r is looking at,
+        # -1 once it has nowhere left to look.  One key comparison
+        # settles a row unless it missed and its bucket holds a further
+        # key; only those rows go another round, on the next slot.
+        slots = self._first_slot[
+            self._bucket_ids(canonical, self._bucket_bits)]
+        looking = np.flatnonzero(slots >= 0)
+        while len(looking):
+            candidates = slots[looking]
+            missed = np.flatnonzero(
+                self._distinct[candidates] != canonical[looking])
+            looking, candidates = looking[missed], candidates[missed]
+            slots[looking] = -1
+            if self._shares_next is None:
+                break
+            walks_on = np.flatnonzero(self._shares_next[candidates])
+            looking = looking[walks_on]
+            slots[looking] = candidates[walks_on] + 1
+        probe_rows = np.flatnonzero(slots >= 0)
+        slots = slots[probe_rows]
+        # Expand: matches only, and only where a run can exceed one row.
+        if self._run_counts is None:
+            return probe_rows, (slots if self._rows is None
+                                else self._rows[slots])
+        matches, entries = expand_runs(self._run_starts[slots],
+                                       self._run_counts[slots])
+        return probe_rows[matches], self._rows[entries]
 
 
 def sort_merge_match(left_keys: np.ndarray,
@@ -225,12 +274,7 @@ def sort_merge_match(left_keys: np.ndarray,
     sorted_right = right_keys[order]
     starts = np.searchsorted(sorted_right, left_keys, side="left")
     stops = np.searchsorted(sorted_right, left_keys, side="right")
-    counts = stops - starts
-    total = int(counts.sum())
-    if total == 0:
-        return _empty_pairs()
-    left_indices, within = _segment_expand(counts, total)
-    right_positions = np.repeat(starts, counts) + within
+    left_indices, right_positions = expand_runs(starts, stops - starts)
     return left_indices, order[right_positions]
 
 
@@ -275,12 +319,7 @@ def merge_join_match(left_keys: np.ndarray,
         return sort_merge_match(left_keys, right_keys)
     starts = np.searchsorted(right_keys, left_keys, side="left")
     stops = np.searchsorted(right_keys, left_keys, side="right")
-    counts = stops - starts
-    total = int(counts.sum())
-    if total == 0:
-        return _empty_pairs()
-    left_indices, within = _segment_expand(counts, total)
-    return left_indices, np.repeat(starts, counts) + within
+    return expand_runs(starts, stops - starts)
 
 
 def block_nested_loop_match(outer_keys: np.ndarray,

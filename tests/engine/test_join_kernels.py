@@ -3,6 +3,8 @@ the operator→kernel registry, and build-side caching."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import (
     BuildSideCache,
@@ -149,6 +151,161 @@ class TestJoinHashTable:
         table = JoinHashTable.build(np.empty(0, dtype=np.int64))
         left, right = table.probe(np.arange(3))
         assert len(left) == 0 and len(right) == 0
+
+
+def assert_hash_kernels_match_reference(build, probes):
+    """``hash_join_match`` and one table probed again and again against
+    the sort kernel: the same pairs in the same order."""
+    table = JoinHashTable.build(build)
+    for probe in probes:
+        assert_matches_reference(hash_join_match, probe, build)
+        if not table.accepts(probe.dtype) and len(build) and len(probe):
+            with pytest.raises(ExecutionError):
+                table.probe(probe)
+            continue
+        assert_matches_reference(lambda keys, _: table.probe(keys),
+                                 probe, build)
+
+
+_SMALL_INTS = st.integers(-4, 12)
+_SPARSE_INTS = st.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max)
+_FLOATS = (st.sampled_from([0.0, -0.0, 0.5, -2.5, np.inf, -np.inf,
+                            np.finfo(np.float64).max,
+                            np.finfo(np.float64).tiny])
+           | _SMALL_INTS.map(float))
+
+
+@st.composite
+def _join_sides(draw, values, build_dtype, probe_dtype=None):
+    """A build side and three probe sides (any of them may be empty).
+    Keys come from a small shared pool, so both sides repeat them and
+    match each other, or straight from ``values``, so some match
+    nothing."""
+    pool = draw(st.lists(values, min_size=1, max_size=12))
+    key = st.sampled_from(pool) | values
+    build = np.array(draw(st.lists(key, max_size=40)), dtype=build_dtype)
+    probes = [np.array(draw(st.lists(key, max_size=60)),
+                       dtype=probe_dtype or build_dtype) for _ in range(3)]
+    return build, probes
+
+
+class TestGeneratedParity:
+    """Generated inputs where ``TestKernelParity``'s are hand-picked."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_join_sides(_SMALL_INTS, np.int64))
+    def test_duplicates_on_both_sides(self, sides):
+        assert_hash_kernels_match_reference(*sides)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_join_sides(_SPARSE_INTS, np.int64))
+    def test_sparse_64_bit_keys(self, sides):
+        assert_hash_kernels_match_reference(*sides)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_join_sides(_FLOATS, np.float64))
+    def test_float_keys_with_both_zeros(self, sides):
+        assert_hash_kernels_match_reference(*sides)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_join_sides(_SMALL_INTS, np.float64, probe_dtype=np.int64))
+    def test_int_probes_against_a_float_table(self, sides):
+        build, probes = sides
+        assert JoinHashTable.build(build).accepts(probes[0].dtype)
+        assert_hash_kernels_match_reference(build, probes)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_join_sides(_SMALL_INTS, np.int64, probe_dtype=np.float64))
+    def test_float_probes_against_an_int_table_are_refused(self, sides):
+        build, probes = sides
+        assert not JoinHashTable.build(build).accepts(probes[0].dtype)
+        assert_hash_kernels_match_reference(build, probes)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.integers(0, 5_000), min_size=1, max_size=50),
+           st.integers(2_000, 6_000), st.integers(0, 2 ** 32 - 1))
+    def test_a_few_keys_under_thousands_of_probes(self, build, num_probes,
+                                                  seed):
+        rng = np.random.default_rng(seed)
+        probes = [rng.integers(0, 5_000, num_probes, dtype=np.int64)
+                  for _ in range(3)]
+        assert_hash_kernels_match_reference(
+            np.array(build, dtype=np.int64), probes)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_SPARSE_INTS.map(lambda key: key | 1), max_size=40),
+           st.lists(_SPARSE_INTS.map(lambda key: key & ~1), max_size=60))
+    def test_no_match_at_all(self, build, probe):
+        build = np.array(build, dtype=np.int64)
+        probe = np.array(probe, dtype=np.int64)
+        assert_hash_kernels_match_reference(build, [probe] * 3)
+        assert len(JoinHashTable.build(build).probe(probe)[0]) == 0
+
+    def test_three_keys_in_one_bucket_take_three_rounds(self):
+        """Three distinct build keys in one bucket, two of them repeated,
+        probed by each and by an absent key of the same bucket: the
+        bucket's second and third slot are only compared on a second and
+        third round, so parity on their keys means those rounds ran."""
+        bits = 3            # the table of 3 distinct keys has 8 buckets
+        keys = np.arange(200, dtype=np.int64)
+        buckets = JoinHashTable._bucket_ids(keys, bits)
+        a, b, c, absent = keys[buckets == buckets[0]][:4]
+        build = np.array([b, a, c, a, b, a], dtype=np.int64)
+        table = JoinHashTable.build(build)
+        assert table._bucket_bits == bits
+        first = table._first_slot[buckets[0]]
+        assert sorted(table._distinct[first:first + 3]) == [a, b, c]
+        assert table._shares_next[first:first + 3].tolist() == \
+            [True, True, False]
+        probe = np.array([absent, c, b, a, a, absent, 199, c], dtype=np.int64)
+        assert_hash_kernels_match_reference(build, [probe] * 3)
+
+
+class TestProbeWork:
+    """A probe expands what matched, not what shared a bucket: the guard
+    behind the ``collect_corpus`` numbers.  Counted, not timed."""
+
+    @pytest.fixture()
+    def repeated(self, monkeypatch):
+        """The size of every ``np.repeat`` result (all a kernel's run
+        expansion materialises goes through one)."""
+        sizes = []
+        original = np.repeat
+
+        def repeat(*args, **kwargs):
+            out = original(*args, **kwargs)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(np, "repeat", repeat)
+        return sizes
+
+    def test_distinct_build_keys_expand_nothing(self, repeated):
+        rng = np.random.default_rng(46)
+        probe = rng.permutation(80_000).astype(np.int64)
+        build = probe[:46].copy()
+        # The premise: some of the 46 keys share a bucket, and most
+        # probe rows find a bucket that holds another key than theirs.
+        assert len(np.unique(JoinHashTable._bucket_ids(build, 7))) < 46
+        table = JoinHashTable.build(build)
+        repeated.clear()
+        probe_rows, build_rows = table.probe(probe)
+        np.testing.assert_array_equal(probe_rows, np.arange(46))
+        np.testing.assert_array_equal(build_rows, np.arange(46))
+        assert sum(repeated) == 0
+
+    def test_fan_out_expands_matches_only(self, repeated):
+        rng = np.random.default_rng(1106)
+        values = rng.permutation(1_250)[:1_106]
+        build = rng.choice(values, 11_966).astype(np.int64)
+        probe = rng.integers(0, 1_250, 18_917, dtype=np.int64)
+        table = JoinHashTable.build(build)
+        repeated.clear()
+        probe_rows, build_rows = table.probe(probe)
+        matches = len(probe_rows)
+        assert matches > 100_000
+        np.testing.assert_array_equal(build[build_rows], probe[probe_rows])
+        assert 0 < sum(repeated) <= 2 * matches
 
 
 class TestRegistry:
