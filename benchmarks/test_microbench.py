@@ -34,9 +34,7 @@ from repro.nn import BatchIterator, Tensor, no_grad
 from repro.optimizer import Planner
 from repro.runtime import RuntimeSimulator
 from repro.workload import (
-    ProcessPoolBackend,
-    SerialBackend,
-    collect_training_corpus_from_specs,
+    collect_training_corpus,
     make_benchmark_workload,
 )
 
@@ -151,10 +149,9 @@ def test_hash_join_kernel_speedup(join_keys):
 # ----------------------------------------------------------------------
 # Sharded corpus-collection gates
 #
-# Collection used to be one serial loop over eagerly built databases;
-# it is now per-database shards on a pluggable backend.  Two gates: the
-# backends must agree bit for bit, and the process pool must actually
-# buy wall-clock at the default fleet.
+# Collection is per-database shards run in-process or on a process
+# pool.  Two gates: the two must agree bit for bit, and the pool must
+# actually buy wall-clock at the default fleet.
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def fleet_specs(scale):
@@ -168,7 +165,7 @@ def fleet_specs(scale):
 
 @pytest.mark.parallel
 def test_backend_corpora_bit_identical(scale, fleet_specs):
-    """Serial and process-pool collection of the default fleet must
+    """In-process and process-pool collection of the default fleet must
     produce record-identical corpora (reduced query count keeps the
     double collection affordable; the databases are the real fleet)."""
     kwargs = dict(
@@ -176,10 +173,8 @@ def test_backend_corpora_bit_identical(scale, fleet_specs):
         random_indexes_per_database=scale.random_indexes_per_database,
         noise_sigma=scale.training_noise_sigma,
     )
-    serial = collect_training_corpus_from_specs(
-        fleet_specs, 25, backend=SerialBackend(), **kwargs)
-    parallel = collect_training_corpus_from_specs(
-        fleet_specs, 25, backend=ProcessPoolBackend(2), **kwargs)
+    serial = collect_training_corpus(fleet_specs, 25, workers=1, **kwargs)
+    parallel = collect_training_corpus(fleet_specs, 25, workers=2, **kwargs)
     assert list(serial.records_by_database) == \
         list(parallel.records_by_database)
     for name, serial_records in serial.records_by_database.items():
@@ -211,15 +206,13 @@ def test_parallel_collection_speedup(scale, fleet_specs):
     )
 
     start = time.perf_counter()
-    serial = collect_training_corpus_from_specs(
-        fleet_specs, scale.queries_per_database,
-        backend=SerialBackend(), **kwargs)
+    serial = collect_training_corpus(
+        fleet_specs, scale.queries_per_database, workers=1, **kwargs)
     serial_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    parallel = collect_training_corpus_from_specs(
-        fleet_specs, scale.queries_per_database,
-        backend=ProcessPoolBackend(workers), **kwargs)
+    parallel = collect_training_corpus(
+        fleet_specs, scale.queries_per_database, workers=workers, **kwargs)
     parallel_seconds = time.perf_counter() - start
 
     assert serial.num_queries == parallel.num_queries

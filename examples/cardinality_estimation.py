@@ -20,7 +20,7 @@ Run:  python examples/cardinality_estimation.py
 
 import numpy as np
 
-from repro.db import generate_training_databases, make_imdb_database
+from repro.db import generate_training_database_specs, make_imdb_database
 from repro.models import TrainerConfig, get_estimator, q_error_stats
 from repro.models.cardinality import record_cardinalities
 from repro.optimizer import LearnedCardinalityEstimator, Planner
@@ -37,9 +37,9 @@ def main() -> None:
     # 1. Training fleet with per-operator cardinality labels.
     # ------------------------------------------------------------------
     print("Collecting training workloads (with per-operator labels) ...")
-    fleet = generate_training_databases(4, base_seed=3,
-                                        min_rows=500, max_rows=8_000)
-    corpus = collect_training_corpus(fleet, queries_per_database=80, seed=3,
+    specs = generate_training_database_specs(
+        4, base_seed=3, min_rows=500, max_rows=8_000)
+    corpus = collect_training_corpus(specs, queries_per_database=80, seed=3,
                                      random_indexes_per_database=1)
     print(f"  {corpus.num_queries} executed queries across "
           f"{corpus.num_databases} databases")

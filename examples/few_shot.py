@@ -16,7 +16,7 @@ Run:  python examples/few_shot.py
 
 import numpy as np
 
-from repro.db import generate_training_databases, make_imdb_database
+from repro.db import generate_training_database_specs, make_imdb_database
 from repro.models import TrainerConfig, get_estimator, q_error_stats
 from repro.workload import (
     WorkloadRunner,
@@ -29,9 +29,9 @@ from repro.workload import (
 
 def main() -> None:
     print("One-time effort: train the zero-shot model on 5 databases ...")
-    fleet = generate_training_databases(5, base_seed=5,
-                                        min_rows=1_000, max_rows=20_000)
-    corpus = collect_training_corpus(fleet, queries_per_database=120, seed=5)
+    specs = generate_training_database_specs(
+        5, base_seed=5, min_rows=1_000, max_rows=20_000)
+    corpus = collect_training_corpus(specs, queries_per_database=120, seed=5)
     model = get_estimator("zero-shot")
     model.fit(corpus.all_records(), corpus.databases,
               TrainerConfig(epochs=50, batch_size=64))

@@ -9,7 +9,7 @@ training query ever runs on the target database.
 Run:  python examples/index_advisor.py
 """
 
-from repro.db import generate_training_databases, make_imdb_database
+from repro.db import generate_training_database_specs, make_imdb_database
 from repro.models import TrainerConfig, get_estimator
 from repro.sql import parse_query
 from repro.tuning import IndexAdvisor
@@ -29,9 +29,9 @@ TARGET_WORKLOAD = [
 
 def main() -> None:
     print("Training a zero-shot model on databases with random indexes ...")
-    fleet = generate_training_databases(5, base_seed=3,
-                                        min_rows=1_000, max_rows=20_000)
-    corpus = collect_training_corpus(fleet, queries_per_database=120, seed=3,
+    specs = generate_training_database_specs(
+        5, base_seed=3, min_rows=1_000, max_rows=20_000)
+    corpus = collect_training_corpus(specs, queries_per_database=120, seed=3,
                                      random_indexes_per_database=3)
     model = get_estimator("zero-shot")
     model.fit(corpus.all_records(), corpus.databases,

@@ -10,7 +10,7 @@ seen.  We then measure both choices against the simulated ground truth.
 Run:  python examples/plan_selection.py
 """
 
-from repro.db import generate_training_databases, make_imdb_database
+from repro.db import generate_training_database_specs, make_imdb_database
 from repro.engine import Executor
 from repro.models import TrainerConfig, get_estimator
 from repro.optimizer.learned_planner import ZeroShotPlanSelector
@@ -20,9 +20,9 @@ from repro.workload import collect_training_corpus, make_benchmark_workload
 
 def main() -> None:
     print("Training the zero-shot model on 6 databases ...")
-    fleet = generate_training_databases(6, base_seed=8,
-                                        min_rows=1_000, max_rows=40_000)
-    corpus = collect_training_corpus(fleet, queries_per_database=130, seed=8,
+    specs = generate_training_database_specs(
+        6, base_seed=8, min_rows=1_000, max_rows=40_000)
+    corpus = collect_training_corpus(specs, queries_per_database=130, seed=8,
                                      random_indexes_per_database=2)
     model = get_estimator("zero-shot")
     model.fit(corpus.all_records(), corpus.databases,

@@ -17,7 +17,7 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro.db import generate_training_databases, make_imdb_database
+from repro.db import generate_training_database_specs, make_imdb_database
 from repro.models import TrainerConfig, get_estimator, q_error_stats
 from repro.serve import CostModelService
 from repro.workload import (
@@ -32,9 +32,9 @@ def main() -> None:
     # 1-2. Training fleet + one-time training-data collection.
     # ------------------------------------------------------------------
     print("Generating 5 training databases and collecting workloads ...")
-    fleet = generate_training_databases(5, base_seed=1,
-                                        min_rows=1_000, max_rows=20_000)
-    corpus = collect_training_corpus(fleet, queries_per_database=120, seed=1,
+    specs = generate_training_database_specs(
+        5, base_seed=1, min_rows=1_000, max_rows=20_000)
+    corpus = collect_training_corpus(specs, queries_per_database=120, seed=1,
                                      random_indexes_per_database=2)
     print(f"  collected {corpus.num_queries} executed queries "
           f"on {corpus.num_databases} databases")

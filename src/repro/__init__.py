@@ -11,12 +11,12 @@ scaled optimizer cost), what-if index tuning and few-shot adaptation.
 Typical usage::
 
     from repro import (
-        generate_training_databases, collect_training_corpus,
+        generate_training_database_specs, collect_training_corpus,
         CardinalitySource, ZeroShotCostModel,
     )
 
-    fleet = generate_training_databases(8, base_seed=0)
-    corpus = collect_training_corpus(fleet, queries_per_database=150)
+    specs = generate_training_database_specs(8, base_seed=0)
+    corpus = collect_training_corpus(specs, queries_per_database=150)
     model = ZeroShotCostModel()
     model.fit(corpus.featurize(CardinalitySource.ESTIMATED))
     # ... predict on a database the model has never seen (see README).
@@ -27,7 +27,6 @@ from repro.db import (
     SyntheticDatabaseSpec,
     generate_database,
     generate_training_database_specs,
-    generate_training_databases,
     make_imdb_database,
 )
 from repro.engine import execute_plan
@@ -62,11 +61,8 @@ from repro.serve import CostModelService, ServiceStats
 from repro.sql import parse_query, query_to_sql
 from repro.tuning import HardwareAdvisor, IndexAdvisor, ZeroShotWhatIfEstimator
 from repro.workload import (
-    ProcessPoolBackend,
-    SerialBackend,
     WorkloadRunner,
     collect_training_corpus,
-    collect_training_corpus_from_specs,
     generate_workload,
     make_benchmark_workload,
 )
@@ -82,9 +78,7 @@ __all__ = [
     "HardwareAdvisor",
     "IndexAdvisor",
     "MSCNCostModel",
-    "ProcessPoolBackend",
     "RuntimeSimulator",
-    "SerialBackend",
     "ScaledOptimizerCost",
     "ServiceStats",
     "SyntheticDatabaseSpec",
@@ -100,13 +94,11 @@ __all__ = [
     "available_estimators",
     "available_system_configs",
     "collect_training_corpus",
-    "collect_training_corpus_from_specs",
     "execute_plan",
     "explain_plan",
     "fine_tune",
     "generate_database",
     "generate_training_database_specs",
-    "generate_training_databases",
     "generate_workload",
     "get_estimator",
     "get_system_config",

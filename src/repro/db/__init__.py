@@ -12,7 +12,6 @@ from repro.db.generator import (
     SyntheticDatabaseSpec,
     generate_database,
     generate_training_database_specs,
-    generate_training_databases,
 )
 from repro.db.histogram import EquiDepthHistogram
 from repro.db.imdb import make_imdb_database
@@ -38,6 +37,5 @@ __all__ = [
     "analyze_table",
     "generate_database",
     "generate_training_database_specs",
-    "generate_training_databases",
     "make_imdb_database",
 ]

@@ -32,7 +32,6 @@ __all__ = [
     "SyntheticDatabaseSpec",
     "generate_database",
     "generate_training_database_specs",
-    "generate_training_databases",
 ]
 
 
@@ -229,11 +228,14 @@ def generate_training_database_specs(count: int, base_seed: int = 0,
                                      min_rows: int = 2_000,
                                      max_rows: int = 30_000
                                      ) -> list[SyntheticDatabaseSpec]:
-    """Specs of the training fleet, without materializing any data.
+    """Specs of the training fleet (the paper uses 19 databases),
+    without materializing any data.
 
-    Specs are cheap, picklable recipes: ``generate_database(spec)``
-    hydrates the actual :class:`Database` on demand (possibly in a
-    worker process).  Spec ``i`` depends only on ``base_seed`` and the
+    Databases deliberately differ in table count and size so the model
+    sees a spread of schema shapes.  Specs are cheap, picklable recipes:
+    ``generate_database(spec)`` hydrates the actual :class:`Database` on
+    demand (possibly in a worker process).  Spec ``i`` depends only on
+    ``base_seed`` and the
     draws for specs ``0..i``, so the first ``k`` specs of a fleet of
     ``n > k`` are identical to a fleet of ``k`` — the prefix property
     the per-shard corpus cache relies on when a fleet grows.
@@ -252,19 +254,3 @@ def generate_training_database_specs(count: int, base_seed: int = 0,
         ))
     return specs
 
-
-def generate_training_databases(count: int, base_seed: int = 0,
-                                min_rows: int = 2_000,
-                                max_rows: int = 30_000,
-                                analyze: bool = True) -> list[Database]:
-    """Generate the training fleet eagerly (the paper uses 19 databases).
-
-    Databases deliberately differ in table count and size so the model
-    sees a spread of schema shapes.  This is the eager compatibility
-    path; sharded collection hydrates
-    :func:`generate_training_database_specs` on demand instead.
-    """
-    return [generate_database(spec, analyze=analyze) for spec in
-            generate_training_database_specs(count, base_seed=base_seed,
-                                             min_rows=min_rows,
-                                             max_rows=max_rows)]

@@ -3,34 +3,39 @@
 The paper's pitch is that one expensive training effort amortizes across
 every future database — so the reproduction should not repeat that
 effort either.  :class:`ArtifactStore` persists everything
-:func:`~repro.experiments.setup.build_context` produces — the training
-corpus (fleet databases included), the two trained zero-shot models,
-the IMDB holdout with its executed evaluation workloads and the IMDB
-training-query pool — keyed by a content hash of the
+:func:`~repro.experiments.setup.build_context` produces, each piece
+once.
+
+**Per-shard artifacts** hold the training corpus: one training
+database's executed workload (the
+:class:`~repro.workload.backends.ShardExecution` of one
+:class:`~repro.workload.backends.CorpusShard`, fleet database
+included), keyed by a content hash of the shard — database spec,
+workload spec, index/runner seeds and system parameters.  Shard keys do
+not involve the fleet size, so growing ``num_training_databases`` from
+8 to 12 re-executes only the 4 new databases' workloads, and every
+fleet-size sweep (the learning curve) reuses the shards it has already
+paid for.
+
+**Context entries** hold what shards do not — the two trained zero-shot
+models, the IMDB holdout with its executed evaluation workloads and the
+IMDB training-query pool — keyed by a content hash of the
 :class:`~repro.experiments.setup.ExperimentScale`, so a benchmark run or
 example script re-invoked with the same scale skips the one-time effort
-entirely.
-
-Besides whole contexts, the store holds **per-shard artifacts**: one
-training database's executed workload (the
-:class:`~repro.workload.backends.ShardExecution` of one
-:class:`~repro.workload.backends.CorpusShard`), keyed by a content hash
-of the shard — database spec, workload spec, index/runner seeds and
-system parameters.  Shard keys do not involve the fleet size, so
-growing ``num_training_databases`` from 8 to 12 re-executes only the 4
-new databases' workloads, and every fleet-size sweep (the learning
-curve) reuses the shards it has already paid for.
+entirely.  A context entry carries no copy of its corpus: a shard is a
+pure function of its recipe, so ``build_context`` assembles the corpus
+through the shard entries (re-executing, record for record, any that
+vanished) and a stored model still matches it.
 
 Layout (one directory per context key, one per shard key)::
 
-    <root>/v2/ctx-<hash>/
+    <root>/v5/ctx-<hash>/
         scale.json          # provenance: the exact scale + pool flag
-        corpus/             # TrainingCorpus.save (per-database shards)
         models/estimated/   # ZeroShotCostModel.save (weights + scalers)
         models/actual/
         context.pkl         # IMDB holdout, evaluation records, pool
         COMPLETE            # written last; absent => entry is ignored
-    <root>/v2/shards/shard-<hash>/
+    <root>/v5/shards/shard-<hash>/
         shard.json          # provenance: database name, queries, seeds
         payload.pkl         # pickled ShardExecution
         COMPLETE
@@ -53,11 +58,13 @@ import pickle
 import shutil
 import sys
 import time
+import zipfile
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Iterator
 
-from repro.errors import ExperimentError, WorkloadError
+from repro.errors import ExperimentError
 from repro.featurize.graph import CardinalitySource
 from repro.models import ZeroShotCostModel
 from repro.workload.backends import CorpusShard, ShardExecution
@@ -78,13 +85,17 @@ __all__ = ["ArtifactStore", "cache_enabled", "context_key", "main",
 #: and shards pickled from v1-schema records must never be reused.
 #: v4: an index holds no NULL keys, so index scans over nullable
 #: columns record different cardinalities than v3-era shards did.
-CACHE_FORMAT_VERSION = "v4"
+#: v5: a context entry no longer carries a ``corpus/`` copy of its
+#: training databases; the shard entries are the only persisted form.
+CACHE_FORMAT_VERSION = "v5"
 
 _COMPLETE_MARKER = "COMPLETE"
 #: What reading an entry raises when it was deleted under the reader
-#: (a racing ``--clear``) or one of its pickles is truncated (a full
-#: disk, a copy cut short): both read as a miss, never as a crash.
-_UNREADABLE = (OSError, EOFError, pickle.UnpicklingError)
+#: (a racing ``--clear``) or one of its files — pickle, ``weights.npz``,
+#: ``model.json`` — is truncated (a full disk, a copy cut short): both
+#: read as a miss, never as a crash.
+_UNREADABLE = (OSError, EOFError, pickle.UnpicklingError,
+               zipfile.BadZipFile, json.JSONDecodeError)
 _SHARDS_DIR_NAME = "shards"
 _MODEL_DIRS = {
     CardinalitySource.ESTIMATED: "estimated",
@@ -166,7 +177,7 @@ class ArtifactStore:
                 / _COMPLETE_MARKER).is_file()
 
     # ------------------------------------------------------------------
-    def _publish(self, staging: Path, entry: Path) -> Path:
+    def _publish(self, staging: Path, entry: Path) -> None:
         """Atomically promote a fully written staging dir to ``entry``.
 
         The ``COMPLETE`` marker inside ``staging`` was written last, so
@@ -177,7 +188,7 @@ class ArtifactStore:
         if (entry / _COMPLETE_MARKER).is_file():
             # A concurrent writer finished first; same key => same bytes.
             shutil.rmtree(staging, ignore_errors=True)
-            return entry
+            return
         if entry.exists():
             # Incomplete leftover (crashed writer, interrupted clear):
             # replace it, otherwise the key would miss forever.  Re-check
@@ -185,7 +196,7 @@ class ArtifactStore:
             # have completed the entry since the check above.
             if (entry / _COMPLETE_MARKER).is_file():
                 shutil.rmtree(staging, ignore_errors=True)
-                return entry
+                return
             shutil.rmtree(entry, ignore_errors=True)
         try:
             os.replace(staging, entry)
@@ -193,7 +204,6 @@ class ArtifactStore:
             # Lost a replace race after the marker check; the winner's
             # entry is equivalent, so just drop the staging copy.
             shutil.rmtree(staging, ignore_errors=True)
-        return entry
 
     @staticmethod
     def _demote(entry: Path) -> None:
@@ -205,26 +215,37 @@ class ArtifactStore:
         except OSError:
             pass
 
-    def save_context(self, context: "ExperimentContext",
-                     with_imdb_pool: bool = True) -> Path:
-        """Persist a freshly built context; returns its entry directory.
-
-        The entry is staged under a temporary name and renamed into
-        place, with the ``COMPLETE`` marker written last.
-        """
-        entry = self.entry_dir(context.scale, with_imdb_pool)
+    @contextmanager
+    def _staged(self, entry: Path) -> Iterator[Path]:
+        """Write an entry: the body fills the yielded staging directory,
+        then the ``COMPLETE`` marker is written last and the directory
+        renamed into place (:meth:`_publish`).  A body that raises
+        leaves nothing behind."""
         staging = entry.with_name(entry.name + f".tmp-{os.getpid()}")
         if staging.exists():
             shutil.rmtree(staging)
         staging.mkdir(parents=True)
         try:
+            yield staging
+            (staging / _COMPLETE_MARKER).write_text("ok\n")
+        except BaseException:
+            shutil.rmtree(staging, ignore_errors=True)
+            raise
+        self._publish(staging, entry)
+
+    def save_context(self, context: "ExperimentContext",
+                     with_imdb_pool: bool = True) -> Path:
+        """Persist what a freshly built context holds beyond its corpus
+        (the shard entries already hold that); returns the entry
+        directory."""
+        entry = self.entry_dir(context.scale, with_imdb_pool)
+        with self._staged(entry) as staging:
             with open(staging / "scale.json", "w") as handle:
                 json.dump({
                     "scale": asdict(context.scale),
                     "with_imdb_pool": with_imdb_pool,
                     "created_unix": time.time(),
                 }, handle, indent=2, default=str)
-            context.corpus.save(staging / "corpus")
             for source, model in context.zero_shot_models.items():
                 model.save(staging / "models" / _MODEL_DIRS[source])
             with open(staging / "context.pkl", "wb") as handle:
@@ -232,51 +253,38 @@ class ArtifactStore:
                     "imdb": context.imdb,
                     "evaluation_records": context.evaluation_records,
                     "imdb_pool": context.imdb_pool,
-                    "training_database_names": [
-                        db.name for db in context.training_databases],
                     "histories": {
                         _MODEL_DIRS[source]: model.history
                         for source, model in context.zero_shot_models.items()
                     },
                 }, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            (staging / _COMPLETE_MARKER).write_text("ok\n")
-        except BaseException:
-            shutil.rmtree(staging, ignore_errors=True)
-            raise
-        return self._publish(staging, entry)
+        return entry
 
-    def load_context(self, scale: "ExperimentScale",
+    def load_context(self, scale: "ExperimentScale", corpus: TrainingCorpus,
                      with_imdb_pool: bool = True) -> "ExperimentContext | None":
-        """Load a stored context, or ``None`` on a cold, incomplete or
-        unreadable (deleted under the reader, truncated) entry."""
+        """Load a stored context around ``corpus`` (the scale's training
+        corpus, assembled through the shard entries), or ``None`` on a
+        cold, incomplete or unreadable (deleted under the reader,
+        truncated) entry."""
         from repro.experiments.setup import ExperimentContext
 
         entry = self.entry_dir(scale, with_imdb_pool)
         if not (entry / _COMPLETE_MARKER).is_file():
             return None
         try:
-            corpus = TrainingCorpus.load(entry / "corpus")
             with open(entry / "context.pkl", "rb") as handle:
                 payload = pickle.load(handle)
-        except (*_UNREADABLE, WorkloadError):
+            models: dict[CardinalitySource, ZeroShotCostModel] = {}
+            for source, name in _MODEL_DIRS.items():
+                model = ZeroShotCostModel.load(entry / "models" / name)
+                model.history = payload["histories"].get(name)
+                models[source] = model
+        except _UNREADABLE:
             self._demote(entry)
             return None
-        models: dict[CardinalitySource, ZeroShotCostModel] = {}
-        for source, name in _MODEL_DIRS.items():
-            model = ZeroShotCostModel.load(entry / "models" / name)
-            model.history = payload["histories"].get(name)
-            models[source] = model
-        try:
-            training_databases = [corpus.databases[db_name] for db_name
-                                  in payload["training_database_names"]]
-        except KeyError as missing:
-            raise ExperimentError(
-                f"artifact entry {entry.name} is inconsistent: corpus has "
-                f"no database {missing}"
-            ) from None
         return ExperimentContext(
             scale=scale,
-            training_databases=training_databases,
+            training_databases=list(corpus.databases.values()),
             corpus=corpus,
             zero_shot_models=models,
             imdb=payload["imdb"],
@@ -301,11 +309,7 @@ class ArtifactStore:
         other notices the marker and discards its staging copy.
         """
         entry = self.shard_dir(execution.shard)
-        staging = entry.with_name(entry.name + f".tmp-{os.getpid()}")
-        if staging.exists():
-            shutil.rmtree(staging)
-        staging.mkdir(parents=True)
-        try:
+        with self._staged(entry) as staging:
             with open(staging / "shard.json", "w") as handle:
                 json.dump({
                     "database": execution.database.name,
@@ -316,11 +320,7 @@ class ArtifactStore:
             with open(staging / "payload.pkl", "wb") as handle:
                 pickle.dump(execution, handle,
                             protocol=pickle.HIGHEST_PROTOCOL)
-            (staging / _COMPLETE_MARKER).write_text("ok\n")
-        except BaseException:
-            shutil.rmtree(staging, ignore_errors=True)
-            raise
-        return self._publish(staging, entry)
+        return entry
 
     def load_shard(self, shard: CorpusShard) -> ShardExecution | None:
         """Load one shard's execution, or ``None`` on a cold entry.
@@ -345,58 +345,54 @@ class ArtifactStore:
             )
         return execution
 
-    def shard_entries(self) -> list[dict]:
-        """Metadata for every complete shard entry (for ``--stat``)."""
-        shards_dir = self._version_dir() / _SHARDS_DIR_NAME
-        if not shards_dir.is_dir():
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _complete_entries(directory: Path, provenance_file: str,
+                          describe: Callable[[dict], dict]) -> list[dict]:
+        """Key, size and ``describe(provenance)`` of every complete
+        entry directly under ``directory``."""
+        if not directory.is_dir():
             return []
         found = []
-        for entry in sorted(shards_dir.iterdir()):
+        for entry in sorted(directory.iterdir()):
             if not (entry / _COMPLETE_MARKER).is_file():
                 continue
             size = sum(f.stat().st_size
                        for f in entry.rglob("*") if f.is_file())
             info = {"key": entry.name, "bytes": size}
             try:
-                with open(entry / "shard.json") as handle:
-                    provenance = json.load(handle)
-                info["database"] = provenance.get("database")
-                info["num_records"] = provenance.get("num_records")
-                shard = provenance.get("shard", {})
-                info["seed"] = shard.get("database_spec", {}).get("seed")
-                info["created_unix"] = provenance.get("created_unix")
+                with open(entry / provenance_file) as handle:
+                    info.update(describe(json.load(handle)))
             except (OSError, json.JSONDecodeError):
                 pass
             found.append(info)
         return found
 
-    # ------------------------------------------------------------------
+    def shard_entries(self) -> list[dict]:
+        """Metadata for every complete shard entry (for ``--stat``)."""
+        return self._complete_entries(
+            self._version_dir() / _SHARDS_DIR_NAME, "shard.json",
+            lambda provenance: {
+                "database": provenance.get("database"),
+                "num_records": provenance.get("num_records"),
+                "seed": provenance.get("shard", {})
+                                  .get("database_spec", {}).get("seed"),
+                "created_unix": provenance.get("created_unix"),
+            })
+
     def entries(self) -> list[dict]:
         """Metadata for every complete context entry (for ``--stat``)."""
-        version_dir = self._version_dir()
-        if not version_dir.is_dir():
-            return []
-        found = []
-        for entry in sorted(version_dir.iterdir()):
-            if not (entry / _COMPLETE_MARKER).is_file():
-                continue
-            size = sum(f.stat().st_size
-                       for f in entry.rglob("*") if f.is_file())
-            info = {"key": entry.name, "bytes": size}
-            try:
-                with open(entry / "scale.json") as handle:
-                    provenance = json.load(handle)
-                scale = provenance.get("scale", {})
-                info["databases"] = scale.get("num_training_databases")
-                info["queries_per_database"] = scale.get(
-                    "queries_per_database")
-                info["seed"] = scale.get("seed")
-                info["with_imdb_pool"] = provenance.get("with_imdb_pool")
-                info["created_unix"] = provenance.get("created_unix")
-            except (OSError, json.JSONDecodeError):
-                pass
-            found.append(info)
-        return found
+        def describe(provenance: dict) -> dict:
+            scale = provenance.get("scale", {})
+            return {
+                "databases": scale.get("num_training_databases"),
+                "queries_per_database": scale.get("queries_per_database"),
+                "seed": scale.get("seed"),
+                "with_imdb_pool": provenance.get("with_imdb_pool"),
+                "created_unix": provenance.get("created_unix"),
+            }
+        return self._complete_entries(self._version_dir(), "scale.json",
+                                      describe)
 
     def clear(self) -> int:
         """Delete every entry (all format versions, contexts *and*

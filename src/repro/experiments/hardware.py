@@ -38,9 +38,8 @@ from repro.tuning import HardwareAdvisor, HardwareRecommendation
 from repro.workload import (
     WorkloadRunner,
     WorkloadSpec,
-    collect_training_corpus_from_specs,
+    collect_training_corpus,
     generate_workload,
-    resolve_backend,
 )
 
 __all__ = ["HardwareResult", "run_hardware", "format_hardware"]
@@ -101,7 +100,6 @@ def run_hardware(scale: ExperimentScale | None = None,
             f"training configurations — that is the transfer being tested"
         )
     holdout_machine = get_system_config(holdout_config)
-    backend = resolve_backend(workers)
     rng = np.random.default_rng(scale.seed)
 
     # 1. Two corpora over the same fleet: one spread across machines,
@@ -112,17 +110,17 @@ def run_hardware(scale: ExperimentScale | None = None,
         min_rows=scale.training_db_min_rows,
         max_rows=scale.training_db_max_rows,
     )
-    multi_corpus = collect_training_corpus_from_specs(
+    multi_corpus = collect_training_corpus(
         specs, scale.queries_per_database, seed=scale.seed,
         random_indexes_per_database=scale.random_indexes_per_database,
         noise_sigma=scale.training_noise_sigma,
-        system=list(train_configs), backend=backend,
+        system=list(train_configs), workers=workers,
     )
-    single_corpus = collect_training_corpus_from_specs(
+    single_corpus = collect_training_corpus(
         specs, scale.queries_per_database, seed=scale.seed,
         random_indexes_per_database=scale.random_indexes_per_database,
         noise_sigma=scale.training_noise_sigma,
-        backend=backend,
+        workers=workers,
     )
 
     # 2. Same architecture and training budget; only the system node

@@ -11,9 +11,9 @@ Every experiment driver then reuses the context, so benchmarks share the
 expensive steps — and because the one-time effort is *one-time*,
 ``build_context`` round-trips its outputs through the persistent
 :class:`~repro.experiments.cache.ArtifactStore`: a second call with the
-same :class:`ExperimentScale` loads the corpus, trained models and
-executed workloads from disk instead of rebuilding them.  Disable with
-``REPRO_CACHE=0`` (or ``use_cache=False``); relocate with
+same :class:`ExperimentScale` loads the corpus shards, trained models
+and executed workloads from disk instead of rebuilding them.  Disable
+with ``REPRO_CACHE=0`` (or ``use_cache=False``); relocate with
 ``REPRO_CACHE_DIR``; inspect/clear with ``python -m
 repro.experiments.cache --stat/--clear``.
 """
@@ -40,12 +40,10 @@ from repro.workload import (
     BENCHMARK_NAMES,
     WorkloadRunner,
     WorkloadSpec,
-    collect_training_corpus_from_specs,
+    collect_training_corpus,
     generate_workload,
     make_benchmark_workload,
-    resolve_backend,
 )
-from repro.workload.backends import ExecutionBackend
 from repro.workload.corpus import TrainingCorpus
 from repro.workload.runner import ExecutedQueryRecord
 
@@ -230,60 +228,56 @@ def build_context(scale: ExperimentScale | None = None,
                   with_imdb_pool: bool = True,
                   store: "ArtifactStore | None" = None,
                   use_cache: bool | None = None,
-                  workers: int | None = None,
-                  backend: "ExecutionBackend | None" = None
-                  ) -> ExperimentContext:
+                  workers: int | None = None) -> ExperimentContext:
     """Run the one-time setup and return the shared context.
 
     The result is keyed by a content hash of ``scale`` (+ the pool
     flag) in the persistent artifact store: a warm call deserializes
-    the corpus, models and executed workloads and performs **zero**
-    query execution or model training.  ``use_cache=None`` defers to
-    the ``REPRO_CACHE`` environment variable (on unless set to ``0``);
-    ``store=None`` uses the default store rooted at ``REPRO_CACHE_DIR``
-    or ``~/.cache/repro``.
+    the corpus shards, models and executed workloads and performs
+    **zero** query execution or model training.  ``use_cache=None``
+    defers to the ``REPRO_CACHE`` environment variable (on unless set
+    to ``0``); ``store=None`` uses the default store rooted at
+    ``REPRO_CACHE_DIR`` or ``~/.cache/repro``.
 
-    Corpus collection is sharded per training database and runs on an
-    execution backend: ``workers`` (or the ``REPRO_WORKERS`` environment
-    variable) selects a process pool, the default is serial — the corpus
-    is record-identical either way.  With the cache on, each executed
-    shard is persisted individually, so raising
-    ``num_training_databases`` re-executes only the new databases'
-    workloads and serves the rest from the shard cache.
+    Corpus collection is sharded per training database: ``workers`` (or
+    the ``REPRO_WORKERS`` environment variable) fans the shards out to a
+    process pool, the default is in-process — the corpus is
+    record-identical either way.  With the cache on, each executed
+    shard is persisted individually and is the only stored form of its
+    database, so raising ``num_training_databases`` re-executes only
+    the new databases' workloads, and a stored context whose shard entry
+    vanished re-executes exactly that shard.
     """
     from repro.experiments.cache import ArtifactStore, cache_enabled
 
     scale = scale or ExperimentScale.default()
-    # Resolve (and validate) the backend before the cache lookup so a
-    # bad worker count fails the same way warm or cold.
-    backend = resolve_backend(workers, backend)
     if use_cache is None:
         use_cache = cache_enabled()
-    if use_cache:
-        store = store or ArtifactStore()
-        cached = store.load_context(scale, with_imdb_pool)
-        if cached is not None:
-            return cached
-
-    rng = np.random.default_rng(scale.seed)
+    store = (store or ArtifactStore()) if use_cache else None
 
     # 1. Training fleet + corpus (random physical designs included,
     #    §4.1): hydrate specs on demand, shard per database, reuse any
-    #    shard the store has already paid for.
+    #    shard the store has already paid for.  A bad worker count fails
+    #    here, before any shard is loaded or run, warm cache or cold.
     specs = generate_training_database_specs(
         scale.num_training_databases, base_seed=scale.seed,
         min_rows=scale.training_db_min_rows,
         max_rows=scale.training_db_max_rows,
     )
-    corpus = collect_training_corpus_from_specs(
+    corpus = collect_training_corpus(
         specs, scale.queries_per_database,
         seed=scale.seed,
         random_indexes_per_database=scale.random_indexes_per_database,
         noise_sigma=scale.training_noise_sigma,
-        backend=backend,
-        store=store if use_cache else None,
+        workers=workers,
+        store=store,
     )
-    training_databases = [corpus.databases[spec.name] for spec in specs]
+    if store is not None:
+        cached = store.load_context(scale, corpus, with_imdb_pool)
+        if cached is not None:
+            return cached
+
+    rng = np.random.default_rng(scale.seed)
 
     # 2. Zero-shot models (the one-time training effort).
     zero_shot_models = train_zero_shot_models(corpus, scale)
@@ -317,13 +311,13 @@ def build_context(scale: ExperimentScale | None = None,
 
     context = ExperimentContext(
         scale=scale,
-        training_databases=training_databases,
+        training_databases=list(corpus.databases.values()),
         corpus=corpus,
         zero_shot_models=zero_shot_models,
         imdb=imdb,
         evaluation_records=evaluation_records,
         imdb_pool=imdb_pool,
     )
-    if use_cache:
+    if store is not None:
         store.save_context(context, with_imdb_pool)
     return context

@@ -104,7 +104,7 @@ class Planner:
         #: leaves behind on the planner.
         self.last_rewrite_trace: RewriteTrace | None = None
         # Constructed even when enable_rewrites is False so a typo'd
-        # disabled_rules entry fails eagerly, mirroring resolve_backend.
+        # disabled_rules entry fails eagerly, mirroring resolve_workers.
         self._rewriter: RewritePlanner | None = None
         if self.options.enable_rewrites or self.options.disabled_rules:
             self._rewriter = RewritePlanner(

@@ -752,7 +752,7 @@ class RewritePlanner:
         self.registry = registry if registry is not None else _REGISTRY
         self.disabled_rules = tuple(disabled_rules)
         self.max_firings = max_firings
-        # Eager validation, mirroring resolve_backend: a typo'd rule
+        # Eager validation, mirroring resolve_workers: a typo'd rule
         # name fails at construction, not on the first query.
         self.registry.validate_names(self.disabled_rules)
 

@@ -11,31 +11,25 @@
   corpus, optionally under random physical designs (for what-if
   training, §4.1).
 * :mod:`~repro.workload.backends` — sharded collection: per-database
-  :class:`CorpusShard` units executed by a pluggable
-  :class:`ExecutionBackend` (serial or process pool, record-identical).
+  :class:`CorpusShard` units executed by :func:`run_shards` (in-process
+  or a process pool, record-identical).
 """
 
 from repro.workload.backends import (
     CorpusShard,
-    ExecutionBackend,
-    ProcessPoolBackend,
-    SerialBackend,
     ShardExecution,
     SystemAssignment,
     execute_shard,
     make_corpus_shards,
-    resolve_backend,
     resolve_system_assignment,
+    resolve_workers,
+    run_shards,
 )
 from repro.workload.benchmarks import (
     BENCHMARK_NAMES,
     make_benchmark_workload,
 )
-from repro.workload.corpus import (
-    TrainingCorpus,
-    collect_training_corpus,
-    collect_training_corpus_from_specs,
-)
+from repro.workload.corpus import TrainingCorpus, collect_training_corpus
 from repro.workload.generator import WorkloadSpec, generate_workload
 from repro.workload.runner import (
     RECORD_SCHEMA_VERSION,
@@ -48,20 +42,17 @@ __all__ = [
     "CorpusShard",
     "ExecutedQueryRecord",
     "RECORD_SCHEMA_VERSION",
-    "ExecutionBackend",
-    "ProcessPoolBackend",
-    "SerialBackend",
     "ShardExecution",
     "SystemAssignment",
     "TrainingCorpus",
     "WorkloadRunner",
     "WorkloadSpec",
     "collect_training_corpus",
-    "collect_training_corpus_from_specs",
     "execute_shard",
     "generate_workload",
     "make_benchmark_workload",
     "make_corpus_shards",
-    "resolve_backend",
     "resolve_system_assignment",
+    "resolve_workers",
+    "run_shards",
 ]

@@ -1,13 +1,11 @@
-"""Execution backends for sharded training-corpus collection.
+"""Sharded training-corpus collection: the shards and what runs them.
 
 The paper's dominant one-time cost is executing training workloads
 across a fleet of ~20 heterogeneous databases.  This module splits that
 work into independent, picklable **shards** — one per training database
-— and runs them through a pluggable :class:`ExecutionBackend`:
-
-* :class:`SerialBackend` executes shards in-process, one after another
-  (the default, and what unit tests pin themselves to);
-* :class:`ProcessPoolBackend` fans shards out to worker processes.
+— and runs them through :func:`run_shards`: in-process, one after
+another (the default, and what unit tests pin themselves to), or fanned
+out to worker processes.
 
 A shard is self-contained: it carries the
 :class:`~repro.db.generator.SyntheticDatabaseSpec` (hydrated on demand
@@ -16,12 +14,12 @@ and explicit seeds for index creation and the runner.  Seeds are
 derived per shard from the base seed and the shard's position alone —
 never from shared generator state — so
 
-* serial and parallel backends produce **record-identical** corpora,
+* any number of workers produces a **record-identical** corpus,
 * shard ``i``'s results do not depend on the fleet size, which lets the
   per-shard artifact cache reuse shards when a fleet grows.
 
-``REPRO_WORKERS`` selects the backend ambiently (``<=1`` or unset →
-serial); :func:`resolve_backend` is the single resolution point.
+``REPRO_WORKERS`` sets the worker count ambiently (``1`` or unset →
+in-process); :func:`resolve_workers` is the single resolution point.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Protocol, Sequence, Union, runtime_checkable
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -46,16 +44,14 @@ from repro.workload.runner import ExecutedQueryRecord, WorkloadRunner
 
 __all__ = [
     "CorpusShard",
-    "ExecutionBackend",
-    "ProcessPoolBackend",
-    "SerialBackend",
     "ShardExecution",
     "SystemAssignment",
     "WORKERS_ENV",
     "execute_shard",
     "make_corpus_shards",
-    "resolve_backend",
     "resolve_system_assignment",
+    "resolve_workers",
+    "run_shards",
     "shard_seeds",
 ]
 
@@ -243,90 +239,50 @@ def execute_shard(shard: CorpusShard) -> ShardExecution:
                           records=runner.run(queries))
 
 
-@runtime_checkable
-class ExecutionBackend(Protocol):
-    """Anything that can run a batch of corpus shards, in order."""
+def resolve_workers(workers: int | None = None) -> int:
+    """The single place the worker count is decided.
 
-    name: str
-
-    def run(self, shards: Sequence[CorpusShard]) -> list[ShardExecution]:
-        """Execute every shard; results align with the input order."""
-        ...  # pragma: no cover - protocol
-
-
-class SerialBackend:
-    """In-process, one-shard-at-a-time execution (the default)."""
-
-    name = "serial"
-
-    def run(self, shards: Sequence[CorpusShard]) -> list[ShardExecution]:
-        return [execute_shard(shard) for shard in shards]
-
-
-class ProcessPoolBackend:
-    """Fan shards out to ``workers`` processes.
-
-    Results pass through pickle on the way back, which preserves every
-    record bit-for-bit (floats and numpy arrays round-trip exactly), so
-    the corpus is identical to :class:`SerialBackend`'s — only faster.
-    On POSIX the pool forks, so workers inherit the imported library
-    instead of re-importing it.
-    """
-
-    name = "process-pool"
-
-    def __init__(self, workers: int | None = None):
-        if workers is None:
-            workers = os.cpu_count() or 1
-        if workers < 1:
-            raise ExperimentError(
-                f"worker count must be positive, got {workers}"
-            )
-        self.workers = workers
-
-    def run(self, shards: Sequence[CorpusShard]) -> list[ShardExecution]:
-        shards = list(shards)
-        if not shards:
-            return []
-        workers = min(self.workers, len(shards))
-        if workers == 1:
-            return SerialBackend().run(shards)
-        # Fork only where it is reliable (Linux); elsewhere the platform
-        # default (spawn on macOS/Windows) is safe because execute_shard
-        # and every shard are module-level and picklable.
-        context = (multiprocessing.get_context("fork")
-                   if sys.platform == "linux" else None)
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=context) as pool:
-            return list(pool.map(execute_shard, shards))
-
-
-def resolve_backend(workers: int | None = None,
-                    backend: ExecutionBackend | None = None
-                    ) -> ExecutionBackend:
-    """The single place backend selection happens.
-
-    Precedence: explicit ``backend`` > explicit ``workers`` > the
-    ``REPRO_WORKERS`` environment variable > serial.  ``workers <= 0``
-    (explicit or via the environment) is rejected eagerly with
+    Precedence: explicit ``workers`` > the ``REPRO_WORKERS`` environment
+    variable > ``1`` (in-process).  ``workers <= 0`` (explicit or via
+    the environment) is rejected eagerly with
     :class:`~repro.errors.ExperimentError` rather than failing deep in
     collection.
     """
-    if backend is not None:
-        return backend
     if workers is None:
-        raw = os.environ.get(WORKERS_ENV, "").strip()
-        if raw:
-            try:
-                workers = int(raw)
-            except ValueError:
-                raise ExperimentError(
-                    f"{WORKERS_ENV} must be an integer, got {raw!r}"
-                ) from None
-    if workers is not None and workers < 1:
+        raw = os.environ.get(WORKERS_ENV, "").strip() or "1"
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise ExperimentError(
+                f"{WORKERS_ENV} must be an integer, got {raw!r}"
+            ) from None
+    if workers < 1:
         raise ExperimentError(
             f"worker count must be positive, got {workers}"
         )
-    if workers is None or workers == 1:
-        return SerialBackend()
-    return ProcessPoolBackend(workers)
+    return workers
+
+
+def run_shards(shards: Sequence[CorpusShard],
+               workers: int | None = None) -> list[ShardExecution]:
+    """Execute every shard; results align with the input order.
+
+    ``workers`` resolves through :func:`resolve_workers`.  One worker
+    (or one shard) runs in-process; more fan the shards out to a process
+    pool.  Results pass through pickle on the way back, which preserves
+    every record bit-for-bit (floats and numpy arrays round-trip
+    exactly), so the corpus is identical to the in-process one — only
+    faster.  On Linux the pool forks, so workers inherit the imported
+    library instead of re-importing it.
+    """
+    workers = min(resolve_workers(workers), len(shards))
+    if workers <= 1:
+        return [execute_shard(shard) for shard in shards]
+    # Fork only where it is reliable (Linux); elsewhere the platform
+    # default (spawn on macOS/Windows) is safe because execute_shard
+    # and every shard are module-level and picklable.
+    context = (multiprocessing.get_context("fork")
+               if sys.platform == "linux" else None)
+    with ProcessPoolExecutor(max_workers=workers,
+                             mp_context=context) as pool:
+        return list(pool.map(execute_shard, shards))

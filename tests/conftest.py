@@ -20,13 +20,13 @@ from repro.db import (
 
 
 @pytest.fixture(scope="session", autouse=True)
-def _force_serial_backend():
-    """Pin corpus collection to the SerialBackend for unit tests.
+def _force_in_process_collection():
+    """Pin corpus collection to one in-process worker for unit tests.
 
     An ambient ``REPRO_WORKERS`` must not switch the suite onto the
     process pool: unit tests want deterministic, single-process
-    execution (tests that exercise the pool construct
-    ``ProcessPoolBackend`` explicitly).
+    execution (tests that exercise the pool pass ``workers=2``
+    explicitly).
     """
     previous = os.environ.get("REPRO_WORKERS")
     os.environ["REPRO_WORKERS"] = "1"
@@ -53,6 +53,22 @@ def _isolated_artifact_cache(tmp_path_factory):
         os.environ.pop("REPRO_CACHE_DIR", None)
     else:
         os.environ["REPRO_CACHE_DIR"] = previous
+
+
+@pytest.fixture()
+def executed_names(monkeypatch):
+    """Names of the databases whose shards ``execute_shard`` ran during
+    the test, in order — how a test counts (or forbids) executions."""
+    from repro.workload import backends, execute_shard
+
+    names = []
+
+    def counting(shard):
+        names.append(shard.database_spec.name)
+        return execute_shard(shard)
+
+    monkeypatch.setattr(backends, "execute_shard", counting)
+    return names
 
 
 @pytest.fixture(scope="session")

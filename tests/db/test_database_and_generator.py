@@ -7,7 +7,7 @@ from repro.db import (
     Database,
     SyntheticDatabaseSpec,
     generate_database,
-    generate_training_databases,
+    generate_training_database_specs,
     make_imdb_database,
 )
 from repro.db.imdb import IMDB_TABLE_NAMES
@@ -103,8 +103,9 @@ class TestSyntheticGenerator:
             assert small_synthetic_db.indexes_on(name, "id")
 
     def test_training_fleet_varies(self):
-        databases = generate_training_databases(4, base_seed=0,
-                                                min_rows=200, max_rows=1_000)
+        databases = [generate_database(spec) for spec in
+                     generate_training_database_specs(
+                         4, base_seed=0, min_rows=200, max_rows=1_000)]
         assert len(databases) == 4
         table_counts = {len(db.schema.table_names) for db in databases}
         assert len(table_counts) > 1  # schemas differ across the fleet
@@ -115,7 +116,7 @@ class TestSyntheticGenerator:
         with pytest.raises(SchemaError):
             SyntheticDatabaseSpec(name="x", seed=0, min_rows=10, max_rows=5)
         with pytest.raises(SchemaError):
-            generate_training_databases(0)
+            generate_training_database_specs(0)
 
 
 class TestImdb:

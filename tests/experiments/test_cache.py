@@ -1,11 +1,13 @@
 """The persistent experiment artifact store.
 
 A warm :func:`~repro.experiments.build_context` call must deserialize
-the corpus, trained models and executed workloads — zero query
-execution, zero training — and reproduce the cold context bit for bit.
+the corpus shards, trained models and executed workloads — zero query
+execution, zero training — and reproduce the cold context bit for bit,
+from a store that holds each training database exactly once.
 """
 
 import dataclasses
+import shutil
 
 import numpy as np
 import pytest
@@ -26,8 +28,10 @@ from repro.experiments.cache import (
 from repro.featurize import CardinalitySource, ZeroShotFeaturizer
 from repro.models import TrainerConfig, ZeroShotConfig
 from repro.workload import (
-    SerialBackend,
-    collect_training_corpus_from_specs,
+    TrainingCorpus,
+    WorkloadRunner,
+    backends,
+    collect_training_corpus,
     execute_shard,
     make_corpus_shards,
 )
@@ -64,40 +68,41 @@ def warm_store(tmp_path_factory):
     return store, context
 
 
+def assert_same_predictions(cold, warm):
+    """Both stored models answer the evaluation plans bit for bit."""
+    featurizer = ZeroShotFeaturizer(CardinalitySource.ACTUAL)
+    cold_graphs = [featurizer.featurize(r.plan, cold.imdb)
+                   for r in cold.evaluation_records["scale"]]
+    warm_graphs = [featurizer.featurize(r.plan, warm.imdb)
+                   for r in warm.evaluation_records["scale"]]
+    for source in (CardinalitySource.ACTUAL, CardinalitySource.ESTIMATED):
+        np.testing.assert_array_equal(
+            cold.zero_shot_models[source].predict_log_runtime(cold_graphs),
+            warm.zero_shot_models[source].predict_log_runtime(warm_graphs),
+        )
+
+
 class TestRoundTrip:
     def test_warm_call_skips_all_one_time_effort(self, warm_store,
                                                  monkeypatch):
-        store, _ = warm_store
+        store, cold = warm_store
 
         def poison(*args, **kwargs):
             raise AssertionError("one-time effort repeated on a warm cache")
 
         monkeypatch.setattr(experiment_setup, "train_zero_shot_models", poison)
-        monkeypatch.setattr(experiment_setup,
-                            "collect_training_corpus_from_specs", poison)
-        monkeypatch.setattr(experiment_setup,
-                            "generate_training_database_specs", poison)
+        monkeypatch.setattr(backends, "execute_shard", poison)
+        monkeypatch.setattr(WorkloadRunner, "run", poison)
         context = build_context(tiny_scale(), with_imdb_pool=False,
                                 store=store, use_cache=True)
         assert context.corpus.num_queries == 2 * 25
+        assert_same_predictions(cold, context)
 
     def test_roundtrip_reproduces_predictions(self, warm_store):
         store, cold = warm_store
         warm = build_context(tiny_scale(), with_imdb_pool=False,
                              store=store, use_cache=True)
-        featurizer = ZeroShotFeaturizer(CardinalitySource.ACTUAL)
-        cold_graphs = [featurizer.featurize(r.plan, cold.imdb)
-                       for r in cold.evaluation_records["scale"]]
-        warm_graphs = [featurizer.featurize(r.plan, warm.imdb)
-                       for r in warm.evaluation_records["scale"]]
-        for source in (CardinalitySource.ACTUAL,
-                       CardinalitySource.ESTIMATED):
-            np.testing.assert_array_equal(
-                cold.zero_shot_models[source].predict_log_runtime(
-                    cold_graphs),
-                warm.zero_shot_models[source].predict_log_runtime(
-                    warm_graphs),
-            )
+        assert_same_predictions(cold, warm)
 
     def test_roundtrip_preserves_context_shape(self, warm_store):
         store, cold = warm_store
@@ -125,17 +130,31 @@ class TestRoundTrip:
             return None
 
         monkeypatch.setattr(ArtifactStore, "load_context", spy)
+        monkeypatch.setattr(ArtifactStore, "load_shard", spy)
         build_context(tiny_scale(), with_imdb_pool=False, store=store,
                       use_cache=False)
         assert not sentinel["loaded"]
 
-    def test_invalid_workers_rejected_even_on_warm_cache(self, warm_store):
-        """A bad worker count must fail identically warm or cold."""
+    def test_invalid_workers_rejected_even_on_warm_cache(self, warm_store,
+                                                         monkeypatch):
+        """A bad worker count, argument or environment, must fail
+        identically warm or cold: before any shard is loaded or run."""
         from repro.errors import ExperimentError
         store, _ = warm_store
+
+        def poison(*args, **kwargs):
+            raise AssertionError("a shard was touched")
+
+        monkeypatch.setattr(ArtifactStore, "load_shard", poison)
+        monkeypatch.setattr(backends, "execute_shard", poison)
+        for cached in (True, False):
+            with pytest.raises(ExperimentError):
+                build_context(tiny_scale(), with_imdb_pool=False,
+                              store=store, use_cache=cached, workers=0)
+        monkeypatch.setenv("REPRO_WORKERS", "-1")
         with pytest.raises(ExperimentError):
             build_context(tiny_scale(), with_imdb_pool=False, store=store,
-                          use_cache=True, workers=0)
+                          use_cache=True)
 
     def test_repro_cache_env_disables(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", "0")
@@ -159,9 +178,9 @@ class TestKeying:
         store = ArtifactStore(tmp_path)
         entry = store.entry_dir(tiny_scale())
         entry.mkdir(parents=True)          # no COMPLETE marker
-        (entry / "corpus.pkl").write_bytes(b"garbage")
+        (entry / "context.pkl").write_bytes(b"garbage")
         assert not store.has_context(tiny_scale())
-        assert store.load_context(tiny_scale()) is None
+        assert store.load_context(tiny_scale(), TrainingCorpus()) is None
 
     def test_incomplete_entry_is_replaced_on_save(self, warm_store,
                                                   tmp_path):
@@ -170,14 +189,73 @@ class TestKeying:
         scale = tiny_scale()
         leftover = fresh.entry_dir(scale, with_imdb_pool=False)
         leftover.mkdir(parents=True)       # incomplete: no COMPLETE marker
-        (leftover / "corpus.pkl").write_bytes(b"garbage")
+        (leftover / "context.pkl").write_bytes(b"garbage")
 
         _, context = warm_store
         fresh.save_context(context, with_imdb_pool=False)
         assert fresh.has_context(scale, with_imdb_pool=False)
-        reloaded = fresh.load_context(scale, with_imdb_pool=False)
+        reloaded = fresh.load_context(scale, context.corpus,
+                                      with_imdb_pool=False)
         assert reloaded is not None
-        assert reloaded.corpus.num_queries == context.corpus.num_queries
+        assert reloaded.corpus is context.corpus
+        assert_same_predictions(context, reloaded)
+
+
+class TestOneCopyOnDisk:
+    """The ``ShardExecution`` pickle is the only persisted form of a
+    training database; a context entry holds only what shards do not."""
+
+    def test_store_holds_each_database_once(self, warm_store, tmp_path,
+                                            executed_names):
+        source, _ = warm_store             # the pool-off context, cold
+        store = ArtifactStore(tmp_path / "copy")
+        shutil.copytree(source.root, store.root)
+        build_context(tiny_scale(), with_imdb_pool=True, store=store,
+                      use_cache=True)      # the pool-on context, cold
+        assert executed_names == []        # ... over the same two shards
+        files = [path.relative_to(store.root) for path
+                 in store.root.rglob("*") if path.is_file()]
+        assert len(store.entries()) == 2
+        assert sorted(info["database"] for info in store.shard_entries()) \
+            == ["train_db_0", "train_db_1"]
+        assert sum(path.name == "payload.pkl" for path in files) == 2
+        assert sum(path.name == "context.pkl" for path in files) == 2
+        assert not [path for path in store.root.rglob("corpus")]
+        # Every pickle in the store is one of those four.
+        assert sum(path.suffix == ".pkl" for path in files) == 4
+        for entry in store.root.glob("*/ctx-*"):
+            assert sorted(path.name for path in entry.iterdir()) == \
+                ["COMPLETE", "context.pkl", "models", "scale.json"]
+
+    def test_vanished_shard_is_re_executed_alone(self, warm_store, tmp_path,
+                                                 executed_names,
+                                                 monkeypatch):
+        """A shard is a pure function of its recipe: delete one under a
+        ``COMPLETE`` context and the next call executes exactly that
+        shard, record for record, and the stored models still fit."""
+        source, cold = warm_store
+        store = ArtifactStore(tmp_path / "copy")
+        shutil.copytree(source.root, store.root)
+        (victim,) = [info for info in store.shard_entries()
+                     if info["database"] == "train_db_1"]
+        (victim_dir,) = store.root.glob(f"*/shards/{victim['key']}")
+        shutil.rmtree(victim_dir)
+        assert len(store.shard_entries()) == 1
+
+        def poison(*args, **kwargs):
+            raise AssertionError("a stored context was rebuilt")
+
+        monkeypatch.setattr(experiment_setup, "train_zero_shot_models", poison)
+        healed = build_context(tiny_scale(), with_imdb_pool=False,
+                               store=store, use_cache=True)
+        assert executed_names == ["train_db_1"]
+        assert len(store.shard_entries()) == 2
+        for name, records in cold.corpus.records_by_database.items():
+            assert [(r.runtime_seconds, r.operator_cardinalities)
+                    for r in healed.corpus.records_by_database[name]] == \
+                [(r.runtime_seconds, r.operator_cardinalities)
+                 for r in records]
+        assert_same_predictions(cold, healed)
 
 
 def _truncate(path, keep=0.6):
@@ -188,34 +266,35 @@ def _truncate(path, keep=0.6):
 
 
 class TestTruncatedEntries:
-    """A truncated pickle under a ``COMPLETE`` marker (a full disk, a
-    copy cut short) used to raise ``EOFError`` / ``UnpicklingError``
-    out of ``build_context``; it is a miss that re-executes — and the
+    """A file cut short under a ``COMPLETE`` marker (a full disk, a copy
+    cut short) used to raise ``EOFError`` / ``UnpicklingError`` —
+    and, for a model file, ``BadZipFile`` / ``JSONDecodeError`` — out of
+    ``build_context``; it is a miss that re-executes, and the
     re-executed entry replaces the broken one."""
 
-    @pytest.mark.parametrize("victim", ["context.pkl", "corpus-shard"])
+    @pytest.mark.parametrize("victim", ["context.pkl",
+                                        "models/estimated/weights.npz",
+                                        "models/actual/model.json"])
     def test_truncated_context_is_a_miss_and_heals(self, warm_store,
                                                    tmp_path, victim):
         _, context = warm_store
         store = ArtifactStore(tmp_path)
         scale = tiny_scale()
         entry = store.save_context(context, with_imdb_pool=False)
-        assert store.load_context(scale, with_imdb_pool=False) is not None
-        if victim == "corpus-shard":
-            shard_files = sorted((entry / "corpus").rglob("*.pkl"))
-            assert shard_files, "corpus layout changed: no shard pickles"
-            _truncate(shard_files[0])
-        else:
-            _truncate(entry / victim)
+        assert store.load_context(scale, context.corpus,
+                                  with_imdb_pool=False) is not None
+        _truncate(entry / victim)
         assert store.has_context(scale, with_imdb_pool=False)
 
-        assert store.load_context(scale, with_imdb_pool=False) is None
+        assert store.load_context(scale, context.corpus,
+                                  with_imdb_pool=False) is None
         # Demoted, so the rebuilt context is published over it.
         assert not store.has_context(scale, with_imdb_pool=False)
         store.save_context(context, with_imdb_pool=False)
-        reloaded = store.load_context(scale, with_imdb_pool=False)
+        reloaded = store.load_context(scale, context.corpus,
+                                      with_imdb_pool=False)
         assert reloaded is not None
-        assert reloaded.corpus.num_queries == context.corpus.num_queries
+        assert_same_predictions(context, reloaded)
 
     @pytest.mark.parametrize("keep", [0.0, 0.6])
     def test_truncated_shard_is_a_miss_and_heals(self, tmp_path, keep):
@@ -326,25 +405,15 @@ class TestShardStore:
         assert store.has_shard(shard)
         assert store.load_shard(shard).database.name == executed.database.name
 
-    def test_growing_fleet_reuses_shards(self, tmp_path):
+    def test_growing_fleet_reuses_shards(self, tmp_path, executed_names):
         """8 -> 12 databases must execute exactly the 4 new shards."""
         store = ArtifactStore(tmp_path)
-        executed_names = []
-
-        class CountingBackend(SerialBackend):
-            def run(self, shards):
-                executed_names.extend(
-                    s.database_spec.name for s in shards)
-                return super().run(shards)
-
         specs3 = generate_training_database_specs(
             3, base_seed=13, min_rows=200, max_rows=900)
-        small = collect_training_corpus_from_specs(
-            specs3[:2], 6, seed=13, backend=CountingBackend(), store=store)
+        small = collect_training_corpus(specs3[:2], 6, seed=13, store=store)
         assert executed_names == ["train_db_0", "train_db_1"]
 
-        grown = collect_training_corpus_from_specs(
-            specs3, 6, seed=13, backend=CountingBackend(), store=store)
+        grown = collect_training_corpus(specs3, 6, seed=13, store=store)
         assert executed_names == ["train_db_0", "train_db_1", "train_db_2"]
         assert grown.num_databases == 3
         for name in small.records_by_database:

@@ -82,9 +82,9 @@ class TestSetup:
 
     def test_worker_count_validation(self):
         """Non-positive worker counts are rejected before any shard runs."""
-        from repro.workload import resolve_backend
+        from repro.workload import resolve_workers
         with pytest.raises(ExperimentError):
-            resolve_backend(workers=0)
+            resolve_workers(0)
         with pytest.raises(ExperimentError):
             build_context(ExperimentScale.quick(), workers=-1,
                           use_cache=False)

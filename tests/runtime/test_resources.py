@@ -52,13 +52,13 @@ class TestResourceAccounting:
 
 class TestCorpusResourceTargets:
     def test_featurize_targets(self, tiny_imdb):
-        from repro.db import generate_training_databases
+        from repro.db import generate_training_database_specs
         from repro.featurize import CardinalitySource
         from repro.workload import collect_training_corpus
 
-        databases = generate_training_databases(1, base_seed=9,
-                                                min_rows=300, max_rows=1_500)
-        corpus = collect_training_corpus(databases, 10, seed=1)
+        specs = generate_training_database_specs(
+            1, base_seed=9, min_rows=300, max_rows=1_500)
+        corpus = collect_training_corpus(specs, 10, seed=1)
         runtime_graphs = corpus.featurize(CardinalitySource.ACTUAL,
                                           target="runtime")
         memory_graphs = corpus.featurize(CardinalitySource.ACTUAL,

@@ -37,7 +37,7 @@ README_SYMBOLS = [
     "ZeroShotFeaturizer",
     "collect_training_corpus",
     "execute_plan",
-    "generate_training_databases",
+    "generate_training_database_specs",
     "make_benchmark_workload",
     "make_imdb_database",
 ]

@@ -52,6 +52,7 @@ class TestApiSurface:
         """Names used in README snippets must exist in the public API."""
         for name in ("CardinalitySource", "ZeroShotCostModel",
                      "ZeroShotFeaturizer", "collect_training_corpus",
-                     "generate_training_databases", "make_imdb_database",
+                     "generate_training_database_specs",
+                     "make_imdb_database",
                      "make_benchmark_workload", "WorkloadRunner"):
             assert hasattr(repro, name)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.db import SyntheticDatabaseSpec, generate_database, make_imdb_database
+from repro.db import SyntheticDatabaseSpec, make_imdb_database
 from repro.errors import ModelError
 from repro.featurize import CardinalitySource
 from repro.models import TrainerConfig, ZeroShotConfig, ZeroShotCostModel
@@ -19,14 +19,14 @@ from tests.models.conftest import build_labelled_graphs
 def whatif_model():
     """A zero-shot model trained on synthetic DBs *with* random indexes,
     so it has seen index scans (the §4.1 training recipe)."""
-    databases = [
-        generate_database(SyntheticDatabaseSpec(
+    specs = [
+        SyntheticDatabaseSpec(
             name=f"w{i}", seed=300 + i, num_tables=3 + (i % 2),
             min_rows=500, max_rows=4_000,
-        ))
+        )
         for i in range(3)
     ]
-    corpus = collect_training_corpus(databases, 60, seed=3,
+    corpus = collect_training_corpus(specs, 60, seed=3,
                                      random_indexes_per_database=2)
     graphs = corpus.featurize(CardinalitySource.ESTIMATED)
     model = ZeroShotCostModel(ZeroShotConfig(hidden_dim=32, seed=0))

@@ -1,13 +1,15 @@
-"""Sharded corpus collection: backends, shard seeds, pickling.
+"""Sharded corpus collection: ``run_shards``, shard seeds, pickling.
 
-The process-pool backend only works if (a) every shard is a
+Fanning shards out to a process pool only works if (a) every shard is a
 self-contained picklable unit, (b) executed records survive the pickle
 round-trip losslessly, and (c) per-shard seeds make execution order
 irrelevant.  Each property gets its own regression here; the capstone
-asserts serial and parallel corpora are record-identical.
+asserts in-process and pooled corpora are record-identical, and equal
+to the labels pinned before the collectors were merged.
 """
 
-import os
+import dataclasses
+import hashlib
 import pickle
 
 import pytest
@@ -15,16 +17,16 @@ import pytest
 from repro.db import generate_training_database_specs
 from repro.errors import ExperimentError, WorkloadError
 from repro.workload import (
-    ProcessPoolBackend,
-    SerialBackend,
     WorkloadRunner,
     WorkloadSpec,
-    collect_training_corpus_from_specs,
+    collect_training_corpus,
     execute_shard,
     make_benchmark_workload,
     make_corpus_shards,
-    resolve_backend,
+    resolve_workers,
+    run_shards,
 )
+from repro.workload import backends
 from repro.workload.backends import shard_seeds
 
 
@@ -55,7 +57,7 @@ def assert_records_identical(a, b):
 
 class TestRecordPickling:
     """``ExecutedQueryRecord`` must round-trip losslessly — the
-    process-pool backend ships every record through pickle."""
+    process pool ships every record through pickle."""
 
     def test_roundtrip_is_lossless(self, tiny_imdb):
         queries = make_benchmark_workload(tiny_imdb, "job-light", 6, seed=3)
@@ -105,16 +107,63 @@ class TestShardSeeds:
             assert shard.workload_spec.num_queries == 5
             assert shard.workload_spec.seed == shard_seeds(23, index)[1]
 
+    def test_workload_template_reaches_the_generator(self, tiny_specs,
+                                                     monkeypatch):
+        """Every field of the template except ``num_queries`` and
+        ``seed`` reaches ``generate_workload`` for every database, and
+        each database gets its own workload seed.  (The eager collector
+        reset ``wide_join_filter_probability`` to its default when the
+        query count differed, and ran every database on the template's
+        one seed when it did not.)"""
+        received = []
+        generate = backends.generate_workload
 
-class TestBackends:
+        def spy(database, spec):
+            received.append(spec)
+            return generate(database, spec)
+
+        monkeypatch.setattr(backends, "generate_workload", spy)
+        for template in (
+                WorkloadSpec(num_queries=1, max_tables=3,
+                             wide_join_filter_probability=0.0, seed=5),
+                WorkloadSpec(num_queries=4, max_tables=3,
+                             wide_join_filter_probability=0.0, seed=5)):
+            received.clear()
+            collect_training_corpus(tiny_specs, 4, seed=23,
+                                    workload_spec=template, workers=1)
+            assert len(received) == len(tiny_specs)
+            for index, spec in enumerate(received):
+                assert spec == dataclasses.replace(
+                    template, num_queries=4,
+                    seed=shard_seeds(23, index)[1])
+            assert len({spec.seed for spec in received}) == len(tiny_specs)
+
+
+#: SHA-256 over ``(str(query), runtime_seconds, operator_cardinalities)``
+#: of every record of the corpus below, generated at PR 21's tree by the
+#: sharded collector it still kept beside the eager one.  Merging the
+#: two under one name must not move a label.
+PINNED_LABELS = \
+    "2cd4b236e9be81586ff68a839eec306de5b6823d46e18e1779bd6b17adb7be50"
+
+
+def label_digest(corpus) -> str:
+    digest = hashlib.sha256()
+    for record in corpus.all_records():
+        digest.update(repr((
+            str(record.query), float(record.runtime_seconds),
+            tuple(float(c) for c in record.operator_cardinalities),
+        )).encode())
+    return digest.hexdigest()
+
+
+class TestRunShards:
     def test_serial_and_parallel_are_record_identical(self, tiny_specs):
-        """The acceptance property: the corpus does not depend on the
-        backend that collected it."""
+        """The acceptance property: the corpus does not depend on how
+        many workers collected it."""
         kwargs = dict(seed=23, random_indexes_per_database=1)
-        serial = collect_training_corpus_from_specs(
-            tiny_specs, 8, backend=SerialBackend(), **kwargs)
-        parallel = collect_training_corpus_from_specs(
-            tiny_specs, 8, backend=ProcessPoolBackend(2), **kwargs)
+        serial = collect_training_corpus(tiny_specs, 8, workers=1, **kwargs)
+        parallel = collect_training_corpus(tiny_specs, 8, workers=2, **kwargs)
         assert list(serial.records_by_database) == \
             list(parallel.records_by_database)
         for name in serial.records_by_database:
@@ -122,49 +171,80 @@ class TestBackends:
                                      parallel.records_by_database[name])
             assert sorted(serial.databases[name].indexes) == \
                 sorted(parallel.databases[name].indexes)
+        assert serial.num_queries == 24
+        assert label_digest(serial) == PINNED_LABELS
+        assert label_digest(parallel) == PINNED_LABELS
 
     def test_empty_shard_list(self):
-        assert SerialBackend().run([]) == []
-        assert ProcessPoolBackend(2).run([]) == []
+        assert run_shards([]) == []
+        assert run_shards([], workers=2) == []
 
     def test_invalid_worker_count(self):
         with pytest.raises(ExperimentError):
-            ProcessPoolBackend(0)
+            run_shards([], workers=0)
         with pytest.raises(ExperimentError):
-            resolve_backend(workers=-2)
+            resolve_workers(-2)
+
+    def test_invalid_worker_count_fails_before_any_shard(self, tiny_specs,
+                                                         monkeypatch):
+        """``workers <= 0``, as an argument or from the environment, is
+        rejected before a shard is looked up in the store or run."""
+        def poison(*args, **kwargs):
+            raise AssertionError("a shard was touched")
+
+        class PoisonedStore:
+            load_shard = save_shard = poison
+
+        monkeypatch.setattr(backends, "execute_shard", poison)
+        with pytest.raises(ExperimentError):
+            collect_training_corpus(tiny_specs, 5, workers=0,
+                                    store=PoisonedStore())
+        monkeypatch.setenv("REPRO_WORKERS", "0")
+        with pytest.raises(ExperimentError):
+            collect_training_corpus(tiny_specs, 5, store=PoisonedStore())
 
     def test_spec_validation(self, tiny_specs):
         with pytest.raises(WorkloadError):
-            collect_training_corpus_from_specs([], 5)
+            collect_training_corpus([], 5)
         with pytest.raises(WorkloadError):
-            collect_training_corpus_from_specs(tiny_specs, 0)
+            collect_training_corpus(tiny_specs, 0)
 
 
-class TestResolveBackend:
-    def test_default_is_serial(self, monkeypatch):
+class TestResolveWorkers:
+    def test_default_is_in_process(self, monkeypatch):
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert isinstance(resolve_backend(), SerialBackend)
+        assert resolve_workers() == 1
 
     def test_env_selects_pool(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "3")
-        backend = resolve_backend()
-        assert isinstance(backend, ProcessPoolBackend)
-        assert backend.workers == 3
+        assert resolve_workers() == 3
 
-    def test_env_one_is_serial(self, monkeypatch):
+    def test_env_one_is_in_process(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "1")
-        assert isinstance(resolve_backend(), SerialBackend)
+        assert resolve_workers() == 1
 
-    def test_explicit_args_win_over_env(self, monkeypatch):
+    def test_explicit_argument_wins_over_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert isinstance(resolve_backend(workers=1), SerialBackend)
-        sentinel = SerialBackend()
-        assert resolve_backend(workers=4, backend=sentinel) is sentinel
+        assert resolve_workers(1) == 1
+        assert resolve_workers(4) == 4
+
+    def test_env_reaches_the_collector(self, tiny_specs, monkeypatch):
+        """``REPRO_WORKERS`` means the same to a direct collector call
+        as to ``build_context``."""
+        seen = []
+        monkeypatch.setattr(
+            "repro.workload.corpus.run_shards",
+            lambda shards, workers=None: seen.append(workers)
+            or run_shards(shards, 1))
+        monkeypatch.setenv("REPRO_WORKERS", "3")
+        collect_training_corpus(tiny_specs[:1], 3, seed=23)
+        collect_training_corpus(tiny_specs[:1], 3, seed=23, workers=2)
+        assert seen == [3, 2]
 
     def test_env_validation(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "zero")
         with pytest.raises(ExperimentError):
-            resolve_backend()
+            resolve_workers()
         monkeypatch.setenv("REPRO_WORKERS", "0")
         with pytest.raises(ExperimentError):
-            resolve_backend()
+            resolve_workers()

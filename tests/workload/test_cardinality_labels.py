@@ -5,17 +5,20 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.db import generate_training_database_specs
 from repro.errors import FeaturizationError, WorkloadError
+from repro.experiments.cache import ArtifactStore
 from repro.featurize import CardinalitySource
 from repro.plans.plan import walk_plan
 from repro.workload import (
     RECORD_SCHEMA_VERSION,
     ExecutedQueryRecord,
+    TrainingCorpus,
     WorkloadRunner,
     WorkloadSpec,
+    collect_training_corpus,
     generate_workload,
 )
-from repro.workload.corpus import TrainingCorpus
 
 
 @pytest.fixture(scope="module")
@@ -85,21 +88,39 @@ class TestCorpusFeaturize:
             corpus.featurize(CardinalitySource.ESTIMATED,
                              with_cardinalities=True)
 
-    def test_corpus_format_rejects_old_layout(self, corpus, tmp_path):
-        corpus.save(tmp_path / "corpus")
-        manifest = (tmp_path / "corpus" / "manifest.json")
-        manifest.write_text(
-            manifest.read_text().replace('"format": 4', '"format": 3'))
-        with pytest.raises(WorkloadError, match="unsupported corpus format"):
-            TrainingCorpus.load(tmp_path / "corpus")
 
-    def test_save_load_round_trips_labels(self, corpus, tmp_path,
-                                          small_synthetic_db, executed):
-        corpus.save(tmp_path / "corpus")
-        loaded = TrainingCorpus.load(tmp_path / "corpus")
-        restored = loaded.records_by_database[small_synthetic_db.name]
-        assert [r.operator_cardinalities for r in restored] == \
-            [r.operator_cardinalities for r in executed]
+class TestStoredCorpus:
+    """The shard store is the corpus's only on-disk form: what it hands
+    back on a second collection carries the labels it was given."""
+
+    @pytest.fixture()
+    def specs(self):
+        return generate_training_database_specs(2, base_seed=5,
+                                                min_rows=200, max_rows=900)
+
+    def test_store_round_trips_labels(self, specs, executed_names, tmp_path):
+        store = ArtifactStore(tmp_path)
+        collected = collect_training_corpus(specs, 6, seed=5, store=store)
+        assert len(executed_names) == 2
+        loaded = collect_training_corpus(specs, 6, seed=5, store=store)
+        assert len(executed_names) == 2   # all hits: nothing executed
+        assert list(loaded.records_by_database) == \
+            list(collected.records_by_database)
+        assert [r.operator_cardinalities for r in loaded.all_records()] == \
+            [r.operator_cardinalities for r in collected.all_records()]
+        assert all(r.operator_cardinalities for r in loaded.all_records())
+
+    def test_store_format_rejects_old_layout(self, specs, executed_names,
+                                             tmp_path, monkeypatch):
+        """Shards stored under another ``CACHE_FORMAT_VERSION`` are
+        never matched: they are re-collected, not silently loaded."""
+        import repro.experiments.cache as cache_module
+        store = ArtifactStore(tmp_path)
+        collect_training_corpus(specs, 6, seed=5, store=store)
+        assert len(executed_names) == 2
+        monkeypatch.setattr(cache_module, "CACHE_FORMAT_VERSION", "v4")
+        collect_training_corpus(specs, 6, seed=5, store=store)
+        assert len(executed_names) == 4
 
 
 class TestFeaturizerLabels:

@@ -1,5 +1,5 @@
 """The hardware axis of the training fleet: machine assignment,
-system-aware shard caching, and corpus round-trips."""
+system-aware shard caching, and corpus round-trips through the store."""
 
 import pytest
 
@@ -8,8 +8,7 @@ from repro.errors import ExperimentError
 from repro.experiments.cache import ArtifactStore, shard_key
 from repro.runtime import SystemParameters
 from repro.workload import (
-    TrainingCorpus,
-    collect_training_corpus_from_specs,
+    collect_training_corpus,
     execute_shard,
     make_corpus_shards,
     resolve_system_assignment,
@@ -101,7 +100,7 @@ class TestSystemAwareShardCache:
 
 class TestCorpusSystems:
     def test_collect_records_each_databases_machine(self, tiny_specs):
-        corpus = collect_training_corpus_from_specs(
+        corpus = collect_training_corpus(
             tiny_specs, 5, seed=1, system=["default", "slow-disk"])
         names = [spec.name for spec in tiny_specs]
         assert corpus.system_for(names[0]) == SystemParameters()
@@ -110,10 +109,14 @@ class TestCorpusSystems:
         # Unknown databases default to the stock machine.
         assert corpus.system_for("never-collected") == SystemParameters()
 
-    def test_save_load_round_trips_systems(self, tiny_specs, tmp_path):
-        corpus = collect_training_corpus_from_specs(
-            tiny_specs, 5, seed=1, system="faster-cpu")
-        corpus.save(tmp_path / "corpus")
-        loaded = TrainingCorpus.load(tmp_path / "corpus")
+    def test_store_round_trips_systems(self, tiny_specs, tmp_path,
+                                       executed_names):
+        store = ArtifactStore(tmp_path)
+        corpus = collect_training_corpus(
+            tiny_specs, 5, seed=1, system="faster-cpu", store=store)
+        assert len(executed_names) == 3
+        loaded = collect_training_corpus(
+            tiny_specs, 5, seed=1, system="faster-cpu", store=store)
+        assert len(executed_names) == 3   # all hits: nothing executed
         for name in corpus.records_by_database:
             assert loaded.system_for(name) == SystemParameters.faster_cpu()

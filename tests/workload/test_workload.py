@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.db import generate_training_databases
+from repro.db import generate_training_database_specs
 from repro.errors import WorkloadError
 from repro.featurize import CardinalitySource
 from repro.sql import validate_query
@@ -153,10 +153,10 @@ class TestRunner:
 class TestCorpus:
     @pytest.fixture(scope="class")
     def corpus(self):
-        databases = generate_training_databases(
+        specs = generate_training_database_specs(
             2, base_seed=31, min_rows=400, max_rows=2_000
         )
-        return collect_training_corpus(databases, 15, seed=0,
+        return collect_training_corpus(specs, 15, seed=0,
                                        random_indexes_per_database=2)
 
     def test_counts(self, corpus):
