@@ -177,9 +177,10 @@ def train_model(model: Module, samples: Sequence,
 
         if validation_set:
             model.eval()
-            predictions = forward(validation_batch)
-            labels = targets(validation_batch)
-            validation_loss = loss_fn(predictions, labels).item()
+            with no_grad():
+                predictions = forward(validation_batch)
+                labels = targets(validation_batch)
+                validation_loss = loss_fn(predictions, labels).item()
         else:
             validation_loss = history.train_losses[-1]
         history.validation_losses.append(validation_loss)

@@ -40,7 +40,7 @@ from repro.featurize.graph import (
     PlanGraph,
 )
 from repro.featurize.scalers import StandardScaler
-from repro.nn import MLP, Module, Tensor, no_grad
+from repro.nn import MLP, Module, RowState, Tensor, no_grad
 from repro.nn.serialize import save_state
 from repro.models.trainer import CoreCostModel, standardization
 
@@ -103,12 +103,15 @@ def bottom_up_pass(hidden: Tensor, levels: list[LevelSpec],
     combined with the parent's own state by ``combine_of(node_type)``.
     The one message-passing loop of the library: the zero-shot net
     hands in its per-type combine MLPs, the E2E tree net its single one.
+    ``hidden`` is copied once and left alone; the levels update that
+    one copy in place (:class:`repro.nn.RowState`).
     """
+    state = RowState(hidden)
     for level in levels:
         num_parents = len(level.parent_ids)
-        child_sum = hidden.gather_sum(level.child_sums, num_parents,
-                                      level.grad_sums)
-        parent_hidden = hidden.index_select(level.parent_ids)
+        child_sum = state.gather_sum(level.child_sums, num_parents,
+                                     level.grad_sums)
+        parent_hidden = state.index_select(level.parent_ids)
         stacked = Tensor.concat([parent_hidden, child_sum], axis=1)
         if len(level.type_slots) == 1:
             # One type owns every slot, in slot order.
@@ -120,8 +123,8 @@ def bottom_up_pass(hidden: Tensor, levels: list[LevelSpec],
                  for node_type, slots in level.type_slots.items()],
                 list(level.type_slots.values()), num_parents)
         # h + (c - h), not c: the two round differently.
-        hidden = hidden.add_rows(level.parent_ids, combined - parent_hidden)
-    return hidden
+        state.add_rows(level.parent_ids, combined - parent_hidden)
+    return state.hand_over()
 
 
 class ZeroShotNet(Module):

@@ -6,7 +6,9 @@ offline, so ``repro.nn`` provides the pieces the zero-shot models need:
 * :class:`~repro.nn.tensor.Tensor` — reverse-mode autograd over numpy
   arrays (broadcasting-aware), tape-optional per op, with the row
   primitives of DAG message passing (``scatter_rows``, ``gather_sum``
-  over :func:`~repro.nn.tensor.rank_rounds`, ``add_rows``).
+  over :func:`~repro.nn.tensor.rank_rounds`, and
+  :class:`~repro.nn.tensor.RowState`, the one state buffer a pass
+  updates in place with ``add_rows``).
 * :mod:`~repro.nn.layers` — ``Linear``, ``MLP``, ``LayerNorm``,
   ``Dropout``, ``Sequential``.
 * :mod:`~repro.nn.optim` — ``SGD`` and ``Adam`` with gradient clipping.
@@ -24,7 +26,7 @@ from repro.nn.module import Module, Parameter
 from repro.nn.optim import SGD, Adam, clip_grad_norm
 from repro.nn.schedules import ConstantSchedule, CosineSchedule, StepSchedule
 from repro.nn.serialize import load_state, save_state
-from repro.nn.tensor import RowSums, Tensor, no_grad, rank_rounds
+from repro.nn.tensor import RowState, RowSums, Tensor, no_grad, rank_rounds
 
 __all__ = [
     "Adam",
@@ -38,6 +40,7 @@ __all__ = [
     "Module",
     "Parameter",
     "ReLU",
+    "RowState",
     "RowSums",
     "SGD",
     "Sequential",

@@ -27,8 +27,14 @@ order of magnitude slower than fancy-index assignment:
   while every target still adds its sources left to right — bit for
   bit what the unbuffered ``ufunc.at`` add computes, which a sorted
   ``np.add.reduceat`` is not;
-* :meth:`Tensor.add_rows` returns the state with some distinct rows
-  updated, without a full-width add.
+* :meth:`RowState.add_rows` updates some distinct rows of a pass's
+  state in place: a :class:`RowState` is the one ``[N, ...]`` buffer a
+  level-by-level pass owns, and the one gradient buffer on the way back.
+
+The gradient of gathered rows arrives the same way it left: the
+backward of :meth:`Tensor.index_select` and :meth:`Tensor.gather_sum`
+adds into the rows it read (``grad[rows] += g``), never through a
+zero-filled ``[N, ...]`` temporary.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled", "RowSums",
+__all__ = ["Tensor", "no_grad", "is_grad_enabled", "RowState", "RowSums",
            "occurrence_ranks", "rank_rounds"]
 
 _GRAD_ENABLED = True
@@ -218,43 +224,55 @@ def _scatter_rows(pieces: Sequence[np.ndarray],
     return out
 
 
-def _sum_rounds(data: np.ndarray, sums: RowSums,
+def _place_rows(rows: np.ndarray, values: np.ndarray,
                 num_rows: int) -> np.ndarray:
-    """``out[t] = data[s1] + data[s2] + ...`` for every target ``t``
-    and its sources in round order; zero rows elsewhere."""
-    targets, rounds = sums
-    out = np.zeros(_row_shape(num_rows, data))
-    if rounds:
-        _require_distinct((targets,), num_rows, "gather_sum")
-        summed = data.take(rounds[0], axis=0)
-        for sources in rounds[1:]:
-            summed[:len(sources)] += data.take(sources, axis=0)
-        out[targets] = summed
+    """Zeros with ``values`` assigned to the *distinct* ``rows``."""
+    out = np.zeros(_row_shape(num_rows, values))
+    out[rows] = values
     return out
+
+
+def _add_rows(state: np.ndarray, rows: np.ndarray,
+              delta: np.ndarray) -> None:
+    """``state[rows] += delta`` in place, for *distinct* ``rows`` (the
+    caller checks): per row the ``h + d`` of a full-width add, and the
+    other rows are not read at all."""
+    updated = state.take(rows, axis=0)
+    updated += delta
+    state[rows] = updated
+
+
+def _round_sums(data: np.ndarray, sums: RowSums,
+                num_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The targets of ``sums`` and, for each, ``data[s1] + data[s2] +
+    ...`` over its sources in round order."""
+    targets, rounds = sums
+    if not rounds:
+        return targets[:0], data[:0]
+    _require_distinct((targets,), num_rows, "gather_sum")
+    summed = data.take(rounds[0], axis=0)
+    for sources in rounds[1:]:
+        summed[:len(sources)] += data.take(sources, axis=0)
+    return targets, summed
+
+
+def _sums_by_row(values: np.ndarray, indices: np.ndarray,
+                 num_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows ``indices`` name and, for each, the sum of its
+    ``values[i]``, repeats included and in order (what the unbuffered
+    ``ufunc.at`` add accumulates per row)."""
+    if _distinct((indices,), num_rows):
+        return indices, values
+    indices = np.where(indices < 0, indices + num_rows, indices)
+    return _round_sums(
+        values, rank_rounds(np.arange(len(indices)), indices), num_rows)
 
 
 def _scatter_add(values: np.ndarray, indices: np.ndarray,
                  num_rows: int) -> np.ndarray:
     """Zeros with ``values[i]`` added to row ``indices[i]``, repeats
     included and in order (the unbuffered ``ufunc.at`` add)."""
-    if _distinct((indices,), num_rows):
-        out = np.zeros(_row_shape(num_rows, values))
-        out[indices] = values
-        return out
-    indices = np.where(indices < 0, indices + num_rows, indices)
-    return _sum_rounds(
-        values, rank_rounds(np.arange(len(indices)), indices), num_rows)
-
-
-def _add_rows(state: np.ndarray, indices: np.ndarray,
-              delta: np.ndarray) -> np.ndarray:
-    """A copy of ``state`` with ``delta`` added to rows ``indices``."""
-    _require_distinct((indices,), len(state), "add_rows")
-    out = state.copy()
-    updated = state.take(indices, axis=0)
-    updated += delta
-    out[indices] = updated
-    return out
+    return _place_rows(*_sums_by_row(values, indices, num_rows), num_rows)
 
 
 def _on_tape(*tensors: "Tensor") -> bool:
@@ -307,7 +325,9 @@ class Tensor:
         return self.data
 
     def item(self) -> float:
-        return float(self.data)
+        """The one element as a float, whatever the shape (``()``,
+        ``(1,)``, ``(1, 1)``); more than one raises ``ValueError``."""
+        return self.data.item()
 
     def detach(self) -> "Tensor":
         """Return a new tensor sharing data but cut off from the graph."""
@@ -345,6 +365,14 @@ class Tensor:
             self.grad = grad.copy()
         else:
             self.grad += grad
+
+    def _accumulate_rows(self, rows: np.ndarray, grad: np.ndarray) -> None:
+        """``self.grad[rows] += grad`` for *distinct* ``rows``: the
+        gradient of gathered rows, added where they were read."""
+        if self.grad is None:
+            self.grad = _place_rows(rows, grad, len(self.data))
+        else:
+            _add_rows(self.grad, rows, grad)
 
     # ------------------------------------------------------------------
     # Arithmetic
@@ -644,8 +672,8 @@ class Tensor:
         out = Tensor(self.data.take(indices, axis=0))
         if _on_tape(self):
             def backward(grad: np.ndarray) -> None:
-                self._accumulate(
-                    _scatter_add(grad, indices, len(self.data)))
+                self._accumulate_rows(
+                    *_sums_by_row(grad, indices, len(self.data)))
 
             out._record((self,), backward)
         return out
@@ -686,30 +714,14 @@ class Tensor:
         (``repro.featurize.batch`` derives them with the level plan,
         the collate functions once per batch): no call sorts anything.
         """
-        out = Tensor(_sum_rounds(self.data, sums, num_rows))
+        out = Tensor(_place_rows(
+            *_round_sums(self.data, sums, num_rows), num_rows))
         if _on_tape(self):
             def backward(grad: np.ndarray) -> None:
-                self._accumulate(
-                    _sum_rounds(grad, reverse, len(self.data)))
+                self._accumulate_rows(
+                    *_round_sums(grad, reverse, len(self.data)))
 
             out._record((self,), backward)
-        return out
-
-    def add_rows(self, indices: np.ndarray, delta: "Tensor") -> "Tensor":
-        """``self`` with ``delta`` added to the *distinct* rows
-        ``indices`` — what ``self + delta.scatter_add(indices, n)``
-        computes, for one state copy plus a row update instead of a
-        scatter into zeros plus a full-width add."""
-        indices = np.asarray(indices, dtype=np.int64)
-        out = Tensor(_add_rows(self.data, indices, delta.data))
-        if _on_tape(self, delta):
-            def backward(grad: np.ndarray) -> None:
-                if self.requires_grad:
-                    self._accumulate(grad)
-                if delta.requires_grad:
-                    delta._accumulate(grad.take(indices, axis=0))
-
-            out._record((self, delta), backward)
         return out
 
     # ------------------------------------------------------------------
@@ -823,6 +835,84 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
+
+
+class RowState:
+    """The ``[N, ...]`` state of one level-by-level pass: one private
+    buffer forward, one gradient buffer back.
+
+    The pass copies its input once, into a buffer nobody else holds,
+    and every level writes its rows there *in place*
+    (:meth:`add_rows`), where a tensor op would copy the whole state to
+    change a few rows and its backward the whole gradient.  Writing in
+    place is only sound while no recorded closure reads the buffer, so
+    the state is not a :class:`Tensor` until the pass is over: it
+    offers the two gathers, which copy rows *out* and whose backward
+    needs the indices alone, and :meth:`hand_over`, after which the
+    buffer belongs to an ordinary tensor and this object refuses every
+    call.  No tensor that exists outside the pass — its input, a leaf,
+    a parameter — can be written to through here.
+
+    On the tape every update is one node sharing the buffer.  Its
+    backward gives ``delta`` the gradient rows it wrote and hands the
+    *same* gradient array to the state below, into which that level's
+    gathers then add their rows: a row receives the additions a chain
+    of copied states would give it, in the same order (higher levels
+    first).  After a backward pass the ``grad`` of the tensor handed
+    over is therefore that shared buffer, not its own gradient.
+    """
+
+    __slots__ = ("_current",)
+
+    def __init__(self, initial: Tensor):
+        current = Tensor(initial.data.copy())
+        if _on_tape(initial):
+            current._record((initial,), initial._accumulate)
+        self._current: Tensor | None = current
+
+    def _live(self) -> Tensor:
+        if self._current is None:
+            raise RuntimeError(
+                "this RowState was handed over: its buffer belongs to the "
+                "tensor hand_over() returned and is no longer written to")
+        return self._current
+
+    def index_select(self, indices: np.ndarray) -> Tensor:
+        """A copy of the current rows ``indices`` (duplicates allowed)."""
+        return self._live().index_select(indices)
+
+    def gather_sum(self, sums: RowSums, num_rows: int,
+                   reverse: RowSums) -> Tensor:
+        """:meth:`Tensor.gather_sum` over the current rows."""
+        return self._live().gather_sum(sums, num_rows, reverse)
+
+    def add_rows(self, indices: np.ndarray, delta: Tensor) -> None:
+        """Add ``delta`` to the *distinct* rows ``indices`` — per row
+        what ``state + delta.scatter_add(indices, n)`` computes, with
+        no other row read or written."""
+        state = self._live()
+        indices = np.asarray(indices, dtype=np.int64)
+        _require_distinct((indices,), len(state.data), "add_rows")
+        _add_rows(state.data, indices, delta.data)
+        if _on_tape(state, delta):
+            def backward(grad: np.ndarray) -> None:
+                if delta.requires_grad:
+                    delta._accumulate(grad.take(indices, axis=0))
+                if state.requires_grad:
+                    # By reference: nothing reads this node's gradient
+                    # again, the state below continues in it.
+                    if state.grad is None:
+                        state.grad = grad
+                    else:
+                        state.grad += grad
+
+            self._current = Tensor(state.data)
+            self._current._record((state, delta), backward)
+
+    def hand_over(self) -> Tensor:
+        """End the pass: the state as an ordinary tensor (no copy)."""
+        state, self._current = self._live(), None
+        return state
 
 
 def parameters_norm(parameters: Iterable[Tensor]) -> float:

@@ -24,7 +24,10 @@ from repro.models import (
     ZeroShotConfig,
     ZeroShotCostModel,
 )
+from repro.models.trainer import train_model
+from repro.nn import MLP, Tensor
 from repro.nn.serialize import save_state
+from repro.nn.tensor import is_grad_enabled
 from repro.workload import WorkloadRunner, make_benchmark_workload
 
 CORE_MODELS = ("zero-shot", "flat", "mscn", "e2e")
@@ -130,3 +133,29 @@ class TestCoreModelContract:
         assert twin.is_fitted
         assert np.array_equal(twin.predict_log_runtime(samples),
                               model.predict_log_runtime(samples))
+
+
+def test_validation_runs_off_the_tape():
+    """Nobody walks a tape of the validation batch, so ``train_model``
+    builds none: the forward sees recording off for the (one, largest)
+    validation batch and on for every training batch."""
+    rng = np.random.default_rng(0)
+    samples = [(rng.normal(size=3), float(i)) for i in range(20)]
+    net = MLP(3, [4], 1, rng)
+    seen = []
+
+    def forward(batch):
+        seen.append((len(batch), is_grad_enabled()))
+        return net(Tensor(np.stack([x for x, _ in batch]))).reshape(-1)
+
+    history = train_model(
+        net, samples, forward,
+        lambda batch: Tensor(np.array([y for _, y in batch])),
+        TrainerConfig(epochs=2, batch_size=4, validation_fraction=0.3,
+                      seed=0), collate=list)
+    assert len(history.validation_losses) == 2
+    validation = [taped for size, taped in seen if size == 6]
+    training = [taped for size, taped in seen if size != 6]
+    assert validation == [False, False]
+    assert len(training) == 8 and all(training)
+    assert is_grad_enabled()

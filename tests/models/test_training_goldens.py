@@ -14,8 +14,15 @@ If a numerical change is *intentional*, regenerate the snapshot and
 commit it together with the change::
 
     PYTHONPATH=src python tests/models/test_training_goldens.py --regen
+
+The trajectories check six epochs end to end; ``GRADIENT_DIGESTS`` pins
+*one* backward pass — a SHA-256 over every parameter gradient of the
+message-passing nets on the same plans — so a change to the tape or the
+row kernels that moves a gradient bit says so directly (``--gradients``
+prints the digests of the working tree).
 """
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -27,7 +34,15 @@ from repro.db import (
     generate_database,
     make_imdb_database,
 )
-from repro.models import TrainerConfig, get_estimator
+from repro.featurize import CardinalitySource, E2EFeaturizer, ZeroShotFeaturizer
+from repro.models import (
+    E2ECostModel,
+    TrainerConfig,
+    ZeroShotConfig,
+    ZeroShotCostModel,
+    get_estimator,
+)
+from repro.nn import functional as F
 from repro.workload import (
     WorkloadRunner,
     WorkloadSpec,
@@ -54,17 +69,34 @@ REGEN_HINT = (
 )
 
 
+#: Generated at the commit before the pass got its one state buffer
+#: (PR 23) and asserted ever since: the in-place pass, and whatever
+#: touches the tape next, must reproduce every gradient bit.
+GRADIENT_DIGESTS = {
+    "zero-shot":
+        "0365307ec241cb91ff7b825cfe9da4d37749edca2f0fb1b46f5bb6c11f9b9898",
+    "zero-shot/system":
+        "40cf38608415bc24bb7f31769d0acb54d829c281334c8bb1c5ba94ecdfc6cca3",
+    "e2e":
+        "223f8d681fd9addf81a4541b1ae63793e548b683db365ddd45a6a3eda06e85dc",
+}
+
+
+def _imdb_records():
+    imdb = make_imdb_database(scale=0.04, seed=7)
+    return imdb, WorkloadRunner(imdb, seed=19).run(
+        make_benchmark_workload(imdb, "scale", 40, seed=19))
+
+
 def _trajectories() -> dict[str, dict[str, list[float]]]:
     """Fit, fine-tune and predict with every learned estimator."""
     synthetic = generate_database(SyntheticDatabaseSpec(
         name="golden-synth", seed=211, num_tables=3,
         min_rows=300, max_rows=1_500))
-    imdb = make_imdb_database(scale=0.04, seed=7)
+    imdb, imdb_records = _imdb_records()
     databases = {synthetic.name: synthetic, imdb.name: imdb}
     synthetic_records = WorkloadRunner(synthetic, seed=17).run(
         generate_workload(synthetic, WorkloadSpec(num_queries=30, seed=17)))
-    imdb_records = WorkloadRunner(imdb, seed=19).run(
-        make_benchmark_workload(imdb, "scale", 40, seed=19))
     train, few_shot, held_out = (imdb_records[:30], imdb_records[30:35],
                                  imdb_records[35:])
     plans = [record.plan for record in held_out]
@@ -90,6 +122,42 @@ def _trajectories() -> dict[str, dict[str, list[float]]]:
                 "predictions": tuned.predict_log_runtime(plans,
                                                          imdb).tolist(),
             }
+    return out
+
+
+def _gradient_digest(model, samples) -> str:
+    """SHA-256 over every ``param.grad`` (``named_parameters()`` order)
+    after one taped forward + ``q_loss`` + ``backward()`` on one batch
+    of all ``samples``, through the closures ``fit`` trains with."""
+    model._calibrate(samples)
+    forward, targets = model.training_closures()
+    batch = model.collate(model._encode(samples))
+    model.net.train()
+    F.q_loss(forward(batch), targets(batch)).backward()
+    digest = hashlib.sha256()
+    for name, parameter in model.net.named_parameters():
+        # A parameter no sample reaches has no gradient at all.
+        digest.update(name.encode() if parameter.grad is None
+                      else parameter.grad.tobytes())
+    return digest.hexdigest()
+
+
+def _gradient_digests() -> dict[str, str]:
+    imdb, records = _imdb_records()
+    out = {}
+    for name, system_features in (("zero-shot", False),
+                                  ("zero-shot/system", True)):
+        featurizer = ZeroShotFeaturizer(CardinalitySource.ESTIMATED,
+                                        system_features=system_features)
+        out[name] = _gradient_digest(
+            ZeroShotCostModel(ZeroShotConfig(system_features=system_features)),
+            [featurizer.featurize(r.plan, imdb, r.runtime_seconds)
+             for r in records])
+    plans = [record.plan for record in records]
+    featurizer = E2EFeaturizer(imdb).fit(plans)
+    out["e2e"] = _gradient_digest(
+        E2ECostModel(featurizer),
+        [featurizer.featurize(r.plan, r.runtime_seconds) for r in records])
     return out
 
 
@@ -139,9 +207,18 @@ def test_training_matches_golden_snapshot(name, fresh, golden):
             f"{name}:{key} drifted from the golden snapshot; {REGEN_HINT}"
 
 
+def test_one_backward_pass_matches_the_pinned_gradients():
+    """(a) the default net, (b) with the machine node — a child shared
+    by every operator, so its row sums gradients across levels — and
+    (c) the E2E tree net, whose pass starts from an encoder output."""
+    assert _gradient_digests() == GRADIENT_DIGESTS
+
+
 if __name__ == "__main__":
     if "--regen" in sys.argv:
         regenerate()
+    elif "--gradients" in sys.argv:
+        print(json.dumps(_gradient_digests(), indent=1))
     else:
         print(__doc__)
         sys.exit(1)

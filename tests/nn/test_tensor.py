@@ -1,11 +1,17 @@
 """Autograd correctness: analytic gradients vs central finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.featurize.batch import LevelSpec
+from repro.models.zero_shot import bottom_up_pass
+from repro.nn import MLP, Parameter
 from repro.nn.tensor import (
+    RowState,
     RowSums,
     Tensor,
     no_grad,
@@ -217,6 +223,15 @@ class TestGraphMechanics:
         t = Tensor(np.array([1, 2, 3], dtype=np.int32))
         assert t.data.dtype == np.float64
 
+    @pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
+    def test_item_reads_one_element_of_any_shape(self, shape):
+        value = Tensor(np.full(shape, 2.5)).item()
+        assert value == 2.5 and type(value) is float
+
+    def test_item_rejects_more_than_one_element(self):
+        with pytest.raises(ValueError):
+            Tensor(np.ones(2)).item()
+
     def test_scatter_add_length_mismatch(self):
         with pytest.raises(ValueError):
             Tensor(np.ones((3, 2))).scatter_add(np.array([0, 1]), 2)
@@ -393,15 +408,51 @@ class TestRowPrimitives:
                                       "unsorted_distinct"])
     def test_add_rows_equals_state_plus_add_at(self, name):
         indices, num_rows = INDEX_SETS[name]
-        state, delta = _rows(num_rows), _rows(len(indices), seed=1)
-        out = Tensor(state).add_rows(indices, Tensor(delta))
+        initial, delta = _rows(num_rows), _rows(len(indices), seed=1)
+        source = Tensor(initial.copy())
+        state = RowState(source)
+        state.add_rows(indices, Tensor(delta))
+        out = state.hand_over()
         assert np.array_equal(out.data,
-                              state + add_at(delta, indices, num_rows))
-        assert out.data is not state  # the input state is left alone
+                              initial + add_at(delta, indices, num_rows))
+        # The tensor handed to the pass is left alone.
+        assert np.array_equal(source.data, initial)
+        assert not np.shares_memory(out.data, source.data)
 
     def test_add_rows_rejects_repeated_rows(self):
+        state = RowState(Tensor(_rows(4)))
         with pytest.raises(ValueError, match="distinct"):
-            Tensor(_rows(4)).add_rows(np.array([1, 1]), Tensor(_rows(2)))
+            state.add_rows(np.array([1, 1]), Tensor(_rows(2)))
+
+    def test_row_state_refuses_everything_after_the_hand_over(self):
+        state = RowState(Tensor(_rows(4)))
+        out = state.hand_over()
+        before = out.data.copy()
+        with pytest.raises(RuntimeError, match="handed over"):
+            state.add_rows(np.array([1]), Tensor(_rows(1)))
+        with pytest.raises(RuntimeError, match="handed over"):
+            state.index_select(np.array([1]))
+        with pytest.raises(RuntimeError, match="handed over"):
+            state.hand_over()
+        assert np.array_equal(out.data, before)
+
+    def test_in_place_rows_are_out_of_reach_of_every_other_tensor(self):
+        """Only a ``RowState`` updates rows in place, and only in the
+        copy it made: not in a leaf, a parameter or an op's result
+        (whose ``data`` a recorded closure reads), taped or not."""
+        assert not hasattr(Tensor, "add_rows")
+        weights = Tensor(_rows(3), requires_grad=True)
+        sources = [Tensor(_rows(4)), Tensor(_rows(4), requires_grad=True),
+                   Parameter(_rows(4)), (Tensor(_rows(4)) @ weights).tanh()]
+        for source in sources:
+            before = source.data.copy()
+            state = RowState(source)
+            state.add_rows(np.array([2, 0]), Tensor(_rows(2, seed=1)))
+            state.add_rows(np.array([3]), Tensor(_rows(1, seed=2)))
+            out = state.hand_over()
+            assert not np.shares_memory(out.data, source.data)
+            assert np.array_equal(source.data, before)
+            assert not np.array_equal(out.data, before)
 
     def test_leaky_relu_equals_the_factor_form(self):
         """``max(x, slope * x)`` is the historical ``x * (1 or slope)``
@@ -433,14 +484,26 @@ class TestRowPrimitives:
                 [ts[0], ts[1]], [np.array([3, 0]), np.array([1])], 5,
             ) ** 2).sum(),
             [_rows(2), _rows(1, seed=1)])
-        check_gradient(
-            lambda ts: (ts[0].add_rows(np.array([2, 0]), ts[1]) ** 2).sum(),
-            [_rows(3), _rows(2, seed=1)])
+        check_gradient(_two_updates, [_rows(3), _rows(2, seed=1)])
         check_gradient(lambda ts: (ts[0] - ts[1] * 2.0).abs().sum(),
                        [_rows(3), _rows(3, seed=1)])
         check_gradient(lambda ts: ts[0].leaky_relu(0.2).sum(), [_rows(3)])
         check_gradient(
             lambda ts: (ts[0][np.array([0, 0, 2])] ** 2).sum(), [_rows(3)])
+
+
+def _two_updates(ts):
+    """A pass over (input, delta) that reads the state before, between
+    and after two updates of overlapping rows; the first gather reaches
+    the loss directly, so its gradient arrives beside the one handed
+    down the chain of updates."""
+    state = RowState(ts[0])
+    before = state.index_select(np.array([0, 0, 1]))
+    state.add_rows(np.array([2, 0]), ts[1])
+    between = state.index_select(np.array([2, 1, 2]))
+    state.add_rows(np.array([0, 1]), ts[1] * between.index_select([0, 1]))
+    out = state.hand_over()
+    return (out ** 2).sum() + (before * between).sum()
 
 
 class TestTapeFree:
@@ -453,10 +516,12 @@ class TestTapeFree:
         sums = rank_rounds(children, parents)
         reverse = rank_rounds(parents, children)
         hidden = (states @ weights).leaky_relu()
-        child_sum = hidden.gather_sum(sums, 2, reverse)
+        state = RowState(hidden)
+        child_sum = state.gather_sum(sums, 2, reverse)
         placed = Tensor.scatter_rows([child_sum], [np.array([2, 0])], 4)
-        updated = hidden.add_rows(np.array([3, 1]),
-                                  child_sum - hidden.index_select([3, 1]))
+        state.add_rows(np.array([3, 1]),
+                       child_sum - state.index_select([3, 1]))
+        updated = state.hand_over()
         stacked = Tensor.concat([placed, updated], axis=1)
         return [hidden, child_sum, placed, updated, stacked,
                 stacked.reshape(-1)[2:5], stacked.sum()]
@@ -480,6 +545,42 @@ class TestTapeFree:
         assert weights.grad is not None and np.abs(weights.grad).sum() > 0
         for tape_free, recorded in zip(results, taped):
             assert np.array_equal(tape_free.data, recorded.data)
+
+
+class TestPassWork:
+    """What a taped pass allocates is **counted, not timed**."""
+
+    @staticmethod
+    def _peak_in_states(length, chains=50, width=32):
+        """``tracemalloc`` peak of ``bottom_up_pass`` + ``backward()``
+        over ``chains`` chains of ``length`` nodes, in units of one
+        ``[N, width]`` state."""
+        rng = np.random.default_rng(0)
+        combine = MLP(2 * width, [width], width, rng)
+        hidden = Tensor(rng.normal(size=(chains * length, width)),
+                        requires_grad=True)
+        # Node k of chain c is row k * chains + c, the parent of node k - 1.
+        slots = np.arange(chains)
+        levels = [LevelSpec(slots + k * chains, slots + (k - 1) * chains,
+                            slots, {"node": slots})
+                  for k in range(1, length)]
+        tracemalloc.start()
+        try:
+            bottom_up_pass(hidden, levels, lambda _: combine).sum().backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.abs(hidden.grad).sum() > 0
+        return peak / hidden.data.nbytes
+
+    def test_a_pass_costs_nodes_not_levels_times_nodes(self):
+        """Every level keeps its own rows on the tape (activations and
+        their gradients, ~23 states' worth in total whatever the
+        depth); a state or a gradient *per level* grows with it
+        (60 -> 180 before the pass owned one buffer)."""
+        shallow = self._peak_in_states(20)
+        deep = self._peak_in_states(80)
+        assert abs(deep / shallow - 1.0) < 0.10, (shallow, deep)
 
 
 @settings(max_examples=60, deadline=None)
@@ -508,3 +609,81 @@ def test_gather_sum_matches_add_at(edges, num_children, num_parents, seed):
     rows = rng.normal(size=(edges, 4))
     assert np.array_equal(Tensor(rows).scatter_add(parents, num_parents).data,
                           add_at(rows, parents, num_parents))
+
+
+def _functional_pass(hidden, levels, combine_of):
+    """``bottom_up_pass`` written on values: every level builds a new
+    state by a scatter into zeros plus a full-width add, and every
+    gather's gradient comes back the same way (``add_at``)."""
+    def gather(state, rows):
+        out = Tensor(state.data[rows])
+        if state.requires_grad:
+            out._record((state,), lambda grad: state._accumulate(
+                add_at(grad, rows, len(state.data))))
+        return out
+
+    def scatter(values, rows, num_rows):
+        out = Tensor(add_at(values.data, rows, num_rows))
+        if values.requires_grad:
+            out._record((values,),
+                        lambda grad: values._accumulate(grad[rows]))
+        return out
+
+    for level in levels:
+        num_parents = len(level.parent_ids)
+        child_sum = scatter(gather(hidden, level.edge_child_ids),
+                            level.edge_parent_slots, num_parents)
+        parent_hidden = gather(hidden, level.parent_ids)
+        stacked = Tensor.concat([parent_hidden, child_sum], axis=1)
+        combined = Tensor.scatter_rows(
+            [combine_of(node_type)(stacked.index_select(slots))
+             for node_type, slots in level.type_slots.items()],
+            list(level.type_slots.values()), num_parents)
+        hidden = hidden + scatter(combined - parent_hidden,
+                                  level.parent_ids, len(hidden))
+    return hidden
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    depth=st.integers(min_value=1, max_value=5),
+    width=st.integers(min_value=1, max_value=5),
+    fan_in=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_bottom_up_pass_matches_its_functional_twin(depth, width, fan_in,
+                                                    seed):
+    """Property: one buffer updated in place computes, bit for bit, the
+    states and the gradients (initial states and combine weights) of a
+    new state per level — for any level structure: distinct parents per
+    level, children drawn with repeats from every lower level, so a
+    child feeds several parents of one level and of different levels."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, width + 1, size=depth + 1)
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    levels = []
+    for k in range(1, depth + 1):
+        parents = rng.permutation(np.arange(starts[k], starts[k + 1]))
+        edges = int(rng.integers(1, fan_in * len(parents) + 1))
+        kinds = rng.integers(0, 2, size=len(parents))
+        levels.append(LevelSpec(
+            parents, rng.integers(0, starts[k], size=edges),
+            rng.integers(0, len(parents), size=edges),
+            {name: np.flatnonzero(kinds == kind)
+             for kind, name in enumerate("ab") if (kinds == kind).any()}))
+    initial = rng.normal(size=(starts[-1], 4))
+    readout = rng.normal(size=initial.shape)
+
+    def run(pass_fn):
+        combines = {name: MLP(8, [5], 4, np.random.default_rng(seed + i))
+                    for i, name in enumerate("ab")}
+        hidden = Tensor(initial.copy(), requires_grad=True)
+        out = pass_fn(hidden, levels, combines.__getitem__)
+        (out * readout).sum().backward()
+        return [out.data, hidden.grad] + [
+            parameter.grad for combine in combines.values()
+            for parameter in combine.parameters()]
+
+    for actual, expected in zip(run(bottom_up_pass), run(_functional_pass)):
+        assert (actual is None) == (expected is None)
+        assert actual is None or np.array_equal(actual, expected)

@@ -56,8 +56,8 @@ def _ufunc_at_uses(path: Path) -> list[str]:
 def test_source_never_scatters_through_ufunc_at():
     """``ufunc.at`` is ~25x slower than the fancy-index assignment the
     row primitives of ``repro.nn.tensor`` use (``scatter_rows``,
-    ``gather_sum``, ``add_rows``); a new op must build on those, not
-    bring the slow scatter back."""
+    ``gather_sum``, ``RowState.add_rows``); a new op must build on
+    those, not bring the slow scatter back."""
     offenders = {
         str(path.relative_to(PACKAGE_ROOT)): uses
         for path in sorted(PACKAGE_ROOT.rglob("*.py"))
