@@ -4,8 +4,9 @@ A from-scratch reproduction of Hilprecht & Binnig, *"One Model to Rule
 them All: Towards Zero-Shot Learning for Databases"* (CIDR 2022),
 including every substrate the paper depends on: a relational engine with
 a Postgres-style optimizer, a runtime simulator standing in for the
-paper's server, a numpy autograd library, the transferable graph
-encoding, the zero-shot model, the workload-driven baselines (MSCN, E2E,
+paper's server, a numpy autograd library (the ops, the one layer,
+optimizer and loss the learned models run, and nothing else), the
+transferable graph encoding, the zero-shot model, the workload-driven baselines (MSCN, E2E,
 scaled optimizer cost), what-if index tuning and few-shot adaptation.
 
 Typical usage::

@@ -11,6 +11,7 @@ graph by :func:`repro.featurize.batch.merge_encoded` and combined by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -31,8 +32,10 @@ class E2EConfig:
     encoder_hidden: tuple[int, ...] = (64,)
     combine_hidden: tuple[int, ...] = (64,)
     readout_hidden: tuple[int, ...] = (64,)
-    activation: str = "leaky_relu"
     seed: int = 0
+
+    #: See :func:`repro.models.trainer.saved_config`.
+    removed_fields: ClassVar[dict] = {"activation": "leaky_relu"}
 
 
 #: A tree has nodes of one type only; the other types' (read-only)
@@ -64,12 +67,10 @@ class E2ENet(Module):
         self.config = config
         rng = np.random.default_rng(config.seed)
         hidden = config.hidden_dim
-        self.encoder = MLP(node_dim, list(config.encoder_hidden), hidden, rng,
-                           activation=config.activation)
+        self.encoder = MLP(node_dim, list(config.encoder_hidden), hidden, rng)
         self.combine = MLP(2 * hidden, list(config.combine_hidden), hidden,
-                           rng, activation=config.activation)
-        self.readout = MLP(hidden, list(config.readout_hidden), 1, rng,
-                           activation=config.activation)
+                           rng)
+        self.readout = MLP(hidden, list(config.readout_hidden), 1, rng)
 
     def forward(self, batch: GraphBatch) -> Tensor:
         hidden = self.encoder(Tensor(batch.features["plan_op"]))

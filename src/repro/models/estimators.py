@@ -50,7 +50,11 @@ from repro.models.fewshot import fine_tune
 from repro.models.flat import FlatVectorCostModel
 from repro.models.mscn import MSCNConfig, MSCNCostModel
 from repro.models.optimizer_cost import ScaledOptimizerCost
-from repro.models.trainer import TrainerConfig, TrainingHistory
+from repro.models.trainer import (
+    TrainerConfig,
+    TrainingHistory,
+    saved_config,
+)
 from repro.models.zero_shot import ZeroShotConfig, ZeroShotCostModel
 from repro.nn.serialize import save_state
 from repro.plans.plan import PhysicalPlan
@@ -144,18 +148,12 @@ class ZeroShotEstimator(_GraphEstimator):
         return cls(model=model, source=source, system=system)
 
     # -- featurization adapter ----------------------------------------
-    def featurize(self, plans: Sequence[PhysicalPlan], database: Database,
-                  runtimes: Sequence[float] | None = None
+    def featurize(self, plans: Sequence[PhysicalPlan], database: Database
                   ) -> list[PlanGraph]:
-        """Plans → transferable plan graphs (labelled when ``runtimes``
-        is given) — the adapter behind fit/predict, exposed for callers
-        that manipulate graphs directly (ablations, fine-tuning)."""
-        if runtimes is None:
-            return [self.featurizer.featurize(p, database) for p in plans]
-        if len(runtimes) != len(plans):
-            raise ModelError("featurize got mismatched plans and runtimes")
-        return [self.featurizer.featurize(p, database, r)
-                for p, r in zip(plans, runtimes)]
+        """Plans → unlabelled transferable plan graphs — the adapter
+        behind predict, exposed for callers that manipulate graphs
+        directly (ablations)."""
+        return [self.featurizer.featurize(p, database) for p in plans]
 
     # -- contract ------------------------------------------------------
     def fit_graphs(self, graphs: list[PlanGraph],
@@ -346,10 +344,7 @@ class _WorkloadDrivenEstimator(CostEstimator):
                 f"saved {cls.name} estimator belongs to "
                 f"{payload['database_name']!r}, got {database.name!r}"
             )
-        # JSON has no tuples: the hidden-layer fields come back as lists.
-        estimator = cls(cls.config_class(**{
-            key: tuple(value) if isinstance(value, list) else value
-            for key, value in payload["config"].items()}))
+        estimator = cls(saved_config(cls.config_class, payload["config"]))
         estimator.featurizer = cls.featurizer_class(database)
         estimator._restore_featurizer(payload)
         estimator.model = cls.model_class(estimator.featurizer,

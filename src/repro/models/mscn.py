@@ -9,6 +9,7 @@ workload-driven: it must be trained on the target database.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -28,8 +29,10 @@ class MSCNConfig:
     hidden_dim: int = 64
     set_hidden: tuple[int, ...] = (64,)
     final_hidden: tuple[int, ...] = (64,)
-    activation: str = "relu"
     seed: int = 0
+
+    #: See :func:`repro.models.trainer.saved_config`.
+    removed_fields: ClassVar[dict] = {"activation": "relu"}
 
 
 @dataclass
@@ -76,13 +79,13 @@ class MSCNNet(Module):
         rng = np.random.default_rng(config.seed)
         hidden = config.hidden_dim
         self.table_mlp = MLP(table_dim, list(config.set_hidden), hidden, rng,
-                             activation=config.activation)
+                             activation="relu")
         self.join_mlp = MLP(join_dim, list(config.set_hidden), hidden, rng,
-                            activation=config.activation)
+                            activation="relu")
         self.predicate_mlp = MLP(predicate_dim, list(config.set_hidden),
-                                 hidden, rng, activation=config.activation)
+                                 hidden, rng, activation="relu")
         self.output = MLP(3 * hidden, list(config.final_hidden), 1, rng,
-                          activation=config.activation)
+                          activation="relu")
 
     @staticmethod
     def _pool(encoded: Tensor, pool_sums: RowSums, unpool_sums: RowSums,

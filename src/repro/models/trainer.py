@@ -6,9 +6,10 @@ Models supply two closures:
 * ``targets(batch) -> Tensor`` — labels (log-runtimes),
 
 and the trainer handles shuffling, mini-batching, optimization, gradient
-clipping, validation and early stopping.  Losses operate on
-log-runtimes; the absolute-log-difference ("q") loss directly optimizes
-the median Q-error the paper reports.
+clipping, validation and early stopping.  The loss operates on
+log-runtimes: the absolute log difference
+(:func:`repro.nn.functional.q_loss`) directly optimizes the median
+Q-error the paper reports.
 
 Every mini-batch is merged by the model's ``collate`` into one prebuilt
 batch object before the closures see it — and the validation set is
@@ -45,7 +46,8 @@ from repro.nn.module import Module
 from repro.nn.serialize import load_state
 
 __all__ = ["CoreCostModel", "TrainerConfig", "TrainingHistory",
-           "collate_targets", "standardization", "train_model"]
+           "collate_targets", "saved_config", "standardization",
+           "train_model"]
 
 
 def collate_targets(labels: list, kind: str) -> np.ndarray | None:
@@ -65,12 +67,6 @@ def collate_targets(labels: list, kind: str) -> np.ndarray | None:
         )
     return np.asarray(labels)
 
-_LOSSES = {
-    "q": F.q_loss,
-    "mse": F.mse_loss,
-    "huber": F.huber_loss,
-}
-
 
 @dataclass(frozen=True)
 class TrainerConfig:
@@ -83,33 +79,21 @@ class TrainerConfig:
     clip_norm: float = 5.0
     validation_fraction: float = 0.15
     early_stopping_patience: int = 12
-    loss: str = "q"
-    lr_schedule: str = "constant"   # "constant" | "cosine" | "step"
     seed: int = 0
 
     def __post_init__(self):
-        if self.loss not in _LOSSES:
-            raise ModelError(f"unknown loss {self.loss!r}; "
-                             f"choose from {sorted(_LOSSES)}")
         if self.epochs <= 0 or self.batch_size <= 0:
             raise ModelError("epochs and batch_size must be positive")
-        if self.lr_schedule not in ("constant", "cosine", "step"):
-            raise ModelError(f"unknown lr_schedule {self.lr_schedule!r}")
-
-    def make_schedule(self):
-        """Instantiate the configured learning-rate schedule."""
-        from repro.nn.schedules import (
-            ConstantSchedule,
-            CosineSchedule,
-            StepSchedule,
-        )
-        if self.lr_schedule == "cosine":
-            return CosineSchedule(self.learning_rate, self.epochs,
-                                  lr_min=self.learning_rate * 0.05)
-        if self.lr_schedule == "step":
-            return StepSchedule(self.learning_rate,
-                                step_size=max(self.epochs // 3, 1))
-        return ConstantSchedule(self.learning_rate)
+        if self.learning_rate <= 0:
+            raise ModelError("learning_rate must be positive")
+        if self.weight_decay < 0:
+            raise ModelError("weight_decay must be non-negative")
+        if self.clip_norm <= 0:
+            raise ModelError("clip_norm must be positive")
+        if not 0.0 <= self.validation_fraction < 1.0:
+            raise ModelError("validation_fraction must be in [0, 1)")
+        if self.early_stopping_patience < 1:
+            raise ModelError("early_stopping_patience must be at least 1")
 
 
 @dataclass
@@ -140,7 +124,6 @@ def train_model(model: Module, samples: Sequence,
     if not samples:
         raise ModelError("cannot train on an empty sample list")
     rng = np.random.default_rng(config.seed)
-    loss_fn = _LOSSES[config.loss]
 
     if config.validation_fraction > 0 and len(samples) >= 5:
         train_set, validation_set = train_validation_split(
@@ -153,13 +136,11 @@ def train_model(model: Module, samples: Sequence,
 
     optimizer = Adam(model.parameters(), lr=config.learning_rate,
                      weight_decay=config.weight_decay)
-    schedule = config.make_schedule()
     history = TrainingHistory()
     best_state = model.state_dict()
     patience_left = config.early_stopping_patience
 
     for epoch in range(config.epochs):
-        optimizer.lr = schedule(epoch)
         model.train()
         iterator = BatchIterator(train_set, config.batch_size, rng=rng)
         epoch_losses = []
@@ -168,7 +149,7 @@ def train_model(model: Module, samples: Sequence,
             optimizer.zero_grad()
             predictions = forward(batch)
             labels = targets(batch)
-            loss = loss_fn(predictions, labels)
+            loss = F.q_loss(predictions, labels)
             loss.backward()
             clip_grad_norm(model.parameters(), config.clip_norm)
             optimizer.step()
@@ -180,7 +161,7 @@ def train_model(model: Module, samples: Sequence,
             with no_grad():
                 predictions = forward(validation_batch)
                 labels = targets(validation_batch)
-                validation_loss = loss_fn(predictions, labels).item()
+                validation_loss = F.q_loss(predictions, labels).item()
         else:
             validation_loss = history.train_losses[-1]
         history.validation_losses.append(validation_loss)
@@ -198,6 +179,26 @@ def train_model(model: Module, samples: Sequence,
     model.load_state_dict(best_state)
     model.eval()
     return history
+
+
+def saved_config(config_class, saved: dict):
+    """The ``config_class`` a saved model's manifest describes.
+
+    ``config_class.removed_fields`` maps each field manifests written
+    by earlier versions still carry to the one value it can still
+    mean: at that value the key is dropped, at any other the model
+    cannot be rebuilt and loading raises.  JSON has no tuples: the
+    hidden-layer fields come back as lists.
+    """
+    saved = dict(saved)
+    for key, supported in config_class.removed_fields.items():
+        if saved.pop(key, supported) != supported:
+            raise ModelError(
+                f"saved {config_class.__name__} sets {key!r}, which is no "
+                f"longer configurable (only {supported!r} is supported)")
+    return config_class(**{
+        key: tuple(value) if isinstance(value, list) else value
+        for key, value in saved.items()})
 
 
 def standardization(values: np.ndarray) -> tuple[float, float]:

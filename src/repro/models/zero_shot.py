@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -42,7 +42,11 @@ from repro.featurize.graph import (
 from repro.featurize.scalers import StandardScaler
 from repro.nn import MLP, Module, RowState, Tensor, no_grad
 from repro.nn.serialize import save_state
-from repro.models.trainer import CoreCostModel, standardization
+from repro.models.trainer import (
+    CoreCostModel,
+    saved_config,
+    standardization,
+)
 
 __all__ = ["ZeroShotConfig", "ZeroShotNet", "ZeroShotCostModel",
            "bottom_up_pass"]
@@ -56,8 +60,6 @@ class ZeroShotConfig:
     encoder_hidden: tuple[int, ...] = (64,)
     combine_hidden: tuple[int, ...] = (64,)
     readout_hidden: tuple[int, ...] = (64, 32)
-    dropout: float = 0.0
-    activation: str = "leaky_relu"
     seed: int = 0
     #: Attach the per-operator cardinality readout head and train it
     #: jointly with the runtime head (multi-task).  Off by default: the
@@ -66,9 +68,8 @@ class ZeroShotConfig:
     cardinality_head: bool = False
     #: Relative weight of each per-operator cardinality term against
     #: each runtime term in the multi-task loss.  Applied to both the
-    #: prediction and the target before the trainer's loss, so it is
-    #: exact for the default absolute-log (``"q"``) loss; under
-    #: ``"mse"`` the effective relative weight is its square.
+    #: prediction and the target before the trainer's absolute-log
+    #: loss, for which it is exact.
     cardinality_loss_weight: float = 1.0
     #: Dead-zone (log space) of the residual cardinality head: predicted
     #: corrections smaller than this are snapped to zero, so the model
@@ -84,6 +85,10 @@ class ZeroShotConfig:
     #: every model saved before this flag existed) consumes the exact
     #: same rng stream and rejects system nodes loudly.
     system_features: bool = False
+
+    #: See :func:`repro.models.trainer.saved_config`.
+    removed_fields: ClassVar[dict] = {"dropout": 0.0,
+                                      "activation": "leaky_relu"}
 
     def __post_init__(self):
         if self.hidden_dim <= 0:
@@ -143,26 +148,21 @@ class ZeroShotNet(Module):
             self.register_module(
                 f"encode_{node_type}",
                 MLP(FEATURE_DIMS[node_type], list(config.encoder_hidden),
-                    config.hidden_dim, rng, activation=config.activation,
-                    dropout=config.dropout),
+                    config.hidden_dim, rng),
             )
             self.register_module(
                 f"combine_{node_type}",
                 MLP(2 * config.hidden_dim, list(config.combine_hidden),
-                    config.hidden_dim, rng, activation=config.activation,
-                    dropout=config.dropout),
+                    config.hidden_dim, rng),
             )
         self.readout = MLP(config.hidden_dim, list(config.readout_hidden), 1,
-                           rng, activation=config.activation,
-                           dropout=config.dropout)
+                           rng)
         if config.cardinality_head:
             # Per-node readout over plan_op hidden states.  Created after
             # the runtime readout so models with the flag off consume the
             # exact same rng stream as before the head existed.
             self.card_readout = MLP(
-                config.hidden_dim, list(config.readout_hidden), 1, rng,
-                activation=config.activation, dropout=config.dropout,
-            )
+                config.hidden_dim, list(config.readout_hidden), 1, rng)
         if config.system_features:
             # System nodes are always leaves (they have no children), so
             # only the encoder is ever exercised; the combine module is
@@ -171,14 +171,12 @@ class ZeroShotNet(Module):
             self.register_module(
                 "encode_system",
                 MLP(FEATURE_DIMS["system"], list(config.encoder_hidden),
-                    config.hidden_dim, rng, activation=config.activation,
-                    dropout=config.dropout),
+                    config.hidden_dim, rng),
             )
             self.register_module(
                 "combine_system",
                 MLP(2 * config.hidden_dim, list(config.combine_hidden),
-                    config.hidden_dim, rng, activation=config.activation,
-                    dropout=config.dropout),
+                    config.hidden_dim, rng),
             )
 
     def hidden_states(self, batch: GraphBatch) -> Tensor:
@@ -319,9 +317,8 @@ class ZeroShotCostModel(CoreCostModel):
         the trainer's log-space loss over the concatenation of
         per-graph runtime terms and per-operator cardinality terms.
         Both closures scale the cardinality terms by
-        ``config.cardinality_loss_weight`` — the weighting is exact for
-        the default absolute-log (``"q"``) loss; under ``"mse"`` the
-        effective relative weight is its square.
+        ``config.cardinality_loss_weight``, which is exact for the
+        absolute-log loss.
         """
         if not self.config.cardinality_head:
             return super().training_closures()
@@ -421,10 +418,7 @@ class ZeroShotCostModel(CoreCostModel):
     def load(cls, directory: str | os.PathLike) -> "ZeroShotCostModel":
         with open(os.path.join(directory, "model.json")) as handle:
             payload = json.load(handle)
-        config_dict = dict(payload["config"])
-        for key in ("encoder_hidden", "combine_hidden", "readout_hidden"):
-            config_dict[key] = tuple(config_dict[key])
-        model = cls(ZeroShotConfig(**config_dict))
+        model = cls(saved_config(ZeroShotConfig, payload["config"]))
         model.restore(os.path.join(directory, "weights.npz"),
                       payload.get("target_mean", 0.0),
                       payload.get("target_std", 1.0))

@@ -1,74 +1,10 @@
-"""Functional layer on top of :class:`repro.nn.tensor.Tensor`.
-
-Losses and stateless helpers used by the cost models. All functions
-accept and return :class:`Tensor` and participate in autograd.
-"""
+"""The loss the cost models train under, on :class:`repro.nn.tensor.Tensor`."""
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.nn.tensor import Tensor
 
-__all__ = [
-    "relu",
-    "leaky_relu",
-    "sigmoid",
-    "tanh",
-    "softplus",
-    "mse_loss",
-    "mae_loss",
-    "huber_loss",
-    "q_loss",
-    "dropout_mask",
-]
-
-
-def relu(x: Tensor) -> Tensor:
-    return x.relu()
-
-
-def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
-    return x.leaky_relu(negative_slope)
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    return x.sigmoid()
-
-
-def tanh(x: Tensor) -> Tensor:
-    return x.tanh()
-
-
-def softplus(x: Tensor) -> Tensor:
-    """Numerically stable ``log(1 + exp(x))``.
-
-    Implemented as ``max(x, 0) + log1p(exp(-|x|))`` using autograd ops.
-    """
-    return x.relu() + ((-x.abs()).exp() + 1.0).log()
-
-
-def mse_loss(prediction: Tensor, target: Tensor) -> Tensor:
-    """Mean squared error."""
-    diff = prediction - target
-    return (diff * diff).mean()
-
-
-def mae_loss(prediction: Tensor, target: Tensor) -> Tensor:
-    """Mean absolute error."""
-    return (prediction - target).abs().mean()
-
-
-def huber_loss(prediction: Tensor, target: Tensor, delta: float = 1.0) -> Tensor:
-    """Huber loss: quadratic near zero, linear in the tails.
-
-    Written with autograd-friendly primitives: for residual r,
-    ``huber = delta^2 * (sqrt(1 + (r/delta)^2) - 1)`` is the smooth
-    pseudo-Huber variant, which has the same behaviour and is easier to
-    differentiate.
-    """
-    residual = (prediction - target) / delta
-    return ((residual * residual + 1.0) ** 0.5 - 1.0).mean() * (delta ** 2)
+__all__ = ["q_loss"]
 
 
 def q_loss(prediction: Tensor, target: Tensor) -> Tensor:
@@ -79,14 +15,3 @@ def q_loss(prediction: Tensor, target: Tensor) -> Tensor:
     difference directly optimizes the median Q-error.
     """
     return (prediction - target).abs().mean()
-
-
-def dropout_mask(shape: tuple[int, ...], rate: float,
-                 rng: np.random.Generator) -> np.ndarray:
-    """Inverted-dropout mask: zeros with probability ``rate``, scaled."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
-        return np.ones(shape)
-    keep = 1.0 - rate
-    return (rng.random(shape) < keep).astype(np.float64) / keep

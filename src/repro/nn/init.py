@@ -1,10 +1,10 @@
-"""Weight initialisation schemes."""
+"""Weight initialisation."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["kaiming_uniform", "xavier_uniform", "zeros"]
+__all__ = ["kaiming_uniform"]
 
 
 def kaiming_uniform(fan_in: int, fan_out: int,
@@ -14,17 +14,3 @@ def kaiming_uniform(fan_in: int, fan_out: int,
         raise ValueError(f"fan_in and fan_out must be positive, got {fan_in}, {fan_out}")
     bound = np.sqrt(6.0 / fan_in)
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
-
-
-def xavier_uniform(fan_in: int, fan_out: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Glorot/Xavier uniform init, appropriate for tanh/sigmoid."""
-    if fan_in <= 0 or fan_out <= 0:
-        raise ValueError(f"fan_in and fan_out must be positive, got {fan_in}, {fan_out}")
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=(fan_in, fan_out))
-
-
-def zeros(*shape: int) -> np.ndarray:
-    """All-zero array (bias initialisation)."""
-    return np.zeros(shape)

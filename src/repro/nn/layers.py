@@ -1,51 +1,32 @@
-"""Layers: Linear, MLP, LayerNorm, Dropout, Sequential."""
+"""Layers: Linear, the two activations, Sequential, MLP."""
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.nn import functional as F
-from repro.nn.init import kaiming_uniform, xavier_uniform
+from repro.nn.init import kaiming_uniform
 from repro.nn.module import Module, Parameter
 from repro.nn.tensor import Tensor
 
-__all__ = ["Linear", "ReLU", "LeakyReLU", "Tanh", "Dropout", "LayerNorm",
-           "Sequential", "MLP"]
-
-_ACTIVATIONS: dict[str, Callable[[Tensor], Tensor]] = {
-    "relu": F.relu,
-    "leaky_relu": F.leaky_relu,
-    "tanh": F.tanh,
-    "sigmoid": F.sigmoid,
-    "softplus": F.softplus,
-}
+__all__ = ["Linear", "ReLU", "LeakyReLU", "Sequential", "MLP"]
 
 
 class Linear(Module):
     """Affine map ``y = x W + b``."""
 
     def __init__(self, in_features: int, out_features: int,
-                 rng: np.random.Generator, bias: bool = True,
-                 init: str = "kaiming"):
+                 rng: np.random.Generator):
         super().__init__()
         self.in_features = in_features
         self.out_features = out_features
-        if init == "kaiming":
-            weight = kaiming_uniform(in_features, out_features, rng)
-        elif init == "xavier":
-            weight = xavier_uniform(in_features, out_features, rng)
-        else:
-            raise ValueError(f"unknown init scheme {init!r}")
-        self.weight = Parameter(weight, name="weight")
-        self.bias = Parameter(np.zeros(out_features), name="bias") if bias else None
+        self.weight = Parameter(
+            kaiming_uniform(in_features, out_features, rng), name="weight")
+        self.bias = Parameter(np.zeros(out_features), name="bias")
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return x @ self.weight + self.bias
 
 
 class ReLU(Module):
@@ -64,46 +45,10 @@ class LeakyReLU(Module):
         return x.leaky_relu(self.negative_slope)
 
 
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
-class Dropout(Module):
-    """Inverted dropout. Active only in training mode.
-
-    The RNG is owned by the layer so results are deterministic per seed.
-    """
-
-    def __init__(self, rate: float, rng: np.random.Generator):
-        super().__init__()
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-        self.rate = rate
-        self._rng = rng
-
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.rate == 0.0:
-            return x
-        mask = F.dropout_mask(x.shape, self.rate, self._rng)
-        return x * Tensor(mask)
-
-
-class LayerNorm(Module):
-    """Layer normalisation over the last axis."""
-
-    def __init__(self, normalized_shape: int, eps: float = 1e-5):
-        super().__init__()
-        self.eps = eps
-        self.gamma = Parameter(np.ones(normalized_shape), name="gamma")
-        self.beta = Parameter(np.zeros(normalized_shape), name="beta")
-
-    def forward(self, x: Tensor) -> Tensor:
-        mean = x.mean(axis=-1, keepdims=True)
-        centered = x - mean
-        variance = (centered * centered).mean(axis=-1, keepdims=True)
-        normalised = centered * ((variance + self.eps) ** -0.5)
-        return normalised * self.gamma + self.beta
+_ACTIVATIONS: dict[str, type[Module]] = {
+    "relu": ReLU,
+    "leaky_relu": LeakyReLU,
+}
 
 
 class Sequential(Module):
@@ -133,13 +78,11 @@ class MLP(Module):
     """Multi-layer perceptron with configurable hidden sizes.
 
     ``hidden_sizes`` may be empty, in which case this is a single Linear.
-    Dropout (if requested) is applied after each hidden activation.
     """
 
     def __init__(self, in_features: int, hidden_sizes: Sequence[int],
                  out_features: int, rng: np.random.Generator,
-                 activation: str = "leaky_relu", dropout: float = 0.0,
-                 layer_norm: bool = False):
+                 activation: str = "leaky_relu"):
         super().__init__()
         if activation not in _ACTIVATIONS:
             raise ValueError(
@@ -150,11 +93,7 @@ class MLP(Module):
         previous = in_features
         for width in hidden_sizes:
             layers.append(Linear(previous, width, rng))
-            if layer_norm:
-                layers.append(LayerNorm(width))
-            layers.append(_activation_module(activation))
-            if dropout > 0.0:
-                layers.append(Dropout(dropout, rng))
+            layers.append(_ACTIVATIONS[activation]())
             previous = width
         layers.append(Linear(previous, out_features, rng))
         self.body = Sequential(*layers)
@@ -163,18 +102,3 @@ class MLP(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return self.body(x)
-
-
-def _activation_module(name: str) -> Module:
-    if name == "relu":
-        return ReLU()
-    if name == "leaky_relu":
-        return LeakyReLU()
-    if name == "tanh":
-        return Tanh()
-
-    class _Lambda(Module):
-        def forward(self, x: Tensor) -> Tensor:
-            return _ACTIVATIONS[name](x)
-
-    return _Lambda()

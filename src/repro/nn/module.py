@@ -2,8 +2,7 @@
 
 Modules register parameters and child modules automatically via
 ``__setattr__`` and expose ``parameters()``, ``named_parameters()``,
-``state_dict()`` / ``load_state_dict()``, plus train/eval mode toggling
-(used by :class:`~repro.nn.layers.Dropout`).
+``state_dict()`` / ``load_state_dict()``, plus train/eval mode toggling.
 """
 
 from __future__ import annotations
@@ -58,10 +57,6 @@ class Module:
             yield f"{prefix}{key}", param
         for key, module in self._modules.items():
             yield from module.named_parameters(prefix=f"{prefix}{key}.")
-
-    def num_parameters(self) -> int:
-        """Total number of scalar parameters."""
-        return sum(param.size for param in self.parameters())
 
     def zero_grad(self) -> None:
         for param in self.parameters():

@@ -1,4 +1,4 @@
-"""Optimizers: SGD (momentum) and Adam, plus gradient clipping."""
+"""Adam, plus gradient clipping."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.nn.module import Parameter
 
-__all__ = ["SGD", "Adam", "clip_grad_norm"]
+__all__ = ["Adam", "clip_grad_norm"]
 
 
 def clip_grad_norm(parameters: Iterable[Parameter], max_norm: float) -> float:
@@ -25,58 +25,18 @@ def clip_grad_norm(parameters: Iterable[Parameter], max_norm: float) -> float:
     return total
 
 
-class Optimizer:
-    """Base optimizer holding a parameter list and a learning rate."""
+class Adam:
+    """Adam with bias correction (Kingma & Ba, 2015)."""
 
-    def __init__(self, parameters: Sequence[Parameter], lr: float):
+    def __init__(self, parameters: Sequence[Parameter], lr: float = 1e-3,
+                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
+                 weight_decay: float = 0.0):
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.parameters = list(parameters)
         if not self.parameters:
             raise ValueError("optimizer got an empty parameter list")
         self.lr = lr
-
-    def zero_grad(self) -> None:
-        for param in self.parameters:
-            param.zero_grad()
-
-    def step(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with classical momentum."""
-
-    def __init__(self, parameters: Sequence[Parameter], lr: float = 1e-2,
-                 momentum: float = 0.0, weight_decay: float = 0.0):
-        super().__init__(parameters, lr)
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for param, velocity in zip(self.parameters, self._velocity):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                velocity *= self.momentum
-                velocity += grad
-                update = velocity
-            else:
-                update = grad
-            param.data -= self.lr * update
-
-
-class Adam(Optimizer):
-    """Adam with bias correction (Kingma & Ba, 2015)."""
-
-    def __init__(self, parameters: Sequence[Parameter], lr: float = 1e-3,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0):
-        super().__init__(parameters, lr)
         beta1, beta2 = betas
         if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
             raise ValueError(f"betas must be in [0, 1), got {betas}")
@@ -86,6 +46,10 @@ class Adam(Optimizer):
         self._step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.parameters]
         self._v = [np.zeros_like(p.data) for p in self.parameters]
+
+    def zero_grad(self) -> None:
+        for param in self.parameters:
+            param.zero_grad()
 
     def step(self) -> None:
         self._step_count += 1

@@ -40,12 +40,12 @@ zero-filled ``[N, ...]`` temporary.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled", "RowState", "RowSums",
-           "occurrence_ranks", "rank_rounds"]
+__all__ = ["Tensor", "no_grad", "RowState", "RowSums", "occurrence_ranks",
+           "rank_rounds"]
 
 _GRAD_ENABLED = True
 
@@ -60,11 +60,6 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = previous
-
-
-def is_grad_enabled() -> bool:
-    """Return whether operations currently record the autograd graph."""
-    return _GRAD_ENABLED
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -205,8 +200,7 @@ def _require_distinct(index_sets: Sequence[np.ndarray], num_rows: int,
     if not _distinct(index_sets, num_rows):
         raise ValueError(
             f"{what} needs pairwise distinct row indices; duplicates would "
-            f"silently drop contributions (use scatter_add / gather_sum "
-            f"to accumulate)")
+            f"silently drop contributions (use gather_sum to accumulate)")
 
 
 def _row_shape(num_rows: int, like: np.ndarray) -> tuple[int, ...]:
@@ -268,13 +262,6 @@ def _sums_by_row(values: np.ndarray, indices: np.ndarray,
         values, rank_rounds(np.arange(len(indices)), indices), num_rows)
 
 
-def _scatter_add(values: np.ndarray, indices: np.ndarray,
-                 num_rows: int) -> np.ndarray:
-    """Zeros with ``values[i]`` added to row ``indices[i]``, repeats
-    included and in order (the unbuffered ``ufunc.at`` add)."""
-    return _place_rows(*_sums_by_row(values, indices, num_rows), num_rows)
-
-
 def _on_tape(*tensors: "Tensor") -> bool:
     """Whether an op over ``tensors`` has to record its backward."""
     if _GRAD_ENABLED:
@@ -312,14 +299,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def numpy(self) -> np.ndarray:
         """Return the underlying array (no copy)."""
         return self.data
@@ -328,10 +307,6 @@ class Tensor:
         """The one element as a float, whatever the shape (``()``,
         ``(1,)``, ``(1, 1)``); more than one raises ``ValueError``."""
         return self.data.item()
-
-    def detach(self) -> "Tensor":
-        """Return a new tensor sharing data but cut off from the graph."""
-        return Tensor(self.data, requires_grad=False)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         label = f" name={self.name!r}" if self.name else ""
@@ -390,17 +365,6 @@ class Tensor:
             out._record((self, other), backward)
         return out
 
-    __radd__ = __add__
-
-    def __neg__(self) -> "Tensor":
-        out = Tensor(-self.data)
-        if _on_tape(self):
-            def backward(grad: np.ndarray) -> None:
-                self._accumulate(-grad)
-
-            out._record((self,), backward)
-        return out
-
     def __sub__(self, other) -> "Tensor":
         other = Tensor._lift(other)
         out = Tensor(self.data - other.data)
@@ -414,9 +378,6 @@ class Tensor:
             out._record((self, other), backward)
         return out
 
-    def __rsub__(self, other) -> "Tensor":
-        return Tensor._lift(other) - self
-
     def __mul__(self, other) -> "Tensor":
         other = Tensor._lift(other)
         out = Tensor(self.data * other.data)
@@ -428,37 +389,6 @@ class Tensor:
                     other._accumulate(grad * self.data)
 
             out._record((self, other), backward)
-        return out
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "Tensor":
-        other = Tensor._lift(other)
-        out = Tensor(self.data / other.data)
-        if _on_tape(self, other):
-            def backward(grad: np.ndarray) -> None:
-                if self.requires_grad:
-                    self._accumulate(grad / other.data)
-                if other.requires_grad:
-                    other._accumulate(
-                        -grad * self.data / (other.data ** 2))
-
-            out._record((self, other), backward)
-        return out
-
-    def __rtruediv__(self, other) -> "Tensor":
-        return Tensor._lift(other) / self
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        if not isinstance(exponent, (int, float)):
-            raise TypeError("only scalar exponents are supported")
-        out = Tensor(self.data ** exponent)
-        if _on_tape(self):
-            def backward(grad: np.ndarray) -> None:
-                self._accumulate(
-                    grad * exponent * self.data ** (exponent - 1))
-
-            out._record((self,), backward)
         return out
 
     def __matmul__(self, other) -> "Tensor":
@@ -479,28 +409,6 @@ class Tensor:
     # ------------------------------------------------------------------
     # Elementwise functions
     # ------------------------------------------------------------------
-    def exp(self) -> "Tensor":
-        data = np.exp(self.data)
-        out = Tensor(data)
-        if _on_tape(self):
-            def backward(grad: np.ndarray) -> None:
-                self._accumulate(grad * data)
-
-            out._record((self,), backward)
-        return out
-
-    def log(self) -> "Tensor":
-        out = Tensor(np.log(self.data))
-        if _on_tape(self):
-            def backward(grad: np.ndarray) -> None:
-                self._accumulate(grad / self.data)
-
-            out._record((self,), backward)
-        return out
-
-    def sqrt(self) -> "Tensor":
-        return self ** 0.5
-
     def abs(self) -> "Tensor":
         out = Tensor(np.abs(self.data))
         if _on_tape(self):
@@ -538,41 +446,6 @@ class Tensor:
             out._record((self,), backward)
         return out
 
-    def sigmoid(self) -> "Tensor":
-        data = 1.0 / (1.0 + np.exp(-self.data))
-        out = Tensor(data)
-        if _on_tape(self):
-            def backward(grad: np.ndarray) -> None:
-                self._accumulate(grad * data * (1.0 - data))
-
-            out._record((self,), backward)
-        return out
-
-    def tanh(self) -> "Tensor":
-        data = np.tanh(self.data)
-        out = Tensor(data)
-        if _on_tape(self):
-            def backward(grad: np.ndarray) -> None:
-                self._accumulate(grad * (1.0 - data ** 2))
-
-            out._record((self,), backward)
-        return out
-
-    def clip(self, low: float | None, high: float | None) -> "Tensor":
-        out = Tensor(np.clip(self.data, low, high))
-        if _on_tape(self):
-            mask = np.ones_like(self.data)
-            if low is not None:
-                mask = mask * (self.data >= low)
-            if high is not None:
-                mask = mask * (self.data <= high)
-
-            def backward(grad: np.ndarray) -> None:
-                self._accumulate(grad * mask)
-
-            out._record((self,), backward)
-        return out
-
     # ------------------------------------------------------------------
     # Reductions
     # ------------------------------------------------------------------
@@ -600,27 +473,6 @@ class Tensor:
             count = int(np.prod([self.data.shape[a % self.data.ndim] for a in axes]))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
-    def max(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
-        data = self.data.max(axis=axis, keepdims=keepdims)
-        out = Tensor(data)
-        if _on_tape(self):
-            def backward(grad: np.ndarray) -> None:
-                expanded = grad
-                maxima = data
-                if axis is not None and not keepdims:
-                    expanded = np.expand_dims(expanded, axis)
-                    maxima = np.expand_dims(maxima, axis)
-                mask = (self.data == maxima).astype(np.float64)
-                # Split the gradient equally between ties (matches numpy
-                # semantics closely enough for optimization purposes).
-                denom = (mask.sum(axis=axis, keepdims=True)
-                         if axis is not None else mask.sum())
-                self._accumulate(
-                    np.broadcast_to(expanded, self.data.shape) * mask / denom)
-
-            out._record((self,), backward)
-        return out
-
     # ------------------------------------------------------------------
     # Shape manipulation
     # ------------------------------------------------------------------
@@ -631,34 +483,6 @@ class Tensor:
         if _on_tape(self):
             def backward(grad: np.ndarray) -> None:
                 self._accumulate(grad.reshape(self.data.shape))
-
-            out._record((self,), backward)
-        return out
-
-    def transpose(self) -> "Tensor":
-        out = Tensor(self.data.T)
-        if _on_tape(self):
-            def backward(grad: np.ndarray) -> None:
-                self._accumulate(grad.T)
-
-            out._record((self,), backward)
-        return out
-
-    @property
-    def T(self) -> "Tensor":
-        return self.transpose()
-
-    def __getitem__(self, key) -> "Tensor":
-        out = Tensor(self.data[key])
-        if _on_tape(self):
-            def backward(grad: np.ndarray) -> None:
-                # Flat positions of the selected elements: one scatter
-                # covers slices, masks and index arrays with repeats.
-                positions = np.arange(self.data.size).reshape(
-                    self.data.shape)[key]
-                self._accumulate(_scatter_add(
-                    grad.ravel(), positions.ravel(), self.data.size,
-                ).reshape(self.data.shape))
 
             out._record((self,), backward)
         return out
@@ -674,26 +498,6 @@ class Tensor:
             def backward(grad: np.ndarray) -> None:
                 self._accumulate_rows(
                     *_sums_by_row(grad, indices, len(self.data)))
-
-            out._record((self,), backward)
-        return out
-
-    def scatter_add(self, indices: np.ndarray, num_rows: int) -> "Tensor":
-        """Sum rows of ``self`` into ``num_rows`` buckets given by ``indices``.
-
-        The general form (any ``indices``, rounds derived per call);
-        the message-passing loops pass precomputed rounds to
-        :meth:`gather_sum` instead.
-        """
-        indices = np.asarray(indices, dtype=np.int64)
-        if indices.shape[0] != self.data.shape[0]:
-            raise ValueError(
-                f"indices length {indices.shape[0]} != rows {self.data.shape[0]}"
-            )
-        out = Tensor(_scatter_add(self.data, indices, num_rows))
-        if _on_tape(self):
-            def backward(grad: np.ndarray) -> None:
-                self._accumulate(grad.take(indices, axis=0))
 
             out._record((self,), backward)
         return out
@@ -736,7 +540,7 @@ class Tensor:
 
         All indices must be pairwise distinct (within and across sets;
         node-type positions and type slots are): the rows are assigned,
-        where ``sum(piece.scatter_add(...))`` would add each to zero.
+        not added to the zeros.
         """
         if not pieces or len(pieces) != len(index_sets):
             raise ValueError(
@@ -778,24 +582,6 @@ class Tensor:
 
             out._record(tensors, backward)
         return out
-
-    @staticmethod
-    def stack(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
-        tensors = [Tensor._lift(t) for t in tensors]
-        out = Tensor(np.stack([t.data for t in tensors], axis=axis))
-        if _on_tape(*tensors):
-            def backward(grad: np.ndarray) -> None:
-                pieces = np.moveaxis(grad, axis, 0)
-                for tensor, piece in zip(tensors, pieces):
-                    if tensor.requires_grad:
-                        tensor._accumulate(piece)
-
-            out._record(tensors, backward)
-        return out
-
-    @staticmethod
-    def zeros(shape: tuple[int, ...], requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.zeros(shape), requires_grad=requires_grad)
 
     # ------------------------------------------------------------------
     # Backward pass
@@ -888,8 +674,8 @@ class RowState:
 
     def add_rows(self, indices: np.ndarray, delta: Tensor) -> None:
         """Add ``delta`` to the *distinct* rows ``indices`` — per row
-        what ``state + delta.scatter_add(indices, n)`` computes, with
-        no other row read or written."""
+        what adding a zero matrix holding ``delta`` at ``indices``
+        computes, with no other row read or written."""
         state = self._live()
         indices = np.asarray(indices, dtype=np.int64)
         _require_distinct((indices,), len(state.data), "add_rows")
@@ -913,12 +699,3 @@ class RowState:
         """End the pass: the state as an ordinary tensor (no copy)."""
         state, self._current = self._live(), None
         return state
-
-
-def parameters_norm(parameters: Iterable[Tensor]) -> float:
-    """Global L2 norm of the gradients of ``parameters`` (0 if none)."""
-    total = 0.0
-    for param in parameters:
-        if param.grad is not None:
-            total += float((param.grad ** 2).sum())
-    return float(np.sqrt(total))

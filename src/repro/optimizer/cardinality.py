@@ -53,6 +53,12 @@ class BoundCardinalities:
         # Unknown alias: the query raises its QueryError.
         return table if table is not None else self.query.table_ref(alias)
 
+    def scanned_table(self, alias: str) -> TableRef:
+        """The reference a scan of ``alias`` carries: the alias is kept
+        only where it differs from the table's name."""
+        table_name = self.table_ref(alias).table_name
+        return TableRef(table_name, alias if alias != table_name else None)
+
     def predicates_on(self, alias: str) -> tuple[Predicate, ...]:
         """``query.predicates_on(alias)``, grouped once for all aliases."""
         if self._predicates is None:

@@ -50,7 +50,7 @@ from repro.optimizer.cardinality import (
 )
 from repro.plans.operators import HashBuild, HashJoin, PlanNode, SeqScan
 from repro.plans.plan import PhysicalPlan
-from repro.sql.ast import JoinCondition, Query, TableRef
+from repro.sql.ast import JoinCondition, Query
 from repro.util import LRUCache
 
 __all__ = ["LearnedCardinalityEstimator"]
@@ -240,8 +240,8 @@ class LearnedCardinalityEstimator(CardinalityEstimator):
         keys: list[frozenset[str]] = []
         for aliases in subsets:
             try:
-                plans.append(self._fragment_plan(query, aliases, adjacency,
-                                                 heuristic))
+                plans.append(self._fragment_plan(heuristic, aliases,
+                                                 adjacency))
                 keys.append(aliases)
             except _FALLBACK_ERRORS:
                 continue  # this fragment will be priced heuristically
@@ -323,15 +323,11 @@ class LearnedCardinalityEstimator(CardinalityEstimator):
     # ------------------------------------------------------------------
     def _scan_node(self, heuristic: BoundCardinalities,
                    alias: str) -> PlanNode:
-        table_name = heuristic.table_ref(alias).table_name
-        node = SeqScan(
-            table=TableRef(table_name,
-                           alias if alias != table_name else None),
-            filters=heuristic.predicates_on(alias),
-        )
+        table = heuristic.scanned_table(alias)
+        node = SeqScan(table=table, filters=heuristic.predicates_on(alias))
         node.est_rows = heuristic.scan_rows(alias)
         node.est_width = float(
-            self.database.schema.table(table_name).tuple_width_bytes)
+            self.database.schema.table(table.table_name).tuple_width_bytes)
         return node
 
     @staticmethod
@@ -367,9 +363,7 @@ class LearnedCardinalityEstimator(CardinalityEstimator):
         sorted-first alias, repeatedly add the sorted-first remaining
         alias that connects, via its earliest connecting edge.
 
-        Returns ``[(alias, None), (alias, condition), ...]`` — the
-        exact sequence both the per-fragment and the shared-DAG plan
-        builders realize, which is what keeps their plans identical.
+        Returns ``[(alias, None), (alias, condition), ...]``.
         """
         order = sorted(aliases)
         joined: set[str] = {order[0]}
@@ -395,9 +389,8 @@ class LearnedCardinalityEstimator(CardinalityEstimator):
             sequence.append((next_alias, condition))
         return sequence
 
-    def _fragment_plan(self, query: Query, aliases: frozenset[str],
-                       adjacency: dict | None = None,
-                       heuristic: BoundCardinalities | None = None
+    def _fragment_plan(self, heuristic: BoundCardinalities,
+                       aliases: frozenset[str], adjacency: dict
                        ) -> PhysicalPlan:
         """Deterministic left-deep hash-join plan over ``aliases``.
 
@@ -415,27 +408,14 @@ class LearnedCardinalityEstimator(CardinalityEstimator):
         fragment plans prefer original FK edges and only use a derived
         edge where it alone connects the fragment (which is precisely
         when it unlocks a new order).
+
+        It is :meth:`_shared_fragment_root` with nothing to share: a
+        single fragment repeats no alias, so its DAG is a tree.
         """
-        if adjacency is None:
-            adjacency = self._join_adjacency(query)
-        if heuristic is None:
-            heuristic = BoundCardinalities(self.database, query)
-        sequence = self._greedy_sequence(aliases, adjacency)
-        current = self._scan_node(heuristic, sequence[0][0])
-        joined: set[str] = {sequence[0][0]}
-        for next_alias, condition in sequence[1:]:
-            build_input = self._scan_node(heuristic, next_alias)
-            build = HashBuild(key=condition.side_for(next_alias),
-                              children=[build_input])
-            build.est_rows = build_input.est_rows
-            build.est_width = build_input.est_width
-            node = HashJoin(condition=condition, children=[current, build])
-            joined.add(next_alias)
-            node.est_rows = heuristic.joined_rows(frozenset(joined))
-            node.est_width = current.est_width + build_input.est_width
-            current = node
-        return PhysicalPlan(root=current, query=query,
-                            database_name=self.database.name)
+        return PhysicalPlan(
+            root=self._shared_fragment_root(heuristic, aliases, adjacency,
+                                            {}, {}, {}),
+            query=heuristic.query, database_name=self.database.name)
 
     def _shared_fragment_root(self, heuristic: BoundCardinalities,
                               aliases: frozenset[str],
@@ -457,9 +437,9 @@ class LearnedCardinalityEstimator(CardinalityEstimator):
           canonical order are themselves canonical), so prefix joins
           are shared across every fragment extending them.
 
-        Node annotations (``est_rows``/``est_width``) are exactly what
-        :meth:`_fragment_plan` writes, so the shared DAG featurizes to
-        the same per-node features as the standalone fragment plans.
+        A node's annotations (``est_rows``/``est_width``) do not depend
+        on what it is shared with, so the shared DAG featurizes to the
+        same per-node features as the standalone fragment plans.
         """
         cached = roots.get(aliases)
         if cached is not None:

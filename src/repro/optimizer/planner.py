@@ -43,7 +43,6 @@ from repro.sql.ast import (
     JoinCondition,
     Predicate,
     Query,
-    TableRef,
 )
 from repro.sql.validate import validate_query
 
@@ -178,10 +177,6 @@ class _PlanSearch:
     # ------------------------------------------------------------------
     # Scans
     # ------------------------------------------------------------------
-    def _scanned_table(self, alias: str) -> TableRef:
-        table_name = self.cards.table_ref(alias).table_name
-        return TableRef(table_name, alias if alias != table_name else None)
-
     def _table_width(self, alias: str) -> float:
         table = self.database.schema.table(
             self.cards.table_ref(alias).table_name)
@@ -191,7 +186,7 @@ class _PlanSearch:
         return float(sum(table.column(name).width_bytes for name in kept))
 
     def _scan_candidates(self, alias: str) -> list[_SubPlan]:
-        table_ref = self._scanned_table(alias)
+        table_ref = self.cards.scanned_table(alias)
         table_name = table_ref.table_name
         predicates = self.cards.predicates_on(alias)
         width = self._table_width(alias)
@@ -415,7 +410,7 @@ class _PlanSearch:
         inner_alias = next(iter(inner.aliases))
         # A new scan, not ``inner.node``: the DP entry stays untouched.
         inner_scan = IndexScan(
-            table=self._scanned_table(inner_alias),
+            table=self.cards.scanned_table(inner_alias),
             index_name=index.name,
             index_column=index.column_name,
             residual_filters=self.cards.predicates_on(inner_alias),

@@ -27,7 +27,6 @@ from repro.models import (
 from repro.models.trainer import train_model
 from repro.nn import MLP, Tensor
 from repro.nn.serialize import save_state
-from repro.nn.tensor import is_grad_enabled
 from repro.workload import WorkloadRunner, make_benchmark_workload
 
 CORE_MODELS = ("zero-shot", "flat", "mscn", "e2e")
@@ -145,8 +144,9 @@ def test_validation_runs_off_the_tape():
     seen = []
 
     def forward(batch):
-        seen.append((len(batch), is_grad_enabled()))
-        return net(Tensor(np.stack([x for x, _ in batch]))).reshape(-1)
+        out = net(Tensor(np.stack([x for x, _ in batch]))).reshape(-1)
+        seen.append((len(batch), out.requires_grad))
+        return out
 
     history = train_model(
         net, samples, forward,
@@ -158,4 +158,17 @@ def test_validation_runs_off_the_tape():
     training = [taped for size, taped in seen if size != 6]
     assert validation == [False, False]
     assert len(training) == 8 and all(training)
-    assert is_grad_enabled()
+    # Recording is back on once the fit returns.
+    assert net(Tensor(np.zeros((1, 3)))).requires_grad
+
+
+@pytest.mark.parametrize("field, value", [
+    ("epochs", 0), ("batch_size", -1), ("learning_rate", 0.0),
+    ("learning_rate", -1e-3), ("weight_decay", -1e-5), ("clip_norm", 0.0),
+    ("validation_fraction", 1.0), ("validation_fraction", -0.1),
+    ("early_stopping_patience", 0),
+])
+def test_bad_trainer_config_fails_at_construction(field, value):
+    """Eagerly, not minutes into a fit (or, accepted silently, never)."""
+    with pytest.raises(ModelError, match=field):
+        TrainerConfig(**{field: value})

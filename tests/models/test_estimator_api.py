@@ -6,6 +6,8 @@ batched (batch-size-invariant inference), save/load round-trips, and —
 for the workload-driven models — the out-of-vocabulary fallback.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,24 @@ from repro.workload import WorkloadRunner, make_benchmark_workload
 ALL_NAMES = ("zero-shot", "zero-shot-cardinality", "flat", "mscn", "e2e",
              "scaled-optimizer-cost")
 WORKLOAD_DRIVEN = ("mscn", "e2e")
+
+#: ``(manifest file, its "config" entry)`` as the tree before
+#: ``dropout`` / ``activation`` stopped being configurable wrote them
+#: for the default configs the ``fitted`` fixture trains.
+PARENT_CONFIGS = {
+    "zero-shot": ("model.json", """{
+        "hidden_dim": 64, "encoder_hidden": [64], "combine_hidden": [64],
+        "readout_hidden": [64, 32], "dropout": 0.0,
+        "activation": "leaky_relu", "seed": 0, "cardinality_head": false,
+        "cardinality_loss_weight": 1.0,
+        "cardinality_correction_margin": 0.1, "system_features": false}"""),
+    "mscn": ("estimator.json", """{
+        "hidden_dim": 64, "set_hidden": [64], "final_hidden": [64],
+        "activation": "relu", "seed": 0}"""),
+    "e2e": ("estimator.json", """{
+        "hidden_dim": 64, "encoder_hidden": [64], "combine_hidden": [64],
+        "readout_hidden": [64], "activation": "leaky_relu", "seed": 0}"""),
+}
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +156,35 @@ class TestContract:
         assert loaded.is_fitted
         np.testing.assert_array_equal(
             loaded.predict_runtime(plans, tiny_imdb), expected)
+
+    @staticmethod
+    def _save_with_config(estimator, directory, name, **overrides):
+        """Save, then give the manifest the parent tree's config."""
+        estimator.save(directory)
+        manifest, config = PARENT_CONFIGS[name]
+        payload = json.loads((directory / manifest).read_text())
+        payload["config"] = {**json.loads(config), **overrides}
+        (directory / manifest).write_text(json.dumps(payload))
+
+    @pytest.mark.parametrize("name", sorted(PARENT_CONFIGS))
+    def test_model_saved_before_the_options_went_still_loads(
+            self, name, fitted, tiny_imdb, executed, tmp_path):
+        plans = [r.plan for r in executed[:6]]
+        self._save_with_config(fitted[name], tmp_path, name)
+        loaded = load_estimator(tmp_path, tiny_imdb)
+        np.testing.assert_array_equal(
+            loaded.predict_runtime(plans, tiny_imdb),
+            fitted[name].predict_runtime(plans, tiny_imdb))
+
+    @pytest.mark.parametrize("name, key, value", [
+        ("zero-shot", "dropout", 0.3), ("zero-shot", "activation", "tanh"),
+        ("mscn", "activation", "leaky_relu"), ("e2e", "activation", "relu"),
+    ])
+    def test_removed_option_at_an_unsupported_value_is_refused(
+            self, name, key, value, fitted, tiny_imdb, tmp_path):
+        self._save_with_config(fitted[name], tmp_path, name, **{key: value})
+        with pytest.raises(ModelError, match=key):
+            load_estimator(tmp_path, tiny_imdb)
 
     def test_load_estimator_on_garbage(self, tmp_path):
         with pytest.raises(ModelError, match="saved estimator"):
@@ -326,9 +375,9 @@ class TestCardinalityHead:
         multi-task model instead of silently decalibrating it."""
         from repro.models.fewshot import fine_tune
         base = fitted["zero-shot-cardinality"]
-        runtime_only = base.featurize(
-            [r.plan for r in executed[:4]], tiny_imdb,
-            [r.runtime_seconds for r in executed[:4]])
+        runtime_only = [
+            base.featurizer.featurize(r.plan, tiny_imdb, r.runtime_seconds)
+            for r in executed[:4]]
         with pytest.raises(ModelError, match="cardinality labels"):
             fine_tune(base.model, runtime_only)
 
@@ -372,11 +421,3 @@ class TestZeroShotEstimator:
             wrapped.predict_runtime(plans, tiny_imdb),
             base.predict_runtime(plans, tiny_imdb))
 
-    def test_featurize_adapter_labels(self, fitted, tiny_imdb, executed):
-        base = fitted["zero-shot"]
-        plans = [r.plan for r in executed[:4]]
-        runtimes = [r.runtime_seconds for r in executed[:4]]
-        graphs = base.featurize(plans, tiny_imdb, runtimes)
-        assert all(g.target_log_runtime is not None for g in graphs)
-        with pytest.raises(ModelError, match="mismatched"):
-            base.featurize(plans, tiny_imdb, runtimes[:2])

@@ -1,4 +1,4 @@
-"""Layers, modules, optimizers, schedules, data helpers, serialization."""
+"""Layers, modules, the optimizer, data helpers, serialization."""
 
 import numpy as np
 import pytest
@@ -7,16 +7,6 @@ from repro.nn import (
     MLP,
     Adam,
     BatchIterator,
-    ConstantSchedule,
-    CosineSchedule,
-    Dropout,
-    LayerNorm,
-    Linear,
-    Module,
-    Parameter,
-    SGD,
-    Sequential,
-    StepSchedule,
     Tensor,
     clip_grad_norm,
     load_state,
@@ -24,6 +14,8 @@ from repro.nn import (
     train_validation_split,
 )
 from repro.nn import functional as F
+from repro.nn.layers import Linear, ReLU, Sequential
+from repro.nn.module import Parameter
 
 
 def rng():
@@ -35,16 +27,6 @@ class TestLinear:
         layer = Linear(4, 3, rng())
         out = layer(Tensor(np.ones((5, 4))))
         assert out.shape == (5, 3)
-
-    def test_no_bias(self):
-        layer = Linear(4, 3, rng(), bias=False)
-        assert layer.bias is None
-        out = layer(Tensor(np.zeros((2, 4))))
-        np.testing.assert_allclose(out.data, 0.0)
-
-    def test_bad_init_name(self):
-        with pytest.raises(ValueError):
-            Linear(4, 3, rng(), init="nope")
 
     def test_gradients_flow(self):
         layer = Linear(4, 1, rng())
@@ -68,11 +50,6 @@ class TestMLP:
         with pytest.raises(ValueError):
             MLP(4, [4], 1, rng(), activation="swish999")
 
-    def test_layer_norm_variant(self):
-        mlp = MLP(4, [8], 1, rng(), layer_norm=True)
-        out = mlp(Tensor(np.random.default_rng(0).normal(size=(3, 4))))
-        assert out.shape == (3, 1)
-
     def test_can_fit_linear_function(self):
         """An MLP trained with Adam should fit y = 2x + 1 closely."""
         generator = np.random.default_rng(3)
@@ -80,55 +57,22 @@ class TestMLP:
         y = 2.0 * x + 1.0
         mlp = MLP(1, [16], 1, rng())
         optimizer = Adam(mlp.parameters(), lr=1e-2)
+        def mean_squared_error():
+            diff = mlp(Tensor(x)) - Tensor(y)
+            return (diff * diff).mean()
+
         for _ in range(300):
             optimizer.zero_grad()
-            loss = F.mse_loss(mlp(Tensor(x)), Tensor(y))
+            loss = mean_squared_error()
             loss.backward()
             optimizer.step()
-        final = F.mse_loss(mlp(Tensor(x)), Tensor(y)).item()
-        assert final < 1e-3
-
-
-class TestDropoutAndNorm:
-    def test_dropout_off_in_eval(self):
-        layer = Dropout(0.5, rng())
-        layer.eval()
-        x = Tensor(np.ones((10, 10)))
-        np.testing.assert_array_equal(layer(x).data, x.data)
-
-    def test_dropout_scales_in_train(self):
-        layer = Dropout(0.5, np.random.default_rng(0))
-        out = layer(Tensor(np.ones((1000, 10))))
-        kept = out.data[out.data > 0]
-        np.testing.assert_allclose(kept, 2.0)
-        assert 0.4 < (out.data > 0).mean() < 0.6
-
-    def test_dropout_invalid_rate(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0, rng())
-
-    def test_layer_norm_statistics(self):
-        layer = LayerNorm(16)
-        x = Tensor(np.random.default_rng(1).normal(3.0, 5.0, size=(4, 16)))
-        out = layer(x).data
-        np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-6)
-        np.testing.assert_allclose(out.std(axis=-1), 1.0, atol=1e-2)
+        assert mean_squared_error().item() < 1e-3
 
 
 class TestOptimizers:
     @staticmethod
     def _quadratic_param():
         return Parameter(np.array([5.0, -3.0]))
-
-    def test_sgd_converges_on_quadratic(self):
-        param = self._quadratic_param()
-        optimizer = SGD([param], lr=0.1, momentum=0.9)
-        for _ in range(200):
-            optimizer.zero_grad()
-            loss = (param * param).sum()
-            loss.backward()
-            optimizer.step()
-        np.testing.assert_allclose(param.data, 0.0, atol=1e-4)
 
     def test_adam_converges_on_quadratic(self):
         param = self._quadratic_param()
@@ -142,7 +86,7 @@ class TestOptimizers:
 
     def test_weight_decay_shrinks_weights(self):
         param = Parameter(np.array([1.0]))
-        optimizer = SGD([param], lr=0.1, weight_decay=1.0)
+        optimizer = Adam([param], lr=0.1, weight_decay=1.0)
         optimizer.zero_grad()
         (param * 0.0).sum().backward()
         optimizer.step()
@@ -150,7 +94,7 @@ class TestOptimizers:
 
     def test_empty_parameters_rejected(self):
         with pytest.raises(ValueError):
-            SGD([], lr=0.1)
+            Adam([], lr=0.1)
 
     def test_negative_lr_rejected(self):
         with pytest.raises(ValueError):
@@ -162,32 +106,6 @@ class TestOptimizers:
         before = clip_grad_norm([param], max_norm=1.0)
         assert before == pytest.approx(20.0)
         assert np.linalg.norm(param.grad) == pytest.approx(1.0)
-
-
-class TestSchedules:
-    def test_constant(self):
-        schedule = ConstantSchedule(0.1)
-        assert schedule(0) == schedule(100) == 0.1
-
-    def test_step(self):
-        schedule = StepSchedule(1.0, step_size=10, gamma=0.5)
-        assert schedule(0) == 1.0
-        assert schedule(10) == 0.5
-        assert schedule(25) == 0.25
-
-    def test_cosine_endpoints(self):
-        schedule = CosineSchedule(1.0, total_epochs=100, lr_min=0.1)
-        assert schedule(0) == pytest.approx(1.0)
-        assert schedule(100) == pytest.approx(0.1)
-        assert schedule(50) == pytest.approx(0.55)
-
-    def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            ConstantSchedule(0.0)
-        with pytest.raises(ValueError):
-            StepSchedule(1.0, step_size=0)
-        with pytest.raises(ValueError):
-            CosineSchedule(1.0, total_epochs=0)
 
 
 class TestDataHelpers:
@@ -233,10 +151,6 @@ class TestModuleMechanics:
         assert "layer0.weight" in names
         assert "layer1.bias" in names
 
-    def test_num_parameters(self):
-        layer = Linear(4, 3, rng())
-        assert layer.num_parameters() == 4 * 3 + 3
-
     def test_state_dict_roundtrip(self, tmp_path):
         model = MLP(4, [8], 1, rng())
         reference = model(Tensor(np.ones((2, 4)))).data.copy()
@@ -256,7 +170,7 @@ class TestModuleMechanics:
         del b
 
     def test_train_eval_propagates(self):
-        model = Sequential(Dropout(0.5, rng()))
+        model = Sequential(ReLU())
         model.eval()
         assert not next(iter(model)).training
         model.train()
@@ -264,24 +178,11 @@ class TestModuleMechanics:
 
 
 class TestLosses:
-    def test_mse(self):
-        loss = F.mse_loss(Tensor([1.0, 2.0]), Tensor([0.0, 0.0]))
-        assert loss.item() == pytest.approx(2.5)
-
-    def test_mae(self):
-        loss = F.mae_loss(Tensor([1.0, -2.0]), Tensor([0.0, 0.0]))
+    def test_q_loss_is_the_mean_absolute_log_difference(self):
+        loss = F.q_loss(Tensor([1.0, -2.0]), Tensor([0.0, 0.0]))
         assert loss.item() == pytest.approx(1.5)
 
     def test_q_loss_is_symmetric(self):
         a = Tensor([1.0])
         b = Tensor([3.0])
         assert F.q_loss(a, b).item() == pytest.approx(F.q_loss(b, a).item())
-
-    def test_huber_quadratic_near_zero(self):
-        small = F.huber_loss(Tensor([0.01]), Tensor([0.0])).item()
-        assert small == pytest.approx(0.5 * 0.01 ** 2, rel=1e-2)
-
-    def test_softplus_positive(self):
-        out = F.softplus(Tensor([-100.0, 0.0, 100.0]))
-        assert (out.data >= 0).all()
-        assert out.data[2] == pytest.approx(100.0, rel=1e-6)

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from repro.featurize.batch import LevelSpec
 from repro.models.zero_shot import bottom_up_pass
-from repro.nn import MLP, Parameter
+from repro.nn import MLP
+from repro.nn.module import Parameter
 from repro.nn.tensor import (
     RowState,
     RowSums,
@@ -53,6 +54,11 @@ def _eval(build, tensors):
         return build(tensors).item()
 
 
+def squared(tensor):
+    """Elementwise square: makes a gradient depend on the values."""
+    return tensor * tensor
+
+
 RNG = np.random.default_rng(0)
 
 
@@ -67,37 +73,18 @@ class TestElementaryOps:
         b = RNG.normal(size=(2, 1))
         check_gradient(lambda ts: (ts[0] * ts[1]).sum(), [a, b])
 
-    def test_sub_and_neg(self):
+    def test_sub(self):
         a = RNG.normal(size=(5,))
         b = RNG.normal(size=(5,))
         check_gradient(lambda ts: (ts[0] - ts[1]).sum(), [a, b])
-
-    def test_div(self):
-        a = RNG.normal(size=(4,))
-        b = RNG.uniform(1.0, 2.0, size=(4,))
-        check_gradient(lambda ts: (ts[0] / ts[1]).sum(), [a, b])
-
-    def test_pow(self):
-        a = RNG.uniform(0.5, 2.0, size=(4,))
-        check_gradient(lambda ts: (ts[0] ** 3).sum(), [a])
 
     def test_matmul(self):
         a = RNG.normal(size=(3, 4))
         b = RNG.normal(size=(4, 2))
         check_gradient(lambda ts: (ts[0] @ ts[1]).sum(), [a, b])
 
-    def test_scalar_rsub_rdiv(self):
-        a = RNG.uniform(1.0, 2.0, size=(3,))
-        check_gradient(lambda ts: (1.0 - ts[0]).sum(), [a])
-        check_gradient(lambda ts: (1.0 / ts[0]).sum(), [a])
-
 
 class TestNonlinearities:
-    def test_exp_log(self):
-        a = RNG.uniform(0.5, 1.5, size=(6,))
-        check_gradient(lambda ts: ts[0].exp().sum(), [a])
-        check_gradient(lambda ts: ts[0].log().sum(), [a])
-
     def test_relu(self):
         a = RNG.normal(size=(10,)) + 0.05  # avoid kink at 0
         check_gradient(lambda ts: ts[0].relu().sum(), [a])
@@ -106,69 +93,48 @@ class TestNonlinearities:
         a = RNG.normal(size=(10,)) + 0.05
         check_gradient(lambda ts: ts[0].leaky_relu(0.1).sum(), [a])
 
-    def test_sigmoid_tanh(self):
-        a = RNG.normal(size=(6,))
-        check_gradient(lambda ts: ts[0].sigmoid().sum(), [a])
-        check_gradient(lambda ts: ts[0].tanh().sum(), [a])
-
     def test_abs(self):
         a = RNG.normal(size=(8,)) + 0.1
         check_gradient(lambda ts: ts[0].abs().sum(), [a])
-
-    def test_clip(self):
-        a = np.array([-2.0, -0.5, 0.5, 2.0])
-        check_gradient(lambda ts: ts[0].clip(-1.0, 1.0).sum(), [a])
 
 
 class TestReductionsAndShapes:
     def test_sum_axis(self):
         a = RNG.normal(size=(3, 4))
-        check_gradient(lambda ts: (ts[0].sum(axis=0) ** 2).sum(), [a])
+        check_gradient(lambda ts: squared(ts[0].sum(axis=0)).sum(), [a])
 
     def test_mean(self):
         a = RNG.normal(size=(3, 4))
-        check_gradient(lambda ts: (ts[0].mean(axis=1) ** 2).sum(), [a])
+        check_gradient(lambda ts: squared(ts[0].mean(axis=1)).sum(), [a])
 
     def test_mean_keepdims(self):
         a = RNG.normal(size=(3, 4))
         check_gradient(lambda ts: (ts[0] - ts[0].mean(axis=1, keepdims=True)).abs().sum(), [a])
 
-    def test_reshape_transpose(self):
+    def test_reshape(self):
         a = RNG.normal(size=(3, 4))
-        check_gradient(lambda ts: (ts[0].reshape(4, 3).T ** 2).sum(), [a])
+        check_gradient(lambda ts: squared(ts[0].reshape(4, 3)).sum(), [a])
 
-    def test_getitem(self):
+    def test_index_select_of_a_row_range(self):
         a = RNG.normal(size=(5, 3))
-        check_gradient(lambda ts: (ts[0][1:4] ** 2).sum(), [a])
+        check_gradient(
+            lambda ts: squared(ts[0].index_select(np.arange(1, 4))).sum(),
+            [a])
 
     def test_index_select_with_duplicates(self):
         a = RNG.normal(size=(4, 3))
         idx = np.array([0, 0, 2, 3, 3, 3])
-        check_gradient(lambda ts: (ts[0].index_select(idx) ** 2).sum(), [a])
+        check_gradient(lambda ts: squared(ts[0].index_select(idx)).sum(), [a])
 
     def test_concat(self):
         a = RNG.normal(size=(2, 3))
         b = RNG.normal(size=(4, 3))
-        check_gradient(lambda ts: (Tensor.concat([ts[0], ts[1]], axis=0) ** 2).sum(), [a, b])
+        check_gradient(lambda ts: squared(Tensor.concat([ts[0], ts[1]], axis=0)).sum(), [a, b])
 
     def test_concat_axis1(self):
         a = RNG.normal(size=(2, 3))
         b = RNG.normal(size=(2, 2))
-        check_gradient(lambda ts: (Tensor.concat([ts[0], ts[1]], axis=1) ** 2).sum(), [a, b])
-
-    def test_stack(self):
-        a = RNG.normal(size=(3,))
-        b = RNG.normal(size=(3,))
-        check_gradient(lambda ts: (Tensor.stack([ts[0], ts[1]]) ** 2).sum(), [a, b])
-
-    def test_scatter_add(self):
-        a = RNG.normal(size=(6, 2))
-        idx = np.array([0, 1, 1, 2, 2, 2])
-        check_gradient(lambda ts: (ts[0].scatter_add(idx, 3) ** 2).sum(), [a])
-
-    def test_max(self):
-        a = np.array([[1.0, 5.0, 2.0], [7.0, 0.0, 3.0]])
-        check_gradient(lambda ts: ts[0].max(axis=1).sum(), [a])
+        check_gradient(lambda ts: squared(Tensor.concat([ts[0], ts[1]], axis=1)).sum(), [a, b])
 
 
 class TestGraphMechanics:
@@ -213,12 +179,6 @@ class TestGraphMechanics:
         a.zero_grad()
         assert a.grad is None
 
-    def test_detach(self):
-        a = Tensor(np.array([1.0]), requires_grad=True)
-        d = a.detach()
-        assert not d.requires_grad
-        assert d.data is a.data
-
     def test_dtype_coercion(self):
         t = Tensor(np.array([1, 2, 3], dtype=np.int32))
         assert t.data.dtype == np.float64
@@ -231,10 +191,6 @@ class TestGraphMechanics:
     def test_item_rejects_more_than_one_element(self):
         with pytest.raises(ValueError):
             Tensor(np.ones(2)).item()
-
-    def test_scatter_add_length_mismatch(self):
-        with pytest.raises(ValueError):
-            Tensor(np.ones((3, 2))).scatter_add(np.array([0, 1]), 2)
 
 
 @settings(max_examples=30, deadline=None)
@@ -250,21 +206,6 @@ def test_sum_then_broadcast_roundtrip(rows, cols, seed):
     b = Tensor(rng.normal(size=(cols,)), requires_grad=True)
     (x + b).sum().backward()
     np.testing.assert_allclose(b.grad, np.full(cols, rows))
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    n=st.integers(min_value=1, max_value=20),
-    buckets=st.integers(min_value=1, max_value=5),
-    seed=st.integers(min_value=0, max_value=10_000),
-)
-def test_scatter_add_preserves_total(n, buckets, seed):
-    """Property: scatter_add preserves the column sums."""
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(n, 3))
-    idx = rng.integers(0, buckets, size=n)
-    out = Tensor(x).scatter_add(idx, buckets)
-    np.testing.assert_allclose(out.data.sum(axis=0), x.sum(axis=0), atol=1e-9)
 
 
 # ----------------------------------------------------------------------
@@ -300,13 +241,6 @@ class TestRowPrimitives:
         assert occurrence_ranks(np.zeros(0, dtype=np.int64)).shape == (0,)
 
     @pytest.mark.parametrize("name", sorted(INDEX_SETS))
-    def test_scatter_add_equals_add_at(self, name):
-        indices, num_rows = INDEX_SETS[name]
-        rows = _rows(len(indices))
-        out = Tensor(rows).scatter_add(indices, num_rows)
-        assert np.array_equal(out.data, add_at(rows, indices, num_rows))
-
-    @pytest.mark.parametrize("name", sorted(INDEX_SETS))
     def test_index_select_backward_equals_add_at(self, name):
         indices, num_rows = INDEX_SETS[name]
         source = Tensor(_rows(num_rows), requires_grad=True)
@@ -314,20 +248,6 @@ class TestRowPrimitives:
         source.index_select(indices).backward(upstream)
         assert np.array_equal(source.grad,
                               add_at(upstream, indices, num_rows))
-
-    @pytest.mark.parametrize("key", [
-        slice(1, 4), 2, (slice(None), 1), np.array([0, 0, 3]),
-        np.array([True, False, True, True, False]),
-        (np.array([0, 0, 2]), np.array([1, 1, 0])),
-    ], ids=["slice", "int", "column", "repeats", "mask", "pairs"])
-    def test_getitem_backward_equals_add_at(self, key):
-        source = Tensor(_rows(5), requires_grad=True)
-        selected = source[key]
-        upstream = np.random.default_rng(2).normal(size=selected.shape)
-        selected.backward(upstream)
-        expected = np.zeros((5, 3))
-        np.add.at(expected, key, upstream)
-        assert np.array_equal(source.grad, expected)
 
     @pytest.mark.parametrize("name", sorted(INDEX_SETS))
     def test_gather_sum_equals_add_at(self, name):
@@ -443,7 +363,8 @@ class TestRowPrimitives:
         assert not hasattr(Tensor, "add_rows")
         weights = Tensor(_rows(3), requires_grad=True)
         sources = [Tensor(_rows(4)), Tensor(_rows(4), requires_grad=True),
-                   Parameter(_rows(4)), (Tensor(_rows(4)) @ weights).tanh()]
+                   Parameter(_rows(4)),
+                   (Tensor(_rows(4)) @ weights).leaky_relu()]
         for source in sources:
             before = source.data.copy()
             state = RowState(source)
@@ -477,19 +398,20 @@ class TestRowPrimitives:
         sums = rank_rounds(children, parents)
         reverse = rank_rounds(parents, children)
         check_gradient(
-            lambda ts: (ts[0].gather_sum(sums, 3, reverse) ** 2).sum(),
+            lambda ts: squared(ts[0].gather_sum(sums, 3, reverse)).sum(),
             [_rows(4)])
         check_gradient(
-            lambda ts: (Tensor.scatter_rows(
+            lambda ts: squared(Tensor.scatter_rows(
                 [ts[0], ts[1]], [np.array([3, 0]), np.array([1])], 5,
-            ) ** 2).sum(),
+            )).sum(),
             [_rows(2), _rows(1, seed=1)])
         check_gradient(_two_updates, [_rows(3), _rows(2, seed=1)])
         check_gradient(lambda ts: (ts[0] - ts[1] * 2.0).abs().sum(),
                        [_rows(3), _rows(3, seed=1)])
         check_gradient(lambda ts: ts[0].leaky_relu(0.2).sum(), [_rows(3)])
         check_gradient(
-            lambda ts: (ts[0][np.array([0, 0, 2])] ** 2).sum(), [_rows(3)])
+            lambda ts: squared(ts[0].index_select(np.array([0, 0, 2]))).sum(),
+            [_rows(3)])
 
 
 def _two_updates(ts):
@@ -503,7 +425,7 @@ def _two_updates(ts):
     between = state.index_select(np.array([2, 1, 2]))
     state.add_rows(np.array([0, 1]), ts[1] * between.index_select([0, 1]))
     out = state.hand_over()
-    return (out ** 2).sum() + (before * between).sum()
+    return squared(out).sum() + (before * between).sum()
 
 
 class TestTapeFree:
@@ -524,7 +446,8 @@ class TestTapeFree:
         updated = state.hand_over()
         stacked = Tensor.concat([placed, updated], axis=1)
         return [hidden, child_sum, placed, updated, stacked,
-                stacked.reshape(-1)[2:5], stacked.sum()]
+                stacked.reshape(-1).index_select(np.arange(2, 5)),
+                stacked.sum()]
 
     def test_nothing_is_recorded_and_a_taped_forward_still_learns(self):
         weights = Tensor(_rows(3), requires_grad=True)
@@ -605,10 +528,6 @@ def test_gather_sum_matches_add_at(edges, num_children, num_parents, seed):
     out.backward(upstream)
     assert np.array_equal(
         states.grad, add_at(upstream[parents], children, num_children))
-    # The general scatter (rounds derived per call) agrees as well.
-    rows = rng.normal(size=(edges, 4))
-    assert np.array_equal(Tensor(rows).scatter_add(parents, num_parents).data,
-                          add_at(rows, parents, num_parents))
 
 
 def _functional_pass(hidden, levels, combine_of):

@@ -14,6 +14,7 @@ from repro.db import SyntheticDatabaseSpec, generate_database
 from repro.featurize import CardinalitySource, ZeroShotFeaturizer
 from repro.models import TrainerConfig, ZeroShotConfig, get_estimator
 from repro.optimizer import LearnedCardinalityEstimator, Planner
+from repro.optimizer.cardinality import BoundCardinalities
 from repro.workload import WorkloadRunner, WorkloadSpec, generate_workload
 
 pytestmark = pytest.mark.perf
@@ -94,9 +95,10 @@ class TestSharedEncoding:
 
         from repro.optimizer.join_order import connected_subsets
         adjacency = dedup._join_adjacency(query)
+        heuristic = BoundCardinalities(database, query)
         per_fragment = 0
         for aliases in connected_subsets(query):
-            plan = dedup._fragment_plan(query, aliases, adjacency)
+            plan = dedup._fragment_plan(heuristic, aliases, adjacency)
             graph = featurizer.featurize(plan, database)
             per_fragment += graph.num_nodes
         assert shared_nodes < per_fragment
@@ -112,7 +114,8 @@ class TestSharedEncoding:
         query = records[0].query
         alias = query.table_names[0]
         adjacency = dedup._join_adjacency(query)
-        plan = dedup._fragment_plan(query, frozenset({alias}), adjacency)
+        plan = dedup._fragment_plan(BoundCardinalities(database, query),
+                                    frozenset({alias}), adjacency)
         solo = featurizer.featurize(plan, database)
         shared, root_ids = featurizer.featurize_shared(
             [plan.root], query, database)
@@ -121,19 +124,6 @@ class TestSharedEncoding:
 
 
 class TestAdjacencyRefactor:
-    def test_fragment_plan_with_and_without_adjacency_identical(self, setup):
-        database, records, estimator = setup
-        learned = LearnedCardinalityEstimator(database, estimator)
-        for record in records[:10]:
-            query = record.query
-            adjacency = learned._join_adjacency(query)
-            from repro.optimizer.join_order import connected_subsets
-            for aliases in connected_subsets(query):
-                fresh = learned._fragment_plan(query, aliases)
-                shared = learned._fragment_plan(query, aliases, adjacency)
-                assert [(n.label(), n.est_rows) for n in fresh.nodes()] == \
-                    [(n.label(), n.est_rows) for n in shared.nodes()]
-
     def test_adjacency_drops_self_joins_keeps_order(self, setup):
         database, records, estimator = setup
         learned = LearnedCardinalityEstimator(database, estimator)

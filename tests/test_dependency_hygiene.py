@@ -6,8 +6,19 @@ machine.
 """
 
 import ast
+import dataclasses
+import functools
+import inspect
 import sys
 from pathlib import Path
+
+import pytest
+
+import repro.nn
+from repro.models import TrainerConfig, ZeroShotConfig
+from repro.models.e2e import E2EConfig
+from repro.models.mscn import MSCNConfig
+from repro.nn import MLP, RowState, Tensor
 
 PACKAGE_ROOT = Path(__file__).resolve().parents[1] / "src" / "repro"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "repro"}
@@ -226,3 +237,101 @@ def test_private_read_guard_sees_what_it_guards(tmp_path):
                       "    return thing._module_level\n")
     assert _foreign_private_reads(sample) == [
         "_sorted_values:10", "_order:10", "_module_level:13"]
+
+
+# ----------------------------------------------------------------------
+# The learned stack holds what its users refer to, and nothing else
+# ----------------------------------------------------------------------
+def _names_used(path: Path, skip_class: str | None = None) -> set[str]:
+    """Every name ``path`` refers to outside the body of ``skip_class``:
+    variables, attributes, keyword arguments, imported names and string
+    constants (an op chosen by name: ``activation="relu"``)."""
+    used = set()
+    pending = [ast.parse(path.read_text(encoding="utf-8"))]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.ClassDef) and node.name == skip_class:
+            continue
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.keyword) and node.arg:
+            used.add(node.arg)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+        pending.extend(ast.iter_child_nodes(node))
+    return used
+
+
+@functools.lru_cache(maxsize=None)
+def _names_the_users_of_the_learned_stack_use(skip_class=None) -> set[str]:
+    """:func:`_names_used` over ``src/repro`` outside ``repro/nn`` and
+    over ``bench/``."""
+    paths = [path for path in sorted(PACKAGE_ROOT.rglob("*.py"))
+             if PACKAGE_ROOT / "nn" not in path.parents]
+    paths += sorted((PACKAGE_ROOT.parents[1] / "bench").rglob("*.py"))
+    used = set().union(*(_names_used(path, skip_class) for path in paths))
+    if "MLP" in used:
+        # Building an MLP without naming an activation selects this one.
+        used.add(inspect.signature(MLP).parameters["activation"].default)
+    return used
+
+
+def _public_methods(cls) -> list[str]:
+    return [name for name in vars(cls)
+            if not name.startswith("_") and callable(getattr(cls, name))]
+
+
+CONFIGS = (TrainerConfig, ZeroShotConfig, E2EConfig, MSCNConfig)
+#: ``(name, the class whose own body does not count as a user)``.
+LEARNED_STACK_NAMES = (
+    [pytest.param(name, None, id=f"nn.{name}") for name in repro.nn.__all__]
+    + [pytest.param(name, None, id=f"{cls.__name__}.{name}")
+       for cls in (Tensor, RowState) for name in _public_methods(cls)]
+    + [pytest.param(field.name, cls.__name__,
+                    id=f"{cls.__name__}.{field.name}")
+       for cls in CONFIGS for field in dataclasses.fields(cls)])
+
+
+@pytest.mark.parametrize("name, owner", LEARNED_STACK_NAMES)
+def test_learned_stack_name_has_a_user_outside_repro_nn(name, owner):
+    """An export of ``repro.nn``, a public ``Tensor`` / ``RowState``
+    method or a config field that only tests (or ``repro.nn`` itself)
+    refer to is deleted, not kept for later: every op is rewritten by
+    each change of the tape, every option doubles what must be tested.
+    What only ``repro.nn`` uses is imported from its module, not
+    exported."""
+    assert name in _names_the_users_of_the_learned_stack_use(owner), (
+        f"{name!r} is referred to nowhere under src/repro outside repro/nn "
+        f"or under bench/: delete it (or drop it from repro.nn.__all__)")
+
+
+def test_learned_stack_guard_sees_what_it_guards(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("from repro.nn import Adam, functional as F\n"
+                      "import repro.nn.serialize\n"
+                      "class Config:\n"
+                      "    planted_field: int = 0\n"
+                      "    def check(self):\n"
+                      "        return self.planted_field\n"
+                      "def fit(config, net):\n"
+                      "    MLP(3, [4], 1, rng, activation='relu')\n"
+                      "    Adam(net.parameters(), lr=config.learning_rate)\n"
+                      "    return F.q_loss(out, labels).backward()\n")
+    used = _names_used(sample, skip_class="Config")
+    assert {"Adam", "functional", "serialize", "MLP", "activation", "relu",
+            "parameters", "lr", "learning_rate", "q_loss",
+            "backward"} <= used
+    # A field only its own dataclass reads; a method nobody calls.
+    assert "planted_field" not in used
+    assert "planted_field" in _names_used(sample)
+    assert "planted_op" not in _names_the_users_of_the_learned_stack_use()
+    # The guard guards something: the lists it walks are not empty.
+    assert {"abs", "gather_sum", "scatter_rows"} <= set(
+        _public_methods(Tensor))
+    assert "shape" not in _public_methods(Tensor)  # a property, not an op
+    assert _public_methods(RowState) == [
+        "index_select", "gather_sum", "add_rows", "hand_over"]
