@@ -41,7 +41,10 @@ with client-side queueing; every existing caller of this library
 (runners, advisors, experiment drivers) is synchronous and can block on
 :meth:`PendingPrediction.result` without owning an event loop; and an
 asyncio front end would still have to push the CPU-bound forward onto a
-thread anyway.  The full rationale lives in ``docs/ARCHITECTURE.md``.
+thread anyway.  A forward on a thread pays that thread's allocator
+costs, so the server limits glibc to one malloc arena when it is
+constructed (:func:`_share_the_main_arena`).  The full rationale lives
+in ``docs/ARCHITECTURE.md``.
 
 Because inference is batch-size invariant (``_stable_matmul`` in
 ``repro.nn.tensor``), responses are **bit-identical** to direct
@@ -54,6 +57,7 @@ p99 latency under sustained multi-client traffic.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import threading
 import time
@@ -70,6 +74,49 @@ from repro.serve.service import CostModelService, ServiceStats
 
 __all__ = ["PendingPrediction", "PredictionResponse", "PredictionServer",
            "serve_estimator"]
+
+#: glibc's ``mallopt`` parameter number for the arena limit.
+_M_ARENA_MAX = -8
+
+
+def _share_the_main_arena() -> None:
+    """Make threads started from here on allocate from glibc's main arena.
+
+    A thread's first ``malloc`` gives it an arena of its own, and glibc
+    hands an arena's free top back to the kernel once it outgrows the
+    trim threshold.  The batcher's own arena holds little but a batch's
+    numpy temporaries (~3 MB for 64 requests at bench scale), so after
+    every batch they coalesced into that top and were trimmed, and the
+    next batch faulted them in again: ~800 minor page faults per full
+    batch at bench scale, and a forward that cost 55 µs per request on
+    the batcher against 37 µs on the main thread.  With one arena
+    (``mallopt(M_ARENA_MAX, 1)``) the batcher allocates from the main
+    arena, which the interpreter's long-lived objects share, and a full
+    batch faults a handful of pages; the process keeps one heap, not two.
+
+    A no-op unless the C library is glibc and exports ``mallopt``.  The
+    limit binds arenas created after the call; an arena already on
+    glibc's free list (left by a thread that exited before the first
+    server was built) still goes to the next new thread.
+
+    Rejected: ``M_TRIM_THRESHOLD`` or ``M_TOP_PAD`` also stop the
+    re-faulting, but glibc sets ``no_dyn_threshold`` for either, which
+    freezes the process-wide mmap threshold at its value when the server
+    is built; a server built early would then have every array over
+    128 KB mmapped and unmapped on every batch.  Reusing forward buffers
+    inside ``repro.nn`` would touch all 16 of its ops, under the
+    bit-identity gates, for the same effect.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+    except (AttributeError, ValueError, OSError):
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+        mallopt(_M_ARENA_MAX, 1)
 
 
 @dataclass(frozen=True)
@@ -201,6 +248,7 @@ class PredictionServer:
         self._running = True
         #: What stopped the batcher, if anything did (see :meth:`_run`).
         self._fatal: ServeError | None = None
+        _share_the_main_arena()
         self._batcher = threading.Thread(target=self._run,
                                          name="repro-serve-batcher",
                                          daemon=True)

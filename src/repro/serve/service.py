@@ -121,9 +121,12 @@ class ServiceStats:
 
     @property
     def hit_rate(self) -> float:
-        """Fraction of requests whose encode step was cached."""
-        lookups = self.cache_hits + self.cache_misses
-        return self.cache_hits / lookups if lookups else 0.0
+        """Fraction of requests whose encode step was cached.  Both
+        counters are read under the lock :meth:`add` sets them under, so
+        the ratio never mixes two updates."""
+        with self._mutex:
+            hits, misses = self.cache_hits, self.cache_misses
+        return hits / (hits + misses) if hits + misses else 0.0
 
 
 @dataclass

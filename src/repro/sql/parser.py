@@ -43,6 +43,7 @@ _TOKEN_RE = re.compile(
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op><=|>=|<>|!=|=|<|>)"
     r"|(?P<punct>[(),.;*])"
+    r"|(?P<bad>\S)"
     r")"
 )
 
@@ -63,20 +64,18 @@ _OPERATORS = {
 class _Tokens:
     def __init__(self, text: str):
         self.tokens: list[tuple[str, str]] = []
-        position = 0
-        while position < len(text):
+        # Trailing whitespace ends the input; before that end, every
+        # match is one token (``bad`` catches what no token accepts).
+        position, end = 0, len(text.rstrip())
+        while position < end:
             match = _TOKEN_RE.match(text, position)
-            if match is None:
-                raise ParseError(f"unexpected character at position {position}: "
-                                 f"{text[position:position + 10]!r}")
+            kind = match.lastgroup
+            if kind == "bad":
+                start = match.start(kind)
+                raise ParseError(f"unexpected character at position {start}: "
+                                 f"{text[start:start + 10]!r}")
+            self.tokens.append((kind, match.group(kind)))
             position = match.end()
-            for kind in ("number", "name", "op", "punct"):
-                value = match.group(kind)
-                if value is not None:
-                    self.tokens.append((kind, value))
-                    break
-            if not match.group(0).strip() and position >= len(text):
-                break
         self.index = 0
 
     def peek(self) -> tuple[str, str] | None:

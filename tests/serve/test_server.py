@@ -8,6 +8,11 @@ run; all randomized interleavings are seeded.  Run with
 ``pytest -m concurrency`` (CI adds a hard wall-clock timeout on top).
 """
 
+import ctypes
+import json
+import os
+import statistics
+import subprocess
 import sys
 import threading
 import time
@@ -31,9 +36,18 @@ from repro.serve import (
     ServiceStats,
     serve_estimator,
 )
+from repro.serve.server import _share_the_main_arena
 from repro.serve.service import LATENCY_WINDOW
 
 pytestmark = pytest.mark.concurrency
+
+
+def on_glibc() -> bool:
+    try:
+        return sys.platform == "linux" and bool(
+            os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
 
 
 def make_service(tiny_imdb, scale=1.0, **kwargs):
@@ -189,6 +203,30 @@ class TestConcurrencyBitIdentity:
         assert stats.requests == threads * per_thread
         assert stats.batches == 2 * threads * per_thread
         assert stats.observed_latencies == LATENCY_WINDOW
+
+    def test_hit_rate_never_mixes_two_updates(self):
+        """``add()`` sets the counters one after the other under the
+        mutex; ``hit_rate`` read them outside it, so a reader during an
+        update saw the new hits beside the old misses (here 4 / 5
+        instead of 4 / 10).  It now waits for the update to finish."""
+        stats = ServiceStats()
+        stats.add(cache_hits=1, cache_misses=1)
+        read = []
+        returned = threading.Event()
+
+        def reader():
+            read.append(stats.hit_rate)
+            returned.set()
+
+        thread = threading.Thread(target=reader)
+        with stats._mutex:
+            # The first half of add(cache_hits=3, cache_misses=5).
+            stats.cache_hits += 3
+            thread.start()
+            assert not returned.wait(0.1)
+            stats.cache_misses += 5
+        thread.join(WAIT)
+        assert read == [0.4]
 
     def test_batch_latencies_are_observed_exactly(self):
         """``observe_latencies`` is ``observe_latency`` per element:
@@ -613,3 +651,114 @@ class TestHotSwap:
             # No batch mixes versions.
             assert all(len(versions) == 1
                        for versions in batch_versions.values())
+
+
+# ----------------------------------------------------------------------
+# The batcher's allocator
+# ----------------------------------------------------------------------
+#: Serves a bench-smoke-sized zero-shot model (IMDB scale 0.02, 16
+#: queries, hidden_dim 16, 2 epochs) with 256 requests outstanding until
+#: 40 full 64-request batches are answered, and prints the minor page
+#: faults the batcher thread took inside each full batch's
+#: ``predict_runtime``.
+FAULTS_PER_BATCH = """
+import json, resource
+from collections import deque
+from repro.db import make_imdb_database
+from repro.models import TrainerConfig, ZeroShotConfig, ZeroShotEstimator
+from repro.serve import CostModelService, PredictionServer
+from repro.workload import WorkloadRunner, WorkloadSpec, generate_workload
+
+imdb = make_imdb_database(scale=0.02, seed=42)
+records = WorkloadRunner(imdb, seed=0).run(
+    generate_workload(imdb, WorkloadSpec(num_queries=16, seed=0)))
+estimator = ZeroShotEstimator(ZeroShotConfig(hidden_dim=16))
+estimator.fit(records, imdb, TrainerConfig(epochs=2,
+                                           early_stopping_patience=3))
+plans = [record.plan for record in records]
+batches = []
+
+class FaultCounting(CostModelService):
+    def predict_runtime(self, items):
+        before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+        runtimes = super().predict_runtime(items)
+        batches.append((len(items), resource.getrusage(
+            resource.RUSAGE_THREAD).ru_minflt - before))
+        return runtimes
+
+service = FaultCounting(estimator, imdb)
+service.warm(plans)
+with PredictionServer(service) as server:
+    outstanding, sent = deque(), 0
+    while sum(size == 64 for size, _ in batches) < 40:
+        if len(outstanding) >= 256:
+            outstanding.popleft().result(60)
+        outstanding.append(server.submit(plans[sent % len(plans)]))
+        sent += 1
+    for pending in outstanding:
+        pending.result(60)
+print(json.dumps([faults for size, faults in batches if size == 64]))
+"""
+
+
+class TestBatcherArena:
+    @pytest.mark.skipif(not on_glibc(), reason="counts glibc's malloc arenas")
+    def test_a_full_batch_does_not_refault_the_heap(self):
+        """Counted, not timed.  In its own arena the batcher gave a
+        batch's freed temporaries back to the kernel and faulted them in
+        again for the next batch (median 205-228 minor faults per full
+        batch at this size); from the main arena, a handful.  A fresh
+        interpreter, because arenas that threads of earlier tests left on
+        glibc's free list go to the next thread whatever the limit."""
+        import repro
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(repro.__file__)))
+        done = subprocess.run([sys.executable, "-c", FAULTS_PER_BATCH],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        faults = json.loads(done.stdout.splitlines()[-1])
+        assert len(faults) >= 40
+        assert statistics.median(faults) <= 50, faults
+
+    @pytest.mark.parametrize("libc", ["glibc without mallopt", "not glibc"])
+    def test_the_arena_limit_is_a_silent_no_op_without_mallopt(
+            self, monkeypatch, libc):
+        loaded = []
+
+        class NoMallopt:
+            def __init__(self, name):
+                loaded.append(name)
+
+        def confstr(name):
+            if libc == "not glibc":
+                raise ValueError(f"unrecognized configuration name {name!r}")
+            return "glibc 2.36"
+
+        monkeypatch.setattr(os, "confstr", confstr)
+        monkeypatch.setattr(ctypes, "CDLL", NoMallopt)
+        assert _share_the_main_arena() is None
+        assert loaded == ([None] if libc != "not glibc" else [])
+
+    def test_glibc_is_limited_to_one_arena_through_mallopt(
+            self, monkeypatch):
+        calls = []
+
+        class Libc:
+            def __init__(self, name):
+                self.mallopt = lambda *args: calls.append(args) or 1
+
+        monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
+        monkeypatch.setattr(ctypes, "CDLL", Libc)
+        _share_the_main_arena()
+        assert calls == [(-8, 1)]      # M_ARENA_MAX, one arena
+
+    def test_two_servers_in_one_process(self, tiny_imdb, serve_plans):
+        """The second constructor sets the limit again; both serve."""
+        reference = make_service(tiny_imdb).predict_runtime(serve_plans[:2])
+        with PredictionServer(make_service(tiny_imdb)) as first, \
+                PredictionServer(make_service(tiny_imdb)) as second:
+            answers = [first.predict_runtime(serve_plans[0], timeout=WAIT),
+                       second.predict_runtime(serve_plans[1], timeout=WAIT)]
+        np.testing.assert_array_equal(
+            [answer.runtime for answer in answers], reference)

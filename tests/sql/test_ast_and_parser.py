@@ -16,6 +16,7 @@ from repro.sql import (
     query_to_sql,
     validate_query,
 )
+from repro.workload import WorkloadSpec, generate_workload
 
 
 def simple_query():
@@ -176,6 +177,35 @@ class TestParser:
     def test_column_join_must_be_equality(self):
         with pytest.raises(ParseError):
             parse_query("SELECT COUNT(*) FROM a x, b y WHERE x.id < y.id")
+
+    @pytest.mark.parametrize("tail", [" ", "\t", "\n", ";\n", " ;  \r\n"])
+    def test_trailing_whitespace_ends_the_input(self, tail):
+        """SQL read from a file ends in a newline; it used to raise
+        ``unexpected character`` at the first trailing blank (and, served,
+        fail every request of its batch)."""
+        for sql in ("SELECT COUNT(*) FROM title",
+                    "SELECT t.kind_id, COUNT(*) FROM title t "
+                    "WHERE t.production_year > 1990 GROUP BY t.kind_id"):
+            assert parse_query(sql + tail) == parse_query(sql)
+
+    def test_generated_texts_with_a_newline_round_trip(self, tiny_imdb):
+        queries = generate_workload(tiny_imdb,
+                                    WorkloadSpec(num_queries=60, seed=3))
+        for query in queries:
+            assert parse_query(query_to_sql(query) + "\n") == query
+
+    @pytest.mark.parametrize("sql, position, shown", [
+        ("SELECT COUNT(*) FROM title t WHERE t.id @ 3", 40, "'@ 3'"),
+        ("SELECT COUNT(*) FROM title t WHERE t.id = 3 #\n", 44, r"'#\n'"),
+        ("SELECT COUNT(*) FROM title t WHERE t.id = -", 42, "'-'"),
+    ])
+    def test_a_bad_character_raises_with_its_position(self, sql, position,
+                                                      shown):
+        """The position is the bad character's, not the blank before it."""
+        with pytest.raises(ParseError) as excinfo:
+            parse_query(sql)
+        assert str(excinfo.value) == (
+            f"unexpected character at position {position}: {shown}")
 
 
 class TestValidation:
