@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from repro.db import generate_training_database_specs
-from repro.engine import (
-    Executor,
+from repro.engine import Executor
+from repro.engine.join_kernels import (
     JoinHashTable,
     block_nested_loop_match,
     hash_join_match,

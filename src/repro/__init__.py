@@ -41,13 +41,11 @@ from repro.models import (
     ZeroShotConfig,
     ZeroShotCostModel,
     ZeroShotEstimator,
-    available_estimators,
     fine_tune,
     get_estimator,
     load_estimator,
     q_error,
     q_error_stats,
-    register_estimator,
 )
 from repro.optimizer import plan_query
 from repro.plans import explain_plan
@@ -56,7 +54,6 @@ from repro.runtime import (
     SystemParameters,
     available_system_configs,
     get_system_config,
-    register_system_config,
 )
 from repro.serve import CostModelService, ServiceStats
 from repro.sql import parse_query, query_to_sql
@@ -92,7 +89,6 @@ __all__ = [
     "ZeroShotFeaturizer",
     "ZeroShotWhatIfEstimator",
     "__version__",
-    "available_estimators",
     "available_system_configs",
     "collect_training_corpus",
     "execute_plan",
@@ -111,6 +107,4 @@ __all__ = [
     "q_error",
     "q_error_stats",
     "query_to_sql",
-    "register_estimator",
-    "register_system_config",
 ]

@@ -5,57 +5,16 @@ every physical plan over the columnar data and reports true per-operator
 cardinalities (the "exact cardinalities" input of the zero-shot model)
 plus the query result itself.
 
-Execution is organised as per-operator vectorized kernels dispatched
-through registries (:mod:`repro.engine.join_kernels` for join matching,
-``Executor._HANDLERS`` for whole operators), so new operators or
-alternative join algorithms plug in without touching the executor core.
+Execution is organised as per-operator vectorized handlers looked up in
+one ``{operator class: handler}`` dict (``Executor._HANDLERS``); each
+join handler calls its own kernel from :mod:`repro.engine.join_kernels`,
+and scan filters run through :mod:`repro.engine.compiled_filters`.
 """
 
-from repro.engine.compiled_filters import (
-    CompiledFilter,
-    CompiledFilterCache,
-    compile_filter,
-    compile_predicate,
-)
-from repro.engine.executor import (
-    BuildSideCache,
-    ExecutionResult,
-    Executor,
-    execute_plan,
-    register_operator_handler,
-)
-from repro.engine.expressions import conjunction_mask, predicate_mask
-from repro.engine.join_kernels import (
-    JoinHashTable,
-    block_nested_loop_match,
-    hash_join_match,
-    join_kernel_for,
-    merge_join_match,
-    register_join_kernel,
-    registered_join_kernels,
-    reset_join_kernels,
-    sort_merge_match,
-)
+from repro.engine.executor import BuildSideCache, Executor, execute_plan
 
 __all__ = [
     "BuildSideCache",
-    "CompiledFilter",
-    "CompiledFilterCache",
-    "ExecutionResult",
     "Executor",
-    "JoinHashTable",
-    "compile_filter",
-    "compile_predicate",
-    "block_nested_loop_match",
-    "conjunction_mask",
     "execute_plan",
-    "hash_join_match",
-    "join_kernel_for",
-    "merge_join_match",
-    "predicate_mask",
-    "register_join_kernel",
-    "register_operator_handler",
-    "registered_join_kernels",
-    "reset_join_kernels",
-    "sort_merge_match",
 ]

@@ -14,12 +14,12 @@ ids composed (late materialisation).  ``Relation.columns`` /
 ``.null_masks`` gather the full result on demand, for whoever looks at
 a root.
 
-Operators are dispatched through a class-level operator→handler table
-(see ``Executor._HANDLERS`` and :func:`register_operator_handler`), and
-each join operator runs the *algorithm its name promises* via the
-kernel registry in :mod:`repro.engine.join_kernels`: hash joins
-build/probe bucket arrays, merge joins exploit their sorted inputs,
-nested-loop joins compare blockwise.  All kernels produce row-identical
+Operators are dispatched through a class-level ``{operator class:
+handler}`` dict (``Executor._HANDLERS``, indexed by ``type(node)``), and
+each join handler calls the kernel of :mod:`repro.engine.join_kernels`
+that runs the *algorithm its name promises*: hash joins build/probe
+bucket arrays, merge joins exploit their sorted inputs, nested-loop
+joins compare blockwise.  All kernels produce row-identical
 results; they differ in speed, which is what the runtime simulator's
 per-operator cost models mirror.
 
@@ -31,7 +31,7 @@ table), the batched-collection fast path the workload runner uses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +42,9 @@ from repro.engine.compiled_filters import CompiledFilterCache
 from repro.engine.expressions import conjunction_mask, predicate_mask
 from repro.engine.join_kernels import (
     JoinHashTable,
+    block_nested_loop_match,
     hash_join_match,
-    join_kernel_for,
+    merge_join_match,
 )
 from repro.errors import ExecutionError
 from repro.plans.operators import (
@@ -67,7 +68,7 @@ from repro.sql.ast import (
     Predicate,
     TableRef,
 )
-from repro.util import LRUCache, Registry
+from repro.util import LRUCache
 
 __all__ = [
     "BuildSideCache",
@@ -75,7 +76,6 @@ __all__ = [
     "Executor",
     "Relation",
     "execute_plan",
-    "register_operator_handler",
 ]
 
 
@@ -347,10 +347,9 @@ def _drop_null_keys(relation: Relation, key: ColumnRef) -> Relation:
 class Executor:
     """Executes physical plans against one database.
 
-    Operator dispatch goes through the class-level ``_HANDLERS`` table
-    (extensible via :func:`register_operator_handler`); join matching
-    goes through the per-operator kernel registry in
-    :mod:`repro.engine.join_kernels`.
+    Operator dispatch goes through the class-level ``_HANDLERS`` dict,
+    indexed by the node's exact class; each join handler calls its own
+    kernel from :mod:`repro.engine.join_kernels`.
 
     An optional :class:`BuildSideCache` memoizes hash-join build sides
     (row ids + hash table) across queries — sound as long as the
@@ -365,9 +364,6 @@ class Executor:
     from the base arrays and yields surviving row ids; the two differ
     in the evaluator alone.
     """
-
-    #: operator class → bound handler; populated after the class body.
-    _HANDLERS: Registry
 
     def __init__(self, database: Database,
                  build_cache: BuildSideCache | None = None,
@@ -394,7 +390,7 @@ class Executor:
     # Dispatch
     # ------------------------------------------------------------------
     def _execute_node(self, node: PlanNode) -> Relation:
-        relation = self._HANDLERS.get(type(node))(self, node)
+        relation = self._HANDLERS[type(node)](self, node)
         node.actual_rows = relation.num_rows
         return relation
 
@@ -484,13 +480,8 @@ class Executor:
     def _hash_join(self, node: HashJoin) -> Relation:
         probe = self._execute_node(node.children[0])
         build_node = node.children[1]
-        kernel = join_kernel_for(type(node))
-        # The cached fast path only applies with the stock hash kernel:
-        # a custom-registered kernel must see the raw key arrays.
-        entry = None
-        if self.build_cache is not None and kernel is hash_join_match:
+        if self.build_cache is not None:
             entry = self._cached_build(build_node)
-        if entry is not None:
             probe_ref, build_ref = _orient_condition(
                 node.condition, probe, entry.relation)
             probe = _drop_null_keys(probe, probe_ref)
@@ -508,7 +499,7 @@ class Executor:
             build = _drop_null_keys(build, build_ref)
             probe_keys = probe.column(probe_ref)
             build_keys = build.column(build_ref)
-        probe_idx, build_idx = kernel(probe_keys, build_keys)
+        probe_idx, build_idx = hash_join_match(probe_keys, build_keys)
         return probe.take(probe_idx).merge(build.take(build_idx))
 
     def _cached_build(self, build_node: PlanNode) -> _BuildEntry:
@@ -533,7 +524,7 @@ class Executor:
         left_ref, right_ref = _orient_condition(node.condition, left, right)
         left = _drop_null_keys(left, left_ref)
         right = _drop_null_keys(right, right_ref)
-        left_idx, right_idx = join_kernel_for(type(node))(
+        left_idx, right_idx = merge_join_match(
             left.column(left_ref), right.column(right_ref)
         )
         return left.take(left_idx).merge(right.take(right_idx))
@@ -554,7 +545,7 @@ class Executor:
         left_ref, right_ref = _orient_condition(condition, outer, inner)
         outer = _drop_null_keys(outer, left_ref)
         inner = _drop_null_keys(inner, right_ref)
-        left_idx, right_idx = join_kernel_for(type(node))(
+        left_idx, right_idx = block_nested_loop_match(
             outer.column(left_ref), inner.column(right_ref)
         )
         return outer.take(left_idx).merge(inner.take(right_idx))
@@ -595,39 +586,18 @@ class Executor:
             )
         return Relation.of_columns(columns, 1)
 
-
-Executor._HANDLERS = Registry(
-    "operator handler", ExecutionError, key_base=PlanNode, defaults={
-        SeqScan: Executor._seq_scan,
-        IndexScan: Executor._index_scan,
-        HashBuild: Executor._hash_build,
-        HashJoin: Executor._hash_join,
-        MergeJoin: Executor._merge_join,
-        NestedLoopJoin: Executor._nested_loop,
-        Sort: Executor._sort,
-        HashAggregate: Executor._hash_aggregate,
-        PlainAggregate: Executor._plain_aggregate,
-    })
-
-
-def register_operator_handler(
-    op_class: type[PlanNode],
-    handler: Callable[[Executor, PlanNode], Relation] | None,
-) -> Callable[[Executor, PlanNode], Relation] | None:
-    """Register an execution handler for a (possibly new) operator class.
-
-    The handler receives ``(executor, node)`` and returns the node's
-    output :class:`Relation` — ``Relation.scan`` for rows of a base
-    table, ``take`` / ``merge`` of its inputs' relations to reorder,
-    narrow or join them, ``Relation.of_columns`` for computed columns —
-    reading input columns through ``column`` / ``null_mask`` and writing
-    to none of the arrays it is handed; ``actual_rows`` (the relation's
-    ``num_rows``) is annotated by the dispatch loop.  Returns the previously registered handler so
-    temporary overrides can be restored by passing it back —
-    ``handler=None`` removes the class's own entry (MRO lookup then
-    falls back to a parent's handler).
-    """
-    return Executor._HANDLERS.register(op_class, handler)
+    #: operator class → handler, looked up by ``type(node)``.
+    _HANDLERS = {
+        SeqScan: _seq_scan,
+        IndexScan: _index_scan,
+        HashBuild: _hash_build,
+        HashJoin: _hash_join,
+        MergeJoin: _merge_join,
+        NestedLoopJoin: _nested_loop,
+        Sort: _sort,
+        HashAggregate: _hash_aggregate,
+        PlainAggregate: _plain_aggregate,
+    }
 
 
 def _orient_condition(condition, left: Relation,

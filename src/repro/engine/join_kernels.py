@@ -1,4 +1,4 @@
-"""Vectorized join-matching kernels and the operator→kernel registry.
+"""Vectorized join-matching kernels, one per join operator.
 
 Every kernel shares one contract: given the key arrays of the two join
 inputs it returns all matching ``(left_row, right_row)`` index pairs,
@@ -35,49 +35,28 @@ Three algorithms are provided, matching the physical operators:
 reference implementation and as the generic fallback for key dtypes the
 hash kernel cannot canonicalize.
 
-The registry at the bottom maps plan-operator classes to kernels
-(DBSim-style executor tables).  ``register_join_kernel`` lets
-extensions swap in custom kernels without touching the executor::
-
-    from repro.engine import register_join_kernel, sort_merge_match
-    from repro.plans import HashJoin
-
-    previous = register_join_kernel(HashJoin, my_kernel)
-    ...
-    register_join_kernel(HashJoin, previous)   # restore
+Each join handler of :class:`~repro.engine.executor.Executor` calls its
+operator's kernel by name (``_hash_join`` → :func:`hash_join_match`,
+``_merge_join`` → :func:`merge_join_match`, ``_nested_loop`` →
+:func:`block_nested_loop_match`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from repro.db.index import expand_runs
 from repro.errors import ExecutionError
-from repro.plans.operators import (
-    HashJoin,
-    MergeJoin,
-    NestedLoopJoin,
-    PlanNode,
-)
-from repro.util import Registry
 
 __all__ = [
     "JoinHashTable",
     "block_nested_loop_match",
     "hash_join_match",
-    "join_kernel_for",
     "merge_join_match",
-    "register_join_kernel",
-    "registered_join_kernels",
-    "reset_join_kernels",
     "sort_merge_match",
 ]
-
-#: A join kernel: ``(left_keys, right_keys) -> (left_rows, right_rows)``.
-JoinKernel = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 #: Fibonacci multiplier for the 64-bit multiplicative hash.
 _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
@@ -352,42 +331,3 @@ def block_nested_loop_match(outer_keys: np.ndarray,
     return (np.concatenate(outer_parts).astype(np.int64),
             np.concatenate(inner_parts).astype(np.int64))
 
-
-# ----------------------------------------------------------------------
-# Operator → kernel registry
-# ----------------------------------------------------------------------
-_JOIN_KERNELS = Registry("join kernel", ExecutionError, key_base=PlanNode,
-                         defaults={
-                             HashJoin: hash_join_match,
-                             MergeJoin: merge_join_match,
-                             NestedLoopJoin: block_nested_loop_match,
-                         })
-
-
-def register_join_kernel(op_class: type[PlanNode],
-                         kernel: JoinKernel | None) -> JoinKernel | None:
-    """Map a join operator class to a kernel; returns the previous one.
-
-    The returned previous kernel makes temporary overrides restorable —
-    passing it back (including ``None`` for a class that had no entry)
-    restores the prior state.  ``kernel=None`` removes the class's own
-    registration, so MRO lookup falls back to a parent's kernel.
-    Subclasses of registered operators inherit their parent's kernel
-    unless registered explicitly.
-    """
-    return _JOIN_KERNELS.register(op_class, kernel)
-
-
-def join_kernel_for(op_class: type[PlanNode]) -> JoinKernel:
-    """The kernel registered for an operator class (walking the MRO)."""
-    return _JOIN_KERNELS.get(op_class)
-
-
-def registered_join_kernels() -> dict[type[PlanNode], JoinKernel]:
-    """A snapshot of the current operator→kernel table."""
-    return _JOIN_KERNELS.snapshot()
-
-
-def reset_join_kernels() -> None:
-    """Restore the default kernel table (undo all registrations)."""
-    _JOIN_KERNELS.reset()

@@ -80,7 +80,7 @@ def train_workload_driven_baselines(context: ExperimentContext,
                                     ) -> dict[str, CostEstimator]:
     """Train MSCN / E2E / ScaledOptimizerCost on ``budget`` IMDB queries.
 
-    Everything goes through the unified estimator registry: each
+    Everything goes through the unified estimator API: each
     estimator owns its featurization (and its out-of-vocabulary
     fallback — at tiny budgets some evaluation queries fall outside the
     one-hot vocabularies, and the estimators price them at the

@@ -5,7 +5,7 @@
     to the transferable featurization."*
 
 Train the zero-shot model across a fleet whose databases execute on
-**different machines** (round-robin over registered system
+**different machines** (round-robin over the named system
 configurations), with the machine encoded as a ``system`` node.  Then
 evaluate on an unseen database running on an unseen machine — the
 ``mid-range`` holdout, which interpolates between the training

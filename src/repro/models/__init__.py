@@ -19,21 +19,19 @@ The four learned core models share one base
 (:class:`~repro.models.trainer.CoreCostModel`: target statistics, the
 single fit / predict / restore path).  All of them are reachable
 through the **unified estimator API** (:mod:`repro.models.api`):
-``get_estimator(name)`` returns a
-:class:`~repro.models.api.CostEstimator` that featurizes physical plans
-(or SQL) into the model's native sample type internally — the contract
-the experiment drivers, the tuning stack and :mod:`repro.serve` build
-on; :func:`~repro.models.cardinality.as_estimator` lifts a raw
-zero-shot core model onto it.
+``get_estimator(name)`` looks ``name`` up in :data:`ESTIMATORS` and
+returns a :class:`~repro.models.api.CostEstimator` that featurizes
+physical plans (or SQL) into the model's native sample type internally
+— the contract the experiment drivers, the tuning stack and
+:mod:`repro.serve` build on; :func:`~repro.models.cardinality.\
+as_estimator` lifts a raw zero-shot core model onto it.
 """
 
 from repro.models.api import (
     CostEstimator,
-    available_estimators,
     get_estimator,
     load_estimator,
     peek_manifest,
-    register_estimator,
     resolve_plans,
 )
 from repro.models.cardinality import ZeroShotCardinalityEstimator, as_estimator
@@ -59,6 +57,15 @@ from repro.models.optimizer_cost import ScaledOptimizerCost
 from repro.models.trainer import TrainerConfig, TrainingHistory
 from repro.models.zero_shot import ZeroShotConfig, ZeroShotCostModel
 
+#: Estimator name → class: what :func:`get_estimator`,
+#: :func:`load_estimator` and :func:`peek_manifest` dispatch on.
+ESTIMATORS = {
+    estimator.name: estimator
+    for estimator in (ZeroShotEstimator, ZeroShotCardinalityEstimator,
+                      FlatVectorEstimator, MSCNEstimator, E2EEstimator,
+                      ScaledOptimizerCostEstimator)
+}
+
 __all__ = [
     "CostEstimator",
     "E2ECostModel",
@@ -78,7 +85,6 @@ __all__ = [
     "ZeroShotCostModel",
     "ZeroShotEstimator",
     "as_estimator",
-    "available_estimators",
     "clamp_predictions",
     "fine_tune",
     "get_estimator",
@@ -86,6 +92,5 @@ __all__ = [
     "peek_manifest",
     "q_error",
     "q_error_stats",
-    "register_estimator",
     "resolve_plans",
 ]

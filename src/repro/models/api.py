@@ -23,10 +23,11 @@ bespoke adapters.  Every estimator
 * raises the same :class:`~repro.errors.ModelError` when used before
   ``fit`` (or ``load``), and persists itself with ``save``/``load``.
 
-Estimators register under a short name in a process-global
-:class:`~repro.util.Registry`::
+Estimators are named: ``repro.models.ESTIMATORS`` maps each short name
+to its class, and :func:`get_estimator` / :func:`load_estimator` /
+:func:`peek_manifest` dispatch on it::
 
-    from repro.models.api import available_estimators, get_estimator
+    from repro.models import get_estimator
 
     est = get_estimator("mscn")
     est.fit(executed_records, database)
@@ -41,7 +42,7 @@ from __future__ import annotations
 import abc
 import json
 import os
-from typing import TYPE_CHECKING, Any, Callable, ClassVar, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, ClassVar, Mapping, Sequence
 
 import numpy as np
 
@@ -49,7 +50,6 @@ from repro.db.database import Database
 from repro.errors import ModelError
 from repro.plans.plan import PhysicalPlan
 from repro.sql.ast import Query
-from repro.util import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.models.trainer import TrainerConfig, TrainingHistory
@@ -58,11 +58,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "OUT_OF_VOCABULARY",
     "CostEstimator",
-    "available_estimators",
     "get_estimator",
     "load_estimator",
     "peek_manifest",
-    "register_estimator",
     "resolve_plans",
 ]
 
@@ -170,7 +168,7 @@ class CostEstimator(abc.ABC):
     handling.
     """
 
-    #: Registry name, e.g. ``"zero-shot"``; set by each subclass.
+    #: Short name, e.g. ``"zero-shot"``; set by each subclass.
     name: ClassVar[str] = ""
 
     # -- state ---------------------------------------------------------
@@ -258,6 +256,13 @@ class CostEstimator(abc.ABC):
                 payload = json.load(handle)
         except FileNotFoundError:
             raise ModelError(f"{path!r} does not contain a saved estimator")
+        except ValueError as error:     # not JSON, or not UTF-8
+            raise ModelError(
+                f"{path!r} is not a readable estimator manifest: {error}"
+            ) from None
+        if not isinstance(payload, dict):
+            raise ModelError(f"{path!r} holds a {type(payload).__name__}, "
+                             f"not an estimator manifest object")
         if cls.name and payload.get("name") != cls.name:
             raise ModelError(
                 f"directory holds a {payload.get('name')!r} estimator, "
@@ -267,42 +272,27 @@ class CostEstimator(abc.ABC):
 
 
 # ----------------------------------------------------------------------
-# The registry (a repro.util.Registry keyed by estimator name)
+# Dispatch by name
 # ----------------------------------------------------------------------
-_ESTIMATORS = Registry("estimator", ModelError)
+def _estimator_class(name: Any, unknown: str) -> type[CostEstimator]:
+    """The class named ``name``, else :class:`~repro.errors.ModelError`
+    with the message ``unknown`` and the known names."""
+    # Lazy: the estimator classes subclass CostEstimator, so the table
+    # naming them (repro.models.ESTIMATORS) is built after this module.
+    from repro.models import ESTIMATORS
 
-
-def register_estimator(name: str,
-                       factory: Callable[..., CostEstimator] | None,
-                       default: bool = False
-                       ) -> Callable[..., CostEstimator] | None:
-    """(Un)register an estimator factory; returns the previous binding.
-
-    ``factory`` is typically the estimator class itself; ``None``
-    removes the binding.  ``default=True`` additionally records the
-    binding as part of the built-in set restored by
-    :func:`reset_estimators` (used by the library's own registrations).
-    """
-    return _ESTIMATORS.register(name, factory, default)
+    if isinstance(name, str) and name in ESTIMATORS:
+        return ESTIMATORS[name]
+    raise ModelError(f"{unknown}; available: {', '.join(sorted(ESTIMATORS))}")
 
 
 def get_estimator(name: str, **kwargs) -> CostEstimator:
-    """Instantiate a registered estimator by name.
+    """Instantiate an estimator by name.
 
-    Keyword arguments are forwarded to the factory (e.g.
+    Keyword arguments are forwarded to the class (e.g.
     ``get_estimator("zero-shot", source=CardinalitySource.ACTUAL)``).
     """
-    return _ESTIMATORS.get(name)(**kwargs)
-
-
-def available_estimators() -> tuple[str, ...]:
-    """Names of all registered estimators, sorted."""
-    return tuple(sorted(_ESTIMATORS.available()))
-
-
-def reset_estimators() -> None:
-    """Restore the built-in registry (for tests that register customs)."""
-    _ESTIMATORS.reset()
+    return _estimator_class(name, f"unknown estimator {name!r}")(**kwargs)
 
 
 def peek_manifest(directory: str | os.PathLike) -> dict:
@@ -313,18 +303,14 @@ def peek_manifest(directory: str | os.PathLike) -> dict:
     from disk, it peeks at the manifest to confirm the directory holds
     a loadable estimator and to derive the new version's tag from the
     manifest ``"name"``.  Raises :class:`~repro.errors.ModelError` when
-    the directory holds no manifest or names an estimator that no
-    registered factory can load.
+    the directory holds no readable manifest or the manifest names no
+    known estimator.
     """
     payload = CostEstimator._read_manifest(directory)
-    name = payload.get("name")
-    factory = _ESTIMATORS.snapshot().get(name)
-    if getattr(factory, "load", None) is None:
-        raise ModelError(
-            f"manifest in {os.fspath(directory)!r} names estimator "
-            f"{name!r}, which no registered factory can load "
-            f"(available: {', '.join(available_estimators())})"
-        )
+    _estimator_class(payload.get("name"),
+                     f"manifest in {os.fspath(directory)!r} names estimator "
+                     f"{payload.get('name')!r}, which no estimator class "
+                     f"loads")
     return payload
 
 
@@ -336,4 +322,5 @@ def load_estimator(directory: str | os.PathLike,
     which model was saved — the serving layer's deployment path.
     """
     name = peek_manifest(directory)["name"]
-    return _ESTIMATORS.get(name).load(directory, database)
+    return _estimator_class(name, f"unknown estimator {name!r}").load(
+        directory, database)

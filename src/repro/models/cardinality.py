@@ -41,7 +41,7 @@ import numpy as np
 from repro.db.database import Database
 from repro.errors import ModelError
 from repro.featurize.graph import CardinalitySource
-from repro.models.api import CostEstimator, register_estimator, resolve_plans
+from repro.models.api import CostEstimator, resolve_plans
 from repro.models.estimators import ZeroShotEstimator
 from repro.models.zero_shot import ZeroShotConfig, ZeroShotCostModel
 from repro.plans.plan import PhysicalPlan, walk_plan
@@ -77,7 +77,7 @@ def record_cardinalities(record: ExecutedQueryRecord) -> tuple[float, ...]:
 class ZeroShotCardinalityEstimator(ZeroShotEstimator):
     """The zero-shot *cardinality* head behind the unified contract.
 
-    Same transferable featurization and registry surface as the
+    Same transferable featurization and estimator surface as the
     ``zero-shot`` runtime estimator; the wrapped model carries the
     per-operator cardinality readout
     (``ZeroShotConfig(cardinality_head=True)``) and is trained
@@ -138,10 +138,6 @@ class ZeroShotCardinalityEstimator(ZeroShotEstimator):
             return []
         return self.predict_cardinalities_encoded(
             self.encode_plans(resolved, database))
-
-
-register_estimator(ZeroShotCardinalityEstimator.name,
-                   ZeroShotCardinalityEstimator, default=True)
 
 
 def as_estimator(model: "CostEstimator | ZeroShotCostModel",

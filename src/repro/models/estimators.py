@@ -4,7 +4,7 @@ One adapter per cost model, each owning the featurization that turns
 physical plans into the model's native sample type:
 
 ===========================  =============================================
-registry name                model / native samples
+name                         model / native samples
 ===========================  =============================================
 ``zero-shot``                :class:`~repro.models.zero_shot.ZeroShotCostModel`
                              over transferable :class:`PlanGraph` DAGs
@@ -42,7 +42,6 @@ from repro.models.api import (
     OUT_OF_VOCABULARY,
     CostEstimator,
     _database_map,
-    register_estimator,
     single_database,
 )
 from repro.models.e2e import E2EConfig, E2ECostModel
@@ -445,9 +444,3 @@ class ScaledOptimizerCostEstimator(CostEstimator):
         model.slope = float(payload["slope"])
         model.intercept = float(payload["intercept"])
         return cls(model=model)
-
-
-for _estimator_class in (ZeroShotEstimator, FlatVectorEstimator,
-                         MSCNEstimator, E2EEstimator,
-                         ScaledOptimizerCostEstimator):
-    register_estimator(_estimator_class.name, _estimator_class, default=True)

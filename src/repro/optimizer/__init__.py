@@ -19,41 +19,16 @@ inference, projection pruning — behind
 :mod:`repro.optimizer.rewrite`.
 """
 
-from repro.optimizer.cardinality import CardinalityEstimator
-from repro.optimizer.cost_model import CostModel, CostParameters
 from repro.optimizer.learned_cardinality import LearnedCardinalityEstimator
 from repro.optimizer.planner import Planner, PlannerOptions, plan_query
-from repro.optimizer.rewrite import (
-    RewritePlanner,
-    RewriteResult,
-    RewriteRule,
-    RewriteTrace,
-    RuleRegistry,
-    available_rewrite_rules,
-    register_rewrite_rule,
-    reset_rewrite_rules,
-    unregister_rewrite_rule,
-)
-from repro.optimizer.selectivity import estimate_predicate_selectivity
+from repro.optimizer.rewrite import RewritePlanner
 from repro.optimizer.whatif import WhatIfPlanner
 
 __all__ = [
-    "CardinalityEstimator",
-    "CostModel",
-    "CostParameters",
     "LearnedCardinalityEstimator",
     "Planner",
     "PlannerOptions",
     "RewritePlanner",
-    "RewriteResult",
-    "RewriteRule",
-    "RewriteTrace",
-    "RuleRegistry",
     "WhatIfPlanner",
-    "available_rewrite_rules",
-    "estimate_predicate_selectivity",
     "plan_query",
-    "register_rewrite_rule",
-    "reset_rewrite_rules",
-    "unregister_rewrite_rule",
 ]

@@ -54,10 +54,9 @@ class PlannerOptions:
     """Operator toggles (like Postgres' ``enable_*`` GUCs) and cost knobs.
 
     ``enable_rewrites`` turns on the logical rewrite phase
-    (:mod:`repro.optimizer.rewrite`) in front of the cost-based search;
-    ``disabled_rules`` names registered rules to skip (unknown names
-    raise eagerly at planner construction).  With rewrites off the
-    planner is bit-identical to the pre-rewrite pipeline.
+    (:mod:`repro.optimizer.rewrite`) in front of the cost-based search.
+    With rewrites off the planner is bit-identical to the pre-rewrite
+    pipeline.
     """
 
     enable_seqscan: bool = True
@@ -67,7 +66,6 @@ class PlannerOptions:
     enable_nestloop: bool = True
     use_hypothetical_indexes: bool = True
     enable_rewrites: bool = False
-    disabled_rules: tuple[str, ...] = ()
     cost_parameters: CostParameters = field(default_factory=CostParameters)
 
 
@@ -102,14 +100,7 @@ class Planner:
         #: ``None`` when rewrites are disabled.  The only thing a call
         #: leaves behind on the planner.
         self.last_rewrite_trace: RewriteTrace | None = None
-        # Constructed even when enable_rewrites is False so a typo'd
-        # disabled_rules entry fails eagerly, mirroring resolve_workers.
-        self._rewriter: RewritePlanner | None = None
-        if self.options.enable_rewrites or self.options.disabled_rules:
-            self._rewriter = RewritePlanner(
-                schema=database.schema,
-                disabled_rules=self.options.disabled_rules,
-            )
+        self._rewriter = RewritePlanner(schema=database.schema)
 
     def plan(self, query: Query) -> PhysicalPlan:
         """Produce the cheapest physical plan for ``query``.
@@ -124,7 +115,7 @@ class Planner:
 
         trace = None
         scan_columns: dict[str, tuple[str, ...]] = {}
-        if self.options.enable_rewrites and self._rewriter is not None:
+        if self.options.enable_rewrites:
             result = self._rewriter.rewrite(query)
             query = result.query
             trace = result.trace

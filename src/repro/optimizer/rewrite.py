@@ -6,8 +6,8 @@ intermediate carries the full tuple width.  This module adds a logical
 rewrite phase in front of the cost-based search, in the style of
 DBSim's rule objects: rules match an operand pattern over a small
 logical operator tree and return a transformed tree (or ``None`` when
-they do not apply), and a :class:`RewritePlanner` applies every
-registered rule until fixpoint, guarded by a hard firing cap.
+they do not apply), and a :class:`RewritePlanner` applies the rules of
+:data:`RULES`, in order, until fixpoint, guarded by a hard firing cap.
 
 Pieces
 ------
@@ -17,13 +17,10 @@ Pieces
   from a :class:`~repro.sql.ast.Query` by :func:`build_logical_plan`
   and lowered back to a flat query (plus per-scan projection lists) by
   :func:`lower_logical_plan`.
-* The :class:`RewriteRule` protocol and :class:`RuleRegistry`, plus the
-  module-level registry functions (:func:`register_rewrite_rule`,
-  :func:`available_rewrite_rules`, :func:`reset_rewrite_rules`) over
-  one :class:`~repro.util.Registry`: duplicate registration and
-  unknown names fail eagerly with the available-rule list.
-* Four built-in rules: predicate pushdown, filter merge, transitive
-  join-condition inference and projection pruning.
+* The :class:`RewriteRule` protocol.
+* Four rules: predicate pushdown, filter merge, transitive
+  join-condition inference and projection pruning, applied in the
+  order of the module-level :data:`RULES` tuple.
 * :class:`RewritePlanner`: fixpoint application with a hard cap and a
   per-query :class:`RewriteTrace` (which rules fired, in what order,
   node counts before/after).
@@ -46,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import reduce
-from typing import Iterator, Protocol, runtime_checkable
+from typing import Iterator, Protocol
 
 from repro.db.schema import Schema
 from repro.errors import PlannerError
@@ -59,7 +56,6 @@ from repro.sql.ast import (
     Query,
     join_column_classes,
 )
-from repro.util import Registry
 
 __all__ = [
     "LogicalNode",
@@ -72,7 +68,6 @@ __all__ = [
     "RuleFiring",
     "RewriteTrace",
     "RewriteResult",
-    "RuleRegistry",
     "RewritePlanner",
     "PredicatePushdownRule",
     "FilterMergeRule",
@@ -84,11 +79,6 @@ __all__ = [
     "count_logical_nodes",
     "logical_plan_repr",
     "merge_conjunction",
-    "register_rewrite_rule",
-    "unregister_rewrite_rule",
-    "available_rewrite_rules",
-    "reset_rewrite_rules",
-    "default_rule_registry",
 ]
 
 #: Hard cap on total rule firings per query.  Well-behaved rules reach
@@ -308,7 +298,7 @@ def lower_logical_plan(root: LogicalNode, original: Query
 
 
 # ----------------------------------------------------------------------
-# Rule protocol, trace, registry
+# Rule protocol and trace
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class RewriteContext:
@@ -318,7 +308,6 @@ class RewriteContext:
     schema: Schema | None = None
 
 
-@runtime_checkable
 class RewriteRule(Protocol):
     """A rewrite rule: match an operand pattern, return a transformed
     tree or ``None`` when the rule does not apply.
@@ -377,55 +366,6 @@ class RewriteResult:
     scan_columns: dict[str, tuple[str, ...]]
     trace: RewriteTrace
     logical_plan: LogicalNode
-
-
-class RuleRegistry(Registry):
-    """Ordered name -> rule table.
-
-    A :class:`~repro.util.Registry` keyed by ``rule.name``:
-    registration order is application order, unknown names raise with
-    the available-rule list, and — unlike the other registries —
-    re-registering a bound name is rejected unless ``replace=True``.
-    """
-
-    def __init__(self):
-        super().__init__(
-            "rewrite rule", PlannerError,
-            accepts=lambda rule: callable(getattr(rule, "apply", None)),
-            expects="an object with an apply() method")
-
-    def register(self, rule: RewriteRule, *, replace: bool = False
-                 ) -> RewriteRule | None:
-        """Register ``rule`` under ``rule.name``; returns the previous
-        binding (always ``None`` unless ``replace=True``)."""
-        name = getattr(rule, "name", None)
-        if not replace and name in self.available():
-            raise PlannerError(
-                f"rewrite rule {name!r} is already registered "
-                f"(available: {', '.join(self.available())}); "
-                "unregister it first or pass replace=True"
-            )
-        return super().register(name, rule)
-
-    def unregister(self, name: str) -> RewriteRule | None:
-        return super().register(name, None)
-
-    def rules(self, disabled: tuple[str, ...] = ()) -> tuple[RewriteRule, ...]:
-        """Enabled rules in application order.  Unknown names in
-        ``disabled`` raise eagerly with the available-rule list."""
-        self.validate_names(disabled)
-        return tuple(rule for name, rule in self.snapshot().items()
-                     if name not in disabled)
-
-    def validate_names(self, names) -> None:
-        for name in names:
-            self.get(name)
-
-    def copy(self) -> "RuleRegistry":
-        clone = RuleRegistry()
-        for rule in self.rules():
-            clone.register(rule)
-        return clone
 
 
 # ----------------------------------------------------------------------
@@ -682,59 +622,25 @@ class ProjectionPruningRule:
         return new_root if changed else None
 
 
-def _builtin_rules() -> tuple[RewriteRule, ...]:
-    # Pushdown before merge (merge compresses the pushed-down scan
-    # conjunctions), transitive closure on the full edge set, pruning
-    # last so it sees the final column demand.
-    return (
-        PredicatePushdownRule(),
-        FilterMergeRule(),
-        TransitiveJoinRule(),
-        ProjectionPruningRule(),
-    )
-
-
-_REGISTRY = RuleRegistry()
-
-
-def default_rule_registry() -> RuleRegistry:
-    """The module-level registry the planner uses by default."""
-    return _REGISTRY
-
-
-def register_rewrite_rule(rule: RewriteRule, *,
-                          replace: bool = False) -> RewriteRule | None:
-    """Register a rule globally; returns the previous binding."""
-    return _REGISTRY.register(rule, replace=replace)
-
-
-def unregister_rewrite_rule(name: str) -> RewriteRule | None:
-    """Remove a rule from the global registry; returns it (restorable)."""
-    return _REGISTRY.unregister(name)
-
-
-def available_rewrite_rules() -> tuple[str, ...]:
-    """Registered rule names in application order."""
-    return _REGISTRY.available()
-
-
-def reset_rewrite_rules() -> None:
-    """Restore the built-in rule set (drops custom registrations)."""
-    _REGISTRY.reset()
-    for rule in _builtin_rules():
-        _REGISTRY.register(rule)
-
-
-reset_rewrite_rules()
+#: Every rule of the rewrite phase, in application order: pushdown
+#: before merge (merge compresses the pushed-down scan conjunctions),
+#: transitive closure on the full edge set, pruning last so it sees the
+#: final column demand.
+RULES: tuple[RewriteRule, ...] = (
+    PredicatePushdownRule(),
+    FilterMergeRule(),
+    TransitiveJoinRule(),
+    ProjectionPruningRule(),
+)
 
 
 # ----------------------------------------------------------------------
 # The rewrite planner
 # ----------------------------------------------------------------------
 class RewritePlanner:
-    """Applies registered rules to fixpoint, DBSim-style.
+    """Applies :data:`RULES` to fixpoint, DBSim-style.
 
-    Rules run in registration order; each rule is re-applied until it
+    Rules run in tuple order; each rule is re-applied until it
     stops matching before the next rule runs, and full passes repeat
     until a pass fires nothing.  A hard cap
     (:data:`MAX_RULE_FIRINGS`) turns non-terminating rule sets into a
@@ -742,19 +648,8 @@ class RewritePlanner:
     attached as ``error.trace``.
     """
 
-    def __init__(self, schema: Schema | None = None,
-                 registry: RuleRegistry | None = None,
-                 disabled_rules: tuple[str, ...] = (),
-                 max_firings: int = MAX_RULE_FIRINGS):
-        if max_firings < 1:
-            raise PlannerError(f"max_firings must be >= 1, got {max_firings}")
+    def __init__(self, schema: Schema | None = None):
         self.schema = schema
-        self.registry = registry if registry is not None else _REGISTRY
-        self.disabled_rules = tuple(disabled_rules)
-        self.max_firings = max_firings
-        # Eager validation, mirroring resolve_workers: a typo'd rule
-        # name fails at construction, not on the first query.
-        self.registry.validate_names(self.disabled_rules)
 
     def rewrite(self, query: Query) -> RewriteResult:
         root = build_logical_plan(query)
@@ -774,23 +669,22 @@ class RewritePlanner:
                 f"{name}×{count}" for name, count in trace.firing_counts.items()
             )
             return PlannerError(
-                f"rewrite did not reach fixpoint within {self.max_firings} "
-                f"rule firings ({counts}); a registered rule keeps firing "
-                "on its own output",
+                f"rewrite did not reach fixpoint within {MAX_RULE_FIRINGS} "
+                f"rule firings ({counts}); a rule keeps firing on its own "
+                "output",
                 trace=trace,
             )
 
-        rules = self.registry.rules(disabled=self.disabled_rules)
         pass_fired = True
         while pass_fired:
             pass_fired = False
             iteration += 1
-            for rule in rules:
+            for rule in RULES:
                 while True:
                     result = rule.apply(root, context)
                     if result is None:
                         break
-                    if len(firings) >= self.max_firings:
+                    if len(firings) >= MAX_RULE_FIRINGS:
                         raise overflow_error()
                     firings.append(RuleFiring(
                         rule=rule.name,

@@ -9,38 +9,24 @@ the mapping to runtimes is a genuine estimation problem.
 Historically there was **one** system (one parameterization) shared by
 all databases — the paper's premise that system behaviour transfers
 across databases while data characteristics vary.  The hardware-transfer
-axis generalizes that: the simulated machine is a named, registrable
-configuration (:func:`register_system_config`), fleet specs can place
+axis generalizes that: the simulated machine is one of six named
+configurations (:func:`get_system_config`), fleet specs can place
 every training database on a different machine, and the graph encoding
 can optionally expose the machine's coefficients as transferable
 features so one model predicts runtimes on hardware it never trained on
 (the paper's Section 4.3).
 """
 
-from repro.runtime.simulator import (
-    QueryRuntime,
-    RuntimeSimulator,
-    register_cost_model,
-)
+from repro.runtime.simulator import RuntimeSimulator
 from repro.runtime.system import (
     SystemParameters,
     available_system_configs,
     get_system_config,
-    load_system_config,
-    register_system_config,
-    reset_system_configs,
-    save_system_config,
 )
 
 __all__ = [
-    "QueryRuntime",
     "RuntimeSimulator",
     "SystemParameters",
     "available_system_configs",
     "get_system_config",
-    "load_system_config",
-    "register_cost_model",
-    "register_system_config",
-    "reset_system_configs",
-    "save_system_config",
 ]

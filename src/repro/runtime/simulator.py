@@ -17,16 +17,15 @@ actually runs (see :mod:`repro.engine.join_kernels`): hash joins pay a
 per-probe bucket lookup that degrades with build-side size (CPU-cache
 thrashing), merge joins pay one linear pass over their pre-sorted
 inputs, nested loops pay the full blockwise comparison matrix.  The
-models are dispatched through an operator→model
-:class:`~repro.util.Registry`; :func:`register_cost_model` extends it
-for custom operators.
+models are looked up in one ``{operator class: model}`` dict
+(``RuntimeSimulator._MODELS``, indexed by ``type(node)``), the mirror
+of the executor's ``Executor._HANDLERS``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -46,9 +45,8 @@ from repro.plans.operators import (
 )
 from repro.plans.plan import PhysicalPlan, walk_plan
 from repro.runtime.system import SystemParameters
-from repro.util import Registry
 
-__all__ = ["QueryRuntime", "RuntimeSimulator", "register_cost_model"]
+__all__ = ["QueryRuntime", "RuntimeSimulator"]
 
 
 @dataclass
@@ -77,14 +75,10 @@ class QueryRuntime:
 class RuntimeSimulator:
     """Simulates runtimes of executed plans on one database + system.
 
-    Per-operator models live in the class-level ``_MODELS`` dispatch
-    table (operator class → bound model), the cost-side mirror of the
-    executor's operator→kernel registry; extend it with
-    :func:`register_cost_model`.
+    Per-operator models live in the class-level ``_MODELS`` dict
+    (operator class → model, indexed by the node's exact class), the
+    cost-side mirror of the executor's ``_HANDLERS``.
     """
-
-    #: operator class → cost model; populated after the class body.
-    _MODELS: Registry
 
     def __init__(self, database: Database,
                  system: SystemParameters | None = None,
@@ -125,7 +119,7 @@ class RuntimeSimulator:
     # Dispatch
     # ------------------------------------------------------------------
     def _node_seconds(self, node: PlanNode) -> float:
-        return self._MODELS.get(type(node))(self, node)
+        return self._MODELS[type(node)](self, node)
 
     # ------------------------------------------------------------------
     # Resource accounting (§4.3: predict resource consumption too)
@@ -318,32 +312,15 @@ class RuntimeSimulator:
     def _plain_aggregate_model(self, node: PlainAggregate) -> float:
         return self._aggregate(node, grouped=False)
 
-
-RuntimeSimulator._MODELS = Registry(
-    "cost model", ExecutionError, key_base=PlanNode, defaults={
-        SeqScan: RuntimeSimulator._seq_scan,
-        IndexScan: RuntimeSimulator._index_scan,
-        HashBuild: RuntimeSimulator._hash_build,
-        HashJoin: RuntimeSimulator._hash_join,
-        MergeJoin: RuntimeSimulator._merge_join,
-        NestedLoopJoin: RuntimeSimulator._nested_loop,
-        Sort: RuntimeSimulator._sort,
-        HashAggregate: RuntimeSimulator._hash_aggregate_model,
-        PlainAggregate: RuntimeSimulator._plain_aggregate_model,
-    })
-
-
-def register_cost_model(
-    op_class: type[PlanNode],
-    model: Callable[[RuntimeSimulator, PlanNode], float] | None,
-) -> Callable[[RuntimeSimulator, PlanNode], float] | None:
-    """Register a runtime model for a (possibly new) operator class.
-
-    The model receives ``(simulator, node)`` and returns seconds.  Pair
-    it with :func:`repro.engine.register_operator_handler` (and, for
-    joins, :func:`repro.engine.register_join_kernel`) when adding a new
-    physical operator end to end.  Returns the previous model so
-    overrides can be restored by passing it back — ``model=None``
-    removes the class's own entry.
-    """
-    return RuntimeSimulator._MODELS.register(op_class, model)
+    #: operator class → cost model, looked up by ``type(node)``.
+    _MODELS = {
+        SeqScan: _seq_scan,
+        IndexScan: _index_scan,
+        HashBuild: _hash_build,
+        HashJoin: _hash_join,
+        MergeJoin: _merge_join,
+        NestedLoopJoin: _nested_loop,
+        Sort: _sort,
+        HashAggregate: _hash_aggregate_model,
+        PlainAggregate: _plain_aggregate_model,
+    }

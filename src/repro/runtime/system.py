@@ -9,33 +9,26 @@ coefficients as *transferable* features so one model can learn across
 machines (the paper's Section 4.3 idea of predicting runtimes on
 unseen hardware).
 
-Machines are named: the module keeps a **system-configuration
-registry** (a :class:`~repro.util.Registry`) so fleet specs, experiment drivers and the hardware what-if
-advisor can refer to configurations by name — ``"default"``,
-``"faster-cpu"``, ``"slow-disk"``, … — and user code can register its
-own.  Configurations serialize to plain JSON dicts
-(:meth:`SystemParameters.to_dict` / :meth:`SystemParameters.from_dict`,
-:func:`save_system_config` / :func:`load_system_config`), so a machine
-description can travel with a saved model or experiment manifest.
+Machines are named: one ``{name: SystemParameters}`` dict lets fleet
+specs, experiment drivers and the hardware what-if advisor refer to the
+six configurations by name — ``"default"``, ``"faster-cpu"``,
+``"slow-disk"``, … (:func:`get_system_config`,
+:func:`available_system_configs`).  Configurations convert to plain
+JSON-able dicts (:meth:`SystemParameters.to_dict` /
+:meth:`SystemParameters.from_dict`), so a machine description can
+travel with a saved model or experiment manifest.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import asdict, dataclass, fields
 
 from repro.errors import ExecutionError
-from repro.util import Registry
 
 __all__ = [
     "SystemParameters",
     "available_system_configs",
     "get_system_config",
-    "load_system_config",
-    "register_system_config",
-    "reset_system_configs",
-    "save_system_config",
 ]
 
 
@@ -120,7 +113,7 @@ class SystemParameters:
         return cls(**{key: float(value) for key, value in payload.items()})
 
     # ------------------------------------------------------------------
-    # Canonical alternative machines (also in the registry, below).
+    # Canonical alternative machines (also named in _CONFIGS, below).
     # ------------------------------------------------------------------
     @classmethod
     def faster_cpu(cls) -> "SystemParameters":
@@ -164,70 +157,28 @@ class SystemParameters:
         )
 
 
-# ----------------------------------------------------------------------
-# The system-configuration registry (a repro.util.Registry, like the
-# kernel / estimator / rewrite-rule registries).
-# ----------------------------------------------------------------------
-_CONFIGS = Registry(
-    "system config", ExecutionError,
-    accepts=lambda system: isinstance(system, SystemParameters),
-    expects="a SystemParameters instance",
-    defaults={
-        "default": SystemParameters(),
-        "faster-cpu": SystemParameters.faster_cpu(),
-        "slow-disk": SystemParameters.slow_disk(),
-        "fast-disk": SystemParameters.fast_disk(),
-        "big-memory": SystemParameters.big_memory(),
-        "mid-range": SystemParameters.mid_range(),
-    })
-
-
-def register_system_config(name: str, system: SystemParameters | None,
-                           default: bool = False
-                           ) -> SystemParameters | None:
-    """(Un)register a named machine; returns the previous binding.
-
-    ``system=None`` removes the binding.  ``default=True`` additionally
-    records it in the built-in set restored by
-    :func:`reset_system_configs`.
-    """
-    return _CONFIGS.register(name, system, default)
+#: Machine name → configuration: the names fleet specs, experiment
+#: drivers and the hardware advisor accept.
+_CONFIGS = {
+    "default": SystemParameters(),
+    "faster-cpu": SystemParameters.faster_cpu(),
+    "slow-disk": SystemParameters.slow_disk(),
+    "fast-disk": SystemParameters.fast_disk(),
+    "big-memory": SystemParameters.big_memory(),
+    "mid-range": SystemParameters.mid_range(),
+}
 
 
 def get_system_config(name: str) -> SystemParameters:
     """Look up a machine by name (fleet specs accept these names)."""
-    return _CONFIGS.get(name)
+    system = _CONFIGS.get(name)
+    if system is None:
+        raise ExecutionError(
+            f"unknown system config {name!r}; available: "
+            f"{', '.join(available_system_configs())}")
+    return system
 
 
 def available_system_configs() -> tuple[str, ...]:
-    """Names of all registered machine configurations, sorted."""
-    return tuple(sorted(_CONFIGS.available()))
-
-
-def reset_system_configs() -> None:
-    """Restore the built-in registry (for tests that register customs)."""
-    _CONFIGS.reset()
-
-
-def save_system_config(system: SystemParameters,
-                       path: str | os.PathLike) -> None:
-    """Write one machine configuration to a JSON file."""
-    with open(path, "w") as handle:
-        json.dump(system.to_dict(), handle, indent=2, sort_keys=True)
-
-
-def load_system_config(path: str | os.PathLike) -> SystemParameters:
-    """Read a machine configuration written by :func:`save_system_config`."""
-    try:
-        with open(path) as handle:
-            payload = json.load(handle)
-    except (OSError, json.JSONDecodeError) as error:
-        raise ExecutionError(
-            f"{os.fspath(path)!r} is not a saved system config: {error}"
-        ) from None
-    if not isinstance(payload, dict):
-        raise ExecutionError(
-            f"{os.fspath(path)!r} does not contain a system config dict"
-        )
-    return SystemParameters.from_dict(payload)
-
+    """Names of all machine configurations, sorted."""
+    return tuple(sorted(_CONFIGS))

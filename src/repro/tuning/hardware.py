@@ -9,8 +9,8 @@ candidate machine is one featurization away — no re-training, no
 benchmark runs on hardware nobody has bought yet.
 
 :class:`HardwareAdvisor` plans the workload once, then prices the same
-plans under every candidate machine (by default, every configuration in
-the :func:`~repro.runtime.register_system_config` registry) and ranks
+plans under every candidate machine (by default, every named
+configuration of :func:`~repro.runtime.available_system_configs`) and ranks
 them against the baseline machine.
 """
 
@@ -35,9 +35,9 @@ from repro.sql.ast import Query
 
 __all__ = ["HardwareAdvisor", "HardwareOption", "HardwareRecommendation"]
 
-#: How candidate machines are named: registry names, explicit
+#: How candidate machines are named: config names, explicit
 #: :class:`~repro.runtime.SystemParameters`, or a ``{label -> machine}``
-#: map.  ``None`` means every registered configuration.
+#: map.  ``None`` means every named configuration.
 HardwareCandidates = Union[
     Sequence[Union[str, SystemParameters]],
     Mapping[str, Union[str, SystemParameters]],
@@ -125,7 +125,7 @@ class HardwareAdvisor:
         if not isinstance(machine, SystemParameters):
             raise ModelError(
                 f"candidate {label!r} must be SystemParameters or a "
-                f"registered config name, got {machine!r}"
+                f"system config name, got {machine!r}"
             )
         return label, machine
 

@@ -56,7 +56,7 @@ __all__ = [
 ]
 
 #: How fleet specs name the machine(s) their shards run on: one
-#: :class:`~repro.runtime.SystemParameters` (or registry name) for the
+#: :class:`~repro.runtime.SystemParameters` (or config name) for the
 #: whole fleet, a sequence assigned round-robin across shards, or an
 #: explicit ``{database name -> machine}`` map.  ``None`` means the
 #: stock machine everywhere (the historical single-server fleet).
@@ -139,7 +139,7 @@ def _as_system(value: "SystemParameters | str") -> SystemParameters:
     if not isinstance(value, SystemParameters):
         raise ExperimentError(
             f"system assignment entries must be SystemParameters or a "
-            f"registered config name, got {value!r}"
+            f"system config name, got {value!r}"
         )
     return value
 
@@ -150,7 +150,7 @@ def resolve_system_assignment(specs: Sequence[SyntheticDatabaseSpec],
     """One machine per database spec, resolved eagerly.
 
     ``system`` may be a single :class:`~repro.runtime.SystemParameters`
-    (or registered config name) applied fleet-wide, a sequence of
+    (or system config name) applied fleet-wide, a sequence of
     machines assigned **round-robin** across the specs, or an explicit
     ``{database name -> machine}`` map (unknown names are rejected;
     unmapped databases get the stock machine).  Names resolve through

@@ -12,16 +12,14 @@ keeps (e.g. ``x = 1 AND x = 2``).
 import numpy as np
 import pytest
 
-from repro.engine import (
+from repro.engine import Executor, execute_plan
+from repro.engine.compiled_filters import (
     CompiledFilter,
     CompiledFilterCache,
-    Executor,
     compile_filter,
     compile_predicate,
-    conjunction_mask,
-    execute_plan,
-    predicate_mask,
 )
+from repro.engine.expressions import conjunction_mask, predicate_mask
 from repro.errors import ExecutionError
 from repro.plans import (
     HashBuild,

@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.db.table_data import TableData
-from repro.engine import Executor, execute_plan, predicate_mask
+from repro.engine import Executor, execute_plan
 from repro.engine.executor import _group_rows
+from repro.engine.expressions import predicate_mask
 from repro.errors import ExecutionError, PlanError
 from repro.optimizer.planner import Planner
 from repro.plans import (

@@ -1,23 +1,18 @@
 """Join kernels: row-identical parity with the sort-based reference,
-the operator→kernel registry, and build-side caching."""
+each join operator running its own kernel, and build-side caching."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import (
-    BuildSideCache,
-    Executor,
+import repro.engine.executor
+from repro.engine import BuildSideCache, Executor, execute_plan
+from repro.engine.join_kernels import (
     JoinHashTable,
     block_nested_loop_match,
-    execute_plan,
     hash_join_match,
-    join_kernel_for,
     merge_join_match,
-    register_join_kernel,
-    registered_join_kernels,
-    reset_join_kernels,
     sort_merge_match,
 )
 from repro.errors import ExecutionError
@@ -308,66 +303,29 @@ class TestProbeWork:
         assert 0 < sum(repeated) <= 2 * matches
 
 
-class TestRegistry:
-    def test_defaults(self):
-        assert join_kernel_for(HashJoin) is hash_join_match
-        assert join_kernel_for(MergeJoin) is merge_join_match
-        assert join_kernel_for(NestedLoopJoin) is block_nested_loop_match
+#: join operator → the kernel name its executor handler calls.
+JOIN_KERNELS = {HashJoin: "hash_join_match", MergeJoin: "merge_join_match",
+                NestedLoopJoin: "block_nested_loop_match"}
 
-    def test_subclass_inherits_parent_kernel(self):
-        class FancyHashJoin(HashJoin):
-            pass
 
-        assert join_kernel_for(FancyHashJoin) is hash_join_match
-
-    def test_register_and_restore(self):
+class TestKernelDispatch:
+    @pytest.mark.parametrize("join_class", JOIN_KERNELS,
+                             ids=lambda cls: cls.__name__)
+    def test_each_join_runs_its_own_kernel(self, two_table_db, join_class,
+                                           monkeypatch):
+        """A spy swapped in under the kernel's name sees exactly one
+        call, with both key columns, and its pairs are the result."""
         calls = []
 
         def spy_kernel(left, right):
-            calls.append(len(left))
+            calls.append(sorted((len(left), len(right))))
             return sort_merge_match(left, right)
 
-        previous = register_join_kernel(MergeJoin, spy_kernel)
-        try:
-            assert previous is merge_join_match
-            assert join_kernel_for(MergeJoin) is spy_kernel
-        finally:
-            register_join_kernel(MergeJoin, previous)
-        assert join_kernel_for(MergeJoin) is merge_join_match
-
-    def test_executor_uses_registered_kernel(self, two_table_db):
-        calls = []
-
-        def spy_kernel(left, right):
-            calls.append((len(left), len(right)))
-            return sort_merge_match(left, right)
-
-        previous = register_join_kernel(NestedLoopJoin, spy_kernel)
-        try:
-            plan, join = _join_plan(two_table_db, NestedLoopJoin)
-            result = execute_plan(two_table_db, plan)
-            assert result.scalar() == 500
-            assert calls == [(100, 500)] or calls == [(500, 100)]
-        finally:
-            register_join_kernel(NestedLoopJoin, previous)
-
-    def test_new_operator_registration_restorable(self):
-        """Passing back a None previous must remove the entry again."""
-        class BrandNewJoin(HashJoin):
-            pass
-
-        previous = register_join_kernel(BrandNewJoin, sort_merge_match)
-        assert previous is None
-        assert join_kernel_for(BrandNewJoin) is sort_merge_match
-        register_join_kernel(BrandNewJoin, previous)   # restore: remove
-        assert join_kernel_for(BrandNewJoin) is hash_join_match  # inherited
-
-    def test_snapshot_and_reset(self):
-        snapshot = registered_join_kernels()
-        assert snapshot[HashJoin] is hash_join_match
-        register_join_kernel(HashJoin, sort_merge_match)
-        reset_join_kernels()
-        assert join_kernel_for(HashJoin) is hash_join_match
+        monkeypatch.setattr(repro.engine.executor, JOIN_KERNELS[join_class],
+                            spy_kernel)
+        plan, _ = _join_plan(two_table_db, join_class)
+        assert execute_plan(two_table_db, plan).scalar() == 500
+        assert calls == [[100, 500]]
 
 
 def _join_plan(db, join_class):

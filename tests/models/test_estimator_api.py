@@ -1,6 +1,6 @@
 """Conformance suite for the unified ``CostEstimator`` contract.
 
-Every registered estimator must satisfy the same surface: uniform
+Every estimator in ``repro.models.ESTIMATORS`` must satisfy the same surface: uniform
 ``ModelError`` before fit, plan/SQL/query prediction, per-plan ==
 batched (batch-size-invariant inference), save/load round-trips, and —
 for the workload-driven models — the out-of-vocabulary fallback.
@@ -14,15 +14,14 @@ import pytest
 from repro.errors import ModelError
 from repro.featurize import CardinalitySource
 from repro.models import (
+    ESTIMATORS,
     CostEstimator,
     TrainerConfig,
     ZeroShotEstimator,
-    available_estimators,
     get_estimator,
     load_estimator,
-    register_estimator,
+    peek_manifest,
 )
-from repro.models.api import reset_estimators
 from repro.sql import parse_query
 from repro.workload import WorkloadRunner, make_benchmark_workload
 
@@ -63,33 +62,23 @@ def fitted(tiny_imdb, executed):
             for name in ALL_NAMES}
 
 
-class TestRegistry:
-    def test_builtins_registered(self):
-        names = available_estimators()
-        for name in ALL_NAMES:
-            assert name in names
+class TestNames:
+    def test_every_estimator_is_named(self):
+        assert sorted(ESTIMATORS) == sorted(ALL_NAMES)
+        for name, estimator in ESTIMATORS.items():
+            assert estimator.name == name
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ModelError, match="unknown estimator"):
+        with pytest.raises(ModelError, match="unknown estimator") as excinfo:
             get_estimator("no-such-model")
-
-    def test_register_and_reset(self):
-        class Custom(ZeroShotEstimator):
-            name = "custom-test-estimator"
-
-        previous = register_estimator("custom-test-estimator", Custom)
-        assert previous is None
-        try:
-            assert isinstance(get_estimator("custom-test-estimator"), Custom)
-        finally:
-            reset_estimators()
-        assert "custom-test-estimator" not in available_estimators()
+        for name in ESTIMATORS:
+            assert name in str(excinfo.value)
 
 
 class TestContract:
-    # Parametrized over the *live* registry: any estimator registered in
-    # the future is automatically held to the same contract.
-    @pytest.mark.parametrize("name", available_estimators())
+    # Parametrized over the table itself: an estimator added to it is
+    # automatically held to the same contract.
+    @pytest.mark.parametrize("name", sorted(ESTIMATORS))
     def test_unfitted_predict_raises_uniform_model_error(self, name,
                                                          tiny_imdb,
                                                          executed):
@@ -195,30 +184,52 @@ class TestContract:
                                                  tmp_path):
         """The serving tier's pre-swap hook: the manifest identifies the
         saved estimator without touching any weights."""
-        from repro.models import peek_manifest
-
         directory = tmp_path / name
         fitted[name].save(directory)
         payload = peek_manifest(directory)
         assert payload["name"] == name
 
-    def test_peek_manifest_rejects_garbage_and_unloadable(self, fitted,
-                                                          tmp_path):
-        from repro.models import peek_manifest, register_estimator
-
+    def test_peek_manifest_rejects_garbage_and_unloadable(
+            self, fitted, tmp_path, monkeypatch):
         with pytest.raises(ModelError, match="saved estimator"):
             peek_manifest(tmp_path)  # no manifest at all
-        # A manifest naming an estimator with no registered loader is
+        # A manifest naming an estimator no class is known for is
         # rejected before load_estimator would fail on it.
         name = ALL_NAMES[0]
         directory = tmp_path / "orphan"
         fitted[name].save(directory)
-        previous = register_estimator(name, None)
-        try:
-            with pytest.raises(ModelError, match="no registered"):
-                peek_manifest(directory)
-        finally:
-            register_estimator(name, previous)
+        monkeypatch.delitem(ESTIMATORS, name)
+        with pytest.raises(ModelError, match="no estimator class"):
+            peek_manifest(directory)
+
+    @pytest.mark.parametrize("payload", [{}, {"name": None}, {"name": 3},
+                                         {"name": ["zero-shot"]}],
+                             ids=["missing", "null", "number", "list"])
+    def test_a_manifest_naming_no_estimator_is_refused(self, payload,
+                                                       tmp_path):
+        (tmp_path / "estimator.json").write_text(json.dumps(payload))
+        for read in (peek_manifest, load_estimator):
+            with pytest.raises(ModelError, match="no estimator class"):
+                read(tmp_path)
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_class_load_refuses_another_estimators_directory(
+            self, name, fitted, tiny_imdb, tmp_path):
+        other = ALL_NAMES[(ALL_NAMES.index(name) + 1) % len(ALL_NAMES)]
+        fitted[other].save(tmp_path)
+        with pytest.raises(ModelError, match=f"expected '{name}'"):
+            ESTIMATORS[name].load(tmp_path, tiny_imdb)
+
+    @pytest.mark.parametrize("text", ['{"name": "zero-sh', '["zero-shot"]'],
+                             ids=["truncated", "not-an-object"])
+    def test_corrupt_manifest_raises_model_error_naming_the_path(
+            self, text, tmp_path):
+        manifest = tmp_path / "estimator.json"
+        manifest.write_text(text)
+        for read in (peek_manifest, load_estimator):
+            with pytest.raises(ModelError) as excinfo:
+                read(tmp_path)
+            assert str(manifest) in str(excinfo.value)
 
 
 class TestWorkloadDrivenSpecifics:
@@ -268,7 +279,7 @@ class TestWorkloadDrivenSpecifics:
 class TestCardinalityHead:
     """Cardinality-specific surface of the ``zero-shot-cardinality``
     estimator — the generic contract above already covers it via
-    ``ALL_NAMES``/``available_estimators()``."""
+    ``ALL_NAMES``/``ESTIMATORS``."""
 
     def test_unfitted_cardinality_predict_raises_uniform_model_error(
             self, tiny_imdb, executed):

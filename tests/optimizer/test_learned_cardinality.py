@@ -6,12 +6,8 @@ import pytest
 from repro.db import SyntheticDatabaseSpec, generate_database
 from repro.errors import ModelError, OptimizerError
 from repro.models import TrainerConfig, ZeroShotConfig, get_estimator
-from repro.optimizer import (
-    CardinalityEstimator,
-    LearnedCardinalityEstimator,
-    Planner,
-    plan_query,
-)
+from repro.optimizer import LearnedCardinalityEstimator, Planner
+from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.learned_planner import ZeroShotPlanSelector, candidate_plans
 from repro.workload import WorkloadRunner, WorkloadSpec, generate_workload
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ModelError, PlannerError
+from repro.errors import ModelError
 from repro.featurize import CardinalitySource
 from repro.models import TrainerConfig, ZeroShotConfig, ZeroShotCostModel
 from repro.optimizer.learned_planner import (
@@ -46,11 +46,6 @@ class TestCandidateGeneration:
                                 PlannerOptions(enable_rewrites=True))
         assert len(plans) >= 2
         assert all("rewrite_trace" in plan.metadata for plan in plans)
-
-    def test_unknown_disabled_rule_rejected(self, tiny_imdb):
-        with pytest.raises(PlannerError, match="unknown rewrite rule 'nope'"):
-            candidate_plans(tiny_imdb, parse_query(JOIN_QUERY),
-                            PlannerOptions(disabled_rules=("nope",)))
 
 
 class TestSelector:

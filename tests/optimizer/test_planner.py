@@ -7,8 +7,8 @@ import pytest
 
 from repro.engine import execute_plan
 from repro.errors import OptimizerError, PlanError, QueryError
-from repro.optimizer import CardinalityEstimator, plan_query, selectivity
-from repro.optimizer.cardinality import BoundCardinalities
+from repro.optimizer import plan_query, selectivity
+from repro.optimizer.cardinality import BoundCardinalities, CardinalityEstimator
 from repro.optimizer.join_order import connected_subsets, enumerate_join_orders
 from repro.optimizer.learned_planner import candidate_plans
 from repro.optimizer.planner import Planner, PlannerOptions

@@ -1,37 +1,35 @@
-"""Unit, fixpoint/termination and registry tests for the rewrite phase.
+"""Unit and fixpoint/termination tests for the rewrite phase.
 
-Covers the satellite contracts of the rewrite PR:
+Covers the contracts of the rewrite phase:
 
-* rule conformance: every registered rule stops firing on its own
+* rule conformance: every rule of ``RULES`` stops firing on its own
   output (match → transform → no-refire),
 * the adversarial always-fires stub trips the firing cap and raises
   :class:`PlannerError` with the partial :class:`RewriteTrace` attached,
-* eager validation: unknown names in ``disabled_rules`` and duplicate
-  registration fail immediately with the available-rule list,
 * the individual rules' semantics (pushdown partitioning, exact filter
   merging, transitive closure, projection pruning).
+
+A test that runs a subset of the rules, or an extra one, monkeypatches
+``repro.optimizer.rewrite.RULES`` (and ``MAX_RULE_FIRINGS``).
 """
 
 import pytest
 
+import repro.optimizer.rewrite
 from repro.errors import PlannerError
 from repro.optimizer import Planner, PlannerOptions
 from repro.optimizer.rewrite import (
+    RULES,
     FilterMergeRule,
     LogicalFilter,
     LogicalScan,
+    PredicatePushdownRule,
     RewriteContext,
     RewritePlanner,
-    RuleRegistry,
-    available_rewrite_rules,
     build_logical_plan,
     count_logical_nodes,
-    default_rule_registry,
     find_logical_nodes,
     merge_conjunction,
-    register_rewrite_rule,
-    reset_rewrite_rules,
-    unregister_rewrite_rule,
     walk_logical,
 )
 from repro.sql.ast import (
@@ -91,15 +89,19 @@ SAMPLE_QUERIES = [
 ]
 
 
+#: Rule name → rule, for the rules of the rewrite phase.
+RULES_BY_NAME = {rule.name: rule for rule in RULES}
+
+
 # ----------------------------------------------------------------------
 # Rule conformance: no rule refires on its own output
 # ----------------------------------------------------------------------
 class TestRuleConformance:
-    @pytest.mark.parametrize("rule_name", available_rewrite_rules())
+    @pytest.mark.parametrize("rule_name", RULES_BY_NAME)
     @pytest.mark.parametrize("query_index", range(len(SAMPLE_QUERIES)))
     def test_rule_reaches_own_fixpoint(self, rule_name, query_index):
         query = SAMPLE_QUERIES[query_index]
-        rule = default_rule_registry().get(rule_name)
+        rule = RULES_BY_NAME[rule_name]
         context = RewriteContext(query=query)
         root = build_logical_plan(query)
         for _ in range(32):
@@ -111,17 +113,17 @@ class TestRuleConformance:
             root = result
         pytest.fail(f"{rule_name} did not stop firing on its own output")
 
-    @pytest.mark.parametrize("rule_name", available_rewrite_rules())
+    @pytest.mark.parametrize("rule_name", RULES_BY_NAME)
     def test_rules_fire_somewhere(self, rule_name):
-        """Every built-in rule matches at least one sample query."""
-        rule = default_rule_registry().get(rule_name)
+        """Every rule matches at least one sample query."""
+        rule = RULES_BY_NAME[rule_name]
         fired = False
         for query in SAMPLE_QUERIES:
             root = build_logical_plan(query)
             context = RewriteContext(query=query)
             # Pushdown first: merge and pruning act on pushed trees too.
             if rule_name != "predicate-pushdown":
-                pre = default_rule_registry().get("predicate-pushdown")
+                pre = RULES_BY_NAME["predicate-pushdown"]
                 while (moved := pre.apply(root, context)) is not None:
                     root = moved
             if rule.apply(root, context) is not None:
@@ -142,15 +144,28 @@ class _AlwaysFires:
         return LogicalFilter(predicates=(), children=(root,))
 
 
+class _FiresNTimes(_AlwaysFires):
+    """Wraps the tree in an empty filter, ``fires`` times in all."""
+
+    name = "fires-n-times"
+
+    def __init__(self, fires):
+        self.fires = fires
+
+    def apply(self, root, context):
+        if self.fires == 0:
+            return None
+        self.fires -= 1
+        return super().apply(root, context)
+
+
 class TestTermination:
-    def test_iteration_cap_raises_with_trace(self):
-        register_rewrite_rule(_AlwaysFires())
-        try:
-            planner = RewritePlanner(max_firings=12)
-            with pytest.raises(PlannerError) as excinfo:
-                planner.rewrite(SAMPLE_QUERIES[0])
-        finally:
-            reset_rewrite_rules()
+    def test_iteration_cap_raises_with_trace(self, monkeypatch):
+        monkeypatch.setattr(repro.optimizer.rewrite, "RULES",
+                            RULES + (_AlwaysFires(),))
+        monkeypatch.setattr(repro.optimizer.rewrite, "MAX_RULE_FIRINGS", 12)
+        with pytest.raises(PlannerError) as excinfo:
+            RewritePlanner().rewrite(SAMPLE_QUERIES[0])
         error = excinfo.value
         assert "always-fires" in str(error)
         trace = error.trace
@@ -162,6 +177,38 @@ class TestTermination:
         growth = [f for f in trace.firings if f.rule == "always-fires"]
         assert all(f.nodes_after == f.nodes_before + 1 for f in growth)
 
+    @pytest.mark.parametrize("fires, raises", [(5, False), (6, True)],
+                             ids=["at-the-cap", "one-over-the-cap"])
+    def test_the_cap_admits_exactly_max_rule_firings(self, fires, raises,
+                                                     monkeypatch):
+        monkeypatch.setattr(repro.optimizer.rewrite, "RULES",
+                            (_FiresNTimes(fires),))
+        monkeypatch.setattr(repro.optimizer.rewrite, "MAX_RULE_FIRINGS", 5)
+        if raises:
+            with pytest.raises(PlannerError) as excinfo:
+                RewritePlanner().rewrite(SAMPLE_QUERIES[2])
+            trace = excinfo.value.trace
+            assert trace.truncated
+        else:
+            trace = RewritePlanner().rewrite(SAMPLE_QUERIES[2]).trace
+            assert not trace.truncated
+        assert trace.firing_counts == {"fires-n-times": 5}
+
+    def test_rules_run_in_tuple_order_within_a_pass(self):
+        names = tuple(rule.name for rule in RULES)
+        # Pushdown before merge, pruning last (see ``RULES``).
+        assert names == ("predicate-pushdown", "filter-merge",
+                         "transitive-joins", "projection-pruning")
+        for query in SAMPLE_QUERIES:
+            trace = RewritePlanner().rewrite(query).trace
+            first_pass = [names.index(firing.rule)
+                          for firing in trace.firings if firing.iteration == 1]
+            assert first_pass == sorted(first_pass)
+
+    def test_rule_names_are_distinct(self):
+        """Traces count firings by rule name."""
+        assert len({rule.name for rule in RULES}) == len(RULES)
+
     def test_builtin_rules_converge_quickly(self):
         planner = RewritePlanner()
         for query in SAMPLE_QUERIES:
@@ -169,90 +216,10 @@ class TestTermination:
             assert not result.trace.truncated
             assert len(result.trace.firings) < 16
 
-    def test_zero_max_firings_rejected(self):
-        with pytest.raises(PlannerError, match="max_firings"):
-            RewritePlanner(max_firings=0)
-
-
-# ----------------------------------------------------------------------
-# Registry + eager validation
-# ----------------------------------------------------------------------
-class TestRegistry:
-    def test_duplicate_registration_rejected_with_available_list(self):
-        registry = RuleRegistry()
-        registry.register(_AlwaysFires())
-        with pytest.raises(PlannerError) as excinfo:
-            registry.register(_AlwaysFires())
-        assert "already registered" in str(excinfo.value)
-        assert "always-fires" in str(excinfo.value)
-
-    def test_replace_returns_previous_binding(self):
-        registry = RuleRegistry()
-        first = _AlwaysFires()
-        registry.register(first)
-        assert registry.register(_AlwaysFires(), replace=True) is first
-
-    def test_unknown_rule_name_lists_available(self):
-        with pytest.raises(PlannerError) as excinfo:
-            default_rule_registry().get("no-such-rule")
-        message = str(excinfo.value)
-        for name in available_rewrite_rules():
-            assert name in message
-
-    def test_rule_without_name_rejected(self):
-        class Nameless:
-            def apply(self, root, context):
-                return None
-
-        with pytest.raises(PlannerError, match="name"):
-            RuleRegistry().register(Nameless())
-
-    def test_global_register_unregister_roundtrip(self):
-        stub = _AlwaysFires()
-        assert register_rewrite_rule(stub) is None
-        try:
-            assert "always-fires" in available_rewrite_rules()
-        finally:
-            assert unregister_rewrite_rule("always-fires") is stub
-        assert "always-fires" not in available_rewrite_rules()
-
-    def test_reset_restores_builtins(self):
-        register_rewrite_rule(_AlwaysFires())
-        unregister_rewrite_rule("predicate-pushdown")
-        reset_rewrite_rules()
-        assert available_rewrite_rules() == (
-            "predicate-pushdown", "filter-merge",
-            "transitive-joins", "projection-pruning",
-        )
-
-
-class TestEagerValidation:
-    def test_unknown_disabled_rule_raises_at_rewriter_construction(self):
-        with pytest.raises(PlannerError) as excinfo:
-            RewritePlanner(disabled_rules=("predicate-pushdwon",))
-        message = str(excinfo.value)
-        assert "predicate-pushdwon" in message
-        for name in available_rewrite_rules():
-            assert name in message
-
-    def test_unknown_disabled_rule_raises_at_planner_construction(
-            self, tiny_imdb):
-        options = PlannerOptions(enable_rewrites=True,
-                                 disabled_rules=("nope",))
-        with pytest.raises(PlannerError, match="nope"):
-            Planner(tiny_imdb, options)
-
-    def test_validated_even_with_rewrites_disabled(self, tiny_imdb):
-        """A typo'd disabled_rules entry must not lie dormant."""
-        options = PlannerOptions(enable_rewrites=False,
-                                 disabled_rules=("nope",))
-        with pytest.raises(PlannerError, match="nope"):
-            Planner(tiny_imdb, options)
-
-    def test_disabling_every_rule_is_a_noop_rewrite(self, tiny_imdb):
-        options = PlannerOptions(enable_rewrites=True,
-                                 disabled_rules=available_rewrite_rules())
-        planner = Planner(tiny_imdb, options)
+    def test_an_empty_rule_set_rewrites_nothing(self, tiny_imdb,
+                                                monkeypatch):
+        monkeypatch.setattr(repro.optimizer.rewrite, "RULES", ())
+        planner = Planner(tiny_imdb, PlannerOptions(enable_rewrites=True))
         plan = planner.plan(SAMPLE_QUERIES[0])
         trace = plan.metadata["rewrite_trace"]
         assert trace.firings == ()
@@ -264,12 +231,11 @@ class TestEagerValidation:
 # Individual rule semantics
 # ----------------------------------------------------------------------
 class TestPredicatePushdown:
-    def test_pushes_into_the_owning_scan(self):
+    def test_pushes_into_the_owning_scan(self, monkeypatch):
         query = SAMPLE_QUERIES[0]
-        planner = RewritePlanner(
-            disabled_rules=("filter-merge", "transitive-joins",
-                            "projection-pruning"))
-        result = planner.rewrite(query)
+        monkeypatch.setattr(repro.optimizer.rewrite, "RULES",
+                            (PredicatePushdownRule(),))
+        result = RewritePlanner().rewrite(query)
         assert not find_logical_nodes(result.logical_plan, LogicalFilter)
         scans = {s.alias: s
                  for s in find_logical_nodes(result.logical_plan, LogicalScan)}
@@ -415,7 +381,7 @@ class TestTraceAndLowering:
         assert trace.nodes_after == count_logical_nodes(result.logical_plan)
         names = trace.rules_fired
         assert names, "expected at least one firing"
-        # Application order follows registration order within a pass.
+        # Application order follows the order of RULES within a pass.
         assert names[0] == "predicate-pushdown"
         assert set(trace.firing_counts) == set(names)
 

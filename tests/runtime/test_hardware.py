@@ -1,6 +1,7 @@
-"""The hardware axis: system-config registry, resource-model
+"""The hardware axis: named system configs, resource-model
 regressions, and cost monotonicity across machines."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from repro.engine import execute_plan
 from repro.errors import ExecutionError
+from repro.experiments.hardware import _config_name
 from repro.optimizer import plan_query
 from repro.plans.operators import HashAggregate
 from repro.runtime import (
@@ -15,10 +17,6 @@ from repro.runtime import (
     SystemParameters,
     available_system_configs,
     get_system_config,
-    load_system_config,
-    register_system_config,
-    reset_system_configs,
-    save_system_config,
 )
 from repro.sql import parse_query
 
@@ -53,17 +51,13 @@ class TestMissFraction:
 
 
 # ----------------------------------------------------------------------
-# The system-configuration registry.
+# The named system configurations.
 # ----------------------------------------------------------------------
-class TestSystemConfigRegistry:
-    def teardown_method(self):
-        reset_system_configs()
-
-    def test_builtins_registered(self):
-        names = available_system_configs()
-        for name in ("default", "faster-cpu", "slow-disk", "fast-disk",
-                     "big-memory", "mid-range"):
-            assert name in names
+class TestNamedSystemConfigs:
+    def test_the_six_machines_are_named(self):
+        assert available_system_configs() == (
+            "big-memory", "default", "fast-disk", "faster-cpu", "mid-range",
+            "slow-disk")
         assert get_system_config("default") == SystemParameters()
         assert get_system_config("mid-range") == SystemParameters.mid_range()
 
@@ -71,23 +65,20 @@ class TestSystemConfigRegistry:
         with pytest.raises(ExecutionError, match="available:.*default"):
             get_system_config("quantum-annealer")
 
-    def test_register_get_unregister(self):
-        custom = replace(SystemParameters(), cpu_tuple_s=2e-6)
-        assert register_system_config("custom", custom) is None
-        assert get_system_config("custom") == custom
-        # Re-registration returns the previous binding.
-        assert register_system_config("custom", SystemParameters()) == custom
-        # None unregisters.
-        register_system_config("custom", None)
-        with pytest.raises(ExecutionError):
-            get_system_config("custom")
+    @pytest.mark.parametrize("name", available_system_configs())
+    def test_each_machine_travels_as_json(self, name):
+        machine = get_system_config(name)
+        payload = json.loads(json.dumps(machine.to_dict()))
+        assert SystemParameters.from_dict(payload) == machine
+        assert all(np.isfinite(value) and value > 0
+                   for value in payload.values())
 
-    def test_reset_restores_builtins_and_drops_customs(self):
-        register_system_config("custom", SystemParameters())
-        register_system_config("default", None)
-        reset_system_configs()
-        assert "custom" not in available_system_configs()
-        assert get_system_config("default") == SystemParameters()
+    @pytest.mark.parametrize("name", available_system_configs())
+    def test_each_machine_is_named_back_by_the_hardware_report(self, name):
+        """The hardware experiment names a fleet machine by the first
+        configuration equal to it, so no two names may share one."""
+        assert _config_name(get_system_config(name),
+                            available_system_configs()) == name
 
 
 class TestSystemConfigSerialization:
@@ -98,20 +89,6 @@ class TestSystemConfigSerialization:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ExecutionError, match="gpu_flops"):
             SystemParameters.from_dict({"gpu_flops": 1e12})
-
-    def test_file_round_trip(self, tmp_path):
-        machine = SystemParameters.mid_range()
-        path = tmp_path / "machine.json"
-        save_system_config(machine, path)
-        assert load_system_config(path) == machine
-
-    def test_bad_file_rejected(self, tmp_path):
-        path = tmp_path / "garbage.json"
-        path.write_text("not json")
-        with pytest.raises(ExecutionError):
-            load_system_config(path)
-        with pytest.raises(ExecutionError):
-            load_system_config(tmp_path / "missing.json")
 
 
 # ----------------------------------------------------------------------

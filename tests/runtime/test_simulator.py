@@ -7,7 +7,8 @@ from repro.engine import execute_plan
 from repro.errors import PlanError
 from repro.optimizer import plan_query
 from repro.optimizer.planner import PlannerOptions
-from repro.runtime import QueryRuntime, RuntimeSimulator, SystemParameters
+from repro.runtime import RuntimeSimulator, SystemParameters
+from repro.runtime.simulator import QueryRuntime
 from repro.sql import parse_query
 
 

@@ -29,7 +29,7 @@ from serve_stubs import (
 )
 
 from repro.errors import ModelError, Overloaded, ServeError
-from repro.models.api import register_estimator
+from repro.models import ESTIMATORS
 from repro.serve import (
     CostModelService,
     PredictionServer,
@@ -538,28 +538,23 @@ class TestHotSwap:
                 serve_plans[0], timeout=WAIT).model_version == "canary"
 
     def test_swap_from_saved_manifest(self, tiny_imdb, serve_plans,
-                                      tmp_path):
+                                      tmp_path, monkeypatch):
         """The deployment path: a newly saved estimator is hot-loaded
         from disk through the ``load_estimator`` manifests."""
-        register_estimator(LinearCostStub.name, LinearCostStub)
-        try:
-            directory = tmp_path / "fine-tuned"
-            LinearCostStub(4.0).save(directory)
-            service = make_service(tiny_imdb, scale=1.0)
-            reference = CostModelService(
-                LinearCostStub(4.0), tiny_imdb).predict_runtime(serve_plans)
-            with PredictionServer(service) as server:
-                tag = server.swap(directory, warm=serve_plans)
-                assert tag == f"{LinearCostStub.name}@fine-tuned"
-                # The swapped-in service was warmed before installation.
-                assert server.service.cached_plans == len(serve_plans)
-                response = server.predict_runtime(serve_plans[0],
-                                                  timeout=WAIT)
-                assert response.model_version == tag
-                np.testing.assert_array_equal(response.runtime,
-                                              reference[0])
-        finally:
-            register_estimator(LinearCostStub.name, None)
+        monkeypatch.setitem(ESTIMATORS, LinearCostStub.name, LinearCostStub)
+        directory = tmp_path / "fine-tuned"
+        LinearCostStub(4.0).save(directory)
+        service = make_service(tiny_imdb, scale=1.0)
+        reference = CostModelService(
+            LinearCostStub(4.0), tiny_imdb).predict_runtime(serve_plans)
+        with PredictionServer(service) as server:
+            tag = server.swap(directory, warm=serve_plans)
+            assert tag == f"{LinearCostStub.name}@fine-tuned"
+            # The swapped-in service was warmed before installation.
+            assert server.service.cached_plans == len(serve_plans)
+            response = server.predict_runtime(serve_plans[0], timeout=WAIT)
+            assert response.model_version == tag
+            np.testing.assert_array_equal(response.runtime, reference[0])
 
     def test_swap_rejects_garbage_directory(self, tiny_imdb, serve_plans,
                                             tmp_path):
@@ -570,13 +565,32 @@ class TestHotSwap:
             # A manifest naming an unloadable estimator is caught by
             # peek_manifest before any weights are touched.
             LinearCostStub(2.0).save(tmp_path / "unregistered")
-            with pytest.raises(ModelError, match="no registered"):
+            with pytest.raises(ModelError, match="no estimator class"):
                 server.swap(tmp_path / "unregistered")
             # Failed swaps leave the installed model untouched.
             assert server.model_version == "v0"
             assert server.stats.swaps == 0
             assert server.predict_runtime(serve_plans[0],
                                           timeout=WAIT).runtime > 0
+
+    def test_swap_from_a_corrupt_manifest_keeps_the_old_model(
+            self, tiny_imdb, serve_plans, tmp_path):
+        """A truncated ``estimator.json`` fails the swap with the
+        ``ModelError`` of a bad manifest, and the server keeps answering
+        on the installed version, bit for bit."""
+        (tmp_path / "estimator.json").write_text('{"name": "zero-sh')
+        service = make_service(tiny_imdb, scale=1.0)
+        reference = CostModelService(
+            LinearCostStub(1.0), tiny_imdb).predict_runtime(serve_plans)
+        with PredictionServer(service) as server:
+            with pytest.raises(ModelError, match="estimator.json"):
+                server.swap(tmp_path)
+            assert server.model_version == "v0"
+            assert server.stats.swaps == 0
+            for plan, expected in zip(serve_plans, reference):
+                response = server.predict_runtime(plan, timeout=WAIT)
+                assert response.model_version == "v0"
+                np.testing.assert_array_equal(response.runtime, expected)
 
     @pytest.mark.parametrize("seed", [3, 17])
     def test_hot_swap_property_under_load(self, tiny_imdb, serve_plans,

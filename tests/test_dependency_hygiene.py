@@ -8,6 +8,7 @@ machine.
 import ast
 import dataclasses
 import functools
+import importlib
 import inspect
 import sys
 from pathlib import Path
@@ -20,7 +21,8 @@ from repro.models.e2e import E2EConfig
 from repro.models.mscn import MSCNConfig
 from repro.nn import MLP, RowState, Tensor
 
-PACKAGE_ROOT = Path(__file__).resolve().parents[1] / "src" / "repro"
+REPO_ROOT = Path(__file__).resolve().parents[1]
+PACKAGE_ROOT = REPO_ROOT / "src" / "repro"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "repro"}
 
 
@@ -240,7 +242,7 @@ def test_private_read_guard_sees_what_it_guards(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# The learned stack holds what its users refer to, and nothing else
+# A package holds what its users refer to, and nothing else
 # ----------------------------------------------------------------------
 def _names_used(path: Path, skip_class: str | None = None) -> set[str]:
     """Every name ``path`` refers to outside the body of ``skip_class``:
@@ -267,16 +269,22 @@ def _names_used(path: Path, skip_class: str | None = None) -> set[str]:
 
 
 @functools.lru_cache(maxsize=None)
-def _names_the_users_of_the_learned_stack_use(skip_class=None) -> set[str]:
-    """:func:`_names_used` over ``src/repro`` outside ``repro/nn`` and
-    over ``bench/``."""
+def _names_used_outside(package: str, skip_class=None) -> set[str]:
+    """:func:`_names_used` over ``src/repro`` outside ``repro/<package>``
+    and over ``bench/`` and ``examples/``."""
     paths = [path for path in sorted(PACKAGE_ROOT.rglob("*.py"))
-             if PACKAGE_ROOT / "nn" not in path.parents]
-    paths += sorted((PACKAGE_ROOT.parents[1] / "bench").rglob("*.py"))
-    used = set().union(*(_names_used(path, skip_class) for path in paths))
+             if PACKAGE_ROOT / package not in path.parents]
+    for users in ("bench", "examples"):
+        paths += sorted((REPO_ROOT / users).rglob("*.py"))
+    return set().union(*(_names_used(path, skip_class) for path in paths))
+
+
+def _names_the_users_of_the_learned_stack_use(skip_class=None) -> set[str]:
+    used = _names_used_outside("nn", skip_class)
     if "MLP" in used:
         # Building an MLP without naming an activation selects this one.
-        used.add(inspect.signature(MLP).parameters["activation"].default)
+        used = used | {inspect.signature(MLP).parameters["activation"]
+                       .default}
     return used
 
 
@@ -306,7 +314,25 @@ def test_learned_stack_name_has_a_user_outside_repro_nn(name, owner):
     exported."""
     assert name in _names_the_users_of_the_learned_stack_use(owner), (
         f"{name!r} is referred to nowhere under src/repro outside repro/nn "
-        f"or under bench/: delete it (or drop it from repro.nn.__all__)")
+        f"or under bench/ or examples/: delete it (or drop it from "
+        f"repro.nn.__all__)")
+
+
+#: ``(package, exported name)`` for the packages held to the same rule.
+PACKAGE_EXPORTS = [
+    pytest.param(package, name, id=f"{package}.{name}")
+    for package in ("engine", "optimizer", "runtime")
+    for name in importlib.import_module(f"repro.{package}").__all__]
+
+
+@pytest.mark.parametrize("package, name", PACKAGE_EXPORTS)
+def test_package_export_has_a_user_outside_its_package(package, name):
+    """A name in a package's ``__all__`` that only the package itself
+    (or a test) refers to is imported from its module, not exported."""
+    assert name in _names_used_outside(package), (
+        f"{name!r} is referred to nowhere under src/repro outside "
+        f"repro/{package} or under bench/ or examples/: drop it from "
+        f"repro.{package}.__all__ (or delete it)")
 
 
 def test_learned_stack_guard_sees_what_it_guards(tmp_path):
@@ -329,6 +355,9 @@ def test_learned_stack_guard_sees_what_it_guards(tmp_path):
     assert "planted_field" not in used
     assert "planted_field" in _names_used(sample)
     assert "planted_op" not in _names_the_users_of_the_learned_stack_use()
+    # A package's own modules are not its users; another package's are.
+    assert "JoinHashTable" not in _names_used_outside("engine")
+    assert "JoinHashTable" in _names_used_outside("optimizer")
     # The guard guards something: the lists it walks are not empty.
     assert {"abs", "gather_sum", "scatter_rows"} <= set(
         _public_methods(Tensor))

@@ -1,37 +1,28 @@
-"""One contract per shared mechanism (``repro.util``).
+"""One contract per shared mechanism.
 
-Every cache in the library is a :class:`repro.util.LRUCache` and every
-``register_*`` function delegates to a :class:`repro.util.Registry`, so
-the behaviour each owner promises is checked once, parametrized over
-the owners, instead of once per owner in its own words.  The same goes
-for levelling a plan: zero-shot graphs and E2E trees are levelled by
-one function.
+Every cache in the library is a :class:`repro.util.LRUCache`, so the
+behaviour each owner promises is checked once, parametrized over the
+owners, instead of once per owner in its own words.  The same goes for
+levelling a plan: zero-shot graphs and E2E trees are levelled by one
+function.  The executor and the simulator dispatch through a
+``{operator class: method}`` dict each; the tests check that every
+plan operator has an entry in both and that an entry swapped in there
+is what actually runs.
 """
-
-from dataclasses import dataclass
-from typing import Any, Callable
 
 import numpy as np
 import pytest
 
-from repro.engine import (
-    BuildSideCache,
-    Executor,
-    execute_plan,
-    join_kernel_for,
-    register_join_kernel,
-    register_operator_handler,
-    registered_join_kernels,
-)
+from repro.engine import BuildSideCache, Executor, execute_plan
 from repro.engine.compiled_filters import CompiledFilterCache
 from repro.errors import (
     ExecutionError,
     FeaturizationError,
     ModelError,
-    PlannerError,
 )
 import repro.featurize.graph
 import repro.models.e2e
+import repro.plans
 from repro.featurize import (
     CardinalitySource,
     E2ETreeSample,
@@ -42,183 +33,50 @@ from repro.featurize import (
     encode_graphs,
 )
 from repro.featurize.graph import FEATURE_DIMS
-from repro.models.api import (
-    available_estimators,
-    get_estimator,
-    register_estimator,
-)
-from repro.optimizer import Planner, plan_query
+from repro.optimizer import Planner, PlannerOptions, plan_query
 from repro.optimizer.learned_cardinality import LearnedCardinalityEstimator
-from repro.optimizer.rewrite import (
-    available_rewrite_rules,
-    default_rule_registry,
-    register_rewrite_rule,
-    unregister_rewrite_rule,
-)
-from repro.plans import HashJoin, PlanNode, SeqScan
-from repro.runtime import (
-    RuntimeSimulator,
-    SystemParameters,
-    available_system_configs,
-    get_system_config,
-    register_cost_model,
-    register_system_config,
-)
+from repro.plans import PlanNode, SeqScan
+from repro.runtime import RuntimeSimulator
 from repro.serve import CostModelService
 from repro.sql import parse_query
 from repro.sql.ast import ColumnRef, ComparisonOperator, Predicate
-from repro.util import LRUCache, Registry
+from repro.util import LRUCache
 from repro.workload import make_benchmark_workload
 
 from tests.serve.serve_stubs import LinearCostStub
 
 
 # ----------------------------------------------------------------------
-# Registry: the six public wrapper sets
+# Dispatch: the executor's and the simulator's operator tables
 # ----------------------------------------------------------------------
-class _UnregisteredOperator(PlanNode):
-    """Inherits no binding: ``PlanNode`` itself is never registered."""
+#: Every concrete physical operator class ``repro.plans`` exports.
+OPERATORS = tuple(
+    getattr(repro.plans, name) for name in sorted(repro.plans.__all__)
+    if isinstance(getattr(repro.plans, name), type)
+    and issubclass(getattr(repro.plans, name), PlanNode)
+    and getattr(repro.plans, name) is not PlanNode)
+
+_JOIN = "SELECT COUNT(*) FROM title t, movie_info mi WHERE t.id = mi.movie_id"
+
+#: ``(sql, planner options)`` whose plans hold every operator between
+#: them on ``tiny_imdb``.
+OPERATOR_QUERIES = (
+    ("SELECT COUNT(*) FROM title t WHERE t.id < 50",
+     PlannerOptions(enable_seqscan=False)),
+    (_JOIN, PlannerOptions(enable_mergejoin=False, enable_nestloop=False)),
+    (_JOIN, PlannerOptions(enable_hashjoin=False, enable_nestloop=False)),
+    (_JOIN, PlannerOptions(enable_hashjoin=False, enable_mergejoin=False)),
+    ("SELECT t.kind_id, COUNT(*) FROM title t GROUP BY t.kind_id",
+     PlannerOptions()),
+)
 
 
-class _StubRule:
-    description = "contract-test stub"
-
-    def __init__(self, name):
-        self.name = name
-
-    def apply(self, root, context):
-        return None
-
-
-class _RuleWithoutApply:
-    def __init__(self, name):
-        self.name = name
-
-
-def _register_rule(name, rule):
-    if rule is None:
-        return unregister_rewrite_rule(name)
-    return register_rewrite_rule(rule, replace=True)
-
-
-@dataclass
-class RegistryCase:
-    error: type[Exception]
-    register: Callable[[Any, Any], Any]
-    lookup: Callable[[Any], Any]
-    available: Callable[[], Any]
-    known: Any       #: a key with a built-in binding
-    fresh: Any       #: a valid key nothing is bound to
-    bad_key: Any
-    value: Callable[[Any], Any]      #: a valid value for a key
-    bad_value: Callable[[Any], Any]  #: a rejected value for a key
-
-
-def _callable_value(key):
-    return lambda *args, **kwargs: None
-
-
-REGISTRIES = {
-    "join-kernels": RegistryCase(
-        ExecutionError, register_join_kernel, join_kernel_for,
-        registered_join_kernels, HashJoin, _UnregisteredOperator,
-        int, _callable_value, lambda key: "not callable"),
-    "operator-handlers": RegistryCase(
-        ExecutionError, register_operator_handler, Executor._HANDLERS.get,
-        Executor._HANDLERS.available, SeqScan, _UnregisteredOperator,
-        int, _callable_value, lambda key: "not callable"),
-    "cost-models": RegistryCase(
-        ExecutionError, register_cost_model, RuntimeSimulator._MODELS.get,
-        RuntimeSimulator._MODELS.available, SeqScan, _UnregisteredOperator,
-        int, _callable_value, lambda key: "not callable"),
-    "estimators": RegistryCase(
-        ModelError, register_estimator, get_estimator,
-        available_estimators, "zero-shot", "contract-test-estimator",
-        "", _callable_value, lambda key: object()),
-    "system-configs": RegistryCase(
-        ExecutionError, register_system_config, get_system_config,
-        available_system_configs, "default", "contract-test-machine",
-        "", lambda key: SystemParameters.slow_disk(),
-        lambda key: {"cpu_tuple_s": 1.0}),
-    "rewrite-rules": RegistryCase(
-        PlannerError, _register_rule, default_rule_registry().get,
-        available_rewrite_rules, "filter-merge", "contract-test-rule",
-        "", _StubRule, _RuleWithoutApply),
-}
-
-
-def _label(key):
-    return key.__name__ if isinstance(key, type) else key
-
-
-@pytest.mark.parametrize("case", REGISTRIES.values(), ids=REGISTRIES.keys())
-class TestRegistryContract:
-    def test_unknown_key_lists_the_available_ones(self, case):
-        with pytest.raises(case.error) as excinfo:
-            case.lookup(case.fresh)
-        message = str(excinfo.value)
-        assert _label(case.fresh) in message
-        for key in case.available():
-            assert _label(key) in message
-
-    def test_register_returns_previous_and_passing_it_back_restores(
-            self, case):
-        order = tuple(case.available())
-        replacement = case.value(case.known)
-        builtin = case.register(case.known, replacement)
-        try:
-            assert builtin is not None
-            assert case.register(case.known, builtin) is replacement
-        finally:
-            case.register(case.known, builtin)
-        assert case.register(case.known, builtin) is builtin
-        assert tuple(case.available()) == order
-
-    def test_none_unregisters(self, case):
-        value = case.value(case.fresh)
-        assert case.register(case.fresh, value) is None
-        try:
-            assert case.fresh in case.available()
-        finally:
-            assert case.register(case.fresh, None) is value
-        assert case.fresh not in case.available()
-        with pytest.raises(case.error):
-            case.lookup(case.fresh)
-        assert case.register(case.fresh, None) is None  # idempotent
-
-    def test_bad_value_and_bad_key_rejected_eagerly(self, case):
-        before = tuple(case.available())
-        with pytest.raises(case.error):
-            case.register(case.fresh, case.bad_value(case.fresh))
-        with pytest.raises(case.error):
-            case.register(case.bad_key, case.value(case.bad_key))
-        assert tuple(case.available()) == before
-
-
-class TestRegistryClass:
-    def test_class_keys_resolve_through_the_mro(self):
-        class FancyHashJoin(HashJoin):
-            pass
-
-        registry = Registry("thing", ExecutionError, key_base=PlanNode,
-                            defaults={HashJoin: len})
-        assert registry.get(FancyHashJoin) is len
-        registry.register(FancyHashJoin, max)
-        assert registry.get(FancyHashJoin) is max
-        assert registry.get(HashJoin) is len
-
-    def test_reset_restores_exactly_the_default_set(self):
-        registry = Registry("thing", ModelError, defaults={"a": len})
-        registry.register("b", max)
-        registry.register("c", min, default=True)
-        registry.register("a", None)
-        registry.reset()
-        assert registry.snapshot() == {"a": len, "c": min}
-
-    def test_handlers_and_cost_models_dispatch_through_the_registry(
-            self, tiny_imdb):
-        """The two registries with no tests of their own: an override
-        is what the executor / simulator actually calls."""
+class TestDispatchTables:
+    def test_handlers_and_cost_models_dispatch_through_their_tables(
+            self, tiny_imdb, monkeypatch):
+        """An entry swapped into ``Executor._HANDLERS`` /
+        ``RuntimeSimulator._MODELS`` is what the executor / simulator
+        actually calls."""
         plan = plan_query(tiny_imdb, parse_query(
             "SELECT COUNT(*) FROM title t WHERE t.votes > 10"))
         scans = []
@@ -227,20 +85,40 @@ class TestRegistryClass:
             scans.append(node)
             return Executor._seq_scan(executor, node)
 
-        previous = register_operator_handler(SeqScan, spy_handler)
-        try:
+        with monkeypatch.context() as patch:
+            patch.setitem(Executor._HANDLERS, SeqScan, spy_handler)
             execute_plan(tiny_imdb, plan)
-        finally:
-            register_operator_handler(SeqScan, previous)
         assert len(scans) == 1
 
-        previous = register_cost_model(SeqScan, lambda sim, node: 123.0)
-        try:
+        with monkeypatch.context() as patch:
+            patch.setitem(RuntimeSimulator._MODELS, SeqScan,
+                          lambda sim, node: 123.0)
             runtime = RuntimeSimulator(tiny_imdb, noise_sigma=0.0) \
                 .simulate(plan)
-        finally:
-            register_cost_model(SeqScan, previous)
         assert runtime.seconds_for(scans[0]) == 123.0
+
+    def test_both_tables_cover_exactly_the_plan_operators(self):
+        assert set(Executor._HANDLERS) == set(OPERATORS)
+        assert set(RuntimeSimulator._MODELS) == set(OPERATORS)
+
+    @pytest.mark.parametrize("operator", OPERATORS,
+                             ids=lambda operator: operator.__name__)
+    def test_every_operator_is_executed_and_costed(self, operator,
+                                                   tiny_imdb):
+        """Each operator class dispatches to a handler that annotates its
+        rows and to a cost model that prices it."""
+        plans = [plan_query(tiny_imdb, parse_query(sql), options)
+                 for sql, options in OPERATOR_QUERIES]
+        plan = next(plan for plan in plans
+                    if any(type(node) is operator for node in plan.nodes()))
+        result = execute_plan(tiny_imdb, plan)
+        runtime = RuntimeSimulator(tiny_imdb, noise_sigma=0.0).simulate(plan)
+        assert result.root_rows == plan.root.actual_rows
+        for node in plan.nodes():
+            if type(node) is operator:
+                assert node.actual_rows is not None
+                seconds = runtime.seconds_for(node)
+                assert np.isfinite(seconds) and seconds >= 0.0
 
 
 # ----------------------------------------------------------------------

@@ -31,7 +31,7 @@ class TestSystemAssignment:
     def test_single_machine_fleet_wide(self, tiny_specs):
         fast = SystemParameters.faster_cpu()
         assert resolve_system_assignment(tiny_specs, fast) == [fast] * 3
-        # Registry names resolve too.
+        # Machine names resolve too.
         assert resolve_system_assignment(tiny_specs, "faster-cpu") == \
             [fast] * 3
 
