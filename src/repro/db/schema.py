@@ -9,6 +9,7 @@ and indexes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.db.types import DataType, type_width_bytes
 from repro.errors import SchemaError
@@ -83,10 +84,20 @@ class Table:
     def column_names(self) -> tuple[str, ...]:
         return tuple(column.name for column in self.columns)
 
-    @property
+    @cached_property
     def tuple_width_bytes(self) -> int:
-        """Total payload width of one tuple (excluding the header)."""
+        """Total payload width of one tuple (excluding the header).
+
+        Summed once per table: the columns are frozen, and planning and
+        featurizing one query read it about nine times."""
         return sum(column.width_bytes for column in self.columns)
+
+    def __getstate__(self) -> dict:
+        # The cached width is derived, so a pickle holds the fields only:
+        # stored bytes do not depend on whether the width was read.
+        state = self.__dict__.copy()
+        state.pop("tuple_width_bytes", None)
+        return state
 
 
 @dataclass(frozen=True)

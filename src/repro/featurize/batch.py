@@ -11,8 +11,11 @@ exactly once:
 
 * :func:`encode_graph` — the one-time per-graph precompute: scaled
   per-type feature matrices, per-type node positions, node-type codes,
-  topological levels and edge arrays, frozen into an
-  :class:`EncodedGraph`;
+  topological levels, edge arrays and edge ranks, frozen into an
+  :class:`EncodedGraph`.  The per-node work was done by the
+  featurizer's walk, which left one list of rows and one of node ids
+  per type, so this is a fixed number of array calls per node type
+  plus one pass over the edge list;
 * :func:`merge_encoded` — the cheap per-mini-batch merge: pure numpy
   concatenation plus ``argsort``/``searchsorted`` grouping by level and
   node type, no per-node (and no per-graph) Python loops.
@@ -41,11 +44,10 @@ from repro.featurize.graph import (
     CARDINALITY_FEATURE_INDEX,
     FEATURE_DIMS,
     NODE_TYPES,
-    TYPE_CODE_OF,
     PlanGraph,
 )
 from repro.featurize.scalers import StandardScaler
-from repro.nn.tensor import RowSums, occurrence_ranks, rank_rounds
+from repro.nn.tensor import RowSums, rank_rounds
 from repro.util import LRUCache
 
 __all__ = [
@@ -170,21 +172,32 @@ class EncodedGraph:
     plan_op_rows: np.ndarray = field(default_factory=lambda: np.zeros(0))
     #: Per edge, its rank among the edges into the same parent (the
     #: round of the child sum it is added in).  Graph-local, so it is
-    #: derived here once and merely concatenated per batch.
+    #: derived here once, in one pass over the edges with the rank
+    #: below, and merely concatenated per batch.
     edge_parent_ranks: np.ndarray = field(init=False, repr=False)
     #: Per edge, its rank among the edges out of the same child into
     #: parents of the same level (the round of the backward pass).
     edge_child_ranks: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.edge_parent_ranks = occurrence_ranks(self.edges_parent)
-        if len(self.edges_parent):
-            parent_levels = np.asarray(self.levels)[self.edges_parent]
-            self.edge_child_ranks = occurrence_ranks(
-                self.edges_child * (int(parent_levels.max()) + 1)
-                + parent_levels)
-        else:
-            self.edge_child_ranks = np.zeros(0, dtype=np.int64)
+        # One pass over the edges, counting each parent's and each
+        # (child, parent level)'s edges so far.
+        levels = self.levels.tolist()
+        into_parent: dict[int, int] = {}
+        out_of_child: dict[tuple[int, int], int] = {}
+        parent_ranks: list[int] = []
+        child_ranks: list[int] = []
+        for child, parent in zip(self.edges_child.tolist(),
+                                 self.edges_parent.tolist()):
+            rank = into_parent.get(parent, 0)
+            into_parent[parent] = rank + 1
+            parent_ranks.append(rank)
+            key = (child, levels[parent])
+            rank = out_of_child.get(key, 0)
+            out_of_child[key] = rank + 1
+            child_ranks.append(rank)
+        self.edge_parent_ranks = np.array(parent_ranks, dtype=np.int64)
+        self.edge_child_ranks = np.array(child_ranks, dtype=np.int64)
 
 
 def fit_scalers(graphs: list[PlanGraph]) -> dict[str, StandardScaler]:
@@ -193,16 +206,15 @@ def fit_scalers(graphs: list[PlanGraph]) -> dict[str, StandardScaler]:
         raise FeaturizationError("cannot fit scalers on an empty corpus")
     scalers: dict[str, StandardScaler] = {}
     for node_type in NODE_TYPES:
-        matrices = [g.feature_matrix(node_type) for g in graphs]
-        stacked = np.concatenate(matrices, axis=0)
-        if len(stacked) == 0:
+        rows = [row for g in graphs for row in g.features[node_type]]
+        if not rows:
             # Node type absent from the corpus: identity scaling.
             scaler = StandardScaler(
                 mean=np.zeros(FEATURE_DIMS[node_type]),
                 std=np.ones(FEATURE_DIMS[node_type]),
             )
         else:
-            scaler = StandardScaler().fit(stacked)
+            scaler = StandardScaler().fit(np.array(rows, dtype=np.float64))
         scalers[node_type] = scaler
     return scalers
 
@@ -210,29 +222,31 @@ def fit_scalers(graphs: list[PlanGraph]) -> dict[str, StandardScaler]:
 def encode_graph(graph: PlanGraph,
                  scalers: dict[str, StandardScaler] | None = None
                  ) -> EncodedGraph:
-    """Precompute everything batching needs from one graph (one time)."""
-    type_codes = graph.type_codes()
+    """Precompute everything batching needs from one graph (one time):
+    a fixed number of array calls per node type, none per node."""
     features: dict[str, np.ndarray] = {}
     type_positions: dict[str, np.ndarray] = {}
     plan_op_log_rows = np.zeros(0)
     plan_op_rows = np.zeros(0)
     for node_type in NODE_TYPES:
         matrix = graph.feature_matrix(node_type)
+        type_positions[node_type] = np.array(graph.type_positions[node_type],
+                                             dtype=np.int64)
+        if not len(matrix):
+            features[node_type] = matrix
+            continue
         if node_type == "plan_op":
             plan_op_log_rows = matrix[:, CARDINALITY_FEATURE_INDEX].copy()
             if len(graph.plan_op_rows) == len(matrix):
-                plan_op_rows = np.asarray(graph.plan_op_rows,
-                                          dtype=np.float64)
+                plan_op_rows = np.array(graph.plan_op_rows,
+                                        dtype=np.float64)
             else:  # hand-built graphs: recover rows from the log feature
                 plan_op_rows = np.expm1(plan_op_log_rows)
-        if scalers is not None and len(matrix):
+        if scalers is not None:
             matrix = scalers[node_type].transform(matrix)
         features[node_type] = matrix
-        type_positions[node_type] = np.flatnonzero(
-            type_codes == TYPE_CODE_OF[node_type]
-        ).astype(np.int64, copy=False)
     if graph.edges:
-        edge_array = np.asarray(graph.edges, dtype=np.int64)
+        edge_array = np.array(graph.edges, dtype=np.int64)
         edges_child, edges_parent = edge_array[:, 0], edge_array[:, 1]
     else:
         edges_child = np.zeros(0, dtype=np.int64)
@@ -241,8 +255,8 @@ def encode_graph(graph: PlanGraph,
         num_nodes=graph.num_nodes,
         features=features,
         type_positions=type_positions,
-        type_codes=type_codes,
-        levels=np.asarray(graph.levels(), dtype=np.int64),
+        type_codes=graph.type_codes(),
+        levels=np.array(graph.levels(), dtype=np.int64),
         edges_child=edges_child,
         edges_parent=edges_parent,
         root=graph.root,

@@ -25,6 +25,13 @@ table or column is meant, only its physical characteristics.  The same
 holds for the system node: nothing identifies *which* machine, only its
 measurable coefficients.  That is the property that lets one model serve
 unseen databases — and, with system features on, unseen hardware.
+
+The walk over the plan is the only per-node work: each node is appended
+to :class:`PlanGraph` as a plain row of floats, and the graph records
+each type's rows and node ids as they arrive.  Turning a graph into
+arrays (:meth:`PlanGraph.feature_matrix`,
+:func:`repro.featurize.batch.encode_graph`) is then one array call per
+node type, never one per node.
 """
 
 from __future__ import annotations
@@ -120,6 +127,13 @@ FEATURE_DIMS = {
 #: zero it out to measure its contribution.
 CARDINALITY_FEATURE_INDEX = len(OPERATOR_KINDS) + 1
 
+_INL_FEATURE_INDEX = len(OPERATOR_KINDS)
+_WIDTH_FEATURE_INDEX = len(OPERATOR_KINDS) + 2
+
+#: The matrix of a node type with no nodes; zero-sized, so sharing one
+#: per type among every graph is safe.
+_NO_ROWS = {t: np.zeros((0, FEATURE_DIMS[t])) for t in NODE_TYPES}
+
 
 def _log(value: float) -> float:
     return math.log1p(max(float(value), 0.0))
@@ -128,34 +142,39 @@ def _log(value: float) -> float:
 def node_levels(num_nodes: int, edges: list[tuple[int, int]]) -> list[int]:
     """Level per node of a DAG given as ``(child, parent)`` edges:
     leaves 0, parents 1 + max(children).  The one levelling every
-    batched bottom-up pass (zero-shot graphs, E2E trees) is built on."""
+    batched bottom-up pass (zero-shot graphs, E2E trees) is built on.
+
+    A longest-path relaxation over the edge list: a pass raises every
+    parent above its child, until a pass changes nothing.  Featurizers
+    list a node's incoming edges after every edge into its children, so
+    their graphs take one pass plus the confirming one; any order takes
+    at most ``num_nodes`` passes (a longest path has fewer edges than
+    there are nodes), and a cycle never settles.
+    """
     level = [0] * num_nodes
-    children: dict[int, list[int]] = {}
-    for child, parent in edges:
-        children.setdefault(parent, []).append(child)
-    # Nodes were added children-first except plan ops; iterate until
-    # fixpoint (graphs are tiny, this is simplest and safe for DAGs).
-    changed = True
-    iterations = 0
-    while changed:
+    for _ in range(num_nodes + 1):
         changed = False
-        iterations += 1
-        if iterations > num_nodes + 2:
-            raise FeaturizationError("cycle detected in plan graph")
-        for parent, kids in children.items():
-            wanted = 1 + max(level[k] for k in kids)
-            if level[parent] < wanted:
-                level[parent] = wanted
+        for child, parent in edges:
+            if level[parent] <= level[child]:
+                level[parent] = level[child] + 1
                 changed = True
-    return level
+        if not changed:
+            return level
+    raise FeaturizationError("cycle detected in plan graph")
 
 
 @dataclass
 class PlanGraph:
-    """One featurized plan (raw, unscaled features)."""
+    """One featurized plan (raw, unscaled features).
 
-    features: dict[str, list[np.ndarray]] = field(
+    ``features[t]`` holds the rows of the nodes of type ``t`` and
+    ``type_positions[t]`` their node ids, both in insertion order.
+    """
+
+    features: dict[str, list[Sequence[float]]] = field(
         default_factory=lambda: {t: [] for t in NODE_TYPES})
+    type_positions: dict[str, list[int]] = field(
+        init=False, default_factory=lambda: {t: [] for t in NODE_TYPES})
     node_type_of: list[str] = field(default_factory=list)
     type_row_of: list[int] = field(default_factory=list)
     edges: list[tuple[int, int]] = field(default_factory=list)
@@ -174,17 +193,20 @@ class PlanGraph:
     def num_nodes(self) -> int:
         return len(self.node_type_of)
 
-    def add_node(self, node_type: str, features: np.ndarray) -> int:
+    def add_node(self, node_type: str, features: Sequence[float]) -> int:
+        """Append one node's feature row; returns its node id."""
         expected = FEATURE_DIMS[node_type]
-        if features.shape != (expected,):
+        if len(features) != expected:
             raise FeaturizationError(
                 f"{node_type} features must have shape ({expected},), "
-                f"got {features.shape}"
+                f"got ({len(features)},)"
             )
         node_id = self.num_nodes
+        rows = self.features[node_type]
         self.node_type_of.append(node_type)
-        self.type_row_of.append(len(self.features[node_type]))
-        self.features[node_type].append(features)
+        self.type_row_of.append(len(rows))
+        self.type_positions[node_type].append(node_id)
+        rows.append(features)
         return node_id
 
     def add_edge(self, child: int, parent: int) -> None:
@@ -198,10 +220,11 @@ class PlanGraph:
                           dtype=np.int64)
 
     def feature_matrix(self, node_type: str) -> np.ndarray:
+        """The rows of ``node_type`` as one ``(n, dim)`` array."""
         rows = self.features[node_type]
         if not rows:
-            return np.zeros((0, FEATURE_DIMS[node_type]))
-        return np.stack(rows)
+            return _NO_ROWS[node_type]
+        return np.array(rows, dtype=np.float64)
 
     def levels(self) -> list[int]:
         """Level per node: leaves 0, parents 1 + max(children)."""
@@ -277,9 +300,11 @@ class ZeroShotFeaturizer:
                     f"plan has {num_ops} operators but "
                     f"{cards.size} cardinality labels were given"
                 )
-            if (cards < 0).any():
+            invalid = cards[~(np.isfinite(cards) & (cards >= 0))]
+            if len(invalid):
                 raise FeaturizationError(
-                    "operator cardinalities must be non-negative"
+                    f"operator cardinalities must be finite and "
+                    f"non-negative, got {invalid[0]}"
                 )
             # plan_op nodes are added in the same pre-order the executor
             # (and walk_plan) traverse, so labels align row-for-row.
@@ -337,14 +362,15 @@ class ZeroShotFeaturizer:
             cached = node_cache.get(id(node))
             if cached is not None:
                 return cached
-        features = np.zeros(FEATURE_DIMS["plan_op"])
+        features = [0.0] * FEATURE_DIMS["plan_op"]
         features[OPERATOR_INDEX[node.operator_name]] = 1.0
-        is_inl = isinstance(node, NestedLoopJoin) and node.is_index_nested_loop
-        features[len(OPERATOR_KINDS)] = 1.0 if is_inl else 0.0
-        features[len(OPERATOR_KINDS) + 1] = _log(self._rows(node))
-        features[len(OPERATOR_KINDS) + 2] = _log(node.est_width)
+        if isinstance(node, NestedLoopJoin) and node.is_index_nested_loop:
+            features[_INL_FEATURE_INDEX] = 1.0
+        rows = self._rows(node)
+        features[CARDINALITY_FEATURE_INDEX] = _log(rows)
+        features[_WIDTH_FEATURE_INDEX] = _log(node.est_width)
         op_id = graph.add_node("plan_op", features)
-        graph.plan_op_rows.append(max(float(self._rows(node)), 0.0))
+        graph.plan_op_rows.append(max(float(rows), 0.0))
 
         for child in node.children:
             child_id = self._encode_operator(child, query, database, graph,
@@ -378,9 +404,10 @@ class ZeroShotFeaturizer:
             graph.add_edge(column_id, op_id)
         elif isinstance(node, (HashAggregate, PlainAggregate)):
             for aggregate in node.aggregates:
-                agg_features = np.zeros(FEATURE_DIMS["aggregate"])
+                agg_features = [0.0] * FEATURE_DIMS["aggregate"]
                 agg_features[_AGGREGATE_INDEX[aggregate.function]] = 1.0
-                agg_features[-1] = 0.0 if aggregate.column is None else 1.0
+                if aggregate.column is not None:
+                    agg_features[-1] = 1.0
                 agg_id = graph.add_node("aggregate", agg_features)
                 if aggregate.column is not None:
                     column_id = self._attach_column(aggregate.column, query,
@@ -400,26 +427,21 @@ class ZeroShotFeaturizer:
     def _attach_system(self, system: SystemParameters,
                        graph: PlanGraph) -> int:
         """One machine node, fanned out to every ``plan_op`` node."""
-        features = np.array([
-            math.log(max(float(getattr(system, name)), 1e-12))
-            for name in SYSTEM_FEATURE_FIELDS
-        ])
-        plan_ops = [node_id
-                    for node_id, node_type in enumerate(graph.node_type_of)
-                    if node_type == "plan_op"]
+        features = [math.log(max(float(getattr(system, name)), 1e-12))
+                    for name in SYSTEM_FEATURE_FIELDS]
         system_id = graph.add_node("system", features)
-        for op_id in plan_ops:
+        for op_id in graph.type_positions["plan_op"]:
             graph.add_edge(system_id, op_id)
         return system_id
 
     def _attach_table(self, table_name: str, database: Database,
                       graph: PlanGraph, parent: int) -> None:
         data = database.table_data(table_name)
-        features = np.array([
+        features = [
             _log(data.num_rows),
             _log(data.num_pages),
             _log(data.table.tuple_width_bytes),
-        ])
+        ]
         table_id = graph.add_node("table", features)
         graph.add_edge(table_id, parent)
 
@@ -429,11 +451,11 @@ class ZeroShotFeaturizer:
         if index is None:
             raise FeaturizationError(f"plan references unknown index "
                                      f"{node.index_name!r}")
-        features = np.array([
+        features = [
             _log(index.height),
             _log(index.num_leaf_pages),
             1.0 if index.unique else 0.0,
-        ])
+        ]
         index_id = graph.add_node("index", features)
         graph.add_edge(index_id, parent)
 
@@ -445,12 +467,10 @@ class ZeroShotFeaturizer:
         table_name = query.table_ref(ref.table).table_name
         column = database.schema.table(table_name).column(ref.column)
         stats = database.table_statistics(table_name).column(ref.column)
-        features = np.zeros(FEATURE_DIMS["column"])
+        features = [0.0] * len(_DATATYPE_INDEX)
         features[_DATATYPE_INDEX[column.data_type]] = 1.0
-        offset = len(_DATATYPE_INDEX)
-        features[offset] = float(column.width_bytes)
-        features[offset + 1] = _log(stats.num_distinct)
-        features[offset + 2] = stats.null_fraction
+        features += (float(column.width_bytes), _log(stats.num_distinct),
+                     float(stats.null_fraction))
         column_id = graph.add_node("column", features)
         column_cache[key] = column_id
         return column_id
@@ -458,7 +478,7 @@ class ZeroShotFeaturizer:
     def _attach_predicate(self, predicate, query, database: Database,
                           graph: PlanGraph, parent: int,
                           column_cache: dict[str, int]) -> None:
-        features = np.zeros(FEATURE_DIMS["predicate"])
+        features = [0.0] * FEATURE_DIMS["predicate"]
         features[COMPARISON_INDEX[predicate.operator]] = 1.0
         if predicate.operator is ComparisonOperator.IN:
             features[-1] = _log(len(predicate.value))

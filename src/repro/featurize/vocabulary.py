@@ -10,6 +10,8 @@ what a runtime label must satisfy are decided here, once.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.db.database import Database
@@ -83,7 +85,8 @@ def normalized_literal(database: Database, query: Query,
 
 
 def check_runtime_label(seconds: float) -> None:
-    """A runtime label is logged, so it must be positive."""
-    if seconds <= 0:
+    """A runtime label is logged, so it must be positive and finite: a
+    NaN or infinite label would make every standardized target NaN."""
+    if not (0 < seconds < math.inf):
         raise FeaturizationError(
-            f"runtime label must be positive, got {seconds}")
+            f"runtime label must be positive and finite, got {seconds}")

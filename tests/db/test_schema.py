@@ -1,5 +1,8 @@
 """Schema objects: validation and lookup."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.db import Column, DataType, ForeignKey, Schema, Table
@@ -66,6 +69,38 @@ class TestTable:
 
     def test_tuple_width(self):
         assert make_table().tuple_width_bytes == 4 + 8 + 4
+
+
+class TestCachedTupleWidth:
+    """The width is summed once per table and kept on the instance; it
+    is derived, so nothing compared, hashed or stored may see it."""
+
+    def test_unpickled_table_reports_the_same_width(self):
+        table = make_table()
+        width = table.tuple_width_bytes
+        clone = pickle.loads(pickle.dumps(table))
+        assert "tuple_width_bytes" not in vars(clone)
+        assert clone.tuple_width_bytes == width == 4 + 8 + 4
+
+    def test_pickle_bytes_do_not_depend_on_a_read(self):
+        unread, read = make_table(), make_table()
+        read.tuple_width_bytes
+        assert "tuple_width_bytes" in vars(read)
+        assert pickle.dumps(read) == pickle.dumps(unread)
+
+    def test_equality_and_hash_ignore_the_cache(self):
+        read, unread = make_table(), make_table()
+        read.tuple_width_bytes
+        assert read == unread
+        assert hash(read) == hash(unread)
+        assert {unread: "found"}[read] == "found"
+        assert read != make_table(pk=None)
+
+    def test_table_stays_frozen(self):
+        table = make_table()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table.tuple_width_bytes = 1
+        assert table.tuple_width_bytes == 4 + 8 + 4
 
 
 class TestSchema:

@@ -6,13 +6,16 @@ execution, zero training — and reproduce the cold context bit for bit,
 from a store that holds each training database exactly once.
 """
 
+import copyreg
 import dataclasses
+import io
+import pickle
 import shutil
 
 import numpy as np
 import pytest
 
-from repro.db import generate_training_database_specs
+from repro.db import Table, generate_training_database_specs
 from repro.experiments import (
     ArtifactStore,
     ExperimentScale,
@@ -341,6 +344,37 @@ class TestShardStore:
             [r.runtime_seconds for r in executed.records]
         # The other shard's key stays cold.
         assert store.load_shard(tiny_shards[1]) is None
+
+    def test_cached_table_width_changes_no_stored_byte(self, tmp_path,
+                                                       tiny_shards, executed):
+        """``Table.tuple_width_bytes`` is cached on the instance once
+        read.  A shard still pickles each table as its fields alone, as
+        it did before the cache, so an entry written either way is the
+        same file and loads the same records."""
+        def fields_only(table):
+            # How a Table pickled before: its instance dict held the
+            # fields and nothing else.
+            return copyreg.__newobj__, (Table,), {
+                field.name: getattr(table, field.name)
+                for field in dataclasses.fields(Table)}
+
+        tables = executed.database.schema.tables.values()
+        widths = [table.tuple_width_bytes for table in tables]
+        buffer = io.BytesIO()
+        pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+        pickler.dispatch_table = {**copyreg.dispatch_table,
+                                  Table: fields_only}
+        pickler.dump(executed)
+
+        store = ArtifactStore(tmp_path)
+        entry = store.save_shard(executed)
+        assert (entry / "payload.pkl").read_bytes() == buffer.getvalue()
+        loaded = store.load_shard(tiny_shards[0])
+        assert pickle.dumps(loaded.records) == pickle.dumps(executed.records)
+        loaded_tables = loaded.database.schema.tables.values()
+        assert not any("tuple_width_bytes" in vars(table)
+                       for table in loaded_tables)
+        assert [table.tuple_width_bytes for table in loaded_tables] == widths
 
     def test_key_covers_the_recipe(self, tiny_shards):
         base = tiny_shards[0]
