@@ -23,12 +23,7 @@ from repro.engine.join_kernels import (
     merge_join_match,
     sort_merge_match,
 )
-from repro.featurize.batch import (
-    batch_graphs,
-    encode_graphs,
-    fit_scalers,
-    merge_encoded,
-)
+from repro.featurize.batch import encode_graphs, fit_scalers, merge_encoded
 from repro.featurize.graph import CardinalitySource, ZeroShotFeaturizer
 from repro.nn import BatchIterator, Tensor, no_grad
 from repro.optimizer import Planner
@@ -247,8 +242,8 @@ def test_one_pass_featurization_epoch_speedup(context, corpus_graphs):
     are bit-identical, see
     ``tests/featurize/test_graph_encoding.py``):
 
-    * baseline: ``batch_graphs`` over every shuffled mini-batch plus
-      the re-batched validation set;
+    * baseline: ``encode_graphs`` + ``merge_encoded`` over every
+      shuffled mini-batch plus the re-batched validation set;
     * one-pass (what ``fit`` does): ``merge_encoded`` per mini-batch,
       with the one-time ``encode_graphs`` + prebuilt validation batch
       amortized over the scale's configured epoch count.
@@ -270,12 +265,16 @@ def test_one_pass_featurization_epoch_speedup(context, corpus_graphs):
     validation_batch = merge_encoded(encode_graphs(validation, scalers),
                                      require_targets=True)
     one_time_seconds = time.perf_counter() - start
-    assert validation_batch.num_graphs == split
+    assert len(validation_batch.roots) == split
+
+    def batch_graphs(graphs):
+        return merge_encoded(encode_graphs(graphs, scalers),
+                             require_targets=True)
 
     def baseline_epoch(rng):
         for batch in BatchIterator(train, batch_size, rng=rng):
-            batch_graphs(batch, scalers, require_targets=True)
-        batch_graphs(validation, scalers, require_targets=True)
+            batch_graphs(batch)
+        batch_graphs(validation)
 
     def one_pass_epoch(rng):
         for batch in BatchIterator(encoded_train, batch_size, rng=rng):
@@ -306,7 +305,7 @@ def test_merge_encoded_batch(benchmark, context, corpus_graphs):
     encoded = encode_graphs(corpus_graphs, scalers)
     batch_size = context.scale.zero_shot_trainer.batch_size
     batch = benchmark(merge_encoded, encoded[:batch_size])
-    assert batch.num_graphs == min(batch_size, len(encoded))
+    assert len(batch.roots) == min(batch_size, len(encoded))
 
 
 # ----------------------------------------------------------------------
@@ -434,7 +433,7 @@ def test_message_passing_forward(benchmark, context, imdb, executed_plans):
     model = context.zero_shot_models[CardinalitySource.ACTUAL]
     featurizer = ZeroShotFeaturizer(CardinalitySource.ACTUAL)
     graphs = [featurizer.featurize(p, imdb) for p in executed_plans]
-    batch = batch_graphs(graphs, model.scalers)
+    batch = merge_encoded(encode_graphs(graphs, model.scalers))
 
     def forward():
         with no_grad():

@@ -27,15 +27,14 @@ import numpy as np
 import pytest
 
 from repro.db import (
-    Column,
     Database,
     DataType,
     Schema,
     SyntheticDatabaseSpec,
-    Table,
     TableData,
     generate_database,
 )
+from repro.db.schema import Column, Table
 from repro.engine import Executor, compiled_filters, execute_plan
 from repro.engine import executor as executor_module
 from repro.featurize import (

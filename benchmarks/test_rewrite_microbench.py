@@ -15,7 +15,8 @@ regression.
 import numpy as np
 import pytest
 
-from repro.db import Column, Database, DataType, ForeignKey, Schema, Table, TableData
+from repro.db import Database, DataType, Schema, TableData
+from repro.db.schema import Column, ForeignKey, Table
 from repro.engine import execute_plan
 from repro.experiments.rewrite_ablation import intermediate_rows
 from repro.optimizer import Planner, PlannerOptions
@@ -106,7 +107,7 @@ def test_rewrite_cuts_intermediate_rows(filter_heavy_db):
         filter_heavy_db, PlannerOptions(enable_rewrites=True)).plan(query)
 
     trace = rewritten_plan.metadata["rewrite_trace"]
-    assert "transitive-joins" in trace.rules_fired
+    assert "transitive-joins" in trace.firing_counts
 
     baseline = execute_plan(filter_heavy_db, baseline_plan)
     rewritten = execute_plan(filter_heavy_db, rewritten_plan)

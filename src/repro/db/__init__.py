@@ -13,28 +13,21 @@ from repro.db.generator import (
     generate_database,
     generate_training_database_specs,
 )
-from repro.db.histogram import EquiDepthHistogram
 from repro.db.imdb import make_imdb_database
 from repro.db.index import Index
-from repro.db.schema import Column, ForeignKey, Schema, Table
-from repro.db.statistics import ColumnStatistics, TableStatistics, analyze_table
+from repro.db.schema import Schema
+from repro.db.statistics import ColumnStatistics
 from repro.db.table_data import TableData
 from repro.db.types import DataType
 
 __all__ = [
-    "Column",
     "ColumnStatistics",
     "DataType",
     "Database",
-    "EquiDepthHistogram",
-    "ForeignKey",
     "Index",
     "Schema",
     "SyntheticDatabaseSpec",
-    "Table",
     "TableData",
-    "TableStatistics",
-    "analyze_table",
     "generate_database",
     "generate_training_database_specs",
     "make_imdb_database",

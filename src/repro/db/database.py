@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.db.index import Index
 from repro.db.schema import Schema
 from repro.db.statistics import TableStatistics, analyze_table
@@ -68,13 +66,10 @@ class Database:
     # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------
-    def analyze(self, sample_fraction: float = 1.0,
-                rng: np.random.Generator | None = None) -> None:
+    def analyze(self) -> None:
         """Compute statistics for all tables (like running ``ANALYZE``)."""
         for table_name, data in self.data.items():
-            self.statistics[table_name] = analyze_table(
-                data, sample_fraction=sample_fraction, rng=rng
-            )
+            self.statistics[table_name] = analyze_table(data)
 
     def table_statistics(self, table_name: str) -> TableStatistics:
         try:

@@ -35,6 +35,20 @@ __all__ = [
 ]
 
 
+#: What every synthetic database draws from; a spec sets only its name,
+#: seed, table count and row range.
+MIN_ATTRIBUTE_COLUMNS = 2
+MAX_ATTRIBUTE_COLUMNS = 6
+CATEGORICAL_FRACTION = 0.4
+CORRELATION_PROBABILITY = 0.35
+FK_SKEW_PROBABILITY = 0.5
+MAX_ZIPF_PARAMETER = 1.6
+NULL_FRACTION_MAX = 0.05
+#: Probability that the schema is a pure star (all tables reference
+#: table 0, like IMDB's title hub) instead of a random tree.
+STAR_PROBABILITY = 0.4
+
+
 @dataclass(frozen=True)
 class SyntheticDatabaseSpec:
     """Parameters of one synthetic database."""
@@ -44,16 +58,6 @@ class SyntheticDatabaseSpec:
     num_tables: int = 5
     min_rows: int = 2_000
     max_rows: int = 50_000
-    min_attribute_columns: int = 2
-    max_attribute_columns: int = 6
-    categorical_fraction: float = 0.4
-    correlation_probability: float = 0.35
-    fk_skew_probability: float = 0.5
-    max_zipf_parameter: float = 1.6
-    null_fraction_max: float = 0.05
-    #: Probability that the schema is a pure star (all tables reference
-    #: table 0, like IMDB's title hub) instead of a random tree.
-    star_probability: float = 0.4
 
     def __post_init__(self):
         if self.num_tables < 2:
@@ -62,8 +66,6 @@ class SyntheticDatabaseSpec:
             raise SchemaError(
                 f"invalid row bounds [{self.min_rows}, {self.max_rows}]"
             )
-        if self.max_attribute_columns < self.min_attribute_columns:
-            raise SchemaError("max_attribute_columns < min_attribute_columns")
 
 
 def _zipf_codes(rng: np.random.Generator, size: int, domain: int,
@@ -84,12 +86,11 @@ def _zipf_codes(rng: np.random.Generator, size: int, domain: int,
 
 
 def _attribute_column(rng: np.random.Generator, name: str,
-                      num_rows: int, spec: SyntheticDatabaseSpec
-                      ) -> tuple[Column, np.ndarray]:
+                      num_rows: int) -> tuple[Column, np.ndarray]:
     """Generate one random attribute column definition + values."""
-    if rng.random() < spec.categorical_fraction:
+    if rng.random() < CATEGORICAL_FRACTION:
         domain = int(rng.integers(2, 200))
-        skew = float(rng.uniform(0.0, spec.max_zipf_parameter))
+        skew = float(rng.uniform(0.0, MAX_ZIPF_PARAMETER))
         if skew < 0.2:
             values = rng.integers(0, domain, size=num_rows)
         else:
@@ -109,7 +110,7 @@ def _attribute_column(rng: np.random.Generator, name: str,
     if rng.random() < 0.5:
         values = rng.integers(low, low + span, size=num_rows)
     else:
-        skew = float(rng.uniform(0.5, spec.max_zipf_parameter))
+        skew = float(rng.uniform(0.5, MAX_ZIPF_PARAMETER))
         values = low + _zipf_codes(rng, num_rows, min(span, 10_000), skew)
     return Column(name, DataType.INTEGER), values.astype(np.int64)
 
@@ -133,8 +134,8 @@ def _correlate(rng: np.random.Generator, source: np.ndarray,
     return (mixed * 10_000).astype(np.int64)
 
 
-def generate_database(spec: SyntheticDatabaseSpec, analyze: bool = True) -> Database:
-    """Generate one synthetic database from a spec."""
+def generate_database(spec: SyntheticDatabaseSpec) -> Database:
+    """Generate one synthetic database from a spec, analyzed."""
     rng = np.random.default_rng(spec.seed)
 
     # ------------------------------------------------------------------
@@ -142,7 +143,7 @@ def generate_database(spec: SyntheticDatabaseSpec, analyze: bool = True) -> Data
     #    a parent among the earlier ones -> a random tree join graph.
     # ------------------------------------------------------------------
     parents: dict[int, int] = {}
-    is_star = rng.random() < spec.star_probability
+    is_star = rng.random() < STAR_PROBABILITY
     for table_index in range(1, spec.num_tables):
         parents[table_index] = 0 if is_star else int(rng.integers(0, table_index))
 
@@ -176,25 +177,24 @@ def generate_database(spec: SyntheticDatabaseSpec, analyze: bool = True) -> Data
             fk_column = f"{parent_name}_id"
             columns.append(Column(fk_column, DataType.INTEGER))
             parent_rows = row_counts[parent_index]
-            if rng.random() < spec.fk_skew_probability:
-                skew = float(rng.uniform(0.4, spec.max_zipf_parameter))
+            if rng.random() < FK_SKEW_PROBABILITY:
+                skew = float(rng.uniform(0.4, MAX_ZIPF_PARAMETER))
                 values[fk_column] = _zipf_codes(rng, num_rows, parent_rows, skew)
             else:
                 values[fk_column] = rng.integers(0, parent_rows, size=num_rows)
             foreign_keys.append(ForeignKey(table_name, fk_column, parent_name, "id"))
 
-        num_attributes = int(rng.integers(spec.min_attribute_columns,
-                                          spec.max_attribute_columns + 1))
+        num_attributes = int(rng.integers(MIN_ATTRIBUTE_COLUMNS,
+                                          MAX_ATTRIBUTE_COLUMNS + 1))
         attribute_columns: list[tuple[Column, np.ndarray]] = []
         for attr_index in range(num_attributes):
             column, column_values = _attribute_column(
-                rng, f"c{attr_index}", num_rows, spec
-            )
+                rng, f"c{attr_index}", num_rows)
             attribute_columns.append((column, column_values))
 
         # Correlate some adjacent attribute pairs.
         for first in range(len(attribute_columns) - 1):
-            if rng.random() < spec.correlation_probability:
+            if rng.random() < CORRELATION_PROBABILITY:
                 source_column, source_values = attribute_columns[first]
                 target_column, _ = attribute_columns[first + 1]
                 attribute_columns[first + 1] = (
@@ -206,7 +206,7 @@ def generate_database(spec: SyntheticDatabaseSpec, analyze: bool = True) -> Data
         for column, column_values in attribute_columns:
             columns.append(column)
             values[column.name] = column_values
-            null_fraction = float(rng.uniform(0.0, spec.null_fraction_max))
+            null_fraction = float(rng.uniform(0.0, NULL_FRACTION_MAX))
             if null_fraction > 0.005:
                 null_masks[column.name] = rng.random(num_rows) < null_fraction
 
@@ -219,8 +219,7 @@ def generate_database(spec: SyntheticDatabaseSpec, analyze: bool = True) -> Data
     database = Database.from_tables(spec.name, schema, all_data)
     for table in tables:  # primary key indexes, as Postgres would have
         database.create_index(f"{table.name}_pkey", table.name, "id", unique=True)
-    if analyze:
-        database.analyze()
+    database.analyze()
     return database
 
 
@@ -253,4 +252,3 @@ def generate_training_database_specs(count: int, base_seed: int = 0,
             max_rows=max_rows,
         ))
     return specs
-

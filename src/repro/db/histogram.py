@@ -51,7 +51,7 @@ class EquiDepthHistogram:
     def max_value(self) -> float:
         return float(self.bounds[-1])
 
-    def selectivity_below(self, value: float, inclusive: bool) -> float:
+    def _selectivity_below(self, value: float, inclusive: bool) -> float:
         """Estimated fraction of rows with column < value (or <=)."""
         bounds = self.bounds
         if len(bounds) < 2 or bounds[0] == bounds[-1]:
@@ -81,8 +81,8 @@ class EquiDepthHistogram:
                           low_inclusive: bool = True,
                           high_inclusive: bool = True) -> float:
         """Estimated fraction of rows in [low, high] (either side optional)."""
-        upper = self.selectivity_below(high, high_inclusive) if high is not None else 1.0
-        lower = self.selectivity_below(low, not low_inclusive) if low is not None else 0.0
+        upper = self._selectivity_below(high, high_inclusive) if high is not None else 1.0
+        lower = self._selectivity_below(low, not low_inclusive) if low is not None else 0.0
         return float(np.clip(upper - lower, 0.0, 1.0))
 
     def to_dict(self) -> dict:

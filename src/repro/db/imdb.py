@@ -43,15 +43,13 @@ def _skewed_movie_ids(rng: np.random.Generator, size: int,
     return rng.choice(len(popularity), size=size, p=probabilities).astype(np.int64)
 
 
-def make_imdb_database(scale: float = 1.0, seed: int = 42,
-                       analyze: bool = True,
-                       fk_indexes: bool = True) -> Database:
-    """Build the synthetic IMDB-shaped database.
+def make_imdb_database(scale: float = 1.0, seed: int = 42) -> Database:
+    """Build the synthetic IMDB-shaped database, analyzed.
 
     ``scale`` multiplies all table sizes (1.0 ≈ 200k total rows, which a
-    vectorized executor handles comfortably).  ``fk_indexes`` creates the
-    ``movie_id`` B-trees standard in JOB setups (enabling index
-    nested-loop plans for selective queries).
+    vectorized executor handles comfortably).  Besides the primary keys,
+    every ``movie_id`` carries the B-tree standard in JOB setups
+    (enabling index nested-loop plans for selective queries).
     """
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
@@ -215,12 +213,10 @@ def make_imdb_database(scale: float = 1.0, seed: int = 42,
     database = Database.from_tables("imdb", schema, data)
     for table in tables:
         database.create_index(f"{table.name}_pkey", table.name, "id", unique=True)
-    if fk_indexes:
-        for fk in foreign_keys:
-            database.create_index(f"{fk.child_table}_movie_id",
-                                  fk.child_table, fk.child_column)
-    if analyze:
-        database.analyze()
+    for fk in foreign_keys:
+        database.create_index(f"{fk.child_table}_movie_id",
+                              fk.child_table, fk.child_column)
+    database.analyze()
     return database
 
 

@@ -97,7 +97,7 @@ class Index:
         return self
 
     @property
-    def is_built(self) -> bool:
+    def _is_built(self) -> bool:
         return self._sorted_values is not None
 
     # ------------------------------------------------------------------
@@ -109,7 +109,7 @@ class Index:
         self.num_rows = num_rows
 
     @property
-    def entries_per_leaf(self) -> int:
+    def _entries_per_leaf(self) -> int:
         entry = self.key_width_bytes + _INDEX_ENTRY_OVERHEAD
         return max(1, PAGE_USABLE_BYTES // entry)
 
@@ -117,12 +117,12 @@ class Index:
     def num_leaf_pages(self) -> int:
         if self.num_rows == 0:
             return 1
-        return math.ceil(self.num_rows / self.entries_per_leaf)
+        return math.ceil(self.num_rows / self._entries_per_leaf)
 
     @property
     def height(self) -> int:
         """B-tree height (root to leaf, counting levels above the leaves)."""
-        fanout = max(2, self.entries_per_leaf)
+        fanout = max(2, self._entries_per_leaf)
         pages = self.num_leaf_pages
         height = 1
         while pages > 1:
@@ -137,7 +137,7 @@ class Index:
                      low_inclusive: bool = True,
                      high_inclusive: bool = True) -> np.ndarray:
         """Row ids whose key falls into the given range, in key order."""
-        if not self.is_built:
+        if not self._is_built:
             raise SchemaError(f"index {self.name!r} is hypothetical; cannot look up")
         values = self._sorted_values
         start = 0
@@ -155,15 +155,12 @@ class Index:
 
         One pair per (key, row holding that key), ordered by key
         position and, within a key, in index order — what concatenating
-        ``equality_lookup(key)`` over ``keys`` would give.
+        ``range_lookup(key, key)`` over ``keys`` would give.
         """
-        if not self.is_built:
+        if not self._is_built:
             raise SchemaError(f"index {self.name!r} is hypothetical; cannot look up")
         values = self._sorted_values
         starts = np.searchsorted(values, keys, side="left")
         counts = np.searchsorted(values, keys, side="right") - starts
         key_positions, entries = expand_runs(starts, counts)
         return key_positions, self._sorted_order[entries]
-
-    def equality_lookup(self, value: float) -> np.ndarray:
-        return self.range_lookup(value, value)

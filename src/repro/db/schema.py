@@ -127,17 +127,17 @@ class Schema:
                     foreign_keys: list[ForeignKey] | None = None) -> "Schema":
         schema = cls(name=name)
         for table in tables:
-            schema.add_table(table)
+            schema._add_table(table)
         for foreign_key in foreign_keys or []:
-            schema.add_foreign_key(foreign_key)
+            schema._add_foreign_key(foreign_key)
         return schema
 
-    def add_table(self, table: Table) -> None:
+    def _add_table(self, table: Table) -> None:
         if table.name in self.tables:
             raise SchemaError(f"duplicate table {table.name!r}")
         self.tables[table.name] = table
 
-    def add_foreign_key(self, foreign_key: ForeignKey) -> None:
+    def _add_foreign_key(self, foreign_key: ForeignKey) -> None:
         child = self.table(foreign_key.child_table)
         parent = self.table(foreign_key.parent_table)
         child_column = child.column(foreign_key.child_column)
@@ -161,14 +161,3 @@ class Schema:
     @property
     def table_names(self) -> list[str]:
         return list(self.tables)
-
-    def join_edges(self) -> list[ForeignKey]:
-        """All foreign keys (the join graph the workload generator walks)."""
-        return list(self.foreign_keys)
-
-    def foreign_keys_between(self, table_a: str, table_b: str) -> list[ForeignKey]:
-        """Foreign keys connecting the two tables, in either direction."""
-        return [
-            fk for fk in self.foreign_keys
-            if {fk.child_table, fk.parent_table} == {table_a, table_b}
-        ]

@@ -2,7 +2,10 @@
 
 For every column we record the null fraction, number of distinct values,
 min/max, the most common values with their frequencies, and an
-equi-depth histogram (numeric columns).  The optimizer's selectivity
+equi-depth histogram (numeric columns).  Unlike Postgres' ``ANALYZE``
+they read every row, not a page sample, so the distinct count is exact
+and what is lost is lost in the summaries (:data:`NUM_MCVS` MCVs,
+:data:`NUM_BUCKETS` buckets).  The optimizer's selectivity
 estimation consumes exactly these — so its estimates deviate from the
 truth in the same ways Postgres' do (independence and uniformity
 assumptions), which matters for the "Zero-Shot (Estimated Cardinalities)"
@@ -32,15 +35,15 @@ __all__ = ["ColumnStatistics", "TableStatistics", "analyze_table"]
 
 #: Number of most-common values tracked per column (Postgres default 100;
 #: we keep fewer because our categorical domains are small).
-DEFAULT_NUM_MCVS = 20
+NUM_MCVS = 20
 
 #: Histogram buckets per numeric column.
-DEFAULT_NUM_BUCKETS = 32
+NUM_BUCKETS = 32
 
 
 @dataclass(frozen=True)
 class ColumnStatistics:
-    """Statistics of one column, computed over a sample of the table."""
+    """Statistics of one column."""
 
     column_name: str
     null_fraction: float
@@ -94,30 +97,16 @@ class TableStatistics:
             ) from None
 
 
-def analyze_table(data: TableData, sample_fraction: float = 1.0,
-                  rng: np.random.Generator | None = None,
-                  num_mcvs: int = DEFAULT_NUM_MCVS,
-                  num_buckets: int = DEFAULT_NUM_BUCKETS) -> TableStatistics:
-    """Compute :class:`TableStatistics` from stored data.
-
-    ``sample_fraction < 1`` mimics ``ANALYZE``'s page sampling: statistics
-    become slightly inexact, the way real optimizer statistics are.
-    """
-    if sample_fraction < 1.0:
-        if rng is None:
-            raise CatalogError("sampling requires an explicit rng for determinism")
-        sample = data.sample_rows(sample_fraction, rng)
-    else:
-        sample = data
-
+def analyze_table(data: TableData) -> TableStatistics:
+    """Compute :class:`TableStatistics` from stored data."""
     stats = TableStatistics(
         table_name=data.table.name,
         num_rows=data.num_rows,
         num_pages=data.num_pages,
     )
     for column in data.table.columns:
-        values = sample.column_values(column.name)
-        null_mask = sample.null_mask(column.name)
+        values = data.column_values(column.name)
+        null_mask = data.null_mask(column.name)
         non_null = values[~null_mask]
         null_fraction = float(null_mask.mean()) if len(values) else 0.0
 
@@ -129,15 +118,8 @@ def analyze_table(data: TableData, sample_fraction: float = 1.0,
             continue
 
         unique, counts = np.unique(non_null, return_counts=True)
-        # Scale the sampled distinct count up to the full table (first-order
-        # Duj1 correction is overkill here; a dampened linear scale-up is
-        # enough and exact when sample_fraction == 1).
-        scale = data.num_rows / max(len(values), 1)
-        scaled_distinct = len(unique) * (1.0 + 0.5 * max(scale - 1.0, 0.0))
-        num_distinct = int(min(max(round(scaled_distinct), len(unique)), data.num_rows))
-
         order = np.argsort(counts)[::-1]
-        top = order[:num_mcvs]
+        top = order[:NUM_MCVS]
         total = counts.sum()
         mcv_values = tuple(float(v) for v in unique[top])
         mcv_fractions = tuple(float(c) / total * (1.0 - null_fraction)
@@ -145,12 +127,12 @@ def analyze_table(data: TableData, sample_fraction: float = 1.0,
 
         # Categorical codes are ordered integers, so a histogram is still
         # meaningful for them (used only as an equality fallback).
-        histogram = EquiDepthHistogram.build(non_null, num_buckets=num_buckets)
+        histogram = EquiDepthHistogram.build(non_null, num_buckets=NUM_BUCKETS)
 
         stats.columns[column.name] = ColumnStatistics(
             column_name=column.name,
             null_fraction=null_fraction,
-            num_distinct=num_distinct,
+            num_distinct=len(unique),
             min_value=float(non_null.min()),
             max_value=float(non_null.max()),
             mcv_values=mcv_values,

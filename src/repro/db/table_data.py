@@ -93,28 +93,3 @@ class TableData:
         if mask is None:
             return np.zeros(self.num_rows, dtype=np.bool_)
         return mask
-
-    def non_null_values(self, name: str) -> np.ndarray:
-        """Values of a column with NULL positions removed."""
-        values = self.column_values(name)
-        mask = self.null_masks.get(name)
-        if mask is None:
-            return values
-        return values[~mask]
-
-    def take(self, row_indices: np.ndarray) -> "TableData":
-        """Materialize a row subset (used by tests and sampling)."""
-        columns = {name: values[row_indices] for name, values in self.columns.items()}
-        masks = {name: mask[row_indices] for name, mask in self.null_masks.items()}
-        return TableData(table=self.table, columns=columns, null_masks=masks)
-
-    def sample_rows(self, fraction: float, rng: np.random.Generator) -> "TableData":
-        """Bernoulli row sample, used by ``ANALYZE``-style statistics."""
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError(f"sample fraction must be in (0, 1], got {fraction}")
-        if fraction == 1.0:
-            return self
-        keep = rng.random(self.num_rows) < fraction
-        if not keep.any():  # keep at least one row for non-empty tables
-            keep[rng.integers(0, max(self.num_rows, 1))] = True
-        return self.take(np.flatnonzero(keep))

@@ -167,14 +167,9 @@ class ArtifactStore:
     def _version_dir(self) -> Path:
         return self.root / CACHE_FORMAT_VERSION
 
-    def entry_dir(self, scale: "ExperimentScale",
-                  with_imdb_pool: bool = True) -> Path:
+    def _entry_dir(self, scale: "ExperimentScale",
+                   with_imdb_pool: bool = True) -> Path:
         return self._version_dir() / context_key(scale, with_imdb_pool)
-
-    def has_context(self, scale: "ExperimentScale",
-                    with_imdb_pool: bool = True) -> bool:
-        return (self.entry_dir(scale, with_imdb_pool)
-                / _COMPLETE_MARKER).is_file()
 
     # ------------------------------------------------------------------
     def _publish(self, staging: Path, entry: Path) -> None:
@@ -238,7 +233,7 @@ class ArtifactStore:
         """Persist what a freshly built context holds beyond its corpus
         (the shard entries already hold that); returns the entry
         directory."""
-        entry = self.entry_dir(context.scale, with_imdb_pool)
+        entry = self._entry_dir(context.scale, with_imdb_pool)
         with self._staged(entry) as staging:
             with open(staging / "scale.json", "w") as handle:
                 json.dump({
@@ -268,7 +263,7 @@ class ArtifactStore:
         truncated) entry."""
         from repro.experiments.setup import ExperimentContext
 
-        entry = self.entry_dir(scale, with_imdb_pool)
+        entry = self._entry_dir(scale, with_imdb_pool)
         if not (entry / _COMPLETE_MARKER).is_file():
             return None
         try:
@@ -295,11 +290,8 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     # Per-shard artifacts: one training database's executed workload.
     # ------------------------------------------------------------------
-    def shard_dir(self, shard: CorpusShard) -> Path:
+    def _shard_dir(self, shard: CorpusShard) -> Path:
         return self._version_dir() / _SHARDS_DIR_NAME / shard_key(shard)
-
-    def has_shard(self, shard: CorpusShard) -> bool:
-        return (self.shard_dir(shard) / _COMPLETE_MARKER).is_file()
 
     def save_shard(self, execution: ShardExecution) -> Path:
         """Persist one executed shard; returns its entry directory.
@@ -308,7 +300,7 @@ class ArtifactStore:
         on the same shard key cannot corrupt it — one publishes, the
         other notices the marker and discards its staging copy.
         """
-        entry = self.shard_dir(execution.shard)
+        entry = self._shard_dir(execution.shard)
         with self._staged(entry) as staging:
             with open(staging / "shard.json", "w") as handle:
                 json.dump({
@@ -329,7 +321,7 @@ class ArtifactStore:
         truncated payload reads as a miss, not a crash — the caller
         re-executes the shard.
         """
-        entry = self.shard_dir(shard)
+        entry = self._shard_dir(shard)
         if not (entry / _COMPLETE_MARKER).is_file():
             return None
         try:

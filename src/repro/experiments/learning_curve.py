@@ -44,10 +44,6 @@ class LearningCurveResult:
     database_counts: list[int] = field(default_factory=list)
     median_q_errors: list[float] = field(default_factory=list)
 
-    @property
-    def final_median(self) -> float:
-        return self.median_q_errors[-1]
-
     def improvement(self) -> float:
         """Error reduction factor from the first to the last point."""
         return self.median_q_errors[0] / self.median_q_errors[-1]

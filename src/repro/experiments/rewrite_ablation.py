@@ -55,7 +55,7 @@ class RewriteAblationResult:
     rule_firings: dict[str, int] = field(default_factory=dict)
 
     @property
-    def intermediate_row_reduction(self) -> float:
+    def _intermediate_row_reduction(self) -> float:
         """Baseline / rewritten summed intermediate rows (>1 is a win)."""
         if self.rewritten_intermediate_rows <= 0:
             return float("inf")
@@ -67,7 +67,7 @@ class RewriteAblationResult:
             f"({self.queries} queries)",
             f"  intermediate rows: {self.baseline_intermediate_rows:,.0f} -> "
             f"{self.rewritten_intermediate_rows:,.0f} "
-            f"({self.intermediate_row_reduction:.2f}x)",
+            f"({self._intermediate_row_reduction:.2f}x)",
             f"  optimizer cost:    {self.baseline_cost:,.0f} -> "
             f"{self.rewritten_cost:,.0f}",
             f"  scan width bytes:  {self.baseline_scan_width:,.0f} -> "

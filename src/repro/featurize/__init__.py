@@ -20,10 +20,7 @@
 from repro.featurize.batch import (
     EncodedGraph,
     GraphBatch,
-    LevelPlan,
     LevelPlanCache,
-    batch_graphs,
-    build_level_plan,
     encode_graph,
     encode_graphs,
     fit_scalers,
@@ -32,7 +29,6 @@ from repro.featurize.batch import (
 from repro.featurize.e2e import E2EFeaturizer, E2ETreeSample
 from repro.featurize.graph import (
     NODE_TYPES,
-    SYSTEM_FEATURE_FIELDS,
     CardinalitySource,
     PlanGraph,
     ZeroShotFeaturizer,
@@ -47,17 +43,13 @@ __all__ = [
     "E2ETreeSample",
     "EncodedGraph",
     "GraphBatch",
-    "LevelPlan",
     "LevelPlanCache",
     "MSCNFeaturizer",
     "MSCNSample",
     "NODE_TYPES",
     "PlanGraph",
-    "SYSTEM_FEATURE_FIELDS",
     "StandardScaler",
     "ZeroShotFeaturizer",
-    "batch_graphs",
-    "build_level_plan",
     "encode_graph",
     "encode_graphs",
     "fit_scalers",

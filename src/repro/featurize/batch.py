@@ -29,8 +29,10 @@ within its parent is graph-local, so :class:`EncodedGraph` records it
 once per graph and :func:`build_level_plan` gets every level's rounds
 from the one sort that groups the edges by level anyway.
 
-:func:`batch_graphs` composes the two and stays the convenient one-shot
-entry point (used at inference time, where every batch is new anyway).
+The zero-shot model runs both stages on every path, inference
+included: its ``encode`` (what the serving tier caches) is
+:func:`encode_graphs` under its fitted scalers, and its ``collate`` is
+:func:`merge_encoded`.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ __all__ = [
     "encode_graph",
     "encode_graphs",
     "merge_encoded",
-    "batch_graphs",
     "fit_scalers",
 ]
 
@@ -132,10 +133,6 @@ class GraphBatch:
         default_factory=lambda: np.zeros(0))
     #: Raw row estimates per ``plan_op`` row (linear-space base).
     plan_op_rows: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    @property
-    def num_graphs(self) -> int:
-        return len(self.roots)
 
 
 @dataclass
@@ -527,17 +524,3 @@ def merge_encoded(encoded: list[EncodedGraph],
                                          for g in encoded]),
         plan_op_rows=np.concatenate([g.plan_op_rows for g in encoded]),
     )
-
-
-def batch_graphs(graphs: list[PlanGraph],
-                 scalers: dict[str, StandardScaler] | None = None,
-                 require_targets: bool = False) -> GraphBatch:
-    """Merge graphs into one batch (optionally scaling features).
-
-    One-shot convenience over :func:`encode_graphs` +
-    :func:`merge_encoded`; training loops should encode once and merge
-    per mini-batch instead.
-    """
-    if not graphs:
-        raise FeaturizationError("cannot batch zero graphs")
-    return merge_encoded(encode_graphs(graphs, scalers), require_targets)

@@ -27,6 +27,7 @@ physical plans (or SQL) into the model's native sample type internally
 as_estimator` lifts a raw zero-shot core model onto it.
 """
 
+from repro.models import estimators
 from repro.models.api import (
     CostEstimator,
     get_estimator,
@@ -36,17 +37,10 @@ from repro.models.api import (
 )
 from repro.models.cardinality import ZeroShotCardinalityEstimator, as_estimator
 from repro.models.e2e import E2ECostModel
-from repro.models.estimators import (
-    E2EEstimator,
-    FlatVectorEstimator,
-    MSCNEstimator,
-    ScaledOptimizerCostEstimator,
-    ZeroShotEstimator,
-)
+from repro.models.estimators import ZeroShotEstimator
 from repro.models.fewshot import fine_tune
 from repro.models.flat import FlatVectorCostModel
 from repro.models.metrics import (
-    PREDICTION_EPSILON,
     QErrorStats,
     clamp_predictions,
     q_error,
@@ -54,7 +48,7 @@ from repro.models.metrics import (
 )
 from repro.models.mscn import MSCNCostModel
 from repro.models.optimizer_cost import ScaledOptimizerCost
-from repro.models.trainer import TrainerConfig, TrainingHistory
+from repro.models.trainer import TrainerConfig
 from repro.models.zero_shot import ZeroShotConfig, ZeroShotCostModel
 
 #: Estimator name → class: what :func:`get_estimator`,
@@ -62,24 +56,19 @@ from repro.models.zero_shot import ZeroShotConfig, ZeroShotCostModel
 ESTIMATORS = {
     estimator.name: estimator
     for estimator in (ZeroShotEstimator, ZeroShotCardinalityEstimator,
-                      FlatVectorEstimator, MSCNEstimator, E2EEstimator,
-                      ScaledOptimizerCostEstimator)
+                      estimators.FlatVectorEstimator,
+                      estimators.MSCNEstimator, estimators.E2EEstimator,
+                      estimators.ScaledOptimizerCostEstimator)
 }
 
 __all__ = [
     "CostEstimator",
     "E2ECostModel",
-    "E2EEstimator",
     "FlatVectorCostModel",
-    "FlatVectorEstimator",
     "MSCNCostModel",
-    "MSCNEstimator",
-    "PREDICTION_EPSILON",
     "QErrorStats",
     "ScaledOptimizerCost",
-    "ScaledOptimizerCostEstimator",
     "TrainerConfig",
-    "TrainingHistory",
     "ZeroShotCardinalityEstimator",
     "ZeroShotConfig",
     "ZeroShotCostModel",

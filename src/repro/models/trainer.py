@@ -27,6 +27,7 @@ plus a collate function.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, ClassVar, Sequence
 
@@ -84,11 +85,13 @@ class TrainerConfig:
     def __post_init__(self):
         if self.epochs <= 0 or self.batch_size <= 0:
             raise ModelError("epochs and batch_size must be positive")
-        if self.learning_rate <= 0:
-            raise ModelError("learning_rate must be positive")
-        if self.weight_decay < 0:
+        # Each check fails on NaN, which compares false with everything
+        # (a NaN learning rate would train nothing and keep no epoch).
+        if not 0 < self.learning_rate < math.inf:
+            raise ModelError("learning_rate must be positive and finite")
+        if not self.weight_decay >= 0:
             raise ModelError("weight_decay must be non-negative")
-        if self.clip_norm <= 0:
+        if not self.clip_norm > 0:
             raise ModelError("clip_norm must be positive")
         if not 0.0 <= self.validation_fraction < 1.0:
             raise ModelError("validation_fraction must be in [0, 1)")
@@ -104,10 +107,6 @@ class TrainingHistory:
     validation_losses: list[float] = field(default_factory=list)
     best_epoch: int = -1
     best_validation_loss: float = float("inf")
-
-    @property
-    def num_epochs(self) -> int:
-        return len(self.train_losses)
 
 
 def train_model(model: Module, samples: Sequence,

@@ -179,7 +179,7 @@ class ZeroShotNet(Module):
                     config.hidden_dim, rng),
             )
 
-    def hidden_states(self, batch: GraphBatch) -> Tensor:
+    def _hidden_states(self, batch: GraphBatch) -> Tensor:
         """Final hidden state of every node after bottom-up passing."""
         # 1. Initial hidden states, placed into one [N, hidden] matrix.
         encoded, positions = [], []
@@ -205,7 +205,7 @@ class ZeroShotNet(Module):
 
     def forward(self, batch: GraphBatch) -> Tensor:
         """Predicted log-runtimes, one per graph in the batch."""
-        roots = self.hidden_states(batch).index_select(batch.roots)
+        roots = self._hidden_states(batch).index_select(batch.roots)
         return self.readout(roots).reshape(-1)
 
     def forward_with_cardinalities(self, batch: GraphBatch
@@ -220,7 +220,7 @@ class ZeroShotNet(Module):
                 "this network was built without a cardinality head "
                 "(ZeroShotConfig(cardinality_head=True))"
             )
-        hidden = self.hidden_states(batch)
+        hidden = self._hidden_states(batch)
         runtime = self.readout(hidden.index_select(batch.roots)).reshape(-1)
         ops = hidden.index_select(batch.type_positions["plan_op"])
         cardinalities = self.card_readout(ops).reshape(-1)

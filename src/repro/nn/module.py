@@ -1,8 +1,9 @@
 """Module/Parameter abstraction (a small cousin of ``torch.nn.Module``).
 
 Modules register parameters and child modules automatically via
-``__setattr__`` and expose ``parameters()``, ``named_parameters()``,
-``state_dict()`` / ``load_state_dict()``, plus train/eval mode toggling.
+``__setattr__`` and expose ``parameters()``, ``state_dict()`` /
+``load_state_dict()`` (keyed by dotted parameter name), plus train/eval
+mode toggling.
 """
 
 from __future__ import annotations
@@ -50,13 +51,14 @@ class Module:
     # Parameter iteration
     # ------------------------------------------------------------------
     def parameters(self) -> list[Parameter]:
-        return [param for _, param in self.named_parameters()]
+        return [param for _, param in self._named_parameters()]
 
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Parameter]]:
+    def _named_parameters(self, prefix: str = ""
+                          ) -> Iterator[tuple[str, Parameter]]:
         for key, param in self._parameters.items():
             yield f"{prefix}{key}", param
         for key, module in self._modules.items():
-            yield from module.named_parameters(prefix=f"{prefix}{key}.")
+            yield from module._named_parameters(prefix=f"{prefix}{key}.")
 
     def zero_grad(self) -> None:
         for param in self.parameters():
@@ -81,10 +83,10 @@ class Module:
     # Serialization
     # ------------------------------------------------------------------
     def state_dict(self) -> dict[str, np.ndarray]:
-        return {name: param.data.copy() for name, param in self.named_parameters()}
+        return {name: param.data.copy() for name, param in self._named_parameters()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        own = dict(self.named_parameters())
+        own = dict(self._named_parameters())
         missing = set(own) - set(state)
         unexpected = set(state) - set(own)
         if missing or unexpected:

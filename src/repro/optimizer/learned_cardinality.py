@@ -225,10 +225,10 @@ class LearnedCardinalityEstimator(CardinalityEstimator):
         """
         from repro.optimizer.join_order import connected_subsets
 
-        # Satellite fix: the join adjacency is built ONCE per query
-        # here and threaded through every fragment-plan construction,
-        # instead of re-scanning query.joins_between per candidate
-        # alias per fragment (O(joins * n^2) per fragment before).
+        # The join adjacency is built ONCE per query here and threaded
+        # through every fragment-plan construction, instead of scanning
+        # query.joins per candidate alias per fragment (O(joins * n^2)
+        # per fragment).
         query = heuristic.query
         adjacency = self._join_adjacency(query)
         subsets = connected_subsets(query)
@@ -335,14 +335,13 @@ class LearnedCardinalityEstimator(CardinalityEstimator):
                         ) -> dict[str, tuple[tuple[str, JoinCondition], ...]]:
         """``alias -> ((neighbour, join), ...)`` in ``query.joins`` order.
 
-        Built once per query (satellite fix): each fragment-plan
-        construction used to call ``query.joins_between`` — a full scan
-        of the join list — once per remaining alias per join step.  The
-        per-alias tuples preserve the join list's order, so "first
-        connecting edge in ``query.joins`` order" lookups stay
-        identical to ``joins_between(...)[0]``.  Self-referencing edges
-        (both sides on one alias) are dropped, exactly as
-        ``joins_between`` never matches them across two disjoint sets.
+        Built once per query, instead of a full scan of the join list
+        once per remaining alias per join step.  The per-alias tuples
+        preserve the join list's order, so a lookup finds the first
+        connecting edge in ``query.joins`` order, as the planner's
+        ``_connecting_join`` does.  Self-referencing edges (both sides
+        on one alias) are dropped: they never connect two disjoint
+        alias sets.
         """
         adjacency: dict[str, list[tuple[str, JoinCondition]]] = {
             alias: [] for alias in query.table_names}

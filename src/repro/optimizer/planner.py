@@ -263,7 +263,7 @@ class _PlanSearch:
     def _connecting_join(self, left: _SubPlan,
                          right: _SubPlan) -> JoinCondition | None:
         """The first condition, in ``query.joins`` order, with one side
-        in each input (``query.joins_between(...)[0]``)."""
+        in each input."""
         for join in self.query.joins:
             a, b = join.left.table, join.right.table
             if (a in left.aliases and b in right.aliases) or \

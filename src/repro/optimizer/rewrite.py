@@ -346,11 +346,6 @@ class RewriteTrace:
     truncated: bool = False
 
     @property
-    def rules_fired(self) -> tuple[str, ...]:
-        """Rule names in firing order (with repeats)."""
-        return tuple(firing.rule for firing in self.firings)
-
-    @property
     def firing_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
         for firing in self.firings:
@@ -536,8 +531,8 @@ class TransitiveJoinRule:
 
     Adds the within-class transitive closure of the equi-join
     conditions (skipping self-joins on one alias).  Derived edges come
-    after the original ones, so ``joins_between(...)[0]`` — the single
-    condition the planner applies per merge — still prefers original
+    after the original ones, so the first connecting condition — the
+    single one the planner applies per merge — still prefers original
     edges, and fragment canonicalization stays stable.
     """
 

@@ -74,15 +74,3 @@ class WhatIfPlanner:
         """
         options = replace(self.options, use_hypothetical_indexes=False)
         return Planner(self.database, options).plan(query)
-
-    def uses_hypothetical_index(self, plan: PhysicalPlan) -> bool:
-        """Whether the plan references any hypothetical index."""
-        from repro.plans.operators import IndexScan
-        for node in plan.nodes():
-            if isinstance(node, IndexScan):
-                index = self.database.indexes.get(node.index_name)
-                if index is not None and index.hypothetical:
-                    return True
-                if index is None and node.index_name.startswith("whatif_"):
-                    return True
-        return False

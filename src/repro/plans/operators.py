@@ -194,10 +194,6 @@ class HashJoin(PlanNode):
     def probe_child(self) -> PlanNode:
         return self.children[0]
 
-    @property
-    def build_child(self) -> PlanNode:
-        return self.children[1].children[0]
-
     def label(self) -> str:
         return f"Hash Join ({self.condition})"
 

@@ -89,12 +89,8 @@ class PhysicalPlan:
         """The optimizer's cumulative cost at the root."""
         return self.root.est_cost
 
-    @property
-    def is_executed(self) -> bool:
-        return all(node.actual_rows is not None for node in self.nodes())
-
     def require_executed(self) -> None:
-        if not self.is_executed:
+        if any(node.actual_rows is None for node in walk_plan(self.root)):
             raise PlanError(
                 "plan has not been executed; actual cardinalities are missing"
             )

@@ -20,19 +20,11 @@ Both tiers answer bit-identically to direct
 paper's *one model serves every database* story.
 """
 
-from repro.serve.server import (
-    PendingPrediction,
-    PredictionResponse,
-    PredictionServer,
-    serve_estimator,
-)
+from repro.serve.server import PredictionServer
 from repro.serve.service import CostModelService, ServiceStats
 
 __all__ = [
     "CostModelService",
-    "PendingPrediction",
-    "PredictionResponse",
     "PredictionServer",
     "ServiceStats",
-    "serve_estimator",
 ]

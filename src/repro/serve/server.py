@@ -58,6 +58,7 @@ p99 latency under sustained multi-client traffic.
 from __future__ import annotations
 
 import ctypes
+import math
 import os
 import threading
 import time
@@ -65,15 +66,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-import numpy as np
-
-from repro.db.database import Database
 from repro.errors import ModelError, Overloaded, ServeError
 from repro.models.api import CostEstimator, load_estimator, peek_manifest
 from repro.serve.service import CostModelService, ServiceStats
 
-__all__ = ["PendingPrediction", "PredictionResponse", "PredictionServer",
-           "serve_estimator"]
+__all__ = ["PendingPrediction", "PredictionResponse", "PredictionServer"]
 
 #: glibc's ``mallopt`` parameter number for the arena limit.
 _M_ARENA_MAX = -8
@@ -230,8 +227,12 @@ class PredictionServer:
         if max_batch_size < 1:
             raise ServeError(f"max_batch_size must be >= 1, "
                              f"got {max_batch_size}")
-        if max_wait_ms < 0:
-            raise ServeError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
+        # Fails on NaN, which compares false with everything (the
+        # batcher would spin until a full batch queued), and on inf,
+        # which overflows ``Condition.wait`` and kills the batcher.
+        if not 0 <= max_wait_ms < math.inf:
+            raise ServeError(f"max_wait_ms must be finite and >= 0, "
+                             f"got {max_wait_ms}")
         if max_queue_depth < 1:
             raise ServeError(f"max_queue_depth must be >= 1, "
                              f"got {max_queue_depth}")
@@ -272,12 +273,6 @@ class PredictionServer:
         """Requests queued but not yet pulled into a batch."""
         with self._cond:
             return len(self._queue)
-
-    @property
-    def is_running(self) -> bool:
-        """Whether the server accepts new requests."""
-        with self._cond:
-            return self._running
 
     # -- client surface ------------------------------------------------
     def submit(self, item: "Any", tenant: str | None = None
@@ -466,20 +461,3 @@ class PredictionServer:
                 batch_index=index, latency_seconds=latency,
                 tenant=pending.tenant,
             ))
-
-
-def serve_estimator(estimator: CostEstimator, database: Database,
-                    *, max_batch_size: int = 64, cache_entries: int = 512,
-                    **server_options) -> PredictionServer:
-    """One-call deployment: wrap a fitted estimator in a
-    :class:`CostModelService` and start a :class:`PredictionServer`
-    over it (keyword options are forwarded to the server)."""
-    if not isinstance(estimator, CostEstimator):
-        raise ModelError(
-            "serve_estimator needs a CostEstimator; wrap core models via "
-            "repro.models.get_estimator / ZeroShotEstimator.from_model"
-        )
-    service = CostModelService(estimator, database,
-                               max_batch_size=max_batch_size,
-                               cache_entries=cache_entries)
-    return PredictionServer(service, **server_options)

@@ -12,10 +12,15 @@ overhead dwarfs the per-sample work at batch size one.
   the per-forward overhead amortizes across the batch;
 * **encode caching** — the per-plan encode precompute (for the
   zero-shot model: the scaled
-  :class:`~repro.featurize.batch.EncodedGraph` of PR 2's
-  ``encode_graphs``) is cached under an LRU bound, keyed by plan
-  identity (SQL text for string requests), so repeated predictions of
-  a known plan skip featurization entirely.
+  :class:`~repro.featurize.batch.EncodedGraph` of ``encode_graph``) is
+  cached under an LRU bound, keyed by plan identity (SQL text for
+  string requests), so repeated predictions of a known plan skip
+  featurization entirely.
+
+:class:`ServiceStats` counts what both serving tiers do (requests,
+batches, cache hits / misses / evictions, and for the server rejections,
+failures and swaps) and keeps a window of request latencies for
+``latency_p99``; ``hit_rate`` is what a caller reads of the cache.
 
 Because inference is **batch-size invariant** (single-row matmuls take
 the same BLAS path as batched ones, see ``repro.nn.tensor``), the
@@ -30,7 +35,7 @@ from __future__ import annotations
 import contextlib
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -53,9 +58,8 @@ LATENCY_WINDOW = 8192
 class ServiceStats:
     """Operational counters of one service or server instance.
 
-    All mutation goes through :meth:`add` / :meth:`observe_latency` /
-    :meth:`observe_latencies`, which are **thread-safe**: the concurrent
-    front end
+    All mutation goes through :meth:`add` / :meth:`observe_latencies`,
+    which are **thread-safe**: the concurrent front end
     (:class:`~repro.serve.server.PredictionServer`) increments counters
     from its batcher thread while any number of client threads read
     them, and a bare ``+=`` on a shared int is a read-modify-write race
@@ -84,40 +88,21 @@ class ServiceStats:
                 setattr(self, name, getattr(self, name) + delta)
 
     # -- per-request latency tracking ----------------------------------
-    def observe_latency(self, seconds: float) -> None:
-        """Record one request's submit→response latency."""
-        with self._mutex:
-            self._latencies.append(seconds)
-
     def observe_latencies(self, seconds: Iterable[float]) -> None:
-        """Record one batch's latencies under a single lock take."""
+        """Record one batch's submit→response latencies under a single
+        lock take."""
         with self._mutex:
             self._latencies.extend(seconds)
 
     @property
-    def observed_latencies(self) -> int:
-        """Number of latency samples currently in the window."""
-        with self._mutex:
-            return len(self._latencies)
-
-    def latency_quantile(self, q: float) -> float:
-        """Latency quantile (seconds) over the sliding window; NaN when
-        no request has been observed yet."""
+    def latency_p99(self) -> float:
+        """99th-percentile request latency (seconds) over the sliding
+        window — the SLO bound; NaN before the first request."""
         with self._mutex:
             if not self._latencies:
                 return float("nan")
             samples = np.fromiter(self._latencies, dtype=np.float64)
-        return float(np.quantile(samples, q))
-
-    @property
-    def latency_p50(self) -> float:
-        """Median request latency (seconds) — the SLO gate's midpoint."""
-        return self.latency_quantile(0.5)
-
-    @property
-    def latency_p99(self) -> float:
-        """99th-percentile request latency (seconds) — the SLO bound."""
-        return self.latency_quantile(0.99)
+        return float(np.quantile(samples, 0.99))
 
     @property
     def hit_rate(self) -> float:
@@ -236,10 +221,6 @@ class CostModelService:
 
     def clear_cache(self) -> None:
         self._cache.clear()
-
-    @property
-    def cached_plans(self) -> int:
-        return len(self._cache)
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -16,7 +16,6 @@ from repro.sql.ast import (
     Predicate,
     Query,
     TableRef,
-    iter_column_refs,
     join_column_classes,
 )
 from repro.sql.parser import parse_query
@@ -33,7 +32,6 @@ __all__ = [
     "Predicate",
     "Query",
     "TableRef",
-    "iter_column_refs",
     "join_column_classes",
     "parse_query",
     "query_to_sql",

@@ -22,7 +22,6 @@ __all__ = [
     "JoinCondition",
     "AggregateSpec",
     "Query",
-    "iter_column_refs",
     "join_column_classes",
 ]
 
@@ -225,9 +224,6 @@ class JoinCondition:
     left: ColumnRef
     right: ColumnRef
 
-    def references(self, table: str) -> bool:
-        return self.left.table == table or self.right.table == table
-
     def other_side(self, table: str) -> ColumnRef:
         if self.left.table == table:
             return self.right
@@ -308,40 +304,9 @@ class Query:
     def predicates_on(self, alias: str) -> tuple[Predicate, ...]:
         return tuple(p for p in self.predicates if p.column.table == alias)
 
-    def joins_between(self, aliases_a: frozenset[str],
-                      aliases_b: frozenset[str]) -> tuple[JoinCondition, ...]:
-        """Join conditions connecting two disjoint sets of table aliases."""
-        found = []
-        for join in self.joins:
-            sides = {join.left.table, join.right.table}
-            if (sides & aliases_a) and (sides & aliases_b):
-                found.append(join)
-        return tuple(found)
-
-    @property
-    def num_joins(self) -> int:
-        return len(self.joins)
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         from repro.sql.text import query_to_sql
         return query_to_sql(self)
-
-
-def iter_column_refs(query: Query):
-    """Yield every :class:`ColumnRef` the query mentions, in clause order.
-
-    Walks joins, predicates, aggregates and GROUP BY.  Duplicates are
-    yielded as-is; callers that need a set can build one.
-    """
-    for join in query.joins:
-        yield join.left
-        yield join.right
-    for predicate in query.predicates:
-        yield predicate.column
-    for aggregate in query.aggregates:
-        if aggregate.column is not None:
-            yield aggregate.column
-    yield from query.group_by
 
 
 def join_column_classes(

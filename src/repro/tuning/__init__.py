@@ -12,18 +12,12 @@ workload under candidate machines ("should I buy faster disks?")
 without benchmarking hardware nobody has bought yet.
 """
 
-from repro.tuning.advisor import AdvisorRecommendation, IndexAdvisor
-from repro.tuning.hardware import (
-    HardwareAdvisor,
-    HardwareOption,
-    HardwareRecommendation,
-)
+from repro.tuning.advisor import IndexAdvisor
+from repro.tuning.hardware import HardwareAdvisor, HardwareRecommendation
 from repro.tuning.whatif_model import ZeroShotWhatIfEstimator
 
 __all__ = [
-    "AdvisorRecommendation",
     "HardwareAdvisor",
-    "HardwareOption",
     "HardwareRecommendation",
     "IndexAdvisor",
     "ZeroShotWhatIfEstimator",

@@ -47,7 +47,7 @@ class IndexAdvisor:
         self.estimator = ZeroShotWhatIfEstimator(database, model)
 
     # ------------------------------------------------------------------
-    def candidate_indexes(self, queries: list[Query]) -> list[IndexSpec]:
+    def _candidate_indexes(self, queries: list[Query]) -> list[IndexSpec]:
         """Columns referenced by predicates or join conditions, minus
         columns that already carry a real index."""
         seen: set[tuple[str, str]] = set()
@@ -91,7 +91,7 @@ class IndexAdvisor:
         baseline = self.estimator.estimate_workload(queries)
         selected: list[IndexSpec] = []
         current = baseline
-        remaining = self.candidate_indexes(queries)
+        remaining = self._candidate_indexes(queries)
 
         while remaining and len(selected) < max_indexes:
             best_candidate = None

@@ -62,19 +62,6 @@ class ZeroShotWhatIfEstimator:
     def _predict(self, plans: list[PhysicalPlan]) -> np.ndarray:
         return self.estimator.predict_runtime(plans, self.database)
 
-    def estimate_runtime(self, query: Query,
-                         indexes: list[IndexSpec] | None = None) -> float:
-        """Predicted runtime (seconds) of ``query`` under the given
-        hypothetical indexes (none = current physical design)."""
-        if indexes:
-            plan = self._planner.plan_with_indexes(query, indexes)
-            # Featurization reads live index statistics, so prediction
-            # must happen while the hypothetical indexes exist.
-            with self._planner.hypothetical_indexes(indexes):
-                return float(self._predict([plan])[0])
-        plan = self._planner.plan_without_indexes(query)
-        return float(self._predict([plan])[0])
-
     def estimate_workload(self, queries: list[Query],
                           indexes: list[IndexSpec] | None = None) -> float:
         """Total predicted runtime of a workload (seconds), batched."""

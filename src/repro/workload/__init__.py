@@ -11,20 +11,12 @@
   corpus, optionally under random physical designs (for what-if
   training, §4.1).
 * :mod:`~repro.workload.backends` — sharded collection: per-database
-  :class:`CorpusShard` units executed by :func:`run_shards` (in-process
-  or a process pool, record-identical).
+  :class:`CorpusShard` units executed by
+  :func:`~repro.workload.backends.run_shards` (in-process or a process
+  pool, record-identical).
 """
 
-from repro.workload.backends import (
-    CorpusShard,
-    ShardExecution,
-    SystemAssignment,
-    execute_shard,
-    make_corpus_shards,
-    resolve_system_assignment,
-    resolve_workers,
-    run_shards,
-)
+from repro.workload.backends import CorpusShard, ShardExecution
 from repro.workload.benchmarks import (
     BENCHMARK_NAMES,
     make_benchmark_workload,
@@ -43,16 +35,10 @@ __all__ = [
     "ExecutedQueryRecord",
     "RECORD_SCHEMA_VERSION",
     "ShardExecution",
-    "SystemAssignment",
     "TrainingCorpus",
     "WorkloadRunner",
     "WorkloadSpec",
     "collect_training_corpus",
-    "execute_shard",
     "generate_workload",
     "make_benchmark_workload",
-    "make_corpus_shards",
-    "resolve_system_assignment",
-    "resolve_workers",
-    "run_shards",
 ]

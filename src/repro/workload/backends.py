@@ -36,7 +36,6 @@ import numpy as np
 from repro.db.database import Database
 from repro.db.generator import SyntheticDatabaseSpec, generate_database
 from repro.errors import ExperimentError
-from repro.optimizer.planner import PlannerOptions
 from repro.runtime import SystemParameters, get_system_config
 from repro.sql.ast import Query
 from repro.workload.generator import WorkloadSpec, generate_workload
@@ -114,14 +113,6 @@ class CorpusShard:
     random_indexes: int = 0
     noise_sigma: float = 0.06
     system: SystemParameters = field(default_factory=SystemParameters)
-    #: Planner configuration the shard's runner plans under.  Part of
-    #: the shard recipe (and therefore of its cache key): collecting a
-    #: corpus with the rewrite phase enabled produces different plans,
-    #: so it must hash differently.  The default is the stock planner,
-    #: which keeps records identical to pre-rewrite corpora (adding the
-    #: field is a one-time recipe-format change, like bumping
-    #: ``SHARD_SEED_STREAM``: cached shards re-collect once).
-    planner_options: PlannerOptions = field(default_factory=PlannerOptions)
 
 
 @dataclass
@@ -186,8 +177,7 @@ def make_corpus_shards(specs: Sequence[SyntheticDatabaseSpec],
                        random_indexes_per_database: int = 0,
                        workload_spec: WorkloadSpec | None = None,
                        system: SystemAssignment = None,
-                       noise_sigma: float = 0.06,
-                       planner_options: PlannerOptions | None = None
+                       noise_sigma: float = 0.06
                        ) -> list[CorpusShard]:
     """Build one shard per database spec with per-shard seeds.
 
@@ -213,7 +203,6 @@ def make_corpus_shards(specs: Sequence[SyntheticDatabaseSpec],
             random_indexes=random_indexes_per_database,
             noise_sigma=noise_sigma,
             system=machine,
-            planner_options=planner_options or PlannerOptions(),
         ))
     return shards
 
@@ -232,7 +221,6 @@ def execute_shard(shard: CorpusShard) -> ShardExecution:
                               np.random.default_rng(shard.index_seed))
     queries: list[Query] = generate_workload(database, shard.workload_spec)
     runner = WorkloadRunner(database, system=shard.system,
-                            planner_options=shard.planner_options,
                             noise_sigma=shard.noise_sigma,
                             seed=shard.runner_seed)
     return ShardExecution(shard=shard, database=database,

@@ -7,12 +7,13 @@ reports: the hours of query execution a workload-driven model costs on a
 new database.
 
 Workloads are executed as a batch against one database, so the runner
-shares a :class:`~repro.engine.BuildSideCache` across queries: hash-join
-build sides over the same base tables (typically the unfiltered
-dimension-table scans a generated workload revisits constantly) are
-executed and hashed once, then only probed by later queries.  Caching is
-transparent — records are bit-identical with and without it — and can be
-disabled with ``reuse_build_side=False``.
+shares one :class:`~repro.engine.BuildSideCache` (its default 64
+entries) across queries: hash-join build sides over the same base tables
+(typically the unfiltered dimension-table scans a generated workload
+revisits constantly) are executed and hashed once, then only probed by
+later queries.  Caching is transparent — records are bit-identical with
+and without it — and ``reuse_build_side=False``, the path without it,
+is the reference the workload tests compare against.
 """
 
 from __future__ import annotations
@@ -72,8 +73,6 @@ class WorkloadRunner:
     seed: int = 0
     #: Share hash-join build sides across the queries of one runner.
     reuse_build_side: bool = True
-    #: LRU capacity of the shared build-side cache.
-    build_cache_entries: int = 64
     #: Cardinality source the planner optimizes with — ``None`` uses the
     #: classical histogram heuristics, a
     #: :class:`~repro.optimizer.learned_cardinality.LearnedCardinalityEstimator`
@@ -84,21 +83,13 @@ class WorkloadRunner:
     def __post_init__(self):
         self._planner = Planner(self.database, self.planner_options,
                                 cardinality_estimator=self.cardinality_estimator)
-        self._build_cache = (BuildSideCache(self.build_cache_entries)
-                             if self.reuse_build_side else None)
-        self._executor = Executor(self.database,
-                                  build_cache=self._build_cache)
+        self._executor = Executor(
+            self.database,
+            build_cache=BuildSideCache() if self.reuse_build_side else None)
         self._simulator = RuntimeSimulator(
             self.database, system=self.system, noise_sigma=self.noise_sigma,
             rng=np.random.default_rng(self.seed),
         )
-
-    @property
-    def build_cache_stats(self) -> tuple[int, int]:
-        """(hits, misses) of the shared build-side cache; (0, 0) if off."""
-        if self._build_cache is None:
-            return (0, 0)
-        return (self._build_cache.hits, self._build_cache.misses)
 
     def run_query(self, query: Query) -> ExecutedQueryRecord:
         plan = self._planner.plan(query)

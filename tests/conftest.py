@@ -6,17 +6,15 @@ import numpy as np
 import pytest
 
 from repro.db import (
-    Column,
     Database,
     DataType,
-    ForeignKey,
     Schema,
     SyntheticDatabaseSpec,
-    Table,
     TableData,
     generate_database,
     make_imdb_database,
 )
+from repro.db.schema import Column, ForeignKey, Table
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -59,7 +57,8 @@ def _isolated_artifact_cache(tmp_path_factory):
 def executed_names(monkeypatch):
     """Names of the databases whose shards ``execute_shard`` ran during
     the test, in order — how a test counts (or forbids) executions."""
-    from repro.workload import backends, execute_shard
+    from repro.workload import backends
+    from repro.workload.backends import execute_shard
 
     names = []
 

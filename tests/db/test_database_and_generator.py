@@ -49,7 +49,8 @@ class TestDatabase:
 
     def test_statistics_missing(self):
         import repro.db.schema as sch
-        from repro.db import Column, DataType, Table, TableData
+        from repro.db import DataType, TableData
+        from repro.db.schema import Column, Table
         table = Table("t", (Column("id", DataType.INTEGER),))
         schema = sch.Schema.from_tables("d", [table])
         data = TableData(table=table, columns={"id": np.arange(3)})
@@ -152,15 +153,15 @@ class TestImdb:
         assert top / counts.sum() > 0.3
 
     def test_scale_parameter(self):
-        small = make_imdb_database(scale=0.02, seed=1, analyze=False)
+        small = make_imdb_database(scale=0.02, seed=1)
         smaller_rows = small.total_rows()
         assert smaller_rows < 20_000
         with pytest.raises(ValueError):
             make_imdb_database(scale=0.0)
 
     def test_determinism(self):
-        a = make_imdb_database(scale=0.02, seed=5, analyze=False)
-        b = make_imdb_database(scale=0.02, seed=5, analyze=False)
+        a = make_imdb_database(scale=0.02, seed=5)
+        b = make_imdb_database(scale=0.02, seed=5)
         np.testing.assert_array_equal(
             a.table_data("title").column_values("votes"),
             b.table_data("title").column_values("votes"),

@@ -5,7 +5,8 @@ import pickle
 
 import pytest
 
-from repro.db import Column, DataType, ForeignKey, Schema, Table
+from repro.db import DataType, Schema
+from repro.db.schema import Column, ForeignKey, Table
 from repro.errors import SchemaError
 
 
@@ -114,27 +115,23 @@ class TestSchema:
             "db", [parent, child], [ForeignKey("c", "p_id", "p", "id")]
         )
         assert schema.table_names == ["p", "c"]
-        assert len(schema.join_edges()) == 1
-        assert schema.foreign_keys_between("p", "c")
-        assert schema.foreign_keys_between("c", "p")
-        assert not schema.foreign_keys_between("p", "p")
+        assert schema.foreign_keys == [ForeignKey("c", "p_id", "p", "id")]
 
     def test_duplicate_table(self):
-        schema = Schema.from_tables("db", [make_table("a")])
         with pytest.raises(SchemaError):
-            schema.add_table(make_table("a"))
+            Schema.from_tables("db", [make_table("a"), make_table("a")])
 
     def test_fk_unknown_table(self):
-        schema = Schema.from_tables("db", [make_table("a")])
         with pytest.raises(SchemaError):
-            schema.add_foreign_key(ForeignKey("a", "id", "missing", "id"))
+            Schema.from_tables("db", [make_table("a")],
+                               [ForeignKey("a", "id", "missing", "id")])
 
     def test_fk_type_mismatch(self):
         a = Table("a", (Column("id", DataType.INTEGER),))
         b = Table("b", (Column("a_id", DataType.FLOAT),))
-        schema = Schema.from_tables("db", [a, b])
         with pytest.raises(SchemaError):
-            schema.add_foreign_key(ForeignKey("b", "a_id", "a", "id"))
+            Schema.from_tables("db", [a, b],
+                               [ForeignKey("b", "a_id", "a", "id")])
 
     def test_missing_table_lookup(self):
         with pytest.raises(SchemaError):

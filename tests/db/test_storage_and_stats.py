@@ -5,15 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db import (
-    Column,
-    DataType,
-    EquiDepthHistogram,
-    Table,
-    TableData,
-    analyze_table,
-)
+from repro.db import DataType, TableData
+from repro.db.histogram import EquiDepthHistogram
 from repro.db.index import Index
+from repro.db.schema import Column, Table
+from repro.db.statistics import analyze_table
 from repro.db.types import pages_for_rows, rows_per_page
 from repro.errors import CatalogError, SchemaError
 
@@ -51,7 +47,6 @@ class TestTableData:
         data = TableData(table=table, columns={"a": np.arange(3)},
                          null_masks={"a": mask})
         assert data.null_mask("a").sum() == 2
-        assert len(data.non_null_values("a")) == 1
 
     def test_null_mask_validation(self):
         table = Table("t", (Column("a", DataType.INTEGER),))
@@ -61,18 +56,6 @@ class TestTableData:
         with pytest.raises(SchemaError):
             TableData(table=table, columns={"a": np.arange(3)},
                       null_masks={"ghost": np.array([True, False, False])})
-
-    def test_take_and_sample(self):
-        data = int_table(range(100))
-        subset = data.take(np.array([1, 5, 7]))
-        assert subset.num_rows == 3
-        rng = np.random.default_rng(0)
-        sample = data.sample_rows(0.3, rng)
-        assert 0 < sample.num_rows < 100
-
-    def test_sample_fraction_validation(self):
-        with pytest.raises(ValueError):
-            int_table([1]).sample_rows(0.0, np.random.default_rng(0))
 
     def test_pages(self):
         data = int_table(range(10_000))
@@ -142,13 +125,14 @@ class TestHistogram:
         cut=st.floats(min_value=0.05, max_value=0.95),
     )
     def test_monotone_property(self, seed, cut):
-        """selectivity_below is monotone in the threshold value."""
+        """The selectivity of ``<= threshold`` is monotone in it."""
         rng = np.random.default_rng(seed)
         values = rng.normal(size=500)
         hist = EquiDepthHistogram.build(values, num_buckets=16)
         lo = float(np.quantile(values, cut * 0.5))
         hi = float(np.quantile(values, cut))
-        assert hist.selectivity_below(lo, True) <= hist.selectivity_below(hi, True) + 1e-9
+        assert hist.selectivity_range(None, lo) <= \
+            hist.selectivity_range(None, hi) + 1e-9
 
 
 class TestAnalyze:
@@ -180,18 +164,18 @@ class TestAnalyze:
         stats = analyze_table(data)
         assert stats.column("v").null_fraction == pytest.approx(0.25)
 
-    def test_sampled_analyze_close_to_exact(self):
-        rng = np.random.default_rng(0)
-        values = rng.integers(0, 50, size=20_000)
-        data = int_table(values)
-        exact = analyze_table(data).column("v")
-        sampled = analyze_table(data, sample_fraction=0.2,
-                                rng=np.random.default_rng(1)).column("v")
-        assert sampled.num_distinct >= exact.num_distinct * 0.8
-
-    def test_sampling_requires_rng(self):
-        with pytest.raises(CatalogError):
-            analyze_table(int_table([1, 2, 3]), sample_fraction=0.5)
+    def test_every_row_is_read(self):
+        """No sample: the distinct count and the extremes are exact,
+        NULLs excluded."""
+        values = np.random.default_rng(0).integers(0, 5_000, size=20_000)
+        table = Table("t", (Column("v", DataType.INTEGER),))
+        nulls = values % 7 == 0
+        column = analyze_table(TableData(
+            table=table, columns={"v": values}, null_masks={"v": nulls}),
+        ).column("v")
+        assert column.num_distinct == len(np.unique(values[~nulls]))
+        assert column.min_value == values[~nulls].min()
+        assert column.max_value == values[~nulls].max()
 
     def test_missing_column_stats(self):
         stats = analyze_table(int_table([1]))
@@ -213,7 +197,7 @@ class TestIndex:
         index = Index("idx", "t", "v").build(data)
         rows = index.range_lookup(3, 8)
         assert sorted(rows.tolist()) == [0, 1, 2, 5]
-        assert sorted(index.equality_lookup(3).tolist()) == [1, 5]
+        assert sorted(index.range_lookup(3, 3).tolist()) == [1, 5]
 
     def test_exclusive_bounds(self):
         data = int_table([1, 2, 3, 4, 5])
@@ -245,7 +229,7 @@ class TestIndex:
         assert key_positions.tolist() == [0, 0, 2, 2, 2, 3, 3, 4]
         assert row_ids.tolist() == [1, 5, 0, 6, 7, 1, 5, 4]
         assert row_ids.tolist() == np.concatenate(
-            [index.equality_lookup(key) for key in keys]).tolist()
+            [index.range_lookup(key, key) for key in keys]).tolist()
         for keys in (np.array([7, 2]), np.empty(0, dtype=np.int64)):
             key_positions, row_ids = index.lookup_many(keys)
             assert key_positions.tolist() == row_ids.tolist() == []

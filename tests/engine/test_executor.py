@@ -426,11 +426,13 @@ class TestPlanMechanics:
         scan = SeqScan(table=TableRef("parent"))
         root = PlainAggregate(aggregates=count_star(), children=[scan])
         plan = make_plan(root, two_table_db)
-        assert not plan.is_executed
+        with pytest.raises(PlanError):
+            plan.require_executed()
         execute_plan(two_table_db, plan)
-        assert plan.is_executed
+        plan.require_executed()
         plan.reset_actuals()
-        assert not plan.is_executed
+        with pytest.raises(PlanError):
+            plan.require_executed()
 
     def test_rows_source_selection(self, two_table_db):
         scan = SeqScan(table=TableRef("parent"))

@@ -15,7 +15,8 @@ import shutil
 import numpy as np
 import pytest
 
-from repro.db import Table, generate_training_database_specs
+from repro.db import generate_training_database_specs
+from repro.db.schema import Table
 from repro.experiments import (
     ArtifactStore,
     ExperimentScale,
@@ -35,9 +36,8 @@ from repro.workload import (
     WorkloadRunner,
     backends,
     collect_training_corpus,
-    execute_shard,
-    make_corpus_shards,
 )
+from repro.workload.backends import execute_shard, make_corpus_shards
 
 pytestmark = pytest.mark.artifact_cache
 
@@ -69,6 +69,11 @@ def warm_store(tmp_path_factory):
     context = build_context(tiny_scale(), with_imdb_pool=False, store=store,
                             use_cache=True)
     return store, context
+
+
+def complete(entry) -> bool:
+    """Whether a store entry carries its ``COMPLETE`` marker."""
+    return (entry / "COMPLETE").is_file()
 
 
 def assert_same_predictions(cold, warm):
@@ -179,10 +184,9 @@ class TestKeying:
 
     def test_incomplete_entry_is_a_miss(self, tmp_path):
         store = ArtifactStore(tmp_path)
-        entry = store.entry_dir(tiny_scale())
+        entry = store._entry_dir(tiny_scale())
         entry.mkdir(parents=True)          # no COMPLETE marker
         (entry / "context.pkl").write_bytes(b"garbage")
-        assert not store.has_context(tiny_scale())
         assert store.load_context(tiny_scale(), TrainingCorpus()) is None
 
     def test_incomplete_entry_is_replaced_on_save(self, warm_store,
@@ -190,13 +194,13 @@ class TestKeying:
         """A crashed writer's leftover must not poison the key forever."""
         fresh = ArtifactStore(tmp_path)
         scale = tiny_scale()
-        leftover = fresh.entry_dir(scale, with_imdb_pool=False)
+        leftover = fresh._entry_dir(scale, with_imdb_pool=False)
         leftover.mkdir(parents=True)       # incomplete: no COMPLETE marker
         (leftover / "context.pkl").write_bytes(b"garbage")
 
         _, context = warm_store
-        fresh.save_context(context, with_imdb_pool=False)
-        assert fresh.has_context(scale, with_imdb_pool=False)
+        assert fresh.save_context(context, with_imdb_pool=False) == leftover
+        assert complete(leftover)
         reloaded = fresh.load_context(scale, context.corpus,
                                       with_imdb_pool=False)
         assert reloaded is not None
@@ -287,12 +291,12 @@ class TestTruncatedEntries:
         assert store.load_context(scale, context.corpus,
                                   with_imdb_pool=False) is not None
         _truncate(entry / victim)
-        assert store.has_context(scale, with_imdb_pool=False)
+        assert complete(entry)
 
         assert store.load_context(scale, context.corpus,
                                   with_imdb_pool=False) is None
         # Demoted, so the rebuilt context is published over it.
-        assert not store.has_context(scale, with_imdb_pool=False)
+        assert not complete(entry)
         store.save_context(context, with_imdb_pool=False)
         reloaded = store.load_context(scale, context.corpus,
                                       with_imdb_pool=False)
@@ -309,10 +313,10 @@ class TestTruncatedEntries:
         store = ArtifactStore(tmp_path)
         entry = store.save_shard(executed)
         _truncate(entry / "payload.pkl", keep)
-        assert store.has_shard(shard)
+        assert complete(entry)
 
         assert store.load_shard(shard) is None
-        assert not store.has_shard(shard)
+        assert not complete(entry)
         store.save_shard(executed)
         assert [r.runtime_seconds for r in store.load_shard(shard).records] \
             == [r.runtime_seconds for r in executed.records]
@@ -334,10 +338,8 @@ class TestShardStore:
 
     def test_roundtrip(self, tmp_path, tiny_shards, executed):
         store = ArtifactStore(tmp_path)
-        assert not store.has_shard(tiny_shards[0])
         assert store.load_shard(tiny_shards[0]) is None
-        store.save_shard(executed)
-        assert store.has_shard(tiny_shards[0])
+        assert complete(store.save_shard(executed))
         loaded = store.load_shard(tiny_shards[0])
         assert loaded.database.name == executed.database.name
         assert [r.runtime_seconds for r in loaded.records] == \
@@ -431,12 +433,12 @@ class TestShardStore:
         """A crashed writer's markerless leftover must not poison the key."""
         store = ArtifactStore(tmp_path)
         shard = tiny_shards[0]
-        leftover = store.shard_dir(shard)
+        leftover = store._shard_dir(shard)
         leftover.mkdir(parents=True)       # no COMPLETE marker
         (leftover / "payload.pkl").write_bytes(b"garbage")
         assert store.load_shard(shard) is None
-        store.save_shard(executed)
-        assert store.has_shard(shard)
+        assert store.save_shard(executed) == leftover
+        assert complete(leftover)
         assert store.load_shard(shard).database.name == executed.database.name
 
     def test_growing_fleet_reuses_shards(self, tmp_path, executed_names):
@@ -483,7 +485,7 @@ class TestCLI:
         # Clearing only touches directories; fabricated entries suffice.
         store = ArtifactStore(tmp_path)
         for name in ("ctx-aaaa", "ctx-bbbb"):
-            entry = store.entry_dir(tiny_scale()).with_name(name)
+            entry = store._entry_dir(tiny_scale()).with_name(name)
             entry.mkdir(parents=True)
             (entry / "COMPLETE").write_text("ok\n")
         assert len(store.entries()) == 2

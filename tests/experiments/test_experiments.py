@@ -82,7 +82,7 @@ class TestSetup:
 
     def test_worker_count_validation(self):
         """Non-positive worker counts are rejected before any shard runs."""
-        from repro.workload import resolve_workers
+        from repro.workload.backends import resolve_workers
         with pytest.raises(ExperimentError):
             resolve_workers(0)
         with pytest.raises(ExperimentError):

@@ -10,7 +10,6 @@ from repro.featurize import (
     NODE_TYPES,
     PlanGraph,
     ZeroShotFeaturizer,
-    batch_graphs,
     flat_plan_features,
 )
 from repro.featurize.batch import encode_graphs, fit_scalers, merge_encoded
@@ -18,6 +17,11 @@ from repro.featurize.graph import FEATURE_DIMS
 from repro.featurize.plan_features import FLAT_DIM
 from repro.optimizer import plan_query
 from repro.sql import parse_query
+
+
+def batched(graphs, scalers=None, require_targets=False):
+    """Encode, then merge: the two stages every batch goes through."""
+    return merge_encoded(encode_graphs(graphs, scalers), require_targets)
 
 
 def featurized(db, text, source=CardinalitySource.ESTIMATED, execute=False,
@@ -138,21 +142,21 @@ class TestBatching:
 
     def test_batch_preserves_counts(self, tiny_imdb):
         graphs = self._graphs(tiny_imdb)
-        batch = batch_graphs(graphs)
-        assert batch.num_graphs == 4
+        batch = batched(graphs)
+        assert len(batch.roots) == 4
         assert batch.num_nodes == sum(g.num_nodes for g in graphs)
         assert batch.targets is not None
         assert len(batch.targets) == 4
 
     def test_roots_are_valid(self, tiny_imdb):
         graphs = self._graphs(tiny_imdb)
-        batch = batch_graphs(graphs)
+        batch = batched(graphs)
         assert all(0 <= r < batch.num_nodes for r in batch.roots)
         assert len(set(batch.roots.tolist())) == 4
 
     def test_levels_cover_all_parents(self, tiny_imdb):
         graphs = self._graphs(tiny_imdb)
-        batch = batch_graphs(graphs)
+        batch = batched(graphs)
         parents_in_levels = set()
         for level in batch.levels:
             parents_in_levels.update(level.parent_ids.tolist())
@@ -170,18 +174,18 @@ class TestBatching:
     def test_scalers_standardize(self, tiny_imdb):
         graphs = self._graphs(tiny_imdb)
         scalers = fit_scalers(graphs)
-        batch = batch_graphs(graphs, scalers)
+        batch = batched(graphs, scalers)
         ops = batch.features["plan_op"]
         assert np.abs(ops.mean(axis=0)).max() < 1.0
 
     def test_empty_batch_rejected(self):
         with pytest.raises(FeaturizationError):
-            batch_graphs([])
+            merge_encoded([])
 
     def test_missing_targets_flagged(self, tiny_imdb):
         graph, _ = featurized(tiny_imdb, PAPER_QUERY)
         with pytest.raises(FeaturizationError):
-            batch_graphs([graph], require_targets=True)
+            batched([graph], require_targets=True)
 
     def test_partially_labelled_batch_rejected(self, tiny_imdb):
         """A mixed list used to silently yield ``targets=None``; now it
@@ -189,37 +193,9 @@ class TestBatching:
         labelled = self._graphs(tiny_imdb, n=2)
         unlabelled, _ = featurized(tiny_imdb, PAPER_QUERY)
         with pytest.raises(FeaturizationError, match="missing runtime"):
-            batch_graphs(labelled + [unlabelled])
+            batched(labelled + [unlabelled])
         with pytest.raises(FeaturizationError, match="missing runtime"):
-            batch_graphs(labelled + [unlabelled], require_targets=True)
-
-    def test_encode_then_merge_matches_one_shot(self, tiny_imdb):
-        """The one-time precompute + cheap merge is the same batch the
-        one-shot path builds — features, grouping and targets alike."""
-        graphs = self._graphs(tiny_imdb)
-        scalers = fit_scalers(graphs)
-        one_shot = batch_graphs(graphs, scalers)
-        merged = merge_encoded(encode_graphs(graphs, scalers))
-        assert merged.num_nodes == one_shot.num_nodes
-        assert merged.graph_sizes == one_shot.graph_sizes
-        np.testing.assert_array_equal(merged.roots, one_shot.roots)
-        np.testing.assert_array_equal(merged.targets, one_shot.targets)
-        for node_type in NODE_TYPES:
-            np.testing.assert_array_equal(merged.features[node_type],
-                                          one_shot.features[node_type])
-            np.testing.assert_array_equal(merged.type_positions[node_type],
-                                          one_shot.type_positions[node_type])
-        assert len(merged.levels) == len(one_shot.levels)
-        for mine, theirs in zip(merged.levels, one_shot.levels):
-            np.testing.assert_array_equal(mine.parent_ids, theirs.parent_ids)
-            np.testing.assert_array_equal(mine.edge_child_ids,
-                                          theirs.edge_child_ids)
-            np.testing.assert_array_equal(mine.edge_parent_slots,
-                                          theirs.edge_parent_slots)
-            assert list(mine.type_slots) == list(theirs.type_slots)
-            for node_type, slots in mine.type_slots.items():
-                np.testing.assert_array_equal(slots,
-                                              theirs.type_slots[node_type])
+            batched(labelled + [unlabelled], require_targets=True)
 
     def test_encoded_graphs_rebatch_in_any_composition(self, tiny_imdb):
         """Mini-batches drawn from one encode pass match freshly built
@@ -229,7 +205,7 @@ class TestBatching:
         encoded = encode_graphs(graphs, scalers)
         for subset in ([2, 0], [3, 1, 2], [1]):
             merged = merge_encoded([encoded[i] for i in subset])
-            fresh = batch_graphs([graphs[i] for i in subset], scalers)
+            fresh = batched([graphs[i] for i in subset], scalers)
             np.testing.assert_array_equal(merged.roots, fresh.roots)
             for node_type in NODE_TYPES:
                 np.testing.assert_array_equal(merged.features[node_type],

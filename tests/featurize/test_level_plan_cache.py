@@ -16,10 +16,10 @@ from repro.featurize import (
     CardinalitySource,
     LevelPlanCache,
     ZeroShotFeaturizer,
-    build_level_plan,
     encode_graphs,
     merge_encoded,
 )
+from repro.featurize.batch import build_level_plan
 from repro.models import TrainerConfig, ZeroShotConfig, ZeroShotCostModel
 from repro.optimizer import plan_query
 from repro.sql import parse_query

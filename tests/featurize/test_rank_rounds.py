@@ -13,13 +13,8 @@ import numpy as np
 import pytest
 
 from repro.engine import execute_plan
-from repro.featurize import (
-    CardinalitySource,
-    ZeroShotFeaturizer,
-    build_level_plan,
-    encode_graphs,
-)
-from repro.featurize.batch import EncodedGraph, LevelSpec
+from repro.featurize import CardinalitySource, ZeroShotFeaturizer, encode_graphs
+from repro.featurize.batch import EncodedGraph, LevelSpec, build_level_plan
 from repro.nn.tensor import Tensor
 from repro.optimizer import plan_query
 from repro.workload import WorkloadSpec, generate_workload

@@ -8,8 +8,12 @@ import pytest
 
 from repro.engine import execute_plan
 from repro.errors import FeaturizationError
-from repro.featurize import NODE_TYPES, SYSTEM_FEATURE_FIELDS, ZeroShotFeaturizer
-from repro.featurize.graph import FEATURE_DIMS, CardinalitySource
+from repro.featurize import NODE_TYPES, ZeroShotFeaturizer
+from repro.featurize.graph import (
+    FEATURE_DIMS,
+    SYSTEM_FEATURE_FIELDS,
+    CardinalitySource,
+)
 from repro.optimizer import plan_query
 from repro.runtime import SystemParameters
 from repro.sql import parse_query

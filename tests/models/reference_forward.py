@@ -2,7 +2,7 @@
 before the rank-round row primitives, kept as the oracle they are
 tested (and, in ``benchmarks/test_perf_microbench.py``, timed) against.
 
-``reference_hidden_states`` is ``ZeroShotNet.hidden_states`` of the
+``reference_hidden_states`` is ``ZeroShotNet._hidden_states`` of the
 parent commit and ``reference_e2e_forward`` its copy in
 ``E2ENet.forward``, verbatim but for two things: ``self`` is the
 network passed in, and ``x.scatter_add(indices, n)`` is spelled

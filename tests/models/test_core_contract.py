@@ -101,7 +101,7 @@ class TestCoreModelContract:
     def test_fit_records_history_and_fits(self, name, fitted):
         model = fitted[name]
         assert model.is_fitted
-        assert model.history.num_epochs == 3
+        assert len(model.history.train_losses) == 3
 
     def test_empty_input_yields_empty_vector(self, name, fitted):
         assert fitted[name].predict_runtime([]).shape == (0,)
@@ -167,6 +167,10 @@ def test_validation_runs_off_the_tape():
     ("learning_rate", -1e-3), ("weight_decay", -1e-5), ("clip_norm", 0.0),
     ("validation_fraction", 1.0), ("validation_fraction", -0.1),
     ("early_stopping_patience", 0),
+    # NaN compares false with everything, so ``<= 0`` let it through: a
+    # NaN learning rate trained nothing and kept no epoch, silently.
+    ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+    ("weight_decay", float("nan")), ("clip_norm", float("nan")),
 ])
 def test_bad_trainer_config_fails_at_construction(field, value):
     """Eagerly, not minutes into a fit (or, accepted silently, never)."""

@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ModelError
-from repro.models import (
-    PREDICTION_EPSILON,
-    clamp_predictions,
-    q_error,
-    q_error_stats,
-)
+from repro.models import clamp_predictions, q_error, q_error_stats
+from repro.models.metrics import PREDICTION_EPSILON
 
 
 class TestQError:

@@ -1,6 +1,6 @@
 """The message-passing forwards against their test-only references.
 
-``reference_forward.py`` keeps the parent commit's ``hidden_states`` /
+``reference_forward.py`` keeps the parent commit's ``_hidden_states`` /
 ``E2ENet.forward`` (every scatter an ``np.zeros`` + ``np.add.at``, every
 state update a full-width add).  The forwards in ``repro.models`` are
 written on the rank-round row primitives instead and must produce the

@@ -126,7 +126,7 @@ def _trajectories() -> dict[str, dict[str, list[float]]]:
 
 
 def _gradient_digest(model, samples) -> str:
-    """SHA-256 over every ``param.grad`` (``named_parameters()`` order)
+    """SHA-256 over every ``param.grad`` (``state_dict()`` order)
     after one taped forward + ``q_loss`` + ``backward()`` on one batch
     of all ``samples``, through the closures ``fit`` trains with."""
     model._calibrate(samples)
@@ -135,7 +135,8 @@ def _gradient_digest(model, samples) -> str:
     model.net.train()
     F.q_loss(forward(batch), targets(batch)).backward()
     digest = hashlib.sha256()
-    for name, parameter in model.net.named_parameters():
+    for name, parameter in zip(model.net.state_dict(),
+                               model.net.parameters()):
         # A parameter no sample reaches has no gradient at all.
         digest.update(name.encode() if parameter.grad is None
                       else parameter.grad.tobytes())

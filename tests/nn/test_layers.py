@@ -147,7 +147,7 @@ class TestDataHelpers:
 class TestModuleMechanics:
     def test_named_parameters_nested(self):
         model = Sequential(Linear(2, 3, rng()), Linear(3, 1, rng()))
-        names = [name for name, _ in model.named_parameters()]
+        names = list(model.state_dict())
         assert "layer0.weight" in names
         assert "layer1.bias" in names
 

@@ -169,8 +169,9 @@ class TestWhatIf:
         scan = whatif.root.children[0]
         assert isinstance(scan, IndexScan)
         assert scan.index_column == "votes"
-        assert planner.uses_hypothetical_index(whatif) or \
-            "whatif" in scan.index_name
+        assert tiny_imdb.indexes.get(scan.index_name) is None, \
+            "the what-if index outlived its plan"
+        assert scan.index_name == IndexSpec("title", "votes").default_name
 
     def test_hypothetical_indexes_cleaned_up(self, tiny_imdb):
         planner = WhatIfPlanner(tiny_imdb)
@@ -226,7 +227,7 @@ class TestPlanStructure:
             assert isinstance(plan, PhysicalPlan)
             assert all(node is not None for node in walk_plan(plan.root))
             execute_plan(tiny_imdb, plan)
-            assert plan.is_executed
+            plan.require_executed()
 
     def test_repeated_node_object_rejected(self):
         """A plan is a tree: the executor's ``actual_rows`` and the

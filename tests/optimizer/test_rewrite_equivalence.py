@@ -213,7 +213,7 @@ def _check_equivalence(database, queries, disabled, monkeypatch):
         label = f"query {index}: {query}"
         plan_off = baseline_planner.plan(query)
         plan_on = rewrite_planner.plan(query)
-        fired.update(plan_on.metadata["rewrite_trace"].rules_fired)
+        fired.update(plan_on.metadata["rewrite_trace"].firing_counts)
 
         # Pre-aggregation pipelines: exact multiset equality.
         pre_off = Executor(database)._execute_node(plan_off.root.children[0])
@@ -302,27 +302,23 @@ class TestRewritePlansStillAggregate:
 
 
 class TestWorkloadLayerIntegration:
-    def test_corpus_shard_carries_planner_options(self):
-        from repro.db import generate_training_database_specs
-        from repro.workload import execute_shard, make_corpus_shards
+    def test_runner_plans_under_its_planner_options(self, tiny_imdb):
+        """What ``collect_rewrite`` measures: a runner handed the
+        rewrite phase plans every query through it."""
+        from repro.workload import WorkloadRunner
 
-        specs = generate_training_database_specs(1, base_seed=5)
-        options = PlannerOptions(enable_rewrites=True)
-        shards = make_corpus_shards(specs, queries_per_database=3, seed=9,
-                                    planner_options=options)
-        assert shards[0].planner_options == options
-        execution = execute_shard(shards[0])
-        assert len(execution.records) == 3
-        for record in execution.records:
+        queries = _workload(tiny_imdb, "crafted")[:3]
+        runner = WorkloadRunner(
+            tiny_imdb, planner_options=PlannerOptions(enable_rewrites=True))
+        for record in runner.run(queries):
             assert record.plan.metadata["rewrite_trace"] is not None
 
     def test_default_shards_are_rewrite_free(self):
         from repro.db import generate_training_database_specs
-        from repro.workload import execute_shard, make_corpus_shards
+        from repro.workload.backends import execute_shard, make_corpus_shards
 
         specs = generate_training_database_specs(1, base_seed=5)
         shards = make_corpus_shards(specs, queries_per_database=2, seed=9)
-        assert shards[0].planner_options == PlannerOptions()
         execution = execute_shard(shards[0])
         for record in execution.records:
             assert "rewrite_trace" not in record.plan.metadata

@@ -53,7 +53,7 @@ def _seed_snapshot() -> list[dict]:
         entries.append({
             "sql": str(query),
             "logical_plan": logical_plan_repr(result.logical_plan),
-            "rules_fired": list(trace.rules_fired),
+            "rules_fired": [firing.rule for firing in trace.firings],
             "nodes_before": trace.nodes_before,
             "nodes_after": trace.nodes_after,
             "scan_columns": {alias: list(cols) for alias, cols

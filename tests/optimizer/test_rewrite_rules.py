@@ -171,7 +171,7 @@ class TestTermination:
         trace = error.trace
         assert trace is not None, "PlannerError must carry the RewriteTrace"
         assert trace.truncated
-        assert "always-fires" in trace.rules_fired
+        assert "always-fires" in trace.firing_counts
         assert len(trace.firings) == 12
         # The stub grows the tree by one node per firing.
         growth = [f for f in trace.firings if f.rule == "always-fires"]
@@ -326,7 +326,8 @@ class TestTransitiveJoins:
         assert derived == {
             JoinCondition(_col("mi", "movie_id"), _col("mk", "movie_id"))
         }
-        # Originals come first so joins_between(...)[0] prefers them.
+        # Originals come first, so the planner's first connecting
+        # condition is an original one.
         assert result.query.joins[:2] == query.joins
 
     def test_no_self_edges_within_one_alias(self):
@@ -379,7 +380,7 @@ class TestTraceAndLowering:
         assert trace.nodes_before == count_logical_nodes(
             build_logical_plan(SAMPLE_QUERIES[0]))
         assert trace.nodes_after == count_logical_nodes(result.logical_plan)
-        names = trace.rules_fired
+        names = [firing.rule for firing in trace.firings]
         assert names, "expected at least one firing"
         # Application order follows the order of RULES within a pass.
         assert names[0] == "predicate-pushdown"

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db import Column, DataType, Table, TableData, analyze_table
+from repro.db import DataType, TableData
+from repro.db.schema import Column, Table
+from repro.db.statistics import analyze_table
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.selectivity import (
     DEFAULT_EQ_SELECTIVITY,

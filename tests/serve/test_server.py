@@ -30,12 +30,7 @@ from serve_stubs import (
 
 from repro.errors import ModelError, Overloaded, ServeError
 from repro.models import ESTIMATORS
-from repro.serve import (
-    CostModelService,
-    PredictionServer,
-    ServiceStats,
-    serve_estimator,
-)
+from repro.serve import CostModelService, PredictionServer, ServiceStats
 from repro.serve.server import _share_the_main_arena
 from repro.serve.service import LATENCY_WINDOW
 
@@ -63,24 +58,19 @@ class TestValidationAndLifecycle:
         with pytest.raises(ServeError, match="CostModelService"):
             PredictionServer(LinearCostStub())
 
-    def test_bad_parameters_rejected(self, tiny_imdb):
-        service = make_service(tiny_imdb)
-        with pytest.raises(ServeError):
-            PredictionServer(service, max_batch_size=0)
-        with pytest.raises(ServeError):
-            PredictionServer(service, max_wait_ms=-1.0)
-        with pytest.raises(ServeError):
-            PredictionServer(service, max_queue_depth=0)
-
-    def test_serve_estimator_one_call_deployment(self, tiny_imdb,
-                                                 serve_plans):
-        with serve_estimator(LinearCostStub(), tiny_imdb,
-                             max_batch_size=4) as server:
-            assert server.max_batch_size == 4
-            response = server.predict_runtime(serve_plans[0], timeout=WAIT)
-            assert response.model_version == "v0"
-        with pytest.raises(ModelError, match="CostEstimator"):
-            serve_estimator(object(), tiny_imdb)
+    @pytest.mark.parametrize("option, value", [
+        ("max_batch_size", 0),
+        ("max_wait_ms", -1.0),
+        ("max_queue_depth", 0),
+        # NaN passes ``< 0``, and the batcher then spins until a full
+        # batch queues; an infinite wait kills the batcher with an
+        # ``OverflowError`` from ``Condition.wait``.
+        ("max_wait_ms", float("nan")),
+        ("max_wait_ms", float("inf")),
+    ], ids=["batch-size-0", "negative-wait", "queue-depth-0", "nan", "inf"])
+    def test_bad_parameters_rejected(self, tiny_imdb, option, value):
+        with pytest.raises(ServeError, match=option):
+            PredictionServer(make_service(tiny_imdb), **{option: value})
 
     def test_close_drains_and_is_idempotent(self, tiny_imdb, serve_plans):
         server = PredictionServer(make_service(tiny_imdb),
@@ -92,7 +82,6 @@ class TestValidationAndLifecycle:
         for p in pending:
             assert p.result(WAIT).runtime > 0
         assert server.pending == 0
-        assert not server.is_running
         server.close()  # idempotent
         with pytest.raises(ServeError, match="closed"):
             server.submit(serve_plans[0])
@@ -176,9 +165,8 @@ class TestConcurrencyBitIdentity:
             # Cross-client coalescing actually happened: far fewer
             # forwards than requests once every item is cache-warm.
             assert server.stats.batches < total
-            assert server.stats.observed_latencies == min(total,
-                                                          LATENCY_WINDOW)
-            assert server.stats.latency_p50 <= server.stats.latency_p99
+            # One latency per answered request.
+            assert len(server.stats._latencies) == min(total, LATENCY_WINDOW)
 
     def test_service_stats_add_is_thread_safe(self):
         """Hammer one ServiceStats from many threads: increments must
@@ -192,7 +180,6 @@ class TestConcurrencyBitIdentity:
             barrier.wait(WAIT)
             for _ in range(per_thread):
                 stats.add(requests=1, batches=2)
-                stats.observe_latency(0.001)
                 stats.observe_latencies((0.002, 0.003))
 
         workers = [threading.Thread(target=hammer) for _ in range(threads)]
@@ -202,7 +189,7 @@ class TestConcurrencyBitIdentity:
             worker.join(WAIT)
         assert stats.requests == threads * per_thread
         assert stats.batches == 2 * threads * per_thread
-        assert stats.observed_latencies == LATENCY_WINDOW
+        assert len(stats._latencies) == LATENCY_WINDOW
 
     def test_hit_rate_never_mixes_two_updates(self):
         """``add()`` sets the counters one after the other under the
@@ -229,15 +216,15 @@ class TestConcurrencyBitIdentity:
         assert read == [0.4]
 
     def test_batch_latencies_are_observed_exactly(self):
-        """``observe_latencies`` is ``observe_latency`` per element:
-        nothing lost below the window, the oldest dropped beyond it."""
+        """Every latency of a batch is kept: nothing lost below the
+        window, the oldest dropped beyond it."""
         stats = ServiceStats()
         stats.observe_latencies(value / 1000.0 for value in range(1, 101))
-        assert stats.observed_latencies == 100
-        assert stats.latency_p50 == pytest.approx(0.0505)
+        assert list(stats._latencies) == [value / 1000.0
+                                          for value in range(1, 101)]
         stats.observe_latencies([1.0] * LATENCY_WINDOW)
-        assert stats.observed_latencies == LATENCY_WINDOW
-        assert stats.latency_quantile(0.0) == 1.0
+        assert list(stats._latencies) == [1.0] * LATENCY_WINDOW
+        assert stats.latency_p99 == 1.0
 
     def test_clear_cache_races_a_warm_predictor(self, tiny_imdb,
                                                 serve_plans):
@@ -288,13 +275,9 @@ class TestConcurrencyBitIdentity:
 
     def test_latency_quantiles(self):
         stats = ServiceStats()
-        assert np.isnan(stats.latency_p50)
         assert np.isnan(stats.latency_p99)
-        for value in range(1, 101):
-            stats.observe_latency(value / 1000.0)
-        assert stats.latency_p50 == pytest.approx(0.0505)
+        stats.observe_latencies(value / 1000.0 for value in range(1, 101))
         assert stats.latency_p99 == pytest.approx(0.09901)
-        assert stats.latency_quantile(1.0) == pytest.approx(0.1)
 
     def test_bit_identity_with_registered_estimator(self, tiny_imdb):
         """Same property through a real registered estimator (the
@@ -312,8 +295,8 @@ class TestConcurrencyBitIdentity:
         reference = estimator.predict_runtime(plans, tiny_imdb)
 
         results = {}
-        with serve_estimator(estimator, tiny_imdb, max_batch_size=4,
-                             max_wait_ms=1.0) as server:
+        service = CostModelService(estimator, tiny_imdb, max_batch_size=4)
+        with PredictionServer(service, max_wait_ms=1.0) as server:
             def client(cid):
                 results[cid] = [
                     server.predict_runtime(plan, timeout=WAIT).runtime
@@ -360,7 +343,7 @@ class TestFaultInjection:
             assert server.stats.failures == 4
             assert server.stats.requests == 0
             assert server.pending == 0
-            assert server.is_running
+            assert server._batcher.is_alive()
 
             # The very next batch is served normally.
             survivors = [server.submit(plan, tenant="survivor")
@@ -408,7 +391,7 @@ class TestFaultInjection:
                     pending.result(WAIT)
             assert server.stats.failures == 4
             assert server.stats.requests == 0
-            assert server.is_running
+            assert server._batcher.is_alive()
 
             stub.missing = 0
             survivors = [server.submit(plan) for plan in serve_plans[4:8]]
@@ -446,7 +429,6 @@ class TestFaultInjection:
 
             server._batcher.join(WAIT)
             assert not server._batcher.is_alive()
-            assert not server.is_running
             assert server.pending == 0
             with pytest.raises(ServeError, match="closed") as excinfo:
                 server.submit(serve_plans[5])
@@ -551,7 +533,7 @@ class TestHotSwap:
             tag = server.swap(directory, warm=serve_plans)
             assert tag == f"{LinearCostStub.name}@fine-tuned"
             # The swapped-in service was warmed before installation.
-            assert server.service.cached_plans == len(serve_plans)
+            assert len(server.service._cache) == len(serve_plans)
             response = server.predict_runtime(serve_plans[0], timeout=WAIT)
             assert response.model_version == tag
             np.testing.assert_array_equal(response.runtime, reference[0])

@@ -119,7 +119,7 @@ class TestBatchingAndCache:
                                    cache_entries=4)
         plans = [r.plan for r in executed[:10]]
         service.predict_runtime(plans)
-        assert service.cached_plans == 4
+        assert len(service._cache) == 4
         assert service.stats.cache_evictions == 6
 
     def test_cache_disabled(self, estimator, tiny_imdb, executed):
@@ -127,7 +127,7 @@ class TestBatchingAndCache:
         plans = [r.plan for r in executed[:3]]
         service.predict_runtime(plans)
         service.predict_runtime(plans)
-        assert service.cached_plans == 0
+        assert len(service._cache) == 0
         assert service.stats.cache_hits == 0
         assert service.stats.cache_misses == 6
 
@@ -136,7 +136,7 @@ class TestBatchingAndCache:
         assert service.warm(plans) == 5
         assert service.warm(plans) == 0
         service.clear_cache()
-        assert service.cached_plans == 0
+        assert len(service._cache) == 0
         assert service.warm(plans) == 5
 
 
@@ -168,7 +168,7 @@ class TestCacheRegressions:
                                    cache_entries=1)
         for plan in serve_plans[:4]:
             service.predict_runtime([plan])
-        assert service.cached_plans == 1
+        assert len(service._cache) == 1
         assert service.stats.cache_evictions == 3
         # The survivor is the most recently used entry.
         service.predict_runtime([serve_plans[3]])

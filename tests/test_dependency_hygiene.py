@@ -6,10 +6,12 @@ machine.
 """
 
 import ast
+import collections
 import dataclasses
 import functools
 import importlib
 import inspect
+import re
 import sys
 from pathlib import Path
 
@@ -244,12 +246,12 @@ def test_private_read_guard_sees_what_it_guards(tmp_path):
 # ----------------------------------------------------------------------
 # A package holds what its users refer to, and nothing else
 # ----------------------------------------------------------------------
-def _names_used(path: Path, skip_class: str | None = None) -> set[str]:
-    """Every name ``path`` refers to outside the body of ``skip_class``:
+def _names_used(source: str, skip_class: str | None = None) -> set[str]:
+    """Every name ``source`` refers to outside the body of ``skip_class``:
     variables, attributes, keyword arguments, imported names and string
     constants (an op chosen by name: ``activation="relu"``)."""
     used = set()
-    pending = [ast.parse(path.read_text(encoding="utf-8"))]
+    pending = [ast.parse(source)]
     while pending:
         node = pending.pop()
         if isinstance(node, ast.ClassDef) and node.name == skip_class:
@@ -268,15 +270,42 @@ def _names_used(path: Path, skip_class: str | None = None) -> set[str]:
     return used
 
 
-@functools.lru_cache(maxsize=None)
-def _names_used_outside(package: str, skip_class=None) -> set[str]:
-    """:func:`_names_used` over ``src/repro`` outside ``repro/<package>``
-    and over ``bench/`` and ``examples/``."""
-    paths = [path for path in sorted(PACKAGE_ROOT.rglob("*.py"))
-             if PACKAGE_ROOT / package not in path.parents]
+def _readme_python_blocks(readme: str) -> list[str]:
+    """The fenced ``python`` blocks of ``readme``: the calls it promises."""
+    return re.findall(r"^```python\n(.*?)^```", readme,
+                      re.DOTALL | re.MULTILINE)
+
+
+@functools.cache
+def _user_sources() -> dict[str, str]:
+    """What counts as a user, ``{label: source}``: every module under
+    ``src/repro``, ``bench/`` and ``examples/``, and README's ``python``
+    blocks.  Tests are not users."""
+    paths = sorted(PACKAGE_ROOT.rglob("*.py"))
     for users in ("bench", "examples"):
         paths += sorted((REPO_ROOT / users).rglob("*.py"))
-    return set().union(*(_names_used(path, skip_class) for path in paths))
+    sources = {str(path): path.read_text(encoding="utf-8") for path in paths}
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    for number, block in enumerate(_readme_python_blocks(readme)):
+        sources[f"README.md[{number}]"] = block
+    return sources
+
+
+@functools.cache
+def _names_by_user() -> dict[str, set[str]]:
+    return {label: _names_used(source)
+            for label, source in _user_sources().items()}
+
+
+@functools.cache
+def _names_used_outside(package: str, skip_class=None) -> set[str]:
+    """:func:`_names_used` over every user outside ``repro/<package>``."""
+    inside = str(PACKAGE_ROOT / package) + "/"
+    return set().union(*(
+        _names_by_user()[label] if skip_class is None
+        else _names_used(source, skip_class)
+        for label, source in _user_sources().items()
+        if not label.startswith(inside)))
 
 
 def _names_the_users_of_the_learned_stack_use(skip_class=None) -> set[str]:
@@ -318,10 +347,16 @@ def test_learned_stack_name_has_a_user_outside_repro_nn(name, owner):
         f"repro.nn.__all__)")
 
 
+#: Every package but two.  ``repro.nn`` has the stricter rule above, and
+#: ``repro.experiments.__all__`` is the experiment API: README's experiments
+#: table and the paper-fidelity checks under ``benchmarks/`` call it,
+#: and neither is code this guard reads.
+GUARDED_PACKAGES = ("db", "engine", "featurize", "models", "optimizer",
+                    "plans", "runtime", "serve", "sql", "tuning", "workload")
 #: ``(package, exported name)`` for the packages held to the same rule.
 PACKAGE_EXPORTS = [
     pytest.param(package, name, id=f"{package}.{name}")
-    for package in ("engine", "optimizer", "runtime")
+    for package in GUARDED_PACKAGES
     for name in importlib.import_module(f"repro.{package}").__all__]
 
 
@@ -331,22 +366,77 @@ def test_package_export_has_a_user_outside_its_package(package, name):
     (or a test) refers to is imported from its module, not exported."""
     assert name in _names_used_outside(package), (
         f"{name!r} is referred to nowhere under src/repro outside "
-        f"repro/{package} or under bench/ or examples/: drop it from "
-        f"repro.{package}.__all__ (or delete it)")
+        f"repro/{package}, under bench/ or examples/ or in README's python "
+        f"blocks: drop it from repro.{package}.__all__ (or delete it)")
 
 
-def test_learned_stack_guard_sees_what_it_guards(tmp_path):
-    sample = tmp_path / "sample.py"
-    sample.write_text("from repro.nn import Adam, functional as F\n"
-                      "import repro.nn.serialize\n"
-                      "class Config:\n"
-                      "    planted_field: int = 0\n"
-                      "    def check(self):\n"
-                      "        return self.planted_field\n"
-                      "def fit(config, net):\n"
-                      "    MLP(3, [4], 1, rng, activation='relu')\n"
-                      "    Adam(net.parameters(), lr=config.learning_rate)\n"
-                      "    return F.q_loss(out, labels).backward()\n")
+def _public_members(cls) -> list[str]:
+    """The methods and properties ``cls`` itself defines, by public name."""
+    kinds = (staticmethod, classmethod, property, functools.cached_property)
+    return [name for name, member in vars(cls).items()
+            if not name.startswith("_")
+            and (inspect.isfunction(member) or isinstance(member, kinds))]
+
+
+def _source_classes():
+    """``(module path, class)`` for every top-level class under src/repro."""
+    for path in sorted(PACKAGE_ROOT.rglob("*.py")):
+        parts = path.relative_to(PACKAGE_ROOT.parent).with_suffix("").parts
+        module = importlib.import_module(
+            ".".join(parts[:-1] if parts[-1] == "__init__" else parts))
+        for cls in vars(module).values():
+            if inspect.isclass(cls) and cls.__module__ == module.__name__ \
+                    and cls.__qualname__ == cls.__name__:
+                yield path, cls
+
+
+@functools.cache
+def _user_counts() -> collections.Counter:
+    """How many users refer to each name."""
+    return collections.Counter(
+        name for names in _names_by_user().values() for name in names)
+
+
+@functools.cache
+def _names_used_beside(path: Path, class_name: str) -> set[str]:
+    return _names_used(_user_sources()[str(path)], class_name)
+
+
+def _used_outside_class(name: str, path: Path, class_name: str) -> bool:
+    """Whether a user refers to ``name`` outside the body of
+    ``class_name``: any user but ``path``, the module defining it, or
+    ``path`` outside that body."""
+    elsewhere = _user_counts()[name] - (name in _names_by_user()[str(path)])
+    return elsewhere > 0 or name in _names_used_beside(path, class_name)
+
+
+PUBLIC_MEMBERS = [
+    pytest.param(path, cls.__name__, name, id=f"{cls.__module__[6:]}."
+                 f"{cls.__name__}.{name}")
+    for path, cls in _source_classes() for name in _public_members(cls)]
+
+
+@pytest.mark.parametrize("path, class_name, name", PUBLIC_MEMBERS)
+def test_public_method_has_a_user_outside_its_class(path, class_name, name):
+    """A public method or property that only its own class (or a test)
+    calls is deleted, or made private if the class needs it."""
+    assert _used_outside_class(name, path, class_name), (
+        f"{class_name}.{name} is referred to nowhere outside the body of "
+        f"{class_name} under src/repro, bench/ or examples/ or in README's "
+        f"python blocks: delete it, or prefix it with an underscore")
+
+
+def test_learned_stack_guard_sees_what_it_guards():
+    sample = ("from repro.nn import Adam, functional as F\n"
+              "import repro.nn.serialize\n"
+              "class Config:\n"
+              "    planted_field: int = 0\n"
+              "    def check(self):\n"
+              "        return self.planted_field\n"
+              "def fit(config, net):\n"
+              "    MLP(3, [4], 1, rng, activation='relu')\n"
+              "    Adam(net.parameters(), lr=config.learning_rate)\n"
+              "    return F.q_loss(out, labels).backward()\n")
     used = _names_used(sample, skip_class="Config")
     assert {"Adam", "functional", "serialize", "MLP", "activation", "relu",
             "parameters", "lr", "learning_rate", "q_loss",
@@ -364,3 +454,42 @@ def test_learned_stack_guard_sees_what_it_guards(tmp_path):
     assert "shape" not in _public_methods(Tensor)  # a property, not an op
     assert _public_methods(RowState) == [
         "index_select", "gather_sum", "add_rows", "hand_over"]
+
+    # A method only its own class calls, beside a private helper: the
+    # method is listed and has no user, the helper is not listed.
+    planted = ("class Schema:\n"
+               "    def only_mine(self):\n"
+               "        return self._helper()\n"
+               "    @property\n"
+               "    def entry(self):\n"
+               "        return self.only_mine()\n"
+               "    def _helper(self):\n"
+               "        return 0\n"
+               "Schema().entry\n")
+    namespace = {}
+    exec(planted, namespace)
+    assert _public_members(namespace["Schema"]) == ["only_mine", "entry"]
+    outside = _names_used(planted, skip_class="Schema")
+    assert "entry" in outside and "only_mine" not in outside
+    # The same on the tree: a private method only its class calls.
+    index_module = PACKAGE_ROOT / "db" / "index.py"
+    assert not _used_outside_class("_is_built", index_module, "Index")
+    assert _used_outside_class("lookup_many", index_module, "Index")
+    # A name only a README python block uses has a user; other fenced
+    # blocks (shell, directory trees) are not code.
+    readme = ("```bash\nplanted_shell_name --flag\n```\n"
+              "```python\nserver.stats.planted_readme_name\n```\n")
+    (block,) = _readme_python_blocks(readme)
+    assert "planted_readme_name" in _names_used(block)
+    assert "planted_shell_name" not in _names_used(block)
+    assert "latency_p99" in _names_used_outside("serve")
+    assert not [label for label, names in _names_by_user().items()
+                if "latency_p99" in names and not label.startswith("README")]
+    # Every package is held to a rule (``repro.experiments`` excepted on
+    # purpose), and the method rule walks every module's classes.
+    packages = {path.parent.name
+                for path in PACKAGE_ROOT.glob("*/__init__.py")}
+    assert packages == set(GUARDED_PACKAGES) | {"nn", "experiments"}
+    classes = {cls.__name__ for _, cls in _source_classes()}
+    assert {"Schema", "Tensor", "PredictionServer", "ArtifactStore",
+            "ZeroShotNet", "HardwareAdvisor"} <= classes

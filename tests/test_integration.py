@@ -14,7 +14,12 @@ from hypothesis import strategies as st
 
 from repro.db import SyntheticDatabaseSpec, generate_database
 from repro.engine import Executor, execute_plan
-from repro.featurize import CardinalitySource, ZeroShotFeaturizer, batch_graphs
+from repro.featurize import (
+    CardinalitySource,
+    ZeroShotFeaturizer,
+    encode_graphs,
+    merge_encoded,
+)
 from repro.optimizer import plan_query
 from repro.optimizer.planner import PlannerOptions
 from repro.plans import explain_plan
@@ -93,7 +98,7 @@ def test_featurization_and_simulation_total_pipeline(seed):
     )
     ops = sum(1 for t in graph.node_type_of if t == "plan_op")
     assert ops == plan.num_nodes
-    batch = batch_graphs([graph])
+    batch = merge_encoded(encode_graphs([graph]))
     assert batch.num_nodes == graph.num_nodes
 
 

@@ -53,23 +53,23 @@ class TestWhatIfEstimator:
     def test_estimates_positive(self, target_db, whatif_model):
         estimator = ZeroShotWhatIfEstimator(target_db, whatif_model)
         for text in WORKLOAD:
-            runtime = estimator.estimate_runtime(parse_query(text))
+            runtime = estimator.estimate_workload([parse_query(text)])
             assert runtime > 0
 
     def test_whatif_differs_from_baseline(self, target_db, whatif_model):
         estimator = ZeroShotWhatIfEstimator(target_db, whatif_model)
         query = parse_query(WORKLOAD[0])
-        baseline = estimator.estimate_runtime(query)
-        with_index = estimator.estimate_runtime(
-            query, [IndexSpec("title", "votes")]
+        baseline = estimator.estimate_workload([query])
+        with_index = estimator.estimate_workload(
+            [query], [IndexSpec("title", "votes")]
         )
         assert with_index != baseline
 
     def test_no_leftover_hypothetical_indexes(self, target_db, whatif_model):
         estimator = ZeroShotWhatIfEstimator(target_db, whatif_model)
         before = set(target_db.indexes)
-        estimator.estimate_runtime(parse_query(WORKLOAD[0]),
-                                   [IndexSpec("title", "votes")])
+        estimator.estimate_workload([parse_query(WORKLOAD[0])],
+                                    [IndexSpec("title", "votes")])
         assert set(target_db.indexes) == before
 
     def test_unfitted_model_rejected(self, target_db):
@@ -95,8 +95,8 @@ class TestWhatIfThroughUnifiedAPI:
         via_estimator = ZeroShotWhatIfEstimator(target_db, estimator)
         for text in WORKLOAD:
             query = parse_query(text)
-            assert via_model.estimate_runtime(query) == \
-                via_estimator.estimate_runtime(query)
+            assert via_model.estimate_workload([query]) == \
+                via_estimator.estimate_workload([query])
 
     def test_workload_estimate_is_batched_sum(self, target_db,
                                               whatif_model):
@@ -105,7 +105,7 @@ class TestWhatIfThroughUnifiedAPI:
         estimator = ZeroShotWhatIfEstimator(target_db, whatif_model)
         queries = [parse_query(t) for t in WORKLOAD]
         batched = estimator.estimate_workload(queries)
-        summed = float(np.sum([estimator.estimate_runtime(q)
+        summed = float(np.sum([estimator.estimate_workload([q])
                                for q in queries]))
         assert batched == summed
 
@@ -135,7 +135,7 @@ class TestAdvisor:
                                                    whatif_model):
         advisor = IndexAdvisor(target_db, whatif_model)
         queries = [parse_query(t) for t in WORKLOAD]
-        candidates = advisor.candidate_indexes(queries)
+        candidates = advisor._candidate_indexes(queries)
         keys = {(c.table_name, c.column_name) for c in candidates}
         assert ("title", "votes") in keys
         assert ("title", "production_year") in keys

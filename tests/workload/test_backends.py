@@ -20,14 +20,16 @@ from repro.workload import (
     WorkloadRunner,
     WorkloadSpec,
     collect_training_corpus,
-    execute_shard,
     make_benchmark_workload,
+)
+from repro.workload import backends
+from repro.workload.backends import (
+    execute_shard,
     make_corpus_shards,
     resolve_workers,
     run_shards,
+    shard_seeds,
 )
-from repro.workload import backends
-from repro.workload.backends import shard_seeds
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +67,7 @@ class TestRecordPickling:
         restored = pickle.loads(pickle.dumps(records))
         assert_records_identical(records, restored)
         for record in restored:
-            assert record.plan.is_executed
+            record.plan.require_executed()
             assert record.optimizer_cost > 0
 
     def test_shard_and_execution_roundtrip(self, tiny_specs):

@@ -7,8 +7,8 @@ from repro.db import generate_training_database_specs
 from repro.errors import ExperimentError
 from repro.experiments.cache import ArtifactStore, shard_key
 from repro.runtime import SystemParameters
-from repro.workload import (
-    collect_training_corpus,
+from repro.workload import collect_training_corpus
+from repro.workload.backends import (
     execute_shard,
     make_corpus_shards,
     resolve_system_assignment,
