@@ -29,8 +29,8 @@ def test_resource_prediction(benchmark, context):
 
 
 def test_zero_shot_plan_selection(benchmark, context):
-    model = context.zero_shot_models[CardinalitySource.ESTIMATED]
-    selector = ZeroShotPlanSelector(context.imdb, model)
+    selector = ZeroShotPlanSelector(
+        context.imdb, context.estimator(CardinalitySource.ESTIMATED))
     queries = make_benchmark_workload(context.imdb, "scale", 25, seed=2024)
     executor = Executor(context.imdb)
     simulator = RuntimeSimulator(context.imdb, noise_sigma=0.0)

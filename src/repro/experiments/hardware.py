@@ -155,8 +155,8 @@ def run_hardware(scale: ExperimentScale | None = None,
     # the new box) — what is missing is training data from it.  The
     # hardware-aware model consumes them through its system node; the
     # baseline has no input to put them in.
-    multi_deployed = ZeroShotEstimator.from_model(
-        multi_estimator.model, source, system=holdout_machine)
+    multi_deployed = ZeroShotEstimator(
+        model=multi_estimator.model, source=source, system=holdout_machine)
     multi_predictions = clamp_predictions(
         multi_deployed.predict_runtime(plans, imdb))
     single_predictions = clamp_predictions(
@@ -164,8 +164,12 @@ def run_hardware(scale: ExperimentScale | None = None,
 
     advisor_result = None
     if with_advisor:
-        advisor = HardwareAdvisor(imdb, multi_estimator.model,
-                                  baseline=holdout_config)
+        # What-if plans are never executed: the advisor prices them
+        # with the optimizer's estimated cardinalities.
+        advisor = HardwareAdvisor(
+            imdb, ZeroShotEstimator(model=multi_estimator.model,
+                                    source=CardinalitySource.ESTIMATED),
+            baseline=holdout_config)
         advisor_result = advisor.recommend(queries)
 
     return HardwareResult(

@@ -204,8 +204,8 @@ class ExperimentContext:
         """The trained zero-shot model behind the unified
         :class:`~repro.models.api.CostEstimator` contract — the surface
         every experiment driver predicts through."""
-        return ZeroShotEstimator.from_model(self.zero_shot_models[source],
-                                            source)
+        return ZeroShotEstimator(model=self.zero_shot_models[source],
+                                 source=source)
 
 
 def train_zero_shot_models(corpus: TrainingCorpus, scale: ExperimentScale,

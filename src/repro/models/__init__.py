@@ -23,8 +23,10 @@ through the **unified estimator API** (:mod:`repro.models.api`):
 returns a :class:`~repro.models.api.CostEstimator` that featurizes
 physical plans (or SQL) into the model's native sample type internally
 — the contract the experiment drivers, the tuning stack and
-:mod:`repro.serve` build on; :func:`~repro.models.cardinality.\
-as_estimator` lifts a raw zero-shot core model onto it.
+:mod:`repro.serve` build on.  Plan selection, learned cardinalities and
+the advisors take a fitted estimator and nothing else
+(:func:`~repro.models.cardinality.require_deployable`); a trained core
+model is wrapped with ``ZeroShotEstimator(model=...)``.
 """
 
 from repro.models import estimators
@@ -35,7 +37,7 @@ from repro.models.api import (
     peek_manifest,
     resolve_plans,
 )
-from repro.models.cardinality import ZeroShotCardinalityEstimator, as_estimator
+from repro.models.cardinality import ZeroShotCardinalityEstimator
 from repro.models.e2e import E2ECostModel
 from repro.models.estimators import ZeroShotEstimator
 from repro.models.fewshot import fine_tune
@@ -73,7 +75,6 @@ __all__ = [
     "ZeroShotConfig",
     "ZeroShotCostModel",
     "ZeroShotEstimator",
-    "as_estimator",
     "clamp_predictions",
     "fine_tune",
     "get_estimator",

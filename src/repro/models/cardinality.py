@@ -43,6 +43,8 @@ from repro.errors import ModelError
 from repro.featurize.graph import CardinalitySource
 from repro.models.api import CostEstimator, resolve_plans
 from repro.models.estimators import ZeroShotEstimator
+from repro.models.optimizer_cost import ScaledOptimizerCost
+from repro.models.trainer import CoreCostModel
 from repro.models.zero_shot import ZeroShotConfig, ZeroShotCostModel
 from repro.plans.plan import PhysicalPlan, walk_plan
 from repro.runtime import SystemParameters
@@ -51,8 +53,8 @@ from repro.sql.ast import Query
 if TYPE_CHECKING:  # pragma: no cover - typing only (workload imports optimizer)
     from repro.workload.runner import ExecutedQueryRecord
 
-__all__ = ["ZeroShotCardinalityEstimator", "as_estimator",
-           "record_cardinalities"]
+__all__ = ["ZeroShotCardinalityEstimator", "record_cardinalities",
+           "require_deployable"]
 
 
 def record_cardinalities(record: ExecutedQueryRecord) -> tuple[float, ...]:
@@ -140,21 +142,23 @@ class ZeroShotCardinalityEstimator(ZeroShotEstimator):
             self.encode_plans(resolved, database))
 
 
-def as_estimator(model: "CostEstimator | ZeroShotCostModel",
-                 source: CardinalitySource = CardinalitySource.ESTIMATED,
-                 system: SystemParameters | None = None) -> CostEstimator:
-    """Normalize "an estimator or a raw zero-shot core model" to an
-    estimator — the one place consumers (plan selection, the what-if
-    and hardware advisors, learned cardinalities) resolve that choice.
-
-    A :class:`~repro.models.zero_shot.ZeroShotCostModel` is wrapped
-    (with its cardinality surface when it carries the head), featurizing
-    with ``source`` — by default estimated cardinalities, the only
-    source that exists for plans that were never executed — for the
-    machine ``system``.  Anything else is returned as is.
-    """
-    if not isinstance(model, ZeroShotCostModel):
-        return model
-    wrapper = ZeroShotCardinalityEstimator if model.config.cardinality_head \
-        else ZeroShotEstimator
-    return wrapper(model=model, source=source, system=system)
+def require_deployable(estimator: CostEstimator, task: str) -> None:
+    """The one check of every consumer that prices never-executed plans
+    (plan selection, learned cardinalities, what-if and hardware
+    advice): ``estimator`` must be a fitted
+    :class:`~repro.models.api.CostEstimator` that featurizes with
+    estimated cardinalities, the only source such plans have.
+    ``task`` names the consumer in the error."""
+    if isinstance(estimator, (CoreCostModel, ScaledOptimizerCost)):
+        raise ModelError(
+            f"{task} takes a fitted CostEstimator, not a raw "
+            f"{type(estimator).__name__}: wrap it as "
+            f"ZeroShotEstimator(model=...)"
+        )
+    if not getattr(estimator, "is_fitted", False):
+        raise ModelError(f"{task} needs a fitted cost model")
+    if getattr(estimator, "source", None) is CardinalitySource.ACTUAL:
+        raise ModelError(
+            f"{task} needs estimated cardinalities: its plans are never "
+            f"executed, so actual cardinalities do not exist"
+        )

@@ -137,15 +137,6 @@ class ZeroShotEstimator(_GraphEstimator):
             system=system,
         )
 
-    @classmethod
-    def from_model(cls, model: ZeroShotCostModel,
-                   source: CardinalitySource = CardinalitySource.ESTIMATED,
-                   system: SystemParameters | None = None
-                   ) -> "ZeroShotEstimator":
-        """Wrap an already-trained core model (e.g. out of the
-        experiment context or the artifact store)."""
-        return cls(model=model, source=source, system=system)
-
     # -- featurization adapter ----------------------------------------
     def featurize(self, plans: Sequence[PhysicalPlan], database: Database
                   ) -> list[PlanGraph]:

@@ -16,20 +16,16 @@ from repro.db.database import Database
 from repro.db.index import Index
 from repro.errors import OptimizerError
 
-__all__ = ["CostParameters", "CostModel"]
+__all__ = ["CostModel"]
 
-
-@dataclass(frozen=True)
-class CostParameters:
-    """The classic Postgres cost GUCs."""
-
-    seq_page_cost: float = 1.0
-    random_page_cost: float = 4.0
-    cpu_tuple_cost: float = 0.01
-    cpu_index_tuple_cost: float = 0.005
-    cpu_operator_cost: float = 0.0025
-    #: work_mem expressed in tuples that fit before a sort/hash spills.
-    work_mem_tuples: float = 200_000.0
+#: The classic Postgres cost GUCs, at Postgres' defaults.
+SEQ_PAGE_COST = 1.0
+RANDOM_PAGE_COST = 4.0
+CPU_TUPLE_COST = 0.01
+CPU_INDEX_TUPLE_COST = 0.005
+CPU_OPERATOR_COST = 0.0025
+#: work_mem expressed in tuples that fit before a sort/hash spills.
+WORK_MEM_TUPLES = 200_000.0
 
 
 @dataclass
@@ -37,7 +33,6 @@ class CostModel:
     """Computes operator costs given estimated input sizes."""
 
     database: Database
-    parameters: CostParameters = CostParameters()
 
     # ------------------------------------------------------------------
     # Scans
@@ -45,26 +40,24 @@ class CostModel:
     def seq_scan_cost(self, table_name: str, output_rows: float,
                       num_predicates: int) -> float:
         stats = self.database.table_statistics(table_name)
-        p = self.parameters
-        cpu_per_row = p.cpu_tuple_cost + num_predicates * p.cpu_operator_cost
-        return stats.num_pages * p.seq_page_cost + stats.num_rows * cpu_per_row
+        cpu_per_row = CPU_TUPLE_COST + num_predicates * CPU_OPERATOR_COST
+        return stats.num_pages * SEQ_PAGE_COST + stats.num_rows * cpu_per_row
 
     def index_scan_cost(self, index: Index, matched_rows: float,
                         table_name: str, num_residual_predicates: int) -> float:
         """Cost of fetching ``matched_rows`` tuples through a B-tree."""
         stats = self.database.table_statistics(table_name)
-        p = self.parameters
-        descend = index.height * p.random_page_cost
+        descend = index.height * RANDOM_PAGE_COST
         leaf_fraction = matched_rows / max(index.num_rows, 1)
         leaf_pages = max(1.0, leaf_fraction * index.num_leaf_pages)
-        index_cpu = matched_rows * p.cpu_index_tuple_cost
+        index_cpu = matched_rows * CPU_INDEX_TUPLE_COST
         # Heap fetches: uncorrelated index order means up to one random
         # page per tuple, capped by the table size re-read sequentially.
         heap_pages = min(matched_rows, float(stats.num_pages) * 2.0)
-        heap_io = heap_pages * p.random_page_cost
-        residual_cpu = matched_rows * num_residual_predicates * p.cpu_operator_cost
-        tuple_cpu = matched_rows * p.cpu_tuple_cost
-        return (descend + leaf_pages * p.seq_page_cost + index_cpu +
+        heap_io = heap_pages * RANDOM_PAGE_COST
+        residual_cpu = matched_rows * num_residual_predicates * CPU_OPERATOR_COST
+        tuple_cpu = matched_rows * CPU_TUPLE_COST
+        return (descend + leaf_pages * SEQ_PAGE_COST + index_cpu +
                 heap_io + residual_cpu + tuple_cpu)
 
     # ------------------------------------------------------------------
@@ -72,66 +65,60 @@ class CostModel:
     # ------------------------------------------------------------------
     def hash_join_cost(self, build_rows: float, probe_rows: float,
                        output_rows: float) -> float:
-        p = self.parameters
-        build = build_rows * (p.cpu_tuple_cost + 2.0 * p.cpu_operator_cost)
-        probe = probe_rows * 2.0 * p.cpu_operator_cost
-        emit = output_rows * p.cpu_tuple_cost
+        build = build_rows * (CPU_TUPLE_COST + 2.0 * CPU_OPERATOR_COST)
+        probe = probe_rows * 2.0 * CPU_OPERATOR_COST
+        emit = output_rows * CPU_TUPLE_COST
         spill = 0.0
-        if build_rows > p.work_mem_tuples:
+        if build_rows > WORK_MEM_TUPLES:
             # Grace hash join: write + re-read both inputs once.
             spilled_tuples = build_rows + probe_rows
-            spill = spilled_tuples * p.cpu_tuple_cost * 2.0
+            spill = spilled_tuples * CPU_TUPLE_COST * 2.0
         return build + probe + emit + spill
 
     def merge_join_cost(self, left_rows: float, right_rows: float,
                         output_rows: float) -> float:
-        p = self.parameters
-        scan = (left_rows + right_rows) * p.cpu_operator_cost
-        emit = output_rows * p.cpu_tuple_cost
+        scan = (left_rows + right_rows) * CPU_OPERATOR_COST
+        emit = output_rows * CPU_TUPLE_COST
         return scan + emit
 
     def nested_loop_cost(self, outer_rows: float, inner_rows: float,
                          inner_cost: float, output_rows: float) -> float:
         """Plain nested loop: the inner subplan is rescanned per outer row."""
-        p = self.parameters
         rescans = max(outer_rows - 1.0, 0.0)
         # Rescans hit the materialized inner side: charge CPU, not IO.
-        rescan_cost = rescans * inner_rows * p.cpu_operator_cost
-        emit = output_rows * p.cpu_tuple_cost
+        rescan_cost = rescans * inner_rows * CPU_OPERATOR_COST
+        emit = output_rows * CPU_TUPLE_COST
         return inner_cost + rescan_cost + emit
 
     def index_nested_loop_cost(self, outer_rows: float, index: Index,
                                matched_rows: float, table_name: str) -> float:
         """Index NL join: one parameterized index lookup per outer row."""
         stats = self.database.table_statistics(table_name)
-        p = self.parameters
-        descend = outer_rows * index.height * p.random_page_cost
+        descend = outer_rows * index.height * RANDOM_PAGE_COST
         heap_pages = min(matched_rows, float(stats.num_pages) * 2.0)
-        fetch = (matched_rows * p.cpu_index_tuple_cost +
-                 heap_pages * p.random_page_cost)
-        emit = matched_rows * p.cpu_tuple_cost
+        fetch = (matched_rows * CPU_INDEX_TUPLE_COST +
+                 heap_pages * RANDOM_PAGE_COST)
+        emit = matched_rows * CPU_TUPLE_COST
         return descend + fetch + emit
 
     # ------------------------------------------------------------------
     # Sort / aggregation
     # ------------------------------------------------------------------
     def sort_cost(self, input_rows: float) -> float:
-        p = self.parameters
         rows = max(input_rows, 2.0)
-        compare = rows * math.log2(rows) * 2.0 * p.cpu_operator_cost
+        compare = rows * math.log2(rows) * 2.0 * CPU_OPERATOR_COST
         spill = 0.0
-        if rows > p.work_mem_tuples:
-            spill = rows * p.cpu_tuple_cost * 2.0  # external merge passes
+        if rows > WORK_MEM_TUPLES:
+            spill = rows * CPU_TUPLE_COST * 2.0  # external merge passes
         return compare + spill
 
     def aggregate_cost(self, input_rows: float, num_aggregates: int,
                        output_groups: float) -> float:
-        p = self.parameters
-        per_row = (1 + num_aggregates) * p.cpu_operator_cost
-        return input_rows * per_row + output_groups * p.cpu_tuple_cost
+        per_row = (1 + num_aggregates) * CPU_OPERATOR_COST
+        return input_rows * per_row + output_groups * CPU_TUPLE_COST
 
     def hash_build_cost(self, input_rows: float) -> float:
-        return input_rows * self.parameters.cpu_operator_cost
+        return input_rows * CPU_OPERATOR_COST
 
     # ------------------------------------------------------------------
     def validate(self) -> None:

@@ -43,7 +43,9 @@ from repro.errors import (
     PlanError,
     QueryError,
 )
-from repro.models.cardinality import as_estimator
+from repro.models.api import CostEstimator
+from repro.models.cardinality import require_deployable
+from repro.models.estimators import ZeroShotEstimator
 from repro.optimizer.cardinality import (
     BoundCardinalities,
     CardinalityEstimator,
@@ -91,11 +93,9 @@ class LearnedCardinalityEstimator(CardinalityEstimator):
     database:
         The database plans are being built for.
     model:
-        A fitted cardinality predictor: a
+        A fitted cardinality predictor over estimated cardinalities: a
         :class:`~repro.models.cardinality.ZeroShotCardinalityEstimator`
-        (anything exposing ``predict_cardinalities(plans, database)``),
-        or a raw :class:`~repro.models.zero_shot.ZeroShotCostModel`
-        built with a cardinality head.
+        (anything exposing ``predict_cardinalities(plans, database)``).
     fallback_only:
         Force every fragment onto the classical heuristic (useful to
         verify plan-identity: with fallback the planner's output is
@@ -118,19 +118,30 @@ class LearnedCardinalityEstimator(CardinalityEstimator):
         surface fall back to it automatically.
     """
 
-    def __init__(self, database: Database, model,
+    def __init__(self, database: Database, model: CostEstimator,
                  fallback_only: bool = False,
                  cached_queries: int = 256,
                  dedup_fragments: bool = True):
+        require_deployable(model, "learned cardinality estimation")
+        if not hasattr(model, "predict_cardinalities"):
+            raise ModelError(
+                "LearnedCardinalityEstimator needs a model with "
+                "predict_cardinalities (a cardinality-head estimator)"
+            )
+        if cached_queries < 1:
+            raise ModelError("cached_queries must be positive")
         super().__init__(database)
         self.model = model
         self.fallback_only = fallback_only
         self.dedup_fragments = dedup_fragments
-        if cached_queries < 1:
-            raise ModelError("cached_queries must be positive")
         self.cached_queries = cached_queries
-        self._predict = self._resolve_predictor(model)
-        self._predict_graphs = self._resolve_graph_predictor(model)
+        self._predict = model.predict_cardinalities
+        #: ``graphs -> [per-graph cardinality arrays]``: subgraph dedup
+        #: hands a merged plan graph to the wrapped zero-shot core
+        #: model.  Any other predictor (a plan-level mock) primes
+        #: through the per-fragment path.
+        self._predict_graphs = model.model.predict_cardinalities \
+            if isinstance(model, ZeroShotEstimator) else None
         #: Fragments priced by the model / by the heuristic fallback.
         self.learned_fragments = 0
         self.fallback_fragments = 0
@@ -144,41 +155,6 @@ class LearnedCardinalityEstimator(CardinalityEstimator):
         #: their estimates, which are a function of (query, database,
         #: model).
         self._cache = LRUCache(cached_queries)
-
-    @staticmethod
-    def _resolve_predictor(model):
-        """The model's ``plans, database -> [cards...]`` surface (a raw
-        core model is wrapped with estimated cardinalities — fragments
-        are never executed)."""
-        predictor = getattr(as_estimator(model), "predict_cardinalities",
-                            None)
-        if predictor is None:
-            raise ModelError(
-                "LearnedCardinalityEstimator needs a model with "
-                "predict_cardinalities (a cardinality-head estimator or "
-                "core model)"
-            )
-        return predictor
-
-    @staticmethod
-    def _resolve_graph_predictor(model):
-        """``graphs -> [per-graph cardinality arrays]`` or ``None``.
-
-        Subgraph dedup needs to hand the model a merged
-        :class:`~repro.featurize.graph.PlanGraph` directly, which only
-        the zero-shot core model surface supports
-        (``predict_cardinalities`` over graphs + ``scalers``); a
-        cardinality estimator wraps that core model as ``.model``.
-        Anything else (mock predictors in tests, plan-level surfaces)
-        returns ``None`` and primes through the per-fragment path.
-        """
-        for candidate in (getattr(model, "model", None), model):
-            if candidate is None:
-                continue
-            if (hasattr(candidate, "predict_cardinalities_from_encoded")
-                    and hasattr(candidate, "scalers")):
-                return candidate.predict_cardinalities
-        return None
 
     # ------------------------------------------------------------------
     # The drop-in surface the planner reads
@@ -277,15 +253,6 @@ class LearnedCardinalityEstimator(CardinalityEstimator):
         Returns True when priming happened (fragments filled, possibly
         partially); False routes the caller onto the legacy path.
         """
-        from repro.featurize.graph import (
-            CardinalitySource,
-            ZeroShotFeaturizer,
-        )
-
-        featurizer = getattr(self.model, "featurizer", None)
-        if not isinstance(featurizer, ZeroShotFeaturizer):
-            featurizer = ZeroShotFeaturizer(CardinalitySource.ESTIMATED)
-
         scans: dict[str, PlanNode] = {}
         builds: dict[tuple[str, str], PlanNode] = {}
         roots: dict[frozenset[str], PlanNode] = {}
@@ -305,7 +272,7 @@ class LearnedCardinalityEstimator(CardinalityEstimator):
         if not root_nodes:
             return True  # nothing to prime; same outcome as legacy
         try:
-            graph, root_ids = featurizer.featurize_shared(
+            graph, root_ids = self.model.featurizer.featurize_shared(
                 root_nodes, heuristic.query, self.database)
             predictions = self._predict_graphs([graph])
         except _FALLBACK_ERRORS:

@@ -20,13 +20,16 @@ import numpy as np
 from repro.db.database import Database
 from repro.errors import ModelError, OptimizerError
 from repro.models.api import CostEstimator
-from repro.models.cardinality import as_estimator
-from repro.models.zero_shot import ZeroShotCostModel
+from repro.models.cardinality import require_deployable
 from repro.optimizer.planner import Planner, PlannerOptions
 from repro.plans.plan import PhysicalPlan, plan_signature
 from repro.sql.ast import Query
 
 __all__ = ["PlanChoice", "ZeroShotPlanSelector", "candidate_plans"]
+
+#: Candidates whose classical cost exceeds this multiple of the
+#: optimizer's best plan are discarded (see :func:`candidate_plans`).
+_MAX_COST_RATIO = 3.0
 
 #: Operator-subset "arms", à la Bao's hint sets: each disables some
 #: strategies, steering the DP enumerator into a different plan family.
@@ -42,11 +45,10 @@ _HINT_SETS: tuple[dict, ...] = (
 
 def candidate_plans(database: Database, query: Query,
                     base_options: PlannerOptions | None = None,
-                    max_cost_ratio: float = 3.0,
                     cardinality_estimator=None) -> list[PhysicalPlan]:
     """Generate a de-duplicated portfolio of candidate plans.
 
-    Candidates whose classical cost exceeds ``max_cost_ratio`` times the
+    Candidates whose classical cost exceeds ``_MAX_COST_RATIO`` times the
     optimizer's best plan are discarded: the zero-shot model was trained
     on executed (i.e. optimizer-chosen) plans and cannot be trusted to
     price plan families it has never observed — the same guardrail Bao's
@@ -61,8 +63,8 @@ def candidate_plans(database: Database, query: Query,
     plans: list[PhysicalPlan] = []
     seen: set[tuple] = set()
     for hints in _HINT_SETS:
-        # replace() carries every other option of ``base`` (rewrite
-        # toggles, cost parameters) into each hint-set run.
+        # replace() carries every other option of ``base`` (the rewrite
+        # toggle, hypothetical indexes) into each hint-set run.
         planner = Planner(database, replace(base, **hints),
                           cardinality_estimator=cardinality_estimator)
         try:
@@ -75,7 +77,7 @@ def candidate_plans(database: Database, query: Query,
             plans.append(plan)
     if not plans:
         raise OptimizerError("no candidate plan could be generated")
-    cost_ceiling = plans[0].total_cost * max_cost_ratio
+    cost_ceiling = plans[0].total_cost * _MAX_COST_RATIO
     bounded = [plans[0]] + [p for p in plans[1:] if p.total_cost <= cost_ceiling]
     return bounded
 
@@ -99,25 +101,20 @@ class PlanChoice:
 class ZeroShotPlanSelector:
     """Picks the candidate plan with the lowest predicted runtime.
 
-    ``model`` accepts a fitted :class:`~repro.models.api.CostEstimator`
-    or a raw :class:`~repro.models.zero_shot.ZeroShotCostModel` (wrapped
-    with estimated cardinalities — candidates are never executed, so
-    actual cardinalities do not exist).  All candidates of a query are
+    ``estimator`` is a fitted :class:`~repro.models.api.CostEstimator`
+    over estimated cardinalities: candidates are never executed, so
+    actual cardinalities do not exist.  All candidates of a query are
     priced in one batched estimator call.
     """
 
-    def __init__(self, database: Database,
-                 model: "CostEstimator | ZeroShotCostModel",
-                 options: PlannerOptions | None = None,
+    def __init__(self, database: Database, estimator: CostEstimator,
                  switch_margin: float = 0.3,
                  cardinality_estimator=None):
-        self.estimator = as_estimator(model)
-        if not self.estimator.is_fitted:
-            raise ModelError("plan selection needs a fitted cost model")
+        require_deployable(estimator, "plan selection")
         if not 0.0 <= switch_margin < 1.0:
             raise ModelError("switch_margin must be in [0, 1)")
+        self.estimator = estimator
         self.database = database
-        self.options = options or PlannerOptions()
         #: Optional learned cardinality injection: every candidate plan
         #: is searched under these estimates instead of the histogram
         #: heuristics (see repro.optimizer.learned_cardinality).
@@ -130,7 +127,7 @@ class ZeroShotPlanSelector:
     def choose(self, query: Query) -> PlanChoice:
         """Return the plan the zero-shot model prefers for ``query``."""
         candidates = candidate_plans(
-            self.database, query, self.options,
+            self.database, query,
             cardinality_estimator=self.cardinality_estimator)
         predictions = self.estimator.predict_runtime(candidates,
                                                      self.database)

@@ -15,14 +15,14 @@ as floats and only the cheapest is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 
 from repro.db.database import Database
 from repro.db.index import Index
 from repro.errors import OptimizerError
 from repro.optimizer.cardinality import CardinalityEstimator
-from repro.optimizer.cost_model import CostModel, CostParameters
+from repro.optimizer.cost_model import CPU_TUPLE_COST, CostModel
 from repro.optimizer.join_order import enumerate_join_orders
 from repro.optimizer.rewrite import RewritePlanner, RewriteTrace
 from repro.plans.operators import (
@@ -51,7 +51,7 @@ __all__ = ["PlannerOptions", "Planner", "plan_query"]
 
 @dataclass(frozen=True)
 class PlannerOptions:
-    """Operator toggles (like Postgres' ``enable_*`` GUCs) and cost knobs.
+    """Operator toggles (like Postgres' ``enable_*`` GUCs).
 
     ``enable_rewrites`` turns on the logical rewrite phase
     (:mod:`repro.optimizer.rewrite`) in front of the cost-based search.
@@ -66,7 +66,6 @@ class PlannerOptions:
     enable_nestloop: bool = True
     use_hypothetical_indexes: bool = True
     enable_rewrites: bool = False
-    cost_parameters: CostParameters = field(default_factory=CostParameters)
 
 
 @dataclass
@@ -94,7 +93,7 @@ class Planner:
         #: return the same numbers yield identical plans.
         self.estimator = cardinality_estimator or \
             CardinalityEstimator(database)
-        self.cost_model = CostModel(database, self.options.cost_parameters)
+        self.cost_model = CostModel(database)
         #: Trace of the rewrite phase for the most recent :meth:`plan`
         #: call (also stored in ``plan.metadata["rewrite_trace"]``);
         #: ``None`` when rewrites are disabled.  The only thing a call
@@ -315,7 +314,7 @@ class _PlanSearch:
                                 (right, right_key, right_cost))))
 
         if self.options.enable_nestloop:
-            emit = out_rows * cost_model.parameters.cpu_tuple_cost
+            emit = out_rows * CPU_TUPLE_COST
             for outer, inner in ((left, right), (right, left)):
                 if len(inner.aliases) != 1:
                     continue  # an INL inner is one indexed table

@@ -10,7 +10,7 @@ and feed the what-if plan to the zero-shot model.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.db.database import Database
 from repro.optimizer.planner import Planner, PlannerOptions
@@ -35,10 +35,8 @@ class IndexSpec:
 class WhatIfPlanner:
     """Plans queries under hypothetical physical designs."""
 
-    def __init__(self, database: Database,
-                 options: PlannerOptions | None = None):
+    def __init__(self, database: Database):
         self.database = database
-        self.options = options or PlannerOptions()
 
     @contextlib.contextmanager
     def hypothetical_indexes(self, specs: list[IndexSpec]):
@@ -61,16 +59,11 @@ class WhatIfPlanner:
                           specs: list[IndexSpec]) -> PhysicalPlan:
         """Plan ``query`` as if the given indexes existed."""
         with self.hypothetical_indexes(specs):
-            plan = Planner(self.database, self.options).plan(query)
+            plan = Planner(self.database).plan(query)
         plan.metadata["whatif_indexes"] = tuple(specs)
         return plan
 
     def plan_without_indexes(self, query: Query) -> PhysicalPlan:
-        """Plan ``query`` using only real indexes (the baseline plan).
-
-        ``replace`` (rather than a field-by-field copy) keeps every
-        other option — including the rewrite toggles — in sync with
-        the what-if side, so both plans see the same logical query.
-        """
-        options = replace(self.options, use_hypothetical_indexes=False)
+        """Plan ``query`` using only real indexes (the baseline plan)."""
+        options = PlannerOptions(use_hypothetical_indexes=False)
         return Planner(self.database, options).plan(query)

@@ -145,7 +145,7 @@ class CostModelService:
         if not isinstance(estimator, CostEstimator):
             raise ModelError(
                 "CostModelService needs a CostEstimator; wrap core models "
-                "via repro.models.get_estimator / ZeroShotEstimator.from_model"
+                "via repro.models.get_estimator / ZeroShotEstimator(model=...)"
             )
         estimator._require_fitted()
         if max_batch_size < 1:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from repro.db.database import Database
 from repro.errors import ModelError
 from repro.models.api import CostEstimator
-from repro.models.zero_shot import ZeroShotCostModel
 from repro.optimizer.whatif import IndexSpec
 from repro.sql.ast import Query
 from repro.tuning.whatif_model import ZeroShotWhatIfEstimator
@@ -41,10 +40,9 @@ class AdvisorRecommendation:
 class IndexAdvisor:
     """Greedy what-if index selection for a given workload."""
 
-    def __init__(self, database: Database,
-                 model: "CostEstimator | ZeroShotCostModel"):
+    def __init__(self, database: Database, estimator: CostEstimator):
         self.database = database
-        self.estimator = ZeroShotWhatIfEstimator(database, model)
+        self.estimator = ZeroShotWhatIfEstimator(database, estimator)
 
     # ------------------------------------------------------------------
     def _candidate_indexes(self, queries: list[Query]) -> list[IndexSpec]:

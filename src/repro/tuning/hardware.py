@@ -23,8 +23,8 @@ import numpy as np
 
 from repro.db.database import Database
 from repro.errors import ModelError
-from repro.models.cardinality import as_estimator
-from repro.models.zero_shot import ZeroShotCostModel
+from repro.models.cardinality import require_deployable
+from repro.models.estimators import ZeroShotEstimator
 from repro.optimizer.whatif import WhatIfPlanner
 from repro.runtime import (
     SystemParameters,
@@ -85,34 +85,30 @@ class HardwareRecommendation:
 class HardwareAdvisor:
     """Rank candidate machines by predicted workload runtime.
 
-    ``model`` must be a fitted hardware-aware zero-shot model (trained
-    with ``system_features=True`` over a multi-machine corpus) — a
-    hardware-blind model would predict the same runtime on every
-    machine, which is exactly the failure mode this advisor exists to
-    replace.
+    ``estimator`` must be a fitted hardware-aware
+    :class:`~repro.models.estimators.ZeroShotEstimator` over estimated
+    cardinalities (its model trained with ``system_features=True`` over
+    a multi-machine corpus) — a hardware-blind model would predict the
+    same runtime on every machine, which is exactly the failure mode
+    this advisor exists to replace.
     """
 
-    def __init__(self, database: Database, model: ZeroShotCostModel,
+    def __init__(self, database: Database, estimator: ZeroShotEstimator,
                  baseline: "SystemParameters | str" = "default"):
-        # An estimator is unwrapped: the advisor re-wraps its core model
-        # once per candidate machine.
-        core = getattr(as_estimator(model), "model", None)
-        if not isinstance(core, ZeroShotCostModel):
+        require_deployable(estimator, "hardware advisor")
+        if not isinstance(estimator, ZeroShotEstimator):
             raise ModelError(
-                f"hardware advisor needs a ZeroShotCostModel, got "
-                f"{type(model).__name__}"
+                f"hardware advisor needs a ZeroShotEstimator, got "
+                f"{type(estimator).__name__}"
             )
-        model = core
-        if not model.config.system_features:
+        if not estimator.model.config.system_features:
             raise ModelError(
                 "hardware advisor needs a hardware-aware model: train "
                 "with ZeroShotConfig(system_features=True) over a "
                 "multi-machine corpus"
             )
-        if not model.is_fitted:
-            raise ModelError("hardware advisor needs a fitted cost model")
         self.database = database
-        self.model = model
+        self.estimator = estimator
         self.baseline_name, self.baseline_system = self._resolve(
             "baseline", baseline)
         self._planner = WhatIfPlanner(database)
@@ -146,7 +142,10 @@ class HardwareAdvisor:
         return resolved
 
     def _price(self, plans, system: SystemParameters) -> float:
-        estimator = as_estimator(self.model, system=system)
+        # The same model, featurizing for the machine being priced.
+        estimator = ZeroShotEstimator(model=self.estimator.model,
+                                      source=self.estimator.source,
+                                      system=system)
         return float(np.sum(estimator.predict_runtime(plans, self.database)))
 
     def recommend(self, queries: list[Query],

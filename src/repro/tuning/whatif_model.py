@@ -20,10 +20,8 @@ import numpy as np
 
 from repro.db.database import Database
 from repro.errors import ModelError
-from repro.featurize.graph import CardinalitySource
 from repro.models.api import CostEstimator
-from repro.models.cardinality import as_estimator
-from repro.models.zero_shot import ZeroShotCostModel
+from repro.models.cardinality import require_deployable
 from repro.optimizer.whatif import IndexSpec, WhatIfPlanner
 from repro.plans.plan import PhysicalPlan
 from repro.sql.ast import Query
@@ -35,27 +33,16 @@ __all__ = ["ZeroShotWhatIfEstimator"]
 class ZeroShotWhatIfEstimator:
     """Answers "how fast would this query be if index X existed?".
 
-    ``model`` accepts either a fitted
-    :class:`~repro.models.api.CostEstimator` or a raw
-    :class:`~repro.models.zero_shot.ZeroShotCostModel` (wrapped with
-    estimated cardinalities, the only source valid for never-executed
-    hypothetical plans).
+    ``estimator`` is a fitted :class:`~repro.models.api.CostEstimator`
+    over estimated cardinalities, the only source valid for
+    never-executed hypothetical plans.
     """
 
     database: Database
-    model: "CostEstimator | ZeroShotCostModel"
+    estimator: CostEstimator
 
     def __post_init__(self):
-        self.estimator = as_estimator(self.model)
-        if not self.estimator.is_fitted:
-            raise ModelError("what-if estimation needs a fitted cost model")
-        source = getattr(self.estimator, "source", None)
-        if source is CardinalitySource.ACTUAL:
-            raise ModelError(
-                "what-if estimation needs estimated cardinalities: "
-                "hypothetical plans are never executed, so actual "
-                "cardinalities do not exist"
-            )
+        require_deployable(self.estimator, "what-if estimation")
         self._planner = WhatIfPlanner(self.database)
 
     # ------------------------------------------------------------------

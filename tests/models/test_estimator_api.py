@@ -423,10 +423,10 @@ class TestZeroShotEstimator:
         np.testing.assert_array_equal(
             base.predict_runtime([executed[0].plan], tiny_imdb), before)
 
-    def test_from_model_wraps_trained_model(self, fitted, tiny_imdb,
-                                            executed):
+    def test_constructor_wraps_trained_model(self, fitted, tiny_imdb,
+                                             executed):
         base = fitted["zero-shot"]
-        wrapped = ZeroShotEstimator.from_model(base.model, base.source)
+        wrapped = ZeroShotEstimator(model=base.model, source=base.source)
         plans = [r.plan for r in executed[:5]]
         np.testing.assert_array_equal(
             wrapped.predict_runtime(plans, tiny_imdb),

@@ -165,8 +165,8 @@ class TestEstimatorThreading:
                                                  system_features=True))
         model.fit(aware_graphs, quick_trainer(epochs=5))
         machine = SystemParameters.slow_disk()
-        estimator = ZeroShotEstimator.from_model(
-            model, CardinalitySource.ACTUAL, system=machine)
+        estimator = ZeroShotEstimator(
+            model=model, source=CardinalitySource.ACTUAL, system=machine)
         assert estimator.featurizer.system_features is True
         assert estimator.featurizer.system == machine
 
@@ -185,5 +185,5 @@ class TestEstimatorThreading:
         model = ZeroShotCostModel(ZeroShotConfig(hidden_dim=32))
         model.fit(blind_graphs, quick_trainer(epochs=1))
         with pytest.raises(FeaturizationError, match="system_features"):
-            ZeroShotEstimator.from_model(model, CardinalitySource.ACTUAL,
-                                         system=SystemParameters())
+            ZeroShotEstimator(model=model, source=CardinalitySource.ACTUAL,
+                              system=SystemParameters())

@@ -142,6 +142,8 @@ class TestFallbacks:
         database, records, _ = setup
 
         class PlanLevel:
+            is_fitted = True
+
             def predict_cardinalities(self, plans, database=None):
                 return [[100.0] * 64 for _ in plans]
 

@@ -81,18 +81,12 @@ class TestDropIn:
 
     def test_model_without_cardinality_surface_rejected(self, setup):
         database, _, _ = setup
-        with pytest.raises(ModelError, match="predict_cardinalities"):
-            LearnedCardinalityEstimator(database, object())
 
-    def test_core_model_accepted(self, setup):
-        """A raw ZeroShotCostModel (not the estimator wrapper) works."""
-        database, records, estimator = setup
-        learned = LearnedCardinalityEstimator(database, estimator.model)
-        query = next(r.query for r in records if len(r.query.tables) >= 2)
-        rows = learned.joined_rows(query, frozenset(query.table_names))
-        wrapped = LearnedCardinalityEstimator(database, estimator)
-        assert rows == wrapped.joined_rows(query,
-                                           frozenset(query.table_names))
+        class RuntimeOnly:
+            is_fitted = True
+
+        with pytest.raises(ModelError, match="predict_cardinalities"):
+            LearnedCardinalityEstimator(database, RuntimeOnly())
 
 
 class TestFallback:
@@ -116,6 +110,8 @@ class TestFallback:
         database, records, estimator = setup
 
         class Exploding:
+            is_fitted = True
+
             def predict_cardinalities(self, plans, database):
                 raise ModelError("no predictions today")
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ModelError
 from repro.featurize import CardinalitySource
-from repro.models import TrainerConfig, ZeroShotConfig, ZeroShotCostModel
+from repro.models import TrainerConfig, ZeroShotConfig, ZeroShotEstimator
 from repro.optimizer.learned_planner import (
     ZeroShotPlanSelector,
     candidate_plans,
@@ -50,16 +50,15 @@ class TestCandidateGeneration:
 
 class TestSelector:
     @pytest.fixture(scope="class")
-    def model(self, tiny_imdb):
+    def estimator(self, tiny_imdb):
         graphs = build_labelled_graphs([tiny_imdb], 50,
                                        CardinalitySource.ESTIMATED, seed=5)
-        model = ZeroShotCostModel(ZeroShotConfig(hidden_dim=32, seed=0))
-        model.fit(graphs, TrainerConfig(epochs=25, batch_size=32,
-                                        early_stopping_patience=25))
-        return model
+        estimator = ZeroShotEstimator(ZeroShotConfig(hidden_dim=32, seed=0))
+        return estimator.fit_graphs(graphs, TrainerConfig(
+            epochs=25, batch_size=32, early_stopping_patience=25))
 
-    def test_choice_structure(self, tiny_imdb, model):
-        selector = ZeroShotPlanSelector(tiny_imdb, model)
+    def test_choice_structure(self, tiny_imdb, estimator):
+        selector = ZeroShotPlanSelector(tiny_imdb, estimator)
         choice = selector.choose(parse_query(JOIN_QUERY))
         assert choice.num_candidates >= 2
         assert choice.predicted_seconds > 0
@@ -68,26 +67,13 @@ class TestSelector:
 
     def test_unfitted_model_rejected(self, tiny_imdb):
         with pytest.raises(ModelError):
-            ZeroShotPlanSelector(tiny_imdb, ZeroShotCostModel())
+            ZeroShotPlanSelector(tiny_imdb, ZeroShotEstimator())
 
-    def test_invalid_switch_margin_rejected(self, tiny_imdb, model):
+    def test_invalid_switch_margin_rejected(self, tiny_imdb, estimator):
         for margin in (-0.1, 1.0, 1.5):
             with pytest.raises(ModelError):
-                ZeroShotPlanSelector(tiny_imdb, model, switch_margin=margin)
-
-    def test_estimator_input_equals_model_input(self, tiny_imdb, model):
-        """The selector accepts the unified CostEstimator directly."""
-        from repro.models import ZeroShotEstimator
-        from repro.featurize import CardinalitySource
-        estimator = ZeroShotEstimator.from_model(
-            model, CardinalitySource.ESTIMATED)
-        query = parse_query(JOIN_QUERY)
-        via_model = ZeroShotPlanSelector(tiny_imdb, model).choose(query)
-        via_estimator = ZeroShotPlanSelector(tiny_imdb,
-                                             estimator).choose(query)
-        assert via_model.predictions == via_estimator.predictions
-        assert via_model.agrees_with_classical == \
-            via_estimator.agrees_with_classical
+                ZeroShotPlanSelector(tiny_imdb, estimator,
+                                     switch_margin=margin)
 
 
 class TestSwitchMargin:
@@ -95,36 +81,37 @@ class TestSwitchMargin:
     must not flip the choice away from the classical plan."""
 
     @pytest.fixture(scope="class")
-    def model(self, tiny_imdb):
+    def estimator(self, tiny_imdb):
         graphs = build_labelled_graphs([tiny_imdb], 50,
                                        CardinalitySource.ESTIMATED, seed=5)
-        model = ZeroShotCostModel(ZeroShotConfig(hidden_dim=32, seed=0))
-        model.fit(graphs, TrainerConfig(epochs=25, batch_size=32,
-                                        early_stopping_patience=25))
-        return model
+        estimator = ZeroShotEstimator(ZeroShotConfig(hidden_dim=32, seed=0))
+        return estimator.fit_graphs(graphs, TrainerConfig(
+            epochs=25, batch_size=32, early_stopping_patience=25))
 
-    def test_extreme_margin_always_keeps_classical(self, tiny_imdb, model):
-        selector = ZeroShotPlanSelector(tiny_imdb, model,
+    def test_extreme_margin_always_keeps_classical(self, tiny_imdb,
+                                                   estimator):
+        selector = ZeroShotPlanSelector(tiny_imdb, estimator,
                                         switch_margin=0.99)
         choice = selector.choose(parse_query(JOIN_QUERY))
         assert choice.agrees_with_classical
         assert choice.predicted_seconds == choice.predictions[0]
 
-    def test_zero_margin_takes_any_predicted_win(self, tiny_imdb, model):
-        selector = ZeroShotPlanSelector(tiny_imdb, model,
+    def test_zero_margin_takes_any_predicted_win(self, tiny_imdb,
+                                                 estimator):
+        selector = ZeroShotPlanSelector(tiny_imdb, estimator,
                                         switch_margin=0.0)
         choice = selector.choose(parse_query(JOIN_QUERY))
         assert choice.predicted_seconds == min(choice.predictions)
 
-    def test_margin_interpolates(self, tiny_imdb, model):
+    def test_margin_interpolates(self, tiny_imdb, estimator):
         """Whenever the zero-margin selector switches plans, a large
         enough margin forces the choice back to classical."""
         queries = [parse_query(JOIN_QUERY),
                    parse_query("SELECT COUNT(*) FROM title t, "
                                "movie_companies mc WHERE t.id = mc.movie_id "
                                "AND t.production_year > 1990")]
-        eager = ZeroShotPlanSelector(tiny_imdb, model, switch_margin=0.0)
-        cautious = ZeroShotPlanSelector(tiny_imdb, model,
+        eager = ZeroShotPlanSelector(tiny_imdb, estimator, switch_margin=0.0)
+        cautious = ZeroShotPlanSelector(tiny_imdb, estimator,
                                         switch_margin=0.99)
         for query in queries:
             eager_choice = eager.choose(query)

@@ -243,6 +243,52 @@ def test_private_read_guard_sees_what_it_guards(tmp_path):
         "_sorted_values:10", "_order:10", "_module_level:13"]
 
 
+#: The learned and closed-form core models under the estimator contract.
+CORE_MODELS = {"ZeroShotCostModel", "FlatVectorCostModel", "MSCNCostModel",
+               "E2ECostModel", "ScaledOptimizerCost"}
+
+
+def _core_model_imports(path: Path) -> list[str]:
+    """Core model classes ``path`` imports or reaches through a module."""
+    return [
+        f"{name}:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for name in (
+            [alias.name for alias in node.names]
+            if isinstance(node, ast.ImportFrom)
+            else [node.attr] if isinstance(node, ast.Attribute) else [])
+        if name in CORE_MODELS
+    ]
+
+
+def test_consumers_see_only_the_estimator_contract():
+    """Plan selection, learned cardinalities and the advisors take a
+    fitted ``CostEstimator`` and nothing else; a consumer that imports a
+    core model class is about to accept, unwrap or re-wrap one, which is
+    how a raw model once bypassed the estimated-cardinality check."""
+    offenders = {
+        str(path.relative_to(PACKAGE_ROOT)): uses
+        for package in ("optimizer", "tuning")
+        for path in sorted((PACKAGE_ROOT / package).rglob("*.py"))
+        if (uses := _core_model_imports(path))
+    }
+    assert not offenders, (
+        f"core model classes imported by a consumer: {offenders}; take a "
+        f"CostEstimator (ZeroShotEstimator(model=...) wraps a core model)")
+
+
+def test_core_model_guard_sees_what_it_guards(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("from repro.models.zero_shot import ZeroShotCostModel\n"
+                      "from repro.models import ZeroShotEstimator, mscn\n"
+                      "import repro.models.optimizer_cost\n"
+                      "mscn.MSCNCostModel\n"
+                      "repro.models.optimizer_cost.ScaledOptimizerCost()\n"
+                      "estimator.model\n")
+    assert _core_model_imports(sample) == [
+        "ZeroShotCostModel:1", "MSCNCostModel:4", "ScaledOptimizerCost:5"]
+
+
 # ----------------------------------------------------------------------
 # A package holds what its users refer to, and nothing else
 # ----------------------------------------------------------------------

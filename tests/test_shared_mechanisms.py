@@ -162,6 +162,8 @@ def _service(bound, tiny_imdb, plans):
 
 
 class _NeverCalledModel:
+    is_fitted = True
+
     def predict_cardinalities(self, plans, database):
         raise AssertionError("fallback_only never consults the model")
 

@@ -6,7 +6,7 @@ import pytest
 from repro.db import SyntheticDatabaseSpec, make_imdb_database
 from repro.errors import ModelError
 from repro.featurize import CardinalitySource
-from repro.models import TrainerConfig, ZeroShotConfig, ZeroShotCostModel
+from repro.models import TrainerConfig, ZeroShotConfig, ZeroShotEstimator
 from repro.optimizer.whatif import IndexSpec
 from repro.sql import parse_query
 from repro.tuning import IndexAdvisor, ZeroShotWhatIfEstimator
@@ -16,8 +16,8 @@ from tests.models.conftest import build_labelled_graphs
 
 
 @pytest.fixture(scope="module")
-def whatif_model():
-    """A zero-shot model trained on synthetic DBs *with* random indexes,
+def whatif_estimator():
+    """A zero-shot estimator trained on synthetic DBs *with* random indexes,
     so it has seen index scans (the §4.1 training recipe)."""
     specs = [
         SyntheticDatabaseSpec(
@@ -29,10 +29,9 @@ def whatif_model():
     corpus = collect_training_corpus(specs, 60, seed=3,
                                      random_indexes_per_database=2)
     graphs = corpus.featurize(CardinalitySource.ESTIMATED)
-    model = ZeroShotCostModel(ZeroShotConfig(hidden_dim=32, seed=0))
-    model.fit(graphs, TrainerConfig(epochs=40, batch_size=32,
-                                    early_stopping_patience=40))
-    return model
+    estimator = ZeroShotEstimator(ZeroShotConfig(hidden_dim=32, seed=0))
+    return estimator.fit_graphs(graphs, TrainerConfig(
+        epochs=40, batch_size=32, early_stopping_patience=40))
 
 
 @pytest.fixture(scope="module")
@@ -50,14 +49,14 @@ WORKLOAD = [
 
 
 class TestWhatIfEstimator:
-    def test_estimates_positive(self, target_db, whatif_model):
-        estimator = ZeroShotWhatIfEstimator(target_db, whatif_model)
+    def test_estimates_positive(self, target_db, whatif_estimator):
+        estimator = ZeroShotWhatIfEstimator(target_db, whatif_estimator)
         for text in WORKLOAD:
             runtime = estimator.estimate_workload([parse_query(text)])
             assert runtime > 0
 
-    def test_whatif_differs_from_baseline(self, target_db, whatif_model):
-        estimator = ZeroShotWhatIfEstimator(target_db, whatif_model)
+    def test_whatif_differs_from_baseline(self, target_db, whatif_estimator):
+        estimator = ZeroShotWhatIfEstimator(target_db, whatif_estimator)
         query = parse_query(WORKLOAD[0])
         baseline = estimator.estimate_workload([query])
         with_index = estimator.estimate_workload(
@@ -65,8 +64,9 @@ class TestWhatIfEstimator:
         )
         assert with_index != baseline
 
-    def test_no_leftover_hypothetical_indexes(self, target_db, whatif_model):
-        estimator = ZeroShotWhatIfEstimator(target_db, whatif_model)
+    def test_no_leftover_hypothetical_indexes(self, target_db,
+                                              whatif_estimator):
+        estimator = ZeroShotWhatIfEstimator(target_db, whatif_estimator)
         before = set(target_db.indexes)
         estimator.estimate_workload([parse_query(WORKLOAD[0])],
                                     [IndexSpec("title", "votes")])
@@ -74,66 +74,34 @@ class TestWhatIfEstimator:
 
     def test_unfitted_model_rejected(self, target_db):
         with pytest.raises(ModelError):
-            ZeroShotWhatIfEstimator(target_db, ZeroShotCostModel())
+            ZeroShotWhatIfEstimator(target_db, ZeroShotEstimator())
 
-    def test_empty_workload_rejected(self, target_db, whatif_model):
-        estimator = ZeroShotWhatIfEstimator(target_db, whatif_model)
+    def test_empty_workload_rejected(self, target_db, whatif_estimator):
+        estimator = ZeroShotWhatIfEstimator(target_db, whatif_estimator)
         with pytest.raises(ModelError):
             estimator.estimate_workload([])
 
 
 class TestWhatIfThroughUnifiedAPI:
     """The what-if estimator speaks the CostEstimator contract:
-    estimator input, batched workloads."""
-
-    def test_estimator_input_equals_model_input(self, target_db,
-                                                whatif_model):
-        from repro.models import ZeroShotEstimator
-        estimator = ZeroShotEstimator.from_model(
-            whatif_model, CardinalitySource.ESTIMATED)
-        via_model = ZeroShotWhatIfEstimator(target_db, whatif_model)
-        via_estimator = ZeroShotWhatIfEstimator(target_db, estimator)
-        for text in WORKLOAD:
-            query = parse_query(text)
-            assert via_model.estimate_workload([query]) == \
-                via_estimator.estimate_workload([query])
+    batched workloads."""
 
     def test_workload_estimate_is_batched_sum(self, target_db,
-                                              whatif_model):
+                                              whatif_estimator):
         """One batched call equals the sum of per-query estimates —
         bit-identical, thanks to batch-size-invariant inference."""
-        estimator = ZeroShotWhatIfEstimator(target_db, whatif_model)
+        estimator = ZeroShotWhatIfEstimator(target_db, whatif_estimator)
         queries = [parse_query(t) for t in WORKLOAD]
         batched = estimator.estimate_workload(queries)
         summed = float(np.sum([estimator.estimate_workload([q])
                                for q in queries]))
         assert batched == summed
 
-    def test_actual_cardinality_estimator_rejected(self, target_db,
-                                                   whatif_model):
-        from repro.models import ZeroShotEstimator
-        actual = ZeroShotEstimator.from_model(whatif_model,
-                                              CardinalitySource.ACTUAL)
-        with pytest.raises(ModelError, match="estimated cardinalities"):
-            ZeroShotWhatIfEstimator(target_db, actual)
-
-    def test_advisor_accepts_estimator(self, target_db, whatif_model):
-        from repro.models import ZeroShotEstimator
-        estimator = ZeroShotEstimator.from_model(
-            whatif_model, CardinalitySource.ESTIMATED)
-        queries = [parse_query(t) for t in WORKLOAD]
-        via_model = IndexAdvisor(target_db, whatif_model) \
-            .recommend(queries, max_indexes=2)
-        via_estimator = IndexAdvisor(target_db, estimator) \
-            .recommend(queries, max_indexes=2)
-        assert via_model.indexes == via_estimator.indexes
-        assert via_model.predicted_seconds == via_estimator.predicted_seconds
-
 
 class TestAdvisor:
     def test_candidates_cover_predicates_and_joins(self, target_db,
-                                                   whatif_model):
-        advisor = IndexAdvisor(target_db, whatif_model)
+                                                   whatif_estimator):
+        advisor = IndexAdvisor(target_db, whatif_estimator)
         queries = [parse_query(t) for t in WORKLOAD]
         candidates = advisor._candidate_indexes(queries)
         keys = {(c.table_name, c.column_name) for c in candidates}
@@ -144,8 +112,8 @@ class TestAdvisor:
         assert ("title", "id") not in keys
         assert ("movie_companies", "movie_id") not in keys
 
-    def test_recommendation_structure(self, target_db, whatif_model):
-        advisor = IndexAdvisor(target_db, whatif_model)
+    def test_recommendation_structure(self, target_db, whatif_estimator):
+        advisor = IndexAdvisor(target_db, whatif_estimator)
         queries = [parse_query(t) for t in WORKLOAD]
         recommendation = advisor.recommend(queries, max_indexes=2)
         assert len(recommendation.indexes) <= 2
@@ -155,14 +123,14 @@ class TestAdvisor:
         assert recommendation.predicted_speedup >= 1.0
 
     def test_no_leftover_indexes_after_recommend(self, target_db,
-                                                 whatif_model):
-        advisor = IndexAdvisor(target_db, whatif_model)
+                                                 whatif_estimator):
+        advisor = IndexAdvisor(target_db, whatif_estimator)
         before = set(target_db.indexes)
         advisor.recommend([parse_query(t) for t in WORKLOAD], max_indexes=1)
         assert set(target_db.indexes) == before
 
-    def test_validation(self, target_db, whatif_model):
-        advisor = IndexAdvisor(target_db, whatif_model)
+    def test_validation(self, target_db, whatif_estimator):
+        advisor = IndexAdvisor(target_db, whatif_estimator)
         with pytest.raises(ModelError):
             advisor.recommend([])
         with pytest.raises(ModelError):

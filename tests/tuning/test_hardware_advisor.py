@@ -4,7 +4,7 @@ import pytest
 
 from repro.db import SyntheticDatabaseSpec, generate_database
 from repro.errors import ModelError
-from repro.models import TrainerConfig, ZeroShotConfig, ZeroShotCostModel
+from repro.models import TrainerConfig, ZeroShotConfig, ZeroShotEstimator
 from repro.runtime import SystemParameters, available_system_configs
 from repro.tuning import HardwareAdvisor
 
@@ -26,13 +26,12 @@ def hardware_dbs():
 
 
 @pytest.fixture(scope="module")
-def aware_model(hardware_dbs):
-    model = ZeroShotCostModel(ZeroShotConfig(hidden_dim=32, seed=11,
-                                             system_features=True))
+def aware_estimator(hardware_dbs):
+    estimator = ZeroShotEstimator(ZeroShotConfig(hidden_dim=32, seed=11,
+                                                 system_features=True))
     graphs = build_machine_graphs(hardware_dbs, 40, system_features=True)
-    model.fit(graphs, TrainerConfig(epochs=25, batch_size=32, seed=0,
-                                    early_stopping_patience=25))
-    return model
+    return estimator.fit_graphs(graphs, TrainerConfig(
+        epochs=25, batch_size=32, seed=0, early_stopping_patience=25))
 
 
 @pytest.fixture(scope="module")
@@ -41,9 +40,9 @@ def workload(hardware_dbs):
 
 
 class TestHardwareAdvisor:
-    def test_ranks_every_registered_machine(self, hardware_dbs, aware_model,
-                                            workload):
-        advisor = HardwareAdvisor(hardware_dbs[0], aware_model,
+    def test_ranks_every_registered_machine(self, hardware_dbs,
+                                            aware_estimator, workload):
+        advisor = HardwareAdvisor(hardware_dbs[0], aware_estimator,
                                   baseline="default")
         recommendation = advisor.recommend(workload)
         assert recommendation.baseline_name == "default"
@@ -58,8 +57,9 @@ class TestHardwareAdvisor:
         assert len(set(seconds)) > 1
         assert recommendation.best.name == recommendation.options[0].name
 
-    def test_explicit_candidates(self, hardware_dbs, aware_model, workload):
-        advisor = HardwareAdvisor(hardware_dbs[0], aware_model)
+    def test_explicit_candidates(self, hardware_dbs, aware_estimator,
+                                 workload):
+        advisor = HardwareAdvisor(hardware_dbs[0], aware_estimator)
         recommendation = advisor.recommend(
             workload, candidates={"nvme": "fast-disk",
                                   "spinner": SystemParameters.slow_disk()})
@@ -69,21 +69,21 @@ class TestHardwareAdvisor:
         assert all(value > 0 for value in speedups.values())
 
     def test_blind_model_rejected(self, hardware_dbs):
-        blind = ZeroShotCostModel(ZeroShotConfig(hidden_dim=32))
+        blind = ZeroShotEstimator(ZeroShotConfig(hidden_dim=32))
         graphs = build_machine_graphs(hardware_dbs, 10,
                                       system_features=False)
-        blind.fit(graphs, TrainerConfig(epochs=2, batch_size=32, seed=0,
-                                        early_stopping_patience=2))
+        blind.fit_graphs(graphs, TrainerConfig(
+            epochs=2, batch_size=32, seed=0, early_stopping_patience=2))
         with pytest.raises(ModelError, match="hardware-aware"):
             HardwareAdvisor(hardware_dbs[0], blind)
 
     def test_unfitted_model_rejected(self, hardware_dbs):
-        model = ZeroShotCostModel(ZeroShotConfig(hidden_dim=32,
-                                                 system_features=True))
+        estimator = ZeroShotEstimator(ZeroShotConfig(hidden_dim=32,
+                                                     system_features=True))
         with pytest.raises(ModelError, match="fitted"):
-            HardwareAdvisor(hardware_dbs[0], model)
+            HardwareAdvisor(hardware_dbs[0], estimator)
 
-    def test_empty_workload_rejected(self, hardware_dbs, aware_model):
-        advisor = HardwareAdvisor(hardware_dbs[0], aware_model)
+    def test_empty_workload_rejected(self, hardware_dbs, aware_estimator):
+        advisor = HardwareAdvisor(hardware_dbs[0], aware_estimator)
         with pytest.raises(ModelError, match="non-empty"):
             advisor.recommend([])
