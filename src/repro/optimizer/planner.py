@@ -24,7 +24,7 @@ from repro.errors import OptimizerError
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost_model import CPU_TUPLE_COST, CostModel
 from repro.optimizer.join_order import enumerate_join_orders
-from repro.optimizer.rewrite import RewritePlanner, RewriteTrace
+from repro.optimizer.rewrite import RewritePlanner
 from repro.plans.operators import (
     HashAggregate,
     HashBuild,
@@ -94,11 +94,6 @@ class Planner:
         self.estimator = cardinality_estimator or \
             CardinalityEstimator(database)
         self.cost_model = CostModel(database)
-        #: Trace of the rewrite phase for the most recent :meth:`plan`
-        #: call (also stored in ``plan.metadata["rewrite_trace"]``);
-        #: ``None`` when rewrites are disabled.  The only thing a call
-        #: leaves behind on the planner.
-        self.last_rewrite_trace: RewriteTrace | None = None
         self._rewriter = RewritePlanner(schema=database.schema)
 
     def plan(self, query: Query) -> PhysicalPlan:
@@ -119,7 +114,6 @@ class Planner:
             query = result.query
             trace = result.trace
             scan_columns = result.scan_columns
-        self.last_rewrite_trace = trace
 
         root = _PlanSearch(self, query, scan_columns).run()
         plan = PhysicalPlan(root=root.node, query=query,

@@ -41,9 +41,10 @@ spanning forest so redundant derived edges are not double counted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import operator
+from dataclasses import dataclass, field
 from functools import reduce
-from typing import Iterator, Protocol
+from typing import Protocol
 
 from repro.db.schema import Schema
 from repro.errors import PlannerError
@@ -93,9 +94,23 @@ MAX_RULE_FIRINGS = 64
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class LogicalNode:
-    """Base class for logical operators.  Immutable; rules rebuild."""
+    """Base class for logical operators.  Immutable; rules rebuild.
+
+    At construction a node records the pre-order tuple of the nodes
+    below it (``_below``, the node itself left out so that it holds no
+    reference to itself).  Nodes never change, so the tuple never goes
+    stale: walking, finding and counting read it instead of re-walking
+    the tree.  It is a plain attribute, not a field: equality, hashing,
+    ``repr`` and ``dataclasses.replace`` see the fields only.
+    """
 
     children: tuple["LogicalNode", ...] = field(default=(), kw_only=True)
+
+    def __post_init__(self):
+        below: tuple[LogicalNode, ...] = ()
+        for child in self.children:
+            below += (child,) + child._below
+        object.__setattr__(self, "_below", below)
 
     @property
     def operator_name(self) -> str:
@@ -160,17 +175,13 @@ class LogicalAggregate(LogicalNode):
         return f"Aggregate {inner}"
 
 
-def walk_logical(root: LogicalNode) -> Iterator[LogicalNode]:
+def walk_logical(root: LogicalNode) -> tuple[LogicalNode, ...]:
     """Depth-first pre-order traversal of a logical tree."""
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(reversed(node.children))
+    return (root,) + root._below
 
 
 def count_logical_nodes(root: LogicalNode) -> int:
-    return sum(1 for _ in walk_logical(root))
+    return 1 + len(root._below)
 
 
 def logical_plan_repr(root: LogicalNode) -> str:
@@ -186,20 +197,36 @@ def logical_plan_repr(root: LogicalNode) -> str:
     return "\n".join(lines)
 
 
-def replace_logical_node(root: LogicalNode, target: LogicalNode,
-                         replacement: LogicalNode) -> LogicalNode:
-    """Rebuild ``root`` with ``target`` (by identity) swapped out."""
-    if root is target:
+def replace_logical_nodes(root: LogicalNode,
+                          replacements: dict[int, LogicalNode]
+                          ) -> LogicalNode:
+    """Rebuild ``root`` once, bottom-up, with every node whose ``id`` is
+    a key of ``replacements`` swapped for its value.  A subtree holding
+    no such node is kept as it is, not copied."""
+    replacement = replacements.get(id(root))
+    if replacement is not None:
         return replacement
-    changed = False
-    new_children = []
-    for child in root.children:
-        new_child = replace_logical_node(child, target, replacement)
-        changed = changed or new_child is not child
-        new_children.append(new_child)
-    if not changed:
+    if not root.children:
         return root
-    return replace(root, children=tuple(new_children))
+    children = tuple([replace_logical_nodes(child, replacements)
+                      for child in root.children])
+    if all(map(operator.is_, children, root.children)):
+        return root
+    return _replace(root, children=children)
+
+
+def _replace(node: LogicalNode, **changes) -> LogicalNode:
+    """``dataclasses.replace(node, **changes)`` without re-running
+    ``__init__``, at about a third of its cost.  Logical nodes check
+    nothing at construction, so the node's fields with ``changes``
+    applied are the node ``replace`` would build; the pre-order tuple is
+    recomputed only when the children change.  ``changes`` must name
+    fields (the rules below are the only callers)."""
+    new = object.__new__(type(node))
+    new.__dict__.update(node.__dict__, **changes)
+    if "children" in changes:
+        new.__post_init__()
+    return new
 
 
 def find_logical_nodes(root: LogicalNode, node_type) -> list[LogicalNode]:
@@ -376,7 +403,8 @@ class PredicatePushdownRule:
     def apply(self, root: LogicalNode,
               context: RewriteContext) -> LogicalNode | None:
         for flt in find_logical_nodes(root, LogicalFilter):
-            scans = {scan.alias for scan in find_logical_nodes(flt, LogicalScan)}
+            scans = {node.alias for node in flt._below
+                     if isinstance(node, LogicalScan)}
             movable: dict[str, list[Predicate]] = {}
             residual: list[Predicate] = []
             for predicate in flt.predicates:
@@ -387,31 +415,20 @@ class PredicatePushdownRule:
                     residual.append(predicate)
             if not movable:
                 continue
-            pushed = self._push(flt.children[0], movable)
+            child = flt.children[0]
+            pushed = replace_logical_nodes(child, {
+                id(scan): _replace(scan, predicates=scan.predicates
+                                   + tuple(movable[scan.alias]))
+                for scan in walk_logical(child)
+                if isinstance(scan, LogicalScan) and scan.alias in movable
+            })
             if residual:
-                replacement = replace(flt, predicates=tuple(residual),
-                                      children=(pushed,))
+                replacement = _replace(flt, predicates=tuple(residual),
+                                       children=(pushed,))
             else:
                 replacement = pushed
-            return replace_logical_node(root, flt, replacement)
+            return replace_logical_nodes(root, {id(flt): replacement})
         return None
-
-    def _push(self, node: LogicalNode,
-              movable: dict[str, list[Predicate]]) -> LogicalNode:
-        if isinstance(node, LogicalScan) and node.alias in movable:
-            return replace(
-                node,
-                predicates=node.predicates + tuple(movable[node.alias]),
-            )
-        changed = False
-        new_children = []
-        for child in node.children:
-            new_child = self._push(child, movable)
-            changed = changed or new_child is not child
-            new_children.append(new_child)
-        if not changed:
-            return node
-        return replace(node, children=tuple(new_children))
 
 
 def merge_conjunction(predicates: tuple[Predicate, ...]
@@ -427,6 +444,8 @@ def merge_conjunction(predicates: tuple[Predicate, ...]
     de-duplication: both forms select zero rows, and keeping the
     originals avoids inventing an "empty" predicate form.
     """
+    if _is_canonical(predicates):
+        return None
     by_column: dict[ColumnRef, list[Predicate]] = {}
     order: list[ColumnRef] = []
     for predicate in predicates:
@@ -439,6 +458,31 @@ def merge_conjunction(predicates: tuple[Predicate, ...]
         out.extend(_merge_column(column, by_column[column]))
     merged = tuple(out)
     return None if merged == predicates else merged
+
+
+def _is_canonical(predicates: tuple[Predicate, ...]) -> bool:
+    """Whether a conjunction is already its own merged form, decided
+    without merging: every predicate is alone on its column, no BETWEEN
+    is a point (low bound not below the high one, which becomes an EQ),
+    and every IN has at least two members in strictly rising order
+    (merging sorts and de-duplicates the members and turns a singleton
+    into an EQ).  ``_merge_column`` returns an equal predicate for each
+    such one."""
+    columns = set()
+    ins = []
+    for predicate in predicates:
+        if predicate.operator is ComparisonOperator.IN:
+            ins.append(predicate.value)
+        elif predicate.operator is ComparisonOperator.BETWEEN \
+                and not predicate.value[0] < predicate.value[1]:
+            return False
+        columns.add((predicate.column.table, predicate.column.column))
+    # Members are compared only once every column is known to be alone:
+    # the merge then sorts each IN's members too, so incomparable
+    # members raise here exactly where merging would raise.
+    return len(columns) == len(predicates) and all(
+        len(members) > 1 and all(map(operator.lt, members, members[1:]))
+        for members in ins)
 
 
 def _dedup(predicates: list[Predicate]) -> list[Predicate]:
@@ -508,20 +552,24 @@ class FilterMergeRule:
 
     def apply(self, root: LogicalNode,
               context: RewriteContext) -> LogicalNode | None:
-        for flt in find_logical_nodes(root, LogicalFilter):
+        nodes = walk_logical(root)
+        for flt in nodes:
+            if not isinstance(flt, LogicalFilter):
+                continue
             child = flt.children[0]
             if isinstance(child, LogicalFilter):
                 merged = LogicalFilter(
                     predicates=flt.predicates + child.predicates,
                     children=child.children,
                 )
-                return replace_logical_node(root, flt, merged)
-        for node in walk_logical(root):
-            if isinstance(node, (LogicalFilter, LogicalScan)):
+                return replace_logical_nodes(root, {id(flt): merged})
+        for node in nodes:
+            if isinstance(node, (LogicalFilter, LogicalScan)) \
+                    and node.predicates:
                 merged = merge_conjunction(node.predicates)
                 if merged is not None:
-                    return replace_logical_node(
-                        root, node, replace(node, predicates=merged)
+                    return replace_logical_nodes(
+                        root, {id(node): _replace(node, predicates=merged)}
                     )
         return None
 
@@ -543,12 +591,20 @@ class TransitiveJoinRule:
     def apply(self, root: LogicalNode,
               context: RewriteContext) -> LogicalNode | None:
         for join in find_logical_nodes(root, LogicalJoin):
+            # A two-member class is one of the join's own conditions:
+            # it derives nothing, and one condition forms no other.
+            if len(join.conditions) < 2:
+                continue
+            classes = [group for group in join_column_classes(join.conditions)
+                       if len(group) > 2]
+            if not classes:
+                continue
             existing = {
                 frozenset((condition.left, condition.right))
                 for condition in join.conditions
             }
             derived: list[JoinCondition] = []
-            for group in join_column_classes(join.conditions):
+            for group in classes:
                 columns = sorted(group, key=str)
                 for i, left in enumerate(columns):
                     for right in columns[i + 1:]:
@@ -560,10 +616,10 @@ class TransitiveJoinRule:
                         existing.add(key)
                         derived.append(JoinCondition(left, right))
             if derived:
-                return replace_logical_node(
-                    root, join,
-                    replace(join, conditions=join.conditions + tuple(derived)),
-                )
+                return replace_logical_nodes(root, {
+                    id(join): _replace(
+                        join, conditions=join.conditions + tuple(derived)),
+                })
         return None
 
 
@@ -581,7 +637,8 @@ class ProjectionPruningRule:
         def need(column: ColumnRef) -> None:
             required.setdefault(column.table, set()).add(column.column)
 
-        for node in walk_logical(root):
+        nodes = walk_logical(root)
+        for node in nodes:
             if isinstance(node, LogicalScan):
                 for predicate in node.predicates:
                     need(predicate.column)
@@ -599,9 +656,10 @@ class ProjectionPruningRule:
                 for column in node.group_by:
                     need(column)
 
-        changed = False
-        new_root = root
-        for scan in find_logical_nodes(root, LogicalScan):
+        replacements: dict[int, LogicalNode] = {}
+        for scan in nodes:
+            if not isinstance(scan, LogicalScan):
+                continue
             kept = required.get(scan.alias)
             # COUNT(*)-only scans keep all columns.  The executor counts
             # row ids and would run a scan of no columns, but the kept
@@ -610,11 +668,10 @@ class ProjectionPruningRule:
             # built on: a zero-width scan would move all three.
             columns = tuple(sorted(kept)) if kept else None
             if columns != scan.columns:
-                new_root = replace_logical_node(
-                    new_root, scan, replace(scan, columns=columns)
-                )
-                changed = True
-        return new_root if changed else None
+                replacements[id(scan)] = _replace(scan, columns=columns)
+        if not replacements:
+            return None
+        return replace_logical_nodes(root, replacements)
 
 
 #: Every rule of the rewrite phase, in application order: pushdown

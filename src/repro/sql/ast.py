@@ -320,27 +320,25 @@ def join_column_classes(
     deterministic: classes are ordered by their smallest member's string
     form, which makes derived artifacts (e.g. inferred join conditions)
     stable across runs.
+
+    Each column maps to the one set that is its class; a condition
+    joining two classes folds the smaller set into the larger and points
+    the smaller one's columns at the result.
     """
-    parent: dict[ColumnRef, ColumnRef] = {}
-
-    def find(column: ColumnRef) -> ColumnRef:
-        root = column
-        while parent[root] != root:
-            root = parent[root]
-        while parent[column] != root:  # path compression
-            parent[column], column = root, parent[column]
-        return root
-
+    class_of: dict[ColumnRef, set[ColumnRef]] = {}
     for join in joins:
-        for column in (join.left, join.right):
-            parent.setdefault(column, column)
-        left_root, right_root = find(join.left), find(join.right)
-        if left_root != right_root:
-            parent[left_root] = right_root
+        left = class_of.setdefault(join.left, {join.left})
+        right = class_of.setdefault(join.right, {join.right})
+        if left is right:
+            continue
+        if len(left) < len(right):
+            left, right = right, left
+        left |= right
+        for column in right:
+            class_of[column] = left
 
-    classes: dict[ColumnRef, set[ColumnRef]] = {}
-    for column in parent:
-        classes.setdefault(find(column), set()).add(column)
-    members = [frozenset(group) for group in classes.values() if len(group) >= 2]
-    members.sort(key=lambda group: min(str(column) for column in group))
+    classes = {id(group): group for group in class_of.values()}.values()
+    members = [frozenset(group) for group in classes if len(group) >= 2]
+    if len(members) > 1:
+        members.sort(key=lambda group: min(map(str, group)))
     return tuple(members)

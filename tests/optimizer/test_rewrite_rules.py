@@ -338,7 +338,7 @@ class TestTransitiveJoins:
         result = RewritePlanner().rewrite(query)
         assert result.query.joins == query.joins
 
-    def test_join_column_classes_union_find(self):
+    def test_join_column_classes_groups_chained_columns(self):
         joins = (JoinCondition(_col("a", "x"), _col("b", "y")),
                  JoinCondition(_col("b", "y"), _col("c", "z")),
                  JoinCondition(_col("d", "w"), _col("e", "v")))

@@ -16,6 +16,10 @@ from hypothesis import strategies as st
 from repro.engine.expressions import predicate_mask
 from repro.sql import ColumnRef, ComparisonOperator, Interval, Predicate
 
+# The rewrite phase's merge_conjunction reads conjunctions through
+# Interval, and its no-op check rests on what is proved here.
+pytestmark = pytest.mark.rewrite
+
 COLUMN = ColumnRef("t", "x")
 GRID = [value / 2 for value in range(-4, 17)]   # -2.0, -1.5, ..., 8.0
 
