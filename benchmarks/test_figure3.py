@@ -4,7 +4,10 @@ Prints the same series the paper plots and checks the qualitative
 shape: zero-shot models are competitive out-of-the-box (zero queries on
 the evaluation database), workload-driven baselines improve with budget,
 and the execution-time panel grows linearly with the training budget.
+Both tests read one ``run_figure3`` result, computed once per module.
 """
+
+import pytest
 
 from repro.experiments.figure3 import (
     E2E_NAME,
@@ -18,10 +21,12 @@ from repro.experiments.report import format_figure3
 from repro.workload import BENCHMARK_NAMES
 
 
-def test_figure3_panels(benchmark, context):
-    result = benchmark.pedantic(
-        lambda: run_figure3(context=context), rounds=1, iterations=1,
-    )
+@pytest.fixture(scope="module")
+def result(context):
+    return run_figure3(context=context)
+
+
+def test_figure3_panels(result):
     print()
     print(format_figure3(result))
 
@@ -44,11 +49,8 @@ def test_figure3_panels(benchmark, context):
         assert series[E2E_NAME][-1] <= series[E2E_NAME][0] * 1.2
 
 
-def test_figure3_execution_time(benchmark, context):
+def test_figure3_execution_time(result):
     """Panel 4: the cost of workload-driven training data collection."""
-    result = benchmark.pedantic(
-        lambda: run_figure3(context=context), rounds=1, iterations=1,
-    )
     hours = result.execution_hours
     print(f"\nexecution hours per budget: "
           f"{dict(zip(result.budgets, [round(h, 4) for h in hours]))}")

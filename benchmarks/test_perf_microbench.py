@@ -363,7 +363,6 @@ def test_fragment_dedup_node_forward_reduction(five_way_setup):
 
     assert legacy_fragments == dedup_fragments
     assert len(dedup_fragments) > 5  # scans + joined fragments primed
-    assert dedup_counted["nodes"] == dedup.primed_graph_nodes
 
     reduction = legacy_counted["nodes"] / dedup_counted["nodes"]
     assert reduction >= 2.0, (

@@ -145,11 +145,6 @@ class LearnedCardinalityEstimator(CardinalityEstimator):
         #: Fragments priced by the model / by the heuristic fallback.
         self.learned_fragments = 0
         self.fallback_fragments = 0
-        #: Plan-graph nodes featurized + forwarded while priming with
-        #: subgraph dedup (observability for the encode-once gate; the
-        #: legacy per-fragment path encodes inside the model, where the
-        #: microbench counts nodes at the prediction surface instead).
-        self.primed_graph_nodes = 0
         #: Per-query fragment caches, LRU over queries, keyed by the
         #: query *value* (a frozen dataclass): equal queries share
         #: their estimates, which are a function of (query, database,
@@ -278,7 +273,6 @@ class LearnedCardinalityEstimator(CardinalityEstimator):
         except _FALLBACK_ERRORS:
             return False  # let the legacy path try per-fragment
         cards = predictions[0]
-        self.primed_graph_nodes += graph.num_nodes
         for aliases, root_id in zip(keys, root_ids):
             row = graph.type_row_of[root_id]
             fragments[aliases] = max(float(cards[row]), 1.0)

@@ -18,9 +18,10 @@ overhead dwarfs the per-sample work at batch size one.
   featurization entirely.
 
 :class:`ServiceStats` counts what both serving tiers do (requests,
-batches, cache hits / misses / evictions, and for the server rejections,
-failures and swaps) and keeps a window of request latencies for
-``latency_p99``; ``hit_rate`` is what a caller reads of the cache.
+batches, and for the server rejections, failures and swaps) and keeps a
+window of request latencies for ``latency_p99``; its ``cache_*`` and
+``hit_rate`` read the encode cache's own counters, which count across
+``clear_cache()``.
 
 Because inference is **batch-size invariant** (single-row matmuls take
 the same BLAS path as batched ones, see ``repro.nn.tensor``), the
@@ -32,10 +33,9 @@ bit-identity and a ≥3× throughput win over per-plan prediction.
 
 from __future__ import annotations
 
-import contextlib
 import threading
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -68,13 +68,13 @@ class ServiceStats:
 
     requests: int = 0        #: plans/queries predicted successfully
     batches: int = 0         #: model forwards / server batches issued
-    cache_hits: int = 0      #: encode precomputes served from the LRU
-    cache_misses: int = 0    #: encode precomputes computed fresh
-    cache_evictions: int = 0
     rejected: int = 0        #: requests shed by admission control
     failures: int = 0        #: requests failed by an estimator error
     swaps: int = 0           #: hot model swaps installed
     batcher_crashes: int = 0  #: errors that escaped and stopped a server
+    #: The encode cache ``cache_*`` / ``hit_rate`` read (the server's
+    #: stats have none: an empty ``LRUCache(0)`` reads zero).
+    cache: LRUCache = field(default_factory=lambda: LRUCache(0), repr=False)
 
     def __post_init__(self):
         self._mutex = threading.Lock()
@@ -105,13 +105,20 @@ class ServiceStats:
         return float(np.quantile(samples, 0.99))
 
     @property
+    def cache_hits(self) -> int:
+        return self.cache.hits
+
+    @property
+    def cache_misses(self) -> int:
+        return self.cache.misses
+
+    @property
+    def cache_evictions(self) -> int:
+        return self.cache.evictions
+
+    @property
     def hit_rate(self) -> float:
-        """Fraction of requests whose encode step was cached.  Both
-        counters are read under the lock :meth:`add` sets them under, so
-        the ratio never mixes two updates."""
-        with self._mutex:
-            hits, misses = self.cache_hits, self.cache_misses
-        return hits / (hits + misses) if hits + misses else 0.0
+        return self.cache.hit_rate
 
 
 @dataclass
@@ -158,17 +165,16 @@ class CostModelService:
         self.database = database
         self.max_batch_size = max_batch_size
         self.cache_entries = cache_entries
-        self.stats = ServiceStats()
         self._cache = LRUCache(cache_entries)
+        self.stats = ServiceStats(cache=self._cache)
 
     # ------------------------------------------------------------------
     def _encoded_chunks(self, items: Sequence["PhysicalPlan | str | Any"]):
         """Encode (through the cache) and yield micro-batches, keeping
         the request/batch accounting in one place for every prediction
         surface."""
-        with self._counting() as counts:
-            encoded = [self._encode(item, counts) for item in items]
-            counts["requests"] = len(encoded)
+        encoded = [self._encode(item)[0] for item in items]
+        self.stats.add(requests=len(encoded))
         for start in range(0, len(encoded), self.max_batch_size):
             self.stats.add(batches=1)
             yield encoded[start:start + self.max_batch_size]
@@ -213,11 +219,9 @@ class CostModelService:
     # ------------------------------------------------------------------
     def warm(self, items: Sequence["PhysicalPlan | str | Any"]) -> int:
         """Pre-populate the encode cache (featurization cost only, no
-        model forwards); returns the number of fresh encodes."""
-        with self._counting() as counts:
-            for item in items:
-                self._encode(item, counts)
-        return counts["cache_misses"]
+        model forwards); returns the number of fresh encodes, counted
+        here: the cache's counters move with every caller."""
+        return sum(self._encode(item)[1] for item in items)
 
     def clear_cache(self) -> None:
         self._cache.clear()
@@ -231,31 +235,17 @@ class CostModelService:
             return ("sql", item)
         return ("plan", id(item))
 
-    @contextlib.contextmanager
-    def _counting(self):
-        """Cache counters of one call, kept locally and applied in one
-        :meth:`ServiceStats.add` (one lock take per call, not one per
-        item) — also when an item fails to encode, so the stats read
-        what per-item increments would have left."""
-        counts = dict.fromkeys(
-            ("cache_hits", "cache_misses", "cache_evictions"), 0)
-        try:
-            yield counts
-        finally:
-            self.stats.add(**counts)
-
-    def _encode(self, item, counts: dict[str, int]):
+    def _encode(self, item) -> tuple[Any, bool]:
+        """The item's encode precompute, and whether it was computed
+        fresh (a cache miss)."""
         key = self._key_of(item)
         entry = self._cache.get(key)
         if entry is not None:
-            counts["cache_hits"] += 1
-            return entry.encoded
-        counts["cache_misses"] += 1
+            return entry.encoded, False
         # A cache hit skips this entirely: SQL requests save the parse +
         # plan + featurize, plan requests save the featurize.
         plan = item if isinstance(item, PhysicalPlan) \
             else resolve_plans([item], self.database)[0]
         encoded = self.estimator.encode_plans([plan], self.database)[0]
-        counts["cache_evictions"] += self._cache.put(
-            key, _CacheEntry(encoded=encoded, source=item))
-        return encoded
+        self._cache.put(key, _CacheEntry(encoded=encoded, source=item))
+        return encoded, True

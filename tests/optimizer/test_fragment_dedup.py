@@ -37,6 +37,21 @@ def setup():
     return database, records, estimator
 
 
+def count_primed_nodes(learned):
+    """Spy on ``learned``'s merged-graph forward: the returned list
+    collects the node count of every plan graph the dedup path primes
+    with (the legacy per-fragment path never calls it)."""
+    counted = []
+    forward = learned._predict_graphs
+
+    def counting(graphs):
+        counted.extend(graph.num_nodes for graph in graphs)
+        return forward(graphs)
+
+    learned._predict_graphs = counting
+    return counted
+
+
 def fragment_caches(learned, queries):
     """Prime every query and return {query: fragment dict} snapshots."""
     out = {}
@@ -53,6 +68,8 @@ class TestBitIdentity:
                                              dedup_fragments=False)
         dedup = LearnedCardinalityEstimator(database, estimator)
         assert dedup._predict_graphs is not None
+        legacy_nodes = count_primed_nodes(legacy)
+        dedup_nodes = count_primed_nodes(dedup)
         queries = [r.query for r in records]
         legacy_frags = fragment_caches(legacy, queries)
         dedup_frags = fragment_caches(dedup, queries)
@@ -60,9 +77,9 @@ class TestBitIdentity:
             assert legacy_frags[key] == dedup_frags[key]
         assert dedup.learned_fragments == legacy.learned_fragments
         assert dedup.learned_fragments > 0
-        # Only the dedup path reports merged-graph node counts.
-        assert dedup.primed_graph_nodes > 0
-        assert legacy.primed_graph_nodes == 0
+        # Only the dedup path primes through merged graphs.
+        assert sum(dedup_nodes) > 0
+        assert legacy_nodes == []
 
     def test_planner_plans_identical_under_dedup(self, setup):
         database, records, estimator = setup
@@ -90,8 +107,9 @@ class TestSharedEncoding:
                     key=lambda q: len(q.tables))
         assert len(query.tables) >= 3
         dedup = LearnedCardinalityEstimator(database, estimator)
+        primed = count_primed_nodes(dedup)
         dedup.joined_rows(query, frozenset(query.table_names))
-        shared_nodes = dedup.primed_graph_nodes
+        shared_nodes = sum(primed)
 
         from repro.optimizer.join_order import connected_subsets
         adjacency = dedup._join_adjacency(query)
@@ -153,13 +171,13 @@ class TestFallbacks:
         rows = learned.joined_rows(query, frozenset(query.table_names))
         assert rows == 100.0
         assert learned.learned_fragments > 0
-        assert learned.primed_graph_nodes == 0
 
     def test_dedup_disabled_flag(self, setup):
         database, records, estimator = setup
         learned = LearnedCardinalityEstimator(database, estimator,
                                               dedup_fragments=False)
+        primed = count_primed_nodes(learned)
         query = records[0].query
         learned.joined_rows(query, frozenset(query.table_names))
-        assert learned.primed_graph_nodes == 0
+        assert primed == []
         assert learned.learned_fragments > 0

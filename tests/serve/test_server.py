@@ -33,6 +33,7 @@ from repro.models import ESTIMATORS
 from repro.serve import CostModelService, PredictionServer, ServiceStats
 from repro.serve.server import _share_the_main_arena
 from repro.serve.service import LATENCY_WINDOW
+from repro.util import LRUCache
 
 pytestmark = pytest.mark.concurrency
 
@@ -162,6 +163,11 @@ class TestConcurrencyBitIdentity:
             assert server.stats.failures == 0
             assert server.stats.rejected == 0
             assert service.stats.requests == total
+            # The service's encode cache counts every lookup once; the
+            # server has no cache and reads zero.
+            assert service.stats.cache_hits + service.stats.cache_misses \
+                == total
+            assert server.stats.cache_hits + server.stats.cache_misses == 0
             # Cross-client coalescing actually happened: far fewer
             # forwards than requests once every item is cache-warm.
             assert server.stats.batches < total
@@ -192,12 +198,13 @@ class TestConcurrencyBitIdentity:
         assert len(stats._latencies) == LATENCY_WINDOW
 
     def test_hit_rate_never_mixes_two_updates(self):
-        """``add()`` sets the counters one after the other under the
-        mutex; ``hit_rate`` read them outside it, so a reader during an
-        update saw the new hits beside the old misses (here 4 / 5
-        instead of 4 / 10).  It now waits for the update to finish."""
-        stats = ServiceStats()
-        stats.add(cache_hits=1, cache_misses=1)
+        """The encode cache moves its counters under its own lock; a
+        ``hit_rate`` read outside it, during an update, would see the
+        new hits beside the old misses (here 4 / 5 instead of 4 / 10).
+        It waits for the update to finish."""
+        cache = LRUCache(1)
+        cache.hits, cache.misses = 1, 1
+        stats = ServiceStats(cache=cache)
         read = []
         returned = threading.Event()
 
@@ -206,12 +213,12 @@ class TestConcurrencyBitIdentity:
             returned.set()
 
         thread = threading.Thread(target=reader)
-        with stats._mutex:
-            # The first half of add(cache_hits=3, cache_misses=5).
-            stats.cache_hits += 3
+        with cache._lock:
+            # The first half of an update of both counters.
+            cache.hits += 3
             thread.start()
             assert not returned.wait(0.1)
-            stats.cache_misses += 5
+            cache.misses += 5
         thread.join(WAIT)
         assert read == [0.4]
 

@@ -1,11 +1,14 @@
 """The batched, caching prediction service (``repro.serve``)."""
 
 import gc
+import itertools
+import sys
+import threading
 import weakref
 
 import numpy as np
 import pytest
-from serve_stubs import LinearCostStub
+from serve_stubs import WAIT, LinearCostStub
 
 from repro.errors import ModelError
 from repro.models import TrainerConfig, get_estimator
@@ -193,10 +196,9 @@ class TestCacheRegressions:
 
     def test_counters_are_exact_when_an_item_fails_to_encode(
             self, tiny_imdb, serve_plans):
-        """The counters are kept per call and applied once; a request
-        that fails midway must still leave what per-item increments
-        left: lookups up to and including the failing one counted, no
-        request, no batch."""
+        """The cache counts each lookup as it happens, so a request that
+        fails midway leaves its lookups up to and including the failing
+        one counted, and no request, no batch."""
         service = CostModelService(LinearCostStub(), tiny_imdb,
                                    cache_entries=2)
         a, b, c = serve_plans[:3]
@@ -213,10 +215,11 @@ class TestCacheRegressions:
         assert stats.cache_evictions == 1   # c pushed a out
         assert stats.requests == 0
 
-    def test_one_stats_update_per_call_not_per_item(self, tiny_imdb,
-                                                    serve_plans):
-        """One lock take for a call's cache counters plus one per
-        forward — not one per request (64 of them in a full batch)."""
+    def test_cache_events_make_no_stats_update(self, tiny_imdb,
+                                               serve_plans):
+        """The encode cache is the one counter of its events: a call
+        updates ``ServiceStats`` once for its requests and once per
+        forward, never for a hit, miss or eviction."""
         service = CostModelService(LinearCostStub(), tiny_imdb,
                                    max_batch_size=4, cache_entries=3)
         updates = []
@@ -229,13 +232,75 @@ class TestCacheRegressions:
         service.stats.add = counting_add
         plans = list(serve_plans[:6])
         service.predict_runtime(plans)        # 6 misses, 3 evictions
-        assert len(updates) == 1 + 2          # the call, two forwards
+        assert updates == [{"requests": 6}, {"batches": 1}, {"batches": 1}]
         service.warm(plans[-3:])              # 3 hits
-        assert len(updates) == 4
+        assert len(updates) == 3
         stats = service.stats
         assert (stats.requests, stats.batches) == (6, 2)
         assert (stats.cache_hits, stats.cache_misses,
                 stats.cache_evictions) == (3, 6, 3)
+
+    def test_stats_total_both_rounds_across_clear_cache(self, tiny_imdb,
+                                                        serve_plans):
+        """What ``bench``'s cold rounds read: the cache is cleared
+        between rounds and the stats afterwards are the rounds' totals,
+        because ``clear_cache()`` drops entries, not counts."""
+        service = CostModelService(LinearCostStub(), tiny_imdb,
+                                   cache_entries=2)
+        a, b, c = serve_plans[:3]
+        service.predict_runtime([a, b, a, c])  # 1 hit, 3 misses, b evicted
+        service.clear_cache()
+        assert len(service._cache) == 0
+        service.predict_runtime([a, b, a, c])
+        stats = service.stats
+        assert (stats.cache_hits, stats.cache_misses,
+                stats.cache_evictions) == (2, 6, 2)
+        assert stats.hit_rate == 0.25
+        assert stats.requests == 8
+
+    def test_warm_counts_its_own_encodes_beside_a_predictor(
+            self, tiny_imdb):
+        """``warm()`` returns its own fresh encodes while another thread
+        misses the same cache, so a delta of the shared miss counter
+        would over-count."""
+        service = CostModelService(LinearCostStub(), tiny_imdb,
+                                   cache_entries=100_000)
+        planner = Planner(tiny_imdb)
+        queries = make_benchmark_workload(tiny_imdb, "scale", 5, seed=97)
+        pools = [[planner.plan(query) for query in queries]
+                 for _ in range(20)]
+        started, done = threading.Event(), threading.Event()
+        errors = []
+
+        def predictor():
+            try:
+                for cutoff in itertools.count():
+                    service.predict_runtime([
+                        f"SELECT COUNT(*) FROM title t "
+                        f"WHERE t.production_year > {cutoff}"])
+                    started.set()
+                    if done.is_set():
+                        return
+            except BaseException as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+                started.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        thread = threading.Thread(target=predictor)
+        try:
+            thread.start()
+            assert started.wait(WAIT)
+            fresh = [(service.warm(pool), service.warm(pool))
+                     for pool in pools]
+        finally:
+            done.set()
+            thread.join(WAIT)
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert fresh == [(5, 0)] * len(pools)
+        # The predictor did miss while warm() ran.
+        assert service.stats.cache_misses > 5 * len(pools) + 1
 
     def test_cache_entry_source_pins_plan_identity(self, tiny_imdb):
         """A cached plan freed by its caller must stay alive while its

@@ -217,17 +217,18 @@ class TestLRUContract:
         touch(1)
         assert (cache.hits, cache.misses) == (2, 4)   # 1 was evicted
 
-    def test_clear_drops_entries_and_resets_counters(self, make, error,
-                                                     tiny_imdb, plans):
+    def test_clear_drops_entries_and_keeps_counting(self, make, error,
+                                                    tiny_imdb, plans):
         cache, touch = make(1, tiny_imdb, plans)
         touch(0)
         touch(0)
         touch(1)
         cache.clear()
         assert (len(cache), cache.hits, cache.misses, cache.evictions) == \
-            (0, 0, 0, 0)
+            (0, 1, 2, 1)
         touch(0)
-        assert (cache.hits, cache.misses) == (0, 1)
+        assert (cache.hits, cache.misses, cache.evictions) == (1, 3, 1)
+        assert cache.hit_rate == 0.25
 
     def test_negative_bound_rejected_in_the_owners_error_class(
             self, make, error, tiny_imdb, plans):
@@ -238,16 +239,18 @@ class TestLRUContract:
 class TestLRUClass:
     def test_zero_bound_stores_nothing_and_counts_no_eviction(self):
         cache = LRUCache(0)
-        assert cache.put("a", 1) == 0
+        cache.put("a", 1)
         assert cache.get("a") is None
         assert (len(cache), cache.evictions) == (0, 0)
 
-    def test_put_reports_evictions_and_refreshes_existing_keys(self):
+    def test_put_refreshes_existing_keys_and_evicts_the_lru(self):
         cache = LRUCache(2)
-        assert cache.put("a", 1) == 0
-        assert cache.put("b", 2) == 0
-        assert cache.put("a", 3) == 0    # overwrite: a is now MRU
-        assert cache.put("c", 4) == 1    # evicts b
+        cache.put("a", 1)
+        cache.put("b", 2)
+        cache.put("a", 3)                # overwrite: a is now MRU
+        assert cache.evictions == 0
+        cache.put("c", 4)                # evicts b
+        assert cache.evictions == 1
         assert cache.get("b") is None
         assert cache.get("a") == 3
 
