@@ -338,10 +338,8 @@ class BuildSideCache(LRUCache):
 
 
 def _drop_null_keys(relation: Relation, key: ColumnRef) -> Relation:
-    mask = relation.null_mask(key)
-    if mask is None or not mask.any():
-        return relation
-    return relation.take(np.flatnonzero(~mask))
+    mask = _nulls_in(relation, key)
+    return relation if mask is None else relation.take(np.flatnonzero(~mask))
 
 
 class Executor:
@@ -566,11 +564,14 @@ class Executor:
                 columns[f"agg{index}"] = np.empty(0)
             return Relation.of_columns(columns, 0)
         key_arrays = [relation.column(c) for c in node.group_by]
-        first_indices, group_ids = _group_rows(key_arrays)
+        null_masks = [_nulls_in(relation, c) for c in node.group_by]
+        first_indices, group_ids = _group_rows(key_arrays, null_masks)
         num_groups = len(first_indices)
         columns: dict[str, np.ndarray] = {}
-        for ref, array in zip(node.group_by, key_arrays):
-            columns[str(ref)] = array[first_indices]
+        for ref, keys, mask in zip(node.group_by, key_arrays, null_masks):
+            keys = keys[first_indices]
+            columns[str(ref)] = keys if mask is None else \
+                np.where(mask[first_indices], np.nan, keys)
         for index, agg in enumerate(node.aggregates):
             columns[f"agg{index}"] = _grouped_aggregate(relation, agg,
                                                         group_ids, num_groups)
@@ -624,7 +625,8 @@ def _index_interval(predicates: tuple[Predicate, ...]) -> Interval:
     return key_range
 
 
-def _group_rows(key_arrays: list[np.ndarray]
+def _group_rows(key_arrays: list[np.ndarray],
+                null_masks: list[np.ndarray | None]
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Group rows by their key tuple: ``(first_indices, group_ids)``.
 
@@ -633,17 +635,32 @@ def _group_rows(key_arrays: list[np.ndarray]
     ``np.unique`` over a record array of the keys yields, without its
     comparison sort of a structured dtype: each key is ranked on its
     own and folded into the running group id, which is re-densified
-    after every key so ``group_ids * distinct + rank`` stays below
-    ``num_rows ** 2`` and cannot overflow ``int64``.
+    after every key so ``group_ids * (distinct + 1) + rank`` stays below
+    ``num_rows * (num_rows + 1)`` and cannot overflow ``int64``.  A row
+    a key's null mask marks ranks one past every value of that key,
+    whatever value it stores: NULLs form one group, after the others.
     """
-    _, first_indices, group_ids = np.unique(
-        key_arrays[0], return_index=True, return_inverse=True)
-    for keys in key_arrays[1:]:
+    group_ids = None
+    for keys, mask in zip(key_arrays, null_masks):
+        if group_ids is None and mask is None:
+            # A first key without NULLs is ranked and densified at once.
+            _, first_indices, group_ids = np.unique(
+                keys, return_index=True, return_inverse=True)
+            continue
         distinct, ranks = np.unique(keys, return_inverse=True)
+        if mask is not None:
+            ranks[mask] = len(distinct)
+        if group_ids is not None:
+            ranks = group_ids * (len(distinct) + 1) + ranks
         _, first_indices, group_ids = np.unique(
-            group_ids * len(distinct) + ranks,
-            return_index=True, return_inverse=True)
+            ranks, return_index=True, return_inverse=True)
     return first_indices, group_ids
+
+
+def _nulls_in(relation: Relation, ref: ColumnRef) -> np.ndarray | None:
+    """The column's null mask when it holds a NULL, else None."""
+    mask = relation.null_mask(ref)
+    return mask if mask is not None and mask.any() else None
 
 
 def _non_null(relation: Relation, ref: ColumnRef) -> np.ndarray:

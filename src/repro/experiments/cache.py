@@ -29,13 +29,13 @@ vanished) and a stored model still matches it.
 
 Layout (one directory per context key, one per shard key)::
 
-    <root>/v5/ctx-<hash>/
+    <root>/v6/ctx-<hash>/
         scale.json          # provenance: the exact scale + pool flag
         models/estimated/   # ZeroShotCostModel.save (weights + scalers)
         models/actual/
         context.pkl         # IMDB holdout, evaluation records, pool
         COMPLETE            # written last; absent => entry is ignored
-    <root>/v5/shards/shard-<hash>/
+    <root>/v6/shards/shard-<hash>/
         shard.json          # provenance: database name, queries, seeds
         payload.pkl         # pickled ShardExecution
         COMPLETE
@@ -87,7 +87,9 @@ __all__ = ["ArtifactStore", "cache_enabled", "context_key", "main",
 #: columns record different cardinalities than v3-era shards did.
 #: v5: a context entry no longer carries a ``corpus/`` copy of its
 #: training databases; the shard entries are the only persisted form.
-CACHE_FORMAT_VERSION = "v5"
+#: v6: ``GROUP BY`` on a nullable key emits one NULL group, so grouped
+#: queries over NULLs record different root cardinalities.
+CACHE_FORMAT_VERSION = "v6"
 
 _COMPLETE_MARKER = "COMPLETE"
 #: What reading an entry raises when it was deleted under the reader

@@ -324,7 +324,8 @@ def _record_array_groups(key_arrays):
 
 
 def _assert_groups_like_the_record_array(key_arrays):
-    first_indices, group_ids = _group_rows(key_arrays)
+    first_indices, group_ids = _group_rows(key_arrays,
+                                           [None] * len(key_arrays))
     want_first, want_ids = _record_array_groups(key_arrays)
     np.testing.assert_array_equal(group_ids, want_ids)
     np.testing.assert_array_equal(first_indices, want_first)
@@ -368,10 +369,25 @@ class TestGroupRows:
 
     def test_negative_zero_groups_with_zero(self):
         keys = [np.array([0.0, -0.0, 1.0, -0.0]), np.array([1, 1, 1, 2])]
-        first_indices, group_ids = _group_rows(keys)
+        first_indices, group_ids = _group_rows(keys, [None, None])
         assert group_ids.tolist() == [0, 0, 2, 1]
         assert first_indices.tolist() == [0, 3, 2]
         _assert_groups_like_the_record_array(keys)
+
+    @pytest.mark.parametrize("first_nullable", [True, False])
+    def test_nulls_form_one_group_after_every_value(self, first_nullable):
+        """NULL rows group together whatever value they store (here 5,
+        1 and 9), and after every value of their key."""
+        nullable = np.array([5, 1, 1, 9, 3])
+        nulls = np.array([True, False, True, True, False])
+        other = np.array([2, 2, 2, 2, 2])
+        keys, masks = [nullable, other], [nulls, None]
+        if not first_nullable:
+            keys, masks = keys[::-1], masks[::-1]
+        first_indices, group_ids = _group_rows(keys, masks)
+        # Groups: 1, 3, NULL (rows 0, 2 and 3).
+        assert group_ids.tolist() == [2, 0, 2, 2, 1]
+        assert first_indices.tolist() == [1, 4, 0]
 
     def test_distinct_counts_multiplying_past_int64(self):
         """Three keys of 2**21 + 1 distinct values each: the product of
@@ -383,7 +399,7 @@ class TestGroupRows:
         descending = np.arange(num_rows - 1, -1, -1, dtype=np.int64)
         keys = [descending, np.arange(num_rows, dtype=np.float64),
                 descending]
-        first_indices, group_ids = _group_rows(keys)
+        first_indices, group_ids = _group_rows(keys, [None] * 3)
         # Every row is its own group, ordered by the first key.
         np.testing.assert_array_equal(first_indices, descending)
         np.testing.assert_array_equal(group_ids, descending)
