@@ -299,7 +299,7 @@ class TestCacheRegressions:
             sys.setswitchinterval(interval)
         assert errors == []
         assert fresh == [(5, 0)] * len(pools)
-        # The predictor did miss while warm() ran.
+        # Beside warm()'s 100 fresh encodes, the predictor's texts missed.
         assert service.stats.cache_misses > 5 * len(pools) + 1
 
     def test_cache_entry_source_pins_plan_identity(self, tiny_imdb):
