@@ -9,7 +9,7 @@ import os
 
 import pytest
 
-from repro.experiments import ExperimentScale, build_context
+from repro.experiments.setup import ExperimentScale, build_context
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -15,9 +15,9 @@ def test_ablations(benchmark, context):
     print()
     print(format_ablations(result))
 
-    full = result.median("graph (full model)")
-    flat = result.median("flat (no message passing)")
-    no_cards = result.median("graph (no cardinality features)")
+    full = result["graph (full model)"].median
+    flat = result["flat (no message passing)"].median
+    no_cards = result["graph (no cardinality features)"].median
 
     assert full < 2.5
     # Removing cardinality inputs must hurt: they carry the data

@@ -5,10 +5,7 @@ model needs far fewer queries on the unseen database than training a
 workload-driven model from scratch.
 """
 
-import numpy as np
-
-from repro.experiments.fewshot_exp import run_fewshot
-from repro.experiments.report import format_fewshot
+from repro.experiments.fewshot_exp import format_fewshot, run_fewshot
 
 
 def test_fewshot_adaptation(benchmark, context):

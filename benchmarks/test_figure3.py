@@ -15,9 +15,9 @@ from repro.experiments.figure3 import (
     SCALED_COST_NAME,
     ZERO_SHOT_ESTIMATED,
     ZERO_SHOT_EXACT,
+    format_figure3,
     run_figure3,
 )
-from repro.experiments.report import format_figure3
 from repro.workload import BENCHMARK_NAMES
 
 

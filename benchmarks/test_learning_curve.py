@@ -6,12 +6,14 @@ performance stagnated" — at our benchmark scale the fleet is smaller but
 the flattening shape is the same).
 """
 
-from repro.experiments.learning_curve import run_learning_curve
-from repro.experiments.report import format_learning_curve
+from repro.experiments.learning_curve import (
+    format_learning_curve,
+    run_learning_curve,
+)
 
 
 def test_learning_curve(benchmark, context):
-    total = len(context.training_databases)
+    total = len(context.corpus.databases)
     counts = sorted({1, 2, max(total // 2, 3), total})
     result = benchmark.pedantic(
         lambda: run_learning_curve(context=context, database_counts=counts),

@@ -23,9 +23,9 @@ def test_resource_prediction(benchmark, context):
     )
     print()
     print(format_resources(result))
-    assert result.stats["runtime"].median < 2.0
-    assert result.stats["memory"].median < 4.0
-    assert result.stats["io"].median < 6.0
+    assert result["runtime"].median < 2.0
+    assert result["memory"].median < 4.0
+    assert result["io"].median < 6.0
 
 
 def test_zero_shot_plan_selection(benchmark, context):

@@ -18,7 +18,6 @@ import pytest
 from repro.db import Database, DataType, Schema, TableData
 from repro.db.schema import Column, ForeignKey, Table
 from repro.engine import execute_plan
-from repro.experiments.rewrite_ablation import intermediate_rows
 from repro.optimizer import Planner, PlannerOptions
 from repro.sql.ast import (
     AggregateFunction,
@@ -35,6 +34,13 @@ pytestmark = pytest.mark.rewrite
 
 NUM_ROWS = 60_000
 SELECTIVITY = 0.1
+
+
+def intermediate_rows(plan) -> float:
+    """Sum of actual rows over non-leaf operators (requires execution)."""
+    plan.require_executed()
+    return float(sum(node.actual_rows for node in plan.nodes()
+                     if node.children))
 
 
 @pytest.fixture(scope="module")

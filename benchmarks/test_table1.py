@@ -6,8 +6,7 @@ ballpark, and the what-if Index row showing the heavier tail the paper
 reports.
 """
 
-from repro.experiments.table1 import run_table1
-from repro.experiments.report import format_table1
+from repro.experiments.table1 import format_table1, run_table1
 from repro.featurize.graph import CardinalitySource
 
 
@@ -18,10 +17,10 @@ def test_table1_rows(benchmark, context):
     print()
     print(format_table1(result))
 
-    assert result.row_names == ("Scale", "Synthetic", "JOB-light", "Index")
-    for row in result.row_names:
+    assert tuple(result) == ("Scale", "Synthetic", "JOB-light", "Index")
+    for row in result:
         for source in (CardinalitySource.ACTUAL, CardinalitySource.ESTIMATED):
-            stats = result.rows[row][source]
+            stats = result[row][source]
             assert 1.0 <= stats.median <= stats.percentile95 <= stats.maximum
             # Paper ballpark: medians between 1.1 and ~2.5 at our scale.
             assert stats.median < 3.0
@@ -31,8 +30,8 @@ def test_table1_index_row(benchmark, context):
     result = benchmark.pedantic(
         lambda: run_table1(context=context), rounds=1, iterations=1,
     )
-    index_exact = result.rows["Index"][CardinalitySource.ACTUAL]
-    plain_rows = [result.rows[r][CardinalitySource.ACTUAL]
+    index_exact = result["Index"][CardinalitySource.ACTUAL]
+    plain_rows = [result[r][CardinalitySource.ACTUAL]
                   for r in ("Scale", "Synthetic", "JOB-light")]
     print(f"\nIndex row (exact): {index_exact}")
     # The what-if row keeps a reasonable median but a heavier tail than

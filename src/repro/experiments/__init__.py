@@ -14,65 +14,23 @@
   databases" observation.
 * :mod:`~repro.experiments.fewshot_exp` — few-shot fine-tuning vs
   workload-driven training from scratch.
-* :mod:`~repro.experiments.rewrite_ablation` — what the logical
-  rewrite phase buys (intermediate rows, scan widths, plan cost).
+* :mod:`~repro.experiments.ablations` — the zero-shot design choices
+  (message passing, cardinality features).
+* :mod:`~repro.experiments.resources` — memory and I/O prediction.
 * :mod:`~repro.experiments.hardware` — hardware transfer (§4.3): train
   across machines, evaluate on an unseen machine, drive the hardware
   what-if advisor (CLI: ``repro-hardware``).
-* :mod:`~repro.experiments.report` — plain-text rendering of results.
 
-Every driver accepts an :class:`~repro.experiments.setup.ExperimentScale`
-so the same code runs at test scale, benchmark scale or paper scale.
+Each driver module holds its result, its ``run_*``, the ``format_*``
+that renders the result as text and the ``main`` of its console
+script.  Every driver accepts an
+:class:`~repro.experiments.setup.ExperimentScale` so the same code runs
+at test scale, benchmark scale or paper scale.
+
+The package imports none of them: import from the modules
+(``repro.experiments.setup.build_context``,
+``repro.experiments.cache.ArtifactStore``), so ``python -m
+repro.experiments.<module>`` runs each driver once.
 """
 
-from repro.experiments.setup import (
-    ExperimentContext,
-    ExperimentScale,
-    build_context,
-)
-from repro.experiments.cardinality_exp import (
-    CardinalityResult,
-    run_cardinality,
-)
-from repro.experiments.figure3 import Figure3Result, run_figure3
-from repro.experiments.fewshot_exp import FewShotResult, run_fewshot
-from repro.experiments.hardware import HardwareResult, run_hardware
-from repro.experiments.learning_curve import (
-    LearningCurveResult,
-    run_learning_curve,
-)
-from repro.experiments.rewrite_ablation import (
-    RewriteAblationResult,
-    run_rewrite_ablation,
-)
-from repro.experiments.table1 import Table1Result, run_table1
-
-def __getattr__(name):
-    # Lazy so `python -m repro.experiments.cache` does not import the
-    # CLI module twice (once via the package, once as __main__).
-    if name == "ArtifactStore":
-        from repro.experiments.cache import ArtifactStore
-        return ArtifactStore
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "ArtifactStore",
-    "CardinalityResult",
-    "ExperimentContext",
-    "ExperimentScale",
-    "FewShotResult",
-    "Figure3Result",
-    "HardwareResult",
-    "LearningCurveResult",
-    "RewriteAblationResult",
-    "Table1Result",
-    "build_context",
-    "run_cardinality",
-    "run_fewshot",
-    "run_figure3",
-    "run_hardware",
-    "run_learning_curve",
-    "run_rewrite_ablation",
-    "run_table1",
-]
+__all__: list[str] = []

@@ -13,7 +13,6 @@ Three questions the paper's design raises, answered empirically:
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,16 +35,7 @@ from repro.models import (
 )
 from repro.models.metrics import QErrorStats
 
-__all__ = ["AblationResult", "run_ablations"]
-
-@dataclass
-class AblationResult:
-    """Median Q-error per ablation variant (evaluated on unseen IMDB)."""
-
-    variants: dict[str, QErrorStats] = field(default_factory=dict)
-
-    def median(self, variant: str) -> float:
-        return self.variants[variant].median
+__all__ = ["run_ablations", "format_ablations"]
 
 
 def _strip_cardinalities(graphs: list[PlanGraph]) -> list[PlanGraph]:
@@ -60,8 +50,10 @@ def _strip_cardinalities(graphs: list[PlanGraph]) -> list[PlanGraph]:
 
 
 def run_ablations(scale: ExperimentScale | None = None,
-                  context: ExperimentContext | None = None) -> AblationResult:
-    """Train the ablation variants on the shared corpus; evaluate on IMDB."""
+                  context: ExperimentContext | None = None
+                  ) -> dict[str, QErrorStats]:
+    """Train the ablation variants on the shared corpus; evaluate each on
+    IMDB: variant name -> Q-error stats."""
     if context is None:
         context = build_context(scale, with_imdb_pool=False)
     source = CardinalitySource.ACTUAL
@@ -79,11 +71,11 @@ def run_ablations(scale: ExperimentScale | None = None,
     # featurization adapter — the ablations transform them below.
     evaluation_graphs = full.featurize(evaluation_plans, context.imdb)
 
-    result = AblationResult()
+    result = {}
 
     # Full model (graph + message passing + cardinalities), over the
     # already-featurized evaluation graphs.
-    result.variants["graph (full model)"] = q_error_stats(
+    result["graph (full model)"] = q_error_stats(
         clamp_predictions(full.model.predict_runtime(evaluation_graphs)),
         truths)
 
@@ -91,14 +83,14 @@ def run_ablations(scale: ExperimentScale | None = None,
     # featurized separately: its cardinality features differ.
     estimated = context.estimator(CardinalitySource.ESTIMATED)
     estimated_graphs = estimated.featurize(evaluation_plans, context.imdb)
-    result.variants["graph (estimated cardinalities)"] = q_error_stats(
+    result["graph (estimated cardinalities)"] = q_error_stats(
         clamp_predictions(
             estimated.model.predict_runtime(estimated_graphs)), truths)
 
     # Flat featurization: same features, structure pooled away.
     flat = FlatVectorCostModel(seed=context.scale.seed)
     flat.fit(train_graphs, context.scale.zero_shot_trainer)
-    result.variants["flat (no message passing)"] = q_error_stats(
+    result["flat (no message passing)"] = q_error_stats(
         clamp_predictions(flat.predict_runtime(evaluation_graphs)), truths)
 
     # No cardinality features: the model must guess selectivities.
@@ -106,7 +98,7 @@ def run_ablations(scale: ExperimentScale | None = None,
                                 source=source)
     no_card.fit_graphs(_strip_cardinalities(train_graphs),
                        context.scale.zero_shot_trainer)
-    result.variants["graph (no cardinality features)"] = q_error_stats(
+    result["graph (no cardinality features)"] = q_error_stats(
         clamp_predictions(no_card.model.predict_runtime(
             _strip_cardinalities(evaluation_graphs))),
         truths)
@@ -114,10 +106,10 @@ def run_ablations(scale: ExperimentScale | None = None,
     return result
 
 
-def format_ablations(result: AblationResult) -> str:
+def format_ablations(result: dict[str, QErrorStats]) -> str:
     lines = ["Ablations — median Q-error on the unseen IMDB database",
              "=" * 60]
-    for variant, stats in result.variants.items():
+    for variant, stats in result.items():
         lines.append(f"  {variant:<38s} {stats.median:8.2f} "
                      f"(95th {stats.percentile95:.2f})")
     return "\n".join(lines)

@@ -281,7 +281,6 @@ class ArtifactStore:
             return None
         return ExperimentContext(
             scale=scale,
-            training_databases=list(corpus.databases.values()),
             corpus=corpus,
             zero_shot_models=models,
             imdb=payload["imdb"],

@@ -30,7 +30,7 @@ from repro.experiments.setup import (
     experiment_main,
 )
 from repro.featurize.vocabulary import scan_predicates
-from repro.models import TrainerConfig, clamp_predictions, q_error_stats
+from repro.models import clamp_predictions, q_error_stats
 from repro.models.cardinality import (
     ZeroShotCardinalityEstimator,
     record_cardinalities,
@@ -46,8 +46,7 @@ from repro.plans.operators import (
 from repro.plans.plan import walk_plan
 from repro.workload import BENCHMARK_NAMES, WorkloadRunner
 
-__all__ = ["CardinalityResult", "run_cardinality", "format_cardinality",
-           "train_cardinality_estimator"]
+__all__ = ["CardinalityResult", "run_cardinality", "format_cardinality"]
 
 #: Cardinalities are clamped to at least one row before Q-errors are
 #: computed (an operator that produced zero rows would otherwise make
@@ -97,15 +96,14 @@ class CardinalityResult:
         default_factory=PlanQualityResult)
 
 
-def train_cardinality_estimator(context: ExperimentContext,
-                                trainer: TrainerConfig | None = None
-                                ) -> ZeroShotCardinalityEstimator:
+def _train_cardinality_estimator(context: ExperimentContext
+                                 ) -> ZeroShotCardinalityEstimator:
     """Fit the multi-task cardinality head on the shared corpus."""
     scale = context.scale
     config = replace(scale.zero_shot_config, cardinality_head=True)
     estimator = ZeroShotCardinalityEstimator(config=config)
     estimator.fit(context.corpus.all_records(), context.corpus.databases,
-                  trainer or scale.zero_shot_trainer)
+                  scale.zero_shot_trainer)
     return estimator
 
 
@@ -130,14 +128,12 @@ def _relevant_mask(plan) -> np.ndarray:
 
 
 def run_cardinality(scale: ExperimentScale | None = None,
-                    context: ExperimentContext | None = None,
-                    estimator: ZeroShotCardinalityEstimator | None = None
+                    context: ExperimentContext | None = None
                     ) -> CardinalityResult:
     """Run the full estimated-vs-learned-cardinalities comparison."""
     if context is None:
         context = build_context(scale, with_imdb_pool=False)
-    if estimator is None:
-        estimator = train_cardinality_estimator(context)
+    estimator = _train_cardinality_estimator(context)
 
     result = CardinalityResult()
     all_actual: list[np.ndarray] = []

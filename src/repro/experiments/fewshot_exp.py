@@ -25,7 +25,7 @@ from repro.models import (
     q_error_stats,
 )
 
-__all__ = ["FewShotResult", "run_fewshot"]
+__all__ = ["FewShotResult", "run_fewshot", "format_fewshot"]
 
 
 @dataclass
@@ -39,11 +39,9 @@ class FewShotResult:
 
 
 def run_fewshot(scale: ExperimentScale | None = None,
-                context: ExperimentContext | None = None,
-                benchmark: str = "job-light",
-                source: CardinalitySource = CardinalitySource.ESTIMATED
-                ) -> FewShotResult:
-    """Compare zero-shot, few-shot and from-scratch E2E at small budgets."""
+                context: ExperimentContext | None = None) -> FewShotResult:
+    """Compare zero-shot, few-shot and from-scratch E2E at small budgets,
+    on JOB-light with the deployable (estimated-cardinality) model."""
     if context is None:
         context = build_context(scale)
     if not context.imdb_pool:
@@ -53,10 +51,10 @@ def run_fewshot(scale: ExperimentScale | None = None,
     if not budgets:
         raise ExperimentError("no few-shot budget fits the IMDB pool")
 
-    base = context.estimator(source)
+    base = context.estimator(CardinalitySource.ESTIMATED)
     evaluation_plans = [r.plan
-                        for r in context.evaluation_records[benchmark]]
-    truths = context.evaluation_truths(benchmark)
+                        for r in context.evaluation_records["job-light"]]
+    truths = context.evaluation_truths("job-light")
 
     result = FewShotResult(budgets=budgets)
     result.zero_shot_median = q_error_stats(
@@ -89,9 +87,18 @@ def run_fewshot(scale: ExperimentScale | None = None,
     return result
 
 
-def main() -> None:  # pragma: no cover - CLI entry
-    from repro.experiments.report import format_fewshot
+def format_fewshot(result: FewShotResult) -> str:
+    lines = ["Few-shot adaptation — median Q-error vs adaptation budget",
+             "=" * 64,
+             f"  zero-shot (0 queries): {result.zero_shot_median:.2f}",
+             f"  {'#queries':>10s}{'few-shot':>12s}{'E2E scratch':>14s}"]
+    for budget, few, scratch in zip(result.budgets, result.fewshot_medians,
+                                    result.from_scratch_medians):
+        lines.append(f"  {budget:>10d}{few:>12.2f}{scratch:>14.2f}")
+    return "\n".join(lines)
 
+
+def main() -> None:  # pragma: no cover - CLI entry
     experiment_main(run_fewshot, format_fewshot, __doc__)
 
 

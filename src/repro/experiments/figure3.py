@@ -14,7 +14,7 @@ Four panels:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ExperimentError
 from repro.experiments.setup import (
@@ -33,8 +33,8 @@ from repro.models import (
 from repro.models.metrics import QErrorStats
 from repro.workload import BENCHMARK_NAMES, WorkloadRunner
 
-__all__ = ["Figure3Result", "run_figure3", "evaluate_zero_shot",
-           "train_workload_driven_baselines"]
+__all__ = ["Figure3Result", "run_figure3", "format_figure3",
+           "evaluate_zero_shot", "train_workload_driven_baselines"]
 
 ZERO_SHOT_EXACT = "Zero-Shot (Exact Cardinalities)"
 ZERO_SHOT_ESTIMATED = "Zero-Shot (Est. Cardinalities)"
@@ -56,8 +56,6 @@ class Figure3Result:
     baseline_series: dict[str, dict[str, list[float]]]
     zero_shot_medians: dict[str, dict[str, float]]
     execution_hours: list[float]
-    evaluation_stats: dict[str, dict[str, QErrorStats]] = field(
-        default_factory=dict)
 
 
 # ----------------------------------------------------------------------
@@ -126,13 +124,11 @@ def run_figure3(scale: ExperimentScale | None = None,
 
     # Zero-shot lines (budget-independent).
     for benchmark in BENCHMARK_NAMES:
-        result.evaluation_stats[benchmark] = {}
         for source, label in ((CardinalitySource.ACTUAL, ZERO_SHOT_EXACT),
                               (CardinalitySource.ESTIMATED,
                                ZERO_SHOT_ESTIMATED)):
-            stats = evaluate_zero_shot(context, benchmark, source)
-            result.zero_shot_medians[benchmark][label] = stats.median
-            result.evaluation_stats[benchmark][label] = stats
+            result.zero_shot_medians[benchmark][label] = \
+                evaluate_zero_shot(context, benchmark, source).median
 
     # Workload-driven curves + execution-time panel.
     for budget in budgets:
@@ -151,9 +147,32 @@ def run_figure3(scale: ExperimentScale | None = None,
     return result
 
 
-def main() -> None:  # pragma: no cover - CLI entry
-    from repro.experiments.report import format_figure3
+def format_figure3(result: Figure3Result) -> str:
+    """Render the four panels of Figure 3 as text tables."""
+    lines = ["Figure 3 — Median Q-error vs number of training queries",
+             "=" * 70]
+    for benchmark, series in result.baseline_series.items():
+        lines.append(f"\nPanel: {benchmark}")
+        header = f"  {'model':35s}" + "".join(
+            f"{budget:>10d}" for budget in result.budgets)
+        lines.append(header)
+        for name, medians in series.items():
+            row = f"  {name:35s}" + "".join(f"{m:10.2f}" for m in medians)
+            lines.append(row)
+        for label in (ZERO_SHOT_EXACT, ZERO_SHOT_ESTIMATED):
+            median = result.zero_shot_medians[benchmark][label]
+            row = (f"  {label:35s}" +
+                   f"{median:10.2f}" * len(result.budgets) +
+                   "   (0 queries on eval DB)")
+            lines.append(row)
+    lines.append("\nPanel: execution time of the training workload")
+    lines.append(f"  {'#queries':>10s}{'hours':>12s}")
+    for budget, hours in zip(result.budgets, result.execution_hours):
+        lines.append(f"  {budget:>10d}{hours:>12.4f}")
+    return "\n".join(lines)
 
+
+def main() -> None:  # pragma: no cover - CLI entry
     experiment_main(run_figure3, format_figure3, __doc__)
 
 

@@ -22,7 +22,7 @@ on the holdout workload.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,7 +47,7 @@ __all__ = ["HardwareResult", "run_hardware", "format_hardware"]
 #: The machines the fleet trains on, round-robin.  ``mid-range`` is
 #: deliberately absent: it is the unseen holdout the experiment
 #: transfers *to*.
-DEFAULT_TRAIN_CONFIGS = (
+TRAIN_CONFIGS = (
     "default", "faster-cpu", "slow-disk", "fast-disk", "big-memory",
 )
 DEFAULT_HOLDOUT_CONFIG = "mid-range"
@@ -57,13 +57,10 @@ DEFAULT_HOLDOUT_CONFIG = "mid-range"
 class HardwareResult:
     """Holdout q-errors: hardware-aware fleet vs hardware-blind baseline."""
 
-    train_configs: tuple[str, ...]
     holdout_config: str
     multi_stats: QErrorStats
     single_stats: QErrorStats
     advisor: HardwareRecommendation | None = None
-    #: Which machine each training database executed on.
-    fleet: dict[str, str] = field(default_factory=dict)
 
     @property
     def median_improvement(self) -> float:
@@ -74,7 +71,6 @@ class HardwareResult:
 
 
 def run_hardware(scale: ExperimentScale | None = None,
-                 train_configs: tuple[str, ...] = DEFAULT_TRAIN_CONFIGS,
                  holdout_config: str = DEFAULT_HOLDOUT_CONFIG,
                  source: CardinalitySource = CardinalitySource.ACTUAL,
                  workers: int | None = None,
@@ -83,7 +79,7 @@ def run_hardware(scale: ExperimentScale | None = None,
 
     Two models, same architecture and budget:
 
-    * **multi** — corpus collected round-robin over ``train_configs``,
+    * **multi** — corpus collected round-robin over :data:`TRAIN_CONFIGS`,
       trained with ``system_features=True`` (knows which machine each
       training query ran on, and which machine it predicts for);
     * **single** — corpus collected entirely on the stock machine,
@@ -94,7 +90,7 @@ def run_hardware(scale: ExperimentScale | None = None,
     ever trained on.
     """
     scale = scale or ExperimentScale.default()
-    if holdout_config in train_configs:
+    if holdout_config in TRAIN_CONFIGS:
         raise ExperimentError(
             f"holdout machine {holdout_config!r} must not be in the "
             f"training configurations — that is the transfer being tested"
@@ -114,7 +110,7 @@ def run_hardware(scale: ExperimentScale | None = None,
         specs, scale.queries_per_database, seed=scale.seed,
         random_indexes_per_database=scale.random_indexes_per_database,
         noise_sigma=scale.training_noise_sigma,
-        system=list(train_configs), workers=workers,
+        system=list(TRAIN_CONFIGS), workers=workers,
     )
     single_corpus = collect_training_corpus(
         specs, scale.queries_per_database, seed=scale.seed,
@@ -173,22 +169,11 @@ def run_hardware(scale: ExperimentScale | None = None,
         advisor_result = advisor.recommend(queries)
 
     return HardwareResult(
-        train_configs=tuple(train_configs),
         holdout_config=holdout_config,
         multi_stats=q_error_stats(multi_predictions, truths),
         single_stats=q_error_stats(single_predictions, truths),
         advisor=advisor_result,
-        fleet={name: _config_name(multi_corpus.system_for(name),
-                                  train_configs)
-               for name in multi_corpus.records_by_database},
     )
-
-
-def _config_name(machine, train_configs) -> str:
-    for name in train_configs:
-        if get_system_config(name) == machine:
-            return name
-    return "custom"
 
 
 def format_hardware(result: HardwareResult) -> str:
@@ -197,7 +182,7 @@ def format_hardware(result: HardwareResult) -> str:
         "Hardware transfer — Q-errors on an unseen database "
         f"on the unseen {result.holdout_config!r} machine",
         "=" * 72,
-        f"  training machines: {', '.join(result.train_configs)}",
+        f"  training machines: {', '.join(TRAIN_CONFIGS)}",
         f"  {'model':<28s}{'median':>10s}{'95th':>10s}{'max':>10s}",
     ]
     rows = (

@@ -34,7 +34,8 @@ from repro.experiments.setup import (
 from repro.featurize.graph import CardinalitySource
 from repro.models import ZeroShotEstimator, clamp_predictions, q_error_stats
 
-__all__ = ["LearningCurveResult", "run_learning_curve"]
+__all__ = ["LearningCurveResult", "run_learning_curve",
+           "format_learning_curve"]
 
 
 @dataclass
@@ -51,20 +52,16 @@ class LearningCurveResult:
 
 def run_learning_curve(scale: ExperimentScale | None = None,
                        context: ExperimentContext | None = None,
-                       source: CardinalitySource = CardinalitySource.ACTUAL,
-                       database_counts: list[int] | None = None,
-                       workers: int | None = None
+                       database_counts: list[int] | None = None
                        ) -> LearningCurveResult:
     """Train on 1..N databases; evaluate each model on unseen IMDB.
 
     Each fleet-size point featurizes a prefix of the shard-collected
     corpus — no workload is ever re-executed for a smaller fleet.
-    ``workers`` parallelizes the initial collection (ignored when a
-    ``context`` is supplied).
     """
     if context is None:
-        context = build_context(scale, with_imdb_pool=False,
-                                workers=workers)
+        context = build_context(scale, with_imdb_pool=False)
+    source = CardinalitySource.ACTUAL
     names = list(context.corpus.records_by_database)
     if database_counts is None:
         total = len(names)
@@ -101,9 +98,18 @@ def run_learning_curve(scale: ExperimentScale | None = None,
     return result
 
 
-def main() -> None:  # pragma: no cover - CLI entry
-    from repro.experiments.report import format_learning_curve
+def format_learning_curve(result: LearningCurveResult) -> str:
+    lines = ["Learning curve — holdout median Q-error vs #training databases",
+             "=" * 64,
+             f"  {'#databases':>12s}{'median Q-error':>18s}"]
+    for count, median in zip(result.database_counts, result.median_q_errors):
+        lines.append(f"  {count:>12d}{median:>18.2f}")
+    lines.append(f"\n  improvement factor first->last: "
+                 f"{result.improvement():.2f}x")
+    return "\n".join(lines)
 
+
+def main() -> None:  # pragma: no cover - CLI entry
     experiment_main(run_learning_curve, format_learning_curve, __doc__)
 
 

@@ -11,8 +11,6 @@ the unseen IMDB database.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.experiments.setup import (
@@ -25,16 +23,9 @@ from repro.featurize.graph import CardinalitySource
 from repro.models import ZeroShotEstimator, clamp_predictions, q_error_stats
 from repro.models.metrics import QErrorStats
 
-__all__ = ["ResourceResult", "run_resources"]
+__all__ = ["run_resources", "format_resources"]
 
 _TARGETS = ("runtime", "memory", "io")
-
-
-@dataclass
-class ResourceResult:
-    """Q-error stats per prediction target on the unseen database."""
-
-    stats: dict[str, QErrorStats] = field(default_factory=dict)
 
 
 def _evaluation_labels(context: ExperimentContext, target: str) -> np.ndarray:
@@ -51,12 +42,13 @@ def _evaluation_labels(context: ExperimentContext, target: str) -> np.ndarray:
 
 
 def run_resources(scale: ExperimentScale | None = None,
-                  context: ExperimentContext | None = None,
-                  source: CardinalitySource = CardinalitySource.ACTUAL
-                  ) -> ResourceResult:
-    """Train one zero-shot model per resource target; evaluate on IMDB."""
+                  context: ExperimentContext | None = None
+                  ) -> dict[str, QErrorStats]:
+    """Train one zero-shot model per resource target; evaluate each on
+    IMDB: target -> Q-error stats."""
     if context is None:
         context = build_context(scale, with_imdb_pool=False)
+    source = CardinalitySource.ACTUAL
 
     evaluation_plans = [record.plan
                         for records in context.evaluation_records.values()
@@ -66,7 +58,7 @@ def run_resources(scale: ExperimentScale | None = None,
     adapter = ZeroShotEstimator(source=source)
     evaluation_graphs = adapter.featurize(evaluation_plans, context.imdb)
 
-    result = ResourceResult()
+    result = {}
     for target in _TARGETS:
         if target == "runtime":
             estimator = context.estimator(source)
@@ -79,15 +71,15 @@ def run_resources(scale: ExperimentScale | None = None,
         predictions = clamp_predictions(
             estimator.model.predict_runtime(evaluation_graphs))
         truths = _evaluation_labels(context, target)
-        result.stats[target] = q_error_stats(predictions, truths)
+        result[target] = q_error_stats(predictions, truths)
     return result
 
 
-def format_resources(result: ResourceResult) -> str:
+def format_resources(result: dict[str, QErrorStats]) -> str:
     lines = ["Resource prediction — Q-errors on the unseen IMDB database",
              "=" * 62,
              f"  {'target':<12s}{'median':>10s}{'95th':>10s}{'max':>10s}"]
-    for target, stats in result.stats.items():
+    for target, stats in result.items():
         lines.append(f"  {target:<12s}{stats.median:>10.2f}"
                      f"{stats.percentile95:>10.2f}{stats.maximum:>10.2f}")
     return "\n".join(lines)

@@ -21,6 +21,7 @@ repro.experiments.cache --stat/--clear``.
 from __future__ import annotations
 
 import argparse
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -115,6 +116,22 @@ class ExperimentScale:
             raise ExperimentError(f"seed must be non-negative, got {self.seed}")
         if not self.training_budgets:
             raise ExperimentError("need at least one training budget")
+        # A negative budget would slice the IMDB pool from its end.
+        for name in ("training_budgets", "fewshot_budgets"):
+            budgets = getattr(self, name)
+            if any(budget < 1 for budget in budgets):
+                raise ExperimentError(
+                    f"{name} must be positive, got {budgets}")
+        if not (math.isfinite(self.imdb_scale) and self.imdb_scale > 0):
+            raise ExperimentError(
+                f"imdb_scale must be positive and finite, got "
+                f"{self.imdb_scale}"
+            )
+        for name in ("training_noise_sigma", "evaluation_noise_sigma"):
+            sigma = getattr(self, name)
+            if not (math.isfinite(sigma) and sigma >= 0):
+                raise ExperimentError(
+                    f"{name} must be non-negative and finite, got {sigma}")
 
     @property
     def pool_size(self) -> int:
@@ -189,7 +206,6 @@ class ExperimentContext:
     """Everything the experiment drivers share."""
 
     scale: ExperimentScale
-    training_databases: list[Database]
     corpus: TrainingCorpus
     zero_shot_models: dict[CardinalitySource, ZeroShotCostModel]
     imdb: Database
@@ -208,14 +224,11 @@ class ExperimentContext:
                                  source=source)
 
 
-def train_zero_shot_models(corpus: TrainingCorpus, scale: ExperimentScale,
-                           sources: tuple[CardinalitySource, ...] = (
-                               CardinalitySource.ESTIMATED,
-                               CardinalitySource.ACTUAL,
-                           )) -> dict[CardinalitySource, ZeroShotCostModel]:
+def train_zero_shot_models(corpus: TrainingCorpus, scale: ExperimentScale
+                           ) -> dict[CardinalitySource, ZeroShotCostModel]:
     """Train one zero-shot model per cardinality source."""
     models = {}
-    for source in sources:
+    for source in (CardinalitySource.ESTIMATED, CardinalitySource.ACTUAL):
         estimator = ZeroShotEstimator(config=scale.zero_shot_config,
                                       source=source)
         estimator.fit_graphs(corpus.featurize(source),
@@ -311,7 +324,6 @@ def build_context(scale: ExperimentScale | None = None,
 
     context = ExperimentContext(
         scale=scale,
-        training_databases=list(corpus.databases.values()),
         corpus=corpus,
         zero_shot_models=zero_shot_models,
         imdb=imdb,

@@ -13,8 +13,6 @@ executed and simulated.  The model only sees the what-if plan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.errors import ExperimentError
@@ -30,26 +28,13 @@ from repro.models import clamp_predictions, q_error_stats
 from repro.models.metrics import QErrorStats
 from repro.workload import WorkloadRunner, make_benchmark_workload
 
-__all__ = ["Table1Result", "run_table1", "build_index_evaluation"]
+__all__ = ["run_table1", "format_table1"]
 
-_ROW_ORDER = ("Scale", "Synthetic", "JOB-light", "Index")
 _BENCHMARK_OF_ROW = {"Scale": "scale", "Synthetic": "synthetic",
                      "JOB-light": "job-light"}
 
 
-@dataclass
-class Table1Result:
-    """Rows of Table 1: row name -> source -> QErrorStats."""
-
-    rows: dict[str, dict[CardinalitySource, QErrorStats]] = \
-        field(default_factory=dict)
-
-    @property
-    def row_names(self) -> tuple[str, ...]:
-        return tuple(name for name in _ROW_ORDER if name in self.rows)
-
-
-def build_index_evaluation(context: ExperimentContext, seed: int = 123):
+def _build_index_evaluation(context: ExperimentContext, seed: int):
     """Create the what-if index workload on IMDB.
 
     For each query, an index is created on a randomly selected predicate
@@ -99,35 +84,58 @@ def build_index_evaluation(context: ExperimentContext, seed: int = 123):
 
 
 def run_table1(scale: ExperimentScale | None = None,
-               context: ExperimentContext | None = None) -> Table1Result:
-    """Regenerate Table 1."""
+               context: ExperimentContext | None = None
+               ) -> dict[str, dict[CardinalitySource, QErrorStats]]:
+    """Regenerate Table 1: row name -> source -> Q-error stats, the rows
+    in the paper's order."""
     if context is None:
         context = build_context(scale, with_imdb_pool=False)
-    result = Table1Result()
+    result = {}
 
     for row, benchmark in _BENCHMARK_OF_ROW.items():
-        result.rows[row] = {
+        result[row] = {
             source: evaluate_zero_shot(context, benchmark, source)
             for source in (CardinalitySource.ACTUAL,
                            CardinalitySource.ESTIMATED)
         }
 
-    index_evaluation = build_index_evaluation(
+    index_evaluation = _build_index_evaluation(
         context, seed=context.scale.seed + 99
     )
     truths = np.array([truth for _, truth in index_evaluation])
-    result.rows["Index"] = {}
+    result["Index"] = {}
     for source in (CardinalitySource.ACTUAL, CardinalitySource.ESTIMATED):
         encoded = [sample[source] for sample, _ in index_evaluation]
         predictions = clamp_predictions(np.exp(
             context.estimator(source).predict_encoded(encoded)))
-        result.rows["Index"][source] = q_error_stats(predictions, truths)
+        result["Index"][source] = q_error_stats(predictions, truths)
     return result
 
 
-def main() -> None:  # pragma: no cover - CLI entry
-    from repro.experiments.report import format_table1
+def format_table1(result: dict[str, dict[CardinalitySource, QErrorStats]]
+                  ) -> str:
+    """Render Table 1 exactly like the paper (median / 95th / max)."""
+    lines = [
+        "Table 1 — Estimation errors (Q-errors) of zero-shot models",
+        "=" * 78,
+        f"{'Workload':<12s} | {'Zero-Shot (Exact Card.)':^28s} | "
+        f"{'Zero-Shot (Estimated Card.)':^28s}",
+        f"{'':<12s} | {'median':>8s} {'95th':>8s} {'max':>8s}  | "
+        f"{'median':>8s} {'95th':>8s} {'max':>8s}",
+        "-" * 78,
+    ]
+    for row_name, row in result.items():
+        exact = row[CardinalitySource.ACTUAL]
+        estimated = row[CardinalitySource.ESTIMATED]
+        lines.append(
+            f"{row_name:<12s} | {exact.median:8.2f} {exact.percentile95:8.2f} "
+            f"{exact.maximum:8.2f}  | {estimated.median:8.2f} "
+            f"{estimated.percentile95:8.2f} {estimated.maximum:8.2f}"
+        )
+    return "\n".join(lines)
 
+
+def main() -> None:  # pragma: no cover - CLI entry
     experiment_main(run_table1, format_table1, __doc__)
 
 

@@ -53,10 +53,6 @@ class PlanNode:
     def operator_name(self) -> str:
         return type(self).__name__
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
     def rows(self, use_actual: bool) -> float:
         """Output cardinality from the requested source.
 

@@ -84,8 +84,11 @@ class RuntimeSimulator:
                  system: SystemParameters | None = None,
                  noise_sigma: float = 0.06,
                  rng: np.random.Generator | None = None):
-        if noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be non-negative, got {noise_sigma}")
+        # NaN would pass a plain ``< 0`` and then switch the noise off.
+        if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
+            raise ValueError(
+                f"noise_sigma must be non-negative and finite, got "
+                f"{noise_sigma}")
         self.database = database
         self.system = system or SystemParameters()
         self.noise_sigma = noise_sigma

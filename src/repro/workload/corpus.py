@@ -59,7 +59,7 @@ class TrainingCorpus:
     #: the stock machine (every corpus collected before the axis existed).
     systems: dict[str, SystemParameters] = field(default_factory=dict)
 
-    def system_for(self, name: str) -> SystemParameters:
+    def _system_for(self, name: str) -> SystemParameters:
         """The machine ``name``'s records were executed on."""
         return self.systems.get(name) or SystemParameters()
 
@@ -94,7 +94,7 @@ operator_cardinalities` as per-node labels, the supervision of the
         multi-task cardinality head.
 
         ``system_features=True`` attaches each database's machine (see
-        :meth:`system_for`) as a ``system`` node, so a multi-machine
+        :meth:`_system_for`) as a ``system`` node, so a multi-machine
         corpus trains a hardware-aware model.  Off (the default), the
         encoding is bit-identical to the hardware-blind one.
         """
@@ -110,7 +110,7 @@ operator_cardinalities` as per-node labels, the supervision of the
             if name not in self.records_by_database:
                 raise WorkloadError(f"no records for database {name!r}")
             database = self.databases[name]
-            system = self.system_for(name) if system_features else None
+            system = self._system_for(name) if system_features else None
             for record in self.records_by_database[name]:
                 if target == "runtime":
                     label = record.runtime_seconds

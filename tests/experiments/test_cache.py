@@ -1,6 +1,6 @@
 """The persistent experiment artifact store.
 
-A warm :func:`~repro.experiments.build_context` call must deserialize
+A warm :func:`~repro.experiments.setup.build_context` call must deserialize
 the corpus shards, trained models and executed workloads — zero query
 execution, zero training — and reproduce the cold context bit for bit,
 from a store that holds each training database exactly once.
@@ -17,18 +17,15 @@ import pytest
 
 from repro.db import generate_training_database_specs
 from repro.db.schema import Table
-from repro.experiments import (
-    ArtifactStore,
-    ExperimentScale,
-    build_context,
-)
 from repro.experiments import setup as experiment_setup
 from repro.experiments.cache import (
+    ArtifactStore,
     cache_enabled,
     context_key,
     main,
     shard_key,
 )
+from repro.experiments.setup import ExperimentScale, build_context
 from repro.featurize import CardinalitySource, ZeroShotFeaturizer
 from repro.models import TrainerConfig, ZeroShotConfig
 from repro.workload import (
@@ -116,8 +113,7 @@ class TestRoundTrip:
         store, cold = warm_store
         warm = build_context(tiny_scale(), with_imdb_pool=False,
                              store=store, use_cache=True)
-        assert [db.name for db in warm.training_databases] == \
-            [db.name for db in cold.training_databases]
+        assert list(warm.corpus.databases) == list(cold.corpus.databases)
         assert set(warm.evaluation_records) == set(cold.evaluation_records)
         for benchmark in cold.evaluation_records:
             np.testing.assert_array_equal(

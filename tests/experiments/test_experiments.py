@@ -9,30 +9,34 @@ import numpy as np
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments import (
-    ExperimentScale,
-    build_context,
-    run_cardinality,
-    run_fewshot,
-    run_figure3,
-    run_learning_curve,
-    run_table1,
-)
 from repro.experiments.ablations import format_ablations, run_ablations
+from repro.experiments.cardinality_exp import (
+    format_cardinality,
+    run_cardinality,
+)
+from repro.experiments.fewshot_exp import format_fewshot, run_fewshot
 from repro.experiments.figure3 import (
     E2E_NAME,
     MSCN_NAME,
     SCALED_COST_NAME,
     ZERO_SHOT_ESTIMATED,
     ZERO_SHOT_EXACT,
+    format_figure3,
+    run_figure3,
     train_workload_driven_baselines,
 )
-from repro.experiments.report import (
-    format_fewshot,
-    format_figure3,
-    format_learning_curve,
-    format_table1,
+from repro.experiments.hardware import (
+    TRAIN_CONFIGS,
+    format_hardware,
+    run_hardware,
 )
+from repro.experiments.learning_curve import (
+    format_learning_curve,
+    run_learning_curve,
+)
+from repro.experiments.resources import format_resources, run_resources
+from repro.experiments.setup import ExperimentScale, build_context
+from repro.experiments.table1 import format_table1, run_table1
 from repro.featurize.graph import CardinalitySource
 from repro.workload import BENCHMARK_NAMES
 
@@ -45,7 +49,7 @@ def quick_context():
 class TestSetup:
     def test_context_complete(self, quick_context):
         scale = quick_context.scale
-        assert len(quick_context.training_databases) == \
+        assert len(quick_context.corpus.databases) == \
             scale.num_training_databases
         assert quick_context.corpus.num_queries == \
             scale.num_training_databases * scale.queries_per_database
@@ -55,8 +59,7 @@ class TestSetup:
             assert quick_context.zero_shot_models[source].is_fitted
 
     def test_imdb_not_in_training_fleet(self, quick_context):
-        names = {db.name for db in quick_context.training_databases}
-        assert "imdb" not in names
+        assert "imdb" not in quick_context.corpus.databases
 
     def test_scale_validation(self):
         """Bad scales fail eagerly at construction, not mid-collection."""
@@ -79,6 +82,20 @@ class TestSetup:
             ExperimentScale(seed=-1)
         with pytest.raises(ExperimentError):
             ExperimentScale(training_budgets=())
+        # A negative budget once sliced the IMDB pool from its end.
+        for budgets in ({"training_budgets": (0, 10)},
+                        {"fewshot_budgets": (-5,)}):
+            with pytest.raises(ExperimentError):
+                ExperimentScale(**budgets)
+        # Once failed only later, inside make_imdb_database.
+        for imdb_scale in (float("nan"), float("inf"), 0.0, -0.5):
+            with pytest.raises(ExperimentError):
+                ExperimentScale(imdb_scale=imdb_scale)
+        for sigma in ({"training_noise_sigma": -1.0},
+                      {"evaluation_noise_sigma": float("nan")},
+                      {"training_noise_sigma": float("inf")}):
+            with pytest.raises(ExperimentError):
+                ExperimentScale(**sigma)
 
     def test_worker_count_validation(self):
         """Non-positive worker counts are rejected before any shard runs."""
@@ -147,18 +164,18 @@ class TestTable1:
         return run_table1(context=quick_context)
 
     def test_all_rows_present(self, result):
-        assert result.row_names == ("Scale", "Synthetic", "JOB-light", "Index")
-        for row in result.row_names:
+        assert tuple(result) == ("Scale", "Synthetic", "JOB-light", "Index")
+        for row in result:
             for source in (CardinalitySource.ACTUAL,
                            CardinalitySource.ESTIMATED):
-                stats = result.rows[row][source]
+                stats = result[row][source]
                 assert 1.0 <= stats.median <= stats.percentile95 <= stats.maximum
 
     def test_index_row_has_heavier_tail(self, result):
         """The paper: the Index (what-if) row's max error exceeds the
         plain cost-estimation rows'."""
-        index_max = result.rows["Index"][CardinalitySource.ACTUAL].maximum
-        other_medians = [result.rows[r][CardinalitySource.ACTUAL].median
+        index_max = result["Index"][CardinalitySource.ACTUAL].maximum
+        other_medians = [result[r][CardinalitySource.ACTUAL].median
                          for r in ("Scale", "Synthetic", "JOB-light")]
         assert index_max > max(other_medians)
 
@@ -195,10 +212,9 @@ class TestFewShot:
 
 class TestResources:
     def test_resource_targets_predicted(self, quick_context):
-        from repro.experiments.resources import format_resources, run_resources
         result = run_resources(context=quick_context)
-        assert set(result.stats) == {"runtime", "memory", "io"}
-        for stats in result.stats.values():
+        assert set(result) == {"runtime", "memory", "io"}
+        for stats in result.values():
             assert stats.median >= 1.0
         assert "Resource prediction" in format_resources(result)
 
@@ -240,7 +256,6 @@ class TestCardinality:
         assert quality.fallback_fragments == 0
 
     def test_report_renders(self, result):
-        from repro.experiments.cardinality_exp import format_cardinality
         text = format_cardinality(result)
         assert "per-operator Q-error" in text
         assert "heuristic" in text and "learned" in text
@@ -250,7 +265,6 @@ class TestCardinality:
 class TestHardware:
     @pytest.fixture(scope="class")
     def result(self):
-        from repro.experiments.hardware import run_hardware
         return run_hardware(ExperimentScale.quick())
 
     @pytest.mark.hardware
@@ -264,17 +278,10 @@ class TestHardware:
         assert result.multi_stats.median < result.single_stats.median
 
     @pytest.mark.hardware
-    def test_fleet_spread_across_machines(self, result):
-        assert set(result.fleet.values()) <= set(result.train_configs)
-        assert len(set(result.fleet.values())) > 1  # genuinely round-robin
-
-    @pytest.mark.hardware
     def test_holdout_not_trained_on(self, result):
-        from repro.experiments.hardware import run_hardware
-        assert result.holdout_config not in result.train_configs
+        assert result.holdout_config not in TRAIN_CONFIGS
         with pytest.raises(ExperimentError):
-            run_hardware(ExperimentScale.quick(),
-                         train_configs=("default", "mid-range"))
+            run_hardware(ExperimentScale.quick(), holdout_config="default")
 
     @pytest.mark.hardware
     def test_advisor_ran_on_holdout(self, result):
@@ -287,7 +294,6 @@ class TestHardware:
 
     @pytest.mark.hardware
     def test_report_renders(self, result):
-        from repro.experiments.hardware import format_hardware
         text = format_hardware(result)
         assert "Hardware transfer" in text
         assert "multi-config (hardware-aware)" in text
@@ -301,7 +307,7 @@ class TestAblations:
         expected = {"graph (full model)", "graph (estimated cardinalities)",
                     "flat (no message passing)",
                     "graph (no cardinality features)"}
-        assert set(result.variants) == expected
+        assert set(result) == expected
         # That removing cardinality features hurts is asserted at default
         # scale, by benchmarks/test_ablations.py.  At quick scale the
         # order of those two medians is noise: six root cardinalities of

@@ -47,9 +47,11 @@ class TestBasicProperties:
         assert a.total_seconds != c.total_seconds
         assert a.noise_factor != 1.0
 
-    def test_negative_noise_rejected(self, tiny_imdb):
+    @pytest.mark.parametrize("sigma", [-0.1, float("nan"), float("inf")])
+    def test_bad_noise_rejected(self, tiny_imdb, sigma):
+        """NaN once passed the check and silently switched noise off."""
         with pytest.raises(ValueError):
-            RuntimeSimulator(tiny_imdb, noise_sigma=-0.1)
+            RuntimeSimulator(tiny_imdb, noise_sigma=sigma)
 
     def test_node_seconds_recorded(self, tiny_imdb):
         runtime, plan = simulate(

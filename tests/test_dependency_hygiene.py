@@ -393,12 +393,10 @@ def test_learned_stack_name_has_a_user_outside_repro_nn(name, owner):
         f"repro.nn.__all__)")
 
 
-#: Every package but two.  ``repro.nn`` has the stricter rule above, and
-#: ``repro.experiments.__all__`` is the experiment API: README's experiments
-#: table and the paper-fidelity checks under ``benchmarks/`` call it,
-#: and neither is code this guard reads.
-GUARDED_PACKAGES = ("db", "engine", "featurize", "models", "optimizer",
-                    "plans", "runtime", "serve", "sql", "tuning", "workload")
+#: Every package but ``repro.nn``, which has the stricter rule above.
+GUARDED_PACKAGES = ("db", "engine", "experiments", "featurize", "models",
+                    "optimizer", "plans", "runtime", "serve", "sql", "tuning",
+                    "workload")
 #: ``(package, exported name)`` for the packages held to the same rule.
 PACKAGE_EXPORTS = [
     pytest.param(package, name, id=f"{package}.{name}")
@@ -531,11 +529,11 @@ def test_learned_stack_guard_sees_what_it_guards():
     assert "latency_p99" in _names_used_outside("serve")
     assert not [label for label, names in _names_by_user().items()
                 if "latency_p99" in names and not label.startswith("README")]
-    # Every package is held to a rule (``repro.experiments`` excepted on
-    # purpose), and the method rule walks every module's classes.
+    # Every package is held to a rule, and the method rule walks every
+    # module's classes.
     packages = {path.parent.name
                 for path in PACKAGE_ROOT.glob("*/__init__.py")}
-    assert packages == set(GUARDED_PACKAGES) | {"nn", "experiments"}
+    assert packages == set(GUARDED_PACKAGES) | {"nn"}
     classes = {cls.__name__ for _, cls in _source_classes()}
     assert {"Schema", "Tensor", "PredictionServer", "ArtifactStore",
             "ZeroShotNet", "HardwareAdvisor"} <= classes

@@ -7,7 +7,10 @@ the live package instead of via ``importlib.metadata``.
 """
 
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,3 +52,18 @@ def test_declared_targets_resolve(script, target):
     module = importlib.import_module(module_name)
     function = getattr(module, function_name)
     assert callable(function), f"{script} -> {module_name}:{function_name}"
+
+
+@pytest.mark.parametrize("module", sorted(EXPECTED_SCRIPTS.values()))
+def test_module_runs_once_as_main(module):
+    """``python -m repro.experiments.<module>`` must not find the module
+    already imported: a package ``__init__`` that imports its drivers
+    makes runpy execute each one twice, which it reports as a
+    ``RuntimeWarning`` -- an error here."""
+    environment = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    completed = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", module,
+         "--help"], capture_output=True, text=True, env=environment,
+        timeout=120)
+    assert completed.returncode == 0, completed.stderr

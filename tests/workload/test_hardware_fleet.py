@@ -103,11 +103,11 @@ class TestCorpusSystems:
         corpus = collect_training_corpus(
             tiny_specs, 5, seed=1, system=["default", "slow-disk"])
         names = [spec.name for spec in tiny_specs]
-        assert corpus.system_for(names[0]) == SystemParameters()
-        assert corpus.system_for(names[1]) == SystemParameters.slow_disk()
-        assert corpus.system_for(names[2]) == SystemParameters()
+        assert corpus._system_for(names[0]) == SystemParameters()
+        assert corpus._system_for(names[1]) == SystemParameters.slow_disk()
+        assert corpus._system_for(names[2]) == SystemParameters()
         # Unknown databases default to the stock machine.
-        assert corpus.system_for("never-collected") == SystemParameters()
+        assert corpus._system_for("never-collected") == SystemParameters()
 
     def test_store_round_trips_systems(self, tiny_specs, tmp_path,
                                        executed_names):
@@ -119,4 +119,4 @@ class TestCorpusSystems:
             tiny_specs, 5, seed=1, system="faster-cpu", store=store)
         assert len(executed_names) == 3   # all hits: nothing executed
         for name in corpus.records_by_database:
-            assert loaded.system_for(name) == SystemParameters.faster_cpu()
+            assert loaded._system_for(name) == SystemParameters.faster_cpu()
