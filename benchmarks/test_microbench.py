@@ -437,7 +437,7 @@ def test_message_passing_forward(benchmark, context, imdb, executed_plans):
 
     def forward():
         with no_grad():
-            return model.net(batch).numpy()
+            return model.net(batch)
 
     out = benchmark(forward)
     assert out.shape == (len(graphs),)

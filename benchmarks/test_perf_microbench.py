@@ -398,11 +398,11 @@ def test_rank_round_forward_speedup(epoch_batches):
 
     def reference_arm():
         with no_grad():
-            return reference_forward(net, batch).numpy()
+            return reference_forward(net, batch)
 
     def forward_arm():
         with no_grad():
-            return net(batch).numpy()
+            return net(batch)
 
     expected = reference_arm()
     assert np.array_equal(forward_arm(), expected)

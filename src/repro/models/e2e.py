@@ -22,6 +22,7 @@ from repro.featurize.graph import FEATURE_DIMS, NODE_TYPES, node_levels
 from repro.models.trainer import CoreCostModel
 from repro.models.zero_shot import bottom_up_pass
 from repro.nn import MLP, Module, Tensor
+from repro.nn import tensor as T
 
 __all__ = ["E2EConfig", "E2ENet", "E2ECostModel"]
 
@@ -72,11 +73,12 @@ class E2ENet(Module):
                            rng)
         self.readout = MLP(hidden, list(config.readout_hidden), 1, rng)
 
-    def forward(self, batch: GraphBatch) -> Tensor:
-        hidden = self.encoder(Tensor(batch.features["plan_op"]))
+    def forward(self, batch: GraphBatch) -> Tensor | np.ndarray:
+        hidden = self.encoder(batch.features["plan_op"])
         hidden = bottom_up_pass(hidden, batch.levels,
                                 lambda _node_type: self.combine)
-        return self.readout(hidden.index_select(batch.roots)).reshape(-1)
+        return T.reshape(self.readout(T.index_select(hidden, batch.roots)),
+                         -1)
 
 
 class E2ECostModel(CoreCostModel):

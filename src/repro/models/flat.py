@@ -16,6 +16,7 @@ from repro.featurize.plan_features import FLAT_DIM, flat_plan_features
 from repro.featurize.scalers import StandardScaler
 from repro.models.trainer import CoreCostModel, collate_targets
 from repro.nn import MLP, Tensor
+from repro.nn import tensor as T
 
 __all__ = ["FlatVectorCostModel"]
 
@@ -71,5 +72,5 @@ class FlatVectorCostModel(CoreCostModel):
             np.stack([s.vector for s in samples]),
             collate_targets([s.target_log_runtime for s in samples], "flat"))
 
-    def _forward(self, batch: _FlatBatch) -> Tensor:
-        return self.net(Tensor(batch.vectors)).reshape(-1)
+    def _forward(self, batch: _FlatBatch) -> Tensor | np.ndarray:
+        return T.reshape(self.net(batch.vectors), -1)

@@ -17,6 +17,7 @@ from repro.errors import ModelError
 from repro.featurize.mscn import MSCNFeaturizer, MSCNSample
 from repro.models.trainer import CoreCostModel, collate_targets
 from repro.nn import MLP, Module, RowSums, Tensor, rank_rounds
+from repro.nn import tensor as T
 
 __all__ = ["MSCNConfig", "MSCNNet", "MSCNBatch", "collate_mscn",
            "MSCNCostModel"]
@@ -88,12 +89,13 @@ class MSCNNet(Module):
                           activation="relu")
 
     @staticmethod
-    def _pool(encoded: Tensor, pool_sums: RowSums, unpool_sums: RowSums,
-              counts: np.ndarray) -> Tensor:
-        summed = encoded.gather_sum(pool_sums, len(counts), unpool_sums)
-        return summed * Tensor((1.0 / np.maximum(counts, 1.0))[:, None])
+    def _pool(encoded: Tensor | np.ndarray, pool_sums: RowSums,
+              unpool_sums: RowSums, counts: np.ndarray
+              ) -> Tensor | np.ndarray:
+        summed = T.gather_sum(encoded, pool_sums, len(counts), unpool_sums)
+        return T.mul(summed, (1.0 / np.maximum(counts, 1.0))[:, None])
 
-    def forward(self, batch: MSCNBatch) -> Tensor:
+    def forward(self, batch: MSCNBatch) -> Tensor | np.ndarray:
         """Predicted log-runtimes for a collated batch of samples."""
         pooled = []
         for attribute, mlp in (
@@ -102,10 +104,10 @@ class MSCNNet(Module):
             ("predicate_features", self.predicate_mlp),
         ):
             stacked, pool_sums, unpool_sums, counts = batch.sets[attribute]
-            encoded = mlp(Tensor(stacked))
+            encoded = mlp(stacked)
             pooled.append(self._pool(encoded, pool_sums, unpool_sums,
                                      counts))
-        return self.output(Tensor.concat(pooled, axis=1)).reshape(-1)
+        return T.reshape(self.output(T.concat(pooled, axis=1)), -1)
 
 
 class MSCNCostModel(CoreCostModel):

@@ -2,8 +2,8 @@
 
 Models supply two closures:
 
-* ``forward(batch) -> Tensor`` — predictions (log-runtimes),
-* ``targets(batch) -> Tensor`` — labels (log-runtimes),
+* ``forward(batch) -> Tensor | ndarray`` — predictions (log-runtimes),
+* ``targets(batch) -> ndarray`` — labels (log-runtimes),
 
 and the trainer handles shuffling, mini-batching, optimization, gradient
 clipping, validation and early stopping.  The loss operates on
@@ -110,8 +110,8 @@ class TrainingHistory:
 
 
 def train_model(model: Module, samples: Sequence,
-                forward: Callable[[Any], Tensor],
-                targets: Callable[[Any], Tensor],
+                forward: Callable[[Any], Tensor | np.ndarray],
+                targets: Callable[[Any], Tensor | np.ndarray],
                 config: TrainerConfig,
                 collate: Callable[[list], Any]) -> TrainingHistory:
     """Train ``model`` on ``samples``; restores the best-validation weights.
@@ -250,7 +250,7 @@ class CoreCostModel:
         """Merge encoded samples into one batch with a ``targets`` field."""
         raise NotImplementedError
 
-    def _forward(self, batch: Any) -> Tensor:
+    def _forward(self, batch: Any) -> Tensor | np.ndarray:
         """Standardized log-runtime predictions for a collated batch."""
         return self.net(batch)
 
@@ -273,9 +273,8 @@ class CoreCostModel:
         """``(forward, targets)`` closures of the training loss, using
         the model's *current* calibration — shared by :meth:`fit` and
         few-shot fine-tuning, so the two can never drift apart."""
-        def targets(batch: Any) -> Tensor:
-            return Tensor((batch.targets - self.target_mean)
-                          / self.target_std)
+        def targets(batch: Any) -> np.ndarray:
+            return (batch.targets - self.target_mean) / self.target_std
 
         return self._forward, targets
 
@@ -321,9 +320,9 @@ class CoreCostModel:
         self._require_fitted()
         if not len(encoded):
             return np.zeros(0)
-        self.net.eval()
+        batch = self.collate(encoded)
         with no_grad():
-            normalized = self._forward(self.collate(encoded)).numpy().copy()
+            normalized = self._forward(batch)
         return normalized * self.target_std + self.target_mean
 
     def predict_log_runtime(self, samples: list) -> np.ndarray:

@@ -41,6 +41,7 @@ from repro.featurize.graph import (
 )
 from repro.featurize.scalers import StandardScaler
 from repro.nn import MLP, Module, RowState, Tensor, no_grad
+from repro.nn import tensor as T
 from repro.nn.serialize import save_state
 from repro.models.trainer import (
     CoreCostModel,
@@ -100,8 +101,9 @@ class ZeroShotConfig:
                 "cardinality_correction_margin must be non-negative")
 
 
-def bottom_up_pass(hidden: Tensor, levels: list[LevelSpec],
-                   combine_of: Callable[[str], Module]) -> Tensor:
+def bottom_up_pass(hidden: Tensor | np.ndarray, levels: list[LevelSpec],
+                   combine_of: Callable[[str], Module]
+                   ) -> Tensor | np.ndarray:
     """Final hidden states after the level-by-level bottom-up combine.
 
     At each level every parent's children are summed (DeepSets) and
@@ -109,7 +111,8 @@ def bottom_up_pass(hidden: Tensor, levels: list[LevelSpec],
     The one message-passing loop of the library: the zero-shot net
     hands in its per-type combine MLPs, the E2E tree net its single one.
     ``hidden`` is copied once and left alone; the levels update that
-    one copy in place (:class:`repro.nn.RowState`).
+    one copy in place (:class:`repro.nn.RowState`).  Off the tape the
+    whole pass runs on raw ``ndarray`` values.
     """
     state = RowState(hidden)
     for level in levels:
@@ -117,18 +120,18 @@ def bottom_up_pass(hidden: Tensor, levels: list[LevelSpec],
         child_sum = state.gather_sum(level.child_sums, num_parents,
                                      level.grad_sums)
         parent_hidden = state.index_select(level.parent_ids)
-        stacked = Tensor.concat([parent_hidden, child_sum], axis=1)
+        stacked = T.concat([parent_hidden, child_sum], axis=1)
         if len(level.type_slots) == 1:
             # One type owns every slot, in slot order.
             (node_type,) = level.type_slots
             combined = combine_of(node_type)(stacked)
         else:
-            combined = Tensor.scatter_rows(
-                [combine_of(node_type)(stacked.index_select(slots))
+            combined = T.scatter_rows(
+                [combine_of(node_type)(T.index_select(stacked, slots))
                  for node_type, slots in level.type_slots.items()],
                 list(level.type_slots.values()), num_parents)
         # h + (c - h), not c: the two round differently.
-        state.add_rows(level.parent_ids, combined - parent_hidden)
+        state.add_rows(level.parent_ids, T.sub(combined, parent_hidden))
     return state.hand_over()
 
 
@@ -179,7 +182,7 @@ class ZeroShotNet(Module):
                     config.hidden_dim, rng),
             )
 
-    def _hidden_states(self, batch: GraphBatch) -> Tensor:
+    def _hidden_states(self, batch: GraphBatch) -> Tensor | np.ndarray:
         """Final hidden state of every node after bottom-up passing."""
         # 1. Initial hidden states, placed into one [N, hidden] matrix.
         encoded, positions = [], []
@@ -194,22 +197,21 @@ class ZeroShotNet(Module):
                     f"system_features=True) enables the hardware axis)"
                 )
             encoder = self._modules[f"encode_{node_type}"]
-            encoded.append(encoder(Tensor(features)))
+            encoded.append(encoder(features))
             positions.append(batch.type_positions[node_type])
-        hidden = Tensor.scatter_rows(encoded, positions, batch.num_nodes)
+        hidden = T.scatter_rows(encoded, positions, batch.num_nodes)
 
         # 2. Level-by-level bottom-up combine, one MLP per node type.
         return bottom_up_pass(
             hidden, batch.levels,
             lambda node_type: self._modules[f"combine_{node_type}"])
 
-    def forward(self, batch: GraphBatch) -> Tensor:
+    def forward(self, batch: GraphBatch) -> Tensor | np.ndarray:
         """Predicted log-runtimes, one per graph in the batch."""
-        roots = self._hidden_states(batch).index_select(batch.roots)
-        return self.readout(roots).reshape(-1)
+        roots = T.index_select(self._hidden_states(batch), batch.roots)
+        return T.reshape(self.readout(roots), -1)
 
-    def forward_with_cardinalities(self, batch: GraphBatch
-                                   ) -> tuple[Tensor, Tensor]:
+    def forward_with_cardinalities(self, batch: GraphBatch) -> tuple:
         """(log-runtimes per graph, log-cardinalities per plan operator).
 
         One message-passing pass feeds both readouts; the cardinality
@@ -221,9 +223,10 @@ class ZeroShotNet(Module):
                 "(ZeroShotConfig(cardinality_head=True))"
             )
         hidden = self._hidden_states(batch)
-        runtime = self.readout(hidden.index_select(batch.roots)).reshape(-1)
-        ops = hidden.index_select(batch.type_positions["plan_op"])
-        cardinalities = self.card_readout(ops).reshape(-1)
+        runtime = T.reshape(
+            self.readout(T.index_select(hidden, batch.roots)), -1)
+        ops = T.index_select(hidden, batch.type_positions["plan_op"])
+        cardinalities = T.reshape(self.card_readout(ops), -1)
         return runtime, cardinalities
 
 
@@ -324,15 +327,15 @@ class ZeroShotCostModel(CoreCostModel):
             return super().training_closures()
         weight = self.config.cardinality_loss_weight
 
-        def forward(batch: GraphBatch) -> Tensor:
+        def forward(batch: GraphBatch) -> Tensor | np.ndarray:
             runtime, cards = self.net.forward_with_cardinalities(batch)
-            return Tensor.concat([runtime, cards * weight])
+            return T.concat([runtime, T.mul(cards, weight)])
 
-        def targets(batch: GraphBatch) -> Tensor:
+        def targets(batch: GraphBatch) -> np.ndarray:
             runtime = (batch.targets - self.target_mean) / self.target_std
             deltas = batch.card_targets - batch.plan_op_log_rows
             cards = weight * ((deltas - self.card_mean) / self.card_std)
-            return Tensor(np.concatenate([runtime, cards]))
+            return np.concatenate([runtime, cards])
 
         return forward, targets
 
@@ -357,11 +360,9 @@ class ZeroShotCostModel(CoreCostModel):
         self._require_fitted()
         if not encoded:
             return []
-        self.net.eval()
+        batch = self.collate(encoded)
         with no_grad():
-            batch = self.collate(encoded)
-            _, cards = self.net.forward_with_cardinalities(batch)
-            normalized = cards.numpy().copy()
+            _, normalized = self.net.forward_with_cardinalities(batch)
         deltas = normalized * self.card_std + self.card_mean
         margin = self.config.cardinality_correction_margin
         if margin > 0:

@@ -4,14 +4,21 @@ The paper's prototype uses PyTorch (Geometric); this environment is
 offline, so ``repro.nn`` provides what the five learned models run, and
 nothing else:
 
-* :class:`~repro.nn.tensor.Tensor` — reverse-mode autograd over numpy
-  arrays (broadcasting-aware), tape-optional per op.  The op set is
-  ``+ - * @``, ``abs``, ``relu``, ``leaky_relu``, ``sum``, ``mean``,
-  ``reshape``, ``index_select``, ``concat`` and the row primitives of
-  DAG message passing (``scatter_rows``, ``gather_sum`` over
+* :mod:`~repro.nn.tensor` — reverse-mode autograd over numpy arrays
+  (broadcasting-aware).  Every op is a function of ``Tensor | ndarray``
+  that returns a raw ``ndarray`` unless an operand is recording (a
+  :class:`~repro.nn.tensor.Tensor` that requires grad, outside
+  ``no_grad``), so an inference forward builds no ``Tensor``.  The op
+  set is ``add sub mul matmul`` (``+ - * @`` on a ``Tensor``),
+  ``linear`` (``x @ w + b``), ``abs``, ``relu``, ``leaky_relu``,
+  ``sum``, ``mean``, ``reshape``, ``concat``, ``index_select`` and the
+  row primitives of DAG message passing
+  (``scatter_rows``, ``gather_sum`` over
   :func:`~repro.nn.tensor.rank_rounds`, and
   :class:`~repro.nn.tensor.RowState`, the one state buffer a pass
-  updates in place with ``add_rows``).
+  updates in place with ``add_rows``).  Callers reach the ops through
+  the module (``from repro.nn import tensor as T``), as they reach the
+  loss through :mod:`~repro.nn.functional`.
 * :mod:`~repro.nn.layers` — ``MLP`` (``Linear`` layers with ``relu`` or
   ``leaky_relu`` between them).
 * :mod:`~repro.nn.optim` — ``Adam`` and gradient clipping;

@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.nn.init import kaiming_uniform
 from repro.nn.module import Module, Parameter
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, leaky_relu, linear, relu
 
 __all__ = ["Linear", "ReLU", "LeakyReLU", "Sequential", "MLP"]
 
@@ -25,15 +25,15 @@ class Linear(Module):
             kaiming_uniform(in_features, out_features, rng), name="weight")
         self.bias = Parameter(np.zeros(out_features), name="bias")
 
-    def forward(self, x: Tensor) -> Tensor:
-        return x @ self.weight + self.bias
+    def forward(self, x: Tensor | np.ndarray) -> Tensor | np.ndarray:
+        return linear(x, self.weight, self.bias)
 
 
 class ReLU(Module):
     """Rectified linear unit."""
 
-    def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
+    def forward(self, x: Tensor | np.ndarray) -> Tensor | np.ndarray:
+        return relu(x)
 
 
 class LeakyReLU(Module):
@@ -41,8 +41,8 @@ class LeakyReLU(Module):
         super().__init__()
         self.negative_slope = negative_slope
 
-    def forward(self, x: Tensor) -> Tensor:
-        return x.leaky_relu(self.negative_slope)
+    def forward(self, x: Tensor | np.ndarray) -> Tensor | np.ndarray:
+        return leaky_relu(x, self.negative_slope)
 
 
 _ACTIVATIONS: dict[str, type[Module]] = {
@@ -62,7 +62,7 @@ class Sequential(Module):
             self.register_module(key, module)
             self._order.append(key)
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor | np.ndarray) -> Tensor | np.ndarray:
         for key in self._order:
             x = self._modules[key](x)
         return x
@@ -100,5 +100,5 @@ class MLP(Module):
         self.in_features = in_features
         self.out_features = out_features
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor | np.ndarray) -> Tensor | np.ndarray:
         return self.body(x)

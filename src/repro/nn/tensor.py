@@ -1,27 +1,32 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
-The design follows the classic tape-based approach: every operation
-records its parents and a closure that accumulates gradients into them.
-``Tensor.backward()`` runs a topological sort of the recorded graph and
-applies the closures in reverse order.
+Every op is a function of ``Tensor | ndarray`` operands, in the manner
+of autograd's ``kyapply``: it computes its result with one raw-ndarray
+kernel and returns that ``ndarray`` unless an operand is *recording* —
+a :class:`Tensor` that requires grad, outside :func:`no_grad`.  Only
+then does the op wrap the result in a ``Tensor``, link the recording
+operands as its parents and build the closure that accumulates their
+gradients.  ``Tensor.backward()`` runs a topological sort of the
+recorded graph and applies the closures in reverse order.  Inference
+therefore builds no ``Tensor`` at all, and inference and training run
+one forward on the same kernels.  A full reduction off the tape returns
+what numpy's does, a numpy scalar.
 
-Only the operations needed by the cost models are implemented, but they
-are implemented fully (broadcasting-aware, with correct gradient
-reduction), so the library behaves like a small subset of PyTorch.
-
-Recording is optional per operation: an op computes its result with a
-raw-ndarray kernel and only then, if some operand is on a tape, builds
-its backward closure and links its parents.  Under :func:`no_grad` (or
-with no operand requiring grad) nothing but the result is allocated, so
-inference and training run the very same kernels.
+The ops are the ones the cost models need — ``add``, ``sub``, ``mul``,
+``matmul`` (``+ - * @`` on a ``Tensor``), ``linear`` (``x @ w + b``),
+``abs``, ``relu``, ``leaky_relu``, ``sum``, ``mean``, ``reshape``,
+``concat`` and the row primitives below — implemented fully
+(broadcasting-aware, with correct gradient reduction).  ``abs`` and
+``sum`` shadow the builtins inside this module, as numpy's do in
+``np``.
 
 Row movement — the message passing of the DAG models — goes through
 three structure-aware primitives instead of ``ufunc.at``, which is an
 order of magnitude slower than fancy-index assignment:
 
-* :meth:`Tensor.scatter_rows` places rows at *distinct* positions (a
+* :func:`scatter_rows` places rows at *distinct* positions (a
   plain assignment);
-* :meth:`Tensor.gather_sum` sums gathered rows in precomputed *rank
+* :func:`gather_sum` sums gathered rows in precomputed *rank
   rounds* (:class:`RowSums`, :func:`rank_rounds`): round ``k`` adds
   every target's ``k``-th source, so a round touches each target once
   while every target still adds its sources left to right — bit for
@@ -32,9 +37,9 @@ order of magnitude slower than fancy-index assignment:
   level-by-level pass owns, and the one gradient buffer on the way back.
 
 The gradient of gathered rows arrives the same way it left: the
-backward of :meth:`Tensor.index_select` and :meth:`Tensor.gather_sum`
-adds into the rows it read (``grad[rows] += g``), never through a
-zero-filled ``[N, ...]`` temporary.
+backward of :func:`index_select` and :func:`gather_sum` adds into the
+rows it read (``grad[rows] += g``), never through a zero-filled
+``[N, ...]`` temporary.
 """
 
 from __future__ import annotations
@@ -45,7 +50,9 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 __all__ = ["Tensor", "no_grad", "RowState", "RowSums", "occurrence_ranks",
-           "rank_rounds"]
+           "rank_rounds", "add", "sub", "mul", "matmul", "linear", "abs",
+           "relu", "leaky_relu", "sum", "mean", "reshape", "concat",
+           "index_select", "gather_sum", "scatter_rows"]
 
 _GRAD_ENABLED = True
 
@@ -262,13 +269,35 @@ def _sums_by_row(values: np.ndarray, indices: np.ndarray,
         values, rank_rounds(np.arange(len(indices)), indices), num_rows)
 
 
-def _on_tape(*tensors: "Tensor") -> bool:
-    """Whether an op over ``tensors`` has to record its backward."""
-    if _GRAD_ENABLED:
-        for tensor in tensors:
-            if tensor.requires_grad:
-                return True
-    return False
+def _data(value) -> np.ndarray:
+    """The array of an operand: a tensor's data, a raw value as is."""
+    return value.data if isinstance(value, Tensor) else value
+
+
+def _needs_grad(value) -> bool:
+    return isinstance(value, Tensor) and value.requires_grad
+
+
+def _tape(*operands) -> tuple["Tensor", ...]:
+    """The operands an op has to record as its parents: none under
+    :func:`no_grad`, else those that require grad."""
+    if not _GRAD_ENABLED:
+        return ()
+    return tuple(value for value in operands if _needs_grad(value))
+
+
+def _record(data: np.ndarray, parents: tuple["Tensor", ...],
+            backward: Callable[[np.ndarray], None]) -> "Tensor":
+    """Put a freshly computed result on the tape.
+
+    Ops call it only when :func:`_tape` names parents, and build the
+    ``backward`` closure inside that branch: off the tape an op
+    allocates its raw result and nothing else.
+    """
+    out = Tensor(data, requires_grad=True)
+    out._parents = parents
+    out._backward = backward
+    return out
 
 
 class Tensor:
@@ -292,16 +321,9 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self.name = name
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    def numpy(self) -> np.ndarray:
-        """Return the underlying array (no copy)."""
-        return self.data
 
     def item(self) -> float:
         """The one element as a float, whatever the shape (``()``,
@@ -312,27 +334,17 @@ class Tensor:
         label = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{label})"
 
-    def __len__(self) -> int:
-        return len(self.data)
+    def __add__(self, other):
+        return add(self, other)
 
-    # ------------------------------------------------------------------
-    # Graph construction helpers
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _lift(value) -> "Tensor":
-        return value if isinstance(value, Tensor) else Tensor(value)
+    def __sub__(self, other):
+        return sub(self, other)
 
-    def _record(self, parents: Sequence["Tensor"],
-                backward: Callable[[np.ndarray], None]) -> None:
-        """Put this freshly computed result on the tape.
+    def __mul__(self, other):
+        return mul(self, other)
 
-        Ops call it only when :func:`_on_tape` says so, and build the
-        ``backward`` closure inside that branch: a tape-free op
-        allocates its result and nothing else.
-        """
-        self.requires_grad = True
-        self._parents = tuple(parents)
-        self._backward = backward
+    def __matmul__(self, other):
+        return matmul(self, other)
 
     def _accumulate(self, grad: np.ndarray) -> None:
         grad = _unbroadcast(grad, self.data.shape)
@@ -349,243 +361,6 @@ class Tensor:
         else:
             _add_rows(self.grad, rows, grad)
 
-    # ------------------------------------------------------------------
-    # Arithmetic
-    # ------------------------------------------------------------------
-    def __add__(self, other) -> "Tensor":
-        other = Tensor._lift(other)
-        out = Tensor(self.data + other.data)
-        if _on_tape(self, other):
-            def backward(grad: np.ndarray) -> None:
-                if self.requires_grad:
-                    self._accumulate(grad)
-                if other.requires_grad:
-                    other._accumulate(grad)
-
-            out._record((self, other), backward)
-        return out
-
-    def __sub__(self, other) -> "Tensor":
-        other = Tensor._lift(other)
-        out = Tensor(self.data - other.data)
-        if _on_tape(self, other):
-            def backward(grad: np.ndarray) -> None:
-                if self.requires_grad:
-                    self._accumulate(grad)
-                if other.requires_grad:
-                    other._accumulate(-grad)
-
-            out._record((self, other), backward)
-        return out
-
-    def __mul__(self, other) -> "Tensor":
-        other = Tensor._lift(other)
-        out = Tensor(self.data * other.data)
-        if _on_tape(self, other):
-            def backward(grad: np.ndarray) -> None:
-                if self.requires_grad:
-                    self._accumulate(grad * other.data)
-                if other.requires_grad:
-                    other._accumulate(grad * self.data)
-
-            out._record((self, other), backward)
-        return out
-
-    def __matmul__(self, other) -> "Tensor":
-        other = Tensor._lift(other)
-        out = Tensor(_stable_matmul(self.data, other.data))
-        if _on_tape(self, other):
-            def backward(grad: np.ndarray) -> None:
-                if self.requires_grad:
-                    self._accumulate(
-                        _stable_matmul(grad, other.data.swapaxes(-1, -2)))
-                if other.requires_grad:
-                    other._accumulate(
-                        _stable_matmul(self.data.swapaxes(-1, -2), grad))
-
-            out._record((self, other), backward)
-        return out
-
-    # ------------------------------------------------------------------
-    # Elementwise functions
-    # ------------------------------------------------------------------
-    def abs(self) -> "Tensor":
-        out = Tensor(np.abs(self.data))
-        if _on_tape(self):
-            def backward(grad: np.ndarray) -> None:
-                self._accumulate(grad * np.sign(self.data))
-
-            out._record((self,), backward)
-        return out
-
-    def relu(self) -> "Tensor":
-        mask = self.data > 0
-        out = Tensor(self.data * mask)
-        if _on_tape(self):
-            def backward(grad: np.ndarray) -> None:
-                self._accumulate(grad * mask)
-
-            out._record((self,), backward)
-        return out
-
-    def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
-        scaled = self.data * negative_slope
-        if 0.0 < negative_slope <= 1.0:
-            # x > 0 -> x > slope * x and x < 0 -> slope * x > x, so the
-            # larger of the two *is* ``x * (1 or slope)``, bit for bit,
-            # without the mask-and-select of the general case.
-            data = np.maximum(self.data, scaled)
-        else:
-            data = np.where(self.data > 0, self.data, scaled)
-        out = Tensor(data)
-        if _on_tape(self):
-            def backward(grad: np.ndarray) -> None:
-                self._accumulate(
-                    grad * np.where(self.data > 0, 1.0, negative_slope))
-
-            out._record((self,), backward)
-        return out
-
-    # ------------------------------------------------------------------
-    # Reductions
-    # ------------------------------------------------------------------
-    def sum(self, axis: int | tuple[int, ...] | None = None,
-            keepdims: bool = False) -> "Tensor":
-        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims))
-        if _on_tape(self):
-            def backward(grad: np.ndarray) -> None:
-                expanded = grad
-                if axis is not None and not keepdims:
-                    axes = (axis,) if isinstance(axis, int) else axis
-                    for ax in sorted(a % self.data.ndim for a in axes):
-                        expanded = np.expand_dims(expanded, ax)
-                self._accumulate(np.broadcast_to(expanded, self.data.shape))
-
-            out._record((self,), backward)
-        return out
-
-    def mean(self, axis: int | tuple[int, ...] | None = None,
-             keepdims: bool = False) -> "Tensor":
-        if axis is None:
-            count = self.data.size
-        else:
-            axes = (axis,) if isinstance(axis, int) else axis
-            count = int(np.prod([self.data.shape[a % self.data.ndim] for a in axes]))
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
-    # ------------------------------------------------------------------
-    # Shape manipulation
-    # ------------------------------------------------------------------
-    def reshape(self, *shape: int) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        out = Tensor(self.data.reshape(shape))
-        if _on_tape(self):
-            def backward(grad: np.ndarray) -> None:
-                self._accumulate(grad.reshape(self.data.shape))
-
-            out._record((self,), backward)
-        return out
-
-    # ------------------------------------------------------------------
-    # Row movement (see the module docstring)
-    # ------------------------------------------------------------------
-    def index_select(self, indices: np.ndarray) -> "Tensor":
-        """Select rows by an integer index array (duplicates allowed)."""
-        indices = np.asarray(indices, dtype=np.int64)
-        out = Tensor(self.data.take(indices, axis=0))
-        if _on_tape(self):
-            def backward(grad: np.ndarray) -> None:
-                self._accumulate_rows(
-                    *_sums_by_row(grad, indices, len(self.data)))
-
-            out._record((self,), backward)
-        return out
-
-    def gather_sum(self, sums: RowSums, num_rows: int,
-                   reverse: RowSums) -> "Tensor":
-        """Row ``t`` of the ``[num_rows, ...]`` result sums the rows of
-        ``self`` that ``sums`` routes to ``t`` — DeepSets child
-        aggregation, with ``self`` the node states and ``t`` the
-        parents of one level.
-
-        ``sums`` are the :func:`rank_rounds` of the edge list (child
-        row, parent row): each parent adds its children left to right.
-        ``reverse`` are those of the reversed edges (parent row, child
-        row); the backward pass runs the same kernel over them, so a
-        child of several parents sums their gradients in edge order.
-        Both are precomputed by whoever knows the structure
-        (``repro.featurize.batch`` derives them with the level plan,
-        the collate functions once per batch): no call sorts anything.
-        """
-        out = Tensor(_place_rows(
-            *_round_sums(self.data, sums, num_rows), num_rows))
-        if _on_tape(self):
-            def backward(grad: np.ndarray) -> None:
-                self._accumulate_rows(
-                    *_round_sums(grad, reverse, len(self.data)))
-
-            out._record((self,), backward)
-        return out
-
-    # ------------------------------------------------------------------
-    # Static combinators
-    # ------------------------------------------------------------------
-    @staticmethod
-    def scatter_rows(pieces: Sequence["Tensor"],
-                     index_sets: Sequence[np.ndarray],
-                     num_rows: int) -> "Tensor":
-        """A ``[num_rows, ...]`` matrix of zeros with the rows of
-        ``pieces[i]`` placed at ``index_sets[i]``.
-
-        All indices must be pairwise distinct (within and across sets;
-        node-type positions and type slots are): the rows are assigned,
-        not added to the zeros.
-        """
-        if not pieces or len(pieces) != len(index_sets):
-            raise ValueError(
-                f"scatter_rows needs one index set per piece and at least "
-                f"one piece, got {len(pieces)} and {len(index_sets)}")
-        index_sets = [np.asarray(indices, dtype=np.int64)
-                      for indices in index_sets]
-        for piece, indices in zip(pieces, index_sets):
-            if indices.shape != piece.data.shape[:1]:
-                raise ValueError(
-                    f"indices shape {indices.shape} != rows "
-                    f"{piece.data.shape[:1]}")
-        out = Tensor(_scatter_rows([p.data for p in pieces], index_sets,
-                                   num_rows))
-        if _on_tape(*pieces):
-            def backward(grad: np.ndarray) -> None:
-                for piece, indices in zip(pieces, index_sets):
-                    if piece.requires_grad:
-                        piece._accumulate(grad.take(indices, axis=0))
-
-            out._record(pieces, backward)
-        return out
-
-    @staticmethod
-    def concat(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
-        tensors = [Tensor._lift(t) for t in tensors]
-        out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-        if _on_tape(*tensors):
-            sizes = [t.data.shape[axis] for t in tensors]
-            offsets = np.cumsum([0] + sizes)
-
-            def backward(grad: np.ndarray) -> None:
-                for tensor, start, stop in zip(tensors, offsets[:-1],
-                                               offsets[1:]):
-                    if tensor.requires_grad:
-                        slicer = [slice(None)] * grad.ndim
-                        slicer[axis] = slice(start, stop)
-                        tensor._accumulate(grad[tuple(slicer)])
-
-            out._record(tensors, backward)
-        return out
-
-    # ------------------------------------------------------------------
-    # Backward pass
-    # ------------------------------------------------------------------
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Run reverse-mode differentiation from this tensor.
 
@@ -623,79 +398,352 @@ class Tensor:
         self.grad = None
 
 
+# ----------------------------------------------------------------------
+# Arithmetic
+# ----------------------------------------------------------------------
+def add(a, b) -> Tensor | np.ndarray:
+    """``a + b``, broadcasting."""
+    out = _data(a) + _data(b)
+    parents = _tape(a, b)
+    if not parents:
+        return out
+
+    def backward(grad: np.ndarray) -> None:
+        for operand in parents:
+            operand._accumulate(grad)
+
+    return _record(out, parents, backward)
+
+
+def sub(a, b) -> Tensor | np.ndarray:
+    """``a - b``, broadcasting."""
+    out = _data(a) - _data(b)
+    parents = _tape(a, b)
+    if not parents:
+        return out
+
+    def backward(grad: np.ndarray) -> None:
+        if _needs_grad(a):
+            a._accumulate(grad)
+        if _needs_grad(b):
+            b._accumulate(-grad)
+
+    return _record(out, parents, backward)
+
+
+def mul(a, b) -> Tensor | np.ndarray:
+    """``a * b``, elementwise and broadcasting."""
+    out = _data(a) * _data(b)
+    parents = _tape(a, b)
+    if not parents:
+        return out
+
+    def backward(grad: np.ndarray) -> None:
+        if _needs_grad(a):
+            a._accumulate(grad * _data(b))
+        if _needs_grad(b):
+            b._accumulate(grad * _data(a))
+
+    return _record(out, parents, backward)
+
+
+def _matmul_backward(a, b, grad: np.ndarray) -> None:
+    """Hand the gradient of ``a @ b`` to the operands that record."""
+    if _needs_grad(a):
+        a._accumulate(_stable_matmul(grad, _data(b).swapaxes(-1, -2)))
+    if _needs_grad(b):
+        b._accumulate(_stable_matmul(_data(a).swapaxes(-1, -2), grad))
+
+
+def matmul(a, b) -> Tensor | np.ndarray:
+    """``a @ b`` through :func:`_stable_matmul`."""
+    out = _stable_matmul(_data(a), _data(b))
+    parents = _tape(a, b)
+    if not parents:
+        return out
+    return _record(out, parents, lambda grad: _matmul_backward(a, b, grad))
+
+
+def linear(x, weight, bias) -> Tensor | np.ndarray:
+    """``x @ weight + bias``, the affine map of a ``Linear`` layer.
+
+    The bias is added into the fresh product in place: bit for bit
+    ``add(matmul(x, weight), bias)``, without its ``[n, out]`` temporary
+    and its second dispatch, which at serving batch sizes are a
+    measurable share of a forward.
+    """
+    out = _stable_matmul(_data(x), _data(weight))
+    out += _data(bias)
+    parents = _tape(x, weight, bias)
+    if not parents:
+        return out
+
+    def backward(grad: np.ndarray) -> None:
+        if _needs_grad(bias):
+            bias._accumulate(grad)
+        _matmul_backward(x, weight, grad)
+
+    return _record(out, parents, backward)
+
+
+# ----------------------------------------------------------------------
+# Elementwise functions
+# ----------------------------------------------------------------------
+def abs(x) -> Tensor | np.ndarray:
+    """``|x|``, elementwise."""
+    data = _data(x)
+    out = np.abs(data)
+    parents = _tape(x)
+    if not parents:
+        return out
+    return _record(out, parents,
+                   lambda grad: x._accumulate(grad * np.sign(data)))
+
+
+def relu(x) -> Tensor | np.ndarray:
+    """``max(x, 0)``, elementwise."""
+    data = _data(x)
+    mask = data > 0
+    out = data * mask
+    parents = _tape(x)
+    if not parents:
+        return out
+    return _record(out, parents, lambda grad: x._accumulate(grad * mask))
+
+
+def leaky_relu(x, negative_slope: float = 0.01) -> Tensor | np.ndarray:
+    """``x`` where positive, ``negative_slope * x`` elsewhere."""
+    data = _data(x)
+    scaled = data * negative_slope
+    if 0.0 < negative_slope <= 1.0:
+        # x > 0 -> x > slope * x and x < 0 -> slope * x > x, so the
+        # larger of the two *is* ``x * (1 or slope)``, bit for bit,
+        # without the mask-and-select of the general case.
+        out = np.maximum(data, scaled)
+    else:
+        out = np.where(data > 0, data, scaled)
+    parents = _tape(x)
+    if not parents:
+        return out
+    return _record(out, parents, lambda grad: x._accumulate(
+        grad * np.where(data > 0, 1.0, negative_slope)))
+
+
+# ----------------------------------------------------------------------
+# Reductions and shapes
+# ----------------------------------------------------------------------
+def sum(x, axis: int | tuple[int, ...] | None = None,
+        keepdims: bool = False) -> Tensor | np.ndarray:
+    """The sum over ``axis`` (all axes by default)."""
+    data = _data(x)
+    out = data.sum(axis=axis, keepdims=keepdims)
+    parents = _tape(x)
+    if not parents:
+        return out
+
+    def backward(grad: np.ndarray) -> None:
+        expanded = grad
+        if axis is not None and not keepdims:
+            axes = (axis,) if isinstance(axis, int) else axis
+            for ax in sorted(a % data.ndim for a in axes):
+                expanded = np.expand_dims(expanded, ax)
+        x._accumulate(np.broadcast_to(expanded, data.shape))
+
+    return _record(out, parents, backward)
+
+
+def mean(x, axis: int | tuple[int, ...] | None = None,
+         keepdims: bool = False) -> Tensor | np.ndarray:
+    """The mean over ``axis``: :func:`sum` times ``1 / count``."""
+    data = _data(x)
+    if axis is None:
+        count = data.size
+    else:
+        axes = (axis,) if isinstance(axis, int) else axis
+        count = int(np.prod([data.shape[a % data.ndim] for a in axes]))
+    return mul(sum(x, axis=axis, keepdims=keepdims), 1.0 / count)
+
+
+def reshape(x, shape) -> Tensor | np.ndarray:
+    """``x`` in the given shape (``-1`` infers one axis)."""
+    data = _data(x)
+    out = data.reshape(shape)
+    parents = _tape(x)
+    if not parents:
+        return out
+    return _record(out, parents,
+                   lambda grad: x._accumulate(grad.reshape(data.shape)))
+
+
+def concat(values: Sequence, axis: int = 0) -> Tensor | np.ndarray:
+    """``values`` joined along ``axis``."""
+    arrays = [_data(value) for value in values]
+    out = np.concatenate(arrays, axis=axis)
+    parents = _tape(*values)
+    if not parents:
+        return out
+    offsets = np.cumsum([0] + [array.shape[axis] for array in arrays])
+
+    def backward(grad: np.ndarray) -> None:
+        for value, start, stop in zip(values, offsets[:-1], offsets[1:]):
+            if _needs_grad(value):
+                slicer = [slice(None)] * grad.ndim
+                slicer[axis] = slice(start, stop)
+                value._accumulate(grad[tuple(slicer)])
+
+    return _record(out, parents, backward)
+
+
+# ----------------------------------------------------------------------
+# Row movement (see the module docstring)
+# ----------------------------------------------------------------------
+def index_select(x, indices) -> Tensor | np.ndarray:
+    """Rows of ``x`` by an integer index array (duplicates allowed)."""
+    data = _data(x)
+    indices = np.asarray(indices, dtype=np.int64)
+    out = data.take(indices, axis=0)
+    parents = _tape(x)
+    if not parents:
+        return out
+    return _record(out, parents, lambda grad: x._accumulate_rows(
+        *_sums_by_row(grad, indices, len(data))))
+
+
+def gather_sum(x, sums: RowSums, num_rows: int,
+               reverse: RowSums) -> Tensor | np.ndarray:
+    """Row ``t`` of the ``[num_rows, ...]`` result sums the rows of
+    ``x`` that ``sums`` routes to ``t`` — DeepSets child aggregation,
+    with ``x`` the node states and ``t`` the parents of one level.
+
+    ``sums`` are the :func:`rank_rounds` of the edge list (child row,
+    parent row): each parent adds its children left to right.
+    ``reverse`` are those of the reversed edges (parent row, child
+    row); the backward pass runs the same kernel over them, so a child
+    of several parents sums their gradients in edge order.  Both are
+    precomputed by whoever knows the structure
+    (``repro.featurize.batch`` derives them with the level plan, the
+    collate functions once per batch): no call sorts anything.
+    """
+    data = _data(x)
+    out = _place_rows(*_round_sums(data, sums, num_rows), num_rows)
+    parents = _tape(x)
+    if not parents:
+        return out
+    return _record(out, parents, lambda grad: x._accumulate_rows(
+        *_round_sums(grad, reverse, len(data))))
+
+
+def scatter_rows(pieces: Sequence, index_sets: Sequence[np.ndarray],
+                 num_rows: int) -> Tensor | np.ndarray:
+    """A ``[num_rows, ...]`` matrix of zeros with the rows of
+    ``pieces[i]`` placed at ``index_sets[i]``.
+
+    All indices must be pairwise distinct (within and across sets;
+    node-type positions and type slots are): the rows are assigned, not
+    added to the zeros.
+    """
+    if not pieces or len(pieces) != len(index_sets):
+        raise ValueError(
+            f"scatter_rows needs one index set per piece and at least "
+            f"one piece, got {len(pieces)} and {len(index_sets)}")
+    arrays = [_data(piece) for piece in pieces]
+    index_sets = [np.asarray(indices, dtype=np.int64)
+                  for indices in index_sets]
+    for array, indices in zip(arrays, index_sets):
+        if indices.shape != array.shape[:1]:
+            raise ValueError(
+                f"indices shape {indices.shape} != rows {array.shape[:1]}")
+    out = _scatter_rows(arrays, index_sets, num_rows)
+    parents = _tape(*pieces)
+    if not parents:
+        return out
+
+    def backward(grad: np.ndarray) -> None:
+        for piece, indices in zip(pieces, index_sets):
+            if _needs_grad(piece):
+                piece._accumulate(grad.take(indices, axis=0))
+
+    return _record(out, parents, backward)
+
+
 class RowState:
     """The ``[N, ...]`` state of one level-by-level pass: one private
     buffer forward, one gradient buffer back.
 
     The pass copies its input once, into a buffer nobody else holds,
     and every level writes its rows there *in place*
-    (:meth:`add_rows`), where a tensor op would copy the whole state to
+    (:meth:`add_rows`), where an op would copy the whole state to
     change a few rows and its backward the whole gradient.  Writing in
     place is only sound while no recorded closure reads the buffer, so
-    the state is not a :class:`Tensor` until the pass is over: it
-    offers the two gathers, which copy rows *out* and whose backward
-    needs the indices alone, and :meth:`hand_over`, after which the
-    buffer belongs to an ordinary tensor and this object refuses every
-    call.  No tensor that exists outside the pass — its input, a leaf,
-    a parameter — can be written to through here.
+    the state is handed to no op until the pass is over: it offers the
+    two gathers, which copy rows *out* and whose backward needs the
+    indices alone, and :meth:`hand_over`, after which the buffer
+    belongs to the caller and this object refuses every call.  No value
+    that exists outside the pass — its input, a leaf, a parameter — can
+    be written to through here.
 
-    On the tape every update is one node sharing the buffer.  Its
-    backward gives ``delta`` the gradient rows it wrote and hands the
-    *same* gradient array to the state below, into which that level's
-    gathers then add their rows: a row receives the additions a chain
-    of copied states would give it, in the same order (higher levels
-    first).  After a backward pass the ``grad`` of the tensor handed
-    over is therefore that shared buffer, not its own gradient.
+    Off the tape the state is a raw ``ndarray`` throughout.  On the
+    tape every update is one :class:`Tensor` node sharing the buffer.
+    Its backward gives ``delta`` the gradient rows it wrote and hands
+    the *same* gradient array to the state below, into which that
+    level's gathers then add their rows: a row receives the additions a
+    chain of copied states would give it, in the same order (higher
+    levels first).  After a backward pass the ``grad`` of the tensor
+    handed over is therefore that shared buffer, not its own gradient.
     """
 
     __slots__ = ("_current",)
 
-    def __init__(self, initial: Tensor):
-        current = Tensor(initial.data.copy())
-        if _on_tape(initial):
-            current._record((initial,), initial._accumulate)
-        self._current: Tensor | None = current
+    def __init__(self, initial):
+        current = _data(initial).copy()
+        parents = _tape(initial)
+        if parents:
+            current = _record(current, parents, initial._accumulate)
+        self._current = current
 
-    def _live(self) -> Tensor:
+    def _live(self):
         if self._current is None:
             raise RuntimeError(
                 "this RowState was handed over: its buffer belongs to the "
-                "tensor hand_over() returned and is no longer written to")
+                "value hand_over() returned and is no longer written to")
         return self._current
 
-    def index_select(self, indices: np.ndarray) -> Tensor:
+    def index_select(self, indices: np.ndarray) -> Tensor | np.ndarray:
         """A copy of the current rows ``indices`` (duplicates allowed)."""
-        return self._live().index_select(indices)
+        return index_select(self._live(), indices)
 
     def gather_sum(self, sums: RowSums, num_rows: int,
-                   reverse: RowSums) -> Tensor:
-        """:meth:`Tensor.gather_sum` over the current rows."""
-        return self._live().gather_sum(sums, num_rows, reverse)
+                   reverse: RowSums) -> Tensor | np.ndarray:
+        """:func:`gather_sum` over the current rows."""
+        return gather_sum(self._live(), sums, num_rows, reverse)
 
-    def add_rows(self, indices: np.ndarray, delta: Tensor) -> None:
+    def add_rows(self, indices: np.ndarray, delta) -> None:
         """Add ``delta`` to the *distinct* rows ``indices`` — per row
         what adding a zero matrix holding ``delta`` at ``indices``
         computes, with no other row read or written."""
         state = self._live()
+        data = _data(state)
         indices = np.asarray(indices, dtype=np.int64)
-        _require_distinct((indices,), len(state.data), "add_rows")
-        _add_rows(state.data, indices, delta.data)
-        if _on_tape(state, delta):
-            def backward(grad: np.ndarray) -> None:
-                if delta.requires_grad:
-                    delta._accumulate(grad.take(indices, axis=0))
-                if state.requires_grad:
-                    # By reference: nothing reads this node's gradient
-                    # again, the state below continues in it.
-                    if state.grad is None:
-                        state.grad = grad
-                    else:
-                        state.grad += grad
+        _require_distinct((indices,), len(data), "add_rows")
+        _add_rows(data, indices, _data(delta))
+        parents = _tape(state, delta)
+        if not parents:
+            return
 
-            self._current = Tensor(state.data)
-            self._current._record((state, delta), backward)
+        def backward(grad: np.ndarray) -> None:
+            if _needs_grad(delta):
+                delta._accumulate(grad.take(indices, axis=0))
+            if _needs_grad(state):
+                # By reference: nothing reads this node's gradient
+                # again, the state below continues in it.
+                if state.grad is None:
+                    state.grad = grad
+                else:
+                    state.grad += grad
 
-    def hand_over(self) -> Tensor:
-        """End the pass: the state as an ordinary tensor (no copy)."""
+        self._current = _record(data, parents, backward)
+
+    def hand_over(self) -> Tensor | np.ndarray:
+        """End the pass: the state as an ordinary value (no copy)."""
         state, self._current = self._live(), None
         return state

@@ -15,7 +15,7 @@ import pytest
 from repro.engine import execute_plan
 from repro.featurize import CardinalitySource, ZeroShotFeaturizer, encode_graphs
 from repro.featurize.batch import EncodedGraph, LevelSpec, build_level_plan
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, gather_sum
 from repro.optimizer import plan_query
 from repro.workload import WorkloadSpec, generate_workload
 
@@ -85,8 +85,8 @@ def test_level_rounds_add_in_batch_edge_order(encoded, subset):
                    spec.edge_parent_slots, num_parents), expected)
 
         states.zero_grad()
-        out = states.gather_sum(spec.child_sums, num_parents,
-                                spec.grad_sums)
+        out = gather_sum(states, spec.child_sums, num_parents,
+                         spec.grad_sums)
         assert np.array_equal(out.data, expected)
         upstream = rng.normal(size=out.shape)
         out.backward(upstream)
@@ -100,8 +100,8 @@ def test_level_rounds_add_in_batch_edge_order(encoded, subset):
         derived = LevelSpec(spec.parent_ids, spec.edge_child_ids,
                             spec.edge_parent_slots, spec.type_slots)
         assert np.array_equal(
-            states.gather_sum(derived.child_sums, num_parents,
-                              derived.grad_sums).data, expected)
+            gather_sum(states, derived.child_sums, num_parents,
+                       derived.grad_sums).data, expected)
     # The fixture really has children used more than twice in a level
     # (the case where the order of the backward sum shows).
     if any(len(g.features["system"]) for g in graphs) and len(graphs) > 1:

@@ -25,7 +25,8 @@ from repro.models import (
     ZeroShotCostModel,
 )
 from repro.models.trainer import train_model
-from repro.nn import MLP, Tensor
+from repro.nn import MLP, Module, Tensor
+from repro.nn import tensor as T
 from repro.nn.serialize import save_state
 from repro.workload import WorkloadRunner, make_benchmark_workload
 
@@ -134,32 +135,90 @@ class TestCoreModelContract:
                               model.predict_log_runtime(samples))
 
 
+@pytest.fixture(scope="module")
+def inference_models(cases, fitted, tiny_imdb, records):
+    """``name -> (fitted model, unlabelled samples)``: the four core
+    models plus the zero-shot variants whose forwards differ, the
+    cardinality head and the system node."""
+    models = {name: (fitted[name], cases[name][2]) for name in CORE_MODELS}
+    trainer = TrainerConfig(epochs=1, batch_size=8, seed=0)
+    variants = {
+        "zero-shot-cardinality": (
+            ZeroShotConfig(hidden_dim=16, cardinality_head=True),
+            ZeroShotFeaturizer(CardinalitySource.ESTIMATED)),
+        "zero-shot-system": (
+            ZeroShotConfig(hidden_dim=16, system_features=True),
+            ZeroShotFeaturizer(CardinalitySource.ESTIMATED,
+                               system_features=True)),
+    }
+    for name, (config, featurizer) in variants.items():
+        model = ZeroShotCostModel(config)
+        model.fit([featurizer.featurize(r.plan, tiny_imdb, r.runtime_seconds,
+                                        r.operator_cardinalities)
+                   for r in records], trainer)
+        models[name] = (model, [featurizer.featurize(r.plan, tiny_imdb)
+                                for r in records])
+    return models
+
+
+@pytest.mark.parametrize("name", CORE_MODELS + ("zero-shot-cardinality",
+                                                "zero-shot-system"))
+def test_inference_forward_builds_no_tensor(name, inference_models,
+                                            monkeypatch):
+    """Off the tape every op returns its raw array, so a prediction
+    builds no ``Tensor`` and walks no module tree: neither
+    ``Tensor.__init__`` nor ``Module.eval`` runs inside
+    ``predict_log_from_encoded`` or the cardinality head's
+    ``predict_cardinalities_from_encoded``."""
+    model, samples = inference_models[name]
+    encoded = model.encode(samples[:6])
+    calls = []
+    for cls, method in ((Tensor, "__init__"), (Module, "eval")):
+        def spy(*args, _original=getattr(cls, method),
+                _label=f"{cls.__name__}.{method}", **kwargs):
+            calls.append(_label)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, method, spy)
+    predictions = model.predict_log_from_encoded(encoded)
+    if name == "zero-shot-cardinality":
+        cardinalities = model.predict_cardinalities_from_encoded(encoded)
+        assert len(cardinalities) == len(encoded)
+    assert calls == []
+    assert predictions.shape == (len(encoded),)
+    assert np.isfinite(predictions).all()
+    # The spies see what they guard.
+    Tensor(predictions)
+    model.net.eval()
+    assert calls[:2] == ["Tensor.__init__", "Module.eval"]
+
+
 def test_validation_runs_off_the_tape():
     """Nobody walks a tape of the validation batch, so ``train_model``
-    builds none: the forward sees recording off for the (one, largest)
-    validation batch and on for every training batch."""
+    builds none: the forward returns a raw ``ndarray`` for the (one,
+    largest) validation batch and a taped ``Tensor`` for every training
+    batch."""
     rng = np.random.default_rng(0)
     samples = [(rng.normal(size=3), float(i)) for i in range(20)]
     net = MLP(3, [4], 1, rng)
     seen = []
 
     def forward(batch):
-        out = net(Tensor(np.stack([x for x, _ in batch]))).reshape(-1)
-        seen.append((len(batch), out.requires_grad))
+        out = T.reshape(net(np.stack([x for x, _ in batch])), -1)
+        seen.append((len(batch), type(out)))
         return out
 
     history = train_model(
-        net, samples, forward,
-        lambda batch: Tensor(np.array([y for _, y in batch])),
+        net, samples, forward, lambda batch: np.array([y for _, y in batch]),
         TrainerConfig(epochs=2, batch_size=4, validation_fraction=0.3,
                       seed=0), collate=list)
     assert len(history.validation_losses) == 2
-    validation = [taped for size, taped in seen if size == 6]
-    training = [taped for size, taped in seen if size != 6]
-    assert validation == [False, False]
-    assert len(training) == 8 and all(training)
+    validation = [kind for size, kind in seen if size == 6]
+    training = [kind for size, kind in seen if size != 6]
+    assert validation == [np.ndarray, np.ndarray]
+    assert training == [Tensor] * 8
     # Recording is back on once the fit returns.
-    assert net(Tensor(np.zeros((1, 3)))).requires_grad
+    assert net(np.zeros((1, 3))).requires_grad
 
 
 @pytest.mark.parametrize("field, value", [

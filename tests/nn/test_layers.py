@@ -14,6 +14,7 @@ from repro.nn import (
     train_validation_split,
 )
 from repro.nn import functional as F
+from repro.nn import tensor as T
 from repro.nn.layers import Linear, ReLU, Sequential
 from repro.nn.module import Parameter
 
@@ -30,7 +31,7 @@ class TestLinear:
 
     def test_gradients_flow(self):
         layer = Linear(4, 1, rng())
-        out = layer(Tensor(np.ones((2, 4)))).sum()
+        out = T.sum(layer(Tensor(np.ones((2, 4)))))
         out.backward()
         assert layer.weight.grad is not None
         assert layer.bias.grad is not None
@@ -59,7 +60,7 @@ class TestMLP:
         optimizer = Adam(mlp.parameters(), lr=1e-2)
         def mean_squared_error():
             diff = mlp(Tensor(x)) - Tensor(y)
-            return (diff * diff).mean()
+            return T.mean(diff * diff)
 
         for _ in range(300):
             optimizer.zero_grad()
@@ -79,7 +80,7 @@ class TestOptimizers:
         optimizer = Adam([param], lr=0.1)
         for _ in range(500):
             optimizer.zero_grad()
-            loss = (param * param).sum()
+            loss = T.sum(param * param)
             loss.backward()
             optimizer.step()
         np.testing.assert_allclose(param.data, 0.0, atol=1e-3)
@@ -88,7 +89,7 @@ class TestOptimizers:
         param = Parameter(np.array([1.0]))
         optimizer = Adam([param], lr=0.1, weight_decay=1.0)
         optimizer.zero_grad()
-        (param * 0.0).sum().backward()
+        T.sum(param * 0.0).backward()
         optimizer.step()
         assert abs(param.data[0]) < 1.0
 
@@ -181,6 +182,19 @@ class TestLosses:
     def test_q_loss_is_the_mean_absolute_log_difference(self):
         loss = F.q_loss(Tensor([1.0, -2.0]), Tensor([0.0, 0.0]))
         assert loss.item() == pytest.approx(1.5)
+
+    @pytest.mark.parametrize("recording", [False, True],
+                             ids=["raw", "taped"])
+    def test_q_loss_rejects_mismatched_shapes(self, recording):
+        """A ``(3,)`` prediction against a ``(3, 1)`` target once
+        broadcast to nine pairs: 0.889 where the loss is 0.0."""
+        prediction = Tensor(np.arange(3.0), requires_grad=recording)
+        target = np.arange(3.0)[:, None]
+        with pytest.raises(ValueError, match="one shape"):
+            F.q_loss(prediction, target)
+        with pytest.raises(ValueError, match="one shape"):
+            F.q_loss(target, prediction)
+        assert F.q_loss(prediction, target[:, 0]).item() == 0.0
 
     def test_q_loss_is_symmetric(self):
         a = Tensor([1.0])

@@ -1,4 +1,5 @@
-"""Autograd correctness: analytic gradients vs central finite differences."""
+"""Autograd correctness: analytic gradients vs central finite differences,
+and the tape-free contract: off the tape every op returns a raw array."""
 
 import tracemalloc
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from repro.featurize.batch import LevelSpec
 from repro.models.zero_shot import bottom_up_pass
 from repro.nn import MLP
+from repro.nn import tensor as T
 from repro.nn.module import Parameter
 from repro.nn.tensor import (
     RowState,
@@ -66,75 +68,93 @@ class TestElementaryOps:
     def test_add_broadcast(self):
         a = RNG.normal(size=(3, 4))
         b = RNG.normal(size=(4,))
-        check_gradient(lambda ts: (ts[0] + ts[1]).sum(), [a, b])
+        check_gradient(lambda ts: T.sum(ts[0] + ts[1]), [a, b])
 
     def test_mul_broadcast(self):
         a = RNG.normal(size=(2, 3))
         b = RNG.normal(size=(2, 1))
-        check_gradient(lambda ts: (ts[0] * ts[1]).sum(), [a, b])
+        check_gradient(lambda ts: T.sum(ts[0] * ts[1]), [a, b])
 
     def test_sub(self):
         a = RNG.normal(size=(5,))
         b = RNG.normal(size=(5,))
-        check_gradient(lambda ts: (ts[0] - ts[1]).sum(), [a, b])
+        check_gradient(lambda ts: T.sum(ts[0] - ts[1]), [a, b])
 
     def test_matmul(self):
         a = RNG.normal(size=(3, 4))
         b = RNG.normal(size=(4, 2))
-        check_gradient(lambda ts: (ts[0] @ ts[1]).sum(), [a, b])
+        check_gradient(lambda ts: T.sum(ts[0] @ ts[1]), [a, b])
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_linear(self, rows):
+        """``linear`` adds the bias into the product in place: the
+        values and gradients of ``x @ w + b``, bit for bit."""
+        x, w, b = (RNG.normal(size=(rows, 4)), RNG.normal(size=(4, 2)),
+                   RNG.normal(size=(2,)))
+        check_gradient(lambda ts: T.sum(squared(T.linear(*ts))), [x, w, b])
+        fused = [Tensor(a.copy(), requires_grad=True) for a in (x, w, b)]
+        split = [Tensor(a.copy(), requires_grad=True) for a in (x, w, b)]
+        out = T.linear(*fused)
+        reference = split[0] @ split[1] + split[2]
+        assert np.array_equal(out.data, reference.data)
+        T.sum(squared(out)).backward()
+        T.sum(squared(reference)).backward()
+        for one, other in zip(fused, split):
+            assert np.array_equal(one.grad, other.grad)
 
 
 class TestNonlinearities:
     def test_relu(self):
         a = RNG.normal(size=(10,)) + 0.05  # avoid kink at 0
-        check_gradient(lambda ts: ts[0].relu().sum(), [a])
+        check_gradient(lambda ts: T.sum(T.relu(ts[0])), [a])
 
     def test_leaky_relu(self):
         a = RNG.normal(size=(10,)) + 0.05
-        check_gradient(lambda ts: ts[0].leaky_relu(0.1).sum(), [a])
+        check_gradient(lambda ts: T.sum(T.leaky_relu(ts[0], 0.1)), [a])
 
     def test_abs(self):
         a = RNG.normal(size=(8,)) + 0.1
-        check_gradient(lambda ts: ts[0].abs().sum(), [a])
+        check_gradient(lambda ts: T.sum(T.abs(ts[0])), [a])
 
 
 class TestReductionsAndShapes:
     def test_sum_axis(self):
         a = RNG.normal(size=(3, 4))
-        check_gradient(lambda ts: squared(ts[0].sum(axis=0)).sum(), [a])
+        check_gradient(lambda ts: T.sum(squared(T.sum(ts[0], axis=0))), [a])
 
     def test_mean(self):
         a = RNG.normal(size=(3, 4))
-        check_gradient(lambda ts: squared(ts[0].mean(axis=1)).sum(), [a])
+        check_gradient(lambda ts: T.sum(squared(T.mean(ts[0], axis=1))), [a])
 
     def test_mean_keepdims(self):
         a = RNG.normal(size=(3, 4))
-        check_gradient(lambda ts: (ts[0] - ts[0].mean(axis=1, keepdims=True)).abs().sum(), [a])
+        check_gradient(lambda ts: T.sum(T.abs(
+            ts[0] - T.mean(ts[0], axis=1, keepdims=True))), [a])
 
     def test_reshape(self):
         a = RNG.normal(size=(3, 4))
-        check_gradient(lambda ts: squared(ts[0].reshape(4, 3)).sum(), [a])
+        check_gradient(lambda ts: T.sum(squared(T.reshape(ts[0], (4, 3)))), [a])
 
     def test_index_select_of_a_row_range(self):
         a = RNG.normal(size=(5, 3))
         check_gradient(
-            lambda ts: squared(ts[0].index_select(np.arange(1, 4))).sum(),
+            lambda ts: T.sum(squared(T.index_select(ts[0], np.arange(1, 4)))),
             [a])
 
     def test_index_select_with_duplicates(self):
         a = RNG.normal(size=(4, 3))
         idx = np.array([0, 0, 2, 3, 3, 3])
-        check_gradient(lambda ts: squared(ts[0].index_select(idx)).sum(), [a])
+        check_gradient(lambda ts: T.sum(squared(T.index_select(ts[0], idx))), [a])
 
     def test_concat(self):
         a = RNG.normal(size=(2, 3))
         b = RNG.normal(size=(4, 3))
-        check_gradient(lambda ts: squared(Tensor.concat([ts[0], ts[1]], axis=0)).sum(), [a, b])
+        check_gradient(lambda ts: T.sum(squared(T.concat([ts[0], ts[1]], axis=0))), [a, b])
 
     def test_concat_axis1(self):
         a = RNG.normal(size=(2, 3))
         b = RNG.normal(size=(2, 2))
-        check_gradient(lambda ts: squared(Tensor.concat([ts[0], ts[1]], axis=1)).sum(), [a, b])
+        check_gradient(lambda ts: T.sum(squared(T.concat([ts[0], ts[1]], axis=1))), [a, b])
 
 
 class TestGraphMechanics:
@@ -148,7 +168,7 @@ class TestGraphMechanics:
         a = Tensor(np.array([3.0]), requires_grad=True)
         b = a * 2.0
         c = a * 3.0
-        out = (b + c).sum()  # d/da = 5
+        out = T.sum(b + c)  # d/da = 5
         out.backward()
         np.testing.assert_allclose(a.grad, [5.0])
 
@@ -157,16 +177,17 @@ class TestGraphMechanics:
         x = a
         for _ in range(200):
             x = x + 1.0
-        x.sum().backward()
+        T.sum(x).backward()
         np.testing.assert_allclose(a.grad, [1.0])
 
     def test_no_grad_blocks_recording(self):
+        """Off the tape the result is the raw array: nothing to call
+        ``backward()`` on, and the operand is left as it was."""
         a = Tensor(np.array([1.0]), requires_grad=True)
         with no_grad():
             out = a * 2.0
-        assert not out.requires_grad
-        with pytest.raises(RuntimeError):
-            out.backward()
+        assert type(out) is np.ndarray and np.array_equal(out, [2.0])
+        assert a.grad is None and a._parents == ()
 
     def test_backward_on_non_grad_raises(self):
         with pytest.raises(RuntimeError):
@@ -174,7 +195,7 @@ class TestGraphMechanics:
 
     def test_zero_grad(self):
         a = Tensor(np.array([1.0]), requires_grad=True)
-        (a * 2.0).sum().backward()
+        T.sum(a * 2.0).backward()
         assert a.grad is not None
         a.zero_grad()
         assert a.grad is None
@@ -204,7 +225,7 @@ def test_sum_then_broadcast_roundtrip(rows, cols, seed):
     rng = np.random.default_rng(seed)
     x = Tensor(rng.normal(size=(rows, cols)))
     b = Tensor(rng.normal(size=(cols,)), requires_grad=True)
-    (x + b).sum().backward()
+    T.sum(x + b).backward()
     np.testing.assert_allclose(b.grad, np.full(cols, rows))
 
 
@@ -245,7 +266,7 @@ class TestRowPrimitives:
         indices, num_rows = INDEX_SETS[name]
         source = Tensor(_rows(num_rows), requires_grad=True)
         upstream = _rows(len(indices), seed=1)
-        source.index_select(indices).backward(upstream)
+        T.index_select(source, indices).backward(upstream)
         assert np.array_equal(source.grad,
                               add_at(upstream, indices, num_rows))
 
@@ -259,7 +280,7 @@ class TestRowPrimitives:
         states = Tensor(_rows(5), requires_grad=True)
         sums = rank_rounds(children, parents)
         reverse = rank_rounds(parents, children)
-        out = states.gather_sum(sums, num_parents, reverse)
+        out = T.gather_sum(states, sums, num_parents, reverse)
         assert np.array_equal(
             out.data, add_at(states.data[children], parents, num_parents))
         upstream = _rows(num_parents, seed=4)
@@ -289,24 +310,24 @@ class TestRowPrimitives:
     def test_gather_sum_rejects_repeated_targets(self):
         bad = RowSums(np.array([1, 1]), (np.array([0, 2]),))
         with pytest.raises(ValueError, match="distinct"):
-            Tensor(_rows(3)).gather_sum(bad, 2, bad)
+            T.gather_sum(_rows(3), bad, 2, bad)
 
     @pytest.mark.parametrize("name", ["empty", "single_row",
                                       "unsorted_distinct"])
     def test_scatter_rows_equals_add_at(self, name):
         indices, num_rows = INDEX_SETS[name]
         rows = _rows(len(indices))
-        out = Tensor.scatter_rows([Tensor(rows)], [indices], num_rows)
-        assert np.array_equal(out.data, add_at(rows, indices, num_rows))
+        out = T.scatter_rows([rows], [indices], num_rows)
+        assert np.array_equal(out, add_at(rows, indices, num_rows))
 
     def test_scatter_rows_places_several_pieces(self):
         first, second = _rows(2), _rows(3, seed=1)
-        out = Tensor.scatter_rows(
-            [Tensor(first), Tensor(second)],
+        out = T.scatter_rows(
+            [first, Tensor(second)],
             [np.array([5, 1]), np.array([0, 4, 2])], 7)
         expected = (add_at(first, np.array([5, 1]), 7)
                     + add_at(second, np.array([0, 4, 2]), 7))
-        assert np.array_equal(out.data, expected)
+        assert np.array_equal(out, expected)
 
     @pytest.mark.parametrize("index_sets", [
         [np.array([0, 2, 2])],                    # within a set
@@ -314,66 +335,69 @@ class TestRowPrimitives:
         [np.array([1, -3])],                      # -3 is row 1 of 4
     ], ids=["within", "across", "negative_alias"])
     def test_scatter_rows_rejects_repeated_rows(self, index_sets):
-        pieces = [Tensor(_rows(len(indices))) for indices in index_sets]
+        pieces = [_rows(len(indices)) for indices in index_sets]
         with pytest.raises(ValueError, match="distinct"):
-            Tensor.scatter_rows(pieces, index_sets, 4)
+            T.scatter_rows(pieces, index_sets, 4)
 
     def test_scatter_rows_rejects_malformed_input(self):
         with pytest.raises(ValueError, match="at least one piece"):
-            Tensor.scatter_rows([], [], 3)
+            T.scatter_rows([], [], 3)
         with pytest.raises(ValueError, match="indices shape"):
-            Tensor.scatter_rows([Tensor(_rows(2))], [np.array([0])], 3)
+            T.scatter_rows([_rows(2)], [np.array([0])], 3)
 
     @pytest.mark.parametrize("name", ["empty", "single_row",
                                       "unsorted_distinct"])
     def test_add_rows_equals_state_plus_add_at(self, name):
         indices, num_rows = INDEX_SETS[name]
         initial, delta = _rows(num_rows), _rows(len(indices), seed=1)
-        source = Tensor(initial.copy())
+        source = initial.copy()
         state = RowState(source)
-        state.add_rows(indices, Tensor(delta))
+        state.add_rows(indices, delta)
         out = state.hand_over()
-        assert np.array_equal(out.data,
-                              initial + add_at(delta, indices, num_rows))
-        # The tensor handed to the pass is left alone.
-        assert np.array_equal(source.data, initial)
-        assert not np.shares_memory(out.data, source.data)
+        # Off the tape the pass is raw arrays throughout.
+        assert type(out) is np.ndarray
+        assert np.array_equal(out, initial + add_at(delta, indices, num_rows))
+        # The array handed to the pass is left alone.
+        assert np.array_equal(source, initial)
+        assert not np.shares_memory(out, source)
 
     def test_add_rows_rejects_repeated_rows(self):
-        state = RowState(Tensor(_rows(4)))
+        state = RowState(_rows(4))
         with pytest.raises(ValueError, match="distinct"):
-            state.add_rows(np.array([1, 1]), Tensor(_rows(2)))
+            state.add_rows(np.array([1, 1]), _rows(2))
 
     def test_row_state_refuses_everything_after_the_hand_over(self):
-        state = RowState(Tensor(_rows(4)))
+        state = RowState(_rows(4))
         out = state.hand_over()
-        before = out.data.copy()
+        assert type(out) is np.ndarray
+        before = out.copy()
         with pytest.raises(RuntimeError, match="handed over"):
-            state.add_rows(np.array([1]), Tensor(_rows(1)))
+            state.add_rows(np.array([1]), _rows(1))
         with pytest.raises(RuntimeError, match="handed over"):
             state.index_select(np.array([1]))
         with pytest.raises(RuntimeError, match="handed over"):
             state.hand_over()
-        assert np.array_equal(out.data, before)
+        assert np.array_equal(out, before)
 
     def test_in_place_rows_are_out_of_reach_of_every_other_tensor(self):
         """Only a ``RowState`` updates rows in place, and only in the
-        copy it made: not in a leaf, a parameter or an op's result
-        (whose ``data`` a recorded closure reads), taped or not."""
+        copy it made: not in a raw input, a leaf, a parameter or an op's
+        result (whose ``data`` a recorded closure reads), taped or not."""
         assert not hasattr(Tensor, "add_rows")
         weights = Tensor(_rows(3), requires_grad=True)
-        sources = [Tensor(_rows(4)), Tensor(_rows(4), requires_grad=True),
-                   Parameter(_rows(4)),
-                   (Tensor(_rows(4)) @ weights).leaky_relu()]
+        sources = [_rows(4), Tensor(_rows(4)),
+                   Tensor(_rows(4), requires_grad=True), Parameter(_rows(4)),
+                   T.leaky_relu(Tensor(_rows(4)) @ weights)]
         for source in sources:
-            before = source.data.copy()
+            array = T._data(source)
+            before = array.copy()
             state = RowState(source)
             state.add_rows(np.array([2, 0]), Tensor(_rows(2, seed=1)))
-            state.add_rows(np.array([3]), Tensor(_rows(1, seed=2)))
-            out = state.hand_over()
-            assert not np.shares_memory(out.data, source.data)
-            assert np.array_equal(source.data, before)
-            assert not np.array_equal(out.data, before)
+            state.add_rows(np.array([3]), _rows(1, seed=2))
+            out = T._data(state.hand_over())
+            assert not np.shares_memory(out, array)
+            assert np.array_equal(array, before)
+            assert not np.array_equal(out, before)
 
     def test_leaky_relu_equals_the_factor_form(self):
         """``max(x, slope * x)`` is the historical ``x * (1 or slope)``
@@ -385,7 +409,7 @@ class TestRowPrimitives:
         for slope in (0.01, 0.2, 1.0, 0.0, 1.5, -0.5):
             with np.errstate(invalid="ignore"):
                 expected = values * np.where(values > 0, 1.0, slope)
-                actual = Tensor(values).leaky_relu(slope).data
+                actual = T.leaky_relu(values, slope)
             np.testing.assert_array_equal(actual, expected)
             if slope != 0.0:  # -inf * 0 is nan either way
                 assert np.array_equal(np.signbit(actual),
@@ -398,19 +422,20 @@ class TestRowPrimitives:
         sums = rank_rounds(children, parents)
         reverse = rank_rounds(parents, children)
         check_gradient(
-            lambda ts: squared(ts[0].gather_sum(sums, 3, reverse)).sum(),
+            lambda ts: T.sum(squared(T.gather_sum(ts[0], sums, 3, reverse))),
             [_rows(4)])
         check_gradient(
-            lambda ts: squared(Tensor.scatter_rows(
+            lambda ts: T.sum(squared(T.scatter_rows(
                 [ts[0], ts[1]], [np.array([3, 0]), np.array([1])], 5,
-            )).sum(),
+            ))),
             [_rows(2), _rows(1, seed=1)])
         check_gradient(_two_updates, [_rows(3), _rows(2, seed=1)])
-        check_gradient(lambda ts: (ts[0] - ts[1] * 2.0).abs().sum(),
+        check_gradient(lambda ts: T.sum(T.abs(ts[0] - ts[1] * 2.0)),
                        [_rows(3), _rows(3, seed=1)])
-        check_gradient(lambda ts: ts[0].leaky_relu(0.2).sum(), [_rows(3)])
+        check_gradient(lambda ts: T.sum(T.leaky_relu(ts[0], 0.2)), [_rows(3)])
         check_gradient(
-            lambda ts: squared(ts[0].index_select(np.array([0, 0, 2]))).sum(),
+            lambda ts: T.sum(squared(T.index_select(ts[0],
+                                                    np.array([0, 0, 2])))),
             [_rows(3)])
 
 
@@ -423,51 +448,57 @@ def _two_updates(ts):
     before = state.index_select(np.array([0, 0, 1]))
     state.add_rows(np.array([2, 0]), ts[1])
     between = state.index_select(np.array([2, 1, 2]))
-    state.add_rows(np.array([0, 1]), ts[1] * between.index_select([0, 1]))
+    state.add_rows(np.array([0, 1]), ts[1] * T.index_select(between, [0, 1]))
     out = state.hand_over()
-    return squared(out).sum() + (before * between).sum()
+    return T.sum(squared(out)) + T.sum(before * between)
 
 
 class TestTapeFree:
-    """Under ``no_grad`` an op leaves nothing behind but its result."""
+    """Off the tape an op builds no ``Tensor``: it returns the raw array
+    its kernel computed, bit for bit the ``data`` of the taped result."""
 
     @staticmethod
     def _forward(weights, states):
+        """Every op of ``repro.nn.tensor`` once, ``RowState`` included."""
         children = np.array([0, 1, 1, 3])
         parents = np.array([1, 0, 1, 1])
         sums = rank_rounds(children, parents)
         reverse = rank_rounds(parents, children)
-        hidden = (states @ weights).leaky_relu()
+        hidden = T.leaky_relu(T.add(T.matmul(states, weights), 0.5))
+        hidden = T.linear(hidden, weights, np.full(3, 0.25))
         state = RowState(hidden)
         child_sum = state.gather_sum(sums, 2, reverse)
-        placed = Tensor.scatter_rows([child_sum], [np.array([2, 0])], 4)
+        placed = T.scatter_rows([child_sum], [np.array([2, 0])], 4)
         state.add_rows(np.array([3, 1]),
-                       child_sum - state.index_select([3, 1]))
+                       T.sub(child_sum, state.index_select([3, 1])))
         updated = state.hand_over()
-        stacked = Tensor.concat([placed, updated], axis=1)
-        return [hidden, child_sum, placed, updated, stacked,
-                stacked.reshape(-1).index_select(np.arange(2, 5)),
-                stacked.sum()]
+        stacked = T.concat([placed, T.relu(updated)], axis=1)
+        picked = T.index_select(T.reshape(stacked, -1), np.arange(2, 5))
+        scaled = T.mul(T.abs(picked), picked)
+        return [hidden, child_sum, placed, updated, stacked, picked, scaled,
+                T.sum(stacked, axis=0), T.mean(stacked, axis=1),
+                T.mean(scaled)]
 
     def test_nothing_is_recorded_and_a_taped_forward_still_learns(self):
         weights = Tensor(_rows(3), requires_grad=True)
-        states = Tensor(_rows(4))
+        states = _rows(4)
         with no_grad():
-            results = self._forward(weights, states)
-        for result in results:
-            assert result._parents == ()
-            assert result._backward is None
-            assert result.requires_grad is False
-        # Operands that need no grad leave nothing behind either.
-        for result in self._forward(Tensor(_rows(3)), states):
-            assert result._parents == () and result._backward is None
-
+            tape_free = self._forward(weights, states)
+        # Operands that need no grad take the raw path with recording on.
+        untaped = self._forward(Tensor(_rows(3)), Tensor(states))
         taped = self._forward(weights, states)
-        assert all(result.requires_grad for result in taped)
+        assert all(type(result) is Tensor and result.requires_grad
+                   for result in taped)
+        for results in (tape_free, untaped):
+            # A full reduction returns what numpy's does, a scalar.
+            *arrays, loss = results
+            assert all(type(array) is np.ndarray for array in arrays)
+            assert type(loss) is np.float64
+            for raw, recorded in zip(results, taped):
+                assert np.array_equal(raw, recorded.data)
+        assert weights.grad is None
         taped[-1].backward()
         assert weights.grad is not None and np.abs(weights.grad).sum() > 0
-        for tape_free, recorded in zip(results, taped):
-            assert np.array_equal(tape_free.data, recorded.data)
 
 
 class TestPassWork:
@@ -489,7 +520,7 @@ class TestPassWork:
                   for k in range(1, length)]
         tracemalloc.start()
         try:
-            bottom_up_pass(hidden, levels, lambda _: combine).sum().backward()
+            T.sum(bottom_up_pass(hidden, levels, lambda _: combine)).backward()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -520,8 +551,8 @@ def test_gather_sum_matches_add_at(edges, num_children, num_parents, seed):
     children = rng.integers(0, num_children, size=edges)
     parents = rng.integers(0, num_parents, size=edges)
     states = Tensor(rng.normal(size=(num_children, 4)), requires_grad=True)
-    out = states.gather_sum(rank_rounds(children, parents), num_parents,
-                            rank_rounds(parents, children))
+    out = T.gather_sum(states, rank_rounds(children, parents), num_parents,
+                       rank_rounds(parents, children))
     assert np.array_equal(
         out.data, add_at(states.data[children], parents, num_parents))
     upstream = rng.normal(size=(num_parents, 4))
@@ -535,31 +566,26 @@ def _functional_pass(hidden, levels, combine_of):
     state by a scatter into zeros plus a full-width add, and every
     gather's gradient comes back the same way (``add_at``)."""
     def gather(state, rows):
-        out = Tensor(state.data[rows])
-        if state.requires_grad:
-            out._record((state,), lambda grad: state._accumulate(
-                add_at(grad, rows, len(state.data))))
-        return out
+        return T._record(state.data[rows], (state,),
+                         lambda grad: state._accumulate(
+                             add_at(grad, rows, len(state.data))))
 
     def scatter(values, rows, num_rows):
-        out = Tensor(add_at(values.data, rows, num_rows))
-        if values.requires_grad:
-            out._record((values,),
-                        lambda grad: values._accumulate(grad[rows]))
-        return out
+        return T._record(add_at(values.data, rows, num_rows), (values,),
+                         lambda grad: values._accumulate(grad[rows]))
 
     for level in levels:
         num_parents = len(level.parent_ids)
         child_sum = scatter(gather(hidden, level.edge_child_ids),
                             level.edge_parent_slots, num_parents)
         parent_hidden = gather(hidden, level.parent_ids)
-        stacked = Tensor.concat([parent_hidden, child_sum], axis=1)
-        combined = Tensor.scatter_rows(
-            [combine_of(node_type)(stacked.index_select(slots))
+        stacked = T.concat([parent_hidden, child_sum], axis=1)
+        combined = T.scatter_rows(
+            [combine_of(node_type)(T.index_select(stacked, slots))
              for node_type, slots in level.type_slots.items()],
             list(level.type_slots.values()), num_parents)
         hidden = hidden + scatter(combined - parent_hidden,
-                                  level.parent_ids, len(hidden))
+                                  level.parent_ids, len(hidden.data))
     return hidden
 
 
@@ -598,7 +624,7 @@ def test_bottom_up_pass_matches_its_functional_twin(depth, width, fan_in,
                     for i, name in enumerate("ab")}
         hidden = Tensor(initial.copy(), requires_grad=True)
         out = pass_fn(hidden, levels, combines.__getitem__)
-        (out * readout).sum().backward()
+        T.sum(out * readout).backward()
         return [out.data, hidden.grad] + [
             parameter.grad for combine in combines.values()
             for parameter in combine.parameters()]
