@@ -9,7 +9,7 @@ nothing else:
   that returns a raw ``ndarray`` unless an operand is recording (a
   :class:`~repro.nn.tensor.Tensor` that requires grad, outside
   ``no_grad``), so an inference forward builds no ``Tensor``.  The op
-  set is ``add sub mul matmul`` (``+ - * @`` on a ``Tensor``),
+  set is ``add sub mul`` (``+ - *`` on a ``Tensor``, beside ``@``),
   ``linear`` (``x @ w + b``), ``abs``, ``relu``, ``leaky_relu``,
   ``sum``, ``mean``, ``reshape``, ``concat``, ``index_select`` and the
   row primitives of DAG message passing
@@ -29,7 +29,8 @@ nothing else:
 The rule (``tests/test_dependency_hygiene.py`` keeps it true): a name
 exported here, a public ``Tensor`` / ``RowState`` method or a field of
 the trainer and model configs exists only while code under ``src/repro``
-outside this package, or under ``bench/``, refers to it.  What only this
+outside this package, or under ``bench/``, refers to it; an op of
+:mod:`~repro.nn.tensor` only while code outside that module does.  What only this
 package uses (``Linear``, ``Sequential``, ``ReLU``, ``Parameter``,
 ``kaiming_uniform``) is imported from its module.
 

@@ -12,8 +12,9 @@ therefore builds no ``Tensor`` at all, and inference and training run
 one forward on the same kernels.  A full reduction off the tape returns
 what numpy's does, a numpy scalar.
 
-The ops are the ones the cost models need — ``add``, ``sub``, ``mul``,
-``matmul`` (``+ - * @`` on a ``Tensor``), ``linear`` (``x @ w + b``),
+The ops are the ones the cost models need — ``add``, ``sub``, ``mul``
+(``+ - *`` on a ``Tensor``; ``@`` is the private ``_matmul``),
+``linear`` (``x @ w + b``),
 ``abs``, ``relu``, ``leaky_relu``, ``sum``, ``mean``, ``reshape``,
 ``concat`` and the row primitives below — implemented fully
 (broadcasting-aware, with correct gradient reduction).  ``abs`` and
@@ -49,10 +50,10 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "RowState", "RowSums", "occurrence_ranks",
-           "rank_rounds", "add", "sub", "mul", "matmul", "linear", "abs",
-           "relu", "leaky_relu", "sum", "mean", "reshape", "concat",
-           "index_select", "gather_sum", "scatter_rows"]
+__all__ = ["Tensor", "no_grad", "RowState", "RowSums", "rank_rounds", "add",
+           "sub", "mul", "linear", "abs", "relu", "leaky_relu", "sum",
+           "mean", "reshape", "concat", "index_select", "gather_sum",
+           "scatter_rows"]
 
 _GRAD_ENABLED = True
 
@@ -142,10 +143,10 @@ class RowSums(NamedTuple):
     rounds: tuple[np.ndarray, ...]
 
 
-def occurrence_ranks(keys: np.ndarray) -> np.ndarray:
+def _occurrence_ranks(keys: np.ndarray) -> np.ndarray:
     """For every element, how many earlier elements carry the same key.
 
-    ``occurrence_ranks([7, 3, 7, 7, 3]) == [0, 0, 1, 2, 1]``: the rank
+    ``_occurrence_ranks([7, 3, 7, 7, 3]) == [0, 0, 1, 2, 1]``: the rank
     of an edge within its parent when ``keys`` are the parents of an
     edge list.
     """
@@ -168,7 +169,7 @@ def rank_rounds(sources: np.ndarray, targets: np.ndarray,
     """The :class:`RowSums` of the edge list ``sources[i] -> targets[i]``.
 
     Every target adds its sources in edge order — or, with ``ranks``
-    (see :func:`occurrence_ranks`), in the order the caller ranked them
+    (see :func:`_occurrence_ranks`), in the order the caller ranked them
     in before it reordered the edges.
     """
     sources = np.asarray(sources, dtype=np.int64)
@@ -180,7 +181,7 @@ def rank_rounds(sources: np.ndarray, targets: np.ndarray,
     if len(targets) == 0:
         return RowSums(targets, ())
     if ranks is None:
-        ranks = occurrence_ranks(targets)
+        ranks = _occurrence_ranks(targets)
     if not ranks.any():
         return RowSums(targets, (sources,))
     fan_in = np.bincount(targets)[targets]
@@ -344,7 +345,7 @@ class Tensor:
         return mul(self, other)
 
     def __matmul__(self, other):
-        return matmul(self, other)
+        return _matmul(self, other)
 
     def _accumulate(self, grad: np.ndarray) -> None:
         grad = _unbroadcast(grad, self.data.shape)
@@ -455,7 +456,7 @@ def _matmul_backward(a, b, grad: np.ndarray) -> None:
         b._accumulate(_stable_matmul(_data(a).swapaxes(-1, -2), grad))
 
 
-def matmul(a, b) -> Tensor | np.ndarray:
+def _matmul(a, b) -> Tensor | np.ndarray:
     """``a @ b`` through :func:`_stable_matmul`."""
     out = _stable_matmul(_data(a), _data(b))
     parents = _tape(a, b)
@@ -468,7 +469,7 @@ def linear(x, weight, bias) -> Tensor | np.ndarray:
     """``x @ weight + bias``, the affine map of a ``Linear`` layer.
 
     The bias is added into the fresh product in place: bit for bit
-    ``add(matmul(x, weight), bias)``, without its ``[n, out]`` temporary
+    ``add(_matmul(x, weight), bias)``, without its ``[n, out]`` temporary
     and its second dispatch, which at serving batch sizes are a
     measurable share of a forward.
     """

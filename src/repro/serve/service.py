@@ -9,7 +9,8 @@ overhead dwarfs the per-sample work at batch size one.
 
 * **micro-batching** — requests are featurized individually but pushed
   through the model in chunks of up to ``max_batch_size`` samples, so
-  the per-forward overhead amortizes across the batch;
+  the per-forward overhead amortizes across the batch; a request that
+  repeats one already in its chunk rides along without a forward row;
 * **encode caching** — the per-plan encode precompute (for the
   zero-shot model: the scaled
   :class:`~repro.featurize.batch.EncodedGraph` of ``encode_graph``) is
@@ -183,9 +184,28 @@ class CostModelService:
                             items: Sequence["PhysicalPlan | str | Any"]
                             ) -> np.ndarray:
         """Predicted log-runtimes for a batch of plans / queries / SQL."""
-        outputs = [self.estimator.predict_encoded(chunk)
+        outputs = [self._predict_distinct(chunk)
                    for chunk in self._encoded_chunks(items)]
         return np.concatenate(outputs) if outputs else np.zeros(0)
+
+    def _predict_distinct(self, chunk: list) -> np.ndarray:
+        """One micro-batch, each distinct request forwarded once.
+
+        Requests for one plan object or one SQL text share a cached
+        encoding; a prediction does not depend on what else rides in
+        the batch, so the copies take the answer of the first.
+        """
+        distinct = {id(encoded): encoded for encoded in chunk}
+        if len(distinct) == len(chunk):
+            return self.estimator.predict_encoded(chunk)
+        answers = np.asarray(
+            self.estimator.predict_encoded(list(distinct.values())))
+        if len(answers) != len(distinct):
+            raise ModelError(
+                f"estimator returned {len(answers)} predictions for "
+                f"{len(distinct)} distinct requests")
+        slot = {key: index for index, key in enumerate(distinct)}
+        return answers[[slot[id(encoded)] for encoded in chunk]]
 
     def predict_runtime(self, items: Sequence["PhysicalPlan | str | Any"]
                         ) -> np.ndarray:

@@ -18,7 +18,7 @@ from repro.nn.tensor import (
     RowSums,
     Tensor,
     no_grad,
-    occurrence_ranks,
+    _occurrence_ranks,
     rank_rounds,
 )
 
@@ -258,8 +258,8 @@ def _rows(count, seed=0, width=3):
 class TestRowPrimitives:
     def test_occurrence_ranks(self):
         np.testing.assert_array_equal(
-            occurrence_ranks(np.array([7, 3, 7, 7, 3])), [0, 0, 1, 2, 1])
-        assert occurrence_ranks(np.zeros(0, dtype=np.int64)).shape == (0,)
+            _occurrence_ranks(np.array([7, 3, 7, 7, 3])), [0, 0, 1, 2, 1])
+        assert _occurrence_ranks(np.zeros(0, dtype=np.int64)).shape == (0,)
 
     @pytest.mark.parametrize("name", sorted(INDEX_SETS))
     def test_index_select_backward_equals_add_at(self, name):
@@ -464,7 +464,7 @@ class TestTapeFree:
         parents = np.array([1, 0, 1, 1])
         sums = rank_rounds(children, parents)
         reverse = rank_rounds(parents, children)
-        hidden = T.leaky_relu(T.add(T.matmul(states, weights), 0.5))
+        hidden = T.leaky_relu(T.add(T._matmul(states, weights), 0.5))
         hidden = T.linear(hidden, weights, np.full(3, 0.25))
         state = RowState(hidden)
         child_sum = state.gather_sum(sums, 2, reverse)

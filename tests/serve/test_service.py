@@ -125,6 +125,32 @@ class TestBatchingAndCache:
         assert len(service._cache) == 4
         assert service.stats.cache_evictions == 6
 
+    def test_repeats_in_a_chunk_are_forwarded_once(self, service,
+                                                  estimator, executed):
+        """A plan object or SQL text asked for twice in one micro-batch
+        is one forward row; every copy gets its bit-identical answer."""
+        sql = "SELECT COUNT(*) FROM title t WHERE t.votes > 1000"
+        plans = [r.plan for r in executed[:3]]
+        items = [plans[0], sql, plans[1], plans[0], sql, plans[2], plans[0]]
+        reference = service.predict_runtime([plans[0], sql] + plans[1:])
+        forwarded = []
+        original = estimator.predict_encoded
+
+        def spy(encoded):
+            forwarded.append(len(encoded))
+            return original(encoded)
+
+        estimator.predict_encoded = spy
+        try:
+            served = service.predict_runtime(items)
+        finally:
+            del estimator.predict_encoded
+        assert forwarded == [4]
+        np.testing.assert_array_equal(
+            served, reference[[0, 1, 2, 0, 1, 3, 0]])
+        assert service.stats.requests == 11
+        assert service.stats.batches == 2
+
     def test_cache_disabled(self, estimator, tiny_imdb, executed):
         service = CostModelService(estimator, tiny_imdb, cache_entries=0)
         plans = [r.plan for r in executed[:3]]

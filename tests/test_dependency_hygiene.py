@@ -393,6 +393,25 @@ def test_learned_stack_name_has_a_user_outside_repro_nn(name, owner):
         f"repro.nn.__all__)")
 
 
+#: The ops of ``repro.nn.tensor``: the names its ``__all__`` holds and
+#: ``repro.nn`` does not re-export (those the rule above holds).
+TENSOR_OPS = [pytest.param(name, id=f"nn.tensor.{name}")
+              for name in repro.nn.tensor.__all__
+              if name not in repro.nn.__all__]
+
+
+@pytest.mark.parametrize("name", TENSOR_OPS)
+def test_tensor_op_has_a_user_outside_its_module(name):
+    """The ops took over from the public ``Tensor`` methods, and keep
+    their rule one module down: an op that only ``repro.nn.tensor``
+    itself (or a test) calls is made private or deleted."""
+    module = str(PACKAGE_ROOT / "nn" / "tensor.py")
+    assert _user_counts()[name] - (name in _names_by_user()[module]), (
+        f"repro.nn.tensor.{name} is referred to nowhere outside its module "
+        f"under src/repro, bench/ or examples/: delete it, or prefix it "
+        f"with an underscore")
+
+
 #: Every package but ``repro.nn``, which has the stricter rule above.
 GUARDED_PACKAGES = ("db", "engine", "experiments", "featurize", "models",
                     "optimizer", "plans", "runtime", "serve", "sql", "tuning",
@@ -494,6 +513,8 @@ def test_learned_stack_guard_sees_what_it_guards():
     assert "JoinHashTable" in _names_used_outside("optimizer")
     # The guard guards something: the lists it walks are not empty.
     assert {"RowState", "rank_rounds"} <= set(repro.nn.__all__)
+    assert {"abs", "gather_sum", "scatter_rows"} <= {
+        param.values[0] for param in TENSOR_OPS}
     assert {"backward", "item"} <= set(_public_methods(Tensor))
     assert "shape" not in _public_methods(Tensor)  # a property, not an op
     assert _public_methods(RowState) == [
