@@ -8,7 +8,7 @@ import weakref
 
 import numpy as np
 import pytest
-from serve_stubs import WAIT, LinearCostStub
+from serve_stubs import WAIT, LinearCostStub, ShortAnswerStub
 
 from repro.errors import ModelError
 from repro.models import TrainerConfig, get_estimator
@@ -150,6 +150,17 @@ class TestBatchingAndCache:
             served, reference[[0, 1, 2, 0, 1, 3, 0]])
         assert service.stats.requests == 11
         assert service.stats.batches == 2
+
+    def test_short_answer_for_the_distinct_requests(self, tiny_imdb,
+                                                    serve_plans):
+        """With repeats in a chunk the estimator answers its distinct
+        requests; an answer of another length is a ModelError naming
+        both sizes, as the server reports one without repeats."""
+        service = CostModelService(ShortAnswerStub(missing=1), tiny_imdb)
+        plans = serve_plans[:3]
+        with pytest.raises(ModelError,
+                           match="2 predictions for 3 distinct requests"):
+            service.predict_runtime(plans + plans[:1])
 
     def test_cache_disabled(self, estimator, tiny_imdb, executed):
         service = CostModelService(estimator, tiny_imdb, cache_entries=0)
