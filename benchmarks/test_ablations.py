@@ -8,10 +8,8 @@ vs flat pooling of the same features, and cardinality features vs none
 from repro.experiments.ablations import format_ablations, run_ablations
 
 
-def test_ablations(benchmark, context):
-    result = benchmark.pedantic(
-        lambda: run_ablations(context=context), rounds=1, iterations=1,
-    )
+def test_ablations(context):
+    result = run_ablations(context=context)
     print()
     print(format_ablations(result))
 

@@ -8,10 +8,8 @@ workload-driven model from scratch.
 from repro.experiments.fewshot_exp import format_fewshot, run_fewshot
 
 
-def test_fewshot_adaptation(benchmark, context):
-    result = benchmark.pedantic(
-        lambda: run_fewshot(context=context), rounds=1, iterations=1,
-    )
+def test_fewshot_adaptation(context):
+    result = run_fewshot(context=context)
     print()
     print(format_fewshot(result))
 

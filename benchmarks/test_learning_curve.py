@@ -12,13 +12,10 @@ from repro.experiments.learning_curve import (
 )
 
 
-def test_learning_curve(benchmark, context):
+def test_learning_curve(context):
     total = len(context.corpus.databases)
     counts = sorted({1, 2, max(total // 2, 3), total})
-    result = benchmark.pedantic(
-        lambda: run_learning_curve(context=context, database_counts=counts),
-        rounds=1, iterations=1,
-    )
+    result = run_learning_curve(context=context, database_counts=counts)
     print()
     print(format_learning_curve(result))
 

@@ -17,10 +17,8 @@ from repro.runtime import RuntimeSimulator
 from repro.workload import make_benchmark_workload
 
 
-def test_resource_prediction(benchmark, context):
-    result = benchmark.pedantic(
-        lambda: run_resources(context=context), rounds=1, iterations=1,
-    )
+def test_resource_prediction(context):
+    result = run_resources(context=context)
     print()
     print(format_resources(result))
     assert result["runtime"].median < 2.0
@@ -28,32 +26,27 @@ def test_resource_prediction(benchmark, context):
     assert result["io"].median < 6.0
 
 
-def test_zero_shot_plan_selection(benchmark, context):
+def test_zero_shot_plan_selection(context):
     selector = ZeroShotPlanSelector(
         context.imdb, context.estimator(CardinalitySource.ESTIMATED))
     queries = make_benchmark_workload(context.imdb, "scale", 25, seed=2024)
     executor = Executor(context.imdb)
     simulator = RuntimeSimulator(context.imdb, noise_sigma=0.0)
 
-    def select_and_measure():
-        chosen_seconds = []
-        classical_seconds = []
-        disagreements = 0
-        for query in queries:
-            choice = selector.choose(query)
-            for plan, bucket in ((choice.plan, chosen_seconds),
-                                 (choice.classical_plan, classical_seconds)):
-                plan.reset_actuals()
-                executor.execute(plan)
-                bucket.append(simulator.simulate(plan).total_seconds)
-            if not choice.agrees_with_classical:
-                disagreements += 1
-        return (float(np.sum(chosen_seconds)),
-                float(np.sum(classical_seconds)), disagreements)
-
-    chosen, classical, disagreements = benchmark.pedantic(
-        select_and_measure, rounds=1, iterations=1,
-    )
+    chosen_seconds = []
+    classical_seconds = []
+    disagreements = 0
+    for query in queries:
+        choice = selector.choose(query)
+        for plan, bucket in ((choice.plan, chosen_seconds),
+                             (choice.classical_plan, classical_seconds)):
+            plan.reset_actuals()
+            executor.execute(plan)
+            bucket.append(simulator.simulate(plan).total_seconds)
+        if not choice.agrees_with_classical:
+            disagreements += 1
+    chosen = float(np.sum(chosen_seconds))
+    classical = float(np.sum(classical_seconds))
     print(f"\nworkload runtime: zero-shot choice {chosen * 1e3:.1f} ms vs "
           f"classical optimizer {classical * 1e3:.1f} ms "
           f"({disagreements}/{len(queries)} plans changed)")

@@ -133,10 +133,9 @@ def test_rewrite_cuts_intermediate_rows(filter_heavy_db):
     )
 
 
-def test_rewrite_planning_latency(benchmark, filter_heavy_db):
-    """Rewrite + plan latency on the filter-heavy query (the rewrite
-    phase must stay a small fraction of planning time)."""
+def test_rewrite_planning_latency(filter_heavy_db):
+    """Rewrite + plan on the filter-heavy query records its firings
+    (its latency is ``optimizer.rewrite_ms`` of ``python3 -m bench``)."""
     planner = Planner(filter_heavy_db, PlannerOptions(enable_rewrites=True))
-    query = _filter_heavy_query()
-    plan = benchmark(planner.plan, query)
+    plan = planner.plan(_filter_heavy_query())
     assert plan.metadata["rewrite_trace"].firings

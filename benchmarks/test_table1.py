@@ -3,17 +3,22 @@
 Prints the paper's table layout (median / 95th / max per workload for
 both cardinality sources) and checks the shape: medians in the paper's
 ballpark, and the what-if Index row showing the heavier tail the paper
-reports.
+reports.  Both tests read one ``run_table1`` result, computed once per
+module.
 """
+
+import pytest
 
 from repro.experiments.table1 import format_table1, run_table1
 from repro.featurize.graph import CardinalitySource
 
 
-def test_table1_rows(benchmark, context):
-    result = benchmark.pedantic(
-        lambda: run_table1(context=context), rounds=1, iterations=1,
-    )
+@pytest.fixture(scope="module")
+def result(context):
+    return run_table1(context=context)
+
+
+def test_table1_rows(result):
     print()
     print(format_table1(result))
 
@@ -26,10 +31,7 @@ def test_table1_rows(benchmark, context):
             assert stats.median < 3.0
 
 
-def test_table1_index_row(benchmark, context):
-    result = benchmark.pedantic(
-        lambda: run_table1(context=context), rounds=1, iterations=1,
-    )
+def test_table1_index_row(result):
     index_exact = result["Index"][CardinalitySource.ACTUAL]
     plain_rows = [result[r][CardinalitySource.ACTUAL]
                   for r in ("Scale", "Synthetic", "JOB-light")]

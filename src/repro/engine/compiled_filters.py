@@ -5,8 +5,8 @@ over a whole column, and the interpreted conjunction evaluates every
 predicate that way, in query order.  What the compiled path gives a
 *single* evaluation is what pays: predicates ordered by selectivity
 rank, adaptive narrowing (later predicates read surviving rows only;
-the counted gate in ``benchmarks/test_perf_microbench.py`` holds the
-compared elements to a quarter of the interpreted walk's) and literals
+``benchmarks/test_perf_microbench.py`` counts the compared elements
+and holds them to a quarter of the interpreted walk's) and literals
 brought to the column's domain once (an int column is compared as
 ints, an IN list is sorted and deduplicated ahead of its one
 ``searchsorted``).  Reuse is *not* what pays: a workload runner's

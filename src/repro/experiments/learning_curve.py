@@ -7,7 +7,8 @@ the performance stagnated."*
 
 This driver retrains the zero-shot model on growing prefixes of the
 training fleet and reports the median Q-error on the unseen IMDB
-holdout (mixed over the three benchmark workloads).
+holdout (mixed over the three benchmark workloads).  The full fleet's
+point is the context's own model, trained on exactly that corpus.
 
 Corpus shards are collected once and reused across every fleet-size
 point: per-shard seeds depend only on ``(seed, shard_index)``, so the
@@ -86,10 +87,15 @@ def run_learning_curve(scale: ExperimentScale | None = None,
 
     result = LearningCurveResult()
     for count in database_counts:
-        estimator = ZeroShotEstimator(config=context.scale.zero_shot_config,
-                                      source=source)
-        estimator.fit_graphs(context.corpus.featurize(source, names[:count]),
-                             context.scale.zero_shot_trainer)
+        if count == len(names):
+            # The full fleet is the context's own training set.
+            estimator = context.estimator(source)
+        else:
+            estimator = ZeroShotEstimator(
+                config=context.scale.zero_shot_config, source=source)
+            estimator.fit_graphs(
+                context.corpus.featurize(source, names[:count]),
+                context.scale.zero_shot_trainer)
         stats = q_error_stats(
             clamp_predictions(
                 estimator.model.predict_runtime(evaluation_graphs)), truths)

@@ -51,8 +51,8 @@ Because inference is batch-size invariant (``_stable_matmul`` in
 ``CostEstimator.predict_runtime`` calls no matter how requests from
 different tenants are interleaved into batches —
 ``tests/serve/test_server.py`` asserts this under real thread
-interleavings and ``benchmarks/test_serving.py`` gates throughput and
-p99 latency under sustained multi-client traffic.
+interleavings and ``benchmarks/test_serving.py`` checks it, with p99
+latency, under sustained multi-client traffic.
 """
 
 from __future__ import annotations

@@ -38,6 +38,7 @@ from repro.experiments.resources import format_resources, run_resources
 from repro.experiments.setup import ExperimentScale, build_context
 from repro.experiments.table1 import format_table1, run_table1
 from repro.featurize.graph import CardinalitySource
+from repro.models import ZeroShotEstimator, clamp_predictions, q_error_stats
 from repro.workload import BENCHMARK_NAMES
 
 
@@ -186,13 +187,50 @@ class TestTable1:
 
 
 class TestLearningCurve:
-    def test_curve_improves(self, quick_context):
-        result = run_learning_curve(context=quick_context)
+    @pytest.fixture(scope="class")
+    def fits(self):
+        return []
+
+    @pytest.fixture(scope="class")
+    def result(self, quick_context, fits):
+        """One run for the class; its ``ZeroShotEstimator.fit_graphs``
+        calls are counted into ``fits``."""
+        fit_graphs = ZeroShotEstimator.fit_graphs
+
+        def counting_fit(estimator, graphs, *args, **kwargs):
+            fits.append(len(graphs))
+            return fit_graphs(estimator, graphs, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ZeroShotEstimator, "fit_graphs", counting_fit)
+            return run_learning_curve(context=quick_context)
+
+    def test_curve_improves(self, quick_context, result):
         assert result.database_counts[-1] == \
             quick_context.scale.num_training_databases
         assert result.median_q_errors[-1] <= result.median_q_errors[0] * 1.3
         assert result.improvement() > 0
         assert "Learning curve" in format_learning_curve(result)
+
+    def test_full_fleet_point_is_the_context_model(self, quick_context,
+                                                   result, fits):
+        """Every point but the full fleet's trains a model; that one is
+        ``context.estimator(ACTUAL)``, so its median is the context
+        model's, bit for bit."""
+        assert len(fits) == len(result.database_counts) - 1
+
+        source = CardinalitySource.ACTUAL
+        records = [record
+                   for records in quick_context.evaluation_records.values()
+                   for record in records]
+        graphs = ZeroShotEstimator(source=source).featurize(
+            [record.plan for record in records], quick_context.imdb)
+        predictions = quick_context.estimator(source).model.predict_runtime(
+            graphs)
+        stats = q_error_stats(
+            clamp_predictions(predictions),
+            np.array([record.runtime_seconds for record in records]))
+        assert result.median_q_errors[-1] == stats.median
 
     def test_too_many_databases_rejected(self, quick_context):
         with pytest.raises(ExperimentError):

@@ -1,6 +1,6 @@
 """Test-only reference forwards: the message passing as it was written
 before the rank-round row primitives, kept as the oracle they are
-tested (and, in ``benchmarks/test_perf_microbench.py``, timed) against.
+tested against (here and in ``benchmarks/test_perf_microbench.py``).
 
 ``reference_hidden_states`` is ``ZeroShotNet._hidden_states`` of the
 parent commit and ``reference_e2e_forward`` its copy in

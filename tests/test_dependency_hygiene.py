@@ -135,6 +135,71 @@ def test_deepcopy_guard_sees_what_it_guards(tmp_path):
         "copy.deepcopy:4", "cp.deepcopy:5", "from copy import deepcopy:3"]
 
 
+CLOCKS = {"perf_counter", "perf_counter_ns", "time", "time_ns", "monotonic",
+          "monotonic_ns"}
+
+
+def _clock_reads(path: Path) -> list[str]:
+    """Calls of a wall clock of ``time`` (under whatever name the module
+    imported it or the clock), and test functions that take the
+    ``benchmark`` fixture, by line."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    time_names = {
+        alias.asname or alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names if alias.name == "time"
+    }
+    clock_names = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "time"
+        for alias in node.names if alias.name in CLOCKS
+    }
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Attribute) and func.attr in CLOCKS
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id in time_names):
+                reads.append((node.lineno, f"{func.value.id}.{func.attr}"))
+            elif isinstance(func, ast.Name) and func.id in clock_names:
+                reads.append((node.lineno, func.id))
+        elif (isinstance(node, ast.FunctionDef)
+              and node.name.startswith("test")
+              and any(arg.arg == "benchmark" for arg in node.args.args)):
+            reads.append((node.lineno, f"{node.name}(benchmark)"))
+    return [f"{name}:{line}" for line, name in sorted(reads)]
+
+
+def test_tests_read_no_wall_clock():
+    """Tier-1 checks behaviour; ``python3 -m bench`` measures speed with
+    bounds.  A timer in a test re-measures what ``bench`` measures and
+    throws the number away, and a ratio asserted on it fails by the
+    machine's load.  Assert a count of work or a bit-identity instead."""
+    sources = [path for directory in ("tests", "benchmarks")
+               for path in sorted((REPO_ROOT / directory).rglob("*.py"))]
+    assert sources, f"no tests under {REPO_ROOT}"
+    offenders = {
+        str(path.relative_to(REPO_ROOT)): reads
+        for path in sources if (reads := _clock_reads(path))
+    }
+    assert not offenders, f"wall-clock reads in tests: {offenders}"
+
+
+def test_clock_guard_sees_what_it_guards(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("import time\nimport time as t\n"
+                      "from time import perf_counter as pc, sleep\n"
+                      "time.perf_counter()\nt.monotonic()\npc()\n"
+                      "time.time()\ntime.sleep(0.1)\nsleep(0.1)\n"
+                      "def test_timed(benchmark):\n    benchmark(f)\n"
+                      "def helper(benchmark):\n    pass\n")
+    assert _clock_reads(sample) == [
+        "time.perf_counter:4", "t.monotonic:5", "pc:6", "time.time:7",
+        "test_timed(benchmark):10"]
+
+
 #: Functions every featurizer and batcher must share, not re-define.
 SINGLE_DEFINITIONS = ({"levels"}, {"normalized_literal", "_normalized_literal"})
 
