@@ -45,6 +45,8 @@ from repro.nn import tensor as T
 from repro.nn.serialize import save_state
 from repro.models.trainer import (
     CoreCostModel,
+    TrainerConfig,
+    TrainingHistory,
     saved_config,
     standardization,
 )
@@ -112,13 +114,14 @@ def bottom_up_pass(hidden: Tensor | np.ndarray, levels: list[LevelSpec],
     hands in its per-type combine MLPs, the E2E tree net its single one.
     ``hidden`` is copied once and left alone; the levels update that
     one copy in place (:class:`repro.nn.RowState`).  Off the tape the
-    whole pass runs on raw ``ndarray`` values.
+    whole pass runs on raw ``ndarray`` values, and no level derives its
+    backward rounds (:attr:`LevelSpec.grad_sums`).
     """
     state = RowState(hidden)
     for level in levels:
         num_parents = len(level.parent_ids)
         child_sum = state.gather_sum(level.child_sums, num_parents,
-                                     level.grad_sums)
+                                     lambda level=level: level.grad_sums)
         parent_hidden = state.index_select(level.parent_ids)
         stacked = T.concat([parent_hidden, child_sum], axis=1)
         if len(level.type_slots) == 1:
@@ -215,7 +218,7 @@ class ZeroShotNet(Module):
         """(log-runtimes per graph, log-cardinalities per plan operator).
 
         One message-passing pass feeds both readouts; the cardinality
-        vector aligns row-for-row with ``batch.features["plan_op"]``.
+        vector aligns row-for-row with ``batch.plan_op_ids``.
         """
         if not self.config.cardinality_head:
             raise ModelError(
@@ -225,7 +228,7 @@ class ZeroShotNet(Module):
         hidden = self._hidden_states(batch)
         runtime = T.reshape(
             self.readout(T.index_select(hidden, batch.roots)), -1)
-        ops = T.index_select(hidden, batch.type_positions["plan_op"])
+        ops = T.index_select(hidden, batch.plan_op_ids)
         cardinalities = T.reshape(self.card_readout(ops), -1)
         return runtime, cardinalities
 
@@ -250,9 +253,11 @@ class ZeroShotCostModel(CoreCostModel):
         self.scalers: dict[str, StandardScaler] | None = None
         #: Encode-once discipline, level up: the structural half of a
         #: merged batch (level grouping, edge slots) depends only on
-        #: the graph list, so fixed train/validation batches and
-        #: repeated serving batches reuse it across calls instead of
-        #: re-deriving it each step.  Cache hits are bit-identical to
+        #: the graph list, so a labelled batch merged again — the same
+        #: graphs in the same order, as a fixed batch order re-merges
+        #: them every epoch — reuses it instead of re-deriving it.
+        #: Unlabelled merges (every estimator's and the serving tier's
+        #: predictions) bypass it.  Cache hits are bit-identical to
         #: fresh derivation (see ``featurize/batch.py``).
         self.level_cache = LevelPlanCache()
         #: Standardization of the per-operator log-cardinality *residual*
@@ -268,6 +273,17 @@ class ZeroShotCostModel(CoreCostModel):
 
     def collate(self, encoded: list[EncodedGraph]) -> GraphBatch:
         return merge_encoded(encoded, level_cache=self.level_cache)
+
+    def fit_weights(self, samples: list[PlanGraph],
+                    trainer: TrainerConfig | None = None
+                    ) -> TrainingHistory:
+        """:meth:`CoreCostModel.fit_weights`, then the level plans of the
+        run's batches are dropped from :attr:`level_cache`: prediction
+        bypasses the cache and a later run draws its batches anew, so
+        they would only pin the training graphs."""
+        history = super().fit_weights(samples, trainer)
+        self.level_cache.clear()
+        return history
 
     def check_training_samples(self, graphs: list[PlanGraph]) -> None:
         """Labels plus both directions of the system-node contract and,

@@ -611,7 +611,8 @@ def index_select(x, indices) -> Tensor | np.ndarray:
 
 
 def gather_sum(x, sums: RowSums, num_rows: int,
-               reverse: RowSums) -> Tensor | np.ndarray:
+               reverse: RowSums | Callable[[], RowSums]
+               ) -> Tensor | np.ndarray:
     """Row ``t`` of the ``[num_rows, ...]`` result sums the rows of
     ``x`` that ``sums`` routes to ``t`` — DeepSets child aggregation,
     with ``x`` the node states and ``t`` the parents of one level.
@@ -624,6 +625,9 @@ def gather_sum(x, sums: RowSums, num_rows: int,
     precomputed by whoever knows the structure
     (``repro.featurize.batch`` derives them with the level plan, the
     collate functions once per batch): no call sorts anything.
+    ``reverse`` may also be a function returning them, called only
+    when a backward pass reaches this op: a forward off the tape never
+    needs them.
     """
     data = _data(x)
     out = _place_rows(*_round_sums(data, sums, num_rows), num_rows)
@@ -631,7 +635,8 @@ def gather_sum(x, sums: RowSums, num_rows: int,
     if not parents:
         return out
     return _record(out, parents, lambda grad: x._accumulate_rows(
-        *_round_sums(grad, reverse, len(data))))
+        *_round_sums(grad, reverse() if callable(reverse) else reverse,
+                     len(data))))
 
 
 def scatter_rows(pieces: Sequence, index_sets: Sequence[np.ndarray],
@@ -714,7 +719,8 @@ class RowState:
         return index_select(self._live(), indices)
 
     def gather_sum(self, sums: RowSums, num_rows: int,
-                   reverse: RowSums) -> Tensor | np.ndarray:
+                   reverse: RowSums | Callable[[], RowSums]
+                   ) -> Tensor | np.ndarray:
         """:func:`gather_sum` over the current rows."""
         return gather_sum(self._live(), sums, num_rows, reverse)
 

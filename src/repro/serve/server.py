@@ -165,8 +165,18 @@ class PendingPrediction:
 
     def result(self, timeout: float | None = None) -> PredictionResponse:
         """Block for the response; raises :class:`ServeError` on
-        timeout, or the original estimator error if the batch failed."""
-        wait = -1 if timeout is None else max(timeout, 0)
+        timeout, or the original estimator error if the batch failed.
+
+        ``None``, ``inf`` and any timeout beyond what a lock can wait
+        (``threading.TIMEOUT_MAX``) wait without bound; a negative one
+        waits not at all; NaN is refused."""
+        if timeout is not None and math.isnan(timeout):
+            raise ServeError("result timeout must be a number of seconds "
+                             "or None, got nan")
+        if timeout is None or timeout > threading.TIMEOUT_MAX:
+            wait = -1
+        else:
+            wait = max(timeout, 0)
         if not self._unanswered.acquire(timeout=wait):
             raise ServeError(
                 f"prediction not answered within {timeout}s (server "

@@ -152,22 +152,31 @@ class TestCacheMechanics:
 class TestModelIntegration:
     def test_model_predictions_unchanged_by_cache(self, tiny_imdb,
                                                   encoded_graphs):
-        """Predictions through the model's own level cache equal a
-        cache-free merge driven through the same forward pass."""
+        """``fit`` merges its labelled batches through the model's level
+        cache and leaves it empty; prediction merges unlabelled graphs,
+        which bypass it, and predicts the same after ``clear()``."""
         queries = generate_workload(tiny_imdb, WorkloadSpec(num_queries=8,
                                                             seed=23))
         featurizer = ZeroShotFeaturizer(CardinalitySource.ESTIMATED)
-        graphs = []
+        plans = []
         for query in queries:
             plan = plan_query(tiny_imdb, query)
             execute_plan(tiny_imdb, plan)
-            graphs.append(featurizer.featurize(
-                plan, tiny_imdb, target_runtime_seconds=0.01))
+            plans.append(plan)
         model = ZeroShotCostModel(ZeroShotConfig(hidden_dim=16))
-        model.fit(graphs, TrainerConfig(epochs=2, batch_size=4))
-        encoded = encode_graphs(graphs, model.scalers)
-        cached = model.predict_log_from_encoded(encoded)
-        assert model.level_cache.hits + model.level_cache.misses > 0
+        model.fit([featurizer.featurize(plan, tiny_imdb,
+                                        target_runtime_seconds=0.01)
+                   for plan in plans],
+                  TrainerConfig(epochs=2, batch_size=4))
+        assert model.level_cache.misses > 0
+        assert len(model.level_cache) == 0
+        counted = (model.level_cache.hits, model.level_cache.misses)
+
+        encoded = model.encode([featurizer.featurize(plan, tiny_imdb)
+                                for plan in plans])
+        before = model.predict_log_from_encoded(encoded)
+        assert (model.level_cache.hits, model.level_cache.misses) == counted
         model.level_cache.clear()
-        uncached = model.predict_log_from_encoded(encoded)
-        np.testing.assert_array_equal(cached, uncached)
+        np.testing.assert_array_equal(
+            model.predict_log_from_encoded(encoded), before)
+        assert (model.level_cache.hits, model.level_cache.misses) == counted

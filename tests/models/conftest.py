@@ -1,14 +1,20 @@
-"""Shared model-test fixtures: a small labelled corpus on two databases."""
+"""Shared model-test fixtures: a small labelled corpus on two databases
+and the frozen plan set of the featurize goldens."""
 
 import numpy as np
 import pytest
 
-from repro.db import SyntheticDatabaseSpec, generate_database
+from repro.db import (
+    SyntheticDatabaseSpec,
+    generate_database,
+    make_imdb_database,
+)
 from repro.engine import execute_plan
 from repro.featurize import CardinalitySource, ZeroShotFeaturizer
 from repro.optimizer import plan_query
 from repro.runtime import RuntimeSimulator
 from repro.sql import parse_query
+from repro.workload import make_benchmark_workload
 
 
 def _simple_queries(db, count, seed):
@@ -59,3 +65,15 @@ def training_dbs():
 @pytest.fixture(scope="module")
 def labelled_graphs(training_dbs):
     return build_labelled_graphs(training_dbs, 50, CardinalitySource.ACTUAL)
+
+
+@pytest.fixture(scope="module")
+def golden_plans():
+    """The plan set of ``tests/featurize/test_goldens.py``."""
+    database = make_imdb_database(scale=0.04, seed=7)
+    queries = (make_benchmark_workload(database, "scale", 4, seed=13) +
+               make_benchmark_workload(database, "job-light", 4, seed=13))
+    plans = [plan_query(database, query) for query in queries]
+    for plan in plans:
+        execute_plan(database, plan)
+    return database, plans

@@ -4,12 +4,14 @@ tested against (here and in ``benchmarks/test_perf_microbench.py``).
 
 ``reference_hidden_states`` is ``ZeroShotNet._hidden_states`` of the
 parent commit and ``reference_e2e_forward`` its copy in
-``E2ENet.forward``, verbatim but for two things: ``self`` is the
+``E2ENet.forward``, verbatim but for three things: ``self`` is the
 network passed in, ``x.scatter_add(indices, n)`` is spelled
 ``_scatter_add(x, indices, n)`` — the literal ``np.zeros`` +
 ``np.add.at`` that method used to be, on values — and the ``Tensor``
 methods and operators of that commit are spelled as the
-``repro.nn.tensor`` functions that replaced them.  Not a second forward
+``repro.nn.tensor`` functions that replaced them; per-operator rows are
+read through ``batch.plan_op_ids``, which names each operator's node
+also in a batch that shares subtrees.  Not a second forward
 of the library: nothing under ``src/`` imports this.
 """
 
@@ -74,7 +76,7 @@ def reference_forward_with_cardinalities(net, batch
                                          ) -> tuple[Tensor, Tensor]:
     hidden = reference_hidden_states(net, batch)
     runtime = T.reshape(net.readout(T.index_select(hidden, batch.roots)), -1)
-    ops = T.index_select(hidden, batch.type_positions["plan_op"])
+    ops = T.index_select(hidden, batch.plan_op_ids)
     cardinalities = T.reshape(net.card_readout(ops), -1)
     return runtime, cardinalities
 

@@ -17,30 +17,14 @@ from reference_forward import (
     reference_forward_with_cardinalities,
 )
 
-from repro.db import make_imdb_database
-from repro.engine import execute_plan
 from repro.featurize import CardinalitySource, ZeroShotFeaturizer
 from repro.featurize.batch import encode_graphs, fit_scalers, merge_encoded
 from repro.featurize.e2e import E2EFeaturizer
 from repro.models.e2e import E2EConfig, E2ECostModel, E2ENet
 from repro.models.zero_shot import ZeroShotConfig, ZeroShotNet
 from repro.nn import no_grad
-from repro.optimizer import plan_query
-from repro.workload import make_benchmark_workload
 
 BATCH_SIZES = (1, 16, 64)
-
-
-@pytest.fixture(scope="module")
-def golden_plans():
-    """The plan set of ``tests/featurize/test_goldens.py``."""
-    database = make_imdb_database(scale=0.04, seed=7)
-    queries = (make_benchmark_workload(database, "scale", 4, seed=13) +
-               make_benchmark_workload(database, "job-light", 4, seed=13))
-    plans = [plan_query(database, query) for query in queries]
-    for plan in plans:
-        execute_plan(database, plan)
-    return database, plans
 
 
 def _random_batches(samples, seed):

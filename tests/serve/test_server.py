@@ -10,6 +10,7 @@ run; all randomized interleavings are seeded.  Run with
 
 import ctypes
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -101,6 +102,39 @@ class TestValidationAndLifecycle:
             assert not pending.done()
             stub.release.set()
             assert pending.result(WAIT).runtime > 0
+
+    @pytest.mark.parametrize("timeout", [math.inf,
+                                         2 * threading.TIMEOUT_MAX],
+                             ids=["inf", "beyond_timeout_max"])
+    def test_unbounded_result_timeout_waits(self, tiny_imdb, serve_plans,
+                                            timeout):
+        """``inf``, and a finite timeout no lock can wait, wait for the
+        answer without bound: for a request still in its batch, for one
+        already answered and through ``predict_runtime``."""
+        stub = GatedStub()
+        service = CostModelService(stub, tiny_imdb, max_batch_size=8)
+        with PredictionServer(service, max_wait_ms=0.0) as server:
+            pending = server.submit(serve_plans[0])
+            assert stub.entered.wait(WAIT)
+            releaser = threading.Timer(0.05, stub.release.set)
+            releaser.start()
+            try:
+                answered = pending.result(timeout)
+            finally:
+                releaser.join()
+            assert pending.result(timeout) is answered
+            assert server.predict_runtime(serve_plans[1],
+                                          timeout=timeout).runtime > 0
+
+    def test_nan_result_timeout_is_refused(self, tiny_imdb, serve_plans):
+        service = CostModelService(LinearCostStub(), tiny_imdb)
+        with PredictionServer(service, max_wait_ms=0.0) as server:
+            pending = server.submit(serve_plans[0])
+            assert pending.result(WAIT).runtime > 0
+            with pytest.raises(ServeError, match="nan"):
+                pending.result(float("nan"))
+            with pytest.raises(ServeError, match="nan"):
+                server.predict_runtime(serve_plans[0], timeout=float("nan"))
 
 
 # ----------------------------------------------------------------------
