@@ -1,9 +1,26 @@
-"""Experiment drivers at quick scale: structure and qualitative shape.
+"""Experiment drivers at quick scale: structure, shape and exact numbers.
 
-These tests assert the *shape* of the paper's results, not absolute
-numbers (quick scale is deliberately small); the benchmark suite runs
-the same drivers at full benchmark scale.
+Most tests assert the *shape* of the paper's results (quick scale is
+deliberately small; the benchmark suite runs the same drivers at full
+benchmark scale).  ``test_fidelity_matches_golden`` pins every number
+the eight drivers return at quick scale **exactly**, in
+``tests/experiments/goldens/fidelity.json``: a change that moves a
+figure of Figure 3, Table 1, the learning curve, few-shot adaptation,
+the ablations, resource, cardinality or hardware transfer lists each
+moved key as ``old -> new``.  Each driver runs once, in its
+module-scoped fixture, and the shape tests read the same result.
+
+If a numerical change is *intentional*, regenerate the snapshot and
+commit it together with the change::
+
+    PYTHONPATH=src python tests/experiments/test_experiments.py --regen
 """
+
+import dataclasses
+import enum
+import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,10 +58,124 @@ from repro.featurize.graph import CardinalitySource
 from repro.models import ZeroShotEstimator, clamp_predictions, q_error_stats
 from repro.workload import BENCHMARK_NAMES
 
+GOLDEN_PATH = Path(__file__).resolve().parent / "goldens" / "fidelity.json"
+
+REGEN_HINT = (
+    "experiment numbers changed; if intentional, regenerate the snapshot "
+    "with `PYTHONPATH=src python tests/experiments/test_experiments.py "
+    "--regen`, commit it with the change and quote the moved keys in "
+    "CHANGES.md"
+)
+
+#: Every driver, as one call on the quick context, in the order the
+#: tests below first read their results.
+DRIVERS = {
+    "figure3": lambda context: run_figure3(context=context),
+    "table1": lambda context: run_table1(context=context),
+    "learning_curve": lambda context: run_learning_curve(context=context),
+    "fewshot": lambda context: run_fewshot(context=context),
+    "resources": lambda context: run_resources(context=context),
+    "cardinality": lambda context: run_cardinality(context=context),
+    # Collects and trains its own two fleets: reads no context.
+    "hardware": lambda context: run_hardware(ExperimentScale.quick()),
+    "ablations": lambda context: run_ablations(context=context),
+}
+
+
+def flatten(value, path: str) -> dict[str, float]:
+    """``{"<path>/<field or key or index>...": number}`` of a driver's
+    result: dataclasses by field, dicts by key (enum keys by value),
+    lists by index; strings and ``None`` carry no number."""
+    if value is None or isinstance(value, str):
+        return {}
+    if dataclasses.is_dataclass(value):
+        items = ((field.name, getattr(value, field.name))
+                 for field in dataclasses.fields(value))
+    elif isinstance(value, dict):
+        items = ((key.value if isinstance(key, enum.Enum) else key, item)
+                 for key, item in value.items())
+    elif isinstance(value, (list, tuple)):
+        items = enumerate(value)
+    else:
+        return {path: float(value)}
+    flat = {}
+    for key, item in items:
+        flat.update(flatten(item, f"{path}/{key}"))
+    return flat
+
+
+def regenerate() -> None:
+    context = build_context(ExperimentScale.quick(), use_cache=False)
+    numbers = {}
+    for name, run in DRIVERS.items():
+        numbers.update(flatten(run(context), name))
+    GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
+    with open(GOLDEN_PATH, "w") as handle:
+        # ``json`` writes floats with ``repr``, which round-trips every
+        # double exactly.
+        json.dump(numbers, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    print(f"wrote {GOLDEN_PATH}")
+
 
 @pytest.fixture(scope="module")
 def quick_context():
     return build_context(ExperimentScale.quick())
+
+
+@pytest.fixture(scope="module")
+def figure3_result(quick_context):
+    return DRIVERS["figure3"](quick_context)
+
+
+@pytest.fixture(scope="module")
+def table1_result(quick_context):
+    return DRIVERS["table1"](quick_context)
+
+
+@pytest.fixture(scope="module")
+def learning_curve_fits():
+    return []
+
+
+@pytest.fixture(scope="module")
+def learning_curve_result(quick_context, learning_curve_fits):
+    """The one run; its ``ZeroShotEstimator.fit_graphs`` calls are
+    counted into ``learning_curve_fits``."""
+    fit_graphs = ZeroShotEstimator.fit_graphs
+
+    def counting_fit(estimator, graphs, *args, **kwargs):
+        learning_curve_fits.append(len(graphs))
+        return fit_graphs(estimator, graphs, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ZeroShotEstimator, "fit_graphs", counting_fit)
+        return DRIVERS["learning_curve"](quick_context)
+
+
+@pytest.fixture(scope="module")
+def fewshot_result(quick_context):
+    return DRIVERS["fewshot"](quick_context)
+
+
+@pytest.fixture(scope="module")
+def resources_result(quick_context):
+    return DRIVERS["resources"](quick_context)
+
+
+@pytest.fixture(scope="module")
+def cardinality_result(quick_context):
+    return DRIVERS["cardinality"](quick_context)
+
+
+@pytest.fixture(scope="module")
+def hardware_result():
+    return DRIVERS["hardware"](None)
+
+
+@pytest.fixture(scope="module")
+def ablations_result(quick_context):
+    return DRIVERS["ablations"](quick_context)
 
 
 class TestSetup:
@@ -114,9 +245,9 @@ class TestSetup:
 
 
 class TestFigure3:
-    @pytest.fixture(scope="class")
-    def result(self, quick_context):
-        return run_figure3(context=quick_context)
+    @pytest.fixture
+    def result(self, figure3_result):
+        return figure3_result
 
     def test_all_series_present(self, result, quick_context):
         assert result.budgets == list(quick_context.scale.training_budgets)
@@ -160,9 +291,9 @@ class TestFigure3:
 
 
 class TestTable1:
-    @pytest.fixture(scope="class")
-    def result(self, quick_context):
-        return run_table1(context=quick_context)
+    @pytest.fixture
+    def result(self, table1_result):
+        return table1_result
 
     def test_all_rows_present(self, result):
         assert tuple(result) == ("Scale", "Synthetic", "JOB-light", "Index")
@@ -187,23 +318,13 @@ class TestTable1:
 
 
 class TestLearningCurve:
-    @pytest.fixture(scope="class")
-    def fits(self):
-        return []
+    @pytest.fixture
+    def result(self, learning_curve_result):
+        return learning_curve_result
 
-    @pytest.fixture(scope="class")
-    def result(self, quick_context, fits):
-        """One run for the class; its ``ZeroShotEstimator.fit_graphs``
-        calls are counted into ``fits``."""
-        fit_graphs = ZeroShotEstimator.fit_graphs
-
-        def counting_fit(estimator, graphs, *args, **kwargs):
-            fits.append(len(graphs))
-            return fit_graphs(estimator, graphs, *args, **kwargs)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ZeroShotEstimator, "fit_graphs", counting_fit)
-            return run_learning_curve(context=quick_context)
+    @pytest.fixture
+    def fits(self, learning_curve_fits):
+        return learning_curve_fits
 
     def test_curve_improves(self, quick_context, result):
         assert result.database_counts[-1] == \
@@ -239,8 +360,8 @@ class TestLearningCurve:
 
 
 class TestFewShot:
-    def test_fewshot_beats_scratch_at_small_budget(self, quick_context):
-        result = run_fewshot(context=quick_context)
+    def test_fewshot_beats_scratch_at_small_budget(self, fewshot_result):
+        result = fewshot_result
         assert len(result.fewshot_medians) == len(result.budgets)
         # At the smallest budget, fine-tuning must beat training from
         # scratch (the paper's few-shot argument).
@@ -249,8 +370,8 @@ class TestFewShot:
 
 
 class TestResources:
-    def test_resource_targets_predicted(self, quick_context):
-        result = run_resources(context=quick_context)
+    def test_resource_targets_predicted(self, resources_result):
+        result = resources_result
         assert set(result) == {"runtime", "memory", "io"}
         for stats in result.values():
             assert stats.median >= 1.0
@@ -258,9 +379,9 @@ class TestResources:
 
 
 class TestCardinality:
-    @pytest.fixture(scope="class")
-    def result(self, quick_context):
-        return run_cardinality(context=quick_context)
+    @pytest.fixture
+    def result(self, cardinality_result):
+        return cardinality_result
 
     def test_learned_no_worse_than_heuristic_on_held_out(self, result):
         """The acceptance gate: on the held-out correlated IMDB data the
@@ -301,9 +422,9 @@ class TestCardinality:
 
 
 class TestHardware:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return run_hardware(ExperimentScale.quick())
+    @pytest.fixture
+    def result(self, hardware_result):
+        return hardware_result
 
     @pytest.mark.hardware
     def test_multi_config_transfers_better(self, result):
@@ -340,8 +461,8 @@ class TestHardware:
 
 
 class TestAblations:
-    def test_ablation_variants(self, quick_context):
-        result = run_ablations(context=quick_context)
+    def test_ablation_variants(self, ablations_result):
+        result = ablations_result
         expected = {"graph (full model)", "graph (estimated cardinalities)",
                     "flat (no message passing)",
                     "graph (no cardinality features)"}
@@ -352,3 +473,25 @@ class TestAblations:
         # the corpus moving by one row took the full model 1.79 -> 2.12
         # beside 1.86 without cardinality features.
         assert "Ablations" in format_ablations(result)
+
+
+@pytest.mark.parametrize("driver", list(DRIVERS))
+def test_fidelity_matches_golden(driver, request):
+    """Every number the driver returns at quick scale equals the pinned
+    one, bit for bit; a failure lists each moved key as ``old -> new``."""
+    fresh = flatten(request.getfixturevalue(f"{driver}_result"), driver)
+    with open(GOLDEN_PATH) as handle:
+        golden = {key: value for key, value in json.load(handle).items()
+                  if key.startswith(f"{driver}/")}
+    moved = [f"{key}: {golden.get(key)} -> {fresh.get(key)}"
+             for key in sorted(golden.keys() | fresh.keys())
+             if golden.get(key) != fresh.get(key)]
+    assert not moved, "\n".join([REGEN_HINT, *moved])
+
+
+if __name__ == "__main__":
+    if "--regen" in sys.argv:
+        regenerate()
+    else:
+        print(__doc__)
+        sys.exit(1)
