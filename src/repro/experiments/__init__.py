@@ -25,7 +25,13 @@ Each driver module holds its result, its ``run_*``, the ``format_*``
 that renders the result as text and the ``main`` of its console
 script.  Every driver accepts an
 :class:`~repro.experiments.setup.ExperimentScale` so the same code runs
-at test scale, benchmark scale or paper scale.
+at test scale, benchmark scale or paper scale.  Every driver evaluates
+through one path: a driver that pools the three benchmarks reads its
+plans and truths from
+:meth:`~repro.experiments.setup.ExperimentContext.pooled_evaluation`,
+and every Q-error summary is
+:func:`~repro.experiments.setup.score` (predictions clamped, then
+summarised).
 
 The package imports none of them: import from the modules
 (``repro.experiments.setup.build_context``,

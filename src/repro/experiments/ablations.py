@@ -14,25 +14,19 @@ from __future__ import annotations
 
 import copy
 
-import numpy as np
-
 from repro.experiments.setup import (
     ExperimentContext,
     ExperimentScale,
     build_context,
     experiment_main,
+    score,
 )
 from repro.featurize.graph import (
     CARDINALITY_FEATURE_INDEX,
     CardinalitySource,
     PlanGraph,
 )
-from repro.models import (
-    FlatVectorCostModel,
-    ZeroShotEstimator,
-    clamp_predictions,
-    q_error_stats,
-)
+from repro.models import FlatVectorCostModel, ZeroShotEstimator
 from repro.models.metrics import QErrorStats
 
 __all__ = ["run_ablations", "format_ablations"]
@@ -60,13 +54,7 @@ def run_ablations(scale: ExperimentScale | None = None,
     train_graphs = context.corpus.featurize(source)
 
     full = context.estimator(source)
-    evaluation_plans = []
-    truths = []
-    for records in context.evaluation_records.values():
-        for record in records:
-            evaluation_plans.append(record.plan)
-            truths.append(record.runtime_seconds)
-    truths = np.array(truths)
+    evaluation_plans, truths = context.pooled_evaluation()
     # Raw (unscaled) evaluation graphs, via the estimator's own
     # featurization adapter — the ablations transform them below.
     evaluation_graphs = full.featurize(evaluation_plans, context.imdb)
@@ -75,33 +63,30 @@ def run_ablations(scale: ExperimentScale | None = None,
 
     # Full model (graph + message passing + cardinalities), over the
     # already-featurized evaluation graphs.
-    result["graph (full model)"] = q_error_stats(
-        clamp_predictions(full.model.predict_runtime(evaluation_graphs)),
-        truths)
+    result["graph (full model)"] = score(
+        full.model.predict_runtime(evaluation_graphs), truths)
 
     # Estimated-cardinality variant (the deployable configuration) —
     # featurized separately: its cardinality features differ.
     estimated = context.estimator(CardinalitySource.ESTIMATED)
     estimated_graphs = estimated.featurize(evaluation_plans, context.imdb)
-    result["graph (estimated cardinalities)"] = q_error_stats(
-        clamp_predictions(
-            estimated.model.predict_runtime(estimated_graphs)), truths)
+    result["graph (estimated cardinalities)"] = score(
+        estimated.model.predict_runtime(estimated_graphs), truths)
 
     # Flat featurization: same features, structure pooled away.
     flat = FlatVectorCostModel(seed=context.scale.seed)
     flat.fit(train_graphs, context.scale.zero_shot_trainer)
-    result["flat (no message passing)"] = q_error_stats(
-        clamp_predictions(flat.predict_runtime(evaluation_graphs)), truths)
+    result["flat (no message passing)"] = score(
+        flat.predict_runtime(evaluation_graphs), truths)
 
     # No cardinality features: the model must guess selectivities.
     no_card = ZeroShotEstimator(config=context.scale.zero_shot_config,
                                 source=source)
     no_card.fit_graphs(_strip_cardinalities(train_graphs),
                        context.scale.zero_shot_trainer)
-    result["graph (no cardinality features)"] = q_error_stats(
-        clamp_predictions(no_card.model.predict_runtime(
-            _strip_cardinalities(evaluation_graphs))),
-        truths)
+    result["graph (no cardinality features)"] = score(
+        no_card.model.predict_runtime(
+            _strip_cardinalities(evaluation_graphs)), truths)
 
     return result
 

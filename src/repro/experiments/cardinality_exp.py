@@ -28,9 +28,10 @@ from repro.experiments.setup import (
     ExperimentScale,
     build_context,
     experiment_main,
+    score,
 )
 from repro.featurize.vocabulary import scan_predicates
-from repro.models import clamp_predictions, q_error_stats
+from repro.models import clamp_predictions
 from repro.models.cardinality import (
     ZeroShotCardinalityEstimator,
     record_cardinalities,
@@ -158,19 +159,17 @@ def run_cardinality(scale: ExperimentScale | None = None,
         truth = np.concatenate(actual)
         mask = np.concatenate(masks)
         result.per_benchmark[benchmark] = {
-            "heuristic": q_error_stats(
-                np.concatenate(heuristic)[mask], truth[mask]),
-            "learned": q_error_stats(
-                np.concatenate(learned)[mask], truth[mask]),
+            "heuristic": score(np.concatenate(heuristic)[mask], truth[mask]),
+            "learned": score(np.concatenate(learned)[mask], truth[mask]),
         }
     truth = np.concatenate(all_actual)
     heuristic = np.concatenate(all_heuristic)
     learned = np.concatenate(all_learned)
     mask = np.concatenate(all_masks)
-    result.heuristic = q_error_stats(heuristic[mask], truth[mask])
-    result.learned = q_error_stats(learned[mask], truth[mask])
-    result.heuristic_all = q_error_stats(heuristic, truth)
-    result.learned_all = q_error_stats(learned, truth)
+    result.heuristic = score(heuristic[mask], truth[mask])
+    result.learned = score(learned[mask], truth[mask])
+    result.heuristic_all = score(heuristic, truth)
+    result.learned_all = score(learned, truth)
 
     # ------------------------------------------------------------------
     # Plan quality: re-plan and re-run the evaluation queries with each

@@ -16,14 +16,10 @@ from repro.experiments.setup import (
     ExperimentScale,
     build_context,
     experiment_main,
+    score,
 )
 from repro.featurize.graph import CardinalitySource
-from repro.models import (
-    TrainerConfig,
-    clamp_predictions,
-    get_estimator,
-    q_error_stats,
-)
+from repro.models import CostEstimator, TrainerConfig, get_estimator
 
 __all__ = ["FewShotResult", "run_fewshot", "format_fewshot"]
 
@@ -56,11 +52,12 @@ def run_fewshot(scale: ExperimentScale | None = None,
                         for r in context.evaluation_records["job-light"]]
     truths = context.evaluation_truths("job-light")
 
+    def median(estimator: CostEstimator) -> float:
+        return score(estimator.predict_runtime(evaluation_plans,
+                                               context.imdb), truths).median
+
     result = FewShotResult(budgets=budgets)
-    result.zero_shot_median = q_error_stats(
-        clamp_predictions(base.predict_runtime(evaluation_plans,
-                                               context.imdb)), truths
-    ).median
+    result.zero_shot_median = median(base)
 
     for budget in budgets:
         support = context.imdb_pool[:budget]
@@ -71,19 +68,13 @@ def run_fewshot(scale: ExperimentScale | None = None,
             batch_size=min(16, budget), validation_fraction=0.0,
             early_stopping_patience=25, seed=context.scale.seed,
         ))
-        result.fewshot_medians.append(q_error_stats(
-            clamp_predictions(tuned.predict_runtime(evaluation_plans,
-                                                    context.imdb)), truths
-        ).median)
+        result.fewshot_medians.append(median(tuned))
 
         # From scratch: E2E on the same queries (its adapter prices
         # out-of-vocabulary plans at the training-median runtime).
         e2e = get_estimator("e2e").fit(support, context.imdb,
                                        context.scale.baseline_trainer)
-        result.from_scratch_medians.append(q_error_stats(
-            clamp_predictions(e2e.predict_runtime(evaluation_plans,
-                                                  context.imdb)), truths
-        ).median)
+        result.from_scratch_medians.append(median(e2e))
     return result
 
 

@@ -22,14 +22,10 @@ from repro.experiments.setup import (
     ExperimentScale,
     build_context,
     experiment_main,
+    score,
 )
 from repro.featurize.graph import CardinalitySource
-from repro.models import (
-    CostEstimator,
-    clamp_predictions,
-    get_estimator,
-    q_error_stats,
-)
+from repro.models import CostEstimator, get_estimator
 from repro.models.metrics import QErrorStats
 from repro.workload import BENCHMARK_NAMES, WorkloadRunner
 
@@ -63,11 +59,10 @@ class Figure3Result:
 # ----------------------------------------------------------------------
 def evaluate_zero_shot(context: ExperimentContext, benchmark: str,
                        source: CardinalitySource) -> QErrorStats:
-    records = context.evaluation_records[benchmark]
-    estimator = context.estimator(source)
-    predictions = clamp_predictions(
-        estimator.predict_runtime([r.plan for r in records], context.imdb))
-    return q_error_stats(predictions, context.evaluation_truths(benchmark))
+    plans = [r.plan for r in context.evaluation_records[benchmark]]
+    return score(
+        context.estimator(source).predict_runtime(plans, context.imdb),
+        context.evaluation_truths(benchmark))
 
 
 # ----------------------------------------------------------------------
@@ -140,10 +135,9 @@ def run_figure3(scale: ExperimentScale | None = None,
             plans = [r.plan for r in context.evaluation_records[benchmark]]
             truths = context.evaluation_truths(benchmark)
             for name, estimator in baselines.items():
-                predictions = clamp_predictions(
-                    estimator.predict_runtime(plans, context.imdb))
-                stats = q_error_stats(predictions, truths)
-                result.baseline_series[benchmark][name].append(stats.median)
+                result.baseline_series[benchmark][name].append(score(
+                    estimator.predict_runtime(plans, context.imdb),
+                    truths).median)
     return result
 
 

@@ -29,9 +29,9 @@ import numpy as np
 from repro.db import make_imdb_database
 from repro.db.generator import generate_training_database_specs
 from repro.errors import ExperimentError
-from repro.experiments.setup import ExperimentScale, scale_parser
+from repro.experiments.setup import ExperimentScale, scale_parser, score
 from repro.featurize.graph import CardinalitySource
-from repro.models import ZeroShotEstimator, clamp_predictions, q_error_stats
+from repro.models import ZeroShotEstimator
 from repro.models.metrics import QErrorStats
 from repro.runtime import available_system_configs, get_system_config
 from repro.tuning import HardwareAdvisor, HardwareRecommendation
@@ -65,8 +65,6 @@ class HardwareResult:
     @property
     def median_improvement(self) -> float:
         """>1 means multi-config training beat the single-config baseline."""
-        if self.multi_stats.median <= 0:
-            return 1.0
         return self.single_stats.median / self.multi_stats.median
 
 
@@ -153,10 +151,9 @@ def run_hardware(scale: ExperimentScale | None = None,
     # baseline has no input to put them in.
     multi_deployed = ZeroShotEstimator(
         model=multi_estimator.model, source=source, system=holdout_machine)
-    multi_predictions = clamp_predictions(
-        multi_deployed.predict_runtime(plans, imdb))
-    single_predictions = clamp_predictions(
-        single_estimator.predict_runtime(plans, imdb))
+    multi_stats = score(multi_deployed.predict_runtime(plans, imdb), truths)
+    single_stats = score(single_estimator.predict_runtime(plans, imdb),
+                         truths)
 
     advisor_result = None
     if with_advisor:
@@ -170,8 +167,8 @@ def run_hardware(scale: ExperimentScale | None = None,
 
     return HardwareResult(
         holdout_config=holdout_config,
-        multi_stats=q_error_stats(multi_predictions, truths),
-        single_stats=q_error_stats(single_predictions, truths),
+        multi_stats=multi_stats,
+        single_stats=single_stats,
         advisor=advisor_result,
     )
 

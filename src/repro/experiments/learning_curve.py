@@ -23,17 +23,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.errors import ExperimentError
 from repro.experiments.setup import (
     ExperimentContext,
     ExperimentScale,
     build_context,
     experiment_main,
+    score,
 )
 from repro.featurize.graph import CardinalitySource
-from repro.models import ZeroShotEstimator, clamp_predictions, q_error_stats
+from repro.models import ZeroShotEstimator
 
 __all__ = ["LearningCurveResult", "run_learning_curve",
            "format_learning_curve"]
@@ -67,21 +66,18 @@ def run_learning_curve(scale: ExperimentScale | None = None,
     if database_counts is None:
         total = len(names)
         database_counts = sorted({1, max(total // 2, 1), total})
-    if max(database_counts) > len(names):
+    # An empty prefix of the fleet would featurize all of it, and a
+    # negative one would slice it from its end.
+    if not database_counts or \
+            not all(1 <= count <= len(names) for count in database_counts):
         raise ExperimentError(
-            f"requested {max(database_counts)} databases, corpus has {len(names)}"
-        )
+            f"database counts must lie in 1..{len(names)} (the corpus's "
+            f"databases), got {database_counts}")
 
     # Evaluation set: all three benchmarks pooled, featurized once via
     # the estimator's adapter (raw graphs are scaler-independent; each
     # fleet-size model applies its own scalers at predict time).
-    evaluation_plans = []
-    truths = []
-    for records in context.evaluation_records.values():
-        for record in records:
-            evaluation_plans.append(record.plan)
-            truths.append(record.runtime_seconds)
-    truths = np.array(truths)
+    evaluation_plans, truths = context.pooled_evaluation()
     adapter = ZeroShotEstimator(source=source)
     evaluation_graphs = adapter.featurize(evaluation_plans, context.imdb)
 
@@ -96,11 +92,9 @@ def run_learning_curve(scale: ExperimentScale | None = None,
             estimator.fit_graphs(
                 context.corpus.featurize(source, names[:count]),
                 context.scale.zero_shot_trainer)
-        stats = q_error_stats(
-            clamp_predictions(
-                estimator.model.predict_runtime(evaluation_graphs)), truths)
         result.database_counts.append(count)
-        result.median_q_errors.append(stats.median)
+        result.median_q_errors.append(score(
+            estimator.model.predict_runtime(evaluation_graphs), truths).median)
     return result
 
 

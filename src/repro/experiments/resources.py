@@ -18,9 +18,10 @@ from repro.experiments.setup import (
     ExperimentScale,
     build_context,
     experiment_main,
+    score,
 )
 from repro.featurize.graph import CardinalitySource
-from repro.models import ZeroShotEstimator, clamp_predictions, q_error_stats
+from repro.models import ZeroShotEstimator
 from repro.models.metrics import QErrorStats
 
 __all__ = ["run_resources", "format_resources"]
@@ -29,16 +30,12 @@ _TARGETS = ("runtime", "memory", "io")
 
 
 def _evaluation_labels(context: ExperimentContext, target: str) -> np.ndarray:
-    values = []
-    for records in context.evaluation_records.values():
-        for record in records:
-            if target == "runtime":
-                values.append(record.runtime_seconds)
-            elif target == "memory":
-                values.append(record.memory_peak_bytes + 1.0)
-            else:
-                values.append(record.io_pages + 1.0)
-    return np.array(values)
+    """The pooled records' memory (bytes) or IO (pages) labels, each plus
+    one: a plan that touches none still has a positive label."""
+    attribute = "memory_peak_bytes" if target == "memory" else "io_pages"
+    return np.array([getattr(record, attribute) + 1.0
+                     for records in context.evaluation_records.values()
+                     for record in records])
 
 
 def run_resources(scale: ExperimentScale | None = None,
@@ -50,9 +47,7 @@ def run_resources(scale: ExperimentScale | None = None,
         context = build_context(scale, with_imdb_pool=False)
     source = CardinalitySource.ACTUAL
 
-    evaluation_plans = [record.plan
-                        for records in context.evaluation_records.values()
-                        for record in records]
+    evaluation_plans, runtimes = context.pooled_evaluation()
     # Featurize once via the estimator's adapter; every per-target model
     # scales and predicts over the same raw graphs.
     adapter = ZeroShotEstimator(source=source)
@@ -62,16 +57,16 @@ def run_resources(scale: ExperimentScale | None = None,
     for target in _TARGETS:
         if target == "runtime":
             estimator = context.estimator(source)
+            truths = runtimes
         else:
             estimator = ZeroShotEstimator(
                 config=context.scale.zero_shot_config, source=source)
             estimator.fit_graphs(
                 context.corpus.featurize(source, target=target),
                 context.scale.zero_shot_trainer)
-        predictions = clamp_predictions(
-            estimator.model.predict_runtime(evaluation_graphs))
-        truths = _evaluation_labels(context, target)
-        result[target] = q_error_stats(predictions, truths)
+            truths = _evaluation_labels(context, target)
+        result[target] = score(
+            estimator.model.predict_runtime(evaluation_graphs), truths)
     return result
 
 

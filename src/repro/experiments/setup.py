@@ -32,11 +32,15 @@ from repro.db.database import Database
 from repro.errors import ExperimentError
 from repro.featurize.graph import CardinalitySource
 from repro.models import (
+    QErrorStats,
     TrainerConfig,
     ZeroShotConfig,
     ZeroShotCostModel,
     ZeroShotEstimator,
+    clamp_predictions,
+    q_error_stats,
 )
+from repro.plans.plan import PhysicalPlan
 from repro.workload import (
     BENCHMARK_NAMES,
     WorkloadRunner,
@@ -49,7 +53,7 @@ from repro.workload.corpus import TrainingCorpus
 from repro.workload.runner import ExecutedQueryRecord
 
 __all__ = ["ExperimentScale", "ExperimentContext", "build_context",
-           "experiment_main", "scale_parser"]
+           "experiment_main", "scale_parser", "score"]
 
 
 @dataclass(frozen=True)
@@ -216,12 +220,27 @@ class ExperimentContext:
         return np.array([r.runtime_seconds
                          for r in self.evaluation_records[benchmark]])
 
+    def pooled_evaluation(self) -> tuple[list[PhysicalPlan], np.ndarray]:
+        """Plans and measured runtimes of all three benchmarks' records,
+        pooled in benchmark order."""
+        records = [record for records in self.evaluation_records.values()
+                   for record in records]
+        return ([record.plan for record in records],
+                np.array([record.runtime_seconds for record in records]))
+
     def estimator(self, source: CardinalitySource) -> ZeroShotEstimator:
         """The trained zero-shot model behind the unified
         :class:`~repro.models.api.CostEstimator` contract — the surface
         every experiment driver predicts through."""
         return ZeroShotEstimator(model=self.zero_shot_models[source],
                                  source=source)
+
+
+def score(predictions: np.ndarray, truths: np.ndarray) -> QErrorStats:
+    """Q-error summary of a model's predictions against measured truths,
+    the predictions clamped first: the one metric boundary of every
+    driver."""
+    return q_error_stats(clamp_predictions(predictions), truths)
 
 
 def train_zero_shot_models(corpus: TrainingCorpus, scale: ExperimentScale

@@ -22,9 +22,9 @@ from repro.experiments.setup import (
     ExperimentScale,
     build_context,
     experiment_main,
+    score,
 )
 from repro.featurize.graph import CardinalitySource
-from repro.models import clamp_predictions, q_error_stats
 from repro.models.metrics import QErrorStats
 from repro.workload import WorkloadRunner, make_benchmark_workload
 
@@ -106,9 +106,8 @@ def run_table1(scale: ExperimentScale | None = None,
     result["Index"] = {}
     for source in (CardinalitySource.ACTUAL, CardinalitySource.ESTIMATED):
         encoded = [sample[source] for sample, _ in index_evaluation]
-        predictions = clamp_predictions(np.exp(
-            context.estimator(source).predict_encoded(encoded)))
-        result["Index"][source] = q_error_stats(predictions, truths)
+        result["Index"][source] = score(np.exp(
+            context.estimator(source).predict_encoded(encoded)), truths)
     return result
 
 

@@ -52,10 +52,10 @@ from repro.experiments.learning_curve import (
     run_learning_curve,
 )
 from repro.experiments.resources import format_resources, run_resources
-from repro.experiments.setup import ExperimentScale, build_context
+from repro.experiments.setup import ExperimentScale, build_context, score
 from repro.experiments.table1 import format_table1, run_table1
 from repro.featurize.graph import CardinalitySource
-from repro.models import ZeroShotEstimator, clamp_predictions, q_error_stats
+from repro.models import ZeroShotEstimator
 from repro.workload import BENCHMARK_NAMES
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "goldens" / "fidelity.json"
@@ -341,22 +341,24 @@ class TestLearningCurve:
         assert len(fits) == len(result.database_counts) - 1
 
         source = CardinalitySource.ACTUAL
-        records = [record
-                   for records in quick_context.evaluation_records.values()
-                   for record in records]
+        plans, truths = quick_context.pooled_evaluation()
         graphs = ZeroShotEstimator(source=source).featurize(
-            [record.plan for record in records], quick_context.imdb)
+            plans, quick_context.imdb)
         predictions = quick_context.estimator(source).model.predict_runtime(
             graphs)
-        stats = q_error_stats(
-            clamp_predictions(predictions),
-            np.array([record.runtime_seconds for record in records]))
-        assert result.median_q_errors[-1] == stats.median
+        assert result.median_q_errors[-1] == score(predictions,
+                                                   truths).median
 
-    def test_too_many_databases_rejected(self, quick_context):
+    @pytest.mark.parametrize("counts", [[], [0], [-1], [10**6]],
+                             ids=["empty", "zero", "negative", "too-many"])
+    def test_impossible_fleet_sizes_rejected(self, quick_context, counts):
+        """Every count must name a prefix of the fleet, 1..N databases:
+        an empty list once failed inside ``max()``, ``[0]`` trained on the
+        whole fleet under the label 0 and ``[-1]`` on all but the last
+        database under the label -1."""
         with pytest.raises(ExperimentError):
             run_learning_curve(context=quick_context,
-                               database_counts=[10**6])
+                               database_counts=counts)
 
 
 class TestFewShot:
