@@ -5,10 +5,11 @@ deliberately small; the benchmark suite runs the same drivers at full
 benchmark scale).  ``test_fidelity_matches_golden`` pins every number
 the eight drivers return at quick scale **exactly**, in
 ``tests/experiments/goldens/fidelity.json``: a change that moves a
-figure of Figure 3, Table 1, the learning curve, few-shot adaptation,
-the ablations, resource, cardinality or hardware transfer lists each
-moved key as ``old -> new``.  Each driver runs once, in its
-module-scoped fixture, and the shape tests read the same result.
+number of Figure 3, Table 1, the learning curve, few-shot adaptation,
+the ablations, resource prediction, cardinality estimation or hardware
+transfer fails there, listing each moved key as ``old -> new``.  Each
+driver runs once, in its module-scoped fixture, and the shape tests
+read the same result.
 
 If a numerical change is *intentional*, regenerate the snapshot and
 commit it together with the change::
@@ -94,7 +95,7 @@ def flatten(value, path: str) -> dict[str, float]:
     elif isinstance(value, dict):
         items = ((key.value if isinstance(key, enum.Enum) else key, item)
                  for key, item in value.items())
-    elif isinstance(value, (list, tuple)):
+    elif isinstance(value, list):
         items = enumerate(value)
     else:
         return {path: float(value)}
