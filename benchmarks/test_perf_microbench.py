@@ -6,8 +6,8 @@ is work rather than time it is counted:
 
 1. fused compiled filters vs the interpreted ``predicate_mask`` walk on
    a filter-heavy scan workload (<=1/4 of the elements compared);
-2. an epoch's batch merges with cached level plans vs per-step
-   re-derivation;
+2. an epoch's batch merges with cached level plans vs unshared
+   per-step re-derivation;
 3. fragment priming with shared-subgraph dedup vs per-fragment encoding
    on a 5-way join (>=2x fewer encoder node-forwards);
 4. the b64 inference forward on the rank-round row primitives vs the
@@ -35,6 +35,7 @@ from repro.db import (
 from repro.db.schema import Column, Table
 from repro.engine import Executor, compiled_filters, execute_plan
 from repro.engine import executor as executor_module
+from repro.featurize import batch as batch_module
 from repro.featurize import (
     CardinalitySource,
     LevelPlanCache,
@@ -230,13 +231,16 @@ def tiny_imdb_bench():
     return make_imdb_database(scale=0.04, seed=7)
 
 
-def test_cached_level_plan_epoch_bit_identical(epoch_batches):
+def test_cached_level_plan_epoch_bit_identical(epoch_batches, monkeypatch):
     """Merging an epoch's fixed batches with cached level plans gives
-    the batches of per-step re-derivation, bit for bit, and a second
-    epoch through the cache hits it."""
+    the batches of unshared per-step re-derivation, bit for bit, and a
+    second epoch through the cache hits it."""
     cache = LevelPlanCache()
 
-    fresh = [merge_encoded(batch) for batch in epoch_batches]
+    with monkeypatch.context() as patch:
+        patch.setattr(batch_module, "_SHARE_MIN_GRAPHS",
+                      max(map(len, epoch_batches)) + 1)
+        fresh = [merge_encoded(batch) for batch in epoch_batches]
     warm = [merge_encoded(batch, level_cache=cache)
             for batch in epoch_batches]
     for fresh_batch, warm_batch in zip(fresh, warm):

@@ -26,15 +26,15 @@ Child aggregation runs in **rank rounds** (see
 parent once (a gather and an add, not ``ufunc.at``) while every parent
 still adds its children left to right in edge order.  An edge's rank
 within its parent is graph-local, so :class:`EncodedGraph` records it
-once per graph and :func:`build_level_plan` gets every level's rounds
+once per graph and :func:`_level_plan` gets every level's rounds
 from the one sort that groups the edges by level anyway.
 
-The zero-shot model runs both stages on every path, inference
-included: its ``encode`` (what the serving tier caches) is
+The zero-shot model runs both stages on every path, training and
+inference alike: its ``encode`` (what the serving tier caches) is
 :func:`encode_graphs` under its fitted scalers, and its ``collate`` is
-:func:`merge_encoded`.  An unlabelled (inference) merge builds only what
-a forward off the tape reads: the backward rounds wait for a backward
-pass, and a large enough batch holds one node per distinct subtree
+:func:`merge_encoded`.  A merge builds only what a forward off the tape
+reads (the backward rounds wait for a backward pass), and a large
+enough batch holds one node per distinct subtree
 (:func:`_share_subtrees`).
 """
 
@@ -63,7 +63,6 @@ __all__ = [
     "EncodedGraph",
     "LevelPlan",
     "LevelPlanCache",
-    "build_level_plan",
     "encode_graph",
     "encode_graphs",
     "merge_encoded",
@@ -136,7 +135,6 @@ class GraphBatch:
     #: shared subtrees, when operators with one subtree share one node.
     plan_op_ids: np.ndarray
     targets: np.ndarray | None = None
-    graph_sizes: list[int] = field(default_factory=list)
     #: Per-operator log1p cardinality labels, aligned row-for-row with
     #: ``plan_op_ids`` (None when the graphs carry no cardinality
     #: labels).
@@ -292,36 +290,19 @@ def encode_graphs(graphs: list[PlanGraph],
     return [encode_graph(graph, scalers) for graph in graphs]
 
 
-def _merge_targets(encoded: list[EncodedGraph],
-                   require_targets: bool) -> np.ndarray | None:
-    labels = [g.target_log_runtime for g in encoded]
+def _all_or_none(labels: list, kind: str) -> list | None:
+    """``labels``, or None when no graph carries one.  A mixed list is
+    always a bug: silently dropping the labelled subset would yield no
+    labels with no diagnostic."""
     missing = sum(label is None for label in labels)
     if missing == len(labels):
-        if require_targets:
-            raise FeaturizationError("graph is missing its runtime label")
         return None
     if missing:
-        # A mixed list is always a bug: silently dropping the labelled
-        # subset used to yield ``targets=None`` with no diagnostic.
         raise FeaturizationError(
-            f"{missing} of {len(labels)} graphs are missing runtime labels; "
+            f"{missing} of {len(labels)} graphs are missing {kind} labels; "
             f"label all graphs (training) or none (inference)"
         )
-    return np.asarray(labels)
-
-
-def _merge_card_targets(encoded: list[EncodedGraph]) -> np.ndarray | None:
-    """Concatenated per-operator cardinality labels (all-or-none)."""
-    labels = [g.target_log_cardinalities for g in encoded]
-    missing = sum(label is None for label in labels)
-    if missing == len(labels):
-        return None
-    if missing:
-        raise FeaturizationError(
-            f"{missing} of {len(labels)} graphs are missing cardinality "
-            f"labels; label all graphs (training) or none (inference)"
-        )
-    return np.concatenate(labels)
+    return labels
 
 
 @dataclass
@@ -332,19 +313,16 @@ class LevelPlan:
 
     Deriving it is the expensive part of :func:`merge_encoded` (the
     ``argsort``/``searchsorted`` grouping plus the per-level Python
-    loop); for a fixed list of graphs it never changes, so a training
-    loop that re-batches the same mini-batches every epoch can derive
-    it once and reuse it (see :class:`LevelPlanCache`).  Consumers must
-    treat every array as read-only — the same plan is shared by every
-    batch built from it.
+    loop); for a fixed list of graphs it never changes, so
+    :class:`LevelPlanCache` can hand out one plan per graph list.
+    Consumers must treat every array as read-only — the same plan is
+    shared by every batch built from it.
     """
 
     num_nodes: int
     type_positions: dict[str, np.ndarray]
     levels: list[LevelSpec]
     roots: np.ndarray
-    graph_sizes: tuple[int, ...]
-    plan_op_counts: tuple[int, ...]
 
 
 class _Structure(NamedTuple):
@@ -362,8 +340,11 @@ class _Structure(NamedTuple):
     roots: np.ndarray
 
 
-def _structure(encoded: list[EncodedGraph], sizes: np.ndarray) -> _Structure:
+def _structure(encoded: list[EncodedGraph]) -> _Structure:
     """The graphs' arrays concatenated, node ids offset per graph."""
+    if not encoded:
+        raise FeaturizationError("cannot batch zero graphs")
+    sizes = _graph_sizes(encoded)
     graph_offsets = np.cumsum(sizes) - sizes
     edge_offsets = np.repeat(graph_offsets,
                              [len(g.edges_child) for g in encoded])
@@ -388,10 +369,6 @@ def _graph_sizes(encoded: list[EncodedGraph]) -> np.ndarray:
                        count=len(encoded))
 
 
-def _plan_op_counts(encoded: list[EncodedGraph]) -> tuple[int, ...]:
-    return tuple(len(g.features["plan_op"]) for g in encoded)
-
-
 def _type_positions(type_codes: np.ndarray) -> dict[str, np.ndarray]:
     """Per node type, the ids of its nodes in ascending order."""
     # A stable sort keeps ascending-id order within a type (a radix
@@ -405,18 +382,7 @@ def _type_positions(type_codes: np.ndarray) -> dict[str, np.ndarray]:
     }
 
 
-def build_level_plan(encoded: list[EncodedGraph]) -> LevelPlan:
-    """Derive the structural merge of ``encoded`` (order-sensitive),
-    one node per node of every graph."""
-    if not encoded:
-        raise FeaturizationError("cannot batch zero graphs")
-    sizes = _graph_sizes(encoded)
-    return _level_plan(_structure(encoded, sizes), sizes,
-                       _plan_op_counts(encoded))
-
-
-def _level_plan(structure: _Structure, sizes: np.ndarray,
-                plan_op_counts: tuple[int, ...]) -> LevelPlan:
+def _level_plan(structure: _Structure) -> LevelPlan:
     """The :class:`LevelPlan` of the nodes and edges of ``structure``.
 
     Pure numpy over the concatenated graphs: three ``argsort``s group
@@ -505,8 +471,6 @@ def _level_plan(structure: _Structure, sizes: np.ndarray,
         type_positions=type_positions,
         levels=level_specs,
         roots=roots,
-        graph_sizes=tuple(sizes.tolist()),
-        plan_op_counts=plan_op_counts,
     )
 
 
@@ -531,18 +495,19 @@ class LevelPlanCache(LRUCache):
         super().__init__(max_entries)
 
     def level_plan(self, encoded: list[EncodedGraph]) -> LevelPlan:
-        """The level plan for ``encoded``, derived at most once."""
+        """The level plan for ``encoded`` (order-sensitive, one node per
+        node of every graph), derived at most once."""
         key = tuple(id(graph) for graph in encoded)
         entry = self.get(key)
         if entry is not None:
             return entry[1]
-        plan = build_level_plan(encoded)
+        plan = _level_plan(_structure(encoded))
         self.put(key, (tuple(encoded), plan))
         return plan
 
 
-#: Unlabelled batches of at least this many graphs compute each distinct
-#: subtree once (:func:`_share_subtrees`).  Below it the checks and the
+#: Batches of at least this many graphs compute each distinct subtree
+#: once (:func:`_share_subtrees`).  Below it the checks and the
 #: compaction cost more than the smaller forward saves: on ``bench``'s
 #: serving model (2-core 2.1 GHz Xeon), merge plus forward of distinct
 #: plans is 4 % slower shared than unshared at 8 graphs, even at 20 and
@@ -616,13 +581,12 @@ def _subtree_rows(encoded: list[EncodedGraph]) -> np.ndarray:
     missing = list({id(g): g for g in encoded
                     if g._subtrees is None}.values())
     if missing:
-        sizes = _graph_sizes(missing)
-        structure = _structure(missing, sizes)
+        structure = _structure(missing)
         node_rows = _node_rows(structure, _merge_features(missing))
         node_rows[:, 0] = _hash_subtrees(structure, node_rows).view(np.int64)
-        for graph, stop, size in zip(missing, np.cumsum(sizes).tolist(),
-                                     sizes.tolist()):
-            graph._subtrees = node_rows[stop - size:stop].copy()
+        stops = np.cumsum(_graph_sizes(missing)).tolist()
+        for graph, start, stop in zip(missing, [0] + stops, stops):
+            graph._subtrees = node_rows[start:stop].copy()
     return np.concatenate([g._subtrees for g in encoded])
 
 
@@ -696,39 +660,39 @@ def merge_encoded(encoded: list[EncodedGraph],
                   level_cache: LevelPlanCache | None = None) -> GraphBatch:
     """Merge pre-encoded graphs into a :class:`GraphBatch` (cheap).
 
-    A labelled merge (training, validation, fine-tuning) has one node
-    per node of every graph.  Its structural half (level grouping, edge
-    slots, type positions) comes from :func:`build_level_plan` — or,
-    with ``level_cache``, from a cached :class:`LevelPlan` when the
-    exact same graph list was merged before (fixed train/validation
-    batches re-merged every epoch), so only the feature and target
-    concatenations run per call.
+    Labelled (training, validation, fine-tuning) or not (inference),
+    every batch takes one path: the graphs' structure, from
+    :data:`_SHARE_MIN_GRAPHS` graphs on one node per distinct subtree
+    (:func:`_share_subtrees`), then the level plan and the features.
+    Plans over one database repeat their table, column, index and
+    predicate leaves and often whole scans, and each is then encoded
+    and combined once; ``roots`` and ``plan_op_ids`` index the shared
+    nodes.  Every row of the forward depends on its own inputs alone,
+    so its predictions and losses are bit-identical shared or not; a
+    node read by several parents, roots or operators sums their
+    gradients on the tape.
 
-    An unlabelled merge (inference) bypasses ``level_cache``: a
-    served batch is rarely merged twice.  From
-    :data:`_SHARE_MIN_GRAPHS` graphs on it holds one node per distinct
-    subtree (:func:`_share_subtrees`): plans over one database repeat
-    their table, column, index and predicate leaves and often whole
-    scans, and each is then encoded and combined once; ``roots`` and
-    ``plan_op_ids`` index the shared nodes.  Every row of the forward
-    depends on its own inputs alone, so cached, shared or neither, its
-    predictions are bit-identical.
+    With ``level_cache`` the merge is unshared and its level plan comes
+    from the cache when the exact same graph list was merged before.
     """
     if not encoded:
         raise FeaturizationError("cannot batch zero graphs")
-    targets = _merge_targets(encoded, require_targets)
+    targets = _all_or_none([g.target_log_runtime for g in encoded],
+                           "runtime")
+    if targets is None and require_targets:
+        raise FeaturizationError("graph is missing its runtime label")
+    card_targets = _all_or_none(
+        [g.target_log_cardinalities for g in encoded], "cardinality")
     shared = None
-    if targets is not None:
-        plan = (level_cache.level_plan(encoded) if level_cache is not None
-                else build_level_plan(encoded))
+    if level_cache is not None:
+        plan = level_cache.level_plan(encoded)
     else:
-        sizes = _graph_sizes(encoded)
-        structure = _structure(encoded, sizes)
+        structure = _structure(encoded)
         if len(encoded) >= _SHARE_MIN_GRAPHS:
             shared = _share_subtrees(encoded, structure)
         if shared is not None:
             structure, node_rows, plan_op_ids = shared
-        plan = _level_plan(structure, sizes, _plan_op_counts(encoded))
+        plan = _level_plan(structure)
     if shared is None:
         features = _merge_features(encoded)
         plan_op_ids = plan.type_positions["plan_op"]
@@ -748,10 +712,10 @@ def merge_encoded(encoded: list[EncodedGraph],
         levels=plan.levels,
         roots=plan.roots,
         plan_op_ids=plan_op_ids,
-        targets=targets,
-        graph_sizes=list(plan.graph_sizes),
-        card_targets=_merge_card_targets(encoded),
-        plan_op_counts=list(plan.plan_op_counts),
+        targets=None if targets is None else np.asarray(targets),
+        card_targets=(None if card_targets is None
+                      else np.concatenate(card_targets)),
+        plan_op_counts=[len(g.features["plan_op"]) for g in encoded],
         plan_op_log_rows=np.concatenate([g.plan_op_log_rows
                                          for g in encoded]),
         plan_op_rows=np.concatenate([g.plan_op_rows for g in encoded]),

@@ -45,8 +45,6 @@ from repro.nn import tensor as T
 from repro.nn.serialize import save_state
 from repro.models.trainer import (
     CoreCostModel,
-    TrainerConfig,
-    TrainingHistory,
     saved_config,
     standardization,
 )
@@ -251,14 +249,7 @@ class ZeroShotCostModel(CoreCostModel):
         self.config = config or ZeroShotConfig()
         super().__init__(ZeroShotNet(self.config))
         self.scalers: dict[str, StandardScaler] | None = None
-        #: Encode-once discipline, level up: the structural half of a
-        #: merged batch (level grouping, edge slots) depends only on
-        #: the graph list, so a labelled batch merged again — the same
-        #: graphs in the same order, as a fixed batch order re-merges
-        #: them every epoch — reuses it instead of re-deriving it.
-        #: Unlabelled merges (every estimator's and the serving tier's
-        #: predictions) bypass it.  Cache hits are bit-identical to
-        #: fresh derivation (see ``featurize/batch.py``).
+        #: Kept only for ``bench/``'s hit / miss counters: nothing feeds it.
         self.level_cache = LevelPlanCache()
         #: Standardization of the per-operator log-cardinality *residual*
         #: targets — the head predicts the correction
@@ -271,19 +262,7 @@ class ZeroShotCostModel(CoreCostModel):
     def _encode(self, graphs: list[PlanGraph]) -> list[EncodedGraph]:
         return encode_graphs(graphs, self.scalers)
 
-    def collate(self, encoded: list[EncodedGraph]) -> GraphBatch:
-        return merge_encoded(encoded, level_cache=self.level_cache)
-
-    def fit_weights(self, samples: list[PlanGraph],
-                    trainer: TrainerConfig | None = None
-                    ) -> TrainingHistory:
-        """:meth:`CoreCostModel.fit_weights`, then the level plans of the
-        run's batches are dropped from :attr:`level_cache`: prediction
-        bypasses the cache and a later run draws its batches anew, so
-        they would only pin the training graphs."""
-        history = super().fit_weights(samples, trainer)
-        self.level_cache.clear()
-        return history
+    collate = staticmethod(merge_encoded)
 
     def check_training_samples(self, graphs: list[PlanGraph]) -> None:
         """Labels plus both directions of the system-node contract and,

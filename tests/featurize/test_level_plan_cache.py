@@ -19,7 +19,6 @@ from repro.featurize import (
     encode_graphs,
     merge_encoded,
 )
-from repro.featurize.batch import build_level_plan
 from repro.models import TrainerConfig, ZeroShotConfig, ZeroShotCostModel
 from repro.optimizer import plan_query
 from repro.sql import parse_query
@@ -44,7 +43,6 @@ def encoded_graphs(tiny_imdb):
 
 def assert_batches_identical(left, right):
     assert left.num_nodes == right.num_nodes
-    assert left.graph_sizes == right.graph_sizes
     assert left.plan_op_counts == right.plan_op_counts
     np.testing.assert_array_equal(left.roots, right.roots)
     for key in left.features:
@@ -103,16 +101,13 @@ class TestCachedMergeEquivalence:
         assert plan_a is plan_b
 
     def test_mutable_batch_lists_are_fresh_per_merge(self, encoded_graphs):
-        """GraphBatch declares graph_sizes/plan_op_counts as lists a
-        trainer may mutate; a cached plan must hand each batch its own
-        copies."""
+        """GraphBatch declares plan_op_counts as a list a trainer may
+        mutate; a cached plan must hand each batch its own copy."""
         cache = LevelPlanCache()
         batch = merge_encoded(encoded_graphs[:3], level_cache=cache)
-        batch.graph_sizes.append(-1)
         batch.plan_op_counts.append(-1)
         clean = merge_encoded(encoded_graphs[:3], level_cache=cache)
         assert cache.hits == 1
-        assert -1 not in clean.graph_sizes
         assert -1 not in clean.plan_op_counts
 
 
@@ -146,15 +141,15 @@ class TestCacheMechanics:
         with pytest.raises(FeaturizationError, match="zero graphs"):
             merge_encoded([], level_cache=cache)
         with pytest.raises(FeaturizationError, match="zero graphs"):
-            build_level_plan([])
+            cache.level_plan([])
 
 
 class TestModelIntegration:
     def test_model_predictions_unchanged_by_cache(self, tiny_imdb,
                                                   encoded_graphs):
-        """``fit`` merges its labelled batches through the model's level
-        cache and leaves it empty; prediction merges unlabelled graphs,
-        which bypass it, and predicts the same after ``clear()``."""
+        """Neither ``fit`` nor prediction merges through the model's
+        level cache: a fit leaves both counters at zero, and prediction
+        predicts the same after ``clear()``."""
         queries = generate_workload(tiny_imdb, WorkloadSpec(num_queries=8,
                                                             seed=23))
         featurizer = ZeroShotFeaturizer(CardinalitySource.ESTIMATED)
@@ -168,9 +163,9 @@ class TestModelIntegration:
                                         target_runtime_seconds=0.01)
                    for plan in plans],
                   TrainerConfig(epochs=2, batch_size=4))
-        assert model.level_cache.misses > 0
-        assert len(model.level_cache) == 0
         counted = (model.level_cache.hits, model.level_cache.misses)
+        assert counted == (0, 0)
+        assert len(model.level_cache) == 0
 
         encoded = model.encode([featurizer.featurize(plan, tiny_imdb)
                                 for plan in plans])

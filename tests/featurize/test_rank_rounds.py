@@ -1,4 +1,5 @@
-"""The rank rounds ``build_level_plan`` emits, against the edge lists.
+"""The rank rounds a one-node-per-node merge emits, against the edge
+lists.
 
 A level's child sum and its backward pass run over precomputed
 :class:`~repro.nn.tensor.RowSums`.  Whatever order the plan lists the
@@ -14,7 +15,8 @@ import pytest
 
 from repro.engine import execute_plan
 from repro.featurize import CardinalitySource, ZeroShotFeaturizer, encode_graphs
-from repro.featurize.batch import EncodedGraph, LevelSpec, build_level_plan
+from repro.featurize import batch as batch_module
+from repro.featurize.batch import EncodedGraph, LevelSpec, merge_encoded
 from repro.nn.tensor import Tensor, gather_sum
 from repro.optimizer import plan_query
 from repro.workload import WorkloadSpec, generate_workload
@@ -48,6 +50,13 @@ def batch_edges(graphs):
     return children, parents, levels[parents]
 
 
+def unshared(graphs, monkeypatch):
+    """``merge_encoded(graphs)`` with subtree sharing out of reach: one
+    node per node of every graph, in batch order."""
+    monkeypatch.setattr(batch_module, "_SHARE_MIN_GRAPHS", len(graphs) + 1)
+    return merge_encoded(graphs)
+
+
 def add_at(rows, indices, num_rows):
     out = np.zeros((num_rows, rows.shape[1]))
     np.add.at(out, indices, rows)
@@ -57,10 +66,11 @@ def add_at(rows, indices, num_rows):
 @pytest.mark.parametrize("subset", [slice(None), slice(3, 4),
                                     [5, 2, 2, 17, 9]],
                          ids=["all", "one_graph", "repeats"])
-def test_level_rounds_add_in_batch_edge_order(encoded, subset):
+def test_level_rounds_add_in_batch_edge_order(encoded, subset,
+                                              monkeypatch):
     graphs = (encoded[subset] if isinstance(subset, slice)
               else [encoded[i] for i in subset])
-    plan = build_level_plan(graphs)
+    plan = unshared(graphs, monkeypatch)
     children, parents, parent_levels = batch_edges(graphs)
     rng = np.random.default_rng(0)
     states = Tensor(rng.normal(size=(plan.num_nodes, 5)),
@@ -108,8 +118,8 @@ def test_level_rounds_add_in_batch_edge_order(encoded, subset):
         assert shared >= 3
 
 
-def test_single_type_levels_own_their_slots_in_order(encoded):
-    plan = build_level_plan(encoded)
+def test_single_type_levels_own_their_slots_in_order(encoded, monkeypatch):
+    plan = unshared(encoded, monkeypatch)
     mixed = 0
     for spec in plan.levels:
         covered = np.sort(np.concatenate(list(spec.type_slots.values())))

@@ -1,18 +1,23 @@
-"""Inference batches compute each distinct subtree once.
+"""Batches compute each distinct subtree once.
 
-An unlabelled merge of at least ``_SHARE_MIN_GRAPHS`` graphs holds one
-node per distinct subtree of the batch (``repro.featurize.batch``):
-plans over one database repeat their table, column, index and predicate
-leaves and often whole scans.  These tests hold what that rests on:
+A merge of at least ``_SHARE_MIN_GRAPHS`` graphs, labelled or not,
+holds one node per distinct subtree of the batch
+(``repro.featurize.batch``): plans over one database repeat their
+table, column, index and predicate leaves and often whole scans.  These
+tests hold what that rests on:
 
 * the shared batch predicts, bit for bit, what the unshared batch does:
   runtimes and per-operator cardinalities, with and without the system
   node, for the zero-shot and the E2E forward;
+* a shared training batch has the unshared one's loss, bit for bit,
+  and its gradients up to the order the tape sums them in: a node read
+  by several parents, roots or operators gets the sum of their
+  gradients;
 * a subtree key only proposes a representative: keys that collide for
   unequal subtrees fall back to the unshared batch;
-* a prediction builds no backward rounds and never touches the model's
-  level cache, and keys are derived once per encoding and not at all
-  below the bound.
+* a prediction builds no backward rounds, neither training nor
+  prediction touches the model's level cache, and keys are derived once
+  per encoding and not at all below the bound.
 """
 
 import numpy as np
@@ -33,6 +38,7 @@ from repro.featurize.graph import FEATURE_DIMS, NODE_TYPES
 from repro.models import TrainerConfig, ZeroShotConfig, ZeroShotCostModel
 from repro.models.e2e import E2EConfig, E2ECostModel, E2ENet
 from repro.models.zero_shot import ZeroShotNet
+from repro.nn import functional as F
 from repro.nn import no_grad
 
 SHARED_SIZES = (24, 50, 64)
@@ -134,6 +140,67 @@ def test_a_trained_model_predicts_alike_shared_or_not(golden_plans):
             assert np.array_equal(cards, cards_alone[i])
 
 
+def _labelled(golden_plans, case):
+    """An untrained model of ``case`` and the golden plans as its
+    labelled samples: runtimes and, per operator, cardinalities."""
+    database, plans = golden_plans
+    if case == "e2e":
+        featurizer = E2EFeaturizer(database).fit(plans)
+        return (E2ECostModel(featurizer, E2EConfig(hidden_dim=32)),
+                [featurizer.featurize(plan, 0.01 * (i + 1))
+                 for i, plan in enumerate(plans)])
+    system_features = case == "system"
+    featurizer = ZeroShotFeaturizer(CardinalitySource.ESTIMATED,
+                                    system_features=system_features)
+    model = ZeroShotCostModel(ZeroShotConfig(
+        hidden_dim=32, cardinality_head=case == "cardinality",
+        system_features=system_features))
+    return model, [featurizer.featurize(
+        plan, database, 0.01 * (i + 1),
+        [3.0 * j + 1 for j in range(plan.num_nodes)])
+        for i, plan in enumerate(plans)]
+
+
+@pytest.mark.parametrize("case", ["plain", "cardinality", "system", "e2e"])
+def test_shared_training_batch_matches_the_unshared_one(
+        golden_plans, case, monkeypatch):
+    """One taped forward + loss + backward through the closures ``fit``
+    trains with, on a labelled batch with repeated plans: their roots
+    and ``plan_op_ids`` repeat, and their loss terms add up on one
+    node."""
+    model, samples = _labelled(golden_plans, case)
+    model._calibrate(samples)
+    _randomized(model.net, seed=14).train()
+    forward, targets = model.training_closures()
+    encoded = model._encode(samples)
+    picks = next(_multisets(len(encoded), seed=15))
+    assert len(set(picks.tolist())) < len(picks)
+    chunk = [encoded[i] for i in picks]
+
+    runs = []
+    for batch in (model.collate(chunk), _unshared(chunk, monkeypatch)):
+        model.net.zero_grad()
+        predictions = forward(batch)
+        loss = F.q_loss(predictions, targets(batch))
+        loss.backward()
+        runs.append((batch.num_nodes, predictions.data, loss.item(),
+                     [param.grad for param in model.net.parameters()]))
+    (shared_nodes, shared, shared_loss, shared_grads), \
+        (nodes, unshared, unshared_loss, grads) = runs
+    assert shared_nodes < nodes
+    assert np.array_equal(shared, unshared)
+    assert shared_loss == unshared_loss
+    for name, shared_grad, grad in zip(model.net.state_dict(),
+                                       shared_grads, grads):
+        if grad is None:
+            assert shared_grad is None, name
+            continue
+        assert np.abs(shared_grad - grad).max() <= \
+            1e-12 * np.abs(grad).max(), name
+    assert any(grad is not None and np.abs(grad).max() > 0
+               for grad in grads)
+
+
 # ----------------------------------------------------------------------
 # A key only proposes
 # ----------------------------------------------------------------------
@@ -221,7 +288,7 @@ def test_a_key_collision_falls_back_to_the_unshared_batch(
 
 
 # ----------------------------------------------------------------------
-# What an inference merge does not do
+# What a merge does not do
 # ----------------------------------------------------------------------
 class _SpiedCache(LevelPlanCache):
     """A level cache that records every attribute read on it."""
@@ -245,12 +312,18 @@ def test_prediction_builds_no_backward_rounds_and_skips_the_level_cache(
                 for i, plan in enumerate(plans)]
     model = ZeroShotCostModel(ZeroShotConfig(hidden_dim=16,
                                              cardinality_head=True))
-    model.fit(labelled, TrainerConfig(epochs=1, batch_size=4, seed=0))
     rounds = []
     real = batch_module.rank_rounds
     monkeypatch.setattr(batch_module, "rank_rounds",
                         lambda *args: rounds.append(args) or real(*args))
     model.level_cache = _SpiedCache()
+
+    # The spies see what they guard: training's backward passes derive
+    # the rounds, and training never reads the cache either.
+    model.fit(labelled, TrainerConfig(epochs=1, batch_size=4, seed=0))
+    assert rounds
+    assert model.level_cache.reads == []
+    rounds.clear()
 
     encoded = model.encode(_graphs(golden_plans))
     for picks in _multisets(len(encoded), seed=12, sizes=(1, 8, 64),
@@ -261,12 +334,6 @@ def test_prediction_builds_no_backward_rounds_and_skips_the_level_cache(
             len(chunk)
     assert rounds == []
     assert model.level_cache.reads == []
-
-    # The spies see what they guard: training reads the cache and its
-    # backward passes derive the rounds.
-    model.fit_weights(labelled, TrainerConfig(epochs=1, batch_size=4,
-                                              seed=0))
-    assert rounds and "level_plan" in model.level_cache.reads
 
 
 def test_keys_are_derived_once_per_encoding_and_not_below_the_bound(
