@@ -74,11 +74,11 @@ REGEN_HINT = (
 #: touches the tape next, must reproduce every gradient bit.
 GRADIENT_DIGESTS = {
     "zero-shot":
-        "0365307ec241cb91ff7b825cfe9da4d37749edca2f0fb1b46f5bb6c11f9b9898",
+        "6cb965b67b3c2f852f5bfc9b4cf167b92f3999306339730ba017671452892a10",
     "zero-shot/system":
-        "40cf38608415bc24bb7f31769d0acb54d829c281334c8bb1c5ba94ecdfc6cca3",
+        "3186a4a448c8879f70b19c4a8de46547a0a9abef0bbadd11f9b8a1b4b0a28196",
     "e2e":
-        "223f8d681fd9addf81a4541b1ae63793e548b683db365ddd45a6a3eda06e85dc",
+        "0f2ed1ca97da6e130293718739114343d3d9b56156a551c9f63eb3793edc28a6",
 }
 
 
