@@ -14,6 +14,16 @@ ids composed (late materialisation).  ``Relation.columns`` /
 ``.null_masks`` gather the full result on demand, for whoever looks at
 a root.
 
+A ``PlainAggregate`` directly on a ``HashJoin`` builds no join row at
+all: it runs the join's inputs itself, matches the probe keys against
+the hash table without expanding them (``JoinHashTable.match``) and folds
+each aggregate with weights — a probe row weighs its key's run of build
+rows, a build row the number of probe rows that reached it (eager
+aggregation, Yan & Larson, VLDB 1995).  The join node still gets the
+``actual_rows`` the expansion would have built.  ``_scalar_aggregate``
+is that weighted fold and the only scalar fold: every other shape
+materialises its input and folds it with no weights.
+
 Operators are dispatched through a class-level ``{operator class:
 handler}`` dict (``Executor._HANDLERS``, indexed by ``type(node)``), and
 each join handler calls the kernel of :mod:`repro.engine.join_kernels`
@@ -43,8 +53,9 @@ from repro.engine.expressions import conjunction_mask, predicate_mask
 from repro.engine.join_kernels import (
     JoinHashTable,
     block_nested_loop_match,
-    hash_join_match,
+    hash_join_table,
     merge_join_match,
+    sort_merge_match,
 )
 from repro.errors import ExecutionError
 from repro.plans.operators import (
@@ -342,6 +353,26 @@ def _drop_null_keys(relation: Relation, key: ColumnRef) -> Relation:
     return relation if mask is None else relation.take(np.flatnonzero(~mask))
 
 
+class _HashJoinInputs(NamedTuple):
+    """Both sides of a hash join, ready to be matched."""
+
+    probe: Relation
+    build: Relation
+    probe_keys: np.ndarray
+    build_keys: np.ndarray | None   # None when a cached table serves
+    table: JoinHashTable | None     # None: the keys admit no hash table
+
+
+def _joined(inputs: _HashJoinInputs) -> Relation:
+    """The hash join's rows, one per matching pair."""
+    if inputs.table is None:
+        probe_idx, build_idx = sort_merge_match(inputs.probe_keys,
+                                                inputs.build_keys)
+    else:
+        probe_idx, build_idx = inputs.table.probe(inputs.probe_keys)
+    return inputs.probe.take(probe_idx).merge(inputs.build.take(build_idx))
+
+
 class Executor:
     """Executes physical plans against one database.
 
@@ -476,6 +507,13 @@ class Executor:
     # Joins
     # ------------------------------------------------------------------
     def _hash_join(self, node: HashJoin) -> Relation:
+        return _joined(self._hash_join_inputs(node))
+
+    def _hash_join_inputs(self, node: HashJoin) -> _HashJoinInputs:
+        """Execute both sides of a hash join and prepare its match: the
+        sides oriented to the condition, NULL keys dropped, and a table
+        over the build keys — the cached one when it accepts the probe
+        keys, else one built on keys promoted to a common dtype."""
         probe = self._execute_node(node.children[0])
         build_node = node.children[1]
         if self.build_cache is not None:
@@ -486,9 +524,7 @@ class Executor:
             build, table = entry.prepared_for(build_ref)
             probe_keys = probe.column(probe_ref)
             if table is not None and table.accepts(probe_keys.dtype):
-                probe_idx, build_idx = table.probe(probe_keys)
-                return probe.take(probe_idx).merge(build.take(build_idx))
-            build_keys = build.column(build_ref)
+                return _HashJoinInputs(probe, build, probe_keys, None, table)
         else:
             build = self._execute_node(build_node)
             probe_ref, build_ref = _orient_condition(node.condition, probe,
@@ -496,9 +532,8 @@ class Executor:
             probe = _drop_null_keys(probe, probe_ref)
             build = _drop_null_keys(build, build_ref)
             probe_keys = probe.column(probe_ref)
-            build_keys = build.column(build_ref)
-        probe_idx, build_idx = hash_join_match(probe_keys, build_keys)
-        return probe.take(probe_idx).merge(build.take(build_idx))
+        return _HashJoinInputs(
+            probe, build, *hash_join_table(probe_keys, build.column(build_ref)))
 
     def _cached_build(self, build_node: PlanNode) -> _BuildEntry:
         """Fetch (or execute and memoize) a hash-join build side."""
@@ -563,8 +598,10 @@ class Executor:
             for index, agg in enumerate(node.aggregates):
                 columns[f"agg{index}"] = np.empty(0)
             return Relation.of_columns(columns, 0)
-        key_arrays = [relation.column(c) for c in node.group_by]
-        null_masks = [_nulls_in(relation, c) for c in node.group_by]
+        gathered = _gather(relation, [*node.group_by,
+                                      *(agg.column for agg in node.aggregates)])
+        key_arrays = [gathered[str(c)][0] for c in node.group_by]
+        null_masks = [_any_null(gathered[str(c)][1]) for c in node.group_by]
         first_indices, group_ids = _group_rows(key_arrays, null_masks)
         num_groups = len(first_indices)
         columns: dict[str, np.ndarray] = {}
@@ -573,17 +610,29 @@ class Executor:
             columns[str(ref)] = keys if mask is None else \
                 np.where(mask[first_indices], np.nan, keys)
         for index, agg in enumerate(node.aggregates):
-            columns[f"agg{index}"] = _grouped_aggregate(relation, agg,
+            columns[f"agg{index}"] = _grouped_aggregate(agg, gathered,
                                                         group_ids, num_groups)
         return Relation.of_columns(columns, num_groups)
 
     def _plain_aggregate(self, node: PlainAggregate) -> Relation:
-        relation = self._execute_node(node.children[0])
         aggregates = node.aggregates or (AggregateSpec(AggregateFunction.COUNT),)
+        refs = [agg.column for agg in aggregates]
+        child = node.children[0]
+        inputs = (self._hash_join_inputs(child) if type(child) is HashJoin
+                  else None)
+        if inputs is not None and inputs.table is not None:
+            # The join's rows are only folded: fold per-key multiplicities
+            # instead of building them.
+            child.actual_rows, folded = _folded_join(inputs, refs)
+        else:
+            relation = (self._execute_node(child) if inputs is None
+                        else _joined(inputs))
+            child.actual_rows = relation.num_rows
+            folded = _folded(relation, refs, None)
         columns = {}
         for index, agg in enumerate(aggregates):
             columns[f"agg{index}"] = np.array(
-                [_scalar_aggregate(relation, agg)]
+                [_scalar_aggregate(agg, child.actual_rows, folded)]
             )
         return Relation.of_columns(columns, 1)
 
@@ -659,30 +708,90 @@ def _group_rows(key_arrays: list[np.ndarray],
 
 def _nulls_in(relation: Relation, ref: ColumnRef) -> np.ndarray | None:
     """The column's null mask when it holds a NULL, else None."""
-    mask = relation.null_mask(ref)
+    return _any_null(relation.null_mask(ref))
+
+
+def _any_null(mask: np.ndarray | None) -> np.ndarray | None:
+    """``mask`` when it marks a NULL, else None."""
     return mask if mask is not None and mask.any() else None
 
 
-def _non_null(relation: Relation, ref: ColumnRef) -> np.ndarray:
-    values = relation.column(ref)
-    mask = relation.null_mask(ref)
-    if mask is None:
-        return values
-    return values[~mask]
+#: column -> (its values, their NULL mask) as gathered, or (its non-NULL
+#: values, each one's weight) as folded; ``None``: no NULLs / weight one.
+_ByColumn = dict[str, tuple[np.ndarray, np.ndarray | None]]
 
 
-def _scalar_aggregate(relation: Relation, agg: AggregateSpec) -> float:
+def _gather(relation: Relation, refs) -> _ByColumn:
+    """Each distinct column of ``refs`` (``None`` skipped) and its NULL
+    mask, gathered once however many aggregates name it."""
+    gathered = {}
+    for ref in refs:
+        if ref is not None and str(ref) not in gathered:
+            gathered[str(ref)] = relation.column(ref), relation.null_mask(ref)
+    return gathered
+
+
+def _folded(relation: Relation, refs, weights: np.ndarray | None
+            ) -> _ByColumn:
+    """The columns of ``refs`` over ``relation``'s rows, NULLs dropped;
+    row i weighs ``weights[i]`` (``None``: every row weighs one)."""
+    folded = {}
+    for key, (values, mask) in _gather(relation, refs).items():
+        if mask is None:
+            folded[key] = values, weights
+        else:
+            keep = ~mask
+            folded[key] = (values[keep],
+                           None if weights is None else weights[keep])
+    return folded
+
+
+def _folded_join(inputs: _HashJoinInputs, refs) -> tuple[int, _ByColumn]:
+    """A hash join's row count and the columns of ``refs`` over its rows,
+    without building them: a probe row that matched weighs its key's run
+    of build rows, and a build row the number of probe rows that matched
+    its key (eager aggregation, Yan & Larson, VLDB 1995)."""
+    probe_rows, slots = inputs.table.match(inputs.probe_keys)
+    runs = inputs.table.run_lengths(slots)
+    total = len(slots) if runs is None else int(runs.sum())
+    columns = [ref for ref in refs if ref is not None]
+    on_probe = [ref for ref in columns if inputs.probe.exposes(ref)]
+    on_build = [ref for ref in columns if not inputs.probe.exposes(ref)]
+    folded = {}
+    if on_probe:
+        folded.update(_folded(inputs.probe.take(probe_rows), on_probe, runs))
+    if on_build:
+        build_rows, reached = inputs.table.matched_build_rows(slots)
+        folded.update(_folded(inputs.build.take(build_rows), on_build,
+                              reached))
+    return total, folded
+
+
+def _scalar_aggregate(agg: AggregateSpec, total: int,
+                      folded: _ByColumn) -> float:
+    """One scalar aggregate as a weighted fold: the only one there is.
+
+    ``total`` is the number of rows the fold stands for, ``folded`` what
+    :func:`_folded` made of their columns; every weight is positive.
+    Without weights this is the plain fold; with a hash join's
+    multiplicities it equals the plain fold over the join's rows —
+    exactly for ``COUNT``, ``MIN``, ``MAX`` and any integer column (an
+    ``int64`` sum wraps modulo 2**64 either way), up to the summation
+    order's rounding for a float ``SUM`` / ``AVG``.
+    """
+    if agg.function is AggregateFunction.COUNT and agg.column is None:
+        return float(total)
+    values, weights = folded[str(agg.column)]
+    count = len(values) if weights is None else weights.sum()
     if agg.function is AggregateFunction.COUNT:
-        if agg.column is None:
-            return float(relation.num_rows)
-        return float(len(_non_null(relation, agg.column)))
-    values = _non_null(relation, agg.column)
+        return float(count)
     if len(values) == 0:
         return float("nan")
-    if agg.function is AggregateFunction.SUM:
-        return float(values.sum())
-    if agg.function is AggregateFunction.AVG:
-        return float(values.mean())
+    if agg.function in (AggregateFunction.SUM, AggregateFunction.AVG):
+        summed = values.sum() if weights is None else (values * weights).sum()
+        if agg.function is AggregateFunction.SUM:
+            return float(summed)
+        return float(summed / count)
     if agg.function is AggregateFunction.MIN:
         return float(values.min())
     if agg.function is AggregateFunction.MAX:
@@ -690,12 +799,12 @@ def _scalar_aggregate(relation: Relation, agg: AggregateSpec) -> float:
     raise ExecutionError(f"unsupported aggregate {agg.function}")
 
 
-def _grouped_aggregate(relation: Relation, agg: AggregateSpec,
+def _grouped_aggregate(agg: AggregateSpec, gathered: _ByColumn,
                        group_ids: np.ndarray, num_groups: int) -> np.ndarray:
     if agg.function is AggregateFunction.COUNT and agg.column is None:
         return np.bincount(group_ids, minlength=num_groups).astype(np.float64)
-    values = relation.column(agg.column).astype(np.float64)
-    mask = relation.null_mask(agg.column)
+    values, mask = gathered[str(agg.column)]
+    values = values.astype(np.float64)
     if mask is not None:
         values = values.copy()
         weights = (~mask).astype(np.float64)

@@ -14,14 +14,18 @@ Three algorithms are provided, matching the physical operators:
   table at load factor <= 0.5).  Build: if no bucket holds two rows,
   every key is distinct and the table is one scatter, no sort at all.
   Otherwise one stable sort of the build keys groups the rows by key (a
-  comparison sort; free on keys that arrive sorted), the distinct keys
+  comparison sort, free on keys that arrive sorted, or numpy's O(n) radix
+  sort when the keys span fewer than 2**16 values), the distinct keys
   are bucketed, and only if some of *them* still share a bucket are they
   made adjacent by a stable sort of their bucket ids (numpy's O(n) radix
   sort when the ids fit 16 bits, a comparison sort otherwise).  Probe,
   per row: one hash, one bucket read, one key comparison; a row goes
   another round, on the next slot, only if it missed *and* its bucket
-  holds a further key.  Then the matched rows, and only they, are
-  expanded into their runs of build rows.  No Python-level row loops.
+  holds a further key (:meth:`JoinHashTable.match`).  Then the matched
+  rows, and only they, are expanded into their runs of build rows
+  (:meth:`JoinHashTable.probe`); an aggregate that only folds the join
+  stops at ``match`` and weighs rows by their runs instead.  No
+  Python-level row loops.
 * :func:`merge_join_match` — exploits *already sorted* inputs (the
   planner places ``Sort`` nodes or order-preserving subplans under a
   ``MergeJoin``): a pair of ``searchsorted`` sweeps over the sorted
@@ -36,9 +40,10 @@ reference implementation and as the generic fallback for key dtypes the
 hash kernel cannot canonicalize.
 
 Each join handler of :class:`~repro.engine.executor.Executor` calls its
-operator's kernel by name (``_hash_join`` → :func:`hash_join_match`,
-``_merge_join`` → :func:`merge_join_match`, ``_nested_loop`` →
-:func:`block_nested_loop_match`).
+operator's kernel by name (``_merge_join`` → :func:`merge_join_match`,
+``_nested_loop`` → :func:`block_nested_loop_match`); a hash join's
+inputs build their table through :func:`hash_join_table`, the first half
+of :func:`hash_join_match`.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ __all__ = [
     "JoinHashTable",
     "block_nested_loop_match",
     "hash_join_match",
+    "hash_join_table",
     "merge_join_match",
     "sort_merge_match",
 ]
@@ -87,6 +93,15 @@ def _canonical_int_view(keys: np.ndarray) -> np.ndarray | None:
     if kind == "f":
         return (keys.astype(np.float64) + 0.0).view(np.int64)
     return None
+
+
+def _narrowed(canonical: np.ndarray) -> np.ndarray:
+    """Keys that sort like ``canonical``: shifted to ``uint16`` when
+    their span fits, where numpy's stable sort is an O(n) radix sort."""
+    low = int(canonical.min())
+    if int(canonical.max()) - low < 1 << 16:   # Python ints: no overflow
+        return (canonical - low).astype(np.uint16)
+    return canonical
 
 
 @dataclass
@@ -132,7 +147,7 @@ class JoinHashTable:
         if first_slot is None:
             # Group the build rows by key; stable, because a key's rows
             # come out of a probe in their original order.
-            order = np.argsort(canonical, kind="stable")
+            order = np.argsort(_narrowed(canonical), kind="stable")
             grouped = canonical[order]
             starts_run = np.ones(n, dtype=bool)
             np.not_equal(grouped[1:], grouped[:-1], out=starts_run[1:])
@@ -193,8 +208,13 @@ class JoinHashTable:
         except TypeError:
             return False
 
-    def probe(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Match probe keys, returning ``(probe_rows, build_rows)``."""
+    def match(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Verify probe keys without expanding: ``(probe_rows, slots)``.
+
+        ``probe_rows`` are the probe rows whose key the table holds, in
+        ascending order, and ``slots[i]`` is the slot of that key; its
+        run of build rows is what :meth:`probe` expands the row into.
+        """
         if self.num_rows == 0 or len(keys) == 0:
             return _empty_pairs()
         if keys.dtype != self.key_dtype:
@@ -231,7 +251,11 @@ class JoinHashTable:
             looking = looking[walks_on]
             slots[looking] = candidates[walks_on] + 1
         probe_rows = np.flatnonzero(slots >= 0)
-        slots = slots[probe_rows]
+        return probe_rows, slots[probe_rows]
+
+    def probe(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Match probe keys, returning ``(probe_rows, build_rows)``."""
+        probe_rows, slots = self.match(keys)
         # Expand: matches only, and only where a run can exceed one row.
         if self._run_counts is None:
             return probe_rows, (slots if self._rows is None
@@ -239,6 +263,30 @@ class JoinHashTable:
         matches, entries = expand_runs(self._run_starts[slots],
                                        self._run_counts[slots])
         return probe_rows[matches], self._rows[entries]
+
+    def run_lengths(self, slots: np.ndarray) -> np.ndarray | None:
+        """How many build rows each slot's run holds; ``None`` when
+        every run is one row."""
+        return None if self._run_counts is None else self._run_counts[slots]
+
+    def matched_build_rows(self, slots: np.ndarray
+                           ) -> tuple[np.ndarray, np.ndarray]:
+        """``(build_rows, matches)``: every build row some probe row of
+        ``slots`` (as :meth:`match` returns them) reaches, and how many
+        probe rows reach it — its multiplicity in :meth:`probe`'s pairs,
+        found without expanding them."""
+        per_slot = np.bincount(slots, minlength=len(self._distinct))
+        if self._run_counts is not None:
+            # A slot's run is contiguous in ``_rows``: mark where each
+            # run starts and ends, and a running sum spreads the slot's
+            # count over its entries.
+            spread = np.zeros(self.num_rows + 1, dtype=np.int64)
+            spread[self._run_starts] = per_slot
+            spread[self._run_starts + self._run_counts] -= per_slot
+            per_slot = np.cumsum(spread[:-1])
+        reached = np.flatnonzero(per_slot)
+        return (reached if self._rows is None else self._rows[reached],
+                per_slot[reached])
 
 
 def sort_merge_match(left_keys: np.ndarray,
@@ -257,6 +305,28 @@ def sort_merge_match(left_keys: np.ndarray,
     return left_indices, order[right_positions]
 
 
+def hash_join_table(probe_keys: np.ndarray, build_keys: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, JoinHashTable | None]:
+    """A hash join's build: ``(probe_keys, build_keys, table)``.
+
+    Mixed-dtype keys (e.g. int FK vs float PK) compare numerically in
+    the sort kernel, so both sides are promoted to their common dtype
+    first and hashing agrees.  ``table`` is ``None`` when the keys have
+    no canonical integer view; the join falls back to
+    :func:`sort_merge_match` on the returned keys.
+    """
+    if probe_keys.dtype != build_keys.dtype:
+        try:
+            common = np.result_type(probe_keys.dtype, build_keys.dtype)
+        except TypeError:
+            return probe_keys, build_keys, None
+        if common.kind not in "iuf":
+            return probe_keys, build_keys, None
+        probe_keys = probe_keys.astype(common)
+        build_keys = build_keys.astype(common)
+    return probe_keys, build_keys, JoinHashTable.build(build_keys)
+
+
 def hash_join_match(probe_keys: np.ndarray,
                     build_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hash join: build buckets over ``build_keys``, probe with the left.
@@ -264,18 +334,7 @@ def hash_join_match(probe_keys: np.ndarray,
     Returns ``(probe_rows, build_rows)`` — identical pairs, in identical
     order, to :func:`sort_merge_match` on the same inputs.
     """
-    if probe_keys.dtype != build_keys.dtype:
-        # Mixed-dtype keys (e.g. int FK vs float PK) compare numerically
-        # in the sort kernel; promote both sides so hashing agrees.
-        try:
-            common = np.result_type(probe_keys.dtype, build_keys.dtype)
-        except TypeError:
-            return sort_merge_match(probe_keys, build_keys)
-        if common.kind not in "iuf":
-            return sort_merge_match(probe_keys, build_keys)
-        probe_keys = probe_keys.astype(common)
-        build_keys = build_keys.astype(common)
-    table = JoinHashTable.build(build_keys)
+    probe_keys, build_keys, table = hash_join_table(probe_keys, build_keys)
     if table is None:
         return sort_merge_match(probe_keys, build_keys)
     return table.probe(probe_keys)

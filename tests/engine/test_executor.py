@@ -511,6 +511,7 @@ class _CountedMasks(dict):
 
     def get(self, name, default=None):
         self.work.columns_read.add((self.table_name, name))
+        self.work.reads.append((self.table_name, name, "null mask"))
         mask = super().get(name, default)
         return None if mask is None else _counted(mask, self.work.gathers)
 
@@ -519,6 +520,9 @@ class _Work:
     def __init__(self):
         self.columns_read: set[tuple[str, str]] = set()
         self.gathers: list[int] = []
+        #: every read, in order: (table, column) or (table, column,
+        #: "null mask")
+        self.reads: list[tuple[str, ...]] = []
 
 
 class TestExecutorWork:
@@ -535,6 +539,7 @@ class TestExecutorWork:
 
         def column_values(data, name):
             work.columns_read.add((data.table.name, name))
+            work.reads.append((data.table.name, name))
             return _counted(original(data, name), work.gathers)
 
         monkeypatch.setattr(TableData, "column_values", column_values)
@@ -584,6 +589,27 @@ class TestExecutorWork:
             read[select] = set(work.columns_read)
         assert read["SUM(t.votes)"] - read["COUNT(*)"] == {("title", "votes")}
         assert read["COUNT(*)"] <= read["SUM(t.votes)"]
+
+    @pytest.mark.parametrize("text", [
+        "SELECT MIN(t.votes), MAX(t.votes), AVG(t.votes) FROM title t "
+        "WHERE t.production_year > 1990",
+        "SELECT t.kind_id, MIN(t.votes), MAX(t.votes), AVG(t.votes) "
+        "FROM title t WHERE t.production_year > 1990 GROUP BY t.kind_id",
+        "SELECT MIN(t.votes), MAX(t.votes), AVG(t.votes) "
+        "FROM title t, movie_keyword mk WHERE t.id = mk.movie_id "
+        "AND t.production_year > 1990",
+    ], ids=["plain", "grouped", "plain-on-a-hash-join"])
+    def test_an_aggregate_gathers_each_column_once(self, tiny_imdb, work,
+                                                   text):
+        """``MIN(x), MAX(x), AVG(x)`` read ``x`` and its NULL mask once
+        per aggregate node, not once per aggregate."""
+        plan = Planner(tiny_imdb).plan(parse_query(text))
+        if "mk" in text:
+            assert isinstance(plan.root.children[0], HashJoin)
+        work.reads.clear()
+        Executor(tiny_imdb).execute(plan)
+        assert work.reads.count(("title", "votes")) == 1
+        assert work.reads.count(("title", "votes", "null mask")) == 1
 
     def test_gathers_scale_with_keys_not_with_table_width(self, tiny_imdb,
                                                           work):

@@ -1,17 +1,23 @@
 """Join kernels: row-identical parity with the sort-based reference,
 each join operator running its own kernel, and build-side caching."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.engine.executor
+import repro.engine.join_kernels
+from repro.db import Database, DataType, Schema, TableData
+from repro.db.schema import Column, Table
 from repro.engine import BuildSideCache, Executor, execute_plan
 from repro.engine.join_kernels import (
     JoinHashTable,
     block_nested_loop_match,
     hash_join_match,
+    hash_join_table,
     merge_join_match,
     sort_merge_match,
 )
@@ -150,7 +156,10 @@ class TestJoinHashTable:
 
 def assert_hash_kernels_match_reference(build, probes):
     """``hash_join_match`` and one table probed again and again against
-    the sort kernel: the same pairs in the same order."""
+    the sort kernel: the same pairs in the same order; and what
+    ``match`` finds without expanding — each matched probe row's run
+    length, each reached build row's number of partners — is what the
+    pairs count."""
     table = JoinHashTable.build(build)
     for probe in probes:
         assert_matches_reference(hash_join_match, probe, build)
@@ -160,6 +169,22 @@ def assert_hash_kernels_match_reference(build, probes):
             continue
         assert_matches_reference(lambda keys, _: table.probe(keys),
                                  probe, build)
+        assert_multiplicities_match_pairs(table, probe, len(build))
+
+
+def assert_multiplicities_match_pairs(table, probe, num_build_rows):
+    pair_probe_rows, pair_build_rows = table.probe(probe)
+    probe_rows, slots = table.match(probe)
+    runs = table.run_lengths(slots)
+    np.testing.assert_array_equal(
+        np.repeat(probe_rows, 1 if runs is None else runs), pair_probe_rows)
+    build_rows, reached = table.matched_build_rows(slots)
+    assert len(np.unique(build_rows)) == len(build_rows)
+    assert (reached > 0).all()
+    partners = np.zeros(num_build_rows, dtype=np.int64)
+    partners[build_rows] = reached
+    np.testing.assert_array_equal(
+        partners, np.bincount(pair_build_rows, minlength=num_build_rows))
 
 
 _SMALL_INTS = st.integers(-4, 12)
@@ -302,9 +327,122 @@ class TestProbeWork:
         np.testing.assert_array_equal(build[build_rows], probe[probe_rows])
         assert 0 < sum(repeated) <= 2 * matches
 
+    @pytest.mark.parametrize("cached", [False, True],
+                             ids=["uncached", "build-cache"])
+    def test_an_aggregate_on_the_join_expands_nothing(self, repeated, cached):
+        """``PlainAggregate`` directly on a duplicate-key hash join folds
+        per-key multiplicities: no ``np.repeat`` as large as the join,
+        and the join still reports the row count it would have built."""
+        rng = np.random.default_rng(39)
+        database = _fan_out_database(rng)
+        condition = JoinCondition(ColumnRef("p", "k"), ColumnRef("b", "k"))
+        join = HashJoin(condition=condition, children=[
+            SeqScan(table=TableRef("probe", "p")),
+            HashBuild(key=condition.right,
+                      children=[SeqScan(table=TableRef("build", "b"))])])
+        aggregates = tuple(AggregateSpec(function, column) for function, column
+                           in ((AggregateFunction.COUNT, None),
+                               (AggregateFunction.SUM, ColumnRef("p", "v")),
+                               (AggregateFunction.MIN, ColumnRef("b", "v")),
+                               (AggregateFunction.AVG, ColumnRef("b", "v"))))
+        plan = PhysicalPlan(
+            root=PlainAggregate(aggregates=aggregates, children=[join]),
+            query=Query(tables=(TableRef("probe", "p"),
+                                TableRef("build", "b"))),
+            database_name=database.name)
+        executor = Executor(database,
+                            build_cache=BuildSideCache() if cached else None)
+        repeated.clear()
+        answer = executor.execute(plan).relation.columns
+        fused_rows = join.actual_rows
+        assert max(repeated, default=0) < 0.1 * fused_rows
 
-#: join operator → the kernel name its executor handler calls.
-JOIN_KERNELS = {HashJoin: "hash_join_match", MergeJoin: "merge_join_match",
+        joined = Executor(database)._execute_node(join)
+        assert joined.num_rows >= 100_000
+        assert fused_rows == joined.num_rows == join.actual_rows
+        probe_values = joined.column(ColumnRef("p", "v"))
+        build_values = joined.column(ColumnRef("b", "v"))
+        assert [column[0] for column in answer.values()] == [
+            joined.num_rows, probe_values.sum(), build_values.min(),
+            build_values.sum() / joined.num_rows]
+
+
+def _fan_out_database(rng) -> Database:
+    """``probe(k, v)`` of 4 000 rows and ``build(k, v)`` of 1 000, both
+    keyed over 20 values: about 200 000 rows in the join."""
+    tables, data = [], {}
+    for name, rows in (("probe", 4_000), ("build", 1_000)):
+        table = Table(name=name, columns=(Column("k", DataType.INTEGER),
+                                          Column("v", DataType.INTEGER)))
+        tables.append(table)
+        data[name] = TableData(table=table, columns={
+            "k": rng.integers(0, 20, rows, dtype=np.int64),
+            "v": rng.integers(-1_000, 1_000, rows, dtype=np.int64)})
+    database = Database.from_tables("fan-out",
+                                    Schema.from_tables("fan-out", tables),
+                                    data)
+    database.analyze()
+    return database
+
+
+class TestRadixBuild:
+    """A duplicate-key build whose keys span fewer than 2**16 values sorts
+    them as ``uint16`` (a radix sort) and builds the very table the
+    comparison sort builds."""
+
+    @staticmethod
+    def _fields(table):
+        return [getattr(table, field.name)
+                for field in dataclasses.fields(table)]
+
+    def _assert_same_table(self, keys, monkeypatch, radix):
+        canonical = repro.engine.join_kernels._canonical_int_view(keys)
+        narrowed = repro.engine.join_kernels._narrowed(canonical)
+        assert (narrowed.dtype == np.uint16) == radix
+        built = JoinHashTable.build(keys)
+        with monkeypatch.context() as patch:
+            patch.setattr(repro.engine.join_kernels, "_narrowed",
+                          lambda canonical: canonical)
+            compared = JoinHashTable.build(keys)
+        assert built._run_counts is not None    # the grouping sort ran
+        for mine, theirs in zip(self._fields(built), self._fields(compared)):
+            if isinstance(mine, np.ndarray):
+                assert mine.dtype == theirs.dtype
+                np.testing.assert_array_equal(mine, theirs)
+            else:
+                assert mine == theirs
+
+    @pytest.mark.parametrize("keys, radix", [
+        (np.array([5, -3, 5, 0, -3, -3, 7, 5], dtype=np.int64), True),
+        (np.array([-70_000, -5, -70_000, 2, -5], dtype=np.int64), False),
+        (np.array([0.0, -0.0, 1.5, -0.0, -2.5, 1.5]), False),
+        (np.array([2**63 - 1, 2**63 - 9, 2**63 - 1, 2**63 - 9],
+                  dtype=np.int64), True),
+        (np.array([-2**63, -2**63 + 65_535, -2**63, -2**63 + 65_535],
+                  dtype=np.int64), True),
+        (np.array([-2**63, 2**63 - 1, -2**63, 2**63 - 1, 0, 0],
+                  dtype=np.int64), False),
+    ], ids=["negatives", "wide-span", "signed-zeros", "top-of-int64",
+            "bottom-of-int64", "extremes"])
+    def test_same_table_as_the_comparison_sort(self, keys, radix,
+                                               monkeypatch):
+        self._assert_same_table(keys, monkeypatch, radix)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max),
+           st.lists(st.integers(0, 65_535), min_size=2, max_size=300))
+    def test_generated_narrow_spans(self, base, offsets):
+        low = max(np.iinfo(np.int64).min,
+                  min(base, np.iinfo(np.int64).max - 65_535))
+        keys = np.array([low + offset for offset in offsets + offsets[:1]],
+                        dtype=np.int64)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self._assert_same_table(keys, monkeypatch, radix=True)
+
+
+#: join operator → the kernel name its executor handler calls (a hash
+#: join's builds the table it then matches against).
+JOIN_KERNELS = {HashJoin: "hash_join_table", MergeJoin: "merge_join_match",
                 NestedLoopJoin: "block_nested_loop_match"}
 
 
@@ -314,11 +452,14 @@ class TestKernelDispatch:
     def test_each_join_runs_its_own_kernel(self, two_table_db, join_class,
                                            monkeypatch):
         """A spy swapped in under the kernel's name sees exactly one
-        call, with both key columns, and its pairs are the result."""
+        call, with both key columns, and its pairs (a hash join: its
+        table) are the result."""
         calls = []
 
         def spy_kernel(left, right):
             calls.append(sorted((len(left), len(right))))
+            if join_class is HashJoin:
+                return hash_join_table(left, right)
             return sort_merge_match(left, right)
 
         monkeypatch.setattr(repro.engine.executor, JOIN_KERNELS[join_class],
