@@ -14,14 +14,22 @@ ids composed (late materialisation).  ``Relation.columns`` /
 ``.null_masks`` gather the full result on demand, for whoever looks at
 a root.
 
+``PlainAggregate`` and ``HashAggregate`` share one handler and one
+fold: a scalar aggregate is a grouped one with a single group, which
+holds every input row even when there are none.  Grouping orders the
+rows so each group is one run, and ``_fold`` reduces each run
+(``np.add`` / ``np.minimum`` / ``np.maximum.reduceat``) with a column's
+NULLs dropped; ``SUM`` and ``AVG`` add in ``float64``, ``COUNT``,
+``MIN`` and ``MAX`` are exact, and a group with no non-NULL value folds
+to NaN (``COUNT``: 0).
+
 A ``PlainAggregate`` directly on a ``HashJoin`` builds no join row at
 all: it runs the join's inputs itself, matches the probe keys against
-the hash table without expanding them (``JoinHashTable.match``) and folds
-each aggregate with weights — a probe row weighs its key's run of build
-rows, a build row the number of probe rows that reached it (eager
+the hash table without expanding them (``JoinHashTable.match``) and
+feeds the fold weighted rows — a probe row weighs its key's run of
+build rows, a build row the number of probe rows that reached it (eager
 aggregation, Yan & Larson, VLDB 1995).  The join node still gets the
-``actual_rows`` the expansion would have built.  ``_scalar_aggregate``
-is that weighted fold and the only scalar fold: every other shape
+``actual_rows`` the expansion would have built.  Every other shape
 materialises its input and folds it with no weights.
 
 Operators are dispatched through a class-level ``{operator class:
@@ -349,7 +357,7 @@ class BuildSideCache(LRUCache):
 
 
 def _drop_null_keys(relation: Relation, key: ColumnRef) -> Relation:
-    mask = _nulls_in(relation, key)
+    mask = _any_null(relation.null_mask(key))
     return relation if mask is None else relation.take(np.flatnonzero(~mask))
 
 
@@ -591,50 +599,43 @@ class Executor:
         order = np.argsort(relation.column(node.key), kind="stable")
         return relation.take(order)
 
-    def _hash_aggregate(self, node: HashAggregate) -> Relation:
-        relation = self._execute_node(node.children[0])
-        if relation.num_rows == 0:
-            columns = {str(c): np.empty(0) for c in node.group_by}
-            for index, agg in enumerate(node.aggregates):
-                columns[f"agg{index}"] = np.empty(0)
-            return Relation.of_columns(columns, 0)
-        gathered = _gather(relation, [*node.group_by,
-                                      *(agg.column for agg in node.aggregates)])
-        key_arrays = [gathered[str(c)][0] for c in node.group_by]
-        null_masks = [_any_null(gathered[str(c)][1]) for c in node.group_by]
-        first_indices, group_ids = _group_rows(key_arrays, null_masks)
-        num_groups = len(first_indices)
-        columns: dict[str, np.ndarray] = {}
-        for ref, keys, mask in zip(node.group_by, key_arrays, null_masks):
-            keys = keys[first_indices]
-            columns[str(ref)] = keys if mask is None else \
-                np.where(mask[first_indices], np.nan, keys)
-        for index, agg in enumerate(node.aggregates):
-            columns[f"agg{index}"] = _grouped_aggregate(agg, gathered,
-                                                        group_ids, num_groups)
-        return Relation.of_columns(columns, num_groups)
-
-    def _plain_aggregate(self, node: PlainAggregate) -> Relation:
-        aggregates = node.aggregates or (AggregateSpec(AggregateFunction.COUNT),)
-        refs = [agg.column for agg in aggregates]
+    def _aggregate(self, node: PlainAggregate | HashAggregate) -> Relation:
+        """One row per group of the child's rows: grouped by the keys, or
+        one group (even of no rows) when there are none."""
+        group_by = getattr(node, "group_by", ())   # PlainAggregate has none
+        aggregates = node.aggregates or (
+            () if group_by else (AggregateSpec(AggregateFunction.COUNT),))
         child = node.children[0]
-        inputs = (self._hash_join_inputs(child) if type(child) is HashJoin
-                  else None)
+        inputs = (self._hash_join_inputs(child)
+                  if type(child) is HashJoin and not group_by else None)
+        columns: dict[str, np.ndarray] = {}
         if inputs is not None and inputs.table is not None:
             # The join's rows are only folded: fold per-key multiplicities
             # instead of building them.
-            child.actual_rows, folded = _folded_join(inputs, refs)
+            child.actual_rows, sides = _matched_sides(inputs, aggregates)
         else:
             relation = (self._execute_node(child) if inputs is None
                         else _joined(inputs))
             child.actual_rows = relation.num_rows
-            folded = _folded(relation, refs, None)
-        columns = {}
+            bounds = _one_group(relation.num_rows)
+            if group_by:
+                keys = [relation.column(ref) for ref in group_by]
+                masks = [_any_null(relation.null_mask(ref))
+                         for ref in group_by]
+                order, starts = _group_rows(keys, masks)
+                first = order[starts]
+                for ref, values, mask in zip(group_by, keys, masks):
+                    columns[str(ref)] = values[first] if mask is None else \
+                        np.where(mask[first], np.nan, values[first])
+                relation = _rows_read(relation, order, aggregates)
+                bounds = np.append(starts, relation.num_rows)
+            sides = [_Side(relation, None, bounds)]
+        runs = {}
         for index, agg in enumerate(aggregates):
-            columns[f"agg{index}"] = np.array(
-                [_scalar_aggregate(agg, child.actual_rows, folded)]
-            )
-        return Relation.of_columns(columns, 1)
+            if agg.column not in runs:
+                runs[agg.column] = _runs(sides, agg.column)
+            columns[f"agg{index}"] = _fold(agg.function, *runs[agg.column])
+        return Relation.of_columns(columns, len(sides[0].bounds) - 1)
 
     #: operator class → handler, looked up by ``type(node)``.
     _HANDLERS = {
@@ -645,8 +646,8 @@ class Executor:
         MergeJoin: _merge_join,
         NestedLoopJoin: _nested_loop,
         Sort: _sort,
-        HashAggregate: _hash_aggregate,
-        PlainAggregate: _plain_aggregate,
+        HashAggregate: _aggregate,
+        PlainAggregate: _aggregate,
     }
 
 
@@ -677,38 +678,33 @@ def _index_interval(predicates: tuple[Predicate, ...]) -> Interval:
 def _group_rows(key_arrays: list[np.ndarray],
                 null_masks: list[np.ndarray | None]
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Group rows by their key tuple: ``(first_indices, group_ids)``.
+    """Group rows by their key tuple: ``(order, starts)``.
 
-    Groups are numbered in ascending lexicographic key order and
-    ``first_indices[g]`` is the first row of group ``g`` — what
-    ``np.unique`` over a record array of the keys yields, without its
-    comparison sort of a structured dtype: each key is ranked on its
-    own and folded into the running group id, which is re-densified
-    after every key so ``group_ids * (distinct + 1) + rank`` stays below
-    ``num_rows * (num_rows + 1)`` and cannot overflow ``int64``.  A row
-    a key's null mask marks ranks one past every value of that key,
-    whatever value it stores: NULLs form one group, after the others.
+    ``order`` lists the rows group by group, groups in ascending
+    lexicographic key order and each group's rows in input order; group
+    ``g`` is ``order[starts[g]:starts[g + 1]]`` (the last one runs to the
+    end).  Each key is ranked on its own and folded into the running
+    rank, which is re-densified before a third key so ``ranks *
+    (distinct + 1) + rank`` stays below ``num_rows * (num_rows + 1)``
+    and cannot overflow ``int64``; one stable argsort of the running
+    ranks then lists the groups.  A row a key's null mask marks ranks one
+    past every value of that key, whatever value it stores: NULLs form
+    one group, after the others.
     """
-    group_ids = None
-    for keys, mask in zip(key_arrays, null_masks):
-        if group_ids is None and mask is None:
-            # A first key without NULLs is ranked and densified at once.
-            _, first_indices, group_ids = np.unique(
-                keys, return_index=True, return_inverse=True)
-            continue
-        distinct, ranks = np.unique(keys, return_inverse=True)
+    ranks = None
+    for position, (keys, mask) in enumerate(zip(key_arrays, null_masks)):
+        distinct, key_ranks = np.unique(keys, return_inverse=True)
         if mask is not None:
-            ranks[mask] = len(distinct)
-        if group_ids is not None:
-            ranks = group_ids * (len(distinct) + 1) + ranks
-        _, first_indices, group_ids = np.unique(
-            ranks, return_index=True, return_inverse=True)
-    return first_indices, group_ids
-
-
-def _nulls_in(relation: Relation, ref: ColumnRef) -> np.ndarray | None:
-    """The column's null mask when it holds a NULL, else None."""
-    return _any_null(relation.null_mask(ref))
+            key_ranks[mask] = len(distinct)
+        if position > 1:
+            ranks = np.unique(ranks, return_inverse=True)[1]
+        ranks = key_ranks if ranks is None else \
+            ranks * (len(distinct) + 1) + key_ranks
+    order = np.argsort(ranks, kind="stable")
+    grouped = ranks[order]
+    starts = np.ones(len(order), dtype=bool)
+    np.not_equal(grouped[1:], grouped[:-1], out=starts[1:])
+    return order, np.flatnonzero(starts)
 
 
 def _any_null(mask: np.ndarray | None) -> np.ndarray | None:
@@ -716,127 +712,109 @@ def _any_null(mask: np.ndarray | None) -> np.ndarray | None:
     return mask if mask is not None and mask.any() else None
 
 
-#: column -> (its values, their NULL mask) as gathered, or (its non-NULL
-#: values, each one's weight) as folded; ``None``: no NULLs / weight one.
-_ByColumn = dict[str, tuple[np.ndarray, np.ndarray | None]]
+class _Side(NamedTuple):
+    """Rows an aggregate folds, grouped: group ``g`` is rows
+    ``bounds[g]`` up to ``bounds[g + 1]``, and row i weighs
+    ``weights[i]`` (``None``: every row weighs one)."""
+
+    relation: Relation
+    weights: np.ndarray | None
+    bounds: np.ndarray
 
 
-def _gather(relation: Relation, refs) -> _ByColumn:
-    """Each distinct column of ``refs`` (``None`` skipped) and its NULL
-    mask, gathered once however many aggregates name it."""
-    gathered = {}
-    for ref in refs:
-        if ref is not None and str(ref) not in gathered:
-            gathered[str(ref)] = relation.column(ref), relation.null_mask(ref)
-    return gathered
+def _one_group(num_rows: int) -> np.ndarray:
+    """The bounds of ``num_rows`` rows as a single group."""
+    return np.array([0, num_rows], dtype=np.intp)
 
 
-def _folded(relation: Relation, refs, weights: np.ndarray | None
-            ) -> _ByColumn:
-    """The columns of ``refs`` over ``relation``'s rows, NULLs dropped;
-    row i weighs ``weights[i]`` (``None``: every row weighs one)."""
-    folded = {}
-    for key, (values, mask) in _gather(relation, refs).items():
-        if mask is None:
-            folded[key] = values, weights
-        else:
-            keep = ~mask
-            folded[key] = (values[keep],
-                           None if weights is None else weights[keep])
-    return folded
+def _rows_read(relation: Relation, rows: np.ndarray, aggregates
+               ) -> Relation:
+    """``relation.take(rows)`` for the columns ``aggregates`` read; when
+    they read none (``COUNT(*)`` alone) only the number of rows, so no
+    alias's row ids are composed for nothing."""
+    if any(agg.column is not None for agg in aggregates):
+        return relation.take(rows)
+    return Relation.of_columns({}, len(rows))
 
 
-def _folded_join(inputs: _HashJoinInputs, refs) -> tuple[int, _ByColumn]:
-    """A hash join's row count and the columns of ``refs`` over its rows,
-    without building them: a probe row that matched weighs its key's run
-    of build rows, and a build row the number of probe rows that matched
-    its key (eager aggregation, Yan & Larson, VLDB 1995)."""
+def _matched_sides(inputs: _HashJoinInputs, aggregates
+                   ) -> tuple[int, list[_Side]]:
+    """A hash join's row count and its rows as one group, without
+    building them: the probe rows that matched, each weighing its key's
+    run of build rows, and — when ``aggregates`` read a build-side
+    column — the build rows they reached, each weighing the number of
+    probe rows that reached it (eager aggregation, Yan & Larson, VLDB
+    1995)."""
     probe_rows, slots = inputs.table.match(inputs.probe_keys)
     runs = inputs.table.run_lengths(slots)
     total = len(slots) if runs is None else int(runs.sum())
-    columns = [ref for ref in refs if ref is not None]
-    on_probe = [ref for ref in columns if inputs.probe.exposes(ref)]
-    on_build = [ref for ref in columns if not inputs.probe.exposes(ref)]
-    folded = {}
-    if on_probe:
-        folded.update(_folded(inputs.probe.take(probe_rows), on_probe, runs))
+    on_build = [agg for agg in aggregates if agg.column is not None
+                and not inputs.probe.exposes(agg.column)]
+    on_probe = [agg for agg in aggregates if agg not in on_build]
+    sides = [_Side(_rows_read(inputs.probe, probe_rows, on_probe), runs,
+                   _one_group(len(probe_rows)))]
     if on_build:
         build_rows, reached = inputs.table.matched_build_rows(slots)
-        folded.update(_folded(inputs.build.take(build_rows), on_build,
-                              reached))
-    return total, folded
+        sides.append(_Side(inputs.build.take(build_rows), reached,
+                           _one_group(len(build_rows))))
+    return total, sides
 
 
-def _scalar_aggregate(agg: AggregateSpec, total: int,
-                      folded: _ByColumn) -> float:
-    """One scalar aggregate as a weighted fold: the only one there is.
+def _runs(sides: list[_Side], ref: ColumnRef | None
+          ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray]:
+    """``(values, weights, bounds)`` of ``ref`` on the side exposing it:
+    its non-NULL values, their weights and each group's run of them.
+    ``None`` stands for the rows ``COUNT(*)`` counts, which have no
+    values and are never NULL."""
+    relation, weights, bounds = next(
+        (side for side in sides[:-1]
+         if ref is None or side.relation.exposes(ref)), sides[-1])
+    if ref is None:
+        return None, weights, bounds
+    values = relation.column(ref)
+    mask = _any_null(relation.null_mask(ref))
+    if mask is None:
+        return values, weights, bounds
+    keep = ~mask
+    values = values[keep]
+    # Each bound moves down by the NULLs before it; one group's last
+    # bound is just the number of values kept.
+    bounds = (_one_group(len(values)) if len(bounds) == 2
+              else bounds - np.searchsorted(np.flatnonzero(mask), bounds))
+    return values, None if weights is None else weights[keep], bounds
 
-    ``total`` is the number of rows the fold stands for, ``folded`` what
-    :func:`_folded` made of their columns; every weight is positive.
-    Without weights this is the plain fold; with a hash join's
-    multiplicities it equals the plain fold over the join's rows —
-    exactly for ``COUNT``, ``MIN``, ``MAX`` and any integer column (an
-    ``int64`` sum wraps modulo 2**64 either way), up to the summation
-    order's rounding for a float ``SUM`` / ``AVG``.
+
+def _fold(function: AggregateFunction, values: np.ndarray | None,
+          weights: np.ndarray | None, bounds: np.ndarray) -> np.ndarray:
+    """One aggregate per group, as ``float64``: group ``g`` folds its run
+    ``values[bounds[g]:bounds[g + 1]]``, value i weighing ``weights[i]``
+    (``None``: one).  ``SUM`` and ``AVG`` add in ``float64``; ``COUNT``,
+    ``MIN`` and ``MAX`` are exact.  An empty run folds to 0 for
+    ``COUNT`` and to NaN for the others.
     """
-    if agg.function is AggregateFunction.COUNT and agg.column is None:
-        return float(total)
-    values, weights = folded[str(agg.column)]
-    count = len(values) if weights is None else weights.sum()
-    if agg.function is AggregateFunction.COUNT:
-        return float(count)
-    if len(values) == 0:
-        return float("nan")
-    if agg.function in (AggregateFunction.SUM, AggregateFunction.AVG):
-        summed = values.sum() if weights is None else (values * weights).sum()
-        if agg.function is AggregateFunction.SUM:
-            return float(summed)
-        return float(summed / count)
-    if agg.function is AggregateFunction.MIN:
-        return float(values.min())
-    if agg.function is AggregateFunction.MAX:
-        return float(values.max())
-    raise ExecutionError(f"unsupported aggregate {agg.function}")
-
-
-def _grouped_aggregate(agg: AggregateSpec, gathered: _ByColumn,
-                       group_ids: np.ndarray, num_groups: int) -> np.ndarray:
-    if agg.function is AggregateFunction.COUNT and agg.column is None:
-        return np.bincount(group_ids, minlength=num_groups).astype(np.float64)
-    values, mask = gathered[str(agg.column)]
-    values = values.astype(np.float64)
-    if mask is not None:
-        values = values.copy()
-        weights = (~mask).astype(np.float64)
+    starts, ends = bounds[:-1], bounds[1:]
+    if function is AggregateFunction.COUNT and weights is None:
+        return (ends - starts).astype(np.float64)
+    filled = starts < ends
+    at = starts[filled]
+    if function is AggregateFunction.MIN:
+        folded = np.minimum.reduceat(values, at)
+    elif function is AggregateFunction.MAX:
+        folded = np.maximum.reduceat(values, at)
+    elif function is AggregateFunction.COUNT:
+        folded = np.add.reduceat(weights, at)
     else:
-        weights = np.ones(len(values))
-    if agg.function is AggregateFunction.COUNT:
-        return np.bincount(group_ids, weights=weights, minlength=num_groups)
-    if agg.function in (AggregateFunction.SUM, AggregateFunction.AVG):
-        sums = np.bincount(group_ids, weights=values * weights,
-                           minlength=num_groups)
-        if agg.function is AggregateFunction.SUM:
-            return sums
-        counts = np.bincount(group_ids, weights=weights, minlength=num_groups)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return sums / counts
-    # MIN / MAX via sorting group ids then values.
-    result = np.full(num_groups, np.nan)
-    if mask is not None:
-        keep = ~mask
-        values = values[keep]
-        group_ids = group_ids[keep]
-    if len(values):
-        if agg.function is AggregateFunction.MIN:
-            order = np.lexsort((values, group_ids))
-            firsts = np.unique(group_ids[order], return_index=True)
-            result[firsts[0]] = values[order][firsts[1]]
-        elif agg.function is AggregateFunction.MAX:
-            order = np.lexsort((-values, group_ids))
-            firsts = np.unique(group_ids[order], return_index=True)
-            result[firsts[0]] = values[order][firsts[1]]
-        else:  # pragma: no cover - exhaustive
-            raise ExecutionError(f"unsupported aggregate {agg.function}")
+        folded = np.add.reduceat(
+            values.astype(np.float64, copy=False) if weights is None
+            else np.multiply(values, weights, dtype=np.float64), at)
+        if function is AggregateFunction.AVG:
+            folded /= ((ends - starts)[filled] if weights is None
+                       else np.add.reduceat(weights, at))
+    if len(at) == len(starts):
+        return folded.astype(np.float64, copy=False)
+    result = np.full(len(starts), 0.0 if function is AggregateFunction.COUNT
+                     else np.nan)
+    result[filled] = folded
     return result
 
 

@@ -1,27 +1,31 @@
-"""Scalar aggregates over hash joins: generated whole queries against
-stdlib ``sqlite3`` and against the materialised join.
+"""Aggregates over hash joins: generated whole queries against stdlib
+``sqlite3`` and against the materialised join.
 
 A ``PlainAggregate`` placed directly on a ``HashJoin`` folds the join's
-per-key multiplicities instead of building its rows
-(``Executor._plain_aggregate``).  ``hypothesis`` draws small hand-built
-tables — ``int64`` and ``float64`` value columns, duplicate and NULL join
-keys on both sides, empty tables — and scalar-aggregate queries over two
-or three of them (every function on probe-side and build-side columns,
-predicates that keep nothing, two ranges on one column).  Each query is
+per-key multiplicities instead of building its rows; a
+``HashAggregate`` groups the join's rows.  Both feed the executor's one
+fold (``_fold``).  ``hypothesis`` draws small hand-built tables —
+``int64`` and ``float64`` value columns, duplicate and NULL join keys on
+both sides, empty tables — and aggregate queries over two or three of
+them (every function on probe-side and build-side columns, predicates
+that keep nothing, two ranges on one column, a contradictory pair),
+scalar or ``GROUP BY`` one or two nullable columns.  Each query is
 planned under every hint set of the plan selector that leaves hash joins
 on (one of them admits nothing else), and each plan runs through an
-executor of its own and again through one executor with a shared
-``BuildSideCache``.
+executor of its own, through one with interpreted filters and again
+through one executor with a shared ``BuildSideCache``.
 
-* Against ``sqlite3``: ``COUNT`` / ``MIN`` / ``MAX`` exactly, ``SUM`` /
-  ``AVG`` to 1e-9 of the sum of magnitudes (what reordering a float sum
-  can move), NULL standing for NaN.
+* Against ``sqlite3``: row by row in key order (``ORDER BY <keys> NULLS
+  LAST``), group keys and ``COUNT`` / ``MIN`` / ``MAX`` exactly, ``SUM``
+  / ``AVG`` to 1e-9 of the sum of magnitudes (what reordering a float
+  sum can move), NULL standing for NaN.
 * Against the materialised join (``executor._execute_node`` on the
-  join, then the aggregates folded row by row here): the join node's
-  ``actual_rows`` equal, and every value bit-identical except a float
-  ``SUM`` / ``AVG``, which is held to 1e-12 of its sum of magnitudes.
-  The integer columns span all of ``int64``, so their sums wrap: the
-  fused ``v * w`` wraps as ``v`` added ``w`` times does.
+  join, then the scalar aggregates folded row by row here, adding in
+  ``float64``): the join node's ``actual_rows`` equal, ``COUNT`` /
+  ``MIN`` / ``MAX`` bit-identical, and ``SUM`` / ``AVG`` held to 1e-12
+  of the sum of magnitudes.  The integer columns span all of ``int64``,
+  so their sums pass 2**63: they round, and the fused ``v * w`` rounds
+  within that bound of ``v`` added ``w`` times.
 """
 
 import math
@@ -40,7 +44,7 @@ from repro.errors import OptimizerError
 from repro.optimizer import plan_query
 from repro.optimizer.learned_planner import _HINT_SETS
 from repro.optimizer.planner import PlannerOptions
-from repro.plans import HashJoin, PlainAggregate
+from repro.plans import HashAggregate, HashJoin, PlainAggregate
 from repro.sql import AggregateFunction, parse_query
 
 pytestmark = pytest.mark.oracle
@@ -52,6 +56,7 @@ _HASH_HINTS = [hints for hints in _HINT_SETS
 _FORCED = {"enable_mergejoin": False, "enable_nestloop": False}
 _TABLES = ("a", "b", "c")
 _VALUE_COLUMNS = ("x", "f")           # x int64, f float64
+_KEY_COLUMNS = ("k", *_VALUE_COLUMNS)  # every column is nullable
 _FUNCTIONS = ("COUNT", "SUM", "AVG", "MIN", "MAX")
 _EXACT = (AggregateFunction.COUNT, AggregateFunction.MIN,
           AggregateFunction.MAX)
@@ -65,16 +70,18 @@ _FLOATS = st.floats(-1e3, 1e3, allow_nan=False, width=64)
 
 @st.composite
 def _table(draw, ints):
-    """One table: a duplicate-heavy, nullable join key ``k`` and one
-    nullable value column of each dtype."""
+    """One table: a duplicate-heavy, nullable join key ``k`` (NULL one
+    time in four, so drawn joins often keep rows) and one nullable value
+    column of each dtype."""
     rows = draw(st.integers(0, 9))
 
     def cells(values):
         return st.lists(st.one_of(st.none(), values),
                         min_size=rows, max_size=rows)
 
-    return {"k": draw(cells(st.integers(0, 3))), "x": draw(cells(ints)),
-            "f": draw(cells(_FLOATS))}
+    return {"k": draw(st.lists(st.sampled_from((0, 1, 2, None)),
+                               min_size=rows, max_size=rows)),
+            "x": draw(cells(ints)), "f": draw(cells(_FLOATS))}
 
 
 @st.composite
@@ -87,20 +94,31 @@ def _aggregate(draw, tables):
 
 
 _PREDICATES = ("", "a.x > 1000", "b.f < -2000",
-               "a.f >= -500 AND a.f <= 700", "b.x > -20 AND b.x < 30")
+               "a.f >= -500 AND a.f <= 700", "b.x > -20 AND b.x < 30",
+               "a.x > 10 AND a.x < 5")
 
 
 @st.composite
-def _case(draw, ints):
-    """Tables, and one query text over two or three of them."""
+def _case(draw, ints, grouped=False):
+    """Tables, and one query text over two or three of them: scalar, or
+    (``grouped``: half the time) grouped by one or two columns."""
     data = {name: draw(_table(ints)) for name in _TABLES}
     tables = _TABLES[:draw(st.integers(2, 3))]
     aggregates = draw(st.lists(_aggregate(tables), min_size=1, max_size=3))
+    keys = []
+    if grouped and draw(st.booleans()):
+        keys = draw(st.lists(
+            st.sampled_from([f"{table}.{column}" for table in tables
+                             for column in _KEY_COLUMNS]),
+            min_size=1, max_size=2, unique=True))
     joins = ["a.k = b.k"] + (["b.k = c.k"] if len(tables) == 3 else [])
-    predicate = draw(st.sampled_from(_PREDICATES))
-    text = (f"SELECT {', '.join(aggregates)} FROM "
+    # Half the queries filter nothing: most predicates keep no row.
+    predicate = draw(st.sampled_from(_PREDICATES)) if draw(st.booleans()) \
+        else ""
+    text = (f"SELECT {', '.join(keys + aggregates)} FROM "
             f"{', '.join(f'{name} {name}' for name in tables)} "
-            f"WHERE {' AND '.join(joins + ([predicate] if predicate else []))}")
+            f"WHERE {' AND '.join(joins + ([predicate] if predicate else []))}"
+            + (f" GROUP BY {', '.join(keys)}" if keys else ""))
     return data, text
 
 
@@ -139,20 +157,25 @@ def _plans(database, query):
         except OptimizerError:
             plans.append(None)
     forced = plans[_HASH_HINTS.index(_FORCED)]
-    assert isinstance(forced.root, PlainAggregate)
+    assert isinstance(forced.root, HashAggregate if query.group_by
+                      else PlainAggregate)
     assert isinstance(forced.root.children[0], HashJoin)
     return plans
 
 
 def _arms(database, query):
-    """``(arm, plan, executor)`` for every plan, per-plan executor first,
-    then all of them through one executor with a shared build cache."""
+    """``(arm, plan, executor)`` for every plan: an executor per plan,
+    one with interpreted filters per plan, then all of them through one
+    executor with a shared build cache."""
     shared = Executor(database, build_cache=BuildSideCache(4))
-    for name, executor in (("per-plan", None), ("shared cache", shared)):
+    arms = (("per-plan", lambda: Executor(database)),
+            ("interpreted filters",
+             lambda: Executor(database, compile_filters=False)),
+            ("shared cache", lambda: shared))
+    for name, executor in arms:
         for hints, plan in zip(_HASH_HINTS, _plans(database, query)):
             if plan is not None:
-                yield (f"{name} {hints or 'default'}", plan,
-                       executor or Executor(database))
+                yield f"{name} {hints or 'default'}", plan, executor()
 
 
 def _close(want: float, got: float, scale: float, rel: float) -> bool:
@@ -161,10 +184,10 @@ def _close(want: float, got: float, scale: float, rel: float) -> bool:
     return abs(want - got) <= rel * max(abs(want), scale)
 
 
-def _magnitudes(connection, text: str, query) -> list[float]:
-    """Per aggregate, the sum (AVG: the mean) of its values' magnitudes
-    (a placeholder for an exact one)."""
-    items = []
+def _magnitudes(connection, text: str, query) -> list[list[float]]:
+    """Per result row and aggregate, the sum (AVG: the mean) of its
+    values' magnitudes (a placeholder for a key or an exact one)."""
+    items = [str(key) for key in query.group_by]
     for aggregate in query.aggregates:
         if aggregate.function in _EXACT:
             items.append("COUNT(*)")
@@ -172,37 +195,50 @@ def _magnitudes(connection, text: str, query) -> list[float]:
             items.append(f"{aggregate.function.value}"
                          f"(ABS({aggregate.column}))")
     tail = text[text.index(" FROM "):]
-    row = connection.execute(f"SELECT {', '.join(items)}{tail}").fetchone()
-    return [0.0 if value is None else float(value) for value in row]
+    return [[0.0 if value is None else float(value) for value in row]
+            for row in connection.execute(
+                f"SELECT {', '.join(items)}{tail}").fetchall()]
 
 
-@settings(max_examples=120, deadline=None)
-@given(_case(_SMALL_INTS))
+@settings(max_examples=200, deadline=None)
+@given(_case(_SMALL_INTS, grouped=True))
 def test_aggregates_over_hash_joins_match_sqlite(case):
     data, text = case
     database = _database(data)
     query = parse_query(text)
+    if query.group_by:
+        text += " ORDER BY " + ", ".join(f"{key} NULLS LAST"
+                                         for key in query.group_by)
     connection = sqlite3.connect(":memory:")
     try:
         for table in _TABLES:
             load_table(connection, database, table)
-        truth = [math.nan if value is None else float(value)
-                 for value in connection.execute(text).fetchone()]
+        truth = [[math.nan if value is None else float(value)
+                  for value in row]
+                 for row in connection.execute(text).fetchall()]
         scales = _magnitudes(connection, text, query)
     finally:
         connection.close()
+    exact = ([True] * len(query.group_by)
+             + [aggregate.function in _EXACT
+                for aggregate in query.aggregates])
+    items = [*query.group_by, *query.aggregates]
     for arm, plan, executor in _arms(database, query):
         columns = executor.execute(plan).relation.columns
-        answer = [float(column[0]) for column in columns.values()]
-        for aggregate, want, got, scale in zip(query.aggregates, truth,
-                                               answer, scales):
-            exact = aggregate.function in _EXACT
-            assert _close(want, got, scale, 0.0 if exact else 1e-9), \
-                f"{arm}: {aggregate} = {got}, sqlite3 has {want} for {text}"
+        answer = np.column_stack(list(columns.values())).astype(
+            np.float64).tolist()
+        assert len(answer) == len(truth), \
+            f"{arm}: {len(answer)} rows, sqlite3 has {len(truth)} for {text}"
+        for want_row, got_row, scale_row in zip(truth, answer, scales):
+            for item, want, got, scale, is_exact in zip(
+                    items, want_row, got_row, scale_row, exact):
+                assert _close(want, got, scale, 0.0 if is_exact else 1e-9), \
+                    f"{arm}: {item} = {got}, sqlite3 has {want} for {text}"
 
 
 def _materialised_fold(relation, aggregate) -> float:
-    """The aggregate folded over the join's rows, one row at a time."""
+    """The aggregate folded over the join's rows, one row at a time;
+    ``SUM`` and ``AVG`` add in ``float64``."""
     function = aggregate.function
     if aggregate.column is None:
         return float(relation.num_rows)
@@ -215,9 +251,9 @@ def _materialised_fold(relation, aggregate) -> float:
     if len(values) == 0:
         return math.nan
     if function is AggregateFunction.SUM:
-        return float(values.sum())
+        return float(values.astype(np.float64).sum())
     if function is AggregateFunction.AVG:
-        return float(values.sum() / len(values))
+        return float(values.astype(np.float64).sum() / len(values))
     return float(values.min() if function is AggregateFunction.MIN
                  else values.max())
 
@@ -258,9 +294,7 @@ def test_fused_fold_equals_the_materialised_join(case):
         assert fused_rows == relation.num_rows == join.actual_rows, arm
         for aggregate, got in zip(query.aggregates, answer):
             want = _materialised_fold(relation, aggregate)
-            floating = (aggregate.column is not None
-                        and aggregate.column.column == "f"
-                        and aggregate.function not in _EXACT)
+            exact = aggregate.function in _EXACT
             assert _close(want, got, _magnitude(relation, aggregate),
-                          1e-12 if floating else 0.0), \
+                          0.0 if exact else 1e-12), \
                 f"{arm}: {aggregate} = {got}, materialised {want} for {text}"

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.db import Database, DataType, Schema
+from repro.db.schema import Column, Table
 from repro.db.table_data import TableData
 from repro.engine import Executor, execute_plan
 from repro.engine.executor import _group_rows
@@ -314,18 +316,92 @@ class TestAggregates:
         assert root.actual_rows == 0
 
 
+def _int_table(name, **columns):
+    table = Table(name=name, columns=tuple(
+        Column(column, DataType.INTEGER) for column in columns))
+    return table, TableData(table=table, columns={
+        column: np.array(values, dtype=np.int64)
+        for column, values in columns.items()})
+
+
+@pytest.fixture()
+def wide_sums_db():
+    """``w.x`` = 2**62 + 1, 2**62 + 1, 3 under one key ``w.g``, and the
+    same three values as a join: ``p.x`` = 2**62 + 1, 3 on keys 1, 2,
+    against build rows ``b.k`` = 1, 1, 2 — key 1's run holds two."""
+    wide = 2**62 + 1
+    tables = dict([_int_table("w", g=[7, 7, 7], x=[wide, wide, 3]),
+                   _int_table("p", k=[1, 2], x=[wide, 3]),
+                   _int_table("b", k=[1, 1, 2])])
+    return Database.from_tables(
+        "wide", Schema.from_tables("wide", list(tables)),
+        {table.name: data for table, data in tables.items()})
+
+
+def _sum_and_avg(alias):
+    column = ColumnRef(alias, "x")
+    return (AggregateSpec(AggregateFunction.SUM, column),
+            AggregateSpec(AggregateFunction.AVG, column))
+
+
+def _wide_sums_plan(database, shape):
+    if shape == "scalar":
+        root = PlainAggregate(aggregates=_sum_and_avg("w"),
+                              children=[SeqScan(table=TableRef("w"))])
+        return make_plan(root, database, ("w",))
+    if shape == "grouped":
+        root = HashAggregate(group_by=(ColumnRef("w", "g"),),
+                             aggregates=_sum_and_avg("w"),
+                             children=[SeqScan(table=TableRef("w"))])
+        return make_plan(root, database, ("w",))
+    condition = JoinCondition(ColumnRef("p", "k"), ColumnRef("b", "k"))
+    join = HashJoin(condition=condition, children=[
+        SeqScan(table=TableRef("p")),
+        HashBuild(key=condition.right,
+                  children=[SeqScan(table=TableRef("b"))])])
+    root = PlainAggregate(aggregates=_sum_and_avg("p"), children=[join])
+    return make_plan(root, database, ("p", "b"))
+
+
+@pytest.mark.parametrize("shape", ["scalar", "grouped", "scalar-on-a-hash-join"])
+def test_an_integer_sum_past_int64_rounds_instead_of_wrapping(wide_sums_db,
+                                                              shape):
+    """SUM and AVG add in ``float64`` in every shape: over 2**62 + 1,
+    2**62 + 1 and 3 (a sum past 2**63) they are the rounded true values,
+    not an ``int64`` sum wrapped negative."""
+    plan = _wide_sums_plan(wide_sums_db, shape)
+    columns = Executor(wide_sums_db).execute(plan).relation.columns
+    assert plan.root.children[0].actual_rows == 3
+    assert columns["agg0"].tolist() == [9.223372036854776e18]
+    assert columns["agg1"].tolist() == [3.0744573456182584e18]
+
+
 def _record_array_groups(key_arrays):
-    """The grouping ``_hash_aggregate`` used to do, kept as the oracle:
-    one comparison sort of the keys stacked into a record array."""
+    """The grouping the executor did before the per-key ranks, kept as
+    the oracle: one comparison sort of the keys stacked into a record
+    array."""
     _, first_indices, group_ids = np.unique(
         np.rec.fromarrays(key_arrays), return_index=True,
         return_inverse=True)
     return first_indices, group_ids
 
 
+def _groups(key_arrays, null_masks):
+    """``_group_rows``' ``(order, starts)`` as the record array states a
+    grouping: ``(first_indices, group_ids)``.  Also checks that each
+    group lists its rows in input order."""
+    order, starts = _group_rows(key_arrays, null_masks)
+    sizes = np.diff(starts, append=len(order))
+    group_ids = np.empty(len(order), dtype=np.intp)
+    group_ids[order] = np.repeat(np.arange(len(starts)), sizes)
+    within = np.ones(max(len(order) - 1, 0), dtype=bool)
+    within[starts[1:] - 1] = False     # a step into the next group
+    assert np.all(np.diff(order)[within] > 0), "rows left input order"
+    return order[starts], group_ids
+
+
 def _assert_groups_like_the_record_array(key_arrays):
-    first_indices, group_ids = _group_rows(key_arrays,
-                                           [None] * len(key_arrays))
+    first_indices, group_ids = _groups(key_arrays, [None] * len(key_arrays))
     want_first, want_ids = _record_array_groups(key_arrays)
     np.testing.assert_array_equal(group_ids, want_ids)
     np.testing.assert_array_equal(first_indices, want_first)
@@ -358,9 +434,10 @@ def _key_arrays(draw):
 
 
 class TestGroupRows:
-    """``_group_rows`` (per-key ranks folded into one code) against the
-    record-array sort it replaced: same groups, same order, same first
-    rows, hence the same key values and the same ``bincount`` inputs."""
+    """``_group_rows`` (per-key ranks folded into one code, one stable
+    argsort of it) against the record-array sort it replaced: same
+    groups, same order, same first rows, hence the same key values and
+    the same runs for the fold."""
 
     @settings(max_examples=100, deadline=None)
     @given(_key_arrays())
@@ -369,7 +446,7 @@ class TestGroupRows:
 
     def test_negative_zero_groups_with_zero(self):
         keys = [np.array([0.0, -0.0, 1.0, -0.0]), np.array([1, 1, 1, 2])]
-        first_indices, group_ids = _group_rows(keys, [None, None])
+        first_indices, group_ids = _groups(keys, [None, None])
         assert group_ids.tolist() == [0, 0, 2, 1]
         assert first_indices.tolist() == [0, 3, 2]
         _assert_groups_like_the_record_array(keys)
@@ -384,7 +461,7 @@ class TestGroupRows:
         keys, masks = [nullable, other], [nulls, None]
         if not first_nullable:
             keys, masks = keys[::-1], masks[::-1]
-        first_indices, group_ids = _group_rows(keys, masks)
+        first_indices, group_ids = _groups(keys, masks)
         # Groups: 1, 3, NULL (rows 0, 2 and 3).
         assert group_ids.tolist() == [2, 0, 2, 2, 1]
         assert first_indices.tolist() == [1, 4, 0]
@@ -399,7 +476,7 @@ class TestGroupRows:
         descending = np.arange(num_rows - 1, -1, -1, dtype=np.int64)
         keys = [descending, np.arange(num_rows, dtype=np.float64),
                 descending]
-        first_indices, group_ids = _group_rows(keys, [None] * 3)
+        first_indices, group_ids = _groups(keys, [None] * 3)
         # Every row is its own group, ordered by the first key.
         np.testing.assert_array_equal(first_indices, descending)
         np.testing.assert_array_equal(group_ids, descending)

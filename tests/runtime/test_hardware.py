@@ -97,7 +97,7 @@ class TestSystemConfigSerialization:
 GROUPED = "SELECT ci.person_id, COUNT(*) FROM cast_info ci GROUP BY ci.person_id"
 
 
-def _hash_aggregate(plan):
+def _grouping_node(plan):
     nodes = [n for n in plan.nodes() if isinstance(n, HashAggregate)]
     assert nodes, "plan has no HashAggregate"
     return nodes[0]
@@ -108,7 +108,7 @@ class TestAggregateResourceModel:
         small = replace(SystemParameters(), work_mem_tuples=50.0)
         plan = plan_query(tiny_imdb, parse_query(GROUPED))
         execute_plan(tiny_imdb, plan)
-        node = _hash_aggregate(plan)
+        node = _grouping_node(plan)
         simulator = RuntimeSimulator(tiny_imdb, system=small, noise_sigma=0.0)
         groups = simulator._actual(node)
         assert groups > small.work_mem_tuples  # the regression's premise
