@@ -1,9 +1,9 @@
 """The substrate and the model pipeline at default scale, checked once.
 
 Each path a user of the library cares about runs once on default-scale
-inputs: the join kernels (hash / merge / nested-loop against the
-historical sort-based kernel), planning, execution, simulation,
-featurization, inference, the one-pass epoch and the batched service.
+inputs: the join kernels (hash / nested-loop against the historical
+sort-based kernel), planning, execution, simulation, featurization,
+inference, the one-pass epoch and the batched service.
 What each path costs is measured by ``python3 -m bench``; these tests
 check what it computes.
 """
@@ -19,7 +19,6 @@ from repro.engine.join_kernels import (
     JoinHashTable,
     block_nested_loop_match,
     hash_join_match,
-    merge_join_match,
     sort_merge_match,
 )
 from repro.featurize.batch import encode_graphs, fit_scalers, merge_encoded
@@ -80,13 +79,6 @@ def test_sort_merge_reference_kernel(join_keys):
     """The historical sort-based kernel, kept as the perf baseline."""
     probe, build = join_keys
     left, _ = sort_merge_match(probe, build)
-    assert len(left) == len(probe)
-
-
-def test_merge_join_kernel(join_keys):
-    probe, build = join_keys
-    sorted_build = np.sort(build)
-    left, _ = merge_join_match(probe, sorted_build)
     assert len(left) == len(probe)
 
 

@@ -7,10 +7,10 @@ the paper's training-data collection.
 
 An intermediate holds **row ids, not columns**: one row-id vector per
 table alias over the immutable base :class:`~repro.db.TableData`.  A
-filter reads its predicate columns, a join its key column, a sort its
-key, an aggregate the columns it names — each gathered from the base
-arrays at the moment it is read; everything else only ever has its row
-ids composed (late materialisation).  ``Relation.columns`` /
+filter reads its predicate columns, a join its key column, an
+aggregate the columns it names — each gathered from the base arrays at
+the moment it is read; everything else only ever has its row ids
+composed (late materialisation).  ``Relation.columns`` /
 ``.null_masks`` gather the full result on demand, for whoever looks at
 a root.
 
@@ -36,10 +36,9 @@ Operators are dispatched through a class-level ``{operator class:
 handler}`` dict (``Executor._HANDLERS``, indexed by ``type(node)``), and
 each join handler calls the kernel of :mod:`repro.engine.join_kernels`
 that runs the *algorithm its name promises*: hash joins build/probe
-bucket arrays, merge joins exploit their sorted inputs, nested-loop
-joins compare blockwise.  All kernels produce row-identical
-results; they differ in speed, which is what the runtime simulator's
-per-operator cost models mirror.
+bucket arrays, nested-loop joins compare blockwise.  All kernels
+produce row-identical results; they differ in speed, which is what the
+runtime simulator's per-operator cost models mirror.
 
 A :class:`BuildSideCache` can be shared by many queries against the
 same database to memoize hash-join build sides (row ids + built hash
@@ -62,8 +61,6 @@ from repro.engine.join_kernels import (
     JoinHashTable,
     block_nested_loop_match,
     hash_join_table,
-    merge_join_match,
-    sort_merge_match,
 )
 from repro.errors import ExecutionError
 from repro.plans.operators import (
@@ -71,12 +68,10 @@ from repro.plans.operators import (
     HashBuild,
     HashJoin,
     IndexScan,
-    MergeJoin,
     NestedLoopJoin,
     PlainAggregate,
     PlanNode,
     SeqScan,
-    Sort,
 )
 from repro.plans.plan import PhysicalPlan, plan_signature
 from repro.sql.ast import (
@@ -132,8 +127,8 @@ class Relation:
     """An intermediate result: row ids per table alias + owned columns.
 
     A scan contributes its alias with a row-id vector over the base
-    table and the column names it exposes (``projection``); joins,
-    filters and sorts only compose row ids.  ``column`` / ``null_mask``
+    table and the column names it exposes (``projection``); joins and
+    filters only compose row ids.  ``column`` / ``null_mask``
     gather one column from the base arrays when an operator reads it.
     Aggregates emit *owned* columns (``agg0``, group keys), which have
     no base table behind them.
@@ -297,11 +292,10 @@ class _BuildEntry:
 
     relation: Relation
     actuals: tuple[int | None, ...]
-    prepared: dict[str, tuple[Relation, JoinHashTable | None]] = \
+    prepared: dict[str, tuple[Relation, JoinHashTable]] = \
         field(default_factory=dict)
 
-    def prepared_for(self, key: ColumnRef
-                     ) -> tuple[Relation, JoinHashTable | None]:
+    def prepared_for(self, key: ColumnRef) -> tuple[Relation, JoinHashTable]:
         """Null-dropped row ids + hash table for one build key column."""
         cache_key = str(key)
         entry = self.prepared.get(cache_key)
@@ -367,17 +361,14 @@ class _HashJoinInputs(NamedTuple):
     probe: Relation
     build: Relation
     probe_keys: np.ndarray
-    build_keys: np.ndarray | None   # None when a cached table serves
-    table: JoinHashTable | None     # None: the keys admit no hash table
+    #: Over ``int64`` / ``float64`` keys, the only dtypes ``TableData``
+    #: stores, so every join key hashes.
+    table: JoinHashTable
 
 
 def _joined(inputs: _HashJoinInputs) -> Relation:
     """The hash join's rows, one per matching pair."""
-    if inputs.table is None:
-        probe_idx, build_idx = sort_merge_match(inputs.probe_keys,
-                                                inputs.build_keys)
-    else:
-        probe_idx, build_idx = inputs.table.probe(inputs.probe_keys)
+    probe_idx, build_idx = inputs.table.probe(inputs.probe_keys)
     return inputs.probe.take(probe_idx).merge(inputs.build.take(build_idx))
 
 
@@ -531,8 +522,8 @@ class Executor:
             probe = _drop_null_keys(probe, probe_ref)
             build, table = entry.prepared_for(build_ref)
             probe_keys = probe.column(probe_ref)
-            if table is not None and table.accepts(probe_keys.dtype):
-                return _HashJoinInputs(probe, build, probe_keys, None, table)
+            if table.accepts(probe_keys.dtype):
+                return _HashJoinInputs(probe, build, probe_keys, table)
         else:
             build = self._execute_node(build_node)
             probe_ref, build_ref = _orient_condition(node.condition, probe,
@@ -540,8 +531,9 @@ class Executor:
             probe = _drop_null_keys(probe, probe_ref)
             build = _drop_null_keys(build, build_ref)
             probe_keys = probe.column(probe_ref)
-        return _HashJoinInputs(
-            probe, build, *hash_join_table(probe_keys, build.column(build_ref)))
+        probe_keys, _, table = hash_join_table(probe_keys,
+                                               build.column(build_ref))
+        return _HashJoinInputs(probe, build, probe_keys, table)
 
     def _cached_build(self, build_node: PlanNode) -> _BuildEntry:
         """Fetch (or execute and memoize) a hash-join build side."""
@@ -558,17 +550,6 @@ class Executor:
             # a fully executed plan.
             _restore_actuals(build_node, entry.actuals)
         return entry
-
-    def _merge_join(self, node: MergeJoin) -> Relation:
-        left = self._execute_node(node.children[0])
-        right = self._execute_node(node.children[1])
-        left_ref, right_ref = _orient_condition(node.condition, left, right)
-        left = _drop_null_keys(left, left_ref)
-        right = _drop_null_keys(right, right_ref)
-        left_idx, right_idx = merge_join_match(
-            left.column(left_ref), right.column(right_ref)
-        )
-        return left.take(left_idx).merge(right.take(right_idx))
 
     def _nested_loop(self, node: NestedLoopJoin) -> Relation:
         outer_node, inner_node = node.children
@@ -592,13 +573,8 @@ class Executor:
         return outer.take(left_idx).merge(inner.take(right_idx))
 
     # ------------------------------------------------------------------
-    # Sort / aggregation
+    # Aggregation
     # ------------------------------------------------------------------
-    def _sort(self, node: Sort) -> Relation:
-        relation = self._execute_node(node.children[0])
-        order = np.argsort(relation.column(node.key), kind="stable")
-        return relation.take(order)
-
     def _aggregate(self, node: PlainAggregate | HashAggregate) -> Relation:
         """One row per group of the child's rows: grouped by the keys, or
         one group (even of no rows) when there are none."""
@@ -606,16 +582,14 @@ class Executor:
         aggregates = node.aggregates or (
             () if group_by else (AggregateSpec(AggregateFunction.COUNT),))
         child = node.children[0]
-        inputs = (self._hash_join_inputs(child)
-                  if type(child) is HashJoin and not group_by else None)
         columns: dict[str, np.ndarray] = {}
-        if inputs is not None and inputs.table is not None:
+        if type(child) is HashJoin and not group_by:
             # The join's rows are only folded: fold per-key multiplicities
             # instead of building them.
-            child.actual_rows, sides = _matched_sides(inputs, aggregates)
+            child.actual_rows, sides = _matched_sides(
+                self._hash_join_inputs(child), aggregates)
         else:
-            relation = (self._execute_node(child) if inputs is None
-                        else _joined(inputs))
+            relation = self._execute_node(child)
             child.actual_rows = relation.num_rows
             bounds = _one_group(relation.num_rows)
             if group_by:
@@ -643,9 +617,7 @@ class Executor:
         IndexScan: _index_scan,
         HashBuild: _hash_build,
         HashJoin: _hash_join,
-        MergeJoin: _merge_join,
         NestedLoopJoin: _nested_loop,
-        Sort: _sort,
         HashAggregate: _aggregate,
         PlainAggregate: _aggregate,
     }

@@ -7,7 +7,7 @@ rows' original order.  That ordering is exactly what the historical
 sort-based kernel produced, so every kernel is a drop-in replacement
 whose output is row-identical to the others.
 
-Three algorithms are provided, matching the physical operators:
+Two algorithms are provided, matching the physical operators:
 
 * :func:`hash_join_match` — true build/probe hashing over the
   *distinct* build keys (multiplicative Fibonacci hash, power-of-two
@@ -26,11 +26,6 @@ Three algorithms are provided, matching the physical operators:
   (:meth:`JoinHashTable.probe`); an aggregate that only folds the join
   stops at ``match`` and weighs rows by their runs instead.  No
   Python-level row loops.
-* :func:`merge_join_match` — exploits *already sorted* inputs (the
-  planner places ``Sort`` nodes or order-preserving subplans under a
-  ``MergeJoin``): a pair of ``searchsorted`` sweeps over the sorted
-  right side, with no ``argsort`` at all.  Falls back to
-  :func:`sort_merge_match` if the right input turns out unsorted.
 * :func:`block_nested_loop_match` — compares blocks of the outer side
   against the whole inner side with a broadcast equality, bounding the
   working set to roughly ``_BLOCK_CELLS`` comparison cells.
@@ -40,10 +35,10 @@ reference implementation and as the generic fallback for key dtypes the
 hash kernel cannot canonicalize.
 
 Each join handler of :class:`~repro.engine.executor.Executor` calls its
-operator's kernel by name (``_merge_join`` → :func:`merge_join_match`,
-``_nested_loop`` → :func:`block_nested_loop_match`); a hash join's
-inputs build their table through :func:`hash_join_table`, the first half
-of :func:`hash_join_match`.
+operator's kernel by name (``_nested_loop`` →
+:func:`block_nested_loop_match`); a hash join's inputs build their
+table through :func:`hash_join_table`, the first half of
+:func:`hash_join_match`.
 """
 
 from __future__ import annotations
@@ -60,7 +55,6 @@ __all__ = [
     "block_nested_loop_match",
     "hash_join_match",
     "hash_join_table",
-    "merge_join_match",
     "sort_merge_match",
 ]
 
@@ -338,26 +332,6 @@ def hash_join_match(probe_keys: np.ndarray,
     if table is None:
         return sort_merge_match(probe_keys, build_keys)
     return table.probe(probe_keys)
-
-
-def _is_sorted(keys: np.ndarray) -> bool:
-    return len(keys) < 2 or bool(np.all(keys[:-1] <= keys[1:]))
-
-
-def merge_join_match(left_keys: np.ndarray,
-                     right_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Merge join over inputs the planner already sorted on the key.
-
-    Only the right side's order is exploited (the left side is streamed
-    in its own order, preserving the shared output contract).  If the
-    right side is *not* sorted — a custom plan built without ``Sort``
-    nodes — the kernel degrades gracefully to :func:`sort_merge_match`.
-    """
-    if not _is_sorted(right_keys):
-        return sort_merge_match(left_keys, right_keys)
-    starts = np.searchsorted(right_keys, left_keys, side="left")
-    stops = np.searchsorted(right_keys, left_keys, side="right")
-    return expand_runs(starts, stops - starts)
 
 
 def block_nested_loop_match(outer_keys: np.ndarray,

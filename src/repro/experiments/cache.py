@@ -29,13 +29,13 @@ vanished) and a stored model still matches it.
 
 Layout (one directory per context key, one per shard key)::
 
-    <root>/v6/ctx-<hash>/
+    <root>/v7/ctx-<hash>/
         scale.json          # provenance: the exact scale + pool flag
         models/estimated/   # ZeroShotCostModel.save (weights + scalers)
         models/actual/
         context.pkl         # IMDB holdout, evaluation records, pool
         COMPLETE            # written last; absent => entry is ignored
-    <root>/v6/shards/shard-<hash>/
+    <root>/v7/shards/shard-<hash>/
         shard.json          # provenance: database name, queries, seeds
         payload.pkl         # pickled ShardExecution
         COMPLETE
@@ -89,7 +89,9 @@ __all__ = ["ArtifactStore", "cache_enabled", "context_key", "main",
 #: training databases; the shard entries are the only persisted form.
 #: v6: ``GROUP BY`` on a nullable key emits one NULL group, so grouped
 #: queries over NULLs record different root cardinalities.
-CACHE_FORMAT_VERSION = "v6"
+#: v7: the merge join and its sort operator are gone, so a saved model
+#: encodes two fewer ``plan_op`` and one fewer ``system`` feature.
+CACHE_FORMAT_VERSION = "v7"
 
 _COMPLETE_MARKER = "COMPLETE"
 #: What reading an entry raises when it was deleted under the reader

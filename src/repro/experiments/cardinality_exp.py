@@ -41,7 +41,6 @@ from repro.optimizer.learned_cardinality import LearnedCardinalityEstimator
 from repro.plans.operators import (
     HashJoin,
     IndexScan,
-    MergeJoin,
     NestedLoopJoin,
 )
 from repro.plans.plan import walk_plan
@@ -119,7 +118,7 @@ def _relevant_mask(plan) -> np.ndarray:
     and unfiltered scans are copies or constants."""
     mask = []
     for node in walk_plan(plan.root):
-        if isinstance(node, (HashJoin, MergeJoin, NestedLoopJoin)):
+        if isinstance(node, (HashJoin, NestedLoopJoin)):
             mask.append(True)
         elif isinstance(node, IndexScan) and node.lookup_column is not None:
             mask.append(True)

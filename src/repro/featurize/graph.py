@@ -57,12 +57,10 @@ from repro.plans.operators import (
     HashAggregate,
     HashJoin,
     IndexScan,
-    MergeJoin,
     NestedLoopJoin,
     PlainAggregate,
     PlanNode,
     SeqScan,
-    Sort,
 )
 from repro.plans.plan import PhysicalPlan
 from repro.runtime.system import SystemParameters
@@ -100,11 +98,10 @@ NODE_TYPES = ("plan_op", "table", "column", "predicate", "aggregate",
 #: same way table statistics transfer across databases.
 SYSTEM_FEATURE_FIELDS = (
     "cpu_tuple_s", "cpu_predicate_s", "cpu_index_tuple_s", "hash_build_s",
-    "hash_probe_s", "sort_compare_s", "aggregate_update_s",
-    "nested_loop_compare_s", "seq_page_read_s", "random_page_read_s",
-    "buffer_pool_pages", "hot_miss_fraction", "work_mem_tuples",
-    "spill_tuple_s", "cpu_cache_tuples", "cache_thrash_factor",
-    "query_overhead_s",
+    "hash_probe_s", "aggregate_update_s", "nested_loop_compare_s",
+    "seq_page_read_s", "random_page_read_s", "buffer_pool_pages",
+    "hot_miss_fraction", "work_mem_tuples", "spill_tuple_s",
+    "cpu_cache_tuples", "cache_thrash_factor", "query_overhead_s",
 )
 
 #: Integer code per node type (index into ``NODE_TYPES``) — the batcher
@@ -393,15 +390,11 @@ class ZeroShotFeaturizer:
                 column_id = self._attach_column(indexed, query, database,
                                                 graph, column_cache)
                 graph.add_edge(column_id, op_id)
-        elif isinstance(node, (HashJoin, MergeJoin, NestedLoopJoin)):
+        elif isinstance(node, (HashJoin, NestedLoopJoin)):
             for side in (node.condition.left, node.condition.right):
                 column_id = self._attach_column(side, query, database, graph,
                                                 column_cache)
                 graph.add_edge(column_id, op_id)
-        elif isinstance(node, Sort):
-            column_id = self._attach_column(node.key, query, database, graph,
-                                            column_cache)
-            graph.add_edge(column_id, op_id)
         elif isinstance(node, (HashAggregate, PlainAggregate)):
             for aggregate in node.aggregates:
                 agg_features = [0.0] * FEATURE_DIMS["aggregate"]

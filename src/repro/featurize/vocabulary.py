@@ -21,12 +21,10 @@ from repro.plans.operators import (
     HashBuild,
     HashJoin,
     IndexScan,
-    MergeJoin,
     NestedLoopJoin,
     PlainAggregate,
     PlanNode,
     SeqScan,
-    Sort,
 )
 from repro.sql.ast import ComparisonOperator, Predicate, Query
 
@@ -42,8 +40,8 @@ __all__ = [
 
 #: Physical operator classes, in one-hot order.
 OPERATOR_KINDS = (
-    SeqScan, IndexScan, HashBuild, HashJoin, MergeJoin, NestedLoopJoin,
-    Sort, HashAggregate, PlainAggregate,
+    SeqScan, IndexScan, HashBuild, HashJoin, NestedLoopJoin, HashAggregate,
+    PlainAggregate,
 )
 OPERATOR_INDEX = {cls.__name__: i for i, cls in enumerate(OPERATOR_KINDS)}
 

@@ -9,7 +9,6 @@ which this implementation keeps faithfully.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.db.database import Database
@@ -24,7 +23,7 @@ RANDOM_PAGE_COST = 4.0
 CPU_TUPLE_COST = 0.01
 CPU_INDEX_TUPLE_COST = 0.005
 CPU_OPERATOR_COST = 0.0025
-#: work_mem expressed in tuples that fit before a sort/hash spills.
+#: work_mem expressed in tuples that fit before a hash table spills.
 WORK_MEM_TUPLES = 200_000.0
 
 
@@ -75,12 +74,6 @@ class CostModel:
             spill = spilled_tuples * CPU_TUPLE_COST * 2.0
         return build + probe + emit + spill
 
-    def merge_join_cost(self, left_rows: float, right_rows: float,
-                        output_rows: float) -> float:
-        scan = (left_rows + right_rows) * CPU_OPERATOR_COST
-        emit = output_rows * CPU_TUPLE_COST
-        return scan + emit
-
     def nested_loop_cost(self, outer_rows: float, inner_rows: float,
                          inner_cost: float, output_rows: float) -> float:
         """Plain nested loop: the inner subplan is rescanned per outer row."""
@@ -102,16 +95,8 @@ class CostModel:
         return descend + fetch + emit
 
     # ------------------------------------------------------------------
-    # Sort / aggregation
+    # Aggregation
     # ------------------------------------------------------------------
-    def sort_cost(self, input_rows: float) -> float:
-        rows = max(input_rows, 2.0)
-        compare = rows * math.log2(rows) * 2.0 * CPU_OPERATOR_COST
-        spill = 0.0
-        if rows > WORK_MEM_TUPLES:
-            spill = rows * CPU_TUPLE_COST * 2.0  # external merge passes
-        return compare + spill
-
     def aggregate_cost(self, input_rows: float, num_aggregates: int,
                        output_groups: float) -> float:
         per_row = (1 + num_aggregates) * CPU_OPERATOR_COST

@@ -37,8 +37,6 @@ _HINT_SETS: tuple[dict, ...] = (
     {},                                                      # default
     {"enable_nestloop": False},
     {"enable_hashjoin": False},
-    {"enable_mergejoin": False, "enable_nestloop": False},
-    {"enable_hashjoin": False, "enable_mergejoin": False},
     {"enable_indexscan": False},
 )
 

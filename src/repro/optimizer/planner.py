@@ -4,7 +4,7 @@ Pipeline:
 
 1. choose the cheapest access path per table (seq scan vs index scan,
    including hypothetical indexes for what-if planning),
-2. DP join enumeration over hash / merge / (index) nested-loop joins,
+2. DP join enumeration over hash and (index) nested-loop joins,
 3. aggregation on top,
 
 annotating every node with estimated rows, width and cumulative cost.
@@ -30,20 +30,13 @@ from repro.plans.operators import (
     HashBuild,
     HashJoin,
     IndexScan,
-    MergeJoin,
     NestedLoopJoin,
     PlainAggregate,
     PlanNode,
     SeqScan,
-    Sort,
 )
 from repro.plans.plan import PhysicalPlan
-from repro.sql.ast import (
-    ColumnRef,
-    JoinCondition,
-    Predicate,
-    Query,
-)
+from repro.sql.ast import JoinCondition, Predicate, Query
 from repro.sql.validate import validate_query
 
 __all__ = ["PlannerOptions", "Planner", "plan_query"]
@@ -62,7 +55,6 @@ class PlannerOptions:
     enable_seqscan: bool = True
     enable_indexscan: bool = True
     enable_hashjoin: bool = True
-    enable_mergejoin: bool = True
     enable_nestloop: bool = True
     use_hypothetical_indexes: bool = True
     enable_rewrites: bool = False
@@ -75,7 +67,6 @@ class _SubPlan:
     width: float
     cost: float
     aliases: frozenset[str]
-    sorted_on: ColumnRef | None = None
 
 
 class Planner:
@@ -206,11 +197,8 @@ class _PlanSearch:
                 node.est_cost = self.cost_model.index_scan_cost(
                     index, matched, table_name, len(residual)
                 )
-                candidates.append(
-                    _SubPlan(node, out_rows, width, node.est_cost,
-                             frozenset({alias}),
-                             sorted_on=ColumnRef(alias, index.column_name))
-                )
+                candidates.append(_SubPlan(node, out_rows, width,
+                                           node.est_cost, frozenset({alias})))
         if not candidates:
             raise OptimizerError(
                 f"no access path for table {alias!r} "
@@ -268,11 +256,11 @@ class _PlanSearch:
         """The cheapest join of two DP entries, or None for a cross
         product.
 
-        Candidates are priced first, as ``(total cost, order it leaves,
-        node builder, arguments)`` in a fixed sequence — hash l/r, hash
-        r/l, merge, index nested loop per side per index, nested loop
-        l/r, r/l — and ``min`` keeps the first of equal totals; only
-        that candidate's nodes are constructed.
+        Candidates are priced first, as ``(total cost, node builder,
+        arguments)`` in a fixed sequence — hash l/r, hash r/l, index
+        nested loop per side per index, nested loop l/r, r/l — and
+        ``min`` keeps the first of equal totals; only that candidate's
+        nodes are constructed.
         """
         condition = self._connecting_join(left, right)
         if condition is None:
@@ -293,19 +281,9 @@ class _PlanSearch:
                     cost_model.hash_build_cost(build.rows)
                 increment = cost_model.hash_join_cost(
                     build.rows, probe.rows, out_rows)
-                candidates.append((probe.cost + build_cost + increment, None,
+                candidates.append((probe.cost + build_cost + increment,
                                    self._hash_join,
                                    (probe, build, build_cost)))
-
-        if self.options.enable_mergejoin:
-            left_key, left_cost = self._sorted_cost(left, condition)
-            right_key, right_cost = self._sorted_cost(right, condition)
-            increment = cost_model.merge_join_cost(
-                left.rows, right.rows, out_rows)
-            candidates.append((left_cost + right_cost + increment, left_key,
-                               self._merge_join,
-                               ((left, left_key, left_cost),
-                                (right, right_key, right_cost))))
 
         if self.options.enable_nestloop:
             emit = out_rows * CPU_TUPLE_COST
@@ -314,7 +292,7 @@ class _PlanSearch:
                     continue  # an INL inner is one indexed table
                 for index, lookup_cost in self._index_lookups(
                         outer, inner, condition, out_rows):
-                    candidates.append((outer.cost + lookup_cost + emit, None,
+                    candidates.append((outer.cost + lookup_cost + emit,
                                        self._index_nested_loop,
                                        (outer, inner, index, lookup_cost,
                                         out_rows)))
@@ -322,19 +300,17 @@ class _PlanSearch:
             for outer, inner in ((left, right), (right, left)):
                 increment = cost_model.nested_loop_cost(
                     outer.rows, inner.rows, inner.cost, out_rows)
-                candidates.append((outer.cost + increment, None,
+                candidates.append((outer.cost + increment,
                                    self._nested_loop, (outer, inner)))
 
         if not candidates:
             raise OptimizerError("all join strategies are disabled")
-        total, sorted_on, build_node, arguments = min(candidates,
-                                                      key=itemgetter(0))
+        total, build_node, arguments = min(candidates, key=itemgetter(0))
         node = build_node(condition, *arguments)
         node.est_rows = out_rows
         node.est_width = left.width + right.width
         node.est_cost = total
-        return _SubPlan(node, out_rows, node.est_width, total, out_aliases,
-                        sorted_on=sorted_on)
+        return _SubPlan(node, out_rows, node.est_width, total, out_aliases)
 
     def _hash_join(self, condition: JoinCondition, probe: _SubPlan,
                    build: _SubPlan, build_cost: float) -> HashJoin:
@@ -347,28 +323,6 @@ class _PlanSearch:
         build_node.est_cost = build_cost
         return HashJoin(condition=condition,
                         children=[probe.node, build_node])
-
-    def _sorted_cost(self, sub: _SubPlan, condition: JoinCondition
-                     ) -> tuple[ColumnRef, float]:
-        """The join key of ``sub`` and its cost once ordered on it (a
-        Sort on top unless the existing order is reused)."""
-        key = condition.side_for(self._owning_side(condition, sub))
-        if sub.sorted_on == key:
-            return key, sub.cost
-        return key, sub.cost + self.cost_model.sort_cost(sub.rows)
-
-    @staticmethod
-    def _merge_join(condition: JoinCondition, *inputs) -> MergeJoin:
-        children = []
-        for sub, key, sorted_cost in inputs:
-            node = sub.node
-            if sub.sorted_on != key:
-                node = Sort(key=key, children=[sub.node])
-                node.est_rows = sub.rows
-                node.est_width = sub.width
-                node.est_cost = sorted_cost
-            children.append(node)
-        return MergeJoin(condition=condition, children=children)
 
     def _index_lookups(self, outer: _SubPlan, inner: _SubPlan,
                        condition: JoinCondition, out_rows: float):

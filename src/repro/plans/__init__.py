@@ -1,8 +1,8 @@
 """Physical query plans.
 
 Plan nodes model *physical* operators (the paper's encoding operates on
-physical plans, cf. Figure 2): sequential and index scans, hash /
-merge / nested-loop joins, sorts and aggregates.  Nodes carry both
+physical plans, cf. Figure 2): sequential and index scans, hash and
+nested-loop joins, and aggregates.  Nodes carry both
 estimated cardinalities (set by the optimizer) and actual cardinalities
 (set by the executor), because the zero-shot model is evaluated with
 either source (Table 1 of the paper).
@@ -14,12 +14,10 @@ from repro.plans.operators import (
     HashBuild,
     HashJoin,
     IndexScan,
-    MergeJoin,
     NestedLoopJoin,
     PlainAggregate,
     PlanNode,
     SeqScan,
-    Sort,
 )
 from repro.plans.plan import PhysicalPlan, plan_signature, walk_plan
 
@@ -28,13 +26,11 @@ __all__ = [
     "HashBuild",
     "HashJoin",
     "IndexScan",
-    "MergeJoin",
     "NestedLoopJoin",
     "PhysicalPlan",
     "PlainAggregate",
     "PlanNode",
     "SeqScan",
-    "Sort",
     "explain_plan",
     "plan_signature",
     "walk_plan",

@@ -31,9 +31,7 @@ __all__ = [
     "IndexScan",
     "HashBuild",
     "HashJoin",
-    "MergeJoin",
     "NestedLoopJoin",
-    "Sort",
     "HashAggregate",
     "PlainAggregate",
 ]
@@ -195,24 +193,6 @@ class HashJoin(PlanNode):
 
 
 @dataclass
-class MergeJoin(PlanNode):
-    """Sort-merge join: children must produce key-sorted inputs."""
-
-    condition: JoinCondition | None = None
-
-    def _expected_children(self) -> int:
-        return 2
-
-    def validate(self) -> None:
-        super().validate()
-        if self.condition is None:
-            raise PlanError("merge join without a join condition")
-
-    def label(self) -> str:
-        return f"Merge Join ({self.condition})"
-
-
-@dataclass
 class NestedLoopJoin(PlanNode):
     """Nested-loop join; with an inner parameterized IndexScan this is an
     index nested-loop join (the plan shape index tuning produces)."""
@@ -235,24 +215,6 @@ class NestedLoopJoin(PlanNode):
     def label(self) -> str:
         kind = "Index Nested Loop" if self.is_index_nested_loop else "Nested Loop"
         return f"{kind} ({self.condition})"
-
-
-@dataclass
-class Sort(PlanNode):
-    """In-memory / spilling sort on one key column."""
-
-    key: ColumnRef | None = None
-
-    def _expected_children(self) -> int:
-        return 1
-
-    def validate(self) -> None:
-        super().validate()
-        if self.key is None:
-            raise PlanError("sort without a key")
-
-    def label(self) -> str:
-        return f"Sort (key: {self.key})"
 
 
 @dataclass

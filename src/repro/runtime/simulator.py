@@ -15,8 +15,7 @@ baseline.
 Each operator's cost model mirrors the algorithm the executor's kernel
 actually runs (see :mod:`repro.engine.join_kernels`): hash joins pay a
 per-probe bucket lookup that degrades with build-side size (CPU-cache
-thrashing), merge joins pay one linear pass over their pre-sorted
-inputs, nested loops pay the full blockwise comparison matrix.  The
+thrashing), nested loops pay the full blockwise comparison matrix.  The
 models are looked up in one ``{operator class: model}`` dict
 (``RuntimeSimulator._MODELS``, indexed by ``type(node)``), the mirror
 of the executor's ``Executor._HANDLERS``.
@@ -36,12 +35,10 @@ from repro.plans.operators import (
     HashBuild,
     HashJoin,
     IndexScan,
-    MergeJoin,
     NestedLoopJoin,
     PlainAggregate,
     PlanNode,
     SeqScan,
-    Sort,
 )
 from repro.plans.plan import PhysicalPlan, walk_plan
 from repro.runtime.system import SystemParameters
@@ -58,7 +55,7 @@ class QueryRuntime:
     but also other aspects such as resource consumption"):
 
     * ``memory_peak_bytes`` — the largest working-memory allocation of
-      any stateful operator (hash tables, sort buffers),
+      any stateful operator (hash tables, group tables),
     * ``io_pages`` — total pages read from disk (after the buffer cache).
     """
 
@@ -130,11 +127,8 @@ class RuntimeSimulator:
     def _node_memory_bytes(self, node: PlanNode) -> float:
         """Working memory held by a stateful operator."""
         s = self.system
-        per_tuple_overhead = 48.0  # hash entry / sort tuple header
+        per_tuple_overhead = 48.0  # hash entry header
         if isinstance(node, HashBuild):
-            rows = min(self._actual(node), s.work_mem_tuples)
-            return rows * (node.est_width + per_tuple_overhead)
-        if isinstance(node, Sort):
             rows = min(self._actual(node), s.work_mem_tuples)
             return rows * (node.est_width + per_tuple_overhead)
         if isinstance(node, HashAggregate):
@@ -160,10 +154,10 @@ class RuntimeSimulator:
             else:
                 distinct = 0.0
             return distinct * miss
-        if isinstance(node, (HashBuild, Sort, HashAggregate)):
+        if isinstance(node, (HashBuild, HashAggregate)):
             # Stateful operators spill once their state exceeds working
             # memory; for an aggregate the state is the *group* table
-            # (its output rows), for builds/sorts the buffered input.
+            # (its output rows), for a build the buffered input.
             rows = self._actual(node)
             if rows > s.work_mem_tuples:
                 from repro.db.types import PAGE_SIZE_BYTES
@@ -249,17 +243,6 @@ class RuntimeSimulator:
             spill = probe_rows * s.spill_tuple_s  # grace join re-read
         return probe + emit + spill
 
-    def _merge_join(self, node: MergeJoin) -> float:
-        """One linear pass over both pre-sorted inputs (no re-sort; the
-        Sort children are charged separately)."""
-        s = self.system
-        left_rows = self._actual(node.children[0])
-        right_rows = self._actual(node.children[1])
-        out_rows = self._actual(node)
-        scan = (left_rows + right_rows) * s.sort_compare_s
-        emit = out_rows * s.cpu_tuple_s
-        return scan + emit
-
     def _nested_loop(self, node: NestedLoopJoin) -> float:
         """Full outer×inner comparison matrix (blockwise in the kernel,
         but the comparison count is the same)."""
@@ -281,16 +264,6 @@ class RuntimeSimulator:
         emit = out_rows * s.cpu_tuple_s
         return compare + emit
 
-    def _sort(self, node: Sort) -> float:
-        s = self.system
-        rows = max(self._actual(node), 2.0)
-        compare = rows * math.log2(rows) * s.sort_compare_s
-        spill = 0.0
-        if rows > s.work_mem_tuples:
-            passes = math.ceil(math.log(rows / s.work_mem_tuples, 4)) + 1
-            spill = rows * s.spill_tuple_s * passes
-        return compare + spill
-
     def _aggregate(self, node: HashAggregate | PlainAggregate,
                    grouped: bool) -> float:
         s = self.system
@@ -304,8 +277,7 @@ class RuntimeSimulator:
         spill = 0.0
         if grouped and out_rows > s.work_mem_tuples:
             # Group table exceeds working memory: spill it, mirroring
-            # the hash-build/sort operators (large group-bys used to
-            # spill for free).
+            # the hash build (large group-bys used to spill for free).
             spill = out_rows * s.spill_tuple_s
         return update + emit + spill
 
@@ -321,9 +293,7 @@ class RuntimeSimulator:
         IndexScan: _index_scan,
         HashBuild: _hash_build,
         HashJoin: _hash_join,
-        MergeJoin: _merge_join,
         NestedLoopJoin: _nested_loop,
-        Sort: _sort,
         HashAggregate: _hash_aggregate_model,
         PlainAggregate: _plain_aggregate_model,
     }

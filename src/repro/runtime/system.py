@@ -44,7 +44,6 @@ class SystemParameters:
     cpu_index_tuple_s: float = 1.2e-6    #: per index entry touched
     hash_build_s: float = 3e-6           #: per tuple inserted into a hash table
     hash_probe_s: float = 1.5e-6         #: per probe into a hash table
-    sort_compare_s: float = 8e-7         #: per comparison while sorting
     aggregate_update_s: float = 9e-7     #: per aggregate update per tuple
     nested_loop_compare_s: float = 1.5e-7  #: per pair comparison (tight loop)
 
@@ -58,7 +57,7 @@ class SystemParameters:
     buffer_pool_pages: float = 150.0
     hot_miss_fraction: float = 0.02      #: residual misses on cached tables
 
-    # Working memory: tuples before sorts/hashes spill to disk.
+    # Working memory: tuples before hash tables spill to disk.
     work_mem_tuples: float = 25_000.0
     spill_tuple_s: float = 5e-6          #: per tuple written+read on spill
 
@@ -120,7 +119,7 @@ class SystemParameters:
         """An alternative machine with ~2x CPU (for hardware what-if)."""
         return cls(
             cpu_tuple_s=7.5e-7, cpu_predicate_s=3e-7, cpu_index_tuple_s=6e-7,
-            hash_build_s=1.5e-6, hash_probe_s=7.5e-7, sort_compare_s=4e-7,
+            hash_build_s=1.5e-6, hash_probe_s=7.5e-7,
             aggregate_update_s=4.5e-7, nested_loop_compare_s=7.5e-8,
         )
 
@@ -150,8 +149,8 @@ class SystemParameters:
         return cls(
             cpu_tuple_s=1.1e-6, cpu_predicate_s=4.4e-7,
             cpu_index_tuple_s=8.8e-7, hash_build_s=2.2e-6,
-            hash_probe_s=1.1e-6, sort_compare_s=5.9e-7,
-            aggregate_update_s=6.6e-7, nested_loop_compare_s=1.1e-7,
+            hash_probe_s=1.1e-6, aggregate_update_s=6.6e-7,
+            nested_loop_compare_s=1.1e-7,
             seq_page_read_s=2.9e-4, random_page_read_s=2.2e-3,
             buffer_pool_pages=420.0, work_mem_tuples=60_000.0,
         )

@@ -49,11 +49,11 @@ from repro.sql import AggregateFunction, parse_query
 
 pytestmark = pytest.mark.oracle
 
-#: The hint sets that leave hash joins on; the one that turns merge and
-#: nested-loop joins off admits no other join.
+#: The hint sets that leave hash joins on; the one that turns nested-loop
+#: joins off admits no other join.
 _HASH_HINTS = [hints for hints in _HINT_SETS
                if hints.get("enable_hashjoin", True)]
-_FORCED = {"enable_mergejoin": False, "enable_nestloop": False}
+_FORCED = {"enable_nestloop": False}
 _TABLES = ("a", "b", "c")
 _VALUE_COLUMNS = ("x", "f")           # x int64, f float64
 _KEY_COLUMNS = ("k", *_VALUE_COLUMNS)  # every column is nullable

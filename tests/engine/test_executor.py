@@ -25,12 +25,10 @@ from repro.plans import (
     HashBuild,
     HashJoin,
     IndexScan,
-    MergeJoin,
     NestedLoopJoin,
     PhysicalPlan,
     PlainAggregate,
     SeqScan,
-    Sort,
 )
 from repro.plans.plan import walk_plan
 from repro.sql import parse_query
@@ -179,12 +177,6 @@ def join_plan(db, join_class, filter_year=None):
                         children=[child_scan,
                                   HashBuild(key=condition.left,
                                             children=[parent_scan])])
-    elif join_class is MergeJoin:
-        join = MergeJoin(
-            condition=condition,
-            children=[Sort(key=condition.left, children=[parent_scan]),
-                      Sort(key=condition.right, children=[child_scan])],
-        )
     else:
         join = NestedLoopJoin(condition=condition,
                               children=[parent_scan, child_scan])
@@ -193,7 +185,7 @@ def join_plan(db, join_class, filter_year=None):
 
 
 class TestJoins:
-    @pytest.mark.parametrize("join_class", [HashJoin, MergeJoin, NestedLoopJoin])
+    @pytest.mark.parametrize("join_class", [HashJoin, NestedLoopJoin])
     def test_fk_join_cardinality(self, two_table_db, join_class):
         plan, join = join_plan(two_table_db, join_class)
         result = execute_plan(two_table_db, plan)
@@ -709,7 +701,7 @@ class TestExecutorWork:
             return len(data.columns) + len(data.null_masks)
 
         joins = [node for node in plan.nodes()
-                 if isinstance(node, (HashJoin, MergeJoin, NestedLoopJoin))]
+                 if isinstance(node, (HashJoin, NestedLoopJoin))]
         assert len(joins) == 4
         # Per join: one row-id vector per alias plus the two keys, over
         # its input and output rows.  (Row-id composition is no column

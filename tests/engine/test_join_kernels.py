@@ -18,19 +18,16 @@ from repro.engine.join_kernels import (
     block_nested_loop_match,
     hash_join_match,
     hash_join_table,
-    merge_join_match,
     sort_merge_match,
 )
 from repro.errors import ExecutionError
 from repro.plans import (
     HashBuild,
     HashJoin,
-    MergeJoin,
     NestedLoopJoin,
     PhysicalPlan,
     PlainAggregate,
     SeqScan,
-    Sort,
 )
 from repro.sql.ast import (
     AggregateFunction,
@@ -41,8 +38,8 @@ from repro.sql.ast import (
     TableRef,
 )
 
-KERNELS = [hash_join_match, merge_join_match, block_nested_loop_match]
-KERNEL_IDS = ["hash", "merge", "block-nl"]
+KERNELS = [hash_join_match, block_nested_loop_match]
+KERNEL_IDS = ["hash", "block-nl"]
 
 
 def assert_matches_reference(kernel, left, right):
@@ -62,7 +59,6 @@ class TestKernelParity:
         rng = np.random.default_rng(0)
         build = rng.permutation(500).astype(np.int64)
         probe = rng.integers(0, 700, 2_000, dtype=np.int64)  # some misses
-        # merge kernel contract: right side sorted (others ignore order)
         assert_matches_reference(kernel, probe, np.sort(build))
 
     @pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
@@ -99,12 +95,6 @@ class TestKernelParity:
         right = np.arange(100, 110, dtype=np.int64)
         assert_matches_reference(kernel, left, right)
 
-    def test_merge_kernel_unsorted_fallback(self):
-        rng = np.random.default_rng(3)
-        left = rng.integers(0, 30, 200, dtype=np.int64)
-        right = rng.permutation(60).astype(np.int64)  # deliberately unsorted
-        assert_matches_reference(merge_join_match, left, right)
-
     def test_hash_kernel_extreme_keys(self):
         """Hash must cope with negative ids and 64-bit magnitudes."""
         left = np.array([-5, 0, 2**62, -2**62, 7], dtype=np.int64)
@@ -115,7 +105,7 @@ class TestKernelParity:
     def test_mixed_dtype_keys(self, kernel):
         """int vs float keys must compare numerically, like searchsorted."""
         left = np.array([1, 2, 3, 4, 7], dtype=np.int64)
-        right = np.array([2.0, 2.0, 4.0, 9.5])  # sorted for the merge kernel
+        right = np.array([2.0, 2.0, 4.0, 9.5])
         assert_matches_reference(kernel, left, right)
         assert_matches_reference(kernel, right, np.arange(5).astype(np.int64))
 
@@ -442,7 +432,7 @@ class TestRadixBuild:
 
 #: join operator → the kernel name its executor handler calls (a hash
 #: join's builds the table it then matches against).
-JOIN_KERNELS = {HashJoin: "hash_join_table", MergeJoin: "merge_join_match",
+JOIN_KERNELS = {HashJoin: "hash_join_table",
                 NestedLoopJoin: "block_nested_loop_match"}
 
 
@@ -479,12 +469,6 @@ def _join_plan(db, join_class):
                         children=[child_scan,
                                   HashBuild(key=condition.left,
                                             children=[parent_scan])])
-    elif join_class is MergeJoin:
-        join = MergeJoin(
-            condition=condition,
-            children=[Sort(key=condition.left, children=[parent_scan]),
-                      Sort(key=condition.right, children=[child_scan])],
-        )
     else:
         join = NestedLoopJoin(condition=condition,
                               children=[parent_scan, child_scan])

@@ -147,8 +147,7 @@ PLAN_SETS = {
     # Nested loops only: joins on an indexed key become index lookups.
     "imdb-index-nested-loop": {
         "benchmark": "job-light", "seed": 6,
-        "options": PlannerOptions(enable_hashjoin=False,
-                                  enable_mergejoin=False)},
+        "options": PlannerOptions(enable_hashjoin=False)},
 }
 
 

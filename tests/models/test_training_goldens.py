@@ -69,16 +69,16 @@ REGEN_HINT = (
 )
 
 
-#: Generated at the commit before the pass got its one state buffer
-#: (PR 23) and asserted ever since: the in-place pass, and whatever
-#: touches the tape next, must reproduce every gradient bit.
+#: The tape and the row kernels, and whatever touches them next, must
+#: reproduce every gradient bit; only an intended change to the encoding
+#: or the nets regenerates these (``--gradients``).
 GRADIENT_DIGESTS = {
     "zero-shot":
-        "6cb965b67b3c2f852f5bfc9b4cf167b92f3999306339730ba017671452892a10",
+        "aa1886216247010c9ad50e84fdbb226ac1ad95f81486e66e72197129493571b6",
     "zero-shot/system":
-        "3186a4a448c8879f70b19c4a8de46547a0a9abef0bbadd11f9b8a1b4b0a28196",
+        "d48448828492f8ab085079232a813151471bc1a6a84d1c3e52cda13bd499aefc",
     "e2e":
-        "0f2ed1ca97da6e130293718739114343d3d9b56156a551c9f63eb3793edc28a6",
+        "d65597a4faa2b2fb0cf5fc85c4335f03a5115f7a2d281027125e5a90b30c8a01",
 }
 
 

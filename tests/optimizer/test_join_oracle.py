@@ -7,7 +7,7 @@ generated four-table database with NULLs go row for row into an
 in-memory ``sqlite3`` database; ``generate_workload`` texts (one to five
 tables, filters, scalar and grouped aggregates) are planned with
 rewrites off and on under each of the plan selector's hint sets — which
-between them force hash, merge, nested-loop and index-nested-loop joins —
+between them force hash, nested-loop and index-nested-loop joins —
 and every executed result must equal ``sqlite3``'s as a multiset:
 ``COUNT`` / ``MIN`` / ``MAX`` and group keys exactly, ``SUM`` / ``AVG``
 to 1e-9, NULL standing for NaN, a NULL group key included.  A second
@@ -29,7 +29,7 @@ from repro.errors import OptimizerError
 from repro.optimizer import plan_query
 from repro.optimizer.learned_planner import _HINT_SETS
 from repro.optimizer.planner import PlannerOptions
-from repro.plans import HashJoin, MergeJoin, NestedLoopJoin
+from repro.plans import HashJoin, NestedLoopJoin
 from repro.sql import AggregateFunction, parse_query, query_to_sql
 from repro.workload.generator import WorkloadSpec, generate_workload
 
@@ -164,8 +164,7 @@ def _sweep(database, connection, shared: Executor | None = None
 def test_generated_queries_match_sqlite(databases, name):
     operators, null_groups = _sweep(*databases[name])
     # The hint sets did push the planner through every join operator.
-    assert operators >= {HashJoin, MergeJoin, NestedLoopJoin,
-                         "index nested loop"}
+    assert operators >= {HashJoin, NestedLoopJoin, "index nested loop"}
     # s1's NULLs reach the answers: some of its texts group on a NULL key.
     assert (null_groups > 0) == (name == "s1")
 

@@ -1,7 +1,7 @@
 """Golden plan identities of the cost-based planner.
 
 For a fixed-seed generated workload on ``tiny_imdb``, planned with
-rewrites off and on under each of the plan selector's six hint sets,
+rewrites off and on under each of the plan selector's four hint sets,
 the chosen plan's :func:`repro.plans.plan_signature` digest and its
 pre-order ``est_rows`` / ``est_cost`` are frozen on disk
 (``tests/optimizer/goldens/planner-plans.json``).  Planning is

@@ -23,7 +23,7 @@ class TestResourceAccounting:
         runtime = trace(
             tiny_imdb,
             "SELECT COUNT(*) FROM title t, cast_info ci WHERE t.id = ci.movie_id",
-            PlannerOptions(enable_mergejoin=False, enable_nestloop=False),
+            PlannerOptions(enable_nestloop=False),
         )
         assert runtime.memory_peak_bytes > 0
 
@@ -32,7 +32,7 @@ class TestResourceAccounting:
         assert runtime.io_pages > 0
 
     def test_bigger_build_more_memory(self, tiny_imdb):
-        options = PlannerOptions(enable_mergejoin=False, enable_nestloop=False)
+        options = PlannerOptions(enable_nestloop=False)
         small = trace(tiny_imdb, (
             "SELECT COUNT(*) FROM title t, movie_info_idx mi "
             "WHERE t.id = mi.movie_id AND t.production_year > 2020"

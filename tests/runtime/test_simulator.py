@@ -103,12 +103,12 @@ class TestOperatorSensitivity:
                 "WHERE t.id = ci.movie_id AND t.production_year > 2010")
         runtimes = {}
         for name, options in {
-            "hash": PlannerOptions(enable_mergejoin=False, enable_nestloop=False),
-            "merge": PlannerOptions(enable_hashjoin=False, enable_nestloop=False),
+            "hash": PlannerOptions(enable_nestloop=False),
+            "nested loop": PlannerOptions(enable_hashjoin=False),
         }.items():
             runtime, _ = simulate(tiny_imdb, text, options=options)
             runtimes[name] = runtime.total_seconds
-        assert runtimes["hash"] != runtimes["merge"]
+        assert runtimes["hash"] != runtimes["nested loop"]
 
     def test_system_parameters_matter(self, tiny_imdb):
         plan = plan_query(tiny_imdb, parse_query(

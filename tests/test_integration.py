@@ -37,7 +37,7 @@ _DB.create_index("rnd0", "t1", "t0_id")
 _PLAN_VARIANTS = (
     PlannerOptions(),
     PlannerOptions(enable_hashjoin=False),
-    PlannerOptions(enable_mergejoin=False, enable_nestloop=False),
+    PlannerOptions(enable_nestloop=False),
     PlannerOptions(enable_indexscan=False),
 )
 

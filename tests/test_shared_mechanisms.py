@@ -63,9 +63,8 @@ _JOIN = "SELECT COUNT(*) FROM title t, movie_info mi WHERE t.id = mi.movie_id"
 OPERATOR_QUERIES = (
     ("SELECT COUNT(*) FROM title t WHERE t.id < 50",
      PlannerOptions(enable_seqscan=False)),
-    (_JOIN, PlannerOptions(enable_mergejoin=False, enable_nestloop=False)),
-    (_JOIN, PlannerOptions(enable_hashjoin=False, enable_nestloop=False)),
-    (_JOIN, PlannerOptions(enable_hashjoin=False, enable_mergejoin=False)),
+    (_JOIN, PlannerOptions(enable_nestloop=False)),
+    (_JOIN, PlannerOptions(enable_hashjoin=False)),
     ("SELECT t.kind_id, COUNT(*) FROM title t GROUP BY t.kind_id",
      PlannerOptions()),
 )
