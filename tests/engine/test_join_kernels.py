@@ -1,5 +1,6 @@
-"""Join kernels: row-identical parity with the sort-based reference,
-each join operator running its own kernel, and build-side caching."""
+"""Join kernels: row-identical parity with the join's all-pairs
+definition, each join operator running its own kernel, and build-side
+caching."""
 
 import dataclasses
 
@@ -38,12 +39,20 @@ from repro.sql.ast import (
     TableRef,
 )
 
-KERNELS = [hash_join_match, block_nested_loop_match]
-KERNEL_IDS = ["hash", "block-nl"]
+KERNELS = [sort_merge_match, hash_join_match, block_nested_loop_match]
+KERNEL_IDS = ["sort-merge", "hash", "block-nl"]
+
+
+def all_pairs_match(left, right):
+    """The join's definition, independent of every kernel: each pair of
+    equal keys (compared numerically, ``-0.0 == 0.0``), ordered by left
+    row, then right row."""
+    left_rows, right_rows = np.nonzero(left[:, None] == right[None, :])
+    return left_rows.astype(np.int64), right_rows.astype(np.int64)
 
 
 def assert_matches_reference(kernel, left, right):
-    expected = sort_merge_match(left, right)
+    expected = all_pairs_match(left, right)
     actual = kernel(left, right)
     np.testing.assert_array_equal(expected[0], actual[0])
     np.testing.assert_array_equal(expected[1], actual[1])
@@ -146,7 +155,7 @@ class TestJoinHashTable:
 
 def assert_hash_kernels_match_reference(build, probes):
     """``hash_join_match`` and one table probed again and again against
-    the sort kernel: the same pairs in the same order; and what
+    the all-pairs definition: the same pairs in the same order; and what
     ``match`` finds without expanding — each matched probe row's run
     length, each reached build row's number of partners — is what the
     pairs count."""
