@@ -3,7 +3,9 @@
 The executor walks the physical plan bottom-up, producing an
 intermediate :class:`Relation` per node and annotating each node's
 ``actual_rows`` — exactly the information ``EXPLAIN ANALYZE`` yields in
-the paper's training-data collection.
+the paper's training-data collection — and its ``actual_ms``, the
+node's inclusive wall time (a measurement only, which no label, feature
+or signature reads).
 
 An intermediate holds **row ids, not columns**: one row-id vector per
 table alias over the immutable base :class:`~repro.db.TableData`.  A
@@ -29,7 +31,8 @@ the hash table without expanding them (``JoinHashTable.match``) and
 feeds the fold weighted rows — a probe row weighs its key's run of
 build rows, a build row the number of probe rows that reached it (eager
 aggregation, Yan & Larson, VLDB 1995).  The join node still gets the
-``actual_rows`` the expansion would have built.  Every other shape
+``actual_rows`` the expansion would have built, and the time of its
+inputs and its match as ``actual_ms``.  Every other shape
 materialises its input and folds it with no weights.
 
 Operators are dispatched through a class-level ``{operator class:
@@ -47,6 +50,7 @@ table), the batched-collection fast path the workload runner uses.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -275,11 +279,13 @@ def _collect_actuals(node: PlanNode) -> tuple[int | None, ...]:
 
 
 def _restore_actuals(node: PlanNode, values: tuple[int | None, ...]) -> None:
-    """Annotate a subtree with recorded ``actual_rows`` (same pre-order)."""
+    """Annotate a subtree with recorded ``actual_rows`` (same pre-order);
+    its ``actual_ms`` is cleared, since nothing of it ran."""
     iterator = iter(values)
 
     def visit(current: PlanNode) -> None:
         current.actual_rows = next(iterator)
+        current.actual_ms = None
         for child in current.children:
             visit(child)
 
@@ -418,8 +424,10 @@ class Executor:
     # Dispatch
     # ------------------------------------------------------------------
     def _execute_node(self, node: PlanNode) -> Relation:
+        start = time.perf_counter()
         relation = self._HANDLERS[type(node)](self, node)
         node.actual_rows = relation.num_rows
+        node.actual_ms = _ms_since(start)
         return relation
 
     def _hash_build(self, node: HashBuild) -> Relation:
@@ -559,9 +567,11 @@ class Executor:
             inner_scan: IndexScan = inner_node  # type: ignore[assignment]
             outer_ref = condition.other_side(inner_scan.table.name)
             outer = _drop_null_keys(outer, outer_ref)
+            start = time.perf_counter()
             outer_positions, inner = self._index_lookup(
                 inner_scan, outer.column(outer_ref))
             inner_node.actual_rows = inner.num_rows
+            inner_node.actual_ms = _ms_since(start)
             return outer.take(outer_positions).merge(inner)
         inner = self._execute_node(inner_node)
         left_ref, right_ref = _orient_condition(condition, outer, inner)
@@ -586,8 +596,10 @@ class Executor:
         if type(child) is HashJoin and not group_by:
             # The join's rows are only folded: fold per-key multiplicities
             # instead of building them.
+            start = time.perf_counter()
             child.actual_rows, sides = _matched_sides(
                 self._hash_join_inputs(child), aggregates)
+            child.actual_ms = _ms_since(start)
         else:
             relation = self._execute_node(child)
             child.actual_rows = relation.num_rows
@@ -621,6 +633,11 @@ class Executor:
         HashAggregate: _aggregate,
         PlainAggregate: _aggregate,
     }
+
+
+def _ms_since(start: float) -> float:
+    """Milliseconds of wall time since ``start`` (a ``perf_counter``)."""
+    return (time.perf_counter() - start) * 1e3
 
 
 def _orient_condition(condition, left: Relation,

@@ -9,30 +9,41 @@ whose output is row-identical to the others.
 
 Two algorithms are provided, matching the physical operators:
 
-* :func:`hash_join_match` — true build/probe hashing over the
-  *distinct* build keys (multiplicative Fibonacci hash, power-of-two
-  table at load factor <= 0.5).  Build: if no bucket holds two rows,
-  every key is distinct and the table is one scatter, no sort at all.
-  Otherwise one stable sort of the build keys groups the rows by key (a
-  comparison sort, free on keys that arrive sorted, or numpy's O(n) radix
-  sort when the keys span fewer than 2**16 values), the distinct keys
-  are bucketed, and only if some of *them* still share a bucket are they
-  made adjacent by a stable sort of their bucket ids (numpy's O(n) radix
-  sort when the ids fit 16 bits, a comparison sort otherwise).  Probe,
-  per row: one hash, one bucket read, one key comparison; a row goes
-  another round, on the next slot, only if it missed *and* its bucket
-  holds a further key (:meth:`JoinHashTable.match`).  Then the matched
-  rows, and only they, are expanded into their runs of build rows
-  (:meth:`JoinHashTable.probe`); an aggregate that only folds the join
-  stops at ``match`` and weighs rows by their runs instead.  No
-  Python-level row loops.
+* :func:`hash_join_match` — build/probe over a table of the *distinct*
+  build keys, in one of two layouts chosen from the keys alone:
+
+  - **direct**, for integer keys whose span ``max - min + 1`` is at
+    most ``max(4 n, 2**16)`` for ``n`` build rows: an ``int32`` array of
+    ``span + 1`` slots indexed by ``key - min``, -1 for a key the table
+    does not hold, the last entry the -1 every key outside the span
+    reads.  Build: one scatter when the keys are distinct, else one
+    stable sort groups the rows by key (numpy's O(n) radix sort when
+    the span fits 16 bits) and the slots follow ascending key order.
+    Probe: ``min(key - min, span)`` in ``uint64`` — exact for every
+    ``int64``, since the subtraction modulo 2**64 puts exactly the
+    span's keys below ``span`` — one gather, no hash, no verify.
+  - **hashed**, for float keys and sparse spans: multiplicative
+    Fibonacci hash, power-of-two table at load factor <= 0.5.  Build:
+    if no bucket holds two rows, every key is distinct and the table is
+    one scatter.  Otherwise the same grouping sort, the distinct keys
+    are bucketed, and only if some of *them* still share a bucket are
+    they made adjacent by a stable sort of their bucket ids.  Probe,
+    per row: one hash, one bucket read, one key comparison; a row goes
+    another round, on the next slot, only if it missed *and* its
+    bucket holds a further key.
+
+  :meth:`JoinHashTable.match` returns the matched probe rows and their
+  slots; then the matched rows, and only they, are expanded into their
+  runs of build rows (:meth:`JoinHashTable.probe`); an aggregate that
+  only folds the join stops at ``match`` and weighs rows by their runs
+  instead.  No Python-level row loops.
 * :func:`block_nested_loop_match` — compares blocks of the outer side
   against the whole inner side with a broadcast equality, bounding the
   working set to roughly ``_BLOCK_CELLS`` comparison cells.
 
 :func:`sort_merge_match` is the original sort-based kernel, kept as the
-reference implementation and as the generic fallback for key dtypes the
-hash kernel cannot canonicalize.
+reference implementation the tests compare against and as the block
+nested loop's fallback for oversized inputs.
 
 Each join handler of :class:`~repro.engine.executor.Executor` calls its
 operator's kernel by name (``_nested_loop`` →
@@ -61,6 +72,13 @@ __all__ = [
 #: Fibonacci multiplier for the 64-bit multiplicative hash.
 _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
+#: A build of ``n`` integer keys gets the direct layout when its keys
+#: span at most ``max(_DIRECT_SPAN_PER_KEY * n, _DIRECT_MIN_SPAN)``
+#: values: an ``int32`` slot per value, so at most 16 bytes a build row
+#: or 256 KiB.
+_DIRECT_SPAN_PER_KEY = 4
+_DIRECT_MIN_SPAN = 1 << 16
+
 #: Upper bound on comparison cells materialized per nested-loop block.
 _BLOCK_CELLS = 1 << 22
 
@@ -69,13 +87,13 @@ def _empty_pairs() -> tuple[np.ndarray, np.ndarray]:
     return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
 
 
-def _canonical_int_view(keys: np.ndarray) -> np.ndarray | None:
+def _canonical_int_view(keys: np.ndarray) -> np.ndarray:
     """Map keys to an int64 array usable for hashing and bit equality.
 
     Floats are normalized so ``-0.0`` and ``0.0`` share one bit pattern
-    (they compare equal, so they must land in the same bucket).  Returns
-    ``None`` for dtypes without a canonical integer view, signalling the
-    caller to fall back to the sort-based kernel.
+    (they compare equal, so they must land in the same bucket).  Raises
+    :class:`ExecutionError` for a dtype without a canonical integer
+    view; ``TableData`` stores only ``int64`` and ``float64`` columns.
     """
     if keys.dtype == np.int64:
         return keys
@@ -86,7 +104,8 @@ def _canonical_int_view(keys: np.ndarray) -> np.ndarray | None:
         return keys.astype(np.int64)
     if kind == "f":
         return (keys.astype(np.float64) + 0.0).view(np.int64)
-    return None
+    raise ExecutionError(
+        f"join keys of dtype {keys.dtype} have no integer view to hash")
 
 
 def _narrowed(canonical: np.ndarray) -> np.ndarray:
@@ -98,26 +117,50 @@ def _narrowed(canonical: np.ndarray) -> np.ndarray:
     return canonical
 
 
+def _grouped(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows grouped by key: ``(order, keys[order], run starts)``.  Stable,
+    because a key's build rows come out of a probe in their original
+    order."""
+    order = np.argsort(_narrowed(keys), kind="stable")
+    grouped = keys[order]
+    starts_run = np.ones(len(keys), dtype=bool)
+    np.not_equal(grouped[1:], grouped[:-1], out=starts_run[1:])
+    return order, grouped, np.flatnonzero(starts_run)
+
+
 @dataclass
 class JoinHashTable:
-    """A built (and reusable) hash table over one build-side key column.
+    """A built (and reusable) join table over one build-side key column.
 
-    The table is over the *distinct* build keys.  Each has a slot; a
-    bucket names the slot of its first key, the distinct keys that share
-    a bucket sit in adjacent slots, and a slot names the run of build
-    rows holding its key (in their original order).  The table is
-    immutable once built; a single build can serve many probes — the
-    executor's build-side cache reuses it across queries that share the
-    same build subtree.
+    The table is over the *distinct* build keys.  Each has a slot, and a
+    slot names the run of build rows holding its key (in their original
+    order).  A probe key finds its slot through one of two layouts:
+
+    * **direct** — integer keys whose span ``max - min + 1`` is at most
+      ``max(_DIRECT_SPAN_PER_KEY * n, _DIRECT_MIN_SPAN)`` for ``n``
+      build rows: ``_slots[key - min]`` is the key's slot, -1 when the
+      table does not hold it, and the last entry is the -1 every key
+      outside the span reads.  Slots follow ascending key order.
+    * **hashed** — float keys and sparse spans: a bucket names the slot
+      of its first key, and the distinct keys that share a bucket sit
+      in adjacent slots.
+
+    The table is immutable once built; a single build can serve many
+    probes — the executor's build-side cache reuses it across queries
+    that share the same build subtree.
     """
 
     num_rows: int
     key_dtype: np.dtype         # dtype the build keys had (probe contract)
-    _bucket_bits: int
-    _first_slot: np.ndarray     # bucket -> slot of its first key, -1 = empty
-    _distinct: np.ndarray       # slot -> canonical int64 key
-    #: slot -> whether the next slot holds a further key of the same
-    #: bucket; ``None`` when no bucket holds two keys.
+    #: direct: ``key - min`` -> slot (``int32``), -1 = no such key;
+    #: hashed: bucket -> slot of its first key, -1 = empty.
+    _slots: np.ndarray
+    #: The direct layout's smallest key as ``uint64``; ``None`` = hashed.
+    _low: np.uint64 | None
+    _bucket_bits: int           # hashed layout only
+    _distinct: np.ndarray | None    # hashed: slot -> canonical int64 key
+    #: hashed: slot -> whether the next slot holds a further key of the
+    #: same bucket; ``None`` when no bucket holds two keys.
     _shares_next: np.ndarray | None
     #: Build rows grouped by key; ``None`` when slot i is build row i.
     _rows: np.ndarray | None
@@ -127,29 +170,57 @@ class JoinHashTable:
     _run_counts: np.ndarray | None
 
     @classmethod
-    def build(cls, keys: np.ndarray) -> "JoinHashTable | None":
-        """Build the table; ``None`` if the dtype is unhashable."""
+    def build(cls, keys: np.ndarray) -> "JoinHashTable":
+        """Build the table: direct over a narrow integer span, else
+        hashed."""
         canonical = _canonical_int_view(keys)
-        if canonical is None:
-            return None
+        n = len(canonical)
+        if n and keys.dtype.kind != "f":
+            low = int(canonical.min())
+            span = int(canonical.max()) - low + 1  # Python ints: no overflow
+            if span <= max(_DIRECT_SPAN_PER_KEY * n, _DIRECT_MIN_SPAN):
+                return cls._build_direct(keys.dtype, canonical - low, low,
+                                         span)
+        return cls._build_hashed(keys.dtype, canonical)
+
+    @classmethod
+    def _build_direct(cls, dtype: np.dtype, offsets: np.ndarray, low: int,
+                      span: int) -> "JoinHashTable":
+        """The direct layout over ``offsets``, the keys minus ``low``
+        (each in ``[0, span)``)."""
+        n = len(offsets)
+        slots = np.full(span + 1, -1, dtype=np.int32)
+        rows = starts = counts = None
+        # All keys distinct (the usual PK build side): every row its own
+        # slot, one scatter and no sort.  More rows than values cannot be.
+        distinct = n <= span
+        if distinct:
+            positions = np.arange(n, dtype=np.int32)
+            slots[offsets] = positions
+            distinct = np.array_equal(slots[offsets], positions)
+        if not distinct:
+            # Duplicates: a key's slot in key order, over its run of
+            # rows.  Every entry the scatter wrote is written again.
+            rows, grouped, starts = _grouped(offsets)
+            counts = np.diff(starts, append=n)
+            slots[grouped[starts]] = np.arange(len(starts), dtype=np.int32)
+        return cls(n, dtype, slots, np.uint64(low % (1 << 64)), 0, None,
+                   None, rows, starts, counts)
+
+    @classmethod
+    def _build_hashed(cls, dtype: np.dtype, canonical: np.ndarray
+                      ) -> "JoinHashTable":
         n = len(canonical)
         distinct, rows, starts, counts = canonical, None, None, None
-        # If no bucket collides (the usual PK build side — the Fibonacci
-        # hash is collision-free on dense id ranges) every key is
-        # distinct and every row its own slot: a scatter, no sort.
+        # If no bucket collides every key is distinct and every row its
+        # own slot: a scatter, no sort.
         bits, buckets, first_slot = cls._scatter(distinct)
         if first_slot is None:
-            # Group the build rows by key; stable, because a key's rows
-            # come out of a probe in their original order.
-            order = np.argsort(_narrowed(canonical), kind="stable")
-            grouped = canonical[order]
-            starts_run = np.ones(n, dtype=bool)
-            np.not_equal(grouped[1:], grouped[:-1], out=starts_run[1:])
-            starts = np.flatnonzero(starts_run)
+            rows, grouped, starts = _grouped(canonical)
             if len(starts) == n:
-                starts = None   # all distinct after all: drop the sort
+                rows = starts = None    # all distinct after all
             else:
-                distinct, rows = grouped[starts], order
+                distinct = grouped[starts]
                 counts = np.diff(starts, append=n)
                 bits, buckets, first_slot = cls._scatter(distinct)
         shares_next = None
@@ -171,7 +242,7 @@ class JoinHashTable:
             first_slot[buckets[::-1]] = np.arange(len(buckets))[::-1]
             shares_next = np.zeros(len(buckets), dtype=bool)
             np.equal(buckets[1:], buckets[:-1], out=shares_next[:-1])
-        return cls(n, keys.dtype, bits, first_slot, distinct, shares_next,
+        return cls(n, dtype, first_slot, None, bits, distinct, shares_next,
                    rows, starts, counts)
 
     @classmethod
@@ -222,16 +293,20 @@ class JoinHashTable:
                 )
             keys = keys.astype(self.key_dtype)
         canonical = _canonical_int_view(keys)
-        if canonical is None:
-            raise ExecutionError(
-                f"probe keys of dtype {keys.dtype} cannot be hashed"
-            )
+        if self._low is not None:
+            # Direct: ``key - min`` modulo 2**64 puts exactly the span's
+            # keys on [0, span) and every other key at or past ``span``,
+            # which the clamp sends to the last entry, -1.
+            offsets = canonical.view(np.uint64) - self._low
+            np.minimum(offsets, np.uint64(len(self._slots) - 1), out=offsets)
+            slots = self._slots[offsets.view(np.int64)]
+            probe_rows = np.flatnonzero(slots >= 0)
+            return probe_rows, slots[probe_rows].astype(np.int64)
         # Verify: slots[r] is the one slot probe row r is looking at,
         # -1 once it has nowhere left to look.  One key comparison
         # settles a row unless it missed and its bucket holds a further
         # key; only those rows go another round, on the next slot.
-        slots = self._first_slot[
-            self._bucket_ids(canonical, self._bucket_bits)]
+        slots = self._slots[self._bucket_ids(canonical, self._bucket_bits)]
         looking = np.flatnonzero(slots >= 0)
         while len(looking):
             candidates = slots[looking]
@@ -269,7 +344,9 @@ class JoinHashTable:
         ``slots`` (as :meth:`match` returns them) reaches, and how many
         probe rows reach it — its multiplicity in :meth:`probe`'s pairs,
         found without expanding them."""
-        per_slot = np.bincount(slots, minlength=len(self._distinct))
+        num_slots = (self.num_rows if self._run_counts is None
+                     else len(self._run_counts))
+        per_slot = np.bincount(slots, minlength=num_slots)
         if self._run_counts is not None:
             # A slot's run is contiguous in ``_rows``: mark where each
             # run starts and ends, and a running sum spreads the slot's
@@ -288,8 +365,9 @@ def sort_merge_match(left_keys: np.ndarray,
     """Reference kernel: sort the right side, binary-search every left key.
 
     This is the original single-kernel implementation all joins used to
-    share; it remains the generic fallback and the parity oracle the
-    specialized kernels are tested against.
+    share; it remains the parity oracle the specialized kernels are
+    tested against and the block nested loop's fallback for oversized
+    inputs.
     """
     order = np.argsort(right_keys, kind="stable")
     sorted_right = right_keys[order]
@@ -300,22 +378,15 @@ def sort_merge_match(left_keys: np.ndarray,
 
 
 def hash_join_table(probe_keys: np.ndarray, build_keys: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, JoinHashTable | None]:
+                    ) -> tuple[np.ndarray, np.ndarray, JoinHashTable]:
     """A hash join's build: ``(probe_keys, build_keys, table)``.
 
     Mixed-dtype keys (e.g. int FK vs float PK) compare numerically in
     the sort kernel, so both sides are promoted to their common dtype
-    first and hashing agrees.  ``table`` is ``None`` when the keys have
-    no canonical integer view; the join falls back to
-    :func:`sort_merge_match` on the returned keys.
+    first and hashing agrees.
     """
     if probe_keys.dtype != build_keys.dtype:
-        try:
-            common = np.result_type(probe_keys.dtype, build_keys.dtype)
-        except TypeError:
-            return probe_keys, build_keys, None
-        if common.kind not in "iuf":
-            return probe_keys, build_keys, None
+        common = np.result_type(probe_keys.dtype, build_keys.dtype)
         probe_keys = probe_keys.astype(common)
         build_keys = build_keys.astype(common)
     return probe_keys, build_keys, JoinHashTable.build(build_keys)
@@ -323,14 +394,12 @@ def hash_join_table(probe_keys: np.ndarray, build_keys: np.ndarray
 
 def hash_join_match(probe_keys: np.ndarray,
                     build_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hash join: build buckets over ``build_keys``, probe with the left.
+    """Hash join: build a table over ``build_keys``, probe with the left.
 
     Returns ``(probe_rows, build_rows)`` — identical pairs, in identical
     order, to :func:`sort_merge_match` on the same inputs.
     """
-    probe_keys, build_keys, table = hash_join_table(probe_keys, build_keys)
-    if table is None:
-        return sort_merge_match(probe_keys, build_keys)
+    probe_keys, _, table = hash_join_table(probe_keys, build_keys)
     return table.probe(probe_keys)
 
 

@@ -91,7 +91,8 @@ __all__ = ["ArtifactStore", "cache_enabled", "context_key", "main",
 #: queries over NULLs record different root cardinalities.
 #: v7: the merge join and its sort operator are gone, so a saved model
 #: encodes two fewer ``plan_op`` and one fewer ``system`` feature.
-CACHE_FORMAT_VERSION = "v7"
+#: v8: a plan node carries ``actual_ms``, the executor's wall time.
+CACHE_FORMAT_VERSION = "v8"
 
 _COMPLETE_MARKER = "COMPLETE"
 #: What reading an entry raises when it was deleted under the reader

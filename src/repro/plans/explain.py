@@ -16,6 +16,8 @@ def _format_node(node: PlanNode, depth: int, lines: list[str]) -> None:
                f"cost={node.est_cost:.1f}"]
     if node.actual_rows is not None:
         details.append(f"actual_rows={node.actual_rows}")
+    if node.actual_ms is not None:
+        details.append(f"time={node.actual_ms:.3f}ms")
     parts.append(f"  ({', '.join(details)})")
     lines.append("".join(parts))
     for child in node.children:

@@ -4,6 +4,10 @@ Every node records:
 
 * ``est_rows`` / ``est_width`` — the optimizer's estimates,
 * ``actual_rows`` — filled by the executor (EXPLAIN ANALYZE style),
+* ``actual_ms`` — the executor's inclusive wall time of the node, a
+  measurement only: no featurizer, simulator, signature or equality
+  reads it (``None`` until executed, and for a subtree replayed from a
+  build-side cache),
 * ``est_cost`` — cumulative optimizer cost (used by the
   Scaled-Optimizer-Cost baseline).
 
@@ -46,6 +50,8 @@ class PlanNode:
     est_width: float = field(default=0.0, kw_only=True)
     est_cost: float = field(default=0.0, kw_only=True)
     actual_rows: int | None = field(default=None, kw_only=True)
+    actual_ms: float | None = field(default=None, kw_only=True,
+                                    compare=False)
 
     @property
     def operator_name(self) -> str:

@@ -31,7 +31,8 @@ def plan_signature(node: PlanNode) -> tuple:
     everything semantically relevant (operator types, tables, filters,
     keys, index names) is captured via the operators' dataclass fields.
     """
-    skip = {"children", "est_rows", "est_width", "est_cost", "actual_rows"}
+    skip = {"children", "est_rows", "est_width", "est_cost", "actual_rows",
+            "actual_ms"}
     params = tuple(
         (f.name, repr(getattr(node, f.name)))
         for f in dataclass_fields(node) if f.name not in skip
@@ -99,3 +100,4 @@ class PhysicalPlan:
         """Clear executor annotations (for re-execution)."""
         for node in self.nodes():
             node.actual_rows = None
+            node.actual_ms = None

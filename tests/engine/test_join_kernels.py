@@ -1,6 +1,6 @@
 """Join kernels: row-identical parity with the join's all-pairs
-definition, each join operator running its own kernel, and build-side
-caching."""
+definition over both layouts of the join table, each join operator
+running its own kernel, and build-side caching."""
 
 import dataclasses
 
@@ -15,6 +15,8 @@ from repro.db import Database, DataType, Schema, TableData
 from repro.db.schema import Column, Table
 from repro.engine import BuildSideCache, Executor, execute_plan
 from repro.engine.join_kernels import (
+    _DIRECT_MIN_SPAN,
+    _DIRECT_SPAN_PER_KEY,
     JoinHashTable,
     block_nested_loop_match,
     hash_join_match,
@@ -38,6 +40,8 @@ from repro.sql.ast import (
     Query,
     TableRef,
 )
+
+pytestmark = pytest.mark.perf
 
 KERNELS = [sort_merge_match, hash_join_match, block_nested_loop_match]
 KERNEL_IDS = ["sort-merge", "hash", "block-nl"]
@@ -132,8 +136,12 @@ class TestJoinHashTable:
             np.testing.assert_array_equal(expected[0], actual[0])
             np.testing.assert_array_equal(expected[1], actual[1])
 
-    def test_unhashable_dtype_returns_none(self):
-        assert JoinHashTable.build(np.array(["a", "b"])) is None
+    def test_a_dtype_without_an_integer_view_is_refused(self):
+        keys = np.array(["a", "b"])
+        with pytest.raises(ExecutionError):
+            JoinHashTable.build(keys)
+        with pytest.raises(ExecutionError):
+            hash_join_match(keys, keys)
 
     def test_probe_dtype_contract(self):
         float_table = JoinHashTable.build(np.array([1.0, 2.0, 4.0]))
@@ -153,13 +161,30 @@ class TestJoinHashTable:
         assert len(left) == 0 and len(right) == 0
 
 
+def layout(table):
+    return "hashed" if table._low is None else "direct"
+
+
+def layout_by_rule(build):
+    """The layout a build must get: direct for integer keys whose span
+    is at most ``max(4 n, 2**16)``, hashed otherwise (Python ints: no
+    overflow)."""
+    if build.dtype.kind == "f" or not len(build):
+        return "hashed"
+    span = int(build.max()) - int(build.min()) + 1
+    cap = max(_DIRECT_SPAN_PER_KEY * len(build), _DIRECT_MIN_SPAN)
+    return "direct" if span <= cap else "hashed"
+
+
 def assert_hash_kernels_match_reference(build, probes):
     """``hash_join_match`` and one table probed again and again against
     the all-pairs definition: the same pairs in the same order; and what
     ``match`` finds without expanding — each matched probe row's run
     length, each reached build row's number of partners — is what the
-    pairs count."""
+    pairs count.  The table has the layout its keys' span calls for.
+    Returns the table."""
     table = JoinHashTable.build(build)
+    assert layout(table) == layout_by_rule(build)
     for probe in probes:
         assert_matches_reference(hash_join_match, probe, build)
         if not table.accepts(probe.dtype) and len(build) and len(probe):
@@ -169,6 +194,7 @@ def assert_hash_kernels_match_reference(build, probes):
         assert_matches_reference(lambda keys, _: table.probe(keys),
                                  probe, build)
         assert_multiplicities_match_pairs(table, probe, len(build))
+    return table
 
 
 def assert_multiplicities_match_pairs(table, probe, num_build_rows):
@@ -208,8 +234,52 @@ def _join_sides(draw, values, build_dtype, probe_dtype=None):
     return build, probes
 
 
+_INT64 = np.iinfo(np.int64)
+
+
+@st.composite
+def _spanned_sides(draw, widths):
+    """A build side of keys in ``[low, low + width)``, both ends among
+    them, so its span is exactly ``width``; and three probe sides of
+    build keys and of keys inside, just outside and far outside the
+    span.  ``low`` is anywhere in int64, at its very ends included, and
+    keys repeat on both sides."""
+    width = draw(widths)
+    top = _INT64.max - width + 1
+    low = draw(st.sampled_from([_INT64.min, top]) | st.integers(_INT64.min,
+                                                                  top))
+    high = low + width - 1
+    inside = st.integers(low, high)
+    pool = draw(st.lists(inside, min_size=1, max_size=12))
+    build = draw(st.permutations(
+        draw(st.lists(st.sampled_from(pool) | inside, max_size=38))
+        + [low, high]))
+    outside = [st.sampled_from([key for key in (low - 1, high + 1)
+                                if _INT64.min <= key <= _INT64.max] or [low])]
+    if low > _INT64.min:
+        outside.append(st.integers(_INT64.min, low - 1))
+    if high < _INT64.max:
+        outside.append(st.integers(high + 1, _INT64.max))
+    key = st.sampled_from(build) | inside | st.one_of(outside)
+    probes = [np.array(draw(st.lists(key, max_size=60)), dtype=np.int64)
+              for _ in range(3)]
+    return np.array(build, dtype=np.int64), probes
+
+
 class TestGeneratedParity:
     """Generated inputs where ``TestKernelParity``'s are hand-picked."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_spanned_sides(st.integers(1, _DIRECT_MIN_SPAN)))
+    def test_narrow_spans_are_direct(self, sides):
+        table = assert_hash_kernels_match_reference(*sides)
+        assert layout(table) == "direct"
+
+    @settings(max_examples=150, deadline=None)
+    @given(_spanned_sides(st.integers(_DIRECT_MIN_SPAN + 1, 2 ** 64)))
+    def test_wide_spans_are_hashed(self, sides):
+        table = assert_hash_kernels_match_reference(*sides)
+        assert layout(table) == "hashed"
 
     @settings(max_examples=150, deadline=None)
     @given(_join_sides(_SMALL_INTS, np.int64))
@@ -264,19 +334,22 @@ class TestGeneratedParity:
         """Three distinct build keys in one bucket, two of them repeated,
         probed by each and by an absent key of the same bucket: the
         bucket's second and third slot are only compared on a second and
-        third round, so parity on their keys means those rounds ran."""
+        third round, so parity on their keys means those rounds ran.
+        The keys lie 2**20 apart, wider than the direct layout's cap."""
         bits = 3            # the table of 3 distinct keys has 8 buckets
-        keys = np.arange(200, dtype=np.int64)
+        keys = np.arange(200, dtype=np.int64) << 20
         buckets = JoinHashTable._bucket_ids(keys, bits)
         a, b, c, absent = keys[buckets == buckets[0]][:4]
         build = np.array([b, a, c, a, b, a], dtype=np.int64)
         table = JoinHashTable.build(build)
+        assert layout(table) == "hashed"
         assert table._bucket_bits == bits
-        first = table._first_slot[buckets[0]]
+        first = table._slots[buckets[0]]
         assert sorted(table._distinct[first:first + 3]) == [a, b, c]
         assert table._shares_next[first:first + 3].tolist() == \
             [True, True, False]
-        probe = np.array([absent, c, b, a, a, absent, 199, c], dtype=np.int64)
+        probe = np.array([absent, c, b, a, a, absent, keys[-1], c],
+                         dtype=np.int64)
         assert_hash_kernels_match_reference(build, [probe] * 3)
 
 
@@ -303,10 +376,12 @@ class TestProbeWork:
         rng = np.random.default_rng(46)
         probe = rng.permutation(80_000).astype(np.int64)
         build = probe[:46].copy()
-        # The premise: some of the 46 keys share a bucket, and most
-        # probe rows find a bucket that holds another key than theirs.
+        # The premise: the 46 keys span more than the direct layout's
+        # cap, some of them share a bucket, and most probe rows find a
+        # bucket that holds another key than theirs.
         assert len(np.unique(JoinHashTable._bucket_ids(build, 7))) < 46
         table = JoinHashTable.build(build)
+        assert layout(table) == "hashed"
         repeated.clear()
         probe_rows, build_rows = table.probe(probe)
         np.testing.assert_array_equal(probe_rows, np.arange(46))
@@ -387,18 +462,19 @@ def _fan_out_database(rng) -> Database:
 class TestRadixBuild:
     """A duplicate-key build whose keys span fewer than 2**16 values sorts
     them as ``uint16`` (a radix sort) and builds the very table the
-    comparison sort builds."""
+    comparison sort builds, in either layout."""
 
     @staticmethod
     def _fields(table):
         return [getattr(table, field.name)
                 for field in dataclasses.fields(table)]
 
-    def _assert_same_table(self, keys, monkeypatch, radix):
+    def _assert_same_table(self, keys, monkeypatch, radix, built_layout):
         canonical = repro.engine.join_kernels._canonical_int_view(keys)
         narrowed = repro.engine.join_kernels._narrowed(canonical)
         assert (narrowed.dtype == np.uint16) == radix
         built = JoinHashTable.build(keys)
+        assert layout(built) == built_layout
         with monkeypatch.context() as patch:
             patch.setattr(repro.engine.join_kernels, "_narrowed",
                           lambda canonical: canonical)
@@ -411,21 +487,27 @@ class TestRadixBuild:
             else:
                 assert mine == theirs
 
-    @pytest.mark.parametrize("keys, radix", [
-        (np.array([5, -3, 5, 0, -3, -3, 7, 5], dtype=np.int64), True),
-        (np.array([-70_000, -5, -70_000, 2, -5], dtype=np.int64), False),
-        (np.array([0.0, -0.0, 1.5, -0.0, -2.5, 1.5]), False),
+    @pytest.mark.parametrize("keys, radix, built_layout", [
+        (np.array([5, -3, 5, 0, -3, -3, 7, 5], dtype=np.int64), True,
+         "direct"),
+        (np.array([-70_000, -5, -70_000, 2, -5], dtype=np.int64), False,
+         "hashed"),
+        (np.repeat(np.arange(0, 70_000, 7, dtype=np.int64), 2)[::-1], False,
+         "direct"),
+        (np.array([0.0, -0.0, 1.5, -0.0, -2.5, 1.5]), False, "hashed"),
+        (np.array([1.0, np.nextafter(1.0, 2.0), 1.0, np.nextafter(1.0, 0.0),
+                   np.nextafter(1.0, 2.0)]), True, "hashed"),
         (np.array([2**63 - 1, 2**63 - 9, 2**63 - 1, 2**63 - 9],
-                  dtype=np.int64), True),
+                  dtype=np.int64), True, "direct"),
         (np.array([-2**63, -2**63 + 65_535, -2**63, -2**63 + 65_535],
-                  dtype=np.int64), True),
+                  dtype=np.int64), True, "direct"),
         (np.array([-2**63, 2**63 - 1, -2**63, 2**63 - 1, 0, 0],
-                  dtype=np.int64), False),
-    ], ids=["negatives", "wide-span", "signed-zeros", "top-of-int64",
-            "bottom-of-int64", "extremes"])
+                  dtype=np.int64), False, "hashed"),
+    ], ids=["negatives", "wide-span", "direct-past-16-bits", "signed-zeros",
+            "adjacent-floats", "top-of-int64", "bottom-of-int64", "extremes"])
     def test_same_table_as_the_comparison_sort(self, keys, radix,
-                                               monkeypatch):
-        self._assert_same_table(keys, monkeypatch, radix)
+                                               built_layout, monkeypatch):
+        self._assert_same_table(keys, monkeypatch, radix, built_layout)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max),
@@ -436,7 +518,8 @@ class TestRadixBuild:
         keys = np.array([low + offset for offset in offsets + offsets[:1]],
                         dtype=np.int64)
         with pytest.MonkeyPatch.context() as monkeypatch:
-            self._assert_same_table(keys, monkeypatch, radix=True)
+            self._assert_same_table(keys, monkeypatch, radix=True,
+                                    built_layout="direct")
 
 
 #: join operator → the kernel name its executor handler calls (a hash
@@ -496,13 +579,18 @@ class TestBuildSideCache:
         reference_plan, _ = _join_plan(two_table_db, HashJoin)
         plain.execute(reference_plan)
 
-        for _ in range(3):
+        for attempt in range(3):
             plan, join = _join_plan(two_table_db, HashJoin)
             result = cached.execute(plan)
             assert result.scalar() == 500
             build_node = join.children[1]
             assert build_node.actual_rows == 100
             assert build_node.children[0].actual_rows == 100
+            # A replayed build side ran nowhere: it has no time.
+            replayed = attempt > 0
+            assert (build_node.actual_ms is None) == replayed
+            assert (build_node.children[0].actual_ms is None) == replayed
+            assert join.actual_ms >= 0
         assert cache.hits == 2
         assert cache.misses == 1
 

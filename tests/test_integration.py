@@ -23,6 +23,7 @@ from repro.featurize import (
 from repro.optimizer import plan_query
 from repro.optimizer.planner import PlannerOptions
 from repro.plans import explain_plan
+from repro.plans.plan import plan_signature
 from repro.runtime import RuntimeSimulator
 from repro.sql import parse_query, query_to_sql, validate_query
 from repro.workload import WorkloadSpec, generate_workload
@@ -126,10 +127,57 @@ class TestExplainOutput:
         execute_plan(tiny_imdb, plan)
         analyzed = explain_plan(plan)
         assert "actual_rows" in analyzed
+        assert "time=" in analyzed
 
     def test_explain_accepts_bare_nodes(self, tiny_imdb):
         plan = plan_query(tiny_imdb, parse_query("SELECT COUNT(*) FROM title t"))
         assert explain_plan(plan.root)
+
+
+def _frozen(value):
+    """A comparable copy, bit for bit: arrays and floats as bytes,
+    containers and objects item by item."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return np.float64(value).tobytes()
+    if isinstance(value, dict):
+        return tuple((key, _frozen(item)) for key, item in value.items())
+    if isinstance(value, (list, tuple)):
+        return tuple(_frozen(item) for item in value)
+    if hasattr(value, "__dict__"):
+        return _frozen(vars(value))
+    return value
+
+
+class TestOperatorTime:
+    """``actual_ms`` is a measurement only: the executor sets it on every
+    node, inclusive of the node's inputs, and no signature, label,
+    graph or encoding reads it."""
+
+    def test_signatures_labels_and_features_ignore_it(self):
+        queries = generate_workload(_DB, WorkloadSpec(num_queries=12, seed=7))
+        featurizer = ZeroShotFeaturizer(CardinalitySource.ACTUAL)
+        simulator = RuntimeSimulator(_DB, noise_sigma=0.0)
+        for query in queries:
+            plan = plan_query(_DB, query)
+            Executor(_DB).execute(plan)
+            nodes = plan.nodes()
+            for node in nodes:
+                assert node.actual_ms >= max(
+                    (child.actual_ms for child in node.children), default=0)
+            observed = []
+            for _ in range(2):
+                runtime = simulator.simulate(plan)
+                graph = featurizer.featurize(plan, _DB, runtime.total_seconds)
+                observed.append(_frozen((
+                    plan_signature(plan.root), runtime.total_seconds,
+                    [runtime.seconds_for(node) for node in nodes],
+                    runtime.memory_peak_bytes, runtime.io_pages,
+                    graph, encode_graphs([graph])[0])))
+                for node in nodes:
+                    node.actual_ms = None
+            assert observed[0] == observed[1]
 
 
 class TestDeterminismEndToEnd:
