@@ -1,8 +1,8 @@
 """The substrate and the model pipeline at default scale, checked once.
 
 Each path a user of the library cares about runs once on default-scale
-inputs: the join kernels (hash / nested-loop against the historical
-sort-based kernel), planning, execution, simulation, featurization,
+inputs: the join kernels (hash / nested-loop against where each probe
+key sits in the build side), planning, execution, simulation, featurization,
 inference, the one-pass epoch and the batched service.
 What each path costs is measured by ``python3 -m bench``; these tests
 check what it computes.
@@ -19,7 +19,6 @@ from repro.engine.join_kernels import (
     JoinHashTable,
     block_nested_loop_match,
     hash_join_match,
-    sort_merge_match,
 )
 from repro.featurize.batch import encode_graphs, fit_scalers, merge_encoded
 from repro.featurize.graph import CardinalitySource, ZeroShotFeaturizer
@@ -75,13 +74,6 @@ def test_hash_join_kernel(join_keys):
     assert len(right) == len(probe)
 
 
-def test_sort_merge_reference_kernel(join_keys):
-    """The historical sort-based kernel, kept as the perf baseline."""
-    probe, build = join_keys
-    left, _ = sort_merge_match(probe, build)
-    assert len(left) == len(probe)
-
-
 def test_block_nested_loop_kernel():
     rng = np.random.default_rng(23)
     outer = rng.integers(0, 1_000, 2_000, dtype=np.int64)
@@ -98,9 +90,21 @@ def test_hash_table_reuse(join_keys):
     assert len(left) == len(probe)
 
 
+def test_sorted_table_matches_the_direct_one(join_keys):
+    """The same FK -> PK join with its keys spread 64 apart, past the
+    direct layout's cap: the sorted table pairs the same rows."""
+    probe, build = join_keys
+    direct = JoinHashTable.build(build)
+    spread = JoinHashTable.build(build * 64)
+    assert direct._slots is not None and spread._distinct is not None
+    for expected, actual in zip(direct.probe(probe),
+                                spread.probe(probe * 64)):
+        np.testing.assert_array_equal(expected, actual)
+
+
 def test_hash_table_tiny_build_side():
     """A 46-key table under 80 000 probe keys: nearly every probe row
-    finds an empty bucket or another key, 46 of them match."""
+    reads an empty slot, 46 of them match."""
     rng = np.random.default_rng(46)
     probe = rng.permutation(80_000).astype(np.int64)
     table = JoinHashTable.build(probe[:46].copy())
@@ -108,13 +112,15 @@ def test_hash_table_tiny_build_side():
     assert len(left) == 46
 
 
-def test_hash_join_kernel_matches_sort_kernel(join_keys):
-    """The hash kernel returns the sort kernel's pairs, in its order."""
+def test_hash_join_kernel_matches_the_pk_positions(join_keys):
+    """Every probe row of the FK -> PK join pairs with the one build row
+    holding its key, in probe order."""
     probe, build = join_keys
-    expected = sort_merge_match(probe, build)
-    actual = hash_join_match(probe, build)
-    np.testing.assert_array_equal(expected[0], actual[0])
-    np.testing.assert_array_equal(expected[1], actual[1])
+    position = np.empty_like(build)
+    position[build] = np.arange(len(build))
+    left, right = hash_join_match(probe, build)
+    np.testing.assert_array_equal(left, np.arange(len(probe)))
+    np.testing.assert_array_equal(right, position[probe])
 
 
 # ----------------------------------------------------------------------

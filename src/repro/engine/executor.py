@@ -39,7 +39,7 @@ Operators are dispatched through a class-level ``{operator class:
 handler}`` dict (``Executor._HANDLERS``, indexed by ``type(node)``), and
 each join handler calls the kernel of :mod:`repro.engine.join_kernels`
 that runs the *algorithm its name promises*: hash joins build/probe
-bucket arrays, nested-loop joins compare blockwise.  All kernels
+a join table, nested-loop joins compare blockwise.  All kernels
 produce row-identical results; they differ in speed, which is what the
 runtime simulator's per-operator cost models mirror.
 

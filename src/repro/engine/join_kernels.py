@@ -13,7 +13,7 @@ Two algorithms are provided, matching the physical operators:
   build keys, in one of two layouts chosen from the keys alone:
 
   - **direct**, for integer keys whose span ``max - min + 1`` is at
-    most ``max(4 n, 2**16)`` for ``n`` build rows: an ``int32`` array of
+    most ``max(4 n, 2**20)`` for ``n`` build rows: an ``int32`` array of
     ``span + 1`` slots indexed by ``key - min``, -1 for a key the table
     does not hold, the last entry the -1 every key outside the span
     reads.  Build: one scatter when the keys are distinct, else one
@@ -21,17 +21,15 @@ Two algorithms are provided, matching the physical operators:
     the span fits 16 bits) and the slots follow ascending key order.
     Probe: ``min(key - min, span)`` in ``uint64`` — exact for every
     ``int64``, since the subtraction modulo 2**64 puts exactly the
-    span's keys below ``span`` — one gather, no hash, no verify.
-  - **hashed**, for float keys and sparse spans: multiplicative
-    Fibonacci hash, power-of-two table at load factor <= 0.5.  Build:
-    if no bucket holds two rows, every key is distinct and the table is
-    one scatter.  Otherwise the same grouping sort, the distinct keys
-    are bucketed, and only if some of *them* still share a bucket are
-    they made adjacent by a stable sort of their bucket ids.  Probe,
-    per row: one hash, one bucket read, one key comparison; a row goes
-    another round, on the next slot, only if it missed *and* its
-    bucket holds a further key.
+    span's keys below ``span`` — one gather, no verify.  At the 2**20
+    floor one table is at most 4 MiB, so a full ``BuildSideCache(64)``
+    could hold 256 MiB of them; no scale in this repository comes near.
+  - **sorted**, for float keys and wider spans: the distinct keys'
+    canonical ``int64`` views in ascending order, built by the same
+    grouping sort.  Probe: one ``np.searchsorted``, clamped to the last
+    slot, and one equality check on the key it lands on.
 
+  An empty build has no layout: every probe misses.
   :meth:`JoinHashTable.match` returns the matched probe rows and their
   slots; then the matched rows, and only they, are expanded into their
   runs of build rows (:meth:`JoinHashTable.probe`); an aggregate that
@@ -39,11 +37,8 @@ Two algorithms are provided, matching the physical operators:
   instead.  No Python-level row loops.
 * :func:`block_nested_loop_match` — compares blocks of the outer side
   against the whole inner side with a broadcast equality, bounding the
-  working set to roughly ``_BLOCK_CELLS`` comparison cells.
-
-:func:`sort_merge_match` is the original sort-based kernel, kept as the
-reference implementation the tests compare against and as the block
-nested loop's fallback for oversized inputs.
+  working set to roughly ``_BLOCK_CELLS`` comparison cells; an input
+  too large for that falls back to :func:`hash_join_match`.
 
 Each join handler of :class:`~repro.engine.executor.Executor` calls its
 operator's kernel by name (``_nested_loop`` →
@@ -66,18 +61,14 @@ __all__ = [
     "block_nested_loop_match",
     "hash_join_match",
     "hash_join_table",
-    "sort_merge_match",
 ]
-
-#: Fibonacci multiplier for the 64-bit multiplicative hash.
-_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
 #: A build of ``n`` integer keys gets the direct layout when its keys
 #: span at most ``max(_DIRECT_SPAN_PER_KEY * n, _DIRECT_MIN_SPAN)``
 #: values: an ``int32`` slot per value, so at most 16 bytes a build row
-#: or 256 KiB.
+#: or 4 MiB.
 _DIRECT_SPAN_PER_KEY = 4
-_DIRECT_MIN_SPAN = 1 << 16
+_DIRECT_MIN_SPAN = 1 << 20
 
 #: Upper bound on comparison cells materialized per nested-loop block.
 _BLOCK_CELLS = 1 << 22
@@ -88,10 +79,10 @@ def _empty_pairs() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _canonical_int_view(keys: np.ndarray) -> np.ndarray:
-    """Map keys to an int64 array usable for hashing and bit equality.
+    """Map keys to an int64 array usable for ordering and bit equality.
 
     Floats are normalized so ``-0.0`` and ``0.0`` share one bit pattern
-    (they compare equal, so they must land in the same bucket).  Raises
+    (they compare equal, so they must find the same slot).  Raises
     :class:`ExecutionError` for a dtype without a canonical integer
     view; ``TableData`` stores only ``int64`` and ``float64`` columns.
     """
@@ -105,7 +96,7 @@ def _canonical_int_view(keys: np.ndarray) -> np.ndarray:
     if kind == "f":
         return (keys.astype(np.float64) + 0.0).view(np.int64)
     raise ExecutionError(
-        f"join keys of dtype {keys.dtype} have no integer view to hash")
+        f"join keys of dtype {keys.dtype} have no integer view to join on")
 
 
 def _narrowed(canonical: np.ndarray) -> np.ndarray:
@@ -134,34 +125,30 @@ class JoinHashTable:
 
     The table is over the *distinct* build keys.  Each has a slot, and a
     slot names the run of build rows holding its key (in their original
-    order).  A probe key finds its slot through one of two layouts:
+    order).  Slots follow ascending key order, and a probe key finds its
+    slot through one of two layouts:
 
     * **direct** — integer keys whose span ``max - min + 1`` is at most
       ``max(_DIRECT_SPAN_PER_KEY * n, _DIRECT_MIN_SPAN)`` for ``n``
       build rows: ``_slots[key - min]`` is the key's slot, -1 when the
       table does not hold it, and the last entry is the -1 every key
-      outside the span reads.  Slots follow ascending key order.
-    * **hashed** — float keys and sparse spans: a bucket names the slot
-      of its first key, and the distinct keys that share a bucket sit
-      in adjacent slots.
+      outside the span reads.
+    * **sorted** — float keys and wider spans: ``_distinct[slot]`` is
+      the slot's canonical key, ascending, and a binary search finds it.
 
-    The table is immutable once built; a single build can serve many
-    probes — the executor's build-side cache reuses it across queries
-    that share the same build subtree.
+    An empty build has neither.  The table is immutable once built; a
+    single build can serve many probes — the executor's build-side
+    cache reuses it across queries that share the same build subtree.
     """
 
     num_rows: int
     key_dtype: np.dtype         # dtype the build keys had (probe contract)
-    #: direct: ``key - min`` -> slot (``int32``), -1 = no such key;
-    #: hashed: bucket -> slot of its first key, -1 = empty.
-    _slots: np.ndarray
-    #: The direct layout's smallest key as ``uint64``; ``None`` = hashed.
+    #: direct: ``key - min`` -> slot (``int32``), -1 = no such key.
+    _slots: np.ndarray | None
+    #: The direct layout's smallest key as ``uint64``.
     _low: np.uint64 | None
-    _bucket_bits: int           # hashed layout only
-    _distinct: np.ndarray | None    # hashed: slot -> canonical int64 key
-    #: hashed: slot -> whether the next slot holds a further key of the
-    #: same bucket; ``None`` when no bucket holds two keys.
-    _shares_next: np.ndarray | None
+    #: sorted: slot -> canonical int64 key, ascending.
+    _distinct: np.ndarray | None
     #: Build rows grouped by key; ``None`` when slot i is build row i.
     _rows: np.ndarray | None
     #: slot -> its run in ``_rows``; ``None`` when every run has length
@@ -172,16 +159,22 @@ class JoinHashTable:
     @classmethod
     def build(cls, keys: np.ndarray) -> "JoinHashTable":
         """Build the table: direct over a narrow integer span, else
-        hashed."""
+        sorted."""
         canonical = _canonical_int_view(keys)
         n = len(canonical)
-        if n and keys.dtype.kind != "f":
+        if n == 0:
+            return cls(0, keys.dtype, None, None, None, None, None, None)
+        if keys.dtype.kind != "f":
             low = int(canonical.min())
             span = int(canonical.max()) - low + 1  # Python ints: no overflow
             if span <= max(_DIRECT_SPAN_PER_KEY * n, _DIRECT_MIN_SPAN):
                 return cls._build_direct(keys.dtype, canonical - low, low,
                                          span)
-        return cls._build_hashed(keys.dtype, canonical)
+        rows, grouped, starts = _grouped(canonical)
+        if len(starts) == n:    # all distinct: slot i is build row rows[i]
+            return cls(n, keys.dtype, None, None, grouped, rows, None, None)
+        return cls(n, keys.dtype, None, None, grouped[starts], rows, starts,
+                   np.diff(starts, append=n))
 
     @classmethod
     def _build_direct(cls, dtype: np.dtype, offsets: np.ndarray, low: int,
@@ -204,66 +197,8 @@ class JoinHashTable:
             rows, grouped, starts = _grouped(offsets)
             counts = np.diff(starts, append=n)
             slots[grouped[starts]] = np.arange(len(starts), dtype=np.int32)
-        return cls(n, dtype, slots, np.uint64(low % (1 << 64)), 0, None,
-                   None, rows, starts, counts)
-
-    @classmethod
-    def _build_hashed(cls, dtype: np.dtype, canonical: np.ndarray
-                      ) -> "JoinHashTable":
-        n = len(canonical)
-        distinct, rows, starts, counts = canonical, None, None, None
-        # If no bucket collides every key is distinct and every row its
-        # own slot: a scatter, no sort.
-        bits, buckets, first_slot = cls._scatter(distinct)
-        if first_slot is None:
-            rows, grouped, starts = _grouped(canonical)
-            if len(starts) == n:
-                rows = starts = None    # all distinct after all
-            else:
-                distinct = grouped[starts]
-                counts = np.diff(starts, append=n)
-                bits, buckets, first_slot = cls._scatter(distinct)
-        shares_next = None
-        if first_slot is None:
-            # Distinct keys share buckets: give bucket-mates adjacent
-            # slots, so a probe that misses walks on to the next slot.
-            # numpy's stable sort is an O(n) radix sort for integers of
-            # at most 16 bits, so bucket ids that fit are narrowed.
-            by_bucket = np.argsort(
-                buckets.astype(np.uint16) if bits <= 16 else buckets,
-                kind="stable")
-            buckets, distinct = buckets[by_bucket], distinct[by_bucket]
-            if starts is None:
-                rows = by_bucket
-            else:
-                starts, counts = starts[by_bucket], counts[by_bucket]
-            first_slot = np.full(1 << bits, -1, dtype=np.int64)
-            # A repeated index keeps its last write: the lowest slot.
-            first_slot[buckets[::-1]] = np.arange(len(buckets))[::-1]
-            shares_next = np.zeros(len(buckets), dtype=bool)
-            np.equal(buckets[1:], buckets[:-1], out=shares_next[:-1])
-        return cls(n, dtype, first_slot, None, bits, distinct, shares_next,
-                   rows, starts, counts)
-
-    @classmethod
-    def _scatter(cls, distinct: np.ndarray
-                 ) -> tuple[int, np.ndarray, np.ndarray | None]:
-        """Bucket keys at load factor <= 0.5: ``(bits, bucket ids,
-        bucket -> position)``, the last ``None`` if two share a bucket."""
-        bits = max(1, int(2 * len(distinct) - 1).bit_length())
-        buckets = cls._bucket_ids(distinct, bits)
-        positions = np.arange(len(distinct))
-        first_slot = np.full(1 << bits, -1, dtype=np.int64)
-        first_slot[buckets] = positions
-        if not np.array_equal(first_slot[buckets], positions):
-            first_slot = None
-        return bits, buckets, first_slot
-
-    @staticmethod
-    def _bucket_ids(canonical: np.ndarray, bits: int) -> np.ndarray:
-        hashed = canonical.view(np.uint64) * _HASH_MULTIPLIER
-        hashed >>= np.uint64(64 - bits)
-        return hashed.view(np.int64)    # at most 63 bits after the shift
+        return cls(n, dtype, slots, np.uint64(low % (1 << 64)), None, rows,
+                   starts, counts)
 
     def accepts(self, dtype: np.dtype) -> bool:
         """Whether probe keys of ``dtype`` can use this table losslessly."""
@@ -274,7 +209,7 @@ class JoinHashTable:
             return False
 
     def match(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Verify probe keys without expanding: ``(probe_rows, slots)``.
+        """Match probe keys without expanding: ``(probe_rows, slots)``.
 
         ``probe_rows`` are the probe rows whose key the table holds, in
         ascending order, and ``slots[i]`` is the slot of that key; its
@@ -302,24 +237,12 @@ class JoinHashTable:
             slots = self._slots[offsets.view(np.int64)]
             probe_rows = np.flatnonzero(slots >= 0)
             return probe_rows, slots[probe_rows].astype(np.int64)
-        # Verify: slots[r] is the one slot probe row r is looking at,
-        # -1 once it has nowhere left to look.  One key comparison
-        # settles a row unless it missed and its bucket holds a further
-        # key; only those rows go another round, on the next slot.
-        slots = self._slots[self._bucket_ids(canonical, self._bucket_bits)]
-        looking = np.flatnonzero(slots >= 0)
-        while len(looking):
-            candidates = slots[looking]
-            missed = np.flatnonzero(
-                self._distinct[candidates] != canonical[looking])
-            looking, candidates = looking[missed], candidates[missed]
-            slots[looking] = -1
-            if self._shares_next is None:
-                break
-            walks_on = np.flatnonzero(self._shares_next[candidates])
-            looking = looking[walks_on]
-            slots[looking] = candidates[walks_on] + 1
-        probe_rows = np.flatnonzero(slots >= 0)
+        # Sorted: the first distinct key not below the probe key, the
+        # last one for a key past them all; the row matched if it is its
+        # own key.
+        slots = np.searchsorted(self._distinct, canonical)
+        np.minimum(slots, len(self._distinct) - 1, out=slots)
+        probe_rows = np.flatnonzero(self._distinct[slots] == canonical)
         return probe_rows, slots[probe_rows]
 
     def probe(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -360,30 +283,13 @@ class JoinHashTable:
                 per_slot[reached])
 
 
-def sort_merge_match(left_keys: np.ndarray,
-                     right_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reference kernel: sort the right side, binary-search every left key.
-
-    This is the original single-kernel implementation all joins used to
-    share; it remains the parity oracle the specialized kernels are
-    tested against and the block nested loop's fallback for oversized
-    inputs.
-    """
-    order = np.argsort(right_keys, kind="stable")
-    sorted_right = right_keys[order]
-    starts = np.searchsorted(sorted_right, left_keys, side="left")
-    stops = np.searchsorted(sorted_right, left_keys, side="right")
-    left_indices, right_positions = expand_runs(starts, stops - starts)
-    return left_indices, order[right_positions]
-
-
 def hash_join_table(probe_keys: np.ndarray, build_keys: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, JoinHashTable]:
     """A hash join's build: ``(probe_keys, build_keys, table)``.
 
-    Mixed-dtype keys (e.g. int FK vs float PK) compare numerically in
-    the sort kernel, so both sides are promoted to their common dtype
-    first and hashing agrees.
+    Mixed-dtype keys (e.g. int FK vs float PK) compare numerically, so
+    both sides are promoted to their common dtype first and the table's
+    bit equality agrees.
     """
     if probe_keys.dtype != build_keys.dtype:
         common = np.result_type(probe_keys.dtype, build_keys.dtype)
@@ -396,8 +302,8 @@ def hash_join_match(probe_keys: np.ndarray,
                     build_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hash join: build a table over ``build_keys``, probe with the left.
 
-    Returns ``(probe_rows, build_rows)`` — identical pairs, in identical
-    order, to :func:`sort_merge_match` on the same inputs.
+    Returns ``(probe_rows, build_rows)``: every pair of equal keys,
+    ordered by probe row, then by build row.
     """
     probe_keys, _, table = hash_join_table(probe_keys, build_keys)
     return table.probe(probe_keys)
@@ -412,20 +318,20 @@ def block_nested_loop_match(outer_keys: np.ndarray,
     the vectorized analogue of a block-at-a-time tuple loop.  The
     planner only chooses a plain nested loop for small inputs; for
     degenerate plans whose comparison matrix would be enormous the
-    kernel falls back to the (asymptotically better) sort kernel rather
+    kernel falls back to the (asymptotically better) hash kernel rather
     than grinding through O(n*m) work.
     """
     n, m = len(outer_keys), len(inner_keys)
     if n == 0 or m == 0:
         return _empty_pairs()
     if n * m > 64 * _BLOCK_CELLS:
-        return sort_merge_match(outer_keys, inner_keys)
+        return hash_join_match(outer_keys, inner_keys)
     block = max(1, _BLOCK_CELLS // m)
     outer_parts: list[np.ndarray] = []
     inner_parts: list[np.ndarray] = []
     for start in range(0, n, block):
         # Raw == follows numpy's numeric promotion, exactly the
-        # comparison semantics the sort kernel's searchsorted uses.
+        # comparison the hash kernel's common dtype makes.
         hits = outer_keys[start:start + block, None] == inner_keys[None, :]
         block_outer, block_inner = np.nonzero(hits)
         outer_parts.append(block_outer + start)

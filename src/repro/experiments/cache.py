@@ -29,13 +29,13 @@ vanished) and a stored model still matches it.
 
 Layout (one directory per context key, one per shard key)::
 
-    <root>/v7/ctx-<hash>/
+    <root>/<CACHE_FORMAT_VERSION>/ctx-<hash>/
         scale.json          # provenance: the exact scale + pool flag
         models/estimated/   # ZeroShotCostModel.save (weights + scalers)
         models/actual/
         context.pkl         # IMDB holdout, evaluation records, pool
         COMPLETE            # written last; absent => entry is ignored
-    <root>/v7/shards/shard-<hash>/
+    <root>/<CACHE_FORMAT_VERSION>/shards/shard-<hash>/
         shard.json          # provenance: database name, queries, seeds
         payload.pkl         # pickled ShardExecution
         COMPLETE

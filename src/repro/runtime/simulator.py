@@ -14,7 +14,7 @@ baseline.
 
 Each operator's cost model mirrors the algorithm the executor's kernel
 actually runs (see :mod:`repro.engine.join_kernels`): hash joins pay a
-per-probe bucket lookup that degrades with build-side size (CPU-cache
+per-probe slot lookup that degrades with build-side size (CPU-cache
 thrashing), nested loops pay the full blockwise comparison matrix.  The
 models are looked up in one ``{operator class: model}`` dict
 (``RuntimeSimulator._MODELS``, indexed by ``type(node)``), the mirror
@@ -220,7 +220,7 @@ class RuntimeSimulator:
         return descend + heap_io + index_cpu + residual_cpu + out_cpu
 
     def _hash_build(self, node: HashBuild) -> float:
-        """Linear bucket grouping of the build side (+ spill past work_mem)."""
+        """Linear grouping of the build side (+ spill past work_mem)."""
         s = self.system
         rows = self._actual(node)
         build = rows * s.hash_build_s
@@ -230,8 +230,8 @@ class RuntimeSimulator:
         return build + spill
 
     def _hash_join(self, node: HashJoin) -> float:
-        """Per-probe bucket lookup; degrades as the build side outgrows
-        CPU caches (``probe_cost``), matching the bucket-array kernel."""
+        """Per-probe slot lookup; degrades as the build side outgrows
+        CPU caches (``probe_cost``), matching the join-table kernel."""
         s = self.system
         build_rows = self._actual(node.children[1])
         probe_rows = self._actual(node.probe_child)

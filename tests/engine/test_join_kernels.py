@@ -1,6 +1,7 @@
 """Join kernels: row-identical parity with the join's all-pairs
-definition over both layouts of the join table, each join operator
-running its own kernel, and build-side caching."""
+definition over both layouts of the join table (and the sort-merge
+reference kernel), each join operator running its own kernel, and
+build-side caching."""
 
 import dataclasses
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import repro.engine.executor
 import repro.engine.join_kernels
 from repro.db import Database, DataType, Schema, TableData
+from repro.db.index import expand_runs
 from repro.db.schema import Column, Table
 from repro.engine import BuildSideCache, Executor, execute_plan
 from repro.engine.join_kernels import (
@@ -21,7 +23,6 @@ from repro.engine.join_kernels import (
     block_nested_loop_match,
     hash_join_match,
     hash_join_table,
-    sort_merge_match,
 )
 from repro.errors import ExecutionError
 from repro.plans import (
@@ -42,6 +43,18 @@ from repro.sql.ast import (
 )
 
 pytestmark = pytest.mark.perf
+
+
+def sort_merge_match(left_keys, right_keys):
+    """Reference kernel: sort the right side, binary-search every left
+    key, expand each left row over its run of equal right keys."""
+    order = np.argsort(right_keys, kind="stable")
+    sorted_right = right_keys[order]
+    starts = np.searchsorted(sorted_right, left_keys, side="left")
+    stops = np.searchsorted(sorted_right, left_keys, side="right")
+    left_indices, right_positions = expand_runs(starts, stops - starts)
+    return left_indices, order[right_positions]
+
 
 KERNELS = [sort_merge_match, hash_join_match, block_nested_loop_match]
 KERNEL_IDS = ["sort-merge", "hash", "block-nl"]
@@ -156,24 +169,38 @@ class TestJoinHashTable:
             int_table.probe(np.array([2.0, 3.0]))
 
     def test_empty_build(self):
-        table = JoinHashTable.build(np.empty(0, dtype=np.int64))
-        left, right = table.probe(np.arange(3))
-        assert len(left) == 0 and len(right) == 0
+        """An empty build has no layout, and every probe misses."""
+        probes = (np.arange(3), np.array([-0.0, 2.5, np.inf]),
+                  np.empty(0, dtype=np.int64))
+        for dtype in (np.int64, np.float64):
+            table = JoinHashTable.build(np.empty(0, dtype=dtype))
+            assert layout(table) == "empty"
+            assert table._low is None and table._rows is None
+            for probe in probes:
+                probe_rows, slots = table.match(probe)
+                build_rows, reached = table.matched_build_rows(slots)
+                for result in (probe_rows, slots, *table.probe(probe),
+                               build_rows, reached):
+                    assert len(result) == 0
 
 
 def layout(table):
-    return "hashed" if table._low is None else "direct"
+    if table._slots is not None:
+        return "direct"
+    return "empty" if table._distinct is None else "sorted"
 
 
 def layout_by_rule(build):
-    """The layout a build must get: direct for integer keys whose span
-    is at most ``max(4 n, 2**16)``, hashed otherwise (Python ints: no
-    overflow)."""
-    if build.dtype.kind == "f" or not len(build):
-        return "hashed"
+    """The layout a build must get: none when it is empty, direct for
+    integer keys whose span is at most ``max(4 n, 2**20)``, sorted
+    otherwise (Python ints: no overflow)."""
+    if not len(build):
+        return "empty"
+    if build.dtype.kind == "f":
+        return "sorted"
     span = int(build.max()) - int(build.min()) + 1
     cap = max(_DIRECT_SPAN_PER_KEY * len(build), _DIRECT_MIN_SPAN)
-    return "direct" if span <= cap else "hashed"
+    return "direct" if span <= cap else "sorted"
 
 
 def assert_hash_kernels_match_reference(build, probes):
@@ -270,16 +297,18 @@ class TestGeneratedParity:
     """Generated inputs where ``TestKernelParity``'s are hand-picked."""
 
     @settings(max_examples=200, deadline=None)
-    @given(_spanned_sides(st.integers(1, _DIRECT_MIN_SPAN)))
+    @given(_spanned_sides(st.integers(1, 1 << 16)
+                          | st.integers((1 << 16) + 1, _DIRECT_MIN_SPAN)))
     def test_narrow_spans_are_direct(self, sides):
+        """Widths up to the floor, about half of the draws past 2**16."""
         table = assert_hash_kernels_match_reference(*sides)
         assert layout(table) == "direct"
 
     @settings(max_examples=150, deadline=None)
     @given(_spanned_sides(st.integers(_DIRECT_MIN_SPAN + 1, 2 ** 64)))
-    def test_wide_spans_are_hashed(self, sides):
+    def test_wide_spans_are_sorted(self, sides):
         table = assert_hash_kernels_match_reference(*sides)
-        assert layout(table) == "hashed"
+        assert layout(table) == "sorted"
 
     @settings(max_examples=150, deadline=None)
     @given(_join_sides(_SMALL_INTS, np.int64))
@@ -330,32 +359,10 @@ class TestGeneratedParity:
         assert_hash_kernels_match_reference(build, [probe] * 3)
         assert len(JoinHashTable.build(build).probe(probe)[0]) == 0
 
-    def test_three_keys_in_one_bucket_take_three_rounds(self):
-        """Three distinct build keys in one bucket, two of them repeated,
-        probed by each and by an absent key of the same bucket: the
-        bucket's second and third slot are only compared on a second and
-        third round, so parity on their keys means those rounds ran.
-        The keys lie 2**20 apart, wider than the direct layout's cap."""
-        bits = 3            # the table of 3 distinct keys has 8 buckets
-        keys = np.arange(200, dtype=np.int64) << 20
-        buckets = JoinHashTable._bucket_ids(keys, bits)
-        a, b, c, absent = keys[buckets == buckets[0]][:4]
-        build = np.array([b, a, c, a, b, a], dtype=np.int64)
-        table = JoinHashTable.build(build)
-        assert layout(table) == "hashed"
-        assert table._bucket_bits == bits
-        first = table._slots[buckets[0]]
-        assert sorted(table._distinct[first:first + 3]) == [a, b, c]
-        assert table._shares_next[first:first + 3].tolist() == \
-            [True, True, False]
-        probe = np.array([absent, c, b, a, a, absent, keys[-1], c],
-                         dtype=np.int64)
-        assert_hash_kernels_match_reference(build, [probe] * 3)
-
 
 class TestProbeWork:
-    """A probe expands what matched, not what shared a bucket: the guard
-    behind the ``collect_corpus`` numbers.  Counted, not timed."""
+    """A probe expands what matched, not what it was compared with: the
+    guard behind the ``collect_corpus`` numbers.  Counted, not timed."""
 
     @pytest.fixture()
     def repeated(self, monkeypatch):
@@ -374,14 +381,13 @@ class TestProbeWork:
 
     def test_distinct_build_keys_expand_nothing(self, repeated):
         rng = np.random.default_rng(46)
-        probe = rng.permutation(80_000).astype(np.int64)
+        probe = rng.permutation(80_000).astype(np.int64) * 64
         build = probe[:46].copy()
         # The premise: the 46 keys span more than the direct layout's
-        # cap, some of them share a bucket, and most probe rows find a
-        # bucket that holds another key than theirs.
-        assert len(np.unique(JoinHashTable._bucket_ids(build, 7))) < 46
+        # cap, so most probe rows land beside a key that is not theirs.
+        assert np.ptp(build) >= _DIRECT_MIN_SPAN
         table = JoinHashTable.build(build)
-        assert layout(table) == "hashed"
+        assert layout(table) == "sorted"
         repeated.clear()
         probe_rows, build_rows = table.probe(probe)
         np.testing.assert_array_equal(probe_rows, np.arange(46))
@@ -491,19 +497,22 @@ class TestRadixBuild:
         (np.array([5, -3, 5, 0, -3, -3, 7, 5], dtype=np.int64), True,
          "direct"),
         (np.array([-70_000, -5, -70_000, 2, -5], dtype=np.int64), False,
-         "hashed"),
+         "direct"),
+        (np.array([-2_000_000, -5, -2_000_000, 2, -5], dtype=np.int64), False,
+         "sorted"),
         (np.repeat(np.arange(0, 70_000, 7, dtype=np.int64), 2)[::-1], False,
          "direct"),
-        (np.array([0.0, -0.0, 1.5, -0.0, -2.5, 1.5]), False, "hashed"),
+        (np.array([0.0, -0.0, 1.5, -0.0, -2.5, 1.5]), False, "sorted"),
         (np.array([1.0, np.nextafter(1.0, 2.0), 1.0, np.nextafter(1.0, 0.0),
-                   np.nextafter(1.0, 2.0)]), True, "hashed"),
+                   np.nextafter(1.0, 2.0)]), True, "sorted"),
         (np.array([2**63 - 1, 2**63 - 9, 2**63 - 1, 2**63 - 9],
                   dtype=np.int64), True, "direct"),
         (np.array([-2**63, -2**63 + 65_535, -2**63, -2**63 + 65_535],
                   dtype=np.int64), True, "direct"),
         (np.array([-2**63, 2**63 - 1, -2**63, 2**63 - 1, 0, 0],
-                  dtype=np.int64), False, "hashed"),
-    ], ids=["negatives", "wide-span", "direct-past-16-bits", "signed-zeros",
+                  dtype=np.int64), False, "sorted"),
+    ], ids=["negatives", "wide-span", "past-the-direct-floor",
+            "direct-past-16-bits", "signed-zeros",
             "adjacent-floats", "top-of-int64", "bottom-of-int64", "extremes"])
     def test_same_table_as_the_comparison_sort(self, keys, radix,
                                                built_layout, monkeypatch):

@@ -15,8 +15,17 @@ arm sends the same plans, in sequence, through one executor with a
 shared ``BuildSideCache`` — the path ``WorkloadRunner`` measures — where
 a build side's row ids and hash tables outlive the query that produced
 them.
+
+Every plan of both arms is also refereed node by node: each node's
+``actual_rows`` must equal ``sqlite3``'s count over the node's subtree
+(``_miscounted``).  Actual cardinalities are model features and the
+simulator's input for every label, and three mechanisms write them
+without materialising what they count: the fused aggregate's sum of
+matched runs, the build cache's replay and the index nested loop's
+inner scan.
 """
 
+import functools
 import math
 import sqlite3
 
@@ -29,8 +38,15 @@ from repro.errors import OptimizerError
 from repro.optimizer import plan_query
 from repro.optimizer.learned_planner import _HINT_SETS
 from repro.optimizer.planner import PlannerOptions
-from repro.plans import HashJoin, NestedLoopJoin
-from repro.sql import AggregateFunction, parse_query, query_to_sql
+from repro.plans import (
+    HashAggregate,
+    HashJoin,
+    IndexScan,
+    NestedLoopJoin,
+    PlainAggregate,
+    SeqScan,
+)
+from repro.sql import AggregateFunction, Query, parse_query, query_to_sql
 from repro.workload.generator import WorkloadSpec, generate_workload
 
 pytestmark = pytest.mark.oracle
@@ -97,6 +113,68 @@ def _has_null_group(query, truth) -> bool:
                for value in row[:len(query.group_by)])
 
 
+@functools.cache
+def _sqlite_count(connection, text: str) -> int:
+    return connection.execute(text).fetchone()[0]
+
+
+def _subtree_sql(node) -> str:
+    """``SELECT COUNT(*)`` over the subtree's scans: their tables, their
+    filters (an ``IndexScan``'s index predicates and its residual
+    filters) and every join condition under ``node``.  An aggregate
+    counts the groups that query forms."""
+    tables, joins, predicates = [], [], []
+
+    def visit(current) -> None:
+        if isinstance(current, SeqScan):
+            tables.append(current.table)
+            predicates.extend(current.filters)
+        elif isinstance(current, IndexScan):
+            tables.append(current.table)
+            predicates.extend(current.index_predicates
+                              + current.residual_filters)
+        elif isinstance(current, (HashJoin, NestedLoopJoin)):
+            joins.append(current.condition)
+        for child in current.children:
+            visit(child)
+
+    visit(node)
+    text = query_to_sql(Query(tables=tuple(tables), joins=tuple(joins),
+                              predicates=tuple(predicates),
+                              group_by=getattr(node, "group_by", ())))
+    if isinstance(node, (HashAggregate, PlainAggregate)):
+        return f"SELECT COUNT(*) FROM ({text.rstrip(';')})"
+    return text
+
+
+def _miscounted(connection, plan) -> list[str]:
+    """Every node of an executed plan whose ``actual_rows`` is not
+    ``sqlite3``'s count of its subtree (``_subtree_sql``), defined as:
+
+    * a scan or a join: the rows its subtree yields;
+    * ``HashBuild``: its child's, the same subtree;
+    * an aggregate: its number of groups (a ``PlainAggregate``: one);
+    * an index nested loop's inner ``IndexScan``: its join's count, the
+      rows all its lookups return — rows x loops, as PostgreSQL's
+      ``EXPLAIN ANALYZE`` counts them.
+    """
+    failures = []
+
+    def visit(node, parent_rows: int | None) -> None:
+        if isinstance(node, IndexScan) and node.lookup_column is not None:
+            want = parent_rows
+        else:
+            want = _sqlite_count(connection, _subtree_sql(node))
+        if node.actual_rows != want:
+            failures.append(f"{node.label()} has actual_rows "
+                            f"{node.actual_rows}, sqlite3 counts {want}")
+        for child in node.children:
+            visit(child, want)
+
+    visit(plan.root, None)
+    return failures
+
+
 def _arms():
     for rewrites in (False, True):
         for hints in _HINT_SETS:
@@ -104,9 +182,10 @@ def _arms():
                    PlannerOptions(enable_rewrites=rewrites, **hints))
 
 
-def _check(database, text: str, truth, operators: set,
+def _check(database, connection, text: str, truth, operators: set,
            shared: Executor | None = None) -> list[str]:
-    """Every arm's answer to ``text`` against ``truth``, sqlite3's rows.
+    """Every arm's answer to ``text`` against ``truth``, sqlite3's rows,
+    and every node's ``actual_rows`` against ``_miscounted``.
 
     Each plan runs through an executor of its own; with ``shared``, a
     second copy of the plan runs through that one as well and must
@@ -127,16 +206,18 @@ def _check(database, text: str, truth, operators: set,
                          and node.is_index_nested_loop)
         why = _mismatch(query, expected,
                         _engine_rows(Executor(database), plan))
-        if why is None and shared is not None:
+        whys = [why] if why is not None else []
+        whys += _miscounted(connection, plan)
+        if not whys and shared is not None:
             cached = plan_query(database, query, options)
             why = _mismatch(query, expected, _engine_rows(shared, cached))
             if why is None and [node.actual_rows for node in cached.nodes()] \
                     != [node.actual_rows for node in plan.nodes()]:
                 why = "actual_rows differ from the uncached run"
-            if why is not None:
-                why = f"shared build cache: {why}"
-        if why is not None:
-            failures.append(f"{arm}: {why} for {text}")
+            whys = [why] if why is not None else []
+            whys += _miscounted(connection, cached)
+            whys = [f"shared build cache: {why}" for why in whys]
+        failures += [f"{arm}: {why} for {text}" for why in whys]
     return failures
 
 
@@ -153,7 +234,8 @@ def _sweep(database, connection, shared: Executor | None = None
         text = query_to_sql(query)
         truth = connection.execute(text).fetchall()
         null_groups += _has_null_group(query, truth)
-        failures += _check(database, text, truth, operators, shared)
+        failures += _check(database, connection, text, truth, operators,
+                           shared)
     assert any(query.group_by for query in queries)
     assert {len(query.tables) for query in queries} >= {1, 2, 3, 4}
     assert not failures, "\n".join(failures)
@@ -192,6 +274,6 @@ def test_group_by_emits_a_null_group(databases):
     database, connection = databases["s1"]
     text = "SELECT t1.c4, COUNT(*) FROM t1 GROUP BY t1.c4"
     assert database.table_data("t1").null_mask("c4").any()
-    failures = _check(database, text, connection.execute(text).fetchall(),
-                      set())
+    failures = _check(database, connection, text,
+                      connection.execute(text).fetchall(), set())
     assert not failures, "\n".join(failures)
