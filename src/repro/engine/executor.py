@@ -19,17 +19,20 @@ a root.
 ``PlainAggregate`` and ``HashAggregate`` share one handler and one
 fold: a scalar aggregate is a grouped one with a single group, which
 holds every input row even when there are none.  Grouping orders the
-rows so each group is one run, and ``_fold`` reduces each run
-(``np.add`` / ``np.minimum`` / ``np.maximum.reduceat``) with a column's
-NULLs dropped; ``SUM`` and ``AVG`` add in ``float64``, ``COUNT``,
-``MIN`` and ``MAX`` are exact, and a group with no non-NULL value folds
-to NaN (``COUNT``: 0).
+rows so each group is one run — one stable sort of per-key ranks, a
+radix sort when they span fewer than 2**16 values — and ``_fold``
+reduces each run (``np.add`` / ``np.minimum`` /
+``np.maximum.reduceat``) with a column's NULLs dropped; ``SUM`` and
+``AVG`` add in ``float64``, ``COUNT``, ``MIN`` and ``MAX`` are exact,
+and a group with no non-NULL value folds to NaN (``COUNT``: 0).
 
 A ``PlainAggregate`` directly on a ``HashJoin`` builds no join row at
-all: it runs the join's inputs itself, matches the probe keys against
-the hash table without expanding them (``JoinHashTable.match``) and
-feeds the fold weighted rows — a probe row weighs its key's run of
-build rows, a build row the number of probe rows that reached it (eager
+all, and neither does a ``HashAggregate`` there whose group keys and
+aggregated columns all sit on one side of the join: it runs the join's
+inputs itself, matches the probe keys against the hash table without
+expanding them (``JoinHashTable.match``) and feeds the grouping and
+the fold weighted rows — a probe row weighs its key's run of build
+rows, a build row the number of probe rows that reached it (eager
 aggregation, Yan & Larson, VLDB 1995).  The join node still gets the
 ``actual_rows`` the expansion would have built, and the time of its
 inputs and its match as ``actual_ms``.  Every other shape
@@ -63,6 +66,7 @@ from repro.engine.compiled_filters import CompiledFilterCache
 from repro.engine.expressions import conjunction_mask, predicate_mask
 from repro.engine.join_kernels import (
     JoinHashTable,
+    _grouped,
     block_nested_loop_match,
     hash_join_table,
 )
@@ -587,35 +591,30 @@ class Executor:
     # ------------------------------------------------------------------
     def _aggregate(self, node: PlainAggregate | HashAggregate) -> Relation:
         """One row per group of the child's rows: grouped by the keys, or
-        one group (even of no rows) when there are none."""
+        one group (even of no rows) when there are none.
+
+        Over a ``HashJoin`` the fold reads the join's matches, not its
+        rows, whenever it can (:func:`_matched_sides`): always for a
+        scalar aggregate, and for a grouped one whose keys and columns
+        all sit on one side of the join.  Every other input, keys and
+        columns on both sides of a join included, is built and grouped
+        row by row."""
         group_by = getattr(node, "group_by", ())   # PlainAggregate has none
         aggregates = node.aggregates or (
             () if group_by else (AggregateSpec(AggregateFunction.COUNT),))
         child = node.children[0]
-        columns: dict[str, np.ndarray] = {}
-        if type(child) is HashJoin and not group_by:
-            # The join's rows are only folded: fold per-key multiplicities
-            # instead of building them.
+        if type(child) is HashJoin:
             start = time.perf_counter()
             child.actual_rows, sides = _matched_sides(
-                self._hash_join_inputs(child), aggregates)
+                self._hash_join_inputs(child), group_by, aggregates)
             child.actual_ms = _ms_since(start)
         else:
             relation = self._execute_node(child)
-            child.actual_rows = relation.num_rows
-            bounds = _one_group(relation.num_rows)
-            if group_by:
-                keys = [relation.column(ref) for ref in group_by]
-                masks = [_any_null(relation.null_mask(ref))
-                         for ref in group_by]
-                order, starts = _group_rows(keys, masks)
-                first = order[starts]
-                for ref, values, mask in zip(group_by, keys, masks):
-                    columns[str(ref)] = values[first] if mask is None else \
-                        np.where(mask[first], np.nan, values[first])
-                relation = _rows_read(relation, order, aggregates)
-                bounds = np.append(starts, relation.num_rows)
-            sides = [_Side(relation, None, bounds)]
+            sides = [_Side(relation, None, _one_group(relation.num_rows))]
+        columns: dict[str, np.ndarray] = {}
+        if group_by:
+            (side,) = sides
+            sides = [_grouped_side(side, group_by, aggregates, columns)]
         runs = {}
         for index, agg in enumerate(aggregates):
             if agg.column not in runs:
@@ -672,28 +671,59 @@ def _group_rows(key_arrays: list[np.ndarray],
     ``order`` lists the rows group by group, groups in ascending
     lexicographic key order and each group's rows in input order; group
     ``g`` is ``order[starts[g]:starts[g + 1]]`` (the last one runs to the
-    end).  Each key is ranked on its own and folded into the running
-    rank, which is re-densified before a third key so ``ranks *
-    (distinct + 1) + rank`` stays below ``num_rows * (num_rows + 1)``
-    and cannot overflow ``int64``; one stable argsort of the running
-    ranks then lists the groups.  A row a key's null mask marks ranks one
-    past every value of that key, whatever value it stores: NULLs form
-    one group, after the others.
+    end).  A row a key's null mask marks ranks one past every value of
+    that key, whatever value it stores: NULLs form one group, after the
+    others.
+
+    Each key is ranked on its own (:func:`_key_ranks`, every rank in
+    ``[0, top]`` with ``top < max(num_rows + 1, 2**16)``) and folded into
+    the running rank as ``ranks * (top + 1) + rank``.  The running rank
+    is re-densified (to below ``num_rows``) before a third key, so it
+    stays below ``max(num_rows + 1, 2**16) ** 2`` and cannot overflow
+    ``int64``.  One stable sort of the running ranks then lists the
+    groups: ``join_kernels._grouped``, the join build's, which is numpy's
+    O(n) radix sort when the ranks span fewer than 2**16 values — always
+    for a single narrow integer key.
     """
     ranks = None
     for position, (keys, mask) in enumerate(zip(key_arrays, null_masks)):
-        distinct, key_ranks = np.unique(keys, return_inverse=True)
-        if mask is not None:
-            key_ranks[mask] = len(distinct)
+        key_ranks, top = _key_ranks(keys, mask)
         if position > 1:
             ranks = np.unique(ranks, return_inverse=True)[1]
         ranks = key_ranks if ranks is None else \
-            ranks * (len(distinct) + 1) + key_ranks
-    order = np.argsort(ranks, kind="stable")
-    grouped = ranks[order]
-    starts = np.ones(len(order), dtype=bool)
-    np.not_equal(grouped[1:], grouped[:-1], out=starts[1:])
-    return order, np.flatnonzero(starts)
+            ranks * (top + 1) + key_ranks
+    order, _, starts = _grouped(ranks)
+    return order, starts
+
+
+def _key_ranks(keys: np.ndarray, mask: np.ndarray | None
+               ) -> tuple[np.ndarray, int]:
+    """``(ranks, top)``: ``int64`` ranks of one key that order its rows as
+    their values do, with every row ``mask`` marks at ``top``, past them
+    all.
+
+    An ``int64`` key whose non-NULL values span ``span < 2**16`` values
+    is ranked by its offset ``key - min``, on ``[0, span)``, with ``top =
+    span``.  A NULL row may store any ``int64``, the extremes included,
+    so the offset is taken modulo 2**64 (wrapping ``uint64``, exact on
+    the non-NULL rows, whose offsets fit) and the NULL rows are
+    overwritten after it.  Every other key ranks by ``np.unique``'s
+    inverse, ``top`` its number of distinct stored values.
+    """
+    values = keys if mask is None else keys[~mask]
+    if keys.dtype == np.int64 and len(values):
+        low = int(values.min())
+        span = int(values.max()) - low + 1     # Python ints: no overflow
+        if span < 1 << 16:
+            ranks = (keys.view(np.uint64)
+                     - np.uint64(low % (1 << 64))).view(np.int64)
+            if mask is not None:
+                ranks[mask] = span
+            return ranks, span
+    distinct, ranks = np.unique(keys, return_inverse=True)
+    if mask is not None:
+        ranks[mask] = len(distinct)
+    return ranks, len(distinct)
 
 
 def _any_null(mask: np.ndarray | None) -> np.ndarray | None:
@@ -716,37 +746,70 @@ def _one_group(num_rows: int) -> np.ndarray:
     return np.array([0, num_rows], dtype=np.intp)
 
 
-def _rows_read(relation: Relation, rows: np.ndarray, aggregates
+def _rows_read(relation: Relation, rows: np.ndarray, read: bool
                ) -> Relation:
-    """``relation.take(rows)`` for the columns ``aggregates`` read; when
-    they read none (``COUNT(*)`` alone) only the number of rows, so no
-    alias's row ids are composed for nothing."""
-    if any(agg.column is not None for agg in aggregates):
+    """``relation.take(rows)`` when a column of it is ``read``; when none
+    is (``COUNT(*)`` alone) only the number of rows, so no alias's row
+    ids are composed for nothing."""
+    if read:
         return relation.take(rows)
     return Relation.of_columns({}, len(rows))
 
 
-def _matched_sides(inputs: _HashJoinInputs, aggregates
+def _matched_sides(inputs: _HashJoinInputs, group_by, aggregates
                    ) -> tuple[int, list[_Side]]:
-    """A hash join's row count and its rows as one group, without
-    building them: the probe rows that matched, each weighing its key's
-    run of build rows, and — when ``aggregates`` read a build-side
-    column — the build rows they reached, each weighing the number of
-    probe rows that reached it (eager aggregation, Yan & Larson, VLDB
-    1995)."""
+    """A hash join's row count, and its rows as the sides an aggregate
+    folds, each one group.
+
+    The join's rows are not built: a side is the probe rows that
+    matched, each weighing its key's run of build rows, or the build
+    rows they reached, each weighing the number of probe rows that
+    reached it (:meth:`JoinHashTable.matched_build_rows`) — eager
+    aggregation, Yan & Larson, VLDB 1995.  A side is there when
+    ``group_by`` or ``aggregates`` read a column of it (the probe side
+    also when they read none, for ``COUNT(*)``).  A side is grouped on
+    its own, so a grouped aggregate gets one side only: when its keys
+    and columns sit on both, the join's rows are built instead and form
+    the one side, each row weighing one.
+    """
+    reads = [ref for ref in (*group_by, *(agg.column for agg in aggregates))
+             if ref is not None]
+    on_probe = sum(inputs.probe.exposes(ref) for ref in reads)
+    if group_by and 0 < on_probe < len(reads):
+        relation = _joined(inputs)
+        return relation.num_rows, [
+            _Side(relation, None, _one_group(relation.num_rows))]
     probe_rows, slots = inputs.table.match(inputs.probe_keys)
     runs = inputs.table.run_lengths(slots)
     total = len(slots) if runs is None else int(runs.sum())
-    on_build = [agg for agg in aggregates if agg.column is not None
-                and not inputs.probe.exposes(agg.column)]
-    on_probe = [agg for agg in aggregates if agg not in on_build]
-    sides = [_Side(_rows_read(inputs.probe, probe_rows, on_probe), runs,
-                   _one_group(len(probe_rows)))]
-    if on_build:
+    sides = []
+    if on_probe or not reads:
+        sides.append(_Side(_rows_read(inputs.probe, probe_rows, on_probe > 0),
+                           runs, _one_group(len(probe_rows))))
+    if on_probe < len(reads):
         build_rows, reached = inputs.table.matched_build_rows(slots)
         sides.append(_Side(inputs.build.take(build_rows), reached,
                            _one_group(len(build_rows))))
     return total, sides
+
+
+def _grouped_side(side: _Side, group_by, aggregates,
+                  columns: dict[str, np.ndarray]) -> _Side:
+    """``side``'s rows in groups of equal ``group_by`` keys
+    (:func:`_group_rows`), each row keeping its weight; each group's
+    keys go to ``columns``, a NULL key as NaN."""
+    relation, weights, _ = side
+    keys = [relation.column(ref) for ref in group_by]
+    masks = [_any_null(relation.null_mask(ref)) for ref in group_by]
+    order, starts = _group_rows(keys, masks)
+    first = order[starts]
+    for ref, values, mask in zip(group_by, keys, masks):
+        columns[str(ref)] = values[first] if mask is None else \
+            np.where(mask[first], np.nan, values[first])
+    read = any(agg.column is not None for agg in aggregates)
+    return _Side(_rows_read(relation, order, read),
+                 None if weights is None else weights[order],
+                 np.append(starts, len(order)))
 
 
 def _runs(sides: list[_Side], ref: ColumnRef | None

@@ -102,6 +102,8 @@ def _canonical_int_view(keys: np.ndarray) -> np.ndarray:
 def _narrowed(canonical: np.ndarray) -> np.ndarray:
     """Keys that sort like ``canonical``: shifted to ``uint16`` when
     their span fits, where numpy's stable sort is an O(n) radix sort."""
+    if len(canonical) == 0:
+        return canonical
     low = int(canonical.min())
     if int(canonical.max()) - low < 1 << 16:   # Python ints: no overflow
         return (canonical - low).astype(np.uint16)
@@ -111,7 +113,7 @@ def _narrowed(canonical: np.ndarray) -> np.ndarray:
 def _grouped(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows grouped by key: ``(order, keys[order], run starts)``.  Stable,
     because a key's build rows come out of a probe in their original
-    order."""
+    order, and an aggregate's groups list their rows in input order."""
     order = np.argsort(_narrowed(keys), kind="stable")
     grouped = keys[order]
     starts_run = np.ones(len(keys), dtype=bool)

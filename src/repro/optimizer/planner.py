@@ -49,7 +49,9 @@ class PlannerOptions:
     ``enable_rewrites`` turns on the logical rewrite phase
     (:mod:`repro.optimizer.rewrite`) in front of the cost-based search.
     With rewrites off the planner is bit-identical to the pre-rewrite
-    pipeline.
+    pipeline.  ``enable_indexscan=False`` takes every index scan out of
+    the search, a leaf's and an index nested loop's parameterized inner
+    alike, as PostgreSQL's ``enable_indexscan = off`` does.
     """
 
     enable_seqscan: bool = True
@@ -258,9 +260,9 @@ class _PlanSearch:
 
         Candidates are priced first, as ``(total cost, node builder,
         arguments)`` in a fixed sequence — hash l/r, hash r/l, index
-        nested loop per side per index, nested loop l/r, r/l — and
-        ``min`` keeps the first of equal totals; only that candidate's
-        nodes are constructed.
+        nested loop per side per index (index scans on), nested loop
+        l/r, r/l — and ``min`` keeps the first of equal totals; only that
+        candidate's nodes are constructed.
         """
         condition = self._connecting_join(left, right)
         if condition is None:
@@ -288,8 +290,9 @@ class _PlanSearch:
         if self.options.enable_nestloop:
             emit = out_rows * CPU_TUPLE_COST
             for outer, inner in ((left, right), (right, left)):
-                if len(inner.aliases) != 1:
-                    continue  # an INL inner is one indexed table
+                if len(inner.aliases) != 1 or \
+                        not self.options.enable_indexscan:
+                    continue  # an INL inner is one table's index scan
                 for index, lookup_cost in self._index_lookups(
                         outer, inner, condition, out_rows):
                     candidates.append((outer.cost + lookup_cost + emit,

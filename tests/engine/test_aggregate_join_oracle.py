@@ -1,30 +1,39 @@
-"""Aggregates over hash joins: generated whole queries against stdlib
+"""Aggregates over joins: generated whole queries against stdlib
 ``sqlite3`` and against the materialised join.
 
-A ``PlainAggregate`` placed directly on a ``HashJoin`` folds the join's
-per-key multiplicities instead of building its rows; a
-``HashAggregate`` groups the join's rows.  Both feed the executor's one
-fold (``_fold``).  ``hypothesis`` draws small hand-built tables —
+An aggregate placed directly on a ``HashJoin`` folds the join's
+per-key multiplicities instead of building its rows: a scalar one
+always, a grouped one when its keys and the columns it reads all sit on
+one side of the join (the matched probe rows, or the build rows they
+reach, are grouped).  A grouped one with keys or columns on both sides
+groups the join's rows.  All of them feed the executor's one fold
+(``_fold``).  ``hypothesis`` draws small hand-built tables —
 ``int64`` and ``float64`` value columns, duplicate and NULL join keys on
 both sides, empty tables — and aggregate queries over two or three of
-them (every function on probe-side and build-side columns, predicates
-that keep nothing, two ranges on one column, a contradictory pair),
-scalar or ``GROUP BY`` one or two nullable columns.  Each query is
-planned under every hint set of the plan selector that leaves hash joins
-on (one of them admits nothing else), and each plan runs through an
-executor of its own, through one with interpreted filters and again
-through one executor with a shared ``BuildSideCache``.
+them, chained on the join key so duplicates meet at both levels (every
+function on probe-side and build-side columns, predicates that keep
+nothing, two ranges on one column, a contradictory pair), scalar or
+``GROUP BY`` one or two nullable columns: half the grouped texts read
+one table only, so their keys and columns sit on one side of the root
+join, the other half any table.  Each plan runs through an executor of
+its own, through one with interpreted filters and again through one
+executor with a shared ``BuildSideCache``.
 
-* Against ``sqlite3``: row by row in key order (``ORDER BY <keys> NULLS
-  LAST``), group keys and ``COUNT`` / ``MIN`` / ``MAX`` exactly, ``SUM``
-  / ``AVG`` to 1e-9 of the sum of magnitudes (what reordering a float
-  sum can move), NULL standing for NaN.
-* Against the materialised join (``executor._execute_node`` on the
-  join, then the scalar aggregates folded row by row here, adding in
-  ``float64``): the join node's ``actual_rows`` equal, ``COUNT`` /
-  ``MIN`` / ``MAX`` bit-identical, and ``SUM`` / ``AVG`` held to 1e-12
-  of the sum of magnitudes.  The integer columns span all of ``int64``,
-  so their sums pass 2**63: they round, and the fused ``v * w`` rounds
+* Against ``sqlite3``, each query planned under every hint set of the
+  plan selector (hash joins forced, nested loops forced, index scans
+  off, the default): row by row in key order (``ORDER BY <keys> NULLS
+  LAST``), group keys and ``COUNT`` / ``MIN`` / ``MAX`` exactly,
+  ``SUM`` / ``AVG`` to 1e-9 of the sum of magnitudes (what reordering a
+  float sum can move), NULL standing for NaN.
+* Against the materialised join, each query planned under the hint
+  sets that leave hash joins on (``executor._execute_node`` on the
+  join, its rows grouped and folded row by row here, adding in
+  ``float64``): every node's ``actual_rows`` equal, the aggregate's its
+  number of groups; group keys (dtype and value; a float key's sign of
+  zero is whichever row of its group comes first) and ``COUNT`` /
+  ``MIN`` / ``MAX`` exactly, and ``SUM`` / ``AVG`` held to 1e-12 of the
+  sum of magnitudes.  The integer columns span all of ``int64``, so
+  their sums pass 2**63: they round, and the fused ``v * w`` rounds
   within that bound of ``v`` added ``w`` times.
 """
 
@@ -45,6 +54,7 @@ from repro.optimizer import plan_query
 from repro.optimizer.learned_planner import _HINT_SETS
 from repro.optimizer.planner import PlannerOptions
 from repro.plans import HashAggregate, HashJoin, PlainAggregate
+from repro.plans.plan import walk_plan
 from repro.sql import AggregateFunction, parse_query
 
 pytestmark = pytest.mark.oracle
@@ -99,16 +109,20 @@ _PREDICATES = ("", "a.x > 1000", "b.f < -2000",
 
 
 @st.composite
-def _case(draw, ints, grouped=False):
+def _case(draw, ints):
     """Tables, and one query text over two or three of them: scalar, or
-    (``grouped``: half the time) grouped by one or two columns."""
+    (half the time) grouped by one or two columns.  A grouped text reads
+    one table only half the time, keys and aggregated columns alike."""
     data = {name: draw(_table(ints)) for name in _TABLES}
     tables = _TABLES[:draw(st.integers(2, 3))]
-    aggregates = draw(st.lists(_aggregate(tables), min_size=1, max_size=3))
+    grouped = draw(st.booleans())
+    read = [draw(st.sampled_from(tables))] \
+        if grouped and draw(st.booleans()) else tables
+    aggregates = draw(st.lists(_aggregate(read), min_size=1, max_size=3))
     keys = []
-    if grouped and draw(st.booleans()):
+    if grouped:
         keys = draw(st.lists(
-            st.sampled_from([f"{table}.{column}" for table in tables
+            st.sampled_from([f"{table}.{column}" for table in read
                              for column in _KEY_COLUMNS]),
             min_size=1, max_size=2, unique=True))
     joins = ["a.k = b.k"] + (["b.k = c.k"] if len(tables) == 3 else [])
@@ -145,25 +159,25 @@ def _database(data) -> Database:
     return database
 
 
-def _plans(database, query):
-    """The query's plans under the hash-join hint sets (None where a hint
-    set admits none); the forced one must put the aggregate on a hash
-    join."""
+def _plans(database, query, hint_sets):
+    """The query's plans under ``hint_sets`` (None where a hint set
+    admits none); the one forcing hash joins must put the aggregate on a
+    hash join."""
     plans = []
-    for hints in _HASH_HINTS:
+    for hints in hint_sets:
         try:
             plans.append(plan_query(database, query,
                                     PlannerOptions(**hints)))
         except OptimizerError:
             plans.append(None)
-    forced = plans[_HASH_HINTS.index(_FORCED)]
+    forced = plans[hint_sets.index(_FORCED)]
     assert isinstance(forced.root, HashAggregate if query.group_by
                       else PlainAggregate)
     assert isinstance(forced.root.children[0], HashJoin)
     return plans
 
 
-def _arms(database, query):
+def _arms(database, query, hint_sets):
     """``(arm, plan, executor)`` for every plan: an executor per plan,
     one with interpreted filters per plan, then all of them through one
     executor with a shared build cache."""
@@ -173,7 +187,8 @@ def _arms(database, query):
              lambda: Executor(database, compile_filters=False)),
             ("shared cache", lambda: shared))
     for name, executor in arms:
-        for hints, plan in zip(_HASH_HINTS, _plans(database, query)):
+        for hints, plan in zip(hint_sets, _plans(database, query,
+                                                 hint_sets)):
             if plan is not None:
                 yield f"{name} {hints or 'default'}", plan, executor()
 
@@ -201,8 +216,8 @@ def _magnitudes(connection, text: str, query) -> list[list[float]]:
 
 
 @settings(max_examples=200, deadline=None)
-@given(_case(_SMALL_INTS, grouped=True))
-def test_aggregates_over_hash_joins_match_sqlite(case):
+@given(_case(_SMALL_INTS))
+def test_aggregates_over_joins_match_sqlite(case):
     data, text = case
     database = _database(data)
     query = parse_query(text)
@@ -223,7 +238,7 @@ def test_aggregates_over_hash_joins_match_sqlite(case):
              + [aggregate.function in _EXACT
                 for aggregate in query.aggregates])
     items = [*query.group_by, *query.aggregates]
-    for arm, plan, executor in _arms(database, query):
+    for arm, plan, executor in _arms(database, query, list(_HINT_SETS)):
         columns = executor.execute(plan).relation.columns
         answer = np.column_stack(list(columns.values())).astype(
             np.float64).tolist()
@@ -270,6 +285,36 @@ def _magnitude(relation, aggregate) -> float:
         if aggregate.function is AggregateFunction.AVG else total
 
 
+def _materialised_groups(relation, group_by) -> list[np.ndarray]:
+    """The join's rows grouped by ``group_by`` one row at a time: each
+    group's rows in join order, groups in ascending key order with a
+    NULL key after every value; one group of every row when there are no
+    keys."""
+    if not group_by:
+        return [np.arange(relation.num_rows)]
+    cells = []
+    for ref in group_by:
+        values = relation.column(ref).tolist()
+        mask = relation.null_mask(ref)
+        nulls = [False] * len(values) if mask is None else mask.tolist()
+        cells.append([(True, 0) if null else (False, value)
+                      for value, null in zip(values, nulls)])
+    groups: dict[tuple, list[int]] = {}
+    for row, key in enumerate(zip(*cells)):
+        groups.setdefault(key, []).append(row)
+    return [np.array(groups[key], dtype=np.intp) for key in sorted(groups)]
+
+
+def _materialised_keys(relation, ref, firsts) -> np.ndarray:
+    """The key column a grouped result holds: each group's first row's
+    value, as ``float64`` with NaN for NULL when some group's is NULL."""
+    values = relation.column(ref)[firsts]
+    mask = relation.null_mask(ref)
+    if mask is None or not mask[firsts].any():
+        return values
+    return np.where(mask[firsts], np.nan, values)
+
+
 _WRAPS = ({"a": {"k": [1, 1, None], "x": [2**63 - 1, 5, 7],
                 "f": [0.1, None, 0.2]},
           "b": {"k": [1, 1, 1], "x": [-2**63, 2, 2**62 + 1],
@@ -278,23 +323,50 @@ _WRAPS = ({"a": {"k": [1, 1, None], "x": [2**63 - 1, 5, 7],
           "SELECT SUM(a.x), AVG(b.x), SUM(b.f) FROM a a, b b WHERE a.k = b.k")
 
 
-@settings(max_examples=120, deadline=None)
+#: Three tables chained on ``k``, duplicates at both levels (``b``'s key
+#: 1 twice, ``c``'s keys 1 and 2 twice), grouped by one table's column.
+_CHAIN = ({"a": {"k": [1, 1, 2, None, 2], "x": [4, 5, 6, 7, -8],
+                 "f": [0.5, None, -0.5, 1.5, 2.5]},
+           "b": {"k": [1, 1, 2, 0], "x": [1, None, 3, 4],
+                 "f": [0.25, 0.25, None, -1.0]},
+           "c": {"k": [2, 1, 2, 1, None], "x": [9, 8, 7, 6, 5],
+                 "f": [-0.0, 0.0, 3.0, None, 1.0]}},
+          "SELECT c.f, COUNT(*), SUM(c.x), MAX(c.x) FROM a a, b b, c c "
+          "WHERE a.k = b.k AND b.k = c.k GROUP BY c.f")
+
+
+@settings(max_examples=200, deadline=None)
 @given(_case(_WIDE_INTS))
 @example(_WRAPS)
+@example(_CHAIN)
 def test_fused_fold_equals_the_materialised_join(case):
     data, text = case
     database = _database(data)
     query = parse_query(text)
-    for arm, plan, executor in _arms(database, query):
+    for arm, plan, executor in _arms(database, query, _HASH_HINTS):
         columns = executor.execute(plan).relation.columns
-        answer = [float(column[0]) for column in columns.values()]
+        actuals = [node.actual_rows for node in walk_plan(plan.root)]
         join = plan.root.children[0]
-        fused_rows = join.actual_rows
         relation = Executor(database)._execute_node(join)
-        assert fused_rows == relation.num_rows == join.actual_rows, arm
-        for aggregate, got in zip(query.aggregates, answer):
-            want = _materialised_fold(relation, aggregate)
+        groups = _materialised_groups(relation, query.group_by)
+        assert actuals == [len(groups)] + [
+            node.actual_rows for node in walk_plan(join)], arm
+        firsts = np.array([rows[0] for rows in groups if len(rows)],
+                          dtype=np.intp)
+        for ref in query.group_by:
+            got = columns[str(ref)]
+            want = _materialised_keys(relation, ref, firsts)
+            assert got.dtype == want.dtype, f"{arm}: {ref} for {text}"
+            np.testing.assert_array_equal(got, want,
+                                          f"{arm}: {ref} for {text}")
+        for index, aggregate in enumerate(query.aggregates):
+            got = columns[f"agg{index}"]
+            assert len(got) == len(groups), arm
             exact = aggregate.function in _EXACT
-            assert _close(want, got, _magnitude(relation, aggregate),
-                          0.0 if exact else 1e-12), \
-                f"{arm}: {aggregate} = {got}, materialised {want} for {text}"
+            for rows, value in zip(groups, got.tolist()):
+                group = relation.take(rows)
+                want = _materialised_fold(group, aggregate)
+                assert _close(want, value, _magnitude(group, aggregate),
+                              0.0 if exact else 1e-12), \
+                    f"{arm}: {aggregate} = {value}, materialised {want} " \
+                    f"for {text}"

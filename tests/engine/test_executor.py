@@ -12,11 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.engine.join_kernels
 from repro.db import Database, DataType, Schema
 from repro.db.schema import Column, Table
 from repro.db.table_data import TableData
 from repro.engine import Executor, execute_plan
-from repro.engine.executor import _group_rows
+from repro.engine.executor import _group_rows, _key_ranks
 from repro.engine.expressions import predicate_mask
 from repro.errors import ExecutionError, PlanError
 from repro.optimizer.planner import Planner
@@ -392,49 +393,161 @@ def _groups(key_arrays, null_masks):
     return order[starts], group_ids
 
 
-def _assert_groups_like_the_record_array(key_arrays):
-    first_indices, group_ids = _groups(key_arrays, [None] * len(key_arrays))
-    want_first, want_ids = _record_array_groups(key_arrays)
+def _with_null_flags(key_arrays, null_masks):
+    """The record array's fields for nullable keys: a key with a null
+    mask becomes its null flag, then its value with the NULL rows'
+    stored values zeroed, so NULLs group together after every value."""
+    fields = []
+    for keys, mask in zip(key_arrays, null_masks):
+        if mask is None:
+            fields.append(keys)
+        else:
+            fields.extend([mask.astype(np.int8),
+                           np.where(mask, keys.dtype.type(0), keys)])
+    return fields
+
+
+def _assert_groups_like_the_record_array(key_arrays, null_masks=None):
+    null_masks = null_masks or [None] * len(key_arrays)
+    first_indices, group_ids = _groups(key_arrays, null_masks)
+    fields = _with_null_flags(key_arrays, null_masks)
+    want_first, want_ids = _record_array_groups(fields)
     np.testing.assert_array_equal(group_ids, want_ids)
     np.testing.assert_array_equal(first_indices, want_first)
-    # Group order: ascending, lexicographic by key.
-    keys = [tuple(array[i] for array in key_arrays) for i in first_indices]
+    # Group order: ascending, lexicographic by key, NULLs last.
+    keys = [tuple(array[i] for array in fields) for i in first_indices]
     assert keys == sorted(keys)
 
 
-_INT_KEYS = st.sampled_from(
-    [0, 1, -1, 7, np.iinfo(np.int64).min, np.iinfo(np.int64).max])
+_INT64 = np.iinfo(np.int64)
+_INT_KEYS = st.sampled_from([0, 1, -1, 7, _INT64.min, _INT64.max])
 _FLOAT_KEYS = st.sampled_from(
     [0.0, -0.0, 1.5, -1.5, np.finfo(np.float64).max,
      np.finfo(np.float64).min, np.finfo(np.float64).tiny, np.inf, -np.inf])
 
 
 @st.composite
+def _key_column(draw, num_rows):
+    """One key column and its null mask (None: not nullable): a narrow
+    integer key (eight values from 0, -5 or either end of ``int64``), a
+    wide one, or a float one.  A NULL row stores an extreme of its
+    dtype, or 0."""
+    kind = draw(st.sampled_from(["narrow", "wide", "float"]))
+    if kind == "narrow":
+        low = min(draw(st.sampled_from([0, -5, _INT64.min, _INT64.max])),
+                  _INT64.max - 7)
+        values, stored = st.integers(low, low + 7), _INT_KEYS
+    elif kind == "wide":
+        values, stored = _INT_KEYS | st.integers(-3, 3), _INT_KEYS
+    else:
+        values = _FLOAT_KEYS | st.integers(-3, 3).map(float)
+        stored = _FLOAT_KEYS
+    cell = values.map(lambda value: (value, False))
+    nullable = draw(st.booleans())
+    if nullable:
+        cell = cell | stored.map(lambda value: (value, True))
+    cells = draw(st.lists(cell, min_size=num_rows, max_size=num_rows))
+    keys = np.array([value for value, _ in cells],
+                    dtype=np.float64 if kind == "float" else np.int64)
+    mask = np.array([null for _, null in cells], dtype=bool)
+    return keys, mask if nullable else None
+
+
+@st.composite
 def _key_arrays(draw):
+    """``(key_arrays, null_masks)``: one to three keys over 1-40 rows."""
     num_rows = draw(st.integers(1, 40))
-    arrays = []
-    for _ in range(draw(st.integers(1, 3))):
-        if draw(st.booleans()):
-            arrays.append(np.array(draw(st.lists(
-                _INT_KEYS | st.integers(-3, 3),
-                min_size=num_rows, max_size=num_rows)), dtype=np.int64))
-        else:
-            arrays.append(np.array(draw(st.lists(
-                _FLOAT_KEYS | st.integers(-3, 3).map(float),
-                min_size=num_rows, max_size=num_rows)), dtype=np.float64))
-    return arrays
+    columns = [draw(_key_column(num_rows))
+               for _ in range(draw(st.integers(1, 3)))]
+    return [keys for keys, _ in columns], [mask for _, mask in columns]
 
 
+def _spanning(span, low, num_rows, seed):
+    """``num_rows`` int64 keys spanning exactly ``span`` values from
+    ``low``: both ends, the rest drawn between them, shuffled."""
+    rng = np.random.default_rng(seed)
+    offsets = np.concatenate([[0, span - 1],
+                              rng.integers(0, span, num_rows - 2)])
+    return (rng.permutation(offsets).astype(np.uint64)
+            + np.uint64(low % (1 << 64))).view(np.int64)
+
+
+@pytest.mark.perf
 class TestGroupRows:
-    """``_group_rows`` (per-key ranks folded into one code, one stable
-    argsort of it) against the record-array sort it replaced: same
+    """``_group_rows`` (per-key ranks — offsets for a narrow integer key,
+    ``np.unique``'s inverse for any other — folded into one code, one
+    stable sort of it) against the record-array sort it replaced: same
     groups, same order, same first rows, hence the same key values and
     the same runs for the fold."""
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(_key_arrays())
-    def test_matches_the_record_array_sort(self, key_arrays):
-        _assert_groups_like_the_record_array(key_arrays)
+    def test_matches_the_record_array_sort(self, keys_and_masks):
+        _assert_groups_like_the_record_array(*keys_and_masks)
+
+    @pytest.mark.parametrize("span", [2**16 - 1, 2**16, 2**16 + 1])
+    @pytest.mark.parametrize("low", [-7, _INT64.min, _INT64.max - 2**16],
+                             ids=["small", "int64-min", "int64-max"])
+    def test_spans_at_the_offset_cap(self, span, low):
+        """A key spanning fewer than 2**16 values ranks by its offset, on
+        ``[0, span]``; one more and it ranks by ``np.unique``.  Alone,
+        beside a float key and beside a wide integer key, NULL rows
+        storing either end of ``int64``: the record array's groups."""
+        keys = _spanning(span, low, 3_000, seed=span)
+        _, top = _key_ranks(keys, None)
+        assert (top == span) == (span < 2**16)
+        rng = np.random.default_rng(7)
+        nulls = rng.random(3_000) < 0.1
+        keys_with_nulls = np.where(
+            nulls, rng.choice([_INT64.min, _INT64.max], 3_000), keys)
+        floats = rng.integers(-2, 3, 3_000).astype(np.float64)
+        wide = rng.choice([_INT64.min, 0, _INT64.max], 3_000)
+        _assert_groups_like_the_record_array([keys])
+        _assert_groups_like_the_record_array([keys_with_nulls], [nulls])
+        _assert_groups_like_the_record_array([floats, keys_with_nulls],
+                                             [None, nulls])
+        _assert_groups_like_the_record_array([keys_with_nulls, wide, floats],
+                                             [nulls, None, None])
+
+    @pytest.mark.parametrize("key_arrays, null_masks, radix", [
+        ([np.random.default_rng(1).integers(0, 196, 80_000)], [None], True),
+        ([np.random.default_rng(2).integers(-50, 50, 5_000)],
+         [np.random.default_rng(3).random(5_000) < 0.2], True),
+        ([np.random.default_rng(4).integers(0, 50, 5_000),
+          np.random.default_rng(5).integers(0, 2**20, 5_000)], [None, None],
+         False),
+        ([np.random.default_rng(6).integers(0, 4, 5_000).astype(np.float64),
+          np.random.default_rng(7).integers(0, 9, 5_000),
+          np.random.default_rng(8).integers(0, 5, 5_000)],
+         [None, None, np.random.default_rng(9).random(5_000) < 0.3], True),
+        ([np.empty(0, dtype=np.int64)], [None], False),
+    ], ids=["narrow", "narrow-with-nulls", "narrow-and-wide",
+            "float-narrow-nullable", "empty"])
+    def test_same_grouping_as_the_comparison_sort(self, key_arrays,
+                                                  null_masks, radix,
+                                                  monkeypatch):
+        """Ranks that span fewer than 2**16 values sort as ``uint16``,
+        numpy's radix sort: the very ``(order, starts)`` — values and
+        dtypes — that the comparison sort of the ``int64`` ranks gives."""
+        narrowed = repro.engine.join_kernels._narrowed
+        sorted_as = []
+
+        def spy(canonical):
+            keys = narrowed(canonical)
+            sorted_as.append(keys.dtype)
+            return keys
+
+        with monkeypatch.context() as patch:
+            patch.setattr(repro.engine.join_kernels, "_narrowed", spy)
+            order, starts = _group_rows(key_arrays, null_masks)
+        assert sorted_as == [np.uint16 if radix else np.int64]
+        with monkeypatch.context() as patch:
+            patch.setattr(repro.engine.join_kernels, "_narrowed",
+                          lambda canonical: canonical)
+            compared = _group_rows(key_arrays, null_masks)
+        for mine, theirs in zip((order, starts), compared):
+            assert mine.dtype == theirs.dtype
+            np.testing.assert_array_equal(mine, theirs)
 
     def test_negative_zero_groups_with_zero(self):
         keys = [np.array([0.0, -0.0, 1.0, -0.0]), np.array([1, 1, 1, 2])]

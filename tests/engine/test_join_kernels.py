@@ -26,6 +26,7 @@ from repro.engine.join_kernels import (
 )
 from repro.errors import ExecutionError
 from repro.plans import (
+    HashAggregate,
     HashBuild,
     HashJoin,
     NestedLoopJoin,
@@ -360,6 +361,24 @@ class TestGeneratedParity:
         assert len(JoinHashTable.build(build).probe(probe)[0]) == 0
 
 
+#: ``(group keys, (function, column) per aggregate)`` of the aggregates
+#: that fold a join without building it.
+_FOLDED_SHAPES = {
+    "scalar": ((), ((AggregateFunction.COUNT, None),
+                    (AggregateFunction.SUM, ColumnRef("p", "v")),
+                    (AggregateFunction.MIN, ColumnRef("b", "v")),
+                    (AggregateFunction.AVG, ColumnRef("b", "v")))),
+    "keys-on-probe": ((ColumnRef("p", "k"),),
+                      ((AggregateFunction.COUNT, None),
+                       (AggregateFunction.SUM, ColumnRef("p", "v")),
+                       (AggregateFunction.MAX, ColumnRef("p", "v")))),
+    "keys-on-build": ((ColumnRef("b", "v"),),
+                      ((AggregateFunction.COUNT, None),
+                       (AggregateFunction.MIN, ColumnRef("b", "k")),
+                       (AggregateFunction.AVG, ColumnRef("b", "k")))),
+}
+
+
 class TestProbeWork:
     """A probe expands what matched, not what it was compared with: the
     guard behind the ``collect_corpus`` numbers.  Counted, not timed."""
@@ -407,44 +426,97 @@ class TestProbeWork:
         np.testing.assert_array_equal(build[build_rows], probe[probe_rows])
         assert 0 < sum(repeated) <= 2 * matches
 
+    @pytest.mark.parametrize("shape", list(_FOLDED_SHAPES))
     @pytest.mark.parametrize("cached", [False, True],
                              ids=["uncached", "build-cache"])
-    def test_an_aggregate_on_the_join_expands_nothing(self, repeated, cached):
-        """``PlainAggregate`` directly on a duplicate-key hash join folds
+    def test_an_aggregate_on_the_join_expands_nothing(self, repeated, cached,
+                                                      shape):
+        """An aggregate directly on a duplicate-key hash join — scalar,
+        or grouped by keys on one side, reading only that side — folds
         per-key multiplicities: no ``np.repeat`` as large as the join,
         and the join still reports the row count it would have built."""
-        rng = np.random.default_rng(39)
-        database = _fan_out_database(rng)
-        condition = JoinCondition(ColumnRef("p", "k"), ColumnRef("b", "k"))
-        join = HashJoin(condition=condition, children=[
-            SeqScan(table=TableRef("probe", "p")),
-            HashBuild(key=condition.right,
-                      children=[SeqScan(table=TableRef("build", "b"))])])
-        aggregates = tuple(AggregateSpec(function, column) for function, column
-                           in ((AggregateFunction.COUNT, None),
-                               (AggregateFunction.SUM, ColumnRef("p", "v")),
-                               (AggregateFunction.MIN, ColumnRef("b", "v")),
-                               (AggregateFunction.AVG, ColumnRef("b", "v"))))
-        plan = PhysicalPlan(
-            root=PlainAggregate(aggregates=aggregates, children=[join]),
-            query=Query(tables=(TableRef("probe", "p"),
-                                TableRef("build", "b"))),
-            database_name=database.name)
-        executor = Executor(database,
-                            build_cache=BuildSideCache() if cached else None)
-        repeated.clear()
-        answer = executor.execute(plan).relation.columns
+        group_by, aggregates = _FOLDED_SHAPES[shape]
+        join, answer = _aggregate_on_the_fan_out(cached, group_by,
+                                                 aggregates, repeated)
         fused_rows = join.actual_rows
         assert max(repeated, default=0) < 0.1 * fused_rows
+        assert fused_rows >= 100_000
+        assert answer == _materialised_answer(join, group_by, aggregates)
+        assert fused_rows == join.actual_rows
 
-        joined = Executor(database)._execute_node(join)
-        assert joined.num_rows >= 100_000
-        assert fused_rows == joined.num_rows == join.actual_rows
-        probe_values = joined.column(ColumnRef("p", "v"))
-        build_values = joined.column(ColumnRef("b", "v"))
-        assert [column[0] for column in answer.values()] == [
-            joined.num_rows, probe_values.sum(), build_values.min(),
-            build_values.sum() / joined.num_rows]
+    @pytest.mark.parametrize("cached", [False, True],
+                             ids=["uncached", "build-cache"])
+    def test_keys_on_both_sides_build_the_join(self, repeated, cached):
+        """Grouped by a probe-side key, folding a build-side column: the
+        one shape with no per-side grouping, so the join's rows are built
+        (an ``np.repeat`` as large as the join) and grouped."""
+        shape = ((ColumnRef("p", "k"),),
+                 ((AggregateFunction.MIN, ColumnRef("b", "v")),
+                  (AggregateFunction.COUNT, None)))
+        join, answer = _aggregate_on_the_fan_out(cached, *shape, repeated)
+        assert max(repeated) >= join.actual_rows >= 100_000
+        assert answer == _materialised_answer(join, *shape)
+
+
+def _aggregate_on_the_fan_out(cached, group_by, aggregates, repeated):
+    """Run the aggregate on ``probe p ⋈ build b`` over the fan-out
+    database, ``repeated`` counting from the execution on: ``(the join
+    node, the answer's columns as lists)``."""
+    database = _fan_out_database(np.random.default_rng(39))
+    condition = JoinCondition(ColumnRef("p", "k"), ColumnRef("b", "k"))
+    join = HashJoin(condition=condition, children=[
+        SeqScan(table=TableRef("probe", "p")),
+        HashBuild(key=condition.right,
+                  children=[SeqScan(table=TableRef("build", "b"))])])
+    specs = tuple(AggregateSpec(function, column)
+                  for function, column in aggregates)
+    root = HashAggregate(group_by=group_by, aggregates=specs,
+                         children=[join]) if group_by else \
+        PlainAggregate(aggregates=specs, children=[join])
+    plan = PhysicalPlan(
+        root=root, query=Query(tables=(TableRef("probe", "p"),
+                                       TableRef("build", "b"))),
+        database_name=database.name)
+    executor = Executor(database,
+                        build_cache=BuildSideCache() if cached else None)
+    repeated.clear()
+    columns = executor.execute(plan).relation.columns
+    assert root.actual_rows == len(next(iter(columns.values())))
+    return join, [column.tolist() for column in columns.values()]
+
+
+def _materialised_answer(join, group_by, aggregates):
+    """The aggregate folded over the join's built rows (a fresh uncached
+    executor), grouped by ``np.unique``: the columns as lists.  The
+    values are small integers, so every sum is exact in any order."""
+    executor = Executor(_fan_out_database(np.random.default_rng(39)))
+    joined = executor._execute_node(join)
+    if group_by:
+        (key,) = group_by
+        distinct, inverse = np.unique(joined.column(key),
+                                      return_inverse=True)
+        columns = [distinct.tolist()]
+    else:
+        inverse = np.zeros(joined.num_rows, dtype=np.intp)
+        columns = []
+    counts = np.bincount(inverse)
+    for function, column in aggregates:
+        values = None if column is None else joined.column(column)
+        if function is AggregateFunction.COUNT:
+            folded = counts.astype(np.float64)
+        elif function in (AggregateFunction.SUM, AggregateFunction.AVG):
+            folded = np.bincount(inverse, weights=values.astype(np.float64))
+            if function is AggregateFunction.AVG:
+                folded /= counts
+        else:
+            lowest = function is AggregateFunction.MIN
+            folded = np.full(len(counts),
+                             values.max() if lowest else values.min())
+            (np.minimum if lowest else np.maximum).at(folded, inverse,
+                                                      values)
+            folded = folded.astype(np.float64)
+        columns.append(folded.tolist())
+    return columns
 
 
 def _fan_out_database(rng) -> Database:

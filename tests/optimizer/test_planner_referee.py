@@ -139,7 +139,7 @@ class _Referee:
                              + increment)
         if self.options.enable_nestloop:
             for outer, outer_costs, inner, inner_costs in sides:
-                if len(inner) == 1:
+                if len(inner) == 1 and self.options.enable_indexscan:
                     parts.append(self._index_nested_loops(
                         condition, outer, outer_costs, inner, out_rows))
                 increment = model.nested_loop_cost(
