@@ -8,8 +8,10 @@ is work rather than time it is counted:
    a filter-heavy scan workload (<=1/4 of the elements compared);
 2. an epoch's batch merges with cached level plans vs unshared
    per-step re-derivation;
-3. fragment priming with shared-subgraph dedup vs per-fragment encoding
-   on a 5-way join (>=2x fewer encoder node-forwards);
+3. fragment priming with shared-subgraph dedup vs each fragment's
+   standalone plan, priced alone by the test-only reference
+   (``tests/optimizer/fragment_reference.py``) on a 5-way join (>=2x
+   fewer encoder node-forwards);
 4. the b64 inference forward on the rank-round row primitives vs the
    test-only reference forward (``tests/models/reference_forward.py``:
    ``np.add.at`` scatters, full-width adds).
@@ -286,11 +288,10 @@ def five_way_setup():
     return database, estimator, query
 
 
-def _counting_estimator(database, estimator, **kwargs):
+def _counting_estimator(database, estimator):
     """A LearnedCardinalityEstimator whose core model counts the plan
     graph nodes forwarded through ``predict_cardinalities_from_encoded``
-    — the surface both the legacy per-fragment path and the dedup
-    merged-graph path funnel through."""
+    — the surface priming funnels through."""
     core = estimator.model
     counted = {"nodes": 0}
     original = core.predict_cardinalities_from_encoded
@@ -300,41 +301,48 @@ def _counting_estimator(database, estimator, **kwargs):
         return original(encoded)
 
     core.predict_cardinalities_from_encoded = counting
-    learned = LearnedCardinalityEstimator(database, estimator, **kwargs)
+    learned = LearnedCardinalityEstimator(database, estimator)
     return learned, counted, core
+
+
+def _fragment_reference():
+    """The optimizer tests' per-fragment reference module (loaded by
+    path, like :func:`_reference_forward`)."""
+    path = (Path(__file__).resolve().parents[1] / "tests" / "optimizer"
+            / "fragment_reference.py")
+    spec = importlib.util.spec_from_file_location("fragment_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_fragment_dedup_node_forward_reduction(five_way_setup):
     """Acceptance gate: priming a 5-way join's fragments through the
     shared-subgraph DAG forwards >=2x fewer encoder nodes than the
-    per-fragment path, with bit-identical fragment estimates."""
+    fragments' standalone plans hold, featurized one by one, with
+    estimates bit-identical to pricing each of those plans alone."""
     database, estimator, query = five_way_setup
-    aliases = frozenset(query.table_names)
+    reference = _fragment_reference()
 
-    legacy, legacy_counted, core = _counting_estimator(
-        database, estimator, dedup_fragments=False)
+    learned, counted, core = _counting_estimator(database, estimator)
     try:
-        legacy.joined_rows(query, aliases)
+        learned.joined_rows(query, frozenset(query.table_names))
     finally:
         del core.predict_cardinalities_from_encoded
-    legacy_fragments = dict(legacy._cache.get(query))
+    primed = dict(learned._cache.get(query))
 
-    dedup, dedup_counted, core = _counting_estimator(
-        database, estimator, dedup_fragments=True)
-    try:
-        dedup.joined_rows(query, aliases)
-    finally:
-        del core.predict_cardinalities_from_encoded
-    dedup_fragments = dict(dedup._cache.get(query))
+    assert primed == reference.reference_fragments(learned, query)
+    assert len(primed) > 5  # scans + joined fragments primed
 
-    assert legacy_fragments == dedup_fragments
-    assert len(dedup_fragments) > 5  # scans + joined fragments primed
-
-    reduction = legacy_counted["nodes"] / dedup_counted["nodes"]
+    featurizer = ZeroShotFeaturizer(CardinalitySource.ESTIMATED)
+    standalone = sum(
+        featurizer.featurize(plan, database).num_nodes
+        for plan in reference.fragment_plans(learned, query).values())
+    reduction = standalone / counted["nodes"]
     assert reduction >= 2.0, (
         f"subgraph dedup only cut node-forwards {reduction:.2f}x "
-        f"({legacy_counted['nodes']} vs {dedup_counted['nodes']} nodes "
-        f"for {len(dedup_fragments)} fragments)"
+        f"({standalone} vs {counted['nodes']} nodes "
+        f"for {len(primed)} fragments)"
     )
 
 

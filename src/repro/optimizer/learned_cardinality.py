@@ -12,18 +12,22 @@ it through the exact same ``bind(query)`` → ``scan_rows`` /
 produce identical plans.
 
 On the first fragment request for a query, the estimator **primes** its
-per-query cache in one batched model call:
+per-query cache in one pass:
 
 1. every connected fragment of the query's join graph (the exact set
-   the DP enumerator will price) is rendered as a **canonical fragment
-   plan** — per-alias scans joined by a deterministic left-deep
-   hash-join chain, annotated with the classical heuristic estimates
-   (the same transferable features the cardinality head was trained
-   on);
-2. one batched prediction prices all fragment roots at once (batch
-   inference is bit-identical to per-plan calls, so the batching is
-   purely a latency win — O(2^k) single-graph forwards collapse into
-   one);
+   the DP enumerator will price) gets a **canonical fragment plan** —
+   per-alias scans joined by a deterministic left-deep hash-join chain,
+   annotated with the classical heuristic estimates (the same
+   transferable features the cardinality head was trained on).  The
+   plans are built from shared nodes: every left-deep prefix of a
+   canonical plan is the canonical plan of its prefix alias set, so the
+   O(2^k) fragment plans of one query form one DAG;
+2. the DAG is featurized once and one forward prices every fragment
+   root, so each distinct subplan is featurized and forwarded a single
+   time.  Each estimate equals pricing the fragment's own plan alone,
+   bit for bit (batch-size-invariant forward, identical annotations on
+   shared nodes); ``tests/optimizer/fragment_reference.py`` keeps that
+   per-fragment pricing as the reference;
 3. any fragment that cannot be priced (featurization gaps, model
    errors) and any request outside the primed set (e.g. a
    disconnected alias pair) falls back to the classical heuristic —
@@ -43,15 +47,15 @@ from repro.errors import (
     PlanError,
     QueryError,
 )
-from repro.models.api import CostEstimator
-from repro.models.cardinality import require_deployable
-from repro.models.estimators import ZeroShotEstimator
+from repro.models.cardinality import (
+    ZeroShotCardinalityEstimator,
+    require_deployable,
+)
 from repro.optimizer.cardinality import (
     BoundCardinalities,
     CardinalityEstimator,
 )
 from repro.plans.operators import HashBuild, HashJoin, PlanNode, SeqScan
-from repro.plans.plan import PhysicalPlan
 from repro.sql.ast import JoinCondition, Query
 from repro.util import LRUCache
 
@@ -93,55 +97,31 @@ class LearnedCardinalityEstimator(CardinalityEstimator):
     database:
         The database plans are being built for.
     model:
-        A fitted cardinality predictor over estimated cardinalities: a
-        :class:`~repro.models.cardinality.ZeroShotCardinalityEstimator`
-        (anything exposing ``predict_cardinalities(plans, database)``).
-    fallback_only:
-        Force every fragment onto the classical heuristic (useful to
-        verify plan-identity: with fallback the planner's output is
-        bit-identical to the classical planner's).
+        A fitted
+        :class:`~repro.models.cardinality.ZeroShotCardinalityEstimator`,
+        the estimator with ``predict_cardinalities``.
     cached_queries:
         LRU bound on the number of *queries* whose fragment estimates
         are cached (each query's DP search prices O(2^k) fragments; a
         long-lived estimator behind a workload runner must not grow
         without bound).  Evicting a query drops all its fragments.
-    dedup_fragments:
-        Share subplans across a query's canonical fragment plans when
-        priming (default on).  The O(2^k) left-deep fragment plans of
-        one query share scan and prefix subtrees by construction, so
-        the primed set is encoded as ONE merged graph in which every
-        distinct subplan is featurized and forwarded exactly once —
-        far fewer encoder node-forwards, bit-identical estimates
-        (batch-size-invariant forward + order-preserving DeepSets
-        aggregation).  ``False`` keeps the per-fragment path as the
-        reference oracle; models without a graph-level prediction
-        surface fall back to it automatically.
     """
 
-    def __init__(self, database: Database, model: CostEstimator,
-                 fallback_only: bool = False,
-                 cached_queries: int = 256,
-                 dedup_fragments: bool = True):
+    def __init__(self, database: Database,
+                 model: ZeroShotCardinalityEstimator,
+                 cached_queries: int = 256):
         require_deployable(model, "learned cardinality estimation")
-        if not hasattr(model, "predict_cardinalities"):
+        if not isinstance(model, ZeroShotCardinalityEstimator):
             raise ModelError(
-                "LearnedCardinalityEstimator needs a model with "
-                "predict_cardinalities (a cardinality-head estimator)"
+                "LearnedCardinalityEstimator needs a "
+                "ZeroShotCardinalityEstimator (the estimator with "
+                f"predict_cardinalities), not {type(model).__name__}"
             )
         if cached_queries < 1:
             raise ModelError("cached_queries must be positive")
         super().__init__(database)
         self.model = model
-        self.fallback_only = fallback_only
-        self.dedup_fragments = dedup_fragments
         self.cached_queries = cached_queries
-        self._predict = model.predict_cardinalities
-        #: ``graphs -> [per-graph cardinality arrays]``: subgraph dedup
-        #: hands a merged plan graph to the wrapped zero-shot core
-        #: model.  Any other predictor (a plan-level mock) primes
-        #: through the per-fragment path.
-        self._predict_graphs = model.model.predict_cardinalities \
-            if isinstance(model, ZeroShotEstimator) else None
         #: Fragments priced by the model / by the heuristic fallback.
         self.learned_fragments = 0
         self.fallback_fragments = 0
@@ -166,13 +146,12 @@ class LearnedCardinalityEstimator(CardinalityEstimator):
         if fragments is None:
             fragments = {}
             self._cache.put(bound.query, fragments)
-            if not self.fallback_only:
-                self._prime_query(bound.heuristic, fragments)
+            self._prime_query(bound.heuristic, fragments)
         cached = fragments.get(aliases)
         if cached is not None:
             return cached
-        # Outside the primed set (disconnected pair, failed fragment,
-        # fallback-only mode): classical heuristic, cached per fragment.
+        # Outside the primed set (disconnected pair, failed fragment):
+        # classical heuristic, cached per fragment.
         if len(aliases) == 1:
             rows = bound.heuristic.scan_rows(next(iter(aliases)))
         else:
@@ -183,16 +162,18 @@ class LearnedCardinalityEstimator(CardinalityEstimator):
 
     def _prime_query(self, heuristic: BoundCardinalities,
                      fragments: dict[frozenset[str], float]) -> None:
-        """Price every connected fragment of ``heuristic.query`` in ONE
-        batched model call (the DP enumerator will request exactly
-        these); ``heuristic`` annotates the fragment plans.
+        """Price every connected fragment of ``heuristic.query`` (the DP
+        enumerator will request exactly these) through ONE merged graph
+        whose fragments share subplans; ``heuristic`` annotates the
+        fragment plans.
 
-        The workload space caps join width at a handful of tables, so
-        the connected-subset enumeration is tiny; batching collapses
-        what would be O(2^k) single-graph forward passes into one.
-        With ``dedup_fragments`` (and a graph-capable model) the
-        fragments additionally share subplan encodings — see
-        :meth:`_prime_query_deduped`.
+        The fragment roots come from :meth:`_shared_fragment_root`, so
+        every distinct scan / HashBuild / prefix join is one node of
+        the DAG and is featurized and forwarded once.  Each fragment's
+        estimate is read at its root's own ``plan_op`` row.  A fragment
+        whose plan cannot be built, and every fragment when the
+        featurize or the forward fails, is priced by the heuristic on
+        demand.
         """
         from repro.optimizer.join_order import connected_subsets
 
@@ -200,54 +181,7 @@ class LearnedCardinalityEstimator(CardinalityEstimator):
         # through every fragment-plan construction, instead of scanning
         # query.joins per candidate alias per fragment (O(joins * n^2)
         # per fragment).
-        query = heuristic.query
-        adjacency = self._join_adjacency(query)
-        subsets = connected_subsets(query)
-        if self.dedup_fragments and self._predict_graphs is not None:
-            if self._prime_query_deduped(heuristic, fragments, subsets,
-                                         adjacency):
-                return
-        plans: list[PhysicalPlan] = []
-        keys: list[frozenset[str]] = []
-        for aliases in subsets:
-            try:
-                plans.append(self._fragment_plan(heuristic, aliases,
-                                                 adjacency))
-                keys.append(aliases)
-            except _FALLBACK_ERRORS:
-                continue  # this fragment will be priced heuristically
-        if not plans:
-            return
-        try:
-            predictions = self._predict(plans, self.database)
-        except _FALLBACK_ERRORS:
-            return
-        for aliases, cards in zip(keys, predictions):
-            # Pre-order: entry 0 is the fragment root.
-            fragments[aliases] = max(float(cards[0]), 1.0)
-            self.learned_fragments += 1
-
-    def _prime_query_deduped(self, heuristic: BoundCardinalities,
-                             fragments: dict[frozenset[str], float],
-                             subsets: list[frozenset[str]],
-                             adjacency: dict) -> bool:
-        """Prime via ONE merged graph whose fragments share subplans.
-
-        Canonical fragment plans are left-deep over a deterministic
-        greedy order, and every left-deep *prefix* of a canonical plan
-        is itself the canonical plan of its (connected) prefix alias
-        set.  So the O(2^k) fragment plans of one query collapse into a
-        DAG of shared scan / HashBuild / prefix-join nodes; encoding
-        that DAG once featurizes and forwards each distinct subplan a
-        single time instead of once per containing fragment.  Estimates
-        are bit-identical to the per-fragment path: shared nodes carry
-        the same heuristic annotations, the forward pass is
-        batch-size-invariant, and each fragment's estimate is read at
-        its root's own ``plan_op`` row.
-
-        Returns True when priming happened (fragments filled, possibly
-        partially); False routes the caller onto the legacy path.
-        """
+        adjacency = self._join_adjacency(heuristic.query)
         scans: dict[str, PlanNode] = {}
         builds: dict[tuple[str, str], PlanNode] = {}
         roots: dict[frozenset[str], PlanNode] = {}
@@ -256,7 +190,7 @@ class LearnedCardinalityEstimator(CardinalityEstimator):
         # Size order guarantees a fragment's prefixes are (usually)
         # memoized before their supersets ask for them, and puts the
         # full alias set last, which makes it the merged graph's root.
-        for aliases in sorted(subsets, key=len):
+        for aliases in sorted(connected_subsets(heuristic.query), key=len):
             try:
                 root_nodes.append(
                     self._shared_fragment_root(heuristic, aliases, adjacency,
@@ -265,19 +199,17 @@ class LearnedCardinalityEstimator(CardinalityEstimator):
             except _FALLBACK_ERRORS:
                 continue  # priced heuristically on demand
         if not root_nodes:
-            return True  # nothing to prime; same outcome as legacy
+            return
         try:
             graph, root_ids = self.model.featurizer.featurize_shared(
                 root_nodes, heuristic.query, self.database)
-            predictions = self._predict_graphs([graph])
+            cards = self.model.model.predict_cardinalities([graph])[0]
         except _FALLBACK_ERRORS:
-            return False  # let the legacy path try per-fragment
-        cards = predictions[0]
+            return
         for aliases, root_id in zip(keys, root_ids):
             row = graph.type_row_of[root_id]
             fragments[aliases] = max(float(cards[row]), 1.0)
             self.learned_fragments += 1
-        return True
 
     # ------------------------------------------------------------------
     # Canonical fragment plans
@@ -349,16 +281,21 @@ class LearnedCardinalityEstimator(CardinalityEstimator):
             sequence.append((next_alias, condition))
         return sequence
 
-    def _fragment_plan(self, heuristic: BoundCardinalities,
-                       aliases: frozenset[str], adjacency: dict
-                       ) -> PhysicalPlan:
-        """Deterministic left-deep hash-join plan over ``aliases``.
+    def _shared_fragment_root(self, heuristic: BoundCardinalities,
+                              aliases: frozenset[str],
+                              adjacency: dict,
+                              scans: dict[str, PlanNode],
+                              builds: dict[tuple[str, str], PlanNode],
+                              roots: dict[frozenset[str], PlanNode]
+                              ) -> PlanNode:
+        """The canonical fragment plan's root, built from shared nodes.
 
-        The shape is canonical (sorted aliases, greedy connection), so
-        a fragment's learned cardinality does not depend on which join
-        order the enumerator happens to probe.  Heuristic row estimates
-        annotate every node — exactly the ESTIMATED-source features the
-        head was trained to correct.
+        The plan is a deterministic left-deep hash-join chain over
+        ``aliases`` (:meth:`_greedy_sequence`), so a fragment's learned
+        cardinality does not depend on which join order the enumerator
+        happens to probe.  Heuristic row estimates annotate every node —
+        exactly the ESTIMATED-source features the head was trained to
+        correct.
 
         Rewritten queries (``enable_rewrites``) may carry a transitively
         closed, cyclic edge set.  Canonicalization still holds: the
@@ -368,23 +305,6 @@ class LearnedCardinalityEstimator(CardinalityEstimator):
         fragment plans prefer original FK edges and only use a derived
         edge where it alone connects the fragment (which is precisely
         when it unlocks a new order).
-
-        It is :meth:`_shared_fragment_root` with nothing to share: a
-        single fragment repeats no alias, so its DAG is a tree.
-        """
-        return PhysicalPlan(
-            root=self._shared_fragment_root(heuristic, aliases, adjacency,
-                                            {}, {}, {}),
-            query=heuristic.query, database_name=self.database.name)
-
-    def _shared_fragment_root(self, heuristic: BoundCardinalities,
-                              aliases: frozenset[str],
-                              adjacency: dict,
-                              scans: dict[str, PlanNode],
-                              builds: dict[tuple[str, str], PlanNode],
-                              roots: dict[frozenset[str], PlanNode]
-                              ) -> PlanNode:
-        """The canonical fragment plan's root, built from shared nodes.
 
         Memoization levels (all per primed query):
 
@@ -399,7 +319,9 @@ class LearnedCardinalityEstimator(CardinalityEstimator):
 
         A node's annotations (``est_rows``/``est_width``) do not depend
         on what it is shared with, so the shared DAG featurizes to the
-        same per-node features as the standalone fragment plans.
+        same per-node features as the standalone fragment plans.  With
+        empty memos this builds a fragment's own standalone plan: a
+        single fragment repeats no alias, so its DAG is a tree.
         """
         cached = roots.get(aliases)
         if cached is not None:

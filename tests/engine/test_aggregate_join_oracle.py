@@ -29,9 +29,9 @@ executor with a shared ``BuildSideCache``.
   sets that leave hash joins on (``executor._execute_node`` on the
   join, its rows grouped and folded row by row here, adding in
   ``float64``): every node's ``actual_rows`` equal, the aggregate's its
-  number of groups; group keys (dtype and value; a float key's sign of
-  zero is whichever row of its group comes first) and ``COUNT`` /
-  ``MIN`` / ``MAX`` exactly, and ``SUM`` / ``AVG`` held to 1e-12 of the
+  number of groups; group keys (dtype, value and sign: a zero float
+  key is ``+0.0``, whichever zero its group's first row holds) and
+  ``COUNT`` / ``MIN`` / ``MAX`` exactly, and ``SUM`` / ``AVG`` held to 1e-12 of the
   sum of magnitudes.  The integer columns span all of ``int64``, so
   their sums pass 2**63: they round, and the fused ``v * w`` rounds
   within that bound of ``v`` added ``w`` times.
@@ -307,8 +307,11 @@ def _materialised_groups(relation, group_by) -> list[np.ndarray]:
 
 def _materialised_keys(relation, ref, firsts) -> np.ndarray:
     """The key column a grouped result holds: each group's first row's
-    value, as ``float64`` with NaN for NULL when some group's is NULL."""
+    value, a zero float as ``+0.0``, as ``float64`` with NaN for NULL
+    when some group's is NULL."""
     values = relation.column(ref)[firsts]
+    if values.dtype.kind == "f":
+        values = values + 0.0
     mask = relation.null_mask(ref)
     if mask is None or not mask[firsts].any():
         return values
@@ -335,10 +338,22 @@ _CHAIN = ({"a": {"k": [1, 1, 2, None, 2], "x": [4, 5, 6, 7, -8],
           "WHERE a.k = b.k AND b.k = c.k GROUP BY c.f")
 
 
+#: A group holding both zeros, reached in two orders: a build-side eager
+#: fold meets ``b``'s rows in join-key order (0.0 first), the joined
+#: rows follow the probe ``a.k = 1, 0`` (-0.0 first).
+_SIGNED_ZERO = ({"a": {"k": [1, 0], "x": [1, 2], "f": [1.0, 2.0]},
+                 "b": {"k": [1, 0, 0], "x": [3, 4, 5],
+                       "f": [-0.0, 0.0, 5.0]},
+                 "c": {"k": [], "x": [], "f": []}},
+                "SELECT b.f, COUNT(*) FROM a a, b b WHERE a.k = b.k "
+                "GROUP BY b.f")
+
+
 @settings(max_examples=200, deadline=None)
 @given(_case(_WIDE_INTS))
 @example(_WRAPS)
 @example(_CHAIN)
+@example(_SIGNED_ZERO)
 def test_fused_fold_equals_the_materialised_join(case):
     data, text = case
     database = _database(data)
@@ -359,6 +374,8 @@ def test_fused_fold_equals_the_materialised_join(case):
             assert got.dtype == want.dtype, f"{arm}: {ref} for {text}"
             np.testing.assert_array_equal(got, want,
                                           f"{arm}: {ref} for {text}")
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want),
+                                          f"{arm}: {ref}'s sign for {text}")
         for index, aggregate in enumerate(query.aggregates):
             got = columns[f"agg{index}"]
             assert len(got) == len(groups), arm

@@ -1,23 +1,31 @@
-"""Shared-subgraph fragment priming: bit-identical, strictly cheaper.
+"""Shared-subplan fragment priming: bit-identical, strictly cheaper.
 
-``LearnedCardinalityEstimator._prime_query_deduped`` collapses a
-query's O(2^k) canonical fragment plans into one merged DAG that
-encodes every shared scan / left-deep-prefix subplan exactly once.
-The non-negotiable property: every fragment estimate equals the legacy
-per-fragment path bit-for-bit (batch-size-invariant forward pass +
-identical heuristic annotations on shared nodes).
+``LearnedCardinalityEstimator._prime_query`` collapses a query's
+O(2^k) canonical fragment plans into one merged DAG that encodes every
+shared scan / left-deep-prefix subplan exactly once.  The
+non-negotiable property: every fragment estimate equals pricing the
+fragment's own plan alone (``fragment_reference.py``) bit for bit
+(batch-size-invariant forward pass + identical heuristic annotations on
+shared nodes), with rewrites off and on.
 """
 
 import pytest
+from fragment_reference import (
+    ReferenceCardinalities,
+    fragment_plans,
+    reference_fragments,
+)
 
 from repro.db import SyntheticDatabaseSpec, generate_database
 from repro.featurize import CardinalitySource, ZeroShotFeaturizer
 from repro.models import TrainerConfig, ZeroShotConfig, get_estimator
 from repro.optimizer import LearnedCardinalityEstimator, Planner
-from repro.optimizer.cardinality import BoundCardinalities
+from repro.optimizer.planner import PlannerOptions
 from repro.workload import WorkloadRunner, WorkloadSpec, generate_workload
 
 pytestmark = pytest.mark.perf
+
+_REWRITES = [PlannerOptions(), PlannerOptions(enable_rewrites=True)]
 
 
 @pytest.fixture(scope="module")
@@ -37,60 +45,69 @@ def setup():
     return database, records, estimator
 
 
-def count_primed_nodes(learned):
-    """Spy on ``learned``'s merged-graph forward: the returned list
-    collects the node count of every plan graph the dedup path primes
-    with (the legacy per-fragment path never calls it)."""
+def count_primed_nodes(monkeypatch, estimator):
+    """Spy on the core model's graph-level forward, which only priming
+    calls: the returned list collects the node count of every plan
+    graph primed through it."""
     counted = []
-    forward = learned._predict_graphs
+    forward = estimator.model.predict_cardinalities
 
     def counting(graphs):
         counted.extend(graph.num_nodes for graph in graphs)
         return forward(graphs)
 
-    learned._predict_graphs = counting
+    monkeypatch.setattr(estimator.model, "predict_cardinalities", counting)
     return counted
 
 
-def fragment_caches(learned, queries):
-    """Prime every query and return {query: fragment dict} snapshots."""
-    out = {}
-    for query in queries:
-        learned.joined_rows(query, frozenset(query.table_names))
-        out[query] = dict(learned._cache.get(query))
-    return out
+def planned_queries(database, records, options):
+    """The query each record's text is planned as under ``options``
+    (rewritten when rewrites are on)."""
+    planner = Planner(database, options)
+    return [planner.plan(record.query).query for record in records]
+
+
+def bits(fragments):
+    return {aliases: rows.hex() for aliases, rows in fragments.items()}
 
 
 class TestBitIdentity:
-    def test_dedup_matches_legacy_on_every_fragment(self, setup):
+    @pytest.mark.parametrize("options", _REWRITES,
+                             ids=["rewrites-off", "rewrites-on"])
+    def test_primed_fragments_match_the_reference(self, setup, options,
+                                                  monkeypatch):
         database, records, estimator = setup
-        legacy = LearnedCardinalityEstimator(database, estimator,
-                                             dedup_fragments=False)
-        dedup = LearnedCardinalityEstimator(database, estimator)
-        assert dedup._predict_graphs is not None
-        legacy_nodes = count_primed_nodes(legacy)
-        dedup_nodes = count_primed_nodes(dedup)
-        queries = [r.query for r in records]
-        legacy_frags = fragment_caches(legacy, queries)
-        dedup_frags = fragment_caches(dedup, queries)
-        for key in legacy_frags:
-            assert legacy_frags[key] == dedup_frags[key]
-        assert dedup.learned_fragments == legacy.learned_fragments
-        assert dedup.learned_fragments > 0
-        # Only the dedup path primes through merged graphs.
-        assert sum(dedup_nodes) > 0
-        assert legacy_nodes == []
+        learned = LearnedCardinalityEstimator(database, estimator)
+        primed = count_primed_nodes(monkeypatch, estimator)
+        queries = planned_queries(database, records, options)
+        if options.enable_rewrites:
+            # Transitive join inference closes some join graphs into
+            # cycles: the edge sets canonical plans must stay stable on.
+            assert any(len(query.joins) >= len(query.tables)
+                       for query in queries)
+        reference_count = 0
+        for query in queries:
+            learned.joined_rows(query, frozenset(query.table_names))
+            reference = reference_fragments(learned, query)
+            assert bits(learned._cache.get(query)) == bits(reference)
+            reference_count += len(reference)
+        assert learned.learned_fragments == reference_count > 0
+        assert learned.fallback_fragments == 0
+        # One merged graph per distinct query.
+        assert len(primed) == len(set(queries))
 
-    def test_planner_plans_identical_under_dedup(self, setup):
+    @pytest.mark.parametrize("options", _REWRITES,
+                             ids=["rewrites-off", "rewrites-on"])
+    def test_planner_plans_identical_to_the_reference(self, setup, options):
         database, records, estimator = setup
-        legacy = LearnedCardinalityEstimator(database, estimator,
-                                             dedup_fragments=False)
-        dedup = LearnedCardinalityEstimator(database, estimator)
+        learned = LearnedCardinalityEstimator(database, estimator)
+        reference = ReferenceCardinalities(learned)
         for record in records[:8]:
-            plan_a = Planner(
-                database, cardinality_estimator=legacy).plan(record.query)
-            plan_b = Planner(
-                database, cardinality_estimator=dedup).plan(record.query)
+            plan_a = Planner(database, options,
+                             cardinality_estimator=learned).plan(record.query)
+            plan_b = Planner(database, options,
+                             cardinality_estimator=reference).plan(
+                                 record.query)
             shape_a = [(n.label(), n.est_rows) for n in plan_a.nodes()]
             shape_b = [(n.label(), n.est_rows) for n in plan_b.nodes()]
             assert shape_a == shape_b
@@ -98,7 +115,7 @@ class TestBitIdentity:
 
 
 class TestSharedEncoding:
-    def test_shared_graph_encodes_fewer_nodes(self, setup):
+    def test_shared_graph_encodes_fewer_nodes(self, setup, monkeypatch):
         """The merged graph must be strictly smaller than the sum of
         the per-fragment graphs — that's the whole point."""
         database, records, estimator = setup
@@ -106,19 +123,14 @@ class TestSharedEncoding:
         query = max((r.query for r in records),
                     key=lambda q: len(q.tables))
         assert len(query.tables) >= 3
-        dedup = LearnedCardinalityEstimator(database, estimator)
-        primed = count_primed_nodes(dedup)
-        dedup.joined_rows(query, frozenset(query.table_names))
+        learned = LearnedCardinalityEstimator(database, estimator)
+        primed = count_primed_nodes(monkeypatch, estimator)
+        learned.joined_rows(query, frozenset(query.table_names))
         shared_nodes = sum(primed)
 
-        from repro.optimizer.join_order import connected_subsets
-        adjacency = dedup._join_adjacency(query)
-        heuristic = BoundCardinalities(database, query)
-        per_fragment = 0
-        for aliases in connected_subsets(query):
-            plan = dedup._fragment_plan(heuristic, aliases, adjacency)
-            graph = featurizer.featurize(plan, database)
-            per_fragment += graph.num_nodes
+        per_fragment = sum(featurizer.featurize(plan, database).num_nodes
+                           for plan in fragment_plans(learned,
+                                                      query).values())
         assert shared_nodes < per_fragment
         # The gate in benchmarks/ demands >=2x on a 5-way join; here we
         # just pin that sharing is real on whatever the workload gave us.
@@ -128,12 +140,10 @@ class TestSharedEncoding:
         """One root through featurize_shared == plain featurize."""
         database, records, estimator = setup
         featurizer = ZeroShotFeaturizer(CardinalitySource.ESTIMATED)
-        dedup = LearnedCardinalityEstimator(database, estimator)
+        learned = LearnedCardinalityEstimator(database, estimator)
         query = records[0].query
         alias = query.table_names[0]
-        adjacency = dedup._join_adjacency(query)
-        plan = dedup._fragment_plan(BoundCardinalities(database, query),
-                                    frozenset({alias}), adjacency)
+        plan = fragment_plans(learned, query)[frozenset({alias})]
         solo = featurizer.featurize(plan, database)
         shared, root_ids = featurizer.featurize_shared(
             [plan.root], query, database)
@@ -151,33 +161,3 @@ class TestAdjacencyRefactor:
             for neighbour, condition in edges:
                 assert neighbour != alias
                 assert condition in query.joins
-
-
-class TestFallbacks:
-    def test_non_graph_model_uses_legacy_path(self, setup):
-        """A plan-level mock (no encoded-graph surface) still primes —
-        through the per-fragment path."""
-        database, records, _ = setup
-
-        class PlanLevel:
-            is_fitted = True
-
-            def predict_cardinalities(self, plans, database=None):
-                return [[100.0] * 64 for _ in plans]
-
-        learned = LearnedCardinalityEstimator(database, PlanLevel())
-        assert learned._predict_graphs is None
-        query = next(r.query for r in records if len(r.query.tables) >= 2)
-        rows = learned.joined_rows(query, frozenset(query.table_names))
-        assert rows == 100.0
-        assert learned.learned_fragments > 0
-
-    def test_dedup_disabled_flag(self, setup):
-        database, records, estimator = setup
-        learned = LearnedCardinalityEstimator(database, estimator,
-                                              dedup_fragments=False)
-        primed = count_primed_nodes(learned)
-        query = records[0].query
-        learned.joined_rows(query, frozenset(query.table_names))
-        assert primed == []
-        assert learned.learned_fragments > 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.db import SyntheticDatabaseSpec, generate_database
-from repro.errors import ModelError, OptimizerError
+from repro.errors import FeaturizationError, ModelError, OptimizerError
 from repro.models import TrainerConfig, ZeroShotConfig, get_estimator
 from repro.optimizer import LearnedCardinalityEstimator, Planner
 from repro.optimizer.cardinality import CardinalityEstimator
@@ -30,6 +30,19 @@ def setup():
 
 def _plan_shape(plan):
     return [(node.label(), node.est_rows) for node in plan.nodes()]
+
+
+class RuntimeOnly:
+    is_fitted = True
+
+
+class PlanLevel:
+    """Duck-types the cardinality surface without being the estimator."""
+
+    is_fitted = True
+
+    def predict_cardinalities(self, plans, database=None):
+        return [[100.0] * 64 for _ in plans]
 
 
 class TestDropIn:
@@ -79,48 +92,47 @@ class TestDropIn:
         with pytest.raises(OptimizerError, match="unknown aliases"):
             learned.joined_rows(records[0].query, frozenset({"nope"}))
 
-    def test_model_without_cardinality_surface_rejected(self, setup):
+    @pytest.mark.parametrize("model", [RuntimeOnly, PlanLevel],
+                             ids=lambda model: model.__name__)
+    def test_model_without_cardinality_surface_rejected(self, setup, model):
         database, _, _ = setup
-
-        class RuntimeOnly:
-            is_fitted = True
-
         with pytest.raises(ModelError, match="predict_cardinalities"):
-            LearnedCardinalityEstimator(database, RuntimeOnly())
+            LearnedCardinalityEstimator(database, model())
+
+
+#: Where priming can fail on a fitted estimator: ``(object of the
+#: estimator, method, error it raises)``.
+_PRIMING_FAILURES = {
+    "forward": (lambda estimator: estimator.model, "predict_cardinalities",
+                ModelError),
+    "featurize": (lambda estimator: estimator.featurizer,
+                  "featurize_shared", FeaturizationError),
+}
 
 
 class TestFallback:
-    def test_fallback_only_plans_identical_to_classical(self, setup):
-        """When every fragment takes the heuristic path, the DP search
-        must produce bit-identical plans — the acceptance property that
-        learned == heuristic estimates imply identical plans."""
+    @pytest.mark.parametrize("owner, method, error",
+                             _PRIMING_FAILURES.values(),
+                             ids=_PRIMING_FAILURES.keys())
+    def test_failed_priming_plans_like_classical(self, setup, monkeypatch,
+                                                 owner, method, error):
+        """When priming fails every fragment takes the heuristic path,
+        so the DP search must produce bit-identical plans — the
+        acceptance property that learned == heuristic estimates imply
+        identical plans."""
         database, records, estimator = setup
-        fallback = LearnedCardinalityEstimator(database, estimator,
-                                               fallback_only=True)
+
+        def explode(*args, **kwargs):
+            raise error("no predictions today")
+
+        monkeypatch.setattr(owner(estimator), method, explode)
+        broken = LearnedCardinalityEstimator(database, estimator)
         for record in records[:12]:
-            classical = Planner(database).plan(record.query)
-            injected = Planner(
-                database, cardinality_estimator=fallback).plan(record.query)
-            assert _plan_shape(classical) == _plan_shape(injected)
-            assert classical.total_cost == injected.total_cost
-        assert fallback.learned_fragments == 0
-        assert fallback.fallback_fragments > 0
-
-    def test_erroring_model_falls_back_per_fragment(self, setup):
-        database, records, estimator = setup
-
-        class Exploding:
-            is_fitted = True
-
-            def predict_cardinalities(self, plans, database):
-                raise ModelError("no predictions today")
-
-        broken = LearnedCardinalityEstimator(database, Exploding())
-        for record in records[:6]:
             classical = Planner(database).plan(record.query)
             injected = Planner(
                 database, cardinality_estimator=broken).plan(record.query)
             assert _plan_shape(classical) == _plan_shape(injected)
+            assert classical.total_cost == injected.total_cost
         assert broken.learned_fragments == 0
         assert broken.fallback_fragments > 0
 

@@ -33,6 +33,7 @@ from repro.featurize import (
     encode_graphs,
 )
 from repro.featurize.graph import FEATURE_DIMS
+from repro.models import TrainerConfig, ZeroShotConfig, get_estimator
 from repro.optimizer import Planner, PlannerOptions, plan_query
 from repro.optimizer.learned_cardinality import LearnedCardinalityEstimator
 from repro.plans import PlanNode, SeqScan
@@ -41,7 +42,7 @@ from repro.serve import CostModelService
 from repro.sql import parse_query
 from repro.sql.ast import ColumnRef, ComparisonOperator, Predicate
 from repro.util import LRUCache
-from repro.workload import make_benchmark_workload
+from repro.workload import WorkloadRunner, make_benchmark_workload
 
 from tests.serve.serve_stubs import LinearCostStub
 
@@ -160,17 +161,21 @@ def _service(bound, tiny_imdb, plans):
     return service._cache, lambda index: service.warm([plans[index]])
 
 
-class _NeverCalledModel:
-    is_fitted = True
-
-    def predict_cardinalities(self, plans, database):
-        raise AssertionError("fallback_only never consults the model")
+def _cardinality_head(database):
+    """A tiny fitted ``zero-shot-cardinality`` estimator on ``database``
+    (eight executed queries, one epoch: about 20 ms)."""
+    records = WorkloadRunner(database, seed=3).run(
+        make_benchmark_workload(database, "scale", 8, seed=29))
+    estimator = get_estimator(
+        "zero-shot-cardinality",
+        config=ZeroShotConfig(hidden_dim=8, cardinality_head=True))
+    estimator.fit(records, database, TrainerConfig(epochs=1, batch_size=8))
+    return estimator
 
 
 def _learned_cardinality(bound, tiny_imdb, plans):
     learned = LearnedCardinalityEstimator(
-        tiny_imdb, _NeverCalledModel(), fallback_only=True,
-        cached_queries=bound)
+        tiny_imdb, _cardinality_head(tiny_imdb), cached_queries=bound)
     queries = [parse_query(f"SELECT COUNT(*) FROM title t "
                            f"WHERE t.votes > {index}") for index in range(4)]
     return learned._cache, lambda index: learned.scan_rows(queries[index],
