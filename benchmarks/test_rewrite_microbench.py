@@ -113,7 +113,7 @@ def test_rewrite_cuts_intermediate_rows(filter_heavy_db):
         filter_heavy_db, PlannerOptions(enable_rewrites=True)).plan(query)
 
     trace = rewritten_plan.metadata["rewrite_trace"]
-    assert "transitive-joins" in trace.firing_counts
+    assert "transitive-joins" in trace.firings
 
     baseline = execute_plan(filter_heavy_db, baseline_plan)
     rewritten = execute_plan(filter_heavy_db, rewritten_plan)

@@ -51,18 +51,9 @@ class OptimizerError(ReproError):
 
 
 class PlannerError(OptimizerError):
-    """The planner (or its logical rewrite phase) was misconfigured or
-    failed to converge.
-
-    ``trace`` optionally carries the
-    :class:`~repro.optimizer.rewrite.RewriteTrace` accumulated up to the
-    failure (e.g. when the rewrite fixpoint loop hits its iteration
-    cap), so callers can see which rules kept firing.
-    """
-
-    def __init__(self, message: str, *, trace=None):
-        super().__init__(message)
-        self.trace = trace
+    """The planner was handed a query it cannot plan, e.g. one whose
+    predicate names an alias the query does not (the rewrite phase
+    checks this, as callers may rewrite queries nobody validated)."""
 
 
 class ExecutionError(ReproError):

@@ -12,9 +12,9 @@ Provides the three things the paper's pipeline takes from Postgres:
 What-if planning with hypothetical indexes (Section 4.1) lives in
 :mod:`repro.optimizer.whatif`; learned cardinality injection (the
 zero-shot cardinality head driving the same DP search) in
-:mod:`repro.optimizer.learned_cardinality`; the rule-based logical
-rewrite phase (predicate pushdown, filter merge, transitive join
-inference, projection pruning — behind
+:mod:`repro.optimizer.learned_cardinality`; the logical rewrite
+phase, one pass of predicate pushdown, filter merge, transitive join
+inference and projection pruning (behind
 ``PlannerOptions(enable_rewrites=True)``) in
 :mod:`repro.optimizer.rewrite`.
 """

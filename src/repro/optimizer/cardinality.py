@@ -137,7 +137,7 @@ class BoundCardinalities:
         forest of the column equivalence classes.  On acyclic join
         graphs every internal edge is in the forest, so this is the
         classical System-R product, bit-for-bit.  On rewritten queries
-        the transitive-join rule adds redundant edges (``a=c`` next to
+        the transitive-joins step adds redundant edges (``a=c`` next to
         ``a=b AND b=c``); counting them again would square selectivities
         and underestimate, so edges whose endpoint columns are already
         connected are skipped.  Edges are visited in ``query.joins``

@@ -87,7 +87,7 @@ class Planner:
         self.estimator = cardinality_estimator or \
             CardinalityEstimator(database)
         self.cost_model = CostModel(database)
-        self._rewriter = RewritePlanner(schema=database.schema)
+        self._rewriter = RewritePlanner()
 
     def plan(self, query: Query) -> PhysicalPlan:
         """Produce the cheapest physical plan for ``query``.

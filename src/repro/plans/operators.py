@@ -97,7 +97,7 @@ class SeqScan(PlanNode):
     ``projection`` restricts the columns the scan exposes to the
     operators above it (``None`` means all columns) and is what its
     ``est_width`` counts — set by the rewrite phase's
-    projection-pruning rule to narrow intermediates.
+    projection-pruning step to narrow intermediates.
     """
 
     table: TableRef

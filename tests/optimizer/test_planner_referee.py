@@ -21,6 +21,14 @@ first condition in ``query.joins`` order with one side in each input
 (the planner's ``_connecting_join``).  Nothing is pruned: a set's
 whole list of plan costs goes into its supersets.  The root join's
 ``est_cost`` must equal the cheapest of them to 1e-12 relative.
+
+Generated queries of up to four tables never have a bushy plan
+strictly cheaper than every linear one (each join with a base table on
+one side), so a DP restricted to linear trees would pass that sweep.
+A hand-built five-table snowflake, whose two dimension chains each end
+in a selectively filtered far table, is where joining the two filtered
+chains as composites wins: there the referee also prices the linear
+plans alone, and some draws must have a bushy plan strictly cheaper.
 """
 
 import itertools
@@ -29,15 +37,30 @@ import numpy as np
 import pytest
 
 from repro.db import (
+    Database,
+    DataType,
+    Schema,
     SyntheticDatabaseSpec,
+    TableData,
     generate_database,
     make_imdb_database,
 )
+from repro.db.schema import Column, ForeignKey, Table
 from repro.errors import OptimizerError
 from repro.optimizer.cost_model import CPU_TUPLE_COST
 from repro.optimizer.learned_planner import _HINT_SETS
 from repro.optimizer.planner import Planner, PlannerOptions
 from repro.plans import HashJoin, IndexScan, NestedLoopJoin, SeqScan
+from repro.sql.ast import (
+    AggregateFunction,
+    AggregateSpec,
+    ColumnRef,
+    ComparisonOperator,
+    JoinCondition,
+    Predicate,
+    Query,
+    TableRef,
+)
 from repro.workload.generator import WorkloadSpec, generate_workload
 
 pytestmark = pytest.mark.oracle
@@ -162,8 +185,10 @@ class _Referee:
                  if index.column_name == column]
         return np.concatenate(costs) if costs else np.empty(0)
 
-    def plan_costs(self) -> np.ndarray:
-        """The cost of every plan over all of the query's tables."""
+    def plan_costs(self, linear: bool = False) -> np.ndarray:
+        """The cost of every plan over all of the query's tables; with
+        ``linear``, of every linear plan (each join has a base table on
+        one side)."""
         aliases = self.query.table_names
         costs = {frozenset({alias}): np.asarray(self._scan_costs(alias))
                  for alias in aliases}
@@ -177,6 +202,8 @@ class _Referee:
                         right = subset - left
                         if min(left) > min(right):
                             continue  # each unordered split once
+                        if linear and min(left_size, size - left_size) > 1:
+                            continue
                         if left in costs and right in costs:
                             found.append(self._join_costs(
                                 left, costs[left], right, costs[right]))
@@ -252,3 +279,93 @@ def test_the_hint_sets_make_each_operator_win(databases, name):
             Planner(database, PlannerOptions(**hints)), queries)[2]
     assert winners >= {HashJoin, NestedLoopJoin, "index nested loop",
                        SeqScan, IndexScan}
+
+
+# ----------------------------------------------------------------------
+# The bushy half: a snowflake whose filtered chains join as composites
+# ----------------------------------------------------------------------
+#: table -> (rows, the tables it references).  No index: every leaf is
+#: a sequential scan, which bounds the plan count.
+SNOWFLAKE = {
+    "fact": (20_000, ("dim_a", "dim_b")),
+    "dim_a": (2_000, ("far_a",)),
+    "dim_b": (2_000, ("far_b",)),
+    "far_a": (500, ()),
+    "far_b": (500, ()),
+}
+SNOWFLAKE_DRAWS = 30
+
+
+@pytest.fixture(scope="module")
+def snowflake():
+    rng = np.random.default_rng(53)
+    tables, data = [], {}
+    for name, (rows, parents) in SNOWFLAKE.items():
+        table = Table(name, (Column("id", DataType.INTEGER),
+                             Column("val", DataType.INTEGER))
+                      + tuple(Column(f"{parent}_id", DataType.INTEGER)
+                              for parent in parents), primary_key="id")
+        columns = {"id": np.arange(rows, dtype=np.int64),
+                   "val": rng.integers(0, 100, rows)}
+        for parent in parents:
+            columns[f"{parent}_id"] = rng.integers(
+                0, SNOWFLAKE[parent][0], rows)
+        tables.append(table)
+        data[name] = TableData(table, columns)
+    schema = Schema.from_tables("snowflake", tables, [
+        ForeignKey(child, f"{parent}_id", parent, "id")
+        for child, (_, parents) in SNOWFLAKE.items() for parent in parents])
+    database = Database.from_tables("snowflake", schema, data)
+    database.analyze()
+    return database
+
+
+def _snowflake_queries():
+    """All five tables; on each far table ``val`` below 1 or 2 (1-2 %
+    of its rows), sometimes a filter of 10-90 % on the fact table or a
+    dimension too."""
+    rng = np.random.default_rng(59)
+    joins = tuple(
+        JoinCondition(ColumnRef(child, f"{parent}_id"),
+                      ColumnRef(parent, "id"))
+        for child, (_, parents) in SNOWFLAKE.items() for parent in parents)
+    queries = []
+    for _ in range(SNOWFLAKE_DRAWS):
+        predicates = [
+            Predicate(ColumnRef(far, "val"), ComparisonOperator.LT,
+                      int(rng.integers(1, 3)))
+            for far in ("far_a", "far_b")]
+        for name in ("fact", "dim_a", "dim_b"):
+            if rng.random() < 0.3:
+                predicates.append(Predicate(
+                    ColumnRef(name, "val"), ComparisonOperator.LT,
+                    int(rng.integers(10, 91))))
+        queries.append(Query(
+            tables=tuple(TableRef(name, name) for name in SNOWFLAKE),
+            joins=joins, predicates=tuple(predicates),
+            aggregates=(AggregateSpec(AggregateFunction.COUNT),)))
+    return queries
+
+
+@pytest.mark.parametrize("hints", _HINT_SETS, ids=_arm_id)
+def test_dp_finds_the_cheapest_bushy_plan(snowflake, hints):
+    queries = _snowflake_queries()
+    compared, failures, _ = _referee(
+        Planner(snowflake, PlannerOptions(**hints)), queries)
+    assert not failures, "\n".join(failures)
+    assert compared == len(queries)
+
+
+def test_some_bushy_plan_beats_every_linear_one(snowflake):
+    """The referee sees the bushy half: on some draws the cheapest plan
+    is strictly cheaper than the cheapest linear plan, so a DP that
+    built linear trees only would fail the test above."""
+    planner = Planner(snowflake)
+    bushy_wins = 0
+    for query in _snowflake_queries():
+        referee = _Referee(planner, query)
+        cheapest = float(referee.plan_costs().min())
+        cheapest_linear = float(referee.plan_costs(linear=True).min())
+        assert cheapest <= cheapest_linear
+        bushy_wins += cheapest < cheapest_linear * (1 - 1e-9)
+    assert bushy_wins > 0

@@ -13,9 +13,11 @@ holdout,
   (subtree signatures, EXPLAIN text and total cost all identical to
   the default planner's).
 
-Every parametrization also runs with each rule individually knocked out
-of ``repro.optimizer.rewrite.RULES`` (monkeypatched), so a bug in one
-rule cannot hide behind another rule undoing it.
+Every parametrization also runs with each of the merge, closure and
+pruning steps knocked out (its module function monkeypatched to change
+nothing), so a bug in one step cannot hide behind another step undoing
+it.  And the pass leaves nothing for a second one: a rewritten query
+rewrites to itself, merging and deriving nothing.
 """
 
 import numpy as np
@@ -26,7 +28,7 @@ from repro.engine import execute_plan
 import repro.optimizer.rewrite
 from repro.engine.executor import Executor
 from repro.optimizer import Planner, PlannerOptions
-from repro.optimizer.rewrite import RULES
+from repro.optimizer.rewrite import RewritePlanner
 from repro.plans import plan_signature
 from repro.plans.explain import explain_plan
 from repro.plans.operators import HashAggregate, PlainAggregate
@@ -53,12 +55,21 @@ pytestmark = pytest.mark.rewrite
 _EXACT_AGGREGATES = (AggregateFunction.COUNT, AggregateFunction.MIN,
                      AggregateFunction.MAX)
 
-#: rewrites-on, plus each rule knocked out individually.
-CONFIGS = [()] + [(rule.name,) for rule in RULES]
+#: Step name -> (module function, what it returns when knocked out).
+KNOCKOUTS = {
+    "filter-merge": ("merge_conjunction", None),
+    "transitive-joins": ("_derived_joins", ()),
+    "projection-pruning": ("_scan_columns", {}),
+}
+
+#: Every step, plus each knockout.
+CONFIGS = [()] + [(name,) for name in KNOCKOUTS]
+
+STEPS = {"predicate-pushdown", *KNOCKOUTS}
 
 
 def _config_id(disabled):
-    return "all-rules" if not disabled else f"without-{disabled[0]}"
+    return "all-steps" if not disabled else f"without-{disabled[0]}"
 
 
 @pytest.fixture(scope="module")
@@ -204,8 +215,10 @@ def assert_same_aggregates(query, baseline, rewritten, label):
 
 
 def _check_equivalence(database, queries, disabled, monkeypatch):
-    monkeypatch.setattr(repro.optimizer.rewrite, "RULES", tuple(
-        rule for rule in RULES if rule.name not in disabled))
+    for name in disabled:
+        function, unchanged = KNOCKOUTS[name]
+        monkeypatch.setattr(repro.optimizer.rewrite, function,
+                            lambda *args, unchanged=unchanged: unchanged)
     baseline_planner = Planner(database, PlannerOptions())
     rewrite_planner = Planner(database, PlannerOptions(enable_rewrites=True))
     fired = set()
@@ -213,7 +226,7 @@ def _check_equivalence(database, queries, disabled, monkeypatch):
         label = f"query {index}: {query}"
         plan_off = baseline_planner.plan(query)
         plan_on = rewrite_planner.plan(query)
-        fired.update(plan_on.metadata["rewrite_trace"].firing_counts)
+        fired.update(plan_on.metadata["rewrite_trace"].firings)
 
         # Pre-aggregation pipelines: exact multiset equality.
         pre_off = Executor(database)._execute_node(plan_off.root.children[0])
@@ -252,16 +265,37 @@ class TestRowIdenticalResults:
         assert "filter-merge" in fired
         assert "transitive-joins" in fired
 
-    def test_every_rule_fires_somewhere(self, tiny_imdb, small_synthetic_db,
+    def test_every_step_fires_somewhere(self, tiny_imdb, small_synthetic_db,
                                         monkeypatch):
-        """The suite is vacuous for a rule that never matches."""
+        """The suite is vacuous for a step that never changes a query."""
         fired = set()
         for database, kind in ((tiny_imdb, "benchmarks"),
                                (tiny_imdb, "crafted"),
                                (small_synthetic_db, "generator")):
             fired |= _check_equivalence(database, _workload(database, kind),
                                         (), monkeypatch)
-        assert fired >= {rule.name for rule in RULES}
+        assert fired == STEPS
+
+
+class TestOnePassSuffices:
+    """What a second pass would find: nothing to merge or derive."""
+
+    @pytest.mark.parametrize("kind", ["generator", "crafted"])
+    def test_rewriting_a_rewritten_query_changes_nothing(
+            self, tiny_imdb, small_synthetic_db, kind):
+        database = small_synthetic_db if kind == "generator" else tiny_imdb
+        rewriter = RewritePlanner()
+        fired = set()
+        for query in _workload(database, kind):
+            once = rewriter.rewrite(query)
+            twice = rewriter.rewrite(once.query)
+            fired.update(once.trace.firings)
+            assert twice.query == once.query
+            assert twice.scan_columns == once.scan_columns
+            assert "filter-merge" not in twice.trace.firings
+            assert "transitive-joins" not in twice.trace.firings
+        if kind == "crafted":
+            assert {"filter-merge", "transitive-joins"} <= fired
 
 
 class TestRulesOffBitIdentity:

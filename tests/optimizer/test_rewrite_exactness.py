@@ -11,11 +11,10 @@
   per-column merge.
 * :func:`~repro.sql.join_column_classes` equals a brute-force
   transitive closure of the join conditions, classes in the same order.
-* The rules' node copy builds what ``dataclasses.replace`` builds, the
-  pre-order tuple included.
+* The join conditions the rewrite derives are exactly the pairs of that
+  brute-force closure that are no condition yet.
 """
 
-import dataclasses
 import itertools
 
 import pytest
@@ -23,14 +22,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.optimizer.rewrite import (
+    _derived_joins,
     _is_canonical,
     _merge_column,
-    _replace,
-    build_logical_plan,
     merge_conjunction,
-    walk_logical,
 )
-from repro.sql import parse_query
 from repro.sql.ast import (
     ColumnRef,
     ComparisonOperator,
@@ -118,11 +114,13 @@ def test_what_the_no_op_check_passes_the_full_merge_keeps(predicates):
 
 
 _POOL = [ColumnRef(table, column) for table in "abc" for column in "xy"]
+_PAIRS = st.lists(st.tuples(st.sampled_from(_POOL), st.sampled_from(_POOL)),
+                  max_size=6)
 
 
-@given(pairs=st.lists(st.tuples(st.sampled_from(_POOL),
-                                st.sampled_from(_POOL)), max_size=6))
-def test_join_column_classes_is_the_transitive_closure(pairs):
+def _brute_force_classes(pairs) -> tuple[frozenset[ColumnRef], ...]:
+    """The transitive closure of ``pairs``' links, classes of two or more
+    columns ordered by their smallest member's string form."""
     reach: dict[ColumnRef, set[ColumnRef]] = {}
     for left, right in pairs:
         reach.setdefault(left, {left}).add(right)
@@ -133,22 +131,23 @@ def test_join_column_classes_is_the_transitive_closure(pairs):
                  for column, linked in reach.items()}
     closure = {frozenset(linked) for linked in reach.values()
                if len(linked) >= 2}
-    expected = tuple(sorted(closure,
-                            key=lambda group: min(map(str, group))))
+    return tuple(sorted(closure, key=lambda group: min(map(str, group))))
+
+
+@given(pairs=_PAIRS)
+def test_join_column_classes_is_the_transitive_closure(pairs):
     joins = tuple(JoinCondition(left, right) for left, right in pairs)
-    assert join_column_classes(joins) == expected
+    assert join_column_classes(joins) == _brute_force_classes(pairs)
 
 
-def test_node_copy_is_dataclasses_replace():
-    root = build_logical_plan(parse_query(
-        "SELECT COUNT(*), SUM(b.y) FROM a, b, c "
-        "WHERE a.x = b.x AND b.x = c.x AND a.y > 1 GROUP BY c.y"))
-    for node in walk_logical(root):
-        for field in dataclasses.fields(node):
-            value = getattr(node, field.name)
-            if field.name == "children":
-                value = tuple(reversed(value))   # a different pre-order
-            fast = _replace(node, **{field.name: value})
-            slow = dataclasses.replace(node, **{field.name: value})
-            assert type(fast) is type(slow)
-            assert vars(fast) == vars(slow)   # the pre-order tuple too
+@given(pairs=_PAIRS)
+def test_derived_joins_are_the_missing_pairs_of_the_closure(pairs):
+    joins = tuple(JoinCondition(left, right) for left, right in pairs)
+    linked = {frozenset(pair) for pair in pairs}
+    expected = tuple(
+        JoinCondition(left, right)
+        for group in _brute_force_classes(pairs)
+        for left, right in itertools.combinations(sorted(group, key=str), 2)
+        if left.table != right.table
+        and frozenset((left, right)) not in linked)
+    assert _derived_joins(joins) == expected
