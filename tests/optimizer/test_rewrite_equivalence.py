@@ -17,7 +17,9 @@ Every parametrization also runs with each of the merge, closure and
 pruning steps knocked out (its module function monkeypatched to change
 nothing), so a bug in one step cannot hide behind another step undoing
 it.  And the pass leaves nothing for a second one: a rewritten query
-rewrites to itself, merging and deriving nothing.
+rewrites to itself, merging and deriving nothing, and over every
+workload each step leaves nothing for itself and is named in the trace
+exactly when it changed the query.
 """
 
 import numpy as np
@@ -28,7 +30,11 @@ from repro.engine import execute_plan
 import repro.optimizer.rewrite
 from repro.engine.executor import Executor
 from repro.optimizer import Planner, PlannerOptions
-from repro.optimizer.rewrite import RewritePlanner
+from repro.optimizer.rewrite import (
+    RewritePlanner,
+    _derived_joins,
+    merge_conjunction,
+)
 from repro.plans import plan_signature
 from repro.plans.explain import explain_plan
 from repro.plans.operators import HashAggregate, PlainAggregate
@@ -41,6 +47,7 @@ from repro.sql.ast import (
     Predicate,
     Query,
     TableRef,
+    join_column_classes,
 )
 from repro.workload import (
     WorkloadSpec,
@@ -66,6 +73,14 @@ KNOCKOUTS = {
 CONFIGS = [()] + [(name,) for name in KNOCKOUTS]
 
 STEPS = {"predicate-pushdown", *KNOCKOUTS}
+
+#: Workload id -> (database fixture, ``_workload`` kind).
+SOURCES = {
+    "synthetic-generator": ("small_synthetic_db", "generator"),
+    "second-synthetic-generator": ("second_synthetic_db", "generator"),
+    "imdb-benchmarks": ("tiny_imdb", "benchmarks"),
+    "imdb-crafted": ("tiny_imdb", "crafted"),
+}
 
 
 def _config_id(disabled):
@@ -296,6 +311,92 @@ class TestOnePassSuffices:
             assert "transitive-joins" not in twice.trace.firings
         if kind == "crafted":
             assert {"filter-merge", "transitive-joins"} <= fired
+
+    @pytest.mark.parametrize("step", sorted(STEPS))
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_each_step_does_its_whole_work_at_once(
+            self, request, source, step):
+        """Each step's own contract over a whole workload: what it
+        leaves holds nothing more for it to do, and it is named in the
+        trace exactly when it changed the query."""
+        fixture, kind = SOURCES[source]
+        database = request.getfixturevalue(fixture)
+        check = _STEP_CHECKS[step]
+        fired = 0
+        for query in _workload(database, kind):
+            result = RewritePlanner().rewrite(query)
+            check(database, query, result)
+            fired += step in result.trace.firings
+        if step != "filter-merge" or kind != "generator":
+            # The generator draws each predicate on its own column, so
+            # it leaves nothing to merge.
+            assert fired, f"{step} never fired on {source}"
+
+
+def _check_pushdown(database, query, result):
+    """Predicates grouped per scan in table order, each scan holding
+    its own conjunction (merged, or as written)."""
+    aliases = [table.name for table in query.tables]
+    owners = [p.column.table for p in result.query.predicates]
+    assert owners == sorted(owners, key=aliases.index)
+    for alias in aliases:
+        own = query.predicates_on(alias)
+        assert result.query.predicates_on(alias) == \
+            (merge_conjunction(own) or own)
+    assert ("predicate-pushdown" in result.trace.firings) == \
+        bool(query.predicates)
+
+
+def _check_merge(database, query, result):
+    """Every scan's conjunction is merged; the step is named once per
+    scan whose conjunction it changed."""
+    changed = 0
+    for alias in query.table_names:
+        assert merge_conjunction(result.query.predicates_on(alias)) is None
+        changed += merge_conjunction(query.predicates_on(alias)) is not None
+    assert result.trace.firings.count("filter-merge") == changed
+
+
+def _check_closure(database, query, result):
+    """The originals first, then what the closure adds, which leaves
+    the column classes as they were and derives nothing more."""
+    joins = result.query.joins
+    assert joins[:len(query.joins)] == query.joins
+    assert join_column_classes(joins) == join_column_classes(query.joins)
+    assert _derived_joins(joins) == ()
+    assert ("transitive-joins" in result.trace.firings) == \
+        (len(joins) > len(query.joins))
+
+
+def _check_pruning(database, query, result):
+    """Each annotated scan of the query keeps sorted, distinct columns
+    of its own table that cover every column the rewritten query reads
+    of it; a scan left out is read by nothing but ``COUNT(*)``."""
+    read: dict[str, set[str]] = {}
+    columns = [p.column for p in result.query.predicates]
+    columns += [c for join in result.query.joins
+                for c in (join.left, join.right)]
+    columns += [a.column for a in result.query.aggregates
+                if a.column is not None]
+    columns += result.query.group_by
+    for column in columns:
+        read.setdefault(column.table, set()).add(column.column)
+    assert set(result.scan_columns) == set(read) <= set(query.table_names)
+    for alias, kept in result.scan_columns.items():
+        table = database.schema.table(query.table_ref(alias).table_name)
+        assert kept == tuple(sorted(set(kept)))
+        assert all(table.has_column(column) for column in kept)
+        assert set(kept) == read[alias]
+    assert ("projection-pruning" in result.trace.firings) == \
+        bool(result.scan_columns)
+
+
+_STEP_CHECKS = {
+    "predicate-pushdown": _check_pushdown,
+    "filter-merge": _check_merge,
+    "transitive-joins": _check_closure,
+    "projection-pruning": _check_pruning,
+}
 
 
 class TestRulesOffBitIdentity:

@@ -11,7 +11,11 @@ import pytest
 
 import repro.optimizer.rewrite
 from repro.errors import PlannerError
-from repro.optimizer.rewrite import RewritePlanner, merge_conjunction
+from repro.optimizer.rewrite import (
+    RewritePlanner,
+    RewriteTrace,
+    merge_conjunction,
+)
 from repro.sql.ast import (
     AggregateFunction,
     AggregateSpec,
@@ -106,6 +110,13 @@ class TestPredicatePushdown:
         with pytest.raises(PlannerError, match="'ci'"):
             RewritePlanner().rewrite(query)
 
+    def test_table_name_is_not_an_alias(self):
+        # ``t`` scans ``title``; a predicate must name the alias.
+        query = star_query(predicates=(
+            Predicate(_col("title", "production_year"), GEQ, 1950),))
+        with pytest.raises(PlannerError, match="'title'"):
+            RewritePlanner().rewrite(query)
+
 
 class TestFilterMerge:
     def merge(self, *predicates):
@@ -195,6 +206,31 @@ class TestTransitiveJoins:
         sizes = sorted(len(group) for group in classes)
         assert sizes == [2, 3]
 
+    def test_a_chain_derives_every_missing_pair_in_column_order(self):
+        chain = Query(
+            tables=tuple(TableRef(alias) for alias in "abcd"),
+            joins=(JoinCondition(_col("a", "k"), _col("b", "k")),
+                   JoinCondition(_col("c", "k"), _col("b", "k")),
+                   JoinCondition(_col("c", "k"), _col("d", "k"))))
+        result = RewritePlanner().rewrite(chain)
+        assert result.query.joins[3:] == (
+            JoinCondition(_col("a", "k"), _col("c", "k")),
+            JoinCondition(_col("a", "k"), _col("d", "k")),
+            JoinCondition(_col("b", "k"), _col("d", "k")))
+
+    def test_each_class_closes_on_its_own(self):
+        # a.x = b.x = c.x and c.y = d.y = e.y: two classes through ``c``.
+        query = Query(
+            tables=tuple(TableRef(alias) for alias in "abcde"),
+            joins=(JoinCondition(_col("a", "x"), _col("b", "x")),
+                   JoinCondition(_col("b", "x"), _col("c", "x")),
+                   JoinCondition(_col("c", "y"), _col("d", "y")),
+                   JoinCondition(_col("d", "y"), _col("e", "y"))))
+        result = RewritePlanner().rewrite(query)
+        assert result.query.joins[4:] == (
+            JoinCondition(_col("a", "x"), _col("c", "x")),
+            JoinCondition(_col("c", "y"), _col("e", "y")))
+
 
 class TestProjectionPruning:
     def test_scans_keep_only_referenced_columns(self):
@@ -220,8 +256,45 @@ class TestProjectionPruning:
         assert "kind_id" in result.scan_columns["t"]
         assert "info_value" in result.scan_columns["mi"]
 
+    def test_single_scan_keeps_its_filtered_column(self):
+        result = RewritePlanner().rewrite(SAMPLE_QUERIES[2])
+        assert result.scan_columns == {"t": ("votes",)}
+
+    def test_derived_joins_read_no_new_column(self, monkeypatch):
+        query = SAMPLE_QUERIES[0]
+        closed = RewritePlanner().rewrite(query).scan_columns
+        monkeypatch.setattr(repro.optimizer.rewrite, "_derived_joins",
+                            lambda joins: ())
+        assert RewritePlanner().rewrite(query).scan_columns == closed
+
+    @pytest.mark.parametrize("where", ["join", "aggregate", "group-by"])
+    def test_only_the_querys_own_aliases_are_annotated(self, where):
+        stray = _col("ci", "role_id")
+        query = star_query(
+            aggregates=(AggregateSpec(AggregateFunction.MAX, stray),)
+            if where == "aggregate" else (),
+            group_by=(stray,) if where == "group-by" else ())
+        if where == "join":
+            query = Query(tables=query.tables,
+                          joins=query.joins
+                          + (JoinCondition(stray, _col("t", "id")),))
+        result = RewritePlanner().rewrite(query)
+        assert set(result.scan_columns) == {"t", "mi", "mk"}
+
 
 class TestTrace:
+    @pytest.mark.parametrize("index, firings", [
+        (0, ("predicate-pushdown", "filter-merge", "transitive-joins",
+             "projection-pruning")),
+        (1, ("predicate-pushdown", "filter-merge", "transitive-joins",
+             "projection-pruning")),
+        # One scan: no condition to close over.
+        (2, ("predicate-pushdown", "filter-merge", "projection-pruning")),
+    ])
+    def test_names_what_each_sample_query_needs(self, index, firings):
+        assert RewritePlanner().rewrite(SAMPLE_QUERIES[index]).trace \
+            == RewriteTrace(firings=firings)
+
     def test_names_the_steps_in_pass_order(self):
         order = ("predicate-pushdown", "filter-merge", "transitive-joins",
                  "projection-pruning")
