@@ -122,7 +122,9 @@ def _correlate(rng: np.random.Generator, source: np.ndarray,
     A noisy monotone mapping: conjunctive predicates on the pair are then
     far from independent, which is what defeats histogram estimators.
     """
-    ranks = np.argsort(np.argsort(source))
+    order = np.argsort(source)
+    ranks = np.empty(num_rows, dtype=order.dtype)
+    ranks[order] = np.arange(num_rows)  # the inverse permutation of order
     normalized = ranks / max(num_rows - 1, 1)
     noise = rng.normal(0.0, 0.15, size=num_rows)
     mixed = np.clip(normalized + noise, 0.0, 1.0)

@@ -4,6 +4,12 @@ Postgres stores ``histogram_bounds`` per column: boundaries of buckets
 holding (approximately) equal row counts.  Selectivity of a range
 predicate is the fraction of buckets (with linear interpolation inside
 the boundary buckets) the range covers.
+
+The bounds are the Hyndman & Fan type-7 quantiles of the column (linear
+interpolation between the two nearest order statistics, the default of
+``numpy.quantile``), read from the column sorted once:
+:meth:`EquiDepthHistogram.from_sorted` takes the sorted array that
+``ANALYZE`` already holds.
 """
 
 from __future__ import annotations
@@ -31,13 +37,44 @@ class EquiDepthHistogram:
     @classmethod
     def build(cls, values: np.ndarray, num_buckets: int = 32) -> "EquiDepthHistogram":
         """Construct from raw column values (NULLs must be pre-filtered)."""
+        return cls.from_sorted(np.sort(values), num_buckets)
+
+    @classmethod
+    def from_sorted(cls, ordered: np.ndarray,
+                    num_buckets: int = 32) -> "EquiDepthHistogram":
+        """Construct from column values sorted ascending, NaNs last (as
+        ``np.sort`` leaves them).
+
+        Bound ``i`` is the type-7 quantile ``i / num_buckets``, read off
+        the sorted array with the arithmetic of ``numpy.quantile``'s default
+        method, so the bounds equal its output bit for bit.
+        """
         if num_buckets <= 0:
             raise ValueError(f"num_buckets must be positive, got {num_buckets}")
-        if len(values) == 0:
+        count = len(ordered)
+        if count == 0:
             return cls(bounds=np.array([0.0, 0.0]))
-        quantiles = np.linspace(0.0, 1.0, num_buckets + 1)
-        bounds = np.quantile(values.astype(np.float64), quantiles)
-        return cls(bounds=np.asarray(bounds, dtype=np.float64))
+        if ordered.dtype.kind == "f" and np.isnan(ordered[-1]):
+            # A NaN makes every quantile NaN.
+            return cls(bounds=np.full(num_buckets + 1, ordered[-1],
+                                      dtype=np.float64))
+        positions = (count - 1) * np.linspace(0.0, 1.0, num_buckets + 1)
+        below = np.floor(positions)
+        above = below + 1
+        # A position on the last row reads it as index -1 and takes its
+        # gamma against that index, as numpy does; the sign of a zero
+        # bound of a single-row column depends on it.
+        at_end = positions >= count - 1
+        below[at_end] = -1
+        above[at_end] = -1
+        gamma = positions - below
+        low = ordered[below.astype(np.intp)].astype(np.float64)
+        high = ordered[above.astype(np.intp)].astype(np.float64)
+        step = high - low
+        bounds = low + step * gamma
+        # From gamma = 0.5 on, interpolate down from the upper neighbour.
+        np.subtract(high, step * (1 - gamma), out=bounds, where=gamma >= 0.5)
+        return cls(bounds=bounds)
 
     @property
     def num_buckets(self) -> int:

@@ -1,7 +1,9 @@
 """Semantic validation of queries against a schema.
 
-Checks that every referenced table/column exists, the join graph is
-connected and acyclic (the optimizer's DP enumerator assumes tree
+Checks that every referenced table/column exists, every equi-join
+condition joins two table aliases (a comparison of two columns of one
+alias is a filter no plan evaluates, so it is rejected), the join graph
+is connected and acyclic (the optimizer's DP enumerator assumes tree
 queries, as does the paper's workload generator), and predicate value
 types match column types.
 """
@@ -34,6 +36,14 @@ def validate_query(schema: Schema, query: Query) -> None:
     for join in query.joins:
         _check_column(schema, query, join.left)
         _check_column(schema, query, join.right)
+        if join.left.table == join.right.table:
+            # Not a join but a column-to-column filter, which no plan
+            # evaluates: reject it rather than drop it.
+            raise QueryError(
+                f"condition {join} compares columns of one table alias "
+                f"({join.left.table!r}); only joins of two aliases and "
+                "column-to-constant filters are supported"
+            )
         left_type = schema.table(query.table_ref(join.left.table).table_name) \
             .column(join.left.column).data_type
         right_type = schema.table(query.table_ref(join.right.table).table_name) \

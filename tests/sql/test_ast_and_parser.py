@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ParseError, QueryError
+from repro.optimizer import PlannerOptions, plan_query
 from repro.sql import (
     AggregateFunction,
     AggregateSpec,
@@ -263,6 +264,25 @@ class TestValidation:
         )
         with pytest.raises(QueryError, match="not connected"):
             validate_query(tiny_imdb.schema, query)
+
+    @pytest.mark.parametrize("enable_rewrites", [False, True])
+    @pytest.mark.parametrize("text", [
+        "SELECT COUNT(*) FROM title t WHERE t.votes = t.production_year",
+        "SELECT COUNT(*) FROM title t, cast_info ci "
+        "WHERE t.id = ci.movie_id AND t.votes = t.production_year",
+    ], ids=["one-table", "two-table"])
+    def test_column_to_column_comparison_rejected(self, tiny_imdb, text,
+                                                  enable_rewrites):
+        """``t.a = t.b`` parses into a join condition of one alias, which no
+        plan applies: it is rejected by name, before the join-graph shape
+        (with a second table it would otherwise read "must be a tree")."""
+        query = parse_query(text)
+        message = "t.votes = t.production_year compares columns of one"
+        with pytest.raises(QueryError, match=message):
+            validate_query(tiny_imdb.schema, query)
+        with pytest.raises(QueryError, match=message):
+            plan_query(tiny_imdb, query,
+                       PlannerOptions(enable_rewrites=enable_rewrites))
 
     def test_join_type_mismatch(self, tiny_imdb):
         query = Query(
