@@ -6,12 +6,15 @@ cheap; ``repro.serve.PredictionServer`` coalesces requests *across*
 callers.  Two checks:
 
 * **bit-identity/SLO** — 8 simulated clients issuing blocking requests
-  through the server get every response bit-identical to direct
-  estimator prediction, every request counted once, p99
-  submit→response latency under a hard bound, and fewer forwards than
-  requests (served throughput itself is ``throughput_ops_s`` of
+  through a server with the default options (no batch timer) get every
+  response bit-identical to direct estimator prediction, every request
+  counted once, p99 submit→response latency under a hard bound, and
+  fewer forwards than requests: what queues while a batch is served is
+  the next batch (served throughput itself is ``throughput_ops_s`` of
   ``python3 -m bench``);
-* **hot swap under load** — swapping in a freshly saved estimator
+* **hot swap under load** — on a server with a 2 ms batch timer, so
+  that the timer's flush path runs under load too, swapping in a
+  freshly saved estimator
   (through the ``load_estimator`` manifests) while 8 clients stream
   requests drops zero requests, never mixes model versions within a
   batch, and keeps every response bit-identical (same weights → same
@@ -102,8 +105,7 @@ def test_multi_tenant_serving_slo(estimator, imdb, serving_plans):
     }
     total = N_CLIENTS * REQUESTS_PER_CLIENT
 
-    with PredictionServer(service, max_batch_size=N_CLIENTS,
-                          max_wait_ms=2.0) as server:
+    with PredictionServer(service) as server:
         responses = _stream_clients(
             server, serving_plans, N_CLIENTS, REQUESTS_PER_CLIENT)
         # Bit-identity under cross-client batching.

@@ -70,10 +70,21 @@ class EquiDepthHistogram:
         gamma = positions - below
         low = ordered[below.astype(np.intp)].astype(np.float64)
         high = ordered[above.astype(np.intp)].astype(np.float64)
-        step = high - low
-        bounds = low + step * gamma
-        # From gamma = 0.5 on, interpolate down from the upper neighbour.
-        np.subtract(high, step * (1 - gamma), out=bounds, where=gamma >= 0.5)
+        with np.errstate(invalid="ignore"):  # inf - inf, inf * 0
+            step = high - low
+            bounds = low + step * gamma
+            # From gamma = 0.5 on, interpolate down from the upper
+            # neighbour.
+            np.subtract(high, step * (1 - gamma), out=bounds,
+                        where=gamma >= 0.5)
+        # Only an infinite neighbour makes a NaN here: two equal
+        # infinities, a bound on a finite row beside one (gamma 0), or
+        # an interpolation toward one from its far side.  The bound is
+        # the neighbour it sits on or nearer to, which is the limit of
+        # the interpolation wherever one exists.
+        undefined = np.isnan(bounds)
+        if undefined.any():
+            bounds[undefined] = np.where(gamma < 0.5, low, high)[undefined]
         return cls(bounds=bounds)
 
     @property

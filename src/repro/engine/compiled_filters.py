@@ -293,6 +293,13 @@ def compile_filter(filters: tuple[Predicate, ...]) -> CompiledFilter:
     return CompiledFilter(filters)
 
 
+def _literal_types(value) -> type | tuple[type, ...]:
+    """The type of a scalar literal, or of each of a tuple's."""
+    if isinstance(value, tuple):
+        return tuple(map(type, value))
+    return type(value)
+
+
 class CompiledFilterCache(LRUCache):
     """LRU of compiled filters, keyed by the scan that owns them.
 
@@ -303,7 +310,9 @@ class CompiledFilterCache(LRUCache):
     structurally identical scans across plans of the same query) reuse
     a single compiled object.  Predicates are immutable (frozen
     dataclasses), which is what makes the key hashable and sharing
-    sound.
+    sound.  The types of the literals join the key: ``2**60`` and
+    ``2.0**60`` compare and hash equal, but over an ``int64`` column one
+    compares exactly and the other in ``float64``.
     """
 
     def __init__(self, max_entries: int = 256):
@@ -314,6 +323,7 @@ class CompiledFilterCache(LRUCache):
 
     def get_or_compile(self, key: tuple,
                        filters: tuple[Predicate, ...]) -> CompiledFilter:
+        key = (key, tuple(_literal_types(p.value) for p in filters))
         entry = self.get(key)
         if entry is None:
             entry = CompiledFilter(filters)

@@ -8,8 +8,10 @@ Two tiers, matching the ROADMAP's serve-heavy-traffic north star:
   library helper (PR 4);
 * :class:`~repro.serve.server.PredictionServer` is the concurrent,
   multi-tenant front end over it: a bounded request queue with
-  cross-client micro-batching (``max_batch_size`` / ``max_wait_ms``
-  flush triggers), admission control that sheds load with
+  work-conserving cross-client micro-batching (the batcher takes
+  everything queued, up to ``max_batch_size``, the moment it is free;
+  an opt-in ``max_wait_ms`` trades latency for fewer, larger batches),
+  admission control that sheds load with
   :class:`~repro.errors.Overloaded`, hot model swap via the
   ``load_estimator`` manifests with zero dropped requests, and
   per-request latency tracking (p50/p99) in

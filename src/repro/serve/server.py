@@ -8,10 +8,14 @@ refresh a fine-tuned estimator without dropping requests.
 
 * **cross-client micro-batching** — requests from any number of tenant
   threads land in one queue; a dedicated batcher thread coalesces them
-  into shared batches, flushing when ``max_batch_size`` requests are
-  pending or the *oldest* pending request has waited ``max_wait_ms``
-  (whichever comes first), so a lone caller is never parked behind an
-  unfilled batch for long;
+  into shared batches.  It is work-conserving by default: the moment it
+  is free it takes everything queued, up to ``max_batch_size``, so a
+  lone caller is never parked behind an unfilled batch, and what
+  arrived while the previous batch was served forms the next one
+  (under saturation, a full one).  A positive ``max_wait_ms`` holds a
+  partial batch until the *oldest* request has waited that long or the
+  batch is full: fewer, larger batches, which cost less CPU per request
+  and add up to that wait to each one's latency;
 * **admission control / load shedding** — the queue depth is bounded by
   ``max_queue_depth``; beyond it :meth:`PredictionServer.submit` raises
   :class:`~repro.errors.Overloaded` immediately instead of letting
@@ -206,7 +210,7 @@ class PredictionServer:
     The server starts its batcher thread on construction and is used as
     a context manager or closed explicitly::
 
-        with PredictionServer(service, max_wait_ms=2.0) as server:
+        with PredictionServer(service) as server:
             response = server.predict_runtime(plan, tenant="t0")
             server.swap("/path/to/saved/estimator")   # zero downtime
 
@@ -221,8 +225,14 @@ class PredictionServer:
         ``max_batch_size``).
     max_wait_ms:
         How long the oldest pending request may wait for its batch to
-        fill before a partial flush.  ``0`` flushes whatever is queued
-        immediately (latency-optimal, throughput-pessimal).
+        fill before a partial flush.  The default ``0`` serves whatever
+        is queued the moment the batcher is free.  A positive wait buys
+        fewer, larger batches (less batcher CPU per request) for up to
+        that much more latency; under saturation batches fill without
+        it.  On ``python3 -m bench``'s ``serve_warm`` open loop, 2 ms
+        raised the p50 latency from about 1.1 to 2.6 ms and lowered the
+        batcher's busy share from about 0.74 to 0.47 (mean batch 5 ->
+        13 requests).
     max_queue_depth:
         Admission-control bound on pending requests; beyond it
         :meth:`submit` sheds load with :class:`Overloaded`.
@@ -232,7 +242,7 @@ class PredictionServer:
 
     def __init__(self, service: CostModelService, *,
                  max_batch_size: int | None = None,
-                 max_wait_ms: float = 2.0,
+                 max_wait_ms: float = 0.0,
                  max_queue_depth: int = 1024,
                  version: str = "v0"):
         if not isinstance(service, CostModelService):
@@ -424,10 +434,10 @@ class PredictionServer:
     def _next_batch(self):
         """Pop the next coalesced batch, pinning the model version.
 
-        Blocks until a request is pending, then keeps collecting until
-        the batch is full or the oldest request has waited
-        ``max_wait_ms``.  Returns ``None`` only when the server is
-        closed *and* the queue is drained.
+        Blocks until a request is pending; with a positive
+        ``max_wait_ms``, keeps collecting until the batch is full or the
+        oldest request has waited that long.  Returns ``None`` only when
+        the server is closed *and* the queue is drained.
         """
         with self._cond:
             while not self._queue:

@@ -12,8 +12,15 @@ follows where those algorithms move equal elements, not the values; a
 sort's arrangement of them differs.  There the extremes and bounds are
 compared with the sign of zero ignored (and everything else by bits); a
 column whose zeros all carry one sign is compared by bits throughout.
+
+Where ``np.quantile`` reads a NaN bound out of an infinity (``inf - inf``
+between two equal infinities, ``inf * 0`` on a row beside one), the
+reference bound is the neighbour the position sits on or nearer to, as
+:meth:`EquiDepthHistogram.from_sorted` reads it (:func:`reference_bounds`);
+every other bound is numpy's, bit for bit.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -41,6 +48,24 @@ INT64_MIN, INT64_MAX = -2 ** 63, 2 ** 63 - 1
 # The reference: analyze_table and _correlate as they were written
 # before the one-sort derivation.
 # ----------------------------------------------------------------------
+def reference_bounds(values: np.ndarray, num_buckets: int) -> np.ndarray:
+    """``np.quantile``'s type-7 bounds; where numpy computes a NaN from
+    an infinity in a column without NaN, the row the bound's position
+    rounds to (half up)."""
+    values = values.astype(np.float64)
+    quantiles = np.linspace(0.0, 1.0, num_buckets + 1)
+    with np.errstate(invalid="ignore"):
+        bounds = np.quantile(values, quantiles)
+    if np.isnan(values).any():
+        return bounds
+    ordered = np.sort(values)
+    for i, position in enumerate((len(values) - 1) * quantiles):
+        if np.isnan(bounds[i]):
+            below = math.floor(position)
+            bounds[i] = ordered[below if position - below < 0.5 else below + 1]
+    return bounds
+
+
 def reference_column_statistics(data: TableData, name: str) -> ColumnStatistics:
     values = data.column_values(name)
     null_mask = data.null_mask(name)
@@ -52,8 +77,7 @@ def reference_column_statistics(data: TableData, name: str) -> ColumnStatistics:
     unique, counts = np.unique(non_null, return_counts=True)
     top = np.argsort(counts)[::-1][:NUM_MCVS]
     total = counts.sum()
-    bounds = np.quantile(non_null.astype(np.float64),
-                         np.linspace(0.0, 1.0, NUM_BUCKETS + 1))
+    bounds = reference_bounds(non_null, NUM_BUCKETS)
     return ColumnStatistics(
         column_name=name,
         null_fraction=null_fraction,
@@ -198,13 +222,11 @@ class TestAnalyzeParity:
     def test_int_columns(self, column):
         assert_column_parity(*column)
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @settings(max_examples=400, deadline=None)
     @given(_FLOAT_COLUMNS)
     def test_float_columns(self, column):
         assert_column_parity(*column)
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("values", _PINNED_FLOATS)
     def test_pinned_float_columns(self, values):
         assert_column_parity(np.array(values, dtype=np.float64), None)
@@ -222,7 +244,6 @@ class TestAnalyzeParity:
         assert np.isnan(stats.min_value) and np.isnan(stats.max_value)
         assert np.isnan(stats.histogram.bounds).all()
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_gamma_one_half_reads_down_from_the_upper_neighbour(self):
         """Bound 8 of three rows sits halfway between rows 0 and 1:
         ``1 - (1 - -inf) * 0.5`` is ``-inf`` where ``-inf + inf * 0.5``
@@ -233,7 +254,6 @@ class TestAnalyzeParity:
 
 
 class TestHistogramParity:
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(_INT_COLUMNS, _FLOAT_COLUMNS),
            st.sampled_from([1, 2, 3, 4, 7, 32, 100]))
@@ -242,13 +262,26 @@ class TestHistogramParity:
     @example((np.array([np.nan, np.nan, 3.0]), None), 2)
     def test_bounds_equal_the_type_7_quantiles(self, column, num_buckets):
         values, _ = column
-        expected = np.quantile(values.astype(np.float64),
-                               np.linspace(0.0, 1.0, num_buckets + 1))
+        expected = reference_bounds(values, num_buckets)
         actual = EquiDepthHistogram.build(values, num_buckets).bounds
         assert actual.dtype == np.float64
         if holds_both_zeros(values):
             expected, actual = expected + 0.0, actual + 0.0
         assert actual.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("values, num_buckets, bounds", [
+        ([1.0, 2.0, 3.0, 4.0, np.inf], 4, [1.0, 2.0, 3.0, 4.0, np.inf]),
+        ([-np.inf, -np.inf, 1.0, 2.0, np.inf, np.inf], 4,
+         [-np.inf, -np.inf, 1.5, np.inf, np.inf]),
+        ([-np.inf, np.inf], 3, [-np.inf, -np.inf, np.inf, np.inf]),
+        ([np.inf, np.inf], 2, [np.inf, np.inf, np.inf]),
+    ], ids=["gamma-0-beside-inf", "both-infinities", "inf-to-inf", "all-inf"])
+    def test_an_infinity_gives_no_nan_bound(self, values, num_buckets,
+                                            bounds):
+        """``np.quantile`` reads NaN (and warns) at each of the bounds
+        these columns put on or beside an infinity."""
+        actual = EquiDepthHistogram.build(np.array(values), num_buckets)
+        assert actual.bounds.tolist() == bounds
 
     def test_empty_and_invalid(self):
         assert EquiDepthHistogram.build(np.array([])).bounds.tolist() == [0.0, 0.0]

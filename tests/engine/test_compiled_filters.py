@@ -12,6 +12,8 @@ keeps (e.g. ``x = 1 AND x = 2``).
 import numpy as np
 import pytest
 
+from repro.db import Database, DataType, Schema, TableData
+from repro.db.schema import Column, Table
 from repro.engine import Executor, execute_plan
 from repro.engine.compiled_filters import (
     CompiledFilter,
@@ -373,3 +375,43 @@ class TestExecutorEquivalence:
         result = execute_plan(two_table_db, plan)
         assert result.root_rows == 10
         assert scan.actual_rows == 10
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize("path", ["seq scan", "index scan residual"])
+def test_equal_literals_of_two_types_compile_apart(path):
+    """``2**60`` and ``2.0**60`` compare and hash equal, so their
+    predicates do too; over an ``int64`` column the first compares
+    exactly and the second in ``float64``.  One executor that met the
+    int literal first must not reuse its kernel for the float one: each
+    plan returns what the interpreted filter returns (1 row, then 3)."""
+    big = 2 ** 60
+    table = Table(name="t", columns=(Column("id", DataType.INTEGER),
+                                     Column("x", DataType.INTEGER)),
+                  primary_key="id")
+    database = Database.from_tables(
+        "literals", Schema.from_tables("literals", [table]),
+        {"t": TableData(table=table, columns={
+            "id": np.arange(4, dtype=np.int64),
+            "x": np.array([big - 1, big, big + 1, 7], dtype=np.int64)})})
+    database.create_index("t_pkey", "t", "id")
+
+    def plan(literal):
+        filters = (pred("x", ComparisonOperator.EQ, literal),)
+        if path == "seq scan":
+            scan = SeqScan(table=TableRef("t"), filters=filters)
+        else:
+            scan = IndexScan(
+                table=TableRef("t"), index_name="t_pkey", index_column="id",
+                index_predicates=(pred("id", ComparisonOperator.GEQ, 0.0),),
+                residual_filters=filters)
+        return PhysicalPlan(root=scan, query=Query(tables=(TableRef("t"),)),
+                            database_name=database.name)
+
+    shared = Executor(database)
+    for literal, rows in ((big, 1), (float(big), 3), (big, 1)):
+        interpreted = Executor(database, compile_filters=False).execute(
+            plan(literal))
+        assert interpreted.root_rows == rows
+        _relations_equal(shared.execute(plan(literal)).relation,
+                         interpreted.relation)

@@ -530,6 +530,48 @@ class TestAdmissionControl:
 
 
 # ----------------------------------------------------------------------
+# Batch formation under the default options
+# ----------------------------------------------------------------------
+class TestWorkConserving:
+    def test_a_lone_request_is_served_without_a_partner(self, tiny_imdb,
+                                                        serve_plans):
+        """A default server sets no batch timer: a request that finds
+        the batcher idle enters the service alone, before any second
+        request exists to share its batch."""
+        stub = GatedStub()
+        service = CostModelService(stub, tiny_imdb, max_batch_size=8)
+        with PredictionServer(service) as server:
+            assert server.max_wait_seconds == 0.0
+            lone = server.submit(serve_plans[0])
+            assert stub.entered.wait(WAIT)
+            assert server.pending == 0
+            later = server.submit(serve_plans[1])
+            stub.release.set()
+            assert lone.result(WAIT).batch_index == 0
+            assert later.result(WAIT).batch_index == 1
+
+    def test_what_queues_during_a_batch_is_the_next_batch(self, tiny_imdb,
+                                                          serve_plans):
+        """Requests submitted while a batch is in the service are
+        answered together, in the one batch that follows it."""
+        stub = GatedStub()
+        service = CostModelService(stub, tiny_imdb, max_batch_size=8)
+        with PredictionServer(service) as server:
+            first = server.submit(serve_plans[0])
+            assert stub.entered.wait(WAIT)
+            queued = [server.submit(plan) for plan in serve_plans[1:6]]
+            assert server.pending == len(queued)
+            stub.release.set()
+            assert first.result(WAIT).batch_index == 0
+            assert {p.result(WAIT).batch_index for p in queued} == {1}
+            np.testing.assert_array_equal(
+                [p.result(WAIT).runtime for p in queued],
+                make_service(tiny_imdb).predict_runtime(serve_plans[1:6]))
+            assert server.stats.batches == 2
+            assert server.stats.requests == 1 + len(queued)
+
+
+# ----------------------------------------------------------------------
 # Satellite 3: hot model swap
 # ----------------------------------------------------------------------
 class TestHotSwap:
