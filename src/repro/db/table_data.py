@@ -1,10 +1,10 @@
 """Columnar table storage.
 
 Values live in numpy arrays (one per column).  Integer and categorical
-columns use ``int64``; floats use ``float64``.  NULLs are represented by
-a separate boolean mask per column (True = NULL); predicates never match
-NULL values, matching SQL three-valued logic for the operators we
-support.
+columns use ``int64``; floats use ``float64``, with every zero stored as
+``+0.0``.  NULLs are represented by a separate boolean mask per column
+(True = NULL); predicates never match NULL values, matching SQL
+three-valued logic for the operators we support.
 """
 
 from __future__ import annotations
@@ -55,8 +55,11 @@ class TableData:
         for name, values in self.columns.items():
             column = self.table.column(name)
             if column.data_type is DataType.FLOAT:
-                if values.dtype != np.float64:
-                    self.columns[name] = values.astype(np.float64)
+                # Adding +0.0 turns -0.0 into +0.0 and keeps every other
+                # value's bits: the two zeros compare equal, so a stored
+                # -0.0 would give a statistic or group key whose sign
+                # follows where a sort put the zeros.
+                self.columns[name] = np.add(values, 0.0, dtype=np.float64)
             else:
                 if values.dtype != np.int64:
                     self.columns[name] = values.astype(np.int64)

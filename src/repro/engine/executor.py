@@ -797,9 +797,7 @@ def _grouped_side(side: _Side, group_by, aggregates,
                   columns: dict[str, np.ndarray]) -> _Side:
     """``side``'s rows in groups of equal ``group_by`` keys
     (:func:`_group_rows`), each row keeping its weight; each group's
-    keys go to ``columns``, a NULL key as NaN and a zero float key as
-    ``+0.0`` (a group may hold both zeros, and which row comes first
-    depends on the plan)."""
+    keys go to ``columns``, a NULL key as NaN."""
     relation, weights, _ = side
     keys = [relation.column(ref) for ref in group_by]
     masks = [_any_null(relation.null_mask(ref)) for ref in group_by]
@@ -807,8 +805,6 @@ def _grouped_side(side: _Side, group_by, aggregates,
     first = order[starts]
     for ref, values, mask in zip(group_by, keys, masks):
         key = values[first]
-        if key.dtype.kind == "f":
-            key = key + 0.0
         columns[str(ref)] = key if mask is None else \
             np.where(mask[first], np.nan, key)
     read = any(agg.column is not None for agg in aggregates)

@@ -23,9 +23,12 @@
 
 Each driver module holds its result, its ``run_*``, the ``format_*``
 that renders the result as text and the ``main`` of its console
-script.  Every driver accepts an
+script, one call of :func:`~repro.experiments.setup.experiment_main`.
+Every driver is ``run_<name>(scale=None, context=None)``: it accepts an
 :class:`~repro.experiments.setup.ExperimentScale` so the same code runs
-at test scale, benchmark scale or paper scale.  Every driver evaluates
+at test scale, benchmark scale or paper scale, or the built
+:class:`~repro.experiments.setup.ExperimentContext` it shares with the
+others.  Every driver evaluates
 through one path: a driver that pools the three benchmarks reads its
 plans and truths from
 :meth:`~repro.experiments.setup.ExperimentContext.pooled_evaluation`,

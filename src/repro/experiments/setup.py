@@ -53,7 +53,7 @@ from repro.workload.corpus import TrainingCorpus
 from repro.workload.runner import ExecutedQueryRecord
 
 __all__ = ["ExperimentScale", "ExperimentContext", "build_context",
-           "experiment_main", "scale_parser", "score"]
+           "experiment_main", "score"]
 
 
 @dataclass(frozen=True)
@@ -187,21 +187,16 @@ class ExperimentScale:
         )
 
 
-def scale_parser(doc: str | None) -> argparse.ArgumentParser:
-    """The parser every experiment CLI starts from: ``--scale`` naming
-    one of the :class:`ExperimentScale` presets."""
-    parser = argparse.ArgumentParser(description=doc)
-    parser.add_argument("--scale", choices=("quick", "default", "paper"),
-                        default="default")
-    return parser
-
-
 def experiment_main(run: Callable[[ExperimentScale], object],
                     format: Callable[[object], str],
                     doc: str | None) -> None:  # pragma: no cover - CLI entry
-    """The whole CLI of a driver that takes only ``--scale``: parse it,
-    run the experiment at that scale, print the formatted result."""
-    arguments = scale_parser(doc).parse_args()
+    """The whole CLI of every experiment driver: parse ``--scale``, one
+    of the :class:`ExperimentScale` presets, run the experiment at that
+    scale, print the formatted result."""
+    parser = argparse.ArgumentParser(description=doc)
+    parser.add_argument("--scale", choices=("quick", "default", "paper"),
+                        default="default")
+    arguments = parser.parse_args()
     print(format(run(getattr(ExperimentScale, arguments.scale)())))
 
 
@@ -259,8 +254,7 @@ def train_zero_shot_models(corpus: TrainingCorpus, scale: ExperimentScale
 def build_context(scale: ExperimentScale | None = None,
                   with_imdb_pool: bool = True,
                   store: "ArtifactStore | None" = None,
-                  use_cache: bool | None = None,
-                  workers: int | None = None) -> ExperimentContext:
+                  use_cache: bool | None = None) -> ExperimentContext:
     """Run the one-time setup and return the shared context.
 
     The result is keyed by a content hash of ``scale`` (+ the pool
@@ -271,8 +265,8 @@ def build_context(scale: ExperimentScale | None = None,
     to ``0``); ``store=None`` uses the default store rooted at
     ``REPRO_CACHE_DIR`` or ``~/.cache/repro``.
 
-    Corpus collection is sharded per training database: ``workers`` (or
-    the ``REPRO_WORKERS`` environment variable) fans the shards out to a
+    Corpus collection is sharded per training database: the
+    ``REPRO_WORKERS`` environment variable fans the shards out to a
     process pool, the default is in-process — the corpus is
     record-identical either way.  With the cache on, each executed
     shard is persisted individually and is the only stored form of its
@@ -301,7 +295,6 @@ def build_context(scale: ExperimentScale | None = None,
         seed=scale.seed,
         random_indexes_per_database=scale.random_indexes_per_database,
         noise_sigma=scale.training_noise_sigma,
-        workers=workers,
         store=store,
     )
     if store is not None:

@@ -338,9 +338,10 @@ _CHAIN = ({"a": {"k": [1, 1, 2, None, 2], "x": [4, 5, 6, 7, -8],
           "WHERE a.k = b.k AND b.k = c.k GROUP BY c.f")
 
 
-#: A group holding both zeros, reached in two orders: a build-side eager
-#: fold meets ``b``'s rows in join-key order (0.0 first), the joined
-#: rows follow the probe ``a.k = 1, 0`` (-0.0 first).
+#: A group of both zeros, reached in two orders: a build-side eager fold
+#: meets ``b``'s rows in join-key order (0.0 first), the joined rows
+#: follow the probe ``a.k = 1, 0`` (-0.0 first).  Storage keeps one
+#: zero, so the group key is ``+0.0`` either way.
 _SIGNED_ZERO = ({"a": {"k": [1, 0], "x": [1, 2], "f": [1.0, 2.0]},
                  "b": {"k": [1, 0, 0], "x": [3, 4, 5],
                        "f": [-0.0, 0.0, 5.0]},

@@ -141,8 +141,8 @@ class TestRoundTrip:
 
     def test_invalid_workers_rejected_even_on_warm_cache(self, warm_store,
                                                          monkeypatch):
-        """A bad worker count, argument or environment, must fail
-        identically warm or cold: before any shard is loaded or run."""
+        """A bad worker count must fail identically warm or cold: before
+        any shard is loaded or run."""
         from repro.errors import ExperimentError
         store, _ = warm_store
 
@@ -151,14 +151,12 @@ class TestRoundTrip:
 
         monkeypatch.setattr(ArtifactStore, "load_shard", poison)
         monkeypatch.setattr(backends, "execute_shard", poison)
-        for cached in (True, False):
-            with pytest.raises(ExperimentError):
-                build_context(tiny_scale(), with_imdb_pool=False,
-                              store=store, use_cache=cached, workers=0)
-        monkeypatch.setenv("REPRO_WORKERS", "-1")
-        with pytest.raises(ExperimentError):
-            build_context(tiny_scale(), with_imdb_pool=False, store=store,
-                          use_cache=True)
+        for workers in ("0", "-1"):
+            monkeypatch.setenv("REPRO_WORKERS", workers)
+            for cached in (True, False):
+                with pytest.raises(ExperimentError):
+                    build_context(tiny_scale(), with_imdb_pool=False,
+                                  store=store, use_cache=cached)
 
     def test_repro_cache_env_disables(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", "0")

@@ -43,7 +43,9 @@ from repro.experiments.figure3 import (
     run_figure3,
     train_workload_driven_baselines,
 )
+from repro.experiments import hardware
 from repro.experiments.hardware import (
+    HOLDOUT_CONFIG,
     TRAIN_CONFIGS,
     format_hardware,
     run_hardware,
@@ -77,8 +79,7 @@ DRIVERS = {
     "fewshot": lambda context: run_fewshot(context=context),
     "resources": lambda context: run_resources(context=context),
     "cardinality": lambda context: run_cardinality(context=context),
-    # Collects and trains its own two fleets: reads no context.
-    "hardware": lambda context: run_hardware(ExperimentScale.quick()),
+    "hardware": lambda context: run_hardware(context=context),
     "ablations": lambda context: run_ablations(context=context),
 }
 
@@ -170,8 +171,37 @@ def cardinality_result(quick_context):
 
 
 @pytest.fixture(scope="module")
-def hardware_result():
-    return DRIVERS["hardware"](None)
+def hardware_calls():
+    return {"systems": [], "fits": 0, "holdout": []}
+
+
+@pytest.fixture(scope="module")
+def hardware_result(quick_context, hardware_calls):
+    """The one run; into ``hardware_calls`` go the machine assignment of
+    each corpus it collects, the number of models it fits and, for each
+    workload it executes, the database and the records."""
+    collect = hardware.collect_training_corpus
+    fit_graphs = ZeroShotEstimator.fit_graphs
+
+    def counting_collect(*args, **kwargs):
+        hardware_calls["systems"].append(kwargs.get("system"))
+        return collect(*args, **kwargs)
+
+    def counting_fit(estimator, *args, **kwargs):
+        hardware_calls["fits"] += 1
+        return fit_graphs(estimator, *args, **kwargs)
+
+    class RecordingRunner(hardware.WorkloadRunner):
+        def run(self, queries):
+            records = super().run(queries)
+            hardware_calls["holdout"].append((self.database, records))
+            return records
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hardware, "collect_training_corpus", counting_collect)
+        patch.setattr(hardware, "WorkloadRunner", RecordingRunner)
+        patch.setattr(ZeroShotEstimator, "fit_graphs", counting_fit)
+        return DRIVERS["hardware"](quick_context)
 
 
 @pytest.fixture(scope="module")
@@ -230,14 +260,19 @@ class TestSetup:
             with pytest.raises(ExperimentError):
                 ExperimentScale(**sigma)
 
-    def test_worker_count_validation(self):
+    def test_worker_count_validation(self, monkeypatch):
         """Non-positive worker counts are rejected before any shard runs."""
-        from repro.workload.backends import resolve_workers
+        from repro.workload import backends
         with pytest.raises(ExperimentError):
-            resolve_workers(0)
+            backends.resolve_workers(0)
+
+        def poison(*args, **kwargs):
+            raise AssertionError("a shard was run")
+
+        monkeypatch.setattr(backends, "execute_shard", poison)
+        monkeypatch.setenv("REPRO_WORKERS", "-1")
         with pytest.raises(ExperimentError):
-            build_context(ExperimentScale.quick(), workers=-1,
-                          use_cache=False)
+            build_context(ExperimentScale.quick(), use_cache=False)
 
     def test_scale_presets(self):
         assert ExperimentScale.paper().num_training_databases == 19
@@ -440,16 +475,27 @@ class TestHardware:
         assert result.multi_stats.median < result.single_stats.median
 
     @pytest.mark.hardware
-    def test_holdout_not_trained_on(self, result):
-        assert result.holdout_config not in TRAIN_CONFIGS
-        with pytest.raises(ExperimentError):
-            run_hardware(ExperimentScale.quick(), holdout_config="default")
+    def test_holdout_not_trained_on(self):
+        assert HOLDOUT_CONFIG not in TRAIN_CONFIGS
+
+    @pytest.mark.hardware
+    def test_only_its_own_work(self, result, hardware_calls, quick_context):
+        """The driver collects and fits only the multi-machine fleet; its
+        hardware-blind baseline is the context's exact-cardinality model,
+        scored on the context's IMDB database."""
+        assert hardware_calls["systems"] == [list(TRAIN_CONFIGS)]
+        assert hardware_calls["fits"] == 1
+        [(database, records)] = hardware_calls["holdout"]
+        assert database is quick_context.imdb
+        baseline = quick_context.estimator(CardinalitySource.ACTUAL)
+        assert result.single_stats == score(
+            baseline.predict_runtime([r.plan for r in records], database),
+            np.array([r.runtime_seconds for r in records]))
 
     @pytest.mark.hardware
     def test_advisor_ran_on_holdout(self, result):
         advisor = result.advisor
-        assert advisor is not None
-        assert advisor.baseline_name == result.holdout_config
+        assert advisor.baseline_name == HOLDOUT_CONFIG
         assert advisor.baseline_seconds > 0
         assert all(option.predicted_seconds > 0
                    for option in advisor.options)

@@ -6,7 +6,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.db import SyntheticDatabaseSpec, generate_database
 from repro.engine import execute_plan
 from repro.errors import ExecutionError
 from repro.optimizer import plan_query
@@ -18,6 +21,8 @@ from repro.runtime import (
     get_system_config,
 )
 from repro.sql import parse_query
+from repro.workload import WorkloadSpec, generate_workload
+from repro.workload.corpus import create_random_indexes
 
 pytestmark = pytest.mark.hardware
 
@@ -155,6 +160,44 @@ class TestCrossMachineMonotonicity:
             assert fast.total_seconds <= base.total_seconds, text
             improvements.append(base.total_seconds - fast.total_seconds)
         assert max(improvements) > 0.0
+
+    @settings(max_examples=20, deadline=None)
+    @given(database_seed=st.integers(0, 2**31 - 1),
+           num_tables=st.integers(2, 7),
+           max_rows=st.sampled_from([2_000, 40_000]),
+           num_indexes=st.integers(0, 2),
+           workload_seed=st.integers(0, 2**31 - 1))
+    def test_generated_plans_obey_physics(self, database_seed, num_tables,
+                                          max_rows, num_indexes,
+                                          workload_seed):
+        """Over generated databases (indexes included) and workloads,
+        simulated without noise: on every named machine each executed
+        plan's runtime, every operator's seconds, its memory peak and
+        its IO are finite and non-negative, and ``faster-cpu`` is never
+        slower than ``default``.  Tables of up to 40 000 rows cross
+        ``work_mem_tuples`` (25 000), so spilling plans are among them;
+        the spill terms step there by design, so nothing here asks for
+        continuity."""
+        database = generate_database(SyntheticDatabaseSpec(
+            "physics", seed=database_seed, num_tables=num_tables,
+            min_rows=200, max_rows=max_rows))
+        create_random_indexes(database, num_indexes,
+                              np.random.default_rng(database_seed))
+        simulators = {name: RuntimeSimulator(
+            database, system=get_system_config(name), noise_sigma=0.0)
+            for name in available_system_configs()}
+        for query in generate_workload(database, WorkloadSpec(
+                num_queries=25, seed=workload_seed)):
+            plan = plan_query(database, query)
+            execute_plan(database, plan)
+            seconds = {}
+            for name, simulator in simulators.items():
+                runtime = simulator.simulate(plan)
+                values = [runtime.total_seconds, runtime.memory_peak_bytes,
+                          runtime.io_pages, *runtime.node_seconds.values()]
+                assert np.isfinite(values).all() and min(values) >= 0, name
+                seconds[name] = runtime.total_seconds
+            assert seconds["faster-cpu"] <= seconds["default"]
 
     def test_slow_disk_never_speeds_up_hot_io(self, tiny_imdb):
         """slow_disk raises both page-read costs *and* the buffer pool;
