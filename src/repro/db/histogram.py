@@ -35,11 +35,6 @@ class EquiDepthHistogram:
     bounds: np.ndarray
 
     @classmethod
-    def build(cls, values: np.ndarray, num_buckets: int = 32) -> "EquiDepthHistogram":
-        """Construct from raw column values (NULLs must be pre-filtered)."""
-        return cls.from_sorted(np.sort(values), num_buckets)
-
-    @classmethod
     def from_sorted(cls, ordered: np.ndarray,
                     num_buckets: int = 32) -> "EquiDepthHistogram":
         """Construct from column values sorted ascending, NaNs last (as
@@ -132,11 +127,3 @@ class EquiDepthHistogram:
         upper = self._selectivity_below(high, high_inclusive) if high is not None else 1.0
         lower = self._selectivity_below(low, not low_inclusive) if low is not None else 0.0
         return float(np.clip(upper - lower, 0.0, 1.0))
-
-    def to_dict(self) -> dict:
-        """JSON-serializable representation."""
-        return {"bounds": self.bounds.tolist()}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "EquiDepthHistogram":
-        return cls(bounds=np.asarray(payload["bounds"], dtype=np.float64))

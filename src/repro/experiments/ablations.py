@@ -49,7 +49,7 @@ def run_ablations(scale: ExperimentScale | None = None,
     """Train the ablation variants on the shared corpus; evaluate each on
     IMDB: variant name -> Q-error stats."""
     if context is None:
-        context = build_context(scale, with_imdb_pool=False)
+        context = build_context(scale)
     source = CardinalitySource.ACTUAL
     train_graphs = context.corpus.featurize(source)
 

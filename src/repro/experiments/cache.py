@@ -30,7 +30,7 @@ vanished) and a stored model still matches it.
 Layout (one directory per context key, one per shard key)::
 
     <root>/<CACHE_FORMAT_VERSION>/ctx-<hash>/
-        scale.json          # provenance: the exact scale + pool flag
+        scale.json          # provenance: the exact scale
         models/estimated/   # ZeroShotCostModel.save (weights + scalers)
         models/actual/
         context.pkl         # IMDB holdout, evaluation records, pool
@@ -75,7 +75,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle with setup.py
     from repro.experiments.setup import ExperimentContext, ExperimentScale
 
 __all__ = ["ArtifactStore", "cache_enabled", "context_key", "main",
-           "shard_key"]
+           "resolve_store", "shard_key"]
 
 #: Bump when the on-disk layout or any pickled type changes shape; old
 #: entries are simply never matched again (and ``--clear`` removes them).
@@ -113,6 +113,16 @@ def cache_enabled() -> bool:
     return os.environ.get("REPRO_CACHE", "1") != "0"
 
 
+def resolve_store(store: "ArtifactStore | None" = None
+                  ) -> "ArtifactStore | None":
+    """The store an experiment collects and trains through: ``store``,
+    else the one at :func:`default_cache_root`; ``None`` when
+    ``REPRO_CACHE=0`` switches the store off."""
+    if not cache_enabled():
+        return None
+    return store if store is not None else ArtifactStore()
+
+
 def default_cache_root() -> Path:
     """``REPRO_CACHE_DIR`` if set, else ``~/.cache/repro``."""
     env = os.environ.get("REPRO_CACHE_DIR")
@@ -121,17 +131,14 @@ def default_cache_root() -> Path:
     return Path.home() / ".cache" / "repro"
 
 
-def context_key(scale: "ExperimentScale", with_imdb_pool: bool = True) -> str:
+def context_key(scale: "ExperimentScale") -> str:
     """Content hash of everything that determines a context's value.
 
     ``ExperimentScale`` is a frozen dataclass of plain values (nested
-    configs included), so its ``asdict`` form — plus the pool flag —
-    is the complete recipe; the seed lives inside the scale.
+    configs included), so its ``asdict`` form is the complete recipe;
+    the seed lives inside the scale.
     """
-    payload = {
-        "scale": asdict(scale),
-        "with_imdb_pool": bool(with_imdb_pool),
-    }
+    payload = {"scale": asdict(scale)}
     digest = hashlib.sha256(
         json.dumps(payload, sort_keys=True, default=str).encode()
     ).hexdigest()
@@ -172,9 +179,8 @@ class ArtifactStore:
     def _version_dir(self) -> Path:
         return self.root / CACHE_FORMAT_VERSION
 
-    def _entry_dir(self, scale: "ExperimentScale",
-                   with_imdb_pool: bool = True) -> Path:
-        return self._version_dir() / context_key(scale, with_imdb_pool)
+    def _entry_dir(self, scale: "ExperimentScale") -> Path:
+        return self._version_dir() / context_key(scale)
 
     # ------------------------------------------------------------------
     def _publish(self, staging: Path, entry: Path) -> None:
@@ -233,17 +239,15 @@ class ArtifactStore:
             raise
         self._publish(staging, entry)
 
-    def save_context(self, context: "ExperimentContext",
-                     with_imdb_pool: bool = True) -> Path:
+    def save_context(self, context: "ExperimentContext") -> Path:
         """Persist what a freshly built context holds beyond its corpus
         (the shard entries already hold that); returns the entry
         directory."""
-        entry = self._entry_dir(context.scale, with_imdb_pool)
+        entry = self._entry_dir(context.scale)
         with self._staged(entry) as staging:
             with open(staging / "scale.json", "w") as handle:
                 json.dump({
                     "scale": asdict(context.scale),
-                    "with_imdb_pool": with_imdb_pool,
                     "created_unix": time.time(),
                 }, handle, indent=2, default=str)
             for source, model in context.zero_shot_models.items():
@@ -260,15 +264,15 @@ class ArtifactStore:
                 }, handle, protocol=pickle.HIGHEST_PROTOCOL)
         return entry
 
-    def load_context(self, scale: "ExperimentScale", corpus: TrainingCorpus,
-                     with_imdb_pool: bool = True) -> "ExperimentContext | None":
+    def load_context(self, scale: "ExperimentScale", corpus: TrainingCorpus
+                     ) -> "ExperimentContext | None":
         """Load a stored context around ``corpus`` (the scale's training
         corpus, assembled through the shard entries), or ``None`` on a
         cold, incomplete or unreadable (deleted under the reader,
         truncated) entry."""
         from repro.experiments.setup import ExperimentContext
 
-        entry = self._entry_dir(scale, with_imdb_pool)
+        entry = self._entry_dir(scale)
         if not (entry / _COMPLETE_MARKER).is_file():
             return None
         try:
@@ -384,7 +388,6 @@ class ArtifactStore:
                 "databases": scale.get("num_training_databases"),
                 "queries_per_database": scale.get("queries_per_database"),
                 "seed": scale.get("seed"),
-                "with_imdb_pool": provenance.get("with_imdb_pool"),
                 "created_unix": provenance.get("created_unix"),
             }
         return self._complete_entries(self._version_dir(), "scale.json",
@@ -458,8 +461,7 @@ def main(argv: list[str] | None = None) -> int:
         if info.get("databases") is not None:
             scale_hint = (f"  fleet={info['databases']}x"
                           f"{info.get('queries_per_database')}q"
-                          f" seed={info.get('seed')}"
-                          f" pool={info.get('with_imdb_pool')}")
+                          f" seed={info.get('seed')}")
         print(f"  {info['key']}  {_format_bytes(info['bytes']):>10}"
               f"{scale_hint}")
     shard_total = 0

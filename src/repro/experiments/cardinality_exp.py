@@ -132,7 +132,7 @@ def run_cardinality(scale: ExperimentScale | None = None,
                     ) -> CardinalityResult:
     """Run the full estimated-vs-learned-cardinalities comparison."""
     if context is None:
-        context = build_context(scale, with_imdb_pool=False)
+        context = build_context(scale)
     estimator = _train_cardinality_estimator(context)
 
     result = CardinalityResult()

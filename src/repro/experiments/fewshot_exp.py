@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import ExperimentError
 from repro.experiments.setup import (
     ExperimentContext,
     ExperimentScale,
@@ -40,12 +39,7 @@ def run_fewshot(scale: ExperimentScale | None = None,
     on JOB-light with the deployable (estimated-cardinality) model."""
     if context is None:
         context = build_context(scale)
-    if not context.imdb_pool:
-        raise ExperimentError("few-shot experiment needs the IMDB pool")
-    budgets = [b for b in context.scale.fewshot_budgets
-               if b <= len(context.imdb_pool)]
-    if not budgets:
-        raise ExperimentError("no few-shot budget fits the IMDB pool")
+    budgets = list(context.scale.fewshot_budgets)
 
     base = context.estimator(CardinalitySource.ESTIMATED)
     evaluation_plans = [r.plan

@@ -104,10 +104,7 @@ def run_figure3(scale: ExperimentScale | None = None,
     """Regenerate every series of Figure 3."""
     if context is None:
         context = build_context(scale)
-    budgets = [b for b in context.scale.training_budgets
-               if b <= len(context.imdb_pool)]
-    if not budgets:
-        raise ExperimentError("no training budget fits the IMDB pool")
+    budgets = list(context.scale.training_budgets)
 
     result = Figure3Result(
         budgets=budgets,

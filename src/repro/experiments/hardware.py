@@ -27,6 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.db.generator import generate_training_database_specs
+from repro.experiments.cache import resolve_store
 from repro.experiments.setup import (
     ExperimentContext,
     ExperimentScale,
@@ -91,7 +92,7 @@ def run_hardware(scale: ExperimentScale | None = None,
     neither model ever trained on.
     """
     if context is None:
-        context = build_context(scale, with_imdb_pool=False)
+        context = build_context(scale)
     scale = context.scale
     source = CardinalitySource.ACTUAL
     holdout_machine = get_system_config(HOLDOUT_CONFIG)
@@ -99,7 +100,9 @@ def run_hardware(scale: ExperimentScale | None = None,
 
     # 1. The context's fleet again, spread across machines.  Same specs,
     #    same seeds as the context's corpus: the only difference is the
-    #    hardware axis, and the system node that reads it.
+    #    hardware axis, and the system node that reads it.  Collected
+    #    through the artifact store: the ``default``-machine shards are
+    #    the context's own, and a repeated call loads every shard.
     specs = generate_training_database_specs(
         scale.num_training_databases, base_seed=scale.seed,
         min_rows=scale.training_db_min_rows,
@@ -109,7 +112,8 @@ def run_hardware(scale: ExperimentScale | None = None,
         specs, scale.queries_per_database, seed=scale.seed,
         random_indexes_per_database=scale.random_indexes_per_database,
         noise_sigma=scale.training_noise_sigma,
-        system=list(TRAIN_CONFIGS),
+        system=TRAIN_CONFIGS,
+        store=resolve_store(),
     )
     multi_estimator = ZeroShotEstimator(
         config=replace(scale.zero_shot_config, system_features=True),

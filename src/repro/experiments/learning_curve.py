@@ -60,7 +60,7 @@ def run_learning_curve(scale: ExperimentScale | None = None,
     corpus — no workload is ever re-executed for a smaller fleet.
     """
     if context is None:
-        context = build_context(scale, with_imdb_pool=False)
+        context = build_context(scale)
     source = CardinalitySource.ACTUAL
     names = list(context.corpus.records_by_database)
     if database_counts is None:

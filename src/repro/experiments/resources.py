@@ -44,7 +44,7 @@ def run_resources(scale: ExperimentScale | None = None,
     """Train one zero-shot model per resource target; evaluate each on
     IMDB: target -> Q-error stats."""
     if context is None:
-        context = build_context(scale, with_imdb_pool=False)
+        context = build_context(scale)
     source = CardinalitySource.ACTUAL
 
     evaluation_plans, runtimes = context.pooled_evaluation()

@@ -13,7 +13,7 @@ expensive steps — and because the one-time effort is *one-time*,
 :class:`~repro.experiments.cache.ArtifactStore`: a second call with the
 same :class:`ExperimentScale` loads the corpus shards, trained models
 and executed workloads from disk instead of rebuilding them.  Disable
-with ``REPRO_CACHE=0`` (or ``use_cache=False``); relocate with
+with ``REPRO_CACHE=0``; relocate with
 ``REPRO_CACHE_DIR``; inspect/clear with ``python -m
 repro.experiments.cache --stat/--clear``.
 """
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import argparse
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -118,14 +118,20 @@ class ExperimentScale:
             )
         if self.seed < 0:
             raise ExperimentError(f"seed must be non-negative, got {self.seed}")
-        if not self.training_budgets:
-            raise ExperimentError("need at least one training budget")
-        # A negative budget would slice the IMDB pool from its end.
+        # A negative budget would slice the IMDB pool from its end, and
+        # one past the pool would silently train on all of it.
         for name in ("training_budgets", "fewshot_budgets"):
             budgets = getattr(self, name)
+            if not budgets:
+                raise ExperimentError(f"need at least one of {name}")
             if any(budget < 1 for budget in budgets):
                 raise ExperimentError(
                     f"{name} must be positive, got {budgets}")
+        if max(self.fewshot_budgets) > self.pool_size:
+            raise ExperimentError(
+                f"fewshot_budgets {self.fewshot_budgets} exceed the IMDB "
+                f"pool of {self.pool_size} queries (the largest training "
+                f"budget)")
         if not (math.isfinite(self.imdb_scale) and self.imdb_scale > 0):
             raise ExperimentError(
                 f"imdb_scale must be positive and finite, got "
@@ -209,7 +215,7 @@ class ExperimentContext:
     zero_shot_models: dict[CardinalitySource, ZeroShotCostModel]
     imdb: Database
     evaluation_records: dict[str, list[ExecutedQueryRecord]]
-    imdb_pool: list[ExecutedQueryRecord] = field(default_factory=list)
+    imdb_pool: list[ExecutedQueryRecord]
 
     def evaluation_truths(self, benchmark: str) -> np.ndarray:
         return np.array([r.runtime_seconds
@@ -252,18 +258,15 @@ def train_zero_shot_models(corpus: TrainingCorpus, scale: ExperimentScale
 
 
 def build_context(scale: ExperimentScale | None = None,
-                  with_imdb_pool: bool = True,
-                  store: "ArtifactStore | None" = None,
-                  use_cache: bool | None = None) -> ExperimentContext:
+                  store: "ArtifactStore | None" = None) -> ExperimentContext:
     """Run the one-time setup and return the shared context.
 
-    The result is keyed by a content hash of ``scale`` (+ the pool
-    flag) in the persistent artifact store: a warm call deserializes
-    the corpus shards, models and executed workloads and performs
-    **zero** query execution or model training.  ``use_cache=None``
-    defers to the ``REPRO_CACHE`` environment variable (on unless set
-    to ``0``); ``store=None`` uses the default store rooted at
-    ``REPRO_CACHE_DIR`` or ``~/.cache/repro``.
+    The result is keyed by a content hash of ``scale`` in the
+    persistent artifact store: a warm call deserializes the corpus
+    shards, models and executed workloads and performs **zero** query
+    execution or model training.  ``store=None`` uses the default store
+    rooted at ``REPRO_CACHE_DIR`` or ``~/.cache/repro``; ``REPRO_CACHE=0``
+    switches any store off (:func:`~repro.experiments.cache.resolve_store`).
 
     Corpus collection is sharded per training database: the
     ``REPRO_WORKERS`` environment variable fans the shards out to a
@@ -274,12 +277,10 @@ def build_context(scale: ExperimentScale | None = None,
     the new databases' workloads, and a stored context whose shard entry
     vanished re-executes exactly that shard.
     """
-    from repro.experiments.cache import ArtifactStore, cache_enabled
+    from repro.experiments.cache import resolve_store
 
     scale = scale or ExperimentScale.default()
-    if use_cache is None:
-        use_cache = cache_enabled()
-    store = (store or ArtifactStore()) if use_cache else None
+    store = resolve_store(store)
 
     # 1. Training fleet + corpus (random physical designs included,
     #    §4.1): hydrate specs on demand, shard per database, reuse any
@@ -298,7 +299,7 @@ def build_context(scale: ExperimentScale | None = None,
         store=store,
     )
     if store is not None:
-        cached = store.load_context(scale, corpus, with_imdb_pool)
+        cached = store.load_context(scale, corpus)
         if cached is not None:
             return cached
 
@@ -324,15 +325,12 @@ def build_context(scale: ExperimentScale | None = None,
     #    stresses that these queries must be *executed* on the new
     #    database before a workload-driven model can be trained — the
     #    cost Figure 3's right panel quantifies.
-    imdb_pool: list[ExecutedQueryRecord] = []
-    if with_imdb_pool:
-        pool_queries = generate_workload(imdb, WorkloadSpec(
-            num_queries=scale.pool_size,
-            seed=int(rng.integers(0, 2**31 - 1)),
-        ))
-        runner = WorkloadRunner(imdb, seed=int(rng.integers(0, 2**31 - 1)),
-                                noise_sigma=scale.training_noise_sigma)
-        imdb_pool = runner.run(pool_queries)
+    pool_queries = generate_workload(imdb, WorkloadSpec(
+        num_queries=scale.pool_size,
+        seed=int(rng.integers(0, 2**31 - 1)),
+    ))
+    runner = WorkloadRunner(imdb, seed=int(rng.integers(0, 2**31 - 1)),
+                            noise_sigma=scale.training_noise_sigma)
 
     context = ExperimentContext(
         scale=scale,
@@ -340,8 +338,8 @@ def build_context(scale: ExperimentScale | None = None,
         zero_shot_models=zero_shot_models,
         imdb=imdb,
         evaluation_records=evaluation_records,
-        imdb_pool=imdb_pool,
+        imdb_pool=runner.run(pool_queries),
     )
     if store is not None:
-        store.save_context(context, with_imdb_pool)
+        store.save_context(context)
     return context

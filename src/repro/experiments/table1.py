@@ -89,7 +89,7 @@ def run_table1(scale: ExperimentScale | None = None,
     """Regenerate Table 1: row name -> source -> Q-error stats, the rows
     in the paper's order."""
     if context is None:
-        context = build_context(scale, with_imdb_pool=False)
+        context = build_context(scale)
     result = {}
 
     for row, benchmark in _BENCHMARK_OF_ROW.items():

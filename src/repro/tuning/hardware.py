@@ -9,15 +9,14 @@ candidate machine is one featurization away — no re-training, no
 benchmark runs on hardware nobody has bought yet.
 
 :class:`HardwareAdvisor` plans the workload once, then prices the same
-plans under every candidate machine (by default, every named
-configuration of :func:`~repro.runtime.available_system_configs`) and ranks
-them against the baseline machine.
+plans under every other named machine of
+:func:`~repro.runtime.available_system_configs` and ranks them against
+the baseline machine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -34,15 +33,6 @@ from repro.runtime import (
 from repro.sql.ast import Query
 
 __all__ = ["HardwareAdvisor", "HardwareOption", "HardwareRecommendation"]
-
-#: How candidate machines are named: config names, explicit
-#: :class:`~repro.runtime.SystemParameters`, or a ``{label -> machine}``
-#: map.  ``None`` means every named configuration.
-HardwareCandidates = Union[
-    Sequence[Union[str, SystemParameters]],
-    Mapping[str, Union[str, SystemParameters]],
-    None,
-]
 
 
 @dataclass
@@ -94,7 +84,7 @@ class HardwareAdvisor:
     """
 
     def __init__(self, database: Database, estimator: ZeroShotEstimator,
-                 baseline: "SystemParameters | str" = "default"):
+                 baseline: str = "default"):
         require_deployable(estimator, "hardware advisor")
         if not isinstance(estimator, ZeroShotEstimator):
             raise ModelError(
@@ -109,37 +99,9 @@ class HardwareAdvisor:
             )
         self.database = database
         self.estimator = estimator
-        self.baseline_name, self.baseline_system = self._resolve(
-            "baseline", baseline)
+        self.baseline_name = baseline
+        self.baseline_system = get_system_config(baseline)
         self._planner = WhatIfPlanner(database)
-
-    @staticmethod
-    def _resolve(label: str, machine: "SystemParameters | str"
-                 ) -> tuple[str, SystemParameters]:
-        if isinstance(machine, str):
-            return machine, get_system_config(machine)
-        if not isinstance(machine, SystemParameters):
-            raise ModelError(
-                f"candidate {label!r} must be SystemParameters or a "
-                f"system config name, got {machine!r}"
-            )
-        return label, machine
-
-    def _candidates(self, candidates: HardwareCandidates
-                    ) -> list[tuple[str, SystemParameters]]:
-        if candidates is None:
-            return [(name, get_system_config(name))
-                    for name in available_system_configs()
-                    if name != self.baseline_name]
-        if isinstance(candidates, Mapping):
-            resolved = [(name, self._resolve(name, machine)[1])
-                        for name, machine in candidates.items()]
-        else:
-            resolved = [self._resolve(f"candidate-{index}", machine)
-                        for index, machine in enumerate(candidates)]
-        if not resolved:
-            raise ModelError("hardware advisor got no candidate machines")
-        return resolved
 
     def _price(self, plans, system: SystemParameters) -> float:
         # The same model, featurizing for the machine being priced.
@@ -148,10 +110,9 @@ class HardwareAdvisor:
                                       system=system)
         return float(np.sum(estimator.predict_runtime(plans, self.database)))
 
-    def recommend(self, queries: list[Query],
-                  candidates: HardwareCandidates = None
-                  ) -> HardwareRecommendation:
-        """Price the workload on the baseline and every candidate.
+    def recommend(self, queries: list[Query]) -> HardwareRecommendation:
+        """Price the workload on the baseline and every other named
+        machine.
 
         The workload is planned **once** (plans do not depend on the
         machine — the simulated optimizer costs with fixed constants),
@@ -163,15 +124,16 @@ class HardwareAdvisor:
         plans = [self._planner.plan_without_indexes(query)
                  for query in queries]
         baseline_seconds = self._price(plans, self.baseline_system)
-        options = [
-            HardwareOption(
-                name=name,
-                system=system,
-                predicted_seconds=self._price(plans, system),
-                baseline_seconds=baseline_seconds,
-            )
-            for name, system in self._candidates(candidates)
-        ]
+        options = []
+        for name in available_system_configs():
+            if name != self.baseline_name:
+                system = get_system_config(name)
+                options.append(HardwareOption(
+                    name=name,
+                    system=system,
+                    predicted_seconds=self._price(plans, system),
+                    baseline_seconds=baseline_seconds,
+                ))
         options.sort(key=lambda option: option.predicted_seconds)
         return HardwareRecommendation(
             baseline_name=self.baseline_name,

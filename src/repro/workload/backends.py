@@ -28,8 +28,8 @@ import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -44,26 +44,12 @@ from repro.workload.runner import ExecutedQueryRecord, WorkloadRunner
 __all__ = [
     "CorpusShard",
     "ShardExecution",
-    "SystemAssignment",
     "WORKERS_ENV",
     "execute_shard",
     "make_corpus_shards",
-    "resolve_system_assignment",
     "resolve_workers",
     "run_shards",
     "shard_seeds",
-]
-
-#: How fleet specs name the machine(s) their shards run on: one
-#: :class:`~repro.runtime.SystemParameters` (or config name) for the
-#: whole fleet, a sequence assigned round-robin across shards, or an
-#: explicit ``{database name -> machine}`` map.  ``None`` means the
-#: stock machine everywhere (the historical single-server fleet).
-SystemAssignment = Union[
-    SystemParameters, str,
-    Sequence[Union[SystemParameters, str]],
-    Mapping[str, Union[SystemParameters, str]],
-    None,
 ]
 
 WORKERS_ENV = "REPRO_WORKERS"
@@ -124,85 +110,38 @@ class ShardExecution:
     records: list[ExecutedQueryRecord]
 
 
-def _as_system(value: "SystemParameters | str") -> SystemParameters:
-    if isinstance(value, str):
-        return get_system_config(value)
-    if not isinstance(value, SystemParameters):
-        raise ExperimentError(
-            f"system assignment entries must be SystemParameters or a "
-            f"system config name, got {value!r}"
-        )
-    return value
-
-
-def resolve_system_assignment(specs: Sequence[SyntheticDatabaseSpec],
-                              system: SystemAssignment
-                              ) -> list[SystemParameters]:
-    """One machine per database spec, resolved eagerly.
-
-    ``system`` may be a single :class:`~repro.runtime.SystemParameters`
-    (or system config name) applied fleet-wide, a sequence of
-    machines assigned **round-robin** across the specs, or an explicit
-    ``{database name -> machine}`` map (unknown names are rejected;
-    unmapped databases get the stock machine).  Names resolve through
-    :func:`repro.runtime.get_system_config`.
-    """
-    if system is None:
-        return [SystemParameters() for _ in specs]
-    if isinstance(system, (SystemParameters, str)):
-        resolved = _as_system(system)
-        return [resolved for _ in specs]
-    if isinstance(system, Mapping):
-        known = {spec.name for spec in specs}
-        unknown = set(system) - known
-        if unknown:
-            raise ExperimentError(
-                f"system map names unknown database(s): "
-                f"{', '.join(sorted(unknown))}"
-            )
-        return [_as_system(system[spec.name]) if spec.name in system
-                else SystemParameters() for spec in specs]
-    machines = [_as_system(entry) for entry in system]
-    if not machines:
-        raise ExperimentError(
-            "system assignment sequence must not be empty"
-        )
-    return [machines[index % len(machines)]
-            for index in range(len(specs))]
-
-
 def make_corpus_shards(specs: Sequence[SyntheticDatabaseSpec],
                        queries_per_database: int,
                        seed: int = 0,
                        random_indexes_per_database: int = 0,
-                       workload_spec: WorkloadSpec | None = None,
-                       system: SystemAssignment = None,
+                       system: Sequence[str] = ("default",),
                        noise_sigma: float = 0.06
                        ) -> list[CorpusShard]:
     """Build one shard per database spec with per-shard seeds.
 
-    ``workload_spec`` acts as a template for the non-seed knobs (join
-    width, predicate counts, ...); each shard gets its own query count
-    and workload seed.  ``system`` assigns machines to shards (see
-    :func:`resolve_system_assignment`) — the hardware axis of the
-    training fleet.  A shard's system is part of its recipe, so two
-    shards differing only in machine cache (and execute) independently.
+    ``system`` names the machines of the fleet (see
+    :func:`repro.runtime.get_system_config`), assigned **round-robin**
+    across the specs — the hardware axis of the training fleet.  A
+    shard's machine is part of its recipe, so two shards differing only
+    in machine cache (and execute) independently.
     """
-    template = workload_spec or WorkloadSpec(num_queries=queries_per_database)
-    machines = resolve_system_assignment(specs, system)
+    if isinstance(system, str) or not system:
+        raise ExperimentError(
+            f"system must be a non-empty sequence of machine names, "
+            f"got {system!r}")
+    machines = [get_system_config(name) for name in system]
     shards = []
-    for shard_index, (spec, machine) in enumerate(zip(specs, machines)):
+    for shard_index, spec in enumerate(specs):
         index_seed, workload_seed, runner_seed = shard_seeds(seed, shard_index)
         shards.append(CorpusShard(
             database_spec=spec,
-            workload_spec=replace(template,
-                                  num_queries=queries_per_database,
-                                  seed=workload_seed),
+            workload_spec=WorkloadSpec(num_queries=queries_per_database,
+                                       seed=workload_seed),
             index_seed=index_seed,
             runner_seed=runner_seed,
             random_indexes=random_indexes_per_database,
             noise_sigma=noise_sigma,
-            system=machine,
+            system=machines[shard_index % len(machines)],
         ))
     return shards
 

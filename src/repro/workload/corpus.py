@@ -18,7 +18,7 @@ executes the new databases' workloads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -29,12 +29,10 @@ from repro.featurize.graph import CardinalitySource, PlanGraph, ZeroShotFeaturiz
 from repro.runtime import SystemParameters
 from repro.workload.backends import (
     ShardExecution,
-    SystemAssignment,
     make_corpus_shards,
     resolve_workers,
     run_shards,
 )
-from repro.workload.generator import WorkloadSpec
 from repro.workload.runner import ExecutedQueryRecord
 
 if TYPE_CHECKING:  # pragma: no cover - avoid an import cycle
@@ -170,8 +168,7 @@ def collect_training_corpus(
         queries_per_database: int,
         seed: int = 0,
         random_indexes_per_database: int = 0,
-        workload_spec: WorkloadSpec | None = None,
-        system: SystemAssignment = None,
+        system: Sequence[str] = ("default",),
         noise_sigma: float = 0.06,
         workers: int | None = None,
         store: "ArtifactStore | None" = None) -> TrainingCorpus:
@@ -187,13 +184,11 @@ def collect_training_corpus(
     persisted — growing a fleet from 8 to 12 databases executes exactly
     4 shards.
 
-    ``workload_spec`` is a template: every field except ``num_queries``
-    and ``seed`` reaches the generator for every database.  ``system``
-    assigns machines across the fleet (single machine, round-robin
-    sequence, or per-database map — see
-    :func:`~repro.workload.backends.resolve_system_assignment`).  A
-    shard's machine is part of its recipe, so the same fleet collected
-    on different hardware caches independently.
+    ``system`` names the fleet's machines, assigned round-robin across
+    the databases (see
+    :func:`~repro.workload.backends.make_corpus_shards`).  A shard's
+    machine is part of its recipe, so the same fleet collected on
+    different hardware caches independently.
     """
     workers = resolve_workers(workers)  # before any shard is loaded or run
     if not specs:
@@ -206,7 +201,7 @@ def collect_training_corpus(
     shards = make_corpus_shards(
         specs, queries_per_database, seed=seed,
         random_indexes_per_database=random_indexes_per_database,
-        workload_spec=workload_spec, system=system, noise_sigma=noise_sigma,
+        system=system, noise_sigma=noise_sigma,
     )
 
     executions: list[ShardExecution | None] = [

@@ -255,8 +255,8 @@ class TestAnalyzeParity:
         """Bound 8 of three rows sits halfway between rows 0 and 1:
         ``1 - (1 - -inf) * 0.5`` is ``-inf`` where ``-inf + inf * 0.5``
         would be NaN."""
-        bounds = EquiDepthHistogram.build(np.array([-np.inf, 1.0, 2.0]),
-                                          num_buckets=NUM_BUCKETS).bounds
+        bounds = EquiDepthHistogram.from_sorted(
+            np.array([-np.inf, 1.0, 2.0]), num_buckets=NUM_BUCKETS).bounds
         assert bounds[8] == -np.inf
 
 
@@ -271,7 +271,8 @@ class TestHistogramParity:
         """Over a column as stored: every histogram is built from one."""
         values = stored(column[0]).column_values("v")
         expected = reference_bounds(values, num_buckets)
-        actual = EquiDepthHistogram.build(values, num_buckets).bounds
+        actual = EquiDepthHistogram.from_sorted(np.sort(values),
+                                                num_buckets).bounds
         assert actual.dtype == np.float64
         assert actual.tobytes() == expected.tobytes()
 
@@ -286,13 +287,14 @@ class TestHistogramParity:
                                             bounds):
         """``np.quantile`` reads NaN (and warns) at each of the bounds
         these columns put on or beside an infinity."""
-        actual = EquiDepthHistogram.build(np.array(values), num_buckets)
+        actual = EquiDepthHistogram.from_sorted(np.sort(values), num_buckets)
         assert actual.bounds.tolist() == bounds
 
     def test_empty_and_invalid(self):
-        assert EquiDepthHistogram.build(np.array([])).bounds.tolist() == [0.0, 0.0]
+        empty = EquiDepthHistogram.from_sorted(np.array([]))
+        assert empty.bounds.tolist() == [0.0, 0.0]
         with pytest.raises(ValueError):
-            EquiDepthHistogram.build(np.arange(3), num_buckets=0)
+            EquiDepthHistogram.from_sorted(np.arange(3), num_buckets=0)
 
 
 class TestCorrelateRanks:

@@ -25,6 +25,8 @@ from repro.experiments.cache import (
     main,
     shard_key,
 )
+from repro.experiments.fewshot_exp import run_fewshot
+from repro.experiments.resources import run_resources
 from repro.experiments.setup import ExperimentScale, build_context
 from repro.featurize import CardinalitySource, ZeroShotFeaturizer
 from repro.models import TrainerConfig, ZeroShotConfig
@@ -59,12 +61,21 @@ def tiny_scale() -> ExperimentScale:
     )
 
 
+@pytest.fixture(scope="module", autouse=True)
+def _store_switched_on():
+    """The store is on for these tests whatever the ambient
+    ``REPRO_CACHE``; a test that bypasses it sets ``REPRO_CACHE=0``
+    itself."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CACHE", "1")
+        yield
+
+
 @pytest.fixture(scope="module")
 def warm_store(tmp_path_factory):
     """One cold build shared by the round-trip assertions."""
     store = ArtifactStore(tmp_path_factory.mktemp("store"))
-    context = build_context(tiny_scale(), with_imdb_pool=False, store=store,
-                            use_cache=True)
+    context = build_context(tiny_scale(), store=store)
     return store, context
 
 
@@ -98,21 +109,18 @@ class TestRoundTrip:
         monkeypatch.setattr(experiment_setup, "train_zero_shot_models", poison)
         monkeypatch.setattr(backends, "execute_shard", poison)
         monkeypatch.setattr(WorkloadRunner, "run", poison)
-        context = build_context(tiny_scale(), with_imdb_pool=False,
-                                store=store, use_cache=True)
+        context = build_context(tiny_scale(), store=store)
         assert context.corpus.num_queries == 2 * 25
         assert_same_predictions(cold, context)
 
     def test_roundtrip_reproduces_predictions(self, warm_store):
         store, cold = warm_store
-        warm = build_context(tiny_scale(), with_imdb_pool=False,
-                             store=store, use_cache=True)
+        warm = build_context(tiny_scale(), store=store)
         assert_same_predictions(cold, warm)
 
     def test_roundtrip_preserves_context_shape(self, warm_store):
         store, cold = warm_store
-        warm = build_context(tiny_scale(), with_imdb_pool=False,
-                             store=store, use_cache=True)
+        warm = build_context(tiny_scale(), store=store)
         assert list(warm.corpus.databases) == list(cold.corpus.databases)
         assert set(warm.evaluation_records) == set(cold.evaluation_records)
         for benchmark in cold.evaluation_records:
@@ -125,7 +133,8 @@ class TestRoundTrip:
             assert model.history.train_losses == \
                 cold.zero_shot_models[source].history.train_losses
 
-    def test_use_cache_false_bypasses_store(self, warm_store, monkeypatch):
+    def test_repro_cache_0_bypasses_a_given_store(self, warm_store,
+                                                  monkeypatch):
         store, _ = warm_store
         sentinel = {"loaded": False}
 
@@ -135,8 +144,8 @@ class TestRoundTrip:
 
         monkeypatch.setattr(ArtifactStore, "load_context", spy)
         monkeypatch.setattr(ArtifactStore, "load_shard", spy)
-        build_context(tiny_scale(), with_imdb_pool=False, store=store,
-                      use_cache=False)
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        build_context(tiny_scale(), store=store)
         assert not sentinel["loaded"]
 
     def test_invalid_workers_rejected_even_on_warm_cache(self, warm_store,
@@ -153,10 +162,10 @@ class TestRoundTrip:
         monkeypatch.setattr(backends, "execute_shard", poison)
         for workers in ("0", "-1"):
             monkeypatch.setenv("REPRO_WORKERS", workers)
-            for cached in (True, False):
+            for cached in ("1", "0"):
+                monkeypatch.setenv("REPRO_CACHE", cached)
                 with pytest.raises(ExperimentError):
-                    build_context(tiny_scale(), with_imdb_pool=False,
-                                  store=store, use_cache=cached)
+                    build_context(tiny_scale(), store=store)
 
     def test_repro_cache_env_disables(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", "0")
@@ -169,12 +178,10 @@ class TestKeying:
     def test_key_is_deterministic(self):
         assert context_key(tiny_scale()) == context_key(tiny_scale())
 
-    def test_key_depends_on_scale_and_pool(self):
+    def test_key_depends_on_scale(self):
         base = tiny_scale()
         reseeded = dataclasses.replace(base, seed=base.seed + 1)
         assert context_key(base) != context_key(reseeded)
-        assert context_key(base, with_imdb_pool=True) != \
-            context_key(base, with_imdb_pool=False)
 
     def test_incomplete_entry_is_a_miss(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -188,15 +195,14 @@ class TestKeying:
         """A crashed writer's leftover must not poison the key forever."""
         fresh = ArtifactStore(tmp_path)
         scale = tiny_scale()
-        leftover = fresh._entry_dir(scale, with_imdb_pool=False)
+        leftover = fresh._entry_dir(scale)
         leftover.mkdir(parents=True)       # incomplete: no COMPLETE marker
         (leftover / "context.pkl").write_bytes(b"garbage")
 
         _, context = warm_store
-        assert fresh.save_context(context, with_imdb_pool=False) == leftover
+        assert fresh.save_context(context) == leftover
         assert complete(leftover)
-        reloaded = fresh.load_context(scale, context.corpus,
-                                      with_imdb_pool=False)
+        reloaded = fresh.load_context(scale, context.corpus)
         assert reloaded is not None
         assert reloaded.corpus is context.corpus
         assert_same_predictions(context, reloaded)
@@ -206,24 +212,18 @@ class TestOneCopyOnDisk:
     """The ``ShardExecution`` pickle is the only persisted form of a
     training database; a context entry holds only what shards do not."""
 
-    def test_store_holds_each_database_once(self, warm_store, tmp_path,
-                                            executed_names):
-        source, _ = warm_store             # the pool-off context, cold
-        store = ArtifactStore(tmp_path / "copy")
-        shutil.copytree(source.root, store.root)
-        build_context(tiny_scale(), with_imdb_pool=True, store=store,
-                      use_cache=True)      # the pool-on context, cold
-        assert executed_names == []        # ... over the same two shards
+    def test_store_holds_each_database_once(self, warm_store):
+        store, _ = warm_store
         files = [path.relative_to(store.root) for path
                  in store.root.rglob("*") if path.is_file()]
-        assert len(store.entries()) == 2
+        assert len(store.entries()) == 1
         assert sorted(info["database"] for info in store.shard_entries()) \
             == ["train_db_0", "train_db_1"]
         assert sum(path.name == "payload.pkl" for path in files) == 2
-        assert sum(path.name == "context.pkl" for path in files) == 2
+        assert sum(path.name == "context.pkl" for path in files) == 1
         assert not [path for path in store.root.rglob("corpus")]
-        # Every pickle in the store is one of those four.
-        assert sum(path.suffix == ".pkl" for path in files) == 4
+        # Every pickle in the store is one of those three.
+        assert sum(path.suffix == ".pkl" for path in files) == 3
         for entry in store.root.glob("*/ctx-*"):
             assert sorted(path.name for path in entry.iterdir()) == \
                 ["COMPLETE", "context.pkl", "models", "scale.json"]
@@ -247,8 +247,7 @@ class TestOneCopyOnDisk:
             raise AssertionError("a stored context was rebuilt")
 
         monkeypatch.setattr(experiment_setup, "train_zero_shot_models", poison)
-        healed = build_context(tiny_scale(), with_imdb_pool=False,
-                               store=store, use_cache=True)
+        healed = build_context(tiny_scale(), store=store)
         assert executed_names == ["train_db_1"]
         assert len(store.shard_entries()) == 2
         for name, records in cold.corpus.records_by_database.items():
@@ -257,6 +256,30 @@ class TestOneCopyOnDisk:
                 [(r.runtime_seconds, r.operator_cardinalities)
                  for r in records]
         assert_same_predictions(cold, healed)
+
+
+class TestOneContextPerScale:
+    def test_pool_and_no_pool_drivers_share_one_context(self, tmp_path,
+                                                        monkeypatch):
+        """A driver that reads no IMDB pool, then one that does, each run
+        standalone against one store: one context entry, one training of
+        the zero-shot models.  (A context without its pool once had a key
+        of its own, so the second driver trained them again.)"""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        trainings = []
+        train = experiment_setup.train_zero_shot_models
+
+        def counting(*args, **kwargs):
+            trainings.append(args)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(experiment_setup, "train_zero_shot_models",
+                            counting)
+        run_resources(tiny_scale())
+        run_fewshot(tiny_scale())
+        assert len(trainings) == 1
+        assert [info["key"] for info in ArtifactStore(tmp_path).entries()] \
+            == [context_key(tiny_scale())]
 
 
 def _truncate(path, keep=0.6):
@@ -281,19 +304,16 @@ class TestTruncatedEntries:
         _, context = warm_store
         store = ArtifactStore(tmp_path)
         scale = tiny_scale()
-        entry = store.save_context(context, with_imdb_pool=False)
-        assert store.load_context(scale, context.corpus,
-                                  with_imdb_pool=False) is not None
+        entry = store.save_context(context)
+        assert store.load_context(scale, context.corpus) is not None
         _truncate(entry / victim)
         assert complete(entry)
 
-        assert store.load_context(scale, context.corpus,
-                                  with_imdb_pool=False) is None
+        assert store.load_context(scale, context.corpus) is None
         # Demoted, so the rebuilt context is published over it.
         assert not complete(entry)
-        store.save_context(context, with_imdb_pool=False)
-        reloaded = store.load_context(scale, context.corpus,
-                                      with_imdb_pool=False)
+        store.save_context(context)
+        reloaded = store.load_context(scale, context.corpus)
         assert reloaded is not None
         assert_same_predictions(context, reloaded)
 

@@ -20,6 +20,7 @@ commit it together with the change::
 import dataclasses
 import enum
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -107,7 +108,8 @@ def flatten(value, path: str) -> dict[str, float]:
 
 
 def regenerate() -> None:
-    context = build_context(ExperimentScale.quick(), use_cache=False)
+    os.environ["REPRO_CACHE"] = "0"      # nothing stale from a store
+    context = build_context(ExperimentScale.quick())
     numbers = {}
     for name, run in DRIVERS.items():
         numbers.update(flatten(run(context), name))
@@ -245,6 +247,12 @@ class TestSetup:
             ExperimentScale(seed=-1)
         with pytest.raises(ExperimentError):
             ExperimentScale(training_budgets=())
+        with pytest.raises(ExperimentError):
+            ExperimentScale(fewshot_budgets=())
+        # Every budget must fit the IMDB pool, the largest training
+        # budget: the drivers slice the pool without checking.
+        with pytest.raises(ExperimentError, match="exceed the IMDB pool"):
+            ExperimentScale(training_budgets=(30,), fewshot_budgets=(10, 50))
         # A negative budget once sliced the IMDB pool from its end.
         for budgets in ({"training_budgets": (0, 10)},
                         {"fewshot_budgets": (-5,)}):
@@ -272,7 +280,7 @@ class TestSetup:
         monkeypatch.setattr(backends, "execute_shard", poison)
         monkeypatch.setenv("REPRO_WORKERS", "-1")
         with pytest.raises(ExperimentError):
-            build_context(ExperimentScale.quick(), use_cache=False)
+            build_context(ExperimentScale.quick())
 
     def test_scale_presets(self):
         assert ExperimentScale.paper().num_training_databases == 19
@@ -483,7 +491,7 @@ class TestHardware:
         """The driver collects and fits only the multi-machine fleet; its
         hardware-blind baseline is the context's exact-cardinality model,
         scored on the context's IMDB database."""
-        assert hardware_calls["systems"] == [list(TRAIN_CONFIGS)]
+        assert hardware_calls["systems"] == [TRAIN_CONFIGS]
         assert hardware_calls["fits"] == 1
         [(database, records)] = hardware_calls["holdout"]
         assert database is quick_context.imdb
@@ -491,6 +499,19 @@ class TestHardware:
         assert result.single_stats == score(
             baseline.predict_runtime([r.plan for r in records], database),
             np.array([r.runtime_seconds for r in records]))
+
+    @pytest.mark.hardware
+    def test_second_call_executes_no_shard(self, result, quick_context,
+                                           executed_names, monkeypatch):
+        """The multi-machine fleet is collected through the artifact
+        store: once a call has stored its shards, the next executes none
+        and returns the same numbers."""
+        monkeypatch.setenv("REPRO_CACHE", "1")
+        run_hardware(context=quick_context)   # stores what is missing
+        executed_names.clear()
+        again = run_hardware(context=quick_context)
+        assert executed_names == []
+        assert flatten(again, "hardware") == flatten(result, "hardware")
 
     @pytest.mark.hardware
     def test_advisor_ran_on_holdout(self, result):

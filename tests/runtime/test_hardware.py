@@ -14,6 +14,7 @@ from repro.engine import execute_plan
 from repro.errors import ExecutionError
 from repro.optimizer import plan_query
 from repro.plans.operators import HashAggregate
+from repro.plans.plan import walk_plan
 from repro.runtime import (
     RuntimeSimulator,
     SystemParameters,
@@ -148,6 +149,38 @@ WORKLOAD = (
 )
 
 
+#: Seconds may fall by rounding alone: an index nested loop is charged
+#: as the difference of two inner index-scan costs, whose row terms
+#: cancel only to the last bits of those costs, each at most the plan's
+#: runtime.  Rounding is allowed this share of the raised plan's runtime.
+SECONDS_RTOL = 1e-12
+
+
+def assert_monotone_in_rows(simulator, plan, runtime):
+    """Raising one operator's ``actual_rows`` (+1, x2+1, +30 000) never
+    lowers the plan's runtime, any operator's seconds, the memory peak
+    or the IO.  Only non-decrease: the spill and probe-cost terms step
+    up by design."""
+    for node in walk_plan(plan.root):
+        rows = node.actual_rows
+        for raised in (rows + 1, 2 * rows + 1, rows + 30_000):
+            node.actual_rows = raised
+            try:
+                more = simulator.simulate(plan)
+            finally:
+                node.actual_rows = rows
+            context = (node.operator_name, rows, raised)
+            assert more.memory_peak_bytes >= runtime.memory_peak_bytes, \
+                context
+            assert more.io_pages >= runtime.io_pages, context
+            pairs = [(more.total_seconds, runtime.total_seconds)] + [
+                (more.node_seconds[key], seconds)
+                for key, seconds in runtime.node_seconds.items()]
+            rounding = SECONDS_RTOL * more.total_seconds
+            for raised_seconds, seconds in pairs:
+                assert raised_seconds >= seconds - rounding, context
+
+
 class TestCrossMachineMonotonicity:
     def test_faster_cpu_is_never_slower(self, tiny_imdb):
         """faster_cpu only lowers CPU coefficients, so no plan may get
@@ -177,7 +210,8 @@ class TestCrossMachineMonotonicity:
         slower than ``default``.  Tables of up to 40 000 rows cross
         ``work_mem_tuples`` (25 000), so spilling plans are among them;
         the spill terms step there by design, so nothing here asks for
-        continuity."""
+        continuity.  Each is also monotone in every operator's rows
+        (:func:`assert_monotone_in_rows`)."""
         database = generate_database(SyntheticDatabaseSpec(
             "physics", seed=database_seed, num_tables=num_tables,
             min_rows=200, max_rows=max_rows))
@@ -197,6 +231,7 @@ class TestCrossMachineMonotonicity:
                           runtime.io_pages, *runtime.node_seconds.values()]
                 assert np.isfinite(values).all() and min(values) >= 0, name
                 seconds[name] = runtime.total_seconds
+                assert_monotone_in_rows(simulator, plan, runtime)
             assert seconds["faster-cpu"] <= seconds["default"]
 
     def test_slow_disk_never_speeds_up_hot_io(self, tiny_imdb):

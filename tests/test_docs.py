@@ -7,7 +7,9 @@ docs/TESTING.md / PAPER.md from rotting:
   resolved against the real package (modules imported, attributes
   fetched),
 * the public symbols the README repo map and quickstart lean on are
-  asserted by name.
+  asserted by name,
+* every path into the artifact store names the current
+  ``CACHE_FORMAT_VERSION``.
 """
 
 import configparser
@@ -18,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.experiments.cache import CACHE_FORMAT_VERSION
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -26,6 +29,11 @@ DOC_FILES = ["README.md", "docs/ARCHITECTURE.md", "docs/TRAINING.md",
 
 #: ``repro.foo.bar`` / ``repro.foo.Symbol`` inside backticks.
 _REFERENCE = re.compile(r"`(repro(?:\.[A-Za-z_][A-Za-z0-9_]*)+)`")
+
+#: The format-version directory of a path into the artifact store, as
+#: the documents draw it: ``~/.cache/repro/v8/``, the ``└── v8/`` of a
+#: layout tree, or "the format-version directory (``v8``, ...)".
+_CACHE_VERSION = re.compile(r"(?:\.cache/repro/|└── |directory \(``)(v\d+)\b")
 
 #: Public names the README's repo map and quickstart snippet rely on.
 README_SYMBOLS = [
@@ -118,3 +126,16 @@ class TestReferencesResolve:
         for name in README_SYMBOLS:
             assert any(hasattr(ns, name) for ns in namespaces), \
                 f"README references {name}, which no public namespace exports"
+
+
+class TestCachePaths:
+    def test_every_cache_path_names_the_current_format(self):
+        """A store path in the docs that names an older format version
+        sends a reader to a directory the code no longer writes."""
+        versions = {path: _CACHE_VERSION.findall(
+            (REPO_ROOT / path).read_text(encoding="utf-8"))
+            for path in DOC_FILES}
+        assert versions["README.md"] and versions["docs/TRAINING.md"]
+        stale = {path: found for path, found in versions.items()
+                 if set(found) - {CACHE_FORMAT_VERSION}}
+        assert not stale, f"docs name a stale store version: {stale}"

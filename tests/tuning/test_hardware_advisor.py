@@ -3,9 +3,9 @@
 import pytest
 
 from repro.db import SyntheticDatabaseSpec, generate_database
-from repro.errors import ModelError
+from repro.errors import ExecutionError, ModelError
 from repro.models import TrainerConfig, ZeroShotConfig, ZeroShotEstimator
-from repro.runtime import SystemParameters, available_system_configs
+from repro.runtime import available_system_configs
 from repro.tuning import HardwareAdvisor
 
 from tests.models.conftest import _simple_queries
@@ -57,16 +57,17 @@ class TestHardwareAdvisor:
         assert len(set(seconds)) > 1
         assert recommendation.best.name == recommendation.options[0].name
 
-    def test_explicit_candidates(self, hardware_dbs, aware_estimator,
-                                 workload):
-        advisor = HardwareAdvisor(hardware_dbs[0], aware_estimator)
-        recommendation = advisor.recommend(
-            workload, candidates={"nvme": "fast-disk",
-                                  "spinner": SystemParameters.slow_disk()})
-        assert {o.name for o in recommendation.options} == {"nvme", "spinner"}
-        speedups = {o.name: o.predicted_speedup
-                    for o in recommendation.options}
-        assert all(value > 0 for value in speedups.values())
+    def test_baseline_is_any_named_machine(self, hardware_dbs,
+                                           aware_estimator, workload):
+        advisor = HardwareAdvisor(hardware_dbs[0], aware_estimator,
+                                  baseline="slow-disk")
+        recommendation = advisor.recommend(workload)
+        assert {o.name for o in recommendation.options} == \
+            set(available_system_configs()) - {"slow-disk"}
+        assert all(o.predicted_speedup > 0 for o in recommendation.options)
+        with pytest.raises(ExecutionError, match="unknown system config"):
+            HardwareAdvisor(hardware_dbs[0], aware_estimator,
+                            baseline="no-such-machine")
 
     def test_blind_model_rejected(self, hardware_dbs):
         blind = ZeroShotEstimator(ZeroShotConfig(hidden_dim=32))

@@ -8,7 +8,6 @@ asserts in-process and pooled corpora are record-identical, and equal
 to the labels pinned before the collectors were merged.
 """
 
-import dataclasses
 import hashlib
 import pickle
 
@@ -98,25 +97,18 @@ class TestShardSeeds:
         with pytest.raises(ExperimentError):
             shard_seeds(-1, 0)
 
-    def test_workload_template_preserved(self, tiny_specs):
-        template = WorkloadSpec(num_queries=1, max_tables=2,
-                                max_predicates=1, seed=0)
-        shards = make_corpus_shards(tiny_specs, 5, seed=23,
-                                    workload_spec=template)
+    def test_each_shard_gets_its_own_workload_seed(self, tiny_specs):
+        shards = make_corpus_shards(tiny_specs, 5, seed=23)
         for index, shard in enumerate(shards):
-            assert shard.workload_spec.max_tables == 2
-            assert shard.workload_spec.max_predicates == 1
-            assert shard.workload_spec.num_queries == 5
-            assert shard.workload_spec.seed == shard_seeds(23, index)[1]
+            assert shard.workload_spec == WorkloadSpec(
+                num_queries=5, seed=shard_seeds(23, index)[1])
+        assert len({s.workload_spec.seed for s in shards}) == len(shards)
 
-    def test_workload_template_reaches_the_generator(self, tiny_specs,
-                                                     monkeypatch):
-        """Every field of the template except ``num_queries`` and
-        ``seed`` reaches ``generate_workload`` for every database, and
-        each database gets its own workload seed.  (The eager collector
-        reset ``wide_join_filter_probability`` to its default when the
-        query count differed, and ran every database on the template's
-        one seed when it did not.)"""
+    def test_workload_spec_reaches_the_generator(self, tiny_specs,
+                                                 monkeypatch):
+        """``generate_workload`` sees each database once, with the
+        shard's own spec: the query count asked for and the database's
+        own workload seed."""
         received = []
         generate = backends.generate_workload
 
@@ -125,20 +117,10 @@ class TestShardSeeds:
             return generate(database, spec)
 
         monkeypatch.setattr(backends, "generate_workload", spy)
-        for template in (
-                WorkloadSpec(num_queries=1, max_tables=3,
-                             wide_join_filter_probability=0.0, seed=5),
-                WorkloadSpec(num_queries=4, max_tables=3,
-                             wide_join_filter_probability=0.0, seed=5)):
-            received.clear()
-            collect_training_corpus(tiny_specs, 4, seed=23,
-                                    workload_spec=template, workers=1)
-            assert len(received) == len(tiny_specs)
-            for index, spec in enumerate(received):
-                assert spec == dataclasses.replace(
-                    template, num_queries=4,
-                    seed=shard_seeds(23, index)[1])
-            assert len({spec.seed for spec in received}) == len(tiny_specs)
+        collect_training_corpus(tiny_specs, 4, seed=23, workers=1)
+        assert received == [
+            WorkloadSpec(num_queries=4, seed=shard_seeds(23, index)[1])
+            for index in range(len(tiny_specs))]
 
 
 #: SHA-256 over ``(str(query), runtime_seconds, operator_cardinalities)``
