@@ -279,7 +279,7 @@ def five_way_setup():
     records = runner.run(generate_workload(
         database, WorkloadSpec(num_queries=40, max_tables=5, seed=4)))
     estimator = get_estimator(
-        "zero-shot-cardinality",
+        "zero-shot",
         config=ZeroShotConfig(hidden_dim=16, cardinality_head=True))
     estimator.fit(records, database, TrainerConfig(
         epochs=3, batch_size=16, early_stopping_patience=5))
@@ -326,7 +326,7 @@ def test_fragment_dedup_node_forward_reduction(five_way_setup):
 
     learned, counted, core = _counting_estimator(database, estimator)
     try:
-        learned.joined_rows(query, frozenset(query.table_names))
+        learned.bind(query).joined_rows(frozenset(query.table_names))
     finally:
         del core.predict_cardinalities_from_encoded
     primed = dict(learned._cache.get(query))

@@ -7,9 +7,10 @@ example runs the whole loop:
 
 1. collect executed workloads on a small training fleet — every record
    carries per-operator true cardinalities (``operator_cardinalities``),
-2. train the multi-task cardinality head
-   (``get_estimator("zero-shot-cardinality")``: runtime + per-operator
-   log-cardinality losses over one message-passing trunk),
+2. train the zero-shot model with its cardinality head
+   (``ZeroShotEstimator(config=ZeroShotConfig(cardinality_head=True))``:
+   runtime + per-operator log-cardinality losses over one
+   message-passing trunk),
 3. predict per-operator cardinalities for plans on an UNSEEN IMDB
    database and compare heuristic vs. learned Q-errors,
 4. inject the learned estimates into the DP join enumerator via
@@ -21,7 +22,12 @@ Run:  python examples/cardinality_estimation.py
 import numpy as np
 
 from repro.db import generate_training_database_specs, make_imdb_database
-from repro.models import TrainerConfig, get_estimator, q_error_stats
+from repro.models import (
+    TrainerConfig,
+    ZeroShotConfig,
+    ZeroShotEstimator,
+    q_error_stats,
+)
 from repro.models.cardinality import record_cardinalities
 from repro.optimizer import LearnedCardinalityEstimator, Planner
 from repro.plans.plan import walk_plan
@@ -48,7 +54,8 @@ def main() -> None:
     # 2. Train the multi-task cardinality head.
     # ------------------------------------------------------------------
     print("Training the zero-shot cardinality head ...")
-    estimator = get_estimator("zero-shot-cardinality")
+    estimator = ZeroShotEstimator(
+        config=ZeroShotConfig(cardinality_head=True))
     estimator.fit(corpus.all_records(), corpus.databases,
                   TrainerConfig(epochs=40, batch_size=32))
 

@@ -31,11 +31,8 @@ from repro.experiments.setup import (
     score,
 )
 from repro.featurize.vocabulary import scan_predicates
-from repro.models import clamp_predictions
-from repro.models.cardinality import (
-    ZeroShotCardinalityEstimator,
-    record_cardinalities,
-)
+from repro.models import ZeroShotEstimator, clamp_predictions
+from repro.models.cardinality import record_cardinalities
 from repro.models.metrics import QErrorStats
 from repro.optimizer.learned_cardinality import LearnedCardinalityEstimator
 from repro.plans.operators import (
@@ -97,11 +94,11 @@ class CardinalityResult:
 
 
 def _train_cardinality_estimator(context: ExperimentContext
-                                 ) -> ZeroShotCardinalityEstimator:
+                                 ) -> ZeroShotEstimator:
     """Fit the multi-task cardinality head on the shared corpus."""
     scale = context.scale
-    config = replace(scale.zero_shot_config, cardinality_head=True)
-    estimator = ZeroShotCardinalityEstimator(config=config)
+    estimator = ZeroShotEstimator(
+        config=replace(scale.zero_shot_config, cardinality_head=True))
     estimator.fit(context.corpus.all_records(), context.corpus.databases,
                   scale.zero_shot_trainer)
     return estimator

@@ -13,7 +13,8 @@
   queries of the unseen database.
 * :mod:`~repro.models.cardinality` — the second zero-shot task:
   per-operator cardinality estimation via a residual readout head
-  trained multi-task with the runtime head.
+  (``ZeroShotConfig(cardinality_head=True)``) trained multi-task with
+  the runtime head.
 
 The four learned core models share one base
 (:class:`~repro.models.trainer.CoreCostModel`: target statistics, the
@@ -37,7 +38,6 @@ from repro.models.api import (
     peek_manifest,
     resolve_plans,
 )
-from repro.models.cardinality import ZeroShotCardinalityEstimator
 from repro.models.e2e import E2ECostModel
 from repro.models.estimators import ZeroShotEstimator
 from repro.models.fewshot import fine_tune
@@ -57,8 +57,7 @@ from repro.models.zero_shot import ZeroShotConfig, ZeroShotCostModel
 #: :func:`load_estimator` and :func:`peek_manifest` dispatch on.
 ESTIMATORS = {
     estimator.name: estimator
-    for estimator in (ZeroShotEstimator, ZeroShotCardinalityEstimator,
-                      estimators.FlatVectorEstimator,
+    for estimator in (ZeroShotEstimator, estimators.FlatVectorEstimator,
                       estimators.MSCNEstimator, estimators.E2EEstimator,
                       estimators.ScaledOptimizerCostEstimator)
 }
@@ -71,7 +70,6 @@ __all__ = [
     "QErrorStats",
     "ScaledOptimizerCost",
     "TrainerConfig",
-    "ZeroShotCardinalityEstimator",
     "ZeroShotConfig",
     "ZeroShotCostModel",
     "ZeroShotEstimator",

@@ -42,8 +42,10 @@ from repro.models.api import (
     OUT_OF_VOCABULARY,
     CostEstimator,
     _database_map,
+    resolve_plans,
     single_database,
 )
+from repro.models.cardinality import record_cardinalities
 from repro.models.e2e import E2EConfig, E2ECostModel
 from repro.models.fewshot import fine_tune
 from repro.models.flat import FlatVectorCostModel
@@ -58,6 +60,7 @@ from repro.models.zero_shot import ZeroShotConfig, ZeroShotCostModel
 from repro.nn.serialize import save_state
 from repro.plans.plan import PhysicalPlan
 from repro.runtime import SystemParameters
+from repro.sql.ast import Query
 
 __all__ = [
     "E2EEstimator",
@@ -86,17 +89,12 @@ class _GraphEstimator(CostEstimator):
     def history(self) -> TrainingHistory | None:
         return self.model.history
 
-    def _extra_labels(self, record) -> dict:
-        """Featurizer keyword labels beyond the runtime (none here)."""
-        return {}
-
     def _labelled_graphs(self, records, databases) -> list[PlanGraph]:
-        """Executed records → labelled training graphs (the one
+        """Executed records → runtime-labelled training graphs (the
         record-featurize loop behind ``fit`` and ``fine_tune``)."""
         mapping = _database_map(records, databases, self.name)
         return [self.featurizer.featurize(r.plan, mapping[r.database_name],
-                                          r.runtime_seconds,
-                                          **self._extra_labels(r))
+                                          r.runtime_seconds)
                 for r in records]
 
     def fit(self, records, databases, trainer: TrainerConfig | None = None):
@@ -120,6 +118,12 @@ class ZeroShotEstimator(_GraphEstimator):
     :attr:`~repro.models.zero_shot.ZeroShotConfig.system_features`, in
     which case every featurized plan carries that machine's node (the
     hardware-transfer axis).  Hardware-blind models ignore it.
+
+    A model built with ``ZeroShotConfig(cardinality_head=True)`` is the
+    paper's second zero-shot task on the same trunk: ``fit`` and
+    ``fine_tune`` train it multi-task on runtime *and* per-operator
+    log-cardinality labels, and :meth:`predict_cardinalities` reads its
+    cardinality readout.
     """
 
     name = "zero-shot"
@@ -145,6 +149,19 @@ class ZeroShotEstimator(_GraphEstimator):
         directly (ablations)."""
         return [self.featurizer.featurize(p, database) for p in plans]
 
+    def _labelled_graphs(self, records, databases) -> list[PlanGraph]:
+        """Training graphs; a model with the cardinality head also gets
+        every record's per-operator labels, so ``fit`` and
+        ``fine_tune`` both train the joint loss: a runtime-only update
+        would silently decalibrate :meth:`predict_cardinalities`."""
+        if not self.model.config.cardinality_head:
+            return super()._labelled_graphs(records, databases)
+        mapping = _database_map(records, databases, self.name)
+        return [self.featurizer.featurize(r.plan, mapping[r.database_name],
+                                          r.runtime_seconds,
+                                          record_cardinalities(r))
+                for r in records]
+
     # -- contract ------------------------------------------------------
     def fit_graphs(self, graphs: list[PlanGraph],
                    trainer: TrainerConfig | None = None
@@ -159,14 +176,26 @@ class ZeroShotEstimator(_GraphEstimator):
                   ) -> "ZeroShotEstimator":
         """Few-shot adaptation: a fine-tuned *copy* on the target
         database's executed records (see :func:`repro.models.fine_tune`).
-
-        Returns an instance of the *caller's* class, so subclasses (the
-        cardinality head) keep their full surface and save under their
-        own manifest name.
         """
         graphs = self._labelled_graphs(records, database)
-        return type(self)(model=fine_tune(self.model, graphs, trainer),
-                          source=self.source, system=self.system)
+        return ZeroShotEstimator(model=fine_tune(self.model, graphs, trainer),
+                                 source=self.source, system=self.system)
+
+    def predict_cardinalities(self,
+                              plans: Sequence["PhysicalPlan | Query | str"],
+                              database: Database | None = None
+                              ) -> list[np.ndarray]:
+        """Per-plan arrays of predicted operator output cardinalities
+        (rows, >= 0), for a model with the cardinality head.
+
+        Each array aligns with the plan's operators in pre-order (the
+        order :func:`repro.plans.plan.walk_plan` yields); entry 0 is
+        the plan root.  A model without the head raises
+        :class:`~repro.errors.ModelError`.
+        """
+        self._require_fitted()
+        return self.model.predict_cardinalities_from_encoded(
+            self.encode_plans(resolve_plans(plans, database), database))
 
     # -- persistence ---------------------------------------------------
     def save(self, directory) -> None:

@@ -287,10 +287,10 @@ class ZeroShotCostModel(CoreCostModel):
                 g.target_log_cardinalities is None for g in graphs):
             raise ModelError(
                 "training a cardinality-head model needs per-operator "
-                "cardinality labels on every graph (featurize with "
-                "operator cardinalities / corpus.featurize("
-                "with_cardinalities=True)) — a runtime-only update would "
-                "silently decalibrate the shared trunk against the "
+                "cardinality labels on every graph (ZeroShotEstimator.fit "
+                "/ fine_tune attach them from the records, or featurize "
+                "with operator_cardinalities) — a runtime-only update "
+                "would silently decalibrate the shared trunk against the "
                 "cardinality readout"
             )
 

@@ -113,7 +113,7 @@ class BoundCardinalities:
     # ------------------------------------------------------------------
     # Joins
     # ------------------------------------------------------------------
-    def join_selectivity(self, join: JoinCondition) -> float:
+    def _edge_selectivity(self, join: JoinCondition) -> float:
         """Postgres eqjoinsel: ``1 / max(ndv_left, ndv_right)``."""
         cached = self._join_selectivity.get(join)
         if cached is None:
@@ -167,7 +167,7 @@ class BoundCardinalities:
                 if left_root == right_root:
                     continue  # redundant within an equivalence class
                 parent[left_root] = right_root
-                rows *= self.join_selectivity(join)
+                rows *= self._edge_selectivity(join)
         return max(rows, 1.0)
 
     # ------------------------------------------------------------------
@@ -198,24 +198,3 @@ class CardinalityEstimator:
     def bind(self, query: Query) -> BoundCardinalities:
         """The estimates for ``query``, each computed at most once."""
         return BoundCardinalities(self.database, query)
-
-    def table_rows(self, alias: str, query: Query) -> float:
-        return self.bind(query).table_rows(alias)
-
-    def predicate_selectivity(self, query: Query, predicate: Predicate) -> float:
-        return self.bind(query).predicate_selectivity(predicate)
-
-    def scan_selectivity(self, query: Query, alias: str) -> float:
-        return self.bind(query).scan_selectivity(alias)
-
-    def scan_rows(self, query: Query, alias: str) -> float:
-        return self.bind(query).scan_rows(alias)
-
-    def join_selectivity(self, query: Query, join: JoinCondition) -> float:
-        return self.bind(query).join_selectivity(join)
-
-    def joined_rows(self, query: Query, aliases: frozenset[str]) -> float:
-        return self.bind(query).joined_rows(aliases)
-
-    def group_count(self, query: Query, input_rows: float) -> float:
-        return self.bind(query).group_count(input_rows)

@@ -47,10 +47,8 @@ from repro.errors import (
     PlanError,
     QueryError,
 )
-from repro.models.cardinality import (
-    ZeroShotCardinalityEstimator,
-    require_deployable,
-)
+from repro.models.cardinality import require_deployable
+from repro.models.estimators import ZeroShotEstimator
 from repro.optimizer.cardinality import (
     BoundCardinalities,
     CardinalityEstimator,
@@ -97,9 +95,9 @@ class LearnedCardinalityEstimator(CardinalityEstimator):
     database:
         The database plans are being built for.
     model:
-        A fitted
-        :class:`~repro.models.cardinality.ZeroShotCardinalityEstimator`,
-        the estimator with ``predict_cardinalities``.
+        A fitted :class:`~repro.models.estimators.ZeroShotEstimator`
+        whose model was built with
+        ``ZeroShotConfig(cardinality_head=True)``.
     cached_queries:
         LRU bound on the number of *queries* whose fragment estimates
         are cached (each query's DP search prices O(2^k) fragments; a
@@ -108,14 +106,16 @@ class LearnedCardinalityEstimator(CardinalityEstimator):
     """
 
     def __init__(self, database: Database,
-                 model: ZeroShotCardinalityEstimator,
+                 model: ZeroShotEstimator,
                  cached_queries: int = 256):
         require_deployable(model, "learned cardinality estimation")
-        if not isinstance(model, ZeroShotCardinalityEstimator):
+        if not (isinstance(model, ZeroShotEstimator)
+                and model.model.config.cardinality_head):
             raise ModelError(
-                "LearnedCardinalityEstimator needs a "
-                "ZeroShotCardinalityEstimator (the estimator with "
-                f"predict_cardinalities), not {type(model).__name__}"
+                "LearnedCardinalityEstimator needs a ZeroShotEstimator "
+                "whose model has the cardinality head (built with "
+                "ZeroShotConfig(cardinality_head=True)), not "
+                f"{type(model).__name__}"
             )
         if cached_queries < 1:
             raise ModelError("cached_queries must be positive")

@@ -13,7 +13,7 @@ zero-shot model pick the plan with the lowest *predicted runtime*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,7 +42,6 @@ _HINT_SETS: tuple[dict, ...] = (
 
 
 def candidate_plans(database: Database, query: Query,
-                    base_options: PlannerOptions | None = None,
                     cardinality_estimator=None) -> list[PhysicalPlan]:
     """Generate a de-duplicated portfolio of candidate plans.
 
@@ -57,13 +56,10 @@ def candidate_plans(database: Database, query: Query,
     replaces the classical histogram estimates inside every hint-set
     planning run.
     """
-    base = base_options or PlannerOptions()
     plans: list[PhysicalPlan] = []
     seen: set[tuple] = set()
     for hints in _HINT_SETS:
-        # replace() carries every other option of ``base`` (the rewrite
-        # toggle, hypothetical indexes) into each hint-set run.
-        planner = Planner(database, replace(base, **hints),
+        planner = Planner(database, PlannerOptions(**hints),
                           cardinality_estimator=cardinality_estimator)
         try:
             plan = planner.plan(query)

@@ -29,10 +29,13 @@ refresh a fine-tuned estimator without dropping requests.
   lock it pops requests with, so **every batch is served by exactly one
   model version, every response is tagged with that version, and no
   request is dropped** during a swap;
-* **fault isolation** — an estimator error (or an answer of the wrong
-  length) poisons only the batch it occurred in: those requests fail
-  with the original exception, the batcher thread survives, and
-  subsequent batches are served normally;
+* **fault isolation** — one bad request fails alone: when an estimator
+  error (or an answer of the wrong length) fails a batch, the batcher
+  serves each half of it again under the same pinned model version,
+  down to single requests, so only the requests that fail on their own
+  get the error (the original exception); the batcher thread survives,
+  and subsequent batches are served normally.  A batch that succeeds
+  costs one ``predict_runtime`` call, as before;
 * **fail-stop** — anything that escapes the batcher loop stops the
   server instead of leaving it accepting requests nobody will answer:
   every in-flight and queued request fails with a
@@ -144,7 +147,7 @@ class PendingPrediction:
     Created by :meth:`PredictionServer.submit`; :meth:`result` blocks
     until the batcher answers (or ``timeout`` elapses) and either
     returns the :class:`PredictionResponse` or re-raises the estimator
-    error that poisoned the request's batch.
+    error the request failed with when served alone.
     """
 
     __slots__ = ("item", "tenant", "_enqueued_at", "_unanswered",
@@ -463,6 +466,19 @@ class PredictionServer:
     def _execute(self, batch: list[PendingPrediction],
                  service: CostModelService, version: str,
                  index: int) -> None:
+        self.stats.add(batches=1)
+        self._serve(batch, service, version, index)
+
+    def _serve(self, batch: list[PendingPrediction],
+               service: CostModelService, version: str,
+               index: int) -> None:
+        """Answer ``batch`` with one ``predict_runtime`` call.
+
+        If that call fails, each half is served alone under the same
+        pinned ``(service, version, index)``, down to single requests:
+        only a request that fails on its own gets the error, the
+        original exception of its own call.
+        """
         try:
             runtimes = service.predict_runtime([p.item for p in batch])
             if len(runtimes) != len(batch):
@@ -472,16 +488,17 @@ class PredictionServer:
                     f"estimator returned {len(runtimes)} predictions "
                     f"for a batch of {len(batch)} requests")
         except Exception as error:
-            # Poisoned batch: fail exactly these requests with the
-            # original error; the batcher survives and the next batch
-            # is served normally.
-            self.stats.add(batches=1, failures=len(batch))
-            for pending in batch:
-                pending._fail(error)
+            if len(batch) > 1:
+                middle = len(batch) // 2
+                self._serve(batch[:middle], service, version, index)
+                self._serve(batch[middle:], service, version, index)
+                return
+            self.stats.add(failures=1)
+            batch[0]._fail(error)
             return
         now = time.perf_counter()
         latencies = [now - pending._enqueued_at for pending in batch]
-        self.stats.add(batches=1, requests=len(batch))
+        self.stats.add(requests=len(batch))
         self.stats.observe_latencies(latencies)
         for pending, runtime, latency in zip(batch, runtimes, latencies):
             pending._resolve(PredictionResponse(

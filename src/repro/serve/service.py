@@ -170,22 +170,19 @@ class CostModelService:
         self.stats = ServiceStats(cache=self._cache)
 
     # ------------------------------------------------------------------
-    def _encoded_chunks(self, items: Sequence["PhysicalPlan | str | Any"]):
-        """Encode (through the cache) and yield micro-batches, keeping
-        the request/batch accounting in one place for every prediction
-        surface."""
-        encoded = [self._encode(item)[0] for item in items]
-        self.stats.add(requests=len(encoded))
-        for start in range(0, len(encoded), self.max_batch_size):
-            self.stats.add(batches=1)
-            yield encoded[start:start + self.max_batch_size]
-
     def predict_log_runtime(self,
                             items: Sequence["PhysicalPlan | str | Any"]
                             ) -> np.ndarray:
-        """Predicted log-runtimes for a batch of plans / queries / SQL."""
-        outputs = [self._predict_distinct(chunk)
-                   for chunk in self._encoded_chunks(items)]
+        """Predicted log-runtimes for a batch of plans / queries / SQL:
+        every item encoded through the cache, then forwarded in
+        micro-batches of up to ``max_batch_size``."""
+        encoded = [self._encode(item)[0] for item in items]
+        self.stats.add(requests=len(encoded))
+        outputs = []
+        for start in range(0, len(encoded), self.max_batch_size):
+            self.stats.add(batches=1)
+            outputs.append(self._predict_distinct(
+                encoded[start:start + self.max_batch_size]))
         return np.concatenate(outputs) if outputs else np.zeros(0)
 
     def _predict_distinct(self, chunk: list) -> np.ndarray:
@@ -211,30 +208,6 @@ class CostModelService:
                         ) -> np.ndarray:
         """Predicted runtimes in seconds."""
         return np.exp(self.predict_log_runtime(items))
-
-    def predict_cardinalities(self,
-                              items: Sequence["PhysicalPlan | str | Any"]
-                              ) -> list[np.ndarray]:
-        """Per-plan predicted operator cardinalities (micro-batched).
-
-        Requires an estimator with a cardinality head (one exposing
-        ``predict_cardinalities_encoded``, e.g.
-        :class:`~repro.models.cardinality.ZeroShotCardinalityEstimator`);
-        the per-plan encode precompute is shared with runtime serving —
-        a plan cached for runtime prediction needs no re-encode here.
-        """
-        predictor = getattr(self.estimator, "predict_cardinalities_encoded",
-                            None)
-        if predictor is None:
-            raise ModelError(
-                f"{self.estimator.name!r} estimator does not predict "
-                f"cardinalities; serve a cardinality-head estimator such "
-                f"as 'zero-shot-cardinality'"
-            )
-        outputs: list[np.ndarray] = []
-        for chunk in self._encoded_chunks(items):
-            outputs.extend(predictor(chunk))
-        return outputs
 
     # ------------------------------------------------------------------
     def warm(self, items: Sequence["PhysicalPlan | str | Any"]) -> int:

@@ -76,7 +76,6 @@ class TrainingCorpus:
     def featurize(self, source: CardinalitySource,
                   database_names: list[str] | None = None,
                   target: str = "runtime",
-                  with_cardinalities: bool = False,
                   system_features: bool = False) -> list[PlanGraph]:
         """Labelled plan graphs for training a zero-shot model.
 
@@ -85,11 +84,6 @@ class TrainingCorpus:
         ``"runtime"`` (seconds), or the §4.3 resource-prediction targets
         ``"memory"`` (peak working-memory bytes) and ``"io"`` (pages
         read) — the same transferable encoding serves all of them.
-
-        ``with_cardinalities=True`` additionally attaches each record's
-        per-operator :attr:`~repro.workload.runner.ExecutedQueryRecord.\
-operator_cardinalities` as per-node labels, the supervision of the
-        multi-task cardinality head.
 
         ``system_features=True`` attaches each database's machine (see
         :meth:`_system_for`) as a ``system`` node, so a multi-machine
@@ -116,20 +110,8 @@ operator_cardinalities` as per-node labels, the supervision of the
                     label = record.memory_peak_bytes + 1.0
                 else:
                     label = record.io_pages + 1.0
-                cardinalities = None
-                if with_cardinalities:
-                    cardinalities = record.operator_cardinalities
-                    if not cardinalities:
-                        raise WorkloadError(
-                            f"record on {name!r} has no operator "
-                            f"cardinalities; the corpus predates record "
-                            f"schema v2 — re-collect it"
-                        )
                 graphs.append(featurizer.featurize(
-                    record.plan, database, label,
-                    operator_cardinalities=cardinalities,
-                    system=system,
-                ))
+                    record.plan, database, label, system=system))
         return graphs
 
 

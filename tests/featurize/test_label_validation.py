@@ -47,7 +47,7 @@ def e2e_runtime(database, plan, value):
 
 LABELLERS = {
     "zero-shot-runtime": zero_shot_runtime,
-    "zero-shot-cardinality": zero_shot_cardinalities,
+    "zero-shot-operator-rows": zero_shot_cardinalities,
     "mscn-runtime": mscn_runtime,
     "e2e-runtime": e2e_runtime,
 }

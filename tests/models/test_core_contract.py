@@ -143,7 +143,7 @@ def inference_models(cases, fitted, tiny_imdb, records):
     models = {name: (fitted[name], cases[name][2]) for name in CORE_MODELS}
     trainer = TrainerConfig(epochs=1, batch_size=8, seed=0)
     variants = {
-        "zero-shot-cardinality": (
+        "zero-shot-head": (
             ZeroShotConfig(hidden_dim=16, cardinality_head=True),
             ZeroShotFeaturizer(CardinalitySource.ESTIMATED)),
         "zero-shot-system": (
@@ -161,7 +161,7 @@ def inference_models(cases, fitted, tiny_imdb, records):
     return models
 
 
-@pytest.mark.parametrize("name", CORE_MODELS + ("zero-shot-cardinality",
+@pytest.mark.parametrize("name", CORE_MODELS + ("zero-shot-head",
                                                 "zero-shot-system"))
 def test_inference_forward_builds_no_tensor(name, inference_models,
                                             monkeypatch):
@@ -181,7 +181,7 @@ def test_inference_forward_builds_no_tensor(name, inference_models,
 
         monkeypatch.setattr(cls, method, spy)
     predictions = model.predict_log_from_encoded(encoded)
-    if name == "zero-shot-cardinality":
+    if name == "zero-shot-head":
         cardinalities = model.predict_cardinalities_from_encoded(encoded)
         assert len(cardinalities) == len(encoded)
     assert calls == []

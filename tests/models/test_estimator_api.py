@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 
 from repro.errors import ModelError
-from repro.featurize import CardinalitySource
+from repro.featurize import CardinalitySource, ZeroShotFeaturizer
 from repro.models import (
     ESTIMATORS,
     CostEstimator,
     TrainerConfig,
+    ZeroShotConfig,
+    ZeroShotCostModel,
     ZeroShotEstimator,
     get_estimator,
     load_estimator,
@@ -25,8 +27,11 @@ from repro.models import (
 from repro.sql import parse_query
 from repro.workload import WorkloadRunner, make_benchmark_workload
 
-ALL_NAMES = ("zero-shot", "zero-shot-cardinality", "flat", "mscn", "e2e",
-             "scaled-optimizer-cost")
+NAMES = ("zero-shot", "flat", "mscn", "e2e", "scaled-optimizer-cost")
+#: The ``fitted`` key of the zero-shot estimator built with
+#: ``ZeroShotConfig(cardinality_head=True)``: a variant, not a name.
+HEAD = "zero-shot+head"
+ALL_NAMES = NAMES + (HEAD,)
 WORKLOAD_DRIVEN = ("mscn", "e2e")
 
 #: ``(manifest file, its "config" entry)`` as the tree before
@@ -54,17 +59,24 @@ def executed(tiny_imdb):
     return runner.run(make_benchmark_workload(tiny_imdb, "scale", 30, seed=5))
 
 
+def build(name):
+    """An unfitted estimator of ``ALL_NAMES``."""
+    if name == HEAD:
+        return ZeroShotEstimator(config=ZeroShotConfig(cardinality_head=True))
+    return get_estimator(name)
+
+
 @pytest.fixture(scope="module")
 def fitted(tiny_imdb, executed):
     trainer = TrainerConfig(epochs=6, batch_size=16,
                             early_stopping_patience=6, seed=0)
-    return {name: get_estimator(name).fit(executed, tiny_imdb, trainer)
+    return {name: build(name).fit(executed, tiny_imdb, trainer)
             for name in ALL_NAMES}
 
 
 class TestNames:
     def test_every_estimator_is_named(self):
-        assert sorted(ESTIMATORS) == sorted(ALL_NAMES)
+        assert sorted(ESTIMATORS) == sorted(NAMES)
         for name, estimator in ESTIMATORS.items():
             assert estimator.name == name
 
@@ -179,7 +191,7 @@ class TestContract:
         with pytest.raises(ModelError, match="saved estimator"):
             load_estimator(tmp_path)
 
-    @pytest.mark.parametrize("name", ALL_NAMES)
+    @pytest.mark.parametrize("name", NAMES)
     def test_peek_manifest_names_saved_estimator(self, name, fitted,
                                                  tmp_path):
         """The serving tier's pre-swap hook: the manifest identifies the
@@ -212,10 +224,10 @@ class TestContract:
             with pytest.raises(ModelError, match="no estimator class"):
                 read(tmp_path)
 
-    @pytest.mark.parametrize("name", ALL_NAMES)
+    @pytest.mark.parametrize("name", NAMES)
     def test_class_load_refuses_another_estimators_directory(
             self, name, fitted, tiny_imdb, tmp_path):
-        other = ALL_NAMES[(ALL_NAMES.index(name) + 1) % len(ALL_NAMES)]
+        other = NAMES[(NAMES.index(name) + 1) % len(NAMES)]
         fitted[other].save(tmp_path)
         with pytest.raises(ModelError, match=f"expected '{name}'"):
             ESTIMATORS[name].load(tmp_path, tiny_imdb)
@@ -277,20 +289,57 @@ class TestWorkloadDrivenSpecifics:
 
 
 class TestCardinalityHead:
-    """Cardinality-specific surface of the ``zero-shot-cardinality``
-    estimator — the generic contract above already covers it via
-    ``ALL_NAMES``/``ESTIMATORS``."""
+    """The cardinality head of ``ZeroShotConfig(cardinality_head=True)``
+    on the one zero-shot estimator — the generic contract above already
+    covers its runtime surface via ``ALL_NAMES``."""
+
+    TRAINER = TrainerConfig(epochs=2, batch_size=8, validation_fraction=0.0,
+                            early_stopping_patience=2)
+
+    def test_flag_built_head_trains_and_predicts_cardinalities(
+            self, tiny_imdb, executed):
+        """The config flag alone makes a head model: ``fit`` attaches
+        the records' per-operator labels."""
+        estimator = ZeroShotEstimator(config=ZeroShotConfig(
+            hidden_dim=16, cardinality_head=True))
+        estimator.fit(executed, tiny_imdb, self.TRAINER)
+        plans = [r.plan for r in executed[:4]]
+        predictions = estimator.predict_cardinalities(plans, tiny_imdb)
+        assert [cards.shape for cards in predictions] == \
+            [(plan.num_nodes,) for plan in plans]
+        assert all((cards >= 0).all() for cards in predictions)
+
+    def test_wrapped_head_model_fine_tunes_and_round_trips(
+            self, tiny_imdb, executed, tmp_path):
+        """A head model wrapped as ``ZeroShotEstimator(model=...)`` — as
+        the experiment context and the hardware advisor wrap theirs —
+        fine-tunes with labels, and saves and loads with its head."""
+        featurizer = ZeroShotFeaturizer(CardinalitySource.ESTIMATED)
+        model = ZeroShotCostModel(ZeroShotConfig(hidden_dim=16,
+                                                 cardinality_head=True))
+        model.fit([featurizer.featurize(r.plan, tiny_imdb, r.runtime_seconds,
+                                        r.operator_cardinalities)
+                   for r in executed], self.TRAINER)
+        tuned = ZeroShotEstimator(model=model).fine_tune(
+            executed[:8], tiny_imdb, self.TRAINER)
+        assert tuned.model.history is not None
+        plans = [r.plan for r in executed[:4]]
+        expected = tuned.predict_cardinalities(plans, tiny_imdb)
+        tuned.save(tmp_path)
+        loaded = load_estimator(tmp_path, tiny_imdb)
+        for restored, cards in zip(
+                loaded.predict_cardinalities(plans, tiny_imdb), expected):
+            np.testing.assert_array_equal(restored, cards)
 
     def test_unfitted_cardinality_predict_raises_uniform_model_error(
             self, tiny_imdb, executed):
-        from repro.models import get_estimator
-        estimator = get_estimator("zero-shot-cardinality")
+        estimator = build(HEAD)
         with pytest.raises(ModelError, match="before fit"):
             estimator.predict_cardinalities([executed[0].plan], tiny_imdb)
 
     def test_predicts_per_operator_arrays(self, fitted, tiny_imdb,
                                           executed):
-        estimator = fitted["zero-shot-cardinality"]
+        estimator = fitted[HEAD]
         plans = [r.plan for r in executed[:6]]
         predictions = estimator.predict_cardinalities(plans, tiny_imdb)
         assert len(predictions) == len(plans)
@@ -301,7 +350,7 @@ class TestCardinalityHead:
 
     def test_per_plan_equals_batched_cardinalities(self, fitted, tiny_imdb,
                                                    executed):
-        estimator = fitted["zero-shot-cardinality"]
+        estimator = fitted[HEAD]
         plans = [r.plan for r in executed[:8]]
         batched = estimator.predict_cardinalities(plans, tiny_imdb)
         for plan, expected in zip(plans, batched):
@@ -310,7 +359,7 @@ class TestCardinalityHead:
 
     def test_save_load_preserves_cardinality_head(self, fitted, tiny_imdb,
                                                   executed, tmp_path):
-        estimator = fitted["zero-shot-cardinality"]
+        estimator = fitted[HEAD]
         plans = [r.plan for r in executed[:4]]
         expected = estimator.predict_cardinalities(plans, tiny_imdb)
         directory = tmp_path / "card"
@@ -321,61 +370,24 @@ class TestCardinalityHead:
         for a, b in zip(restored, expected):
             np.testing.assert_array_equal(a, b)
 
-    def test_headless_config_rejected(self):
-        from repro.featurize.graph import CardinalitySource
-        from repro.models import ZeroShotCardinalityEstimator, ZeroShotConfig
-        with pytest.raises(ModelError, match="cardinality_head"):
-            ZeroShotCardinalityEstimator(
-                config=ZeroShotConfig(cardinality_head=False))
-        from repro.models import ZeroShotCostModel
-        with pytest.raises(ModelError, match="cardinality head"):
-            ZeroShotCardinalityEstimator(
-                model=ZeroShotCostModel(),
-                source=CardinalitySource.ESTIMATED)
-
     def test_runtime_only_estimator_has_no_cardinality_surface(
             self, fitted, tiny_imdb, executed):
         """The plain zero-shot model must refuse cardinality prediction
-        instead of silently returning something."""
+        instead of silently returning something, empty batch included."""
         base = fitted["zero-shot"]
-        with pytest.raises(ModelError, match="cardinality head"):
-            base.model.predict_cardinalities(
-                base.featurize([executed[0].plan], tiny_imdb))
-
-    def test_service_serves_cardinalities(self, fitted, tiny_imdb,
-                                          executed):
-        from repro.serve import CostModelService
-        estimator = fitted["zero-shot-cardinality"]
-        plans = [r.plan for r in executed[:6]]
-        service = CostModelService(estimator, tiny_imdb, max_batch_size=2)
-        served = service.predict_cardinalities(plans)
-        direct = estimator.predict_cardinalities(plans, tiny_imdb)
-        for a, b in zip(served, direct):
-            np.testing.assert_array_equal(a, b)
-        # The encode cache is shared with runtime serving.
-        assert service.stats.cache_misses == len(plans)
-        service.predict_runtime(plans)
-        assert service.stats.cache_misses == len(plans)
-
-    def test_service_rejects_headless_estimator(self, fitted, tiny_imdb,
-                                                executed):
-        from repro.serve import CostModelService
-        service = CostModelService(fitted["zero-shot"], tiny_imdb)
-        with pytest.raises(ModelError, match="does not predict"):
-            service.predict_cardinalities([executed[0].plan])
+        for plans in ([executed[0].plan], []):
+            with pytest.raises(ModelError, match="cardinality head"):
+                base.predict_cardinalities(plans, tiny_imdb)
 
     def test_fine_tune_keeps_cardinality_surface(self, fitted, tiny_imdb,
                                                  executed):
-        """Regression: fine_tune used to return the base runtime-only
-        class (dropping predict_cardinalities and saving under the wrong
-        manifest name) and to update the shared trunk with a
-        runtime-only loss (decalibrating the frozen card readout)."""
-        base = fitted["zero-shot-cardinality"]
-        tuned = base.fine_tune(executed[:8], tiny_imdb, TrainerConfig(
-            epochs=2, batch_size=8, validation_fraction=0.0,
-            early_stopping_patience=2))
-        assert type(tuned) is type(base)
-        assert tuned.name == "zero-shot-cardinality"
+        """Regression: fine_tune used to return a runtime-only
+        estimator (dropping predict_cardinalities) and to update the
+        shared trunk with a runtime-only loss (decalibrating the frozen
+        card readout)."""
+        base = fitted[HEAD]
+        tuned = base.fine_tune(executed[:8], tiny_imdb, self.TRAINER)
+        assert tuned.model.config.cardinality_head
         assert tuned.model.history is not None  # multi-task training ran
         cards = tuned.predict_cardinalities([executed[0].plan], tiny_imdb)
         assert cards[0].shape == (executed[0].plan.num_nodes,)
@@ -385,7 +397,7 @@ class TestCardinalityHead:
         """fewshot.fine_tune refuses a runtime-only update of a
         multi-task model instead of silently decalibrating it."""
         from repro.models.fewshot import fine_tune
-        base = fitted["zero-shot-cardinality"]
+        base = fitted[HEAD]
         runtime_only = [
             base.featurizer.featurize(r.plan, tiny_imdb, r.runtime_seconds)
             for r in executed[:4]]
@@ -397,8 +409,7 @@ class TestCardinalityHead:
         """Regression: a rejected multi-task fit (missing card labels)
         must not leave scalers assigned (is_fitted True on an untrained
         net)."""
-        from repro.models import ZeroShotCardinalityEstimator, ZeroShotConfig
-        estimator = ZeroShotCardinalityEstimator(
+        estimator = ZeroShotEstimator(
             config=ZeroShotConfig(hidden_dim=16, cardinality_head=True))
         runtime_only = estimator.featurizer.featurize(
             executed[0].plan, tiny_imdb, executed[0].runtime_seconds)

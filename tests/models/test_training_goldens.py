@@ -1,9 +1,10 @@
 """Golden training trajectories of every learned cost model.
 
 The per-epoch ``train_losses`` and five held-out predictions of each
-learned estimator (``zero-shot``, ``zero-shot-cardinality``, ``flat``,
-``mscn``, ``e2e``) plus one few-shot ``fine_tune`` per zero-shot head
-are frozen on disk (``tests/models/goldens/training.json``) for a tiny
+learned estimator (``zero-shot``, ``flat``, ``mscn``, ``e2e``, and the
+zero-shot estimator with the cardinality head, stored under
+``zero-shot-cardinality``) plus one few-shot ``fine_tune`` per zero-shot
+head are frozen on disk (``tests/models/goldens/training.json``) for a tiny
 fixed-seed corpus.  Training is deterministic, so any refactor of the
 fit / predict / fine-tune plumbing in ``repro.models`` must reproduce
 every number **exactly** — shuffling order, target standardization,
@@ -40,6 +41,7 @@ from repro.models import (
     TrainerConfig,
     ZeroShotConfig,
     ZeroShotCostModel,
+    ZeroShotEstimator,
     get_estimator,
 )
 from repro.nn import functional as F
@@ -52,10 +54,12 @@ from repro.workload import (
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "goldens" / "training.json"
 
+#: The snapshot's key of ``ZeroShotConfig(cardinality_head=True)``.
+HEAD = "zero-shot-cardinality"
 #: Estimators trained across the fleet / on the target database only.
-TRANSFERABLE = ("zero-shot", "zero-shot-cardinality", "flat")
+TRANSFERABLE = ("zero-shot", HEAD, "flat")
 WORKLOAD_DRIVEN = ("mscn", "e2e")
-FINE_TUNED = ("zero-shot", "zero-shot-cardinality")
+FINE_TUNED = ("zero-shot", HEAD)
 
 TRAINER = TrainerConfig(epochs=4, batch_size=16, seed=3)
 FINE_TUNER = TrainerConfig(epochs=3, learning_rate=2e-4, batch_size=8,
@@ -105,13 +109,16 @@ def _trajectories() -> dict[str, dict[str, list[float]]]:
     for name in TRANSFERABLE + WORKLOAD_DRIVEN:
         records = train if name in WORKLOAD_DRIVEN \
             else synthetic_records + train
-        estimator = get_estimator(name).fit(records, databases, TRAINER)
+        estimator = (
+            ZeroShotEstimator(config=ZeroShotConfig(cardinality_head=True))
+            if name == HEAD else get_estimator(name))
+        estimator.fit(records, databases, TRAINER)
         out[name] = {
             "train_losses": list(estimator.history.train_losses),
             "predictions": estimator.predict_log_runtime(plans,
                                                          imdb).tolist(),
         }
-        if name == "zero-shot-cardinality":
+        if name == HEAD:
             out[name]["cardinalities"] = [
                 cards.tolist()
                 for cards in estimator.predict_cardinalities(plans, imdb)]

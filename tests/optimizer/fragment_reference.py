@@ -5,7 +5,7 @@ against.
 Every connected fragment of a query gets its own canonical plan (the
 estimator's ``_shared_fragment_root`` with empty memos, so nothing is
 shared), and the whole list is priced through the public
-``ZeroShotCardinalityEstimator.predict_cardinalities(plans, database)``:
+``ZeroShotEstimator.predict_cardinalities(plans, database)``:
 one graph per fragment, featurized and forwarded on its own.  The
 shared pass must give every fragment the same number bit for bit.
 """

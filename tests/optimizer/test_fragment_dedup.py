@@ -38,7 +38,7 @@ def setup():
     records = runner.run(generate_workload(
         database, WorkloadSpec(num_queries=30, max_tables=5, seed=9)))
     estimator = get_estimator(
-        "zero-shot-cardinality",
+        "zero-shot",
         config=ZeroShotConfig(hidden_dim=16, cardinality_head=True))
     estimator.fit(records, database, TrainerConfig(
         epochs=3, batch_size=16, early_stopping_patience=5))
@@ -87,7 +87,7 @@ class TestBitIdentity:
                        for query in queries)
         reference_count = 0
         for query in queries:
-            learned.joined_rows(query, frozenset(query.table_names))
+            learned.bind(query).joined_rows(frozenset(query.table_names))
             reference = reference_fragments(learned, query)
             assert bits(learned._cache.get(query)) == bits(reference)
             reference_count += len(reference)
@@ -125,7 +125,7 @@ class TestSharedEncoding:
         assert len(query.tables) >= 3
         learned = LearnedCardinalityEstimator(database, estimator)
         primed = count_primed_nodes(monkeypatch, estimator)
-        learned.joined_rows(query, frozenset(query.table_names))
+        learned.bind(query).joined_rows(frozenset(query.table_names))
         shared_nodes = sum(primed)
 
         per_fragment = sum(featurizer.featurize(plan, database).num_nodes

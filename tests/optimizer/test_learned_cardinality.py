@@ -21,7 +21,7 @@ def setup():
     records = runner.run(generate_workload(
         database, WorkloadSpec(num_queries=40, seed=6)))
     estimator = get_estimator(
-        "zero-shot-cardinality",
+        "zero-shot",
         config=ZeroShotConfig(hidden_dim=16, cardinality_head=True))
     estimator.fit(records, database, TrainerConfig(
         epochs=5, batch_size=16, early_stopping_patience=5))
@@ -51,11 +51,11 @@ class TestDropIn:
         learned = LearnedCardinalityEstimator(database, estimator)
         query = next(r.query for r in records if len(r.query.tables) >= 2)
         aliases = frozenset(query.table_names)
-        rows = learned.joined_rows(query, aliases)
+        rows = learned.bind(query).joined_rows(aliases)
         assert rows >= 1.0
         assert learned.learned_fragments >= 1
         before = learned.learned_fragments
-        assert learned.joined_rows(query, aliases) == rows  # cache hit
+        assert learned.bind(query).joined_rows(aliases) == rows  # cache hit
         assert learned.learned_fragments == before
 
     def test_planner_accepts_injected_estimator(self, setup):
@@ -75,7 +75,7 @@ class TestDropIn:
                                               cached_queries=2)
         queries = [r.query for r in records[:4]]
         for query in queries:
-            learned.joined_rows(query, frozenset(query.table_names))
+            learned.bind(query).joined_rows(frozenset(query.table_names))
         assert len(learned._cache) == 2
         # The most recent queries survive; the oldest were evicted.
         survivors = [learned._cache.get(query) for query in queries]
@@ -90,14 +90,24 @@ class TestDropIn:
         database, records, estimator = setup
         learned = LearnedCardinalityEstimator(database, estimator)
         with pytest.raises(OptimizerError, match="unknown aliases"):
-            learned.joined_rows(records[0].query, frozenset({"nope"}))
+            learned.bind(records[0].query).joined_rows(frozenset({"nope"}))
 
     @pytest.mark.parametrize("model", [RuntimeOnly, PlanLevel],
                              ids=lambda model: model.__name__)
     def test_model_without_cardinality_surface_rejected(self, setup, model):
         database, _, _ = setup
-        with pytest.raises(ModelError, match="predict_cardinalities"):
+        with pytest.raises(ModelError, match="cardinality head"):
             LearnedCardinalityEstimator(database, model())
+
+    def test_zero_shot_estimator_without_the_head_rejected(self, setup):
+        """The flag, not the class, decides: a fitted runtime-only
+        zero-shot estimator is refused."""
+        database, records, _ = setup
+        headless = get_estimator(
+            "zero-shot", config=ZeroShotConfig(hidden_dim=8)).fit(
+                records[:8], database, TrainerConfig(epochs=1, batch_size=8))
+        with pytest.raises(ModelError, match="cardinality head"):
+            LearnedCardinalityEstimator(database, headless)
 
 
 #: Where priming can fail on a fitted estimator: ``(object of the
@@ -154,8 +164,8 @@ class TestFallback:
         if disconnected is None:
             pytest.skip("workload produced no disconnected pair")
         before = learned.fallback_fragments
-        rows = learned.joined_rows(query, disconnected)
-        assert rows == heuristic.joined_rows(query, disconnected)
+        rows = learned.bind(query).joined_rows(disconnected)
+        assert rows == heuristic.bind(query).joined_rows(disconnected)
         assert learned.fallback_fragments == before + 1
 
 

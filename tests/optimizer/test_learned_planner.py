@@ -9,14 +9,13 @@ from repro.optimizer.learned_planner import (
     ZeroShotPlanSelector,
     candidate_plans,
 )
-from repro.optimizer.planner import PlannerOptions
 from repro.sql import parse_query
 
 from tests.models.conftest import build_labelled_graphs
 
 
 #: A join whose hint sets yield two plans on ``tiny_imdb`` (a hash join
-#: and a nested loop), with rewrites off and on.
+#: and a nested loop).
 JOIN_QUERY = ("SELECT COUNT(*) FROM title t, movie_info_idx mii "
               "WHERE t.id = mii.movie_id AND t.id < 50")
 
@@ -40,14 +39,6 @@ class TestCandidateGeneration:
             tiny_imdb, parse_query("SELECT COUNT(*) FROM title t "
                                    "WHERE t.id < 100"))
         assert len(plans) >= 1
-
-    def test_rewrite_options_reach_every_hint_set(self, tiny_imdb):
-        """Each arm overrides only its own toggles; every other base
-        option — the rewrite phase included — applies to all of them."""
-        plans = candidate_plans(tiny_imdb, parse_query(JOIN_QUERY),
-                                PlannerOptions(enable_rewrites=True))
-        assert len(plans) >= 2
-        assert all("rewrite_trace" in plan.metadata for plan in plans)
 
 
 class TestSelector:

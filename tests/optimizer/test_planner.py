@@ -194,7 +194,7 @@ class TestCardinalityEstimator:
         query = q("SELECT COUNT(*) FROM title t, movie_companies mc "
                   "WHERE t.id = mc.movie_id")
         estimator = CardinalityEstimator(tiny_imdb)
-        estimated = estimator.joined_rows(query, frozenset({"t", "mc"}))
+        estimated = estimator.bind(query).joined_rows(frozenset({"t", "mc"}))
         actual = tiny_imdb.num_rows("movie_companies")
         assert estimated == pytest.approx(actual, rel=0.4)
 
@@ -202,12 +202,12 @@ class TestCardinalityEstimator:
         query = q("SELECT COUNT(*) FROM title t")
         estimator = CardinalityEstimator(tiny_imdb)
         with pytest.raises(OptimizerError):
-            estimator.joined_rows(query, frozenset({"ghost"}))
+            estimator.bind(query).joined_rows(frozenset({"ghost"}))
 
     def test_scan_rows_at_least_one(self, tiny_imdb):
         query = q("SELECT COUNT(*) FROM title t WHERE t.production_year = 1800")
         estimator = CardinalityEstimator(tiny_imdb)
-        assert estimator.scan_rows(query, "t") >= 1.0
+        assert estimator.bind(query).scan_rows("t") >= 1.0
 
 
 class TestPlanStructure:

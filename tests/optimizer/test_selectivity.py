@@ -116,15 +116,15 @@ class TestDefaults:
         estimator = CardinalityEstimator(two_table_db)
         statistics = two_table_db.table_statistics("parent")
         del statistics.columns["value"]
-        assert estimator.predicate_selectivity(
-            query, query.predicates[0]) == DEFAULT_EQ_SELECTIVITY
+        assert estimator.bind(query).predicate_selectivity(
+            query.predicates[0]) == DEFAULT_EQ_SELECTIVITY
 
         def broken(self, name):
             raise RuntimeError("statistics backend exploded")
 
         monkeypatch.setattr(type(statistics), "column", broken)
         with pytest.raises(RuntimeError, match="exploded"):
-            estimator.predicate_selectivity(query, query.predicates[0])
+            estimator.bind(query).predicate_selectivity(query.predicates[0])
 
 
 @settings(max_examples=30, deadline=None)

@@ -357,9 +357,12 @@ class TestConcurrencyBitIdentity:
 # ----------------------------------------------------------------------
 class TestFaultInjection:
     def test_poisoned_batch_fails_alone(self, tiny_imdb, serve_plans):
-        """An estimator error mid-batch fails exactly the requests in
-        the poisoned batch with the original error; the server keeps
-        serving and its accounting stays consistent."""
+        """One poisoned request fails alone: the batch it spoiled is
+        served again in halves, down to single requests, so its three
+        neighbours get their answers under the batch's pinned version
+        and index, and the poisoned request gets the original error of
+        its own call.  The server keeps serving and its accounting
+        stays consistent."""
         stub = PoisonStub()
         poison = serve_plans[0]
         stub.poisoned.add(float(poison.total_cost))
@@ -368,20 +371,23 @@ class TestFaultInjection:
         # coalesce into one full batch before any flush.
         with PredictionServer(service, max_batch_size=4,
                               max_wait_ms=2_000.0) as server:
-            victims = [server.submit(plan, tenant="victim")
-                       for plan in [poison] + list(serve_plans[1:4])]
-            errors = []
-            for pending in victims:
-                with pytest.raises(ModelError,
-                                   match="injected mid-batch") as excinfo:
-                    pending.result(WAIT)
-                errors.append(excinfo.value)
-            # Every member of the poisoned batch got the *original*
-            # exception object, not a re-wrapped copy.
-            assert all(error is errors[0] for error in errors)
+            victim, *neighbours = [
+                server.submit(plan, tenant="victim")
+                for plan in [poison] + list(serve_plans[1:4])]
+            with pytest.raises(ModelError, match="injected mid-batch"):
+                victim.result(WAIT)
+            responses = [pending.result(WAIT) for pending in neighbours]
+            reference = CostModelService(
+                LinearCostStub(), tiny_imdb).predict_runtime(
+                    serve_plans[1:4])
+            np.testing.assert_array_equal(
+                [response.runtime for response in responses], reference)
+            assert {(r.model_version, r.batch_index) for r in responses} \
+                == {(server.model_version, 0)}
 
-            assert server.stats.failures == 4
-            assert server.stats.requests == 0
+            assert server.stats.failures == 1
+            assert server.stats.requests == 3
+            assert server.stats.batches == 1
             assert server.pending == 0
             assert server._batcher.is_alive()
 
@@ -394,8 +400,8 @@ class TestFaultInjection:
             served = np.asarray([p.result(WAIT).runtime
                                  for p in survivors])
             np.testing.assert_array_equal(served, reference)
-            assert server.stats.failures == 4
-            assert server.stats.requests == 4
+            assert server.stats.failures == 1
+            assert server.stats.requests == 7
             assert server.stats.batches == 2
             assert server.pending == 0
 
@@ -417,9 +423,11 @@ class TestFaultInjection:
     def test_short_answer_fails_the_whole_batch(self, tiny_imdb,
                                                 serve_plans):
         """An estimator that returns fewer predictions than requests
-        fails every member of that batch at once (``zip`` used to answer
-        the first three and strand the fourth until its own timeout,
-        counted nowhere); the next batch is served normally."""
+        fails every member of that batch (``zip`` used to answer the
+        first three and strand the fourth until its own timeout,
+        counted nowhere): served alone, each request still gets a short
+        answer, so each fails with its own call's error.  The next
+        batch is served normally."""
         stub = ShortAnswerStub(missing=1)
         service = CostModelService(stub, tiny_imdb, max_batch_size=4)
         with PredictionServer(service, max_batch_size=4,
@@ -427,7 +435,7 @@ class TestFaultInjection:
             victims = [server.submit(plan) for plan in serve_plans[:4]]
             for pending in victims:
                 with pytest.raises(ModelError,
-                                   match="3 predictions .* 4 requests"):
+                                   match="0 predictions .* 1 requests"):
                     pending.result(WAIT)
             assert server.stats.failures == 4
             assert server.stats.requests == 0

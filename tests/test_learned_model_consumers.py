@@ -14,11 +14,7 @@ import pytest
 
 from repro.errors import ModelError
 from repro.featurize import CardinalitySource
-from repro.models import (
-    TrainerConfig,
-    ZeroShotCardinalityEstimator,
-    ZeroShotConfig,
-)
+from repro.models import TrainerConfig, ZeroShotConfig, ZeroShotEstimator
 from repro.optimizer import LearnedCardinalityEstimator
 from repro.optimizer.learned_planner import ZeroShotPlanSelector
 from repro.tuning import HardwareAdvisor, IndexAdvisor, ZeroShotWhatIfEstimator
@@ -47,7 +43,7 @@ def actual_estimator(tiny_imdb):
     carries the cardinality head and the machine node."""
     records = WorkloadRunner(tiny_imdb, seed=3).run(generate_workload(
         tiny_imdb, WorkloadSpec(num_queries=12, seed=4)))
-    estimator = ZeroShotCardinalityEstimator(
+    estimator = ZeroShotEstimator(
         ZeroShotConfig(hidden_dim=16, cardinality_head=True,
                        system_features=True),
         source=CardinalitySource.ACTUAL)

@@ -162,12 +162,12 @@ def _service(bound, tiny_imdb, plans):
 
 
 def _cardinality_head(database):
-    """A tiny fitted ``zero-shot-cardinality`` estimator on ``database``
-    (eight executed queries, one epoch: about 20 ms)."""
+    """A tiny fitted zero-shot estimator with the cardinality head on
+    ``database`` (eight executed queries, one epoch: about 20 ms)."""
     records = WorkloadRunner(database, seed=3).run(
         make_benchmark_workload(database, "scale", 8, seed=29))
     estimator = get_estimator(
-        "zero-shot-cardinality",
+        "zero-shot",
         config=ZeroShotConfig(hidden_dim=8, cardinality_head=True))
     estimator.fit(records, database, TrainerConfig(epochs=1, batch_size=8))
     return estimator
@@ -178,8 +178,8 @@ def _learned_cardinality(bound, tiny_imdb, plans):
         tiny_imdb, _cardinality_head(tiny_imdb), cached_queries=bound)
     queries = [parse_query(f"SELECT COUNT(*) FROM title t "
                            f"WHERE t.votes > {index}") for index in range(4)]
-    return learned._cache, lambda index: learned.scan_rows(queries[index],
-                                                           "t")
+    return learned._cache, \
+        lambda index: learned.bind(queries[index]).scan_rows("t")
 
 
 LRU_OWNERS = {

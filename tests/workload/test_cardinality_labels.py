@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from repro.db import generate_training_database_specs
-from repro.errors import FeaturizationError, WorkloadError
+from repro.errors import FeaturizationError
 from repro.experiments.cache import ArtifactStore
 from repro.featurize import CardinalitySource
+from repro.models import ZeroShotConfig, ZeroShotEstimator
 from repro.plans.plan import walk_plan
 from repro.workload import (
     RECORD_SCHEMA_VERSION,
-    ExecutedQueryRecord,
     TrainingCorpus,
     WorkloadRunner,
     WorkloadSpec,
@@ -61,9 +61,14 @@ class TestCorpusFeaturize:
         corpus.databases[small_synthetic_db.name] = small_synthetic_db
         return corpus
 
-    def test_with_cardinalities_labels_every_graph(self, corpus, executed):
-        graphs = corpus.featurize(CardinalitySource.ESTIMATED,
-                                  with_cardinalities=True)
+    def test_head_estimator_labels_every_graph(self, small_synthetic_db,
+                                              executed):
+        """The one place labels are attached: a zero-shot estimator
+        whose model has the cardinality head labels every training
+        graph with its record's operator cardinalities, in pre-order."""
+        estimator = ZeroShotEstimator(
+            config=ZeroShotConfig(hidden_dim=8, cardinality_head=True))
+        graphs = estimator._labelled_graphs(executed, small_synthetic_db)
         assert len(graphs) == len(executed)
         for graph, record in zip(graphs, executed):
             cards = graph.target_log_cardinalities
@@ -72,21 +77,12 @@ class TestCorpusFeaturize:
                 cards, np.log1p(record.operator_cardinalities))
             assert graph.target_log_runtime is not None
 
-    def test_without_cardinalities_unchanged(self, corpus):
+    def test_without_cardinalities_unchanged(self, corpus,
+                                             small_synthetic_db, executed):
         graphs = corpus.featurize(CardinalitySource.ESTIMATED)
+        headless = ZeroShotEstimator(config=ZeroShotConfig(hidden_dim=8))
+        graphs += headless._labelled_graphs(executed, small_synthetic_db)
         assert all(g.target_log_cardinalities is None for g in graphs)
-
-    def test_legacy_records_rejected_with_hint(self, corpus,
-                                              small_synthetic_db, executed):
-        legacy = ExecutedQueryRecord(
-            query=executed[0].query, plan=executed[0].plan,
-            runtime_seconds=executed[0].runtime_seconds,
-            database_name=executed[0].database_name,
-        )
-        corpus.records_by_database[small_synthetic_db.name] = [legacy]
-        with pytest.raises(WorkloadError, match="re-collect"):
-            corpus.featurize(CardinalitySource.ESTIMATED,
-                             with_cardinalities=True)
 
 
 class TestStoredCorpus:
