@@ -66,6 +66,11 @@ def build(name):
     return get_estimator(name)
 
 
+def registered_name(name):
+    """The ``ESTIMATORS`` name an estimator of ``ALL_NAMES`` saves under."""
+    return ZeroShotEstimator.name if name == HEAD else name
+
+
 @pytest.fixture(scope="module")
 def fitted(tiny_imdb, executed):
     trainer = TrainerConfig(epochs=6, batch_size=16,
@@ -89,14 +94,14 @@ class TestNames:
 
 class TestContract:
     # Parametrized over the table itself: an estimator added to it is
-    # automatically held to the same contract.
-    @pytest.mark.parametrize("name", sorted(ESTIMATORS))
+    # automatically held to the same contract, and so is the head variant.
+    @pytest.mark.parametrize("name", sorted(ESTIMATORS) + [HEAD])
     def test_unfitted_predict_raises_uniform_model_error(self, name,
                                                          tiny_imdb,
                                                          executed):
-        estimator = get_estimator(name)
+        estimator = build(name)
         assert isinstance(estimator, CostEstimator)
-        assert estimator.name == name
+        assert estimator.name == registered_name(name)
         assert not estimator.is_fitted
         plans = [executed[0].plan]
         with pytest.raises(ModelError, match="before fit"):
@@ -191,15 +196,16 @@ class TestContract:
         with pytest.raises(ModelError, match="saved estimator"):
             load_estimator(tmp_path)
 
-    @pytest.mark.parametrize("name", NAMES)
+    @pytest.mark.parametrize("name", ALL_NAMES)
     def test_peek_manifest_names_saved_estimator(self, name, fitted,
                                                  tmp_path):
         """The serving tier's pre-swap hook: the manifest identifies the
-        saved estimator without touching any weights."""
+        saved estimator without touching any weights.  A head model
+        saves as a zero-shot estimator."""
         directory = tmp_path / name
         fitted[name].save(directory)
         payload = peek_manifest(directory)
-        assert payload["name"] == name
+        assert payload["name"] == registered_name(name)
 
     def test_peek_manifest_rejects_garbage_and_unloadable(
             self, fitted, tmp_path, monkeypatch):
@@ -369,6 +375,35 @@ class TestCardinalityHead:
         restored = loaded.predict_cardinalities(plans, tiny_imdb)
         for a, b in zip(restored, expected):
             np.testing.assert_array_equal(a, b)
+
+    def test_sql_and_query_inputs_predict_the_same_cardinalities(
+            self, fitted, tiny_imdb):
+        """``predict_cardinalities`` resolves SQL and parsed queries
+        like ``predict_runtime``, and needs the database to plan them."""
+        estimator = fitted[HEAD]
+        sql = ("SELECT COUNT(*) FROM title t, movie_info_idx mii "
+               "WHERE t.id = mii.movie_id AND t.production_year > 2000")
+        [from_sql] = estimator.predict_cardinalities([sql], tiny_imdb)
+        [from_query] = estimator.predict_cardinalities([parse_query(sql)],
+                                                       tiny_imdb)
+        np.testing.assert_array_equal(from_sql, from_query)
+        with pytest.raises(ModelError, match="requires a database"):
+            estimator.predict_cardinalities([sql])
+
+    def test_headless_training_reads_no_cardinality_labels(
+            self, tiny_imdb, executed, monkeypatch):
+        """The flag decides: a model without the head trains and
+        fine-tunes on runtime labels alone, and never asks a record
+        for its per-operator cardinalities."""
+        def unreachable(record):
+            raise AssertionError("a headless model read cardinality labels")
+
+        monkeypatch.setattr("repro.models.estimators.record_cardinalities",
+                            unreachable)
+        estimator = ZeroShotEstimator(config=ZeroShotConfig(hidden_dim=16))
+        estimator.fit(executed, tiny_imdb, self.TRAINER)
+        tuned = estimator.fine_tune(executed[:8], tiny_imdb, self.TRAINER)
+        assert tuned.is_fitted and not tuned.model.config.cardinality_head
 
     def test_runtime_only_estimator_has_no_cardinality_surface(
             self, fitted, tiny_imdb, executed):

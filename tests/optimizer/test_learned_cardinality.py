@@ -5,7 +5,13 @@ import pytest
 
 from repro.db import SyntheticDatabaseSpec, generate_database
 from repro.errors import FeaturizationError, ModelError, OptimizerError
-from repro.models import TrainerConfig, ZeroShotConfig, get_estimator
+from repro.featurize import CardinalitySource
+from repro.models import (
+    TrainerConfig,
+    ZeroShotConfig,
+    ZeroShotEstimator,
+    get_estimator,
+)
 from repro.optimizer import LearnedCardinalityEstimator, Planner
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.learned_planner import ZeroShotPlanSelector, candidate_plans
@@ -98,6 +104,37 @@ class TestDropIn:
         database, _, _ = setup
         with pytest.raises(ModelError, match="cardinality head"):
             LearnedCardinalityEstimator(database, model())
+
+    def test_wrapped_head_model_estimates_like_its_estimator(self, setup):
+        """A head model wrapped as ``ZeroShotEstimator(model=...)`` — as
+        the experiment context wraps its models — is accepted and
+        gives the same fragment estimates as the estimator it came
+        from."""
+        database, records, estimator = setup
+        wrapped = ZeroShotEstimator(model=estimator.model)
+        query = next(r.query for r in records if len(r.query.tables) >= 2)
+        aliases = frozenset(query.table_names)
+        estimates = [
+            LearnedCardinalityEstimator(database, model).bind(
+                query).joined_rows(aliases)
+            for model in (estimator, wrapped)]
+        assert estimates[0] == estimates[1]
+
+    @pytest.mark.parametrize("variant, match", [
+        (lambda estimator: ZeroShotEstimator(config=estimator.model.config),
+         "fitted"),
+        (lambda estimator: ZeroShotEstimator(
+            model=estimator.model, source=CardinalitySource.ACTUAL),
+         "estimated cardinalities"),
+    ], ids=["unfitted", "actual-cardinalities"])
+    def test_undeployable_head_estimator_rejected(self, setup, variant,
+                                                  match):
+        """Having the head is not enough: the estimator must be fitted
+        and featurize with the estimated cardinalities that unexecuted
+        plans have."""
+        database, _, estimator = setup
+        with pytest.raises(ModelError, match=match):
+            LearnedCardinalityEstimator(database, variant(estimator))
 
     def test_zero_shot_estimator_without_the_head_rejected(self, setup):
         """The flag, not the class, decides: a fitted runtime-only

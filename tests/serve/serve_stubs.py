@@ -94,6 +94,24 @@ class PoisonStub(LinearCostStub):
         return super().predict_encoded(costs)
 
 
+class GatedPoisonStub(PoisonStub):
+    """A poison stub whose every call blocks until the test releases
+    it — holds a failing batch in the service while the test acts."""
+
+    name = "gated-poison-cost-stub"
+
+    def __init__(self, scale: float = 1.0):
+        super().__init__(scale)
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def predict_encoded(self, encoded):
+        self.entered.set()
+        if not self.release.wait(WAIT):  # pragma: no cover - deadlock guard
+            raise ModelError("GatedPoisonStub never released")
+        return super().predict_encoded(encoded)
+
+
 class ShortAnswerStub(LinearCostStub):
     """A stub that drops the last ``missing`` predictions of a chunk —
     an estimator whose answer does not line up with the batch."""

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 from serve_stubs import (
     WAIT,
+    GatedPoisonStub,
     GatedStub,
     LinearCostStub,
     PoisonStub,
@@ -405,6 +406,85 @@ class TestFaultInjection:
             assert server.stats.batches == 2
             assert server.pending == 0
 
+    @pytest.mark.parametrize("poisoned", [
+        (0,), (7,), (3, 4), (0, 7), tuple(range(8)),
+    ], ids=["first", "last", "middle-pair", "both-ends", "all"])
+    def test_only_the_poisoned_requests_fail(self, tiny_imdb, serve_plans,
+                                             poisoned):
+        """Wherever the bad requests sit in a full batch, and however
+        many there are, exactly they fail — each with the error of its
+        own call — and every other request gets its runtime."""
+        plans = list(serve_plans[:8])
+        stub = PoisonStub()
+        stub.poisoned.update(float(plans[i].total_cost) for i in poisoned)
+        service = CostModelService(stub, tiny_imdb, max_batch_size=8)
+        with PredictionServer(service, max_batch_size=8,
+                              max_wait_ms=2_000.0) as server:
+            pending = [server.submit(plan) for plan in plans]
+            errors = []
+            for i in poisoned:
+                with pytest.raises(ModelError,
+                                   match="injected mid-batch") as excinfo:
+                    pending[i].result(WAIT)
+                errors.append(excinfo.value)
+            healthy = [i for i in range(8) if i not in poisoned]
+            served = [pending[i].result(WAIT).runtime for i in healthy]
+            np.testing.assert_array_equal(
+                served, make_service(tiny_imdb).predict_runtime(
+                    [plans[i] for i in healthy]))
+            assert len({id(error) for error in errors}) == len(poisoned)
+            assert server.stats.failures == len(poisoned)
+            assert server.stats.requests == len(healthy)
+            assert server.stats.batches == 1
+            assert server.pending == 0
+
+    @staticmethod
+    def _counted(stub, tiny_imdb):
+        """A service that records the size of every ``predict_runtime``
+        call the server makes."""
+        sizes = []
+
+        class Counted(CostModelService):
+            def predict_runtime(self, items):
+                sizes.append(len(items))
+                return super().predict_runtime(items)
+
+        return Counted(stub, tiny_imdb, max_batch_size=8), sizes
+
+    def test_a_healthy_batch_is_one_estimator_call(self, tiny_imdb,
+                                                   serve_plans):
+        """The split costs nothing until a call fails: a batch that
+        succeeds is served by exactly one ``predict_runtime`` call."""
+        service, sizes = self._counted(LinearCostStub(), tiny_imdb)
+        with PredictionServer(service, max_batch_size=8,
+                              max_wait_ms=2_000.0) as server:
+            pending = [server.submit(plan) for plan in serve_plans[:8]]
+            for request in pending:
+                request.result(WAIT)
+        assert sizes == [8]
+
+    def test_one_bad_request_costs_a_logarithmic_number_of_calls(
+            self, tiny_imdb, serve_plans):
+        """One poisoned request in a batch of eight is found by
+        halving: the batch, then each half, quarter and single request
+        on the poisoned side — seven calls, not one per request twice
+        over — and a lone failing request is not retried."""
+        stub = PoisonStub()
+        stub.poisoned.add(float(serve_plans[0].total_cost))
+        service, sizes = self._counted(stub, tiny_imdb)
+        with PredictionServer(service, max_batch_size=8,
+                              max_wait_ms=2_000.0) as server:
+            pending = [server.submit(plan) for plan in serve_plans[:8]]
+            with pytest.raises(ModelError):
+                pending[0].result(WAIT)
+            for request in pending[1:]:
+                request.result(WAIT)
+            assert sorted(sizes) == [1, 1, 2, 2, 4, 4, 8]
+            del sizes[:]
+            with pytest.raises(ModelError):
+                server.predict_runtime(serve_plans[0], timeout=WAIT)
+            assert sizes == [1]
+
     def test_unpoisoned_traffic_unaffected_after_failure(self, tiny_imdb,
                                                          serve_plans):
         stub = PoisonStub()
@@ -608,6 +688,37 @@ class TestHotSwap:
                 == "canary"
             assert server.predict_runtime(
                 serve_plans[0], timeout=WAIT).model_version == "canary"
+
+    def test_a_split_batch_stays_on_its_pinned_version(self, tiny_imdb,
+                                                       serve_plans):
+        """A swap that lands while a failed batch is being split does
+        not reach its halves: the poisoned batch's other requests are
+        answered by the version and index the batch was formed with,
+        and only the next batch sees the new model."""
+        stub = GatedPoisonStub()
+        stub.poisoned.add(float(serve_plans[0].total_cost))
+        service = CostModelService(stub, tiny_imdb, max_batch_size=4)
+        with PredictionServer(service, max_batch_size=4,
+                              max_wait_ms=2_000.0) as server:
+            pinned = server.model_version
+            victim, *neighbours = [server.submit(plan)
+                                   for plan in serve_plans[:4]]
+            assert stub.entered.wait(WAIT)  # the batch is in the service
+            swapped = server.swap(LinearCostStub(scale=2.0))
+            stub.release.set()
+            with pytest.raises(ModelError, match="injected mid-batch"):
+                victim.result(WAIT)
+            responses = [pending.result(WAIT) for pending in neighbours]
+            assert {(r.model_version, r.batch_index) for r in responses} \
+                == {(pinned, 0)}
+            np.testing.assert_array_equal(
+                [r.runtime for r in responses],
+                make_service(tiny_imdb, scale=1.0).predict_runtime(
+                    serve_plans[1:4]))
+            after = server.predict_runtime(serve_plans[4], timeout=WAIT)
+            assert (after.model_version, after.batch_index) == (swapped, 1)
+            assert after.runtime == make_service(
+                tiny_imdb, scale=2.0).predict_runtime(serve_plans[4:5])[0]
 
     def test_swap_from_saved_manifest(self, tiny_imdb, serve_plans,
                                       tmp_path, monkeypatch):

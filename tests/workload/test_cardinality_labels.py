@@ -1,18 +1,21 @@
 """Per-operator cardinality labels in the corpus schema (record v2)."""
 
+import dataclasses
 import pickle
 
 import numpy as np
 import pytest
 
 from repro.db import generate_training_database_specs
-from repro.errors import FeaturizationError
+from repro.errors import FeaturizationError, ModelError
 from repro.experiments.cache import ArtifactStore
 from repro.featurize import CardinalitySource
-from repro.models import ZeroShotConfig, ZeroShotEstimator
+from repro.models import TrainerConfig, ZeroShotConfig, ZeroShotEstimator
+from repro.models.cardinality import record_cardinalities
 from repro.plans.plan import walk_plan
 from repro.workload import (
     RECORD_SCHEMA_VERSION,
+    ExecutedQueryRecord,
     TrainingCorpus,
     WorkloadRunner,
     WorkloadSpec,
@@ -53,6 +56,35 @@ class TestRecordSchema:
             executed[0].operator_cardinalities
 
 
+def unlabelled(record):
+    """``record`` as a hand-built record around a plan that never ran:
+    no schema field, no executor annotations."""
+    plan = pickle.loads(pickle.dumps(record.plan))
+    plan.reset_actuals()
+    return ExecutedQueryRecord(query=record.query, plan=plan,
+                               runtime_seconds=record.runtime_seconds,
+                               database_name=record.database_name)
+
+
+class TestRecordCardinalities:
+    """:func:`record_cardinalities`, the one rule the estimator reads
+    labels by."""
+
+    def test_schema_field_is_preferred(self, executed):
+        record = dataclasses.replace(executed[0], operator_cardinalities=tuple(
+            2.0 * c for c in executed[0].operator_cardinalities))
+        assert record_cardinalities(record) == record.operator_cardinalities
+
+    def test_executed_plan_is_the_fallback(self, executed):
+        """A record built by hand around an executed plan is labelled
+        from the executor's annotations, in pre-order."""
+        record = dataclasses.replace(executed[0], operator_cardinalities=())
+        assert record_cardinalities(record) == tuple(
+            float(node.actual_rows) for node in walk_plan(record.plan.root))
+        assert record_cardinalities(record) == \
+            executed[0].operator_cardinalities
+
+
 class TestCorpusFeaturize:
     @pytest.fixture()
     def corpus(self, small_synthetic_db, executed):
@@ -83,6 +115,21 @@ class TestCorpusFeaturize:
         headless = ZeroShotEstimator(config=ZeroShotConfig(hidden_dim=8))
         graphs += headless._labelled_graphs(executed, small_synthetic_db)
         assert all(g.target_log_cardinalities is None for g in graphs)
+
+    def test_legacy_records_rejected_with_hint(self, small_synthetic_db,
+                                              executed):
+        """A record with neither labels nor an executed plan cannot
+        train the head: the error names what is missing, before any
+        training step."""
+        legacy = unlabelled(executed[0])
+        with pytest.raises(ModelError, match="operator_cardinalities"):
+            record_cardinalities(legacy)
+        estimator = ZeroShotEstimator(
+            config=ZeroShotConfig(hidden_dim=8, cardinality_head=True))
+        with pytest.raises(ModelError, match="per-operator labels"):
+            estimator.fit([legacy] + list(executed[1:]), small_synthetic_db,
+                          TrainerConfig(epochs=1, batch_size=8))
+        assert not estimator.is_fitted
 
 
 class TestStoredCorpus:
