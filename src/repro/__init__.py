@@ -57,7 +57,7 @@ from repro.runtime import (
 )
 from repro.serve import CostModelService, ServiceStats
 from repro.sql import parse_query, query_to_sql
-from repro.tuning import HardwareAdvisor, IndexAdvisor, ZeroShotWhatIfEstimator
+from repro.tuning import HardwareAdvisor, IndexAdvisor
 from repro.workload import (
     WorkloadRunner,
     collect_training_corpus,
@@ -87,7 +87,6 @@ __all__ = [
     "ZeroShotCostModel",
     "ZeroShotEstimator",
     "ZeroShotFeaturizer",
-    "ZeroShotWhatIfEstimator",
     "__version__",
     "available_system_configs",
     "collect_training_corpus",

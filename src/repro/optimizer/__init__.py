@@ -9,9 +9,10 @@ Provides the three things the paper's pipeline takes from Postgres:
 * the classical optimizer cost, which the Scaled-Optimizer-Cost baseline
   regresses onto runtimes.
 
-What-if planning with hypothetical indexes (Section 4.1) lives in
-:mod:`repro.optimizer.whatif`; learned cardinality injection (the
-zero-shot cardinality head driving the same DP search) in
+What-if planning (Section 4.1) is no planner mode: indexes registered
+by :func:`repro.tuning.advisor.hypothetical_indexes` are planned like
+real ones.  Learned cardinality injection (the zero-shot cardinality
+head driving the same DP search) lives in
 :mod:`repro.optimizer.learned_cardinality`; the logical rewrite
 phase, one pass of predicate pushdown, filter merge, transitive join
 inference and projection pruning (behind
@@ -22,13 +23,11 @@ inference and projection pruning (behind
 from repro.optimizer.learned_cardinality import LearnedCardinalityEstimator
 from repro.optimizer.planner import Planner, PlannerOptions, plan_query
 from repro.optimizer.rewrite import RewritePlanner
-from repro.optimizer.whatif import WhatIfPlanner
 
 __all__ = [
     "LearnedCardinalityEstimator",
     "Planner",
     "PlannerOptions",
     "RewritePlanner",
-    "WhatIfPlanner",
     "plan_query",
 ]

@@ -58,7 +58,6 @@ class PlannerOptions:
     enable_indexscan: bool = True
     enable_hashjoin: bool = True
     enable_nestloop: bool = True
-    use_hypothetical_indexes: bool = True
     enable_rewrites: bool = False
 
 
@@ -121,8 +120,9 @@ class _PlanSearch:
 
     The (rewritten) query is bound here, after the rewrite phase, and
     nothing the search learns about it — cardinalities, usable indexes,
-    pruned projections — outlives the call: ``WhatIfPlanner`` adds and
-    drops hypothetical indexes between plans and statistics can be
+    pruned projections — outlives the call: the index advisor's
+    :func:`~repro.tuning.advisor.hypothetical_indexes` adds and drops
+    hypothetical indexes between plans and statistics can be
     re-analysed.
     """
 
@@ -212,9 +212,7 @@ class _PlanSearch:
         indexes = self._indexes.get(alias)
         if indexes is None:
             indexes = self._indexes[alias] = self.database.indexes_on(
-                self.cards.table_ref(alias).table_name,
-                include_hypothetical=self.options.use_hypothetical_indexes,
-            )
+                self.cards.table_ref(alias).table_name)
         return indexes
 
     def _index_options(self, alias: str, predicates: tuple[Predicate, ...]):

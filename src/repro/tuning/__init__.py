@@ -3,7 +3,8 @@
 A zero-shot cost model in What-If mode predicts how a query's runtime
 would change under a hypothetical index — on a database the model has
 never seen.  :class:`~repro.tuning.advisor.IndexAdvisor` uses those
-predictions to drive a classical greedy index-selection loop without
+predictions, made under :func:`~repro.tuning.advisor.hypothetical_indexes`,
+to drive a classical greedy index-selection loop without
 executing a single training query on the target database.
 
 :class:`~repro.tuning.hardware.HardwareAdvisor` extends the same
@@ -14,11 +15,9 @@ without benchmarking hardware nobody has bought yet.
 
 from repro.tuning.advisor import IndexAdvisor
 from repro.tuning.hardware import HardwareAdvisor, HardwareRecommendation
-from repro.tuning.whatif_model import ZeroShotWhatIfEstimator
 
 __all__ = [
     "HardwareAdvisor",
     "HardwareRecommendation",
     "IndexAdvisor",
-    "ZeroShotWhatIfEstimator",
 ]

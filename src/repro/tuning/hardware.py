@@ -24,7 +24,7 @@ from repro.db.database import Database
 from repro.errors import ModelError
 from repro.models.cardinality import require_deployable
 from repro.models.estimators import ZeroShotEstimator
-from repro.optimizer.whatif import WhatIfPlanner
+from repro.optimizer.planner import Planner
 from repro.runtime import (
     SystemParameters,
     available_system_configs,
@@ -101,7 +101,7 @@ class HardwareAdvisor:
         self.estimator = estimator
         self.baseline_name = baseline
         self.baseline_system = get_system_config(baseline)
-        self._planner = WhatIfPlanner(database)
+        self._planner = Planner(database)
 
     def _price(self, plans, system: SystemParameters) -> float:
         # The same model, featurizing for the machine being priced.
@@ -121,8 +121,7 @@ class HardwareAdvisor:
         """
         if not queries:
             raise ModelError("hardware advisor needs a non-empty workload")
-        plans = [self._planner.plan_without_indexes(query)
-                 for query in queries]
+        plans = [self._planner.plan(query) for query in queries]
         baseline_seconds = self._price(plans, self.baseline_system)
         options = []
         for name in available_system_configs():

@@ -12,7 +12,6 @@ from repro.optimizer.cardinality import BoundCardinalities, CardinalityEstimator
 from repro.optimizer.join_order import connected_subsets, enumerate_join_orders
 from repro.optimizer.learned_planner import candidate_plans
 from repro.optimizer.planner import Planner, PlannerOptions
-from repro.optimizer.whatif import IndexSpec, WhatIfPlanner
 from repro.plans import (
     HashBuild,
     HashJoin,
@@ -26,6 +25,7 @@ from repro.plans import (
 )
 from repro.sql import parse_query
 from repro.sql.ast import ColumnRef, JoinCondition, TableRef
+from repro.tuning.advisor import IndexSpec, hypothetical_indexes
 from repro.workload.generator import WorkloadSpec, generate_workload
 
 
@@ -158,11 +158,12 @@ class TestJoinEnumeration:
 
 class TestWhatIf:
     def test_hypothetical_index_changes_plan(self, tiny_imdb):
-        planner = WhatIfPlanner(tiny_imdb)
+        planner = Planner(tiny_imdb)
         text = ("SELECT COUNT(*) FROM title t "
                 "WHERE t.votes > 2000000 AND t.production_year > 2000")
-        baseline = planner.plan_without_indexes(q(text))
-        whatif = planner.plan_with_indexes(q(text), [IndexSpec("title", "votes")])
+        baseline = planner.plan(q(text))
+        with hypothetical_indexes(tiny_imdb, [IndexSpec("title", "votes")]):
+            whatif = planner.plan(q(text))
         assert isinstance(baseline.root.children[0], SeqScan)
         scan = whatif.root.children[0]
         assert isinstance(scan, IndexScan)
@@ -172,20 +173,18 @@ class TestWhatIf:
         assert scan.index_name == IndexSpec("title", "votes").default_name
 
     def test_hypothetical_indexes_cleaned_up(self, tiny_imdb):
-        planner = WhatIfPlanner(tiny_imdb)
         before = set(tiny_imdb.indexes)
-        planner.plan_with_indexes(
-            q("SELECT COUNT(*) FROM title t WHERE t.votes > 100000"),
-            [IndexSpec("title", "votes")],
-        )
+        with hypothetical_indexes(tiny_imdb, [IndexSpec("title", "votes")]):
+            Planner(tiny_imdb).plan(
+                q("SELECT COUNT(*) FROM title t WHERE t.votes > 100000"))
         assert set(tiny_imdb.indexes) == before
 
     def test_whatif_cost_cheaper_for_selective_query(self, tiny_imdb):
-        planner = WhatIfPlanner(tiny_imdb)
+        planner = Planner(tiny_imdb)
         text = "SELECT COUNT(*) FROM title t WHERE t.votes > 2000000"
-        baseline = planner.plan_without_indexes(q(text))
-        whatif = planner.plan_with_indexes(q(text),
-                                           [IndexSpec("title", "votes")])
+        baseline = planner.plan(q(text))
+        with hypothetical_indexes(tiny_imdb, [IndexSpec("title", "votes")]):
+            whatif = planner.plan(q(text))
         assert whatif.total_cost < baseline.total_cost
 
 

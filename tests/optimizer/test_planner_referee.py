@@ -103,8 +103,7 @@ class _Referee:
 
     def _indexes(self, alias):
         return self.database.indexes_on(
-            self.cards.table_ref(alias).table_name,
-            include_hypothetical=self.options.use_hypothetical_indexes)
+            self.cards.table_ref(alias).table_name)
 
     def _rows(self, aliases: frozenset) -> float:
         if len(aliases) == 1:

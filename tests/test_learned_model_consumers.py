@@ -1,13 +1,13 @@
 """Every consumer of a learned model takes one handle: a fitted
 ``CostEstimator`` over estimated cardinalities.
 
-Plan selection, learned cardinalities, what-if estimation, the index
-advisor and the hardware advisor all price plans that never ran.  Each
-refuses, when it is built, an estimator that featurizes with actual
-cardinalities (a plan that never ran has none) and a raw core model,
-whose error names the fix.  Before the check was shared, three of the
-five took the actual-cardinality estimator and failed later or priced
-nothing, and all five wrapped a raw model silently.
+Plan selection, learned cardinalities, the index advisor's what-if
+estimates and the hardware advisor all price plans that never ran.
+Each refuses, when it is built, an estimator that featurizes with
+actual cardinalities (a plan that never ran has none) and a raw core
+model, whose error names the fix.  Before the check was shared, three
+of the four took the actual-cardinality estimator and failed later or
+priced nothing, and all four wrapped a raw model silently.
 """
 
 import pytest
@@ -17,13 +17,12 @@ from repro.featurize import CardinalitySource
 from repro.models import TrainerConfig, ZeroShotConfig, ZeroShotEstimator
 from repro.optimizer import LearnedCardinalityEstimator
 from repro.optimizer.learned_planner import ZeroShotPlanSelector
-from repro.tuning import HardwareAdvisor, IndexAdvisor, ZeroShotWhatIfEstimator
+from repro.tuning import HardwareAdvisor, IndexAdvisor
 from repro.workload import WorkloadRunner, WorkloadSpec, generate_workload
 
 CONSUMERS = {
     "plan-selector": ZeroShotPlanSelector,
     "learned-cardinalities": LearnedCardinalityEstimator,
-    "whatif": ZeroShotWhatIfEstimator,
     "index-advisor": IndexAdvisor,
     "hardware-advisor": HardwareAdvisor,
 }

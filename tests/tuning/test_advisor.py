@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from repro.db import SyntheticDatabaseSpec, make_imdb_database
-from repro.errors import ModelError
+from repro.errors import ModelError, SchemaError
 from repro.featurize import CardinalitySource
 from repro.models import TrainerConfig, ZeroShotConfig, ZeroShotEstimator
-from repro.optimizer.whatif import IndexSpec
 from repro.sql import parse_query
-from repro.tuning import IndexAdvisor, ZeroShotWhatIfEstimator
+from repro.tuning import IndexAdvisor
+from repro.tuning.advisor import IndexSpec, hypothetical_indexes
 from repro.workload import collect_training_corpus
 
 from tests.models.conftest import build_labelled_graphs
@@ -48,52 +48,115 @@ WORKLOAD = [
 ]
 
 
+class TestHypotheticalIndexes:
+    def test_indexed_column_is_skipped(self, target_db):
+        before = dict(target_db.indexes)
+        with hypothetical_indexes(target_db, [IndexSpec("title", "id")]):
+            assert target_db.indexes == before
+        assert target_db.indexes == before
+
+    def test_repeated_spec_registers_once(self, target_db):
+        before = set(target_db.indexes)
+        votes = IndexSpec("title", "votes")
+        with hypothetical_indexes(target_db, [votes, votes]):
+            added = set(target_db.indexes) - before
+            assert added == {votes.default_name}
+            assert target_db.indexes[votes.default_name].hypothetical
+        assert set(target_db.indexes) == before
+
+    def test_nested_registration_keeps_the_outer_index(self, target_db):
+        before = set(target_db.indexes)
+        votes = IndexSpec("title", "votes")
+        year = IndexSpec("title", "production_year")
+        with hypothetical_indexes(target_db, [votes]):
+            with hypothetical_indexes(target_db, [votes, year]):
+                assert set(target_db.indexes) - before == {
+                    votes.default_name, year.default_name}
+            assert set(target_db.indexes) - before == {votes.default_name}
+        assert set(target_db.indexes) == before
+
+
 class TestWhatIfEstimator:
     def test_estimates_positive(self, target_db, whatif_estimator):
-        estimator = ZeroShotWhatIfEstimator(target_db, whatif_estimator)
+        advisor = IndexAdvisor(target_db, whatif_estimator)
         for text in WORKLOAD:
-            runtime = estimator.estimate_workload([parse_query(text)])
+            runtime = advisor._estimate_workload([parse_query(text)], [])
             assert runtime > 0
 
     def test_whatif_differs_from_baseline(self, target_db, whatif_estimator):
-        estimator = ZeroShotWhatIfEstimator(target_db, whatif_estimator)
+        advisor = IndexAdvisor(target_db, whatif_estimator)
         query = parse_query(WORKLOAD[0])
-        baseline = estimator.estimate_workload([query])
-        with_index = estimator.estimate_workload(
+        baseline = advisor._estimate_workload([query], [])
+        with_index = advisor._estimate_workload(
             [query], [IndexSpec("title", "votes")]
         )
         assert with_index != baseline
 
     def test_no_leftover_hypothetical_indexes(self, target_db,
                                               whatif_estimator):
-        estimator = ZeroShotWhatIfEstimator(target_db, whatif_estimator)
+        advisor = IndexAdvisor(target_db, whatif_estimator)
         before = set(target_db.indexes)
-        estimator.estimate_workload([parse_query(WORKLOAD[0])],
-                                    [IndexSpec("title", "votes")])
+        advisor._estimate_workload([parse_query(WORKLOAD[0])],
+                                   [IndexSpec("title", "votes")])
         assert set(target_db.indexes) == before
+
+    def test_failed_pricing_leaves_no_hypothetical_index(
+            self, target_db, whatif_estimator, monkeypatch):
+        advisor = IndexAdvisor(target_db, whatif_estimator)
+        before = set(target_db.indexes)
+
+        def fail(plans, database):
+            assert "whatif_title_votes" in database.indexes
+            raise ModelError("pricing failed")
+
+        monkeypatch.setattr(whatif_estimator, "predict_runtime", fail)
+        with pytest.raises(ModelError, match="pricing failed"):
+            advisor._estimate_workload([parse_query(WORKLOAD[0])],
+                                       [IndexSpec("title", "votes")])
+        assert set(target_db.indexes) == before
+
+    def test_unknown_column_raises_and_leaves_no_index(self, target_db):
+        before = dict(target_db.indexes)
+        with pytest.raises(SchemaError):
+            with hypothetical_indexes(target_db, [
+                    IndexSpec("title", "votes"),
+                    IndexSpec("title", "no_such_column")]):
+                pass
+        assert target_db.indexes == before
+
+    def test_estimate_reads_the_registered_indexes(self, target_db,
+                                                   whatif_estimator):
+        """An index registered around the estimate prices exactly as one
+        the estimate registers itself."""
+        advisor = IndexAdvisor(target_db, whatif_estimator)
+        queries = [parse_query(t) for t in WORKLOAD]
+        votes = [IndexSpec("title", "votes")]
+        with hypothetical_indexes(target_db, votes):
+            outer = advisor._estimate_workload(queries, [])
+        assert outer == advisor._estimate_workload(queries, votes)
 
     def test_unfitted_model_rejected(self, target_db):
         with pytest.raises(ModelError):
-            ZeroShotWhatIfEstimator(target_db, ZeroShotEstimator())
+            IndexAdvisor(target_db, ZeroShotEstimator())
 
     def test_empty_workload_rejected(self, target_db, whatif_estimator):
-        estimator = ZeroShotWhatIfEstimator(target_db, whatif_estimator)
+        advisor = IndexAdvisor(target_db, whatif_estimator)
         with pytest.raises(ModelError):
-            estimator.estimate_workload([])
+            advisor._estimate_workload([], [])
 
 
 class TestWhatIfThroughUnifiedAPI:
-    """The what-if estimator speaks the CostEstimator contract:
+    """The what-if estimate speaks the CostEstimator contract:
     batched workloads."""
 
     def test_workload_estimate_is_batched_sum(self, target_db,
                                               whatif_estimator):
         """One batched call equals the sum of per-query estimates —
         bit-identical, thanks to batch-size-invariant inference."""
-        estimator = ZeroShotWhatIfEstimator(target_db, whatif_estimator)
+        advisor = IndexAdvisor(target_db, whatif_estimator)
         queries = [parse_query(t) for t in WORKLOAD]
-        batched = estimator.estimate_workload(queries)
-        summed = float(np.sum([estimator.estimate_workload([q])
+        batched = advisor._estimate_workload(queries, [])
+        summed = float(np.sum([advisor._estimate_workload([q], [])
                                for q in queries]))
         assert batched == summed
 
@@ -128,6 +191,17 @@ class TestAdvisor:
         before = set(target_db.indexes)
         advisor.recommend([parse_query(t) for t in WORKLOAD], max_indexes=1)
         assert set(target_db.indexes) == before
+
+    def test_stops_below_the_minimum_improvement(self, target_db,
+                                                 whatif_estimator,
+                                                 monkeypatch):
+        advisor = IndexAdvisor(target_db, whatif_estimator)
+        queries = [parse_query(t) for t in WORKLOAD]
+        monkeypatch.setattr("repro.tuning.advisor._MIN_IMPROVEMENT", 1.0)
+        recommendation = advisor.recommend(queries, max_indexes=2)
+        assert recommendation.indexes == []
+        assert recommendation.predicted_seconds == \
+            recommendation.baseline_seconds
 
     def test_validation(self, target_db, whatif_estimator):
         advisor = IndexAdvisor(target_db, whatif_estimator)
