@@ -150,7 +150,7 @@ def train_model(model: Module, samples: Sequence,
             labels = targets(batch)
             loss = F.q_loss(predictions, labels)
             loss.backward()
-            clip_grad_norm(model.parameters(), config.clip_norm)
+            clip_grad_norm(optimizer.parameters, config.clip_norm)
             optimizer.step()
             epoch_losses.append(loss.item())
         history.train_losses.append(float(np.mean(epoch_losses)))

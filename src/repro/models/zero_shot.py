@@ -111,17 +111,15 @@ def bottom_up_pass(hidden: Tensor | np.ndarray, levels: list[LevelSpec],
     The one message-passing loop of the library: the zero-shot net
     hands in its per-type combine MLPs, the E2E tree net its single one.
     ``hidden`` is copied once and left alone; the levels update that
-    one copy in place (:class:`repro.nn.RowState`).  Off the tape the
-    whole pass runs on raw ``ndarray`` values, and no level derives its
-    backward rounds (:attr:`LevelSpec.grad_sums`).
+    one copy in place (:class:`repro.nn.RowState`), each writing its
+    parents' ``h + (c - h)``.  Off the tape the whole pass runs on raw
+    ``ndarray`` values, and no level derives its backward rounds
+    (:attr:`LevelSpec.grad_sums`).
     """
     state = RowState(hidden)
     for level in levels:
-        num_parents = len(level.parent_ids)
-        child_sum = state.gather_sum(level.child_sums, num_parents,
-                                     lambda level=level: level.grad_sums)
-        parent_hidden = state.index_select(level.parent_ids)
-        stacked = T.concat([parent_hidden, child_sum], axis=1)
+        stacked = state.begin_level(level.parent_ids, level.child_sums,
+                                    lambda level=level: level.grad_sums)
         if len(level.type_slots) == 1:
             # One type owns every slot, in slot order.
             (node_type,) = level.type_slots
@@ -130,9 +128,8 @@ def bottom_up_pass(hidden: Tensor | np.ndarray, levels: list[LevelSpec],
             combined = T.scatter_rows(
                 [combine_of(node_type)(T.index_select(stacked, slots))
                  for node_type, slots in level.type_slots.items()],
-                list(level.type_slots.values()), num_parents)
-        # h + (c - h), not c: the two round differently.
-        state.add_rows(level.parent_ids, T.sub(combined, parent_hidden))
+                list(level.type_slots.values()), len(level.parent_ids))
+        state.end_level(combined)
     return state.hand_over()
 
 

@@ -10,17 +10,18 @@ nothing else:
   :class:`~repro.nn.tensor.Tensor` that requires grad, outside
   ``no_grad``), so an inference forward builds no ``Tensor``.  The op
   set is ``add sub mul`` (``+ - *`` on a ``Tensor``, beside ``@``),
-  ``linear`` (``x @ w + b``), ``abs``, ``relu``, ``leaky_relu``,
-  ``sum``, ``mean``, ``reshape``, ``concat``, ``index_select`` and the
-  row primitives of DAG message passing
-  (``scatter_rows``, ``gather_sum`` over
-  :func:`~repro.nn.tensor.rank_rounds`, and
+  ``linear`` (``x @ w + b`` through an optional ``relu`` or
+  ``leaky_relu``: one tape node per MLP layer), ``abs``, ``sum``,
+  ``mean``, ``reshape``, ``concat``, ``index_select`` and the row
+  primitives of DAG message passing (``scatter_rows``, ``gather_sum``
+  over :func:`~repro.nn.tensor.rank_rounds`, and
   :class:`~repro.nn.tensor.RowState`, the one state buffer a pass
-  updates in place with ``add_rows``).  Callers reach the ops through
-  the module (``from repro.nn import tensor as T``), as they reach the
-  loss through :mod:`~repro.nn.functional`.
+  updates in place, a level at a time: ``begin_level`` writes the
+  combine's input, ``end_level`` the parents' new rows).  Callers reach
+  the ops through the module (``from repro.nn import tensor as T``), as
+  they reach the loss through :mod:`~repro.nn.functional`.
 * :mod:`~repro.nn.layers` — ``MLP`` (``Linear`` layers with ``relu`` or
-  ``leaky_relu`` between them).
+  ``leaky_relu`` between them, one ``linear`` op each).
 * :mod:`~repro.nn.optim` — ``Adam`` and gradient clipping;
   :mod:`~repro.nn.functional` — the one loss, ``q_loss``.
 * :mod:`~repro.nn.data` — mini-batch iteration helpers.
@@ -30,9 +31,9 @@ The rule (``tests/test_dependency_hygiene.py`` keeps it true): a name
 exported here, a public ``Tensor`` / ``RowState`` method or a field of
 the trainer and model configs exists only while code under ``src/repro``
 outside this package, or under ``bench/``, refers to it; an op of
-:mod:`~repro.nn.tensor` only while code outside that module does.  What only this
-package uses (``Linear``, ``Sequential``, ``ReLU``, ``Parameter``,
-``kaiming_uniform``) is imported from its module.
+:mod:`~repro.nn.tensor` only while code outside that module does.  What
+only this package uses (``Linear``, ``Parameter``, ``kaiming_uniform``)
+is imported from its module.
 
 Everything is deterministic given an explicit ``numpy.random.Generator``.
 """

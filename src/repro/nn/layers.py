@@ -1,4 +1,4 @@
-"""Layers: Linear, the two activations, Sequential, MLP."""
+"""Layers: Linear and the MLP built of them."""
 
 from __future__ import annotations
 
@@ -8,97 +8,52 @@ import numpy as np
 
 from repro.nn.init import kaiming_uniform
 from repro.nn.module import Module, Parameter
-from repro.nn.tensor import Tensor, leaky_relu, linear, relu
+from repro.nn.tensor import _ACTIVATIONS, Tensor, linear
 
-__all__ = ["Linear", "ReLU", "LeakyReLU", "Sequential", "MLP"]
+__all__ = ["Linear", "MLP"]
 
 
 class Linear(Module):
-    """Affine map ``y = x W + b``."""
+    """The parameters of an affine map ``y = x W + b``."""
 
     def __init__(self, in_features: int, out_features: int,
                  rng: np.random.Generator):
         super().__init__()
-        self.in_features = in_features
-        self.out_features = out_features
         self.weight = Parameter(
             kaiming_uniform(in_features, out_features, rng), name="weight")
         self.bias = Parameter(np.zeros(out_features), name="bias")
-
-    def forward(self, x: Tensor | np.ndarray) -> Tensor | np.ndarray:
-        return linear(x, self.weight, self.bias)
-
-
-class ReLU(Module):
-    """Rectified linear unit."""
-
-    def forward(self, x: Tensor | np.ndarray) -> Tensor | np.ndarray:
-        return relu(x)
-
-
-class LeakyReLU(Module):
-    def __init__(self, negative_slope: float = 0.01):
-        super().__init__()
-        self.negative_slope = negative_slope
-
-    def forward(self, x: Tensor | np.ndarray) -> Tensor | np.ndarray:
-        return leaky_relu(x, self.negative_slope)
-
-
-_ACTIVATIONS: dict[str, type[Module]] = {
-    "relu": ReLU,
-    "leaky_relu": LeakyReLU,
-}
-
-
-class Sequential(Module):
-    """Apply modules in order."""
-
-    def __init__(self, *modules: Module):
-        super().__init__()
-        self._order: list[str] = []
-        for index, module in enumerate(modules):
-            key = f"layer{index}"
-            self.register_module(key, module)
-            self._order.append(key)
-
-    def forward(self, x: Tensor | np.ndarray) -> Tensor | np.ndarray:
-        for key in self._order:
-            x = self._modules[key](x)
-        return x
-
-    def __iter__(self):
-        return (self._modules[key] for key in self._order)
-
-    def __len__(self) -> int:
-        return len(self._order)
 
 
 class MLP(Module):
     """Multi-layer perceptron with configurable hidden sizes.
 
-    ``hidden_sizes`` may be empty, in which case this is a single Linear.
+    ``hidden_sizes`` may be empty, in which case this is a single
+    ``Linear``.  Every layer but the last applies ``activation``; the
+    forward is one :func:`~repro.nn.tensor.linear` op per layer.
     """
 
     def __init__(self, in_features: int, hidden_sizes: Sequence[int],
                  out_features: int, rng: np.random.Generator,
                  activation: str = "leaky_relu"):
         super().__init__()
-        if activation not in _ACTIVATIONS:
+        if activation is None or activation not in _ACTIVATIONS:
             raise ValueError(
                 f"unknown activation {activation!r}; "
-                f"choose from {sorted(_ACTIVATIONS)}"
+                f"choose from {sorted(filter(None, _ACTIVATIONS))}"
             )
-        layers: list[Module] = []
-        previous = in_features
-        for width in hidden_sizes:
-            layers.append(Linear(previous, width, rng))
-            layers.append(_ACTIVATIONS[activation]())
-            previous = width
-        layers.append(Linear(previous, out_features, rng))
-        self.body = Sequential(*layers)
-        self.in_features = in_features
-        self.out_features = out_features
+        widths = [in_features, *hidden_sizes, out_features]
+        self.body = Module()
+        self._layers: list[tuple[Parameter, Parameter, str | None]] = []
+        for index, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
+            layer = Linear(fan_in, fan_out, rng)
+            # Each activation was a module of its own at the odd
+            # positions; saved weights are keyed by these names.
+            self.body.register_module(f"layer{2 * index}", layer)
+            last = index == len(widths) - 2
+            self._layers.append(
+                (layer.weight, layer.bias, None if last else activation))
 
     def forward(self, x: Tensor | np.ndarray) -> Tensor | np.ndarray:
-        return self.body(x)
+        for weight, bias, activation in self._layers:
+            x = linear(x, weight, bias, activation)
+        return x

@@ -14,12 +14,12 @@ what numpy's does, a numpy scalar.
 
 The ops are the ones the cost models need — ``add``, ``sub``, ``mul``
 (``+ - *`` on a ``Tensor``; ``@`` is the private ``_matmul``),
-``linear`` (``x @ w + b``),
-``abs``, ``relu``, ``leaky_relu``, ``sum``, ``mean``, ``reshape``,
-``concat`` and the row primitives below — implemented fully
-(broadcasting-aware, with correct gradient reduction).  ``abs`` and
-``sum`` shadow the builtins inside this module, as numpy's do in
-``np``.
+``linear`` (``x @ w + b`` through an optional ``relu`` or
+``leaky_relu``: one ``MLP`` layer, one tape node), ``abs``, ``sum``,
+``mean``, ``reshape``, ``concat`` and the row primitives below —
+implemented fully (broadcasting-aware, with correct gradient
+reduction).  ``abs`` and ``sum`` shadow the builtins inside this
+module, as numpy's do in ``np``.
 
 Row movement — the message passing of the DAG models — goes through
 three structure-aware primitives instead of ``ufunc.at``, which is an
@@ -33,14 +33,15 @@ order of magnitude slower than fancy-index assignment:
   while every target still adds its sources left to right — bit for
   bit what the unbuffered ``ufunc.at`` add computes, which a sorted
   ``np.add.reduceat`` is not;
-* :meth:`RowState.add_rows` updates some distinct rows of a pass's
-  state in place: a :class:`RowState` is the one ``[N, ...]`` buffer a
-  level-by-level pass owns, and the one gradient buffer on the way back.
+* :class:`RowState` is the one ``[N, W]`` buffer a level-by-level pass
+  owns, and the one gradient buffer on the way back: a level writes its
+  combine's input once (:meth:`RowState.begin_level`) and updates its
+  distinct parent rows in place (:meth:`RowState.end_level`).
 
 The gradient of gathered rows arrives the same way it left: the
-backward of :func:`index_select` and :func:`gather_sum` adds into the
-rows it read (``grad[rows] += g``), never through a zero-filled
-``[N, ...]`` temporary.
+backward of :func:`index_select`, :func:`gather_sum` and a level's input
+adds into the rows it read (``grad[rows] += g``), never through a
+zero-filled ``[N, ...]`` temporary.
 """
 
 from __future__ import annotations
@@ -51,9 +52,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 __all__ = ["Tensor", "no_grad", "RowState", "RowSums", "rank_rounds", "add",
-           "sub", "mul", "linear", "abs", "relu", "leaky_relu", "sum",
-           "mean", "reshape", "concat", "index_select", "gather_sum",
-           "scatter_rows"]
+           "sub", "mul", "linear", "abs", "sum", "mean", "reshape",
+           "concat", "index_select", "gather_sum", "scatter_rows"]
 
 _GRAD_ENABLED = True
 
@@ -465,21 +465,55 @@ def _matmul(a, b) -> Tensor | np.ndarray:
     return _record(out, parents, lambda grad: _matmul_backward(a, b, grad))
 
 
-def linear(x, weight, bias) -> Tensor | np.ndarray:
-    """``x @ weight + bias``, the affine map of a ``Linear`` layer.
+#: What :func:`linear` may apply after the affine map.
+_ACTIVATIONS = (None, "relu", "leaky_relu")
 
-    The bias is added into the fresh product in place: bit for bit
-    ``add(_matmul(x, weight), bias)``, without its ``[n, out]`` temporary
-    and its second dispatch, which at serving batch sizes are a
-    measurable share of a forward.
+
+def _activate(pre: np.ndarray, activation: str | None,
+              negative_slope: float) -> np.ndarray:
+    """``pre`` through an activation (``None`` returns it as is):
+    ``relu`` is ``max(x, 0)``, ``leaky_relu`` is ``x`` where positive and
+    ``negative_slope * x`` elsewhere."""
+    if activation is None:
+        return pre
+    if activation == "relu":
+        return pre * (pre > 0)
+    scaled = pre * negative_slope
+    if 0.0 < negative_slope <= 1.0:
+        # x > 0 -> x > slope * x and x < 0 -> slope * x > x, so the
+        # larger of the two *is* ``x * (1 or slope)``, bit for bit,
+        # without the mask-and-select of the general case.
+        return np.maximum(pre, scaled)
+    return np.where(pre > 0, pre, scaled)
+
+
+def linear(x, weight, bias, activation: str | None = None,
+           negative_slope: float = 0.01) -> Tensor | np.ndarray:
+    """``x @ weight + bias`` through ``activation`` (``None``, ``"relu"``
+    or ``"leaky_relu"`` with its ``negative_slope``): one layer of an
+    ``MLP``, one tape node.
+
+    The bias is added into the fresh product in place, and the backward
+    multiplies the gradient by the activation's derivative before it
+    forms the bias and matmul gradients: bit for bit the affine map
+    followed by the activation as an op of its own, without the second
+    dispatch, the second tape node and the gradient copy between them.
     """
-    out = _stable_matmul(_data(x), _data(weight))
-    out += _data(bias)
+    if activation not in _ACTIVATIONS:
+        raise ValueError(f"unknown activation {activation!r}; choose from "
+                         f"{_ACTIVATIONS}")
+    pre = _stable_matmul(_data(x), _data(weight))
+    pre += _data(bias)
+    out = _activate(pre, activation, negative_slope)
     parents = _tape(x, weight, bias)
     if not parents:
         return out
 
     def backward(grad: np.ndarray) -> None:
+        if activation == "relu":
+            grad = grad * (pre > 0)
+        elif activation == "leaky_relu":
+            grad = grad * np.where(pre > 0, 1.0, negative_slope)
         if _needs_grad(bias):
             bias._accumulate(grad)
         _matmul_backward(x, weight, grad)
@@ -499,35 +533,6 @@ def abs(x) -> Tensor | np.ndarray:
         return out
     return _record(out, parents,
                    lambda grad: x._accumulate(grad * np.sign(data)))
-
-
-def relu(x) -> Tensor | np.ndarray:
-    """``max(x, 0)``, elementwise."""
-    data = _data(x)
-    mask = data > 0
-    out = data * mask
-    parents = _tape(x)
-    if not parents:
-        return out
-    return _record(out, parents, lambda grad: x._accumulate(grad * mask))
-
-
-def leaky_relu(x, negative_slope: float = 0.01) -> Tensor | np.ndarray:
-    """``x`` where positive, ``negative_slope * x`` elsewhere."""
-    data = _data(x)
-    scaled = data * negative_slope
-    if 0.0 < negative_slope <= 1.0:
-        # x > 0 -> x > slope * x and x < 0 -> slope * x > x, so the
-        # larger of the two *is* ``x * (1 or slope)``, bit for bit,
-        # without the mask-and-select of the general case.
-        out = np.maximum(data, scaled)
-    else:
-        out = np.where(data > 0, data, scaled)
-    parents = _tape(x)
-    if not parents:
-        return out
-    return _record(out, parents, lambda grad: x._accumulate(
-        grad * np.where(data > 0, 1.0, negative_slope)))
 
 
 # ----------------------------------------------------------------------
@@ -673,32 +678,34 @@ def scatter_rows(pieces: Sequence, index_sets: Sequence[np.ndarray],
 
 
 class RowState:
-    """The ``[N, ...]`` state of one level-by-level pass: one private
+    """The ``[N, W]`` state of one level-by-level pass: one private
     buffer forward, one gradient buffer back.
 
     The pass copies its input once, into a buffer nobody else holds,
-    and every level writes its rows there *in place*
-    (:meth:`add_rows`), where an op would copy the whole state to
-    change a few rows and its backward the whole gradient.  Writing in
-    place is only sound while no recorded closure reads the buffer, so
-    the state is handed to no op until the pass is over: it offers the
-    two gathers, which copy rows *out* and whose backward needs the
-    indices alone, and :meth:`hand_over`, after which the buffer
-    belongs to the caller and this object refuses every call.  No value
-    that exists outside the pass — its input, a leaf, a parameter — can
-    be written to through here.
+    and every level writes its parents' rows there *in place*, where an
+    op would copy the whole state to change a few rows and its backward
+    the whole gradient.  Writing in place is only sound while no
+    recorded closure reads the buffer, so the state is handed to no op
+    until the pass is over.  A level is two calls: :meth:`begin_level`
+    copies the rows the level's combine reads *out*, into one fresh
+    ``[P, 2W]`` matrix whose backward needs the indices alone, and
+    :meth:`end_level` writes the combined rows back.  :meth:`hand_over`
+    ends the pass; the buffer then belongs to the caller and this
+    object refuses every call.  No value that exists outside the pass —
+    its input, a leaf, a parameter — can be written to through here.
 
     Off the tape the state is a raw ``ndarray`` throughout.  On the
-    tape every update is one :class:`Tensor` node sharing the buffer.
-    Its backward gives ``delta`` the gradient rows it wrote and hands
-    the *same* gradient array to the state below, into which that
-    level's gathers then add their rows: a row receives the additions a
+    tape a level is two :class:`Tensor` nodes, the combine input and
+    the update, which shares the buffer.  The update's backward gives
+    ``combined`` the gradient rows it wrote and hands the *same*
+    gradient array to the state below, into which the combine input's
+    backward then adds the rows it read: a row receives the additions a
     chain of copied states would give it, in the same order (higher
     levels first).  After a backward pass the ``grad`` of the tensor
     handed over is therefore that shared buffer, not its own gradient.
     """
 
-    __slots__ = ("_current",)
+    __slots__ = ("_current", "_level")
 
     def __init__(self, initial):
         current = _data(initial).copy()
@@ -706,6 +713,9 @@ class RowState:
         if parents:
             current = _record(current, parents, initial._accumulate)
         self._current = current
+        #: ``(parents, combine input, its gradient's share from the
+        #: update)`` of the level :meth:`begin_level` opened.
+        self._level = None
 
     def _live(self):
         if self._current is None:
@@ -714,32 +724,81 @@ class RowState:
                 "value hand_over() returned and is no longer written to")
         return self._current
 
-    def index_select(self, indices: np.ndarray) -> Tensor | np.ndarray:
-        """A copy of the current rows ``indices`` (duplicates allowed)."""
-        return index_select(self._live(), indices)
-
-    def gather_sum(self, sums: RowSums, num_rows: int,
-                   reverse: RowSums | Callable[[], RowSums]
-                   ) -> Tensor | np.ndarray:
-        """:func:`gather_sum` over the current rows."""
-        return gather_sum(self._live(), sums, num_rows, reverse)
-
-    def add_rows(self, indices: np.ndarray, delta) -> None:
-        """Add ``delta`` to the *distinct* rows ``indices`` — per row
-        what adding a zero matrix holding ``delta`` at ``indices``
-        computes, with no other row read or written."""
+    def begin_level(self, parents: np.ndarray, sums: RowSums,
+                    reverse: RowSums | Callable[[], RowSums]
+                    ) -> Tensor | np.ndarray:
+        """Open a level: the ``[P, 2W]`` input of its combine.  Row ``i``
+        holds the current row ``parents[i]`` (*distinct* rows) on the
+        left and, on the right, the sum of the rows ``sums`` routes to
+        ``i``, zeros where none is — bit for bit the concatenation of
+        :func:`index_select` and :func:`gather_sum` (whose ``reverse``
+        it takes), written once."""
         state = self._live()
+        if self._level is not None:
+            raise RuntimeError("begin_level: the open level was not ended")
         data = _data(state)
-        indices = np.asarray(indices, dtype=np.int64)
-        _require_distinct((indices,), len(data), "add_rows")
-        _add_rows(data, indices, _data(delta))
-        parents = _tape(state, delta)
-        if not parents:
+        parents = np.asarray(parents, dtype=np.int64)
+        _require_distinct((parents,), len(data), "begin_level")
+        num_parents, width = len(parents), data.shape[1]
+        out = np.empty((num_parents, 2 * width))
+        out[:, :width] = data.take(parents, axis=0)
+        targets, summed = _round_sums(data, sums, num_parents)
+        child_sums = out[:, width:]
+        if len(targets) < num_parents:
+            child_sums[...] = 0.0
+        child_sums[targets] = summed
+        recorded = _tape(state)
+        if not recorded:
+            self._level = (parents, out, None)
+            return out
+        #: The update's gradient of the parents' rows, once it has run.
+        from_update = []
+
+        def backward(grad: np.ndarray) -> None:
+            # The update reads h twice, h + (c - h): its ``- h`` term
+            # comes back here, added (as a subtraction) to what the
+            # combine sends; its ``h +`` term is the handed-down buffer.
+            own = grad[:, :width]
+            if from_update:
+                own = own - from_update.pop()
+            state._accumulate_rows(parents, own)
+            state._accumulate_rows(*_round_sums(
+                grad[:, width:], reverse() if callable(reverse) else reverse,
+                len(data)))
+
+        level_input = _record(out, recorded, backward)
+        self._level = (parents, level_input, from_update)
+        return level_input
+
+    def end_level(self, combined) -> None:
+        """Close the open level: its parents' rows become ``h + (c - h)``,
+        ``h`` the left half of the level's input and ``c`` the
+        ``[P, W]`` ``combined`` — per row what adding a zero matrix
+        holding ``c - h`` at the parents computes, with no other row read
+        or written (writing ``c`` itself rounds differently)."""
+        state = self._live()
+        if self._level is None:
+            raise RuntimeError("end_level: no level was begun")
+        parents, level_input, from_update = self._level
+        data = _data(state)
+        hidden = _data(level_input)[:, :data.shape[1]]
+        if combined.shape != hidden.shape:
+            raise ValueError(f"combined rows {combined.shape} != parent "
+                             f"rows {hidden.shape}")
+        self._level = None
+        updated = _data(combined) - hidden
+        updated += hidden
+        data[parents] = updated
+        recorded = _tape(state, combined, level_input)
+        if not recorded:
             return
 
         def backward(grad: np.ndarray) -> None:
-            if _needs_grad(delta):
-                delta._accumulate(grad.take(indices, axis=0))
+            rows = grad.take(parents, axis=0)
+            if _needs_grad(combined):
+                combined._accumulate(rows)
+            if from_update is not None:
+                from_update.append(rows)
             if _needs_grad(state):
                 # By reference: nothing reads this node's gradient
                 # again, the state below continues in it.
@@ -748,9 +807,12 @@ class RowState:
                 else:
                     state.grad += grad
 
-        self._current = _record(data, parents, backward)
+        self._current = _record(data, recorded, backward)
 
     def hand_over(self) -> Tensor | np.ndarray:
         """End the pass: the state as an ordinary value (no copy)."""
-        state, self._current = self._live(), None
+        state = self._live()
+        if self._level is not None:
+            raise RuntimeError("hand_over: the open level was not ended")
+        self._current = None
         return state

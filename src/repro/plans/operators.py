@@ -90,6 +90,14 @@ class PlanNode:
         return self.operator_name
 
 
+def _relation(table: TableRef) -> str:
+    """A scanned table as EXPLAIN names it: its name, then its alias
+    where that differs (two scans of one table in a self-join)."""
+    if table.alias and table.alias != table.table_name:
+        return f"{table.table_name} {table.alias}"
+    return table.table_name
+
+
 @dataclass
 class SeqScan(PlanNode):
     """Full table scan with optional pushed-down filters.
@@ -108,9 +116,7 @@ class SeqScan(PlanNode):
         return 0
 
     def label(self) -> str:
-        base = f"Seq Scan on {self.table.table_name}"
-        if self.table.alias and self.table.alias != self.table.table_name:
-            base += f" {self.table.alias}"
+        base = f"Seq Scan on {_relation(self.table)}"
         if self.filters:
             base += f" (filters: {len(self.filters)})"
         if self.projection is not None:
@@ -149,10 +155,11 @@ class IndexScan(PlanNode):
             )
 
     def label(self) -> str:
-        base = (f"Index Scan using {self.index_name} on "
-                f"{self.table.table_name}")
+        base = f"Index Scan using {self.index_name} on {_relation(self.table)}"
         if self.lookup_column is not None:
             base += f" (lookup: {self.lookup_column})"
+        if self.index_predicates:
+            base += f" (index predicates: {len(self.index_predicates)})"
         if self.projection is not None:
             base += f" (columns: {len(self.projection)})"
         return base

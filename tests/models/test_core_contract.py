@@ -193,6 +193,44 @@ def test_inference_forward_builds_no_tensor(name, inference_models,
     assert calls[:2] == ["Tensor.__init__", "Module.eval"]
 
 
+def _mlp_keys(name, *layers):
+    """The ``state_dict`` keys of one ``MLP``: its ``Linear`` layers sit
+    at the even positions of ``body``, where the activations between
+    them once were modules of their own."""
+    prefix = f"{name}." if name else ""
+    return [f"{prefix}body.layer{layer}.{parameter}"
+            for layer in layers for parameter in ("weight", "bias")]
+
+
+_ZERO_SHOT_KEYS = [
+    key for node_type in ("plan_op", "table", "column", "predicate",
+                          "aggregate", "index")
+    for part in ("encode", "combine")
+    for key in _mlp_keys(f"{part}_{node_type}", 0, 2)
+] + _mlp_keys("readout", 0, 2, 4)
+
+#: Every learned model's parameter names, in order: what a saved
+#: ``weights.npz`` is keyed by, so a layer refactor that renames one
+#: cannot load the models saved before it.
+STATE_DICT_KEYS = {
+    "zero-shot": _ZERO_SHOT_KEYS,
+    "zero-shot-head": _ZERO_SHOT_KEYS + _mlp_keys("card_readout", 0, 2, 4),
+    "zero-shot-system": _ZERO_SHOT_KEYS + _mlp_keys("encode_system", 0, 2)
+    + _mlp_keys("combine_system", 0, 2),
+    "e2e": (_mlp_keys("encoder", 0, 2) + _mlp_keys("combine", 0, 2)
+            + _mlp_keys("readout", 0, 2)),
+    "mscn": (_mlp_keys("table_mlp", 0, 2) + _mlp_keys("join_mlp", 0, 2)
+             + _mlp_keys("predicate_mlp", 0, 2) + _mlp_keys("output", 0, 2)),
+    "flat": _mlp_keys("", 0, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATE_DICT_KEYS))
+def test_state_dict_keys_are_pinned(name, inference_models):
+    model, _ = inference_models[name]
+    assert list(model.net.state_dict()) == STATE_DICT_KEYS[name]
+
+
 def test_validation_runs_off_the_tape():
     """Nobody walks a tape of the validation batch, so ``train_model``
     builds none: the forward returns a raw ``ndarray`` for the (one,

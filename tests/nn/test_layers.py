@@ -15,7 +15,7 @@ from repro.nn import (
 )
 from repro.nn import functional as F
 from repro.nn import tensor as T
-from repro.nn.layers import Linear, ReLU, Sequential
+from repro.nn.layers import Linear
 from repro.nn.module import Parameter
 
 
@@ -26,12 +26,13 @@ def rng():
 class TestLinear:
     def test_shapes(self):
         layer = Linear(4, 3, rng())
-        out = layer(Tensor(np.ones((5, 4))))
+        out = T.linear(Tensor(np.ones((5, 4))), layer.weight, layer.bias)
         assert out.shape == (5, 3)
 
     def test_gradients_flow(self):
         layer = Linear(4, 1, rng())
-        out = T.sum(layer(Tensor(np.ones((2, 4)))))
+        out = T.sum(T.linear(Tensor(np.ones((2, 4))), layer.weight,
+                             layer.bias))
         out.backward()
         assert layer.weight.grad is not None
         assert layer.bias.grad is not None
@@ -45,7 +46,10 @@ class TestMLP:
 
     def test_empty_hidden_is_linear(self):
         mlp = MLP(6, [], 2, rng())
-        assert len(mlp.body) == 1
+        assert list(mlp.state_dict()) == ["body.layer0.weight",
+                                          "body.layer0.bias"]
+        x = np.random.default_rng(1).normal(size=(3, 6))
+        assert np.array_equal(mlp(x).data, x @ mlp.body.layer0.weight.data)
 
     def test_unknown_activation(self):
         with pytest.raises(ValueError):
@@ -147,10 +151,10 @@ class TestDataHelpers:
 
 class TestModuleMechanics:
     def test_named_parameters_nested(self):
-        model = Sequential(Linear(2, 3, rng()), Linear(3, 1, rng()))
-        names = list(model.state_dict())
-        assert "layer0.weight" in names
-        assert "layer1.bias" in names
+        model = MLP(2, [3], 1, rng())
+        assert list(model.state_dict()) == [
+            "body.layer0.weight", "body.layer0.bias",
+            "body.layer2.weight", "body.layer2.bias"]
 
     def test_state_dict_roundtrip(self, tmp_path):
         model = MLP(4, [8], 1, rng())
@@ -171,11 +175,11 @@ class TestModuleMechanics:
         del b
 
     def test_train_eval_propagates(self):
-        model = Sequential(ReLU())
+        model = MLP(2, [3], 1, rng())
         model.eval()
-        assert not next(iter(model)).training
+        assert not model.body.layer2.training
         model.train()
-        assert next(iter(model)).training
+        assert model.body.layer2.training
 
 
 class TestLosses:

@@ -104,17 +104,90 @@ class TestElementaryOps:
 
 
 class TestNonlinearities:
+    """The activations ride on ``linear``: one op per MLP layer."""
+
     def test_relu(self):
-        a = RNG.normal(size=(10,)) + 0.05  # avoid kink at 0
-        check_gradient(lambda ts: T.sum(T.relu(ts[0])), [a])
+        x, w, b = (RNG.normal(size=(5, 4)), RNG.normal(size=(4, 3)),
+                   RNG.normal(size=(3,)))
+        check_gradient(lambda ts: T.sum(squared(
+            T.linear(*ts, activation="relu"))), [x, w, b])
 
     def test_leaky_relu(self):
-        a = RNG.normal(size=(10,)) + 0.05
-        check_gradient(lambda ts: T.sum(T.leaky_relu(ts[0], 0.1)), [a])
+        x, w, b = (RNG.normal(size=(5, 4)), RNG.normal(size=(4, 3)),
+                   RNG.normal(size=(3,)))
+        check_gradient(lambda ts: T.sum(squared(T.linear(
+            *ts, activation="leaky_relu", negative_slope=0.1))), [x, w, b])
+
+    def test_unknown_activation(self):
+        with pytest.raises(ValueError, match="unknown activation"):
+            T.linear(np.ones((1, 2)), np.ones((2, 2)), np.zeros(2), "swish")
 
     def test_abs(self):
         a = RNG.normal(size=(8,)) + 0.1
         check_gradient(lambda ts: T.sum(T.abs(ts[0])), [a])
+
+
+def _unfused_activation(x, activation, negative_slope):
+    """The activation ops ``linear`` absorbed, as they were: each one
+    op of its own after ``linear``, with its own tape node."""
+    if activation is None:
+        return x
+    data = x.data
+    if activation == "relu":
+        mask = data > 0
+        return T._record(data * mask, (x,),
+                         lambda grad: x._accumulate(grad * mask))
+    scaled = data * negative_slope
+    if 0.0 < negative_slope <= 1.0:
+        out = np.maximum(data, scaled)
+    else:
+        out = np.where(data > 0, data, scaled)
+    return T._record(out, (x,), lambda grad: x._accumulate(
+        grad * np.where(data > 0, 1.0, negative_slope)))
+
+
+#: Signed zeros beside ordinary values: ``-0.0`` and ``0.0`` differ in
+#: their bits, and a mask or a ``max`` must treat them as before.
+_ENTRIES = st.one_of(st.just(0.0), st.just(-0.0),
+                     st.floats(min_value=-4.0, max_value=4.0))
+
+
+def _matrix(data, rows, cols):
+    return np.array(data.draw(st.lists(_ENTRIES, min_size=rows * cols,
+                                       max_size=rows * cols)),
+                    dtype=np.float64).reshape(rows, cols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.integers(min_value=1, max_value=4),
+       fan_in=st.integers(min_value=1, max_value=4),
+       fan_out=st.integers(min_value=1, max_value=4),
+       activation=st.sampled_from([None, "relu", "leaky_relu"]),
+       negative_slope=st.sampled_from([0.01, 0.2, 1.0, 0.0, 1.5, -0.5]),
+       data=st.data())
+def test_fused_linear_matches_the_unfused_activation(
+        rows, fan_in, fan_out, activation, negative_slope, data):
+    """Property: ``linear`` with an activation computes, bit for bit,
+    the activation applied to ``linear`` without one — the value and
+    the gradient of ``x``, ``w`` and ``b`` — for single rows, single
+    columns, signed zeros and slopes on either side of the ``max``
+    shortcut (``0 < slope <= 1``)."""
+    x, w = _matrix(data, rows, fan_in), _matrix(data, fan_in, fan_out)
+    b = _matrix(data, 1, fan_out)[0]
+    upstream = _matrix(data, rows, fan_out)
+    fused = [Tensor(a.copy(), requires_grad=True) for a in (x, w, b)]
+    split = [Tensor(a.copy(), requires_grad=True) for a in (x, w, b)]
+    out = T.linear(*fused, activation, negative_slope)
+    reference = _unfused_activation(T.linear(*split), activation,
+                                    negative_slope)
+    assert out.data.tobytes() == reference.data.tobytes()
+    with no_grad():
+        assert T.linear(x, w, b, activation, negative_slope).tobytes() \
+            == out.data.tobytes()
+    out.backward(upstream)
+    reference.backward(upstream)
+    for one, other in zip(fused, split):
+        assert one.grad.tobytes() == other.grad.tobytes()
 
 
 class TestReductionsAndShapes:
@@ -347,24 +420,72 @@ class TestRowPrimitives:
 
     @pytest.mark.parametrize("name", ["empty", "single_row",
                                       "unsorted_distinct"])
-    def test_add_rows_equals_state_plus_add_at(self, name):
+    def test_end_level_equals_state_plus_add_at(self, name):
+        """A level writes ``h + (c - h)`` into its parents' rows: what
+        adding a zero matrix holding ``c - h`` there computes, in place
+        in the pass's own copy, with every other row left alone."""
         indices, num_rows = INDEX_SETS[name]
-        initial, delta = _rows(num_rows), _rows(len(indices), seed=1)
+        initial, combined = _rows(num_rows), _rows(len(indices), seed=1)
         source = initial.copy()
         state = RowState(source)
-        state.add_rows(indices, delta)
+        level_input = state.begin_level(indices, _NO_SUMS, _NO_SUMS)
+        assert np.array_equal(level_input[:, :3], initial[indices])
+        assert not level_input[:, 3:].any()
+        state.end_level(combined)
         out = state.hand_over()
         # Off the tape the pass is raw arrays throughout.
         assert type(out) is np.ndarray
+        delta = combined - initial[indices]
         assert np.array_equal(out, initial + add_at(delta, indices, num_rows))
         # The array handed to the pass is left alone.
         assert np.array_equal(source, initial)
         assert not np.shares_memory(out, source)
 
-    def test_add_rows_rejects_repeated_rows(self):
+    @pytest.mark.parametrize("name", sorted(INDEX_SETS))
+    def test_begin_level_equals_index_select_beside_gather_sum(self, name):
+        """A level's input is its parents' rows beside their children's
+        sums, forward and backward, also used without its update."""
+        slots, num_parents = INDEX_SETS[name]
+        slots = slots % num_parents
+        children = np.random.default_rng(3).integers(0, 5, size=len(slots))
+        parents = np.arange(5, 5 + num_parents)
+        states = Tensor(_rows(5 + num_parents), requires_grad=True)
+        level_input = RowState(states).begin_level(
+            parents, rank_rounds(children, slots),
+            rank_rounds(slots, children))
+        assert np.array_equal(level_input.data, np.concatenate(
+            [states.data[parents],
+             add_at(states.data[children], slots, num_parents)], axis=1))
+        upstream = _rows(num_parents, seed=4, width=6)
+        level_input.backward(upstream)
+        assert np.array_equal(states.grad, add_at(
+            upstream[:, :3], parents, len(states.data)) + add_at(
+            upstream[slots, 3:], children, len(states.data)))
+
+    def test_begin_level_rejects_repeated_rows(self):
         state = RowState(_rows(4))
         with pytest.raises(ValueError, match="distinct"):
-            state.add_rows(np.array([1, 1]), _rows(2))
+            state.begin_level(np.array([1, 1]), _NO_SUMS, _NO_SUMS)
+        bad = RowSums(np.array([0, 0]), (np.array([2, 3]),))
+        with pytest.raises(ValueError, match="distinct"):
+            state.begin_level(np.array([1]), bad, bad)
+
+    def test_a_level_is_begun_then_ended(self):
+        """The two calls of a level pair up: no update without its
+        input, no second input or hand-over while a level is open, and
+        an update of the wrong shape leaves the level open."""
+        state = RowState(_rows(4))
+        with pytest.raises(RuntimeError, match="no level"):
+            state.end_level(_rows(1))
+        state.begin_level(np.array([1, 3]), _NO_SUMS, _NO_SUMS)
+        with pytest.raises(RuntimeError, match="not ended"):
+            state.begin_level(np.array([0]), _NO_SUMS, _NO_SUMS)
+        with pytest.raises(RuntimeError, match="not ended"):
+            state.hand_over()
+        with pytest.raises(ValueError, match="parent rows"):
+            state.end_level(_rows(1))
+        state.end_level(_rows(2))
+        assert type(state.hand_over()) is np.ndarray
 
     def test_row_state_refuses_everything_after_the_hand_over(self):
         state = RowState(_rows(4))
@@ -372,9 +493,9 @@ class TestRowPrimitives:
         assert type(out) is np.ndarray
         before = out.copy()
         with pytest.raises(RuntimeError, match="handed over"):
-            state.add_rows(np.array([1]), _rows(1))
+            state.end_level(_rows(1))
         with pytest.raises(RuntimeError, match="handed over"):
-            state.index_select(np.array([1]))
+            state.begin_level(np.array([1]), _NO_SUMS, _NO_SUMS)
         with pytest.raises(RuntimeError, match="handed over"):
             state.hand_over()
         assert np.array_equal(out, before)
@@ -383,17 +504,19 @@ class TestRowPrimitives:
         """Only a ``RowState`` updates rows in place, and only in the
         copy it made: not in a raw input, a leaf, a parameter or an op's
         result (whose ``data`` a recorded closure reads), taped or not."""
-        assert not hasattr(Tensor, "add_rows")
+        assert not hasattr(Tensor, "end_level")
         weights = Tensor(_rows(3), requires_grad=True)
         sources = [_rows(4), Tensor(_rows(4)),
                    Tensor(_rows(4), requires_grad=True), Parameter(_rows(4)),
-                   T.leaky_relu(Tensor(_rows(4)) @ weights)]
+                   T.linear(Tensor(_rows(4)), weights, np.zeros(3),
+                            "leaky_relu")]
         for source in sources:
             array = T._data(source)
             before = array.copy()
             state = RowState(source)
-            state.add_rows(np.array([2, 0]), Tensor(_rows(2, seed=1)))
-            state.add_rows(np.array([3]), _rows(1, seed=2))
+            for parents, seed in ((np.array([2, 0]), 1), (np.array([3]), 2)):
+                state.begin_level(parents, _NO_SUMS, _NO_SUMS)
+                state.end_level(Tensor(_rows(len(parents), seed=seed)))
             out = T._data(state.hand_over())
             assert not np.shares_memory(out, array)
             assert np.array_equal(array, before)
@@ -409,7 +532,7 @@ class TestRowPrimitives:
         for slope in (0.01, 0.2, 1.0, 0.0, 1.5, -0.5):
             with np.errstate(invalid="ignore"):
                 expected = values * np.where(values > 0, 1.0, slope)
-                actual = T.leaky_relu(values, slope)
+                actual = T._activate(values, "leaky_relu", slope)
             np.testing.assert_array_equal(actual, expected)
             if slope != 0.0:  # -inf * 0 is nan either way
                 assert np.array_equal(np.signbit(actual),
@@ -429,28 +552,36 @@ class TestRowPrimitives:
                 [ts[0], ts[1]], [np.array([3, 0]), np.array([1])], 5,
             ))),
             [_rows(2), _rows(1, seed=1)])
-        check_gradient(_two_updates, [_rows(3), _rows(2, seed=1)])
+        check_gradient(_two_levels, [_rows(3), _rows(6, seed=1)])
         check_gradient(lambda ts: T.sum(T.abs(ts[0] - ts[1] * 2.0)),
                        [_rows(3), _rows(3, seed=1)])
-        check_gradient(lambda ts: T.sum(T.leaky_relu(ts[0], 0.2)), [_rows(3)])
         check_gradient(
             lambda ts: T.sum(squared(T.index_select(ts[0],
                                                     np.array([0, 0, 2])))),
             [_rows(3)])
 
 
-def _two_updates(ts):
-    """A pass over (input, delta) that reads the state before, between
-    and after two updates of overlapping rows; the first gather reaches
-    the loss directly, so its gradient arrives beside the one handed
-    down the chain of updates."""
+#: A level whose parents have no children.
+_NO_SUMS = RowSums(np.zeros(0, dtype=np.int64), ())
+
+
+def _two_levels(ts):
+    """A pass over (input, combine weights) whose two levels update
+    overlapping rows: the second sums a row the first wrote and writes
+    a row the first wrote.  The first level's input also reaches the
+    loss directly, so its gradient arrives beside the update's share
+    and the one handed down the chain of updates."""
     state = RowState(ts[0])
-    before = state.index_select(np.array([0, 0, 1]))
-    state.add_rows(np.array([2, 0]), ts[1])
-    between = state.index_select(np.array([2, 1, 2]))
-    state.add_rows(np.array([0, 1]), ts[1] * T.index_select(between, [0, 1]))
+    first = state.begin_level(np.array([2, 0]),
+                              rank_rounds(np.array([1, 1]), np.array([0, 1])),
+                              rank_rounds(np.array([0, 1]), np.array([1, 1])))
+    state.end_level(T.linear(first, ts[1], np.zeros(3), "leaky_relu"))
+    second = state.begin_level(
+        np.array([0, 1]), rank_rounds(np.array([2, 2]), np.array([0, 1])),
+        rank_rounds(np.array([0, 1]), np.array([2, 2])))
+    state.end_level(T.linear(second, ts[1], np.full(3, 0.5), "leaky_relu"))
     out = state.hand_over()
-    return T.sum(squared(out)) + T.sum(before * between)
+    return T.sum(squared(out)) + T.sum(squared(first))
 
 
 class TestTapeFree:
@@ -460,24 +591,27 @@ class TestTapeFree:
     @staticmethod
     def _forward(weights, states):
         """Every op of ``repro.nn.tensor`` once, ``RowState`` included."""
-        children = np.array([0, 1, 1, 3])
+        children = np.array([0, 1, 1, 0])
         parents = np.array([1, 0, 1, 1])
         sums = rank_rounds(children, parents)
         reverse = rank_rounds(parents, children)
-        hidden = T.leaky_relu(T.add(T._matmul(states, weights), 0.5))
+        hidden = T.linear(T.add(T._matmul(states, weights), 0.5), weights,
+                          np.full(3, 0.1), "leaky_relu")
         hidden = T.linear(hidden, weights, np.full(3, 0.25))
         state = RowState(hidden)
-        child_sum = state.gather_sum(sums, 2, reverse)
-        placed = T.scatter_rows([child_sum], [np.array([2, 0])], 4)
-        state.add_rows(np.array([3, 1]),
-                       T.sub(child_sum, state.index_select([3, 1])))
+        level_input = state.begin_level(np.array([3, 2]), sums, reverse)
+        combined = T.linear(level_input, T.concat([weights, weights]),
+                            np.zeros(3), "relu")
+        state.end_level(combined)
         updated = state.hand_over()
-        stacked = T.concat([placed, T.relu(updated)], axis=1)
+        child_sum = T.gather_sum(updated, sums, 2, reverse)
+        placed = T.scatter_rows([child_sum], [np.array([2, 0])], 4)
+        stacked = T.concat([placed, T.sub(updated, placed)], axis=1)
         picked = T.index_select(T.reshape(stacked, -1), np.arange(2, 5))
         scaled = T.mul(T.abs(picked), picked)
-        return [hidden, child_sum, placed, updated, stacked, picked, scaled,
-                T.sum(stacked, axis=0), T.mean(stacked, axis=1),
-                T.mean(scaled)]
+        return [hidden, level_input, combined, updated, child_sum, placed,
+                stacked, picked, scaled, T.sum(stacked, axis=0),
+                T.mean(stacked, axis=1), T.mean(scaled)]
 
     def test_nothing_is_recorded_and_a_taped_forward_still_learns(self):
         weights = Tensor(_rows(3), requires_grad=True)
@@ -501,26 +635,45 @@ class TestTapeFree:
         assert weights.grad is not None and np.abs(weights.grad).sum() > 0
 
 
+def _chain_pass(length, chains, width):
+    """``(input, loss)`` of a taped ``bottom_up_pass`` over ``chains``
+    chains of ``length`` nodes with a one-hidden-layer combine."""
+    rng = np.random.default_rng(0)
+    combine = MLP(2 * width, [width], width, rng)
+    hidden = Tensor(rng.normal(size=(chains * length, width)),
+                    requires_grad=True)
+    # Node k of chain c is row k * chains + c, the parent of node k - 1.
+    slots = np.arange(chains)
+    levels = [LevelSpec(slots + k * chains, slots + (k - 1) * chains,
+                        slots, {"node": slots})
+              for k in range(1, length)]
+    return hidden, T.sum(bottom_up_pass(hidden, levels, lambda _: combine))
+
+
+def _tape_nodes(out):
+    """How many tensors the tape of ``out`` holds, leaves included."""
+    seen, pending = set(), [out]
+    while pending:
+        node = pending.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            pending.extend(node._parents)
+    return len(seen)
+
+
 class TestPassWork:
-    """What a taped pass allocates is **counted, not timed**."""
+    """What a taped pass allocates and records is **counted, not
+    timed**."""
 
     @staticmethod
     def _peak_in_states(length, chains=50, width=32):
         """``tracemalloc`` peak of ``bottom_up_pass`` + ``backward()``
         over ``chains`` chains of ``length`` nodes, in units of one
         ``[N, width]`` state."""
-        rng = np.random.default_rng(0)
-        combine = MLP(2 * width, [width], width, rng)
-        hidden = Tensor(rng.normal(size=(chains * length, width)),
-                        requires_grad=True)
-        # Node k of chain c is row k * chains + c, the parent of node k - 1.
-        slots = np.arange(chains)
-        levels = [LevelSpec(slots + k * chains, slots + (k - 1) * chains,
-                            slots, {"node": slots})
-                  for k in range(1, length)]
         tracemalloc.start()
         try:
-            T.sum(bottom_up_pass(hidden, levels, lambda _: combine)).backward()
+            hidden, loss = _chain_pass(length, chains, width)
+            loss.backward()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -535,6 +688,17 @@ class TestPassWork:
         shallow = self._peak_in_states(20)
         deep = self._peak_in_states(80)
         assert abs(deep / shallow - 1.0) < 0.10, (shallow, deep)
+
+    @pytest.mark.parametrize("levels", [1, 4, 9])
+    def test_a_level_records_four_tape_nodes(self, levels):
+        """A level is its combine's input, one ``linear`` per MLP layer
+        (activation included) and the update: 4 nodes with a
+        one-hidden-layer combine, where ``gather_sum``,
+        ``index_select``, ``concat``, ``sub``, the update and a
+        separate activation made 8.  The rest is the input, the pass's
+        copy of it, the four combine parameters and the sum."""
+        _, loss = _chain_pass(levels + 1, chains=3, width=2)
+        assert _tape_nodes(loss) == 4 * levels + 7
 
 
 @settings(max_examples=60, deadline=None)
@@ -632,3 +796,112 @@ def test_bottom_up_pass_matches_its_functional_twin(depth, width, fan_in,
     for actual, expected in zip(run(bottom_up_pass), run(_functional_pass)):
         assert (actual is None) == (expected is None)
         assert actual is None or np.array_equal(actual, expected)
+
+
+class _FiveOpRowState:
+    """The pass state as it was before a level became two calls: two
+    gathers out of the buffer and an in-place update of distinct rows,
+    whose backward hands its gradient buffer down by reference."""
+
+    def __init__(self, initial):
+        self.current = RowState(initial).hand_over()
+
+    def index_select(self, indices):
+        return T.index_select(self.current, indices)
+
+    def gather_sum(self, sums, num_rows, reverse):
+        return T.gather_sum(self.current, sums, num_rows, reverse)
+
+    def add_rows(self, indices, delta):
+        state, data = self.current, T._data(self.current)
+        T._require_distinct((indices,), len(data), "add_rows")
+        T._add_rows(data, indices, T._data(delta))
+        parents = T._tape(state, delta)
+        if not parents:
+            return
+
+        def backward(grad):
+            if T._needs_grad(delta):
+                delta._accumulate(grad.take(indices, axis=0))
+            if T._needs_grad(state):
+                if state.grad is None:
+                    state.grad = grad
+                else:
+                    state.grad += grad
+
+        self.current = T._record(data, parents, backward)
+
+
+def _five_op_pass(hidden, levels, combine_of):
+    """``bottom_up_pass`` as it was: ``gather_sum``, ``index_select``,
+    ``concat``, the combine, ``sub`` and ``add_rows`` per level."""
+    state = _FiveOpRowState(hidden)
+    for level in levels:
+        num_parents = len(level.parent_ids)
+        child_sum = state.gather_sum(level.child_sums, num_parents,
+                                     lambda level=level: level.grad_sums)
+        parent_hidden = state.index_select(level.parent_ids)
+        stacked = T.concat([parent_hidden, child_sum], axis=1)
+        if len(level.type_slots) == 1:
+            (node_type,) = level.type_slots
+            combined = combine_of(node_type)(stacked)
+        else:
+            combined = T.scatter_rows(
+                [combine_of(node_type)(T.index_select(stacked, slots))
+                 for node_type, slots in level.type_slots.items()],
+                list(level.type_slots.values()), num_parents)
+        state.add_rows(level.parent_ids, T.sub(combined, parent_hidden))
+    return state.current
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    depth=st.integers(min_value=1, max_value=5),
+    width=st.integers(min_value=1, max_value=5),
+    fan_in=st.integers(min_value=1, max_value=4),
+    kinds=st.integers(min_value=1, max_value=2),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_level_calls_match_the_five_op_level(depth, width, fan_in, kinds,
+                                             seed):
+    """Property: a level as ``begin_level`` + ``end_level`` computes,
+    bit for bit, the states and every gradient of the five ops it
+    replaced — with one or two node types per level, children shared
+    within and across levels, parents without children, and signed
+    zeros among the initial states."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, width + 1, size=depth + 1)
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    specs = []
+    for k in range(1, depth + 1):
+        parents = rng.permutation(np.arange(starts[k], starts[k + 1]))
+        edges = int(rng.integers(0, fan_in * len(parents) + 1))
+        types = rng.integers(0, kinds, size=len(parents))
+        specs.append(LevelSpec(
+            parents, rng.integers(0, starts[k], size=edges),
+            rng.integers(0, len(parents), size=edges),
+            {name: np.flatnonzero(types == kind)
+             for kind, name in enumerate("ab") if (types == kind).any()}))
+    initial = rng.normal(size=(starts[-1], 3))
+    initial[rng.random(initial.shape) < 0.2] = 0.0
+    initial[rng.random(initial.shape) < 0.2] = -0.0
+    readout = rng.normal(size=initial.shape)
+
+    def run(pass_fn, taped):
+        combines = {name: MLP(6, [4], 3, np.random.default_rng(seed + i))
+                    for i, name in enumerate("ab")}
+        hidden = Tensor(initial.copy(), requires_grad=True)
+        if not taped:
+            with no_grad():
+                return [pass_fn(hidden, specs, combines.__getitem__)]
+        out = pass_fn(hidden, specs, combines.__getitem__)
+        T.sum(out * readout).backward()
+        return [out.data, hidden.grad] + [
+            parameter.grad for combine in combines.values()
+            for parameter in combine.parameters()]
+
+    for taped in (False, True):
+        for actual, expected in zip(run(bottom_up_pass, taped),
+                                    run(_five_op_pass, taped)):
+            assert (actual is None) == (expected is None)
+            assert actual is None or actual.tobytes() == expected.tobytes()

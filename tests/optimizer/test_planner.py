@@ -20,6 +20,7 @@ from repro.plans import (
     PhysicalPlan,
     PlainAggregate,
     SeqScan,
+    explain_plan,
     plan_signature,
     walk_plan,
 )
@@ -46,6 +47,23 @@ class TestSingleTablePlans:
         scan = plan.root.children[0]
         assert isinstance(scan, IndexScan)
         assert scan.index_name == "title_pkey"
+
+    def test_index_scans_of_a_self_join_explain_apart(self, tiny_imdb):
+        """EXPLAIN names an index scan's alias, as it does a seq scan's,
+        and counts its index predicates: the two scans of one table in
+        a self-join read apart (both read ``Index Scan using title_pkey
+        on title`` before)."""
+        plan = plan_query(tiny_imdb, q(
+            "SELECT COUNT(*) FROM title t1, title t2 "
+            "WHERE t1.kind_id = t2.kind_id AND t1.id = 5 AND t2.id < 9 "
+            "AND t2.production_year > 2000"),
+            PlannerOptions(enable_seqscan=False))
+        labels = [node.label() for node in plan.nodes()
+                  if isinstance(node, IndexScan)]
+        assert labels == [
+            "Index Scan using title_pkey on title t1 (index predicates: 1)",
+            "Index Scan using title_pkey on title t2 (index predicates: 1)"]
+        assert all(label in explain_plan(plan) for label in labels)
 
     def test_seq_scan_chosen_for_unselective_predicate(self, tiny_imdb):
         plan = plan_query(
