@@ -118,18 +118,18 @@ def bottom_up_pass(hidden: Tensor | np.ndarray, levels: list[LevelSpec],
     """
     state = RowState(hidden)
     for level in levels:
-        stacked = state.begin_level(level.parent_ids, level.child_sums,
-                                    lambda level=level: level.grad_sums)
         if len(level.type_slots) == 1:
             # One type owns every slot, in slot order.
             (node_type,) = level.type_slots
-            combined = combine_of(node_type)(stacked)
+            combine = combine_of(node_type)
         else:
-            combined = T.scatter_rows(
-                [combine_of(node_type)(T.index_select(stacked, slots))
-                 for node_type, slots in level.type_slots.items()],
-                list(level.type_slots.values()), len(level.parent_ids))
-        state.end_level(combined)
+            def combine(stacked, level=level):
+                return T.scatter_rows(
+                    [combine_of(node_type)(T.index_select(stacked, slots))
+                     for node_type, slots in level.type_slots.items()],
+                    list(level.type_slots.values()), len(level.parent_ids))
+        state.level(level.parent_ids, level.child_sums,
+                    lambda level=level: level.grad_sums, combine)
     return state.hand_over()
 
 

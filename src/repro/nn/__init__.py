@@ -16,8 +16,8 @@ nothing else:
   primitives of DAG message passing (``scatter_rows``, ``gather_sum``
   over :func:`~repro.nn.tensor.rank_rounds`, and
   :class:`~repro.nn.tensor.RowState`, the one state buffer a pass
-  updates in place, a level at a time: ``begin_level`` writes the
-  combine's input, ``end_level`` the parents' new rows).  Callers reach
+  updates in place, a level at a time: ``level`` writes the combine's
+  input, runs the combine and writes the parents' new rows).  Callers reach
   the ops through the module (``from repro.nn import tensor as T``), as
   they reach the loss through :mod:`~repro.nn.functional`.
 * :mod:`~repro.nn.layers` — ``MLP`` (``Linear`` layers with ``relu`` or

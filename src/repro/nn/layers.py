@@ -36,11 +36,9 @@ class MLP(Module):
                  out_features: int, rng: np.random.Generator,
                  activation: str = "leaky_relu"):
         super().__init__()
-        if activation is None or activation not in _ACTIVATIONS:
-            raise ValueError(
-                f"unknown activation {activation!r}; "
-                f"choose from {sorted(filter(None, _ACTIVATIONS))}"
-            )
+        if activation not in _ACTIVATIONS:
+            raise ValueError(f"unknown activation {activation!r}; "
+                             f"choose from {_ACTIVATIONS}")
         widths = [in_features, *hidden_sizes, out_features]
         self.body = Module()
         self._layers: list[tuple[Parameter, Parameter, str | None]] = []

@@ -35,8 +35,8 @@ order of magnitude slower than fancy-index assignment:
   ``np.add.reduceat`` is not;
 * :class:`RowState` is the one ``[N, W]`` buffer a level-by-level pass
   owns, and the one gradient buffer on the way back: a level writes its
-  combine's input once (:meth:`RowState.begin_level`) and updates its
-  distinct parent rows in place (:meth:`RowState.end_level`).
+  combine's input once and updates its distinct parent rows in place
+  (:meth:`RowState.level`).
 
 The gradient of gathered rows arrives the same way it left: the
 backward of :func:`index_select`, :func:`gather_sum` and a level's input
@@ -465,33 +465,32 @@ def _matmul(a, b) -> Tensor | np.ndarray:
     return _record(out, parents, lambda grad: _matmul_backward(a, b, grad))
 
 
-#: What :func:`linear` may apply after the affine map.
-_ACTIVATIONS = (None, "relu", "leaky_relu")
+#: What :func:`linear` may apply after the affine map, beside ``None``.
+_ACTIVATIONS = ("relu", "leaky_relu")
+
+#: The slope of ``leaky_relu`` below zero.
+_NEGATIVE_SLOPE = 0.01
 
 
-def _activate(pre: np.ndarray, activation: str | None,
-              negative_slope: float) -> np.ndarray:
+def _activate(pre: np.ndarray, activation: str | None) -> np.ndarray:
     """``pre`` through an activation (``None`` returns it as is):
     ``relu`` is ``max(x, 0)``, ``leaky_relu`` is ``x`` where positive and
-    ``negative_slope * x`` elsewhere."""
+    ``_NEGATIVE_SLOPE * x`` elsewhere."""
     if activation is None:
         return pre
     if activation == "relu":
         return pre * (pre > 0)
-    scaled = pre * negative_slope
-    if 0.0 < negative_slope <= 1.0:
-        # x > 0 -> x > slope * x and x < 0 -> slope * x > x, so the
-        # larger of the two *is* ``x * (1 or slope)``, bit for bit,
-        # without the mask-and-select of the general case.
-        return np.maximum(pre, scaled)
-    return np.where(pre > 0, pre, scaled)
+    # x > 0 -> x > slope * x and x < 0 -> slope * x > x (0 < slope < 1),
+    # so the larger of the two *is* ``x * (1 or slope)``, bit for bit,
+    # without a mask-and-select.
+    return np.maximum(pre, pre * _NEGATIVE_SLOPE)
 
 
-def linear(x, weight, bias, activation: str | None = None,
-           negative_slope: float = 0.01) -> Tensor | np.ndarray:
-    """``x @ weight + bias`` through ``activation`` (``None``, ``"relu"``
-    or ``"leaky_relu"`` with its ``negative_slope``): one layer of an
-    ``MLP``, one tape node.
+def linear(x, weight, bias, activation: str | None = None
+           ) -> Tensor | np.ndarray:
+    """``x @ weight + bias`` through ``activation`` (``None`` or one of
+    ``_ACTIVATIONS``; ``MLP`` checks the name once, when it is built):
+    one layer of an ``MLP``, one tape node.
 
     The bias is added into the fresh product in place, and the backward
     multiplies the gradient by the activation's derivative before it
@@ -499,12 +498,9 @@ def linear(x, weight, bias, activation: str | None = None,
     followed by the activation as an op of its own, without the second
     dispatch, the second tape node and the gradient copy between them.
     """
-    if activation not in _ACTIVATIONS:
-        raise ValueError(f"unknown activation {activation!r}; choose from "
-                         f"{_ACTIVATIONS}")
     pre = _stable_matmul(_data(x), _data(weight))
     pre += _data(bias)
-    out = _activate(pre, activation, negative_slope)
+    out = _activate(pre, activation)
     parents = _tape(x, weight, bias)
     if not parents:
         return out
@@ -513,7 +509,7 @@ def linear(x, weight, bias, activation: str | None = None,
         if activation == "relu":
             grad = grad * (pre > 0)
         elif activation == "leaky_relu":
-            grad = grad * np.where(pre > 0, 1.0, negative_slope)
+            grad = grad * np.where(pre > 0, 1.0, _NEGATIVE_SLOPE)
         if _needs_grad(bias):
             bias._accumulate(grad)
         _matmul_backward(x, weight, grad)
@@ -686,10 +682,10 @@ class RowState:
     op would copy the whole state to change a few rows and its backward
     the whole gradient.  Writing in place is only sound while no
     recorded closure reads the buffer, so the state is handed to no op
-    until the pass is over.  A level is two calls: :meth:`begin_level`
+    until the pass is over.  A level is one call, :meth:`level`: it
     copies the rows the level's combine reads *out*, into one fresh
-    ``[P, 2W]`` matrix whose backward needs the indices alone, and
-    :meth:`end_level` writes the combined rows back.  :meth:`hand_over`
+    ``[P, 2W]`` matrix whose backward needs the indices alone, runs the
+    combine on it and writes the combined rows back.  :meth:`hand_over`
     ends the pass; the buffer then belongs to the caller and this
     object refuses every call.  No value that exists outside the pass —
     its input, a leaf, a parameter — can be written to through here.
@@ -705,7 +701,7 @@ class RowState:
     handed over is therefore that shared buffer, not its own gradient.
     """
 
-    __slots__ = ("_current", "_level")
+    __slots__ = ("_current",)
 
     def __init__(self, initial):
         current = _data(initial).copy()
@@ -713,9 +709,6 @@ class RowState:
         if parents:
             current = _record(current, parents, initial._accumulate)
         self._current = current
-        #: ``(parents, combine input, its gradient's share from the
-        #: update)`` of the level :meth:`begin_level` opened.
-        self._level = None
 
     def _live(self):
         if self._current is None:
@@ -724,68 +717,55 @@ class RowState:
                 "value hand_over() returned and is no longer written to")
         return self._current
 
-    def begin_level(self, parents: np.ndarray, sums: RowSums,
-                    reverse: RowSums | Callable[[], RowSums]
-                    ) -> Tensor | np.ndarray:
-        """Open a level: the ``[P, 2W]`` input of its combine.  Row ``i``
-        holds the current row ``parents[i]`` (*distinct* rows) on the
-        left and, on the right, the sum of the rows ``sums`` routes to
-        ``i``, zeros where none is — bit for bit the concatenation of
-        :func:`index_select` and :func:`gather_sum` (whose ``reverse``
-        it takes), written once."""
+    def level(self, parents: np.ndarray, sums: RowSums,
+              reverse: RowSums | Callable[[], RowSums],
+              combine: Callable) -> None:
+        """One level: the *distinct* rows ``parents`` become
+        ``h + (c - h)``, with ``c = combine(x)`` for the ``[P, 2W]``
+        input ``x`` whose row ``i`` holds ``h``, the current row
+        ``parents[i]``, on the left and, on the right, the sum of the
+        rows ``sums`` routes to ``i`` (zeros where none is; ``reverse``
+        routes the gradient back).  Per row that is what adding a zero
+        matrix holding ``c - h`` at the parents computes, with no other
+        row read or written (writing ``c`` itself rounds differently).
+        """
         state = self._live()
-        if self._level is not None:
-            raise RuntimeError("begin_level: the open level was not ended")
         data = _data(state)
         parents = np.asarray(parents, dtype=np.int64)
-        _require_distinct((parents,), len(data), "begin_level")
+        _require_distinct((parents,), len(data), "level")
         num_parents, width = len(parents), data.shape[1]
         out = np.empty((num_parents, 2 * width))
-        out[:, :width] = data.take(parents, axis=0)
+        hidden = out[:, :width]
+        hidden[...] = data.take(parents, axis=0)
         targets, summed = _round_sums(data, sums, num_parents)
         child_sums = out[:, width:]
         if len(targets) < num_parents:
             child_sums[...] = 0.0
         child_sums[targets] = summed
         recorded = _tape(state)
-        if not recorded:
-            self._level = (parents, out, None)
-            return out
         #: The update's gradient of the parents' rows, once it has run.
         from_update = []
+        if recorded:
+            def input_backward(grad: np.ndarray) -> None:
+                # The update reads h twice, h + (c - h): its ``- h`` term
+                # comes back here, added (as a subtraction) to what the
+                # combine sends; its ``h +`` term is the handed-down
+                # buffer.
+                own = grad[:, :width]
+                if from_update:
+                    own = own - from_update.pop()
+                state._accumulate_rows(parents, own)
+                state._accumulate_rows(*_round_sums(
+                    grad[:, width:],
+                    reverse() if callable(reverse) else reverse, len(data)))
 
-        def backward(grad: np.ndarray) -> None:
-            # The update reads h twice, h + (c - h): its ``- h`` term
-            # comes back here, added (as a subtraction) to what the
-            # combine sends; its ``h +`` term is the handed-down buffer.
-            own = grad[:, :width]
-            if from_update:
-                own = own - from_update.pop()
-            state._accumulate_rows(parents, own)
-            state._accumulate_rows(*_round_sums(
-                grad[:, width:], reverse() if callable(reverse) else reverse,
-                len(data)))
-
-        level_input = _record(out, recorded, backward)
-        self._level = (parents, level_input, from_update)
-        return level_input
-
-    def end_level(self, combined) -> None:
-        """Close the open level: its parents' rows become ``h + (c - h)``,
-        ``h`` the left half of the level's input and ``c`` the
-        ``[P, W]`` ``combined`` — per row what adding a zero matrix
-        holding ``c - h`` at the parents computes, with no other row read
-        or written (writing ``c`` itself rounds differently)."""
-        state = self._live()
-        if self._level is None:
-            raise RuntimeError("end_level: no level was begun")
-        parents, level_input, from_update = self._level
-        data = _data(state)
-        hidden = _data(level_input)[:, :data.shape[1]]
+            level_input = _record(out, recorded, input_backward)
+        else:
+            level_input = out
+        combined = combine(level_input)
         if combined.shape != hidden.shape:
             raise ValueError(f"combined rows {combined.shape} != parent "
                              f"rows {hidden.shape}")
-        self._level = None
         updated = _data(combined) - hidden
         updated += hidden
         data[parents] = updated
@@ -797,7 +777,7 @@ class RowState:
             rows = grad.take(parents, axis=0)
             if _needs_grad(combined):
                 combined._accumulate(rows)
-            if from_update is not None:
+            if _needs_grad(level_input):
                 from_update.append(rows)
             if _needs_grad(state):
                 # By reference: nothing reads this node's gradient
@@ -812,7 +792,5 @@ class RowState:
     def hand_over(self) -> Tensor | np.ndarray:
         """End the pass: the state as an ordinary value (no copy)."""
         state = self._live()
-        if self._level is not None:
-            raise RuntimeError("hand_over: the open level was not ended")
         self._current = None
         return state

@@ -71,7 +71,7 @@ def _ufunc_at_uses(path: Path) -> list[str]:
 def test_source_never_scatters_through_ufunc_at():
     """``ufunc.at`` is ~25x slower than the fancy-index assignment the
     row primitives of ``repro.nn.tensor`` use (``scatter_rows``,
-    ``gather_sum``, ``RowState.end_level``); a new op must build on
+    ``gather_sum``, ``RowState.level``); a new op must build on
     those, not bring the slow scatter back."""
     offenders = {
         str(path.relative_to(PACKAGE_ROOT)): uses
@@ -582,8 +582,7 @@ def test_learned_stack_guard_sees_what_it_guards():
         param.values[0] for param in TENSOR_OPS}
     assert {"backward", "item"} <= set(_public_methods(Tensor))
     assert "shape" not in _public_methods(Tensor)  # a property, not an op
-    assert _public_methods(RowState) == [
-        "begin_level", "end_level", "hand_over"]
+    assert _public_methods(RowState) == ["level", "hand_over"]
 
     # A method only its own class calls, beside a private helper: the
     # method is listed and has no user, the helper is not listed.
